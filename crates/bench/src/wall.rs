@@ -10,14 +10,15 @@
 //!   with real inputs; every engine must produce byte-identical
 //!   buffers, so each row carries an output digest and
 //!   [`vm_rows`] fails on divergence;
-//! * the wire path, per framing strategy (the historic copy-per-chunk
-//!   path vs pooled zero-copy segmentation/reassembly) at small and
-//!   bulk payload sizes.
+//! * the wire path, per framing strategy (a copy per chunk and per
+//!   frame vs pooled views with in-place reassembly) at 256 B, 64 KiB
+//!   and 1 MiB payloads.
 //!
 //! The `wall` binary renders both tables and writes them as
 //! `BENCH_wall_vm.json` / `BENCH_wall_wire.json`; the nightly
 //! `wall-bench` CI job uploads those and gates the compiled engine at
-//! ≥ 2× the interpreter across the paper kernels.
+//! ≥ 2× the interpreter across the paper kernels and pooled framing at
+//! no slower than the copying path at every payload size.
 
 use std::time::Instant;
 
@@ -345,11 +346,13 @@ pub fn speedups(rows: &[VmRow]) -> Vec<(&'static str, f64)> {
 /// One (payload size, framing strategy) measurement of the wire layer.
 #[derive(Debug, Clone)]
 pub struct WireRow {
-    /// `"small"` (256 B) or `"bulk"` (64 KiB).
+    /// `"small"` (256 B), `"bulk"` (64 KiB) or `"mib"` (1 MiB).
     pub payload: &'static str,
     /// Payload bytes per request.
     pub payload_bytes: usize,
-    /// `"copy"` (historic per-chunk copies) or `"pooled"` (zero-copy).
+    /// `"copy"` (a copy per chunk and per reassembled frame) or
+    /// `"pooled"` (views of recycled storage; one copy to collect a
+    /// frame that spans chunks).
     pub path: &'static str,
     /// Frame round-trip (encode → segment → reassemble) distribution.
     pub stats: LatencyStats,
@@ -359,10 +362,11 @@ pub struct WireRow {
 }
 
 /// Measures encode → MTU segmentation → reassembly round trips through
-/// both framing strategies at a small and a bulk payload size.
+/// both framing strategies at a single-chunk, a 44-chunk and a 700-chunk
+/// payload size (the last is where reassembly, not encoding, dominates).
 pub fn wire_rows(iters: usize) -> Vec<WireRow> {
     let mut out = Vec::new();
-    for (payload, payload_bytes) in [("small", 256usize), ("bulk", 64 * 1024)] {
+    for (payload, payload_bytes) in [("small", 256usize), ("bulk", 64 * 1024), ("mib", 1 << 20)] {
         let mut rng = Mix(7);
         let body: Vec<u8> = (0..payload_bytes).map(|_| rng.next() as u8).collect();
 
@@ -389,8 +393,10 @@ pub fn wire_rows(iters: usize) -> Vec<WireRow> {
             digest,
         });
 
-        // Pooled path: one recycled allocation per frame, chunks and
-        // completed frames are views of it.
+        // Pooled path: the frame is built in recycled storage and its
+        // chunks are views of it; the reassembled frame is a view of the
+        // chunk when it arrived whole, else of the (recycled) buffer it
+        // was collected in.
         let pool = BufferPool::new();
         let mut asm = FrameAssembler::new();
         let mut samples = Vec::with_capacity(iters);
@@ -495,8 +501,8 @@ mod tests {
     #[test]
     fn wire_paths_agree_and_report_sane_stats() {
         let rows = wire_rows(16);
-        assert_eq!(rows.len(), 4);
-        for size in ["small", "bulk"] {
+        assert_eq!(rows.len(), 6);
+        for size in ["small", "bulk", "mib"] {
             let find = |path: &str| {
                 rows.iter()
                     .find(|r| r.payload == size && r.path == path)

@@ -59,7 +59,7 @@ use haocl_proto::messages::{
 };
 #[cfg(test)]
 use haocl_proto::wire::encode_to_vec;
-use haocl_proto::wire::{decode_from_slice, encode_into_vec};
+use haocl_proto::wire::{decode_from_bytes, encode_into_vec};
 use haocl_sim::{Clock, SimTime};
 
 use crate::config::{ClusterConfig, NodeSpec};
@@ -1731,7 +1731,7 @@ fn demux_loop(
             return;
         }
         match rx.recv_frame_timeout(DEMUX_POLL) {
-            Ok((frame, received_at)) => match decode_from_slice::<Response>(&frame) {
+            Ok((frame, received_at)) => match decode_from_bytes::<Response>(frame) {
                 Ok(response) => {
                     if response.duplicate {
                         obs.metrics.inc_counter(
@@ -1813,7 +1813,7 @@ mod tests {
 
     fn answer_handshake(msg: &mut Conn) {
         let (frame, at) = msg.recv_frame().unwrap();
-        let hello = decode_from_slice::<Envelope>(&frame)
+        let hello = decode_from_bytes::<Envelope>(frame)
             .unwrap()
             .into_requests()
             .remove(0);
@@ -1825,7 +1825,7 @@ mod tests {
         let mut collected = Vec::new();
         while collected.len() < n {
             let (frame, at) = msg.recv_frame().unwrap();
-            for request in decode_from_slice::<Envelope>(&frame)
+            for request in decode_from_bytes::<Envelope>(frame)
                 .unwrap()
                 .into_requests()
             {

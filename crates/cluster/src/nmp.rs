@@ -22,7 +22,7 @@
 //! inner request.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -43,7 +43,7 @@ use haocl_proto::messages::{
 };
 #[cfg(test)]
 use haocl_proto::wire::encode_to_vec;
-use haocl_proto::wire::{decode_from_slice, encode_into_vec};
+use haocl_proto::wire::{decode_from_bytes, encode_into_vec};
 use haocl_sim::SimTime;
 
 use crate::config::NodeSpec;
@@ -106,6 +106,11 @@ struct NodeState {
 struct PeerCtx {
     fabric: Fabric,
     host_name: String,
+    /// One idle data connection per peer address, kept between
+    /// transfers: [`peer_round_trip`] takes it for the hop and puts it
+    /// back only after a clean reply, so whatever a fault did to a
+    /// connection dies with it and the next transfer dials afresh.
+    idle: Mutex<HashMap<String, Conn>>,
 }
 
 impl NodeState {
@@ -129,6 +134,9 @@ pub struct NmpHandle {
     addr: String,
     stop: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
+    /// Serve-thread handles the accept loops currently hold (spawned and
+    /// not yet joined).
+    tracked_serve_threads: Arc<AtomicUsize>,
 }
 
 impl NmpHandle {
@@ -165,28 +173,27 @@ impl NmpHandle {
         let peer = Arc::new(PeerCtx {
             fabric: fabric.clone(),
             host_name: host_name_of(&spec.addr),
+            idle: Mutex::new(HashMap::new()),
         });
-        let msg_listener = fabric.bind(&spec.addr)?;
-        let data_listener = fabric.bind(&spec.data_addr())?;
-        let threads = vec![
-            spawn_accept_loop(
-                msg_listener,
-                Arc::clone(&state),
-                Arc::clone(&stop),
-                Arc::clone(&peer),
-            ),
-            spawn_accept_loop(
-                data_listener,
-                Arc::clone(&state),
-                Arc::clone(&stop),
-                Arc::clone(&peer),
-            ),
-        ];
+        let tracked_serve_threads = Arc::new(AtomicUsize::new(0));
+        let threads = [fabric.bind(&spec.addr)?, fabric.bind(&spec.data_addr())?]
+            .into_iter()
+            .map(|listener| {
+                spawn_accept_loop(
+                    listener,
+                    Arc::clone(&state),
+                    Arc::clone(&stop),
+                    Arc::clone(&peer),
+                    Arc::clone(&tracked_serve_threads),
+                )
+            })
+            .collect();
         Ok(NmpHandle {
             name: spec.name.clone(),
             addr: spec.addr.clone(),
             stop,
             threads,
+            tracked_serve_threads,
         })
     }
 
@@ -198,6 +205,13 @@ impl NmpHandle {
     /// The message-listener address.
     pub fn addr(&self) -> &str {
         &self.addr
+    }
+
+    /// Serve threads the accept loops have spawned and not yet joined:
+    /// one per live connection, plus those that ended since the last
+    /// accept tick.
+    pub fn serve_threads(&self) -> usize {
+        self.tracked_serve_threads.load(Ordering::Relaxed)
     }
 
     /// Stops the daemon and joins its threads.
@@ -230,25 +244,39 @@ fn spawn_accept_loop(
     state: Arc<Mutex<NodeState>>,
     stop: Arc<AtomicBool>,
     peer: Arc<PeerCtx>,
+    tracked: Arc<AtomicUsize>,
 ) -> JoinHandle<()> {
     std::thread::spawn(move || {
-        // Serve threads are tracked so the accept loop can join them on
-        // shutdown (the paper's per-message thread model, §III-C).
+        // Serve threads are tracked so the accept loop can join them
+        // (the paper's per-message thread model, §III-C): the finished
+        // ones on every tick — a thread's stack mapping lives until it
+        // is joined, and thousands of short-lived connections must not
+        // pile those up — the rest on shutdown.
         let mut serving: Vec<JoinHandle<()>> = Vec::new();
         while !stop.load(Ordering::SeqCst) {
-            match listener.accept_timeout(POLL) {
+            let accepted = listener.accept_timeout(POLL);
+            let (finished, live): (Vec<_>, Vec<_>) =
+                serving.drain(..).partition(JoinHandle::is_finished);
+            serving = live;
+            for t in finished {
+                let _ = t.join();
+                tracked.fetch_sub(1, Ordering::Relaxed);
+            }
+            match accepted {
                 Ok(conn) => {
                     let state = Arc::clone(&state);
                     let stop = Arc::clone(&stop);
                     let peer = Arc::clone(&peer);
                     serving.push(std::thread::spawn(move || serve(conn, state, stop, peer)));
+                    tracked.fetch_add(1, Ordering::Relaxed);
                 }
-                Err(NetError::Timeout) => continue,
+                Err(NetError::Timeout) => {}
                 Err(_) => break,
             }
         }
         for t in serving {
             let _ = t.join();
+            tracked.fetch_sub(1, Ordering::Relaxed);
         }
     })
 }
@@ -267,7 +295,7 @@ fn serve(mut conn: Conn, state: Arc<Mutex<NodeState>>, stop: Arc<AtomicBool>, pe
         // The host may coalesce several control messages into one
         // envelope; each request still gets its own response frame so
         // the host can complete them individually (and out of order).
-        let envelope: Envelope = match decode_from_slice(&frame) {
+        let envelope: Envelope = match decode_from_bytes(frame) {
             Ok(e) => e,
             // A malformed package: drop the connection, as a real daemon
             // would after a framing-level protocol violation.
@@ -639,10 +667,13 @@ fn unexpected_peer_reply(peer_addr: &str) -> ApiReply {
     )
 }
 
-/// Dials the peer's data listener, delivers one inner request and waits
-/// (bounded by [`PEER_PATIENCE`]) for its reply. Transport trouble comes
-/// back as `Err(error reply)`: the host treats it as final for this
-/// transfer and falls back to relaying the bytes through its shadow.
+/// Delivers one inner request to the peer's data listener — over the
+/// idle connection kept from the last transfer there, or a fresh dial —
+/// and waits (bounded by [`PEER_PATIENCE`]) for its reply. Transport
+/// trouble comes back as `Err(error reply)`: the host treats it as final
+/// for this transfer and falls back to relaying the bytes through its
+/// shadow. The connection is kept for the next transfer only after a
+/// clean reply; on any error or timeout it is dropped here.
 #[allow(clippy::too_many_arguments)]
 fn peer_round_trip(
     peer: &PeerCtx,
@@ -660,10 +691,14 @@ fn peer_round_trip(
             format!("peer {peer_addr} {what}: {detail}"),
         )
     };
-    let mut conn = peer
-        .fabric
-        .connect(&peer.host_name, peer_addr)
-        .map_err(|e| failed("is unreachable", e.to_string()))?;
+    let idle = peer.idle.lock().remove(peer_addr);
+    let mut conn = match idle {
+        Some(conn) => conn,
+        None => peer
+            .fabric
+            .connect(&peer.host_name, peer_addr)
+            .map_err(|e| failed("is unreachable", e.to_string()))?,
+    };
     let inner = Request {
         id,
         user,
@@ -678,11 +713,21 @@ fn peer_round_trip(
         encode_into_vec(&Envelope::Single(inner), buf)
     })
     .map_err(|e| failed("rejected the transfer", e.to_string()))?;
-    let (frame, received_at) = conn
-        .recv_frame_timeout(PEER_PATIENCE)
-        .map_err(|e| failed("did not answer", e.to_string()))?;
-    let response: Response = decode_from_slice(&frame)
-        .map_err(|e| failed("sent an undecodable reply", e.to_string()))?;
+    let deadline = std::time::Instant::now() + PEER_PATIENCE;
+    let (response, received_at) = loop {
+        let patience = deadline.saturating_duration_since(std::time::Instant::now());
+        let (frame, received_at) = conn
+            .recv_frame_timeout(patience)
+            .map_err(|e| failed("did not answer", e.to_string()))?;
+        let response: Response = decode_from_bytes(frame)
+            .map_err(|e| failed("sent an undecodable reply", e.to_string()))?;
+        // A kept connection may still carry the second copy of an
+        // earlier reply (a duplicated frame); only ours ends the wait.
+        if response.id == id {
+            break (response, received_at);
+        }
+    };
+    peer.idle.lock().insert(peer_addr.to_string(), conn);
     match response.body {
         ApiReply::Error { code, message } => Err(err_reply(code, message)),
         reply => Ok((reply, received_at)),
@@ -1245,7 +1290,7 @@ mod tests {
         conn.send_frame(&encode_to_vec(&Envelope::Single(req)), SimTime::ZERO)
             .unwrap();
         let (frame, _) = conn.recv_frame().unwrap();
-        let resp: Response = decode_from_slice(&frame).unwrap();
+        let resp: Response = decode_from_bytes(frame).unwrap();
         assert_eq!(resp.id, id);
         (resp.body, SimTime::from_nanos(resp.completed_at_nanos))
     }
@@ -1557,7 +1602,7 @@ mod tests {
         let mut ids = Vec::new();
         for _ in 0..3 {
             let (frame, _) = conn.recv_frame().unwrap();
-            let resp: Response = decode_from_slice(&frame).unwrap();
+            let resp: Response = decode_from_bytes(frame).unwrap();
             assert!(matches!(resp.body, ApiReply::Pong { .. }));
             ids.push(resp.id.raw());
         }
@@ -1617,7 +1662,7 @@ mod tests {
         conn.send_frame(&encode_to_vec(&Envelope::Single(req)), SimTime::ZERO)
             .unwrap();
         let (frame, _) = conn.recv_frame().unwrap();
-        decode_from_slice(&frame).unwrap()
+        decode_from_bytes(frame).unwrap()
     }
 
     #[test]
@@ -1752,53 +1797,10 @@ mod tests {
 
     #[test]
     fn push_buffer_ships_bytes_directly_to_the_peer() {
-        let fabric = Fabric::new(Clock::new(), LinkModel::gigabit_ethernet());
-        let config = ClusterConfig::gpu_cluster(2);
-        let h0 = NmpHandle::spawn(&fabric, &config.nodes[0], KernelRegistry::new()).unwrap();
-        let h1 = NmpHandle::spawn(&fabric, &config.nodes[1], KernelRegistry::new()).unwrap();
-        let mut c0 = fabric.connect("10.0.0.1", &config.nodes[0].addr).unwrap();
-        let mut c1 = fabric.connect("10.0.0.1", &config.nodes[1].addr).unwrap();
+        let (fabric, config, [h0, h1], [mut c0, mut c1]) = two_nodes_with_a_buffer();
         let buf = BufferId::new(1);
-        for conn in [&mut c0, &mut c1] {
-            let (r, _) = call(
-                conn,
-                1,
-                ApiCall::CreateBuffer {
-                    device: 0,
-                    buffer: buf,
-                    size: 4,
-                },
-            );
-            assert_eq!(r, ApiReply::Ack);
-        }
-        let (r, _) = call(
-            &mut c0,
-            1,
-            ApiCall::WriteBuffer {
-                device: 0,
-                buffer: buf,
-                offset: 0,
-                data: Bytes::from(vec![11u8, 22, 33, 44]),
-            },
-        );
-        assert_eq!(r, ApiReply::Ack);
         let before = fabric.stats();
-        let (r, t) = call(
-            &mut c0,
-            1,
-            ApiCall::PushBufferTo {
-                device: 0,
-                buffer: buf,
-                peer_addr: config.nodes[1].data_addr(),
-                peer_device: 0,
-                peer_buffer: buf,
-                offset: 0,
-                len: 4,
-                version: 1,
-                epoch: 0,
-                modeled: false,
-            },
-        );
+        let (r, t) = call(&mut c0, 1, push_to(config.nodes[1].data_addr()));
         assert_eq!(r, ApiReply::Ack);
         assert!(t > SimTime::ZERO, "the hop costs virtual time");
         assert!(
@@ -1958,6 +1960,248 @@ mod tests {
         // The node survives the failed transfer and keeps serving.
         let (r, _) = call(&mut conn, 1, ApiCall::Ping);
         assert!(matches!(r, ApiReply::Pong { .. }));
+        handle.stop();
+    }
+
+    /// Two GPU nodes, one 4-byte buffer on each (filled on node 0), and
+    /// a message connection to each.
+    fn two_nodes_with_a_buffer() -> (Fabric, ClusterConfig, [NmpHandle; 2], [Conn; 2]) {
+        let fabric = Fabric::new(Clock::new(), LinkModel::gigabit_ethernet());
+        let config = ClusterConfig::gpu_cluster(2);
+        let handles = [0, 1]
+            .map(|n| NmpHandle::spawn(&fabric, &config.nodes[n], KernelRegistry::new()).unwrap());
+        let mut conns = [0, 1].map(|n| fabric.connect("10.0.0.1", &config.nodes[n].addr).unwrap());
+        for conn in &mut conns {
+            let (r, _) = call(conn, 1, create_four_bytes());
+            assert_eq!(r, ApiReply::Ack);
+        }
+        let (r, _) = call(
+            &mut conns[0],
+            1,
+            ApiCall::WriteBuffer {
+                device: 0,
+                buffer: BufferId::new(1),
+                offset: 0,
+                data: Bytes::from(vec![11u8, 22, 33, 44]),
+            },
+        );
+        assert_eq!(r, ApiReply::Ack);
+        (fabric, config, handles, conns)
+    }
+
+    fn create_four_bytes() -> ApiCall {
+        ApiCall::CreateBuffer {
+            device: 0,
+            buffer: BufferId::new(1),
+            size: 4,
+        }
+    }
+
+    fn push_to(peer_addr: String) -> ApiCall {
+        ApiCall::PushBufferTo {
+            device: 0,
+            buffer: BufferId::new(1),
+            peer_addr,
+            peer_device: 0,
+            peer_buffer: BufferId::new(1),
+            offset: 0,
+            len: 4,
+            version: 1,
+            epoch: 0,
+            modeled: false,
+        }
+    }
+
+    #[test]
+    fn peer_connection_is_kept_between_transfers() {
+        let (fabric, config, [h0, h1], [mut c0, _c1]) = two_nodes_with_a_buffer();
+        let peer_addr = config.nodes[1].data_addr();
+        // Node 1 serves our message connection and, from the first push
+        // on, node 0's data connection — one, however many pushes.
+        for _ in 0..3 {
+            let (r, _) = call(&mut c0, 1, push_to(peer_addr.clone()));
+            assert_eq!(r, ApiReply::Ack);
+            assert_eq!(h1.serve_threads(), 2);
+        }
+        // A duplicated inner request is answered twice; the second copy
+        // sits in the kept connection and the next transfer must not
+        // mistake it for its own reply.
+        fabric.install_chaos(haocl_net::ChaosPolicy::new(
+            7,
+            haocl_net::ChaosSpec::parse("dup=1.0").unwrap(),
+        ));
+        let duplicated = call_raw(&mut c0, 9_001, 0, push_to(peer_addr.clone()));
+        assert_eq!(duplicated.body, ApiReply::Ack);
+        fabric.clear_chaos();
+        // (Our own request was duplicated too: a fresh message
+        // connection, so the leftovers on the old one stay out of it.)
+        let mut c0 = fabric.connect("10.0.0.1", &config.nodes[0].addr).unwrap();
+        let next = call_raw(&mut c0, 9_002, 0, push_to(peer_addr));
+        assert_eq!(next.id, RequestId::new(9_002));
+        assert_eq!(next.body, ApiReply::Ack);
+        assert_eq!(h1.serve_threads(), 2, "still the one kept connection");
+        h0.stop();
+        h1.stop();
+    }
+
+    #[test]
+    fn failed_peer_connection_is_dropped_and_redialled() {
+        let (fabric, config, [h0, h1], [mut c0, c1]) = two_nodes_with_a_buffer();
+        let peer_addr = config.nodes[1].data_addr();
+        let (r, _) = call(&mut c0, 1, push_to(peer_addr.clone()));
+        assert_eq!(r, ApiReply::Ack);
+        // The peer goes away under the kept connection: the transfer
+        // fails like one over a fresh dial would…
+        drop(c1);
+        h1.stop();
+        let (r, _) = call(&mut c0, 1, push_to(peer_addr.clone()));
+        assert!(
+            matches!(r, ApiReply::Error { code, .. } if code == status::DEVICE_NOT_AVAILABLE),
+            "unexpected reply {r:?}"
+        );
+        // …and nothing of it is kept: once the peer is back at the same
+        // address the next transfer dials it and goes through.
+        let h1 = NmpHandle::spawn(&fabric, &config.nodes[1], KernelRegistry::new()).unwrap();
+        let mut c1 = fabric.connect("10.0.0.1", &config.nodes[1].addr).unwrap();
+        let (r, _) = call(&mut c1, 1, create_four_bytes());
+        assert_eq!(r, ApiReply::Ack);
+        let (r, _) = call(&mut c0, 1, push_to(peer_addr));
+        assert_eq!(r, ApiReply::Ack);
+        let (r, _) = call(
+            &mut c1,
+            1,
+            ApiCall::ReadBuffer {
+                device: 0,
+                buffer: BufferId::new(1),
+                offset: 0,
+                len: 4,
+            },
+        );
+        assert!(matches!(r, ApiReply::Data { bytes } if bytes == [11u8, 22, 33, 44]));
+        h0.stop();
+        h1.stop();
+    }
+
+    #[test]
+    fn finished_serve_threads_are_joined_while_the_node_runs() {
+        let maps = || std::fs::read_to_string("/proc/self/maps").map(|m| m.lines().count());
+        let (fabric, handle, mut conn) = launch_one_node();
+        let data_addr = ClusterConfig::gpu_cluster(1).nodes[0].data_addr();
+        let (r, _) = call(&mut conn, 1, ApiCall::Ping);
+        assert!(matches!(r, ApiReply::Pong { .. }));
+        let maps_before = maps();
+        let mut peak = 0;
+        for _ in 0..2_000 {
+            let mut short = fabric.connect("10.0.0.1", &data_addr).unwrap();
+            let (r, _) = call(&mut short, 1, ApiCall::Ping);
+            assert!(matches!(r, ApiReply::Pong { .. }));
+            drop(short);
+            peak = peak.max(handle.serve_threads());
+        }
+        // One connection stayed open throughout; the 2 000 others each
+        // ended before the next began, and every accept joins what has
+        // finished, so only a few handles are ever held at once (a
+        // starved thread may take a few accepts to be seen finished).
+        assert!(peak <= 100, "{peak} serve-thread handles held at once");
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while handle.serve_threads() > 1 && std::time::Instant::now() < deadline {
+            std::thread::sleep(POLL);
+        }
+        assert_eq!(handle.serve_threads(), 1, "only the live connection");
+        // An unjoined thread keeps its stack mapping (and guard page):
+        // 2 000 of them would show as thousands of extra mappings.
+        if let (Ok(before), Ok(after)) = (maps_before, maps()) {
+            assert!(
+                after < before + 1_000,
+                "{before} mappings before, {after} after"
+            );
+        }
+        handle.stop();
+    }
+
+    #[test]
+    fn decoded_payload_is_a_view_of_the_frame_and_recycles_it() {
+        use haocl_net::frame::{encode_frame_pooled, FrameAssembler};
+        let pool = haocl_net::BufferPool::new();
+        let payload: Vec<u8> = (0..4096).map(|i| (i % 253) as u8).collect();
+        let request = Envelope::Single(Request {
+            id: RequestId::new(5),
+            user: UserId::new(1),
+            sent_at_nanos: 0,
+            trace_id: 0,
+            parent_span: 0,
+            epoch: 0,
+            attempt: 0,
+            body: ApiCall::WriteBuffer {
+                device: 0,
+                buffer: BufferId::new(1),
+                offset: 0,
+                data: Bytes::from(payload.clone()),
+            },
+        });
+        let sealed = encode_frame_pooled(&pool, |buf| encode_into_vec(&request, buf));
+        let storage = sealed.as_ptr_range();
+        let frame = FrameAssembler::new()
+            .push_pooled(&sealed)
+            .unwrap()
+            .pop()
+            .unwrap();
+        drop(sealed);
+        let decoded: Envelope = decode_from_bytes(frame).unwrap();
+        let data = match decoded.into_requests().pop().unwrap().body {
+            ApiCall::WriteBuffer { data, .. } => data,
+            other => panic!("decoded {other:?}"),
+        };
+        assert_eq!(data, payload);
+        assert!(
+            storage.start <= data.as_ptr() && data.as_ptr_range().end <= storage.end,
+            "the payload must alias the pooled frame, not a copy of it"
+        );
+        // The payload view is all that is left of the frame, and it is
+        // what keeps the buffer out of the pool.
+        assert_eq!(pool.stats().returns, 0);
+        drop(data);
+        assert_eq!(pool.stats().returns, 1);
+    }
+
+    #[test]
+    fn journaled_writes_do_not_pin_frame_buffers() {
+        let (fabric, handle, mut conn) = launch_one_node();
+        let (r, _) = call(
+            &mut conn,
+            1,
+            ApiCall::CreateBuffer {
+                device: 0,
+                buffer: BufferId::new(1),
+                size: 1 << 16,
+            },
+        );
+        assert_eq!(r, ApiReply::Ack);
+        let write = || ApiCall::WriteBuffer {
+            device: 0,
+            buffer: BufferId::new(1),
+            offset: 0,
+            data: Bytes::from(vec![3u8; 1 << 16]),
+        };
+        for id in 7_000..7_008 {
+            assert_eq!(call_raw(&mut conn, id, 0, write()).body, ApiReply::Ack);
+        }
+        // Every one of those writes is in the node's journal…
+        let again = call_raw(&mut conn, 7_000, 1, write());
+        assert!(again.duplicate);
+        drop(again);
+        // …and not one frame buffer is held by it: all checkouts are
+        // back (give the node's thread a moment to let go of the last
+        // reply it sent).
+        let all_back = || {
+            let s = fabric.pool_stats();
+            s.returns == s.reuses + s.misses
+        };
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while !all_back() && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(all_back(), "{:?}", fabric.pool_stats());
         handle.stop();
     }
 }

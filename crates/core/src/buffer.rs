@@ -411,26 +411,7 @@ impl BufferInner {
         // push the whole contents — the fallback when no peer owns the
         // data or a peer transfer failed mid-chaos.
         self.refresh_shadow_locked(&mut st)?;
-        let wire = self.wire_id_locked(&mut st, device.node());
-        let call = if self.modeled {
-            ApiCall::WriteBufferModeled {
-                device: device.device_index(),
-                buffer: wire,
-                offset: 0,
-                len: self.size,
-            }
-        } else {
-            ApiCall::WriteBuffer {
-                device: device.device_index(),
-                buffer: wire,
-                offset: 0,
-                data: Bytes::copy_from_slice(&st.shadow),
-            }
-        };
-        self.platform
-            .call_traced(device.node(), call, Phase::DataTransfer)?;
-        self.platform
-            .count_dataplane(names::PATH_HOST_RELAY, self.size);
+        self.push_shadow_locked(&mut st, device)?;
         // A full host push is journaled verbatim: the replica's lineage
         // is replayable again whatever fed it before.
         st.residency
@@ -588,7 +569,12 @@ impl BufferInner {
         self.revalidate(&mut st);
         let epoch = self.live_epoch(device.index);
         if let HostData::Real(bytes) = data {
-            self.refresh_shadow_locked(&mut st)?;
+            // A write covering the whole buffer replaces the shadow
+            // outright: pulling the newest copy back first would move
+            // bytes nobody will ever read.
+            if data.len() < self.size {
+                self.refresh_shadow_locked(&mut st)?;
+            }
             st.shadow[offset as usize..end as usize].copy_from_slice(bytes);
         }
         self.allocate_locked(&mut st, device)?;
@@ -605,47 +591,33 @@ impl BufferInner {
             true
         };
         st.residency.record_write(Location::Host, 0, true);
-        let wire = self.wire_id_locked(&mut st, device.node());
-        let (call, pushed) = match data {
-            HostData::Real(bytes) => {
-                let (push_offset, payload) = if was_current {
-                    (offset, Bytes::copy_from_slice(bytes))
-                } else {
-                    (0, Bytes::copy_from_slice(&st.shadow))
-                };
-                let pushed = payload.len() as u64;
-                (
-                    ApiCall::WriteBuffer {
-                        device: device.device_index(),
-                        buffer: wire,
-                        offset: push_offset,
-                        data: payload,
-                    },
-                    pushed,
-                )
-            }
-            HostData::Modeled(len) => {
-                let partial = was_current || st.residency.allocated_count() == 1;
-                let (push_offset, push_len) = if partial {
-                    (offset, len)
-                } else {
-                    (0, self.size)
-                };
-                (
-                    ApiCall::WriteBufferModeled {
-                        device: device.device_index(),
-                        buffer: wire,
-                        offset: push_offset,
-                        len: push_len,
-                    },
-                    push_len,
-                )
-            }
+        let whole = match data {
+            HostData::Real(_) => !was_current,
+            HostData::Modeled(_) => !was_current && st.residency.allocated_count() != 1,
         };
-        self.platform
-            .call_traced(device.node(), call, Phase::DataTransfer)?;
-        self.platform
-            .count_dataplane(names::PATH_HOST_RELAY, pushed);
+        if whole {
+            self.push_shadow_locked(&mut st, device)?;
+        } else {
+            let wire = self.wire_id_locked(&mut st, device.node());
+            let call = match data {
+                HostData::Real(bytes) => ApiCall::WriteBuffer {
+                    device: device.device_index(),
+                    buffer: wire,
+                    offset,
+                    data: Bytes::copy_from_slice(bytes),
+                },
+                HostData::Modeled(len) => ApiCall::WriteBufferModeled {
+                    device: device.device_index(),
+                    buffer: wire,
+                    offset,
+                    len,
+                },
+            };
+            self.platform
+                .call_traced(device.node(), call, Phase::DataTransfer)?;
+            self.platform
+                .count_dataplane(names::PATH_HOST_RELAY, data.len());
+        }
         st.residency
             .record_sync(Location::Device(device.index), epoch, replayable);
         Ok(())
@@ -677,8 +649,10 @@ impl BufferInner {
             return Ok(());
         }
         // Ranged pull from the owning device: only the requested bytes
-        // cross the backbone (real OpenCL reads are ranged). The shadow
-        // range is refreshed opportunistically but stays stale overall.
+        // cross the backbone (real OpenCL reads are ranged), straight
+        // into the caller's slice. The shadow stays stale: residency is
+        // tracked per buffer, so a refreshed range could never be served
+        // from it.
         let owner = self.owner_device(&st)?;
         let wire = self.wire_id_locked(&mut st, owner.node);
         let call = if out.is_some() {
@@ -700,10 +674,7 @@ impl BufferInner {
             .platform
             .call_traced(owner.node, call, Phase::DataTransfer)?;
         match (outcome.reply, out) {
-            (ApiReply::Data { bytes }, Some(out)) => {
-                out.copy_from_slice(&bytes);
-                st.shadow[offset as usize..end as usize].copy_from_slice(&bytes);
-            }
+            (ApiReply::Data { bytes }, Some(out)) => out.copy_from_slice(&bytes),
             (ApiReply::DataModeled { .. }, None) => {}
             (other, _) => {
                 return Err(Error::Transport(format!(
@@ -837,6 +808,43 @@ impl BufferInner {
         self.platform
             .call_traced(device.node(), call, Phase::DataCreate)?;
         st.residency.note_allocated(device.index);
+        Ok(())
+    }
+
+    /// Pushes the whole (current) shadow to `device` over the host
+    /// relay. The shadow vector itself travels as the payload — the
+    /// frame encoder reads straight out of it — and is taken back once
+    /// the call returns; that only costs a copy when the recovery
+    /// journal kept the payload, and then the copy is the journal's
+    /// snapshot. The state lock is held throughout, so nobody sees the
+    /// shadow gone.
+    fn push_shadow_locked(&self, st: &mut BufState, device: &Device) -> Result<(), Error> {
+        let wire = self.wire_id_locked(st, device.node());
+        let send = |call| {
+            self.platform
+                .call_traced(device.node(), call, Phase::DataTransfer)
+        };
+        let outcome = if self.modeled {
+            send(ApiCall::WriteBufferModeled {
+                device: device.device_index(),
+                buffer: wire,
+                offset: 0,
+                len: self.size,
+            })
+        } else {
+            let shadow = Bytes::from(std::mem::take(&mut st.shadow));
+            let outcome = send(ApiCall::WriteBuffer {
+                device: device.device_index(),
+                buffer: wire,
+                offset: 0,
+                data: shadow.clone(),
+            });
+            st.shadow = Vec::from(shadow);
+            outcome
+        };
+        outcome?;
+        self.platform
+            .count_dataplane(names::PATH_HOST_RELAY, self.size);
         Ok(())
     }
 
@@ -993,6 +1001,101 @@ mod tests {
             12
         );
         assert!(buf.inner.is_current_on(d1));
+    }
+
+    fn relayed(p: &Platform) -> u64 {
+        p.obs()
+            .metrics
+            .counter_value(names::DATAPLANE_BYTES, &[("path", names::PATH_HOST_RELAY)])
+    }
+
+    #[test]
+    fn whole_buffer_write_skips_the_pull_it_would_overwrite() {
+        let (p, ctx) = setup();
+        let buf = Buffer::new(&ctx, MemFlags::READ_WRITE, 8).unwrap();
+        let d0 = &ctx.devices()[0];
+        let d1 = &ctx.devices()[1];
+        buf.inner
+            .host_write(d0, 0, &[1, 2, 3, 4, 5, 6, 7, 8])
+            .unwrap();
+        // A kernel on d0 leaves the newest copy there, the shadow stale.
+        buf.inner.note_kernel_write(d0);
+        // Overwriting all of it from the host moves exactly `size`
+        // bytes — the push; a pull first would have doubled that —
+        // whether the target is the owner…
+        let before = relayed(&p);
+        buf.inner.host_write(d0, 0, &[9; 8]).unwrap();
+        assert_eq!(relayed(&p) - before, 8);
+        // …or (the bulk shape: last touched on one node, rewritten via
+        // the other) a device that has to take the whole contents.
+        buf.inner.note_kernel_write(d0);
+        let before = relayed(&p);
+        buf.inner.host_write(d1, 0, &[6; 8]).unwrap();
+        assert_eq!(relayed(&p) - before, 8);
+        assert!(buf.inner.is_current_on(d1));
+        assert!(!buf.inner.is_current_on(d0));
+        // The shadow is current again: reading costs no traffic.
+        let mut out = vec![0u8; 8];
+        buf.inner.host_read(0, &mut out).unwrap();
+        assert_eq!(out, vec![6; 8]);
+        assert_eq!(relayed(&p) - before, 8);
+        // And the device really holds the bytes: with the shadow stale
+        // once more, they come back from d1.
+        buf.inner.note_kernel_write(d1);
+        buf.inner.host_read(0, &mut out).unwrap();
+        assert_eq!(out, vec![6; 8]);
+        assert_eq!(relayed(&p) - before, 16);
+    }
+
+    #[test]
+    fn partial_write_still_pulls_what_it_leaves_untouched() {
+        let (p, ctx) = setup();
+        let buf = Buffer::new(&ctx, MemFlags::READ_WRITE, 8).unwrap();
+        let d0 = &ctx.devices()[0];
+        let d1 = &ctx.devices()[1];
+        buf.inner
+            .host_write(d0, 0, &[1, 2, 3, 4, 5, 6, 7, 8])
+            .unwrap();
+        buf.inner.note_kernel_write(d0);
+        // Same state as above, but only bytes 2..4 are written: the
+        // other six must come back from d0 first (8 pulled), then d1
+        // takes the whole merged contents (8 pushed).
+        let before = relayed(&p);
+        buf.inner.host_write(d1, 2, &[70, 80]).unwrap();
+        assert_eq!(relayed(&p) - before, 16);
+        buf.inner.note_kernel_write(d1);
+        let mut out = vec![0u8; 8];
+        buf.inner.host_read(0, &mut out).unwrap();
+        assert_eq!(out, vec![1, 2, 70, 80, 5, 6, 7, 8]);
+        // One byte short of everything is still partial.
+        let before = relayed(&p);
+        buf.inner.host_write(d1, 1, &[0; 7]).unwrap();
+        assert_eq!(relayed(&p) - before, 8 + 7, "pull, then a ranged push");
+        buf.inner.note_kernel_write(d1);
+        buf.inner.host_read(0, &mut out).unwrap();
+        assert_eq!(out, vec![1, 0, 0, 0, 0, 0, 0, 0]);
+    }
+
+    #[test]
+    fn modeled_writes_charge_what_they_always_did() {
+        let (p, ctx) = setup();
+        let buf = Buffer::new_modeled(&ctx, MemFlags::READ_WRITE, 1 << 20).unwrap();
+        let d0 = &ctx.devices()[0];
+        let d1 = &ctx.devices()[1];
+        buf.inner.host_write_modeled(d0, 0, 1 << 20).unwrap();
+        buf.inner.note_kernel_write(d0);
+        // Modeled transfers never pulled before a write; a whole-buffer
+        // one is one transfer of `size`, to the owner or to a newcomer.
+        let before = relayed(&p);
+        buf.inner.host_write_modeled(d0, 0, 1 << 20).unwrap();
+        assert_eq!(relayed(&p) - before, 1 << 20);
+        buf.inner.note_kernel_write(d0);
+        buf.inner.host_write_modeled(d1, 0, 1 << 20).unwrap();
+        assert_eq!(relayed(&p) - before, 2 << 20);
+        // A ranged one to a second allocation still goes out whole.
+        buf.inner.note_kernel_write(d0);
+        buf.inner.host_write_modeled(d1, 0, 1 << 10).unwrap();
+        assert_eq!(relayed(&p) - before, 3 << 20);
     }
 
     #[test]

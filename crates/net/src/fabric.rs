@@ -14,7 +14,7 @@
 //! The shared host NIC is the backbone's bottleneck under fan-out, which
 //! is what limits scaling for communication-heavy benchmarks in Fig. 2.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -26,7 +26,7 @@ use haocl_sim::{Clock, Resource, SimDuration, SimTime};
 
 use crate::chaos::{ChaosPolicy, ChaosVerdict};
 use crate::error::NetError;
-use crate::frame::{encode_frame_pooled, segment_pooled, FrameAssembler};
+use crate::frame::{encode_frame_pooled, FrameAssembler};
 use crate::pool::{BufferPool, PoolStats, PooledBytes};
 
 /// Bandwidth/latency model of every link in the fabric.
@@ -78,10 +78,12 @@ impl LinkModel {
     }
 }
 
+/// One channel message: a run of stream bytes. Senders put exactly one
+/// sealed frame (prefix included) in each; the receiver still runs it
+/// through a [`FrameAssembler`], so any other cut of the stream — tests
+/// inject some — reassembles too.
 #[derive(Debug, Clone)]
 struct Chunk {
-    /// A view into the frame's pooled allocation — chunks of one frame
-    /// share storage instead of carrying per-MTU copies.
     bytes: PooledBytes,
     arrival: SimTime,
 }
@@ -358,8 +360,7 @@ pub struct ConnSender {
     tx: Sender<Chunk>,
     fabric: Arc<FabricInner>,
     /// A frame held back by a chaos reorder verdict, released after the
-    /// next frame on this connection (whole frames only — chunks of two
-    /// frames must never interleave on the channel).
+    /// next frame on this connection.
     stash: Option<(PooledBytes, SimTime)>,
 }
 
@@ -409,9 +410,9 @@ impl ConnSender {
     }
 
     /// Like [`ConnSender::send_frame_virtual`], but `write` appends the
-    /// payload directly into a recycled frame buffer — the zero-copy
-    /// path for callers that serialize a message anyway (no intermediate
-    /// payload vector, no per-chunk copies).
+    /// payload directly into a recycled frame buffer — for callers that
+    /// serialize a message anyway (no intermediate payload vector), and
+    /// the buffer they fill is the one the receiver decodes from.
     ///
     /// # Errors
     ///
@@ -482,18 +483,17 @@ impl ConnSender {
         Ok(arrival)
     }
 
-    /// Pushes one already-encoded frame's chunks onto the channel,
-    /// contiguously. Chunks are views of the frame's pooled allocation.
+    /// Puts one sealed frame on the channel as a single message: the
+    /// link model and the fault injector both act per frame, so nothing
+    /// would observe MTU chunks, and the receiver slices the payload out
+    /// of this very allocation.
     fn transmit(&self, frame: &PooledBytes, arrival: SimTime) -> Result<(), NetError> {
-        for chunk in segment_pooled(frame) {
-            self.tx
-                .send(Chunk {
-                    bytes: chunk,
-                    arrival,
-                })
-                .map_err(|_| NetError::Disconnected)?;
-        }
-        Ok(())
+        self.tx
+            .send(Chunk {
+                bytes: frame.clone(),
+                arrival,
+            })
+            .map_err(|_| NetError::Disconnected)
     }
 }
 
@@ -510,7 +510,7 @@ pub struct ConnReceiver {
     rx: Receiver<Chunk>,
     assembler: FrameAssembler,
     /// Frames completed by earlier chunks but not yet returned.
-    ready: Vec<(PooledBytes, SimTime)>,
+    ready: VecDeque<(PooledBytes, SimTime)>,
 }
 
 impl ConnReceiver {
@@ -528,8 +528,8 @@ impl ConnReceiver {
     /// completes; [`NetError::BadFrame`] on corruption.
     pub fn recv_frame(&mut self) -> Result<(PooledBytes, SimTime), NetError> {
         loop {
-            if !self.ready.is_empty() {
-                return Ok(self.ready.remove(0));
+            if let Some(frame) = self.ready.pop_front() {
+                return Ok(frame);
             }
             let chunk = self.rx.recv().map_err(|_| NetError::Disconnected)?;
             self.ingest(chunk)?;
@@ -552,8 +552,8 @@ impl ConnReceiver {
         use crossbeam::channel::RecvTimeoutError;
         let deadline = std::time::Instant::now() + timeout;
         loop {
-            if !self.ready.is_empty() {
-                return Ok(self.ready.remove(0));
+            if let Some(frame) = self.ready.pop_front() {
+                return Ok(frame);
             }
             let remaining = deadline.saturating_duration_since(std::time::Instant::now());
             let chunk = self.rx.recv_timeout(remaining).map_err(|e| match e {
@@ -575,8 +575,8 @@ impl ConnReceiver {
     /// queued chunks, without blocking.
     pub fn try_recv_frame(&mut self) -> Result<Option<(PooledBytes, SimTime)>, NetError> {
         loop {
-            if !self.ready.is_empty() {
-                return Ok(Some(self.ready.remove(0)));
+            if let Some(frame) = self.ready.pop_front() {
+                return Ok(Some(frame));
             }
             match self.rx.try_recv() {
                 Ok(chunk) => self.ingest(chunk)?,
@@ -588,7 +588,7 @@ impl ConnReceiver {
     fn ingest(&mut self, chunk: Chunk) -> Result<(), NetError> {
         let arrival = chunk.arrival;
         for frame in self.assembler.push_pooled(&chunk.bytes)? {
-            self.ready.push((frame, arrival));
+            self.ready.push_back((frame, arrival));
         }
         Ok(())
     }
@@ -630,7 +630,7 @@ impl Conn {
                 peer,
                 rx,
                 assembler: FrameAssembler::new(),
-                ready: Vec::new(),
+                ready: VecDeque::new(),
             },
         }
     }
@@ -776,7 +776,7 @@ mod tests {
     }
 
     #[test]
-    fn large_frame_transits_in_chunks() {
+    fn large_frame_transits_as_one_message() {
         let f = fabric();
         let listener = f.bind("n:1").unwrap();
         let mut client = f.connect("host", "n:1").unwrap();
@@ -785,6 +785,11 @@ mod tests {
         client.send_frame(&payload, SimTime::ZERO).unwrap();
         let (data, _) = server.recv_frame().unwrap();
         assert_eq!(data, payload);
+        // The payload was written once, into a pool buffer, and the
+        // receiver's view is that buffer: dropping it recycles it.
+        let returns = f.pool_stats().returns;
+        drop(data);
+        assert_eq!(f.pool_stats().returns, returns + 1);
     }
 
     #[test]
@@ -965,7 +970,7 @@ mod tests {
             peer: "n:1".to_string(),
             rx,
             assembler: FrameAssembler::new(),
-            ready: Vec::new(),
+            ready: VecDeque::new(),
         };
         let frame = encode_frame(b"split across chunks");
         tx.send(Chunk {

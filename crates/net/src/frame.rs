@@ -7,20 +7,30 @@
 //! arrival, interleaved boundary cases and corrupt prefixes are all
 //! exercised by the tests rather than hidden behind an in-process queue.
 //!
-//! The hot path is copy-free end to end: [`segment`] yields borrowed
-//! sub-slices (the single-chunk ≤ MTU common case borrows the input
-//! frame outright), [`segment_pooled`] yields [`PooledBytes`] views
-//! sharing one pooled allocation, and the assembler's fast path slices
-//! complete frames straight out of the arriving chunk's storage.
+//! This module is the byte-stream codec. The in-process fabric hands a
+//! sealed frame to the receiver as one message (nothing observes its
+//! chunking: faults and the link model act per frame), so there the
+//! assembler only slices the frame out of the arriving storage. A real
+//! byte stream may cut anywhere, and the assembler is correct for any
+//! chunking: [`segment`] yields borrowed sub-slices, [`segment_pooled`]
+//! yields [`PooledBytes`] views sharing one allocation, frames that
+//! arrive whole are sliced straight out of the chunk's storage, and a
+//! frame straddling chunks is collected once, in the buffer that then
+//! becomes its storage.
 
 use crate::error::NetError;
-use crate::pool::{BufferPool, PooledBytes};
+use crate::pool::{BufferPool, PoolBuf, PooledBytes};
 
 /// Ethernet payload size used for segmentation.
 pub const MTU: usize = 1500;
 
 /// Maximum accepted frame payload (guards against corrupt prefixes).
 pub const MAX_FRAME_LEN: u32 = 1 << 30;
+
+/// How far ahead of the bytes actually received the assembler reserves
+/// for a frame whose prefix announces more: a length prefix is input
+/// from outside and may lie, so it buys at most this much memory.
+pub const RESERVE_STEP: usize = 1 << 20;
 
 /// Encodes a payload as a frame: length prefix plus body.
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
@@ -78,9 +88,13 @@ pub fn segment_pooled(frame: &PooledBytes) -> impl Iterator<Item = PooledBytes> 
 /// ```
 #[derive(Debug, Default)]
 pub struct FrameAssembler {
-    /// Bytes of a frame spanning chunk boundaries (empty on the fast
-    /// path, where complete frames are sliced out of arriving chunks).
-    buf: Vec<u8>,
+    /// The frame currently spanning chunk boundaries, prefix included
+    /// (`None` while frames arrive whole).
+    partial: Option<PoolBuf>,
+    /// Recycles the storage of collected frames once their consumer has
+    /// dropped them, so a stream of straddling bulk frames does not
+    /// allocate (and fault in) fresh memory for each.
+    pool: BufferPool,
 }
 
 impl FrameAssembler {
@@ -99,14 +113,15 @@ impl FrameAssembler {
         Ok(self
             .push_pooled(&PooledBytes::copy_from_slice(chunk))?
             .into_iter()
-            .map(|f| f.to_vec())
+            .map(Vec::from)
             .collect())
     }
 
     /// [`FrameAssembler::push`] over a pooled chunk. Frames contained
-    /// entirely within `chunk` are returned as views of its storage —
-    /// no copy; only frames spanning chunk boundaries are assembled
-    /// through the internal buffer.
+    /// entirely within `chunk` are returned as views of its storage; a
+    /// frame spanning chunk boundaries is collected in a buffer of the
+    /// assembler's own, which is then sealed as that frame's storage.
+    /// Either way each payload byte is copied at most once.
     ///
     /// # Errors
     ///
@@ -114,45 +129,59 @@ impl FrameAssembler {
     /// [`MAX_FRAME_LEN`].
     pub fn push_pooled(&mut self, chunk: &PooledBytes) -> Result<Vec<PooledBytes>, NetError> {
         let mut out = Vec::new();
-        let mut rest = chunk.clone();
-        if self.buf.is_empty() {
-            // Fast path: whole frames at the front of the chunk are
-            // zero-copy slices of its backing storage.
-            while let Some(total) = frame_total_len(&rest)? {
-                out.push(rest.slice(4..total));
-                rest = rest.slice(total..rest.len());
+        let bytes: &[u8] = chunk;
+        let mut at = 0;
+        while at < bytes.len() {
+            let rest = &bytes[at..];
+            if self.partial.is_none() {
+                if let Some(total) = declared_len(rest)?.filter(|&total| total <= rest.len()) {
+                    out.push(chunk.slice(at + 4..at + total));
+                    at += total;
+                    continue;
+                }
             }
-        }
-        if !rest.is_empty() {
-            self.buf.extend_from_slice(&rest);
-        }
-        while let Some(total) = frame_total_len(&self.buf)? {
-            out.push(PooledBytes::from_vec(self.buf[4..total].to_vec()));
-            self.buf.drain(..total);
+            let buf = self
+                .partial
+                .get_or_insert_with(|| self.pool.take())
+                .bytes_mut();
+            // Take only this frame's bytes: the prefix first, then
+            // (length known) the remainder, reserving for it no further
+            // ahead than the prefix is trusted.
+            let declared = declared_len(buf)?;
+            let missing = declared.unwrap_or(4) - buf.len();
+            let take = missing.min(rest.len());
+            if declared.is_some() && buf.capacity() - buf.len() < take {
+                buf.reserve_exact(missing.min(take.max(RESERVE_STEP)));
+            }
+            buf.extend_from_slice(&rest[..take]);
+            at += take;
+            if declared_len(buf)? == Some(buf.len()) {
+                let frame = self.partial.take().expect("filled above").seal();
+                out.push(frame.slice(4..frame.len()));
+            }
         }
         Ok(out)
     }
 
     /// Bytes buffered awaiting completion of the current frame.
     pub fn pending_bytes(&self) -> usize {
-        self.buf.len()
+        self.partial.as_ref().map_or(0, |buf| buf.as_ref().len())
     }
 }
 
-/// Total length (prefix + payload) of the frame at the front of
-/// `bytes`, `None` while incomplete.
-fn frame_total_len(bytes: &[u8]) -> Result<Option<usize>, NetError> {
-    if bytes.len() < 4 {
+/// Length (prefix + payload) announced by the frame at the front of
+/// `bytes`; `None` until the whole prefix is there.
+fn declared_len(bytes: &[u8]) -> Result<Option<usize>, NetError> {
+    let Some(prefix) = bytes.first_chunk::<4>() else {
         return Ok(None);
-    }
-    let len = u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes"));
+    };
+    let len = u32::from_le_bytes(*prefix);
     if len > MAX_FRAME_LEN {
         return Err(NetError::BadFrame {
             reason: format!("length prefix {len} exceeds limit"),
         });
     }
-    let total = 4 + len as usize;
-    Ok((bytes.len() >= total).then_some(total))
+    Ok(Some(4 + len as usize))
 }
 
 #[cfg(test)]
@@ -260,6 +289,79 @@ mod tests {
     }
 
     #[test]
+    fn straddling_frame_is_collected_once_and_handed_over() {
+        let payload: Vec<u8> = (0..5000).map(|i| (i % 241) as u8).collect();
+        let frame = encode_frame(&payload);
+        let mut asm = FrameAssembler::new();
+        let mut frames = Vec::new();
+        for chunk in segment(&frame) {
+            frames.extend(
+                asm.push_pooled(&PooledBytes::copy_from_slice(chunk))
+                    .unwrap(),
+            );
+        }
+        assert_eq!(frames.len(), 1);
+        assert_eq!(frames[0], payload);
+        assert_eq!(asm.pending_bytes(), 0);
+        // The collecting buffer went out as the frame's storage, so a
+        // frame arriving whole afterwards is again a view of its chunk…
+        let whole = PooledBytes::from(encode_frame(b"next"));
+        let next = asm.push_pooled(&whole).unwrap();
+        assert!(std::ptr::eq(&next[0][..], &whole[4..]));
+        // …and once the consumer lets go of the collected frame, the
+        // next straddler is collected in that same storage.
+        let storage = frames[0].as_ptr();
+        drop(frames);
+        let mut again = Vec::new();
+        for chunk in segment(&frame) {
+            again.extend(
+                asm.push_pooled(&PooledBytes::copy_from_slice(chunk))
+                    .unwrap(),
+            );
+        }
+        assert_eq!(again[0], payload);
+        assert_eq!(again[0].as_ptr(), storage);
+    }
+
+    #[test]
+    fn lying_length_prefix_buys_one_reserve_step_at_most() {
+        let mut asm = FrameAssembler::new();
+        let mut stream = MAX_FRAME_LEN.to_le_bytes().to_vec();
+        stream.extend_from_slice(&[7u8; 10]);
+        assert!(asm.push(&stream).unwrap().is_empty());
+        assert_eq!(asm.pending_bytes(), 14);
+        let reserved = |asm: &mut FrameAssembler| {
+            asm.partial
+                .as_mut()
+                .map_or(0, |buf| buf.bytes_mut().capacity())
+        };
+        assert!(
+            reserved(&mut asm) <= 14 + RESERVE_STEP,
+            "reserved {} bytes for 14 received",
+            reserved(&mut asm)
+        );
+        // Trickling more in keeps the lead bounded.
+        for _ in 0..3 {
+            asm.push(&vec![7u8; RESERVE_STEP / 2 + 1]).unwrap();
+            assert!(reserved(&mut asm) <= asm.pending_bytes() + RESERVE_STEP);
+        }
+        // One past the limit is still refused outright, whether the
+        // prefix arrives at once or a byte at a time.
+        let bad = (MAX_FRAME_LEN + 1).to_le_bytes();
+        let mut asm = FrameAssembler::new();
+        assert!(matches!(asm.push(&bad), Err(NetError::BadFrame { .. })));
+        let mut asm = FrameAssembler::new();
+        for b in &bad[..3] {
+            assert!(asm.push(std::slice::from_ref(b)).unwrap().is_empty());
+        }
+        assert!(matches!(
+            asm.push(&bad[3..]),
+            Err(NetError::BadFrame { .. })
+        ));
+        assert!(reserved(&mut asm) < RESERVE_STEP);
+    }
+
+    #[test]
     fn pending_bytes_tracks_partial_frames() {
         let mut asm = FrameAssembler::new();
         let bytes = encode_frame(&[1, 2, 3, 4]);
@@ -275,21 +377,39 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Cuts `stream` into pieces whose lengths cycle through `cuts`
+    /// (1 B … longer than any frame), so pieces hold a fraction of a
+    /// frame, exactly one, or several with a straddler at either end.
+    fn pieces<'a>(stream: &'a [u8], cuts: &'a [usize]) -> impl Iterator<Item = &'a [u8]> {
+        let mut at = 0;
+        let mut cuts = cuts.iter().cycle();
+        std::iter::from_fn(move || {
+            if at == stream.len() {
+                return None;
+            }
+            let end = stream
+                .len()
+                .min(at + cuts.next().expect("cuts is non-empty"));
+            let piece = &stream[at..end];
+            at = end;
+            Some(piece)
+        })
+    }
+
     proptest! {
         #[test]
         fn arbitrary_payload_sequences_reassemble(
             payloads in proptest::collection::vec(
                 proptest::collection::vec(any::<u8>(), 0..5000), 1..6),
-            cut in 1usize..2000,
+            cuts in proptest::collection::vec(1usize..12_000, 1..8),
         ) {
-            // Concatenate all frames, feed them in `cut`-sized pieces.
             let mut stream = Vec::new();
             for p in &payloads {
                 stream.extend_from_slice(&encode_frame(p));
             }
             let mut asm = FrameAssembler::new();
             let mut frames = Vec::new();
-            for piece in stream.chunks(cut) {
+            for piece in pieces(&stream, &cuts) {
                 frames.extend(asm.push(piece).unwrap());
             }
             prop_assert_eq!(frames, payloads);
@@ -300,7 +420,7 @@ mod proptests {
         fn pooled_and_copying_paths_agree(
             payloads in proptest::collection::vec(
                 proptest::collection::vec(any::<u8>(), 0..4000), 1..5),
-            cut in 1usize..1600,
+            cuts in proptest::collection::vec(1usize..9000, 1..8),
         ) {
             let pool = BufferPool::new();
             let mut stream = Vec::new();
@@ -308,15 +428,30 @@ mod proptests {
                 let f = encode_frame_pooled(&pool, |v| v.extend_from_slice(p));
                 stream.extend_from_slice(&f);
             }
-            let mut asm = FrameAssembler::new();
-            let mut frames = Vec::new();
-            for piece in stream.chunks(cut) {
-                let chunk = PooledBytes::copy_from_slice(piece);
-                frames.extend(asm.push_pooled(&chunk).unwrap());
+            // The same cuts through three doors: views of one shared
+            // stream (frames inside a piece are sliced, straddlers are
+            // collected in place), a private copy per piece, and the
+            // copying `push`.
+            let shared = PooledBytes::from(stream.clone());
+            let (mut by_view, mut by_piece, mut by_copy) =
+                (FrameAssembler::new(), FrameAssembler::new(), FrameAssembler::new());
+            let (mut viewed, mut pieced, mut copied) = (Vec::new(), Vec::new(), Vec::new());
+            let mut at = 0;
+            for piece in pieces(&stream, &cuts) {
+                let view = shared.slice(at..at + piece.len());
+                at += piece.len();
+                viewed.extend(by_view.push_pooled(&view).unwrap());
+                pieced.extend(
+                    by_piece.push_pooled(&PooledBytes::copy_from_slice(piece)).unwrap());
+                copied.extend(by_copy.push(piece).unwrap());
+                prop_assert_eq!(by_view.pending_bytes(), by_copy.pending_bytes());
+                prop_assert_eq!(by_piece.pending_bytes(), by_copy.pending_bytes());
             }
-            let got: Vec<Vec<u8>> = frames.iter().map(|f| f.to_vec()).collect();
-            prop_assert_eq!(got, payloads);
-            prop_assert_eq!(asm.pending_bytes(), 0);
+            prop_assert_eq!(&viewed, &pieced);
+            let viewed: Vec<Vec<u8>> = viewed.into_iter().map(Vec::from).collect();
+            prop_assert_eq!(&viewed, &copied);
+            prop_assert_eq!(copied, payloads);
+            prop_assert_eq!(by_view.pending_bytes(), 0);
         }
     }
 }

@@ -12,11 +12,12 @@
 //!   (Gigabit by default), so fan-out from the host serializes exactly as
 //!   it would on real hardware — this contention is what bends the
 //!   paper's Fig. 2 scaling curves.
-//! * [`frame`] — length-prefixed frames, segmented into Ethernet-MTU
-//!   chunks and reassembled at the receiver.
-//! * [`pool`] — recycled frame buffers behind cheaply sliceable
-//!   [`PooledBytes`] views; segmentation and reassembly share one
-//!   allocation per frame instead of copying per chunk.
+//! * [`frame`] — the byte-stream codec: length-prefixed frames, MTU
+//!   segmentation, reassembly from any chunking. (The fabric itself
+//!   passes each sealed frame as one message.)
+//! * [`pool`] — recycled frame buffers behind [`PooledBytes`] —
+//!   `bytes::Bytes` over pool storage — so a frame, its chunks and the
+//!   payload fields decoded out of it are views of one allocation.
 //! * [`chaos`] — seeded, deterministic fault injection (drops, delays,
 //!   duplication, reordering, resets, crashes, partitions) installed on
 //!   a fabric via [`Fabric::install_chaos`].

@@ -1,29 +1,33 @@
-//! Pooled byte buffers for the zero-copy wire path.
+//! Pooled byte buffers for the wire path.
 //!
-//! Every frame transmission used to allocate once for the encoded
-//! payload, once for the length-prefixed frame, and once *per MTU
-//! chunk*. [`BufferPool`] recycles the backing allocations instead:
-//! a sender checks a [`PoolBuf`] out, writes the frame into it, and
-//! seals it into a [`PooledBytes`] — a cheaply cloneable, sliceable
-//! view (chunk segmentation and reassembly slice it without copying).
-//! When the last view drops, the allocation returns to the pool for the
-//! next frame.
+//! [`BufferPool`] recycles the allocations frames are built in: a
+//! sender checks a [`PoolBuf`] out, writes the frame into it, and seals
+//! it into [`PooledBytes`] — plain [`bytes::Bytes`] whose storage is the
+//! pool buffer, so the frame, its MTU chunks and every payload field
+//! decoded out of it are views of one allocation. When the last view
+//! drops, the allocation returns to the pool for the next frame.
 //!
 //! The pool is deliberately simple — a mutex-guarded free list — because
 //! the hot path amortizes it across whole frames, not per chunk. It is
-//! bounded both in buffer count and in retained capacity so a single
-//! huge transfer cannot pin memory forever.
+//! bounded in buffer count and in *total* retained capacity: bulk frames
+//! recycle like small ones, and a burst of huge transfers still cannot
+//! pin more than [`MAX_RETAINED_BYTES`] of idle memory.
 
-use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
+
+use bytes::Bytes;
 
 /// Buffers kept on the free list beyond which returns are dropped.
 const MAX_POOLED_BUFFERS: usize = 64;
 
-/// A returned buffer with more capacity than this is dropped rather
-/// than retained (keeps one bulk transfer from pinning megabytes).
-const MAX_RETAINED_CAPACITY: usize = 1 << 20;
+/// Capacity the free list may hold in total; a return that would exceed
+/// it is dropped instead (so is any single buffer larger than this).
+pub const MAX_RETAINED_BYTES: usize = 8 << 20;
+
+/// An immutable, cheaply cloneable view into a (possibly pooled) byte
+/// buffer: the workspace's one refcounted byte view.
+pub type PooledBytes = Bytes;
 
 /// Cumulative counters for one [`BufferPool`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -37,8 +41,15 @@ pub struct PoolStats {
 }
 
 #[derive(Default)]
+struct FreeList {
+    buffers: Vec<Vec<u8>>,
+    /// Sum of the listed buffers' capacities.
+    bytes: usize,
+}
+
+#[derive(Default)]
 struct PoolShared {
-    free: Mutex<Vec<Vec<u8>>>,
+    free: Mutex<FreeList>,
     reuses: AtomicU64,
     misses: AtomicU64,
     returns: AtomicU64,
@@ -46,7 +57,12 @@ struct PoolShared {
 
 impl PoolShared {
     fn take(&self) -> Vec<u8> {
-        let recycled = self.free.lock().unwrap_or_else(|e| e.into_inner()).pop();
+        let recycled = {
+            let mut free = self.free.lock().unwrap_or_else(|e| e.into_inner());
+            let recycled = free.buffers.pop();
+            free.bytes -= recycled.as_ref().map_or(0, Vec::capacity);
+            recycled
+        };
         match recycled {
             Some(mut v) => {
                 v.clear();
@@ -61,12 +77,15 @@ impl PoolShared {
     }
 
     fn put_back(&self, v: Vec<u8>) {
-        if v.capacity() == 0 || v.capacity() > MAX_RETAINED_CAPACITY {
+        if v.capacity() == 0 {
             return;
         }
         let mut free = self.free.lock().unwrap_or_else(|e| e.into_inner());
-        if free.len() < MAX_POOLED_BUFFERS {
-            free.push(v);
+        if free.buffers.len() < MAX_POOLED_BUFFERS
+            && free.bytes + v.capacity() <= MAX_RETAINED_BYTES
+        {
+            free.bytes += v.capacity();
+            free.buffers.push(v);
             self.returns.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -96,11 +115,16 @@ impl BufferPool {
 
     /// Buffers currently on the free list.
     pub fn idle_buffers(&self) -> usize {
-        self.shared
-            .free
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .len()
+        self.free().buffers.len()
+    }
+
+    /// Capacity currently held by the free list, in bytes.
+    pub fn idle_bytes(&self) -> usize {
+        self.free().bytes
+    }
+
+    fn free(&self) -> std::sync::MutexGuard<'_, FreeList> {
+        self.shared.free.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// A consistent-enough snapshot of the pool counters.
@@ -142,157 +166,24 @@ impl PoolBuf {
     /// Freezes the written bytes into an immutable shared view. The
     /// allocation returns to the pool when the last view drops.
     pub fn seal(self) -> PooledBytes {
-        let mut this = std::mem::ManuallyDrop::new(self);
-        let data = std::mem::take(&mut this.data);
-        let pool = std::mem::replace(&mut this.pool, Weak::new());
-        let end = data.len();
-        PooledBytes {
-            storage: Arc::new(Storage { data, pool }),
-            start: 0,
-            end,
-        }
+        Bytes::from_owner(self)
     }
 }
 
+impl AsRef<[u8]> for PoolBuf {
+    fn as_ref(&self) -> &[u8] {
+        &self.data
+    }
+}
+
+/// Unsealed, or sealed and the last view gone: the allocation goes back.
+/// The pool link is weak: a pool teardown must not keep in-flight frames
+/// alive, and in-flight frames must not keep a dropped pool alive.
 impl Drop for PoolBuf {
     fn drop(&mut self) {
         if let Some(pool) = self.pool.upgrade() {
             pool.put_back(std::mem::take(&mut self.data));
         }
-    }
-}
-
-struct Storage {
-    data: Vec<u8>,
-    /// Weak: a pool teardown must not keep in-flight frames alive, and
-    /// in-flight frames must not keep a dropped pool alive.
-    pool: Weak<PoolShared>,
-}
-
-impl Drop for Storage {
-    fn drop(&mut self) {
-        if let Some(pool) = self.pool.upgrade() {
-            pool.put_back(std::mem::take(&mut self.data));
-        }
-    }
-}
-
-/// An immutable, cheaply cloneable view into a (possibly pooled) byte
-/// buffer. [`PooledBytes::slice`] shares the backing storage, which is
-/// what makes MTU segmentation and frame reassembly copy-free.
-#[derive(Clone)]
-pub struct PooledBytes {
-    storage: Arc<Storage>,
-    start: usize,
-    end: usize,
-}
-
-impl PooledBytes {
-    /// Wraps an owned vector (not attached to any pool).
-    pub fn from_vec(data: Vec<u8>) -> Self {
-        let end = data.len();
-        PooledBytes {
-            storage: Arc::new(Storage {
-                data,
-                pool: Weak::new(),
-            }),
-            start: 0,
-            end,
-        }
-    }
-
-    /// Copies a slice into a fresh unpooled buffer.
-    pub fn copy_from_slice(bytes: &[u8]) -> Self {
-        PooledBytes::from_vec(bytes.to_vec())
-    }
-
-    /// Length of this view in bytes.
-    pub fn len(&self) -> usize {
-        self.end - self.start
-    }
-
-    /// Whether the view is empty.
-    pub fn is_empty(&self) -> bool {
-        self.start == self.end
-    }
-
-    /// A sub-view sharing the same backing storage (no copy).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
-    pub fn slice(&self, range: std::ops::Range<usize>) -> PooledBytes {
-        assert!(
-            range.start <= range.end && range.end <= self.len(),
-            "slice {range:?} out of bounds for {} bytes",
-            self.len()
-        );
-        PooledBytes {
-            storage: Arc::clone(&self.storage),
-            start: self.start + range.start,
-            end: self.start + range.end,
-        }
-    }
-
-    /// Copies this view into an owned vector.
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.as_slice().to_vec()
-    }
-
-    fn as_slice(&self) -> &[u8] {
-        &self.storage.data[self.start..self.end]
-    }
-}
-
-impl Deref for PooledBytes {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        self.as_slice()
-    }
-}
-
-impl AsRef<[u8]> for PooledBytes {
-    fn as_ref(&self) -> &[u8] {
-        self.as_slice()
-    }
-}
-
-impl PartialEq for PooledBytes {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl Eq for PooledBytes {}
-
-impl PartialEq<[u8]> for PooledBytes {
-    fn eq(&self, other: &[u8]) -> bool {
-        self.as_slice() == other
-    }
-}
-
-impl PartialEq<Vec<u8>> for PooledBytes {
-    fn eq(&self, other: &Vec<u8>) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl<const N: usize> PartialEq<[u8; N]> for PooledBytes {
-    fn eq(&self, other: &[u8; N]) -> bool {
-        self.as_slice() == other
-    }
-}
-
-impl<const N: usize> PartialEq<&[u8; N]> for PooledBytes {
-    fn eq(&self, other: &&[u8; N]) -> bool {
-        self.as_slice() == *other
-    }
-}
-
-impl std::fmt::Debug for PooledBytes {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "PooledBytes({} bytes)", self.len())
     }
 }
 
@@ -340,13 +231,36 @@ mod tests {
     }
 
     #[test]
-    fn oversized_buffers_are_not_retained() {
+    fn bulk_buffers_recycle_within_a_total_byte_bound() {
         let pool = BufferPool::new();
-        let mut buf = pool.take();
-        buf.bytes_mut()
-            .extend_from_slice(&vec![0u8; MAX_RETAINED_CAPACITY + 1]);
-        drop(buf.seal());
-        assert_eq!(pool.idle_buffers(), 0);
+        let mib = vec![0u8; 1 << 20];
+        // More 1 MiB frames in flight at once than the bound retains.
+        let in_flight: Vec<PooledBytes> = (0..12)
+            .map(|_| {
+                let mut buf = pool.take();
+                buf.bytes_mut().extend_from_slice(&mib);
+                buf.seal()
+            })
+            .collect();
+        drop(in_flight);
+        assert!(pool.idle_buffers() >= 1, "bulk frames must recycle");
+        assert!(pool.idle_bytes() <= MAX_RETAINED_BYTES);
+        // A bulk checkout is now served from the free list, and checking
+        // it out releases its share of the bound.
+        let idle = pool.idle_bytes();
+        let again = pool.take();
+        assert_eq!(pool.stats().reuses, 1);
+        assert!(pool.idle_bytes() + (1 << 20) <= idle);
+        drop(again);
+        // One buffer larger than the whole bound is never retained.
+        let before = pool.idle_buffers();
+        let mut huge = pool.take();
+        let idle_while_out = pool.idle_bytes();
+        huge.bytes_mut()
+            .extend_from_slice(&vec![0u8; MAX_RETAINED_BYTES + 1]);
+        drop(huge.seal());
+        assert_eq!(pool.idle_buffers(), before - 1);
+        assert_eq!(pool.idle_bytes(), idle_while_out);
     }
 
     #[test]
@@ -358,12 +272,5 @@ mod tests {
         drop(pool);
         assert_eq!(sealed, [42u8]);
         drop(sealed); // returns nowhere, must not panic
-    }
-
-    #[test]
-    fn from_vec_is_unpooled() {
-        let b = PooledBytes::from_vec(vec![7, 8, 9]);
-        assert_eq!(b.len(), 3);
-        assert_eq!(b.slice(1..2), [8u8]);
     }
 }

@@ -1553,7 +1553,7 @@ impl Decode for Envelope {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{decode_from_slice, encode_to_vec};
+    use crate::wire::{decode_from_bytes, decode_from_slice, encode_to_vec};
 
     fn roundtrip<T: Encode + Decode + PartialEq + std::fmt::Debug>(v: T) {
         let bytes = encode_to_vec(&v);
@@ -1586,9 +1586,9 @@ mod tests {
         roundtrip(sample_descriptor());
     }
 
-    #[test]
-    fn every_api_call_roundtrips() {
-        let calls = vec![
+    /// One instance of every [`ApiCall`] variant.
+    pub(super) fn every_api_call() -> Vec<ApiCall> {
+        vec![
             ApiCall::Hello {
                 client: "host".into(),
             },
@@ -1751,15 +1751,19 @@ mod tests {
                 factor: 3.5,
             },
             ApiCall::BeginDrain,
-        ];
-        for call in calls {
+        ]
+    }
+
+    #[test]
+    fn every_api_call_roundtrips() {
+        for call in every_api_call() {
             roundtrip(call);
         }
     }
 
-    #[test]
-    fn every_api_reply_roundtrips() {
-        let replies = vec![
+    /// One instance of every [`ApiReply`] variant.
+    pub(super) fn every_api_reply() -> Vec<ApiReply> {
+        vec![
             ApiReply::Ack,
             ApiReply::Error {
                 code: status::INVALID_KERNEL_NAME,
@@ -1838,10 +1842,75 @@ mod tests {
             ApiReply::Pong { now_nanos: 77 },
             ApiReply::KernelInfo { arity: 5 },
             ApiReply::DataModeled { len: 1 << 30 },
-        ];
-        for reply in replies {
+        ]
+    }
+
+    #[test]
+    fn every_api_reply_roundtrips() {
+        for reply in every_api_reply() {
             roundtrip(reply);
         }
+    }
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex digit pair"))
+            .collect()
+    }
+
+    /// Bytes captured from the encoder before the bulk path was rebuilt
+    /// around shared frame storage: what goes on the wire must not move.
+    #[test]
+    fn bulk_messages_encode_to_the_golden_bytes() {
+        let write = Envelope::Single(Request {
+            id: RequestId::new(0x0102_0304_0506_0708),
+            user: UserId::new(9),
+            sent_at_nanos: 1_000_000,
+            trace_id: 0x1122,
+            parent_span: 0x3344,
+            epoch: 2,
+            attempt: 1,
+            body: ApiCall::WriteBuffer {
+                device: 1,
+                buffer: BufferId::new(77),
+                offset: 16,
+                data: Bytes::from((0u8..24).collect::<Vec<u8>>()),
+            },
+        });
+        let golden = unhex(concat!(
+            "0008070605040302010900000040420f00000000002211000000000000443300",
+            "0000000000020000000100000004014d00000000000000100000000000000018",
+            "00000000000000000102030405060708090a0b0c0d0e0f1011121314151617",
+        ));
+        assert_eq!(encode_to_vec(&write), golden);
+        assert_eq!(decode_from_bytes::<Envelope>(golden.into()), Ok(write));
+
+        let data = Response {
+            id: RequestId::new(0x0102_0304_0506_0708),
+            completed_at_nanos: 2_500_000,
+            body: ApiReply::Data {
+                bytes: Bytes::from(vec![0xde, 0xad, 0xbe, 0xef, 0x00, 0xff]),
+            },
+            duplicate: true,
+            spans: vec![WireSpan {
+                id: 5,
+                parent: 4,
+                name: "nmp.dispatch".into(),
+                category: "Dispatch".into(),
+                start_nanos: 10,
+                end_nanos: 20,
+                wall_nanos: 30,
+            }],
+        };
+        let golden = unhex(concat!(
+            "0807060504030201a025260000000000030600000000000000deadbeef00ff01",
+            "0100000000000000050000000000000004000000000000000c00000000000000",
+            "6e6d702e6469737061746368080000000000000044697370617463680a000000",
+            "0000000014000000000000001e00000000000000",
+        ));
+        assert_eq!(encode_to_vec(&data), golden);
+        assert_eq!(decode_from_bytes::<Response>(golden.into()), Ok(data));
     }
 
     #[test]
@@ -1976,9 +2045,24 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::{every_api_call, every_api_reply};
     use super::*;
-    use crate::wire::{decode_from_slice, encode_to_vec};
+    use crate::wire::{decode_from_bytes, decode_from_slice, encode_to_vec};
     use proptest::prelude::*;
+
+    /// Both decoders over `wire`, the in-place one reading it as a view
+    /// into the middle of a larger buffer (as a frame out of a pooled
+    /// allocation is): same value or same error.
+    fn decoders_agree<T: Decode + PartialEq + std::fmt::Debug>(
+        wire: &[u8],
+    ) -> Result<(), TestCaseError> {
+        let mut storage = vec![0xEE; 7];
+        storage.extend_from_slice(wire);
+        storage.extend_from_slice(&[0xEE; 5]);
+        let view = Bytes::from(storage).slice(7..7 + wire.len());
+        prop_assert_eq!(decode_from_bytes::<T>(view), decode_from_slice::<T>(wire));
+        Ok(())
+    }
 
     fn arb_arg() -> impl Strategy<Value = WireArg> {
         prop_oneof![
@@ -2024,6 +2108,29 @@ mod proptests {
             let bytes = encode_to_vec(&call);
             let back: ApiCall = decode_from_slice(&bytes).unwrap();
             prop_assert_eq!(encode_to_vec(&back), bytes);
+        }
+
+        #[test]
+        fn in_place_and_copying_decoders_agree(
+            cut in any::<usize>(),
+            trailing in proptest::collection::vec(any::<u8>(), 0..16),
+        ) {
+            // Every variant: whole, cut short anywhere, with garbage
+            // behind, and read as the wrong type (more garbage).
+            for call in every_api_call() {
+                let wire = encode_to_vec(&call);
+                decoders_agree::<ApiCall>(&wire)?;
+                decoders_agree::<ApiCall>(&wire[..cut % wire.len()])?;
+                decoders_agree::<ApiCall>(&[&wire[..], &trailing[..]].concat())?;
+                decoders_agree::<ApiReply>(&wire)?;
+            }
+            for reply in every_api_reply() {
+                let wire = encode_to_vec(&reply);
+                decoders_agree::<ApiReply>(&wire)?;
+                decoders_agree::<ApiReply>(&wire[..cut % wire.len()])?;
+                decoders_agree::<ApiReply>(&[&wire[..], &trailing[..]].concat())?;
+                decoders_agree::<ApiCall>(&wire)?;
+            }
         }
 
         #[test]

@@ -105,20 +105,33 @@ pub fn encode_into_vec<T: Encode>(value: &T, out: &mut Vec<u8>) {
     *out = buf.into_vec();
 }
 
-/// Decodes exactly one value from `bytes`, rejecting trailing garbage.
+/// Decodes exactly one value out of `frame`, rejecting trailing garbage.
+///
+/// Nothing is copied for byte-blob fields: a decoded [`Bytes`] is a view
+/// of `frame`'s storage and keeps it alive — for a received frame, the
+/// pool buffer goes back when the last such view drops. Whoever retains
+/// a decoded blob beyond its request must copy it out first.
+///
+/// # Errors
+///
+/// Returns a [`WireError`] on malformed input or leftover bytes.
+pub fn decode_from_bytes<T: Decode>(mut frame: Bytes) -> Result<T, WireError> {
+    let v = T::decode(&mut frame)?;
+    if !frame.is_empty() {
+        return Err(WireError::TrailingBytes {
+            remaining: frame.remaining(),
+        });
+    }
+    Ok(v)
+}
+
+/// [`decode_from_bytes`] over a private copy of `bytes`.
 ///
 /// # Errors
 ///
 /// Returns a [`WireError`] on malformed input or leftover bytes.
 pub fn decode_from_slice<T: Decode>(bytes: &[u8]) -> Result<T, WireError> {
-    let mut buf = Bytes::copy_from_slice(bytes);
-    let v = T::decode(&mut buf)?;
-    if !buf.is_empty() {
-        return Err(WireError::TrailingBytes {
-            remaining: buf.remaining(),
-        });
-    }
-    Ok(v)
+    decode_from_bytes(Bytes::copy_from_slice(bytes))
 }
 
 fn need(buf: &Bytes, n: usize, what: &'static str) -> Result<(), WireError> {

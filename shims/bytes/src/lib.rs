@@ -4,6 +4,11 @@
 //! buffer), [`BytesMut`] (a growable builder), and the [`Buf`]/[`BufMut`]
 //! cursor traits — exactly the surface the HaoCL wire codec uses.
 //! Little-endian accessors only, matching the hand-rolled protocol.
+//!
+//! As in the real crate, `Bytes::from(Vec<u8>)`, [`BytesMut::freeze`]
+//! and [`Bytes::from_owner`] take their storage over without copying it,
+//! so one refcounted view type serves owned vectors and pooled frame
+//! buffers alike.
 
 use std::ops::Deref;
 use std::sync::Arc;
@@ -123,15 +128,35 @@ pub trait BufMut {
     );
 }
 
+/// What keeps a [`Bytes`] view's memory alive.
+#[derive(Clone)]
+enum Storage {
+    /// Borrowed for the whole program (also the empty buffer).
+    Static(&'static [u8]),
+    /// A plain vector: [`From<Vec<u8>>`] takes it over without copying,
+    /// and `Vec::from(Bytes)` hands it back when no other view is left.
+    Vec(Arc<Vec<u8>>),
+    /// Caller-provided storage ([`Bytes::from_owner`]); the owner's
+    /// `Drop` runs when the last view goes.
+    Owner(Arc<dyn AsRef<[u8]> + Send + Sync>),
+}
+
 /// A cheaply cloneable, sliceable, immutable byte buffer.
 ///
-/// Clones share the backing allocation; [`Bytes::split_to`] and
-/// [`Bytes::split_off`] adjust view bounds without copying.
-#[derive(Clone, Default)]
+/// Clones share the backing storage; [`Bytes::split_to`],
+/// [`Bytes::split_off`] and [`Bytes::slice`] adjust view bounds without
+/// copying.
+#[derive(Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    storage: Storage,
     start: usize,
     end: usize,
+}
+
+impl Default for Bytes {
+    fn default() -> Self {
+        Bytes::from_static(&[])
+    }
 }
 
 impl Bytes {
@@ -140,17 +165,35 @@ impl Bytes {
         Bytes::default()
     }
 
-    /// Wraps a static slice (copied; the shim has no zero-copy statics).
+    /// Wraps a static slice without copying.
     pub fn from_static(bytes: &'static [u8]) -> Self {
-        Bytes::copy_from_slice(bytes)
+        Bytes {
+            storage: Storage::Static(bytes),
+            start: 0,
+            end: bytes.len(),
+        }
     }
 
     /// Copies `data` into a fresh buffer.
     pub fn copy_from_slice(data: &[u8]) -> Self {
+        Bytes::from(data.to_vec())
+    }
+
+    /// Wraps `owner`'s bytes without copying them; `owner` is dropped
+    /// when the last view of it is (a recycling pool hooks its `Drop`).
+    ///
+    /// The real crate reads `owner.as_ref()` once and asks only for
+    /// `Send`; this shim stays free of `unsafe` by asking the owner on
+    /// every access, hence the extra `Sync` bound.
+    pub fn from_owner<T>(owner: T) -> Self
+    where
+        T: AsRef<[u8]> + Send + Sync + 'static,
+    {
+        let end = owner.as_ref().len();
         Bytes {
-            data: Arc::from(data),
+            storage: Storage::Owner(Arc::new(owner)),
             start: 0,
-            end: data.len(),
+            end,
         }
     }
 
@@ -172,7 +215,7 @@ impl Bytes {
     pub fn split_to(&mut self, at: usize) -> Bytes {
         assert!(at <= self.len(), "split_to out of bounds");
         let head = Bytes {
-            data: Arc::clone(&self.data),
+            storage: self.storage.clone(),
             start: self.start,
             end: self.start + at,
         };
@@ -188,7 +231,7 @@ impl Bytes {
     pub fn split_off(&mut self, at: usize) -> Bytes {
         assert!(at <= self.len(), "split_off out of bounds");
         let tail = Bytes {
-            data: Arc::clone(&self.data),
+            storage: self.storage.clone(),
             start: self.start + at,
             end: self.end,
         };
@@ -202,16 +245,25 @@ impl Bytes {
     ///
     /// Panics if the range is out of bounds.
     pub fn slice(&self, range: std::ops::Range<usize>) -> Bytes {
-        assert!(range.start <= range.end && range.end <= self.len());
+        assert!(
+            range.start <= range.end && range.end <= self.len(),
+            "slice {range:?} out of bounds for {} bytes",
+            self.len()
+        );
         Bytes {
-            data: Arc::clone(&self.data),
+            storage: self.storage.clone(),
             start: self.start + range.start,
             end: self.start + range.end,
         }
     }
 
     fn as_slice(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        let all: &[u8] = match &self.storage {
+            Storage::Static(bytes) => bytes,
+            Storage::Vec(vec) => vec,
+            Storage::Owner(owner) => (**owner).as_ref(),
+        };
+        &all[self.start..self.end]
     }
 }
 
@@ -230,12 +282,26 @@ impl AsRef<[u8]> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Takes the vector over as the buffer's storage; no bytes move.
     fn from(v: Vec<u8>) -> Self {
-        let len = v.len();
+        let end = v.len();
         Bytes {
-            data: Arc::from(v),
+            storage: Storage::Vec(Arc::new(v)),
             start: 0,
-            end: len,
+            end,
+        }
+    }
+}
+
+impl From<Bytes> for Vec<u8> {
+    /// Hands the backing vector back without copying when `bytes` is the
+    /// only view left and covers all of it; copies otherwise.
+    fn from(bytes: Bytes) -> Vec<u8> {
+        match bytes.storage {
+            Storage::Vec(vec) if bytes.start == 0 && bytes.end == vec.len() => {
+                Arc::try_unwrap(vec).unwrap_or_else(|shared| shared.to_vec())
+            }
+            _ => bytes.as_slice().to_vec(),
         }
     }
 }
@@ -284,6 +350,15 @@ impl PartialEq<Vec<u8>> for Bytes {
 impl<const N: usize> PartialEq<[u8; N]> for Bytes {
     fn eq(&self, other: &[u8; N]) -> bool {
         self.as_slice() == other
+    }
+}
+
+impl<'a, T: ?Sized> PartialEq<&'a T> for Bytes
+where
+    Bytes: PartialEq<T>,
+{
+    fn eq(&self, other: &&'a T) -> bool {
+        *self == **other
     }
 }
 
@@ -419,6 +494,52 @@ mod tests {
         let b = a.clone();
         assert_eq!(a, b);
         assert_eq!(b.len(), 64);
+    }
+
+    #[test]
+    fn vectors_move_in_and_out_without_copying() {
+        let v = vec![5u8; 256];
+        let addr = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), addr, "From<Vec> must take the allocation over");
+        let view = b.slice(10..20);
+        assert_eq!(view.as_ptr(), addr.wrapping_add(10));
+        // Shared: the vector cannot be reclaimed, so this copies.
+        let copy = Vec::from(b.clone());
+        assert_ne!(copy.as_ptr(), addr);
+        drop(view);
+        drop(copy);
+        // Sole full view: the same allocation comes back.
+        let back = Vec::from(b);
+        assert_eq!(back.as_ptr(), addr);
+    }
+
+    #[test]
+    fn owner_is_dropped_with_the_last_view() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        struct Owner(Vec<u8>, Arc<AtomicBool>);
+        impl AsRef<[u8]> for Owner {
+            fn as_ref(&self) -> &[u8] {
+                &self.0
+            }
+        }
+        impl Drop for Owner {
+            fn drop(&mut self) {
+                self.1.store(true, Ordering::SeqCst);
+            }
+        }
+        let dropped = Arc::new(AtomicBool::new(false));
+        let data = vec![1u8, 2, 3, 4];
+        let addr = data.as_ptr();
+        let b = Bytes::from_owner(Owner(data, Arc::clone(&dropped)));
+        assert_eq!(b.as_ptr(), addr);
+        let tail = b.slice(2..4);
+        drop(b);
+        assert!(!dropped.load(Ordering::SeqCst), "a view is still alive");
+        assert_eq!(tail, [3u8, 4]);
+        assert_eq!(tail, &[3u8, 4]);
+        drop(tail);
+        assert!(dropped.load(Ordering::SeqCst));
     }
 
     #[test]
