@@ -1,7 +1,6 @@
 //! The benchmark harness: functions that regenerate every table and
-//! figure of the HaoCL paper, shared by the report binaries
-//! (`cargo run -p haocl-bench --bin fig2` etc.) and the Criterion
-//! benches.
+//! figure of the HaoCL paper, behind the report binaries
+//! (`cargo run -p haocl-bench --bin fig2` etc.).
 //!
 //! | Paper artefact | Harness entry | Binary |
 //! |----------------|---------------|--------|

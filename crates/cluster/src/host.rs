@@ -55,7 +55,7 @@ use haocl_obs::{
 };
 use haocl_proto::ids::{IdAllocator, NodeId, RequestId, UserId};
 use haocl_proto::messages::{
-    ApiCall, ApiReply, DeviceDescriptor, Envelope, Request, Response, WireSpan,
+    ApiCall, ApiReply, DeviceDescriptor, Envelope, Plane, Request, Response, WireSpan,
 };
 #[cfg(test)]
 use haocl_proto::wire::encode_to_vec;
@@ -166,52 +166,6 @@ impl std::fmt::Display for MembershipState {
             MembershipState::Departed => "Departed",
         })
     }
-}
-
-/// Which of a node's two connections a request travels on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Plane {
-    /// The message connection (control plane).
-    Control,
-    /// The data connection (buffer contents).
-    Data,
-}
-
-/// The plane a call travels on: buffer contents go over the data
-/// connection, everything else over the message connection.
-fn plane_of(call: &ApiCall) -> Plane {
-    if matches!(
-        call,
-        ApiCall::WriteBuffer { .. }
-            | ApiCall::ReadBuffer { .. }
-            | ApiCall::WriteBufferModeled { .. }
-            | ApiCall::ReadBufferModeled { .. }
-            | ApiCall::PushBufferTo { .. }
-            | ApiCall::PullBufferFrom { .. }
-    ) {
-        Plane::Data
-    } else {
-        Plane::Control
-    }
-}
-
-/// Calls that establish node state a failover target must reproduce.
-/// Pure queries (pings, reads, profile queries) are excluded: replaying
-/// them would change nothing.
-fn establishes_state(call: &ApiCall) -> bool {
-    matches!(
-        call,
-        ApiCall::CreateBuffer { .. }
-            | ApiCall::CreateBufferModeled { .. }
-            | ApiCall::WriteBuffer { .. }
-            | ApiCall::WriteBufferModeled { .. }
-            | ApiCall::ReleaseBuffer { .. }
-            | ApiCall::CopyBuffer { .. }
-            | ApiCall::BuildProgram { .. }
-            | ApiCall::LoadBitstream { .. }
-            | ApiCall::CreateKernel { .. }
-            | ApiCall::LaunchKernel { .. }
-    )
 }
 
 /// An error the transport produced (retryable), as opposed to an answer
@@ -414,7 +368,7 @@ impl NodeLink {
             if batch.is_empty() {
                 return Ok(());
             }
-            let virtual_len: u64 = batch.iter().map(|r| virtual_len_of(&r.body)).sum();
+            let virtual_len: u64 = batch.iter().map(|r| r.body.virtual_len()).sum();
             let coalesced = batch.len() as u64;
             let mut encoded_len = 0;
             let sent = sender.send_frame_with(at, virtual_len, |buf| {
@@ -447,7 +401,7 @@ impl NodeLink {
     /// Sends a data-plane request immediately (bulk payloads are never
     /// coalesced; their transmit cost dominates framing overhead).
     fn send_data(&self, request: Request, at: SimTime) -> Result<(), ClusterError> {
-        let virtual_len = virtual_len_of(&request.body);
+        let virtual_len = request.body.virtual_len();
         let mut sender = self.data_tx.lock().expect("data sender poisoned");
         let mut encoded_len = 0;
         let sent = sender.send_frame_with(at, virtual_len, |buf| {
@@ -463,7 +417,7 @@ impl NodeLink {
 
     /// Sends on the right plane for the request's body.
     fn send(&self, request: Request, at: SimTime) -> Result<(), ClusterError> {
-        match plane_of(&request.body) {
+        match request.body.plane() {
             Plane::Data => self.send_data(request, at),
             Plane::Control => self.send_control(request, at),
         }
@@ -493,17 +447,6 @@ impl NodeLink {
                 &haocl_obs::SIZE_BUCKETS,
             );
         }
-    }
-}
-
-/// Virtual wire size of modeled bulk writes (the data package the
-/// descriptor stands in for). Peer-transfer commands stay at zero: the
-/// bulk bytes are charged on the NMP→NMP hop, not the host's NIC — that
-/// is the whole point of them.
-fn virtual_len_of(call: &ApiCall) -> u64 {
-    match call {
-        ApiCall::WriteBufferModeled { len, .. } => *len,
-        _ => 0,
     }
 }
 
@@ -734,7 +677,7 @@ impl HostInner {
             .ok_or(ClusterError::Net(NetError::Disconnected))?;
         let link = &slot.link;
         let id = RequestId::new(self.request_ids.next());
-        let plane = plane_of(&call);
+        let plane = call.plane();
         for attempt in 0..=policy.max_attempts.min(6) {
             let patience = policy.base_timeout * 2u32.saturating_pow(attempt);
             let now = self.clock.now();
@@ -928,7 +871,7 @@ impl PendingCall {
             .slot(self.physical)
             .ok_or(ClusterError::Net(NetError::Disconnected))?;
         let link = &slot.link;
-        let plane = plane_of(&self.request.body);
+        let plane = self.request.body.plane();
         {
             let mut state = link.shared.state.lock().expect("link state poisoned");
             if let Some(err) = &state.dead {
@@ -1382,7 +1325,7 @@ impl HostRuntime {
         // Journal and in-flight registration happen before the send so
         // a concurrent failover can neither miss this call's state nor
         // replay it while its own waiter still owns it.
-        if recovery.is_some() && establishes_state(&call) {
+        if recovery.is_some() && call.replayed_on_failover() {
             node_slot
                 .journal
                 .lock()
@@ -1439,7 +1382,7 @@ impl HostRuntime {
                 return abort(ClusterError::Net(NetError::Disconnected));
             };
             let link = &route_slot.link;
-            let plane = plane_of(&request.body);
+            let plane = request.body.plane();
             {
                 let mut state = link.shared.state.lock().expect("link state poisoned");
                 if let Some(err) = &state.dead {

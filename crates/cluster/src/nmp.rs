@@ -32,14 +32,15 @@ use parking_lot::Mutex;
 
 use haocl_device::device::DeviceError;
 use haocl_device::memory::MemoryError;
-use haocl_device::{presets, FusedPart, SimDevice};
-use haocl_kernel::{CostModel, Kernel, KernelRegistry, NdRange};
+use haocl_device::wire::{cost_from_wire, range_from_wire};
+use haocl_device::{presets, LaunchPart, SimDevice};
+use haocl_kernel::{Kernel, KernelRegistry};
 use haocl_net::{host_name_of, Conn, Fabric, Listener, NetError};
 use haocl_obs::SpanId;
 use haocl_proto::ids::{KernelId, ProgramId, RequestId, UserId};
 use haocl_proto::messages::{
     status, ApiCall, ApiReply, Envelope, Request, Response, WireAccessPattern, WireArgEffect,
-    WireKernelReport, WireSpan,
+    WireKernelReport, WireLaunch, WireLaunchPart, WireLaunchParts, WireSpan,
 };
 #[cfg(test)]
 use haocl_proto::wire::encode_to_vec;
@@ -326,46 +327,22 @@ fn serve(mut conn: Conn, state: Arc<Mutex<NodeState>>, stop: Arc<AtomicBool>, pe
     }
 }
 
-/// True for calls whose re-execution would mutate node state twice — the
-/// ones the at-most-once journal must guard. Pure queries (pings, reads,
-/// profile queries) are safe to re-run and skip the journal.
-fn mutates_state(call: &ApiCall) -> bool {
-    matches!(
-        call,
-        ApiCall::CreateBuffer { .. }
-            | ApiCall::CreateBufferModeled { .. }
-            | ApiCall::WriteBuffer { .. }
-            | ApiCall::WriteBufferModeled { .. }
-            | ApiCall::ReleaseBuffer { .. }
-            | ApiCall::CopyBuffer { .. }
-            | ApiCall::BuildProgram { .. }
-            | ApiCall::LoadBitstream { .. }
-            | ApiCall::CreateKernel { .. }
-            | ApiCall::LaunchKernel { .. }
-            | ApiCall::LaunchFused { .. }
-            | ApiCall::PushBufferTo { .. }
-            | ApiCall::PullBufferFrom { .. }
-    )
-}
-
 fn handle(
     state: &Mutex<NodeState>,
     request: Request,
     arrival: SimTime,
     peer: &PeerCtx,
 ) -> Response {
-    if matches!(
-        request.body,
-        ApiCall::PushBufferTo { .. } | ApiCall::PullBufferFrom { .. }
-    ) {
+    if request.body.is_peer_transfer() {
         return handle_peer_transfer(state, request, arrival, peer);
     }
     let mut state = state.lock();
     // At-most-once: a retransmitted (or chaos-duplicated) mutating request
     // is answered from the journal — the kernel does not run again, the
     // write does not apply again. The cached response is re-sent verbatim,
-    // flagged so the host can count the dedup.
-    let journaled = mutates_state(&request.body);
+    // flagged so the host can count the dedup. Pure queries (pings, reads,
+    // profile queries) are safe to re-run and skip the journal.
+    let journaled = request.body.mutates_node_state();
     if journaled {
         if let Some(cached) = state.journal.get(&request.id) {
             let mut response = cached.clone();
@@ -813,6 +790,10 @@ fn dispatch(
     call: ApiCall,
     at: SimTime,
 ) -> (ApiReply, SimTime) {
+    let call = match call.into_launch() {
+        Ok(wire) => return (launch(state, user, wire, at).unwrap_or_else(|e| e), at),
+        Err(call) => call,
+    };
     match call {
         ApiCall::Hello { client: _ } | ApiCall::ListDevices => {
             let devices = state
@@ -1112,136 +1093,98 @@ fn dispatch(
             state.kernels.insert(kernel, (device, resolved));
             (ApiReply::KernelInfo { arity }, at)
         }
-        ApiCall::LaunchKernel {
-            device,
-            kernel,
-            args,
-            range,
-            cost,
-            fidelity,
-            shared: _,
-        } => {
-            if state.draining {
-                return (
-                    err_reply(status::DEVICE_NOT_AVAILABLE, "node is draining"),
-                    at,
-                );
-            }
-            let Some((kernel_device, k)) = state.kernels.get(&kernel).cloned() else {
-                return (err_reply(status::INVALID_KERNEL, "unknown kernel"), at);
-            };
-            if kernel_device != device {
-                return (
-                    err_reply(
-                        status::INVALID_DEVICE,
-                        "kernel was created for a different device",
-                    ),
-                    at,
-                );
-            }
-            let nd = NdRange {
-                work_dim: range.work_dim,
-                global: range.global,
-                local: range.local,
-            };
-            let cost = cost_from_wire(&cost);
-            *state.launches_by_user.entry(user).or_insert(0) += 1;
-            let Some(dev) = state.devices.get_mut(device as usize) else {
-                return (err_reply(status::INVALID_DEVICE, "no such device"), at);
-            };
-            match dev.launch(&k, &args, &nd, &cost, fidelity, at) {
-                // Enqueue is non-blocking (OpenCL semantics): the reply
-                // leaves at receipt time while the kernel occupies the
-                // device timeline until `end_nanos`. Later operations on
-                // this device queue behind it; the host only waits at
-                // `clFinish`/reads.
-                Ok(outcome) => (
-                    ApiReply::LaunchDone {
-                        start_nanos: outcome.grant.start.as_nanos(),
-                        end_nanos: outcome.grant.end.as_nanos(),
-                        instructions: outcome.instructions,
-                    },
-                    at,
-                ),
-                Err(e) => (device_error_reply(e), at),
-            }
-        }
-        ApiCall::LaunchFused {
-            device,
-            fidelity,
-            shared: _,
-            parts,
-        } => {
-            if state.draining {
-                return (
-                    err_reply(status::DEVICE_NOT_AVAILABLE, "node is draining"),
-                    at,
-                );
-            }
-            if parts.len() < 2 {
-                return (
-                    err_reply(status::INVALID_VALUE, "fused launch needs >= 2 parts"),
-                    at,
-                );
-            }
-            // Resolve every constituent before running any: a fused
-            // dispatch is one command, so it fails whole on bad handles.
-            let mut resolved = Vec::with_capacity(parts.len());
-            for part in &parts {
-                let Some((kernel_device, k)) = state.kernels.get(&part.kernel).cloned() else {
-                    return (err_reply(status::INVALID_KERNEL, "unknown kernel"), at);
-                };
-                if kernel_device != device {
-                    return (
-                        err_reply(
-                            status::INVALID_DEVICE,
-                            "kernel was created for a different device",
-                        ),
-                        at,
-                    );
-                }
-                resolved.push(k);
-            }
-            let fused: Vec<FusedPart<'_>> = resolved
-                .iter()
-                .zip(&parts)
-                .map(|(k, part)| FusedPart {
-                    kernel: k,
-                    args: &part.args,
-                    range: NdRange {
-                        work_dim: part.range.work_dim,
-                        global: part.range.global,
-                        local: part.range.local,
-                    },
-                    cost: cost_from_wire(&part.cost),
-                })
-                .collect();
-            *state.launches_by_user.entry(user).or_insert(0) += 1;
-            let Some(dev) = state.devices.get_mut(device as usize) else {
-                return (err_reply(status::INVALID_DEVICE, "no such device"), at);
-            };
-            match dev.launch_fused(&fused, fidelity, at) {
-                Ok(outcome) => (
-                    ApiReply::LaunchDone {
-                        start_nanos: outcome.grant.start.as_nanos(),
-                        end_nanos: outcome.grant.end.as_nanos(),
-                        instructions: outcome.instructions,
-                    },
-                    at,
-                ),
-                Err(e) => (device_error_reply(e), at),
-            }
-        }
-        // Routed to `handle_peer_transfer` before dispatch (they must
-        // not run under the state lock); reaching here is a logic error.
-        ApiCall::PushBufferTo { .. } | ApiCall::PullBufferFrom { .. } => (
+        // Routed away before this match — launches to `launch` above,
+        // peer transfers to `handle_peer_transfer` before dispatch (they
+        // must not run under the state lock); reaching here is a logic
+        // error.
+        ApiCall::LaunchKernel { .. }
+        | ApiCall::LaunchFused { .. }
+        | ApiCall::PushBufferTo { .. }
+        | ApiCall::PullBufferFrom { .. } => (
             err_reply(
                 status::INVALID_OPERATION,
-                "peer transfers are handled outside dispatch",
+                "launches and peer transfers are handled outside this match",
             ),
             at,
         ),
     }
+}
+
+/// Looks up the kernel a launch part names and views the part as the
+/// device runs it.
+fn resolve_part<'a>(
+    kernels: &'a HashMap<KernelId, (u8, Kernel)>,
+    device: u8,
+    part: &'a WireLaunchPart,
+) -> Result<LaunchPart<'a>, ApiReply> {
+    let Some((kernel_device, kernel)) = kernels.get(&part.kernel) else {
+        return Err(err_reply(status::INVALID_KERNEL, "unknown kernel"));
+    };
+    if *kernel_device != device {
+        return Err(err_reply(
+            status::INVALID_DEVICE,
+            "kernel was created for a different device",
+        ));
+    }
+    Ok(LaunchPart {
+        kernel,
+        args: &part.args,
+        range: range_from_wire(&part.range),
+        cost: cost_from_wire(&part.cost),
+    })
+}
+
+/// Runs one kernel dispatch — a lone `LaunchKernel` or a `LaunchFused`
+/// chain, which differ only in how many parts they carry. Both arms of
+/// the result are the reply to send; `Err` is the early-exit one.
+fn launch(
+    state: &mut NodeState,
+    user: UserId,
+    launch: WireLaunch,
+    at: SimTime,
+) -> Result<ApiReply, ApiReply> {
+    if state.draining {
+        return Err(err_reply(status::DEVICE_NOT_AVAILABLE, "node is draining"));
+    }
+    if matches!(&launch.parts, WireLaunchParts::Fused(parts) if parts.len() < 2) {
+        return Err(err_reply(
+            status::INVALID_VALUE,
+            "fused launch needs >= 2 parts",
+        ));
+    }
+    // Resolve every constituent before running any: a dispatch is one
+    // command, so it fails whole on bad handles.
+    let resolve = |part| resolve_part(&state.kernels, launch.device, part);
+    // A lone launch — the small-launch hot path — views its part from
+    // the stack; only a chain pays for a list.
+    let (lone, chain);
+    let parts: &[LaunchPart<'_>] = match &*launch.parts {
+        [part] => {
+            lone = [resolve(part)?];
+            &lone
+        }
+        parts => {
+            chain = parts.iter().map(resolve).collect::<Result<Vec<_>, _>>()?;
+            &chain
+        }
+    };
+    *state.launches_by_user.entry(user).or_insert(0) += 1;
+    let dev = state
+        .devices
+        .get_mut(launch.device as usize)
+        .ok_or_else(|| err_reply(status::INVALID_DEVICE, "no such device"))?;
+    // Enqueue is non-blocking (OpenCL semantics): the reply leaves at
+    // receipt time while the dispatch occupies the device timeline until
+    // `end_nanos`. Later operations on this device queue behind it; the
+    // host only waits at `clFinish`/reads.
+    let outcome = dev
+        .launch(parts, launch.fidelity, at)
+        .map_err(device_error_reply)?;
+    Ok(ApiReply::LaunchDone {
+        start_nanos: outcome.grant.start.as_nanos(),
+        end_nanos: outcome.grant.end.as_nanos(),
+        instructions: outcome.instructions,
+    })
 }
 
 fn device_mut(state: &mut NodeState, device: u8) -> Result<&mut SimDevice, ApiReply> {
@@ -1249,20 +1192,6 @@ fn device_mut(state: &mut NodeState, device: u8) -> Result<&mut SimDevice, ApiRe
         .devices
         .get_mut(device as usize)
         .ok_or_else(|| err_reply(status::INVALID_DEVICE, format!("no device {device}")))
-}
-
-fn cost_from_wire(w: &haocl_proto::messages::WireCost) -> CostModel {
-    let mut c = CostModel::new()
-        .flops(w.flops.max(0.0))
-        .bytes_read(w.bytes_read.max(0.0))
-        .bytes_written(w.bytes_written.max(0.0));
-    if !w.uniform {
-        c = c.divergent();
-    }
-    if w.streaming {
-        c = c.streaming();
-    }
-    c
 }
 
 #[cfg(test)]
@@ -1540,7 +1469,7 @@ mod tests {
             &self,
             _args: &[haocl_kernel::ArgValue],
             _buffers: &mut [haocl_kernel::GlobalBuffer],
-            _range: &NdRange,
+            _range: &haocl_kernel::NdRange,
         ) -> Result<haocl_kernel::ExecStats, haocl_kernel::ExecError> {
             Ok(haocl_kernel::ExecStats::default())
         }
@@ -1579,6 +1508,42 @@ mod tests {
             },
         );
         assert!(matches!(r, ApiReply::Error { code, .. } if code == status::INVALID_DEVICE));
+        // A fused frame with fewer than two parts is malformed, whatever
+        // its part names; the same part as a lone launch gets as far as
+        // the kernel lookup.
+        let part = haocl_proto::messages::WireLaunchPart {
+            kernel: KernelId::new(404),
+            args: Vec::new(),
+            range: WireNdRange {
+                work_dim: 1,
+                global: [1, 1, 1],
+                local: [1, 1, 1],
+            },
+            cost: WireCost {
+                flops: 0.0,
+                bytes_read: 0.0,
+                bytes_written: 0.0,
+                uniform: true,
+                streaming: false,
+            },
+        };
+        let (r, _) = call(
+            &mut conn,
+            1,
+            ApiCall::LaunchFused {
+                device: 0,
+                fidelity: Fidelity::Full,
+                shared: false,
+                parts: vec![part.clone()],
+            },
+        );
+        assert!(matches!(r, ApiReply::Error { code, .. } if code == status::INVALID_VALUE));
+        let (r, _) = call(
+            &mut conn,
+            1,
+            ApiCall::launch(0, Fidelity::Full, false, vec![part]),
+        );
+        assert!(matches!(r, ApiReply::Error { code, .. } if code == status::INVALID_KERNEL));
         handle.stop();
     }
 

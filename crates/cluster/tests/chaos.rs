@@ -20,7 +20,9 @@ use haocl_cluster::{ClusterConfig, LocalCluster, RecoveryPolicy};
 use haocl_kernel::KernelRegistry;
 use haocl_net::{ChaosPolicy, ChaosSpec};
 use haocl_proto::ids::{BufferId, KernelId, NodeId, ProgramId};
-use haocl_proto::messages::{ApiCall, ApiReply, Fidelity, WireArg, WireCost, WireNdRange};
+use haocl_proto::messages::{
+    ApiCall, ApiReply, Fidelity, WireArg, WireCost, WireLaunchPart, WireNdRange,
+};
 
 /// The kernel every scripted pipeline iterates: `a[i] = a[i]*2 + i` is
 /// exact in binary floating point, so outputs are bitwise-deterministic.
@@ -50,12 +52,50 @@ fn policy_for(config: &ClusterConfig, seed: u64, spec: &str) -> ChaosPolicy {
     ChaosPolicy::new(seed, spec)
 }
 
-/// Drives a fixed two-node pipeline — create/write/build/create-kernel,
-/// three launch rounds, read back — and returns each node's final buffer
-/// bytes plus the observed fault schedule. With `chaos`, the policy is
-/// installed after the handshake and recovery enabled with
-/// `base_timeout` patience.
+/// One dispatch of kernel `kernel` over the 8-float buffer `buffer`,
+/// `parts` times back-to-back: the plain `LaunchKernel` for one part, a
+/// `LaunchFused` chain for more.
+fn tick_launch(kernel: KernelId, buffer: BufferId, parts: usize) -> ApiCall {
+    let part = WireLaunchPart {
+        kernel,
+        args: vec![WireArg::Buffer(buffer)],
+        range: WireNdRange {
+            work_dim: 1,
+            global: [8, 1, 1],
+            local: [4, 1, 1],
+        },
+        cost: WireCost {
+            flops: 16.0,
+            bytes_read: 32.0,
+            bytes_written: 32.0,
+            uniform: true,
+            streaming: false,
+        },
+    };
+    let call = ApiCall::launch(0, Fidelity::Full, false, vec![part; parts]);
+    assert_eq!(
+        matches!(call, ApiCall::LaunchKernel { .. }),
+        parts == 1,
+        "one part rides LaunchKernel, a chain LaunchFused"
+    );
+    call
+}
+
+/// [`scripted_pipeline`] with lone `LaunchKernel` launches.
 fn scripted_run(chaos: Option<(u64, &str)>, base_timeout: Duration) -> (Vec<Vec<u8>>, Vec<String>) {
+    scripted_pipeline(1, chaos, base_timeout)
+}
+
+/// Drives a fixed two-node pipeline — create/write/build/create-kernel,
+/// three launch rounds of `parts`-kernel dispatches, read back — and
+/// returns each node's final buffer bytes plus the observed fault
+/// schedule. With `chaos`, the policy is installed after the handshake
+/// and recovery enabled with `base_timeout` patience.
+fn scripted_pipeline(
+    parts: usize,
+    chaos: Option<(u64, &str)>,
+    base_timeout: Duration,
+) -> (Vec<Vec<u8>>, Vec<String>) {
     let config = ClusterConfig::gpu_cluster(2);
     let cluster = LocalCluster::launch(&config, KernelRegistry::new()).unwrap();
     if let Some((seed, spec)) = chaos {
@@ -114,25 +154,7 @@ fn scripted_run(chaos: Option<(u64, &str)>, base_timeout: Duration) -> (Vec<Vec<
         for n in 0..2u64 {
             host.call(
                 NodeId::new(n as u32),
-                ApiCall::LaunchKernel {
-                    device: 0,
-                    kernel: KernelId::new(n + 1),
-                    args: vec![WireArg::Buffer(BufferId::new(n + 1))],
-                    range: WireNdRange {
-                        work_dim: 1,
-                        global: [8, 1, 1],
-                        local: [4, 1, 1],
-                    },
-                    cost: WireCost {
-                        flops: 16.0,
-                        bytes_read: 32.0,
-                        bytes_written: 32.0,
-                        uniform: true,
-                        streaming: false,
-                    },
-                    fidelity: Fidelity::Full,
-                    shared: false,
-                },
+                tick_launch(KernelId::new(n + 1), BufferId::new(n + 1), parts),
             )
             .unwrap();
         }
@@ -246,7 +268,45 @@ fn crash_failover_recovers_mid_pipeline() {
 }
 
 #[test]
+fn fused_pipeline_survives_crash_failover() {
+    // The same pipeline with every launch a two-kernel `LaunchFused`
+    // chain, and the crash slid across the launch rounds: a fused
+    // dispatch that ran on the lost node is node state like any lone
+    // launch, so failover must replay it — or the read-back silently
+    // returns the bytes of a pipeline that skipped it.
+    let config = ClusterConfig::gpu_cluster(2);
+    let hosts = node_hosts(&config);
+    let (golden, _) = scripted_pipeline(2, None, Duration::from_millis(10));
+    let (lone, _) = scripted_run(None, Duration::from_millis(10));
+    assert_ne!(golden, lone, "a chain of two ticks is not one tick");
+    // 11, 13 and 15 land before, between and after the launch rounds;
+    // 17 is past the node's last frame and must change nothing either.
+    let mut blackholed = 0;
+    for at in [11, 13, 15, 17] {
+        let spec = format!("crash={}@{at}", hosts[1]);
+        let (bytes, schedule) = scripted_pipeline(2, Some((1, &spec)), Duration::from_millis(10));
+        blackholed += schedule.len();
+        assert_eq!(
+            bytes, golden,
+            "crash@{at}: failover replay reproduced the fused dispatches bit-for-bit"
+        );
+    }
+    assert!(blackholed > 0, "the sweep never actually fired the crash");
+}
+
+#[test]
 fn retransmission_never_double_executes_a_kernel() {
+    retransmitted_launches_run_once(1);
+}
+
+#[test]
+fn retransmission_never_double_executes_a_fused_chain() {
+    retransmitted_launches_run_once(2);
+}
+
+/// Six dispatches of `parts` kernels each over a lossy, duplicating
+/// network, then a look at the node's own run count.
+fn retransmitted_launches_run_once(parts: usize) {
     // A lossy, duplicating network with retransmission but no failover:
     // after the dust settles the node's own profile must count each
     // launch exactly once.
@@ -289,29 +349,8 @@ fn retransmission_never_double_executes_a_kernel() {
     .unwrap();
     const LAUNCHES: u64 = 6;
     for _ in 0..LAUNCHES {
-        host.call(
-            node,
-            ApiCall::LaunchKernel {
-                device: 0,
-                kernel: KernelId::new(1),
-                args: vec![WireArg::Buffer(buf)],
-                range: WireNdRange {
-                    work_dim: 1,
-                    global: [8, 1, 1],
-                    local: [4, 1, 1],
-                },
-                cost: WireCost {
-                    flops: 16.0,
-                    bytes_read: 32.0,
-                    bytes_written: 32.0,
-                    uniform: true,
-                    streaming: false,
-                },
-                fidelity: Fidelity::Full,
-                shared: false,
-            },
-        )
-        .unwrap();
+        host.call(node, tick_launch(KernelId::new(1), buf, parts))
+            .unwrap();
     }
     let outcome = host.call(node, ApiCall::QueryProfile).unwrap();
     let ApiReply::Profile { entries } = outcome.reply else {
@@ -329,7 +368,7 @@ fn retransmission_never_double_executes_a_kernel() {
     );
     assert_eq!(
         runs,
-        LAUNCHES,
+        LAUNCHES * parts as u64,
         "every duplicate was answered from the journal; repro schedule:\n{}",
         schedule.join("\n")
     );

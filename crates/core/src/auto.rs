@@ -24,7 +24,7 @@ use crate::event::Event;
 use crate::graph::{GraphReport, LaunchGraph};
 use crate::kernel::{Kernel, StoredArg};
 use crate::platform::Device;
-use crate::queue::CommandQueue;
+use crate::queue::{CommandQueue, LaunchPart};
 
 /// Scheduler-routed kernel launching over a context's devices.
 pub struct AutoScheduler {
@@ -187,34 +187,71 @@ impl AutoScheduler {
         user: UserId,
         tenant: &str,
     ) -> Result<(Event, usize), Error> {
-        // The buffers this launch touches drive locality: each candidate
-        // view reports how many of those bytes are already resident on
-        // it, and the task declares the total, so policies and the cost
-        // model charge the real migration traffic of every placement.
-        // Unset arguments surface later, at enqueue, with a precise error.
-        let buffers: Vec<Buffer> = kernel
-            .bound_args()
-            .map(|args| {
-                args.into_iter()
-                    .filter_map(|a| match a {
-                        StoredArg::Buffer(b) => Some(b),
-                        _ => None,
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-        let task = TaskSpec::new(kernel.name())
-            .cost(kernel.cost())
+        self.dispatch(
+            vec![LaunchPart::capture(kernel, range)?],
+            FusionDecision::Unconsidered,
+            user,
+            tenant,
+        )
+    }
+
+    /// Places and runs one dispatch — a lone kernel, or a chain the
+    /// fusion prover approved — on whichever device the policy picks,
+    /// and waits for it. Returns the completion event and the index
+    /// (within the context's device list) of the chosen device.
+    ///
+    /// The dispatch is placed as one task: names joined with `+`, costs
+    /// summed, inputs the union of the parts' buffers — for a lone
+    /// kernel, simply its name, its cost and its buffers. `fused` is the
+    /// lead's fusion verdict, recorded on the audit row.
+    fn dispatch(
+        &self,
+        parts: Vec<LaunchPart>,
+        fused: FusionDecision,
+        user: UserId,
+        tenant: &str,
+    ) -> Result<(Event, usize), Error> {
+        let joined = parts
+            .iter()
+            .map(|p| p.kernel.name())
+            .collect::<Vec<_>>()
+            .join("+");
+        let cost = parts
+            .iter()
+            .map(|p| p.kernel.cost())
+            .reduce(|chain, next| chain.then(&next))
+            .expect("a dispatch has at least one part");
+        // The buffers this dispatch touches drive locality: each
+        // candidate view reports how many of those bytes are already
+        // resident on it, and the task declares the total, so policies
+        // and the cost model charge the real migration traffic of every
+        // placement.
+        let mut buffers: Vec<Buffer> = Vec::new();
+        for arg in parts.iter().flat_map(|p| &p.args) {
+            if let StoredArg::Buffer(b) = arg {
+                if !buffers
+                    .iter()
+                    .any(|seen| std::sync::Arc::ptr_eq(&seen.inner, &b.inner))
+                {
+                    buffers.push(b.clone());
+                }
+            }
+        }
+        let task = TaskSpec::new(&joined)
+            .cost(cost)
             .user(user)
             .tenant(tenant)
-            .fpga_eligible(kernel.program().is_bitstream())
+            .fpga_eligible(parts.iter().all(|p| p.kernel.program().is_bitstream()))
             .input_bytes(buffers.iter().map(Buffer::size).sum());
-        let (choice, audit) = self.place_filtered(&task, &buffers)?;
+        let (choice, mut audit) = self.place_filtered(&task, &buffers)?;
         // A device adopted after the program was built gets the build
         // lazily, on the first placement that lands on it.
-        kernel
-            .program()
-            .build_for(&self.context.devices()[choice])?;
+        for part in &parts {
+            part.kernel
+                .program()
+                .build_for(&self.context.devices()[choice])?;
+        }
+        audit.fused = fused;
         let obs = &self.context.platform.obs;
         // The placement decision is always auditable; spans and metrics
         // follow the tracing gate.
@@ -224,26 +261,28 @@ impl AutoScheduler {
             let root_id = obs.recorder.next_span_id();
             // The decision is instantaneous in virtual time; the span
             // still anchors the audit trail inside the trace tree.
-            obs.recorder.record(
-                Span::new(
-                    obs.recorder.next_span_id(),
-                    trace,
-                    Some(root_id),
-                    "sched.place",
-                    Phase::new("Sched"),
-                    "host",
-                    decided,
-                    decided,
-                )
-                .attr("policy", audit.policy.clone())
-                .attr("tenant", audit.tenant.clone())
-                .attr("reason", audit.reason.clone())
-                .attr("candidates", audit.candidates.len().to_string()),
-            );
+            let mut placed = Span::new(
+                obs.recorder.next_span_id(),
+                trace,
+                Some(root_id),
+                "sched.place",
+                Phase::new("Sched"),
+                "host",
+                decided,
+                decided,
+            )
+            .attr("policy", audit.policy.clone())
+            .attr("tenant", audit.tenant.clone())
+            .attr("reason", audit.reason.clone());
+            if audit.fused != FusionDecision::Unconsidered {
+                placed = placed.attr("fused", audit.fused.to_string());
+            }
+            obs.recorder
+                .record(placed.attr("candidates", audit.candidates.len().to_string()));
             obs.metrics.inc_counter(
                 names::PLACEMENTS,
                 &[
-                    ("kernel", kernel.name()),
+                    ("kernel", joined.as_str()),
                     (
                         "kind",
                         audit.winner().map(|w| w.kind.as_str()).unwrap_or("unknown"),
@@ -255,10 +294,28 @@ impl AutoScheduler {
         } else {
             None
         };
+        // The parts a chain carries get their own audit rows so
+        // per-kernel queries still see every launch, wire command or not.
+        let carried: Vec<PlacementAudit> = parts[1..]
+            .iter()
+            .map(|part| PlacementAudit {
+                kernel: part.kernel.name().to_string(),
+                tenant: audit.tenant.clone(),
+                policy: audit.policy.clone(),
+                candidates: Vec::new(),
+                chosen: choice,
+                reason: format!("carried by fused dispatch `{joined}`"),
+                fused: FusionDecision::FusedInto {
+                    lead: parts[0].kernel.name().to_string(),
+                },
+            })
+            .collect();
         obs.audit.record(audit);
-        let event = self.queues[choice].enqueue_nd_range_kernel_traced(
-            kernel,
-            range,
+        for row in carried {
+            obs.audit.record(row);
+        }
+        let event = self.queues[choice].enqueue_launch_parts_traced(
+            parts,
             ctx.map(|(trace, root_id)| TraceCtx::new(trace, root_id)),
         )?;
         // The policy's load tracking needs the completion time, so
@@ -269,12 +326,14 @@ impl AutoScheduler {
             let mut busy = self.busy_until.lock();
             busy[choice] = busy[choice].max(event.finished_at());
         }
+        // The profile keys on the joined name — the same name the
+        // placement above queried, so predictions stay consistent.
         self.scheduler.profile().record(
-            kernel.name(),
+            &joined,
             self.context.devices()[choice].kind(),
             event.duration(),
         );
-        self.observe_drift(kernel.name(), choice, event.duration());
+        self.observe_drift(&joined, choice, event.duration());
         if let Some((trace, root_id)) = ctx {
             // Close the trace root now that the launch has resolved; the
             // sched.place and enqueue spans recorded earlier parent here.
@@ -282,7 +341,7 @@ impl AutoScheduler {
                 root_id,
                 trace,
                 None,
-                format!("auto.launch {}", kernel.name()),
+                format!("auto.launch {joined}"),
                 Phase::Compute,
                 "host",
                 decided,
@@ -551,66 +610,7 @@ impl AutoScheduler {
         };
         for group in &plan {
             let members = &group.members;
-            let lead = &nodes[members[0]];
-            let lead_name = lead.kernel.name().to_string();
-            // Merge the group into the task the policy actually places:
-            // one dispatch with the summed work and the union of inputs.
-            let joined = members
-                .iter()
-                .map(|&m| nodes[m].kernel.name())
-                .collect::<Vec<_>>()
-                .join("+");
-            let mut flops = 0.0;
-            let mut bytes_read = 0.0;
-            let mut bytes_written = 0.0;
-            let mut uniform = true;
-            let mut streaming = true;
-            let mut buffers: Vec<Buffer> = Vec::new();
-            for &m in members {
-                let cost = nodes[m].kernel.cost();
-                flops += cost.total_flops();
-                bytes_read += cost.total_bytes_read();
-                bytes_written += cost.total_bytes_written();
-                uniform &= cost.is_uniform();
-                streaming &= cost.is_streaming();
-                for arg in &nodes[m].args {
-                    if let StoredArg::Buffer(b) = arg {
-                        if !buffers
-                            .iter()
-                            .any(|seen| std::sync::Arc::ptr_eq(&seen.inner, &b.inner))
-                        {
-                            buffers.push(b.clone());
-                        }
-                    }
-                }
-            }
-            let mut cost = haocl_kernel::CostModel::new()
-                .flops(flops)
-                .bytes_read(bytes_read)
-                .bytes_written(bytes_written);
-            if !uniform {
-                cost = cost.divergent();
-            }
-            if streaming {
-                cost = cost.streaming();
-            }
-            let task = TaskSpec::new(&joined)
-                .cost(cost)
-                .user(user)
-                .tenant(tenant)
-                .fpga_eligible(
-                    members
-                        .iter()
-                        .all(|&m| nodes[m].kernel.program().is_bitstream()),
-                )
-                .input_bytes(buffers.iter().map(Buffer::size).sum());
-            let (choice, mut audit) = self.place_filtered(&task, &buffers)?;
-            for &m in members {
-                nodes[m]
-                    .kernel
-                    .program()
-                    .build_for(&self.context.devices()[choice])?;
-            }
+            let lead_name = nodes[members[0]].kernel.name().to_string();
             // The lead's column explains this dispatch: why it fused, or
             // why it could not extend the previous one.
             let lead_decision = match (&group.rejected, members.len()) {
@@ -618,106 +618,17 @@ impl AutoScheduler {
                 (None, 1) => FusionDecision::Solo,
                 (None, len) => FusionDecision::Fused { len },
             };
-            audit.fused = lead_decision.clone();
-            report.decisions[members[0]] = (lead_name.clone(), lead_decision);
-            let decided = self.queues[choice].device().platform.clock().now();
-            let ctx = if obs.enabled() {
-                let trace = obs.recorder.new_trace();
-                let root_id = obs.recorder.next_span_id();
-                obs.recorder.record(
-                    Span::new(
-                        obs.recorder.next_span_id(),
-                        trace,
-                        Some(root_id),
-                        "sched.place",
-                        Phase::new("Sched"),
-                        "host",
-                        decided,
-                        decided,
-                    )
-                    .attr("policy", audit.policy.clone())
-                    .attr("tenant", audit.tenant.clone())
-                    .attr("reason", audit.reason.clone())
-                    .attr("fused", audit.fused.to_string())
-                    .attr("candidates", audit.candidates.len().to_string()),
-                );
-                obs.metrics.inc_counter(
-                    names::PLACEMENTS,
-                    &[
-                        ("kernel", joined.as_str()),
-                        (
-                            "kind",
-                            audit.winner().map(|w| w.kind.as_str()).unwrap_or("unknown"),
-                        ),
-                    ],
-                    1,
-                );
-                Some((trace, root_id))
-            } else {
-                None
-            };
-            let (policy, tenant_label) = (audit.policy.clone(), audit.tenant.clone());
-            obs.audit.record(audit);
-            // Members get their own audit rows so per-kernel queries
-            // still see every launch, wire command or not.
             for &m in &members[1..] {
-                let name = nodes[m].kernel.name().to_string();
                 report.decisions[m] = (
-                    name.clone(),
+                    nodes[m].kernel.name().to_string(),
                     FusionDecision::FusedInto {
                         lead: lead_name.clone(),
                     },
                 );
-                obs.audit.record(PlacementAudit {
-                    kernel: name,
-                    tenant: tenant_label.clone(),
-                    policy: policy.clone(),
-                    candidates: Vec::new(),
-                    chosen: choice,
-                    reason: format!("carried by fused dispatch `{joined}`"),
-                    fused: FusionDecision::FusedInto {
-                        lead: lead_name.clone(),
-                    },
-                });
             }
-            let parts: Vec<crate::queue::LaunchPart> = members
-                .iter()
-                .map(|&m| crate::queue::LaunchPart {
-                    kernel: nodes[m].kernel.clone(),
-                    args: nodes[m].args.clone(),
-                    range: nodes[m].range,
-                })
-                .collect();
-            let event = self.queues[choice].enqueue_launch_parts_traced(
-                parts,
-                ctx.map(|(trace, root_id)| TraceCtx::new(trace, root_id)),
-            )?;
-            event.wait()?;
-            {
-                let mut busy = self.busy_until.lock();
-                busy[choice] = busy[choice].max(event.finished_at());
-            }
-            // The profile keys on the merged name — the same name the
-            // placement above queried, so predictions stay consistent.
-            self.scheduler.profile().record(
-                &joined,
-                self.context.devices()[choice].kind(),
-                event.duration(),
-            );
-            self.observe_drift(&joined, choice, event.duration());
-            if let Some((trace, root_id)) = ctx {
-                obs.recorder.record(Span::new(
-                    root_id,
-                    trace,
-                    None,
-                    format!("auto.launch {joined}"),
-                    Phase::Compute,
-                    "host",
-                    decided,
-                    self.context.platform.clock().now(),
-                ));
-                self.sync_health_metrics();
-            }
+            report.decisions[members[0]] = (lead_name, lead_decision.clone());
+            let parts = members.iter().map(|&m| nodes[m].clone()).collect();
+            let (event, _) = self.dispatch(parts, lead_decision, user, tenant)?;
             report.wire_launches += 1;
             if members.len() > 1 {
                 report.fused_launches += 1;

@@ -27,13 +27,7 @@ use haocl_proto::messages::{Fidelity, WireKernelReport};
 use crate::error::Error;
 use crate::event::Event;
 use crate::kernel::{Kernel, StoredArg};
-
-/// One captured enqueue.
-pub(crate) struct GraphNode {
-    pub(crate) kernel: Kernel,
-    pub(crate) args: Vec<StoredArg>,
-    pub(crate) range: NdRange,
-}
+use crate::queue::LaunchPart;
 
 /// An ordered capture of kernel enqueues, fused where provably safe at
 /// dispatch time.
@@ -53,7 +47,8 @@ pub(crate) struct GraphNode {
 /// ```
 #[derive(Default)]
 pub struct LaunchGraph {
-    nodes: Vec<GraphNode>,
+    /// One captured enqueue each.
+    nodes: Vec<LaunchPart>,
     fusion_disabled: bool,
 }
 
@@ -107,12 +102,7 @@ impl LaunchGraph {
     ///
     /// [`crate::Status::InvalidKernelArgs`] if any argument is unset.
     pub fn add(&mut self, kernel: &Kernel, range: NdRange) -> Result<usize, Error> {
-        let args = kernel.bound_args()?;
-        self.nodes.push(GraphNode {
-            kernel: kernel.clone(),
-            args,
-            range,
-        });
+        self.nodes.push(LaunchPart::capture(kernel, range)?);
         Ok(self.nodes.len() - 1)
     }
 
@@ -126,7 +116,7 @@ impl LaunchGraph {
         self.nodes.is_empty()
     }
 
-    pub(crate) fn nodes(&self) -> &[GraphNode] {
+    pub(crate) fn nodes(&self) -> &[LaunchPart] {
         &self.nodes
     }
 
@@ -177,7 +167,7 @@ struct NodeFacts {
 }
 
 impl NodeFacts {
-    fn of(node: &GraphNode) -> NodeFacts {
+    fn of(node: &LaunchPart) -> NodeFacts {
         let effects = node
             .kernel
             .program()

@@ -14,9 +14,10 @@
 
 use std::sync::Arc;
 
+use haocl_device::wire::{cost_to_wire, range_to_wire};
 use haocl_kernel::NdRange;
 use haocl_obs::{names, phase_from_name, Span, TraceCtx};
-use haocl_proto::messages::{ApiCall, ApiReply, WireArg, WireCost, WireLaunchPart, WireNdRange};
+use haocl_proto::messages::{ApiCall, ApiReply, WireArg, WireLaunchPart};
 use haocl_sim::{Phase, SimTime};
 
 use crate::buffer::Buffer;
@@ -31,10 +32,27 @@ use crate::platform::Device;
 /// [`crate::auto::AutoScheduler`] captures these when a
 /// [`crate::graph::LaunchGraph`] is recorded, so later `set_arg` calls
 /// cannot retroactively change an already-captured launch.
+#[derive(Clone)]
 pub(crate) struct LaunchPart {
     pub(crate) kernel: Kernel,
     pub(crate) args: Vec<StoredArg>,
     pub(crate) range: NdRange,
+}
+
+impl LaunchPart {
+    /// Snapshots `kernel`'s currently-bound arguments for a launch over
+    /// `range`.
+    ///
+    /// # Errors
+    ///
+    /// [`Status::InvalidKernelArgs`] if any argument is unset.
+    pub(crate) fn capture(kernel: &Kernel, range: NdRange) -> Result<Self, Error> {
+        Ok(LaunchPart {
+            kernel: kernel.clone(),
+            args: kernel.bound_args()?,
+            range,
+        })
+    }
 }
 
 /// An in-order command queue bound to one device.
@@ -239,15 +257,7 @@ impl CommandQueue {
         range: NdRange,
         parent: Option<TraceCtx>,
     ) -> Result<Event, Error> {
-        let args = kernel.bound_args()?;
-        self.enqueue_launch_parts_traced(
-            vec![LaunchPart {
-                kernel: kernel.clone(),
-                args,
-                range,
-            }],
-            parent,
-        )
+        self.enqueue_launch_parts_traced(vec![LaunchPart::capture(kernel, range)?], parent)
     }
 
     /// Submits one wire command covering `parts`: the plain
@@ -291,22 +301,11 @@ impl CommandQueue {
                     StoredArg::Local(bytes) => WireArg::LocalBytes(*bytes),
                 })
                 .collect();
-            let cost = part.kernel.cost();
             wire_parts.push(WireLaunchPart {
                 kernel: remote_kernel,
                 args: wire_args,
-                range: WireNdRange {
-                    work_dim: part.range.work_dim,
-                    global: part.range.global,
-                    local: part.range.local,
-                },
-                cost: WireCost {
-                    flops: cost.total_flops(),
-                    bytes_read: cost.total_bytes_read(),
-                    bytes_written: cost.total_bytes_written(),
-                    uniform: cost.is_uniform(),
-                    streaming: cost.is_streaming(),
-                },
+                range: range_to_wire(&part.range),
+                cost: cost_to_wire(&part.kernel.cost()),
             });
         }
         let started = self.now();
@@ -326,35 +325,16 @@ impl CommandQueue {
             .collect::<Vec<_>>()
             .join("+");
         let fidelity = parts[0].kernel.fidelity();
-        let call = if fused_len == 1 {
-            let mut single = wire_parts;
-            let part = single.pop().expect("one part");
-            self.device.platform.host().submit_traced(
+        let call = self
+            .device
+            .platform
+            .host()
+            .submit_traced(
                 self.device.node(),
-                ApiCall::LaunchKernel {
-                    device: self.device.device_index(),
-                    kernel: part.kernel,
-                    args: part.args,
-                    range: part.range,
-                    cost: part.cost,
-                    fidelity,
-                    shared: false,
-                },
+                ApiCall::launch(self.device.device_index(), fidelity, false, wire_parts),
                 ctx,
             )
-        } else {
-            self.device.platform.host().submit_traced(
-                self.device.node(),
-                ApiCall::LaunchFused {
-                    device: self.device.device_index(),
-                    fidelity,
-                    shared: false,
-                    parts: wire_parts,
-                },
-                ctx,
-            )
-        }
-        .map_err(Error::from)?;
+            .map_err(Error::from)?;
         // The resolver holds the buffers weakly: a buffer nobody can
         // reach anymore has no coherence state worth updating, and a
         // strong reference would cycle through the buffer's own

@@ -3,10 +3,14 @@
 //! the unfused replay, and every fusion decision must be visible in the
 //! scheduler audit log.
 
+use std::time::Duration;
+
 use haocl::auto::AutoScheduler;
 use haocl::graph::LaunchGraph;
 use haocl::{Buffer, Context, DeviceKind, DeviceType, Kernel, MemFlags, Platform, Program};
-use haocl_kernel::NdRange;
+use haocl_cluster::{ClusterConfig, RecoveryPolicy};
+use haocl_kernel::{KernelRegistry, NdRange};
+use haocl_net::{ChaosPolicy, ChaosSpec};
 use haocl_sched::policies;
 
 const N: u64 = 64;
@@ -34,7 +38,10 @@ struct Rig {
 }
 
 fn rig() -> Rig {
-    let platform = Platform::local(&[DeviceKind::Gpu]).unwrap();
+    rig_on(Platform::local(&[DeviceKind::Gpu]).unwrap())
+}
+
+fn rig_on(platform: Platform) -> Rig {
     let ctx = Context::new(&platform, &platform.devices(DeviceType::All)).unwrap();
     let auto = AutoScheduler::new(&ctx, Box::new(policies::HeteroAware::new())).unwrap();
     let program = Program::from_source(&ctx, CHAIN_SRC);
@@ -60,7 +67,16 @@ fn read_back(rig: &Rig, buf: &Buffer) -> Vec<i32> {
 /// Builds the square→add3 elementwise chain and dispatches it through a
 /// graph with fusion toggled; returns the result vector and the report.
 fn run_chain(fused: bool) -> (Vec<i32>, haocl::GraphReport, Rig) {
-    let rig = rig();
+    run_chain_on(rig(), fused, |_| {})
+}
+
+/// [`run_chain`] on a given rig, with `before_read` called between the
+/// dispatch and the read-back.
+fn run_chain_on(
+    rig: Rig,
+    fused: bool,
+    before_read: impl FnOnce(&Rig),
+) -> (Vec<i32>, haocl::GraphReport, Rig) {
     let x = Buffer::new(&rig.ctx, MemFlags::READ_ONLY, 4 * N).unwrap();
     let y = Buffer::new(&rig.ctx, MemFlags::READ_WRITE, 4 * N).unwrap();
     let seed: Vec<u8> = (0..N as i32).flat_map(|v| v.to_le_bytes()).collect();
@@ -79,6 +95,7 @@ fn run_chain(fused: bool) -> (Vec<i32>, haocl::GraphReport, Rig) {
     graph.add(&square, NdRange::linear(N, 8)).unwrap();
     graph.add(&add3, NdRange::linear(N, 8)).unwrap();
     let report = rig.auto.launch_graph(&graph).unwrap();
+    before_read(&rig);
     let got = read_back(&rig, &y);
     (got, report, rig)
 }
@@ -99,6 +116,53 @@ fn fused_chain_is_byte_identical_and_saves_commands() {
     assert_eq!(fused_report.commands_saved, 1);
     assert_eq!(unfused_report.wire_launches, 2);
     assert_eq!(unfused_report.commands_saved, 0);
+}
+
+#[test]
+fn fused_chain_survives_failover_of_the_node_it_ran_on() {
+    // A fused dispatch is node state like any lone launch: with recovery
+    // on, losing the node after the chain ran must replay the chain onto
+    // the failover target, not read back the bytes from before it.
+    let config = ClusterConfig::gpu_cluster(2);
+    let platform = Platform::cluster(&config, KernelRegistry::new()).unwrap();
+    let recovery = RecoveryPolicy {
+        base_timeout: Duration::from_millis(10),
+        max_attempts: 4,
+        failover: true,
+    };
+    platform.set_recovery(Some(recovery));
+    let (vals, report, rig) = run_chain_on(rig_on(platform), true, |rig| {
+        let placed = rig.platform.obs().audit.entries();
+        let chain = placed
+            .iter()
+            .find(|e| e.kernel == "square+add3")
+            .expect("the chain was placed as one dispatch");
+        let node = rig.ctx.devices()[chain.chosen].node_name();
+        let addr = &config
+            .nodes
+            .iter()
+            .find(|spec| spec.name == node)
+            .expect("the chosen device belongs to a configured node")
+            .addr;
+        let host = addr.split(':').next().unwrap_or(addr);
+        // Blackhole that node from its very next frame on.
+        let spec = ChaosSpec::parse(&format!("crash={host}@0")).unwrap();
+        rig.platform.install_chaos(ChaosPolicy::new(1, spec));
+        rig.platform.set_recovery(Some(recovery));
+    });
+    assert_eq!(report.fused_launches, 1, "the chain went out fused");
+    let (golden, _, _) = run_chain(true);
+    assert_eq!(
+        vals,
+        golden,
+        "the failover target replayed the fused dispatch; repro schedule:\n{}",
+        rig.platform.chaos_schedule().join("\n")
+    );
+    let metrics = rig.platform.render_metrics();
+    assert!(
+        metrics.contains("haocl_failovers_total{"),
+        "no failover was counted:\n{metrics}"
+    );
 }
 
 #[test]

@@ -64,9 +64,9 @@ pub struct LaunchOutcome {
     pub instructions: u64,
 }
 
-/// One constituent of a fused dispatch (see [`SimDevice::launch_fused`]).
+/// One kernel of a dispatch (see [`SimDevice::launch`]).
 #[derive(Debug, Clone, Copy)]
-pub struct FusedPart<'a> {
+pub struct LaunchPart<'a> {
     /// The kernel to run.
     pub kernel: &'a Kernel,
     /// Bound arguments, in parameter order.
@@ -278,54 +278,26 @@ impl SimDevice {
         self.charge(at, dur)
     }
 
-    /// Launches `kernel` with wire arguments at virtual time `at`.
+    /// Runs one dispatch at virtual time `at`: a lone kernel, or a
+    /// prover-approved chain executed back-to-back under one device
+    /// grant.
     ///
-    /// In [`Fidelity::Full`] the kernel executes against this device's
-    /// buffers; in [`Fidelity::Modeled`] only the cost model is charged.
-    /// Either way the duration on the timeline comes from the model, so
-    /// both fidelities produce identical virtual timing.
+    /// In [`Fidelity::Full`] the kernels execute, in order, against this
+    /// device's buffers; in [`Fidelity::Modeled`] only the cost model is
+    /// charged. Either way the duration on the timeline comes from the
+    /// model — the parts' modeled durations summed into a single grant —
+    /// so both fidelities produce identical virtual timing. Every part
+    /// gets its own profile row.
     ///
     /// # Errors
     ///
     /// Returns [`DeviceError`] for unknown buffers, argument mismatches or
-    /// kernel runtime failures.
+    /// kernel runtime failures. A failing part aborts the chain before
+    /// anything is charged (earlier parts' writes remain, matching a
+    /// device fault mid-command).
     pub fn launch(
         &mut self,
-        kernel: &Kernel,
-        args: &[WireArg],
-        range: &NdRange,
-        cost: &CostModel,
-        fidelity: Fidelity,
-        at: SimTime,
-    ) -> Result<LaunchOutcome, DeviceError> {
-        let mut instructions = 0;
-        if fidelity == Fidelity::Full {
-            instructions = self.execute_full(kernel, args, range)?;
-        }
-        let dur = self.model.kernel_time(cost);
-        let grant = self.charge(at, dur);
-        let entry = self.profile.entry(kernel.name().to_string()).or_default();
-        entry.runs += 1;
-        entry.total += dur;
-        Ok(LaunchOutcome {
-            grant,
-            instructions,
-        })
-    }
-
-    /// Launches a prover-approved chain of kernels back-to-back under one
-    /// dispatch: the constituent bodies run sequentially (in [`Fidelity::Full`]),
-    /// their modeled durations are summed into a single timeline grant,
-    /// and each constituent still gets its own profile row.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError`] like [`SimDevice::launch`]; a failing part
-    /// aborts the chain (earlier parts' writes remain, matching a device
-    /// fault mid-command).
-    pub fn launch_fused(
-        &mut self,
-        parts: &[FusedPart<'_>],
+        parts: &[LaunchPart<'_>],
         fidelity: Fidelity,
         at: SimTime,
     ) -> Result<LaunchOutcome, DeviceError> {
@@ -432,6 +404,21 @@ mod tests {
         SimDevice::new(presets::tesla_p4())
     }
 
+    /// A one-kernel dispatch.
+    fn one<'a>(
+        kernel: &'a Kernel,
+        args: &'a [WireArg],
+        range: NdRange,
+        cost: CostModel,
+    ) -> [LaunchPart<'a>; 1] {
+        [LaunchPart {
+            kernel,
+            args,
+            range,
+            cost,
+        }]
+    }
+
     #[test]
     fn full_fidelity_launch_mutates_buffers() {
         let mut dev = gpu();
@@ -452,10 +439,7 @@ mod tests {
             .bytes_written(16.0);
         let out = dev
             .launch(
-                &k,
-                &[WireArg::Buffer(buf)],
-                &NdRange::linear(4, 1),
-                &cost,
+                &one(&k, &[WireArg::Buffer(buf)], NdRange::linear(4, 1), cost),
                 Fidelity::Full,
                 SimTime::ZERO,
             )
@@ -481,10 +465,7 @@ mod tests {
         let cost = CostModel::new().flops(1e9);
         let out = dev
             .launch(
-                &k,
-                &[WireArg::Buffer(buf)],
-                &NdRange::linear(4, 1),
-                &cost,
+                &one(&k, &[WireArg::Buffer(buf)], NdRange::linear(4, 1), cost),
                 Fidelity::Modeled,
                 SimTime::ZERO,
             )
@@ -508,10 +489,12 @@ mod tests {
             dev.alloc_buffer(BufferId::new(1), 64).unwrap();
             let out = dev
                 .launch(
-                    &k,
-                    &[WireArg::Buffer(BufferId::new(1))],
-                    &NdRange::linear(16, 1),
-                    &cost,
+                    &one(
+                        &k,
+                        &[WireArg::Buffer(BufferId::new(1))],
+                        NdRange::linear(16, 1),
+                        cost,
+                    ),
                     fid,
                     SimTime::ZERO,
                 )
@@ -533,12 +516,80 @@ mod tests {
         let args = [WireArg::Buffer(BufferId::new(1))];
         let r = NdRange::linear(1, 1);
         let a = dev
-            .launch(&k, &args, &r, &cost, Fidelity::Modeled, SimTime::ZERO)
+            .launch(&one(&k, &args, r, cost), Fidelity::Modeled, SimTime::ZERO)
             .unwrap();
         let b = dev
-            .launch(&k, &args, &r, &cost, Fidelity::Modeled, SimTime::ZERO)
+            .launch(&one(&k, &args, r, cost), Fidelity::Modeled, SimTime::ZERO)
             .unwrap();
         assert_eq!(b.grant.start, a.grant.end);
+    }
+
+    #[test]
+    fn a_chain_runs_in_order_under_one_grant_with_a_profile_row_per_part() {
+        let buf = BufferId::new(1);
+        let args = [WireArg::Buffer(buf)];
+        let inc = compiled(
+            "__kernel void inc(__global int* a) { a[get_global_id(0)] += 1; }",
+            "inc",
+        );
+        let dbl = compiled(
+            "__kernel void dbl(__global int* a) { a[get_global_id(0)] *= 2; }",
+            "dbl",
+        );
+        let range = NdRange::linear(2, 1);
+        let (inc_cost, dbl_cost) = (CostModel::new().flops(1e9), CostModel::new().flops(3e9));
+        let chain = [
+            one(&inc, &args, range, inc_cost)[0],
+            one(&dbl, &args, range, dbl_cost)[0],
+        ];
+        let mut dev = gpu();
+        dev.alloc_buffer(buf, 8).unwrap();
+        let out = dev.launch(&chain, Fidelity::Full, SimTime::ZERO).unwrap();
+        // One grant as long as the two launches made one after the other…
+        let mut apart = gpu();
+        let first = apart
+            .launch(&chain[..1], Fidelity::Modeled, SimTime::ZERO)
+            .unwrap();
+        let second = apart
+            .launch(&chain[1..], Fidelity::Modeled, SimTime::ZERO)
+            .unwrap();
+        assert_eq!(out.grant.start, first.grant.start);
+        assert_eq!(out.grant.end, second.grant.end);
+        // …and the same profile rows.
+        assert_eq!(dev.profile_entries(0), apart.profile_entries(0));
+        assert_eq!(dev.profile_entries(0).len(), 2);
+        // (0 + 1) * 2, not 0 * 2 + 1: program order.
+        let (bytes, _) = dev.read_buffer(buf, 0, 8, SimTime::ZERO).unwrap();
+        assert_eq!(bytes, [2, 0, 0, 0, 2, 0, 0, 0]);
+    }
+
+    #[test]
+    fn a_failing_part_aborts_the_chain_before_anything_is_charged() {
+        let args = [WireArg::Buffer(BufferId::new(1))];
+        let ok = compiled("__kernel void ok(__global int* a) { a[0] = 7; }", "ok");
+        let bad = compiled(
+            "__kernel void bad(__global int* a) { a[0] = a[99]; }",
+            "bad",
+        );
+        let range = NdRange::linear(1, 1);
+        let cost = CostModel::new().flops(1e9);
+        let chain = [
+            one(&ok, &args, range, cost)[0],
+            one(&bad, &args, range, cost)[0],
+        ];
+        let mut dev = gpu();
+        dev.alloc_buffer(BufferId::new(1), 4).unwrap();
+        let err = dev
+            .launch(&chain, Fidelity::Full, SimTime::ZERO)
+            .unwrap_err();
+        assert!(matches!(err, DeviceError::Exec(_)));
+        assert_eq!(dev.busy_time(), SimDuration::ZERO);
+        assert!(dev.profile_entries(0).is_empty());
+        // The part that ran did write, as a device fault mid-command would leave it.
+        let (bytes, _) = dev
+            .read_buffer(BufferId::new(1), 0, 4, SimTime::ZERO)
+            .unwrap();
+        assert_eq!(bytes, [7, 0, 0, 0]);
     }
 
     #[test]
@@ -547,10 +598,12 @@ mod tests {
         let k = compiled("__kernel void f(__global float* a) { a[0] = 1.0f; }", "f");
         let err = dev
             .launch(
-                &k,
-                &[WireArg::Buffer(BufferId::new(404))],
-                &NdRange::linear(1, 1),
-                &CostModel::new(),
+                &one(
+                    &k,
+                    &[WireArg::Buffer(BufferId::new(404))],
+                    NdRange::linear(1, 1),
+                    CostModel::new(),
+                ),
                 Fidelity::Full,
                 SimTime::ZERO,
             )
@@ -569,10 +622,12 @@ mod tests {
         let k = compiled("__kernel void f(__global int* a) { a[0] = a[99]; }", "f");
         let err = dev
             .launch(
-                &k,
-                &[WireArg::Buffer(BufferId::new(1))],
-                &NdRange::linear(1, 1),
-                &CostModel::new(),
+                &one(
+                    &k,
+                    &[WireArg::Buffer(BufferId::new(1))],
+                    NdRange::linear(1, 1),
+                    CostModel::new(),
+                ),
                 Fidelity::Full,
                 SimTime::ZERO,
             )
@@ -590,13 +645,15 @@ mod tests {
             "f",
         );
         dev.launch(
-            &k,
-            &[
-                WireArg::Buffer(BufferId::new(1)),
-                WireArg::Buffer(BufferId::new(1)),
-            ],
-            &NdRange::linear(1, 1),
-            &CostModel::new(),
+            &one(
+                &k,
+                &[
+                    WireArg::Buffer(BufferId::new(1)),
+                    WireArg::Buffer(BufferId::new(1)),
+                ],
+                NdRange::linear(1, 1),
+                CostModel::new(),
+            ),
             Fidelity::Full,
             SimTime::ZERO,
         )
@@ -631,10 +688,12 @@ mod tests {
         let cost = CostModel::new().flops(1e9);
         for _ in 0..3 {
             dev.launch(
-                &k,
-                &[WireArg::Buffer(BufferId::new(1))],
-                &NdRange::linear(1, 1),
-                &cost,
+                &one(
+                    &k,
+                    &[WireArg::Buffer(BufferId::new(1))],
+                    NdRange::linear(1, 1),
+                    cost,
+                ),
                 Fidelity::Modeled,
                 SimTime::ZERO,
             )
@@ -653,10 +712,12 @@ mod tests {
         let before = dev.energy_joules();
         let k = compiled("__kernel void f(__global int* a) { a[0] = 1; }", "f");
         dev.launch(
-            &k,
-            &[WireArg::Buffer(BufferId::new(1))],
-            &NdRange::linear(1, 1),
-            &CostModel::new().flops(5.5e12),
+            &one(
+                &k,
+                &[WireArg::Buffer(BufferId::new(1))],
+                NdRange::linear(1, 1),
+                CostModel::new().flops(5.5e12),
+            ),
             Fidelity::Modeled,
             SimTime::ZERO,
         )

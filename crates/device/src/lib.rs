@@ -14,6 +14,7 @@
 //! * [`device`] — [`SimDevice`]: a device timeline that admits transfers
 //!   and launches, executes them, charges virtual time and energy, and
 //!   records the per-kernel profile the scheduler feeds on.
+//! * [`wire`] — launch geometry and cost, to and from their wire forms.
 //!
 //! # Examples
 //!
@@ -37,8 +38,9 @@ pub mod device;
 pub mod memory;
 pub mod model;
 pub mod presets;
+pub mod wire;
 
-pub use device::{DeviceError, FusedPart, LaunchOutcome, SimDevice};
+pub use device::{DeviceError, LaunchOutcome, LaunchPart, SimDevice};
 pub use memory::MemoryManager;
 pub use model::DeviceModel;
 

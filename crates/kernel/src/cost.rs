@@ -157,6 +157,19 @@ impl CostModel {
         }
     }
 
+    /// The cost of running this launch and then `next` as one dispatch:
+    /// work and traffic add up, and the pair keeps a structural trait
+    /// only if both halves have it.
+    pub fn then(&self, next: &CostModel) -> CostModel {
+        CostModel {
+            flops: self.flops + next.flops,
+            bytes_read: self.bytes_read + next.bytes_read,
+            bytes_written: self.bytes_written + next.bytes_written,
+            uniform: self.uniform && next.uniform,
+            streaming: self.streaming && next.streaming,
+        }
+    }
+
     /// Scales the model by a factor (for partial ranges).
     ///
     /// # Panics
@@ -210,6 +223,23 @@ mod tests {
         let c = CostModel::new().flops(100.0).bytes_read(60.0).split(4);
         assert_eq!(c.total_flops(), 25.0);
         assert_eq!(c.total_bytes_read(), 15.0);
+    }
+
+    #[test]
+    fn then_adds_work_and_keeps_shared_traits() {
+        let stream = CostModel::new().flops(8.0).bytes_read(4.0).streaming();
+        let branchy = CostModel::new()
+            .flops(2.0)
+            .bytes_written(6.0)
+            .streaming()
+            .divergent();
+        let both = stream.then(&branchy);
+        assert_eq!(both.total_flops(), 10.0);
+        assert_eq!(both.total_bytes_read(), 4.0);
+        assert_eq!(both.total_bytes_written(), 6.0);
+        assert!(both.is_streaming());
+        assert!(!both.is_uniform());
+        assert!(!stream.then(&CostModel::new()).is_streaming());
     }
 
     #[test]

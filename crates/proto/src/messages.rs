@@ -7,10 +7,10 @@
 //! of the paper. Timestamps on [`Request`]/[`Response`] carry the virtual
 //! clock across the simulated network.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 
 use crate::ids::{BufferId, KernelId, ProgramId, RequestId, UserId};
-use crate::wire::{Decode, Encode, WireError};
+use crate::wire::{wire_enum, wire_struct};
 
 /// OpenCL-style status codes carried in [`ApiReply::Error`].
 pub mod status {
@@ -50,15 +50,17 @@ pub mod status {
     pub const INVALID_BUFFER_SIZE: i32 = -61;
 }
 
-/// The class of a compute device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum DeviceKind {
-    /// A multi-core CPU (Intel Xeon E5-2686 in the paper's cluster).
-    Cpu,
-    /// A discrete GPU (NVIDIA Tesla P4).
-    Gpu,
-    /// An FPGA used as a streaming processor (Xilinx VU9P).
-    Fpga,
+wire_enum! {
+    /// The class of a compute device.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+    pub enum DeviceKind {
+        /// A multi-core CPU (Intel Xeon E5-2686 in the paper's cluster).
+        0 => Cpu,
+        /// A discrete GPU (NVIDIA Tesla P4).
+        1 => Gpu,
+        /// An FPGA used as a streaming processor (Xilinx VU9P).
+        2 => Fpga,
+    }
 }
 
 impl std::fmt::Display for DeviceKind {
@@ -71,531 +73,816 @@ impl std::fmt::Display for DeviceKind {
     }
 }
 
-/// Summary of one device a node advertises in its hello reply (the
-/// `clGetDeviceIDs` mapping data of §III-C).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DeviceDescriptor {
-    /// Device index within its node.
-    pub index: u8,
-    /// Device class.
-    pub kind: DeviceKind,
-    /// Human-readable model name.
-    pub name: String,
-    /// Global memory capacity in bytes.
-    pub mem_bytes: u64,
-    /// Peak single-precision throughput, GFLOP/s.
-    pub gflops: f64,
-    /// Global memory bandwidth, GB/s.
-    pub mem_bandwidth_gbps: f64,
-    /// Board power draw under load, watts.
-    pub power_watts: f64,
+wire_struct! {
+    /// Summary of one device a node advertises in its hello reply (the
+    /// `clGetDeviceIDs` mapping data of §III-C).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct DeviceDescriptor {
+        /// Device index within its node.
+        pub index: u8,
+        /// Device class.
+        pub kind: DeviceKind,
+        /// Human-readable model name.
+        pub name: String,
+        /// Global memory capacity in bytes.
+        pub mem_bytes: u64,
+        /// Peak single-precision throughput, GFLOP/s.
+        pub gflops: f64,
+        /// Global memory bandwidth, GB/s.
+        pub mem_bandwidth_gbps: f64,
+        /// Board power draw under load, watts.
+        pub power_watts: f64,
+    }
 }
 
-/// Execution fidelity for a kernel launch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Fidelity {
-    /// Execute the kernel for real (results land in buffers).
-    #[default]
-    Full,
-    /// Evaluate only the cost model (paper-scale benchmarking; buffers are
-    /// left untouched).
-    Modeled,
+wire_enum! {
+    /// Execution fidelity for a kernel launch.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub enum Fidelity {
+        /// Execute the kernel for real (results land in buffers).
+        #[default]
+        0 => Full,
+        /// Evaluate only the cost model (paper-scale benchmarking; buffers are
+        /// left untouched).
+        1 => Modeled,
+    }
 }
 
-/// A kernel argument on the wire (`clSetKernelArg` payload).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum WireArg {
-    /// `float` scalar.
-    F32(f32),
-    /// `double` scalar.
-    F64(f64),
-    /// `int` scalar.
-    I32(i32),
-    /// `uint` scalar.
-    U32(u32),
-    /// `long` scalar.
-    I64(i64),
-    /// `ulong` scalar.
-    U64(u64),
-    /// A `__global` buffer handle.
-    Buffer(BufferId),
-    /// A dynamically-sized `__local` allocation.
-    LocalBytes(u64),
+wire_enum! {
+    /// A kernel argument on the wire (`clSetKernelArg` payload).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub enum WireArg {
+        /// `float` scalar.
+        0 => F32(f32),
+        /// `double` scalar.
+        1 => F64(f64),
+        /// `int` scalar.
+        2 => I32(i32),
+        /// `uint` scalar.
+        3 => U32(u32),
+        /// `long` scalar.
+        4 => I64(i64),
+        /// `ulong` scalar.
+        5 => U64(u64),
+        /// A `__global` buffer handle.
+        6 => Buffer(BufferId),
+        /// A dynamically-sized `__local` allocation.
+        7 => LocalBytes(u64),
+    }
 }
 
-/// NDRange geometry on the wire.
+wire_struct! {
+    /// NDRange geometry on the wire.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct WireNdRange {
+        /// Number of dimensions (1–3).
+        pub work_dim: u32,
+        /// Global sizes (unused dimensions are 1).
+        pub global: [u64; 3],
+        /// Local sizes (unused dimensions are 1).
+        pub local: [u64; 3],
+    }
+}
+
+wire_struct! {
+    /// Launch cost model on the wire.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct WireCost {
+        /// Total floating-point operations.
+        pub flops: f64,
+        /// Total bytes read from global memory.
+        pub bytes_read: f64,
+        /// Total bytes written to global memory.
+        pub bytes_written: f64,
+        /// Regular control flow / memory access.
+        pub uniform: bool,
+        /// Sequential streaming pass.
+        pub streaming: bool,
+    }
+}
+
+wire_enum! {
+    /// One forwarded OpenCL API call (the "message package").
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum ApiCall {
+        /// Session handshake; the node answers with its device inventory.
+        0 => Hello {
+            /// Human-readable client name (for the node's logs).
+            client: String,
+        },
+        /// Re-query the device inventory (`clGetDeviceIDs`).
+        1 => ListDevices,
+        /// `clCreateBuffer` on a device.
+        2 => CreateBuffer {
+            /// Target device index on the node.
+            device: u8,
+            /// Host-assigned cluster-unique buffer handle.
+            buffer: BufferId,
+            /// Size in bytes.
+            size: u64,
+        },
+        /// `clReleaseMemObject`.
+        3 => ReleaseBuffer {
+            /// Target device index on the node.
+            device: u8,
+            /// Buffer to release.
+            buffer: BufferId,
+        },
+        /// `clEnqueueWriteBuffer` (carries the data package inline).
+        4 => WriteBuffer {
+            /// Target device index on the node.
+            device: u8,
+            /// Destination buffer.
+            buffer: BufferId,
+            /// Byte offset within the buffer.
+            offset: u64,
+            /// The bytes to write.
+            data: Bytes,
+        },
+        /// `clEnqueueReadBuffer`.
+        5 => ReadBuffer {
+            /// Target device index on the node.
+            device: u8,
+            /// Source buffer.
+            buffer: BufferId,
+            /// Byte offset within the buffer.
+            offset: u64,
+            /// Bytes to read.
+            len: u64,
+        },
+        /// `clEnqueueCopyBuffer` between two buffers on the same device.
+        6 => CopyBuffer {
+            /// Target device index on the node.
+            device: u8,
+            /// Source buffer.
+            src: BufferId,
+            /// Destination buffer.
+            dst: BufferId,
+            /// Source byte offset.
+            src_offset: u64,
+            /// Destination byte offset.
+            dst_offset: u64,
+            /// Bytes to copy.
+            len: u64,
+        },
+        /// `clBuildProgram` from source (CPU/GPU path).
+        7 => BuildProgram {
+            /// Target device index on the node.
+            device: u8,
+            /// Host-assigned program handle.
+            program: ProgramId,
+            /// OpenCL C source text.
+            source: String,
+        },
+        /// Load pre-built kernels from the node's bitstream store (FPGA path,
+        /// §III-D).
+        8 => LoadBitstream {
+            /// Target device index on the node.
+            device: u8,
+            /// Host-assigned program handle.
+            program: ProgramId,
+            /// Kernel names expected in the store.
+            kernels: Vec<String>,
+        },
+        /// `clCreateKernel`.
+        9 => CreateKernel {
+            /// Target device index on the node.
+            device: u8,
+            /// Host-assigned kernel handle.
+            kernel: KernelId,
+            /// Program the kernel comes from.
+            program: ProgramId,
+            /// Kernel function name.
+            name: String,
+        },
+        /// `clEnqueueNDRangeKernel` with all arguments bound.
+        10 => LaunchKernel {
+            /// Target device index on the node.
+            device: u8,
+            /// Kernel to launch.
+            kernel: KernelId,
+            /// Bound arguments, in parameter order.
+            args: Vec<WireArg>,
+            /// Launch geometry.
+            range: WireNdRange,
+            /// Device-independent cost (for virtual timing).
+            cost: WireCost,
+            /// Execute fully or model-only.
+            fidelity: Fidelity,
+            /// Whether the device may be time-shared with other users.
+            shared: bool,
+        },
+        /// Modeled `clCreateBuffer`: the node accounts for capacity but does
+        /// not back the buffer with real memory (paper-scale benchmarking;
+        /// only legal with modeled launches and transfers).
+        14 => CreateBufferModeled {
+            /// Target device index on the node.
+            device: u8,
+            /// Host-assigned cluster-unique buffer handle.
+            buffer: BufferId,
+            /// Size in bytes.
+            size: u64,
+        },
+        /// Modeled `clEnqueueWriteBuffer`: charges the PCIe transfer for
+        /// `len` bytes without carrying data.
+        15 => WriteBufferModeled {
+            /// Target device index on the node.
+            device: u8,
+            /// Destination buffer.
+            buffer: BufferId,
+            /// Byte offset within the buffer.
+            offset: u64,
+            /// Bytes the modeled transfer stands in for.
+            len: u64,
+        },
+        /// Modeled `clEnqueueReadBuffer`: charges the transfer; the reply is
+        /// a [`ApiReply::DataModeled`] descriptor instead of bytes.
+        16 => ReadBufferModeled {
+            /// Target device index on the node.
+            device: u8,
+            /// Source buffer.
+            buffer: BufferId,
+            /// Byte offset within the buffer.
+            offset: u64,
+            /// Bytes the modeled transfer stands in for.
+            len: u64,
+        },
+        /// Ship a buffer's contents directly to a peer NMP's data listener
+        /// (one hop, no host relay). The host still *sends* this command —
+        /// it keeps packaging and delivering every message (§III-A) — but
+        /// the bulk bytes travel node-to-node.
+        17 => PushBufferTo {
+            /// Source device index on the receiving (owning) node.
+            device: u8,
+            /// Buffer to ship, under the *source* node's wire id.
+            buffer: BufferId,
+            /// Data-plane address of the destination node.
+            peer_addr: String,
+            /// Destination device index on the peer node.
+            peer_device: u8,
+            /// The same buffer under the *destination* node's wire id. Wire
+            /// ids are per logical node, so failed-over nodes co-located on
+            /// one physical NMP keep disjoint buffer slots.
+            peer_buffer: BufferId,
+            /// Byte offset within the buffer.
+            offset: u64,
+            /// Bytes to ship.
+            len: u64,
+            /// Residency version being propagated (observability/consistency
+            /// annotation; the receiving replica becomes current at it).
+            version: u64,
+            /// Destination node's routing epoch as observed by the host.
+            epoch: u32,
+            /// Whether the buffer is modeled (timing-only transfer).
+            modeled: bool,
+        },
+        /// Fetch a buffer's contents directly from a peer NMP's data
+        /// listener into a local device (the inverse of `PushBufferTo`;
+        /// journal replay uses it to reconstruct peer-delivered bytes).
+        18 => PullBufferFrom {
+            /// Destination device index on the receiving node.
+            device: u8,
+            /// Buffer to fetch, under the *destination* node's wire id.
+            buffer: BufferId,
+            /// Data-plane address of the source node.
+            peer_addr: String,
+            /// Source device index on the peer node.
+            peer_device: u8,
+            /// The same buffer under the *source* node's wire id.
+            peer_buffer: BufferId,
+            /// Byte offset within the buffer.
+            offset: u64,
+            /// Bytes to fetch.
+            len: u64,
+            /// Residency version being propagated.
+            version: u64,
+            /// Source node's routing epoch as observed by the host.
+            epoch: u32,
+            /// Whether the buffer is modeled (timing-only transfer).
+            modeled: bool,
+        },
+        /// A prover-approved chain of launches executed back-to-back under
+        /// one dispatch: one wire command, one completion, one device grant.
+        /// The host only emits this for chains the fusion-legality prover
+        /// accepted, so constituent order within the dispatch is the only
+        /// ordering the parts need.
+        19 => LaunchFused {
+            /// Target device index on the node.
+            device: u8,
+            /// Execute fully or model-only.
+            fidelity: Fidelity,
+            /// Whether the device may be time-shared with other users.
+            shared: bool,
+            /// Constituent launches, in program order (at least two).
+            parts: Vec<WireLaunchPart>,
+        },
+        /// Pull the node's runtime profile (scheduler feedback, §III-B).
+        11 => QueryProfile,
+        /// Inject (or lift, with `factor == 1.0`) a degradation multiplier
+        /// on one of the node's devices — the fault-injection lever behind
+        /// drift-detection tests and degraded-device soaks. Idempotent
+        /// control call: not journaled, safe to re-execute on retry.
+        20 => SetThrottle {
+            /// Target device index on the node.
+            device: u8,
+            /// Slowdown multiplier, clamped to ≥ 1.0 device-side.
+            factor: f64,
+        },
+        /// Tell the node it is draining out of the cluster: refuse fresh
+        /// kernel launches (buffer traffic and in-flight work continue, so
+        /// live migration can proceed). Idempotent control call: not
+        /// journaled, safe to re-execute on retry.
+        21 => BeginDrain,
+        /// Liveness check.
+        12 => Ping,
+        /// Orderly shutdown of the NMP.
+        13 => Shutdown,
+    }
+}
+
+/// Which of a node's two connections a request travels on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireNdRange {
-    /// Number of dimensions (1–3).
-    pub work_dim: u32,
-    /// Global sizes (unused dimensions are 1).
-    pub global: [u64; 3],
-    /// Local sizes (unused dimensions are 1).
-    pub local: [u64; 3],
+pub enum Plane {
+    /// The message connection (control plane), where concurrent
+    /// submissions coalesce into batched frames.
+    Control,
+    /// The data connection (buffer contents, §III-C's data listener).
+    Data,
 }
 
-/// Launch cost model on the wire.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WireCost {
-    /// Total floating-point operations.
-    pub flops: f64,
-    /// Total bytes read from global memory.
-    pub bytes_read: f64,
-    /// Total bytes written to global memory.
-    pub bytes_written: f64,
-    /// Regular control flow / memory access.
-    pub uniform: bool,
-    /// Sequential streaming pass.
-    pub streaming: bool,
+/// The rows of the call-classification table (see [`ApiCall::class`]).
+#[derive(Clone, Copy)]
+enum CallClass {
+    /// Message connection; re-running it changes nothing. Pure queries,
+    /// and the idempotent control calls (`SetThrottle`, `BeginDrain`)
+    /// that are documented safe to re-execute on retry.
+    ControlQuery,
+    /// Message connection; establishes node state.
+    ControlMutation,
+    /// Data connection; reads only.
+    DataQuery,
+    /// Data connection; writes node state.
+    DataMutation,
+    /// Data connection; a host-commanded NMP→NMP hop that writes node
+    /// state on one side or the other.
+    PeerTransfer,
 }
 
-/// One forwarded OpenCL API call (the "message package").
-#[derive(Debug, Clone, PartialEq)]
-pub enum ApiCall {
-    /// Session handshake; the node answers with its device inventory.
-    Hello {
-        /// Human-readable client name (for the node's logs).
-        client: String,
-    },
-    /// Re-query the device inventory (`clGetDeviceIDs`).
-    ListDevices,
-    /// `clCreateBuffer` on a device.
-    CreateBuffer {
-        /// Target device index on the node.
+/// What the host and the node need to know about a call beyond its
+/// bytes. Every answer bottoms out in an exhaustive `match`: a new
+/// variant does not compile until it has been classified.
+impl ApiCall {
+    /// The classification table, one row per variant.
+    fn class(&self) -> CallClass {
+        match self {
+            ApiCall::Hello { .. } => CallClass::ControlQuery,
+            ApiCall::ListDevices => CallClass::ControlQuery,
+            ApiCall::CreateBuffer { .. } => CallClass::ControlMutation,
+            ApiCall::ReleaseBuffer { .. } => CallClass::ControlMutation,
+            ApiCall::WriteBuffer { .. } => CallClass::DataMutation,
+            ApiCall::ReadBuffer { .. } => CallClass::DataQuery,
+            ApiCall::CopyBuffer { .. } => CallClass::ControlMutation,
+            ApiCall::BuildProgram { .. } => CallClass::ControlMutation,
+            ApiCall::LoadBitstream { .. } => CallClass::ControlMutation,
+            ApiCall::CreateKernel { .. } => CallClass::ControlMutation,
+            ApiCall::LaunchKernel { .. } => CallClass::ControlMutation,
+            ApiCall::CreateBufferModeled { .. } => CallClass::ControlMutation,
+            ApiCall::WriteBufferModeled { .. } => CallClass::DataMutation,
+            ApiCall::ReadBufferModeled { .. } => CallClass::DataQuery,
+            ApiCall::PushBufferTo { .. } => CallClass::PeerTransfer,
+            ApiCall::PullBufferFrom { .. } => CallClass::PeerTransfer,
+            ApiCall::LaunchFused { .. } => CallClass::ControlMutation,
+            ApiCall::QueryProfile => CallClass::ControlQuery,
+            ApiCall::SetThrottle { .. } => CallClass::ControlQuery,
+            ApiCall::BeginDrain => CallClass::ControlQuery,
+            ApiCall::Ping => CallClass::ControlQuery,
+            ApiCall::Shutdown => CallClass::ControlQuery,
+        }
+    }
+
+    /// The connection the call travels on: buffer contents go over the
+    /// data connection, everything else over the message connection.
+    pub fn plane(&self) -> Plane {
+        match self.class() {
+            CallClass::ControlQuery | CallClass::ControlMutation => Plane::Control,
+            CallClass::DataQuery | CallClass::DataMutation | CallClass::PeerTransfer => Plane::Data,
+        }
+    }
+
+    /// Whether executing the call a second time would mutate node state
+    /// a second time — the calls a node's at-most-once journal guards.
+    pub fn mutates_node_state(&self) -> bool {
+        match self.class() {
+            CallClass::ControlQuery | CallClass::DataQuery => false,
+            CallClass::ControlMutation | CallClass::DataMutation | CallClass::PeerTransfer => true,
+        }
+    }
+
+    /// Whether the call commands an NMP→NMP transfer. A node runs these
+    /// outside its state lock (the peer may be the node itself).
+    pub fn is_peer_transfer(&self) -> bool {
+        match self.class() {
+            CallClass::PeerTransfer => true,
+            CallClass::ControlQuery
+            | CallClass::ControlMutation
+            | CallClass::DataQuery
+            | CallClass::DataMutation => false,
+        }
+    }
+
+    /// Whether the host replays the call onto a failover target: every
+    /// call that established node state, except peer transfers — the
+    /// bytes of those never crossed the lost node's host connection, so
+    /// the coherence layer journals a compensating pull for them
+    /// instead.
+    pub fn replayed_on_failover(&self) -> bool {
+        self.mutates_node_state() && !self.is_peer_transfer()
+    }
+
+    /// The size of the data package a modeled bulk write stands in for,
+    /// charged on the host's link next to the descriptor that is really
+    /// sent. Peer-transfer commands stay at zero: their bulk bytes are
+    /// charged on the NMP→NMP hop, not the host's NIC — that is the
+    /// whole point of them.
+    pub fn virtual_len(&self) -> u64 {
+        match self {
+            ApiCall::WriteBufferModeled { len, .. } => *len,
+            ApiCall::Hello { .. }
+            | ApiCall::ListDevices
+            | ApiCall::CreateBuffer { .. }
+            | ApiCall::ReleaseBuffer { .. }
+            | ApiCall::WriteBuffer { .. }
+            | ApiCall::ReadBuffer { .. }
+            | ApiCall::CopyBuffer { .. }
+            | ApiCall::BuildProgram { .. }
+            | ApiCall::LoadBitstream { .. }
+            | ApiCall::CreateKernel { .. }
+            | ApiCall::LaunchKernel { .. }
+            | ApiCall::CreateBufferModeled { .. }
+            | ApiCall::ReadBufferModeled { .. }
+            | ApiCall::PushBufferTo { .. }
+            | ApiCall::PullBufferFrom { .. }
+            | ApiCall::LaunchFused { .. }
+            | ApiCall::QueryProfile
+            | ApiCall::SetThrottle { .. }
+            | ApiCall::BeginDrain
+            | ApiCall::Ping
+            | ApiCall::Shutdown => 0,
+        }
+    }
+
+    /// The wire form of one dispatch of `parts`: a lone kernel travels
+    /// as `LaunchKernel`, a chain of two or more as `LaunchFused`.
+    pub fn launch(
         device: u8,
-        /// Host-assigned cluster-unique buffer handle.
-        buffer: BufferId,
-        /// Size in bytes.
-        size: u64,
-    },
-    /// `clReleaseMemObject`.
-    ReleaseBuffer {
-        /// Target device index on the node.
-        device: u8,
-        /// Buffer to release.
-        buffer: BufferId,
-    },
-    /// `clEnqueueWriteBuffer` (carries the data package inline).
-    WriteBuffer {
-        /// Target device index on the node.
-        device: u8,
-        /// Destination buffer.
-        buffer: BufferId,
-        /// Byte offset within the buffer.
-        offset: u64,
-        /// The bytes to write.
-        data: Bytes,
-    },
-    /// `clEnqueueReadBuffer`.
-    ReadBuffer {
-        /// Target device index on the node.
-        device: u8,
-        /// Source buffer.
-        buffer: BufferId,
-        /// Byte offset within the buffer.
-        offset: u64,
-        /// Bytes to read.
-        len: u64,
-    },
-    /// `clEnqueueCopyBuffer` between two buffers on the same device.
-    CopyBuffer {
-        /// Target device index on the node.
-        device: u8,
-        /// Source buffer.
-        src: BufferId,
-        /// Destination buffer.
-        dst: BufferId,
-        /// Source byte offset.
-        src_offset: u64,
-        /// Destination byte offset.
-        dst_offset: u64,
-        /// Bytes to copy.
-        len: u64,
-    },
-    /// `clBuildProgram` from source (CPU/GPU path).
-    BuildProgram {
-        /// Target device index on the node.
-        device: u8,
-        /// Host-assigned program handle.
-        program: ProgramId,
-        /// OpenCL C source text.
-        source: String,
-    },
-    /// Load pre-built kernels from the node's bitstream store (FPGA path,
-    /// §III-D).
-    LoadBitstream {
-        /// Target device index on the node.
-        device: u8,
-        /// Host-assigned program handle.
-        program: ProgramId,
-        /// Kernel names expected in the store.
-        kernels: Vec<String>,
-    },
-    /// `clCreateKernel`.
-    CreateKernel {
-        /// Target device index on the node.
-        device: u8,
-        /// Host-assigned kernel handle.
-        kernel: KernelId,
-        /// Program the kernel comes from.
-        program: ProgramId,
-        /// Kernel function name.
-        name: String,
-    },
-    /// `clEnqueueNDRangeKernel` with all arguments bound.
-    LaunchKernel {
-        /// Target device index on the node.
-        device: u8,
-        /// Kernel to launch.
-        kernel: KernelId,
-        /// Bound arguments, in parameter order.
-        args: Vec<WireArg>,
-        /// Launch geometry.
-        range: WireNdRange,
-        /// Device-independent cost (for virtual timing).
-        cost: WireCost,
-        /// Execute fully or model-only.
         fidelity: Fidelity,
-        /// Whether the device may be time-shared with other users.
         shared: bool,
-    },
-    /// Modeled `clCreateBuffer`: the node accounts for capacity but does
-    /// not back the buffer with real memory (paper-scale benchmarking;
-    /// only legal with modeled launches and transfers).
-    CreateBufferModeled {
-        /// Target device index on the node.
-        device: u8,
-        /// Host-assigned cluster-unique buffer handle.
-        buffer: BufferId,
-        /// Size in bytes.
-        size: u64,
-    },
-    /// Modeled `clEnqueueWriteBuffer`: charges the PCIe transfer for
-    /// `len` bytes without carrying data.
-    WriteBufferModeled {
-        /// Target device index on the node.
-        device: u8,
-        /// Destination buffer.
-        buffer: BufferId,
-        /// Byte offset within the buffer.
-        offset: u64,
-        /// Bytes the modeled transfer stands in for.
-        len: u64,
-    },
-    /// Modeled `clEnqueueReadBuffer`: charges the transfer; the reply is
-    /// a [`ApiReply::DataModeled`] descriptor instead of bytes.
-    ReadBufferModeled {
-        /// Target device index on the node.
-        device: u8,
-        /// Source buffer.
-        buffer: BufferId,
-        /// Byte offset within the buffer.
-        offset: u64,
-        /// Bytes the modeled transfer stands in for.
-        len: u64,
-    },
-    /// Ship a buffer's contents directly to a peer NMP's data listener
-    /// (one hop, no host relay). The host still *sends* this command —
-    /// it keeps packaging and delivering every message (§III-A) — but
-    /// the bulk bytes travel node-to-node.
-    PushBufferTo {
-        /// Source device index on the receiving (owning) node.
-        device: u8,
-        /// Buffer to ship, under the *source* node's wire id.
-        buffer: BufferId,
-        /// Data-plane address of the destination node.
-        peer_addr: String,
-        /// Destination device index on the peer node.
-        peer_device: u8,
-        /// The same buffer under the *destination* node's wire id. Wire
-        /// ids are per logical node, so failed-over nodes co-located on
-        /// one physical NMP keep disjoint buffer slots.
-        peer_buffer: BufferId,
-        /// Byte offset within the buffer.
-        offset: u64,
-        /// Bytes to ship.
-        len: u64,
-        /// Residency version being propagated (observability/consistency
-        /// annotation; the receiving replica becomes current at it).
-        version: u64,
-        /// Destination node's routing epoch as observed by the host.
-        epoch: u32,
-        /// Whether the buffer is modeled (timing-only transfer).
-        modeled: bool,
-    },
-    /// Fetch a buffer's contents directly from a peer NMP's data
-    /// listener into a local device (the inverse of `PushBufferTo`;
-    /// journal replay uses it to reconstruct peer-delivered bytes).
-    PullBufferFrom {
-        /// Destination device index on the receiving node.
-        device: u8,
-        /// Buffer to fetch, under the *destination* node's wire id.
-        buffer: BufferId,
-        /// Data-plane address of the source node.
-        peer_addr: String,
-        /// Source device index on the peer node.
-        peer_device: u8,
-        /// The same buffer under the *source* node's wire id.
-        peer_buffer: BufferId,
-        /// Byte offset within the buffer.
-        offset: u64,
-        /// Bytes to fetch.
-        len: u64,
-        /// Residency version being propagated.
-        version: u64,
-        /// Source node's routing epoch as observed by the host.
-        epoch: u32,
-        /// Whether the buffer is modeled (timing-only transfer).
-        modeled: bool,
-    },
-    /// A prover-approved chain of launches executed back-to-back under
-    /// one dispatch: one wire command, one completion, one device grant.
-    /// The host only emits this for chains the fusion-legality prover
-    /// accepted, so constituent order within the dispatch is the only
-    /// ordering the parts need.
-    LaunchFused {
-        /// Target device index on the node.
-        device: u8,
-        /// Execute fully or model-only.
-        fidelity: Fidelity,
-        /// Whether the device may be time-shared with other users.
-        shared: bool,
-        /// Constituent launches, in program order (at least two).
         parts: Vec<WireLaunchPart>,
-    },
-    /// Pull the node's runtime profile (scheduler feedback, §III-B).
-    QueryProfile,
-    /// Inject (or lift, with `factor == 1.0`) a degradation multiplier
-    /// on one of the node's devices — the fault-injection lever behind
-    /// drift-detection tests and degraded-device soaks. Idempotent
-    /// control call: not journaled, safe to re-execute on retry.
-    SetThrottle {
-        /// Target device index on the node.
-        device: u8,
-        /// Slowdown multiplier, clamped to ≥ 1.0 device-side.
-        factor: f64,
-    },
-    /// Tell the node it is draining out of the cluster: refuse fresh
-    /// kernel launches (buffer traffic and in-flight work continue, so
-    /// live migration can proceed). Idempotent control call: not
-    /// journaled, safe to re-execute on retry.
-    BeginDrain,
-    /// Liveness check.
-    Ping,
-    /// Orderly shutdown of the NMP.
-    Shutdown,
+    ) -> Self {
+        match <[WireLaunchPart; 1]>::try_from(parts) {
+            Ok([part]) => ApiCall::LaunchKernel {
+                device,
+                kernel: part.kernel,
+                args: part.args,
+                range: part.range,
+                cost: part.cost,
+                fidelity,
+                shared,
+            },
+            Err(parts) => ApiCall::LaunchFused {
+                device,
+                fidelity,
+                shared,
+                parts,
+            },
+        }
+    }
+
+    /// The dispatch a launch call carries, whichever of the two wire
+    /// forms it arrived in ([`ApiCall::launch`] read backwards); any
+    /// other call is handed back. A lone kernel's fields move into a
+    /// one-element array, so the common case allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// The call itself, when it is not a launch.
+    pub fn into_launch(self) -> Result<WireLaunch, ApiCall> {
+        match self {
+            ApiCall::LaunchKernel {
+                device,
+                kernel,
+                args,
+                range,
+                cost,
+                fidelity,
+                shared,
+            } => Ok(WireLaunch {
+                device,
+                fidelity,
+                shared,
+                parts: WireLaunchParts::Lone([WireLaunchPart {
+                    kernel,
+                    args,
+                    range,
+                    cost,
+                }]),
+            }),
+            ApiCall::LaunchFused {
+                device,
+                fidelity,
+                shared,
+                parts,
+            } => Ok(WireLaunch {
+                device,
+                fidelity,
+                shared,
+                parts: WireLaunchParts::Fused(parts),
+            }),
+            other @ (ApiCall::Hello { .. }
+            | ApiCall::ListDevices
+            | ApiCall::CreateBuffer { .. }
+            | ApiCall::ReleaseBuffer { .. }
+            | ApiCall::WriteBuffer { .. }
+            | ApiCall::ReadBuffer { .. }
+            | ApiCall::CopyBuffer { .. }
+            | ApiCall::BuildProgram { .. }
+            | ApiCall::LoadBitstream { .. }
+            | ApiCall::CreateKernel { .. }
+            | ApiCall::CreateBufferModeled { .. }
+            | ApiCall::WriteBufferModeled { .. }
+            | ApiCall::ReadBufferModeled { .. }
+            | ApiCall::PushBufferTo { .. }
+            | ApiCall::PullBufferFrom { .. }
+            | ApiCall::QueryProfile
+            | ApiCall::SetThrottle { .. }
+            | ApiCall::BeginDrain
+            | ApiCall::Ping
+            | ApiCall::Shutdown) => Err(other),
+        }
+    }
 }
 
-/// A reply to an [`ApiCall`].
+/// One kernel dispatch as the node executes it: the device-level
+/// settings and the constituent launches, in program order.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ApiReply {
-    /// Operation completed.
-    Ack,
-    /// Operation failed.
-    Error {
-        /// An OpenCL status code (see [`status`]).
-        code: i32,
-        /// Human-readable details.
-        message: String,
-    },
-    /// Device inventory (reply to `Hello`/`ListDevices`).
-    NodeInfo {
-        /// The node's devices.
-        devices: Vec<DeviceDescriptor>,
-    },
-    /// Buffer contents (reply to `ReadBuffer`).
-    Data {
-        /// The bytes read.
-        bytes: Bytes,
-    },
-    /// Build outcome (reply to `BuildProgram`/`LoadBitstream`).
-    BuildLog {
-        /// Whether the build succeeded.
-        ok: bool,
-        /// Compiler/loader log text.
-        log: String,
-        /// Static-analysis summary per kernel (empty when the node's
-        /// toolchain does not run the analyzer, e.g. bitstream loads).
-        reports: Vec<WireKernelReport>,
-    },
-    /// Launch outcome with device-side virtual timing.
-    LaunchDone {
-        /// Virtual time the kernel started on the device.
-        start_nanos: u64,
-        /// Virtual time the kernel finished.
-        end_nanos: u64,
-        /// Bytecode instructions retired (0 in modeled fidelity).
-        instructions: u64,
-    },
-    /// Node profile (reply to `QueryProfile`).
-    Profile {
-        /// Per-device, per-kernel timing records.
-        entries: Vec<ProfileEntry>,
-    },
-    /// Liveness answer.
-    Pong {
-        /// The node's current virtual time.
-        now_nanos: u64,
-    },
-    /// Kernel metadata (reply to `CreateKernel`).
-    KernelInfo {
-        /// Number of arguments the kernel takes.
-        arity: u32,
-    },
-    /// A modeled data package: stands in for `len` bytes on the return
-    /// path (reply to `ReadBufferModeled`). The response frame is charged
-    /// on the link as if it carried the data.
-    DataModeled {
-        /// Bytes the modeled payload stands in for.
-        len: u64,
-    },
-}
-
-/// Static-analysis summary of one built kernel, produced by the device
-/// node's compiler and forwarded in [`ApiReply::BuildLog`] so the host
-/// scheduler can seed placement hints before any launch has run.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct WireKernelReport {
-    /// Kernel name.
-    pub kernel: String,
-    /// Error-severity findings (barrier divergence, `__local` races,
-    /// provable out-of-bounds).
-    pub errors: u32,
-    /// Warning-severity findings.
-    pub warnings: u32,
-    /// Statically-declared `__local` bytes.
-    pub local_bytes: u32,
-    /// Number of `barrier(...)` sites.
-    pub barrier_count: u32,
-    /// Static flops-per-byte estimate.
-    pub arithmetic_intensity: f64,
-    /// Fraction of reachable blocks under work-item-dependent control
-    /// flow.
-    pub divergence_score: f64,
-    /// Per-argument effect summary (fusion-legality input), in parameter
-    /// order. Empty when the node's toolchain does not run the analyzer.
-    pub effects: Vec<WireArgEffect>,
-}
-
-/// Flat wire mirror of one access pattern in an effect summary (see the
-/// compiler's `analysis::effects::AccessPattern`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireAccessPattern {
-    /// Store (`true`) or load (`false`).
-    pub write: bool,
-    /// Provably item-private with a cross-kernel-comparable base.
-    pub provable: bool,
-    /// Per-dimension local-id coefficients, in elements.
-    pub coeffs: [i64; 3],
-    /// Base discriminant: 0 = constant, 1 = launch-geometry symbol,
-    /// 2 = opaque.
-    pub base_kind: u8,
-    /// Geometry symbol id (`base_kind == 1` only).
-    pub base_id: u32,
-    /// Constant element addend (`base_kind <= 1`).
-    pub base_add: i64,
-}
-
-/// Flat wire mirror of one argument's effect summary.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireArgEffect {
-    /// Access mode: 0 = none, 1 = read, 2 = write, 3 = read-write.
-    pub mode: u8,
-    /// Element size of the pointee in bytes (0 for non-global args).
-    pub elem_bytes: u32,
-    /// Whether `lo`/`hi` carry meaningful element bounds.
-    pub bounded: bool,
-    /// Inclusive lower element offset (when `bounded`).
-    pub lo: i64,
-    /// Inclusive upper element offset (when `bounded`).
-    pub hi: i64,
-    /// Whether `patterns` covers every possible access.
-    pub complete: bool,
-    /// Deduplicated access shapes.
-    pub patterns: Vec<WireAccessPattern>,
-}
-
-/// One constituent launch of an [`ApiCall::LaunchFused`] dispatch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireLaunchPart {
-    /// Kernel to run.
-    pub kernel: KernelId,
-    /// Bound arguments, in parameter order.
-    pub args: Vec<WireArg>,
-    /// Launch geometry (the prover guarantees all parts of one fused
-    /// dispatch share it).
-    pub range: WireNdRange,
-    /// Device-independent cost (for virtual timing).
-    pub cost: WireCost,
-}
-
-/// One row of a node's runtime profile.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProfileEntry {
-    /// Device index on the node.
+pub struct WireLaunch {
+    /// Target device index on the node.
     pub device: u8,
-    /// Kernel name.
-    pub kernel: String,
-    /// Number of completed launches.
-    pub runs: u64,
-    /// Mean execution time, virtual nanoseconds.
-    pub mean_nanos: u64,
-    /// Device busy time so far, virtual nanoseconds.
-    pub busy_nanos: u64,
+    /// Execute fully or model-only.
+    pub fidelity: Fidelity,
+    /// Whether the device may be time-shared with other users.
+    pub shared: bool,
+    /// The constituent launches.
+    pub parts: WireLaunchParts,
 }
 
-/// A span recorded on a device node, shipped back inside the response
-/// that completes it.
-///
-/// The NMP cannot reach the host's span recorder across the (simulated)
-/// network, so node-side spans ride the wire: ids are minted
-/// deterministically from the request's correlation token (high bit set,
-/// so they never collide with host-allocated ids) and the host ingests
-/// them into the recorder when the response is claimed.
+/// The parts of a [`WireLaunch`]; dereferences to the slice of them.
 #[derive(Debug, Clone, PartialEq)]
-pub struct WireSpan {
-    /// Span id (node-derived).
-    pub id: u64,
-    /// Parent span id; `0` means "root" (never emitted by the NMP).
-    pub parent: u64,
-    /// Operation name (e.g. `nmp.dispatch`, `vm.run`).
-    pub name: String,
-    /// Breakdown category name.
-    pub category: String,
-    /// Interval start, virtual nanoseconds.
-    pub start_nanos: u64,
-    /// Interval end, virtual nanoseconds.
-    pub end_nanos: u64,
-    /// Wall-clock (monotonic) nanoseconds the node spent handling the
-    /// work — *real* time alongside the virtual interval, so simulation
-    /// throughput is measurable per span. `0` when not measured.
-    pub wall_nanos: u64,
+pub enum WireLaunchParts {
+    /// Arrived as `LaunchKernel`: exactly one part, held inline.
+    Lone([WireLaunchPart; 1]),
+    /// Arrived as `LaunchFused`: the frame's part list as decoded (a
+    /// well-formed sender puts at least two in it).
+    Fused(Vec<WireLaunchPart>),
 }
 
-/// A framed request on the backbone.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Request {
-    /// Correlation token.
-    pub id: RequestId,
-    /// Originating user/session.
-    pub user: UserId,
-    /// Virtual send time at the host.
-    pub sent_at_nanos: u64,
-    /// Trace the call belongs to; `0` when tracing is off.
-    pub trace_id: u64,
-    /// Host-side span the node's spans should hang off; `0` when tracing
-    /// is off.
-    pub parent_span: u64,
-    /// The host's routing epoch for the target logical node. Bumped on
-    /// every failover, so a node (or an operator reading a capture) can
-    /// tell a replayed world apart from the original one.
-    pub epoch: u32,
-    /// Delivery attempt, starting at `0`. Retransmissions of the same
-    /// `RequestId` bump this; the node's at-most-once journal treats any
-    /// attempt after the first as a duplicate.
-    pub attempt: u32,
-    /// The forwarded call.
-    pub body: ApiCall,
+impl std::ops::Deref for WireLaunchParts {
+    type Target = [WireLaunchPart];
+
+    fn deref(&self) -> &[WireLaunchPart] {
+        match self {
+            WireLaunchParts::Lone(part) => part,
+            WireLaunchParts::Fused(parts) => parts,
+        }
+    }
+}
+
+wire_enum! {
+    /// A reply to an [`ApiCall`].
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum ApiReply {
+        /// Operation completed.
+        0 => Ack,
+        /// Operation failed.
+        1 => Error {
+            /// An OpenCL status code (see [`status`]).
+            code: i32,
+            /// Human-readable details.
+            message: String,
+        },
+        /// Device inventory (reply to `Hello`/`ListDevices`).
+        2 => NodeInfo {
+            /// The node's devices.
+            devices: Vec<DeviceDescriptor>,
+        },
+        /// Buffer contents (reply to `ReadBuffer`).
+        3 => Data {
+            /// The bytes read.
+            bytes: Bytes,
+        },
+        /// Build outcome (reply to `BuildProgram`/`LoadBitstream`).
+        4 => BuildLog {
+            /// Whether the build succeeded.
+            ok: bool,
+            /// Compiler/loader log text.
+            log: String,
+            /// Static-analysis summary per kernel (empty when the node's
+            /// toolchain does not run the analyzer, e.g. bitstream loads).
+            reports: Vec<WireKernelReport>,
+        },
+        /// Launch outcome with device-side virtual timing.
+        5 => LaunchDone {
+            /// Virtual time the kernel started on the device.
+            start_nanos: u64,
+            /// Virtual time the kernel finished.
+            end_nanos: u64,
+            /// Bytecode instructions retired (0 in modeled fidelity).
+            instructions: u64,
+        },
+        /// Node profile (reply to `QueryProfile`).
+        6 => Profile {
+            /// Per-device, per-kernel timing records.
+            entries: Vec<ProfileEntry>,
+        },
+        /// Liveness answer.
+        7 => Pong {
+            /// The node's current virtual time.
+            now_nanos: u64,
+        },
+        /// Kernel metadata (reply to `CreateKernel`).
+        8 => KernelInfo {
+            /// Number of arguments the kernel takes.
+            arity: u32,
+        },
+        /// A modeled data package: stands in for `len` bytes on the return
+        /// path (reply to `ReadBufferModeled`). The response frame is charged
+        /// on the link as if it carried the data.
+        9 => DataModeled {
+            /// Bytes the modeled payload stands in for.
+            len: u64,
+        },
+    }
+}
+
+wire_struct! {
+    /// Static-analysis summary of one built kernel, produced by the device
+    /// node's compiler and forwarded in [`ApiReply::BuildLog`] so the host
+    /// scheduler can seed placement hints before any launch has run.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct WireKernelReport {
+        /// Kernel name.
+        pub kernel: String,
+        /// Error-severity findings (barrier divergence, `__local` races,
+        /// provable out-of-bounds).
+        pub errors: u32,
+        /// Warning-severity findings.
+        pub warnings: u32,
+        /// Statically-declared `__local` bytes.
+        pub local_bytes: u32,
+        /// Number of `barrier(...)` sites.
+        pub barrier_count: u32,
+        /// Static flops-per-byte estimate.
+        pub arithmetic_intensity: f64,
+        /// Fraction of reachable blocks under work-item-dependent control
+        /// flow.
+        pub divergence_score: f64,
+        /// Per-argument effect summary (fusion-legality input), in parameter
+        /// order. Empty when the node's toolchain does not run the analyzer.
+        pub effects: Vec<WireArgEffect>,
+    }
+}
+
+wire_struct! {
+    /// Flat wire mirror of one access pattern in an effect summary (see the
+    /// compiler's `analysis::effects::AccessPattern`).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct WireAccessPattern {
+        /// Store (`true`) or load (`false`).
+        pub write: bool,
+        /// Provably item-private with a cross-kernel-comparable base.
+        pub provable: bool,
+        /// Per-dimension local-id coefficients, in elements.
+        pub coeffs: [i64; 3],
+        /// Base discriminant: 0 = constant, 1 = launch-geometry symbol,
+        /// 2 = opaque.
+        pub base_kind: u8,
+        /// Geometry symbol id (`base_kind == 1` only).
+        pub base_id: u32,
+        /// Constant element addend (`base_kind <= 1`).
+        pub base_add: i64,
+    }
+}
+
+wire_struct! {
+    /// Flat wire mirror of one argument's effect summary.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct WireArgEffect {
+        /// Access mode: 0 = none, 1 = read, 2 = write, 3 = read-write.
+        pub mode: u8,
+        /// Element size of the pointee in bytes (0 for non-global args).
+        pub elem_bytes: u32,
+        /// Whether `lo`/`hi` carry meaningful element bounds.
+        pub bounded: bool,
+        /// Inclusive lower element offset (when `bounded`).
+        pub lo: i64,
+        /// Inclusive upper element offset (when `bounded`).
+        pub hi: i64,
+        /// Whether `patterns` covers every possible access.
+        pub complete: bool,
+        /// Deduplicated access shapes.
+        pub patterns: Vec<WireAccessPattern>,
+    }
+}
+
+wire_struct! {
+    /// One constituent launch of an [`ApiCall::LaunchFused`] dispatch.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct WireLaunchPart {
+        /// Kernel to run.
+        pub kernel: KernelId,
+        /// Bound arguments, in parameter order.
+        pub args: Vec<WireArg>,
+        /// Launch geometry (the prover guarantees all parts of one fused
+        /// dispatch share it).
+        pub range: WireNdRange,
+        /// Device-independent cost (for virtual timing).
+        pub cost: WireCost,
+    }
+}
+
+wire_struct! {
+    /// One row of a node's runtime profile.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ProfileEntry {
+        /// Device index on the node.
+        pub device: u8,
+        /// Kernel name.
+        pub kernel: String,
+        /// Number of completed launches.
+        pub runs: u64,
+        /// Mean execution time, virtual nanoseconds.
+        pub mean_nanos: u64,
+        /// Device busy time so far, virtual nanoseconds.
+        pub busy_nanos: u64,
+    }
+}
+
+wire_struct! {
+    /// A span recorded on a device node, shipped back inside the response
+    /// that completes it.
+    ///
+    /// The NMP cannot reach the host's span recorder across the (simulated)
+    /// network, so node-side spans ride the wire: ids are minted
+    /// deterministically from the request's correlation token (high bit set,
+    /// so they never collide with host-allocated ids) and the host ingests
+    /// them into the recorder when the response is claimed.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct WireSpan {
+        /// Span id (node-derived).
+        pub id: u64,
+        /// Parent span id; `0` means "root" (never emitted by the NMP).
+        pub parent: u64,
+        /// Operation name (e.g. `nmp.dispatch`, `vm.run`).
+        pub name: String,
+        /// Breakdown category name.
+        pub category: String,
+        /// Interval start, virtual nanoseconds.
+        pub start_nanos: u64,
+        /// Interval end, virtual nanoseconds.
+        pub end_nanos: u64,
+        /// Wall-clock (monotonic) nanoseconds the node spent handling the
+        /// work — *real* time alongside the virtual interval, so simulation
+        /// throughput is measurable per span. `0` when not measured.
+        pub wall_nanos: u64,
+    }
+}
+
+wire_struct! {
+    /// A framed request on the backbone.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Request {
+        /// Correlation token.
+        pub id: RequestId,
+        /// Originating user/session.
+        pub user: UserId,
+        /// Virtual send time at the host.
+        pub sent_at_nanos: u64,
+        /// Trace the call belongs to; `0` when tracing is off.
+        pub trace_id: u64,
+        /// Host-side span the node's spans should hang off; `0` when tracing
+        /// is off.
+        pub parent_span: u64,
+        /// The host's routing epoch for the target logical node. Bumped on
+        /// every failover, so a node (or an operator reading a capture) can
+        /// tell a replayed world apart from the original one.
+        pub epoch: u32,
+        /// Delivery attempt, starting at `0`. Retransmissions of the same
+        /// `RequestId` bump this; the node's at-most-once journal treats any
+        /// attempt after the first as a duplicate.
+        pub attempt: u32,
+        /// The forwarded call.
+        pub body: ApiCall,
+    }
 }
 
 impl Request {
@@ -610,37 +897,41 @@ impl Request {
     }
 }
 
-/// A framed response on the backbone.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Response {
-    /// Echoes the request's correlation token.
-    pub id: RequestId,
-    /// Virtual completion time at the node.
-    pub completed_at_nanos: u64,
-    /// The reply.
-    pub body: ApiReply,
-    /// `true` when the node served this answer from its at-most-once
-    /// request journal instead of executing the call again (a retried or
-    /// duplicated request hit a completed entry).
-    pub duplicate: bool,
-    /// Node-side spans for traced requests (empty when tracing is off).
-    pub spans: Vec<WireSpan>,
+wire_struct! {
+    /// A framed response on the backbone.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Response {
+        /// Echoes the request's correlation token.
+        pub id: RequestId,
+        /// Virtual completion time at the node.
+        pub completed_at_nanos: u64,
+        /// The reply.
+        pub body: ApiReply,
+        /// `true` when the node served this answer from its at-most-once
+        /// request journal instead of executing the call again (a retried or
+        /// duplicated request hit a completed entry).
+        pub duplicate: bool,
+        /// Node-side spans for traced requests (empty when tracing is off).
+        pub spans: Vec<WireSpan>,
+    }
 }
 
-/// What one host→node control-plane frame carries.
-///
-/// The pipelined backbone coalesces small control messages that queue up
-/// while the host NIC is busy: instead of paying per-frame overhead for
-/// each, it packs every queued [`Request`] into one `Batch` frame. The
-/// node unpacks the envelope and answers each request with its own
-/// [`Response`] frame, preserving per-request correlation (and therefore
-/// out-of-order completion) end to end.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Envelope {
-    /// Exactly one request (the common uncongested case).
-    Single(Request),
-    /// Several requests coalesced into one transmission.
-    Batch(Vec<Request>),
+wire_enum! {
+    /// What one host→node control-plane frame carries.
+    ///
+    /// The pipelined backbone coalesces small control messages that queue up
+    /// while the host NIC is busy: instead of paying per-frame overhead for
+    /// each, it packs every queued [`Request`] into one `Batch` frame. The
+    /// node unpacks the envelope and answers each request with its own
+    /// [`Response`] frame, preserving per-request correlation (and therefore
+    /// out-of-order completion) end to end.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Envelope {
+        /// Exactly one request (the common uncongested case).
+        0 => Single(Request),
+        /// Several requests coalesced into one transmission.
+        1 => Batch(Vec<Request>),
+    }
 }
 
 impl Envelope {
@@ -679,881 +970,12 @@ impl From<Vec<Request>> for Envelope {
     }
 }
 
-// ---------------------------------------------------------------------
-// Codec implementations
-// ---------------------------------------------------------------------
-
-impl Encode for DeviceKind {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u8(match self {
-            DeviceKind::Cpu => 0,
-            DeviceKind::Gpu => 1,
-            DeviceKind::Fpga => 2,
-        });
-    }
-}
-
-impl Decode for DeviceKind {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        if buf.remaining() < 1 {
-            return Err(WireError::UnexpectedEof { what: "DeviceKind" });
-        }
-        match buf.get_u8() {
-            0 => Ok(DeviceKind::Cpu),
-            1 => Ok(DeviceKind::Gpu),
-            2 => Ok(DeviceKind::Fpga),
-            tag => Err(WireError::InvalidTag {
-                what: "DeviceKind",
-                tag,
-            }),
-        }
-    }
-}
-
-impl Encode for DeviceDescriptor {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.index.encode(buf);
-        self.kind.encode(buf);
-        self.name.encode(buf);
-        self.mem_bytes.encode(buf);
-        self.gflops.encode(buf);
-        self.mem_bandwidth_gbps.encode(buf);
-        self.power_watts.encode(buf);
-    }
-}
-
-impl Decode for DeviceDescriptor {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(DeviceDescriptor {
-            index: Decode::decode(buf)?,
-            kind: Decode::decode(buf)?,
-            name: Decode::decode(buf)?,
-            mem_bytes: Decode::decode(buf)?,
-            gflops: Decode::decode(buf)?,
-            mem_bandwidth_gbps: Decode::decode(buf)?,
-            power_watts: Decode::decode(buf)?,
-        })
-    }
-}
-
-impl Encode for Fidelity {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u8(match self {
-            Fidelity::Full => 0,
-            Fidelity::Modeled => 1,
-        });
-    }
-}
-
-impl Decode for Fidelity {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        if buf.remaining() < 1 {
-            return Err(WireError::UnexpectedEof { what: "Fidelity" });
-        }
-        match buf.get_u8() {
-            0 => Ok(Fidelity::Full),
-            1 => Ok(Fidelity::Modeled),
-            tag => Err(WireError::InvalidTag {
-                what: "Fidelity",
-                tag,
-            }),
-        }
-    }
-}
-
-impl Encode for WireArg {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            WireArg::F32(v) => {
-                buf.put_u8(0);
-                v.encode(buf);
-            }
-            WireArg::F64(v) => {
-                buf.put_u8(1);
-                v.encode(buf);
-            }
-            WireArg::I32(v) => {
-                buf.put_u8(2);
-                v.encode(buf);
-            }
-            WireArg::U32(v) => {
-                buf.put_u8(3);
-                v.encode(buf);
-            }
-            WireArg::I64(v) => {
-                buf.put_u8(4);
-                v.encode(buf);
-            }
-            WireArg::U64(v) => {
-                buf.put_u8(5);
-                v.encode(buf);
-            }
-            WireArg::Buffer(v) => {
-                buf.put_u8(6);
-                v.encode(buf);
-            }
-            WireArg::LocalBytes(v) => {
-                buf.put_u8(7);
-                v.encode(buf);
-            }
-        }
-    }
-}
-
-impl Decode for WireArg {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        if buf.remaining() < 1 {
-            return Err(WireError::UnexpectedEof { what: "WireArg" });
-        }
-        Ok(match buf.get_u8() {
-            0 => WireArg::F32(Decode::decode(buf)?),
-            1 => WireArg::F64(Decode::decode(buf)?),
-            2 => WireArg::I32(Decode::decode(buf)?),
-            3 => WireArg::U32(Decode::decode(buf)?),
-            4 => WireArg::I64(Decode::decode(buf)?),
-            5 => WireArg::U64(Decode::decode(buf)?),
-            6 => WireArg::Buffer(Decode::decode(buf)?),
-            7 => WireArg::LocalBytes(Decode::decode(buf)?),
-            tag => {
-                return Err(WireError::InvalidTag {
-                    what: "WireArg",
-                    tag,
-                })
-            }
-        })
-    }
-}
-
-impl Encode for WireNdRange {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.work_dim.encode(buf);
-        self.global.encode(buf);
-        self.local.encode(buf);
-    }
-}
-
-impl Decode for WireNdRange {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(WireNdRange {
-            work_dim: Decode::decode(buf)?,
-            global: Decode::decode(buf)?,
-            local: Decode::decode(buf)?,
-        })
-    }
-}
-
-impl Encode for WireCost {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.flops.encode(buf);
-        self.bytes_read.encode(buf);
-        self.bytes_written.encode(buf);
-        self.uniform.encode(buf);
-        self.streaming.encode(buf);
-    }
-}
-
-impl Decode for WireCost {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(WireCost {
-            flops: Decode::decode(buf)?,
-            bytes_read: Decode::decode(buf)?,
-            bytes_written: Decode::decode(buf)?,
-            uniform: Decode::decode(buf)?,
-            streaming: Decode::decode(buf)?,
-        })
-    }
-}
-
-impl Encode for ApiCall {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            ApiCall::Hello { client } => {
-                buf.put_u8(0);
-                client.encode(buf);
-            }
-            ApiCall::ListDevices => buf.put_u8(1),
-            ApiCall::CreateBuffer {
-                device,
-                buffer,
-                size,
-            } => {
-                buf.put_u8(2);
-                device.encode(buf);
-                buffer.encode(buf);
-                size.encode(buf);
-            }
-            ApiCall::ReleaseBuffer { device, buffer } => {
-                buf.put_u8(3);
-                device.encode(buf);
-                buffer.encode(buf);
-            }
-            ApiCall::WriteBuffer {
-                device,
-                buffer,
-                offset,
-                data,
-            } => {
-                buf.put_u8(4);
-                device.encode(buf);
-                buffer.encode(buf);
-                offset.encode(buf);
-                data.encode(buf);
-            }
-            ApiCall::ReadBuffer {
-                device,
-                buffer,
-                offset,
-                len,
-            } => {
-                buf.put_u8(5);
-                device.encode(buf);
-                buffer.encode(buf);
-                offset.encode(buf);
-                len.encode(buf);
-            }
-            ApiCall::CopyBuffer {
-                device,
-                src,
-                dst,
-                src_offset,
-                dst_offset,
-                len,
-            } => {
-                buf.put_u8(6);
-                device.encode(buf);
-                src.encode(buf);
-                dst.encode(buf);
-                src_offset.encode(buf);
-                dst_offset.encode(buf);
-                len.encode(buf);
-            }
-            ApiCall::BuildProgram {
-                device,
-                program,
-                source,
-            } => {
-                buf.put_u8(7);
-                device.encode(buf);
-                program.encode(buf);
-                source.encode(buf);
-            }
-            ApiCall::LoadBitstream {
-                device,
-                program,
-                kernels,
-            } => {
-                buf.put_u8(8);
-                device.encode(buf);
-                program.encode(buf);
-                kernels.encode(buf);
-            }
-            ApiCall::CreateKernel {
-                device,
-                kernel,
-                program,
-                name,
-            } => {
-                buf.put_u8(9);
-                device.encode(buf);
-                kernel.encode(buf);
-                program.encode(buf);
-                name.encode(buf);
-            }
-            ApiCall::LaunchKernel {
-                device,
-                kernel,
-                args,
-                range,
-                cost,
-                fidelity,
-                shared,
-            } => {
-                buf.put_u8(10);
-                device.encode(buf);
-                kernel.encode(buf);
-                args.encode(buf);
-                range.encode(buf);
-                cost.encode(buf);
-                fidelity.encode(buf);
-                shared.encode(buf);
-            }
-            ApiCall::QueryProfile => buf.put_u8(11),
-            ApiCall::Ping => buf.put_u8(12),
-            ApiCall::Shutdown => buf.put_u8(13),
-            ApiCall::CreateBufferModeled {
-                device,
-                buffer,
-                size,
-            } => {
-                buf.put_u8(14);
-                device.encode(buf);
-                buffer.encode(buf);
-                size.encode(buf);
-            }
-            ApiCall::WriteBufferModeled {
-                device,
-                buffer,
-                offset,
-                len,
-            } => {
-                buf.put_u8(15);
-                device.encode(buf);
-                buffer.encode(buf);
-                offset.encode(buf);
-                len.encode(buf);
-            }
-            ApiCall::ReadBufferModeled {
-                device,
-                buffer,
-                offset,
-                len,
-            } => {
-                buf.put_u8(16);
-                device.encode(buf);
-                buffer.encode(buf);
-                offset.encode(buf);
-                len.encode(buf);
-            }
-            ApiCall::PushBufferTo {
-                device,
-                buffer,
-                peer_addr,
-                peer_device,
-                peer_buffer,
-                offset,
-                len,
-                version,
-                epoch,
-                modeled,
-            } => {
-                buf.put_u8(17);
-                device.encode(buf);
-                buffer.encode(buf);
-                peer_addr.encode(buf);
-                peer_device.encode(buf);
-                peer_buffer.encode(buf);
-                offset.encode(buf);
-                len.encode(buf);
-                version.encode(buf);
-                epoch.encode(buf);
-                modeled.encode(buf);
-            }
-            ApiCall::PullBufferFrom {
-                device,
-                buffer,
-                peer_addr,
-                peer_device,
-                peer_buffer,
-                offset,
-                len,
-                version,
-                epoch,
-                modeled,
-            } => {
-                buf.put_u8(18);
-                device.encode(buf);
-                buffer.encode(buf);
-                peer_addr.encode(buf);
-                peer_device.encode(buf);
-                peer_buffer.encode(buf);
-                offset.encode(buf);
-                len.encode(buf);
-                version.encode(buf);
-                epoch.encode(buf);
-                modeled.encode(buf);
-            }
-            ApiCall::LaunchFused {
-                device,
-                fidelity,
-                shared,
-                parts,
-            } => {
-                buf.put_u8(19);
-                device.encode(buf);
-                fidelity.encode(buf);
-                shared.encode(buf);
-                parts.encode(buf);
-            }
-            ApiCall::SetThrottle { device, factor } => {
-                buf.put_u8(20);
-                device.encode(buf);
-                factor.encode(buf);
-            }
-            ApiCall::BeginDrain => buf.put_u8(21),
-        }
-    }
-}
-
-impl Decode for ApiCall {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        if buf.remaining() < 1 {
-            return Err(WireError::UnexpectedEof { what: "ApiCall" });
-        }
-        Ok(match buf.get_u8() {
-            0 => ApiCall::Hello {
-                client: Decode::decode(buf)?,
-            },
-            1 => ApiCall::ListDevices,
-            2 => ApiCall::CreateBuffer {
-                device: Decode::decode(buf)?,
-                buffer: Decode::decode(buf)?,
-                size: Decode::decode(buf)?,
-            },
-            3 => ApiCall::ReleaseBuffer {
-                device: Decode::decode(buf)?,
-                buffer: Decode::decode(buf)?,
-            },
-            4 => ApiCall::WriteBuffer {
-                device: Decode::decode(buf)?,
-                buffer: Decode::decode(buf)?,
-                offset: Decode::decode(buf)?,
-                data: Decode::decode(buf)?,
-            },
-            5 => ApiCall::ReadBuffer {
-                device: Decode::decode(buf)?,
-                buffer: Decode::decode(buf)?,
-                offset: Decode::decode(buf)?,
-                len: Decode::decode(buf)?,
-            },
-            6 => ApiCall::CopyBuffer {
-                device: Decode::decode(buf)?,
-                src: Decode::decode(buf)?,
-                dst: Decode::decode(buf)?,
-                src_offset: Decode::decode(buf)?,
-                dst_offset: Decode::decode(buf)?,
-                len: Decode::decode(buf)?,
-            },
-            7 => ApiCall::BuildProgram {
-                device: Decode::decode(buf)?,
-                program: Decode::decode(buf)?,
-                source: Decode::decode(buf)?,
-            },
-            8 => ApiCall::LoadBitstream {
-                device: Decode::decode(buf)?,
-                program: Decode::decode(buf)?,
-                kernels: Decode::decode(buf)?,
-            },
-            9 => ApiCall::CreateKernel {
-                device: Decode::decode(buf)?,
-                kernel: Decode::decode(buf)?,
-                program: Decode::decode(buf)?,
-                name: Decode::decode(buf)?,
-            },
-            10 => ApiCall::LaunchKernel {
-                device: Decode::decode(buf)?,
-                kernel: Decode::decode(buf)?,
-                args: Decode::decode(buf)?,
-                range: Decode::decode(buf)?,
-                cost: Decode::decode(buf)?,
-                fidelity: Decode::decode(buf)?,
-                shared: Decode::decode(buf)?,
-            },
-            11 => ApiCall::QueryProfile,
-            12 => ApiCall::Ping,
-            13 => ApiCall::Shutdown,
-            14 => ApiCall::CreateBufferModeled {
-                device: Decode::decode(buf)?,
-                buffer: Decode::decode(buf)?,
-                size: Decode::decode(buf)?,
-            },
-            15 => ApiCall::WriteBufferModeled {
-                device: Decode::decode(buf)?,
-                buffer: Decode::decode(buf)?,
-                offset: Decode::decode(buf)?,
-                len: Decode::decode(buf)?,
-            },
-            16 => ApiCall::ReadBufferModeled {
-                device: Decode::decode(buf)?,
-                buffer: Decode::decode(buf)?,
-                offset: Decode::decode(buf)?,
-                len: Decode::decode(buf)?,
-            },
-            17 => ApiCall::PushBufferTo {
-                device: Decode::decode(buf)?,
-                buffer: Decode::decode(buf)?,
-                peer_addr: Decode::decode(buf)?,
-                peer_device: Decode::decode(buf)?,
-                peer_buffer: Decode::decode(buf)?,
-                offset: Decode::decode(buf)?,
-                len: Decode::decode(buf)?,
-                version: Decode::decode(buf)?,
-                epoch: Decode::decode(buf)?,
-                modeled: Decode::decode(buf)?,
-            },
-            18 => ApiCall::PullBufferFrom {
-                device: Decode::decode(buf)?,
-                buffer: Decode::decode(buf)?,
-                peer_addr: Decode::decode(buf)?,
-                peer_device: Decode::decode(buf)?,
-                peer_buffer: Decode::decode(buf)?,
-                offset: Decode::decode(buf)?,
-                len: Decode::decode(buf)?,
-                version: Decode::decode(buf)?,
-                epoch: Decode::decode(buf)?,
-                modeled: Decode::decode(buf)?,
-            },
-            19 => ApiCall::LaunchFused {
-                device: Decode::decode(buf)?,
-                fidelity: Decode::decode(buf)?,
-                shared: Decode::decode(buf)?,
-                parts: Decode::decode(buf)?,
-            },
-            20 => ApiCall::SetThrottle {
-                device: Decode::decode(buf)?,
-                factor: Decode::decode(buf)?,
-            },
-            21 => ApiCall::BeginDrain,
-            tag => {
-                return Err(WireError::InvalidTag {
-                    what: "ApiCall",
-                    tag,
-                })
-            }
-        })
-    }
-}
-
-impl Encode for WireKernelReport {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.kernel.encode(buf);
-        self.errors.encode(buf);
-        self.warnings.encode(buf);
-        self.local_bytes.encode(buf);
-        self.barrier_count.encode(buf);
-        self.arithmetic_intensity.encode(buf);
-        self.divergence_score.encode(buf);
-        self.effects.encode(buf);
-    }
-}
-
-impl Decode for WireKernelReport {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(WireKernelReport {
-            kernel: Decode::decode(buf)?,
-            errors: Decode::decode(buf)?,
-            warnings: Decode::decode(buf)?,
-            local_bytes: Decode::decode(buf)?,
-            barrier_count: Decode::decode(buf)?,
-            arithmetic_intensity: Decode::decode(buf)?,
-            divergence_score: Decode::decode(buf)?,
-            effects: Decode::decode(buf)?,
-        })
-    }
-}
-
-impl Encode for WireAccessPattern {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.write.encode(buf);
-        self.provable.encode(buf);
-        for c in self.coeffs {
-            c.encode(buf);
-        }
-        self.base_kind.encode(buf);
-        self.base_id.encode(buf);
-        self.base_add.encode(buf);
-    }
-}
-
-impl Decode for WireAccessPattern {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(WireAccessPattern {
-            write: Decode::decode(buf)?,
-            provable: Decode::decode(buf)?,
-            coeffs: [
-                Decode::decode(buf)?,
-                Decode::decode(buf)?,
-                Decode::decode(buf)?,
-            ],
-            base_kind: Decode::decode(buf)?,
-            base_id: Decode::decode(buf)?,
-            base_add: Decode::decode(buf)?,
-        })
-    }
-}
-
-impl Encode for WireArgEffect {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.mode.encode(buf);
-        self.elem_bytes.encode(buf);
-        self.bounded.encode(buf);
-        self.lo.encode(buf);
-        self.hi.encode(buf);
-        self.complete.encode(buf);
-        self.patterns.encode(buf);
-    }
-}
-
-impl Decode for WireArgEffect {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(WireArgEffect {
-            mode: Decode::decode(buf)?,
-            elem_bytes: Decode::decode(buf)?,
-            bounded: Decode::decode(buf)?,
-            lo: Decode::decode(buf)?,
-            hi: Decode::decode(buf)?,
-            complete: Decode::decode(buf)?,
-            patterns: Decode::decode(buf)?,
-        })
-    }
-}
-
-impl Encode for WireLaunchPart {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.kernel.encode(buf);
-        self.args.encode(buf);
-        self.range.encode(buf);
-        self.cost.encode(buf);
-    }
-}
-
-impl Decode for WireLaunchPart {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(WireLaunchPart {
-            kernel: Decode::decode(buf)?,
-            args: Decode::decode(buf)?,
-            range: Decode::decode(buf)?,
-            cost: Decode::decode(buf)?,
-        })
-    }
-}
-
-impl Encode for ProfileEntry {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.device.encode(buf);
-        self.kernel.encode(buf);
-        self.runs.encode(buf);
-        self.mean_nanos.encode(buf);
-        self.busy_nanos.encode(buf);
-    }
-}
-
-impl Decode for ProfileEntry {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(ProfileEntry {
-            device: Decode::decode(buf)?,
-            kernel: Decode::decode(buf)?,
-            runs: Decode::decode(buf)?,
-            mean_nanos: Decode::decode(buf)?,
-            busy_nanos: Decode::decode(buf)?,
-        })
-    }
-}
-
-impl Encode for ApiReply {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            ApiReply::Ack => buf.put_u8(0),
-            ApiReply::Error { code, message } => {
-                buf.put_u8(1);
-                code.encode(buf);
-                message.encode(buf);
-            }
-            ApiReply::NodeInfo { devices } => {
-                buf.put_u8(2);
-                devices.encode(buf);
-            }
-            ApiReply::Data { bytes } => {
-                buf.put_u8(3);
-                bytes.encode(buf);
-            }
-            ApiReply::BuildLog { ok, log, reports } => {
-                buf.put_u8(4);
-                ok.encode(buf);
-                log.encode(buf);
-                reports.encode(buf);
-            }
-            ApiReply::LaunchDone {
-                start_nanos,
-                end_nanos,
-                instructions,
-            } => {
-                buf.put_u8(5);
-                start_nanos.encode(buf);
-                end_nanos.encode(buf);
-                instructions.encode(buf);
-            }
-            ApiReply::Profile { entries } => {
-                buf.put_u8(6);
-                entries.encode(buf);
-            }
-            ApiReply::Pong { now_nanos } => {
-                buf.put_u8(7);
-                now_nanos.encode(buf);
-            }
-            ApiReply::KernelInfo { arity } => {
-                buf.put_u8(8);
-                arity.encode(buf);
-            }
-            ApiReply::DataModeled { len } => {
-                buf.put_u8(9);
-                len.encode(buf);
-            }
-        }
-    }
-}
-
-impl Decode for ApiReply {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        if buf.remaining() < 1 {
-            return Err(WireError::UnexpectedEof { what: "ApiReply" });
-        }
-        Ok(match buf.get_u8() {
-            0 => ApiReply::Ack,
-            1 => ApiReply::Error {
-                code: Decode::decode(buf)?,
-                message: Decode::decode(buf)?,
-            },
-            2 => ApiReply::NodeInfo {
-                devices: Decode::decode(buf)?,
-            },
-            3 => ApiReply::Data {
-                bytes: Decode::decode(buf)?,
-            },
-            4 => ApiReply::BuildLog {
-                ok: Decode::decode(buf)?,
-                log: Decode::decode(buf)?,
-                reports: Decode::decode(buf)?,
-            },
-            5 => ApiReply::LaunchDone {
-                start_nanos: Decode::decode(buf)?,
-                end_nanos: Decode::decode(buf)?,
-                instructions: Decode::decode(buf)?,
-            },
-            6 => ApiReply::Profile {
-                entries: Decode::decode(buf)?,
-            },
-            7 => ApiReply::Pong {
-                now_nanos: Decode::decode(buf)?,
-            },
-            8 => ApiReply::KernelInfo {
-                arity: Decode::decode(buf)?,
-            },
-            9 => ApiReply::DataModeled {
-                len: Decode::decode(buf)?,
-            },
-            tag => {
-                return Err(WireError::InvalidTag {
-                    what: "ApiReply",
-                    tag,
-                })
-            }
-        })
-    }
-}
-
-impl Encode for WireSpan {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.id.encode(buf);
-        self.parent.encode(buf);
-        self.name.encode(buf);
-        self.category.encode(buf);
-        self.start_nanos.encode(buf);
-        self.end_nanos.encode(buf);
-        self.wall_nanos.encode(buf);
-    }
-}
-
-impl Decode for WireSpan {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(WireSpan {
-            id: Decode::decode(buf)?,
-            parent: Decode::decode(buf)?,
-            name: Decode::decode(buf)?,
-            category: Decode::decode(buf)?,
-            start_nanos: Decode::decode(buf)?,
-            end_nanos: Decode::decode(buf)?,
-            wall_nanos: Decode::decode(buf)?,
-        })
-    }
-}
-
-impl Encode for Request {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.id.encode(buf);
-        self.user.encode(buf);
-        self.sent_at_nanos.encode(buf);
-        self.trace_id.encode(buf);
-        self.parent_span.encode(buf);
-        self.epoch.encode(buf);
-        self.attempt.encode(buf);
-        self.body.encode(buf);
-    }
-}
-
-impl Decode for Request {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(Request {
-            id: Decode::decode(buf)?,
-            user: Decode::decode(buf)?,
-            sent_at_nanos: Decode::decode(buf)?,
-            trace_id: Decode::decode(buf)?,
-            parent_span: Decode::decode(buf)?,
-            epoch: Decode::decode(buf)?,
-            attempt: Decode::decode(buf)?,
-            body: Decode::decode(buf)?,
-        })
-    }
-}
-
-impl Encode for Response {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.id.encode(buf);
-        self.completed_at_nanos.encode(buf);
-        self.body.encode(buf);
-        self.duplicate.encode(buf);
-        self.spans.encode(buf);
-    }
-}
-
-impl Decode for Response {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(Response {
-            id: Decode::decode(buf)?,
-            completed_at_nanos: Decode::decode(buf)?,
-            body: Decode::decode(buf)?,
-            duplicate: Decode::decode(buf)?,
-            spans: Decode::decode(buf)?,
-        })
-    }
-}
-
-impl Encode for Envelope {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            Envelope::Single(request) => {
-                buf.put_u8(0);
-                request.encode(buf);
-            }
-            Envelope::Batch(requests) => {
-                buf.put_u8(1);
-                requests.encode(buf);
-            }
-        }
-    }
-}
-
-impl Decode for Envelope {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        if buf.remaining() < 1 {
-            return Err(WireError::UnexpectedEof { what: "Envelope" });
-        }
-        Ok(match buf.get_u8() {
-            0 => Envelope::Single(Decode::decode(buf)?),
-            1 => Envelope::Batch(Decode::decode(buf)?),
-            tag => {
-                return Err(WireError::InvalidTag {
-                    what: "Envelope",
-                    tag,
-                })
-            }
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{decode_from_bytes, decode_from_slice, encode_to_vec};
+    use crate::wire::{
+        decode_from_bytes, decode_from_slice, encode_to_vec, Decode, Encode, WireError,
+    };
 
     fn roundtrip<T: Encode + Decode + PartialEq + std::fmt::Debug>(v: T) {
         let bytes = encode_to_vec(&v);
@@ -1761,6 +1183,84 @@ mod tests {
         }
     }
 
+    /// The classification every layer above relies on, pinned variant by
+    /// variant: (plane, node journals it, peer transfer, host replays it
+    /// on failover).
+    #[test]
+    fn every_api_call_is_classified() {
+        use Plane::{Control, Data};
+        let expected = [
+            ("Hello", Control, false, false, false),
+            ("ListDevices", Control, false, false, false),
+            ("CreateBuffer", Control, true, false, true),
+            ("ReleaseBuffer", Control, true, false, true),
+            ("WriteBuffer", Data, true, false, true),
+            ("ReadBuffer", Data, false, false, false),
+            ("CopyBuffer", Control, true, false, true),
+            ("BuildProgram", Control, true, false, true),
+            ("LoadBitstream", Control, true, false, true),
+            ("CreateKernel", Control, true, false, true),
+            ("LaunchKernel", Control, true, false, true),
+            ("QueryProfile", Control, false, false, false),
+            ("Ping", Control, false, false, false),
+            ("Shutdown", Control, false, false, false),
+            ("CreateBufferModeled", Control, true, false, true),
+            ("WriteBufferModeled", Data, true, false, true),
+            ("ReadBufferModeled", Data, false, false, false),
+            ("PushBufferTo", Data, true, true, false),
+            ("PullBufferFrom", Data, true, true, false),
+            ("LaunchFused", Control, true, false, true),
+            ("SetThrottle", Control, false, false, false),
+            ("BeginDrain", Control, false, false, false),
+        ];
+        let calls = every_api_call();
+        assert_eq!(calls.len(), expected.len());
+        for (call, (name, plane, mutates, peer, replayed)) in calls.iter().zip(expected) {
+            assert_eq!(variant_name(call), name);
+            assert_eq!(call.plane(), plane, "{name}: plane");
+            assert_eq!(call.mutates_node_state(), mutates, "{name}: mutates state");
+            assert_eq!(call.is_peer_transfer(), peer, "{name}: peer transfer");
+            assert_eq!(call.replayed_on_failover(), replayed, "{name}: replayed");
+            // The host's replay set is the node's journal set minus the
+            // peer transfers — for every variant, not just today's.
+            assert_eq!(
+                call.replayed_on_failover(),
+                call.mutates_node_state() && !call.is_peer_transfer(),
+                "{name}"
+            );
+            let modeled_write = matches!(call, ApiCall::WriteBufferModeled { .. });
+            assert_eq!(
+                call.virtual_len() != 0,
+                modeled_write,
+                "{name}: virtual len"
+            );
+        }
+    }
+
+    #[test]
+    fn a_launch_reads_the_same_from_either_wire_form() {
+        for call in every_api_call() {
+            let launch = match call.clone().into_launch() {
+                Ok(launch) => launch,
+                Err(back) => {
+                    assert_eq!(back, call, "a non-launch call is handed back whole");
+                    continue;
+                }
+            };
+            let lone = matches!(call, ApiCall::LaunchKernel { .. });
+            assert_eq!(matches!(launch.parts, WireLaunchParts::Lone(_)), lone);
+            assert_eq!(launch.parts.len(), if lone { 1 } else { 2 });
+            // `launch` picks the form back from the part count alone.
+            let rebuilt = ApiCall::launch(
+                launch.device,
+                launch.fidelity,
+                launch.shared,
+                launch.parts.to_vec(),
+            );
+            assert_eq!(rebuilt, call);
+        }
+    }
+
     /// One instance of every [`ApiReply`] variant.
     pub(super) fn every_api_reply() -> Vec<ApiReply> {
         vec![
@@ -1913,6 +1413,136 @@ mod tests {
         assert_eq!(decode_from_bytes::<Response>(golden.into()), Ok(data));
     }
 
+    /// The framing samples of the golden corpus: a plain request, a
+    /// traced retransmission, a response carrying node spans, and both
+    /// envelope forms.
+    fn golden_frames() -> (Request, Request, Response, Envelope, Envelope) {
+        let calls = every_api_call();
+        let body_of = |want: fn(&ApiCall) -> bool| {
+            calls
+                .iter()
+                .find(|c| want(c))
+                .expect("variant sampled")
+                .clone()
+        };
+        let plain = Request {
+            id: RequestId::new(0x0102_0304_0506_0708),
+            user: UserId::new(9),
+            sent_at_nanos: 1_000_000,
+            trace_id: 0,
+            parent_span: 0,
+            epoch: 0,
+            attempt: 0,
+            body: body_of(|c| matches!(c, ApiCall::LaunchKernel { .. })),
+        };
+        let traced = Request {
+            id: RequestId::new(0x1112_1314_1516_1718),
+            user: UserId::new(3),
+            sent_at_nanos: 2_000_000,
+            trace_id: 0x1122,
+            parent_span: 0x3344,
+            epoch: 2,
+            attempt: 1,
+            body: body_of(|c| matches!(c, ApiCall::LaunchFused { .. })),
+        };
+        let response = Response {
+            id: RequestId::new(0x1112_1314_1516_1718),
+            completed_at_nanos: 2_500_000,
+            body: ApiReply::LaunchDone {
+                start_nanos: 2_100_000,
+                end_nanos: 2_400_000,
+                instructions: 4242,
+            },
+            duplicate: true,
+            spans: vec![
+                WireSpan {
+                    id: (1 << 63) | 64,
+                    parent: 0x3344,
+                    name: "nmp.dispatch".into(),
+                    category: "Dispatch".into(),
+                    start_nanos: 2_050_000,
+                    end_nanos: 2_400_000,
+                    wall_nanos: 1_830,
+                },
+                WireSpan {
+                    id: (1 << 63) | 65,
+                    parent: (1 << 63) | 64,
+                    name: "vm.run".into(),
+                    category: "Compute".into(),
+                    start_nanos: 2_100_000,
+                    end_nanos: 2_400_000,
+                    wall_nanos: 0,
+                },
+            ],
+        };
+        let single = Envelope::Single(plain.clone());
+        let batch = Envelope::Batch(vec![
+            plain.clone(),
+            traced.clone(),
+            Request {
+                body: ApiCall::Ping,
+                ..plain.clone()
+            },
+        ]);
+        (plain, traced, response, single, batch)
+    }
+
+    /// `ApiCall::LaunchKernel { .. }` → `LaunchKernel`.
+    fn variant_name(value: &impl std::fmt::Debug) -> String {
+        let debug = format!("{value:?}");
+        debug
+            .split(|c: char| !c.is_alphanumeric())
+            .next()
+            .expect("split yields at least one piece")
+            .to_string()
+    }
+
+    /// Checks the next corpus line against `value`: same label, the
+    /// encoder still produces the recorded bytes, and the recorded bytes
+    /// still decode to the value.
+    fn check_golden<T: Encode + Decode + PartialEq + std::fmt::Debug>(
+        lines: &mut std::str::Lines<'_>,
+        label: &str,
+        value: T,
+    ) {
+        let line = lines
+            .next()
+            .unwrap_or_else(|| panic!("corpus ends before {label}"));
+        let (recorded, hex) = line.split_once(' ').expect("`label hex` line");
+        assert_eq!(recorded, label, "corpus order");
+        let golden = unhex(hex);
+        assert_eq!(encode_to_vec(&value), golden, "{label}: encoding moved");
+        assert_eq!(
+            decode_from_bytes::<T>(golden.into()),
+            Ok(value),
+            "{label}: decoding moved"
+        );
+    }
+
+    /// Every message form against `fixtures/wire_golden.txt`, which was
+    /// written by the hand-rolled codecs this module had before its
+    /// messages were declared through `wire_struct!`/`wire_enum!`: what
+    /// goes on the wire must not move.
+    #[test]
+    fn every_message_encodes_to_the_golden_corpus() {
+        let mut lines = include_str!("../fixtures/wire_golden.txt").lines();
+        for call in every_api_call() {
+            let label = format!("ApiCall::{}", variant_name(&call));
+            check_golden(&mut lines, &label, call);
+        }
+        for reply in every_api_reply() {
+            let label = format!("ApiReply::{}", variant_name(&reply));
+            check_golden(&mut lines, &label, reply);
+        }
+        let (plain, traced, response, single, batch) = golden_frames();
+        check_golden(&mut lines, "Request", plain);
+        check_golden(&mut lines, "Request.traced", traced);
+        check_golden(&mut lines, "Response.spans", response);
+        check_golden(&mut lines, "Envelope::Single", single);
+        check_golden(&mut lines, "Envelope::Batch", batch);
+        assert_eq!(lines.next(), None, "corpus has unchecked lines");
+    }
+
     #[test]
     fn request_response_envelopes_roundtrip() {
         roundtrip(Request {
@@ -2047,7 +1677,7 @@ mod tests {
 mod proptests {
     use super::tests::{every_api_call, every_api_reply};
     use super::*;
-    use crate::wire::{decode_from_bytes, decode_from_slice, encode_to_vec};
+    use crate::wire::{decode_from_bytes, decode_from_slice, encode_to_vec, Decode};
     use proptest::prelude::*;
 
     /// Both decoders over `wire`, the in-place one reading it as a view

@@ -319,6 +319,116 @@ id_codec!(
     crate::ids::RequestId,
 );
 
+/// Declares a message struct: the definition exactly as written, plus
+/// its codec — the fields in declaration order, on both sides from the
+/// one list, so the encoder and the decoder cannot disagree.
+macro_rules! wire_struct {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $( $(#[$fmeta:meta])* pub $field:ident: $ty:ty ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $( $(#[$fmeta])* pub $field: $ty, )*
+        }
+
+        impl $crate::wire::Encode for $name {
+            fn encode(&self, buf: &mut ::bytes::BytesMut) {
+                $( $crate::wire::Encode::encode(&self.$field, buf); )*
+            }
+        }
+
+        impl $crate::wire::Decode for $name {
+            fn decode(buf: &mut ::bytes::Bytes) -> Result<Self, $crate::wire::WireError> {
+                Ok($name {
+                    $( $field: $crate::wire::Decode::decode(buf)?, )*
+                })
+            }
+        }
+    };
+}
+pub(crate) use wire_struct;
+
+/// Declares a message enum: the definition as written — unit, one-field
+/// tuple and named-field variants — with each variant's wire tag in
+/// front (`N => Variant`), plus its codec: the `u8` tag, then the
+/// variant's fields in declaration order. Tags are explicit because
+/// they are wire format: a variant can be declared anywhere without its
+/// tag moving. A tag used twice is an unreachable decode arm, which the
+/// build rejects.
+macro_rules! wire_enum {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $tag:literal => $variant:ident
+                $( { $( $(#[$fmeta:meta])* $field:ident: $fty:ty ),* $(,)? } )?
+                $( ( $tty:ty ) )?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum $name {
+            $(
+                $(#[$vmeta])*
+                $variant
+                $( { $( $(#[$fmeta])* $field: $fty, )* } )?
+                $( ( $tty ) )?,
+            )*
+        }
+
+        impl $crate::wire::Encode for $name {
+            fn encode(&self, buf: &mut ::bytes::BytesMut) {
+                match self {
+                    $(
+                        $name::$variant
+                        $( { $( $field, )* } )?
+                        $( ( $crate::wire::wire_enum!(@binder value $tty) ) )?
+                        => {
+                            ::bytes::BufMut::put_u8(buf, $tag);
+                            $( $( $crate::wire::Encode::encode($field, buf); )* )?
+                            $( <$tty as $crate::wire::Encode>::encode(value, buf); )?
+                        }
+                    )*
+                }
+            }
+        }
+
+        impl $crate::wire::Decode for $name {
+            fn decode(buf: &mut ::bytes::Bytes) -> Result<Self, $crate::wire::WireError> {
+                if ::bytes::Buf::remaining(buf) < 1 {
+                    return Err($crate::wire::WireError::UnexpectedEof {
+                        what: stringify!($name),
+                    });
+                }
+                Ok(match ::bytes::Buf::get_u8(buf) {
+                    $(
+                        $tag => $name::$variant
+                        $( { $( $field: $crate::wire::Decode::decode(buf)?, )* } )?
+                        $( ( <$tty as $crate::wire::Decode>::decode(buf)? ) )?,
+                    )*
+                    tag => {
+                        return Err($crate::wire::WireError::InvalidTag {
+                            what: stringify!($name),
+                            tag,
+                        })
+                    }
+                })
+            }
+        }
+    };
+    // The name a tuple variant's field is bound to, spelled by the
+    // caller so the match pattern and the arm body mean the same
+    // variable.
+    (@binder $value:ident $tty:ty) => {
+        $value
+    };
+}
+pub(crate) use wire_enum;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,6 +437,73 @@ mod tests {
         let bytes = encode_to_vec(&v);
         let back: T = decode_from_slice(&bytes).unwrap();
         assert_eq!(back, v);
+    }
+
+    wire_enum! {
+        /// Every variant shape, tags out of declaration order.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum Shapes {
+            7 => Unit,
+            2 => Tuple(String),
+            5 => Named {
+                /// First on the wire.
+                id: u16,
+                flag: bool,
+            },
+        }
+    }
+
+    wire_struct! {
+        #[derive(Debug, Clone, PartialEq)]
+        pub struct Holder {
+            pub count: u32,
+            pub shapes: Vec<Shapes>,
+        }
+    }
+
+    #[test]
+    fn declared_messages_encode_tag_then_fields_in_declaration_order() {
+        assert_eq!(encode_to_vec(&Shapes::Unit), [7]);
+        assert_eq!(
+            encode_to_vec(&Shapes::Tuple("ab".into())),
+            [2, 2, 0, 0, 0, 0, 0, 0, 0, b'a', b'b']
+        );
+        let named = Shapes::Named {
+            id: 0x0102,
+            flag: true,
+        };
+        assert_eq!(encode_to_vec(&named), [5, 2, 1, 1]);
+        let holder = Holder {
+            count: 9,
+            shapes: vec![named, Shapes::Unit],
+        };
+        assert_eq!(
+            encode_to_vec(&holder),
+            [9, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 5, 2, 1, 1, 7]
+        );
+        roundtrip(holder);
+        roundtrip(Shapes::Tuple(String::new()));
+    }
+
+    #[test]
+    fn declared_enums_name_themselves_in_decode_errors() {
+        assert_eq!(
+            decode_from_slice::<Shapes>(&[]),
+            Err(WireError::UnexpectedEof { what: "Shapes" })
+        );
+        assert_eq!(
+            decode_from_slice::<Shapes>(&[0]),
+            Err(WireError::InvalidTag {
+                what: "Shapes",
+                tag: 0
+            })
+        );
+        // A declared struct has no framing of its own: it runs out
+        // inside whichever field the input ends in.
+        assert_eq!(
+            decode_from_slice::<Holder>(&[9, 0]),
+            Err(WireError::UnexpectedEof { what: "u32" })
+        );
     }
 
     #[test]
