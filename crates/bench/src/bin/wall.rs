@@ -1,17 +1,14 @@
-//! Wall-clock hot-path report: real requests/sec and p50/p99 latency
-//! for the VM engines (interpreter vs compiled, per paper kernel) and
-//! the wire framing strategies (copy vs pooled).
+//! Wall-clock wire-path report: real requests/sec and p50/p99 latency
+//! of the framing strategies (copy vs pooled).
 //!
 //! ```text
 //! cargo run --release -p haocl-bench --bin wall
 //! cargo run --release -p haocl-bench --bin wall -- --iters 200 \
-//!     --json-vm results/BENCH_wall_vm.json \
 //!     --json-wire results/BENCH_wall_wire.json
 //! ```
 //!
-//! The nightly `wall-bench` CI job uploads both JSON artifacts and
-//! gates the compiled engine at ≥ 2× the interpreter summed across the
-//! five paper kernels.
+//! The nightly `wall-bench` CI job uploads the JSON artifact and gates
+//! pooled framing at no slower than the copying path.
 
 use haocl_bench::text::render_table;
 use haocl_bench::wall::{self, LatencyStats};
@@ -29,42 +26,9 @@ fn main() {
     let iters: usize = flag_value("--iters")
         .map(|v| v.parse().expect("--iters takes a number"))
         .unwrap_or(60);
-    let json_vm = flag_value("--json-vm");
     let json_wire = flag_value("--json-wire");
 
     println!("Wall-clock hot path — real time, not the virtual models");
-    println!();
-
-    let vm = wall::vm_rows(iters).unwrap_or_else(|e| {
-        eprintln!("VM wall bench failed: {e}");
-        std::process::exit(1);
-    });
-    let table: Vec<Vec<String>> = vm
-        .iter()
-        .map(|r| {
-            vec![
-                r.app.to_string(),
-                r.engine.to_string(),
-                format!("{:.0}", r.stats.requests_per_sec()),
-                format!("{}", r.stats.p50_nanos),
-                format!("{}", r.stats.p99_nanos),
-                format!("{:#018x}", r.digest),
-            ]
-        })
-        .collect();
-    println!("== VM engines ({iters} launches each) ==");
-    print!(
-        "{}",
-        render_table(
-            &["app", "engine", "req/s", "p50 ns", "p99 ns", "digest"],
-            &table
-        )
-    );
-    println!();
-    println!("compiled vs interpreter:");
-    for (app, speedup) in wall::speedups(&vm) {
-        println!("  {app}: {speedup:.2}x");
-    }
     println!();
 
     let wire = wall::wire_rows(iters.max(200));
@@ -90,37 +54,6 @@ fn main() {
         )
     );
 
-    if let Some(path) = json_vm {
-        let rows: Vec<String> = vm
-            .iter()
-            .map(|r| {
-                format!(
-                    concat!(
-                        "    {{\"app\": \"{}\", \"engine\": \"{}\", {}, ",
-                        "\"digest\": \"{:#018x}\"}}"
-                    ),
-                    r.app,
-                    r.engine,
-                    stats_json(&r.stats),
-                    r.digest,
-                )
-            })
-            .collect();
-        let speedups: Vec<String> = wall::speedups(&vm)
-            .iter()
-            .map(|(app, s)| format!("\"{app}\": {s:.4}"))
-            .collect();
-        let body = format!(
-            concat!(
-                "{{\n  \"bench\": \"wall_vm\",\n  \"iters\": {},\n",
-                "  \"compiled_speedup\": {{{}}},\n  \"rows\": [\n{}\n  ]\n}}\n"
-            ),
-            iters,
-            speedups.join(", "),
-            rows.join(",\n"),
-        );
-        write_artifact(&path, &body);
-    }
     if let Some(path) = json_wire {
         let rows: Vec<String> = wire
             .iter()

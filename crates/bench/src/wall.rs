@@ -1,29 +1,19 @@
-//! Wall-clock hot-path benchmarks (`BENCH_wall_*.json`).
+//! Wall-clock wire-path benchmark (`BENCH_wall_wire.json`).
 //!
 //! Unlike the figure harnesses, which report *virtual* time from the
 //! link and device models, this module times the host process itself:
-//! real requests/sec and p50/p99 latency through the two layers the
-//! compiled-execution PR rebuilt —
+//! real requests/sec and p50/p99 latency of the wire path, per framing
+//! strategy (a copy per chunk and per frame vs pooled views with
+//! in-place reassembly) at 256 B, 64 KiB and 1 MiB payloads.
 //!
-//! * the `clc` VM, per engine (reference interpreter vs the compiled
-//!   closure engine, serial and parallel), on the five paper kernels
-//!   with real inputs; every engine must produce byte-identical
-//!   buffers, so each row carries an output digest and
-//!   [`vm_rows`] fails on divergence;
-//! * the wire path, per framing strategy (a copy per chunk and per
-//!   frame vs pooled views with in-place reassembly) at 256 B, 64 KiB
-//!   and 1 MiB payloads.
-//!
-//! The `wall` binary renders both tables and writes them as
-//! `BENCH_wall_vm.json` / `BENCH_wall_wire.json`; the nightly
-//! `wall-bench` CI job uploads those and gates the compiled engine at
-//! ≥ 2× the interpreter across the paper kernels and pooled framing at
-//! no slower than the copying path at every payload size.
+//! The `wall` binary renders the table and writes it as
+//! `BENCH_wall_wire.json`; the nightly `wall-bench` CI job uploads it
+//! and gates pooled framing at no slower than the copying path at every
+//! payload size. (The VM engines are timed by `haocl-perf`, whose
+//! `clc.vm.*` rows the same job gates per kernel.)
 
 use std::time::Instant;
 
-use haocl_clc::vm::{run_ndrange_with_engine, ArgValue, EngineKind, GlobalBuffer, NdRange};
-use haocl_clc::{compile, CompiledProgram};
 use haocl_net::frame::{
     encode_frame, encode_frame_pooled, segment, segment_pooled, FrameAssembler,
 };
@@ -66,39 +56,6 @@ impl LatencyStats {
     }
 }
 
-/// One (kernel, engine) measurement of the VM layer.
-#[derive(Debug, Clone)]
-pub struct VmRow {
-    /// Paper benchmark the kernel comes from.
-    pub app: &'static str,
-    /// `"interp"`, `"compiled-serial"` or `"compiled"`.
-    pub engine: &'static str,
-    /// Launch latency distribution.
-    pub stats: LatencyStats,
-    /// FNV-1a digest over every buffer after the measured loop. All
-    /// engines must agree — [`vm_rows`] enforces it.
-    pub digest: u64,
-}
-
-/// The engines every kernel is measured under, reference first.
-const ENGINES: [(&str, EngineKind); 3] = [
-    ("interp", EngineKind::Interp),
-    ("compiled-serial", EngineKind::CompiledSerial),
-    ("compiled", EngineKind::Compiled),
-];
-
-/// One prepared paper-kernel launch: compiled program, bound arguments
-/// and initial buffer contents (reset before every engine's loop so
-/// each engine sees identical inputs).
-struct Launch {
-    app: &'static str,
-    program: CompiledProgram,
-    kernel: &'static str,
-    args: Vec<ArgValue>,
-    buffers: Vec<GlobalBuffer>,
-    range: NdRange,
-}
-
 /// Deterministic pseudo-random stream (SplitMix64) for input data; the
 /// bench must not depend on a seeded RNG crate.
 struct Mix(u64);
@@ -111,236 +68,6 @@ impl Mix {
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         z ^ (z >> 31)
     }
-
-    fn f32s(&mut self, n: usize) -> Vec<f32> {
-        (0..n)
-            .map(|_| (self.next() % 1000) as f32 / 100.0 + 0.5)
-            .collect()
-    }
-}
-
-/// Builds the five measured launches with real, deterministic inputs.
-///
-/// # Panics
-///
-/// Panics if a paper kernel stops compiling (the lint-corpus suite
-/// pins that too).
-fn paper_launches() -> Vec<Launch> {
-    let mut rng = Mix(42);
-    let mut out = Vec::new();
-
-    // MatrixMul: dense 48x48 — the inner k-loop dominates, which is
-    // where closure fusion pays.
-    let n = 48usize;
-    out.push(Launch {
-        app: "MatrixMul",
-        program: compile(haocl_workloads::matmul::KERNEL_SOURCE).expect("matmul compiles"),
-        kernel: haocl_workloads::matmul::KERNEL_NAME,
-        args: vec![
-            ArgValue::global(0),
-            ArgValue::global(1),
-            ArgValue::global(2),
-            ArgValue::from_i32(n as i32),
-            ArgValue::from_i32(n as i32),
-        ],
-        buffers: vec![
-            GlobalBuffer::from_f32(&rng.f32s(n * n)),
-            GlobalBuffer::from_f32(&rng.f32s(n * n)),
-            GlobalBuffer::zeroed(4 * n * n),
-        ],
-        range: NdRange::d2([n as u64, n as u64], [8, 8]),
-    });
-
-    // SpMV: 2048 rows, 8 nonzeros per row, CSR.
-    let rows = 2048usize;
-    let nnz_per_row = 8usize;
-    let nnz = rows * nnz_per_row;
-    let row_ptr: Vec<i32> = (0..=rows).map(|r| (r * nnz_per_row) as i32).collect();
-    let cols: Vec<i32> = (0..nnz)
-        .map(|_| (rng.next() % rows as u64) as i32)
-        .collect();
-    out.push(Launch {
-        app: "SpMV",
-        program: compile(haocl_workloads::spmv::KERNEL_SOURCE).expect("spmv compiles"),
-        kernel: haocl_workloads::spmv::KERNEL_NAME,
-        args: vec![
-            ArgValue::global(0),
-            ArgValue::global(1),
-            ArgValue::global(2),
-            ArgValue::global(3),
-            ArgValue::global(4),
-            ArgValue::from_i32(rows as i32),
-        ],
-        buffers: vec![
-            GlobalBuffer::from_i32(&row_ptr),
-            GlobalBuffer::from_i32(&cols),
-            GlobalBuffer::from_f32(&rng.f32s(nnz)),
-            GlobalBuffer::from_f32(&rng.f32s(rows)),
-            GlobalBuffer::zeroed(4 * rows),
-        ],
-        range: NdRange::linear(rows as u64, 64),
-    });
-
-    // BFS apply: 4096 scattered depth updates.
-    let count = 4096usize;
-    let mut updates = Vec::with_capacity(2 * count);
-    for t in 0..count as i32 {
-        updates.push(t);
-        updates.push((rng.next() % 32) as i32);
-    }
-    out.push(Launch {
-        app: "BFS",
-        program: compile(haocl_workloads::bfs::KERNEL_SOURCE).expect("bfs compiles"),
-        kernel: haocl_workloads::bfs::APPLY_KERNEL_NAME,
-        args: vec![
-            ArgValue::global(0),
-            ArgValue::global(1),
-            ArgValue::from_i32(count as i32),
-        ],
-        buffers: vec![
-            GlobalBuffer::from_i32(&vec![-1; count]),
-            GlobalBuffer::from_i32(&updates),
-        ],
-        range: NdRange::linear(count as u64, 64),
-    });
-
-    // KNN distance pass: 4096 records against one query.
-    let records = 4096usize;
-    out.push(Launch {
-        app: "KNN",
-        program: compile(haocl_workloads::knn::KERNEL_SOURCE).expect("knn compiles"),
-        kernel: haocl_workloads::knn::DIST_KERNEL_NAME,
-        args: vec![
-            ArgValue::global(0),
-            ArgValue::global(1),
-            ArgValue::global(2),
-            ArgValue::from_f32(3.25),
-            ArgValue::from_f32(7.5),
-            ArgValue::from_i32(records as i32),
-        ],
-        buffers: vec![
-            GlobalBuffer::from_f32(&rng.f32s(records)),
-            GlobalBuffer::from_f32(&rng.f32s(records)),
-            GlobalBuffer::zeroed(4 * records),
-        ],
-        range: NdRange::linear(records as u64, 64),
-    });
-
-    // CFD flux: 1024 cells, 4 neighbours each, 5 conserved variables.
-    let cells = 1024usize;
-    let neigh: Vec<i32> = (0..4 * cells)
-        .map(|_| (rng.next() % cells as u64) as i32)
-        .collect();
-    out.push(Launch {
-        app: "CFD",
-        program: compile(haocl_workloads::cfd::KERNEL_SOURCE).expect("cfd compiles"),
-        kernel: haocl_workloads::cfd::KERNEL_NAME,
-        args: vec![
-            ArgValue::global(0),
-            ArgValue::global(1),
-            ArgValue::global(2),
-            ArgValue::from_i32(cells as i32),
-            ArgValue::from_i32(0),
-            ArgValue::from_i32(cells as i32),
-        ],
-        buffers: vec![
-            GlobalBuffer::from_f32(&rng.f32s(5 * cells)),
-            GlobalBuffer::from_i32(&neigh),
-            GlobalBuffer::zeroed(4 * 5 * cells),
-        ],
-        range: NdRange::linear(cells as u64, 64),
-    });
-
-    out
-}
-
-/// Measures every paper kernel under every engine: `iters` timed
-/// launches each, after one untimed warm-up launch (which also pays
-/// the compiled engine's one-time lowering).
-///
-/// # Errors
-///
-/// Returns a description of the first launch failure or cross-engine
-/// output divergence (both are bugs, not measurement noise).
-pub fn vm_rows(iters: usize) -> Result<Vec<VmRow>, String> {
-    let mut out = Vec::new();
-    for launch in paper_launches() {
-        let kernel = launch
-            .program
-            .kernel(launch.kernel)
-            .expect("paper kernel present");
-        // Interleave the engines round-robin so slow machine-load
-        // drift lands on every engine equally instead of biasing
-        // whichever engine ran its block last.
-        let mut buffers: Vec<_> = ENGINES.iter().map(|_| launch.buffers.clone()).collect();
-        let mut samples: Vec<Vec<u64>> =
-            ENGINES.iter().map(|_| Vec::with_capacity(iters)).collect();
-        for (e, (name, engine)) in ENGINES.into_iter().enumerate() {
-            run_ndrange_with_engine(kernel, &launch.args, &mut buffers[e], &launch.range, engine)
-                .map_err(|err| format!("{} warm-up on {name}: {err}", launch.app))?;
-        }
-        for _ in 0..iters {
-            for (e, (name, engine)) in ENGINES.into_iter().enumerate() {
-                let t0 = Instant::now();
-                run_ndrange_with_engine(
-                    kernel,
-                    &launch.args,
-                    &mut buffers[e],
-                    &launch.range,
-                    engine,
-                )
-                .map_err(|err| format!("{} on {name}: {err}", launch.app))?;
-                samples[e].push(t0.elapsed().as_nanos() as u64);
-            }
-        }
-        let reference = buffers_digest(&buffers[0]);
-        for (e, (name, _)) in ENGINES.into_iter().enumerate() {
-            let digest = buffers_digest(&buffers[e]);
-            if digest != reference {
-                return Err(format!(
-                    "{}: engine {name} produced digest {digest:#018x}, \
-                     interpreter produced {reference:#018x}",
-                    launch.app
-                ));
-            }
-            out.push(VmRow {
-                app: launch.app,
-                engine: name,
-                stats: LatencyStats::from_samples(samples[e].clone()),
-                digest,
-            });
-        }
-    }
-    Ok(out)
-}
-
-/// Ratio of interpreter to compiled median launch latency, per app.
-/// This is the nightly gate's input: the compiled engine must clear
-/// `>= 2.0` on summed medians across the paper kernels. Medians, not
-/// totals — one scheduler hiccup inside one launch must not move the
-/// gate.
-pub fn speedups(rows: &[VmRow]) -> Vec<(&'static str, f64)> {
-    let mut out = Vec::new();
-    let apps: Vec<&'static str> = {
-        let mut seen = Vec::new();
-        for r in rows {
-            if !seen.contains(&r.app) {
-                seen.push(r.app);
-            }
-        }
-        seen
-    };
-    for app in apps {
-        let time = |engine: &str| {
-            rows.iter()
-                .find(|r| r.app == app && r.engine == engine)
-                .map(|r| r.stats.p50_nanos as f64)
-        };
-        if let (Some(interp), Some(compiled)) = (time("interp"), time("compiled")) {
-            out.push((app, interp / compiled));
-        }
-    }
-    out
 }
 
 /// One (payload size, framing strategy) measurement of the wire layer.
@@ -428,19 +155,7 @@ pub fn wire_rows(iters: usize) -> Vec<WireRow> {
     out
 }
 
-/// FNV-1a over the concatenated buffer bytes (same parameters as the
-/// ablation digests).
-fn buffers_digest(buffers: &[GlobalBuffer]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for buf in buffers {
-        for &b in buf.as_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
+/// FNV-1a (same parameters as the ablation digests).
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -453,50 +168,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn vm_rows_cover_every_engine_and_agree_on_outputs() {
-        // vm_rows itself fails on digest divergence; this pins coverage.
-        let rows = vm_rows(2).expect("wall VM bench runs clean");
-        assert_eq!(rows.len(), 5 * ENGINES.len());
-        for (name, _) in ENGINES {
-            assert_eq!(rows.iter().filter(|r| r.engine == name).count(), 5);
-        }
-        for r in &rows {
-            assert!(r.stats.requests_per_sec() > 0.0);
-            assert!(r.stats.p50_nanos <= r.stats.p99_nanos);
-        }
-    }
-
-    #[test]
-    fn compiled_engine_clears_2x_over_interpreter() {
-        // The PR's acceptance bar, gated in-tree at a small iteration
-        // count and re-checked nightly at bench scale. Summed medians
-        // over the five paper kernels so one scheduler hiccup on a
-        // short kernel cannot flake the gate. The strict bar only
-        // means something on optimized code: under `cargo test` in a
-        // debug profile both engines run unoptimized and the compiled
-        // engine's inlined fast paths don't exist, so there the test
-        // only pins that the bench machinery produces a sane ratio.
-        let rows =
-            vm_rows(if cfg!(debug_assertions) { 4 } else { 8 }).expect("wall VM bench runs clean");
-        let sum = |engine: &str| -> u64 {
-            rows.iter()
-                .filter(|r| r.engine == engine)
-                .map(|r| r.stats.p50_nanos)
-                .sum()
-        };
-        let interp = sum("interp");
-        let compiled = sum("compiled");
-        let speedup = interp as f64 / compiled as f64;
-        let bar = if cfg!(debug_assertions) { 0.5 } else { 2.0 };
-        assert!(
-            speedup >= bar,
-            "compiled engine speedup {speedup:.2}x across paper kernels \
-             (interp {interp} ns vs compiled {compiled} ns median sums) \
-             is below the {bar}x bar"
-        );
-    }
 
     #[test]
     fn wire_paths_agree_and_report_sane_stats() {

@@ -1,759 +1,161 @@
 //! The compiled execution engine.
 //!
-//! Lowers a kernel's bytecode **once** into statement-level superops:
-//! within each basic block the operand stack is abstract-interpreted at
-//! lowering time, rebuilding the expression trees the front end
-//! originally flattened. Each effectful instruction (store, branch,
-//! barrier, return) becomes a single op that evaluates its whole
-//! operand tree directly — no runtime operand stack exists at all.
-//! Values that cross a block seam are spilled to canonical temporary
-//! slots appended after the kernel's declared slots, so control-flow
-//! joins (short-circuit booleans, conditional expressions) still see
-//! one well-defined location per stack depth. Lowered code is cached
-//! process-wide keyed by the instruction stream, so repeated launches
-//! of one kernel pay lowering exactly once.
+//! Lowers a kernel's bytecode **once** into a flat sequence of typed
+//! register ops. Within each basic block the operand stack is
+//! abstract-interpreted at lowering time, rebuilding the expression
+//! trees the front end originally flattened — and *typing* them: every
+//! slot gets one scalar-or-pointer type (parameters from the kernel
+//! signature, locals from the values stored to them) and every tree node
+//! the type its instruction names. Each effectful instruction (store,
+//! branch, barrier, return) then emits its whole operand tree as ops from
+//! [`super::regops`], each one a function monomorphised on those types
+//! and reading and writing an untagged 8-byte register file — no runtime
+//! operand stack, no [`Value`], no type dispatch. Values that cross a
+//! block seam are spilled to canonical temporary registers, one per
+//! (stack depth, type), so control-flow joins (short-circuit booleans,
+//! conditional expressions) still see one well-defined location.
+//! Lowered code is cached process-wide keyed by the instruction stream
+//! and signature, so repeated launches of one kernel pay lowering once.
+//!
+//! The typing pass is a checker, not an inference engine: it accepts
+//! exactly the operand types `sema`'s explicit casts produce. Anything
+//! else — a slot stored at two types, an operand whose type is not the
+//! instruction's, a `bool` test of a non-`bool`, a stack whose depth or
+//! types differ between two edges into one seam, an underflow — sets
+//! [`CompiledCode::fallback`] and the launch runs on the interpreter.
+//! (Definite assignment is `sema`'s invariant — every declaration stores
+//! — and is not re-proved: a local reads as zero bits of its type before
+//! its first store, which for hand-built bytecode that reads a non-`int`
+//! slot first differs from the interpreter's initial `I32(0)` tag.)
 //!
 //! Observational equivalence with the reference interpreter is a hard
 //! requirement (the differential proptests assert byte-identical
 //! buffers, identical [`ExecStats`] and identical errors):
 //!
-//! * every value transformation funnels through the same
-//!   [`super::ops`] helpers the interpreter uses, and trees evaluate
-//!   operands in original push order;
-//! * each op retires a contiguous range of `covers` original
-//!   instructions, so instruction counts match exactly on every path;
+//! * every op computes what the [`super::ops`] helper computes for its
+//!   types, builds its errors through those helpers, and trees emit
+//!   their operands in original push order;
+//! * each statement's last op retires the contiguous range of `covers`
+//!   original instructions, so instruction counts match exactly on every
+//!   path that completes (a failed launch reports no counts);
 //! * deferral never reorders observable failures: before any op that
 //!   can fail executes, pending trees containing fallible work are
 //!   spilled in push order, pending memory reads are spilled before
 //!   any memory write, and pending reads of a slot are spilled before
 //!   that slot is overwritten;
 //! * control flow only ever enters at block seams, where a pc → op
-//!   index table gives the exact entry point, and `item.pc` remains a
-//!   bytecode pc so barrier-divergence diagnostics are identical;
+//!   index table gives the exact entry point, and a suspended item
+//!   records a bytecode pc so barrier-divergence diagnostics are
+//!   identical;
 //! * items run under the same pass-based round-robin group schedule
-//!   ([`interp::build_items`] / [`interp::barrier_stall_check`]).
+//!   ([`interp::barrier_stall_check`]).
+//!
+//! State by lifetime: per *launch*, [`Launch`] resolves the bound
+//! arguments into initial register contents and the root table; per
+//! *group*, one [`Ctx`] and one copy of those registers; per *item*, the
+//! ids are written and the locals zeroed.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
+use crate::ast::ParamType;
 use crate::bytecode::{BinKind, CmpKind, CompiledKernel, Geom, Instr, Math1, Math2};
 use crate::types::ScalarType;
 
-use super::interp::{barrier_stall_check, build_items, Item, ItemStatus};
-use super::ops::*;
+use super::interp::{barrier_stall_check, Item, ItemStatus};
+use super::ops::int_value;
+use super::regops::{self, CmpClass, Ctx, Fault, Memory, Op, OpFn, Root, Step};
 use super::*;
 
-/// What an op tells the dispatch loop to do next.
-pub(super) enum Step {
-    /// Fall through to the next op.
-    Next,
-    /// Transfer control to an absolute bytecode pc.
-    Jump(u32),
-    /// Suspend the item at a barrier.
-    Barrier,
-    /// The item finished.
-    Done,
-}
-
-/// A compiled op: closure plus how many original instructions it
-/// retires. Spill helper ops retire zero; each instruction is retired
-/// by exactly one op on any executed path.
-type OpFn =
-    Box<dyn for<'a, 'm> Fn(&mut Frame<'a, 'm>, &[Node]) -> Result<Step, ExecError> + Send + Sync>;
-
-struct Op {
-    run: OpFn,
-    covers: u32,
-}
-
-/// A kernel lowered to superop form.
+/// A kernel lowered to typed register ops.
+#[derive(Default)]
 pub(super) struct CompiledCode {
     /// Dense op sequence (several ops can share one bytecode position).
     ops: Vec<Op>,
-    /// Arena of expression-tree nodes referenced by the ops.
-    nodes: Vec<Node>,
     /// For every bytecode pc that control can enter (block seams,
     /// barrier resume points), the op index to start at.
     ip_at: Vec<u32>,
-    /// Slots each item needs: declared slots plus spill temporaries.
-    min_slots: u32,
+    /// Initial register contents: constants and root ids in place,
+    /// everything else zero. Its length is the register count.
+    template: Vec<u64>,
+    /// Registers `[0, n_params)` hold the parameters, `[n_params,
+    /// n_slots)` the declared locals, `[n_slots, n_slots + GEOM_REGS)`
+    /// the launch geometry.
+    n_params: u32,
+    n_slots: u32,
+    /// Parameter registers (and pointer root registers) some op writes:
+    /// restored from the launch's values before each item.
+    mutated: Vec<u32>,
     /// Whether the bytecode contains any `Barrier`. Barrier-free
-    /// kernels run items one at a time with a reused activation record
-    /// instead of materializing the whole group.
+    /// kernels run items one at a time in one register file instead of
+    /// materializing the whole group.
     has_barrier: bool,
-    /// Lowering bailed (non-reconstructible stack shapes); execute via
-    /// the interpreter instead. Never taken for sema-produced bytecode.
+    /// The typing pass refused the bytecode; execute via the
+    /// interpreter instead. Never taken for sema-produced bytecode.
     fallback: bool,
 }
 
-/// Per-activation execution context handed to every op closure.
-pub(super) struct Frame<'a, 'm> {
-    pub(super) slots: &'a mut Vec<Value>,
-    pub(super) mem: &'a mut Memory<'m>,
-    pub(super) arena: &'a mut [u8],
-    pub(super) global_id: [u64; 3],
-    pub(super) local_id: [u64; 3],
-    pub(super) group_id: [u64; 3],
-    pub(super) num_groups: [u64; 3],
-    pub(super) global: [u64; 3],
-    pub(super) local: [u64; 3],
-    pub(super) work_dim: u32,
+/// Geometry registers: seven [`Geom`] queries × three dimensions
+/// (`WorkDim` repeats its value), indexed `geom as u32 * 3 + dim`.
+const GEOM_REGS: u32 = 21;
+
+/// "No root register": the `root` of a scalar.
+const NO_ROOT: u32 = u32::MAX;
+
+// --- typed expression trees --------------------------------------------------
+
+/// The static type of a slot or tree node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Ty {
+    Scalar(ScalarType),
+    /// A pointer into any address space; the root register says which.
+    Ptr,
 }
 
-/// How an engine reaches `__global` memory.
-///
-/// The serial paths hold the buffers exclusively; the parallel path
-/// shares them between workers through [`SharedBufs`] raw views (the
-/// effect prover guarantees the byte ranges workers touch are
-/// disjoint — see `vm/parallel.rs`).
-pub(super) enum Memory<'m> {
-    Excl(&'m mut [GlobalBuffer]),
-    Shared(&'m SharedBufs),
-}
-
-impl Memory<'_> {
-    #[inline]
-    fn load(&self, b: usize, elem: ScalarType, offset: i64) -> Result<Value, ExecError> {
-        match self {
-            Memory::Excl(bufs) => bufs
-                .get(b)
-                .ok_or_else(|| dangling_buffer(b))?
-                .load(elem, offset),
-            Memory::Shared(shared) => shared.load(b, elem, offset),
-        }
-    }
-
-    #[inline]
-    fn store(
-        &mut self,
-        b: usize,
-        elem: ScalarType,
-        offset: i64,
-        v: &Value,
-    ) -> Result<(), ExecError> {
-        match self {
-            Memory::Excl(bufs) => bufs
-                .get_mut(b)
-                .ok_or_else(|| dangling_buffer(b))?
-                .store(elem, offset, v),
-            Memory::Shared(shared) => shared.store(b, elem, offset, v),
-        }
-    }
-}
-
-/// Raw views of every global buffer, shareable across worker threads.
-///
-/// Access goes through raw pointers only — no `&mut` reference to the
-/// underlying bytes is ever materialized while workers run, so the only
-/// soundness requirement is the one the effect prover discharges:
-/// no byte is written by one worker while another worker touches it.
-pub(super) struct SharedBufs {
-    bufs: Vec<RawBuf>,
-}
-
-struct RawBuf {
-    ptr: *mut u8,
-    len: usize,
-}
-
-// SAFETY: the raw pointers are only dereferenced on byte ranges the
-// effect prover shows are disjoint between threads (`parallel_groups_safe`).
-unsafe impl Send for SharedBufs {}
-unsafe impl Sync for SharedBufs {}
-
-impl SharedBufs {
-    pub(super) fn new(buffers: &mut [GlobalBuffer]) -> SharedBufs {
-        SharedBufs {
-            bufs: buffers
-                .iter_mut()
-                .map(|b| {
-                    let s = b.as_bytes_mut();
-                    RawBuf {
-                        ptr: s.as_mut_ptr(),
-                        len: s.len(),
-                    }
-                })
-                .collect(),
-        }
-    }
-
-    fn load(&self, b: usize, elem: ScalarType, offset: i64) -> Result<Value, ExecError> {
-        let rb = self.bufs.get(b).ok_or_else(|| dangling_buffer(b))?;
-        let sz = elem.size_bytes();
-        let off = checked_offset(offset, sz, rb.len)?;
-        let mut tmp = [0u8; 8];
-        // SAFETY: `off + sz <= rb.len` by `checked_offset`; disjointness
-        // from concurrent writers is guaranteed by the parallel gate.
-        unsafe { std::ptr::copy_nonoverlapping(rb.ptr.add(off), tmp.as_mut_ptr(), sz) };
-        Ok(decode_scalar(&tmp[..sz], elem))
-    }
-
-    fn store(&self, b: usize, elem: ScalarType, offset: i64, v: &Value) -> Result<(), ExecError> {
-        let rb = self.bufs.get(b).ok_or_else(|| dangling_buffer(b))?;
-        let sz = elem.size_bytes();
-        let off = checked_offset(offset, sz, rb.len)?;
-        let mut tmp = [0u8; 8];
-        write_scalar(&mut tmp[..sz], elem, v);
-        // SAFETY: in-bounds per `checked_offset`; no other thread touches
-        // these bytes per the parallel gate.
-        unsafe { std::ptr::copy_nonoverlapping(tmp.as_ptr(), rb.ptr.add(off), sz) };
-        Ok(())
-    }
-}
-
-// --- compiled-local fast paths ---------------------------------------------
-//
-// The helpers below mirror the shared semantics in `ops.rs` / `vm/mod.rs`
-// for the handful of type combinations the hot kernel loops actually hit,
-// and fall back to the shared implementations for everything else — every
-// error path goes through the shared code, so messages stay byte-identical.
-// They exist only so the compiled engine's inner loops avoid uninlined
-// calls; the interpreter never touches them and remains the frozen
-// reference. `tests/engine_differential.rs` pins the equivalence.
-
-/// [`bin_op`] with the F32/I32 common cases handled inline.
-#[inline(always)]
-fn bin_fast(k: BinKind, ty: ScalarType, a: Value, b: Value) -> Result<Value, ExecError> {
-    match (a, b) {
-        // `bin_op` computes F32 via `to_f64_lossy() as f32`, which
-        // round-trips f32 operands exactly, so native f32 arithmetic is
-        // bit-identical.
-        (Value::F32(x), Value::F32(y)) if ty == ScalarType::F32 => match k {
-            BinKind::Add => return Ok(Value::F32(x + y)),
-            BinKind::Sub => return Ok(Value::F32(x - y)),
-            BinKind::Mul => return Ok(Value::F32(x * y)),
-            BinKind::Div => return Ok(Value::F32(x / y)),
-            _ => {}
-        },
-        // Sign-extend → wrap in i64 → truncate equals native i32
-        // wrapping arithmetic for these operators (not shifts/div).
-        (Value::I32(x), Value::I32(y)) if ty == ScalarType::I32 => match k {
-            BinKind::Add => return Ok(Value::I32(x.wrapping_add(y))),
-            BinKind::Sub => return Ok(Value::I32(x.wrapping_sub(y))),
-            BinKind::Mul => return Ok(Value::I32(x.wrapping_mul(y))),
-            BinKind::And => return Ok(Value::I32(x & y)),
-            BinKind::Or => return Ok(Value::I32(x | y)),
-            BinKind::Xor => return Ok(Value::I32(x ^ y)),
-            _ => {}
-        },
-        _ => {}
-    }
-    bin_op(k, ty, a, b)
-}
-
-/// [`cmp_op`] with the F32/I32 common cases handled inline.
-#[inline(always)]
-fn cmp_fast(k: CmpKind, ty: ScalarType, a: Value, b: Value) -> bool {
-    match (a, b) {
-        // Widening to i64 preserves order and equality.
-        (Value::I32(x), Value::I32(y))
-            if matches!(ty, ScalarType::Bool | ScalarType::I32 | ScalarType::I64) =>
-        {
-            match k {
-                CmpKind::Eq => x == y,
-                CmpKind::Ne => x != y,
-                CmpKind::Lt => x < y,
-                CmpKind::Le => x <= y,
-                CmpKind::Gt => x > y,
-                CmpKind::Ge => x >= y,
-            }
-        }
-        // f32 → f64 is exact, so comparing in f32 matches f64.
-        (Value::F32(x), Value::F32(y)) if ty.is_float() => match k {
-            CmpKind::Eq => x == y,
-            CmpKind::Ne => x != y,
-            CmpKind::Lt => x < y,
-            CmpKind::Le => x <= y,
-            CmpKind::Gt => x > y,
-            CmpKind::Ge => x >= y,
-        },
-        _ => cmp_op(k, ty, a, b),
-    }
-}
-
-/// [`Value::as_index`] with the I32 case (every loop induction variable)
-/// handled inline.
-#[inline(always)]
-fn idx_fast(v: Value) -> Result<i64, ExecError> {
-    if let Value::I32(x) = v {
-        return Ok(i64::from(x));
-    }
-    v.as_index()
-}
-
-/// [`Value::as_ptr`] with the success case handled inline.
-#[inline(always)]
-fn ptr_fast(v: Value) -> Result<Ptr, ExecError> {
-    if let Value::Ptr(p) = v {
-        return Ok(p);
-    }
-    v.as_ptr()
-}
-
-/// [`math1`] with the F32 case handled inline: the shared helper widens
-/// to f64, applies the op, and narrows — replayed here verbatim, minus
-/// the call.
-#[inline(always)]
-fn math1_fast(m: Math1, ty: ScalarType, a: Value) -> Value {
-    if ty == ScalarType::F32 {
-        if let Value::F32(v) = a {
-            let x = f64::from(v);
-            let r = match m {
-                Math1::Sqrt => x.sqrt(),
-                Math1::Rsqrt => 1.0 / x.sqrt(),
-                Math1::Abs => x.abs(),
-                Math1::Exp => x.exp(),
-                Math1::Log => x.ln(),
-                Math1::Log2 => x.log2(),
-                Math1::Sin => x.sin(),
-                Math1::Cos => x.cos(),
-                Math1::Tan => x.tan(),
-                Math1::Floor => x.floor(),
-                Math1::Ceil => x.ceil(),
-            };
-            return Value::F32(r as f32);
-        }
-    }
-    math1(m, ty, a)
-}
-
-/// Local replica of `decode_scalar` so in-bounds loads stay inline.
-#[inline(always)]
-fn decode_fast(bytes: &[u8], elem: ScalarType) -> Value {
-    match elem {
-        ScalarType::Bool => Value::Bool(bytes[0] != 0),
-        ScalarType::I32 => Value::I32(i32::from_le_bytes(bytes.try_into().expect("size"))),
-        ScalarType::U32 => Value::U32(u32::from_le_bytes(bytes.try_into().expect("size"))),
-        ScalarType::I64 => Value::I64(i64::from_le_bytes(bytes.try_into().expect("size"))),
-        ScalarType::U64 => Value::U64(u64::from_le_bytes(bytes.try_into().expect("size"))),
-        ScalarType::F32 => Value::F32(f32::from_le_bytes(bytes.try_into().expect("size"))),
-        ScalarType::F64 => Value::F64(f64::from_le_bytes(bytes.try_into().expect("size"))),
-    }
-}
-
-/// Local replica of `write_scalar` so in-bounds stores stay inline.
-#[inline(always)]
-fn write_fast(dst: &mut [u8], elem: ScalarType, v: &Value) {
-    match (elem, v) {
-        (ScalarType::Bool, Value::Bool(x)) => dst[0] = u8::from(*x),
-        (ScalarType::I32, Value::I32(x)) => dst.copy_from_slice(&x.to_le_bytes()),
-        (ScalarType::U32, Value::U32(x)) => dst.copy_from_slice(&x.to_le_bytes()),
-        (ScalarType::I64, Value::I64(x)) => dst.copy_from_slice(&x.to_le_bytes()),
-        (ScalarType::U64, Value::U64(x)) => dst.copy_from_slice(&x.to_le_bytes()),
-        (ScalarType::F32, Value::F32(x)) => dst.copy_from_slice(&x.to_le_bytes()),
-        (ScalarType::F64, Value::F64(x)) => dst.copy_from_slice(&x.to_le_bytes()),
-        (elem, v) => unreachable!("type confusion storing {v:?} as {elem}"),
-    }
-}
-
-#[inline(always)]
-fn mem_load(f: &mut Frame<'_, '_>, p: Ptr, elem: ScalarType) -> Result<Value, ExecError> {
-    // Fast path: an in-bounds global load from exclusively-held buffers.
-    // The bounds test mirrors `checked_offset`; anything that would fail
-    // it (negative index, multiply/add overflow, out of range) falls
-    // through to the shared slow path for the canonical error message.
-    if let (PtrSpace::Global(b), Memory::Excl(bufs)) = (p.space, &*f.mem) {
-        if let Some(buf) = bufs.get(b) {
-            let bytes = buf.as_bytes();
-            let sz = elem.size_bytes();
-            if p.offset >= 0 {
-                if let Some(off) = (p.offset as usize).checked_mul(sz) {
-                    if off.checked_add(sz).is_some_and(|end| end <= bytes.len()) {
-                        return Ok(decode_fast(&bytes[off..off + sz], elem));
-                    }
-                }
-            }
-        }
-    }
-    match p.space {
-        PtrSpace::Global(b) => f.mem.load(b, elem, p.offset),
-        PtrSpace::Local => load_arena(f.arena, elem, p.offset),
-    }
-}
-
-#[inline(always)]
-fn mem_store(f: &mut Frame<'_, '_>, p: Ptr, elem: ScalarType, v: &Value) -> Result<(), ExecError> {
-    // Same shape as the `mem_load` fast path, for exclusive global stores.
-    if let (PtrSpace::Global(b), Memory::Excl(bufs)) = (p.space, &mut *f.mem) {
-        if let Some(buf) = bufs.get_mut(b) {
-            let sz = elem.size_bytes();
-            let bytes = buf.as_bytes_mut();
-            if p.offset >= 0 {
-                if let Some(off) = (p.offset as usize).checked_mul(sz) {
-                    if off.checked_add(sz).is_some_and(|end| end <= bytes.len()) {
-                        write_fast(&mut bytes[off..off + sz], elem, v);
-                        return Ok(());
-                    }
-                }
-            }
-        }
-    }
-    match p.space {
-        PtrSpace::Global(b) => f.mem.store(b, elem, p.offset, v),
-        PtrSpace::Local => store_arena(f.arena, elem, p.offset, v),
-    }
-}
-
-#[inline]
-fn query(f: &Frame<'_, '_>, g: Geom, dim: i64) -> Value {
-    let d = (dim as usize).min(2);
-    Value::U64(match g {
-        Geom::GlobalId => f.global_id[d],
-        Geom::LocalId => f.local_id[d],
-        Geom::GroupId => f.group_id[d],
-        Geom::GlobalSize => f.global[d],
-        Geom::LocalSize => f.local[d],
-        Geom::NumGroups => f.num_groups[d],
-        Geom::WorkDim => u64::from(f.work_dim),
-    })
-}
-
-// --- expression trees ------------------------------------------------------
-
-/// Index into [`CompiledCode::nodes`].
+/// Index into [`Lowerer::nodes`].
 type NodeId = u32;
 
-/// One node of a reconstructed expression tree. Children are arena
-/// indices, so trees are compact and sharing a subtree (`Dup` of a
-/// spilled value) is a plain index copy.
+/// One node of a reconstructed expression tree. Exists at lowering time
+/// only: statements emit their trees as ops and the nodes are dropped.
 #[derive(Clone, Copy)]
 enum Node {
-    /// Immediate resolved at lowering time (also pre-built local
-    /// pointers from `PushLocalPtr`).
-    Const(Value),
-    /// Read a local slot (kernel slot or spill temporary).
-    Slot(u32),
-    /// Work-item geometry query; child is the dimension operand.
-    Query(Geom, NodeId),
+    /// A value already in a register: a slot, a spill temporary, a
+    /// constant or a geometry id. `root` is the register holding a
+    /// pointer's root id.
+    Reg {
+        reg: u32,
+        root: u32,
+    },
     Bin(BinKind, ScalarType, NodeId, NodeId),
-    Cmp(CmpKind, ScalarType, NodeId, NodeId),
+    Cmp(CmpKind, CmpClass, NodeId, NodeId),
     Neg(ScalarType, NodeId),
     BitNot(ScalarType, NodeId),
     NotBool(NodeId),
-    Cast(ScalarType, NodeId),
+    /// `(from, to, operand)`
+    Cast(ScalarType, ScalarType, NodeId),
     Math1(Math1, ScalarType, NodeId),
     Math2(Math2, ScalarType, NodeId, NodeId),
-    /// `(pointer, index)` — evaluation checks the index first, then the
-    /// pointer, matching the interpreter's pop order.
-    PtrAdd(NodeId, NodeId),
-    LoadMem(ScalarType, NodeId),
-    /// `PtrAdd` + `LoadMem` folded: `(elem, pointer, index)`. Checks
-    /// run in the interpreter's order (index, then pointer, then the
-    /// bounds-checked load).
-    LoadIdx(ScalarType, NodeId, NodeId),
-    /// `LoadIdx` whose index is itself a binary —
-    /// `(elem, op, index type, pointer, a, b)` for `p[a op b]`, the
-    /// strided-access shape (`vars[slice_len + c]`).
-    LoadIdxB(ScalarType, BinKind, ScalarType, NodeId, NodeId, NodeId),
-    /// `LoadIdx` whose index is a fused binary pair —
-    /// `(elem, outer, inner, index type, pointer, a, b, c)` for
-    /// `p[outer(inner(a, b), c)]`, the row-major address shape
-    /// (`base[i * n + k]`).
-    LoadIdxMA(
-        ScalarType,
-        BinKind,
-        BinKind,
-        ScalarType,
-        NodeId,
-        NodeId,
-        NodeId,
-        NodeId,
-    ),
-    /// Two binaries at one scalar type fused into a single node:
-    /// `outer(inner(a, b), c)`. Evaluation replays the exact `bin_op`
-    /// sequence of the unfused pair, one tree dispatch cheaper. This is
-    /// the index-arithmetic shape (`i * n + k`).
-    BinLL(BinKind, BinKind, ScalarType, NodeId, NodeId, NodeId),
-    /// Mirrored fusion: `outer(c, inner(a, b))` — the accumulate shape
-    /// (`acc + x * y`).
-    BinLR(BinKind, BinKind, ScalarType, NodeId, NodeId, NodeId),
-    /// The abstract stack was empty where bytecode consumed a value;
-    /// evaluating reproduces the interpreter's underflow error.
-    Underflow,
+    /// `checked`: the index is a `ulong` and must fit `i64`.
+    PtrAdd {
+        ptr: NodeId,
+        idx: NodeId,
+        checked: bool,
+    },
+    Load(ScalarType, NodeId),
+    /// A geometry query whose dimension is not a constant.
+    Query {
+        geom: Geom,
+        dim: NodeId,
+        checked: bool,
+    },
 }
 
-/// Resolves an operand, short-circuiting the leaf kinds so the common
-/// slot/immediate fetches cost no function call.
-#[inline(always)]
-fn operand(nodes: &[Node], id: NodeId, f: &mut Frame<'_, '_>) -> Result<Value, ExecError> {
-    match nodes[id as usize] {
-        Node::Const(v) => Ok(v),
-        Node::Slot(s) => Ok(f.slots[s as usize]),
-        _ => eval(nodes, id, f),
-    }
-}
-
-/// Like [`operand`], but also inlines the fused-load family — the
-/// dominant interior shapes of accumulate statements (`acc += p[i] *
-/// q[j]`). Used inside the specialized op-root closures, where the
-/// larger inlined body is paid once per emitted op rather than once
-/// per `eval` call site.
-#[inline(always)]
-fn operand_load(nodes: &[Node], id: NodeId, f: &mut Frame<'_, '_>) -> Result<Value, ExecError> {
-    match nodes[id as usize] {
-        Node::Const(v) => Ok(v),
-        Node::Slot(s) => Ok(f.slots[s as usize]),
-        Node::LoadIdx(elem, p, i) => load_idx(nodes, elem, p, i, f),
-        Node::LoadIdxB(elem, k, ity, p, a, b) => load_idx_b(nodes, elem, k, ity, p, a, b, f),
-        Node::LoadIdxMA(elem, ko, ki, ity, p, a, b, c) => {
-            load_idx_ma(nodes, elem, ko, ki, ity, p, a, b, c, f)
-        }
-        _ => eval(nodes, id, f),
-    }
-}
-
-/// Body of [`Node::LoadIdx`]: checks and loads in the interpreter's
-/// order (index, then pointer, then the bounds-checked load).
-#[inline(always)]
-fn load_idx(
-    nodes: &[Node],
-    elem: ScalarType,
-    p: NodeId,
-    i: NodeId,
-    f: &mut Frame<'_, '_>,
-) -> Result<Value, ExecError> {
-    let pv = operand(nodes, p, f)?;
-    let iv = operand(nodes, i, f)?;
-    let idx = idx_fast(iv)?;
-    let pp = ptr_fast(pv)?;
-    let pp = Ptr {
-        offset: pp.offset + idx,
-        ..pp
-    };
-    mem_load(f, pp, elem)
-}
-
-/// Body of [`Node::LoadIdxB`]: `p[a op b]` with the exact unfused
-/// `bin_op` and check order.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn load_idx_b(
-    nodes: &[Node],
-    elem: ScalarType,
-    k: BinKind,
-    ity: ScalarType,
-    p: NodeId,
-    a: NodeId,
-    b: NodeId,
-    f: &mut Frame<'_, '_>,
-) -> Result<Value, ExecError> {
-    let pv = operand(nodes, p, f)?;
-    let x = operand(nodes, a, f)?;
-    let y = operand(nodes, b, f)?;
-    let idx = idx_fast(bin_fast(k, ity, x, y)?)?;
-    let pp = ptr_fast(pv)?;
-    let pp = Ptr {
-        offset: pp.offset + idx,
-        ..pp
-    };
-    mem_load(f, pp, elem)
-}
-
-/// Body of [`Node::LoadIdxMA`]: `p[outer(inner(a, b), c)]` with the
-/// exact unfused `bin_op` and check order.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn load_idx_ma(
-    nodes: &[Node],
-    elem: ScalarType,
-    ko: BinKind,
-    ki: BinKind,
-    ity: ScalarType,
-    p: NodeId,
-    a: NodeId,
-    b: NodeId,
-    c: NodeId,
-    f: &mut Frame<'_, '_>,
-) -> Result<Value, ExecError> {
-    let pv = operand(nodes, p, f)?;
-    let x = operand(nodes, a, f)?;
-    let y = operand(nodes, b, f)?;
-    let m = bin_fast(ki, ity, x, y)?;
-    let z = operand(nodes, c, f)?;
-    let idx = idx_fast(bin_fast(ko, ity, m, z)?)?;
-    let pp = ptr_fast(pv)?;
-    let pp = Ptr {
-        offset: pp.offset + idx,
-        ..pp
-    };
-    mem_load(f, pp, elem)
-}
-
-/// Evaluates a tree. Operand subtrees evaluate in original push order,
-/// so the first observable failure is the same one the interpreter hits.
-fn eval(nodes: &[Node], id: NodeId, f: &mut Frame<'_, '_>) -> Result<Value, ExecError> {
-    match nodes[id as usize] {
-        Node::Const(v) => Ok(v),
-        Node::Slot(s) => Ok(f.slots[s as usize]),
-        Node::Query(g, dim) => {
-            let d = idx_fast(operand(nodes, dim, f)?)?;
-            Ok(query(f, g, d))
-        }
-        Node::Bin(k, ty, a, b) => {
-            let x = operand(nodes, a, f)?;
-            let y = operand(nodes, b, f)?;
-            bin_fast(k, ty, x, y)
-        }
-        Node::BinLL(ko, ki, ty, a, b, c) => {
-            let x = operand(nodes, a, f)?;
-            let y = operand(nodes, b, f)?;
-            let m = bin_fast(ki, ty, x, y)?;
-            let z = operand(nodes, c, f)?;
-            bin_fast(ko, ty, m, z)
-        }
-        Node::BinLR(ko, ki, ty, a, b, c) => {
-            let z = operand(nodes, c, f)?;
-            let x = operand(nodes, a, f)?;
-            let y = operand(nodes, b, f)?;
-            let m = bin_fast(ki, ty, x, y)?;
-            bin_fast(ko, ty, z, m)
-        }
-        Node::Cmp(k, ty, a, b) => {
-            let x = operand(nodes, a, f)?;
-            let y = operand(nodes, b, f)?;
-            Ok(Value::Bool(cmp_fast(k, ty, x, y)))
-        }
-        Node::Neg(ty, a) => Ok(neg_op(ty, operand(nodes, a, f)?)),
-        Node::BitNot(ty, a) => {
-            let x = operand(nodes, a, f)?.to_i64_lossy();
-            Ok(int_value(!x, ty))
-        }
-        Node::NotBool(a) => Ok(Value::Bool(!operand(nodes, a, f)?.as_bool()?)),
-        Node::Cast(to, a) => Ok(operand(nodes, a, f)?.cast(to)),
-        Node::Math1(m, ty, a) => Ok(math1_fast(m, ty, operand(nodes, a, f)?)),
-        Node::Math2(m, ty, a, b) => {
-            let x = operand(nodes, a, f)?;
-            let y = operand(nodes, b, f)?;
-            Ok(math2(m, ty, x, y))
-        }
-        Node::PtrAdd(p, i) => {
-            let pv = operand(nodes, p, f)?;
-            let iv = operand(nodes, i, f)?;
-            let idx = idx_fast(iv)?;
-            let pp = ptr_fast(pv)?;
-            Ok(Value::Ptr(Ptr {
-                offset: pp.offset + idx,
-                ..pp
-            }))
-        }
-        Node::LoadMem(elem, p) => {
-            let pp = ptr_fast(operand(nodes, p, f)?)?;
-            mem_load(f, pp, elem)
-        }
-        Node::LoadIdx(elem, p, i) => load_idx(nodes, elem, p, i, f),
-        Node::LoadIdxB(elem, k, ity, p, a, b) => load_idx_b(nodes, elem, k, ity, p, a, b, f),
-        Node::LoadIdxMA(elem, ko, ki, ity, p, a, b, c) => {
-            load_idx_ma(nodes, elem, ko, ki, ity, p, a, b, c, f)
-        }
-        Node::Underflow => Err(ExecError::new("operand stack underflow")),
-    }
-}
-
-/// Whether `bin_op` can return an error for this kind/type pair
-/// (integer division by zero, or an integer-only operator applied to a
-/// float type).
-fn bin_can_err(k: BinKind, ty: ScalarType) -> bool {
-    if ty.is_float() {
-        !matches!(k, BinKind::Add | BinKind::Sub | BinKind::Mul | BinKind::Div)
-    } else {
-        matches!(k, BinKind::Div | BinKind::Rem)
-    }
-}
-
-/// Whether evaluating the tree can produce an `ExecError`. Used to keep
-/// deferred work from reordering observable failures.
-fn is_fallible(nodes: &[Node], id: NodeId) -> bool {
-    match nodes[id as usize] {
-        Node::Const(_) | Node::Slot(_) => false,
-        Node::Underflow
-        | Node::Query(..)
-        | Node::NotBool(_)
-        | Node::PtrAdd(..)
-        | Node::LoadMem(..)
-        | Node::LoadIdx(..)
-        | Node::LoadIdxB(..)
-        | Node::LoadIdxMA(..) => true,
-        Node::Bin(k, ty, a, b) => {
-            bin_can_err(k, ty) || is_fallible(nodes, a) || is_fallible(nodes, b)
-        }
-        Node::BinLL(ko, ki, ty, a, b, c) | Node::BinLR(ko, ki, ty, a, b, c) => {
-            bin_can_err(ko, ty)
-                || bin_can_err(ki, ty)
-                || is_fallible(nodes, a)
-                || is_fallible(nodes, b)
-                || is_fallible(nodes, c)
-        }
-        Node::Cmp(_, _, a, b) | Node::Math2(_, _, a, b) => {
-            is_fallible(nodes, a) || is_fallible(nodes, b)
-        }
-        Node::Neg(_, a) | Node::BitNot(_, a) | Node::Cast(_, a) | Node::Math1(_, _, a) => {
-            is_fallible(nodes, a)
-        }
-    }
-}
-
-/// Whether the tree reads memory (global or `__local`); such trees must
-/// not be deferred across a memory write.
-fn reads_mem(nodes: &[Node], id: NodeId) -> bool {
-    match nodes[id as usize] {
-        Node::Const(_) | Node::Slot(_) | Node::Underflow => false,
-        Node::LoadMem(..) | Node::LoadIdx(..) | Node::LoadIdxB(..) | Node::LoadIdxMA(..) => true,
-        Node::Query(_, a)
-        | Node::Neg(_, a)
-        | Node::BitNot(_, a)
-        | Node::NotBool(a)
-        | Node::Cast(_, a)
-        | Node::Math1(_, _, a) => reads_mem(nodes, a),
-        Node::Bin(_, _, a, b)
-        | Node::Cmp(_, _, a, b)
-        | Node::Math2(_, _, a, b)
-        | Node::PtrAdd(a, b) => reads_mem(nodes, a) || reads_mem(nodes, b),
-        Node::BinLL(_, _, _, a, b, c) | Node::BinLR(_, _, _, a, b, c) => {
-            reads_mem(nodes, a) || reads_mem(nodes, b) || reads_mem(nodes, c)
-        }
-    }
-}
-
-/// Whether the tree reads local slot `s`; such trees must not be
-/// deferred across a store to `s`.
-fn reads_slot(nodes: &[Node], id: NodeId, s: u32) -> bool {
-    match nodes[id as usize] {
-        Node::Const(_) | Node::Underflow => false,
-        Node::Slot(x) => x == s,
-        Node::Query(_, a)
-        | Node::Neg(_, a)
-        | Node::BitNot(_, a)
-        | Node::NotBool(a)
-        | Node::Cast(_, a)
-        | Node::Math1(_, _, a) => reads_slot(nodes, a, s),
-        Node::LoadMem(_, a) => reads_slot(nodes, a, s),
-        Node::Bin(_, _, a, b)
-        | Node::Cmp(_, _, a, b)
-        | Node::Math2(_, _, a, b)
-        | Node::PtrAdd(a, b)
-        | Node::LoadIdx(_, a, b) => reads_slot(nodes, a, s) || reads_slot(nodes, b, s),
-        Node::BinLL(_, _, _, a, b, c)
-        | Node::BinLR(_, _, _, a, b, c)
-        | Node::LoadIdxB(_, _, _, a, b, c) => {
-            reads_slot(nodes, a, s) || reads_slot(nodes, b, s) || reads_slot(nodes, c, s)
-        }
-        Node::LoadIdxMA(_, _, _, _, p, a, b, c) => {
-            reads_slot(nodes, p, s)
-                || reads_slot(nodes, a, s)
-                || reads_slot(nodes, b, s)
-                || reads_slot(nodes, c, s)
-        }
-    }
-}
-
-/// Branch step helper shared by the branch ops.
-#[inline]
-fn branch(cond: bool, on_true: bool, t: u32) -> Step {
-    if cond == on_true {
-        Step::Jump(t)
-    } else {
-        Step::Next
-    }
+/// A canonical spill register for one (stack depth, type).
+struct Temp {
+    depth: u32,
+    ty: Ty,
+    reg: u32,
+    root: u32,
 }
 
 // --- lowering --------------------------------------------------------------
@@ -761,20 +163,35 @@ fn branch(cond: bool, on_true: bool, t: u32) -> Step {
 struct Lowerer<'c> {
     code: &'c [Instr],
     ops: Vec<Op>,
+    /// Control ops whose `c` still holds a bytecode pc.
+    jumps: Vec<usize>,
     nodes: Vec<Node>,
+    /// Type of each node, parallel to `nodes`.
+    tys: Vec<Ty>,
     ip_at: Vec<u32>,
-    /// Expected abstract-stack depth at each block seam, recorded the
-    /// first time the seam is seen and verified on every other edge.
-    entry_depth: Vec<Option<u32>>,
+    /// Abstract-stack types at each block seam, recorded the first time
+    /// the seam is seen and verified on every other edge.
+    entry: Vec<Option<Box<[Ty]>>>,
     /// The abstract operand stack: ids of pending (deferred) trees.
     pend: Vec<NodeId>,
     /// First bytecode pc not yet retired by an emitted op.
     retired: usize,
-    /// First spill-temporary slot (one past the highest slot the
-    /// bytecode references). The temp for abstract depth `d` is
-    /// `temp_base + d`, the same on every path into a seam.
-    temp_base: u32,
-    max_depth: usize,
+    template: Vec<u64>,
+    n_params: u32,
+    n_slots: u32,
+    /// Type of each slot: parameters from the signature, locals from
+    /// their first store (or `int`, the interpreter's initial tag, when
+    /// read first).
+    slot_ty: Vec<Option<Ty>>,
+    /// Root register of each pointer parameter.
+    slot_root: Vec<u32>,
+    mutated: Vec<u32>,
+    /// `(bits, register)` of every pooled constant.
+    consts: Vec<(u64, u32)>,
+    temps: Vec<Temp>,
+    /// Registers for tree intermediates, reused by every statement.
+    scratch: Vec<u32>,
+    scratch_used: usize,
     /// False while scanning instructions that no control flow reaches
     /// (after an unconditional jump/return, until the next seam).
     live: bool,
@@ -782,70 +199,348 @@ struct Lowerer<'c> {
 }
 
 impl Lowerer<'_> {
-    fn node(&mut self, n: Node) -> NodeId {
+    fn node(&mut self, n: Node, ty: Ty) -> NodeId {
         self.nodes.push(n);
+        self.tys.push(ty);
         (self.nodes.len() - 1) as NodeId
     }
 
-    fn push_id(&mut self, id: NodeId) {
+    fn push(&mut self, n: Node, ty: Ty) {
+        let id = self.node(n, ty);
         self.pend.push(id);
-        self.max_depth = self.max_depth.max(self.pend.len());
     }
 
-    fn push(&mut self, n: Node) {
-        let id = self.node(n);
-        self.push_id(id);
-    }
-
-    fn popn(&mut self) -> NodeId {
+    /// Pops the abstract stack. Bytecode that underflows it cannot be
+    /// typed; the dummy keeps the current instruction's handler going
+    /// until the caller sees `ok` cleared.
+    fn pop(&mut self) -> NodeId {
         match self.pend.pop() {
             Some(id) => id,
-            None => self.node(Node::Underflow),
+            None => {
+                self.ok = false;
+                self.node(
+                    Node::Reg {
+                        reg: 0,
+                        root: NO_ROOT,
+                    },
+                    Ty::Scalar(ScalarType::I32),
+                )
+            }
         }
     }
 
-    /// Emits an op that retires every instruction up to and including
-    /// `end_pc`.
-    fn emit(&mut self, end_pc: usize, f: OpFn) {
-        let covers = (end_pc + 1 - self.retired) as u32;
-        self.retired = end_pc + 1;
-        self.ops.push(Op { run: f, covers });
+    /// Pops an operand that must have scalar type `ty`.
+    fn pop_as(&mut self, ty: ScalarType) -> NodeId {
+        let id = self.pop();
+        self.ok &= self.tys[id as usize] == Ty::Scalar(ty);
+        id
     }
 
-    /// Emits a spill/helper op retiring nothing.
-    fn emit_aux(&mut self, f: OpFn) {
-        self.ops.push(Op { run: f, covers: 0 });
+    /// Types `id` as an index for `Value::as_index`: any integer or
+    /// `bool`, of which only `ulong` can fail (`true`: it needs the
+    /// run-time check).
+    fn index_is_checked(&mut self, id: NodeId) -> bool {
+        match self.tys[id as usize] {
+            Ty::Scalar(t) if !t.is_float() => t == ScalarType::U64,
+            _ => {
+                self.ok = false;
+                false
+            }
+        }
     }
 
-    /// Emits a no-op retiring everything before `up_to` (deferred
-    /// pushes dropped by `Pop`, values dead at a seam).
-    fn retire_noop(&mut self, up_to: usize) {
-        let covers = (up_to - self.retired) as u32;
-        self.retired = up_to;
+    fn new_reg(&mut self, init: u64) -> u32 {
+        self.template.push(init);
+        (self.template.len() - 1) as u32
+    }
+
+    /// The register holding constant `bits` (pooled by bit pattern,
+    /// whatever the type).
+    fn constant(&mut self, bits: u64) -> u32 {
+        if let Some(&(_, reg)) = self.consts.iter().find(|(b, _)| *b == bits) {
+            return reg;
+        }
+        let reg = self.new_reg(bits);
+        self.consts.push((bits, reg));
+        reg
+    }
+
+    fn push_const(&mut self, v: Value) {
+        let (ty, bits) = regops::encode(v).expect("immediates are scalars");
+        let reg = self.constant(bits);
+        self.push(Node::Reg { reg, root: NO_ROOT }, Ty::Scalar(ty));
+    }
+
+    /// The constant a node denotes, if it is one.
+    fn const_of(&self, id: NodeId) -> Option<u64> {
+        let Node::Reg { reg, .. } = self.nodes[id as usize] else {
+            return None;
+        };
+        self.consts.iter().find(|(_, r)| *r == reg).map(|(b, _)| *b)
+    }
+
+    /// The canonical spill location for `ty` at stack depth `depth`,
+    /// the same on every path into a seam.
+    fn temp(&mut self, depth: u32, ty: Ty) -> (u32, u32) {
+        if let Some(t) = self.temps.iter().find(|t| t.depth == depth && t.ty == ty) {
+            return (t.reg, t.root);
+        }
+        let reg = self.new_reg(0);
+        let root = if ty == Ty::Ptr {
+            self.new_reg(0)
+        } else {
+            NO_ROOT
+        };
+        self.temps.push(Temp {
+            depth,
+            ty,
+            reg,
+            root,
+        });
+        (reg, root)
+    }
+
+    fn scratch(&mut self) -> u32 {
+        if self.scratch_used == self.scratch.len() {
+            let reg = self.new_reg(0);
+            self.scratch.push(reg);
+        }
+        self.scratch_used += 1;
+        self.scratch[self.scratch_used - 1]
+    }
+
+    // Tree properties that bound how long a tree may stay deferred.
+
+    /// Whether evaluating the tree can produce an `ExecError`. Used to
+    /// keep deferred work from reordering observable failures.
+    fn is_fallible(&self, id: NodeId) -> bool {
+        match self.nodes[id as usize] {
+            Node::Reg { .. } => false,
+            Node::Load(..) => true,
+            Node::Bin(k, ty, a, b) => {
+                (!ty.is_float() && matches!(k, BinKind::Div | BinKind::Rem))
+                    || self.is_fallible(a)
+                    || self.is_fallible(b)
+            }
+            Node::Cmp(_, _, a, b) | Node::Math2(_, _, a, b) => {
+                self.is_fallible(a) || self.is_fallible(b)
+            }
+            Node::Neg(_, a)
+            | Node::BitNot(_, a)
+            | Node::NotBool(a)
+            | Node::Cast(_, _, a)
+            | Node::Math1(_, _, a) => self.is_fallible(a),
+            Node::PtrAdd { ptr, idx, checked } => {
+                checked || self.is_fallible(ptr) || self.is_fallible(idx)
+            }
+            Node::Query { dim, checked, .. } => checked || self.is_fallible(dim),
+        }
+    }
+
+    /// Whether the tree reads memory (global or `__local`); such trees
+    /// must not be deferred across a memory write.
+    fn reads_mem(&self, id: NodeId) -> bool {
+        match self.nodes[id as usize] {
+            Node::Reg { .. } => false,
+            Node::Load(..) => true,
+            Node::Neg(_, a)
+            | Node::BitNot(_, a)
+            | Node::NotBool(a)
+            | Node::Cast(_, _, a)
+            | Node::Math1(_, _, a)
+            | Node::Query { dim: a, .. } => self.reads_mem(a),
+            Node::Bin(_, _, a, b)
+            | Node::Cmp(_, _, a, b)
+            | Node::Math2(_, _, a, b)
+            | Node::PtrAdd { ptr: a, idx: b, .. } => self.reads_mem(a) || self.reads_mem(b),
+        }
+    }
+
+    /// Whether the tree reads slot register `s`; such trees must not be
+    /// deferred across a store to `s`.
+    fn reads_slot(&self, id: NodeId, s: u32) -> bool {
+        match self.nodes[id as usize] {
+            Node::Reg { reg, .. } => reg == s,
+            Node::Neg(_, a)
+            | Node::BitNot(_, a)
+            | Node::NotBool(a)
+            | Node::Cast(_, _, a)
+            | Node::Math1(_, _, a)
+            | Node::Load(_, a)
+            | Node::Query { dim: a, .. } => self.reads_slot(a, s),
+            Node::Bin(_, _, a, b)
+            | Node::Cmp(_, _, a, b)
+            | Node::Math2(_, _, a, b)
+            | Node::PtrAdd { ptr: a, idx: b, .. } => self.reads_slot(a, s) || self.reads_slot(b, s),
+        }
+    }
+
+    // Emission: a tree becomes ops in operand push order.
+
+    fn op(&mut self, run: OpFn, dst: u32, a: u32, b: u32, c: u32, d: u32) {
         self.ops.push(Op {
-            run: Box::new(|_, _| Ok(Step::Next)),
-            covers,
+            run,
+            dst,
+            a,
+            b,
+            c,
+            d,
+            covers: 0,
         });
     }
 
-    /// Spills pending entry `i` to its canonical temp slot and replaces
-    /// it with a read of that slot. Evaluation happens where the spill
-    /// op executes, so callers spill bottom-up to preserve push order.
+    /// The register holding the root id of pointer tree `id`.
+    fn root_of(&self, id: NodeId) -> u32 {
+        match self.nodes[id as usize] {
+            Node::Reg { root, .. } => root,
+            Node::PtrAdd { ptr, .. } => self.root_of(ptr),
+            _ => NO_ROOT,
+        }
+    }
+
+    /// Emits the ops computing tree `id` and returns the register its
+    /// value lands in: `dst` when given (a slot or spill temporary the
+    /// statement assigns), else wherever is cheapest.
+    fn gen(&mut self, id: NodeId, dst: Option<u32>) -> u32 {
+        let unary = |lw: &mut Self, run: OpFn, a: NodeId| {
+            let ra = lw.gen(a, None);
+            let out = dst.unwrap_or_else(|| lw.scratch());
+            lw.op(run, out, ra, 0, 0, 0);
+            out
+        };
+        let binary = |lw: &mut Self, run: OpFn, a: NodeId, b: NodeId| {
+            let ra = lw.gen(a, None);
+            let rb = lw.gen(b, None);
+            let out = dst.unwrap_or_else(|| lw.scratch());
+            lw.op(run, out, ra, rb, 0, 0);
+            out
+        };
+        match self.nodes[id as usize] {
+            Node::Reg { reg, .. } => match dst {
+                Some(d) if d != reg => {
+                    self.op(regops::mov, d, reg, 0, 0, 0);
+                    d
+                }
+                _ => reg,
+            },
+            Node::Bin(k, ty, a, b) => {
+                // An integer `x * y + z` or `z + x * y` at one type (the
+                // row-major index shape) folds into one op. Its operands
+                // still emit in push order, so the first observable
+                // failure stays where it was.
+                let product = |lw: &Self, n: NodeId| match lw.nodes[n as usize] {
+                    Node::Bin(BinKind::Mul, t, x, y) if t == ty => Some((x, y)),
+                    _ => None,
+                };
+                let fused = match (k, regops::int_mul_add_fn(ty)) {
+                    (BinKind::Add, Some(run)) => product(self, a)
+                        .map(|(x, y)| (run, [x, y, b], [0, 1, 2]))
+                        .or_else(|| product(self, b).map(|(x, y)| (run, [a, x, y], [1, 2, 0]))),
+                    _ => None,
+                };
+                match fused {
+                    Some((run, order, [x, y, z])) => {
+                        let r = order.map(|n| self.gen(n, None));
+                        let out = dst.unwrap_or_else(|| self.scratch());
+                        self.op(run, out, r[x], r[y], r[z], 0);
+                        out
+                    }
+                    None => {
+                        let run = regops::bin_fn(k, ty).expect("typed at push");
+                        binary(self, run, a, b)
+                    }
+                }
+            }
+            Node::Cmp(k, class, a, b) => binary(self, regops::cmp_fn(k, class), a, b),
+            Node::Neg(ty, a) => unary(self, regops::neg_fn(ty), a),
+            Node::BitNot(ty, a) => unary(self, regops::bit_not_fn(ty), a),
+            Node::NotBool(a) => unary(self, regops::not_bool, a),
+            Node::Cast(from, to, a) => unary(self, regops::cast_fn(from, to), a),
+            Node::Math1(m, ty, a) => unary(self, regops::math1_fn(m, ty), a),
+            Node::Math2(m, ty, a, b) => {
+                let run = regops::math2_fn(m, ty).expect("typed at push");
+                binary(self, run, a, b)
+            }
+            Node::PtrAdd { ptr, idx, checked } => {
+                let run = if checked {
+                    regops::ptr_add_u64
+                } else {
+                    regops::ptr_add
+                };
+                binary(self, run, ptr, idx)
+            }
+            Node::Load(elem, p) => {
+                let (run, off, idx) = self.gen_address(regops::load_fns(elem), p);
+                let out = dst.unwrap_or_else(|| self.scratch());
+                self.op(run, out, off, idx, self.root_of(p), 0);
+                out
+            }
+            Node::Query { geom, dim, checked } => {
+                let rd = self.gen(dim, None);
+                let out = dst.unwrap_or_else(|| self.scratch());
+                let base = self.n_slots + geom as u32 * 3;
+                self.op(regops::query, out, rd, base, u32::from(checked), 0);
+                out
+            }
+        }
+    }
+
+    /// Emits pointer tree `p` for a memory op and picks the op's form
+    /// from `(plain, indexed)`: the ubiquitous `base[index]` shape folds
+    /// its `PtrAdd` into the access. Returns `(op, offset register,
+    /// index register)`.
+    fn gen_address(&mut self, (plain, indexed): (OpFn, OpFn), p: NodeId) -> (OpFn, u32, u32) {
+        if let Node::PtrAdd {
+            ptr,
+            idx,
+            checked: false,
+        } = self.nodes[p as usize]
+        {
+            let off = self.gen(ptr, None);
+            (indexed, off, self.gen(idx, None))
+        } else {
+            (plain, self.gen(p, None), 0)
+        }
+    }
+
+    /// Emits tree `id` into `(reg, root)`; `root` only for pointers.
+    fn assign(&mut self, id: NodeId, reg: u32, root: u32) {
+        self.scratch_used = 0;
+        self.gen(id, Some(reg));
+        if self.tys[id as usize] == Ty::Ptr {
+            let from = self.root_of(id);
+            if from != root {
+                self.op(regops::mov, root, from, 0, 0, 0);
+            }
+        }
+    }
+
+    /// Makes the ops emitted since `first` retire every instruction up
+    /// to and including `end_pc`.
+    fn retire(&mut self, end_pc: usize, first: usize) {
+        if self.ops.len() == first {
+            self.op(regops::nop, 0, 0, 0, 0, 0);
+        }
+        let last = self.ops.last_mut().expect("just ensured");
+        last.covers = (end_pc + 1 - self.retired) as u32;
+        self.retired = end_pc + 1;
+    }
+
+    /// Spills pending entry `i` to its canonical temporary and replaces
+    /// it with a read of that register. Evaluation happens where the
+    /// spill ops execute, so callers spill bottom-up to preserve push
+    /// order.
     fn flush_entry(&mut self, i: usize) {
-        let canon = self.temp_base + i as u32;
-        if let Node::Slot(s) = self.nodes[self.pend[i] as usize] {
-            if s == canon {
+        let src = self.pend[i];
+        let ty = self.tys[src as usize];
+        let (reg, root) = self.temp(i as u32, ty);
+        if let Node::Reg { reg: r, .. } = self.nodes[src as usize] {
+            if r == reg {
                 return;
             }
         }
-        let src = self.pend[i];
-        self.pend[i] = self.node(Node::Slot(canon));
-        let slot = canon as usize;
-        self.emit_aux(Box::new(move |f, nodes| {
-            let v = eval(nodes, src, f)?;
-            f.slots[slot] = v;
-            Ok(Step::Next)
-        }));
+        self.assign(src, reg, root);
+        self.pend[i] = self.node(Node::Reg { reg, root }, ty);
     }
 
     fn flush_all(&mut self) {
@@ -858,70 +553,67 @@ impl Lowerer<'_> {
     /// i.e. push order) so a following fallible op cannot fail first.
     fn flush_fallible(&mut self) {
         for i in 0..self.pend.len() {
-            if is_fallible(&self.nodes, self.pend[i]) {
+            if self.is_fallible(self.pend[i]) {
                 self.flush_entry(i);
             }
         }
     }
 
-    /// Lowers a conditional branch, specializing the dominant
-    /// compare-and-branch loop-header shape.
-    fn lower_branch(&mut self, pc: usize, t: u32, on_true: bool) {
-        let c = self.popn();
-        self.flush_all();
-        self.check_target(t, self.pend.len() as u32);
-        // A Cmp result is a freshly-built Bool: `as_bool` cannot fail,
-        // so folding it into the branch preserves behavior exactly.
-        if let Node::Cmp(k, ty, a, b) = self.nodes[c as usize] {
-            self.emit(
-                pc,
-                Box::new(move |f, nodes| {
-                    let x = operand_load(nodes, a, f)?;
-                    let y = operand_load(nodes, b, f)?;
-                    Ok(branch(cmp_fast(k, ty, x, y), on_true, t))
-                }),
-            );
-        } else {
-            self.emit(
-                pc,
-                Box::new(move |f, nodes| {
-                    let v = operand(nodes, c, f)?.as_bool()?;
-                    Ok(branch(v, on_true, t))
-                }),
-            );
+    fn stack_types(&self) -> Box<[Ty]> {
+        self.pend.iter().map(|&id| self.tys[id as usize]).collect()
+    }
+
+    /// Records or verifies the abstract stack on an edge into `t`.
+    fn check_target(&mut self, t: u32) {
+        let ti = t as usize;
+        if ti >= self.entry.len() {
+            return; // jump past the end: falls off and completes
+        }
+        let here = self.stack_types();
+        match &self.entry[ti] {
+            None => self.entry[ti] = Some(here),
+            Some(seen) => self.ok &= **seen == *here,
         }
     }
 
-    /// Records or verifies the abstract-stack depth on an edge into `t`.
-    fn check_target(&mut self, t: u32, depth: u32) {
-        let ti = t as usize;
-        if ti >= self.entry_depth.len() {
-            return; // jump past the end: falls off and completes
-        }
-        match self.entry_depth[ti] {
-            None => self.entry_depth[ti] = Some(depth),
-            Some(e) if e == depth => {}
-            Some(_) => self.ok = false,
-        }
+    /// Emits a control op whose target pc is resolved after lowering.
+    fn control(&mut self, run: OpFn, dst: u32, a: u32, b: u32, target: u32) {
+        self.jumps.push(self.ops.len());
+        self.op(run, dst, a, b, target, 0);
+    }
+
+    /// Lowers a conditional branch on the `bool` on top of the stack.
+    fn lower_branch(&mut self, pc: usize, t: u32, on_true: bool) {
+        let c = self.pop_as(ScalarType::Bool);
+        self.flush_all();
+        self.check_target(t);
+        let first = self.ops.len();
+        self.scratch_used = 0;
+        let rc = self.gen(c, None);
+        self.control(regops::branch, 0, rc, u32::from(on_true), t);
+        self.retire(pc, first);
     }
 
     /// Handles a block seam at `pc`: canonicalize live values into the
-    /// per-depth temp slots and record the op index control enters at.
+    /// per-depth temporaries and record the op index control enters at.
     fn boundary(&mut self, pc: usize) {
         if self.live {
             self.flush_all();
             if self.retired < pc {
-                self.retire_noop(pc);
+                // Deferred pushes dropped by `Pop`, values dead here.
+                self.retire(pc - 1, self.ops.len());
             }
-            self.check_target(pc as u32, self.pend.len() as u32);
+            self.check_target(pc as u32);
         } else {
-            // Reached only by jumps: rebuild the abstract stack as
-            // canonical slot reads at the recorded entry depth.
-            let d = self.entry_depth[pc].unwrap_or(0);
+            // Reached only by jumps: rebuild the abstract stack as reads
+            // of the canonical temporaries recorded for this seam — an
+            // empty stack, on the record, when only later edges lead
+            // here, so that each of them is checked against it.
             self.pend.clear();
-            for i in 0..d {
-                let canon = self.temp_base + i;
-                self.push(Node::Slot(canon));
+            let seen = self.entry[pc].get_or_insert_with(Box::default).clone();
+            for (depth, &ty) in seen.iter().enumerate() {
+                let (reg, root) = self.temp(depth as u32, ty);
+                self.push(Node::Reg { reg, root }, ty);
             }
             self.retired = pc;
             self.live = true;
@@ -937,273 +629,214 @@ impl Lowerer<'_> {
             return;
         }
         match self.code[pc] {
-            Instr::PushInt(v, ty) => self.push(Node::Const(int_value(v, ty))),
-            Instr::PushFloat(v, ty) => self.push(Node::Const(if ty == ScalarType::F32 {
+            Instr::PushInt(v, ty) => self.push_const(int_value(v, ty)),
+            Instr::PushFloat(v, ty) => self.push_const(if ty == ScalarType::F32 {
                 Value::F32(v as f32)
             } else {
                 Value::F64(v)
-            })),
-            Instr::PushBool(b) => self.push(Node::Const(Value::Bool(b))),
+            }),
+            Instr::PushBool(b) => self.push_const(Value::Bool(b)),
             Instr::PushLocalPtr { byte_offset, elem } => {
-                self.push(Node::Const(Value::Ptr(Ptr {
-                    space: PtrSpace::Local,
-                    elem,
-                    offset: (byte_offset as usize / elem.size_bytes()) as i64,
-                })));
+                let offset = (byte_offset as usize / elem.size_bytes()) as u64;
+                let reg = self.constant(offset);
+                // The arena's root id follows the parameters'.
+                let root = self.constant(u64::from(self.n_params));
+                self.push(Node::Reg { reg, root }, Ty::Ptr);
             }
-            Instr::LoadLocal(s) => self.push(Node::Slot(u32::from(s))),
+            Instr::LoadLocal(s) => {
+                let s = usize::from(s);
+                let ty = *self.slot_ty[s].get_or_insert(Ty::Scalar(ScalarType::I32));
+                let root = self.slot_root.get(s).map_or(NO_ROOT, |r| *r);
+                self.push(
+                    Node::Reg {
+                        reg: s as u32,
+                        root,
+                    },
+                    ty,
+                );
+            }
             Instr::Query(g) => {
-                let d = self.popn();
-                self.push(Node::Query(g, d));
+                let d = self.pop();
+                let checked = self.index_is_checked(d);
+                let ty = Ty::Scalar(ScalarType::U64);
+                match self.const_of(d) {
+                    // A constant dimension that `as_index` accepts makes
+                    // the query a plain register read.
+                    Some(dim) if !checked || i64::try_from(dim).is_ok() => {
+                        let dim = (dim as i64 as usize).min(2) as u32;
+                        let reg = self.n_slots + g as u32 * 3 + dim;
+                        self.push(Node::Reg { reg, root: NO_ROOT }, ty);
+                    }
+                    _ => self.push(
+                        Node::Query {
+                            geom: g,
+                            dim: d,
+                            checked,
+                        },
+                        ty,
+                    ),
+                }
             }
             Instr::Bin(k, ty) => {
-                let b = self.popn();
-                let a = self.popn();
-                // Fuse a same-type child binary into one node. The
-                // fused evaluation runs the identical `bin_op` sequence
-                // in the identical order, so this is unobservable.
-                match (self.nodes[a as usize], self.nodes[b as usize]) {
-                    (Node::Bin(ki, ti, x, y), _) if ti == ty => {
-                        self.push(Node::BinLL(k, ki, ty, x, y, b));
-                    }
-                    (_, Node::Bin(ki, ti, x, y)) if ti == ty => {
-                        self.push(Node::BinLR(k, ki, ty, x, y, a));
-                    }
-                    _ => self.push(Node::Bin(k, ty, a, b)),
-                }
+                let b = self.pop_as(ty);
+                let a = self.pop_as(ty);
+                self.ok &= regops::bin_fn(k, ty).is_some();
+                self.push(Node::Bin(k, ty, a, b), Ty::Scalar(ty));
             }
             Instr::Cmp(k, ty) => {
-                let b = self.popn();
-                let a = self.popn();
-                self.push(Node::Cmp(k, ty, a, b));
+                let b = self.pop_as(ty);
+                let a = self.pop_as(ty);
+                self.push(
+                    Node::Cmp(k, CmpClass::of(ty), a, b),
+                    Ty::Scalar(ScalarType::Bool),
+                );
             }
             Instr::Neg(ty) => {
-                let a = self.popn();
-                self.push(Node::Neg(ty, a));
+                let a = self.pop_as(ty);
+                // `neg_op` promotes a negated `bool` to `int`.
+                let out = if ty == ScalarType::Bool {
+                    ScalarType::I32
+                } else {
+                    ty
+                };
+                self.push(Node::Neg(ty, a), Ty::Scalar(out));
             }
             Instr::BitNot(ty) => {
-                let a = self.popn();
-                self.push(Node::BitNot(ty, a));
+                let a = self.pop_as(ty);
+                self.push(Node::BitNot(ty, a), Ty::Scalar(ty));
             }
             Instr::NotBool => {
-                let a = self.popn();
-                self.push(Node::NotBool(a));
+                let a = self.pop_as(ScalarType::Bool);
+                self.push(Node::NotBool(a), Ty::Scalar(ScalarType::Bool));
             }
             Instr::Cast { to, .. } => {
-                let a = self.popn();
-                self.push(Node::Cast(to, a));
+                // Like `Value::cast`, convert from what the operand *is*.
+                let a = self.pop();
+                match self.tys[a as usize] {
+                    Ty::Scalar(from) if from == to && !to.is_float() => self.pend.push(a),
+                    Ty::Scalar(from) => self.push(Node::Cast(from, to, a), Ty::Scalar(to)),
+                    Ty::Ptr => self.ok = false,
+                }
             }
             Instr::CallMath1(m, ty) => {
-                let a = self.popn();
-                self.push(Node::Math1(m, ty, a));
+                let a = self.pop_as(ty);
+                let (a, ty) = self.math_operand(a, ty);
+                self.push(Node::Math1(m, ty, a), Ty::Scalar(ty));
             }
             Instr::CallMath2(m, ty) => {
-                let b = self.popn();
-                let a = self.popn();
-                self.push(Node::Math2(m, ty, a, b));
+                let b = self.pop_as(ty);
+                let a = self.pop_as(ty);
+                let (a, _) = self.math_operand(a, ty);
+                let (b, ty) = self.math_operand(b, ty);
+                self.ok &= regops::math2_fn(m, ty).is_some();
+                self.push(Node::Math2(m, ty, a, b), Ty::Scalar(ty));
             }
             Instr::PtrAdd => {
-                let idx = self.popn();
-                let p = self.popn();
-                self.push(Node::PtrAdd(p, idx));
+                let idx = self.pop();
+                let ptr = self.pop();
+                let checked = self.index_is_checked(idx);
+                self.ok &= self.tys[ptr as usize] == Ty::Ptr;
+                self.push(Node::PtrAdd { ptr, idx, checked }, Ty::Ptr);
             }
             Instr::LoadMem(elem) => {
-                let p = self.popn();
-                // Fold the ubiquitous `base[index]` shape into one
-                // node, absorbing a binary-shaped index too; the fused
-                // evaluation keeps the exact check and `bin_op` order.
-                if let Node::PtrAdd(pp, ii) = self.nodes[p as usize] {
-                    match self.nodes[ii as usize] {
-                        Node::Bin(k, ity, a, b) => {
-                            self.push(Node::LoadIdxB(elem, k, ity, pp, a, b));
-                        }
-                        Node::BinLL(ko, ki, ity, a, b, c) => {
-                            self.push(Node::LoadIdxMA(elem, ko, ki, ity, pp, a, b, c));
-                        }
-                        _ => self.push(Node::LoadIdx(elem, pp, ii)),
-                    }
-                } else {
-                    self.push(Node::LoadMem(elem, p));
-                }
+                let p = self.pop();
+                self.ok &= self.tys[p as usize] == Ty::Ptr;
+                self.push(Node::Load(elem, p), Ty::Scalar(elem));
             }
             Instr::Dup => match self.pend.last().copied() {
-                None => {
-                    // Replicate the interpreter's Dup-specific error.
-                    self.emit(
-                        pc,
-                        Box::new(|_, _| Err(ExecError::new("stack underflow on Dup"))),
-                    );
-                }
-                Some(id) => match self.nodes[id as usize] {
-                    Node::Const(_) | Node::Slot(_) => self.push_id(id),
-                    _ => {
-                        // Materialize once, then share the slot read —
+                None => self.ok = false,
+                Some(id) => {
+                    if !matches!(self.nodes[id as usize], Node::Reg { .. }) {
+                        // Materialize once, then share the register —
                         // re-evaluating an arbitrary tree could double
                         // a failure or observe an intervening store.
-                        for i in 0..self.pend.len() - 1 {
-                            if is_fallible(&self.nodes, self.pend[i]) {
+                        let last = self.pend.len() - 1;
+                        for i in 0..last {
+                            if self.is_fallible(self.pend[i]) {
                                 self.flush_entry(i);
                             }
                         }
-                        let last = self.pend.len() - 1;
                         self.flush_entry(last);
-                        let id = self.pend[last];
-                        self.push_id(id);
                     }
-                },
+                    let id = *self.pend.last().expect("non-empty");
+                    self.pend.push(id);
+                }
             },
             Instr::Pop => {
-                let n = self.popn();
-                if is_fallible(&self.nodes, n) {
+                let n = self.pop();
+                if self.is_fallible(n) {
                     self.flush_fallible();
-                    self.emit(
-                        pc,
-                        Box::new(move |f, nodes| {
-                            eval(nodes, n, f)?;
-                            Ok(Step::Next)
-                        }),
-                    );
+                    let first = self.ops.len();
+                    self.scratch_used = 0;
+                    self.gen(n, None);
+                    self.retire(pc, first);
                 }
                 // A pure dropped value is unobservable; its pushes are
                 // retired by the next emitted op.
             }
             Instr::StoreLocal(s) => {
-                let v = self.popn();
-                let can_fail = is_fallible(&self.nodes, v);
+                let v = self.pop();
+                let s = u32::from(s);
+                let ty = self.tys[v as usize];
+                match self.slot_ty[s as usize] {
+                    Some(t) => self.ok &= t == ty,
+                    // A pointer local would read as `I32(0)` before its
+                    // first store, which no root id can stand for.
+                    None => {
+                        self.ok &= ty != Ty::Ptr;
+                        self.slot_ty[s as usize] = Some(ty);
+                    }
+                }
+                if !self.ok {
+                    return;
+                }
+                let can_fail = self.is_fallible(v);
                 for i in 0..self.pend.len() {
                     let e = self.pend[i];
-                    if reads_slot(&self.nodes, e, u32::from(s))
-                        || (can_fail && is_fallible(&self.nodes, e))
-                    {
+                    if self.reads_slot(e, s) || (can_fail && self.is_fallible(e)) {
                         self.flush_entry(i);
                     }
                 }
-                let slot = usize::from(s);
-                // Specialize the hot roots so the op body starts one
-                // recursion level down (operands inline via `operand`).
-                match self.nodes[v as usize] {
-                    Node::Const(c) => self.emit(
-                        pc,
-                        Box::new(move |f, _| {
-                            f.slots[slot] = c;
-                            Ok(Step::Next)
-                        }),
-                    ),
-                    Node::Slot(src) => self.emit(
-                        pc,
-                        Box::new(move |f, _| {
-                            f.slots[slot] = f.slots[src as usize];
-                            Ok(Step::Next)
-                        }),
-                    ),
-                    Node::Bin(k, ty, a, b) => self.emit(
-                        pc,
-                        Box::new(move |f, nodes| {
-                            let x = operand_load(nodes, a, f)?;
-                            let y = operand_load(nodes, b, f)?;
-                            f.slots[slot] = bin_fast(k, ty, x, y)?;
-                            Ok(Step::Next)
-                        }),
-                    ),
-                    Node::BinLL(ko, ki, ty, a, b, c) => self.emit(
-                        pc,
-                        Box::new(move |f, nodes| {
-                            let x = operand_load(nodes, a, f)?;
-                            let y = operand_load(nodes, b, f)?;
-                            let m = bin_fast(ki, ty, x, y)?;
-                            let z = operand_load(nodes, c, f)?;
-                            f.slots[slot] = bin_fast(ko, ty, m, z)?;
-                            Ok(Step::Next)
-                        }),
-                    ),
-                    Node::BinLR(ko, ki, ty, a, b, c) => self.emit(
-                        pc,
-                        Box::new(move |f, nodes| {
-                            let z = operand_load(nodes, c, f)?;
-                            let x = operand_load(nodes, a, f)?;
-                            let y = operand_load(nodes, b, f)?;
-                            let m = bin_fast(ki, ty, x, y)?;
-                            f.slots[slot] = bin_fast(ko, ty, z, m)?;
-                            Ok(Step::Next)
-                        }),
-                    ),
-                    Node::LoadIdx(elem, p, i) => self.emit(
-                        pc,
-                        Box::new(move |f, nodes| {
-                            f.slots[slot] = load_idx(nodes, elem, p, i, f)?;
-                            Ok(Step::Next)
-                        }),
-                    ),
-                    Node::LoadIdxB(elem, k, ity, p, a, b) => self.emit(
-                        pc,
-                        Box::new(move |f, nodes| {
-                            f.slots[slot] = load_idx_b(nodes, elem, k, ity, p, a, b, f)?;
-                            Ok(Step::Next)
-                        }),
-                    ),
-                    Node::LoadIdxMA(elem, ko, ki, ity, p, a, b, c) => self.emit(
-                        pc,
-                        Box::new(move |f, nodes| {
-                            f.slots[slot] = load_idx_ma(nodes, elem, ko, ki, ity, p, a, b, c, f)?;
-                            Ok(Step::Next)
-                        }),
-                    ),
-                    _ => self.emit(
-                        pc,
-                        Box::new(move |f, nodes| {
-                            let val = eval(nodes, v, f)?;
-                            f.slots[slot] = val;
-                            Ok(Step::Next)
-                        }),
-                    ),
+                let root = self.slot_root.get(s as usize).map_or(NO_ROOT, |r| *r);
+                if s < self.n_params {
+                    for reg in [s, root] {
+                        if reg != NO_ROOT && !self.mutated.contains(&reg) {
+                            self.mutated.push(reg);
+                        }
+                    }
                 }
+                let first = self.ops.len();
+                self.assign(v, s, root);
+                self.retire(pc, first);
             }
             Instr::StoreMem(elem) => {
-                let v = self.popn();
-                let p = self.popn();
+                let v = self.pop_as(elem);
+                let p = self.pop();
+                self.ok &= self.tys[p as usize] == Ty::Ptr;
+                if !self.ok {
+                    return;
+                }
                 for i in 0..self.pend.len() {
                     let e = self.pend[i];
-                    if is_fallible(&self.nodes, e) || reads_mem(&self.nodes, e) {
+                    if self.is_fallible(e) || self.reads_mem(e) {
                         self.flush_entry(i);
                     }
                 }
-                // Fold a `base[index] = v` pointer: the PtrAdd checks
-                // run before the value evaluates, as in the bytecode.
-                if let Node::PtrAdd(pp, ii) = self.nodes[p as usize] {
-                    self.emit(
-                        pc,
-                        Box::new(move |f, nodes| {
-                            let pv = operand(nodes, pp, f)?;
-                            let iv = operand(nodes, ii, f)?;
-                            let idx = idx_fast(iv)?;
-                            let ptr = ptr_fast(pv)?;
-                            let ptr = Ptr {
-                                offset: ptr.offset + idx,
-                                ..ptr
-                            };
-                            let vv = operand_load(nodes, v, f)?;
-                            mem_store(f, ptr, elem, &vv)?;
-                            Ok(Step::Next)
-                        }),
-                    );
-                } else {
-                    self.emit(
-                        pc,
-                        Box::new(move |f, nodes| {
-                            // Push order: the pointer tree was built first.
-                            let pv = operand(nodes, p, f)?;
-                            let vv = operand_load(nodes, v, f)?;
-                            let ptr = ptr_fast(pv)?;
-                            mem_store(f, ptr, elem, &vv)?;
-                            Ok(Step::Next)
-                        }),
-                    );
-                }
+                let first = self.ops.len();
+                self.scratch_used = 0;
+                // Push order: the pointer tree was built first, so its
+                // index check runs before the value evaluates.
+                let (run, off, idx) = self.gen_address(regops::store_fns(elem), p);
+                let val = self.gen(v, None);
+                self.op(run, 0, off, idx, self.root_of(p), val);
+                self.retire(pc, first);
             }
             Instr::Jump(t) => {
                 self.flush_all();
-                self.check_target(t, self.pend.len() as u32);
-                self.emit(pc, Box::new(move |_, _| Ok(Step::Jump(t))));
+                self.check_target(t);
+                let first = self.ops.len();
+                self.control(regops::jump, 0, 0, 0, t);
+                self.retire(pc, first);
                 self.pend.clear();
                 self.live = false;
             }
@@ -1211,24 +844,40 @@ impl Lowerer<'_> {
             Instr::JumpIfTrue(t) => self.lower_branch(pc, t, true),
             Instr::Barrier => {
                 self.flush_all();
-                self.emit(pc, Box::new(|_, _| Ok(Step::Barrier)));
-                // Resumption re-enters at the op after the barrier.
+                let first = self.ops.len();
+                // `a`: the pc a released item resumes at.
+                self.op(regops::barrier, 0, pc as u32 + 1, 0, 0, 0);
+                self.retire(pc, first);
                 self.ip_at[pc + 1] = self.ops.len() as u32;
             }
             Instr::Return => {
                 // Anything fallible still pending would have failed
                 // before the interpreter reached this Return.
                 self.flush_fallible();
-                self.emit(pc, Box::new(|_, _| Ok(Step::Done)));
+                let first = self.ops.len();
+                self.op(regops::ret, 0, 0, 0, 0, 0);
+                self.retire(pc, first);
                 self.pend.clear();
                 self.live = false;
             }
         }
     }
+
+    /// `math1`/`math2` treat `bool` as a float type: the operand goes
+    /// through `to_f64_lossy` and the result is a `double`.
+    fn math_operand(&mut self, a: NodeId, ty: ScalarType) -> (NodeId, ScalarType) {
+        if ty != ScalarType::Bool {
+            return (a, ty);
+        }
+        let wide = ScalarType::F64;
+        (self.node(Node::Cast(ty, wide, a), Ty::Scalar(wide)), wide)
+    }
 }
 
-/// Lowers `code` into superop form.
-fn lower(code: &[Instr]) -> CompiledCode {
+/// Lowers `kernel` to typed register ops, or to a `fallback` marker
+/// when its bytecode cannot be typed.
+fn lower(kernel: &CompiledKernel) -> CompiledCode {
+    let code = &kernel.code[..];
     // Every pc a jump can land on is a block seam.
     let mut target = vec![false; code.len() + 1];
     for i in code {
@@ -1238,27 +887,49 @@ fn lower(code: &[Instr]) -> CompiledCode {
             }
         }
     }
-    let temp_base = code
+    let n_params = kernel.params.len() as u32;
+    let n_slots = code
         .iter()
         .map(|i| match *i {
             Instr::LoadLocal(s) | Instr::StoreLocal(s) => u32::from(s) + 1,
             _ => 0,
         })
         .max()
-        .unwrap_or(0);
+        .unwrap_or(0)
+        .max(u32::from(kernel.n_slots))
+        .max(n_params);
     let mut lw = Lowerer {
         code,
-        ops: Vec::with_capacity(code.len() / 2 + 8),
+        ops: Vec::with_capacity(code.len()),
+        jumps: Vec::new(),
         nodes: Vec::with_capacity(code.len() + 8),
+        tys: Vec::with_capacity(code.len() + 8),
         ip_at: vec![u32::MAX; code.len() + 1],
-        entry_depth: vec![None; code.len() + 1],
+        entry: vec![None; code.len() + 1],
         pend: Vec::new(),
         retired: 0,
-        temp_base,
-        max_depth: 0,
+        template: vec![0; (n_slots + GEOM_REGS) as usize],
+        n_params,
+        n_slots,
+        slot_ty: vec![None; n_slots as usize],
+        slot_root: Vec::with_capacity(n_params as usize),
+        mutated: Vec::new(),
+        consts: Vec::new(),
+        temps: Vec::new(),
+        scratch: Vec::new(),
+        scratch_used: 0,
         live: true,
         ok: true,
     };
+    for (p, param) in kernel.params.iter().enumerate() {
+        let (ty, root) = match param {
+            ParamType::Scalar(s) => (Ty::Scalar(*s), NO_ROOT),
+            // A pointer parameter's root id is its own index.
+            ParamType::Pointer(..) => (Ty::Ptr, lw.new_reg(p as u64)),
+        };
+        lw.slot_ty[p] = Some(ty);
+        lw.slot_root.push(root);
+    }
     lw.ip_at[0] = 0;
     for (pc, &is_target) in target[..code.len()].iter().enumerate() {
         if is_target {
@@ -1267,25 +938,28 @@ fn lower(code: &[Instr]) -> CompiledCode {
         lw.instr(pc);
         if !lw.ok {
             return CompiledCode {
-                ops: Vec::new(),
-                nodes: Vec::new(),
-                ip_at: Vec::new(),
-                min_slots: 0,
-                has_barrier: false,
                 fallback: true,
+                ..CompiledCode::default()
             };
         }
     }
     if lw.live && lw.retired < code.len() {
         // Dangling pushes before falling off the end still execute.
-        lw.retire_noop(code.len());
+        lw.retire(code.len() - 1, lw.ops.len());
     }
     lw.ip_at[code.len()] = lw.ops.len() as u32;
+    for &at in &lw.jumps {
+        let pc = lw.ops[at].c as usize;
+        // A jump past the end falls off and completes.
+        lw.ops[at].c = lw.ip_at.get(pc).map_or(lw.ops.len() as u32, |ip| *ip);
+    }
     CompiledCode {
-        min_slots: lw.temp_base + lw.max_depth as u32,
         ops: lw.ops,
-        nodes: lw.nodes,
         ip_at: lw.ip_at,
+        template: lw.template,
+        n_params,
+        n_slots,
+        mutated: lw.mutated,
         has_barrier: code.iter().any(|i| matches!(i, Instr::Barrier)),
         fallback: false,
     }
@@ -1295,6 +969,7 @@ fn lower(code: &[Instr]) -> CompiledCode {
 
 struct CacheEntry {
     code: Vec<Instr>,
+    params: Vec<ParamType>,
     compiled: Arc<CompiledCode>,
 }
 
@@ -1420,27 +1095,103 @@ fn code_hash(code: &[Instr]) -> u64 {
 }
 
 /// Returns the lowered form of `kernel`, compiling on first sight.
+/// Keyed by signature as well as code: the same instructions type
+/// differently under different parameter types.
 pub(super) fn lookup_or_lower(kernel: &CompiledKernel) -> Arc<CompiledCode> {
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
     let key = code_hash(&kernel.code);
     let mut map = cache.lock().unwrap_or_else(|e| e.into_inner());
     if let Some(entries) = map.get(&key) {
-        if let Some(e) = entries.iter().find(|e| e.code == kernel.code) {
+        if let Some(e) = entries
+            .iter()
+            .find(|e| e.code == kernel.code && e.params == kernel.params)
+        {
             return Arc::clone(&e.compiled);
         }
     }
-    let compiled = Arc::new(lower(&kernel.code));
+    let compiled = Arc::new(lower(kernel));
     if map.len() >= MAX_CACHED_KERNELS {
         map.clear();
     }
     map.entry(key).or_default().push(CacheEntry {
         code: kernel.code.clone(),
+        params: kernel.params.clone(),
         compiled: Arc::clone(&compiled),
     });
     compiled
 }
 
 // --- drivers --------------------------------------------------------------
+
+/// One launch's resolved state, shared by every group (and worker).
+pub(super) struct Launch<'k> {
+    code: &'k CompiledCode,
+    pub(super) kernel: &'k CompiledKernel,
+    pub(super) range: NdRange,
+    pub(super) num_groups: [u64; 3],
+    /// [`CompiledCode::template`] with the bound arguments and the
+    /// launch-wide geometry filled in.
+    regs: Vec<u64>,
+    /// What each root id names: parameter `p`'s buffer at index `p`,
+    /// the `__local` arena for `__local` parameters and at `n_params`.
+    roots: Vec<Root>,
+}
+
+impl<'k> Launch<'k> {
+    fn new(
+        code: &'k CompiledCode,
+        kernel: &'k CompiledKernel,
+        bound: &[Value],
+        range: &NdRange,
+    ) -> Launch<'k> {
+        let num_groups = [
+            range.global[0] / range.local[0],
+            range.global[1] / range.local[1],
+            range.global[2] / range.local[2],
+        ];
+        let mut regs = code.template.clone();
+        let mut roots = vec![Root::Local; bound.len() + 1];
+        for (p, v) in bound.iter().enumerate() {
+            regs[p] = match *v {
+                Value::Ptr(ptr) => {
+                    if let PtrSpace::Global(b) = ptr.space {
+                        roots[p] = Root::Global(b);
+                    }
+                    ptr.offset as u64
+                }
+                scalar => regops::encode(scalar).expect("not a pointer").1,
+            };
+        }
+        let geom = code.n_slots as usize;
+        for d in 0..3 {
+            regs[geom + Geom::GlobalSize as usize * 3 + d] = range.global[d];
+            regs[geom + Geom::LocalSize as usize * 3 + d] = range.local[d];
+            regs[geom + Geom::NumGroups as usize * 3 + d] = num_groups[d];
+            regs[geom + Geom::WorkDim as usize * 3 + d] = u64::from(range.work_dim);
+        }
+        Launch {
+            code,
+            kernel,
+            range: *range,
+            num_groups,
+            regs,
+            roots,
+        }
+    }
+
+    /// Writes one item's ids into its register file and returns its
+    /// global id.
+    fn write_ids(&self, regs: &mut [u64], group_id: [u64; 3], local_id: [u64; 3]) -> [u64; 3] {
+        let geom = self.code.n_slots as usize;
+        let global_id = [0, 1, 2].map(|d| group_id[d] * self.range.local[d] + local_id[d]);
+        for d in 0..3 {
+            regs[geom + Geom::GlobalId as usize * 3 + d] = global_id[d];
+            regs[geom + Geom::LocalId as usize * 3 + d] = local_id[d];
+            regs[geom + Geom::GroupId as usize * 3 + d] = group_id[d];
+        }
+        global_id
+    }
+}
 
 /// Full-launch compiled-engine driver. With `allow_parallel`, runs
 /// independent work-groups on a thread pool when the effect prover
@@ -1458,40 +1209,27 @@ pub(super) fn run(
     }
     range.validate()?;
     let (bound, arena_bytes) = bind_args(kernel, args, buffers.len())?;
-    let num_groups = [
-        range.global[0] / range.local[0],
-        range.global[1] / range.local[1],
-        range.global[2] / range.local[2],
-    ];
+    let launch = Launch::new(&ccode, kernel, &bound, range);
     if allow_parallel {
-        if let Some(result) = super::parallel::try_run_parallel(
-            kernel,
-            &ccode,
-            &bound,
-            args,
-            buffers,
-            range,
-            num_groups,
-            arena_bytes,
-        ) {
+        if let Some(result) = super::parallel::try_run_parallel(&launch, args, buffers, arena_bytes)
+        {
             return result;
         }
     }
     let mut stats = ExecStats::default();
     let mut arena = vec![0u8; arena_bytes];
+    let mut regs = Vec::new();
     let mut mem = Memory::Excl(buffers);
+    let num_groups = launch.num_groups;
     for gz in 0..num_groups[2] {
         for gy in 0..num_groups[1] {
             for gx in 0..num_groups[0] {
                 run_group(
-                    &ccode,
-                    kernel,
-                    &bound,
+                    &launch,
                     &mut mem,
-                    range,
                     [gx, gy, gz],
-                    num_groups,
                     &mut arena,
+                    &mut regs,
                     &mut stats,
                 )?;
                 stats.work_groups += 1;
@@ -1502,53 +1240,43 @@ pub(super) fn run(
 }
 
 /// Executes one work-group to completion under the shared pass-based
-/// round-robin schedule.
-#[allow(clippy::too_many_arguments)]
+/// round-robin schedule. `regs` is scratch storage the caller reuses
+/// across groups.
 pub(super) fn run_group(
-    ccode: &CompiledCode,
-    kernel: &CompiledKernel,
-    bound: &[Value],
+    launch: &Launch<'_>,
     mem: &mut Memory<'_>,
-    range: &NdRange,
     group_id: [u64; 3],
-    num_groups: [u64; 3],
     arena: &mut [u8],
+    regs: &mut Vec<u64>,
     stats: &mut ExecStats,
 ) -> Result<(), ExecError> {
     arena.fill(0);
-    let want = (ccode.min_slots as usize).max(usize::from(kernel.n_slots));
-    if !ccode.has_barrier {
+    let code = launch.code;
+    let local = launch.range.local;
+    let mut ctx = Ctx {
+        mem,
+        arena,
+        roots: &launch.roots,
+        fault: None,
+    };
+    regs.clear();
+    if !code.has_barrier {
         // No barrier can suspend an item, so the round-robin schedule
-        // degenerates to running each item once in local-id order.
-        // Reuse one activation record instead of materializing the
-        // whole group: same execution order, same stats, same first
-        // error, but zero per-item allocations.
-        let mut template = vec![Value::I32(0); want];
-        template[..bound.len()].copy_from_slice(bound);
-        let mut item = Item {
-            pc: 0,
-            stack: Vec::new(),
-            slots: template.clone(),
-            status: ItemStatus::Running,
-            global_id: [0; 3],
-            local_id: [0; 3],
-        };
+        // degenerates to running each item once in local-id order, and
+        // one register file serves them all: same execution order, same
+        // stats, same first error.
+        regs.extend_from_slice(&launch.regs);
+        let locals = code.n_params as usize..code.n_slots as usize;
         let mut count = 0u64;
-        for lz in 0..range.local[2] {
-            for ly in 0..range.local[1] {
-                for lx in 0..range.local[0] {
-                    item.pc = 0;
-                    item.status = ItemStatus::Running;
-                    item.local_id = [lx, ly, lz];
-                    item.global_id = [
-                        group_id[0] * range.local[0] + lx,
-                        group_id[1] * range.local[1] + ly,
-                        group_id[2] * range.local[2] + lz,
-                    ];
-                    item.slots.copy_from_slice(&template);
-                    run_item(
-                        ccode, &mut item, mem, range, group_id, num_groups, arena, stats,
-                    )?;
+        for lz in 0..local[2] {
+            for ly in 0..local[1] {
+                for lx in 0..local[0] {
+                    regs[locals.clone()].fill(0);
+                    for &r in &code.mutated {
+                        regs[r as usize] = launch.regs[r as usize];
+                    }
+                    launch.write_ids(regs, group_id, [lx, ly, lz]);
+                    run_item(code, regs, &mut ctx, 0, stats)?;
                     count += 1;
                 }
             }
@@ -1556,22 +1284,47 @@ pub(super) fn run_group(
         stats.work_items += count;
         return Ok(());
     }
-    let mut items = build_items(kernel, bound, range, group_id);
-    if usize::from(kernel.n_slots) < want {
-        for item in &mut items {
-            item.slots.resize(want, Value::I32(0));
+    // One register file per item, side by side, so a suspended item's
+    // state simply stays where it is.
+    let n = launch.regs.len();
+    let mut items = Vec::with_capacity(launch.range.group_items() as usize);
+    for lz in 0..local[2] {
+        for ly in 0..local[1] {
+            for lx in 0..local[0] {
+                let at = regs.len();
+                regs.extend_from_slice(&launch.regs);
+                let local_id = [lx, ly, lz];
+                let global_id = launch.write_ids(&mut regs[at..], group_id, local_id);
+                // The interpreter's item record carries the schedule
+                // state `barrier_stall_check` reads; the operand stack
+                // and slots it also has room for live in `regs` here.
+                items.push(Item {
+                    pc: 0,
+                    stack: Vec::new(),
+                    slots: Vec::new(),
+                    status: ItemStatus::Running,
+                    global_id,
+                    local_id,
+                });
+            }
         }
     }
     loop {
         let mut any_running = false;
-        for item in items.iter_mut() {
+        for (item, regs) in items.iter_mut().zip(regs.chunks_exact_mut(n)) {
             if item.status == ItemStatus::Running {
-                run_item(ccode, item, mem, range, group_id, num_groups, arena, stats)?;
+                match run_item(code, regs, &mut ctx, item.pc, stats)? {
+                    Some(resume) => {
+                        item.pc = resume;
+                        item.status = ItemStatus::AtBarrier;
+                    }
+                    None => item.status = ItemStatus::Done,
+                }
                 any_running = true;
             }
         }
         if !any_running {
-            if !barrier_stall_check(kernel, &items)? {
+            if !barrier_stall_check(launch.kernel, &items)? {
                 break;
             }
             stats.barriers += 1;
@@ -1584,63 +1337,228 @@ pub(super) fn run_group(
     Ok(())
 }
 
-/// Runs one item until it finishes, suspends at a barrier, or errors.
-/// `item.pc` stays a bytecode pc (barrier diagnostics depend on it);
-/// the op index advances in lock-step and is recovered from `ip_at` on
-/// entry and at every jump.
-#[allow(clippy::too_many_arguments)]
+/// Runs one item from bytecode `pc` until it finishes (`None`),
+/// suspends at a barrier (the pc to resume at), or errors.
 fn run_item(
-    ccode: &CompiledCode,
-    item: &mut Item,
-    mem: &mut Memory<'_>,
-    range: &NdRange,
-    group_id: [u64; 3],
-    num_groups: [u64; 3],
-    arena: &mut [u8],
+    code: &CompiledCode,
+    regs: &mut [u64],
+    ctx: &mut Ctx<'_, '_>,
+    pc: usize,
     stats: &mut ExecStats,
-) -> Result<(), ExecError> {
-    let mut pc = item.pc;
-    let mut ip = ccode.ip_at.get(pc).map_or(u32::MAX, |v| *v) as usize;
-    let mut frame = Frame {
-        slots: &mut item.slots,
-        mem,
-        arena,
-        global_id: item.global_id,
-        local_id: item.local_id,
-        group_id,
-        num_groups,
-        global: range.global,
-        local: range.local,
-        work_dim: range.work_dim,
+) -> Result<Option<usize>, ExecError> {
+    let ops = &code.ops[..];
+    let mut ip = code.ip_at.get(pc).map_or(u32::MAX, |v| *v) as usize;
+    let mut retired = 0u64;
+    let resume = loop {
+        // Falling off the end is a return, like the interpreter.
+        let Some(op) = ops.get(ip) else { break None };
+        retired += u64::from(op.covers);
+        match (op.run)(regs, ctx, op) {
+            Ok(Step::Next) => ip += 1,
+            Ok(Step::Jump(t)) => ip = t as usize,
+            Ok(Step::Barrier) => break Some(op.a as usize),
+            Ok(Step::Done) => break None,
+            Err(Fault) => return Err(ctx.fault.take().expect("a fault records its error")),
+        }
     };
-    let ops = &ccode.ops;
-    let nodes = &ccode.nodes[..];
-    loop {
-        let Some(o) = ops.get(ip) else {
-            // Fell off the end — treated as return, like the interpreter.
-            item.pc = pc;
-            item.status = ItemStatus::Done;
-            return Ok(());
+    stats.instructions += retired;
+    Ok(resume)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::analysis::KernelReport;
+    use crate::diag::Span;
+    use crate::types::AddressSpace;
+
+    /// A hand-built kernel over `(__global int* out, int n)`.
+    fn hand_built(name: &str, code: Vec<Instr>, n_slots: u16) -> CompiledKernel {
+        CompiledKernel {
+            name: name.to_string(),
+            params: vec![
+                ParamType::Pointer(AddressSpace::Global, ScalarType::I32),
+                ParamType::Scalar(ScalarType::I32),
+            ],
+            spans: vec![Span::default(); code.len()],
+            code,
+            n_slots,
+            static_local_bytes: 0,
+            uses_barrier: false,
+            barrier_sites: vec![],
+            local_arrays: vec![],
+            report: KernelReport::default(),
+        }
+    }
+
+    /// `out[at] = <value on the stack>` as `StoreMem(elem)` expects it:
+    /// the instructions that push the pointer.
+    fn out_at(at: i64) -> [Instr; 3] {
+        [
+            Instr::LoadLocal(0),
+            Instr::PushInt(at, ScalarType::I32),
+            Instr::PtrAdd,
+        ]
+    }
+
+    /// Two edges into pc 5 with different stack depths: the typing pass
+    /// has no single location for the value at the join.
+    fn uneven_join() -> CompiledKernel {
+        let mut code = vec![
+            Instr::LoadLocal(1),
+            Instr::PushInt(0, ScalarType::I32),
+            Instr::Cmp(CmpKind::Gt, ScalarType::I32),
+            Instr::JumpIfFalse(5),
+            Instr::PushInt(7, ScalarType::I32),
+        ];
+        code.extend(out_at(0));
+        code.extend([
+            Instr::LoadLocal(1),
+            Instr::StoreMem(ScalarType::I32),
+            // Past the buffer when `n` is large: the error path.
+            Instr::LoadLocal(0),
+            Instr::LoadLocal(1),
+            Instr::PtrAdd,
+            Instr::PushInt(1, ScalarType::I32),
+            Instr::StoreMem(ScalarType::I32),
+            Instr::Return,
+        ]);
+        hand_built("uneven_join", code, 2)
+    }
+
+    /// Slot 2 stored as `int`, then as `float`.
+    fn retyped_slot() -> CompiledKernel {
+        let mut code = vec![
+            Instr::LoadLocal(1),
+            Instr::StoreLocal(2),
+            Instr::PushFloat(2.5, ScalarType::F32),
+            Instr::StoreLocal(2),
+        ];
+        code.extend(out_at(1));
+        code.extend([
+            Instr::LoadLocal(2),
+            Instr::StoreMem(ScalarType::F32),
+            Instr::LoadLocal(0),
+            Instr::LoadLocal(1),
+            Instr::PtrAdd,
+            Instr::LoadLocal(2),
+            Instr::StoreMem(ScalarType::F32),
+            Instr::Return,
+        ]);
+        hand_built("retyped_slot", code, 3)
+    }
+
+    /// pc 1 is first reached with nothing recorded for it (only the
+    /// backward jump at pc 3 leads there), and that edge then arrives
+    /// with one value on the stack.
+    fn late_edge() -> CompiledKernel {
+        let code = vec![
+            Instr::Jump(2),
+            Instr::Return,
+            Instr::PushInt(5, ScalarType::I32),
+            Instr::Jump(1),
+        ];
+        hand_built("late_edge", code, 2)
+    }
+
+    /// Every construct of the subset, so that a front-end shape the
+    /// typing pass cannot follow shows up here and not as a silent
+    /// interpreter run.
+    const EVERY_CONSTRUCT: &str = r#"
+        __kernel void shapes(__global float* a, __global float* b, __global int* out,
+                             __local int* scratch, int n, uint u, long w, ulong z,
+                             float f, double d) {
+            __local float tile[4][4];
+            __local int flat[16];
+            int i = get_global_id(0);
+            int l = get_local_id(0);
+            int dim = n & 1;
+            tile[l & 3][i & 3] = a[i] * f;
+            flat[l] = scratch[l] + (int)get_local_size(dim);
+            barrier(CLK_LOCAL_MEM_FENCE);
+            a = b;
+            a = a + 1;
+            b = b - (l & 1);
+            bool both = (i < n && u > 3u) || !(w != 0);
+            int picked = both ? flat[15 - l] : (int)z;
+            out[i] += picked++ + --dim;
+            out[both ? i : 0] = (int)min(both, i > 2) + (int)tile[i & 3][l & 3];
+            for (int k = 0; k < 3; k++) {
+                if (k == 1) continue;
+                if (picked > 100) break;
+                a[k] += b[k] * f + (float)d;
+            }
+            do { w = w >> 1; u = u << 1; z = z / 3 % 5; } while (w > 8);
+            while (n > 0) { n = n - 1; }
+            out[get_work_dim()] = (int)(w ^ ~(long)u) + (int)fmod(d, 2.0) + (int)-f;
+        }
+    "#;
+
+    #[test]
+    fn sema_output_is_typed_and_hand_built_misfits_are_not() {
+        let opts = crate::CompileOptions {
+            analysis: crate::AnalysisMode::Off,
         };
-        stats.instructions += u64::from(o.covers);
-        match (o.run)(&mut frame, nodes)? {
-            Step::Next => {
-                pc += o.covers as usize;
-                ip += 1;
-            }
-            Step::Jump(t) => {
-                pc = t as usize;
-                ip = ccode.ip_at.get(pc).map_or(u32::MAX, |v| *v) as usize;
-            }
-            Step::Barrier => {
-                item.pc = pc + o.covers as usize;
-                item.status = ItemStatus::AtBarrier;
-                return Ok(());
-            }
-            Step::Done => {
-                item.pc = pc + o.covers as usize;
-                item.status = ItemStatus::Done;
-                return Ok(());
+        let program = crate::compile_with_options(EVERY_CONSTRUCT, &opts).expect("compiles");
+        assert!(!lower(program.kernel("shapes").expect("kernel")).fallback);
+        assert!(lower(&uneven_join()).fallback);
+        assert!(lower(&retyped_slot()).fallback);
+        assert!(lower(&late_edge()).fallback);
+    }
+
+    /// `sema` never emits a cast between equal types, but one to the
+    /// same float type is not a no-op: it quiets a signalling NaN.
+    #[test]
+    fn a_float_cast_to_its_own_type_quiets_like_the_interpreter() {
+        let mut code = Vec::from(out_at(1));
+        code.extend(out_at(0));
+        code.extend([
+            Instr::LoadMem(ScalarType::F32),
+            Instr::Cast {
+                from: ScalarType::F32,
+                to: ScalarType::F32,
+            },
+            Instr::StoreMem(ScalarType::F32),
+            Instr::Return,
+        ]);
+        let kernel = hand_built("recast", code, 2);
+        assert!(!lower(&kernel).fallback);
+        let run = |engine| {
+            let mut buffers = vec![GlobalBuffer::from_i32(&[0x7f80_0001, 0])];
+            let args = [ArgValue::global(0), ArgValue::from_i32(0)];
+            let range = NdRange::linear(1, 1);
+            run_ndrange_with_engine(&kernel, &args, &mut buffers, &range, engine).expect("runs");
+            buffers[0].as_i32()[1]
+        };
+        assert_eq!(run(EngineKind::Interp), 0x7fc0_0001);
+        assert_eq!(run(EngineKind::CompiledSerial), 0x7fc0_0001);
+    }
+
+    /// Bytecode the typing pass refuses runs on the interpreter, so all
+    /// three engines give the reference's bytes, statistics and errors.
+    #[test]
+    fn untypable_bytecode_matches_the_interpreter_on_every_engine() {
+        for kernel in [uneven_join(), retyped_slot()] {
+            // In range, then an index past the four-element buffer.
+            for n in [2, 0, 400] {
+                let args = [ArgValue::global(0), ArgValue::from_i32(n)];
+                let range = NdRange::linear(4, 2);
+                let run = |engine| {
+                    let mut buffers = vec![GlobalBuffer::from_i32(&[9; 4])];
+                    let outcome =
+                        run_ndrange_with_engine(&kernel, &args, &mut buffers, &range, engine)
+                            .map_err(|e| (e.kind(), e.to_string()));
+                    (outcome, buffers)
+                };
+                let (want, want_bytes) = run(EngineKind::Interp);
+                assert_eq!(want.is_err(), n == 400, "{}: n = {n}", kernel.name);
+                for engine in [EngineKind::CompiledSerial, EngineKind::Compiled] {
+                    let (got, bytes) = run(engine);
+                    assert_eq!(got, want, "{} on {engine:?}, n = {n}", kernel.name);
+                    if want.is_ok() {
+                        assert_eq!(bytes, want_bytes, "{} on {engine:?}", kernel.name);
+                    }
+                }
             }
         }
     }

@@ -9,6 +9,7 @@
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::OnceLock;
 
 use crate::ast::ParamType;
 use crate::bytecode::CompiledKernel;
@@ -18,6 +19,7 @@ mod compiled;
 mod interp;
 mod ops;
 mod parallel;
+mod regops;
 
 pub use parallel::parallel_groups_safe;
 
@@ -633,7 +635,7 @@ fn local_race_error(kernel: &CompiledKernel, item: u32, other: u32, verb: &str) 
 pub enum EngineKind {
     /// The reference tree-walking interpreter.
     Interp,
-    /// Bytecode lowered once per kernel into fused closures, work-groups
+    /// Bytecode lowered once per kernel into typed register ops, work-groups
     /// executed sequentially in interpreter order.
     CompiledSerial,
     /// The compiled engine, plus parallel work-group execution for
@@ -660,17 +662,19 @@ pub fn set_default_engine(kind: Option<EngineKind>) {
 
 /// The engine [`run_ndrange`] will use: the [`set_default_engine`]
 /// override if set, else `HAOCL_VM_ENGINE` (`interp`, `compiled-serial`,
-/// `compiled`), else [`EngineKind::Compiled`].
+/// `compiled`) as it stood at the first call that consulted it, else
+/// [`EngineKind::Compiled`].
 pub fn default_engine() -> EngineKind {
+    static FROM_ENV: OnceLock<EngineKind> = OnceLock::new();
     match ENGINE_OVERRIDE.load(Ordering::Relaxed) {
         1 => EngineKind::Interp,
         2 => EngineKind::CompiledSerial,
         3 => EngineKind::Compiled,
-        _ => match std::env::var("HAOCL_VM_ENGINE").ok().as_deref() {
+        _ => *FROM_ENV.get_or_init(|| match std::env::var("HAOCL_VM_ENGINE").ok().as_deref() {
             Some("interp") => EngineKind::Interp,
             Some("compiled-serial") => EngineKind::CompiledSerial,
             _ => EngineKind::Compiled,
-        },
+        }),
     }
 }
 

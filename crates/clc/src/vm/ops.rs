@@ -1,9 +1,13 @@
 //! Shared instruction semantics.
 //!
-//! Every execution engine — the reference interpreter and the compiled
-//! closure engine — funnels arithmetic, memory, and math-builtin
-//! behaviour through these helpers, so "byte-identical across engines"
-//! is enforced by construction rather than by duplicated code.
+//! The reference interpreter is written in these helpers, which makes
+//! them the definition of arithmetic, conversion, memory and
+//! math-builtin behaviour. The compiled engine's register ops
+//! (`regops.rs`) compute the same functions on statically typed
+//! registers, and come back here for every immediate they encode,
+//! every error they raise and every NaN a float operation meets, so
+//! messages and NaN bits are shared by construction and all other
+//! values by the differential suites.
 
 use crate::bytecode::{BinKind, CmpKind, Math1, Math2};
 use crate::types::ScalarType;

@@ -43,12 +43,13 @@
 //! either way).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 use crate::analysis::effects::{AccessPattern, PatternBase};
 use crate::bytecode::CompiledKernel;
 
-use super::compiled::{run_group, CompiledCode, Memory, SharedBufs};
+use super::compiled::{run_group, Launch};
+use super::regops::{Memory, SharedBufs};
 use super::*;
 
 /// Below this many total work-items a launch is not worth fanning out.
@@ -121,15 +122,20 @@ fn patterns_group_private(patterns: &[AccessPattern], range: &NdRange) -> bool {
 
 /// Worker-thread count for a launch: `HAOCL_VM_THREADS` override, else
 /// the machine's available parallelism, never more than the group count.
+/// The process-wide part is resolved once, on the first launch that asks:
+/// `available_parallelism` re-reads cgroup files on every call.
 fn thread_count(total_groups: u64) -> u64 {
-    let n = std::env::var("HAOCL_VM_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get() as u64)
-                .unwrap_or(1)
-        });
+    static CONFIGURED: OnceLock<u64> = OnceLock::new();
+    let n = *CONFIGURED.get_or_init(|| {
+        std::env::var("HAOCL_VM_THREADS")
+            .ok()
+            .and_then(|s| s.parse::<u64>().ok())
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(|n| n.get() as u64)
+                    .unwrap_or(1)
+            })
+    });
     n.min(total_groups)
 }
 
@@ -137,26 +143,22 @@ fn thread_count(total_groups: u64) -> u64 {
 /// returns `None` when the launch should take the sequential path
 /// (prover can't show safety, too small to pay for threads, or a
 /// single-group range).
-#[allow(clippy::too_many_arguments)]
 pub(super) fn try_run_parallel(
-    kernel: &CompiledKernel,
-    ccode: &CompiledCode,
-    bound: &[Value],
+    launch: &Launch<'_>,
     args: &[ArgValue],
     buffers: &mut [GlobalBuffer],
-    range: &NdRange,
-    num_groups: [u64; 3],
     arena_bytes: usize,
 ) -> Option<Result<ExecStats, ExecError>> {
+    let num_groups = launch.num_groups;
     let total_groups = num_groups[0] * num_groups[1] * num_groups[2];
-    if total_groups < 2 || range.total_items() < MIN_PARALLEL_ITEMS {
+    if total_groups < 2 || launch.range.total_items() < MIN_PARALLEL_ITEMS {
         return None;
     }
     let threads = thread_count(total_groups);
     if threads < 2 {
         return None;
     }
-    if !parallel_groups_safe(kernel, args, range) {
+    if !parallel_groups_safe(launch.kernel, args, &launch.range) {
         return None;
     }
 
@@ -176,6 +178,7 @@ pub(super) fn try_run_parallel(
         for _ in 0..threads {
             scope.spawn(|| {
                 let mut arena = vec![0u8; arena_bytes];
+                let mut regs = Vec::new();
                 let mut stats = ExecStats::default();
                 let mut mem = Memory::Shared(&shared);
                 loop {
@@ -192,14 +195,11 @@ pub(super) fn try_run_parallel(
                     let gy = (flat / num_groups[0]) % num_groups[1];
                     let gz = flat / (num_groups[0] * num_groups[1]);
                     let r = run_group(
-                        ccode,
-                        kernel,
-                        bound,
+                        launch,
                         &mut mem,
-                        range,
                         [gx, gy, gz],
-                        num_groups,
                         &mut arena,
+                        &mut regs,
                         &mut stats,
                     );
                     match r {

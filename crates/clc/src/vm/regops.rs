@@ -1,0 +1,1240 @@
+//! The compiled engine's instruction set: small monomorphic functions
+//! over an untagged register file.
+//!
+//! A register is eight bytes and carries no tag — the typing pass in
+//! `compiled.rs` fixed every operand's type at lowering time and picked
+//! the function instantiated for it, so nothing here inspects a
+//! [`Value`] or a [`ScalarType`] on the `Ok` path. Each scalar type has
+//! one canonical encoding (the [`Scalar`] impls below): integers are
+//! held so that the register *is* `Value::to_i64_lossy` (`int`
+//! sign-extended, `uint` zero-extended, `bool` 0/1), floats as their bit
+//! pattern. Integer arithmetic therefore runs in `i64` and re-normalizes
+//! exactly like [`super::ops::bin_op`] does.
+//!
+//! A pointer is a pair of registers: the element offset, and a *root id*
+//! naming the buffer (or the `__local` arena) in the launch's
+//! [`Root`] table. Pointer arithmetic touches the offset only.
+//!
+//! Failures are built out of line by the same helpers the interpreter
+//! uses (`bin_op`, `Value::as_index`, `checked_offset`), parked in
+//! [`Ctx::fault`], and signalled by the zero-sized [`Fault`], so the
+//! success path returns in registers and every message is the
+//! interpreter's, byte for byte. The same goes for the one value that
+//! is not a function of the source, the bits of a NaN (see "Float
+//! arithmetic" below).
+
+use std::hint::black_box;
+
+use crate::bytecode::{BinKind, CmpKind, Math1, Math2};
+use crate::types::ScalarType;
+
+use super::ops::{bin_op, dangling_buffer, math1, math2, neg_op};
+use super::{checked_offset, ExecError, GlobalBuffer, Value};
+
+// --- memory views ----------------------------------------------------------
+
+/// How an engine reaches `__global` memory.
+///
+/// The serial paths hold the buffers exclusively; the parallel path
+/// shares them between workers through [`SharedBufs`] raw views (the
+/// effect prover guarantees the byte ranges workers touch are
+/// disjoint — see `vm/parallel.rs`).
+pub(super) enum Memory<'m> {
+    Excl(&'m mut [GlobalBuffer]),
+    Shared(&'m SharedBufs),
+}
+
+/// Raw views of every global buffer, shareable across worker threads.
+///
+/// Access goes through raw pointers only — no `&mut` reference to the
+/// underlying bytes is ever materialized while workers run, so the only
+/// soundness requirement is the one the effect prover discharges:
+/// no byte is written by one worker while another worker touches it.
+pub(super) struct SharedBufs {
+    bufs: Vec<RawBuf>,
+}
+
+struct RawBuf {
+    ptr: *mut u8,
+    len: usize,
+}
+
+// SAFETY: the raw pointers are only dereferenced on byte ranges the
+// effect prover shows are disjoint between threads (`parallel_groups_safe`).
+unsafe impl Send for SharedBufs {}
+unsafe impl Sync for SharedBufs {}
+
+impl SharedBufs {
+    pub(super) fn new(buffers: &mut [GlobalBuffer]) -> SharedBufs {
+        SharedBufs {
+            bufs: buffers
+                .iter_mut()
+                .map(|b| {
+                    let s = b.as_bytes_mut();
+                    RawBuf {
+                        ptr: s.as_mut_ptr(),
+                        len: s.len(),
+                    }
+                })
+                .collect(),
+        }
+    }
+
+    fn read<const N: usize>(&self, b: usize, offset: i64) -> Result<[u8; N], ExecError> {
+        let rb = self.bufs.get(b).ok_or_else(|| dangling_buffer(b))?;
+        let off = checked_offset(offset, N, rb.len)?;
+        let mut out = [0u8; N];
+        // SAFETY: `off + N <= rb.len` by `checked_offset`; disjointness
+        // from concurrent writers is guaranteed by the parallel gate.
+        unsafe { std::ptr::copy_nonoverlapping(rb.ptr.add(off), out.as_mut_ptr(), N) };
+        Ok(out)
+    }
+
+    fn write<const N: usize>(
+        &self,
+        b: usize,
+        offset: i64,
+        bytes: [u8; N],
+    ) -> Result<(), ExecError> {
+        let rb = self.bufs.get(b).ok_or_else(|| dangling_buffer(b))?;
+        let off = checked_offset(offset, N, rb.len)?;
+        // SAFETY: in-bounds per `checked_offset`; no other thread touches
+        // these bytes per the parallel gate.
+        unsafe { std::ptr::copy_nonoverlapping(bytes.as_ptr(), rb.ptr.add(off), N) };
+        Ok(())
+    }
+}
+
+/// What a pointer's root id resolves to for one launch.
+#[derive(Clone, Copy)]
+pub(super) enum Root {
+    /// Index into the launch's bound global buffers.
+    Global(usize),
+    /// The work-group local arena.
+    Local,
+}
+
+/// Marker for "the op failed; the error is in [`Ctx::fault`]".
+pub(super) struct Fault;
+
+/// Per-group execution context handed to every op.
+pub(super) struct Ctx<'a, 'm> {
+    pub(super) mem: &'a mut Memory<'m>,
+    pub(super) arena: &'a mut [u8],
+    /// Root id → memory region, resolved once per launch.
+    pub(super) roots: &'a [Root],
+    pub(super) fault: Option<ExecError>,
+}
+
+/// The `N` bytes of element `off`, when in bounds. Agrees with
+/// [`checked_offset`] on every input it accepts.
+#[inline(always)]
+fn element<const N: usize>(bytes: &[u8], off: i64) -> Option<&[u8; N]> {
+    let start = usize::try_from(off).ok()?.checked_mul(N)?;
+    bytes.get(start..)?.first_chunk::<N>()
+}
+
+#[inline(always)]
+fn element_mut<const N: usize>(bytes: &mut [u8], off: i64) -> Option<&mut [u8; N]> {
+    let start = usize::try_from(off).ok()?.checked_mul(N)?;
+    bytes.get_mut(start..)?.first_chunk_mut::<N>()
+}
+
+impl Ctx<'_, '_> {
+    #[cold]
+    #[inline(never)]
+    fn fail(&mut self, e: ExecError) -> Fault {
+        self.fault = Some(e);
+        Fault
+    }
+
+    /// The canonical error for element `off` not fitting `len` bytes.
+    #[cold]
+    #[inline(never)]
+    fn out_of_bounds(&mut self, off: i64, sz: usize, len: usize) -> Fault {
+        let e = checked_offset(off, sz, len).expect_err("fast path accepts what this accepts");
+        self.fail(e)
+    }
+
+    #[inline(always)]
+    fn read<const N: usize>(&mut self, root: u64, off: i64) -> Result<[u8; N], Fault> {
+        let bytes: &[u8] = match (self.roots[root as usize], &*self.mem) {
+            (Root::Local, _) => self.arena,
+            (Root::Global(b), Memory::Excl(bufs)) => match bufs.get(b) {
+                Some(buf) => buf.as_bytes(),
+                None => return Err(self.fail(dangling_buffer(b))),
+            },
+            (Root::Global(b), Memory::Shared(shared)) => {
+                return shared.read(b, off).map_err(|e| self.fail(e));
+            }
+        };
+        match element(bytes, off) {
+            Some(v) => Ok(*v),
+            None => {
+                let len = bytes.len();
+                Err(self.out_of_bounds(off, N, len))
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn write<const N: usize>(&mut self, root: u64, off: i64, v: [u8; N]) -> Result<(), Fault> {
+        let bytes: &mut [u8] = match (self.roots[root as usize], &mut *self.mem) {
+            (Root::Local, _) => self.arena,
+            (Root::Global(b), Memory::Excl(bufs)) => match bufs.get_mut(b) {
+                Some(buf) => buf.as_bytes_mut(),
+                None => return Err(self.fail(dangling_buffer(b))),
+            },
+            (Root::Global(b), Memory::Shared(shared)) => {
+                return shared.write(b, off, v).map_err(|e| self.fail(e));
+            }
+        };
+        match element_mut(bytes, off) {
+            Some(dst) => {
+                *dst = v;
+                Ok(())
+            }
+            None => {
+                let len = bytes.len();
+                Err(self.out_of_bounds(off, N, len))
+            }
+        }
+    }
+
+    /// `Value::as_index` on a `ulong` register.
+    #[inline(always)]
+    fn index_u64(&mut self, x: u64) -> Result<i64, Fault> {
+        match i64::try_from(x) {
+            Ok(i) => Ok(i),
+            Err(_) => {
+                let e = Value::U64(x).as_index().expect_err("exceeds i64");
+                Err(self.fail(e))
+            }
+        }
+    }
+}
+
+// --- ops -------------------------------------------------------------------
+
+/// What an op tells the dispatch loop to do next.
+pub(super) enum Step {
+    /// Fall through to the next op.
+    Next,
+    /// Continue at this op index.
+    Jump(u32),
+    /// Suspend the item at a barrier (the op's `a` is the resume pc).
+    Barrier,
+    /// The item finished.
+    Done,
+}
+
+pub(super) type OpFn = for<'a, 'm> fn(&mut [u64], &mut Ctx<'a, 'm>, &Op) -> Result<Step, Fault>;
+
+/// One lowered op: a function and the registers it reads and writes.
+/// Which of `a..d` an op uses is documented on its function.
+#[derive(Clone, Copy)]
+pub(super) struct Op {
+    pub(super) run: OpFn,
+    pub(super) dst: u32,
+    pub(super) a: u32,
+    pub(super) b: u32,
+    pub(super) c: u32,
+    pub(super) d: u32,
+    /// How many bytecode instructions this op retires. Each instruction
+    /// is retired by exactly one op on any executed path.
+    pub(super) covers: u32,
+}
+
+/// A scalar type's canonical register encoding and its conversions,
+/// mirroring `Value::{to_i64_lossy, to_f64_lossy, cast}` and
+/// `ops::int_value`.
+pub(super) trait Scalar {
+    const FLOAT: bool;
+    /// `Value::to_i64_lossy` of the register's value.
+    fn to_i64(r: u64) -> i64;
+    /// `Value::to_f64_lossy` of the register's value.
+    fn to_f64(r: u64) -> f64;
+    /// `ops::int_value(v, Self)`, encoded.
+    fn from_i64(v: i64) -> u64;
+    /// `x as Self` (for `bool`: `x != 0.0`), encoded.
+    fn from_f64(x: f64) -> u64;
+}
+
+/// The integer types (and `bool`, which `bin_op` treats as one).
+pub(super) trait Int: Scalar {
+    const UNSIGNED: bool;
+}
+
+pub(super) struct BoolT;
+pub(super) struct I32T;
+pub(super) struct U32T;
+pub(super) struct I64T;
+pub(super) struct U64T;
+pub(super) struct F32T;
+pub(super) struct F64T;
+
+macro_rules! int_scalar {
+    ($T:ident, $unsigned:expr, |$r:ident| $to_f64:expr, |$v:ident| $from_i64:expr, |$x:ident| $from_f64:expr) => {
+        impl Scalar for $T {
+            const FLOAT: bool = false;
+            #[inline(always)]
+            fn to_i64(r: u64) -> i64 {
+                r as i64
+            }
+            #[inline(always)]
+            fn to_f64($r: u64) -> f64 {
+                $to_f64
+            }
+            #[inline(always)]
+            fn from_i64($v: i64) -> u64 {
+                $from_i64
+            }
+            #[inline(always)]
+            fn from_f64($x: f64) -> u64 {
+                $from_f64
+            }
+        }
+        impl Int for $T {
+            const UNSIGNED: bool = $unsigned;
+        }
+    };
+}
+
+int_scalar!(
+    BoolT,
+    false,
+    |r| r as i64 as f64,
+    |v| u64::from(v != 0),
+    |x| u64::from(x != 0.0)
+);
+int_scalar!(
+    I32T,
+    false,
+    |r| r as i64 as f64,
+    |v| v as i32 as i64 as u64,
+    |x| x as i32 as i64 as u64
+);
+int_scalar!(
+    U32T,
+    true,
+    |r| r as i64 as f64,
+    |v| u64::from(v as u32),
+    |x| u64::from(x as u32)
+);
+int_scalar!(I64T, false, |r| r as i64 as f64, |v| v as u64, |x| x as i64
+    as u64);
+int_scalar!(U64T, true, |r| r as f64, |v| v as u64, |x| x as u64);
+
+#[inline(always)]
+fn f32_of(r: u64) -> f32 {
+    f32::from_bits(r as u32)
+}
+
+#[inline(always)]
+fn f32_reg(x: f32) -> u64 {
+    u64::from(x.to_bits())
+}
+
+impl Scalar for F32T {
+    const FLOAT: bool = true;
+    #[inline(always)]
+    fn to_i64(r: u64) -> i64 {
+        f32_of(r) as i64
+    }
+    #[inline(always)]
+    fn to_f64(r: u64) -> f64 {
+        f64::from(f32_of(r))
+    }
+    #[inline(always)]
+    fn from_i64(v: i64) -> u64 {
+        f32_reg(v as f32)
+    }
+    #[inline(always)]
+    fn from_f64(x: f64) -> u64 {
+        f32_reg(x as f32)
+    }
+}
+
+impl Scalar for F64T {
+    const FLOAT: bool = true;
+    #[inline(always)]
+    fn to_i64(r: u64) -> i64 {
+        f64::from_bits(r) as i64
+    }
+    #[inline(always)]
+    fn to_f64(r: u64) -> f64 {
+        f64::from_bits(r)
+    }
+    #[inline(always)]
+    fn from_i64(v: i64) -> u64 {
+        (v as f64).to_bits()
+    }
+    #[inline(always)]
+    fn from_f64(x: f64) -> u64 {
+        x.to_bits()
+    }
+}
+
+/// Encodes a scalar [`Value`] for a register; `None` for pointers.
+pub(super) fn encode(v: Value) -> Option<(ScalarType, u64)> {
+    Some(match v {
+        Value::Bool(b) => (ScalarType::Bool, u64::from(b)),
+        Value::I32(x) => (ScalarType::I32, x as i64 as u64),
+        Value::U32(x) => (ScalarType::U32, u64::from(x)),
+        Value::I64(x) => (ScalarType::I64, x as u64),
+        Value::U64(x) => (ScalarType::U64, x),
+        Value::F32(x) => (ScalarType::F32, f32_reg(x)),
+        Value::F64(x) => (ScalarType::F64, x.to_bits()),
+        Value::Ptr(_) => return None,
+    })
+}
+
+/// Binds `$T` to the marker type of integer (or `bool`) type `$ty`
+/// inside `$e`; evaluates `$else` for the float types.
+macro_rules! with_int {
+    ($ty:expr, $T:ident => $e:expr, $else:expr) => {
+        match $ty {
+            ScalarType::Bool => {
+                type $T = BoolT;
+                $e
+            }
+            ScalarType::I32 => {
+                type $T = I32T;
+                $e
+            }
+            ScalarType::U32 => {
+                type $T = U32T;
+                $e
+            }
+            ScalarType::I64 => {
+                type $T = I64T;
+                $e
+            }
+            ScalarType::U64 => {
+                type $T = U64T;
+                $e
+            }
+            ScalarType::F32 | ScalarType::F64 => $else,
+        }
+    };
+}
+
+/// Binds `$T` to the marker type of float type `$ty` inside `$e`.
+macro_rules! with_float {
+    ($ty:expr, $T:ident => $e:expr) => {
+        if $ty == ScalarType::F32 {
+            type $T = F32T;
+            $e
+        } else {
+            type $T = F64T;
+            $e
+        }
+    };
+}
+
+/// Binds `$T` to the marker type of scalar type `$ty` inside `$e`.
+macro_rules! with_scalar {
+    ($ty:expr, $T:ident => $e:expr) => {
+        with_int!($ty, $T => $e, with_float!($ty, $T => $e))
+    };
+}
+
+#[inline(always)]
+fn get(regs: &[u64], r: u32) -> u64 {
+    regs[r as usize]
+}
+
+#[inline(always)]
+fn set(regs: &mut [u64], r: u32, v: u64) -> Result<Step, Fault> {
+    regs[r as usize] = v;
+    Ok(Step::Next)
+}
+
+// Data movement and control. Control ops keep their target in `c`.
+
+/// `dst = a`
+pub(super) fn mov(regs: &mut [u64], _: &mut Ctx<'_, '_>, op: &Op) -> Result<Step, Fault> {
+    let v = get(regs, op.a);
+    set(regs, op.dst, v)
+}
+
+pub(super) fn nop(_: &mut [u64], _: &mut Ctx<'_, '_>, _: &Op) -> Result<Step, Fault> {
+    Ok(Step::Next)
+}
+
+pub(super) fn jump(_: &mut [u64], _: &mut Ctx<'_, '_>, op: &Op) -> Result<Step, Fault> {
+    Ok(Step::Jump(op.c))
+}
+
+/// Jumps to `c` when bool register `a` equals `b` (0 or 1).
+pub(super) fn branch(regs: &mut [u64], _: &mut Ctx<'_, '_>, op: &Op) -> Result<Step, Fault> {
+    Ok(if get(regs, op.a) == u64::from(op.b) {
+        Step::Jump(op.c)
+    } else {
+        Step::Next
+    })
+}
+
+pub(super) fn barrier(_: &mut [u64], _: &mut Ctx<'_, '_>, _: &Op) -> Result<Step, Fault> {
+    Ok(Step::Barrier)
+}
+
+pub(super) fn ret(_: &mut [u64], _: &mut Ctx<'_, '_>, _: &Op) -> Result<Step, Fault> {
+    Ok(Step::Done)
+}
+
+// Integer arithmetic, in `i64` like `bin_op`.
+
+trait IntBin {
+    /// `None` when the divisor is zero.
+    fn apply<T: Int>(x: i64, y: i64) -> Option<i64>;
+}
+
+macro_rules! int_bin {
+    ($Name:ident, |$x:ident, $y:ident, $T:ident| $e:expr) => {
+        struct $Name;
+        impl IntBin for $Name {
+            #[inline(always)]
+            fn apply<$T: Int>($x: i64, $y: i64) -> Option<i64> {
+                $e
+            }
+        }
+    };
+}
+
+int_bin!(IAdd, |x, y, T| Some(x.wrapping_add(y)));
+int_bin!(ISub, |x, y, T| Some(x.wrapping_sub(y)));
+int_bin!(IMul, |x, y, T| Some(x.wrapping_mul(y)));
+int_bin!(IDiv, |x, y, T| if y == 0 {
+    None
+} else if T::UNSIGNED {
+    Some((x as u64).wrapping_div(y as u64) as i64)
+} else {
+    Some(x.wrapping_div(y))
+});
+int_bin!(IRem, |x, y, T| if y == 0 {
+    None
+} else if T::UNSIGNED {
+    Some((x as u64).wrapping_rem(y as u64) as i64)
+} else {
+    Some(x.wrapping_rem(y))
+});
+int_bin!(IShl, |x, y, T| Some(x.wrapping_shl(y as u32 & 63)));
+int_bin!(IShr, |x, y, T| Some(if T::UNSIGNED {
+    (x as u64).wrapping_shr(y as u32 & 63) as i64
+} else {
+    x.wrapping_shr(y as u32 & 63)
+}));
+int_bin!(IAnd, |x, y, T| Some(x & y));
+int_bin!(IOr, |x, y, T| Some(x | y));
+int_bin!(IXor, |x, y, T| Some(x ^ y));
+int_bin!(IMin, |x, y, T| Some(if T::UNSIGNED {
+    (x as u64).min(y as u64) as i64
+} else {
+    x.min(y)
+}));
+int_bin!(IMax, |x, y, T| Some(if T::UNSIGNED {
+    (x as u64).max(y as u64) as i64
+} else {
+    x.max(y)
+}));
+
+/// The division-by-zero error, from the helper that owns its text.
+#[cold]
+#[inline(never)]
+fn div_by_zero(ctx: &mut Ctx<'_, '_>) -> Fault {
+    let e = bin_op(BinKind::Div, ScalarType::I64, Value::I64(0), Value::I64(0))
+        .expect_err("division by zero");
+    ctx.fail(e)
+}
+
+/// `dst = a <O> b` at integer type `T` (`min`/`max` included: `math2`
+/// at an integer type is the same widen, operate, re-normalize).
+fn int_bin<T: Int, O: IntBin>(
+    regs: &mut [u64],
+    ctx: &mut Ctx<'_, '_>,
+    op: &Op,
+) -> Result<Step, Fault> {
+    let (x, y) = (get(regs, op.a) as i64, get(regs, op.b) as i64);
+    match O::apply::<T>(x, y) {
+        Some(r) => set(regs, op.dst, T::from_i64(r)),
+        None => Err(div_by_zero(ctx)),
+    }
+}
+
+/// `dst = a * b + c` at integer type `T`: two `bin_op`s in one op.
+fn int_mul_add<T: Int>(regs: &mut [u64], _: &mut Ctx<'_, '_>, op: &Op) -> Result<Step, Fault> {
+    let (x, y, z) = (
+        get(regs, op.a) as i64,
+        get(regs, op.b) as i64,
+        get(regs, op.c) as i64,
+    );
+    let m = T::from_i64(x.wrapping_mul(y)) as i64;
+    set(regs, op.dst, T::from_i64(m.wrapping_add(z)))
+}
+
+// Float arithmetic. `bin_op` computes `float` in `f32` after an
+// `f32 → f64 → f32` round trip of each operand, which is the identity on
+// everything but a signalling NaN.
+//
+// Which NaN an operation yields — sign, quiet bit, payload — is the one
+// part of its result that does not follow from the source: the hardware
+// keeps its *first* NaN operand, the compiler may swap the operands of
+// `+` and `*`, and it may delete a widen-and-narrow round trip together
+// with the quieting it performs. So the typed code never produces a NaN
+// itself. Every float op that sees one (in its result, or in an operand
+// where an operation can swallow it) recomputes through the helper the
+// interpreter calls, out of line, on operands the optimizer cannot see
+// through: whatever that helper yields is by definition the answer.
+
+/// The register encoding of a helper's scalar result.
+fn bits(v: Value) -> u64 {
+    encode(v).expect("float helpers return scalars").1
+}
+
+#[cold]
+#[inline(never)]
+fn bin_by_helper(kind: BinKind, ty: ScalarType, a: Value, b: Value) -> u64 {
+    let (a, b) = black_box((a, b));
+    bits(bin_op(kind, ty, a, b).expect("float arithmetic cannot fail"))
+}
+
+#[cold]
+#[inline(never)]
+fn neg_by_helper(ty: ScalarType, a: Value) -> u64 {
+    bits(neg_op(ty, black_box(a)))
+}
+
+#[cold]
+#[inline(never)]
+fn cast_by_helper(a: Value, to: ScalarType) -> u64 {
+    bits(black_box(a).cast(to))
+}
+
+#[cold]
+#[inline(never)]
+fn math1_by_helper(m: Math1, ty: ScalarType, a: Value) -> u64 {
+    bits(math1(m, ty, black_box(a)))
+}
+
+#[cold]
+#[inline(never)]
+fn math2_by_helper(m: Math2, ty: ScalarType, a: Value, b: Value) -> u64 {
+    let (a, b) = black_box((a, b));
+    bits(math2(m, ty, a, b))
+}
+
+/// What the float ops need of `f32` and `f64`.
+trait Real:
+    Copy
+    + PartialOrd
+    + std::ops::Add<Output = Self>
+    + std::ops::Sub<Output = Self>
+    + std::ops::Mul<Output = Self>
+    + std::ops::Div<Output = Self>
+    + std::ops::Neg<Output = Self>
+{
+    fn is_nan(self) -> bool;
+}
+
+impl Real for f32 {
+    #[inline(always)]
+    fn is_nan(self) -> bool {
+        f32::is_nan(self)
+    }
+}
+
+impl Real for f64 {
+    #[inline(always)]
+    fn is_nan(self) -> bool {
+        f64::is_nan(self)
+    }
+}
+
+trait Float: Scalar {
+    type V: Real;
+    const TY: ScalarType;
+    fn val(r: u64) -> Self::V;
+    fn reg(v: Self::V) -> u64;
+    /// The register as the tagged value the helpers take.
+    fn value(r: u64) -> Value;
+}
+
+impl Float for F32T {
+    type V = f32;
+    const TY: ScalarType = ScalarType::F32;
+    #[inline(always)]
+    fn val(r: u64) -> f32 {
+        f32_of(r)
+    }
+    #[inline(always)]
+    fn reg(v: f32) -> u64 {
+        f32_reg(v)
+    }
+    #[inline(always)]
+    fn value(r: u64) -> Value {
+        Value::F32(f32_of(r))
+    }
+}
+
+impl Float for F64T {
+    type V = f64;
+    const TY: ScalarType = ScalarType::F64;
+    #[inline(always)]
+    fn val(r: u64) -> f64 {
+        f64::from_bits(r)
+    }
+    #[inline(always)]
+    fn reg(v: f64) -> u64 {
+        v.to_bits()
+    }
+    #[inline(always)]
+    fn value(r: u64) -> Value {
+        Value::F64(f64::from_bits(r))
+    }
+}
+
+trait FloatBin {
+    const KIND: BinKind;
+    fn apply<V: Real>(x: V, y: V) -> V;
+}
+
+macro_rules! float_bin {
+    ($Name:ident, $kind:ident, $op:tt) => {
+        struct $Name;
+        impl FloatBin for $Name {
+            const KIND: BinKind = BinKind::$kind;
+            #[inline(always)]
+            fn apply<V: Real>(x: V, y: V) -> V {
+                x $op y
+            }
+        }
+    };
+}
+
+float_bin!(FAdd, Add, +);
+float_bin!(FSub, Sub, -);
+float_bin!(FMul, Mul, *);
+float_bin!(FDiv, Div, /);
+
+/// `dst = a <O> b` at float type `F`. A NaN operand makes the result a
+/// NaN, so the result is the only thing to test.
+fn float_bin<F: Float, O: FloatBin>(
+    regs: &mut [u64],
+    _: &mut Ctx<'_, '_>,
+    op: &Op,
+) -> Result<Step, Fault> {
+    let (a, b) = (get(regs, op.a), get(regs, op.b));
+    let r = O::apply(F::val(a), F::val(b));
+    let v = if r.is_nan() {
+        bin_by_helper(O::KIND, F::TY, F::value(a), F::value(b))
+    } else {
+        F::reg(r)
+    };
+    set(regs, op.dst, v)
+}
+
+/// The function for `Instr::Bin(kind, ty)`, or `None` where `bin_op`
+/// rejects the pair (an integer-only operator at a float type).
+pub(super) fn bin_fn(kind: BinKind, ty: ScalarType) -> Option<OpFn> {
+    Some(with_int!(
+        ty,
+        T => match kind {
+            BinKind::Add => int_bin::<T, IAdd> as OpFn,
+            BinKind::Sub => int_bin::<T, ISub>,
+            BinKind::Mul => int_bin::<T, IMul>,
+            BinKind::Div => int_bin::<T, IDiv>,
+            BinKind::Rem => int_bin::<T, IRem>,
+            BinKind::Shl => int_bin::<T, IShl>,
+            BinKind::Shr => int_bin::<T, IShr>,
+            BinKind::And => int_bin::<T, IAnd>,
+            BinKind::Or => int_bin::<T, IOr>,
+            BinKind::Xor => int_bin::<T, IXor>,
+        },
+        with_float!(ty, F => match kind {
+            BinKind::Add => float_bin::<F, FAdd>,
+            BinKind::Sub => float_bin::<F, FSub>,
+            BinKind::Mul => float_bin::<F, FMul>,
+            BinKind::Div => float_bin::<F, FDiv>,
+            _ => return None,
+        })
+    ))
+}
+
+/// `a * b + c` at integer type `ty` (addition commutes exactly there, so
+/// `c + a * b` is the same op); `None` at a float type.
+pub(super) fn int_mul_add_fn(ty: ScalarType) -> Option<OpFn> {
+    with_int!(ty, T => Some(int_mul_add::<T>), None)
+}
+
+// Comparisons: how `cmp_op` orders operands of one type.
+
+/// The comparison domain `cmp_op` uses for a type.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(super) enum CmpClass {
+    /// `bool`, `int`, `long`: as `i64`.
+    Signed,
+    /// `uint`, `ulong`: as `u64`.
+    Unsigned,
+    /// `float` — `f32 → f64` is exact, so comparing in `f32` matches.
+    F32,
+    F64,
+}
+
+impl CmpClass {
+    pub(super) fn of(ty: ScalarType) -> CmpClass {
+        match ty {
+            ScalarType::Bool | ScalarType::I32 | ScalarType::I64 => CmpClass::Signed,
+            ScalarType::U32 | ScalarType::U64 => CmpClass::Unsigned,
+            ScalarType::F32 => CmpClass::F32,
+            ScalarType::F64 => CmpClass::F64,
+        }
+    }
+}
+
+trait Domain {
+    type V: PartialOrd;
+    fn val(r: u64) -> Self::V;
+}
+
+struct SignedD;
+struct UnsignedD;
+
+impl Domain for SignedD {
+    type V = i64;
+    #[inline(always)]
+    fn val(r: u64) -> i64 {
+        r as i64
+    }
+}
+
+impl Domain for UnsignedD {
+    type V = u64;
+    #[inline(always)]
+    fn val(r: u64) -> u64 {
+        r
+    }
+}
+
+impl<F: Float> Domain for F {
+    type V = F::V;
+    #[inline(always)]
+    fn val(r: u64) -> F::V {
+        <F as Float>::val(r)
+    }
+}
+
+trait Rel {
+    fn holds<V: PartialOrd>(x: V, y: V) -> bool;
+}
+
+macro_rules! rel {
+    ($Name:ident, $op:tt) => {
+        struct $Name;
+        impl Rel for $Name {
+            #[inline(always)]
+            fn holds<V: PartialOrd>(x: V, y: V) -> bool {
+                x $op y
+            }
+        }
+    };
+}
+
+rel!(REq, ==);
+rel!(RNe, !=);
+rel!(RLt, <);
+rel!(RLe, <=);
+rel!(RGt, >);
+rel!(RGe, >=);
+
+/// `dst = a <R> b` as a `bool`.
+fn compare<D: Domain, R: Rel>(
+    regs: &mut [u64],
+    _: &mut Ctx<'_, '_>,
+    op: &Op,
+) -> Result<Step, Fault> {
+    let r = R::holds(D::val(get(regs, op.a)), D::val(get(regs, op.b)));
+    set(regs, op.dst, u64::from(r))
+}
+
+/// The function for `Instr::Cmp(kind, _)` in `class`.
+pub(super) fn cmp_fn(kind: CmpKind, class: CmpClass) -> OpFn {
+    macro_rules! rels {
+        ($D:ident) => {
+            match kind {
+                CmpKind::Eq => compare::<$D, REq> as OpFn,
+                CmpKind::Ne => compare::<$D, RNe>,
+                CmpKind::Lt => compare::<$D, RLt>,
+                CmpKind::Le => compare::<$D, RLe>,
+                CmpKind::Gt => compare::<$D, RGt>,
+                CmpKind::Ge => compare::<$D, RGe>,
+            }
+        };
+    }
+    match class {
+        CmpClass::Signed => rels!(SignedD),
+        CmpClass::Unsigned => rels!(UnsignedD),
+        CmpClass::F32 => rels!(F32T),
+        CmpClass::F64 => rels!(F64T),
+    }
+}
+
+// Unary operators and conversions.
+
+/// `ops::neg_op` at a float type. Off a NaN, the helper's round trip
+/// through `f64` is the identity and negation flips the sign bit.
+fn neg_float<F: Float>(regs: &mut [u64], _: &mut Ctx<'_, '_>, op: &Op) -> Result<Step, Fault> {
+    let a = get(regs, op.a);
+    let x = F::val(a);
+    let v = if x.is_nan() {
+        neg_by_helper(F::TY, F::value(a))
+    } else {
+        F::reg(-x)
+    };
+    set(regs, op.dst, v)
+}
+
+/// `ops::neg_op` at an integer type: negating in `i64` and truncating
+/// equals truncating and negating.
+fn neg_int<T: Int>(regs: &mut [u64], _: &mut Ctx<'_, '_>, op: &Op) -> Result<Step, Fault> {
+    let v = T::from_i64((get(regs, op.a) as i64).wrapping_neg());
+    set(regs, op.dst, v)
+}
+
+/// Negating `bool` yields `int`, like the helper.
+fn neg_bool(regs: &mut [u64], _: &mut Ctx<'_, '_>, op: &Op) -> Result<Step, Fault> {
+    let v = -i64::from(get(regs, op.a) != 0);
+    set(regs, op.dst, I32T::from_i64(v))
+}
+
+pub(super) fn neg_fn(ty: ScalarType) -> OpFn {
+    if ty == ScalarType::Bool {
+        return neg_bool;
+    }
+    with_int!(ty, T => neg_int::<T>, with_float!(ty, F => neg_float::<F>))
+}
+
+/// `int_value(!to_i64_lossy(a), T)`
+fn bit_not<T: Scalar>(regs: &mut [u64], _: &mut Ctx<'_, '_>, op: &Op) -> Result<Step, Fault> {
+    let v = T::from_i64(!T::to_i64(get(regs, op.a)));
+    set(regs, op.dst, v)
+}
+
+pub(super) fn bit_not_fn(ty: ScalarType) -> OpFn {
+    with_scalar!(ty, T => bit_not::<T>)
+}
+
+/// `dst = !a` on a `bool` register.
+pub(super) fn not_bool(regs: &mut [u64], _: &mut Ctx<'_, '_>, op: &Op) -> Result<Step, Fault> {
+    let v = get(regs, op.a) ^ 1;
+    set(regs, op.dst, v)
+}
+
+/// `Value::cast`: through `f64` when either side is a float, through
+/// `i64` otherwise.
+fn cast<S: Scalar, D: Scalar>(
+    regs: &mut [u64],
+    _: &mut Ctx<'_, '_>,
+    op: &Op,
+) -> Result<Step, Fault> {
+    let r = get(regs, op.a);
+    let v = if S::FLOAT || D::FLOAT {
+        D::from_f64(S::to_f64(r))
+    } else {
+        D::from_i64(S::to_i64(r))
+    };
+    set(regs, op.dst, v)
+}
+
+/// A float-to-float cast: the only kind that hands a NaN through.
+fn cast_float<S: Float, D: Float>(
+    regs: &mut [u64],
+    _: &mut Ctx<'_, '_>,
+    op: &Op,
+) -> Result<Step, Fault> {
+    let r = get(regs, op.a);
+    let v = if S::val(r).is_nan() {
+        cast_by_helper(S::value(r), D::TY)
+    } else {
+        D::from_f64(S::to_f64(r))
+    };
+    set(regs, op.dst, v)
+}
+
+pub(super) fn cast_fn(from: ScalarType, to: ScalarType) -> OpFn {
+    if from.is_float() && to.is_float() {
+        return with_float!(from, S => with_float!(to, D => cast_float::<S, D>));
+    }
+    with_scalar!(from, S => with_scalar!(to, D => cast::<S, D>))
+}
+
+// Math builtins, computed in `f64` and narrowed like `ops::math1/math2`.
+
+trait Fn1 {
+    const KIND: Math1;
+    fn f(x: f64) -> f64;
+}
+
+macro_rules! fn1 {
+    ($Name:ident, |$x:ident| $e:expr) => {
+        struct $Name;
+        impl Fn1 for $Name {
+            const KIND: Math1 = Math1::$Name;
+            #[inline(always)]
+            fn f($x: f64) -> f64 {
+                $e
+            }
+        }
+    };
+}
+
+fn1!(Sqrt, |x| x.sqrt());
+fn1!(Rsqrt, |x| 1.0 / x.sqrt());
+fn1!(Abs, |x| x.abs());
+fn1!(Exp, |x| x.exp());
+fn1!(Log, |x| x.ln());
+fn1!(Log2, |x| x.log2());
+fn1!(Sin, |x| x.sin());
+fn1!(Cos, |x| x.cos());
+fn1!(Tan, |x| x.tan());
+fn1!(Floor, |x| x.floor());
+fn1!(Ceil, |x| x.ceil());
+
+/// Every one-argument builtin maps a NaN to a NaN, so the result is the
+/// only thing to test.
+fn float_math1<F: Float, M: Fn1>(
+    regs: &mut [u64],
+    _: &mut Ctx<'_, '_>,
+    op: &Op,
+) -> Result<Step, Fault> {
+    let a = get(regs, op.a);
+    let r = M::f(F::to_f64(a));
+    let v = if r.is_nan() {
+        math1_by_helper(M::KIND, F::TY, F::value(a))
+    } else {
+        F::from_f64(r)
+    };
+    set(regs, op.dst, v)
+}
+
+/// `math1` at an integer type is `abs`, whatever the builtin.
+fn int_abs<T: Int>(regs: &mut [u64], _: &mut Ctx<'_, '_>, op: &Op) -> Result<Step, Fault> {
+    let v = T::from_i64((get(regs, op.a) as i64).wrapping_abs());
+    set(regs, op.dst, v)
+}
+
+/// The function for `CallMath1(m, ty)`; `ty` is `int`-like or a float.
+pub(super) fn math1_fn(m: Math1, ty: ScalarType) -> OpFn {
+    with_int!(
+        ty,
+        T => int_abs::<T> as OpFn,
+        with_float!(ty, F => match m {
+            Math1::Sqrt => float_math1::<F, Sqrt>,
+            Math1::Rsqrt => float_math1::<F, Rsqrt>,
+            Math1::Abs => float_math1::<F, Abs>,
+            Math1::Exp => float_math1::<F, Exp>,
+            Math1::Log => float_math1::<F, Log>,
+            Math1::Log2 => float_math1::<F, Log2>,
+            Math1::Sin => float_math1::<F, Sin>,
+            Math1::Cos => float_math1::<F, Cos>,
+            Math1::Tan => float_math1::<F, Tan>,
+            Math1::Floor => float_math1::<F, Floor>,
+            Math1::Ceil => float_math1::<F, Ceil>,
+        })
+    )
+}
+
+trait Fn2 {
+    const KIND: Math2;
+    fn f(x: f64, y: f64) -> f64;
+}
+
+macro_rules! fn2 {
+    ($Name:ident, |$x:ident, $y:ident| $e:expr) => {
+        struct $Name;
+        impl Fn2 for $Name {
+            const KIND: Math2 = Math2::$Name;
+            #[inline(always)]
+            fn f($x: f64, $y: f64) -> f64 {
+                $e
+            }
+        }
+    };
+}
+
+fn2!(Pow, |x, y| x.powf(y));
+fn2!(Min, |x, y| x.min(y));
+fn2!(Max, |x, y| x.max(y));
+fn2!(Fmod, |x, y| x % y);
+
+/// `fmin`, `fmax` and `pow` can return a number for a NaN operand, so
+/// the operands are tested as well as the result.
+fn float_math2<F: Float, M: Fn2>(
+    regs: &mut [u64],
+    _: &mut Ctx<'_, '_>,
+    op: &Op,
+) -> Result<Step, Fault> {
+    let (a, b) = (get(regs, op.a), get(regs, op.b));
+    let (x, y) = (F::to_f64(a), F::to_f64(b));
+    let r = M::f(x, y);
+    let v = if x.is_nan() || y.is_nan() || r.is_nan() {
+        math2_by_helper(M::KIND, F::TY, F::value(a), F::value(b))
+    } else {
+        F::from_f64(r)
+    };
+    set(regs, op.dst, v)
+}
+
+/// The function for `CallMath2(m, ty)`, or `None` for a float-only
+/// builtin at an integer type (`math2` panics there).
+pub(super) fn math2_fn(m: Math2, ty: ScalarType) -> Option<OpFn> {
+    Some(with_int!(
+        ty,
+        T => match m {
+            Math2::Min => int_bin::<T, IMin> as OpFn,
+            Math2::Max => int_bin::<T, IMax>,
+            Math2::Pow | Math2::Fmod => return None,
+        },
+        with_float!(ty, F => match m {
+            Math2::Pow => float_math2::<F, Pow>,
+            Math2::Min => float_math2::<F, Min>,
+            Math2::Max => float_math2::<F, Max>,
+            Math2::Fmod => float_math2::<F, Fmod>,
+        })
+    ))
+}
+
+// Pointers and memory. A load widens the element to its canonical
+// register form; a store needs only the element's size.
+
+/// `dst = a + b` on element offsets (`b` any integer but `ulong`).
+pub(super) fn ptr_add(regs: &mut [u64], _: &mut Ctx<'_, '_>, op: &Op) -> Result<Step, Fault> {
+    let v = (get(regs, op.a) as i64).wrapping_add(get(regs, op.b) as i64);
+    set(regs, op.dst, v as u64)
+}
+
+/// [`ptr_add`] with a `ulong` index, which must fit `i64`.
+pub(super) fn ptr_add_u64(regs: &mut [u64], ctx: &mut Ctx<'_, '_>, op: &Op) -> Result<Step, Fault> {
+    let idx = ctx.index_u64(get(regs, op.b))?;
+    let v = (get(regs, op.a) as i64).wrapping_add(idx);
+    set(regs, op.dst, v as u64)
+}
+
+trait Widen<const N: usize> {
+    fn widen(bytes: [u8; N]) -> u64;
+}
+
+struct BoolByte;
+struct SignedWord;
+struct Zeroed;
+
+impl Widen<1> for BoolByte {
+    #[inline(always)]
+    fn widen(bytes: [u8; 1]) -> u64 {
+        u64::from(bytes[0] != 0)
+    }
+}
+
+impl Widen<4> for SignedWord {
+    #[inline(always)]
+    fn widen(bytes: [u8; 4]) -> u64 {
+        i32::from_le_bytes(bytes) as i64 as u64
+    }
+}
+
+impl Widen<4> for Zeroed {
+    #[inline(always)]
+    fn widen(bytes: [u8; 4]) -> u64 {
+        u64::from(u32::from_le_bytes(bytes))
+    }
+}
+
+impl Widen<8> for Zeroed {
+    #[inline(always)]
+    fn widen(bytes: [u8; 8]) -> u64 {
+        u64::from_le_bytes(bytes)
+    }
+}
+
+/// `dst = root(c)[a]`
+fn load<const N: usize, W: Widen<N>>(
+    regs: &mut [u64],
+    ctx: &mut Ctx<'_, '_>,
+    op: &Op,
+) -> Result<Step, Fault> {
+    let bytes = ctx.read::<N>(get(regs, op.c), get(regs, op.a) as i64)?;
+    set(regs, op.dst, W::widen(bytes))
+}
+
+/// `dst = root(c)[a + b]`: [`ptr_add`] folded into the load.
+fn load_indexed<const N: usize, W: Widen<N>>(
+    regs: &mut [u64],
+    ctx: &mut Ctx<'_, '_>,
+    op: &Op,
+) -> Result<Step, Fault> {
+    let off = (get(regs, op.a) as i64).wrapping_add(get(regs, op.b) as i64);
+    let bytes = ctx.read::<N>(get(regs, op.c), off)?;
+    set(regs, op.dst, W::widen(bytes))
+}
+
+/// The low `N` bytes of a canonical register are the element's bytes
+/// for every type of that size (`bool` is 0/1).
+#[inline(always)]
+fn narrow<const N: usize>(r: u64) -> [u8; N] {
+    *r.to_le_bytes().first_chunk::<N>().expect("N <= 8")
+}
+
+/// `root(c)[a] = d`
+fn store<const N: usize>(regs: &mut [u64], ctx: &mut Ctx<'_, '_>, op: &Op) -> Result<Step, Fault> {
+    ctx.write::<N>(
+        get(regs, op.c),
+        get(regs, op.a) as i64,
+        narrow(get(regs, op.d)),
+    )?;
+    Ok(Step::Next)
+}
+
+/// `root(c)[a + b] = d`
+fn store_indexed<const N: usize>(
+    regs: &mut [u64],
+    ctx: &mut Ctx<'_, '_>,
+    op: &Op,
+) -> Result<Step, Fault> {
+    let off = (get(regs, op.a) as i64).wrapping_add(get(regs, op.b) as i64);
+    ctx.write::<N>(get(regs, op.c), off, narrow(get(regs, op.d)))?;
+    Ok(Step::Next)
+}
+
+/// `(load, load_indexed)` for elements of type `elem`.
+pub(super) fn load_fns(elem: ScalarType) -> (OpFn, OpFn) {
+    match elem {
+        ScalarType::Bool => (load::<1, BoolByte>, load_indexed::<1, BoolByte>),
+        ScalarType::I32 => (load::<4, SignedWord>, load_indexed::<4, SignedWord>),
+        ScalarType::U32 | ScalarType::F32 => (load::<4, Zeroed>, load_indexed::<4, Zeroed>),
+        ScalarType::I64 | ScalarType::U64 | ScalarType::F64 => {
+            (load::<8, Zeroed>, load_indexed::<8, Zeroed>)
+        }
+    }
+}
+
+/// `(store, store_indexed)` for elements of type `elem`.
+pub(super) fn store_fns(elem: ScalarType) -> (OpFn, OpFn) {
+    match elem.size_bytes() {
+        1 => (store::<1>, store_indexed::<1>),
+        4 => (store::<4>, store_indexed::<4>),
+        _ => (store::<8>, store_indexed::<8>),
+    }
+}
+
+/// `dst = geometry[b + min(a, 2)]` for a dimension only known at run
+/// time; `c != 0` when the dimension is a `ulong` that must fit `i64`.
+pub(super) fn query(regs: &mut [u64], ctx: &mut Ctx<'_, '_>, op: &Op) -> Result<Step, Fault> {
+    let dim = get(regs, op.a);
+    let dim = if op.c != 0 {
+        ctx.index_u64(dim)?
+    } else {
+        dim as i64
+    };
+    let v = get(regs, op.b + (dim as usize).min(2) as u32);
+    set(regs, op.dst, v)
+}

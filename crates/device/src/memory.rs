@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Mutex;
 
 use haocl_kernel::GlobalBuffer;
 use haocl_proto::ids::BufferId;
@@ -80,6 +81,78 @@ impl Backing {
         match self {
             Backing::Real(b) => b.len() as u64,
             Backing::Virtual(size) => *size,
+        }
+    }
+}
+
+/// Released backings, kept for the next allocation of a similar size.
+///
+/// Every application run allocates its device buffers and frees them
+/// again, MiB-sized blocks each, on whichever thread serves the node.
+/// Handing those straight back to the allocator makes the resident set
+/// depend on thread history: glibc serves such blocks from the calling
+/// thread's arena once its mmap threshold has adapted upwards, keeps
+/// what is freed there, and gives each new cluster's serve threads
+/// other arenas to fill — a process that brought up a dozen clusters one
+/// after another held 15 MiB more than after its first. A bounded
+/// process-wide list breaks that: a released backing is zeroed and
+/// reused by the next allocation, on any device of any cluster. (It
+/// treats the symptom; ROADMAP item 4 tracks fixing teardown residency
+/// at the source and deleting this.)
+mod spare {
+    use super::{Backing, GlobalBuffer, Mutex};
+
+    /// Blocks below this are cheap to allocate and not worth a lock.
+    const MIN_BYTES: usize = 64 << 10;
+    /// Most idle bytes the list holds; beyond it a backing is freed.
+    const MAX_BYTES: usize = 16 << 20;
+
+    /// `(idle bytes, backings)`
+    static SPARE: Mutex<(usize, Vec<Vec<u8>>)> = Mutex::new((0, Vec::new()));
+
+    /// A zeroed backing of `len` bytes: the tightest spare that fits
+    /// without wasting more than it holds, else a fresh one.
+    pub(super) fn take(len: usize) -> GlobalBuffer {
+        if len < MIN_BYTES {
+            return GlobalBuffer::zeroed(len);
+        }
+        let reused = {
+            let mut spare = SPARE.lock().unwrap_or_else(|e| e.into_inner());
+            let fit = spare
+                .1
+                .iter()
+                .enumerate()
+                .filter(|(_, v)| (len..=2 * len).contains(&v.capacity()))
+                .min_by_key(|(_, v)| v.capacity())
+                .map(|(i, _)| i);
+            fit.map(|i| {
+                let v = spare.1.swap_remove(i);
+                spare.0 -= v.capacity();
+                v
+            })
+        };
+        match reused {
+            Some(mut v) => {
+                v.clear();
+                v.resize(len, 0);
+                GlobalBuffer::from_bytes(v)
+            }
+            None => GlobalBuffer::zeroed(len),
+        }
+    }
+
+    pub(super) fn park(backing: Backing) {
+        let Backing::Real(buffer) = backing else {
+            return;
+        };
+        let v = buffer.into_bytes();
+        if v.capacity() < MIN_BYTES {
+            return;
+        }
+        let mut spare = SPARE.lock().unwrap_or_else(|e| e.into_inner());
+        if spare.0 + v.capacity() <= MAX_BYTES {
+            spare.0 += v.capacity();
+            spare.1.push(v);
         }
     }
 }
@@ -172,7 +245,7 @@ impl MemoryManager {
         let backing = if virt {
             Backing::Virtual(size)
         } else {
-            Backing::Real(GlobalBuffer::zeroed(size as usize))
+            Backing::Real(spare::take(size as usize))
         };
         self.buffers.insert(id, backing);
         self.used += size;
@@ -186,8 +259,9 @@ impl MemoryManager {
     /// [`MemoryError::UnknownBuffer`] if `id` is not allocated.
     pub fn free(&mut self, id: BufferId) -> Result<(), MemoryError> {
         match self.buffers.remove(&id) {
-            Some(buf) => {
-                self.used -= buf.len();
+            Some(backing) => {
+                self.used -= backing.len();
+                spare::park(backing);
                 Ok(())
             }
             None => Err(MemoryError::UnknownBuffer(id)),
@@ -353,6 +427,33 @@ mod tests {
         assert_eq!(m.buffer_count(), 2);
         m.free(id(1)).unwrap();
         assert_eq!(m.used_bytes(), 600);
+    }
+
+    #[test]
+    fn a_recycled_backing_reads_as_zeros() {
+        // Sizes in the recycled range; a released backing full of ones
+        // must never show through the next allocation, whichever spare
+        // (this test's, or another test's) it is served from.
+        const LEN: u64 = 300 << 10;
+        let ones = vec![1u8; LEN as usize];
+        let mut m = MemoryManager::new(4 * LEN);
+        for round in 0..4 {
+            m.alloc(id(1), LEN - round).unwrap();
+            assert!(m
+                .read(id(1), 0, LEN - round)
+                .unwrap()
+                .iter()
+                .all(|b| *b == 0));
+            m.write(id(1), 0, &ones[..(LEN - round) as usize]).unwrap();
+            m.free(id(1)).unwrap();
+        }
+        // Another manager, and the smallest size a spare of `LEN` serves.
+        let mut m = MemoryManager::new(LEN);
+        m.alloc(id(3), LEN / 2 + 1).unwrap();
+        assert_eq!(
+            m.read(id(3), 0, LEN / 2 + 1).unwrap(),
+            vec![0; LEN as usize / 2 + 1]
+        );
     }
 
     #[test]

@@ -342,6 +342,373 @@ fn engines_match_oracle_on_paper_launches() {
     .unwrap_or_else(|e| panic!("{e}"));
 }
 
+/// Kernels aimed at the corners of the compiled engine's typing pass:
+/// what a slot or a stack temporary holds before, between and across
+/// stores, and which failure of a deferred tree surfaces first.
+const TYPING_EDGE_KERNELS: &str = r#"
+// Declared-but-unassigned locals read back as zero bits of every type.
+__kernel void unassigned(__global int* oi, __global float* of,
+                         __global long* ol, __global uint* ou,
+                         __global double* od) {
+    int a; uint b; long c; ulong d; float e; double f; bool g;
+    int i = get_global_id(0);
+    oi[2 * i] = a + (g ? 1 : 0);
+    oi[2 * i + 1] = (int)d;
+    of[i] = e;
+    ol[i] = c;
+    ou[i] = b;
+    od[i] = f;
+}
+
+// A `ulong` index: in range it addresses, above `i64::MAX` it faults.
+__kernel void ulong_index(__global int* out, ulong at) {
+    ulong i = at + get_global_id(0);
+    out[i] = 7;
+}
+
+// A pointer parameter advanced in a loop, per work-item.
+__kernel void walk(__global const float* p, __global float* out, int n) {
+    float acc = 0.0f;
+    p = p + get_global_id(0);
+    for (int k = 0; k < n; k++) {
+        acc += p[0];
+        p = p + 1;
+    }
+    out[get_global_id(0)] = acc;
+}
+
+// A `__local` pointer argument and a static `__local` array together,
+// with pointers held across the seams of a conditional expression.
+__kernel void two_locals(__global int* out, __local int* scratch, int n) {
+    __local int tile[8];
+    int l = get_local_id(0);
+    tile[l] = l * 3;
+    scratch[l] = l + 100;
+    barrier(CLK_LOCAL_MEM_FENCE);
+    int r = 7 - l;
+    int v = (l < n) ? tile[r] : scratch[r];
+    barrier(CLK_LOCAL_MEM_FENCE);
+    scratch[l] += (l < n) ? 1 : 2;
+    barrier(CLK_LOCAL_MEM_FENCE);
+    out[get_global_id(0)] = v + scratch[r];
+}
+
+// bool <-> int <-> float conversion chains.
+__kernel void casts(__global const float* x, __global int* oi,
+                    __global float* of, int s) {
+    int i = get_global_id(0);
+    bool nz = (bool)x[i];
+    bool pos = x[i] > 0.0f;
+    int n = (int)nz + (int)pos * 2 + (int)(uint)x[i];
+    float back = (float)nz + (float)(long)x[i] + (float)(ulong)s;
+    double wide = (double)x[i] * (double)(uint)s;
+    oi[2 * i] = n + (int)wide + -(int)pos;
+    oi[2 * i + 1] = (int)(bool)s + (int)(float)(s * 1000003) + ~s;
+    of[i] = back + (float)wide + (float)(nz && pos);
+}
+
+// float and double arguments to one- and two-argument builtins.
+__kernel void mixed_math(__global const float* x, __global float* of,
+                         __global double* od, __global int* oi) {
+    int i = get_global_id(0);
+    double d = sqrt((double)x[i]) + pow(x[i], 2.0) + fmin(x[i], 0.25);
+    float f = sqrt(x[i]) + pow(x[i], 2.0f) + fmax(x[i], 0.25f) + fabs(x[i]);
+    of[i] = f + floor(x[i]) + clamp(x[i], 0.1f, 0.9f) + mad(x[i], 2.0f, 1.0f);
+    od[i] = d + fmod((double)f, 3.0) + ceil(d);
+    oi[i] = min(i, 3) + max(i - 5, -2) + abs(i - 4) + (int)min((uint)i, 2u);
+}
+
+// Every float operation that hands a NaN's bits through. Which NaN comes
+// out (sign, quiet bit, payload) is the interpreter's choice, signalling
+// inputs included; `x * y + z` and `z + x * y` are the fused shapes.
+__kernel void nan_bits(__global const float* x, __global const float* y,
+                       __global const double* xd, __global const double* yd,
+                       __global float* of, __global double* od) {
+    int i = get_global_id(0);
+    float a = x[i];
+    float b = y[i];
+    of[16 * i] = -a;
+    of[16 * i + 1] = fabs(a);
+    of[16 * i + 2] = floor(a);
+    of[16 * i + 3] = ceil(a);
+    of[16 * i + 4] = sqrt(a);
+    of[16 * i + 5] = fmin(a, b);
+    of[16 * i + 6] = fmax(a, b);
+    of[16 * i + 7] = fmod(a, b);
+    of[16 * i + 8] = a + b;
+    of[16 * i + 9] = a - b;
+    of[16 * i + 10] = a * b;
+    of[16 * i + 11] = a / b;
+    of[16 * i + 12] = a * b + a;
+    of[16 * i + 13] = b + a * b;
+    of[16 * i + 14] = (float)(double)a;
+    of[16 * i + 15] = a;
+    double c = xd[i];
+    double d = yd[i];
+    od[16 * i] = -c;
+    od[16 * i + 1] = fabs(c);
+    od[16 * i + 2] = floor(c);
+    od[16 * i + 3] = ceil(c);
+    od[16 * i + 4] = sqrt(c);
+    od[16 * i + 5] = fmin(c, d);
+    od[16 * i + 6] = fmax(c, d);
+    od[16 * i + 7] = fmod(c, d);
+    od[16 * i + 8] = c + d;
+    od[16 * i + 9] = c - d;
+    od[16 * i + 10] = c * d;
+    od[16 * i + 11] = c / d;
+    od[16 * i + 12] = c * d + c;
+    od[16 * i + 13] = d + c * d;
+    od[16 * i + 14] = (double)(float)c;
+    od[16 * i + 15] = c;
+}
+
+// A pointer parameter re-pointed at another parameter's buffer on some
+// items only, and `min`/`max` of two bools (computed as doubles).
+__kernel void reroot(__global float* a, __global float* b, __global int* out, int n) {
+    int i = get_global_id(0);
+    if (i & 1) { a = b; }
+    a = a + 1;
+    a[i] = (float)i;
+    bool low = i < n;
+    out[i] = (int)min(low, i > 2) + 2 * (int)max(low, i > 5);
+}
+
+// Integer division inside a deferred tree: whichever operand fails
+// first in source order is the failure reported.
+__kernel void div_order(__global const int* a, __global int* out, int far) {
+    int i = get_global_id(0);
+    out[i] = a[i] + (a[i + 8] / a[i + 16]) + a[far];
+    out[i] += a[far] + (a[i + 8] % a[i + 16]);
+}
+"#;
+
+#[test]
+fn typing_edge_cases_match_oracle() {
+    let program = compile(TYPING_EDGE_KERNELS).expect("edge kernels compile");
+    let kernel = |name: &str| {
+        program
+            .kernel(name)
+            .unwrap_or_else(|| panic!("no `{name}`"))
+    };
+    let check = |name: &str, args: &[ArgValue], buffers: &[GlobalBuffer], range: NdRange| {
+        compare_engines("typing edge", kernel(name), args, buffers, &range)
+            .unwrap_or_else(|e| panic!("{e}"));
+    };
+    let ones = |n: usize| GlobalBuffer::from_bytes(vec![0xff; n]);
+    let globals = |n: usize| (0..n).map(ArgValue::global).collect::<Vec<_>>();
+
+    check(
+        "unassigned",
+        &globals(5),
+        &[ones(64), ones(32), ones(64), ones(32), ones(64)],
+        NdRange::linear(8, 4),
+    );
+
+    for at in [
+        0u64,
+        4,
+        5,
+        i64::MAX as u64 - 3,
+        i64::MAX as u64,
+        u64::MAX - 8,
+    ] {
+        check(
+            "ulong_index",
+            &[ArgValue::global(0), ArgValue::from_u64(at)],
+            &[ones(32)],
+            NdRange::linear(4, 2),
+        );
+    }
+    // The exact text, not just agreement: the index is named in full.
+    let mut out = [ones(32)];
+    let err = run_ndrange_with_engine(
+        kernel("ulong_index"),
+        &[ArgValue::global(0), ArgValue::from_u64(u64::MAX - 8)],
+        &mut out,
+        &NdRange::linear(4, 2),
+        EngineKind::Compiled,
+    )
+    .expect_err("index above i64::MAX");
+    assert_eq!(
+        err.to_string(),
+        format!(
+            "kernel execution failed: index {} exceeds i64",
+            u64::MAX - 8
+        )
+    );
+
+    let floats: Vec<f32> = (0..32).map(|i| i as f32 * 0.75 - 3.0).collect();
+    for n in [0, 3, 24, 40] {
+        check(
+            "walk",
+            &[
+                ArgValue::global(0),
+                ArgValue::global(1),
+                ArgValue::from_i32(n),
+            ],
+            &[GlobalBuffer::from_f32(&floats), GlobalBuffer::zeroed(32)],
+            NdRange::linear(8, 4),
+        );
+    }
+
+    for n in [0, 4, 8] {
+        check(
+            "two_locals",
+            &[
+                ArgValue::global(0),
+                ArgValue::local_bytes(32),
+                ArgValue::from_i32(n),
+            ],
+            &[GlobalBuffer::zeroed(64)],
+            NdRange::linear(16, 8),
+        );
+    }
+    // Too small a `__local` allocation: the same out-of-bounds fault.
+    check(
+        "two_locals",
+        &[
+            ArgValue::global(0),
+            ArgValue::local_bytes(16),
+            ArgValue::from_i32(4),
+        ],
+        &[GlobalBuffer::zeroed(64)],
+        NdRange::linear(16, 8),
+    );
+
+    let mixed = [
+        0.0f32,
+        -0.0,
+        0.5,
+        -0.5,
+        1.0,
+        2.75,
+        -3.25,
+        1e10,
+        -1e10,
+        3e38,
+        1e-40,
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        4294967296.0,
+        16777217.0,
+        // Signalling NaNs and a quiet one with a payload.
+        f32::from_bits(0x7f80_0001),
+        f32::from_bits(0x7fa0_0000),
+        f32::from_bits(0xffc1_2345),
+        -7.5,
+    ];
+    for s in [0, 1, -1, 7, i32::MAX, i32::MIN] {
+        check(
+            "casts",
+            &[
+                ArgValue::global(0),
+                ArgValue::global(1),
+                ArgValue::global(2),
+                ArgValue::from_i32(s),
+            ],
+            &[
+                GlobalBuffer::from_f32(&mixed),
+                GlobalBuffer::zeroed(8 * mixed.len()),
+                GlobalBuffer::zeroed(4 * mixed.len()),
+            ],
+            NdRange::linear(mixed.len() as u64, 4),
+        );
+    }
+
+    check(
+        "mixed_math",
+        &globals(4),
+        &[
+            GlobalBuffer::from_f32(&mixed),
+            GlobalBuffer::zeroed(4 * mixed.len()),
+            GlobalBuffer::zeroed(8 * mixed.len()),
+            GlobalBuffer::zeroed(4 * mixed.len()),
+        ],
+        NdRange::linear(mixed.len() as u64, 10),
+    );
+
+    // Every ordered pair of: two signalling NaNs, two quiet NaNs with
+    // payloads (one negative), and ordinary operands.
+    let f32_bits = [
+        0x7f80_0001u32,
+        0x7fa0_0000,
+        0xffc1_2345,
+        0x7fc0_0000,
+        0xff80_0001,
+        0x3f80_0000,
+        0x7f80_0000,
+        0xff80_0000,
+        0,
+    ];
+    let f64_bits = [
+        0x7ff0_0000_0000_0001u64,
+        0x7ff4_0000_0000_0000,
+        0xfff8_1234_5678_9abc,
+        0x7ff8_0000_0000_0000,
+        0xfff0_0000_0000_0001,
+        0x3ff0_0000_0000_0000,
+        0x7ff0_0000_0000_0000,
+        0xfff0_0000_0000_0000,
+        0,
+    ];
+    let n = f32_bits.len();
+    let pairs = |first: bool| (0..n * n).map(move |i| if first { i / n } else { i % n });
+    check(
+        "nan_bits",
+        &globals(6),
+        &[
+            GlobalBuffer::from_u32(&pairs(true).map(|i| f32_bits[i]).collect::<Vec<_>>()),
+            GlobalBuffer::from_u32(&pairs(false).map(|i| f32_bits[i]).collect::<Vec<_>>()),
+            GlobalBuffer::from_u64(&pairs(true).map(|i| f64_bits[i]).collect::<Vec<_>>()),
+            GlobalBuffer::from_u64(&pairs(false).map(|i| f64_bits[i]).collect::<Vec<_>>()),
+            GlobalBuffer::zeroed(4 * 16 * n * n),
+            GlobalBuffer::zeroed(8 * 16 * n * n),
+        ],
+        NdRange::linear((n * n) as u64, 9),
+    );
+
+    for n in [0, 4, 8] {
+        check(
+            "reroot",
+            &[
+                ArgValue::global(0),
+                ArgValue::global(1),
+                ArgValue::global(2),
+                ArgValue::from_i32(n),
+            ],
+            &[ones(40), ones(36), GlobalBuffer::zeroed(32)],
+            NdRange::linear(8, 4),
+        );
+    }
+
+    // a[0..8) addends, a[8..16) dividends, a[16..24) divisors.
+    let mut ints: Vec<i32> = (0..24).map(|i| i * 7 - 40).collect();
+    for (zero_at, far) in [
+        (None, 3),
+        (Some(18), 3),
+        (None, 999),
+        (Some(18), 999),
+        (Some(16), -1),
+    ] {
+        ints[16..24].iter_mut().for_each(|d| *d = 5);
+        if let Some(z) = zero_at {
+            ints[z] = 0;
+        }
+        check(
+            "div_order",
+            &[
+                ArgValue::global(0),
+                ArgValue::global(1),
+                ArgValue::from_i32(far),
+            ],
+            &[GlobalBuffer::from_i32(&ints), GlobalBuffer::zeroed(32)],
+            NdRange::linear(8, 4),
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(
         if cfg!(debug_assertions) { 32 } else { 64 }
