@@ -16,7 +16,6 @@
 //! are the reproduction target. See `EXPERIMENTS.md`.
 
 pub mod text;
-pub mod wall;
 
 use haocl::{DeviceKind, Error, Platform};
 use haocl_cluster::ClusterConfig;

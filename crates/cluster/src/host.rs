@@ -12,9 +12,12 @@
 //! * [`HostRuntime::submit`] writes the request and returns a
 //!   [`PendingCall`] immediately, so many calls can be in flight per node
 //!   at once;
-//! * a per-connection demultiplexer thread drains responses and
-//!   completes pending calls by [`RequestId`] — responses may arrive in
-//!   any order;
+//! * whoever waits for a response receives for everyone (leader /
+//!   follower): the first waiter on a connection takes its receive half
+//!   and completes *every* arrived response by [`RequestId`] — its own
+//!   included, in whatever order they arrive — while later waiters park;
+//!   when the leader has its answer it hands the receive half back and
+//!   one of them takes over. No thread exists only to receive;
 //! * [`HostRuntime::call`] keeps the paper's synchronous semantics as
 //!   `submit(...).wait()`, so lock-step callers are unchanged;
 //! * control-plane requests that queue up while another thread is
@@ -42,31 +45,23 @@
 //!   [`FAILOVERS`](haocl_obs::names::FAILOVERS) /
 //!   [`DEDUP_HITS`](haocl_obs::names::DEDUP_HITS)).
 
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
-use std::thread::JoinHandle;
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::{Duration, Instant};
 
-use haocl_net::{ConnSender, Fabric, NetError};
+use haocl_net::{Fabric, NetError};
 use haocl_obs::{
     names, CandidateInfo, FusionDecision, Hub, PlacementAudit, PredictionSource, TraceCtx,
     DEFAULT_TENANT,
 };
 use haocl_proto::ids::{IdAllocator, NodeId, RequestId, UserId};
-use haocl_proto::messages::{
-    ApiCall, ApiReply, DeviceDescriptor, Envelope, Plane, Request, Response, WireSpan,
-};
-#[cfg(test)]
-use haocl_proto::wire::encode_to_vec;
-use haocl_proto::wire::{decode_from_bytes, encode_into_vec};
+use haocl_proto::messages::{ApiCall, ApiReply, DeviceDescriptor, Request, WireSpan};
 use haocl_sim::{Clock, SimTime};
 
 use crate::config::{ClusterConfig, NodeSpec};
 use crate::error::ClusterError;
-
-/// How often demultiplexer threads check the stop flag.
-const DEMUX_POLL: Duration = Duration::from_millis(10);
+use crate::link::{Claim, NodeLink};
 
 /// One device in the cluster, as mapped during the handshake.
 #[derive(Debug, Clone, PartialEq)]
@@ -132,27 +127,33 @@ impl Default for RecoveryPolicy {
 /// allocated while the node was alive stay stable forever — and a node
 /// that rejoins under the same name gets a *fresh* slot and `NodeId`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum MembershipState {
     /// Connected; the hello/device-mapping handshake is in flight.
-    Joining,
+    Joining = 0,
     /// Fully registered; eligible for placements and failover targets.
-    Active,
+    Active = 1,
     /// Voluntarily leaving: no new placements land here, resident
     /// buffers are migrating off, in-flight work still completes.
-    Draining,
+    Draining = 2,
     /// Gone from the cluster — voluntarily (after a drain) or because a
     /// join handshake failed. Terminal.
-    Departed,
+    Departed = 3,
 }
 
 impl MembershipState {
     /// The value the `haocl_node_state` gauge carries for this state.
     pub fn gauge_value(self) -> i64 {
-        match self {
-            MembershipState::Joining => 0,
-            MembershipState::Active => 1,
-            MembershipState::Draining => 2,
-            MembershipState::Departed => 3,
+        self as i64
+    }
+
+    /// The state a slot's atomic holds as `raw` (`state as u8`).
+    fn from_raw(raw: u8) -> Self {
+        match raw {
+            0 => MembershipState::Joining,
+            1 => MembershipState::Active,
+            2 => MembershipState::Draining,
+            _ => MembershipState::Departed,
         }
     }
 }
@@ -172,282 +173,6 @@ impl std::fmt::Display for MembershipState {
 /// the node computed (final).
 fn is_transport(err: &ClusterError) -> bool {
     matches!(err, ClusterError::Net(_) | ClusterError::Wire(_))
-}
-
-enum PendingEntry {
-    /// Submitted on the given plane; no response yet.
-    Waiting(Plane),
-    /// Completed by the demultiplexer; result not yet claimed. The
-    /// second field is the response's virtual arrival time (`None` for
-    /// transport failures, which carry no timestamp): the *claimer*
-    /// advances the shared clock to it, so virtual time progresses in
-    /// program order rather than at the whim of demultiplexer-thread
-    /// scheduling — out-of-order completion must not make virtual
-    /// timestamps nondeterministic.
-    Done(Box<Result<CallOutcome, ClusterError>>, Option<SimTime>),
-}
-
-struct LinkState {
-    pending: HashMap<RequestId, PendingEntry>,
-    /// Set once the node's backbone connection is gone; every later
-    /// submit or wait fails immediately with this error.
-    dead: Option<ClusterError>,
-}
-
-/// Completion state shared between submitters, waiters and the link's
-/// demultiplexer threads.
-struct LinkShared {
-    state: Mutex<LinkState>,
-    completed: Condvar,
-}
-
-/// What [`LinkShared::claim`] found.
-enum Claim {
-    /// The entry completed; the result was claimed out of the map and
-    /// the clock advanced to the response's arrival.
-    Outcome(Result<CallOutcome, ClusterError>),
-    /// The deadline passed with the entry still waiting (it stays
-    /// registered, so a later claim can still succeed).
-    TimedOut,
-    /// The entry vanished (link teardown); carries the link's terminal
-    /// error.
-    Gone(ClusterError),
-}
-
-impl LinkShared {
-    fn new() -> Self {
-        LinkShared {
-            state: Mutex::new(LinkState {
-                pending: HashMap::new(),
-                dead: None,
-            }),
-            completed: Condvar::new(),
-        }
-    }
-
-    /// Completes the pending call correlated to `response` (responses
-    /// for cancelled/unknown ids are discarded — including the slower
-    /// copy when a retransmitted request is answered twice).
-    fn complete(&self, response: Response, received_at: SimTime) {
-        let result = match response.body {
-            ApiReply::Error { code, message } => Err(ClusterError::Remote { code, message }),
-            reply => Ok(CallOutcome {
-                reply,
-                node_completed: SimTime::from_nanos(response.completed_at_nanos),
-                host_received: received_at,
-                spans: response.spans,
-            }),
-        };
-        let mut state = self.state.lock().expect("link state poisoned");
-        if let Some(entry) = state.pending.get_mut(&response.id) {
-            *entry = PendingEntry::Done(Box::new(result), Some(received_at));
-            self.completed.notify_all();
-        }
-    }
-
-    /// Blocks until the call completes (or `deadline` passes, when one
-    /// is given), claiming the result and advancing the clock.
-    fn claim(&self, id: RequestId, clock: &Clock, deadline: Option<Instant>) -> Claim {
-        let mut state = self.state.lock().expect("link state poisoned");
-        loop {
-            match state.pending.get(&id) {
-                Some(PendingEntry::Done(..)) => {
-                    let Some(PendingEntry::Done(result, received_at)) = state.pending.remove(&id)
-                    else {
-                        unreachable!("entry observed Done under the same lock");
-                    };
-                    if let Some(at) = received_at {
-                        clock.advance_to(at);
-                    }
-                    return Claim::Outcome(*result);
-                }
-                // Even on a dead link a Waiting entry just waits: the
-                // owning plane's demultiplexer (or terminal teardown)
-                // is guaranteed to resolve it, and the *other* plane
-                // dying first must not discard a response that is
-                // already queued for delivery.
-                Some(PendingEntry::Waiting(_)) => match deadline {
-                    None => {
-                        state = self.completed.wait(state).expect("link state poisoned");
-                    }
-                    Some(d) => {
-                        let now = Instant::now();
-                        if now >= d {
-                            return Claim::TimedOut;
-                        }
-                        let (guard, _) = self
-                            .completed
-                            .wait_timeout(state, d - now)
-                            .expect("link state poisoned");
-                        state = guard;
-                    }
-                },
-                None => {
-                    return Claim::Gone(
-                        state
-                            .dead
-                            .clone()
-                            .unwrap_or(ClusterError::Net(NetError::Disconnected)),
-                    );
-                }
-            }
-        }
-    }
-
-    /// Marks the link dead and fails `plane`'s in-flight calls with
-    /// `err`.
-    ///
-    /// Only the dying plane's entries are failed: a demultiplexer fully
-    /// drains its own connection before it can observe the disconnect,
-    /// but the *other* plane's demultiplexer may still be working
-    /// through already-received responses — failing those calls here
-    /// would discard answers the node actually delivered.
-    fn fail_plane(&self, plane: Plane, err: ClusterError) {
-        let mut state = self.state.lock().expect("link state poisoned");
-        if state.dead.is_none() {
-            state.dead = Some(err.clone());
-        }
-        for entry in state.pending.values_mut() {
-            if matches!(entry, PendingEntry::Waiting(p) if *p == plane) {
-                *entry = PendingEntry::Done(Box::new(Err(err.clone())), None);
-            }
-        }
-        self.completed.notify_all();
-    }
-
-    /// Marks the link dead and fails every in-flight call with `err`
-    /// (terminal teardown, once no demultiplexer is left to deliver).
-    fn fail_all(&self, err: ClusterError) {
-        self.fail_plane(Plane::Control, err.clone());
-        self.fail_plane(Plane::Data, err);
-    }
-}
-
-struct NodeLink {
-    name: String,
-    /// The node's data-listener address, handed to *other* nodes as the
-    /// destination of peer data-plane transfers.
-    data_addr: String,
-    shared: Arc<LinkShared>,
-    /// Control-plane requests waiting to be coalesced into the next
-    /// frame (see [`NodeLink::send_control`]).
-    control_queue: Mutex<Vec<Request>>,
-    /// Message-connection transmit half (control plane).
-    msg_tx: Mutex<ConnSender>,
-    /// Data-connection transmit half (buffer contents, §III-C's data
-    /// listener).
-    data_tx: Mutex<ConnSender>,
-    /// Shared observability hub (plane metrics; gated on its enable
-    /// flag so the hot path pays one atomic load when tracing is off).
-    obs: Arc<Hub>,
-    /// Set when the node retires voluntarily: the demultiplexer threads
-    /// exit quietly instead of counting the (expected) disconnect as a
-    /// link failure.
-    retired: Arc<AtomicBool>,
-}
-
-impl NodeLink {
-    /// Enqueues a control-plane request and flushes the queue unless
-    /// another thread is already transmitting — in which case that
-    /// thread picks this request up, coalescing it into its next
-    /// [`Envelope::Batch`].
-    fn send_control(&self, request: Request, at: SimTime) -> Result<(), ClusterError> {
-        self.control_queue
-            .lock()
-            .expect("control queue poisoned")
-            .push(request);
-        loop {
-            // Non-blocking: if the transmit path is busy, the holder
-            // re-checks the queue after finishing its send (below), so
-            // leaving our request queued cannot strand it.
-            let Ok(mut sender) = self.msg_tx.try_lock() else {
-                return Ok(());
-            };
-            let batch =
-                std::mem::take(&mut *self.control_queue.lock().expect("control queue poisoned"));
-            if batch.is_empty() {
-                return Ok(());
-            }
-            let virtual_len: u64 = batch.iter().map(|r| r.body.virtual_len()).sum();
-            let coalesced = batch.len() as u64;
-            let mut encoded_len = 0;
-            let sent = sender.send_frame_with(at, virtual_len, |buf| {
-                let start = buf.len();
-                encode_into_vec(&Envelope::from(batch), buf);
-                encoded_len = buf.len() - start;
-            });
-            self.note_frame("control", encoded_len, virtual_len, coalesced);
-            if let Err(e) = sent {
-                // The batch may carry other submitters' requests; their
-                // PendingCalls must observe the failure too.
-                let err = ClusterError::Net(e);
-                self.shared.fail_plane(Plane::Control, err.clone());
-                return Err(err);
-            }
-            drop(sender);
-            // Someone may have queued behind us while we held the
-            // sender; make sure their request is not stranded.
-            if self
-                .control_queue
-                .lock()
-                .expect("control queue poisoned")
-                .is_empty()
-            {
-                return Ok(());
-            }
-        }
-    }
-
-    /// Sends a data-plane request immediately (bulk payloads are never
-    /// coalesced; their transmit cost dominates framing overhead).
-    fn send_data(&self, request: Request, at: SimTime) -> Result<(), ClusterError> {
-        let virtual_len = request.body.virtual_len();
-        let mut sender = self.data_tx.lock().expect("data sender poisoned");
-        let mut encoded_len = 0;
-        let sent = sender.send_frame_with(at, virtual_len, |buf| {
-            let start = buf.len();
-            encode_into_vec(&Envelope::Single(request), buf);
-            encoded_len = buf.len() - start;
-        });
-        drop(sender);
-        self.note_frame("data", encoded_len, virtual_len, 1);
-        sent?;
-        Ok(())
-    }
-
-    /// Sends on the right plane for the request's body.
-    fn send(&self, request: Request, at: SimTime) -> Result<(), ClusterError> {
-        match request.body.plane() {
-            Plane::Data => self.send_data(request, at),
-            Plane::Control => self.send_control(request, at),
-        }
-    }
-
-    /// Records one outgoing frame's plane metrics (no-op while tracing
-    /// is off). Bytes are *virtual wire bytes*: modeled bulk payloads
-    /// count their declared length, not the descriptor that stands in
-    /// for them.
-    fn note_frame(&self, plane: &str, payload_len: usize, virtual_len: u64, coalesced: u64) {
-        if !self.obs.enabled() {
-            return;
-        }
-        let labels = [("node", self.name.as_str()), ("plane", plane)];
-        let bytes = (payload_len as u64).max(virtual_len);
-        self.obs
-            .metrics
-            .inc_counter(names::PLANE_FRAMES, &labels, 1);
-        self.obs
-            .metrics
-            .inc_counter(names::PLANE_BYTES, &labels, bytes);
-        if plane == "control" {
-            self.obs.metrics.observe_with_buckets(
-                names::BATCH_SIZE,
-                &[("node", self.name.as_str())],
-                coalesced,
-                &haocl_obs::SIZE_BUCKETS,
-            );
-        }
-    }
 }
 
 /// Where a logical node's traffic currently goes.
@@ -479,21 +204,39 @@ struct NodeSlot {
     link: NodeLink,
     /// Current physical route (identity until failover).
     route: Mutex<RouteState>,
-    /// Ordered journal of state-establishing calls, replayed onto a
-    /// failover target to reconstruct the lost node's buffers, programs
-    /// and kernels. Recorded only while recovery is enabled.
-    journal: Mutex<Vec<JournalEntry>>,
-    /// Ids of calls currently in flight. Failover replay skips these:
-    /// their own waiters retransmit them (under the original id, so the
-    /// node journal can dedup), and replaying them under a fresh id as
-    /// well would execute them twice.
-    inflight: Mutex<HashSet<RequestId>>,
-    /// Where the node stands in the membership lifecycle.
-    membership: Mutex<MembershipState>,
+    /// What a failover replays; touched only while recovery is enabled.
+    journal: Mutex<Journal>,
+    /// Where the node stands in the membership lifecycle (a
+    /// [`MembershipState`] `as u8`); read on every submission.
+    membership: AtomicU8,
     /// How many of this node's route-epoch bumps were *voluntary*
     /// (drain retirements). Quarantine logic subtracts these from the
     /// route epoch so a clean departure never reads as a failure.
     voluntary_epochs: AtomicU32,
+}
+
+/// One logical node's replayable history.
+#[derive(Default)]
+struct Journal {
+    /// State-establishing calls in submission order, replayed onto a
+    /// failover target to reconstruct the lost node's buffers, programs
+    /// and kernels.
+    entries: Vec<JournalEntry>,
+    /// Journaled calls still in flight. Failover replay skips these:
+    /// their own waiters retransmit them (under the original id, so the
+    /// node journal can dedup), and replaying them under a fresh id as
+    /// well would execute them twice.
+    inflight: HashSet<RequestId>,
+}
+
+impl NodeSlot {
+    fn membership(&self) -> MembershipState {
+        MembershipState::from_raw(self.membership.load(Ordering::SeqCst))
+    }
+
+    fn journal(&self) -> MutexGuard<'_, Journal> {
+        self.journal.lock().expect("journal poisoned")
+    }
 }
 
 /// State shared between the runtime, its pending calls and recovery.
@@ -526,31 +269,21 @@ impl HostInner {
     }
 
     fn membership_of(&self, index: usize) -> Option<MembershipState> {
-        self.slot(index)
-            .map(|s| *s.membership.lock().expect("membership poisoned"))
+        let slots = self.slots.read().expect("slots poisoned");
+        slots.get(index).map(|s| s.membership())
     }
 
     fn route_of(&self, node: NodeId) -> (usize, u32) {
-        let slot = self
-            .slot(node.raw() as usize)
+        let slots = self.slots.read().expect("slots poisoned");
+        let slot = slots
+            .get(node.raw() as usize)
             .expect("route of unknown node");
         let route = slot.route.lock().expect("route poisoned");
         (route.physical, route.epoch)
     }
 
     fn link_alive(&self, physical: usize) -> bool {
-        let Some(slot) = self.slot(physical) else {
-            return false;
-        };
-        let alive = slot
-            .link
-            .shared
-            .state
-            .lock()
-            .expect("link state poisoned")
-            .dead
-            .is_none();
-        alive
+        self.slot(physical).is_some_and(|slot| slot.link.alive())
     }
 
     /// Moves `node`'s route to a surviving physical link, replaying its
@@ -619,8 +352,10 @@ impl HostInner {
         let slot = self
             .slot(index)
             .ok_or(ClusterError::Net(NetError::Disconnected))?;
-        let entries: Vec<JournalEntry> = slot.journal.lock().expect("journal poisoned").clone();
-        let inflight: HashSet<RequestId> = slot.inflight.lock().expect("inflight poisoned").clone();
+        let (entries, inflight) = {
+            let journal = slot.journal();
+            (journal.entries.clone(), journal.inflight.clone())
+        };
         for entry in entries {
             // In-flight calls re-execute through their own waiters'
             // retransmissions (same id, deduped by the node journal);
@@ -691,38 +426,17 @@ impl HostInner {
                 attempt,
                 body: call.clone(),
             };
-            {
-                let mut state = link.shared.state.lock().expect("link state poisoned");
-                if let Some(err) = &state.dead {
-                    return Err(err.clone());
-                }
-                state.pending.insert(id, PendingEntry::Waiting(plane));
-            }
+            link.shared.register(id, plane)?;
             if let Err(err) = link.send(request, now) {
-                link.shared
-                    .state
-                    .lock()
-                    .expect("link state poisoned")
-                    .pending
-                    .remove(&id);
+                link.shared.forget(id);
                 return Err(err);
             }
-            match link
-                .shared
-                .claim(id, &self.clock, Some(Instant::now() + patience))
-            {
+            match link.claim(id, &self.clock, Some(Instant::now() + patience)) {
                 Claim::Outcome(result) => return result,
-                Claim::TimedOut => {
-                    // Drop the stale entry before retrying; a late
-                    // response to this transmission is simply discarded
-                    // and the retry re-earns one (deduped node-side).
-                    link.shared
-                        .state
-                        .lock()
-                        .expect("link state poisoned")
-                        .pending
-                        .remove(&id);
-                }
+                // Drop the stale entry before retrying; a late response
+                // to this transmission is simply discarded and the
+                // retry re-earns one (deduped node-side).
+                Claim::TimedOut => link.shared.forget(id),
                 Claim::Gone(e) => return Err(e),
             }
         }
@@ -736,12 +450,20 @@ impl HostInner {
 /// the response, when it arrives, is discarded.
 #[must_use = "a PendingCall that is never waited on silently discards its response"]
 pub struct PendingCall {
-    /// The original request, kept for retransmission under recovery.
-    request: Request,
+    id: RequestId,
+    /// The request as first transmitted, kept for retransmission — only
+    /// when a recovery policy was installed at submission; without one
+    /// the request was moved into its frame and nothing can resend it.
+    resend: Option<Request>,
+    /// Whether the call sits in its node's failover journal (and so in
+    /// the journal's in-flight set until this handle goes away).
+    journaled: bool,
     /// The logical node addressed.
     node: NodeId,
-    /// The physical link the request was last transmitted on.
+    /// The physical link the request was last transmitted on…
     physical: usize,
+    /// …and its slot.
+    route: Arc<NodeSlot>,
     /// The routing epoch the request was last transmitted under.
     epoch: u32,
     inner: Arc<HostInner>,
@@ -751,7 +473,7 @@ pub struct PendingCall {
 impl PendingCall {
     /// The request's correlation id.
     pub fn id(&self) -> RequestId {
-        self.request.id
+        self.id
     }
 
     /// The node the request was sent to.
@@ -763,14 +485,14 @@ impl PendingCall {
     ///
     /// Claiming the response advances the shared virtual clock to its
     /// arrival time; until a response is claimed it does not move the
-    /// clock, keeping virtual timestamps deterministic however the
-    /// demultiplexer threads are scheduled.
+    /// clock, keeping virtual timestamps deterministic whichever waiter
+    /// happens to receive it.
     ///
-    /// With a [`RecoveryPolicy`] installed, transport failures and
-    /// timeouts are absorbed: the call is retransmitted with backoff
-    /// and, if its node is lost, failed over to a survivor (see the
-    /// module docs). Only a terminal inability to deliver surfaces as
-    /// an error then.
+    /// With a [`RecoveryPolicy`] installed (when the call was submitted
+    /// and now), transport failures and timeouts are absorbed: the call
+    /// is retransmitted with backoff and, if its node is lost, failed
+    /// over to a survivor (see the module docs). Only a terminal
+    /// inability to deliver surfaces as an error then.
     ///
     /// # Errors
     ///
@@ -778,43 +500,33 @@ impl PendingCall {
     /// reply; a transport error when the connection failed while the
     /// call was in flight (and recovery was off or exhausted).
     pub fn wait(mut self) -> Result<CallOutcome, ClusterError> {
-        match self.inner.recovery() {
-            Some(policy) => self.wait_recovering(policy),
-            None => self.wait_plain(),
+        match (self.inner.recovery(), self.resend.take()) {
+            (Some(policy), Some(request)) => self.wait_recovering(policy, request),
+            _ => self.wait_plain(),
         }
     }
 
     fn wait_plain(&mut self) -> Result<CallOutcome, ClusterError> {
-        let Some(slot) = self.inner.slot(self.physical) else {
-            self.taken = true;
-            return Err(ClusterError::Net(NetError::Disconnected));
-        };
-        let shared = Arc::clone(&slot.link.shared);
-        match shared.claim(self.request.id, &self.inner.clock, None) {
-            Claim::Outcome(result) => {
-                self.taken = true;
-                result
-            }
-            Claim::Gone(err) => {
-                self.taken = true;
-                Err(err)
-            }
+        self.taken = true;
+        match self.route.link.claim(self.id, &self.inner.clock, None) {
+            Claim::Outcome(result) => result,
+            Claim::Gone(err) => Err(err),
             Claim::TimedOut => unreachable!("claim without a deadline cannot time out"),
         }
     }
 
-    fn wait_recovering(&mut self, policy: RecoveryPolicy) -> Result<CallOutcome, ClusterError> {
+    fn wait_recovering(
+        &mut self,
+        policy: RecoveryPolicy,
+        request: Request,
+    ) -> Result<CallOutcome, ClusterError> {
         let mut attempt: u32 = 0;
         let mut last_err;
         loop {
             let patience = policy.base_timeout * 2u32.saturating_pow(attempt.min(6));
             let deadline = Instant::now() + patience;
-            let Some(slot) = self.inner.slot(self.physical) else {
-                self.taken = true;
-                return Err(ClusterError::Net(NetError::Disconnected));
-            };
-            let shared = Arc::clone(&slot.link.shared);
-            match shared.claim(self.request.id, &self.inner.clock, Some(deadline)) {
+            let slot = Arc::clone(&self.route);
+            match slot.link.claim(self.id, &self.inner.clock, Some(deadline)) {
                 Claim::Outcome(result) => match result {
                     Err(e) if is_transport(&e) => last_err = e,
                     final_answer => {
@@ -830,8 +542,8 @@ impl PendingCall {
             // journal absorbs the duplicate if the original executed.
             attempt += 1;
             if attempt < policy.max_attempts
-                && self.inner.link_alive(self.physical)
-                && self.resend(attempt).is_ok()
+                && slot.link.alive()
+                && self.resend(&request, attempt).is_ok()
             {
                 self.inner.obs.metrics.inc_counter(
                     names::RETRIES,
@@ -843,46 +555,31 @@ impl PendingCall {
             if !policy.failover {
                 return Err(last_err);
             }
-            match self.inner.failover(self.node, self.epoch) {
-                Ok((physical, epoch)) => {
-                    if physical != self.physical {
-                        // Abandon the entry on the lost route.
-                        if let Ok(mut state) = slot.link.shared.state.lock() {
-                            state.pending.remove(&self.request.id);
-                        }
-                    }
-                    self.physical = physical;
-                    self.epoch = epoch;
-                    attempt = 0;
-                    // Best effort: if the fresh route died under us the
-                    // next claim times out fast and we route again.
-                    let _ = self.resend(0);
-                }
-                Err(e) => return Err(e),
+            let (physical, epoch) = self.inner.failover(self.node, self.epoch)?;
+            if physical != self.physical {
+                // Abandon the entry on the lost route.
+                slot.link.shared.forget(self.id);
+                self.route = self
+                    .inner
+                    .slot(physical)
+                    .ok_or(ClusterError::Net(NetError::Disconnected))?;
             }
+            self.physical = physical;
+            self.epoch = epoch;
+            attempt = 0;
+            // Best effort: if the fresh route died under us the
+            // next claim times out fast and we route again.
+            let _ = self.resend(&request, 0);
         }
     }
 
-    /// Retransmits the original request (same id) on the current route,
+    /// Retransmits `request` (same id) on the current route,
     /// (re-)registering its pending entry first.
-    fn resend(&mut self, attempt: u32) -> Result<(), ClusterError> {
-        let slot = self
-            .inner
-            .slot(self.physical)
-            .ok_or(ClusterError::Net(NetError::Disconnected))?;
-        let link = &slot.link;
-        let plane = self.request.body.plane();
-        {
-            let mut state = link.shared.state.lock().expect("link state poisoned");
-            if let Some(err) = &state.dead {
-                return Err(err.clone());
-            }
-            state
-                .pending
-                .insert(self.request.id, PendingEntry::Waiting(plane));
-        }
+    fn resend(&self, request: &Request, attempt: u32) -> Result<(), ClusterError> {
+        let link = &self.route.link;
+        link.shared.register(self.id, request.body.plane())?;
         let now = self.inner.clock.now();
-        let mut request = self.request.clone();
+        let mut request = request.clone();
         request.sent_at_nanos = now.as_nanos();
         request.epoch = self.epoch;
         request.attempt = attempt;
@@ -891,56 +588,36 @@ impl PendingCall {
 
     /// Claims the response if it has already arrived, without blocking.
     ///
-    /// Returns `None` while the call is still in flight. After a
-    /// `Some(..)` the call is consumed: later polls return `None` and
+    /// Returns `None` while the call is still in flight — after
+    /// receiving whatever the node has already delivered, when no other
+    /// waiter is receiving on the connection. After a `Some(..)` the
+    /// call is consumed: later polls return `None` and
     /// [`PendingCall::wait`] must not be expected to yield it again.
     /// `try_poll` never retransmits, even under a recovery policy.
     pub fn try_poll(&mut self) -> Option<Result<CallOutcome, ClusterError>> {
         if self.taken {
             return None;
         }
-        let Some(slot) = self.inner.slot(self.physical) else {
-            self.taken = true;
-            return Some(Err(ClusterError::Net(NetError::Disconnected)));
-        };
-        let mut state = slot.link.shared.state.lock().expect("link state poisoned");
-        match state.pending.get(&self.request.id) {
-            Some(PendingEntry::Done(..)) => {
-                let Some(PendingEntry::Done(result, received_at)) =
-                    state.pending.remove(&self.request.id)
-                else {
-                    unreachable!("entry observed Done under the same lock");
-                };
-                self.taken = true;
-                if let Some(at) = received_at {
-                    self.inner.clock.advance_to(at);
-                }
-                Some(*result)
-            }
-            Some(PendingEntry::Waiting(_)) => None,
-            None => {
-                self.taken = true;
-                Some(Err(state
-                    .dead
-                    .clone()
-                    .unwrap_or(ClusterError::Net(NetError::Disconnected))))
-            }
-        }
+        let claim = self.route.link.poll(self.id, &self.inner.clock)?;
+        self.taken = true;
+        Some(match claim {
+            Claim::Outcome(result) => result,
+            Claim::Gone(err) => Err(err),
+            Claim::TimedOut => unreachable!("a poll has no deadline"),
+        })
     }
 }
 
 impl Drop for PendingCall {
     fn drop(&mut self) {
         if !self.taken {
-            if let Some(slot) = self.inner.slot(self.physical) {
-                if let Ok(mut state) = slot.link.shared.state.lock() {
-                    state.pending.remove(&self.request.id);
-                }
-            }
+            self.route.link.shared.forget(self.id);
         }
-        if let Some(slot) = self.inner.slot(self.node.raw() as usize) {
-            if let Ok(mut inflight) = slot.inflight.lock() {
-                inflight.remove(&self.request.id);
+        if self.journaled {
+            if let Some(slot) = self.inner.slot(self.node.raw() as usize) {
+                if let Ok(mut journal) = slot.journal.lock() {
+                    journal.inflight.remove(&self.id);
+                }
             }
         }
     }
@@ -948,7 +625,7 @@ impl Drop for PendingCall {
 
 impl std::fmt::Debug for PendingCall {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "PendingCall({} @ {})", self.request.id, self.node)
+        write!(f, "PendingCall({} @ {})", self.id, self.node)
     }
 }
 
@@ -961,8 +638,9 @@ pub struct HostRuntime {
     user: AtomicU32,
     /// The mapped devices, cluster-wide; append-only like the slots, so
     /// device indices allocated while a node was alive stay stable after
-    /// it departs.
-    devices: RwLock<Vec<RemoteDevice>>,
+    /// it departs. Each record is shared with the device handles made
+    /// from it.
+    devices: RwLock<Vec<Arc<RemoteDevice>>>,
     /// Session registry: tenants/users submitting through this runtime.
     sessions: crate::session::SessionManager,
     /// The fabric nodes connect through, kept so membership can grow
@@ -971,8 +649,6 @@ pub struct HostRuntime {
     /// The host's fabric endpoint name.
     host_name: String,
     inner: Arc<HostInner>,
-    stop: Arc<AtomicBool>,
-    demux_threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl HostRuntime {
@@ -1003,8 +679,6 @@ impl HostRuntime {
                 clock: fabric.clock().clone(),
                 obs: Arc::new(Hub::new()),
             }),
-            stop: Arc::new(AtomicBool::new(false)),
-            demux_threads: Mutex::new(Vec::new()),
         };
         for spec in &config.nodes {
             runtime.connect_node(spec)?;
@@ -1013,9 +687,9 @@ impl HostRuntime {
     }
 
     /// Connects a *new* node into the running cluster: dials both
-    /// planes, spawns its demultiplexers, registers a fresh slot (state
-    /// `Joining`), performs the hello/device-mapping handshake, and
-    /// promotes the node to `Active`. Returns the new node's id.
+    /// planes, registers a fresh slot (state `Joining`), performs the
+    /// hello/device-mapping handshake, and promotes the node to
+    /// `Active`. Returns the new node's id.
     ///
     /// Each join mints a fresh [`NodeId`] and fresh device indices, even
     /// for a name that served before — a rejoining node is a new member,
@@ -1027,51 +701,24 @@ impl HostRuntime {
     /// fails; the slot is left behind as a `Departed` tombstone so ids
     /// stay stable.
     pub fn connect_node(&self, spec: &NodeSpec) -> Result<NodeId, ClusterError> {
-        let (msg_tx, msg_rx) = self.fabric.connect(&self.host_name, &spec.addr)?.split();
-        let (data_tx, data_rx) = self
-            .fabric
-            .connect(&self.host_name, &spec.data_addr())?
-            .split();
-        let shared = Arc::new(LinkShared::new());
-        let retired = Arc::new(AtomicBool::new(false));
-        {
-            let mut threads = self.demux_threads.lock().expect("demux threads poisoned");
-            for (plane, rx) in [(Plane::Control, msg_rx), (Plane::Data, data_rx)] {
-                let shared = Arc::clone(&shared);
-                let stop = Arc::clone(&self.stop);
-                let retired = Arc::clone(&retired);
-                let obs = Arc::clone(&self.inner.obs);
-                let node_name = spec.name.clone();
-                threads.push(
-                    std::thread::Builder::new()
-                        .name(format!("haocl-demux-{}-{plane:?}", spec.name))
-                        .spawn(move || demux_loop(rx, plane, shared, stop, retired, obs, node_name))
-                        .expect("spawn demux thread"),
-                );
-            }
-        }
+        let link = NodeLink::connect(
+            &self.fabric,
+            &self.host_name,
+            spec,
+            Arc::clone(&self.inner.obs),
+        )?;
         let node = {
             let mut slots = self.inner.slots.write().expect("slots poisoned");
             let index = slots.len();
             slots.push(Arc::new(NodeSlot {
-                link: NodeLink {
-                    name: spec.name.clone(),
-                    data_addr: spec.data_addr(),
-                    shared,
-                    control_queue: Mutex::new(Vec::new()),
-                    msg_tx: Mutex::new(msg_tx),
-                    data_tx: Mutex::new(data_tx),
-                    obs: Arc::clone(&self.inner.obs),
-                    retired,
-                },
+                link,
                 route: Mutex::new(RouteState {
                     physical: index,
                     epoch: 0,
                     burned: Vec::new(),
                 }),
-                journal: Mutex::new(Vec::new()),
-                inflight: Mutex::new(HashSet::new()),
-                membership: Mutex::new(MembershipState::Joining),
+                journal: Mutex::default(),
+                membership: AtomicU8::new(MembershipState::Joining as u8),
                 voluntary_epochs: AtomicU32::new(0),
             }));
             NodeId::new(index as u32)
@@ -1099,27 +746,22 @@ impl HostRuntime {
             Ok(descriptors) => {
                 let mut devices = self.devices.write().expect("devices poisoned");
                 for d in descriptors {
-                    devices.push(RemoteDevice {
+                    devices.push(Arc::new(RemoteDevice {
                         node,
                         node_name: spec.name.clone(),
                         device: d.index,
                         descriptor: d,
-                    });
+                    }));
                 }
                 drop(devices);
-                *slot.membership.lock().expect("membership poisoned") = MembershipState::Active;
-                self.note_membership(node, MembershipState::Active);
+                self.set_membership(&slot, node, MembershipState::Active);
                 Ok(node)
             }
             Err(e) => {
                 // Tombstone the slot so indices stay stable and nothing
                 // ever routes here.
-                *slot.membership.lock().expect("membership poisoned") = MembershipState::Departed;
-                slot.link.retired.store(true, Ordering::SeqCst);
-                slot.link
-                    .shared
-                    .fail_all(ClusterError::Net(NetError::Disconnected));
-                self.note_membership(node, MembershipState::Departed);
+                slot.link.close(ClusterError::Net(NetError::Disconnected));
+                self.set_membership(&slot, node, MembershipState::Departed);
                 Err(e)
             }
         }
@@ -1129,17 +771,23 @@ impl HostRuntime {
     /// including devices on nodes that have since departed (device
     /// indices are stable for the life of the runtime). Check
     /// [`HostRuntime::node_membership`] for liveness.
-    pub fn devices(&self) -> Vec<RemoteDevice> {
+    pub fn devices(&self) -> Vec<Arc<RemoteDevice>> {
         self.devices.read().expect("devices poisoned").clone()
     }
 
     /// The mapping record for one cluster-wide device index.
-    pub fn device_info(&self, index: usize) -> Option<RemoteDevice> {
+    pub fn device_info(&self, index: usize) -> Option<Arc<RemoteDevice>> {
         self.devices
             .read()
             .expect("devices poisoned")
             .get(index)
             .cloned()
+    }
+
+    /// The node hosting one cluster-wide device index.
+    pub fn device_node(&self, index: usize) -> Option<NodeId> {
+        let devices = self.devices.read().expect("devices poisoned");
+        devices.get(index).map(|d| d.node)
     }
 
     /// Number of mapped devices, cluster-wide (tombstones included).
@@ -1176,9 +824,11 @@ impl HostRuntime {
 
     /// Installs (or clears) the fault-recovery policy. `None` — the
     /// default — keeps fail-fast semantics; see the module docs for
-    /// what a policy enables. Takes effect for subsequent submissions
-    /// and waits; enable recovery *before* issuing work, so the
-    /// failover journal is complete.
+    /// what a policy enables. Takes effect for subsequent submissions —
+    /// only a call submitted under a policy keeps the copy of its
+    /// request a retransmission needs — and for their waits; enable
+    /// recovery *before* issuing work, so the failover journal is
+    /// complete.
     pub fn set_recovery(&self, policy: Option<RecoveryPolicy>) {
         *self
             .inner
@@ -1260,19 +910,14 @@ impl HostRuntime {
         let Some(slot) = self.inner.slot(node.raw() as usize) else {
             return;
         };
-        if self.inner.recovery().is_none()
-            || *slot.membership.lock().expect("membership poisoned") == MembershipState::Departed
-        {
+        if self.inner.recovery().is_none() || slot.membership() == MembershipState::Departed {
             return;
         }
-        slot.journal
-            .lock()
-            .expect("journal poisoned")
-            .push(JournalEntry {
-                id: RequestId::new(self.inner.request_ids.next()),
-                user: self.user(),
-                call,
-            });
+        slot.journal().entries.push(JournalEntry {
+            id: RequestId::new(self.inner.request_ids.next()),
+            user: self.user(),
+            call,
+        });
     }
 
     /// Forwards `call` to `node` without waiting for its response.
@@ -1314,7 +959,7 @@ impl HostRuntime {
         // Joining (the handshake itself), Active and Draining nodes all
         // accept traffic; a Departed tombstone never does — its in-flight
         // work was already failed out when it retired.
-        if *node_slot.membership.lock().expect("membership poisoned") == MembershipState::Departed {
+        if node_slot.membership() == MembershipState::Departed {
             return Err(ClusterError::Config(format!(
                 "node {node} has departed the cluster"
             )));
@@ -1322,29 +967,25 @@ impl HostRuntime {
         let recovery = inner.recovery();
         let failover = recovery.is_some_and(|p| p.failover);
         let id = RequestId::new(inner.request_ids.next());
+        let user = self.user();
         // Journal and in-flight registration happen before the send so
         // a concurrent failover can neither miss this call's state nor
         // replay it while its own waiter still owns it.
-        if recovery.is_some() && call.replayed_on_failover() {
-            node_slot
-                .journal
-                .lock()
-                .expect("journal poisoned")
-                .push(JournalEntry {
-                    id,
-                    user: self.user(),
-                    call: call.clone(),
-                });
+        let journaled = recovery.is_some() && call.replayed_on_failover();
+        if journaled {
+            let mut journal = node_slot.journal();
+            journal.inflight.insert(id);
+            journal.entries.push(JournalEntry {
+                id,
+                user,
+                call: call.clone(),
+            });
         }
-        node_slot
-            .inflight
-            .lock()
-            .expect("inflight poisoned")
-            .insert(id);
         let now = inner.clock.now();
+        let plane = call.plane();
         let mut request = Request {
             id,
-            user: self.user(),
+            user,
             sent_at_nanos: now.as_nanos(),
             trace_id: ctx.map_or(0, |c| c.trace.0),
             parent_span: ctx.map_or(0, |c| c.parent.0),
@@ -1353,70 +994,72 @@ impl HostRuntime {
             body: call,
         };
         let abort = |err: ClusterError| {
-            node_slot
-                .inflight
-                .lock()
-                .expect("inflight poisoned")
-                .remove(&id);
-            let mut journal = node_slot.journal.lock().expect("journal poisoned");
-            if let Some(pos) = journal.iter().rposition(|e| e.id == id) {
-                journal.remove(pos);
+            if journaled {
+                let mut journal = node_slot.journal();
+                journal.inflight.remove(&id);
+                if let Some(pos) = journal.entries.iter().rposition(|e| e.id == id) {
+                    journal.entries.remove(pos);
+                }
             }
             Err(err)
         };
         let mut routes_tried = 0usize;
         loop {
             let (physical, epoch) = {
-                let (physical, epoch) = inner.route_of(node);
-                if failover && !inner.link_alive(physical) {
-                    match inner.failover(node, epoch) {
-                        Ok(moved) => moved,
-                        Err(e) => return abort(e),
-                    }
-                } else {
-                    (physical, epoch)
+                let route = node_slot.route.lock().expect("route poisoned");
+                (route.physical, route.epoch)
+            };
+            let (physical, epoch) = if failover && !inner.link_alive(physical) {
+                match inner.failover(node, epoch) {
+                    Ok(moved) => moved,
+                    Err(e) => return abort(e),
                 }
+            } else {
+                (physical, epoch)
             };
             request.epoch = epoch;
-            let Some(route_slot) = inner.slot(physical) else {
-                return abort(ClusterError::Net(NetError::Disconnected));
-            };
-            let link = &route_slot.link;
-            let plane = request.body.plane();
-            {
-                let mut state = link.shared.state.lock().expect("link state poisoned");
-                if let Some(err) = &state.dead {
-                    if failover && routes_tried < inner.slot_count() {
-                        routes_tried += 1;
-                        continue;
-                    }
-                    return abort(err.clone());
+            let route = if physical == index {
+                Arc::clone(&node_slot)
+            } else {
+                match inner.slot(physical) {
+                    Some(slot) => slot,
+                    None => return abort(ClusterError::Net(NetError::Disconnected)),
                 }
-                state.pending.insert(id, PendingEntry::Waiting(plane));
+            };
+            let may_reroute = failover && routes_tried < inner.slot_count();
+            if let Err(err) = route.link.shared.register(id, plane) {
+                if may_reroute {
+                    routes_tried += 1;
+                    continue;
+                }
+                return abort(err);
             }
-            match link.send(request.clone(), now) {
+            // The request moves into its frame; only a waiter that may
+            // have to send it again keeps a copy.
+            let resend = recovery.is_some().then(|| request.clone());
+            match route.link.send(request, now) {
                 Ok(()) => {
                     return Ok(PendingCall {
-                        request,
+                        id,
+                        resend,
+                        journaled,
                         node,
                         physical,
+                        route,
                         epoch,
                         inner: Arc::clone(inner),
                         taken: false,
                     });
                 }
                 Err(err) => {
-                    link.shared
-                        .state
-                        .lock()
-                        .expect("link state poisoned")
-                        .pending
-                        .remove(&id);
-                    if failover && routes_tried < inner.slot_count() {
-                        routes_tried += 1;
-                        continue;
+                    route.link.shared.forget(id);
+                    match resend {
+                        Some(kept) if may_reroute => {
+                            request = kept;
+                            routes_tried += 1;
+                        }
+                        _ => return abort(err),
                     }
-                    return abort(err);
                 }
             }
         }
@@ -1474,16 +1117,21 @@ impl HostRuntime {
             .inner
             .slot(node.raw() as usize)
             .ok_or_else(|| ClusterError::Config(format!("unknown node {node}")))?;
+        let (active, draining) = (
+            MembershipState::Active as u8,
+            MembershipState::Draining as u8,
+        );
+        match slot
+            .membership
+            .compare_exchange(active, draining, Ordering::SeqCst, Ordering::SeqCst)
         {
-            let mut membership = slot.membership.lock().expect("membership poisoned");
-            match *membership {
-                MembershipState::Draining => return Ok(()),
-                MembershipState::Active => *membership = MembershipState::Draining,
-                other => {
-                    return Err(ClusterError::Config(format!(
-                        "node {node} cannot drain from state {other}"
-                    )));
-                }
+            Ok(_) => {}
+            Err(raw) if raw == draining => return Ok(()),
+            Err(raw) => {
+                return Err(ClusterError::Config(format!(
+                    "node {node} cannot drain from state {}",
+                    MembershipState::from_raw(raw)
+                )));
             }
         }
         self.note_membership(node, MembershipState::Draining);
@@ -1527,12 +1175,9 @@ impl HostRuntime {
             .inner
             .slot(node.raw() as usize)
             .ok_or_else(|| ClusterError::Config(format!("unknown node {node}")))?;
-        {
-            let mut membership = slot.membership.lock().expect("membership poisoned");
-            if *membership == MembershipState::Departed {
-                return Ok(());
-            }
-            *membership = MembershipState::Departed;
+        let departed = MembershipState::Departed as u8;
+        if slot.membership.swap(departed, Ordering::SeqCst) == departed {
+            return Ok(());
         }
         {
             let mut route = slot.route.lock().expect("route poisoned");
@@ -1543,16 +1188,17 @@ impl HostRuntime {
             }
         }
         slot.voluntary_epochs.fetch_add(1, Ordering::SeqCst);
-        slot.journal.lock().expect("journal poisoned").clear();
-        slot.inflight.lock().expect("inflight poisoned").clear();
-        // The demux threads see the retirement flag and exit without
-        // booking a link failure when the NMP's connections close.
-        slot.link.retired.store(true, Ordering::SeqCst);
-        slot.link
-            .shared
-            .fail_all(ClusterError::Net(NetError::Disconnected));
+        *slot.journal() = Journal::default();
+        // Closed, not failed: when the NMP's connections go away next,
+        // nobody is left receiving on them to book a link failure.
+        slot.link.close(ClusterError::Net(NetError::Disconnected));
         self.note_membership(node, MembershipState::Departed);
         Ok(())
+    }
+
+    fn set_membership(&self, slot: &NodeSlot, node: NodeId, state: MembershipState) {
+        slot.membership.store(state as u8, Ordering::SeqCst);
+        self.note_membership(node, state);
     }
 
     /// Records one membership transition: the `haocl_node_state` gauge
@@ -1598,8 +1244,20 @@ impl HostRuntime {
             .map(|s| s.link.name.clone())
     }
 
-    /// The observability hub shared by this runtime's links and demux
-    /// threads. The platform layer adopts this hub (instead of creating
+    /// Brings the per-link self-reports in the metric registry up to
+    /// date — `haocl_link_pending` and
+    /// `haocl_link_foreign_completions_total`, per node and plane — for
+    /// every node still in the cluster. Call before rendering.
+    pub fn export_link_metrics(&self) {
+        for slot in self.inner.slots.read().expect("slots poisoned").iter() {
+            if slot.membership() != MembershipState::Departed {
+                slot.link.export_metrics();
+            }
+        }
+    }
+
+    /// The observability hub shared by this runtime's links. The
+    /// platform layer adopts this hub (instead of creating
     /// its own) so every layer records into one recorder/registry.
     pub fn obs(&self) -> &Arc<Hub> {
         &self.inner.obs
@@ -1614,99 +1272,11 @@ impl HostRuntime {
 
 impl Drop for HostRuntime {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        let threads: Vec<JoinHandle<()>> = self
-            .demux_threads
-            .lock()
-            .expect("demux threads poisoned")
-            .drain(..)
-            .collect();
-        for t in threads {
-            let _ = t.join();
-        }
         // PendingCalls hold their own Arc into the shared state and may
         // outlive the runtime; leave them a terminal error instead of a
         // hang.
         for slot in self.inner.slots.read().expect("slots poisoned").iter() {
-            slot.link
-                .shared
-                .fail_all(ClusterError::Net(NetError::Disconnected));
-        }
-    }
-}
-
-/// Drains one connection's responses, completing pending calls by
-/// correlation id. Exits when the runtime stops or the connection dies;
-/// on death every in-flight call on this plane fails with the transport
-/// error (responses already delivered on the connection are drained
-/// first, so nothing the node answered is discarded).
-fn demux_loop(
-    mut rx: haocl_net::ConnReceiver,
-    plane: Plane,
-    shared: Arc<LinkShared>,
-    stop: Arc<AtomicBool>,
-    retired: Arc<AtomicBool>,
-    obs: Arc<Hub>,
-    node_name: String,
-) {
-    let note_failure = || {
-        obs.metrics.inc_counter(
-            names::LINK_FAILURES,
-            &[
-                ("node", node_name.as_str()),
-                (
-                    "plane",
-                    if plane == Plane::Control {
-                        "control"
-                    } else {
-                        "data"
-                    },
-                ),
-            ],
-            1,
-        );
-    };
-    while !stop.load(Ordering::SeqCst) {
-        // A retired node's connections close by design: exit without
-        // booking a link failure (retire_node already failed out any
-        // straggling waiters).
-        if retired.load(Ordering::SeqCst) {
-            return;
-        }
-        match rx.recv_frame_timeout(DEMUX_POLL) {
-            Ok((frame, received_at)) => match decode_from_bytes::<Response>(frame) {
-                Ok(response) => {
-                    if response.duplicate {
-                        obs.metrics.inc_counter(
-                            names::DEDUP_HITS,
-                            &[("node", node_name.as_str())],
-                            1,
-                        );
-                    }
-                    shared.complete(response, received_at);
-                }
-                Err(e) => {
-                    if retired.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    note_failure();
-                    shared.fail_plane(plane, ClusterError::Wire(e));
-                    return;
-                }
-            },
-            Err(NetError::Timeout) => continue,
-            // Poll deadline hit mid-frame: the partial bytes stay
-            // buffered in the receiver, so the next recv resynchronizes
-            // on the remaining chunks.
-            Err(NetError::TimeoutMidFrame { .. }) => continue,
-            Err(e) => {
-                if retired.load(Ordering::SeqCst) {
-                    return;
-                }
-                note_failure();
-                shared.fail_plane(plane, ClusterError::Net(e));
-                return;
-            }
+            slot.link.close(ClusterError::Net(NetError::Disconnected));
         }
     }
 }
@@ -1730,6 +1300,8 @@ mod tests {
     use haocl_kernel::KernelRegistry;
     use haocl_net::{Conn, LinkModel};
     use haocl_proto::ids::BufferId;
+    use haocl_proto::messages::{Envelope, Plane, Response};
+    use haocl_proto::wire::{decode_from_bytes, encode_to_vec};
 
     fn one_node_config() -> ClusterConfig {
         ClusterConfig {
@@ -1817,6 +1389,272 @@ mod tests {
             }
         }
         server.join().unwrap();
+    }
+
+    /// A one-node runtime against a scripted node: `script` gets the
+    /// message and data connections once the handshake is answered.
+    fn scripted<T: Send + 'static>(
+        script: impl FnOnce(Conn, Conn) -> T + Send + 'static,
+    ) -> (Fabric, HostRuntime, std::thread::JoinHandle<T>) {
+        let fabric = Fabric::new(Clock::new(), LinkModel::gigabit_ethernet());
+        let msg_listener = fabric.bind("10.0.9.1:7100").unwrap();
+        let data_listener = fabric.bind("10.0.9.1:7101").unwrap();
+        let server = std::thread::spawn(move || {
+            let mut msg = msg_listener.accept().unwrap();
+            let data = data_listener.accept().unwrap();
+            answer_handshake(&mut msg);
+            script(msg, data)
+        });
+        let host = HostRuntime::connect(&fabric, &one_node_config()).unwrap();
+        (fabric, host, server)
+    }
+
+    fn pong(conn: &mut Conn, request: &Request, at: SimTime) {
+        let now_nanos = request.id.raw();
+        reply(conn, request.id, ApiReply::Pong { now_nanos }, at);
+    }
+
+    fn is_pong_for(result: Result<CallOutcome, ClusterError>, id: RequestId) -> bool {
+        matches!(result, Ok(CallOutcome { reply: ApiReply::Pong { now_nanos }, .. }) if now_nanos == id.raw())
+    }
+
+    /// Spins until the control plane of node 0's link has a leader and
+    /// `parked` waiters behind it.
+    fn until_waiting(host: &HostRuntime, parked: usize) {
+        let slot = host.inner.slot(0).unwrap();
+        while slot.link.waiters(Plane::Control) != (true, parked) {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_leader_completes_the_follower_whose_reply_arrives_first() {
+        let (go, gone) = std::sync::mpsc::channel::<()>();
+        let (_fabric, host, server) = scripted(move |mut msg, _data| {
+            let requests = collect_requests(&mut msg, 2);
+            gone.recv().unwrap();
+            // Newest first: the leader's own reply comes last.
+            for (request, at) in requests.iter().rev() {
+                pong(&mut msg, request, *at);
+            }
+        });
+        let first = host.submit(NodeId::new(0), ApiCall::Ping).unwrap();
+        let second = host.submit(NodeId::new(0), ApiCall::Ping).unwrap();
+        let (first_id, second_id) = (first.id(), second.id());
+        std::thread::scope(|s| {
+            let leader = s.spawn(|| first.wait());
+            until_waiting(&host, 0);
+            let follower = s.spawn(|| second.wait());
+            until_waiting(&host, 1);
+            go.send(()).unwrap();
+            assert!(is_pong_for(follower.join().unwrap(), second_id));
+            assert!(is_pong_for(leader.join().unwrap(), first_id));
+        });
+        let slot = host.inner.slot(0).unwrap();
+        assert_eq!(
+            slot.link.foreign_completions(Plane::Control),
+            1,
+            "the leader received the follower's reply"
+        );
+        assert_eq!(slot.link.waiters(Plane::Control), (false, 0));
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn a_leader_whose_deadline_expires_hands_the_receiver_over() {
+        let (go, gone) = std::sync::mpsc::channel::<()>();
+        let (_fabric, host, server) = scripted(move |mut msg, _data| {
+            let requests = collect_requests(&mut msg, 2);
+            gone.recv().unwrap();
+            let (request, at) = &requests[1];
+            pong(&mut msg, request, *at);
+        });
+        let patience = |base_timeout| {
+            Some(RecoveryPolicy {
+                base_timeout,
+                max_attempts: 1,
+                failover: false,
+            })
+        };
+        host.set_recovery(patience(Duration::from_millis(30)));
+        let first = host.submit(NodeId::new(0), ApiCall::Ping).unwrap();
+        let second = host.submit(NodeId::new(0), ApiCall::Ping).unwrap();
+        let second_id = second.id();
+        std::thread::scope(|s| {
+            // A wait reads the policy when it starts: the leader gets
+            // the short patience, the follower a long one.
+            let leader = s.spawn(|| first.wait());
+            until_waiting(&host, 0);
+            host.set_recovery(patience(Duration::from_secs(30)));
+            let follower = s.spawn(|| second.wait());
+            until_waiting(&host, 1);
+            let gave_up = leader.join().unwrap().unwrap_err();
+            assert!(
+                matches!(gave_up, ClusterError::Net(NetError::Timeout)),
+                "unexpected error {gave_up}"
+            );
+            // The follower took the receive half over; only now does
+            // its reply leave the node.
+            until_waiting(&host, 0);
+            go.send(()).unwrap();
+            assert!(is_pong_for(follower.join().unwrap(), second_id));
+        });
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn an_abandoned_calls_reply_is_discarded_and_its_frame_recycled() {
+        let (fabric, host, server) = scripted(|mut msg, _data| {
+            for (request, at) in collect_requests(&mut msg, 2) {
+                pong(&mut msg, &request, at);
+            }
+        });
+        let outstanding = || {
+            let stats = fabric.pool_stats();
+            stats.reuses + stats.misses - stats.returns
+        };
+        let baseline = outstanding();
+        let abandoned = host.submit(NodeId::new(0), ApiCall::Ping).unwrap();
+        drop(abandoned);
+        // Its reply is ahead of this one on the connection, so this wait
+        // receives — and drops — it first.
+        let kept = host.submit(NodeId::new(0), ApiCall::Ping).unwrap();
+        let kept_id = kept.id();
+        assert!(is_pong_for(kept.wait(), kept_id));
+        server.join().unwrap();
+        assert_eq!(
+            outstanding(),
+            baseline,
+            "a reply frame is still checked out"
+        );
+        host.export_link_metrics();
+        let pending = host.obs().metrics.render();
+        assert!(
+            pending.contains("haocl_link_pending{node=\"n0\",plane=\"control\"} 0"),
+            "{pending}"
+        );
+    }
+
+    #[test]
+    fn try_poll_never_blocks_behind_a_leader() {
+        let (go, gone) = std::sync::mpsc::channel::<()>();
+        let (_fabric, host, server) = scripted(move |mut msg, _data| {
+            let requests = collect_requests(&mut msg, 2);
+            gone.recv().unwrap();
+            for (request, at) in &requests {
+                pong(&mut msg, request, *at);
+            }
+        });
+        let led = host.submit(NodeId::new(0), ApiCall::Ping).unwrap();
+        let mut polled = host.submit(NodeId::new(0), ApiCall::Ping).unwrap();
+        let (led_id, polled_id) = (led.id(), polled.id());
+        std::thread::scope(|s| {
+            let leader = s.spawn(|| led.wait());
+            until_waiting(&host, 0);
+            // The node is silent and the leader holds the receive half:
+            // a poll that tried to receive would hang right here.
+            assert!(polled.try_poll().is_none());
+            go.send(()).unwrap();
+            assert!(is_pong_for(leader.join().unwrap(), led_id));
+        });
+        // The reply was on the connection behind the leader's, or arrives
+        // now that the receive half is free; polling finds it either way.
+        let result = loop {
+            match polled.try_poll() {
+                Some(result) => break result,
+                None => std::thread::yield_now(),
+            }
+        };
+        assert!(is_pong_for(result, polled_id));
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn a_duplicated_reply_counts_one_dedup_hit() {
+        let (_fabric, host, server) = scripted(|mut msg, _data| {
+            let (first, at) = collect_requests(&mut msg, 1).remove(0);
+            pong(&mut msg, &first, at);
+            // The journal's copy of the same answer, as a node sends it
+            // for a request that reached it twice.
+            let again = Response {
+                id: first.id,
+                completed_at_nanos: at.as_nanos(),
+                body: ApiReply::Pong { now_nanos: 0 },
+                duplicate: true,
+                spans: Vec::new(),
+            };
+            msg.send_frame(&encode_to_vec(&again), at).unwrap();
+            let (second, at) = collect_requests(&mut msg, 1).remove(0);
+            pong(&mut msg, &second, at);
+        });
+        for _ in 0..2 {
+            let call = host.submit(NodeId::new(0), ApiCall::Ping).unwrap();
+            let id = call.id();
+            assert!(is_pong_for(call.wait(), id), "the first answer stands");
+        }
+        server.join().unwrap();
+        let hits = host
+            .obs()
+            .metrics
+            .counter_value(names::DEDUP_HITS, &[("node", "n0")]);
+        assert_eq!(hits, 1);
+    }
+
+    #[test]
+    fn a_failed_data_send_marks_the_link_dead_and_fails_the_plane() {
+        let (dropped, was_dropped) = std::sync::mpsc::channel::<()>();
+        let (done, finished) = std::sync::mpsc::channel::<()>();
+        let (_fabric, host, server) = scripted(move |msg, mut data| {
+            // Swallow one data-plane request, then lose that connection
+            // only; the message connection stays up until the end.
+            data.recv_frame().unwrap();
+            drop(data);
+            dropped.send(()).unwrap();
+            finished.recv().unwrap();
+            drop(msg);
+        });
+        let read = || ApiCall::ReadBuffer {
+            device: 0,
+            buffer: BufferId::new(1),
+            offset: 0,
+            len: 4,
+        };
+        let node = NodeId::new(0);
+        let in_flight = host.submit(node, read()).unwrap();
+        was_dropped.recv().unwrap();
+        let refused = host.submit(node, read()).expect_err("send must fail");
+        assert!(
+            matches!(refused, ClusterError::Net(_)),
+            "unexpected error {refused}"
+        );
+        // Nobody has waited, polled or probed: the failed send itself
+        // marked the link dead, so the live message plane refuses too.
+        assert!(matches!(
+            host.submit(node, ApiCall::Ping),
+            Err(ClusterError::Net(_))
+        ));
+        assert!(matches!(in_flight.wait(), Err(ClusterError::Net(_))));
+        let failures = host
+            .obs()
+            .metrics
+            .counter_value(names::LINK_FAILURES, &[("node", "n0"), ("plane", "data")]);
+        assert_eq!(failures, 1);
+        done.send(()).unwrap();
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn a_dropped_connection_is_noticed_with_no_waiter_present() {
+        let (_fabric, host, server) = scripted(|_msg, _data| {});
+        // The node answered the handshake and hung up; no call is in
+        // flight and no thread sits on the connection.
+        server.join().unwrap();
+        assert!(!host.inner.link_alive(0));
+        assert!(!host.node_is_live(NodeId::new(0)));
+        assert!(matches!(
+            host.submit(NodeId::new(0), ApiCall::Ping),
+            Err(ClusterError::Net(_))
+        ));
     }
 
     #[test]

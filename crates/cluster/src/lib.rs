@@ -13,8 +13,9 @@
 //! * [`host`] — the host-side runtime: connects to every node from the
 //!   config, performs the `clGetDeviceIDs` device-mapping handshake, and
 //!   forwards calls over a pipelined backbone — non-blocking
-//!   [`HostRuntime::submit`] returning a [`host::PendingCall`], with a
-//!   per-connection demultiplexer completing responses out of order and
+//!   [`HostRuntime::submit`] returning a [`host::PendingCall`], with
+//!   whoever waits completing responses out of order for everyone
+//!   (leader/follower receive, in the private `link` module) and
 //!   [`HostRuntime::call`] retaining the paper's synchronous semantics.
 //! * [`local`] — [`LocalCluster`]: spawns a whole cluster in-process
 //!   (NMPs as OS threads on a shared [`haocl_net::Fabric`]) for tests,
@@ -42,6 +43,7 @@ pub mod autoscale;
 pub mod config;
 pub mod error;
 pub mod host;
+mod link;
 pub mod local;
 pub mod nmp;
 pub mod session;

@@ -74,8 +74,9 @@ const JOURNAL_CAP: usize = 1024;
 const PEER_PATIENCE: Duration = Duration::from_millis(100);
 
 enum ProgramEntry {
-    /// Source-compiled program (CPU/GPU path).
-    Built(haocl_kernel::CompiledProgram),
+    /// Source-compiled program (CPU/GPU path): its kernels by name, each
+    /// shared by every kernel object created from it.
+    Built(HashMap<String, Arc<haocl_kernel::CompiledKernel>>),
     /// Pre-built bitstream kernel names (FPGA path).
     Bitstream(Vec<String>),
 }
@@ -256,11 +257,8 @@ fn spawn_accept_loop(
         let mut serving: Vec<JoinHandle<()>> = Vec::new();
         while !stop.load(Ordering::SeqCst) {
             let accepted = listener.accept_timeout(POLL);
-            let (finished, live): (Vec<_>, Vec<_>) =
-                serving.drain(..).partition(JoinHandle::is_finished);
-            serving = live;
-            for t in finished {
-                let _ = t.join();
+            while let Some(done) = serving.iter().position(JoinHandle::is_finished) {
+                let _ = serving.swap_remove(done).join();
                 tracked.fetch_sub(1, Ordering::Relaxed);
             }
             match accepted {
@@ -283,7 +281,7 @@ fn spawn_accept_loop(
 }
 
 fn serve(mut conn: Conn, state: Arc<Mutex<NodeState>>, stop: Arc<AtomicBool>, peer: Arc<PeerCtx>) {
-    'serve: while !stop.load(Ordering::SeqCst) {
+    while !stop.load(Ordering::SeqCst) {
         let (frame, arrival) = match conn.recv_frame_timeout(POLL) {
             Ok(x) => x,
             Err(NetError::Timeout) => continue,
@@ -302,7 +300,7 @@ fn serve(mut conn: Conn, state: Arc<Mutex<NodeState>>, stop: Arc<AtomicBool>, pe
             // would after a framing-level protocol violation.
             Err(_) => break,
         };
-        for request in envelope.into_requests() {
+        let mut answer = |request: Request| {
             let is_shutdown = matches!(request.body, ApiCall::Shutdown);
             let response = handle(&state, request, arrival, &peer);
             let send_at = response.completed_at_nanos;
@@ -312,17 +310,19 @@ fn serve(mut conn: Conn, state: Arc<Mutex<NodeState>>, stop: Arc<AtomicBool>, pe
                 ApiReply::DataModeled { len } => *len,
                 _ => 0,
             };
-            if conn
-                .send_frame_with(SimTime::from_nanos(send_at), virtual_len, |buf| {
-                    encode_into_vec(&response, buf)
-                })
-                .is_err()
-            {
-                break 'serve;
-            }
-            if is_shutdown {
-                break 'serve;
-            }
+            let sent = conn.send_frame_with(SimTime::from_nanos(send_at), virtual_len, |buf| {
+                encode_into_vec(&response, buf)
+            });
+            sent.is_ok() && !is_shutdown
+        };
+        // A lone request — the common case — is answered where it was
+        // decoded; only a batch brings a list.
+        let keep_serving = match envelope {
+            Envelope::Single(request) => answer(request),
+            Envelope::Batch(requests) => requests.into_iter().all(&mut answer),
+        };
+        if !keep_serving {
+            break;
         }
     }
 }
@@ -964,9 +964,13 @@ fn dispatch(
                         .filter(|r| !r.is_empty())
                         .collect::<Vec<_>>()
                         .join("\n");
+                    let kernels = compiled
+                        .kernels()
+                        .map(|k| (k.name.clone(), Arc::new(k.clone())))
+                        .collect();
                     state
                         .programs
-                        .insert((program, device), ProgramEntry::Built(compiled));
+                        .insert((program, device), ProgramEntry::Built(kernels));
                     (
                         ApiReply::BuildLog {
                             ok: true,
@@ -1068,14 +1072,14 @@ fn dispatch(
                         }
                     }
                 }
-                ProgramEntry::Built(compiled) => {
+                ProgramEntry::Built(kernels) => {
                     // Fast path: a registered native implementation with the
                     // same name supersedes VM execution of the source.
                     if let Some(native) = state.registry.get(&name) {
                         Kernel::Native(native)
                     } else {
-                        match compiled.kernel(&name) {
-                            Some(k) => Kernel::Compiled(Arc::new(k.clone())),
+                        match kernels.get(&name) {
+                            Some(k) => Kernel::Compiled(Arc::clone(k)),
                             None => {
                                 return (
                                     err_reply(

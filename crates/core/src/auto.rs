@@ -23,7 +23,6 @@ use crate::error::{Error, Status};
 use crate::event::Event;
 use crate::graph::{GraphReport, LaunchGraph};
 use crate::kernel::{Kernel, StoredArg};
-use crate::platform::Device;
 use crate::queue::{CommandQueue, LaunchPart};
 
 /// Scheduler-routed kernel launching over a context's devices.
@@ -127,15 +126,9 @@ impl AutoScheduler {
                 "elastic membership needs a context over the platform's full device list",
             ));
         }
-        let inner = &self.context.platform;
-        let all = inner.host().devices();
+        let all = self.context.platform.device_handles();
         let mut adopted = 0;
-        for (index, info) in all.iter().enumerate().skip(self.context.devices.len()) {
-            let device = Device {
-                platform: std::sync::Arc::clone(inner),
-                index,
-                info: info.clone(),
-            };
+        for device in all.into_iter().skip(self.context.devices.len()) {
             self.context.devices.push(device.clone());
             self.queues.push(CommandQueue::new(&self.context, &device)?);
             self.busy_until.lock().push(SimTime::ZERO);
@@ -315,7 +308,7 @@ impl AutoScheduler {
             obs.audit.record(row);
         }
         let event = self.queues[choice].enqueue_launch_parts_traced(
-            parts,
+            &parts,
             ctx.map(|(trace, root_id)| TraceCtx::new(trace, root_id)),
         )?;
         // The policy's load tracking needs the completion time, so
@@ -440,7 +433,7 @@ impl AutoScheduler {
                     // not at its stale drain time — without the clamp a
                     // long-idle (e.g. degraded, avoided) device looks
                     // cheaper than a recently busy healthy one.
-                    DeviceView::from_descriptor(d.node(), &d.info.descriptor)
+                    DeviceView::from_descriptor(d.node(), d.descriptor())
                         .named(d.node_name())
                         .loaded(until.max(now), u32::from(until > now))
                         .with_local_bytes(local)

@@ -17,7 +17,7 @@
 //! peer-to-peer. If a peer transfer fails (chaos, dead node), the classic
 //! host relay is the fallback.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -101,7 +101,7 @@ pub(crate) struct BufferInner {
     /// In-flight kernel launches (on the pipelined backbone) that may
     /// write this buffer. Settled before any dependent operation looks
     /// at the coherence state.
-    pending_writers: Mutex<Vec<Event>>,
+    pending_writers: Mutex<VecDeque<Event>>,
     /// Tenant memory-quota charge, released when the last handle drops.
     /// `None` for buffers created outside the serving plane.
     charge: Mutex<Option<TenantCharge>>,
@@ -192,7 +192,7 @@ impl Buffer {
                 residency: ResidencyTracker::new(),
                 wire: BTreeMap::new(),
             }),
-            pending_writers: Mutex::new(Vec::new()),
+            pending_writers: Mutex::new(VecDeque::new()),
             charge: Mutex::new(None),
         });
         // Membership changes (node drains) walk every live buffer to
@@ -244,7 +244,7 @@ impl Drop for BufferInner {
         let st = self.state.get_mut();
         let host = self.platform.host();
         for dev in st.residency.allocated_devices() {
-            let info = host.devices().get(dev).cloned();
+            let info = host.device_info(dev);
             let released = match &info {
                 // A voluntarily departed node destroyed its allocations
                 // by design when it retired — nothing left to release,
@@ -270,12 +270,11 @@ impl Drop for BufferInner {
                 _ => false,
             };
             if !released {
-                let node = info
-                    .map(|i| i.node_name)
-                    .unwrap_or_else(|| format!("device{dev}"));
+                let unmapped = format!("device{dev}");
+                let node = info.as_ref().map_or(&unmapped, |i| &i.node_name);
                 self.platform.obs.metrics.inc_counter(
                     names::BUFFER_RELEASE_FAILED,
-                    &[("node", &node)],
+                    &[("node", node)],
                     1,
                 );
             }
@@ -295,7 +294,7 @@ impl Drop for BufferInner {
 impl BufferInner {
     /// Registers an in-flight launch that may write this buffer.
     pub(crate) fn add_pending_writer(&self, event: Event) {
-        self.pending_writers.lock().push(event);
+        self.pending_writers.lock().push_back(event);
     }
 
     /// Resolves every in-flight launch targeting this buffer so its
@@ -303,9 +302,13 @@ impl BufferInner {
     /// it. A *failed* launch wrote nothing — its error stays on the
     /// launch's own [`Event`] and does not poison the buffer.
     fn settle_pending(&self) {
-        let drained: Vec<Event> = std::mem::take(&mut *self.pending_writers.lock());
-        for event in drained {
-            let _ = event.wait();
+        // Oldest first, one at a time: the list keeps its storage for
+        // the next launch, and its lock is not held across a wait.
+        loop {
+            let Some(oldest) = self.pending_writers.lock().pop_front() else {
+                return;
+            };
+            let _ = oldest.wait();
         }
     }
 
@@ -315,9 +318,9 @@ impl BufferInner {
     /// retirement, because retirement clears the journal.
     fn live_epoch(&self, dev: usize) -> u32 {
         let host = self.platform.host();
-        match host.devices().get(dev) {
-            Some(info) if host.node_membership(info.node) != Some(MembershipState::Departed) => {
-                host.node_epoch(info.node)
+        match host.device_node(dev) {
+            Some(node) if host.node_membership(node) != Some(MembershipState::Departed) => {
+                host.node_epoch(node)
             }
             _ => u32::MAX,
         }
@@ -431,9 +434,7 @@ impl BufferInner {
     ) -> Result<(), Error> {
         let host = self.platform.host();
         let src = host
-            .devices()
-            .get(owner)
-            .cloned()
+            .device_info(owner)
             .ok_or_else(|| Error::Transport(format!("device {owner} vanished")))?;
         let peer_addr = host
             .node_data_addr(target.node())
@@ -686,16 +687,14 @@ impl BufferInner {
         Ok(())
     }
 
-    fn owner_device(&self, st: &BufState) -> Result<haocl_cluster::RemoteDevice, Error> {
+    fn owner_device(&self, st: &BufState) -> Result<Arc<haocl_cluster::RemoteDevice>, Error> {
         let owner = st
             .residency
             .owner_device()
             .expect("a stale shadow implies a current device");
         self.platform
             .host()
-            .devices()
-            .get(owner)
-            .cloned()
+            .device_info(owner)
             .ok_or_else(|| Error::Transport(format!("device {owner} vanished")))
     }
 

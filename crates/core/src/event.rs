@@ -115,6 +115,16 @@ impl Event {
         !matches!(&*self.inner.state.lock(), EventState::Pending(_))
     }
 
+    /// [`Event::is_resolved`], as far as can be told right now: an event
+    /// another thread is resolving at this moment reads as unsettled
+    /// instead of blocking the caller until that wait ends.
+    pub(crate) fn is_settled(&self) -> bool {
+        self.inner
+            .state
+            .try_lock()
+            .is_some_and(|st| !matches!(&*st, EventState::Pending(_)))
+    }
+
     fn resolve(&self) -> Result<Profile, Error> {
         let mut st = self.inner.state.lock();
         if let EventState::Pending(resolver) = &mut *st {

@@ -6,7 +6,7 @@
 //! "native OpenCL single node" the paper's evaluation normalizes against.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 
 use haocl_cluster::{
     Autoscaler, ClusterConfig, Decision, HostRuntime, LoadSample, LocalCluster, MembershipState,
@@ -14,7 +14,7 @@ use haocl_cluster::{
 };
 use haocl_kernel::KernelRegistry;
 use haocl_net::LinkModel;
-use haocl_obs::{names, Hub};
+use haocl_obs::{names, Counter, Hub};
 use haocl_proto::ids::{IdAllocator, NodeId, UserId};
 use haocl_proto::messages::{ApiCall, DeviceKind};
 use haocl_sim::{Clock, Phase, PhaseBreakdown, SimDuration, SimTime, Tracer};
@@ -41,7 +41,20 @@ pub(crate) struct PlatformInner {
     /// Every live buffer created under this platform, weakly held — the
     /// work-list a node drain migrates before retirement.
     buffers: Mutex<Vec<Weak<BufferInner>>>,
+    /// What the handles on each mapped device share, by device index;
+    /// grows with the host's device map.
+    devices: Mutex<Vec<Arc<DeviceShared>>>,
     name: String,
+}
+
+/// What every [`Device`] handle on one cluster device shares.
+pub(crate) struct DeviceShared {
+    /// The host runtime's mapping record.
+    info: Arc<RemoteDevice>,
+    /// The node's `haocl_wall_requests_total` / `haocl_wall_nanos_total`
+    /// series, looked up at the device's first launch (not before: a
+    /// node that never completed one exports neither).
+    wall: OnceLock<(Counter, Counter)>,
 }
 
 impl PlatformInner {
@@ -51,6 +64,27 @@ impl PlatformInner {
 
     pub(crate) fn clock(&self) -> &Clock {
         self.cluster.host().clock()
+    }
+
+    /// A handle on every mapped device, in device-map order.
+    pub(crate) fn device_handles(self: &Arc<Self>) -> Vec<Device> {
+        let mut shared = self.devices.lock();
+        let known = shared.len();
+        for info in self.host().devices().into_iter().skip(known) {
+            shared.push(Arc::new(DeviceShared {
+                info,
+                wall: OnceLock::new(),
+            }));
+        }
+        shared
+            .iter()
+            .enumerate()
+            .map(|(index, shared)| Device {
+                platform: Arc::clone(self),
+                index,
+                shared: Arc::clone(shared),
+            })
+            .collect()
     }
 
     /// Forwards a call and records its wall-virtual duration under
@@ -133,28 +167,28 @@ impl DeviceType {
 pub struct Device {
     pub(crate) platform: Arc<PlatformInner>,
     pub(crate) index: usize,
-    pub(crate) info: RemoteDevice,
+    shared: Arc<DeviceShared>,
 }
 
 impl Device {
     /// The device's model name (`CL_DEVICE_NAME`).
     pub fn name(&self) -> &str {
-        &self.info.descriptor.name
+        &self.shared.info.descriptor.name
     }
 
     /// The device class.
     pub fn kind(&self) -> DeviceKind {
-        self.info.descriptor.kind
+        self.shared.info.descriptor.kind
     }
 
     /// Global memory capacity in bytes (`CL_DEVICE_GLOBAL_MEM_SIZE`).
     pub fn global_mem_size(&self) -> u64 {
-        self.info.descriptor.mem_bytes
+        self.shared.info.descriptor.mem_bytes
     }
 
     /// The configured name of the node hosting this device.
     pub fn node_name(&self) -> &str {
-        &self.info.node_name
+        &self.shared.info.node_name
     }
 
     /// The device's position in the platform's device map.
@@ -164,20 +198,36 @@ impl Device {
 
     /// The advertised device model summary.
     pub fn descriptor(&self) -> &haocl_proto::messages::DeviceDescriptor {
-        &self.info.descriptor
+        &self.shared.info.descriptor
     }
 
     /// The id of the node hosting this device.
     pub fn node_id(&self) -> NodeId {
-        self.info.node
+        self.shared.info.node
     }
 
     pub(crate) fn node(&self) -> NodeId {
-        self.info.node
+        self.shared.info.node
     }
 
     pub(crate) fn device_index(&self) -> u8 {
-        self.info.device
+        self.shared.info.device
+    }
+
+    /// Books one kernel-launch round trip of `wall_nanos` against the
+    /// device's node: real requests/sec, next to the virtual model
+    /// (feeds the `haocl-top` WALL.RPS column).
+    pub(crate) fn count_wall_round_trip(&self, wall_nanos: u64) {
+        let (requests, nanos) = self.shared.wall.get_or_init(|| {
+            let metrics = &self.platform.obs.metrics;
+            let labels = [("node", self.node_name())];
+            (
+                metrics.counter(names::WALL_REQUESTS, &labels),
+                metrics.counter(names::WALL_NANOS, &labels),
+            )
+        });
+        requests.inc(1);
+        nanos.inc(wall_nanos);
     }
 }
 
@@ -269,6 +319,7 @@ impl Platform {
                 obs,
                 peer_transfers: AtomicBool::new(true),
                 buffers: Mutex::new(Vec::new()),
+                devices: Mutex::new(Vec::new()),
                 name: name.to_string(),
             }),
         }
@@ -323,18 +374,9 @@ impl Platform {
 
     /// The mapped devices passing `filter` (`clGetDeviceIDs`).
     pub fn devices(&self, filter: DeviceType) -> Vec<Device> {
-        self.inner
-            .host()
-            .devices()
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| filter.matches(d.descriptor.kind))
-            .map(|(index, d)| Device {
-                platform: Arc::clone(&self.inner),
-                index,
-                info: d.clone(),
-            })
-            .collect()
+        let mut devices = self.inner.device_handles();
+        devices.retain(|d| filter.matches(d.kind()));
+        devices
     }
 
     /// The shared virtual clock.
@@ -491,18 +533,9 @@ impl Platform {
         let started = self.clock().now();
         // One migration target serves the whole drain: the first device
         // on another Active node (deterministic, smallest index).
-        let devices = host.devices();
-        let target = devices
-            .iter()
-            .enumerate()
-            .find(|(_, d)| {
-                d.node != node && host.node_membership(d.node) == Some(MembershipState::Active)
-            })
-            .map(|(index, d)| Device {
-                platform: Arc::clone(&self.inner),
-                index,
-                info: d.clone(),
-            });
+        let target = self.inner.device_handles().into_iter().find(|d| {
+            d.node() != node && host.node_membership(d.node()) == Some(MembershipState::Active)
+        });
         let mut report = DrainReport {
             node,
             peer_migrated: 0,
@@ -575,8 +608,10 @@ impl Platform {
     }
 
     /// Renders the metric registry in Prometheus text format, after
-    /// folding in the fabric's cumulative transmit counters.
+    /// folding in the fabric's cumulative transmit counters and the
+    /// backbone links' self-reports.
     pub fn render_metrics(&self) -> String {
+        self.inner.host().export_link_metrics();
         let stats = self.inner.cluster.fabric().stats();
         let m = &self.inner.obs.metrics;
         // Counters only move forward, so syncing an external snapshot is

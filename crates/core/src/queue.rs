@@ -12,6 +12,7 @@
 //!
 //! [`finish`]: CommandQueue::finish
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use haocl_device::wire::{cost_to_wire, range_to_wire};
@@ -63,9 +64,33 @@ pub struct CommandQueue {
     /// Completion time of the latest asynchronous launch (clFinish
     /// target). Shared across clones of the queue.
     last_end: Arc<parking_lot::Mutex<SimTime>>,
-    /// Launches submitted on this queue that have not been resolved yet;
-    /// drained by [`CommandQueue::finish`]. Shared across clones.
-    pending: Arc<parking_lot::Mutex<Vec<Event>>>,
+    /// Launches submitted on this queue and not yet seen resolved.
+    /// Shared across clones.
+    pending: Arc<parking_lot::Mutex<PendingLaunches>>,
+}
+
+/// The launches [`CommandQueue::finish`] still has to wait for, oldest
+/// first.
+struct PendingLaunches {
+    events: VecDeque<Event>,
+    /// Length at which the next push first drops the events that have
+    /// resolved meanwhile — twice what the last such sweep left, so a
+    /// program that waits on every [`Event`] itself and never calls
+    /// `finish` keeps a bounded list at amortised constant cost.
+    sweep_at: usize,
+}
+
+impl PendingLaunches {
+    /// Shortest list worth sweeping.
+    const MIN_SWEEP: usize = 64;
+
+    fn push(&mut self, event: Event) {
+        if self.events.len() >= self.sweep_at {
+            self.events.retain(|e| !e.is_settled());
+            self.sweep_at = (2 * self.events.len()).max(Self::MIN_SWEEP);
+        }
+        self.events.push_back(event);
+    }
 }
 
 impl CommandQueue {
@@ -85,7 +110,10 @@ impl CommandQueue {
             context: context.clone(),
             device: device.clone(),
             last_end: Arc::new(parking_lot::Mutex::new(SimTime::ZERO)),
-            pending: Arc::new(parking_lot::Mutex::new(Vec::new())),
+            pending: Arc::new(parking_lot::Mutex::new(PendingLaunches {
+                events: VecDeque::new(),
+                sweep_at: PendingLaunches::MIN_SWEEP,
+            })),
         })
     }
 
@@ -257,7 +285,7 @@ impl CommandQueue {
         range: NdRange,
         parent: Option<TraceCtx>,
     ) -> Result<Event, Error> {
-        self.enqueue_launch_parts_traced(vec![LaunchPart::capture(kernel, range)?], parent)
+        self.enqueue_launch_parts_traced(&[LaunchPart::capture(kernel, range)?], parent)
     }
 
     /// Submits one wire command covering `parts`: the plain
@@ -274,23 +302,28 @@ impl CommandQueue {
     /// surface on the returned [`Event`].
     pub(crate) fn enqueue_launch_parts_traced(
         &self,
-        parts: Vec<LaunchPart>,
+        parts: &[LaunchPart],
         parent: Option<TraceCtx>,
     ) -> Result<Event, Error> {
         assert!(!parts.is_empty(), "a dispatch needs at least one part");
         let queued = self.now();
+        let buffer_args = || {
+            parts
+                .iter()
+                .flat_map(|p| p.args.iter())
+                .filter_map(|a| match a {
+                    StoredArg::Buffer(b) => Some(&b.inner),
+                    _ => None,
+                })
+        };
         // Stage buffer arguments onto this device. This settles earlier
         // launches against these buffers, so same-buffer launches
         // serialize while independent launches pipeline.
-        for part in &parts {
-            for arg in &part.args {
-                if let StoredArg::Buffer(b) = arg {
-                    b.inner.make_current_on(&self.device)?;
-                }
-            }
+        for buffer in buffer_args() {
+            buffer.make_current_on(&self.device)?;
         }
         let mut wire_parts = Vec::with_capacity(parts.len());
-        for part in &parts {
+        for part in parts {
             let remote_kernel = part.kernel.ensure_remote(&self.device)?;
             let wire_args: Vec<WireArg> = part
                 .args
@@ -319,11 +352,11 @@ impl CommandQueue {
         });
         let ctx = root.map(|(trace, id, _)| TraceCtx::new(trace, id));
         let fused_len = parts.len();
-        let kernel_name = parts
-            .iter()
-            .map(|p| p.kernel.name())
-            .collect::<Vec<_>>()
-            .join("+");
+        // Only the spans and the latency histogram name the dispatch.
+        let kernel_name = root.map_or_else(String::new, |_| {
+            let names: Vec<&str> = parts.iter().map(|p| p.kernel.name()).collect();
+            names.join("+")
+        });
         let fidelity = parts[0].kernel.fidelity();
         let call = self
             .device
@@ -339,14 +372,8 @@ impl CommandQueue {
         // reach anymore has no coherence state worth updating, and a
         // strong reference would cycle through the buffer's own
         // pending-writer list.
-        let written: Vec<std::sync::Weak<crate::buffer::BufferInner>> = parts
-            .iter()
-            .flat_map(|p| p.args.iter())
-            .filter_map(|a| match a {
-                StoredArg::Buffer(b) => Some(Arc::downgrade(&b.inner)),
-                _ => None,
-            })
-            .collect();
+        let written: Vec<std::sync::Weak<crate::buffer::BufferInner>> =
+            buffer_args().map(Arc::downgrade).collect();
         let device = self.device.clone();
         let last_end = Arc::clone(&self.last_end);
         let event = Event::pending(CommandType::NdRangeKernel, move || {
@@ -354,19 +381,7 @@ impl CommandQueue {
             let outcome = call.wait()?;
             let wall_nanos = wall_started.elapsed().as_nanos() as u64;
             let platform = &device.platform;
-            // Real requests/sec, next to the virtual model: the
-            // wall-clock launch round trip, summed per node (feeds the
-            // `haocl-top` WALL.RPS column).
-            platform.obs.metrics.inc_counter(
-                names::WALL_REQUESTS,
-                &[("node", device.node_name())],
-                1,
-            );
-            platform.obs.metrics.inc_counter(
-                names::WALL_NANOS,
-                &[("node", device.node_name())],
-                wall_nanos,
-            );
+            device.count_wall_round_trip(wall_nanos);
             // The enqueue RPC round-trip, now that its cost is known.
             platform.tracer.record(
                 Phase::Compute,
@@ -488,25 +503,15 @@ impl CommandQueue {
                 instructions,
             })
         });
-        for part in &parts {
-            for arg in &part.args {
-                if let StoredArg::Buffer(b) = arg {
-                    b.inner.add_pending_writer(event.clone());
-                }
-            }
+        for buffer in buffer_args() {
+            buffer.add_pending_writer(event.clone());
         }
-        self.pending.lock().push(event.clone());
-        let obs = &self.device.platform.obs;
-        if obs.enabled() {
-            obs.metrics.set_gauge(
-                names::QUEUE_DEPTH,
-                &[
-                    ("device", &self.device.index().to_string()),
-                    ("node", self.device.node_name()),
-                ],
-                self.pending.lock().len() as i64,
-            );
-        }
+        let depth = {
+            let mut pending = self.pending.lock();
+            pending.push(event.clone());
+            pending.events.len()
+        };
+        self.note_depth(depth);
         Ok(event)
     }
 
@@ -518,21 +523,16 @@ impl CommandQueue {
     /// and returns the new time. A launch that failed keeps its error on
     /// its own [`Event`] (observe it with [`Event::wait`]).
     pub fn finish(&self) -> SimTime {
-        let pending: Vec<Event> = std::mem::take(&mut *self.pending.lock());
-        for event in pending {
+        // What is queued now, oldest first, popped one at a time: the
+        // list keeps its storage and its lock is not held across a wait.
+        let queued = self.pending.lock().events.len();
+        for _ in 0..queued {
+            let Some(event) = self.pending.lock().events.pop_front() else {
+                break;
+            };
             let _ = event.wait();
         }
-        let obs = &self.device.platform.obs;
-        if obs.enabled() {
-            obs.metrics.set_gauge(
-                names::QUEUE_DEPTH,
-                &[
-                    ("device", &self.device.index().to_string()),
-                    ("node", self.device.node_name()),
-                ],
-                0,
-            );
-        }
+        self.note_depth(0);
         let last = *self.last_end.lock();
         self.device.platform.clock().advance_to(last);
         self.now()
@@ -544,6 +544,21 @@ impl CommandQueue {
 
     fn now(&self) -> SimTime {
         self.device.platform.clock().now()
+    }
+
+    /// Samples the `haocl_queue_depth` gauge (while tracing is on).
+    fn note_depth(&self, depth: usize) {
+        let obs = &self.device.platform.obs;
+        if obs.enabled() {
+            obs.metrics.set_gauge(
+                names::QUEUE_DEPTH,
+                &[
+                    ("device", &self.device.index().to_string()),
+                    ("node", self.device.node_name()),
+                ],
+                depth as i64,
+            );
+        }
     }
 }
 
@@ -780,6 +795,32 @@ mod tests {
             q.enqueue_read_buffer(&buf, 0, &mut out).unwrap();
             assert_eq!(i32::from_le_bytes(out), 1);
         }
+    }
+
+    #[test]
+    fn waiting_on_every_event_without_finish_keeps_the_pending_list_bounded() {
+        let (_p, ctx, q) = gpu_setup();
+        let prog = Program::from_source(&ctx, "__kernel void one(__global int* a) { a[0] = 1; }");
+        prog.build().unwrap();
+        let k = Kernel::new(&prog, "one").unwrap();
+        let buf = Buffer::new(&ctx, MemFlags::READ_WRITE, 4).unwrap();
+        k.set_arg_buffer(0, &buf).unwrap();
+        let mut latest = SimTime::ZERO;
+        for _ in 0..10_000 {
+            let ev = q
+                .enqueue_nd_range_kernel(&k, NdRange::linear(1, 1))
+                .unwrap();
+            ev.wait().unwrap();
+            latest = latest.max(ev.finished_at());
+            // Never more than one sweep threshold of resolved events,
+            // plus the one still in flight.
+            let listed = q.pending.lock().events.len();
+            assert!(listed <= PendingLaunches::MIN_SWEEP, "{listed} listed");
+        }
+        // The swept events still count: `finish` lands on the newest end.
+        assert!(latest > SimTime::ZERO);
+        assert_eq!(q.finish(), latest);
+        assert!(q.pending.lock().events.is_empty());
     }
 
     #[test]

@@ -96,6 +96,19 @@ pub struct SimDevice {
     profile: HashMap<String, KernelProfile>,
     loaded_programs: HashSet<ProgramId>,
     energy_joules: f64,
+    /// Lists a full-fidelity launch fills and empties again, kept for
+    /// their storage.
+    scratch: LaunchScratch,
+}
+
+#[derive(Debug, Default)]
+struct LaunchScratch {
+    /// The buffer handles among a launch's arguments.
+    buffer_ids: Vec<BufferId>,
+    /// The arguments as the kernel takes them.
+    args: Vec<ArgValue>,
+    /// The backing stores checked out for the run.
+    buffers: Vec<GlobalBuffer>,
 }
 
 impl SimDevice {
@@ -110,6 +123,7 @@ impl SimDevice {
             profile: HashMap::new(),
             loaded_programs: HashSet::new(),
             energy_joules: 0.0,
+            scratch: LaunchScratch::default(),
         }
     }
 
@@ -311,9 +325,20 @@ impl SimDevice {
         for p in parts {
             let dur = self.model.kernel_time(&p.cost);
             total += dur;
-            let entry = self.profile.entry(p.kernel.name().to_string()).or_default();
-            entry.runs += 1;
-            entry.total += dur;
+            match self.profile.get_mut(p.kernel.name()) {
+                Some(row) => {
+                    row.runs += 1;
+                    row.total += dur;
+                }
+                // Only a kernel's first run needs an owned key.
+                None => {
+                    let first = KernelProfile {
+                        runs: 1,
+                        total: dur,
+                    };
+                    self.profile.insert(p.kernel.name().to_string(), first);
+                }
+            }
         }
         let grant = self.charge(at, total);
         Ok(LaunchOutcome {
@@ -330,35 +355,34 @@ impl SimDevice {
         args: &[WireArg],
         range: &NdRange,
     ) -> Result<u64, DeviceError> {
+        let LaunchScratch {
+            buffer_ids,
+            args: resolved,
+            buffers,
+        } = &mut self.scratch;
         // Gather the buffer handles referenced by the arguments.
-        let buffer_ids: Vec<BufferId> = args
-            .iter()
-            .filter_map(|a| match a {
-                WireArg::Buffer(id) => Some(*id),
-                _ => None,
-            })
-            .collect();
-        let (mut taken, slots) = self.memory.take_for_launch(&buffer_ids)?;
+        buffer_ids.clear();
+        buffer_ids.extend(args.iter().filter_map(|a| match a {
+            WireArg::Buffer(id) => Some(*id),
+            _ => None,
+        }));
+        let (mut taken, slots) = self.memory.take_for_launch(buffer_ids)?;
         let mut slot_iter = slots.into_iter();
-        let resolved: Vec<ArgValue> = args
-            .iter()
-            .map(|a| match a {
-                WireArg::F32(v) => ArgValue::from_f32(*v),
-                WireArg::F64(v) => ArgValue::from_f64(*v),
-                WireArg::I32(v) => ArgValue::from_i32(*v),
-                WireArg::U32(v) => ArgValue::from_u32(*v),
-                WireArg::I64(v) => ArgValue::from_i64(*v),
-                WireArg::U64(v) => ArgValue::from_u64(*v),
-                WireArg::Buffer(_) => {
-                    ArgValue::global(slot_iter.next().expect("slot per buffer arg"))
-                }
-                WireArg::LocalBytes(b) => ArgValue::local_bytes(*b as usize),
-            })
-            .collect();
-        let mut buffers: Vec<GlobalBuffer> =
-            taken.iter_mut().map(|(_, b)| std::mem::take(b)).collect();
-        let result = kernel.execute(&resolved, &mut buffers, range);
-        for ((_, slot), buf) in taken.iter_mut().zip(buffers) {
+        resolved.clear();
+        resolved.extend(args.iter().map(|a| match a {
+            WireArg::F32(v) => ArgValue::from_f32(*v),
+            WireArg::F64(v) => ArgValue::from_f64(*v),
+            WireArg::I32(v) => ArgValue::from_i32(*v),
+            WireArg::U32(v) => ArgValue::from_u32(*v),
+            WireArg::I64(v) => ArgValue::from_i64(*v),
+            WireArg::U64(v) => ArgValue::from_u64(*v),
+            WireArg::Buffer(_) => ArgValue::global(slot_iter.next().expect("slot per buffer arg")),
+            WireArg::LocalBytes(b) => ArgValue::local_bytes(*b as usize),
+        }));
+        buffers.clear();
+        buffers.extend(taken.iter_mut().map(|(_, b)| std::mem::take(b)));
+        let result = kernel.execute(resolved, buffers, range);
+        for ((_, slot), buf) in taken.iter_mut().zip(buffers.drain(..)) {
             *slot = buf;
         }
         self.memory.restore(taken);

@@ -116,8 +116,9 @@ struct FabricInner {
     link: LinkModel,
     clock: Clock,
     listeners: Mutex<HashMap<String, Sender<Conn>>>,
-    /// Transmit NIC per host name.
-    nics: Mutex<HashMap<String, Resource>>,
+    /// Transmit NIC per host name; a connection looks its own up once,
+    /// when it is made.
+    nics: Mutex<HashMap<String, Arc<Mutex<Resource>>>>,
     stats: StatCells,
     /// Frame-buffer recycling shared by every connection on the fabric.
     pool: BufferPool,
@@ -228,20 +229,8 @@ impl Fabric {
         drop(listeners);
         let (a_tx, b_rx) = unbounded::<Chunk>();
         let (b_tx, a_rx) = unbounded::<Chunk>();
-        let client = Conn::assemble(
-            host_of(from),
-            to.to_string(),
-            a_tx,
-            a_rx,
-            Arc::clone(&self.inner),
-        );
-        let server = Conn::assemble(
-            host_of(to),
-            from.to_string(),
-            b_tx,
-            b_rx,
-            Arc::clone(&self.inner),
-        );
+        let client = Conn::assemble(host_of(from), to.to_string(), a_tx, a_rx, &self.inner);
+        let server = Conn::assemble(host_of(to), from.to_string(), b_tx, b_rx, &self.inner);
         tx.send(server).map_err(|_| NetError::Disconnected)?;
         Ok(client)
     }
@@ -353,11 +342,19 @@ impl std::fmt::Debug for Listener {
 ///
 /// Obtained from [`Conn::split`]; owning it independently of the receive
 /// half lets one thread pump requests while another drains responses —
-/// the shape the cluster backbone's pipelined demultiplexer needs.
+/// the shape the cluster backbone's pipelined links need.
 pub struct ConnSender {
     local_host: String,
     peer: String,
-    tx: Sender<Chunk>,
+    /// The host-name part of `peer`.
+    peer_host: String,
+    /// This host's transmit NIC; `None` for co-located peers (same host
+    /// name), whose frames take the loopback path and never touch it —
+    /// the paper's single-node deployment runs the host process on the
+    /// device node itself.
+    nic: Option<Arc<Mutex<Resource>>>,
+    /// `None` once [`ConnSender::hang_up`] closed this direction.
+    tx: Option<Sender<Chunk>>,
     fabric: Arc<FabricInner>,
     /// A frame held back by a chaos reorder verdict, released after the
     /// next frame on this connection.
@@ -368,6 +365,15 @@ impl ConnSender {
     /// The remote address or host this side talks to.
     pub fn peer(&self) -> &str {
         &self.peer
+    }
+
+    /// Closes this direction of the connection: later sends fail with
+    /// [`NetError::Disconnected`] and the peer's receive half reports
+    /// the disconnect once it has drained what was already sent — which
+    /// is how a peer that answers a hang-up by hanging up itself wakes a
+    /// thread blocked on this connection's receive half.
+    pub fn hang_up(&mut self) {
+        self.tx = None;
     }
 
     /// Sends one frame at virtual time `at`; returns its arrival time at
@@ -424,36 +430,29 @@ impl ConnSender {
         write: impl FnOnce(&mut Vec<u8>),
     ) -> Result<SimTime, NetError> {
         let frame = encode_frame_pooled(&self.fabric.pool, write);
-        // Loopback: co-located peers (same host name) never touch the
-        // NIC — the paper's single-node deployment runs the host process
-        // on the device node itself.
-        let arrival = if host_of(&self.peer) == self.local_host {
-            self.fabric
-                .stats
-                .loopback_frames
-                .fetch_add(1, Ordering::Relaxed);
-            at
-        } else {
-            let charged = (frame.len() as u64).max(virtual_len.saturating_add(4));
-            let service = self.fabric.link.transmit_time(charged as usize);
-            self.fabric.stats.frames.fetch_add(1, Ordering::Relaxed);
-            self.fabric
-                .stats
-                .charged_bytes
-                .fetch_add(charged, Ordering::Relaxed);
-            let grant = {
-                let mut nics = self.fabric.nics.lock();
-                let nic = nics
-                    .entry(self.local_host.clone())
-                    .or_insert_with(|| Resource::new(format!("nic:{}", self.local_host)));
-                nic.acquire(at, service)
-            };
-            grant.end + self.fabric.link.latency
+        let arrival = match &self.nic {
+            None => {
+                self.fabric
+                    .stats
+                    .loopback_frames
+                    .fetch_add(1, Ordering::Relaxed);
+                at
+            }
+            Some(nic) => {
+                let charged = (frame.len() as u64).max(virtual_len.saturating_add(4));
+                let service = self.fabric.link.transmit_time(charged as usize);
+                self.fabric.stats.frames.fetch_add(1, Ordering::Relaxed);
+                self.fabric
+                    .stats
+                    .charged_bytes
+                    .fetch_add(charged, Ordering::Relaxed);
+                nic.lock().acquire(at, service).end + self.fabric.link.latency
+            }
         };
         let verdict = {
             let mut chaos = self.fabric.chaos.lock();
             match chaos.as_mut() {
-                Some(policy) => policy.on_frame(&self.local_host, &host_of(&self.peer)),
+                Some(policy) => policy.on_frame(&self.local_host, &self.peer_host),
                 None => ChaosVerdict::deliver(),
             }
         };
@@ -489,6 +488,8 @@ impl ConnSender {
     /// of this very allocation.
     fn transmit(&self, frame: &PooledBytes, arrival: SimTime) -> Result<(), NetError> {
         self.tx
+            .as_ref()
+            .ok_or(NetError::Disconnected)?
             .send(Chunk {
                 bytes: frame.clone(),
                 arrival,
@@ -573,14 +574,21 @@ impl ConnReceiver {
 
     /// Receives a frame if one is already complete or completable from
     /// queued chunks, without blocking.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::Disconnected`] once the peer is gone and everything it
+    /// sent has been returned; [`NetError::BadFrame`] on corruption.
     pub fn try_recv_frame(&mut self) -> Result<Option<(PooledBytes, SimTime)>, NetError> {
+        use crossbeam::channel::TryRecvError;
         loop {
             if let Some(frame) = self.ready.pop_front() {
                 return Ok(Some(frame));
             }
             match self.rx.try_recv() {
                 Ok(chunk) => self.ingest(chunk)?,
-                Err(_) => return Ok(None),
+                Err(TryRecvError::Empty) => return Ok(None),
+                Err(TryRecvError::Disconnected) => return Err(NetError::Disconnected),
             }
         }
     }
@@ -615,14 +623,24 @@ impl Conn {
         peer: String,
         tx: Sender<Chunk>,
         rx: Receiver<Chunk>,
-        fabric: Arc<FabricInner>,
+        fabric: &Arc<FabricInner>,
     ) -> Self {
+        let peer_host = host_of(&peer);
+        let nic = (peer_host != local_host).then(|| {
+            let mut nics = fabric.nics.lock();
+            let nic = nics.entry(local_host.clone()).or_insert_with(|| {
+                Arc::new(Mutex::new(Resource::new(format!("nic:{local_host}"))))
+            });
+            Arc::clone(nic)
+        });
         Conn {
             sender: ConnSender {
                 local_host: local_host.clone(),
                 peer: peer.clone(),
-                tx,
-                fabric: Arc::clone(&fabric),
+                peer_host,
+                nic,
+                tx: Some(tx),
+                fabric: Arc::clone(fabric),
                 stash: None,
             },
             receiver: ConnReceiver {
@@ -710,7 +728,13 @@ impl Conn {
     }
 
     /// Receives a frame if one is already complete or completable from
-    /// queued chunks, without blocking.
+    /// queued chunks, without blocking. See
+    /// [`ConnReceiver::try_recv_frame`].
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::Disconnected`] once the peer is gone and its frames
+    /// are drained; [`NetError::BadFrame`] on corruption.
     pub fn try_recv_frame(&mut self) -> Result<Option<(PooledBytes, SimTime)>, NetError> {
         self.receiver.try_recv_frame()
     }
@@ -849,6 +873,25 @@ mod tests {
         // Sends may buffer; receive must detect the closed peer.
         let err = client.recv_frame().unwrap_err();
         assert_eq!(err, NetError::Disconnected);
+    }
+
+    #[test]
+    fn hanging_up_refuses_sends_and_reads_as_a_disconnect_after_the_backlog() {
+        let f = fabric();
+        let listener = f.bind("n:1").unwrap();
+        let (mut tx, _rx) = f.connect("host", "n:1").unwrap().split();
+        let mut server = listener.accept().unwrap();
+        tx.send_frame(b"last words", SimTime::ZERO).unwrap();
+        tx.hang_up();
+        assert_eq!(
+            tx.send_frame(b"too late", SimTime::ZERO).unwrap_err(),
+            NetError::Disconnected
+        );
+        // What was sent before the hang-up still arrives; then the
+        // non-blocking receive tells "nothing yet" from "never again".
+        assert_eq!(server.try_recv_frame().unwrap().unwrap().0, b"last words");
+        assert_eq!(server.try_recv_frame().unwrap_err(), NetError::Disconnected);
+        assert_eq!(server.recv_frame().unwrap_err(), NetError::Disconnected);
     }
 
     #[test]

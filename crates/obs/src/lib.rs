@@ -37,7 +37,7 @@ pub use audit::{
     AuditLog, CandidateInfo, FusionDecision, PlacementAudit, PredictionSource, DEFAULT_TENANT,
 };
 pub use chrome::chrome_trace;
-pub use metrics::{Registry, LATENCY_BUCKETS_NANOS, SIZE_BUCKETS};
+pub use metrics::{Counter, Registry, LATENCY_BUCKETS_NANOS, SIZE_BUCKETS};
 pub use replay::{orphan_ids, parse_chrome_trace, render_breakdown, ReplaySpan};
 pub use span::{
     is_connected_tree, orphans, phase_from_name, roots, Recorder, Span, SpanId, TraceCtx, TraceId,
@@ -67,6 +67,13 @@ pub mod names {
     pub const QUEUE_DEPTH: &str = "haocl_queue_depth";
     /// Counter: link/plane failures observed by the host runtime.
     pub const LINK_FAILURES: &str = "haocl_link_failures_total";
+    /// Gauge: calls registered on a node's link and not yet claimed or
+    /// abandoned, per node and plane, at the last scrape.
+    pub const LINK_PENDING: &str = "haocl_link_pending";
+    /// Counter: responses the waiter receiving on a connection completed
+    /// for *another* waiter (leader/follower receive), per node and
+    /// plane; zero while callers wait one at a time.
+    pub const LINK_FOREIGN_COMPLETIONS: &str = "haocl_link_foreign_completions_total";
     /// Counter: scheduler placements, per kernel and winning device kind.
     pub const PLACEMENTS: &str = "haocl_placements_total";
     /// Counter: profile-db seeds first displaced by observed runs.

@@ -11,6 +11,8 @@
 //! in lexicographic order.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -101,6 +103,20 @@ impl Hist {
     }
 }
 
+/// One counter series, resolved once with [`Registry::counter`] so a hot
+/// path can bump it without building the label set (and taking the
+/// registry lock) on every increment. Clones share the series.
+#[derive(Debug, Clone)]
+pub struct Counter(Arc<AtomicU64>);
+
+impl Counter {
+    /// Adds `by` to the series.
+    pub fn inc(&self, by: u64) {
+        // A statistic: publishes no other data.
+        self.0.fetch_add(by, Ordering::Relaxed);
+    }
+}
+
 /// A deterministic, thread-safe metrics registry.
 ///
 /// # Examples
@@ -117,7 +133,7 @@ impl Hist {
 /// ```
 #[derive(Debug, Default)]
 pub struct Registry {
-    counters: Mutex<BTreeMap<String, BTreeMap<Labels, u64>>>,
+    counters: Mutex<BTreeMap<String, BTreeMap<Labels, Counter>>>,
     gauges: Mutex<BTreeMap<String, BTreeMap<Labels, i64>>>,
     histograms: Mutex<BTreeMap<String, BTreeMap<Labels, Hist>>>,
 }
@@ -130,13 +146,29 @@ impl Registry {
 
     /// Adds `by` to a counter.
     pub fn inc_counter(&self, name: &str, labels: &[(&str, &str)], by: u64) {
-        *self
+        self.with_counter(name, labels, |c| c.inc(by));
+    }
+
+    /// A handle on one counter series, created at zero if it does not
+    /// exist yet (it renders from then on). The handle counts into the
+    /// registry until [`Registry::clear`] drops the series.
+    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
+        self.with_counter(name, labels, Counter::clone)
+    }
+
+    fn with_counter<R>(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+        f: impl FnOnce(&Counter) -> R,
+    ) -> R {
+        f(self
             .counters
             .lock()
             .entry(name.to_string())
             .or_default()
             .entry(canon(labels))
-            .or_insert(0) += by;
+            .or_insert_with(|| Counter(Arc::new(AtomicU64::new(0)))))
     }
 
     /// Current value of a counter (zero if never incremented).
@@ -145,8 +177,7 @@ impl Registry {
             .lock()
             .get(name)
             .and_then(|m| m.get(&canon(labels)))
-            .copied()
-            .unwrap_or(0)
+            .map_or(0, |c| c.0.load(Ordering::Relaxed))
     }
 
     /// Sets a gauge to `value`.
@@ -202,7 +233,8 @@ impl Registry {
         let mut out = String::new();
         for (name, series) in self.counters.lock().iter() {
             out.push_str(&format!("# TYPE {name} counter\n"));
-            for (labels, value) in series {
+            for (labels, counter) in series {
+                let value = counter.0.load(Ordering::Relaxed);
                 out.push_str(&format!("{name}{} {value}\n", render_labels(labels, None)));
             }
         }
@@ -262,6 +294,18 @@ mod tests {
         assert_eq!(m.counter_value("c", &[("a", "1")]), 5);
         assert_eq!(m.counter_value("c", &[("a", "2")]), 1);
         assert_eq!(m.counter_value("c", &[("a", "9")]), 0);
+    }
+
+    #[test]
+    fn a_counter_handle_counts_into_its_series() {
+        let m = Registry::new();
+        m.inc_counter("c", &[("node", "n0")], 2);
+        let handle = m.counter("c", &[("node", "n0")]);
+        handle.inc(3);
+        handle.clone().inc(1);
+        m.inc_counter("c", &[("node", "n0")], 1);
+        assert_eq!(m.counter_value("c", &[("node", "n0")]), 7);
+        assert!(m.render().contains("c{node=\"n0\"} 7\n"));
     }
 
     #[test]

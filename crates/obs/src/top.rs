@@ -132,6 +132,14 @@ pub struct NodeRow {
     /// rather than the virtual model. Absent until the node completes a
     /// launch.
     pub wall_rps: Option<f64>,
+    /// Calls in flight on the node's backbone link at the scrape, both
+    /// planes (`haocl_link_pending`); absent when not exported.
+    pub link_pending: Option<u64>,
+    /// Responses a waiter received on behalf of another, both planes
+    /// (`haocl_link_foreign_completions_total`) — how often callers
+    /// actually overlapped on this node's link; absent when not
+    /// exported.
+    pub foreign_completions: Option<u64>,
 }
 
 /// The parsed fleet state `haocl-top` renders.
@@ -160,6 +168,18 @@ impl FleetSnapshot {
                 .iter()
                 .find(|s| s.name == name && s.labels.get(key).map(String::as_str) == Some(val))
                 .map(|s| s.value)
+        };
+        // One node's per-plane series, summed; `None` when the node
+        // exports none.
+        let sum = |name: &str, node: &str| -> Option<u64> {
+            let mut series = samples
+                .iter()
+                .filter(|s| {
+                    s.name == name && s.labels.get("node").map(String::as_str) == Some(node)
+                })
+                .peekable();
+            series.peek()?;
+            Some(series.map(|s| s.value as u64).sum())
         };
         let mut rows: BTreeMap<String, NodeRow> = BTreeMap::new();
         let row = |node: &str, rows: &mut BTreeMap<String, NodeRow>| {
@@ -309,6 +329,8 @@ impl FleetSnapshot {
                     r.wall_rps = Some(requests / (nanos / 1e9));
                 }
             }
+            r.link_pending = sum(crate::names::LINK_PENDING, &r.node);
+            r.foreign_completions = sum(crate::names::LINK_FOREIGN_COMPLETIONS, &r.node);
         }
         snapshot.nodes = rows.into_values().collect();
         snapshot
@@ -334,7 +356,7 @@ impl FleetSnapshot {
             self.autoscale_events
         ));
         out.push_str(&format!(
-            "{:<8} {:<6} {:<12} {:<9} {:>6} {:>9} {:>8} {:>6} {:>14} {:>9} {:>9}\n",
+            "{:<8} {:<6} {:<12} {:<9} {:>6} {:>9} {:>8} {:>6} {:>14} {:>9} {:>9} {:>7} {:>8}\n",
             "NODE",
             "KIND",
             "HEALTH",
@@ -345,11 +367,13 @@ impl FleetSnapshot {
             "QUEUE",
             "MEAN.LAT(ns)",
             "RATE",
-            "WALL.RPS"
+            "WALL.RPS",
+            "PENDING",
+            "FOREIGN"
         ));
         for n in &self.nodes {
             out.push_str(&format!(
-                "{:<8} {:<6} {:<12} {:<9} {:>6} {:>9} {:>8} {:>6} {:>14} {:>9} {:>9}\n",
+                "{:<8} {:<6} {:<12} {:<9} {:>6} {:>9} {:>8} {:>6} {:>14} {:>9} {:>9} {:>7} {:>8}\n",
                 n.node,
                 n.kind,
                 n.health,
@@ -362,6 +386,8 @@ impl FleetSnapshot {
                     .map_or("-".into(), |v| format!("{v:.0}")),
                 n.currency_rate.map_or("-".into(), |v| format!("x{v:.3}")),
                 n.wall_rps.map_or("-".into(), |v| format!("{v:.0}")),
+                n.link_pending.map_or("-".into(), |v| v.to_string()),
+                n.foreign_completions.map_or("-".into(), |v| v.to_string()),
             ));
         }
         out
@@ -376,7 +402,8 @@ impl FleetSnapshot {
                 format!(
                     "{{\"node\":{},\"kind\":{},\"health\":{},\"state\":{},\"placements\":{},\
                      \"degraded_wins\":{},\"avoided\":{},\"queue_depth\":{},\
-                     \"mean_latency_nanos\":{},\"currency_rate\":{},\"wall_rps\":{}}}",
+                     \"mean_latency_nanos\":{},\"currency_rate\":{},\"wall_rps\":{},\
+                     \"link_pending\":{},\"foreign_completions\":{}}}",
                     json_str(&n.node),
                     json_str(&n.kind),
                     json_str(&n.health),
@@ -389,6 +416,9 @@ impl FleetSnapshot {
                         .map_or("null".into(), |v| format!("{v:.1}")),
                     n.currency_rate.map_or("null".into(), |v| format!("{v:.4}")),
                     n.wall_rps.map_or("null".into(), |v| format!("{v:.1}")),
+                    n.link_pending.map_or("null".into(), |v| v.to_string()),
+                    n.foreign_completions
+                        .map_or("null".into(), |v| v.to_string()),
                 )
             })
             .collect();
@@ -516,6 +546,38 @@ haocl_wall_nanos_total{node=\"gpu1\"} 0
     }
 
     #[test]
+    fn link_self_reports_sum_over_planes() {
+        let metrics = "\
+# TYPE haocl_node_state gauge
+haocl_node_state{node=\"gpu0\"} 1
+haocl_node_state{node=\"gpu1\"} 1
+# TYPE haocl_link_foreign_completions_total counter
+haocl_link_foreign_completions_total{node=\"gpu0\",plane=\"control\"} 40
+haocl_link_foreign_completions_total{node=\"gpu0\",plane=\"data\"} 2
+# TYPE haocl_link_pending gauge
+haocl_link_pending{node=\"gpu0\",plane=\"control\"} 3
+haocl_link_pending{node=\"gpu0\",plane=\"data\"} 0
+";
+        let snap = FleetSnapshot::from_text(metrics, "");
+        let by_name = |name: &str| snap.nodes.iter().find(|n| n.node == name).unwrap();
+        assert_eq!(by_name("gpu0").link_pending, Some(3));
+        assert_eq!(by_name("gpu0").foreign_completions, Some(42));
+        // A node that exports neither series renders as unknown, not 0.
+        assert_eq!(by_name("gpu1").link_pending, None);
+        let text = snap.render();
+        assert!(
+            text.contains("PENDING") && text.contains("FOREIGN"),
+            "{text}"
+        );
+        assert!(
+            snap.to_json()
+                .contains("\"link_pending\":3,\"foreign_completions\":42"),
+            "{}",
+            snap.to_json()
+        );
+    }
+
+    #[test]
     fn text_render_lists_every_node() {
         let snap = FleetSnapshot::from_text(METRICS, AUDIT);
         let text = snap.render();
@@ -567,10 +629,12 @@ place kernel=<autoscale> tenant=default policy=autoscale chosen=device0 health=-
              \"autoscale_events\":1,\"any_unhealthy\":false,\"nodes\":[\
              {\"node\":\"gpu0\",\"kind\":\"?\",\"health\":\"unknown\",\"state\":\"departed\",\
              \"placements\":0,\"degraded_wins\":0,\"avoided\":0,\"queue_depth\":null,\
-             \"mean_latency_nanos\":null,\"currency_rate\":null,\"wall_rps\":null},\
+             \"mean_latency_nanos\":null,\"currency_rate\":null,\"wall_rps\":null,\
+             \"link_pending\":null,\"foreign_completions\":null},\
              {\"node\":\"gpu1\",\"kind\":\"?\",\"health\":\"unknown\",\"state\":\"active\",\
              \"placements\":0,\"degraded_wins\":0,\"avoided\":0,\"queue_depth\":null,\
-             \"mean_latency_nanos\":null,\"currency_rate\":null,\"wall_rps\":null}]}"
+             \"mean_latency_nanos\":null,\"currency_rate\":null,\"wall_rps\":null,\
+             \"link_pending\":null,\"foreign_completions\":null}]}"
         );
     }
 

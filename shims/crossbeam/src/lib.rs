@@ -6,6 +6,9 @@
 //! queues). Backed by a `Mutex<VecDeque>` + `Condvar`; throughput is far
 //! below real crossbeam's but the fabric moves whole frames, not bytes,
 //! so the queue is never the bottleneck in the virtual-time simulation.
+//! A send only signals the condition variable when a receiver is parked
+//! on it: `Condvar::notify_one` is a system call even with nobody to
+//! wake, and most sends find the receiver busy or not yet waiting.
 
 pub mod channel {
     use std::collections::VecDeque;
@@ -13,8 +16,14 @@ pub mod channel {
     use std::sync::{Arc, Condvar, Mutex};
     use std::time::{Duration, Instant};
 
+    struct Queue<T> {
+        items: VecDeque<T>,
+        /// Receivers blocked on `ready` right now.
+        parked: usize,
+    }
+
     struct Inner<T> {
-        queue: Mutex<VecDeque<T>>,
+        queue: Mutex<Queue<T>>,
         ready: Condvar,
         senders: AtomicUsize,
         receivers: AtomicUsize,
@@ -104,7 +113,10 @@ pub mod channel {
     /// Creates an unbounded MPMC channel.
     pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
         let inner = Arc::new(Inner {
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(Queue {
+                items: VecDeque::new(),
+                parked: 0,
+            }),
             ready: Condvar::new(),
             senders: AtomicUsize::new(1),
             receivers: AtomicUsize::new(1),
@@ -124,9 +136,14 @@ pub mod channel {
                 return Err(SendError(value));
             }
             let mut queue = self.inner.queue.lock().unwrap_or_else(|e| e.into_inner());
-            queue.push_back(value);
+            queue.items.push_back(value);
+            // Read under the lock a receiver parks under: it either saw
+            // the item before parking or is counted here.
+            let wake = queue.parked > 0;
             drop(queue);
-            self.inner.ready.notify_one();
+            if wake {
+                self.inner.ready.notify_one();
+            }
             Ok(())
         }
     }
@@ -144,7 +161,9 @@ pub mod channel {
         fn drop(&mut self) {
             if self.inner.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
                 // Last sender gone: wake blocked receivers so they observe
-                // the disconnect instead of sleeping forever.
+                // the disconnect instead of sleeping forever. Taking the
+                // lock orders this after any receiver's check-then-park.
+                drop(self.inner.queue.lock().unwrap_or_else(|e| e.into_inner()));
                 self.inner.ready.notify_all();
             }
         }
@@ -155,24 +174,26 @@ pub mod channel {
         pub fn recv(&self) -> Result<T, RecvError> {
             let mut queue = self.inner.queue.lock().unwrap_or_else(|e| e.into_inner());
             loop {
-                if let Some(v) = queue.pop_front() {
+                if let Some(v) = queue.items.pop_front() {
                     return Ok(v);
                 }
                 if self.inner.senders.load(Ordering::Acquire) == 0 {
                     return Err(RecvError);
                 }
+                queue.parked += 1;
                 queue = self
                     .inner
                     .ready
                     .wait(queue)
                     .unwrap_or_else(|e| e.into_inner());
+                queue.parked -= 1;
             }
         }
 
         /// Returns a message if one is queued right now.
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
             let mut queue = self.inner.queue.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(v) = queue.pop_front() {
+            if let Some(v) = queue.items.pop_front() {
                 return Ok(v);
             }
             if self.inner.senders.load(Ordering::Acquire) == 0 {
@@ -186,7 +207,7 @@ pub mod channel {
             let deadline = Instant::now() + timeout;
             let mut queue = self.inner.queue.lock().unwrap_or_else(|e| e.into_inner());
             loop {
-                if let Some(v) = queue.pop_front() {
+                if let Some(v) = queue.items.pop_front() {
                     return Ok(v);
                 }
                 if self.inner.senders.load(Ordering::Acquire) == 0 {
@@ -196,12 +217,14 @@ pub mod channel {
                 if now >= deadline {
                     return Err(RecvTimeoutError::Timeout);
                 }
+                queue.parked += 1;
                 let (guard, _timed_out) = self
                     .inner
                     .ready
                     .wait_timeout(queue, deadline - now)
                     .unwrap_or_else(|e| e.into_inner());
                 queue = guard;
+                queue.parked -= 1;
             }
         }
     }
@@ -262,6 +285,24 @@ pub mod channel {
                 Err(RecvTimeoutError::Timeout)
             );
             drop(tx);
+        }
+
+        #[test]
+        fn sends_to_a_busy_receiver_are_kept_and_a_parked_one_is_woken() {
+            let (tx, rx) = unbounded();
+            // Nobody parked: these sends signal nobody and lose nothing.
+            for i in 0..3 {
+                tx.send(i).unwrap();
+            }
+            assert_eq!(rx.inner.queue.lock().unwrap().parked, 0);
+            let h = std::thread::spawn(move || (0..4).map(|_| rx.recv().unwrap()).sum::<i32>());
+            // The fourth is sent once the receiver has drained the
+            // backlog and parked, so this send has to wake it.
+            while tx.inner.queue.lock().unwrap().parked == 0 {
+                std::thread::yield_now();
+            }
+            tx.send(10).unwrap();
+            assert_eq!(h.join().unwrap(), 13);
         }
 
         #[test]

@@ -1,0 +1,139 @@
+//! Heap allocations per small launch, counted over the whole process —
+//! the client thread and every NMP thread — with this file's own
+//! `#[global_allocator]`.
+//!
+//! The steady-state launch path is supposed to clone nothing it does not
+//! send and to reuse the storage it needs; this pins the number so a
+//! stray `clone()` of a device record or a per-call `Vec` shows up as a
+//! test failure rather than as a fraction of a microsecond nobody
+//! attributes.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
+
+use haocl::kernel::Kernel;
+use haocl::{Buffer, CommandQueue, Context, DeviceType, MemFlags, Platform, Program};
+use haocl_cluster::ClusterConfig;
+use haocl_kernel::{KernelRegistry, NdRange};
+
+/// Calls to `alloc`/`realloc`, from any thread.
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter is a relaxed
+// atomic and touches no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's obligations are passed straight through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// The counter is process-wide, so the two cases must not overlap.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+const ITEMS: usize = 64;
+
+const SAXPY: &str = "\
+__kernel void saxpy(__global const float* x, __global float* y, float a, int n) {
+    int i = get_global_id(0);
+    if (i < n) {
+        y[i] = a * x[i] + y[i];
+    }
+}
+";
+
+/// Allocations per launch of a 64-item saxpy built from source,
+/// `enqueue_nd_range_kernel` + `Event::wait`, alternating between the
+/// queues of the first two devices of an `nodes`-node GPU cluster.
+fn allocations_per_launch(nodes: usize, warm_up: usize, measured: usize) -> f64 {
+    let platform =
+        Platform::cluster(&ClusterConfig::gpu_cluster(nodes), KernelRegistry::new()).unwrap();
+    let devices = platform.devices(DeviceType::All);
+    let ctx = Context::new(&platform, &devices).unwrap();
+    let program = Program::from_source(&ctx, SAXPY);
+    program.build().unwrap();
+    let init: Vec<u8> = (0..ITEMS).flat_map(|i| (i as f32).to_le_bytes()).collect();
+    let lanes: Vec<(CommandQueue, Kernel, Buffer)> = devices[..2]
+        .iter()
+        .map(|device| {
+            let queue = CommandQueue::new(&ctx, device).unwrap();
+            let x = Buffer::new(&ctx, MemFlags::READ_ONLY, 4 * ITEMS as u64).unwrap();
+            let y = Buffer::new(&ctx, MemFlags::READ_WRITE, 4 * ITEMS as u64).unwrap();
+            queue.enqueue_write_buffer(&x, 0, &init).unwrap();
+            queue.enqueue_write_buffer(&y, 0, &init).unwrap();
+            let kernel = Kernel::new(&program, "saxpy").unwrap();
+            kernel.set_arg_buffer(0, &x).unwrap();
+            kernel.set_arg_buffer(1, &y).unwrap();
+            kernel.set_arg_f32(2, 0.0).unwrap();
+            kernel.set_arg_i32(3, ITEMS as i32).unwrap();
+            (queue, kernel, y)
+        })
+        .collect();
+    let range = NdRange::linear(ITEMS as u64, ITEMS as u64);
+    let launch = |i: usize| {
+        let (queue, kernel, _) = &lanes[i % lanes.len()];
+        let event = queue.enqueue_nd_range_kernel(kernel, range).unwrap();
+        event.wait().unwrap();
+        assert!(event.instructions() > 0, "launch did not run in the VM");
+    };
+    for i in 0..warm_up {
+        launch(i);
+    }
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for i in 0..measured {
+        launch(i);
+    }
+    let per_launch = (ALLOCATIONS.load(Ordering::Relaxed) - before) as f64 / measured as f64;
+    // `a` is zero, so `y` must read back exactly as written.
+    for (queue, _, y) in &lanes {
+        let mut out = vec![0u8; 4 * ITEMS];
+        queue.enqueue_read_buffer(y, 0, &mut out).unwrap();
+        assert_eq!(out, init, "saxpy with a = 0 changed y");
+    }
+    per_launch
+}
+
+#[test]
+fn a_small_launch_makes_at_most_24_allocations() {
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let per_launch = allocations_per_launch(2, 2_000, 20_000);
+    println!("allocations per launch, 2 nodes: {per_launch:.2}");
+    assert!(
+        per_launch <= 24.0,
+        "{per_launch:.2} allocations per launch, more than 24"
+    );
+}
+
+#[test]
+fn allocations_per_launch_do_not_grow_with_the_cluster() {
+    // `HostRuntime::devices()` clones every device record; on the launch
+    // path that is 2 strings per device of the whole cluster, several
+    // times per launch.
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let small = allocations_per_launch(2, 500, 4_000);
+    let large = allocations_per_launch(16, 500, 4_000);
+    println!("allocations per launch, 2 nodes: {small:.2}, 16 nodes: {large:.2}");
+    assert!(
+        large <= small + 1.0,
+        "{large:.2} allocations per launch on 16 nodes against {small:.2} on 2"
+    );
+}
