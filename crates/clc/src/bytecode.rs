@@ -208,6 +208,9 @@ pub struct CompiledKernel {
     pub local_arrays: Vec<LocalArrayInfo>,
     /// Static-analysis results, attached by [`crate::compile`].
     pub report: KernelReport,
+    /// The compiled engine's lowering of `code`, filled by the first
+    /// launch.
+    pub(crate) lowered: crate::vm::LoweredMemo,
 }
 
 /// Metadata for one statically-declared `__local` array.
@@ -333,6 +336,7 @@ mod tests {
             barrier_sites: vec![],
             local_arrays: vec![],
             report: KernelReport::default(),
+            lowered: Default::default(),
         }
     }
 

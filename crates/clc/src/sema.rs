@@ -176,6 +176,7 @@ fn lower_kernel(k: &KernelDecl, source: &str) -> Result<CompiledKernel, ClcError
         barrier_sites,
         local_arrays: cx.local_arrays,
         report: crate::analysis::KernelReport::default(),
+        lowered: Default::default(),
     })
 }
 

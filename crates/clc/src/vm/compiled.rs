@@ -15,7 +15,9 @@
 //! (stack depth, type), so control-flow joins (short-circuit booleans,
 //! conditional expressions) still see one well-defined location.
 //! Lowered code is cached process-wide keyed by the instruction stream
-//! and signature, so repeated launches of one kernel pay lowering once.
+//! and signature, and memoised on the kernel it was lowered from, so
+//! repeated launches of one kernel pay lowering once and its look-up once
+//! per kernel object.
 //!
 //! The typing pass is a checker, not an inference engine: it accepts
 //! exactly the operand types `sema`'s explicit casts produce. Anything
@@ -51,11 +53,15 @@
 //!   ([`interp::barrier_stall_check`]).
 //!
 //! State by lifetime: per *launch*, [`Launch`] resolves the bound
-//! arguments into initial register contents and the root table; per
-//! *group*, one [`Ctx`] and one copy of those registers; per *item*, the
-//! ids are written and the locals zeroed.
+//! arguments into initial register contents and the root table, and
+//! asks the lockstep gate; per *caller* (the serial driver, each parallel
+//! worker), a [`GroupScratch`] with those registers broadcast into a
+//! `[register][lane]` file when the launch runs lockstep; per *group*,
+//! one [`Ctx`] and one copy of the launch's registers; per *item* — per
+//! chunk of `LANES` items — the ids are written and the locals zeroed.
 
 use std::collections::HashMap;
+use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::ast::ParamType;
@@ -63,8 +69,9 @@ use crate::bytecode::{BinKind, CmpKind, CompiledKernel, Geom, Instr, Math1, Math
 use crate::types::ScalarType;
 
 use super::interp::{barrier_stall_check, Item, ItemStatus};
+use super::lockstep::{self, LaneCounts};
 use super::ops::int_value;
-use super::regops::{self, CmpClass, Ctx, Fault, Memory, Op, OpFn, Root, Step};
+use super::regops::{self, CmpClass, Ctx, Halt, Memory, Op, OpFn, OpFns, Root, Step, LANES};
 use super::*;
 
 /// A kernel lowered to typed register ops.
@@ -72,6 +79,8 @@ use super::*;
 pub(super) struct CompiledCode {
     /// Dense op sequence (several ops can share one bytecode position).
     ops: Vec<Op>,
+    /// The lockstep instantiation of each op's body, parallel to `ops`.
+    lanes: Vec<OpFn>,
     /// For every bytecode pc that control can enter (block seams,
     /// barrier resume points), the op index to start at.
     ip_at: Vec<u32>,
@@ -163,6 +172,7 @@ struct Temp {
 struct Lowerer<'c> {
     code: &'c [Instr],
     ops: Vec<Op>,
+    lanes: Vec<OpFn>,
     /// Control ops whose `c` still holds a bytecode pc.
     jumps: Vec<usize>,
     nodes: Vec<Node>,
@@ -377,9 +387,10 @@ impl Lowerer<'_> {
 
     // Emission: a tree becomes ops in operand push order.
 
-    fn op(&mut self, run: OpFn, dst: u32, a: u32, b: u32, c: u32, d: u32) {
+    fn op(&mut self, run: OpFns, dst: u32, a: u32, b: u32, c: u32, d: u32) {
+        self.lanes.push(run.lanes);
         self.ops.push(Op {
-            run,
+            run: run.item,
             dst,
             a,
             b,
@@ -402,13 +413,13 @@ impl Lowerer<'_> {
     /// value lands in: `dst` when given (a slot or spill temporary the
     /// statement assigns), else wherever is cheapest.
     fn gen(&mut self, id: NodeId, dst: Option<u32>) -> u32 {
-        let unary = |lw: &mut Self, run: OpFn, a: NodeId| {
+        let unary = |lw: &mut Self, run: OpFns, a: NodeId| {
             let ra = lw.gen(a, None);
             let out = dst.unwrap_or_else(|| lw.scratch());
             lw.op(run, out, ra, 0, 0, 0);
             out
         };
-        let binary = |lw: &mut Self, run: OpFn, a: NodeId, b: NodeId| {
+        let binary = |lw: &mut Self, run: OpFns, a: NodeId, b: NodeId| {
             let ra = lw.gen(a, None);
             let rb = lw.gen(b, None);
             let out = dst.unwrap_or_else(|| lw.scratch());
@@ -418,7 +429,7 @@ impl Lowerer<'_> {
         match self.nodes[id as usize] {
             Node::Reg { reg, .. } => match dst {
                 Some(d) if d != reg => {
-                    self.op(regops::mov, d, reg, 0, 0, 0);
+                    self.op(regops::MOV, d, reg, 0, 0, 0);
                     d
                 }
                 _ => reg,
@@ -454,7 +465,7 @@ impl Lowerer<'_> {
             Node::Cmp(k, class, a, b) => binary(self, regops::cmp_fn(k, class), a, b),
             Node::Neg(ty, a) => unary(self, regops::neg_fn(ty), a),
             Node::BitNot(ty, a) => unary(self, regops::bit_not_fn(ty), a),
-            Node::NotBool(a) => unary(self, regops::not_bool, a),
+            Node::NotBool(a) => unary(self, regops::NOT_BOOL, a),
             Node::Cast(from, to, a) => unary(self, regops::cast_fn(from, to), a),
             Node::Math1(m, ty, a) => unary(self, regops::math1_fn(m, ty), a),
             Node::Math2(m, ty, a, b) => {
@@ -463,9 +474,9 @@ impl Lowerer<'_> {
             }
             Node::PtrAdd { ptr, idx, checked } => {
                 let run = if checked {
-                    regops::ptr_add_u64
+                    regops::PTR_ADD_U64
                 } else {
-                    regops::ptr_add
+                    regops::PTR_ADD
                 };
                 binary(self, run, ptr, idx)
             }
@@ -479,7 +490,7 @@ impl Lowerer<'_> {
                 let rd = self.gen(dim, None);
                 let out = dst.unwrap_or_else(|| self.scratch());
                 let base = self.n_slots + geom as u32 * 3;
-                self.op(regops::query, out, rd, base, u32::from(checked), 0);
+                self.op(regops::QUERY, out, rd, base, u32::from(checked), 0);
                 out
             }
         }
@@ -489,7 +500,7 @@ impl Lowerer<'_> {
     /// from `(plain, indexed)`: the ubiquitous `base[index]` shape folds
     /// its `PtrAdd` into the access. Returns `(op, offset register,
     /// index register)`.
-    fn gen_address(&mut self, (plain, indexed): (OpFn, OpFn), p: NodeId) -> (OpFn, u32, u32) {
+    fn gen_address(&mut self, (plain, indexed): (OpFns, OpFns), p: NodeId) -> (OpFns, u32, u32) {
         if let Node::PtrAdd {
             ptr,
             idx,
@@ -510,7 +521,7 @@ impl Lowerer<'_> {
         if self.tys[id as usize] == Ty::Ptr {
             let from = self.root_of(id);
             if from != root {
-                self.op(regops::mov, root, from, 0, 0, 0);
+                self.op(regops::MOV, root, from, 0, 0, 0);
             }
         }
     }
@@ -519,7 +530,7 @@ impl Lowerer<'_> {
     /// to and including `end_pc`.
     fn retire(&mut self, end_pc: usize, first: usize) {
         if self.ops.len() == first {
-            self.op(regops::nop, 0, 0, 0, 0, 0);
+            self.op(regops::NOP, 0, 0, 0, 0, 0);
         }
         let last = self.ops.last_mut().expect("just ensured");
         last.covers = (end_pc + 1 - self.retired) as u32;
@@ -577,7 +588,7 @@ impl Lowerer<'_> {
     }
 
     /// Emits a control op whose target pc is resolved after lowering.
-    fn control(&mut self, run: OpFn, dst: u32, a: u32, b: u32, target: u32) {
+    fn control(&mut self, run: OpFns, dst: u32, a: u32, b: u32, target: u32) {
         self.jumps.push(self.ops.len());
         self.op(run, dst, a, b, target, 0);
     }
@@ -590,7 +601,7 @@ impl Lowerer<'_> {
         let first = self.ops.len();
         self.scratch_used = 0;
         let rc = self.gen(c, None);
-        self.control(regops::branch, 0, rc, u32::from(on_true), t);
+        self.control(regops::BRANCH, 0, rc, u32::from(on_true), t);
         self.retire(pc, first);
     }
 
@@ -835,7 +846,7 @@ impl Lowerer<'_> {
                 self.flush_all();
                 self.check_target(t);
                 let first = self.ops.len();
-                self.control(regops::jump, 0, 0, 0, t);
+                self.control(regops::JUMP, 0, 0, 0, t);
                 self.retire(pc, first);
                 self.pend.clear();
                 self.live = false;
@@ -846,7 +857,7 @@ impl Lowerer<'_> {
                 self.flush_all();
                 let first = self.ops.len();
                 // `a`: the pc a released item resumes at.
-                self.op(regops::barrier, 0, pc as u32 + 1, 0, 0, 0);
+                self.op(regops::BARRIER, 0, pc as u32 + 1, 0, 0, 0);
                 self.retire(pc, first);
                 self.ip_at[pc + 1] = self.ops.len() as u32;
             }
@@ -855,7 +866,7 @@ impl Lowerer<'_> {
                 // before the interpreter reached this Return.
                 self.flush_fallible();
                 let first = self.ops.len();
-                self.op(regops::ret, 0, 0, 0, 0, 0);
+                self.op(regops::RET, 0, 0, 0, 0, 0);
                 self.retire(pc, first);
                 self.pend.clear();
                 self.live = false;
@@ -901,6 +912,7 @@ fn lower(kernel: &CompiledKernel) -> CompiledCode {
     let mut lw = Lowerer {
         code,
         ops: Vec::with_capacity(code.len()),
+        lanes: Vec::with_capacity(code.len()),
         jumps: Vec::new(),
         nodes: Vec::with_capacity(code.len() + 8),
         tys: Vec::with_capacity(code.len() + 8),
@@ -953,8 +965,14 @@ fn lower(kernel: &CompiledKernel) -> CompiledCode {
         // A jump past the end falls off and completes.
         lw.ops[at].c = lw.ip_at.get(pc).map_or(lw.ops.len() as u32, |ip| *ip);
     }
+    // A kernel keeps its lowered code for as long as it lives: give back
+    // what the builders reserved beyond it.
+    lw.ops.shrink_to_fit();
+    lw.lanes.shrink_to_fit();
+    lw.template.shrink_to_fit();
     CompiledCode {
         ops: lw.ops,
+        lanes: lw.lanes,
         ip_at: lw.ip_at,
         template: lw.template,
         n_params,
@@ -984,8 +1002,7 @@ const MAX_CACHED_KERNELS: usize = 1024;
 /// Hashes an instruction stream without allocating or formatting.
 /// `Instr` carries `f64`, so it is not `Hash`; this folds a variant
 /// tag plus every field (floats by bit pattern) into an FNV-1a
-/// accumulator. The lookup runs on every launch, so it must be cheap;
-/// collisions are resolved by `PartialEq` below.
+/// accumulator. Collisions are resolved by `PartialEq` below.
 fn code_hash(code: &[Instr]) -> u64 {
     struct Fnv(u64);
     impl Fnv {
@@ -1094,13 +1111,54 @@ fn code_hash(code: &[Instr]) -> u64 {
     h.0
 }
 
-/// Returns the lowered form of `kernel`, compiling on first sight.
-/// Keyed by signature as well as code: the same instructions type
+/// A kernel's lowered form, kept on the kernel: whoever holds the kernel
+/// (a node keeps each in an `Arc`) launches it again without hashing its
+/// code or taking the process-wide cache's lock. Not part of the
+/// kernel's value — a clone starts empty and two kernels compare equal
+/// whatever theirs hold — and only ever filled from `code` and `params`,
+/// which nothing changes once a kernel is built.
+#[derive(Default)]
+pub(crate) struct LoweredMemo(OnceLock<Arc<CompiledCode>>);
+
+impl Clone for LoweredMemo {
+    fn clone(&self) -> Self {
+        LoweredMemo::default()
+    }
+}
+
+impl PartialEq for LoweredMemo {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for LoweredMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "LoweredMemo({})", self.0.get().is_some())
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// `(cache lookups, lowerings)` made by this thread.
+    static FIRST_SIGHTS: std::cell::Cell<(u32, u32)> = const { std::cell::Cell::new((0, 0)) };
+}
+
+/// Returns the lowered form of `kernel`: from the kernel itself on every
+/// launch but its first, which goes to the process-wide cache.
+pub(super) fn lookup_or_lower(kernel: &CompiledKernel) -> &CompiledCode {
+    kernel.lowered.0.get_or_init(|| first_sight(kernel))
+}
+
+/// The process-wide cache's entry for `kernel`, compiling on first
+/// sight. Keyed by signature as well as code: the same instructions type
 /// differently under different parameter types.
-pub(super) fn lookup_or_lower(kernel: &CompiledKernel) -> Arc<CompiledCode> {
+fn first_sight(kernel: &CompiledKernel) -> Arc<CompiledCode> {
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
     let key = code_hash(&kernel.code);
     let mut map = cache.lock().unwrap_or_else(|e| e.into_inner());
+    #[cfg(test)]
+    FIRST_SIGHTS.with(|c| c.set((c.get().0 + 1, c.get().1)));
     if let Some(entries) = map.get(&key) {
         if let Some(e) = entries
             .iter()
@@ -1109,6 +1167,8 @@ pub(super) fn lookup_or_lower(kernel: &CompiledKernel) -> Arc<CompiledCode> {
             return Arc::clone(&e.compiled);
         }
     }
+    #[cfg(test)]
+    FIRST_SIGHTS.with(|c| c.set((c.get().0, c.get().1 + 1)));
     let compiled = Arc::new(lower(kernel));
     if map.len() >= MAX_CACHED_KERNELS {
         map.clear();
@@ -1135,12 +1195,16 @@ pub(super) struct Launch<'k> {
     /// What each root id names: parameter `p`'s buffer at index `p`,
     /// the `__local` arena for `__local` parameters and at `n_params`.
     roots: Vec<Root>,
+    /// The lockstep gate passed ([`lockstep::gate`]) and a group is at
+    /// least one chunk wide: full chunks of a row run `LANES` at a time.
+    lockstep: bool,
 }
 
 impl<'k> Launch<'k> {
     fn new(
         code: &'k CompiledCode,
         kernel: &'k CompiledKernel,
+        args: &[ArgValue],
         bound: &[Value],
         range: &NdRange,
     ) -> Launch<'k> {
@@ -1169,6 +1233,8 @@ impl<'k> Launch<'k> {
             regs[geom + Geom::NumGroups as usize * 3 + d] = num_groups[d];
             regs[geom + Geom::WorkDim as usize * 3 + d] = u64::from(range.work_dim);
         }
+        let lockstep =
+            range.local[0] >= LANES as u64 && lockstep::gate(kernel, code.has_barrier, args);
         Launch {
             code,
             kernel,
@@ -1176,6 +1242,7 @@ impl<'k> Launch<'k> {
             num_groups,
             regs,
             roots,
+            lockstep,
         }
     }
 
@@ -1190,6 +1257,69 @@ impl<'k> Launch<'k> {
             regs[geom + Geom::GroupId as usize * 3 + d] = group_id[d];
         }
         global_id
+    }
+
+    /// The lanes of geometry register `(g, d)` in a chunk's file.
+    fn id_lanes<'r>(&self, lanes: &'r mut [u64], g: Geom, d: usize) -> &'r mut [u64] {
+        let at = (self.code.n_slots as usize + g as usize * 3 + d) * LANES;
+        &mut lanes[at..at + LANES]
+    }
+
+    /// [`Launch::write_ids`] for every chunk of row `(ly, lz)`: the ids
+    /// its items share.
+    fn write_row_ids(&self, lanes: &mut [u64], group_id: [u64; 3], ly: u64, lz: u64) {
+        for (d, id) in group_id.into_iter().enumerate() {
+            self.id_lanes(lanes, Geom::GroupId, d).fill(id);
+        }
+        for (d, l) in [(1, ly), (2, lz)] {
+            let global = group_id[d] * self.range.local[d] + l;
+            self.id_lanes(lanes, Geom::GlobalId, d).fill(global);
+            self.id_lanes(lanes, Geom::LocalId, d).fill(l);
+        }
+    }
+
+    /// The x ids of the chunk of `LANES` items that starts at `lx`.
+    fn write_chunk_x(&self, lanes: &mut [u64], group_x: u64, lx: u64) {
+        let global = group_x * self.range.local[0] + lx;
+        for (g, first) in [(Geom::GlobalId, global), (Geom::LocalId, lx)] {
+            for (l, lane) in self.id_lanes(lanes, g, 0).iter_mut().enumerate() {
+                *lane = first + l as u64;
+            }
+        }
+    }
+}
+
+/// Register storage one caller reuses across the groups of one launch.
+pub(super) struct GroupScratch {
+    /// One item's file — or, under a barrier, one per item of a group.
+    regs: Vec<u64>,
+    /// A chunk's `[register][lane]` file; empty unless the launch runs
+    /// lockstep. Only ids, locals and mutated parameters differ from
+    /// chunk to chunk, so the rest is filled here once.
+    lanes: Vec<u64>,
+    counts: LaneCounts,
+}
+
+impl GroupScratch {
+    pub(super) fn new(launch: &Launch<'_>) -> GroupScratch {
+        let mut lanes = Vec::new();
+        if launch.lockstep {
+            lanes.reserve_exact(launch.regs.len() * LANES);
+            for &r in &launch.regs {
+                lanes.extend(std::iter::repeat_n(r, LANES));
+            }
+        }
+        GroupScratch {
+            regs: Vec::new(),
+            lanes,
+            counts: LaneCounts::default(),
+        }
+    }
+}
+
+impl Drop for GroupScratch {
+    fn drop(&mut self) {
+        lockstep::record(&self.counts);
     }
 }
 
@@ -1209,7 +1339,7 @@ pub(super) fn run(
     }
     range.validate()?;
     let (bound, arena_bytes) = bind_args(kernel, args, buffers.len())?;
-    let launch = Launch::new(&ccode, kernel, &bound, range);
+    let launch = Launch::new(ccode, kernel, args, &bound, range);
     if allow_parallel {
         if let Some(result) = super::parallel::try_run_parallel(&launch, args, buffers, arena_bytes)
         {
@@ -1218,7 +1348,7 @@ pub(super) fn run(
     }
     let mut stats = ExecStats::default();
     let mut arena = vec![0u8; arena_bytes];
-    let mut regs = Vec::new();
+    let mut scratch = GroupScratch::new(&launch);
     let mut mem = Memory::Excl(buffers);
     let num_groups = launch.num_groups;
     for gz in 0..num_groups[2] {
@@ -1229,7 +1359,7 @@ pub(super) fn run(
                     &mut mem,
                     [gx, gy, gz],
                     &mut arena,
-                    &mut regs,
+                    &mut scratch,
                     &mut stats,
                 )?;
                 stats.work_groups += 1;
@@ -1240,17 +1370,20 @@ pub(super) fn run(
 }
 
 /// Executes one work-group to completion under the shared pass-based
-/// round-robin schedule. `regs` is scratch storage the caller reuses
-/// across groups.
+/// round-robin schedule.
 pub(super) fn run_group(
     launch: &Launch<'_>,
     mem: &mut Memory<'_>,
     group_id: [u64; 3],
     arena: &mut [u8],
-    regs: &mut Vec<u64>,
+    scratch: &mut GroupScratch,
     stats: &mut ExecStats,
 ) -> Result<(), ExecError> {
-    arena.fill(0);
+    // An empty arena's `fill` is a `memset` of nothing at a dangling
+    // address, and that call alone measured ~100 ns per group here.
+    if !arena.is_empty() {
+        arena.fill(0);
+    }
     let code = launch.code;
     let local = launch.range.local;
     let mut ctx = Ctx {
@@ -1259,29 +1392,51 @@ pub(super) fn run_group(
         roots: &launch.roots,
         fault: None,
     };
+    let GroupScratch {
+        regs,
+        lanes,
+        counts,
+    } = scratch;
     regs.clear();
     if !code.has_barrier {
         // No barrier can suspend an item, so the round-robin schedule
         // degenerates to running each item once in local-id order, and
         // one register file serves them all: same execution order, same
-        // stats, same first error.
+        // stats, same first error. Where the launch runs lockstep, the
+        // full chunks of each row take each op together instead — which
+        // the gate has shown no item can tell from taking turns.
         regs.extend_from_slice(&launch.regs);
         let locals = code.n_params as usize..code.n_slots as usize;
-        let mut count = 0u64;
+        let chunked = if launch.lockstep {
+            local[0] - local[0] % LANES as u64
+        } else {
+            0
+        };
         for lz in 0..local[2] {
             for ly in 0..local[1] {
-                for lx in 0..local[0] {
+                if chunked > 0 {
+                    launch.write_row_ids(lanes, group_id, ly, lz);
+                }
+                for lx in (0..chunked).step_by(LANES) {
+                    lanes[locals.start * LANES..locals.end * LANES].fill(0);
+                    for &r in &code.mutated {
+                        let at = r as usize * LANES;
+                        lanes[at..at + LANES].fill(launch.regs[r as usize]);
+                    }
+                    launch.write_chunk_x(lanes, group_id[0], lx);
+                    run_chunk(code, lanes, regs, &mut ctx, stats, counts)?;
+                }
+                for lx in chunked..local[0] {
                     regs[locals.clone()].fill(0);
                     for &r in &code.mutated {
                         regs[r as usize] = launch.regs[r as usize];
                     }
                     launch.write_ids(regs, group_id, [lx, ly, lz]);
-                    run_item(code, regs, &mut ctx, 0, stats)?;
-                    count += 1;
+                    exec::<1>(code, regs, &mut ctx, 0, stats)?;
                 }
             }
         }
-        stats.work_items += count;
+        stats.work_items += launch.range.group_items();
         return Ok(());
     }
     // One register file per item, side by side, so a suspended item's
@@ -1313,13 +1468,16 @@ pub(super) fn run_group(
         let mut any_running = false;
         for (item, regs) in items.iter_mut().zip(regs.chunks_exact_mut(n)) {
             if item.status == ItemStatus::Running {
-                match run_item(code, regs, &mut ctx, item.pc, stats)? {
-                    Some(resume) => {
+                // Control enters at a seam: a kernel's start, or the
+                // instruction after a barrier.
+                let ip = code.ip_at[item.pc] as usize;
+                item.status = match exec::<1>(code, regs, &mut ctx, ip, stats)? {
+                    Exit::Barrier(resume) => {
                         item.pc = resume;
-                        item.status = ItemStatus::AtBarrier;
+                        ItemStatus::AtBarrier
                     }
-                    None => item.status = ItemStatus::Done,
-                }
+                    Exit::Done | Exit::Split { .. } => ItemStatus::Done,
+                };
                 any_running = true;
             }
         }
@@ -1337,32 +1495,78 @@ pub(super) fn run_group(
     Ok(())
 }
 
-/// Runs one item from bytecode `pc` until it finishes (`None`),
-/// suspends at a barrier (the pc to resume at), or errors.
-fn run_item(
+/// How a run of ops ended.
+enum Exit {
+    /// The item — every lane — finished.
+    Done,
+    /// The item suspended at a barrier; the pc to resume at.
+    Barrier(usize),
+    /// The lanes could not take the op at `ip` together. It changed
+    /// nothing and is not counted.
+    Split {
+        ip: usize,
+        cause: regops::SplitCause,
+    },
+}
+
+/// Runs `L` items, their registers laid out `[register][lane]`, from op
+/// `ip` until they finish, suspend, split or one errors.
+fn exec<const L: usize>(
     code: &CompiledCode,
     regs: &mut [u64],
     ctx: &mut Ctx<'_, '_>,
-    pc: usize,
+    mut ip: usize,
     stats: &mut ExecStats,
-) -> Result<Option<usize>, ExecError> {
+) -> Result<Exit, ExecError> {
     let ops = &code.ops[..];
-    let mut ip = code.ip_at.get(pc).map_or(u32::MAX, |v| *v) as usize;
     let mut retired = 0u64;
-    let resume = loop {
+    let exit = loop {
         // Falling off the end is a return, like the interpreter.
-        let Some(op) = ops.get(ip) else { break None };
+        let Some(op) = ops.get(ip) else {
+            break Exit::Done;
+        };
+        let run = if L == 1 { op.run } else { code.lanes[ip] };
         retired += u64::from(op.covers);
-        match (op.run)(regs, ctx, op) {
+        match run(regs, ctx, op) {
             Ok(Step::Next) => ip += 1,
             Ok(Step::Jump(t)) => ip = t as usize,
-            Ok(Step::Barrier) => break Some(op.a as usize),
-            Ok(Step::Done) => break None,
-            Err(Fault) => return Err(ctx.fault.take().expect("a fault records its error")),
+            Ok(Step::Barrier) => break Exit::Barrier(op.a as usize),
+            Ok(Step::Done) => break Exit::Done,
+            Err(Halt::Fault) => return Err(ctx.fault.take().expect("a fault records its error")),
+            Err(Halt::Split(cause)) => {
+                retired -= u64::from(op.covers);
+                break Exit::Split { ip, cause };
+            }
         }
     };
-    stats.instructions += retired;
-    Ok(resume)
+    stats.instructions += retired * L as u64;
+    Ok(exit)
+}
+
+/// Runs the `LANES` items in `lanes` in lockstep. Where they split, each
+/// is copied to `regs` and finished from that op on by itself, in lane
+/// order: whatever the split was over — a fault included — then happens
+/// to one item, on the path that reports it, after every item before it
+/// has run to its end.
+fn run_chunk(
+    code: &CompiledCode,
+    lanes: &mut [u64],
+    regs: &mut [u64],
+    ctx: &mut Ctx<'_, '_>,
+    stats: &mut ExecStats,
+    counts: &mut LaneCounts,
+) -> Result<(), ExecError> {
+    counts.chunks += 1;
+    if let Exit::Split { ip, cause } = exec::<LANES>(code, lanes, ctx, 0, stats)? {
+        counts.splits[cause as usize] += 1;
+        for l in 0..LANES {
+            for (reg, lanes) in regs.iter_mut().zip(lanes.chunks_exact(LANES)) {
+                *reg = lanes[l];
+            }
+            exec::<1>(code, regs, ctx, ip, stats)?;
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1388,6 +1592,7 @@ mod tests {
             barrier_sites: vec![],
             local_arrays: vec![],
             report: KernelReport::default(),
+            lowered: Default::default(),
         }
     }
 
@@ -1532,6 +1737,50 @@ mod tests {
         };
         assert_eq!(run(EngineKind::Interp), 0x7fc0_0001);
         assert_eq!(run(EngineKind::CompiledSerial), 0x7fc0_0001);
+    }
+
+    /// A kernel somebody holds on to is looked up in the process-wide
+    /// cache by its first launch and by no other.
+    #[test]
+    fn a_held_kernel_is_looked_up_and_lowered_once() {
+        // Source no other test lowers, so this thread's first sight of
+        // it is the process's.
+        let source = "__kernel void held_once(__global int* out, int k) {
+            out[get_global_id(0)] = k * 1000003 + 77;
+        }";
+        let program = crate::compile(source).expect("compiles");
+        let kernel = Arc::new(program.kernel("held_once").expect("kernel").clone());
+        let args = [ArgValue::global(0), ArgValue::from_i32(3)];
+        let range = NdRange::linear(4, 4);
+        let before = FIRST_SIGHTS.get();
+        for _ in 0..1_000 {
+            let mut buffers = vec![GlobalBuffer::zeroed(16)];
+            run_ndrange_with_engine(
+                &kernel,
+                &args,
+                &mut buffers,
+                &range,
+                EngineKind::CompiledSerial,
+            )
+            .expect("runs");
+            assert_eq!(buffers[0].as_i32(), [3_000_086; 4]);
+        }
+        let (lookups, lowerings) = FIRST_SIGHTS.get();
+        assert_eq!((lookups - before.0, lowerings - before.1), (1, 1));
+        // A clone is another kernel object: one more look-up, which hits.
+        let copy = CompiledKernel::clone(&kernel);
+        assert_eq!(copy, *kernel);
+        let mut buffers = vec![GlobalBuffer::zeroed(16)];
+        run_ndrange_with_engine(
+            &copy,
+            &args,
+            &mut buffers,
+            &range,
+            EngineKind::CompiledSerial,
+        )
+        .expect("runs");
+        let (lookups, lowerings) = FIRST_SIGHTS.get();
+        assert_eq!((lookups - before.0, lowerings - before.1), (2, 1));
     }
 
     /// Bytecode the typing pass refuses runs on the interpreter, so all

@@ -17,10 +17,14 @@ use crate::types::{AddressSpace, ScalarType};
 
 mod compiled;
 mod interp;
+mod lockstep;
 mod ops;
 mod parallel;
 mod regops;
 
+pub(crate) use compiled::LoweredMemo;
+
+pub use lockstep::{lockstep_stats, LockstepStats};
 pub use parallel::parallel_groups_safe;
 
 /// What class of failure an [`ExecError`] reports.

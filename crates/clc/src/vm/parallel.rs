@@ -45,10 +45,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-use crate::analysis::effects::{AccessPattern, PatternBase};
 use crate::bytecode::CompiledKernel;
 
-use super::compiled::{run_group, Launch};
+use super::compiled::{run_group, GroupScratch, Launch};
+use super::lockstep::written_args_private;
 use super::regops::{Memory, SharedBufs};
 use super::*;
 
@@ -65,59 +65,11 @@ const MIN_PARALLEL_ITEMS: u64 = 256;
 /// carry provably group-private access patterns (see the module docs
 /// for the full argument).
 pub fn parallel_groups_safe(kernel: &CompiledKernel, args: &[ArgValue], range: &NdRange) -> bool {
-    let effects = &kernel.report.effects;
-    if effects.is_empty() || args.len() != effects.args.len() {
-        return false;
-    }
-    for (i, eff) in effects.args.iter().enumerate() {
-        if !eff.mode.writes() {
-            continue;
-        }
-        // A written argument must be a global buffer bound to exactly
-        // one parameter slot — in-launch aliasing would let another
-        // argument's (possibly unprovable) patterns reach these bytes.
-        let ArgValue::GlobalBuffer(buf) = args[i] else {
-            return false;
-        };
-        let aliased = args
-            .iter()
-            .enumerate()
-            .any(|(j, a)| j != i && matches!(a, ArgValue::GlobalBuffer(b) if *b == buf));
-        if aliased {
-            return false;
-        }
-        if !eff.complete || eff.patterns.is_empty() {
-            return false;
-        }
-        if !patterns_group_private(&eff.patterns, range) {
-            return false;
-        }
-    }
-    true
-}
-
-/// Whether every pattern is the same provable `gid(d) + add` shape and
-/// the launch geometry makes that shape inter-group disjoint.
-fn patterns_group_private(patterns: &[AccessPattern], range: &NdRange) -> bool {
-    let first = &patterns[0];
-    if !patterns
-        .iter()
-        .all(|p| p.provable && p.coeffs == first.coeffs && p.base == first.base)
-    {
-        return false;
-    }
-    // `provable` guarantees exactly one unit coefficient on dimension
-    // `d` with a `Geom { id: d, .. }` (group-base) base.
-    let PatternBase::Geom { id, .. } = first.base else {
-        return false;
-    };
-    let d = id as usize;
-    if d > 2 || first.coeffs[d] != 1 {
-        return false;
-    }
-    // Groups that differ only in another dimension share their gid(d)
-    // range — require those dimensions to hold a single group.
-    (0..3).all(|e| e == d || range.global[e] / range.local[e] == 1)
+    // Groups that differ only in a dimension other than the pattern's
+    // share their gid(d) range — require those dimensions to hold a
+    // single group.
+    let one_group_elsewhere = |d| (0..3).all(|e| e == d || range.global[e] / range.local[e] == 1);
+    written_args_private(kernel, args, one_group_elsewhere).is_ok()
 }
 
 /// Worker-thread count for a launch: `HAOCL_VM_THREADS` override, else
@@ -178,7 +130,7 @@ pub(super) fn try_run_parallel(
         for _ in 0..threads {
             scope.spawn(|| {
                 let mut arena = vec![0u8; arena_bytes];
-                let mut regs = Vec::new();
+                let mut scratch = GroupScratch::new(launch);
                 let mut stats = ExecStats::default();
                 let mut mem = Memory::Shared(&shared);
                 loop {
@@ -199,7 +151,7 @@ pub(super) fn try_run_parallel(
                         &mut mem,
                         [gx, gy, gz],
                         &mut arena,
-                        &mut regs,
+                        &mut scratch,
                         &mut stats,
                     );
                     match r {

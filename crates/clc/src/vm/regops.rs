@@ -17,11 +17,21 @@
 //!
 //! Failures are built out of line by the same helpers the interpreter
 //! uses (`bin_op`, `Value::as_index`, `checked_offset`), parked in
-//! [`Ctx::fault`], and signalled by the zero-sized [`Fault`], so the
-//! success path returns in registers and every message is the
-//! interpreter's, byte for byte. The same goes for the one value that
-//! is not a function of the source, the bits of a NaN (see "Float
-//! arithmetic" below).
+//! [`Ctx::fault`], and signalled by [`Halt::Fault`], so the success path
+//! returns in registers and every message is the interpreter's, byte for
+//! byte. The same goes for the one value that is not a function of the
+//! source, the bits of a NaN (see "Float arithmetic" below).
+//!
+//! Every body is generic over a lane count `L` and acts on a register
+//! file laid out `[register][lane]`: register `r` of lane `l` is word
+//! `r * L + l`. `L = 1` is one work-item in the plain layout; `L =`
+//! [`LANES`] is a chunk of consecutive work-items taking each op
+//! together. A lane-wide op completes for every lane or changes nothing
+//! and reports [`Halt::Split`] — where one item would fault, where the
+//! lanes disagree on a branch, where they disagree on which buffer a
+//! pointer names — and the driver finishes the lanes one by one from
+//! that op on the `L = 1` instantiation of the same bodies, which is
+//! where errors are built and reported.
 
 use std::hint::black_box;
 
@@ -80,6 +90,11 @@ impl SharedBufs {
         }
     }
 
+    /// Byte length of buffer `b`, if there is one.
+    fn len(&self, b: usize) -> Option<usize> {
+        self.bufs.get(b).map(|rb| rb.len)
+    }
+
     fn read<const N: usize>(&self, b: usize, offset: i64) -> Result<[u8; N], ExecError> {
         let rb = self.bufs.get(b).ok_or_else(|| dangling_buffer(b))?;
         let off = checked_offset(offset, N, rb.len)?;
@@ -114,8 +129,31 @@ pub(super) enum Root {
     Local,
 }
 
-/// Marker for "the op failed; the error is in [`Ctx::fault`]".
-pub(super) struct Fault;
+/// Items a lockstep chunk runs side by side. 16 measured fastest of 8,
+/// 16 and 32 on the benchmark's element-wise kernels: wide enough to
+/// amortise a dispatch, narrow enough that a 64-item group is four full
+/// chunks and the register file of a chunk stays in L1.
+pub(super) const LANES: usize = 16;
+
+/// Why the lanes of a chunk could not take an op together.
+#[derive(Clone, Copy)]
+pub(super) enum SplitCause {
+    /// They disagree on a conditional branch.
+    Branch,
+    /// At least one of them would fault.
+    Fault,
+    /// They disagree on the root of a pointer.
+    Root,
+}
+
+/// Why an op did not complete.
+pub(super) enum Halt {
+    /// The item failed; the error is in [`Ctx::fault`].
+    Fault,
+    /// `L > 1` only: nothing was changed, and the lanes must be finished
+    /// one at a time from this op on.
+    Split(SplitCause),
+}
 
 /// Per-group execution context handed to every op.
 pub(super) struct Ctx<'a, 'm> {
@@ -127,89 +165,142 @@ pub(super) struct Ctx<'a, 'm> {
 }
 
 /// The `N` bytes of element `off`, when in bounds. Agrees with
-/// [`checked_offset`] on every input it accepts.
+/// [`checked_offset`] on every input it accepts: `off < len / N` is
+/// `off * N + N <= len`.
 #[inline(always)]
 fn element<const N: usize>(bytes: &[u8], off: i64) -> Option<&[u8; N]> {
-    let start = usize::try_from(off).ok()?.checked_mul(N)?;
-    bytes.get(start..)?.first_chunk::<N>()
+    bytes.as_chunks::<N>().0.get(usize::try_from(off).ok()?)
 }
 
 #[inline(always)]
 fn element_mut<const N: usize>(bytes: &mut [u8], off: i64) -> Option<&mut [u8; N]> {
-    let start = usize::try_from(off).ok()?.checked_mul(N)?;
-    bytes.get_mut(start..)?.first_chunk_mut::<N>()
+    bytes
+        .as_chunks_mut::<N>()
+        .0
+        .get_mut(usize::try_from(off).ok()?)
+}
+
+/// The canonical error for element `off` not fitting `len` bytes.
+#[cold]
+#[inline(never)]
+fn out_of_bounds(off: i64, sz: usize, len: usize) -> ExecError {
+    checked_offset(off, sz, len).expect_err("fast path accepts what this accepts")
 }
 
 impl Ctx<'_, '_> {
     #[cold]
     #[inline(never)]
-    fn fail(&mut self, e: ExecError) -> Fault {
+    fn fail(&mut self, e: ExecError) -> Halt {
         self.fault = Some(e);
-        Fault
+        Halt::Fault
     }
 
-    /// The canonical error for element `off` not fitting `len` bytes.
-    #[cold]
-    #[inline(never)]
-    fn out_of_bounds(&mut self, off: i64, sz: usize, len: usize) -> Fault {
-        let e = checked_offset(off, sz, len).expect_err("fast path accepts what this accepts");
-        self.fail(e)
-    }
-
+    /// A lane cannot complete the op. One item builds and reports its
+    /// error; a chunk, which has changed nothing yet, splits, and the
+    /// item path's run of this very op reports it for the first lane in
+    /// item order that fails.
     #[inline(always)]
-    fn read<const N: usize>(&mut self, root: u64, off: i64) -> Result<[u8; N], Fault> {
+    fn halt<const L: usize>(&mut self, error: impl FnOnce() -> ExecError) -> Halt {
+        if L == 1 {
+            self.fail(error())
+        } else {
+            Halt::Split(SplitCause::Fault)
+        }
+    }
+
+    /// Element `offs[l]` of the region `root` names, for every lane.
+    #[inline(always)]
+    fn read<const L: usize, const N: usize>(
+        &mut self,
+        root: u64,
+        offs: &[u64; L],
+    ) -> Result<[[u8; N]; L], Halt> {
+        let mut out = [[0u8; N]; L];
         let bytes: &[u8] = match (self.roots[root as usize], &*self.mem) {
             (Root::Local, _) => self.arena,
             (Root::Global(b), Memory::Excl(bufs)) => match bufs.get(b) {
                 Some(buf) => buf.as_bytes(),
-                None => return Err(self.fail(dangling_buffer(b))),
+                None => return Err(self.halt::<L>(|| dangling_buffer(b))),
             },
             (Root::Global(b), Memory::Shared(shared)) => {
-                return shared.read(b, off).map_err(|e| self.fail(e));
+                let shared = *shared;
+                for (v, &off) in out.iter_mut().zip(offs) {
+                    match shared.read(b, off as i64) {
+                        Ok(bytes) => *v = bytes,
+                        Err(e) => return Err(self.halt::<L>(|| e)),
+                    }
+                }
+                return Ok(out);
             }
         };
-        match element(bytes, off) {
-            Some(v) => Ok(*v),
-            None => {
-                let len = bytes.len();
-                Err(self.out_of_bounds(off, N, len))
+        for (v, &off) in out.iter_mut().zip(offs) {
+            match element(bytes, off as i64) {
+                Some(bytes) => *v = *bytes,
+                None => {
+                    let len = bytes.len();
+                    return Err(self.halt::<L>(|| out_of_bounds(off as i64, N, len)));
+                }
             }
         }
+        Ok(out)
     }
 
+    /// Stores `vals[l]` to element `offs[l]` of the region `root` names:
+    /// for every lane, or — a chunk validates all its lanes before it
+    /// commits any — for none.
     #[inline(always)]
-    fn write<const N: usize>(&mut self, root: u64, off: i64, v: [u8; N]) -> Result<(), Fault> {
+    fn write<const L: usize, const N: usize>(
+        &mut self,
+        root: u64,
+        offs: &[u64; L],
+        vals: [[u8; N]; L],
+    ) -> Result<(), Halt> {
         let bytes: &mut [u8] = match (self.roots[root as usize], &mut *self.mem) {
             (Root::Local, _) => self.arena,
             (Root::Global(b), Memory::Excl(bufs)) => match bufs.get_mut(b) {
                 Some(buf) => buf.as_bytes_mut(),
-                None => return Err(self.fail(dangling_buffer(b))),
+                None => return Err(self.halt::<L>(|| dangling_buffer(b))),
             },
             (Root::Global(b), Memory::Shared(shared)) => {
-                return shared.write(b, off, v).map_err(|e| self.fail(e));
+                let shared = *shared;
+                let fits = |len| {
+                    offs.iter()
+                        .all(|&o| checked_offset(o as i64, N, len).is_ok())
+                };
+                if L > 1 && !shared.len(b).is_some_and(fits) {
+                    return Err(Halt::Split(SplitCause::Fault));
+                }
+                for (&off, v) in offs.iter().zip(vals) {
+                    shared.write(b, off as i64, v).map_err(|e| self.fail(e))?;
+                }
+                return Ok(());
             }
         };
-        match element_mut(bytes, off) {
-            Some(dst) => {
-                *dst = v;
-                Ok(())
-            }
-            None => {
-                let len = bytes.len();
-                Err(self.out_of_bounds(off, N, len))
+        if L > 1
+            && offs
+                .iter()
+                .any(|&o| element::<N>(bytes, o as i64).is_none())
+        {
+            return Err(Halt::Split(SplitCause::Fault));
+        }
+        for (&off, v) in offs.iter().zip(vals) {
+            match element_mut(bytes, off as i64) {
+                Some(dst) => *dst = v,
+                None => {
+                    let len = bytes.len();
+                    return Err(self.fail(out_of_bounds(off as i64, N, len)));
+                }
             }
         }
+        Ok(())
     }
 
     /// `Value::as_index` on a `ulong` register.
     #[inline(always)]
-    fn index_u64(&mut self, x: u64) -> Result<i64, Fault> {
+    fn index_u64<const L: usize>(&mut self, x: u64) -> Result<i64, Halt> {
         match i64::try_from(x) {
             Ok(i) => Ok(i),
-            Err(_) => {
-                let e = Value::U64(x).as_index().expect_err("exceeds i64");
-                Err(self.fail(e))
-            }
+            Err(_) => Err(self.halt::<L>(|| Value::U64(x).as_index().expect_err("exceeds i64"))),
         }
     }
 }
@@ -228,12 +319,37 @@ pub(super) enum Step {
     Done,
 }
 
-pub(super) type OpFn = for<'a, 'm> fn(&mut [u64], &mut Ctx<'a, 'm>, &Op) -> Result<Step, Fault>;
+/// What an op returns: what to do next, or why it did not complete.
+pub(super) type OpResult = Result<Step, Halt>;
+
+pub(super) type OpFn = for<'a, 'm> fn(&mut [u64], &mut Ctx<'a, 'm>, &Op) -> OpResult;
+
+/// The two instantiations of one op body the drivers run.
+#[derive(Clone, Copy)]
+pub(super) struct OpFns {
+    /// `L = 1`: one work-item.
+    pub(super) item: OpFn,
+    /// `L = LANES`: a chunk in lockstep.
+    pub(super) lanes: OpFn,
+}
+
+/// [`OpFns`] of the body named, its lane count left off:
+/// `op!(int_bin::<T, IAdd>)`.
+macro_rules! op {
+    ($f:ident) => {
+        OpFns { item: $f::<1>, lanes: $f::<LANES> }
+    };
+    ($f:ident::<$($g:tt),+>) => {
+        OpFns { item: $f::<1, $($g),+>, lanes: $f::<LANES, $($g),+> }
+    };
+}
 
 /// One lowered op: a function and the registers it reads and writes.
 /// Which of `a..d` an op uses is documented on its function.
 #[derive(Clone, Copy)]
 pub(super) struct Op {
+    /// The `L = 1` body; a chunk's is in [`super::compiled`]'s parallel
+    /// table, so this stays four words.
     pub(super) run: OpFn,
     pub(super) dst: u32,
     pub(super) a: u32,
@@ -439,49 +555,97 @@ macro_rules! with_scalar {
     };
 }
 
+/// Register `r`, every lane.
 #[inline(always)]
-fn get(regs: &[u64], r: u32) -> u64 {
-    regs[r as usize]
+fn get<const L: usize>(regs: &[u64], r: u32) -> &[u64; L] {
+    let at = r as usize * L;
+    regs[at..at + L].try_into().expect("L lanes")
 }
 
 #[inline(always)]
-fn set(regs: &mut [u64], r: u32, v: u64) -> Result<Step, Fault> {
-    regs[r as usize] = v;
+fn set<const L: usize>(regs: &mut [u64], r: u32, v: [u64; L]) -> OpResult {
+    let at = r as usize * L;
+    regs[at..at + L].copy_from_slice(&v);
     Ok(Step::Next)
+}
+
+/// The value every lane of `v` holds, if they all hold the same one.
+/// Branch-free: in lockstep they do, until the op that ends it.
+#[inline(always)]
+fn uniform<const L: usize>(v: &[u64; L]) -> Option<u64> {
+    (v.iter().fold(0, |odd, x| odd | (x ^ v[0])) == 0).then_some(v[0])
+}
+
+/// `f` of each lane of `a` and `b`.
+#[inline(always)]
+fn zip<const L: usize>(a: &[u64; L], b: &[u64; L], f: impl Fn(u64, u64) -> u64) -> [u64; L] {
+    std::array::from_fn(|l| f(a[l], b[l]))
+}
+
+/// `fast` of each lane of `a` and `b`, then `exact` in its place for the
+/// lanes `odd(a, b, fast(a, b))` picks out. Every lane takes `fast`
+/// first, so that loop is straight-line code whatever `exact` calls.
+#[inline(always)]
+fn zip_patched<const L: usize>(
+    a: &[u64; L],
+    b: &[u64; L],
+    fast: impl Fn(u64, u64) -> u64,
+    odd: impl Fn(u64, u64, u64) -> bool,
+    exact: impl Fn(u64, u64) -> u64,
+) -> [u64; L] {
+    let mut v = zip(a, b, fast);
+    if (0..L).any(|l| odd(a[l], b[l], v[l])) {
+        for l in 0..L {
+            if odd(a[l], b[l], v[l]) {
+                v[l] = exact(a[l], b[l]);
+            }
+        }
+    }
+    v
 }
 
 // Data movement and control. Control ops keep their target in `c`.
 
 /// `dst = a`
-pub(super) fn mov(regs: &mut [u64], _: &mut Ctx<'_, '_>, op: &Op) -> Result<Step, Fault> {
-    let v = get(regs, op.a);
+fn mov<const L: usize>(regs: &mut [u64], _: &mut Ctx<'_, '_>, op: &Op) -> OpResult {
+    let v = *get::<L>(regs, op.a);
     set(regs, op.dst, v)
 }
 
-pub(super) fn nop(_: &mut [u64], _: &mut Ctx<'_, '_>, _: &Op) -> Result<Step, Fault> {
+fn nop<const L: usize>(_: &mut [u64], _: &mut Ctx<'_, '_>, _: &Op) -> OpResult {
     Ok(Step::Next)
 }
 
-pub(super) fn jump(_: &mut [u64], _: &mut Ctx<'_, '_>, op: &Op) -> Result<Step, Fault> {
+fn jump<const L: usize>(_: &mut [u64], _: &mut Ctx<'_, '_>, op: &Op) -> OpResult {
     Ok(Step::Jump(op.c))
 }
 
 /// Jumps to `c` when bool register `a` equals `b` (0 or 1).
-pub(super) fn branch(regs: &mut [u64], _: &mut Ctx<'_, '_>, op: &Op) -> Result<Step, Fault> {
-    Ok(if get(regs, op.a) == u64::from(op.b) {
+fn branch<const L: usize>(regs: &mut [u64], _: &mut Ctx<'_, '_>, op: &Op) -> OpResult {
+    // A `bool` register holds 0 or 1, nothing else.
+    let cond = uniform(get::<L>(regs, op.a)).ok_or(Halt::Split(SplitCause::Branch))?;
+    Ok(if cond == u64::from(op.b) {
         Step::Jump(op.c)
     } else {
         Step::Next
     })
 }
 
-pub(super) fn barrier(_: &mut [u64], _: &mut Ctx<'_, '_>, _: &Op) -> Result<Step, Fault> {
+/// Never reached in lockstep: a kernel with a barrier runs item by item.
+fn barrier<const L: usize>(_: &mut [u64], _: &mut Ctx<'_, '_>, _: &Op) -> OpResult {
     Ok(Step::Barrier)
 }
 
-pub(super) fn ret(_: &mut [u64], _: &mut Ctx<'_, '_>, _: &Op) -> Result<Step, Fault> {
+fn ret<const L: usize>(_: &mut [u64], _: &mut Ctx<'_, '_>, _: &Op) -> OpResult {
     Ok(Step::Done)
 }
+
+pub(super) const MOV: OpFns = op!(mov);
+pub(super) const NOP: OpFns = op!(nop);
+pub(super) const JUMP: OpFns = op!(jump);
+pub(super) const BRANCH: OpFns = op!(branch);
+pub(super) const BARRIER: OpFns = op!(barrier);
+pub(super) const RET: OpFns = op!(ret);
 
 // Integer arithmetic, in `i64` like `bin_op`.
 
@@ -542,35 +706,41 @@ int_bin!(IMax, |x, y, T| Some(if T::UNSIGNED {
 /// The division-by-zero error, from the helper that owns its text.
 #[cold]
 #[inline(never)]
-fn div_by_zero(ctx: &mut Ctx<'_, '_>) -> Fault {
-    let e = bin_op(BinKind::Div, ScalarType::I64, Value::I64(0), Value::I64(0))
-        .expect_err("division by zero");
-    ctx.fail(e)
+fn div_by_zero() -> ExecError {
+    bin_op(BinKind::Div, ScalarType::I64, Value::I64(0), Value::I64(0))
+        .expect_err("division by zero")
 }
 
 /// `dst = a <O> b` at integer type `T` (`min`/`max` included: `math2`
 /// at an integer type is the same widen, operate, re-normalize).
-fn int_bin<T: Int, O: IntBin>(
+fn int_bin<const L: usize, T: Int, O: IntBin>(
     regs: &mut [u64],
     ctx: &mut Ctx<'_, '_>,
     op: &Op,
-) -> Result<Step, Fault> {
-    let (x, y) = (get(regs, op.a) as i64, get(regs, op.b) as i64);
-    match O::apply::<T>(x, y) {
-        Some(r) => set(regs, op.dst, T::from_i64(r)),
-        None => Err(div_by_zero(ctx)),
+) -> OpResult {
+    let (a, b) = (get::<L>(regs, op.a), get::<L>(regs, op.b));
+    let mut out = [0; L];
+    for l in 0..L {
+        match O::apply::<T>(a[l] as i64, b[l] as i64) {
+            Some(r) => out[l] = T::from_i64(r),
+            None => return Err(ctx.halt::<L>(div_by_zero)),
+        }
     }
+    set(regs, op.dst, out)
 }
 
 /// `dst = a * b + c` at integer type `T`: two `bin_op`s in one op.
-fn int_mul_add<T: Int>(regs: &mut [u64], _: &mut Ctx<'_, '_>, op: &Op) -> Result<Step, Fault> {
-    let (x, y, z) = (
-        get(regs, op.a) as i64,
-        get(regs, op.b) as i64,
-        get(regs, op.c) as i64,
+fn int_mul_add<const L: usize, T: Int>(regs: &mut [u64], _: &mut Ctx<'_, '_>, op: &Op) -> OpResult {
+    let (a, b, c) = (
+        get::<L>(regs, op.a),
+        get::<L>(regs, op.b),
+        get::<L>(regs, op.c),
     );
-    let m = T::from_i64(x.wrapping_mul(y)) as i64;
-    set(regs, op.dst, T::from_i64(m.wrapping_add(z)))
+    let v: [u64; L] = std::array::from_fn(|l| {
+        let m = T::from_i64((a[l] as i64).wrapping_mul(b[l] as i64)) as i64;
+        T::from_i64(m.wrapping_add(c[l] as i64))
+    });
+    set(regs, op.dst, v)
 }
 
 // Float arithmetic. `bin_op` computes `float` in `f32` after an
@@ -719,43 +889,43 @@ float_bin!(FDiv, Div, /);
 
 /// `dst = a <O> b` at float type `F`. A NaN operand makes the result a
 /// NaN, so the result is the only thing to test.
-fn float_bin<F: Float, O: FloatBin>(
+fn float_bin<const L: usize, F: Float, O: FloatBin>(
     regs: &mut [u64],
     _: &mut Ctx<'_, '_>,
     op: &Op,
-) -> Result<Step, Fault> {
-    let (a, b) = (get(regs, op.a), get(regs, op.b));
-    let r = O::apply(F::val(a), F::val(b));
-    let v = if r.is_nan() {
-        bin_by_helper(O::KIND, F::TY, F::value(a), F::value(b))
-    } else {
-        F::reg(r)
-    };
+) -> OpResult {
+    let v = zip_patched(
+        get::<L>(regs, op.a),
+        get::<L>(regs, op.b),
+        |a, b| F::reg(O::apply(F::val(a), F::val(b))),
+        |_, _, r| F::val(r).is_nan(),
+        |a, b| bin_by_helper(O::KIND, F::TY, F::value(a), F::value(b)),
+    );
     set(regs, op.dst, v)
 }
 
 /// The function for `Instr::Bin(kind, ty)`, or `None` where `bin_op`
 /// rejects the pair (an integer-only operator at a float type).
-pub(super) fn bin_fn(kind: BinKind, ty: ScalarType) -> Option<OpFn> {
+pub(super) fn bin_fn(kind: BinKind, ty: ScalarType) -> Option<OpFns> {
     Some(with_int!(
         ty,
         T => match kind {
-            BinKind::Add => int_bin::<T, IAdd> as OpFn,
-            BinKind::Sub => int_bin::<T, ISub>,
-            BinKind::Mul => int_bin::<T, IMul>,
-            BinKind::Div => int_bin::<T, IDiv>,
-            BinKind::Rem => int_bin::<T, IRem>,
-            BinKind::Shl => int_bin::<T, IShl>,
-            BinKind::Shr => int_bin::<T, IShr>,
-            BinKind::And => int_bin::<T, IAnd>,
-            BinKind::Or => int_bin::<T, IOr>,
-            BinKind::Xor => int_bin::<T, IXor>,
+            BinKind::Add => op!(int_bin::<T, IAdd>),
+            BinKind::Sub => op!(int_bin::<T, ISub>),
+            BinKind::Mul => op!(int_bin::<T, IMul>),
+            BinKind::Div => op!(int_bin::<T, IDiv>),
+            BinKind::Rem => op!(int_bin::<T, IRem>),
+            BinKind::Shl => op!(int_bin::<T, IShl>),
+            BinKind::Shr => op!(int_bin::<T, IShr>),
+            BinKind::And => op!(int_bin::<T, IAnd>),
+            BinKind::Or => op!(int_bin::<T, IOr>),
+            BinKind::Xor => op!(int_bin::<T, IXor>),
         },
         with_float!(ty, F => match kind {
-            BinKind::Add => float_bin::<F, FAdd>,
-            BinKind::Sub => float_bin::<F, FSub>,
-            BinKind::Mul => float_bin::<F, FMul>,
-            BinKind::Div => float_bin::<F, FDiv>,
+            BinKind::Add => op!(float_bin::<F, FAdd>),
+            BinKind::Sub => op!(float_bin::<F, FSub>),
+            BinKind::Mul => op!(float_bin::<F, FMul>),
+            BinKind::Div => op!(float_bin::<F, FDiv>),
             _ => return None,
         })
     ))
@@ -763,8 +933,8 @@ pub(super) fn bin_fn(kind: BinKind, ty: ScalarType) -> Option<OpFn> {
 
 /// `a * b + c` at integer type `ty` (addition commutes exactly there, so
 /// `c + a * b` is the same op); `None` at a float type.
-pub(super) fn int_mul_add_fn(ty: ScalarType) -> Option<OpFn> {
-    with_int!(ty, T => Some(int_mul_add::<T>), None)
+pub(super) fn int_mul_add_fn(ty: ScalarType) -> Option<OpFns> {
+    with_int!(ty, T => Some(op!(int_mul_add::<T>)), None)
 }
 
 // Comparisons: how `cmp_op` orders operands of one type.
@@ -848,26 +1018,28 @@ rel!(RGt, >);
 rel!(RGe, >=);
 
 /// `dst = a <R> b` as a `bool`.
-fn compare<D: Domain, R: Rel>(
+fn compare<const L: usize, D: Domain, R: Rel>(
     regs: &mut [u64],
     _: &mut Ctx<'_, '_>,
     op: &Op,
-) -> Result<Step, Fault> {
-    let r = R::holds(D::val(get(regs, op.a)), D::val(get(regs, op.b)));
-    set(regs, op.dst, u64::from(r))
+) -> OpResult {
+    let v = zip(get::<L>(regs, op.a), get::<L>(regs, op.b), |a, b| {
+        u64::from(R::holds(D::val(a), D::val(b)))
+    });
+    set(regs, op.dst, v)
 }
 
 /// The function for `Instr::Cmp(kind, _)` in `class`.
-pub(super) fn cmp_fn(kind: CmpKind, class: CmpClass) -> OpFn {
+pub(super) fn cmp_fn(kind: CmpKind, class: CmpClass) -> OpFns {
     macro_rules! rels {
         ($D:ident) => {
             match kind {
-                CmpKind::Eq => compare::<$D, REq> as OpFn,
-                CmpKind::Ne => compare::<$D, RNe>,
-                CmpKind::Lt => compare::<$D, RLt>,
-                CmpKind::Le => compare::<$D, RLe>,
-                CmpKind::Gt => compare::<$D, RGt>,
-                CmpKind::Ge => compare::<$D, RGe>,
+                CmpKind::Eq => op!(compare::<$D, REq>),
+                CmpKind::Ne => op!(compare::<$D, RNe>),
+                CmpKind::Lt => op!(compare::<$D, RLt>),
+                CmpKind::Le => op!(compare::<$D, RLe>),
+                CmpKind::Gt => op!(compare::<$D, RGt>),
+                CmpKind::Ge => op!(compare::<$D, RGe>),
             }
         };
     }
@@ -883,89 +1055,95 @@ pub(super) fn cmp_fn(kind: CmpKind, class: CmpClass) -> OpFn {
 
 /// `ops::neg_op` at a float type. Off a NaN, the helper's round trip
 /// through `f64` is the identity and negation flips the sign bit.
-fn neg_float<F: Float>(regs: &mut [u64], _: &mut Ctx<'_, '_>, op: &Op) -> Result<Step, Fault> {
-    let a = get(regs, op.a);
-    let x = F::val(a);
-    let v = if x.is_nan() {
-        neg_by_helper(F::TY, F::value(a))
-    } else {
-        F::reg(-x)
-    };
+fn neg_float<const L: usize, F: Float>(regs: &mut [u64], _: &mut Ctx<'_, '_>, op: &Op) -> OpResult {
+    let a = get::<L>(regs, op.a);
+    let v = zip_patched(
+        a,
+        a,
+        |a, _| F::reg(-F::val(a)),
+        |a, _, _| F::val(a).is_nan(),
+        |a, _| neg_by_helper(F::TY, F::value(a)),
+    );
     set(regs, op.dst, v)
 }
 
 /// `ops::neg_op` at an integer type: negating in `i64` and truncating
 /// equals truncating and negating.
-fn neg_int<T: Int>(regs: &mut [u64], _: &mut Ctx<'_, '_>, op: &Op) -> Result<Step, Fault> {
-    let v = T::from_i64((get(regs, op.a) as i64).wrapping_neg());
+fn neg_int<const L: usize, T: Int>(regs: &mut [u64], _: &mut Ctx<'_, '_>, op: &Op) -> OpResult {
+    let v = get::<L>(regs, op.a).map(|a| T::from_i64((a as i64).wrapping_neg()));
     set(regs, op.dst, v)
 }
 
 /// Negating `bool` yields `int`, like the helper.
-fn neg_bool(regs: &mut [u64], _: &mut Ctx<'_, '_>, op: &Op) -> Result<Step, Fault> {
-    let v = -i64::from(get(regs, op.a) != 0);
-    set(regs, op.dst, I32T::from_i64(v))
+fn neg_bool<const L: usize>(regs: &mut [u64], _: &mut Ctx<'_, '_>, op: &Op) -> OpResult {
+    let v = get::<L>(regs, op.a).map(|a| I32T::from_i64(-i64::from(a != 0)));
+    set(regs, op.dst, v)
 }
 
-pub(super) fn neg_fn(ty: ScalarType) -> OpFn {
+pub(super) fn neg_fn(ty: ScalarType) -> OpFns {
     if ty == ScalarType::Bool {
-        return neg_bool;
+        return op!(neg_bool);
     }
-    with_int!(ty, T => neg_int::<T>, with_float!(ty, F => neg_float::<F>))
+    with_int!(ty, T => op!(neg_int::<T>), with_float!(ty, F => op!(neg_float::<F>)))
 }
 
 /// `int_value(!to_i64_lossy(a), T)`
-fn bit_not<T: Scalar>(regs: &mut [u64], _: &mut Ctx<'_, '_>, op: &Op) -> Result<Step, Fault> {
-    let v = T::from_i64(!T::to_i64(get(regs, op.a)));
+fn bit_not<const L: usize, T: Scalar>(regs: &mut [u64], _: &mut Ctx<'_, '_>, op: &Op) -> OpResult {
+    let v = get::<L>(regs, op.a).map(|a| T::from_i64(!T::to_i64(a)));
     set(regs, op.dst, v)
 }
 
-pub(super) fn bit_not_fn(ty: ScalarType) -> OpFn {
-    with_scalar!(ty, T => bit_not::<T>)
+pub(super) fn bit_not_fn(ty: ScalarType) -> OpFns {
+    with_scalar!(ty, T => op!(bit_not::<T>))
 }
 
 /// `dst = !a` on a `bool` register.
-pub(super) fn not_bool(regs: &mut [u64], _: &mut Ctx<'_, '_>, op: &Op) -> Result<Step, Fault> {
-    let v = get(regs, op.a) ^ 1;
+fn not_bool<const L: usize>(regs: &mut [u64], _: &mut Ctx<'_, '_>, op: &Op) -> OpResult {
+    let v = get::<L>(regs, op.a).map(|a| a ^ 1);
     set(regs, op.dst, v)
 }
 
+pub(super) const NOT_BOOL: OpFns = op!(not_bool);
+
 /// `Value::cast`: through `f64` when either side is a float, through
 /// `i64` otherwise.
-fn cast<S: Scalar, D: Scalar>(
+fn cast<const L: usize, S: Scalar, D: Scalar>(
     regs: &mut [u64],
     _: &mut Ctx<'_, '_>,
     op: &Op,
-) -> Result<Step, Fault> {
-    let r = get(regs, op.a);
-    let v = if S::FLOAT || D::FLOAT {
-        D::from_f64(S::to_f64(r))
-    } else {
-        D::from_i64(S::to_i64(r))
-    };
+) -> OpResult {
+    let v = get::<L>(regs, op.a).map(|r| {
+        if S::FLOAT || D::FLOAT {
+            D::from_f64(S::to_f64(r))
+        } else {
+            D::from_i64(S::to_i64(r))
+        }
+    });
     set(regs, op.dst, v)
 }
 
 /// A float-to-float cast: the only kind that hands a NaN through.
-fn cast_float<S: Float, D: Float>(
+fn cast_float<const L: usize, S: Float, D: Float>(
     regs: &mut [u64],
     _: &mut Ctx<'_, '_>,
     op: &Op,
-) -> Result<Step, Fault> {
-    let r = get(regs, op.a);
-    let v = if S::val(r).is_nan() {
-        cast_by_helper(S::value(r), D::TY)
-    } else {
-        D::from_f64(S::to_f64(r))
-    };
+) -> OpResult {
+    let a = get::<L>(regs, op.a);
+    let v = zip_patched(
+        a,
+        a,
+        |a, _| D::from_f64(S::to_f64(a)),
+        |a, _, _| S::val(a).is_nan(),
+        |a, _| cast_by_helper(S::value(a), D::TY),
+    );
     set(regs, op.dst, v)
 }
 
-pub(super) fn cast_fn(from: ScalarType, to: ScalarType) -> OpFn {
+pub(super) fn cast_fn(from: ScalarType, to: ScalarType) -> OpFns {
     if from.is_float() && to.is_float() {
-        return with_float!(from, S => with_float!(to, D => cast_float::<S, D>));
+        return with_float!(from, S => with_float!(to, D => op!(cast_float::<S, D>)));
     }
-    with_scalar!(from, S => with_scalar!(to, D => cast::<S, D>))
+    with_scalar!(from, S => with_scalar!(to, D => op!(cast::<S, D>)))
 }
 
 // Math builtins, computed in `f64` and narrowed like `ops::math1/math2`.
@@ -1002,44 +1180,46 @@ fn1!(Ceil, |x| x.ceil());
 
 /// Every one-argument builtin maps a NaN to a NaN, so the result is the
 /// only thing to test.
-fn float_math1<F: Float, M: Fn1>(
+fn float_math1<const L: usize, F: Float, M: Fn1>(
     regs: &mut [u64],
     _: &mut Ctx<'_, '_>,
     op: &Op,
-) -> Result<Step, Fault> {
-    let a = get(regs, op.a);
-    let r = M::f(F::to_f64(a));
-    let v = if r.is_nan() {
-        math1_by_helper(M::KIND, F::TY, F::value(a))
-    } else {
-        F::from_f64(r)
-    };
+) -> OpResult {
+    // The narrowed result is a NaN exactly when the `f64` one is.
+    let a = get::<L>(regs, op.a);
+    let v = zip_patched(
+        a,
+        a,
+        |a, _| F::from_f64(M::f(F::to_f64(a))),
+        |_, _, r| F::val(r).is_nan(),
+        |a, _| math1_by_helper(M::KIND, F::TY, F::value(a)),
+    );
     set(regs, op.dst, v)
 }
 
 /// `math1` at an integer type is `abs`, whatever the builtin.
-fn int_abs<T: Int>(regs: &mut [u64], _: &mut Ctx<'_, '_>, op: &Op) -> Result<Step, Fault> {
-    let v = T::from_i64((get(regs, op.a) as i64).wrapping_abs());
+fn int_abs<const L: usize, T: Int>(regs: &mut [u64], _: &mut Ctx<'_, '_>, op: &Op) -> OpResult {
+    let v = get::<L>(regs, op.a).map(|a| T::from_i64((a as i64).wrapping_abs()));
     set(regs, op.dst, v)
 }
 
 /// The function for `CallMath1(m, ty)`; `ty` is `int`-like or a float.
-pub(super) fn math1_fn(m: Math1, ty: ScalarType) -> OpFn {
+pub(super) fn math1_fn(m: Math1, ty: ScalarType) -> OpFns {
     with_int!(
         ty,
-        T => int_abs::<T> as OpFn,
+        T => op!(int_abs::<T>),
         with_float!(ty, F => match m {
-            Math1::Sqrt => float_math1::<F, Sqrt>,
-            Math1::Rsqrt => float_math1::<F, Rsqrt>,
-            Math1::Abs => float_math1::<F, Abs>,
-            Math1::Exp => float_math1::<F, Exp>,
-            Math1::Log => float_math1::<F, Log>,
-            Math1::Log2 => float_math1::<F, Log2>,
-            Math1::Sin => float_math1::<F, Sin>,
-            Math1::Cos => float_math1::<F, Cos>,
-            Math1::Tan => float_math1::<F, Tan>,
-            Math1::Floor => float_math1::<F, Floor>,
-            Math1::Ceil => float_math1::<F, Ceil>,
+            Math1::Sqrt => op!(float_math1::<F, Sqrt>),
+            Math1::Rsqrt => op!(float_math1::<F, Rsqrt>),
+            Math1::Abs => op!(float_math1::<F, Abs>),
+            Math1::Exp => op!(float_math1::<F, Exp>),
+            Math1::Log => op!(float_math1::<F, Log>),
+            Math1::Log2 => op!(float_math1::<F, Log2>),
+            Math1::Sin => op!(float_math1::<F, Sin>),
+            Math1::Cos => op!(float_math1::<F, Cos>),
+            Math1::Tan => op!(float_math1::<F, Tan>),
+            Math1::Floor => op!(float_math1::<F, Floor>),
+            Math1::Ceil => op!(float_math1::<F, Ceil>),
         })
     )
 }
@@ -1069,37 +1249,36 @@ fn2!(Fmod, |x, y| x % y);
 
 /// `fmin`, `fmax` and `pow` can return a number for a NaN operand, so
 /// the operands are tested as well as the result.
-fn float_math2<F: Float, M: Fn2>(
+fn float_math2<const L: usize, F: Float, M: Fn2>(
     regs: &mut [u64],
     _: &mut Ctx<'_, '_>,
     op: &Op,
-) -> Result<Step, Fault> {
-    let (a, b) = (get(regs, op.a), get(regs, op.b));
-    let (x, y) = (F::to_f64(a), F::to_f64(b));
-    let r = M::f(x, y);
-    let v = if x.is_nan() || y.is_nan() || r.is_nan() {
-        math2_by_helper(M::KIND, F::TY, F::value(a), F::value(b))
-    } else {
-        F::from_f64(r)
-    };
+) -> OpResult {
+    let v = zip_patched(
+        get::<L>(regs, op.a),
+        get::<L>(regs, op.b),
+        |a, b| F::from_f64(M::f(F::to_f64(a), F::to_f64(b))),
+        |a, b, r| F::val(a).is_nan() || F::val(b).is_nan() || F::val(r).is_nan(),
+        |a, b| math2_by_helper(M::KIND, F::TY, F::value(a), F::value(b)),
+    );
     set(regs, op.dst, v)
 }
 
 /// The function for `CallMath2(m, ty)`, or `None` for a float-only
 /// builtin at an integer type (`math2` panics there).
-pub(super) fn math2_fn(m: Math2, ty: ScalarType) -> Option<OpFn> {
+pub(super) fn math2_fn(m: Math2, ty: ScalarType) -> Option<OpFns> {
     Some(with_int!(
         ty,
         T => match m {
-            Math2::Min => int_bin::<T, IMin> as OpFn,
-            Math2::Max => int_bin::<T, IMax>,
+            Math2::Min => op!(int_bin::<T, IMin>),
+            Math2::Max => op!(int_bin::<T, IMax>),
             Math2::Pow | Math2::Fmod => return None,
         },
         with_float!(ty, F => match m {
-            Math2::Pow => float_math2::<F, Pow>,
-            Math2::Min => float_math2::<F, Min>,
-            Math2::Max => float_math2::<F, Max>,
-            Math2::Fmod => float_math2::<F, Fmod>,
+            Math2::Pow => op!(float_math2::<F, Pow>),
+            Math2::Min => op!(float_math2::<F, Min>),
+            Math2::Max => op!(float_math2::<F, Max>),
+            Math2::Fmod => op!(float_math2::<F, Fmod>),
         })
     ))
 }
@@ -1108,17 +1287,27 @@ pub(super) fn math2_fn(m: Math2, ty: ScalarType) -> Option<OpFn> {
 // register form; a store needs only the element's size.
 
 /// `dst = a + b` on element offsets (`b` any integer but `ulong`).
-pub(super) fn ptr_add(regs: &mut [u64], _: &mut Ctx<'_, '_>, op: &Op) -> Result<Step, Fault> {
-    let v = (get(regs, op.a) as i64).wrapping_add(get(regs, op.b) as i64);
-    set(regs, op.dst, v as u64)
+fn ptr_add<const L: usize>(regs: &mut [u64], _: &mut Ctx<'_, '_>, op: &Op) -> OpResult {
+    let v = zip(
+        get::<L>(regs, op.a),
+        get::<L>(regs, op.b),
+        u64::wrapping_add,
+    );
+    set(regs, op.dst, v)
 }
 
 /// [`ptr_add`] with a `ulong` index, which must fit `i64`.
-pub(super) fn ptr_add_u64(regs: &mut [u64], ctx: &mut Ctx<'_, '_>, op: &Op) -> Result<Step, Fault> {
-    let idx = ctx.index_u64(get(regs, op.b))?;
-    let v = (get(regs, op.a) as i64).wrapping_add(idx);
-    set(regs, op.dst, v as u64)
+fn ptr_add_u64<const L: usize>(regs: &mut [u64], ctx: &mut Ctx<'_, '_>, op: &Op) -> OpResult {
+    let (a, b) = (get::<L>(regs, op.a), get::<L>(regs, op.b));
+    let mut out = [0; L];
+    for l in 0..L {
+        out[l] = a[l].wrapping_add(ctx.index_u64::<L>(b[l])? as u64);
+    }
+    set(regs, op.dst, out)
 }
+
+pub(super) const PTR_ADD: OpFns = op!(ptr_add);
+pub(super) const PTR_ADD_U64: OpFns = op!(ptr_add_u64);
 
 trait Widen<const N: usize> {
     fn widen(bytes: [u8; N]) -> u64;
@@ -1156,25 +1345,36 @@ impl Widen<8> for Zeroed {
     }
 }
 
+/// The one root id in register `r`: lanes that took the same ops hold
+/// the same roots.
+#[inline(always)]
+fn root_of<const L: usize>(regs: &[u64], r: u32) -> Result<u64, Halt> {
+    uniform(get::<L>(regs, r)).ok_or(Halt::Split(SplitCause::Root))
+}
+
 /// `dst = root(c)[a]`
-fn load<const N: usize, W: Widen<N>>(
+fn load<const L: usize, const N: usize, W: Widen<N>>(
     regs: &mut [u64],
     ctx: &mut Ctx<'_, '_>,
     op: &Op,
-) -> Result<Step, Fault> {
-    let bytes = ctx.read::<N>(get(regs, op.c), get(regs, op.a) as i64)?;
-    set(regs, op.dst, W::widen(bytes))
+) -> OpResult {
+    let bytes = ctx.read::<L, N>(root_of::<L>(regs, op.c)?, get(regs, op.a))?;
+    set(regs, op.dst, bytes.map(W::widen))
 }
 
 /// `dst = root(c)[a + b]`: [`ptr_add`] folded into the load.
-fn load_indexed<const N: usize, W: Widen<N>>(
+fn load_indexed<const L: usize, const N: usize, W: Widen<N>>(
     regs: &mut [u64],
     ctx: &mut Ctx<'_, '_>,
     op: &Op,
-) -> Result<Step, Fault> {
-    let off = (get(regs, op.a) as i64).wrapping_add(get(regs, op.b) as i64);
-    let bytes = ctx.read::<N>(get(regs, op.c), off)?;
-    set(regs, op.dst, W::widen(bytes))
+) -> OpResult {
+    let offs = zip(
+        get::<L>(regs, op.a),
+        get::<L>(regs, op.b),
+        u64::wrapping_add,
+    );
+    let bytes = ctx.read::<L, N>(root_of::<L>(regs, op.c)?, &offs)?;
+    set(regs, op.dst, bytes.map(W::widen))
 }
 
 /// The low `N` bytes of a canonical register are the element's bytes
@@ -1185,56 +1385,70 @@ fn narrow<const N: usize>(r: u64) -> [u8; N] {
 }
 
 /// `root(c)[a] = d`
-fn store<const N: usize>(regs: &mut [u64], ctx: &mut Ctx<'_, '_>, op: &Op) -> Result<Step, Fault> {
-    ctx.write::<N>(
-        get(regs, op.c),
-        get(regs, op.a) as i64,
-        narrow(get(regs, op.d)),
-    )?;
+fn store<const L: usize, const N: usize>(
+    regs: &mut [u64],
+    ctx: &mut Ctx<'_, '_>,
+    op: &Op,
+) -> OpResult {
+    let vals = get::<L>(regs, op.d).map(narrow::<N>);
+    ctx.write::<L, N>(root_of::<L>(regs, op.c)?, get(regs, op.a), vals)?;
     Ok(Step::Next)
 }
 
 /// `root(c)[a + b] = d`
-fn store_indexed<const N: usize>(
+fn store_indexed<const L: usize, const N: usize>(
     regs: &mut [u64],
     ctx: &mut Ctx<'_, '_>,
     op: &Op,
-) -> Result<Step, Fault> {
-    let off = (get(regs, op.a) as i64).wrapping_add(get(regs, op.b) as i64);
-    ctx.write::<N>(get(regs, op.c), off, narrow(get(regs, op.d)))?;
+) -> OpResult {
+    let offs = zip(
+        get::<L>(regs, op.a),
+        get::<L>(regs, op.b),
+        u64::wrapping_add,
+    );
+    let vals = get::<L>(regs, op.d).map(narrow::<N>);
+    ctx.write::<L, N>(root_of::<L>(regs, op.c)?, &offs, vals)?;
     Ok(Step::Next)
 }
 
 /// `(load, load_indexed)` for elements of type `elem`.
-pub(super) fn load_fns(elem: ScalarType) -> (OpFn, OpFn) {
+pub(super) fn load_fns(elem: ScalarType) -> (OpFns, OpFns) {
+    macro_rules! loads {
+        ($N:tt, $W:tt) => {
+            (op!(load::<$N, $W>), op!(load_indexed::<$N, $W>))
+        };
+    }
     match elem {
-        ScalarType::Bool => (load::<1, BoolByte>, load_indexed::<1, BoolByte>),
-        ScalarType::I32 => (load::<4, SignedWord>, load_indexed::<4, SignedWord>),
-        ScalarType::U32 | ScalarType::F32 => (load::<4, Zeroed>, load_indexed::<4, Zeroed>),
-        ScalarType::I64 | ScalarType::U64 | ScalarType::F64 => {
-            (load::<8, Zeroed>, load_indexed::<8, Zeroed>)
-        }
+        ScalarType::Bool => loads!(1, BoolByte),
+        ScalarType::I32 => loads!(4, SignedWord),
+        ScalarType::U32 | ScalarType::F32 => loads!(4, Zeroed),
+        ScalarType::I64 | ScalarType::U64 | ScalarType::F64 => loads!(8, Zeroed),
     }
 }
 
 /// `(store, store_indexed)` for elements of type `elem`.
-pub(super) fn store_fns(elem: ScalarType) -> (OpFn, OpFn) {
+pub(super) fn store_fns(elem: ScalarType) -> (OpFns, OpFns) {
     match elem.size_bytes() {
-        1 => (store::<1>, store_indexed::<1>),
-        4 => (store::<4>, store_indexed::<4>),
-        _ => (store::<8>, store_indexed::<8>),
+        1 => (op!(store::<1>), op!(store_indexed::<1>)),
+        4 => (op!(store::<4>), op!(store_indexed::<4>)),
+        _ => (op!(store::<8>), op!(store_indexed::<8>)),
     }
 }
 
 /// `dst = geometry[b + min(a, 2)]` for a dimension only known at run
 /// time; `c != 0` when the dimension is a `ulong` that must fit `i64`.
-pub(super) fn query(regs: &mut [u64], ctx: &mut Ctx<'_, '_>, op: &Op) -> Result<Step, Fault> {
-    let dim = get(regs, op.a);
-    let dim = if op.c != 0 {
-        ctx.index_u64(dim)?
-    } else {
-        dim as i64
-    };
-    let v = get(regs, op.b + (dim as usize).min(2) as u32);
-    set(regs, op.dst, v)
+fn query<const L: usize>(regs: &mut [u64], ctx: &mut Ctx<'_, '_>, op: &Op) -> OpResult {
+    let dims = get::<L>(regs, op.a);
+    let mut out = [0; L];
+    for (l, (v, &dim)) in out.iter_mut().zip(dims).enumerate() {
+        let dim = if op.c != 0 {
+            ctx.index_u64::<L>(dim)?
+        } else {
+            dim as i64
+        };
+        *v = get::<L>(regs, op.b + (dim as usize).min(2) as u32)[l];
+    }
+    set(regs, op.dst, out)
 }
+
+pub(super) const QUERY: OpFns = op!(query);

@@ -463,15 +463,8 @@ impl NodeLink {
             let labels = [("node", self.name.as_str()), ("plane", plane_label(plane))];
             let depth = self.shared.depth[lane(plane)].load(Ordering::Relaxed);
             metrics.set_gauge(names::LINK_PENDING, &labels, depth as i64);
-            // Counters only move forward: add what the registry has not
-            // seen yet.
             let foreign = self.shared.foreign[lane(plane)].load(Ordering::Relaxed);
-            let seen = metrics.counter_value(names::LINK_FOREIGN_COMPLETIONS, &labels);
-            metrics.inc_counter(
-                names::LINK_FOREIGN_COMPLETIONS,
-                &labels,
-                foreign.saturating_sub(seen),
-            );
+            metrics.advance_counter(names::LINK_FOREIGN_COMPLETIONS, &labels, foreign);
         }
     }
 

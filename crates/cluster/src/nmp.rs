@@ -36,7 +36,7 @@ use haocl_device::wire::{cost_from_wire, range_from_wire};
 use haocl_device::{presets, LaunchPart, SimDevice};
 use haocl_kernel::{Kernel, KernelRegistry};
 use haocl_net::{host_name_of, Conn, Fabric, Listener, NetError};
-use haocl_obs::SpanId;
+use haocl_obs::{names, SpanId};
 use haocl_proto::ids::{KernelId, ProgramId, RequestId, UserId};
 use haocl_proto::messages::{
     status, ApiCall, ApiReply, Envelope, Request, Response, WireAccessPattern, WireArgEffect,
@@ -238,6 +238,21 @@ impl Drop for NmpHandle {
 impl std::fmt::Debug for NmpHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "NmpHandle({} @ {})", self.name, self.addr)
+    }
+}
+
+/// Copies the VM's lockstep self-report into `metrics` as
+/// `haocl_vm_lockstep_{chunks,splits,refused}_total`. The VM counts in
+/// plain atomics, process-wide, so this runs when somebody scrapes and
+/// the series speak for every node this process hosts.
+pub fn export_vm_metrics(metrics: &haocl_obs::Registry) {
+    let stats = haocl_clc::vm::lockstep_stats();
+    metrics.advance_counter(names::VM_LOCKSTEP_CHUNKS, &[], stats.chunks);
+    for (cause, n) in stats.splits {
+        metrics.advance_counter(names::VM_LOCKSTEP_SPLITS, &[("cause", cause)], n);
+    }
+    for (reason, n) in stats.refused {
+        metrics.advance_counter(names::VM_LOCKSTEP_REFUSED, &[("reason", reason)], n);
     }
 }
 
@@ -1234,6 +1249,52 @@ mod tests {
         let handle = NmpHandle::spawn(&fabric, &config.nodes[0], KernelRegistry::new()).unwrap();
         let conn = fabric.connect("10.0.0.1", &config.nodes[0].addr).unwrap();
         (fabric, handle, conn)
+    }
+
+    /// The VM counts process-wide and other tests launch too, so this
+    /// checks the series exist, cover this test's launches, and that a
+    /// second scrape adds only what happened in between.
+    #[test]
+    fn vm_lockstep_counters_render_at_scrape_time() {
+        use haocl_kernel::{ArgValue, GlobalBuffer, NdRange};
+        let program = haocl_clc::compile(
+            "__kernel void twice(__global float* y) { int i = get_global_id(0); y[i] = y[i] * 2.0f; }
+             __kernel void spread(__global float* y) { int i = get_global_id(0); y[i / 2] = 1.0f; }",
+        )
+        .unwrap();
+        let range = NdRange::linear(128, 64);
+        let launch = |name: &str| {
+            let mut buffers = [GlobalBuffer::zeroed(4 * 128)];
+            let kernel = program.kernel(name).unwrap();
+            haocl_clc::vm::run_ndrange(kernel, &[ArgValue::global(0)], &mut buffers, &range)
+                .unwrap();
+        };
+        let lanes = haocl_clc::vm::lockstep_stats().lanes;
+        let metrics = haocl_obs::Registry::new();
+        export_vm_metrics(&metrics);
+        let pattern = [("reason", "pattern")];
+        let chunks = metrics.counter_value(names::VM_LOCKSTEP_CHUNKS, &[]);
+        let refused = metrics.counter_value(names::VM_LOCKSTEP_REFUSED, &pattern);
+        launch("twice");
+        launch("spread");
+        export_vm_metrics(&metrics);
+        assert!(metrics.counter_value(names::VM_LOCKSTEP_CHUNKS, &[]) >= chunks + 128 / lanes);
+        assert!(metrics.counter_value(names::VM_LOCKSTEP_REFUSED, &pattern) > refused);
+        let text = metrics.render();
+        for series in [
+            "haocl_vm_lockstep_chunks_total ",
+            "haocl_vm_lockstep_splits_total{cause=\"branch\"} ",
+            "haocl_vm_lockstep_splits_total{cause=\"fault\"} ",
+            "haocl_vm_lockstep_splits_total{cause=\"root\"} ",
+            "haocl_vm_lockstep_refused_total{reason=\"no_effects\"} ",
+            "haocl_vm_lockstep_refused_total{reason=\"incomplete\"} ",
+            "haocl_vm_lockstep_refused_total{reason=\"aliased\"} ",
+            "haocl_vm_lockstep_refused_total{reason=\"pattern\"} ",
+            "haocl_vm_lockstep_refused_total{reason=\"barrier\"} ",
+            "haocl_vm_lockstep_refused_total{reason=\"local\"} ",
+        ] {
+            assert!(text.contains(series), "no `{series}` in:\n{text}");
+        }
     }
 
     #[test]

@@ -608,22 +608,15 @@ impl Platform {
     }
 
     /// Renders the metric registry in Prometheus text format, after
-    /// folding in the fabric's cumulative transmit counters and the
-    /// backbone links' self-reports.
+    /// folding in the fabric's cumulative transmit counters, the
+    /// backbone links' self-reports and the node VMs'.
     pub fn render_metrics(&self) -> String {
         self.inner.host().export_link_metrics();
         let stats = self.inner.cluster.fabric().stats();
         let m = &self.inner.obs.metrics;
-        // Counters only move forward, so syncing an external snapshot is
-        // an increment by the delta observed since the last render.
-        let frames_behind = stats
-            .frames
-            .saturating_sub(m.counter_value(names::FABRIC_FRAMES, &[]));
-        m.inc_counter(names::FABRIC_FRAMES, &[], frames_behind);
-        let bytes_behind = stats
-            .charged_bytes
-            .saturating_sub(m.counter_value(names::FABRIC_BYTES, &[]));
-        m.inc_counter(names::FABRIC_BYTES, &[], bytes_behind);
+        haocl_cluster::nmp::export_vm_metrics(m);
+        m.advance_counter(names::FABRIC_FRAMES, &[], stats.frames);
+        m.advance_counter(names::FABRIC_BYTES, &[], stats.charged_bytes);
         m.render()
     }
 

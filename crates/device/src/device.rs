@@ -3,12 +3,12 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
-use haocl_kernel::{ArgValue, CostModel, ExecError, GlobalBuffer, Kernel, NdRange};
+use haocl_kernel::{ArgValue, CostModel, ExecError, Kernel, NdRange};
 use haocl_proto::ids::{BufferId, ProgramId};
 use haocl_proto::messages::{DeviceDescriptor, Fidelity, ProfileEntry, WireArg};
 use haocl_sim::{Grant, Resource, SimDuration, SimTime};
 
-use crate::memory::{MemoryError, MemoryManager};
+use crate::memory::{LaunchBuffers, MemoryError, MemoryManager};
 use crate::model::DeviceModel;
 
 /// A failure on the device.
@@ -108,7 +108,7 @@ struct LaunchScratch {
     /// The arguments as the kernel takes them.
     args: Vec<ArgValue>,
     /// The backing stores checked out for the run.
-    buffers: Vec<GlobalBuffer>,
+    taken: LaunchBuffers,
 }
 
 impl SimDevice {
@@ -358,7 +358,7 @@ impl SimDevice {
         let LaunchScratch {
             buffer_ids,
             args: resolved,
-            buffers,
+            taken,
         } = &mut self.scratch;
         // Gather the buffer handles referenced by the arguments.
         buffer_ids.clear();
@@ -366,8 +366,8 @@ impl SimDevice {
             WireArg::Buffer(id) => Some(*id),
             _ => None,
         }));
-        let (mut taken, slots) = self.memory.take_for_launch(buffer_ids)?;
-        let mut slot_iter = slots.into_iter();
+        self.memory.take_for_launch(buffer_ids, taken)?;
+        let mut slot_iter = taken.slots.iter();
         resolved.clear();
         resolved.extend(args.iter().map(|a| match a {
             WireArg::F32(v) => ArgValue::from_f32(*v),
@@ -376,15 +376,10 @@ impl SimDevice {
             WireArg::U32(v) => ArgValue::from_u32(*v),
             WireArg::I64(v) => ArgValue::from_i64(*v),
             WireArg::U64(v) => ArgValue::from_u64(*v),
-            WireArg::Buffer(_) => ArgValue::global(slot_iter.next().expect("slot per buffer arg")),
+            WireArg::Buffer(_) => ArgValue::global(*slot_iter.next().expect("slot per buffer arg")),
             WireArg::LocalBytes(b) => ArgValue::local_bytes(*b as usize),
         }));
-        buffers.clear();
-        buffers.extend(taken.iter_mut().map(|(_, b)| std::mem::take(b)));
-        let result = kernel.execute(resolved, buffers, range);
-        for ((_, slot), buf) in taken.iter_mut().zip(buffers.drain(..)) {
-            *slot = buf;
-        }
+        let result = kernel.execute(resolved, &mut taken.buffers, range);
         self.memory.restore(taken);
         Ok(result?.instructions)
     }

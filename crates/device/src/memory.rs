@@ -182,8 +182,17 @@ pub struct MemoryManager {
 
 /// Buffers checked out by [`MemoryManager::take_for_launch`]: the
 /// deduplicated backing stores plus, per input position, the slot index
-/// its buffer landed in.
-pub type LaunchBuffers = (Vec<(BufferId, GlobalBuffer)>, Vec<usize>);
+/// its buffer landed in. Empty between launches; a caller keeps one for
+/// its storage.
+#[derive(Debug, Default)]
+pub struct LaunchBuffers {
+    /// The id of each buffer in `buffers`.
+    ids: Vec<BufferId>,
+    /// The backing stores, in first-appearance order.
+    pub buffers: Vec<GlobalBuffer>,
+    /// For each id asked for, its index in `buffers`.
+    pub slots: Vec<usize>,
+}
 
 impl MemoryManager {
     /// Creates a store with `capacity` bytes.
@@ -368,8 +377,8 @@ impl MemoryManager {
             .ok_or(MemoryError::UnknownBuffer(id))
     }
 
-    /// Temporarily removes the buffers named by `ids` (deduplicated, in
-    /// first-appearance order) for a kernel launch, returning them with a
+    /// Temporarily moves the buffers named by `ids` (deduplicated, in
+    /// first-appearance order) into `out` for a kernel launch, with a
     /// mapping from each input position to its slot.
     ///
     /// Re-insert with [`MemoryManager::restore`].
@@ -378,7 +387,11 @@ impl MemoryManager {
     ///
     /// [`MemoryError::UnknownBuffer`] if any id is missing (no buffers are
     /// removed in that case).
-    pub fn take_for_launch(&mut self, ids: &[BufferId]) -> Result<LaunchBuffers, MemoryError> {
+    pub fn take_for_launch(
+        &mut self,
+        ids: &[BufferId],
+        out: &mut LaunchBuffers,
+    ) -> Result<(), MemoryError> {
         for id in ids {
             match self.buffers.get(id) {
                 None => return Err(MemoryError::UnknownBuffer(*id)),
@@ -386,25 +399,26 @@ impl MemoryManager {
                 Some(Backing::Real(_)) => {}
             }
         }
-        let mut taken: Vec<(BufferId, GlobalBuffer)> = Vec::new();
-        let mut slots = Vec::with_capacity(ids.len());
+        out.slots.clear();
         for id in ids {
-            if let Some(pos) = taken.iter().position(|(t, _)| t == id) {
-                slots.push(pos);
+            if let Some(pos) = out.ids.iter().position(|t| t == id) {
+                out.slots.push(pos);
             } else {
                 let Some(Backing::Real(buf)) = self.buffers.remove(id) else {
                     unreachable!("checked above");
                 };
-                taken.push((*id, buf));
-                slots.push(taken.len() - 1);
+                out.ids.push(*id);
+                out.buffers.push(buf);
+                out.slots.push(out.ids.len() - 1);
             }
         }
-        Ok((taken, slots))
+        Ok(())
     }
 
-    /// Returns buffers taken by [`MemoryManager::take_for_launch`].
-    pub fn restore(&mut self, taken: Vec<(BufferId, GlobalBuffer)>) {
-        for (id, buf) in taken {
+    /// Returns buffers taken by [`MemoryManager::take_for_launch`],
+    /// leaving `taken` empty.
+    pub fn restore(&mut self, taken: &mut LaunchBuffers) {
+        for (id, buf) in taken.ids.drain(..).zip(taken.buffers.drain(..)) {
             self.buffers.insert(id, Backing::Real(buf));
         }
     }
@@ -512,11 +526,18 @@ mod tests {
         let mut m = MemoryManager::new(100);
         m.alloc(id(1), 4).unwrap();
         m.alloc(id(2), 4).unwrap();
-        let (taken, slots) = m.take_for_launch(&[id(1), id(2), id(1)]).unwrap();
-        assert_eq!(taken.len(), 2);
-        assert_eq!(slots, vec![0, 1, 0]);
+        let mut taken = LaunchBuffers::default();
+        m.take_for_launch(&[id(1), id(2), id(1)], &mut taken)
+            .unwrap();
+        assert_eq!(taken.buffers.len(), 2);
+        assert_eq!(taken.slots, vec![0, 1, 0]);
         assert_eq!(m.buffer_count(), 0);
-        m.restore(taken);
+        m.restore(&mut taken);
+        assert_eq!(m.buffer_count(), 2);
+        // The same storage serves the next launch.
+        m.take_for_launch(&[id(2)], &mut taken).unwrap();
+        assert_eq!((taken.buffers.len(), &taken.slots[..]), (1, &[0][..]));
+        m.restore(&mut taken);
         assert_eq!(m.buffer_count(), 2);
     }
 
@@ -524,10 +545,12 @@ mod tests {
     fn take_for_launch_is_atomic_on_failure() {
         let mut m = MemoryManager::new(100);
         m.alloc(id(1), 4).unwrap();
-        let err = m.take_for_launch(&[id(1), id(9)]).unwrap_err();
+        let mut taken = LaunchBuffers::default();
+        let err = m.take_for_launch(&[id(1), id(9)], &mut taken).unwrap_err();
         assert_eq!(err, MemoryError::UnknownBuffer(id(9)));
         // Nothing was removed.
         assert!(m.contains(id(1)));
+        assert!(taken.buffers.is_empty());
     }
 
     #[test]
@@ -544,7 +567,8 @@ mod tests {
         );
         assert_eq!(m.read(id(1), 0, 1), Err(MemoryError::VirtualBuffer(id(1))));
         assert_eq!(
-            m.take_for_launch(&[id(1)]).unwrap_err(),
+            m.take_for_launch(&[id(1)], &mut LaunchBuffers::default())
+                .unwrap_err(),
             MemoryError::VirtualBuffer(id(1))
         );
         m.free(id(1)).unwrap();

@@ -74,6 +74,17 @@ pub mod names {
     /// for *another* waiter (leader/follower receive), per node and
     /// plane; zero while callers wait one at a time.
     pub const LINK_FOREIGN_COMPLETIONS: &str = "haocl_link_foreign_completions_total";
+    /// Counter: chunks of work-items the VM's compiled engine entered in
+    /// lockstep. Like the two below it is read from the VM at scrape time
+    /// and counts the whole process, so every node hosted in it.
+    pub const VM_LOCKSTEP_CHUNKS: &str = "haocl_vm_lockstep_chunks_total";
+    /// Counter: lockstep chunks whose lanes split and finished one by
+    /// one, by `cause` (`branch`, `fault`, `root`).
+    pub const VM_LOCKSTEP_SPLITS: &str = "haocl_vm_lockstep_splits_total";
+    /// Counter: launches wide enough for lockstep that its gate refused,
+    /// by `reason` (`no_effects`, `incomplete`, `aliased`, `pattern`,
+    /// `barrier`, `local`).
+    pub const VM_LOCKSTEP_REFUSED: &str = "haocl_vm_lockstep_refused_total";
     /// Counter: scheduler placements, per kernel and winning device kind.
     pub const PLACEMENTS: &str = "haocl_placements_total";
     /// Counter: profile-db seeds first displaced by observed runs.

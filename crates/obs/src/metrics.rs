@@ -180,6 +180,14 @@ impl Registry {
             .map_or(0, |c| c.0.load(Ordering::Relaxed))
     }
 
+    /// Raises a counter to `total`, the reading of a count kept
+    /// elsewhere (a link's atomics, the fabric, the VM): counters only
+    /// move forward, so this adds what the registry has not seen yet.
+    pub fn advance_counter(&self, name: &str, labels: &[(&str, &str)], total: u64) {
+        let behind = total.saturating_sub(self.counter_value(name, labels));
+        self.inc_counter(name, labels, behind);
+    }
+
     /// Sets a gauge to `value`.
     pub fn set_gauge(&self, name: &str, labels: &[(&str, &str)], value: i64) {
         self.gauges

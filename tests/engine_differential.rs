@@ -15,12 +15,12 @@
 //! are skipped rather than compared.
 
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
+use std::sync::{OnceLock, RwLock};
 
 use haocl_clc::ast::ParamType;
 use haocl_clc::vm::{
-    run_ndrange_checked, run_ndrange_with_engine, ArgValue, CheckConfig, EngineKind, ExecErrorKind,
-    ExecStats, GlobalBuffer, NdRange,
+    lockstep_stats, run_ndrange_checked, run_ndrange_with_engine, ArgValue, CheckConfig,
+    EngineKind, ExecErrorKind, ExecStats, GlobalBuffer, LockstepStats, NdRange,
 };
 use haocl_clc::{compile, AddressSpace, CompiledKernel, CompiledProgram, ScalarType};
 use proptest::prelude::*;
@@ -115,6 +115,11 @@ fn synth_args(
     (args, buffers)
 }
 
+/// The lockstep counters are process-wide: every launch in this file
+/// holds this for reading, and [`lockstep_delta`] for writing, so what it
+/// reads moved for its own launch alone.
+static VM_LAUNCHES: RwLock<()> = RwLock::new(());
+
 /// Runs `kernel` on the checked oracle and on every optimized engine
 /// from identical starting buffers, and demands identical outcomes:
 /// same `Ok(ExecStats)` or same `(ExecErrorKind, message)`, and on
@@ -126,6 +131,7 @@ fn compare_engines(
     buffers: &[GlobalBuffer],
     range: &NdRange,
 ) -> Result<(), String> {
+    let _shared = VM_LAUNCHES.read().unwrap_or_else(|e| e.into_inner());
     let mut oracle_bufs = buffers.to_vec();
     let oracle = run_ndrange_checked(
         kernel,
@@ -707,6 +713,560 @@ fn typing_edge_cases_match_oracle() {
             NdRange::linear(8, 4),
         );
     }
+}
+
+/// How far one serial compiled launch, alone in the process, moved the
+/// lockstep counters.
+fn lockstep_delta(
+    kernel: &CompiledKernel,
+    args: &[ArgValue],
+    buffers: &[GlobalBuffer],
+    range: &NdRange,
+) -> LockstepStats {
+    let _alone = VM_LAUNCHES.write().unwrap_or_else(|e| e.into_inner());
+    let before = lockstep_stats();
+    let mut scratch = buffers.to_vec();
+    let _ = run_ndrange_with_engine(
+        kernel,
+        args,
+        &mut scratch,
+        range,
+        EngineKind::CompiledSerial,
+    );
+    let mut moved = lockstep_stats();
+    moved.chunks -= before.chunks;
+    for (now, then) in moved.splits.iter_mut().zip(before.splits) {
+        now.1 -= then.1;
+    }
+    for (now, then) in moved.refused.iter_mut().zip(before.refused) {
+        now.1 -= then.1;
+    }
+    moved
+}
+
+/// The count filed under `label` in a by-cause or by-reason list.
+fn count_of(counts: &[(&'static str, u64)], label: &str) -> u64 {
+    let (_, n) = counts.iter().find(|(l, _)| *l == label).expect("label");
+    *n
+}
+
+/// Kernels for the lockstep executor: the first group the gate admits,
+/// the second it must refuse — each would give other bytes if its items
+/// took every op together.
+const LOCKSTEP_KERNELS: &str = r#"
+__kernel void saxpy(__global const float* x, __global float* y, float a, int n) {
+    int i = get_global_id(0);
+    if (i < n) {
+        y[i] = a * x[i] + y[i];
+    }
+}
+
+// Only dimension 0 is asked for, so every row of a 2-D or 3-D group
+// updates the same elements again, in row order.
+__kernel void rows(__global const float* x, __global float* y, float a) {
+    int i = get_global_id(0);
+    y[i] = y[i] * a + x[i];
+}
+
+// `src[at[i]]` faults where `at[i]` is out of range, and the division
+// further down where `den[i]` is zero.
+__kernel void faults(__global const int* src, __global const int* at,
+                     __global const int* den, __global int* out) {
+    int i = get_global_id(0);
+    int v = src[at[i]];
+    out[i] = v / den[i] + v % den[i];
+}
+
+// A pointer parameter advanced in a loop every item leaves together.
+__kernel void walk(__global const float* p, __global float* out, int n) {
+    int i = get_global_id(0);
+    float acc = 0.0f;
+    for (int k = 0; k < n; k++) {
+        acc += p[i];
+        p = p + 1;
+    }
+    out[i] = acc;
+}
+
+// The same, from a start that differs from lane to lane.
+__kernel void hop(__global const float* p, __global float* out, int n) {
+    int i = get_global_id(0);
+    p = p + i;
+    float acc = 0.0f;
+    for (int k = 0; k < n; k++) {
+        acc += p[0];
+        p = p + 2;
+    }
+    out[i] = acc;
+}
+
+// One float operation per launch, picked by a branch no lane disagrees
+// on, over operands that differ from lane to lane.
+__kernel void float_op(__global const float* x, __global const float* y,
+                       __global float* o, int op) {
+    int i = get_global_id(0);
+    float a = x[i];
+    float b = y[i];
+    float r = a;
+    if (op == 0) r = -a;
+    else if (op == 1) r = fabs(a);
+    else if (op == 2) r = floor(a);
+    else if (op == 3) r = ceil(a);
+    else if (op == 4) r = sqrt(a);
+    else if (op == 5) r = fmin(a, b);
+    else if (op == 6) r = fmax(a, b);
+    else if (op == 7) r = fmod(a, b);
+    else if (op == 8) r = a + b;
+    else if (op == 9) r = a - b;
+    else if (op == 10) r = a * b;
+    else if (op == 11) r = a / b;
+    else if (op == 12) r = a * b + a;
+    else if (op == 13) r = b + a * b;
+    else if (op == 14) r = (float)(double)a;
+    else if (op == 15) r = pow(a, b);
+    o[i] = r;
+}
+
+__kernel void double_op(__global const double* x, __global const double* y,
+                        __global double* o, int op) {
+    int i = get_global_id(0);
+    double a = x[i];
+    double b = y[i];
+    double r = a;
+    if (op == 0) r = -a;
+    else if (op == 1) r = fabs(a);
+    else if (op == 2) r = floor(a);
+    else if (op == 3) r = ceil(a);
+    else if (op == 4) r = sqrt(a);
+    else if (op == 5) r = fmin(a, b);
+    else if (op == 6) r = fmax(a, b);
+    else if (op == 7) r = fmod(a, b);
+    else if (op == 8) r = a + b;
+    else if (op == 9) r = a - b;
+    else if (op == 10) r = a * b;
+    else if (op == 11) r = a / b;
+    else if (op == 12) r = a * b + a;
+    else if (op == 13) r = b + a * b;
+    else if (op == 14) r = (double)(float)a;
+    else if (op == 15) r = pow(a, b);
+    o[i] = r;
+}
+
+// Item i stores what item i + 1 loads: taking turns, the new value
+// cascades; op by op, every lane would load the old one.
+__kernel void shift(__global float* y) {
+    int i = get_global_id(0);
+    y[i] = y[i + 1] + 1.0f;
+    y[i + 1] = y[i] * 2.0f;
+}
+
+// Two items per element: op by op, the second would lose the first's sum.
+__kernel void pair_sum(__global const float* x, __global float* y) {
+    int i = get_global_id(0);
+    y[i / 2] += x[i];
+}
+
+// Harmless on two buffers; bound to one, item i + 1 loads what item i
+// stored.
+__kernel void carry(__global const float* x, __global float* y) {
+    int i = get_global_id(0);
+    y[i + 1] = x[i] + 1.0f;
+}
+
+// More shapes than a summary keeps; the last writer of an element wins.
+__kernel void smear(__global float* y) {
+    int i = get_global_id(0);
+    float v = (float)i;
+    y[i] = v; y[i + 1] = v; y[i + 2] = v; y[i + 3] = v; y[i + 4] = v;
+    y[i + 5] = v; y[i + 6] = v; y[i + 7] = v; y[i + 8] = v; y[i + 9] = v;
+    y[i + 10] = v; y[i + 11] = v; y[i + 12] = v; y[i + 13] = v;
+    y[i + 14] = v; y[i + 15] = v; y[i + 16] = v;
+}
+
+// `__local` memory without a barrier, each item in its own slot.
+__kernel void scratchpad(__global const float* x, __global float* y) {
+    __local float t[64];
+    int l = get_local_id(0);
+    int i = get_global_id(0);
+    t[l] = x[i] * 3.0f;
+    y[i] = t[l] + 1.0f;
+}
+
+// Dimension 1 asked for: items of different rows are different items.
+__kernel void grid(__global float* y, int width) {
+    int i = get_global_id(0);
+    int j = get_global_id(1);
+    y[j * width + i] = y[j * width + i] + 1.0f;
+}
+"#;
+
+#[test]
+fn lockstep_chunks_match_oracle() {
+    let program = compile(LOCKSTEP_KERNELS).expect("lockstep kernels compile");
+    let kernel = |name: &str| program.kernel(name).expect("kernel");
+    let check = |name: &str, args: &[ArgValue], buffers: &[GlobalBuffer], range: NdRange| {
+        compare_engines("lockstep", kernel(name), args, buffers, &range)
+            .unwrap_or_else(|e| panic!("{e}"));
+        lockstep_delta(kernel(name), args, buffers, &range)
+    };
+    let lanes = lockstep_stats().lanes;
+    let ramp =
+        |n: u64| GlobalBuffer::from_f32(&(0..n).map(|i| i as f32 * 0.5 - 7.0).collect::<Vec<_>>());
+
+    // Groups narrower than a chunk, exactly one, one and a ragged tail,
+    // three and a tail; six groups, so the parallel driver takes the
+    // wider ones too. Then the `i < n` guard falling inside a chunk.
+    for local in [lanes - 1, lanes, lanes + 1, 3 * lanes + 5] {
+        let items = 6 * local;
+        for n in [items, items - lanes / 2, lanes + 3, 0] {
+            let moved = check(
+                "saxpy",
+                &[
+                    ArgValue::global(0),
+                    ArgValue::global(1),
+                    ArgValue::from_f32(1.5),
+                    ArgValue::from_i32(n as i32),
+                ],
+                &[ramp(items), ramp(items)],
+                NdRange::linear(items, local),
+            );
+            assert_eq!(moved.chunks, 6 * (local / lanes), "local = {local}");
+            // Only a chunk `n` falls inside of splits, on the guard.
+            let (group, at) = (n / local, n % local);
+            let chunked = local / lanes * lanes;
+            let inside = u64::from(group < 6 && at < chunked && at % lanes != 0);
+            assert_eq!(
+                count_of(&moved.splits, "branch"),
+                inside,
+                "local = {local}, n = {n}"
+            );
+            assert_eq!(count_of(&moved.splits, "fault"), 0);
+        }
+    }
+
+    // 2-D and 3-D groups more than one row deep.
+    for range in [
+        NdRange::d2([2 * lanes, 6], [lanes, 3]),
+        NdRange::d2([3 * lanes + 6, 4], [lanes + 2, 2]),
+        NdRange::d3([2 * lanes, 4, 2], [2 * lanes, 2, 2]),
+    ] {
+        let moved = check(
+            "rows",
+            &[
+                ArgValue::global(0),
+                ArgValue::global(1),
+                ArgValue::from_f32(0.75),
+            ],
+            &[ramp(range.global[0]), ramp(range.global[0])],
+            range,
+        );
+        let rows = range.global[1] * range.global[2];
+        let per_row = range.global[0] / range.local[0] * (range.local[0] / lanes);
+        assert_eq!(moved.chunks, rows * per_row);
+        assert_eq!(moved.splits.iter().map(|(_, n)| n).sum::<u64>(), 0);
+    }
+
+    // Faults: `bad` indexes out of range at the first op that can fail,
+    // `zero` divides by zero several ops later. Whichever item comes
+    // first in item order is the one reported, whatever the op order.
+    let items = 4 * lanes;
+    let src: Vec<i32> = (0..items as i32).map(|i| i * 3 + 1).collect();
+    for (bad, zero) in [
+        (Some(lanes + 9), Some(lanes + 3)),
+        (Some(lanes + 3), Some(lanes + 9)),
+        (None, Some(2 * lanes + 5)),
+        (Some(lanes / 2), None),
+        (Some(items - 1), Some(0)),
+        (None, None),
+    ] {
+        let mut at: Vec<i32> = (0..items as i32).rev().collect();
+        let mut den = vec![7i32; items as usize];
+        if let Some(bad) = bad {
+            at[bad as usize] = items as i32 + 40;
+        }
+        if let Some(zero) = zero {
+            den[zero as usize] = 0;
+        }
+        for local in [items, 2 * lanes] {
+            let moved = check(
+                "faults",
+                &[
+                    ArgValue::global(0),
+                    ArgValue::global(1),
+                    ArgValue::global(2),
+                    ArgValue::global(3),
+                ],
+                &[
+                    GlobalBuffer::from_i32(&src),
+                    GlobalBuffer::from_i32(&at),
+                    GlobalBuffer::from_i32(&den),
+                    GlobalBuffer::zeroed(4 * items as usize),
+                ],
+                NdRange::linear(items, local),
+            );
+            // The first failing chunk splits on the fault and ends the
+            // launch.
+            let failing = u64::from(bad.is_some() || zero.is_some());
+            assert_eq!(
+                count_of(&moved.splits, "fault"),
+                failing,
+                "{bad:?} {zero:?}"
+            );
+        }
+    }
+    // The exact text: the lower lane's later division, not the higher
+    // lane's earlier index.
+    let mut at: Vec<i32> = (0..items as i32).collect();
+    at[9] = -4;
+    let mut den = vec![7i32; items as usize];
+    den[3] = 0;
+    let mut buffers = [
+        GlobalBuffer::from_i32(&src),
+        GlobalBuffer::from_i32(&at),
+        GlobalBuffer::from_i32(&den),
+        GlobalBuffer::zeroed(4 * items as usize),
+    ];
+    let args: Vec<ArgValue> = (0..4).map(ArgValue::global).collect();
+    let range = NdRange::linear(items, items);
+    let err = run_ndrange_with_engine(
+        kernel("faults"),
+        &args,
+        &mut buffers,
+        &range,
+        EngineKind::CompiledSerial,
+    )
+    .expect_err("lane 3 divides by zero");
+    assert_eq!(
+        err.to_string(),
+        "kernel execution failed: integer division by zero"
+    );
+    den[3] = 7;
+    buffers[2] = GlobalBuffer::from_i32(&den);
+    let err = run_ndrange_with_engine(
+        kernel("faults"),
+        &args,
+        &mut buffers,
+        &range,
+        EngineKind::CompiledSerial,
+    )
+    .expect_err("lane 9 indexes below the buffer");
+    assert_eq!(
+        err.to_string(),
+        "kernel execution failed: negative buffer index -4"
+    );
+
+    // A mutated pointer parameter, restored for every chunk.
+    for (name, n) in [("walk", 0), ("walk", 1), ("walk", 5), ("hop", 3)] {
+        let items = 2 * lanes + 3;
+        let moved = check(
+            name,
+            &[
+                ArgValue::global(0),
+                ArgValue::global(1),
+                ArgValue::from_i32(n),
+            ],
+            &[ramp(items + 8), GlobalBuffer::zeroed(4 * items as usize)],
+            NdRange::linear(items, items),
+        );
+        assert_eq!(moved.chunks, 2);
+        assert_eq!(moved.splits.iter().map(|(_, n)| n).sum::<u64>(), 0);
+    }
+    // Walking off the end: a fault inside the loop, in the last lanes first.
+    check(
+        "walk",
+        &[
+            ArgValue::global(0),
+            ArgValue::global(1),
+            ArgValue::from_i32(12),
+        ],
+        &[
+            ramp(2 * lanes + 8),
+            GlobalBuffer::zeroed(8 * lanes as usize),
+        ],
+        NdRange::linear(2 * lanes, 2 * lanes),
+    );
+
+    // Every float operation over the nine bit patterns, paired so that
+    // the NaNs of a chunk sit in different lanes: signalling, quiet with
+    // payloads, negative, next to infinities and ordinary numbers.
+    let f32_bits = [
+        0x7f80_0001u32,
+        0x7fa0_0000,
+        0xffc1_2345,
+        0x7fc0_0000,
+        0xff80_0001,
+        0x3f80_0000,
+        0x7f80_0000,
+        0xff80_0000,
+        0,
+    ];
+    let f64_bits = [
+        0x7ff0_0000_0000_0001u64,
+        0x7ff4_0000_0000_0000,
+        0xfff8_1234_5678_9abc,
+        0x7ff8_0000_0000_0000,
+        0xfff0_0000_0000_0001,
+        0x3ff0_0000_0000_0000,
+        0x7ff0_0000_0000_0000,
+        0xfff0_0000_0000_0000,
+        0,
+    ];
+    let n = f32_bits.len();
+    // 81 ordered pairs, wrapped around to a whole number of chunks.
+    let items = (n * n).next_multiple_of(lanes as usize);
+    let first = |i: usize| i % (n * n) / n;
+    let second = |i: usize| i % n;
+    for op in 0..16 {
+        let moved = check(
+            "float_op",
+            &[
+                ArgValue::global(0),
+                ArgValue::global(1),
+                ArgValue::global(2),
+                ArgValue::from_i32(op),
+            ],
+            &[
+                GlobalBuffer::from_u32(&(0..items).map(|i| f32_bits[first(i)]).collect::<Vec<_>>()),
+                GlobalBuffer::from_u32(
+                    &(0..items).map(|i| f32_bits[second(i)]).collect::<Vec<_>>(),
+                ),
+                GlobalBuffer::zeroed(4 * items),
+            ],
+            NdRange::linear(items as u64, items as u64),
+        );
+        assert_eq!(moved.chunks, items as u64 / lanes);
+        assert_eq!(
+            moved.splits.iter().map(|(_, n)| n).sum::<u64>(),
+            0,
+            "op {op}"
+        );
+        check(
+            "double_op",
+            &[
+                ArgValue::global(0),
+                ArgValue::global(1),
+                ArgValue::global(2),
+                ArgValue::from_i32(op),
+            ],
+            &[
+                GlobalBuffer::from_u64(&(0..items).map(|i| f64_bits[first(i)]).collect::<Vec<_>>()),
+                GlobalBuffer::from_u64(
+                    &(0..items).map(|i| f64_bits[second(i)]).collect::<Vec<_>>(),
+                ),
+                GlobalBuffer::zeroed(8 * items),
+            ],
+            NdRange::linear(items as u64, items as u64),
+        );
+    }
+}
+
+/// Launches wide enough for lockstep that the gate must turn away: each
+/// still matches the oracle, ran no chunk, and is counted under its
+/// reason.
+#[test]
+fn lockstep_gate_refusals_match_oracle() {
+    let program = compile(LOCKSTEP_KERNELS).expect("lockstep kernels compile");
+    let lanes = lockstep_stats().lanes;
+    let items = 4 * lanes;
+    let ramp =
+        |n: u64| GlobalBuffer::from_f32(&(0..n).map(|i| i as f32 * 0.25 + 1.0).collect::<Vec<_>>());
+    let globals = |n: usize| (0..n).map(ArgValue::global).collect::<Vec<_>>();
+    let refused =
+        |name: &str, args: &[ArgValue], buffers: &[GlobalBuffer], range: NdRange, why: &str| {
+            let kernel = program.kernel(name).expect("kernel");
+            compare_engines("lockstep gate", kernel, args, buffers, &range)
+                .unwrap_or_else(|e| panic!("{e}"));
+            let moved = lockstep_delta(kernel, args, buffers, &range);
+            assert_eq!(moved.chunks, 0, "`{name}` ran in lockstep");
+            assert_eq!(
+                count_of(&moved.refused, why),
+                1,
+                "`{name}`: {:?}",
+                moved.refused
+            );
+            assert_eq!(moved.refused.iter().map(|(_, n)| n).sum::<u64>(), 1);
+        };
+    let line = NdRange::linear(items, 2 * lanes);
+    refused("shift", &globals(1), &[ramp(items + 1)], line, "pattern");
+    refused(
+        "pair_sum",
+        &globals(2),
+        &[ramp(items), ramp(items)],
+        line,
+        "pattern",
+    );
+    // Two buffers: admitted. One buffer twice: refused.
+    let carry = program.kernel("carry").expect("kernel");
+    let two = [ramp(items + 1), ramp(items + 1)];
+    compare_engines("lockstep gate", carry, &globals(2), &two, &line)
+        .unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(
+        lockstep_delta(carry, &globals(2), &two, &line).chunks,
+        items / lanes
+    );
+    refused(
+        "carry",
+        &[ArgValue::global(0), ArgValue::global(0)],
+        &[ramp(items + 1)],
+        line,
+        "aliased",
+    );
+    refused(
+        "smear",
+        &globals(1),
+        &[ramp(items + 16)],
+        line,
+        "incomplete",
+    );
+    refused(
+        "scratchpad",
+        &globals(2),
+        &[ramp(items), ramp(items)],
+        line,
+        "local",
+    );
+    refused(
+        "grid",
+        &[ArgValue::global(0), ArgValue::from_i32(2 * lanes as i32)],
+        &[ramp(8 * lanes)],
+        NdRange::d2([2 * lanes, 4], [2 * lanes, 2]),
+        "pattern",
+    );
+    // A barrier, and no effect summary at all (analysis off).
+    let tiled = compile(
+        "__kernel void rev(__global int* out) {
+            __local int tmp[64];
+            int l = get_local_id(0);
+            tmp[l] = l * 10;
+            barrier(CLK_LOCAL_MEM_FENCE);
+            out[get_global_id(0)] = tmp[get_local_size(0) - 1 - l];
+        }",
+    )
+    .expect("compiles");
+    let kernel = tiled.kernel("rev").expect("kernel");
+    let buffers = [GlobalBuffer::zeroed(4 * items as usize)];
+    compare_engines("lockstep gate", kernel, &globals(1), &buffers, &line)
+        .unwrap_or_else(|e| panic!("{e}"));
+    let moved = lockstep_delta(kernel, &globals(1), &buffers, &line);
+    assert_eq!((moved.chunks, count_of(&moved.refused, "barrier")), (0, 1));
+    let opts = haocl_clc::CompileOptions {
+        analysis: haocl_clc::AnalysisMode::Off,
+    };
+    let bare = haocl_clc::compile_with_options(LOCKSTEP_KERNELS, &opts).expect("compiles");
+    let kernel = bare.kernel("rows").expect("kernel");
+    let args = [
+        ArgValue::global(0),
+        ArgValue::global(1),
+        ArgValue::from_f32(2.0),
+    ];
+    let buffers = [ramp(items), ramp(items)];
+    compare_engines("lockstep gate", kernel, &args, &buffers, &line)
+        .unwrap_or_else(|e| panic!("{e}"));
+    let moved = lockstep_delta(kernel, &args, &buffers, &line);
+    assert_eq!(
+        (moved.chunks, count_of(&moved.refused, "no_effects")),
+        (0, 1)
+    );
 }
 
 proptest! {

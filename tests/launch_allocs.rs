@@ -113,13 +113,14 @@ fn allocations_per_launch(nodes: usize, warm_up: usize, measured: usize) -> f64 
 }
 
 #[test]
-fn a_small_launch_makes_at_most_24_allocations() {
+fn a_small_launch_makes_at_most_17_allocations() {
     let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let per_launch = allocations_per_launch(2, 2_000, 20_000);
     println!("allocations per launch, 2 nodes: {per_launch:.2}");
+    // 16 measured: the device checks buffers out into storage it keeps.
     assert!(
-        per_launch <= 24.0,
-        "{per_launch:.2} allocations per launch, more than 24"
+        per_launch <= 17.0,
+        "{per_launch:.2} allocations per launch, more than 17"
     );
 }
 
