@@ -9,6 +9,8 @@
 //!   CFD support, and redundant data placement (every node holds the full
 //!   input, the cost of its replicated-host-program design).
 
+#![forbid(unsafe_code)]
+
 pub mod local;
 pub mod snucl_d;
 

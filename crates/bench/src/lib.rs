@@ -15,6 +15,8 @@
 //! testbed; the *shapes* (who wins, by what factor, where curves bend)
 //! are the reproduction target. See `EXPERIMENTS.md`.
 
+#![forbid(unsafe_code)]
+
 pub mod text;
 
 use haocl::{DeviceKind, Error, Platform};

@@ -95,7 +95,7 @@ pub enum PatternBase {
     /// plus a constant addend. Equal across kernels iff `id` and `add`
     /// are equal *and* the launches share an NDRange shape.
     Geom {
-        /// Geometry symbol id (offset from [`GEOM_SYM`]).
+        /// Geometry symbol id (offset from `GEOM_SYM`).
         id: u32,
         /// Constant addend in elements.
         add: i64,

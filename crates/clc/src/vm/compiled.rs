@@ -14,10 +14,8 @@
 //! block seam are spilled to canonical temporary registers, one per
 //! (stack depth, type), so control-flow joins (short-circuit booleans,
 //! conditional expressions) still see one well-defined location.
-//! Lowered code is cached process-wide keyed by the instruction stream
-//! and signature, and memoised on the kernel it was lowered from, so
-//! repeated launches of one kernel pay lowering once and its look-up once
-//! per kernel object.
+//! Lowered code is memoised on the kernel it was lowered from, so
+//! repeated launches of one kernel object pay lowering once.
 //!
 //! The typing pass is a checker, not an inference engine: it accepts
 //! exactly the operand types `sema`'s explicit casts produce. Anything
@@ -54,15 +52,13 @@
 //!
 //! State by lifetime: per *launch*, [`Launch`] resolves the bound
 //! arguments into initial register contents and the root table, and
-//! asks the lockstep gate; per *caller* (the serial driver, each parallel
-//! worker), a [`GroupScratch`] with those registers broadcast into a
-//! `[register][lane]` file when the launch runs lockstep; per *group*,
+//! asks the lockstep gate, and a [`GroupScratch`] holds those registers
+//! broadcast into a `[register][lane]` file when it passes; per *group*,
 //! one [`Ctx`] and one copy of the launch's registers; per *item* — per
 //! chunk of `LANES` items — the ids are written and the locals zeroed.
 
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use crate::ast::ParamType;
 use crate::bytecode::{BinKind, CmpKind, CompiledKernel, Geom, Instr, Math1, Math2};
@@ -71,7 +67,7 @@ use crate::types::ScalarType;
 use super::interp::{barrier_stall_check, Item, ItemStatus};
 use super::lockstep::{self, LaneCounts};
 use super::ops::int_value;
-use super::regops::{self, CmpClass, Ctx, Halt, Memory, Op, OpFn, OpFns, Root, Step, LANES};
+use super::regops::{self, CmpClass, Ctx, Halt, Op, OpFn, OpFns, Root, Step, LANES};
 use super::*;
 
 /// A kernel lowered to typed register ops.
@@ -983,142 +979,18 @@ fn lower(kernel: &CompiledKernel) -> CompiledCode {
     }
 }
 
-// --- lowering cache -------------------------------------------------------
-
-struct CacheEntry {
-    code: Vec<Instr>,
-    params: Vec<ParamType>,
-    compiled: Arc<CompiledCode>,
-}
-
-type Cache = Mutex<HashMap<u64, Vec<CacheEntry>>>;
-
-static CACHE: OnceLock<Cache> = OnceLock::new();
-
-/// Keep the cache bounded: kernels are few in practice, but a soak run
-/// compiling generated kernels must not leak without bound.
-const MAX_CACHED_KERNELS: usize = 1024;
-
-/// Hashes an instruction stream without allocating or formatting.
-/// `Instr` carries `f64`, so it is not `Hash`; this folds a variant
-/// tag plus every field (floats by bit pattern) into an FNV-1a
-/// accumulator. Collisions are resolved by `PartialEq` below.
-fn code_hash(code: &[Instr]) -> u64 {
-    struct Fnv(u64);
-    impl Fnv {
-        #[inline]
-        fn mix(&mut self, v: u64) {
-            self.0 ^= v;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-    h.mix(code.len() as u64);
-    for i in code {
-        match *i {
-            Instr::PushInt(v, ty) => {
-                h.mix(1);
-                h.mix(v as u64);
-                h.mix(ty as u64);
-            }
-            Instr::PushFloat(v, ty) => {
-                h.mix(2);
-                h.mix(v.to_bits());
-                h.mix(ty as u64);
-            }
-            Instr::PushBool(b) => {
-                h.mix(3);
-                h.mix(u64::from(b));
-            }
-            Instr::PushLocalPtr { byte_offset, elem } => {
-                h.mix(4);
-                h.mix(u64::from(byte_offset));
-                h.mix(elem as u64);
-            }
-            Instr::LoadLocal(s) => {
-                h.mix(5);
-                h.mix(u64::from(s));
-            }
-            Instr::StoreLocal(s) => {
-                h.mix(6);
-                h.mix(u64::from(s));
-            }
-            Instr::LoadMem(ty) => {
-                h.mix(7);
-                h.mix(ty as u64);
-            }
-            Instr::StoreMem(ty) => {
-                h.mix(8);
-                h.mix(ty as u64);
-            }
-            Instr::PtrAdd => h.mix(9),
-            Instr::Bin(k, ty) => {
-                h.mix(10);
-                h.mix(k as u64);
-                h.mix(ty as u64);
-            }
-            Instr::Cmp(k, ty) => {
-                h.mix(11);
-                h.mix(k as u64);
-                h.mix(ty as u64);
-            }
-            Instr::Neg(ty) => {
-                h.mix(12);
-                h.mix(ty as u64);
-            }
-            Instr::BitNot(ty) => {
-                h.mix(13);
-                h.mix(ty as u64);
-            }
-            Instr::NotBool => h.mix(14),
-            Instr::Cast { from, to } => {
-                h.mix(15);
-                h.mix(from as u64);
-                h.mix(to as u64);
-            }
-            Instr::Jump(t) => {
-                h.mix(16);
-                h.mix(u64::from(t));
-            }
-            Instr::JumpIfFalse(t) => {
-                h.mix(17);
-                h.mix(u64::from(t));
-            }
-            Instr::JumpIfTrue(t) => {
-                h.mix(18);
-                h.mix(u64::from(t));
-            }
-            Instr::CallMath1(m, ty) => {
-                h.mix(19);
-                h.mix(m as u64);
-                h.mix(ty as u64);
-            }
-            Instr::CallMath2(m, ty) => {
-                h.mix(20);
-                h.mix(m as u64);
-                h.mix(ty as u64);
-            }
-            Instr::Query(g) => {
-                h.mix(21);
-                h.mix(g as u64);
-            }
-            Instr::Barrier => h.mix(22),
-            Instr::Return => h.mix(23),
-            Instr::Dup => h.mix(24),
-            Instr::Pop => h.mix(25),
-        }
-    }
-    h.0
-}
+// --- lowering memo --------------------------------------------------------
 
 /// A kernel's lowered form, kept on the kernel: whoever holds the kernel
-/// (a node keeps each in an `Arc`) launches it again without hashing its
-/// code or taking the process-wide cache's lock. Not part of the
-/// kernel's value — a clone starts empty and two kernels compare equal
-/// whatever theirs hold — and only ever filled from `code` and `params`,
-/// which nothing changes once a kernel is built.
+/// (a node keeps each in an `Arc`) launches it again without lowering it
+/// again. Not part of the kernel's value — a clone starts empty and two
+/// kernels compare equal whatever theirs hold — and only ever filled from
+/// `code` and `params`, which nothing changes once a kernel is built.
+/// Boxed because most kernel objects are never launched (a node keeps
+/// every kernel of every program it built): held inline the empty memos
+/// read as +2.4 MiB on `cold_build.peak_rss_mib`.
 #[derive(Default)]
-pub(crate) struct LoweredMemo(OnceLock<Arc<CompiledCode>>);
+pub(crate) struct LoweredMemo(OnceLock<Box<CompiledCode>>);
 
 impl Clone for LoweredMemo {
     fn clone(&self) -> Self {
@@ -1140,55 +1012,27 @@ impl fmt::Debug for LoweredMemo {
 
 #[cfg(test)]
 thread_local! {
-    /// `(cache lookups, lowerings)` made by this thread.
-    static FIRST_SIGHTS: std::cell::Cell<(u32, u32)> = const { std::cell::Cell::new((0, 0)) };
+    /// Lowerings made by this thread.
+    static LOWERINGS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
 }
 
-/// Returns the lowered form of `kernel`: from the kernel itself on every
-/// launch but its first, which goes to the process-wide cache.
-pub(super) fn lookup_or_lower(kernel: &CompiledKernel) -> &CompiledCode {
-    kernel.lowered.0.get_or_init(|| first_sight(kernel))
-}
-
-/// The process-wide cache's entry for `kernel`, compiling on first
-/// sight. Keyed by signature as well as code: the same instructions type
-/// differently under different parameter types.
-fn first_sight(kernel: &CompiledKernel) -> Arc<CompiledCode> {
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    let key = code_hash(&kernel.code);
-    let mut map = cache.lock().unwrap_or_else(|e| e.into_inner());
-    #[cfg(test)]
-    FIRST_SIGHTS.with(|c| c.set((c.get().0 + 1, c.get().1)));
-    if let Some(entries) = map.get(&key) {
-        if let Some(e) = entries
-            .iter()
-            .find(|e| e.code == kernel.code && e.params == kernel.params)
-        {
-            return Arc::clone(&e.compiled);
-        }
-    }
-    #[cfg(test)]
-    FIRST_SIGHTS.with(|c| c.set((c.get().0, c.get().1 + 1)));
-    let compiled = Arc::new(lower(kernel));
-    if map.len() >= MAX_CACHED_KERNELS {
-        map.clear();
-    }
-    map.entry(key).or_default().push(CacheEntry {
-        code: kernel.code.clone(),
-        params: kernel.params.clone(),
-        compiled: Arc::clone(&compiled),
-    });
-    compiled
+/// Returns the lowered form of `kernel`, lowering it on its first launch.
+fn lookup_or_lower(kernel: &CompiledKernel) -> &CompiledCode {
+    kernel.lowered.0.get_or_init(|| {
+        #[cfg(test)]
+        LOWERINGS.set(LOWERINGS.get() + 1);
+        Box::new(lower(kernel))
+    })
 }
 
 // --- drivers --------------------------------------------------------------
 
-/// One launch's resolved state, shared by every group (and worker).
-pub(super) struct Launch<'k> {
+/// One launch's resolved state, shared by every group.
+struct Launch<'k> {
     code: &'k CompiledCode,
-    pub(super) kernel: &'k CompiledKernel,
-    pub(super) range: NdRange,
-    pub(super) num_groups: [u64; 3],
+    kernel: &'k CompiledKernel,
+    range: NdRange,
+    num_groups: [u64; 3],
     /// [`CompiledCode::template`] with the bound arguments and the
     /// launch-wide geometry filled in.
     regs: Vec<u64>,
@@ -1289,8 +1133,8 @@ impl<'k> Launch<'k> {
     }
 }
 
-/// Register storage one caller reuses across the groups of one launch.
-pub(super) struct GroupScratch {
+/// Register storage reused across the groups of one launch.
+struct GroupScratch {
     /// One item's file — or, under a barrier, one per item of a group.
     regs: Vec<u64>,
     /// A chunk's `[register][lane]` file; empty unless the launch runs
@@ -1301,7 +1145,7 @@ pub(super) struct GroupScratch {
 }
 
 impl GroupScratch {
-    pub(super) fn new(launch: &Launch<'_>) -> GroupScratch {
+    fn new(launch: &Launch<'_>) -> GroupScratch {
         let mut lanes = Vec::new();
         if launch.lockstep {
             lanes.reserve_exact(launch.regs.len() * LANES);
@@ -1323,15 +1167,13 @@ impl Drop for GroupScratch {
     }
 }
 
-/// Full-launch compiled-engine driver. With `allow_parallel`, runs
-/// independent work-groups on a thread pool when the effect prover
-/// shows the kernel is safe (sequential fallback otherwise).
+/// Full-launch compiled-engine driver: work-groups one after another in
+/// the interpreter's `(z, y, x)` order.
 pub(super) fn run(
     kernel: &CompiledKernel,
     args: &[ArgValue],
     buffers: &mut [GlobalBuffer],
     range: &NdRange,
-    allow_parallel: bool,
 ) -> Result<ExecStats, ExecError> {
     let ccode = lookup_or_lower(kernel);
     if ccode.fallback {
@@ -1340,23 +1182,16 @@ pub(super) fn run(
     range.validate()?;
     let (bound, arena_bytes) = bind_args(kernel, args, buffers.len())?;
     let launch = Launch::new(ccode, kernel, args, &bound, range);
-    if allow_parallel {
-        if let Some(result) = super::parallel::try_run_parallel(&launch, args, buffers, arena_bytes)
-        {
-            return result;
-        }
-    }
     let mut stats = ExecStats::default();
     let mut arena = vec![0u8; arena_bytes];
     let mut scratch = GroupScratch::new(&launch);
-    let mut mem = Memory::Excl(buffers);
     let num_groups = launch.num_groups;
     for gz in 0..num_groups[2] {
         for gy in 0..num_groups[1] {
             for gx in 0..num_groups[0] {
                 run_group(
                     &launch,
-                    &mut mem,
+                    buffers,
                     [gx, gy, gz],
                     &mut arena,
                     &mut scratch,
@@ -1371,9 +1206,9 @@ pub(super) fn run(
 
 /// Executes one work-group to completion under the shared pass-based
 /// round-robin schedule.
-pub(super) fn run_group(
+fn run_group(
     launch: &Launch<'_>,
-    mem: &mut Memory<'_>,
+    mem: &mut [GlobalBuffer],
     group_id: [u64; 3],
     arena: &mut [u8],
     scratch: &mut GroupScratch,
@@ -1514,7 +1349,7 @@ enum Exit {
 fn exec<const L: usize>(
     code: &CompiledCode,
     regs: &mut [u64],
-    ctx: &mut Ctx<'_, '_>,
+    ctx: &mut Ctx<'_>,
     mut ip: usize,
     stats: &mut ExecStats,
 ) -> Result<Exit, ExecError> {
@@ -1552,7 +1387,7 @@ fn run_chunk(
     code: &CompiledCode,
     lanes: &mut [u64],
     regs: &mut [u64],
-    ctx: &mut Ctx<'_, '_>,
+    ctx: &mut Ctx<'_>,
     stats: &mut ExecStats,
     counts: &mut LaneCounts,
 ) -> Result<(), ExecError> {
@@ -1736,55 +1571,44 @@ mod tests {
             buffers[0].as_i32()[1]
         };
         assert_eq!(run(EngineKind::Interp), 0x7fc0_0001);
-        assert_eq!(run(EngineKind::CompiledSerial), 0x7fc0_0001);
+        assert_eq!(run(EngineKind::Compiled), 0x7fc0_0001);
     }
 
-    /// A kernel somebody holds on to is looked up in the process-wide
-    /// cache by its first launch and by no other.
+    /// A kernel somebody holds on to is lowered by its first launch and
+    /// by no other; the memo is not part of a kernel's value, so a clone
+    /// lowers once more and runs the same.
     #[test]
-    fn a_held_kernel_is_looked_up_and_lowered_once() {
-        // Source no other test lowers, so this thread's first sight of
-        // it is the process's.
+    fn a_held_kernel_is_lowered_once() {
         let source = "__kernel void held_once(__global int* out, int k) {
             out[get_global_id(0)] = k * 1000003 + 77;
         }";
         let program = crate::compile(source).expect("compiles");
-        let kernel = Arc::new(program.kernel("held_once").expect("kernel").clone());
+        let kernel = std::sync::Arc::new(program.kernel("held_once").expect("kernel").clone());
         let args = [ArgValue::global(0), ArgValue::from_i32(3)];
         let range = NdRange::linear(4, 4);
-        let before = FIRST_SIGHTS.get();
-        for _ in 0..1_000 {
+        let launch = |kernel: &CompiledKernel| {
             let mut buffers = vec![GlobalBuffer::zeroed(16)];
-            run_ndrange_with_engine(
-                &kernel,
-                &args,
-                &mut buffers,
-                &range,
-                EngineKind::CompiledSerial,
-            )
-            .expect("runs");
-            assert_eq!(buffers[0].as_i32(), [3_000_086; 4]);
+            let stats =
+                run_ndrange_with_engine(kernel, &args, &mut buffers, &range, EngineKind::Compiled)
+                    .expect("runs");
+            (buffers, stats)
+        };
+        let before = LOWERINGS.get();
+        let first = launch(&kernel);
+        assert_eq!(first.0[0].as_i32(), [3_000_086; 4]);
+        for _ in 1..1_000 {
+            assert_eq!(launch(&kernel), first);
         }
-        let (lookups, lowerings) = FIRST_SIGHTS.get();
-        assert_eq!((lookups - before.0, lowerings - before.1), (1, 1));
-        // A clone is another kernel object: one more look-up, which hits.
+        assert_eq!(LOWERINGS.get() - before, 1);
         let copy = CompiledKernel::clone(&kernel);
         assert_eq!(copy, *kernel);
-        let mut buffers = vec![GlobalBuffer::zeroed(16)];
-        run_ndrange_with_engine(
-            &copy,
-            &args,
-            &mut buffers,
-            &range,
-            EngineKind::CompiledSerial,
-        )
-        .expect("runs");
-        let (lookups, lowerings) = FIRST_SIGHTS.get();
-        assert_eq!((lookups - before.0, lowerings - before.1), (2, 1));
+        assert_eq!(launch(&copy), first);
+        assert_eq!(launch(&copy), first);
+        assert_eq!(LOWERINGS.get() - before, 2);
     }
 
-    /// Bytecode the typing pass refuses runs on the interpreter, so all
-    /// three engines give the reference's bytes, statistics and errors.
+    /// Bytecode the typing pass refuses runs on the interpreter, so the
+    /// compiled driver gives the reference's bytes, statistics and errors.
     #[test]
     fn untypable_bytecode_matches_the_interpreter_on_every_engine() {
         for kernel in [uneven_join(), retyped_slot()] {
@@ -1801,12 +1625,10 @@ mod tests {
                 };
                 let (want, want_bytes) = run(EngineKind::Interp);
                 assert_eq!(want.is_err(), n == 400, "{}: n = {n}", kernel.name);
-                for engine in [EngineKind::CompiledSerial, EngineKind::Compiled] {
-                    let (got, bytes) = run(engine);
-                    assert_eq!(got, want, "{} on {engine:?}, n = {n}", kernel.name);
-                    if want.is_ok() {
-                        assert_eq!(bytes, want_bytes, "{} on {engine:?}", kernel.name);
-                    }
+                let (got, bytes) = run(EngineKind::Compiled);
+                assert_eq!(got, want, "{}, n = {n}", kernel.name);
+                if want.is_ok() {
+                    assert_eq!(bytes, want_bytes, "{}", kernel.name);
                 }
             }
         }

@@ -16,10 +16,9 @@
 //!   touches its own element of every written buffer; everything else
 //!   is only read.
 //!
-//! That is the item-level half of what [`super::parallel_groups_safe`]
-//! asks of work-groups, and the two share [`written_args_private`].
 //! Chunks themselves still run one after another, rows in `(z, y)`
-//! order, so nothing else about the schedule moves.
+//! order, and groups in `(z, y, x)` order, so nothing else about the
+//! schedule moves.
 //!
 //! The counters are the engine's self-report ([`lockstep_stats`]): plain
 //! relaxed atomics, bumped once per launch or refusal, never part of
@@ -45,7 +44,7 @@ pub(super) enum Refusal {
     /// A written argument's buffer is bound to another parameter too.
     Aliased,
     /// An access to a written argument is not the one provable shape
-    /// along the dimension asked for.
+    /// along dimension 0.
     Pattern,
     /// The kernel has a barrier.
     Barrier,
@@ -69,12 +68,8 @@ const REFUSALS: [&str; 6] = [
 
 /// Checks that every written argument of `kernel` is a global buffer
 /// bound to one parameter, with a complete summary whose patterns are
-/// all the same provable `gid(d) + k`, and that `dim_ok(d)`.
-pub(super) fn written_args_private(
-    kernel: &CompiledKernel,
-    args: &[ArgValue],
-    dim_ok: impl Fn(usize) -> bool,
-) -> Result<(), Refusal> {
+/// all the same provable `get_global_id(0) + k`.
+fn written_args_private(kernel: &CompiledKernel, args: &[ArgValue]) -> Result<(), Refusal> {
     let effects = &kernel.report.effects;
     if effects.is_empty() || args.len() != effects.args.len() {
         return Err(Refusal::NoEffects);
@@ -106,12 +101,9 @@ pub(super) fn written_args_private(
             .iter()
             .all(|p| p.provable && p.coeffs == first.coeffs && p.base == first.base);
         // `provable` guarantees exactly one unit coefficient, on the
-        // dimension `d` of its `Geom { id: d, .. }` (group-base) base.
-        let d = match first.base {
-            PatternBase::Geom { id, .. } if id <= 2 => id as usize,
-            _ => return Err(Refusal::Pattern),
-        };
-        if !one_shape || first.coeffs[d] != 1 || !dim_ok(d) {
+        // dimension of its `Geom { id, .. }` (group-base) base.
+        let along_x = matches!(first.base, PatternBase::Geom { id: 0, .. });
+        if !one_shape || !along_x || first.coeffs[0] != 1 {
             return Err(Refusal::Pattern);
         }
     }
@@ -131,7 +123,7 @@ pub(super) fn gate(kernel: &CompiledKernel, has_barrier: bool, args: &[ArgValue]
     } else if has_local {
         Err(Refusal::Local)
     } else {
-        written_args_private(kernel, args, |d| d == 0)
+        written_args_private(kernel, args)
     };
     if let Err(why) = verdict {
         REFUSED[why as usize].fetch_add(1, Ordering::Relaxed);
@@ -141,8 +133,8 @@ pub(super) fn gate(kernel: &CompiledKernel, has_barrier: bool, args: &[ArgValue]
 
 // --- self-report -------------------------------------------------------------
 
-/// What one caller's groups did, added to the process-wide counters when
-/// its launch ends.
+/// What one launch's groups did, added to the process-wide counters when
+/// it ends.
 #[derive(Default)]
 pub(super) struct LaneCounts {
     /// Chunks entered in lockstep.

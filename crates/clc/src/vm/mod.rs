@@ -8,8 +8,6 @@
 
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
 
 use crate::ast::ParamType;
 use crate::bytecode::CompiledKernel;
@@ -19,13 +17,11 @@ mod compiled;
 mod interp;
 mod lockstep;
 mod ops;
-mod parallel;
 mod regops;
 
 pub(crate) use compiled::LoweredMemo;
 
 pub use lockstep::{lockstep_stats, LockstepStats};
-pub use parallel::parallel_groups_safe;
 
 /// What class of failure an [`ExecError`] reports.
 ///
@@ -627,69 +623,37 @@ fn local_race_error(kernel: &CompiledKernel, item: u32, other: u32, verb: &str) 
     )
 }
 
-/// Which execution engine [`run_ndrange`] drives.
+/// Which execution engine [`run_ndrange_with_engine`] drives.
 ///
-/// All engines are observationally identical: same output bytes, same
+/// The engines are observationally identical: same output bytes, same
 /// [`ExecStats`], same structured errors. The interpreter is the
 /// reference; [`run_ndrange_checked`] and [`run_ndrange_observed`] are
 /// always interpreted so the oracle itself never depends on the
-/// optimized paths it validates.
+/// optimized path it validates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum EngineKind {
     /// The reference tree-walking interpreter.
     Interp,
-    /// Bytecode lowered once per kernel into typed register ops, work-groups
-    /// executed sequentially in interpreter order.
+    /// A synonym of [`EngineKind::Compiled`], kept because the wall-clock
+    /// benchmark names it; to be dropped together with the benchmark's
+    /// `clc.vm.parallel_speedup.*` rows, which compare the two.
     CompiledSerial,
-    /// The compiled engine, plus parallel work-group execution for
-    /// kernels the effect prover shows are safe (sequential fallback
-    /// otherwise). This is the default.
+    /// Bytecode lowered once per kernel into typed register ops,
+    /// work-groups executed one after another in interpreter order.
+    /// This is what [`run_ndrange`] runs.
     Compiled,
-}
-
-/// Process-wide engine override set by [`set_default_engine`].
-/// 0 = unset (consult `HAOCL_VM_ENGINE`, then default), 1..=3 = kinds.
-static ENGINE_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Overrides the engine [`run_ndrange`] selects, process-wide.
-/// `None` restores env/default selection.
-pub fn set_default_engine(kind: Option<EngineKind>) {
-    let v = match kind {
-        None => 0,
-        Some(EngineKind::Interp) => 1,
-        Some(EngineKind::CompiledSerial) => 2,
-        Some(EngineKind::Compiled) => 3,
-    };
-    ENGINE_OVERRIDE.store(v, Ordering::Relaxed);
-}
-
-/// The engine [`run_ndrange`] will use: the [`set_default_engine`]
-/// override if set, else `HAOCL_VM_ENGINE` (`interp`, `compiled-serial`,
-/// `compiled`) as it stood at the first call that consulted it, else
-/// [`EngineKind::Compiled`].
-pub fn default_engine() -> EngineKind {
-    static FROM_ENV: OnceLock<EngineKind> = OnceLock::new();
-    match ENGINE_OVERRIDE.load(Ordering::Relaxed) {
-        1 => EngineKind::Interp,
-        2 => EngineKind::CompiledSerial,
-        3 => EngineKind::Compiled,
-        _ => *FROM_ENV.get_or_init(|| match std::env::var("HAOCL_VM_ENGINE").ok().as_deref() {
-            Some("interp") => EngineKind::Interp,
-            Some("compiled-serial") => EngineKind::CompiledSerial,
-            _ => EngineKind::Compiled,
-        }),
-    }
 }
 
 /// Executes `kernel` across the whole `range`.
 ///
 /// `args` supplies one [`ArgValue`] per kernel parameter, and
 /// [`ArgValue::GlobalBuffer`] entries index into `buffers`. Runs on the
-/// engine chosen by [`default_engine`]; every engine is deterministic
-/// and byte-identical to the reference interpreter (device parallelism
-/// is *modelled* by `haocl-device` — OS-thread parallelism here is only
-/// used where the effect prover shows group order is unobservable).
+/// compiled engine (bytecode its typing pass refuses runs on the
+/// interpreter), which is deterministic and byte-identical to the
+/// reference interpreter. One launch runs on the calling thread: device
+/// parallelism is *modelled* by `haocl-device`, not borrowed from the
+/// host.
 ///
 /// # Errors
 ///
@@ -701,12 +665,12 @@ pub fn run_ndrange(
     buffers: &mut [GlobalBuffer],
     range: &NdRange,
 ) -> Result<ExecStats, ExecError> {
-    run_ndrange_with_engine(kernel, args, buffers, range, default_engine())
+    compiled::run(kernel, args, buffers, range)
 }
 
-/// [`run_ndrange`] on an explicitly chosen engine, ignoring the
-/// process-wide default. This is what differential tests use to compare
-/// engines without racing on global state.
+/// [`run_ndrange`] on an explicitly chosen engine. This is how
+/// differential tests, the lint oracle and the benchmark put the
+/// interpreter next to the compiled engine.
 ///
 /// # Errors
 ///
@@ -720,14 +684,15 @@ pub fn run_ndrange_with_engine(
 ) -> Result<ExecStats, ExecError> {
     match engine {
         EngineKind::Interp => interp::run(kernel, args, buffers, range, None, None),
-        EngineKind::CompiledSerial => compiled::run(kernel, args, buffers, range, false),
-        EngineKind::Compiled => compiled::run(kernel, args, buffers, range, true),
+        EngineKind::CompiledSerial | EngineKind::Compiled => {
+            compiled::run(kernel, args, buffers, range)
+        }
     }
 }
 
 /// [`run_ndrange`] with dynamic checking: an instruction budget (so
 /// non-terminating kernels fail instead of hanging) and a `__local` race
-/// oracle (see [`RaceOracle`]'s rules in the module source).
+/// oracle (see `RaceOracle`'s rules in `vm/interp.rs`).
 ///
 /// This is the dynamic counterpart of the static analyzer
 /// ([`crate::analysis`]): the analyzer is conservative, so a kernel it
@@ -1472,14 +1437,10 @@ mod tests {
 
     // --- Engine equivalence. ----------------------------------------------
 
-    const ALL_ENGINES: [EngineKind; 3] = [
-        EngineKind::Interp,
-        EngineKind::CompiledSerial,
-        EngineKind::Compiled,
-    ];
+    const ALL_ENGINES: [EngineKind; 2] = [EngineKind::Interp, EngineKind::Compiled];
 
-    /// Runs `kernel` on every engine and asserts byte-identical buffers,
-    /// identical stats, and identical errors across all of them.
+    /// Runs `kernel` on both engines and asserts byte-identical buffers,
+    /// identical stats, and identical errors.
     fn assert_engines_agree(
         src: &str,
         kernel: &str,
@@ -1553,90 +1514,5 @@ mod tests {
         let bufs = vec![GlobalBuffer::from_i32(&[0; 4])];
         let args = [ArgValue::global(0), ArgValue::from_i32(100)];
         assert_engines_agree(src, "oob", &args, &bufs, &NdRange::linear(1, 1));
-    }
-
-    #[test]
-    fn parallel_gate_admits_elementwise_and_rejects_scatter() {
-        let src = r#"
-            __kernel void scale(__global float* y, float a, int n) {
-                int i = get_global_id(0);
-                if (i < n) y[i] = y[i] * a;
-            }
-            __kernel void scatter(__global int* out, __global const int* idx) {
-                out[idx[get_global_id(0)]] = 1;
-            }
-        "#;
-        let p = compile(src).expect("compile");
-        let range = NdRange::linear(1024, 64);
-        let scale = p.kernel("scale").unwrap();
-        assert!(parallel_groups_safe(
-            scale,
-            &[
-                ArgValue::global(0),
-                ArgValue::from_f32(2.0),
-                ArgValue::from_i32(1024)
-            ],
-            &range,
-        ));
-        let scatter = p.kernel("scatter").unwrap();
-        assert!(!parallel_groups_safe(
-            scatter,
-            &[ArgValue::global(0), ArgValue::global(1)],
-            &range,
-        ));
-    }
-
-    #[test]
-    fn parallel_gate_rejects_aliased_written_buffer() {
-        let src = r#"__kernel void copy(__global int* out, __global const int* in) {
-            int i = get_global_id(0);
-            out[i] = in[i];
-        }"#;
-        let p = compile(src).expect("compile");
-        let k = p.kernel("copy").unwrap();
-        let range = NdRange::linear(1024, 64);
-        assert!(parallel_groups_safe(
-            k,
-            &[ArgValue::global(0), ArgValue::global(1)],
-            &range,
-        ));
-        assert!(!parallel_groups_safe(
-            k,
-            &[ArgValue::global(0), ArgValue::global(0)],
-            &range,
-        ));
-    }
-
-    #[test]
-    fn parallel_gate_requires_single_group_in_other_dims() {
-        // Writes are gid(0)-private, but a 2-D launch with several groups
-        // along dim 1 would repeat gid(0) across groups — must reject.
-        let src = r#"__kernel void f(__global int* out) {
-            out[get_global_id(0)] = 1;
-        }"#;
-        let p = compile(src).expect("compile");
-        let k = p.kernel("f").unwrap();
-        assert!(parallel_groups_safe(
-            k,
-            &[ArgValue::global(0)],
-            &NdRange::d2([1024, 4], [64, 4]),
-        ));
-        assert!(!parallel_groups_safe(
-            k,
-            &[ArgValue::global(0)],
-            &NdRange::d2([1024, 8], [64, 4]),
-        ));
-    }
-
-    #[test]
-    fn engine_selection_override_round_trip() {
-        set_default_engine(Some(EngineKind::Interp));
-        assert_eq!(default_engine(), EngineKind::Interp);
-        set_default_engine(Some(EngineKind::CompiledSerial));
-        assert_eq!(default_engine(), EngineKind::CompiledSerial);
-        set_default_engine(None);
-        // Back to env/default selection (never the value we just cleared
-        // unless the env says so).
-        let _ = default_engine();
     }
 }

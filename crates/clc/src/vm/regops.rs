@@ -41,85 +41,6 @@ use crate::types::ScalarType;
 use super::ops::{bin_op, dangling_buffer, math1, math2, neg_op};
 use super::{checked_offset, ExecError, GlobalBuffer, Value};
 
-// --- memory views ----------------------------------------------------------
-
-/// How an engine reaches `__global` memory.
-///
-/// The serial paths hold the buffers exclusively; the parallel path
-/// shares them between workers through [`SharedBufs`] raw views (the
-/// effect prover guarantees the byte ranges workers touch are
-/// disjoint — see `vm/parallel.rs`).
-pub(super) enum Memory<'m> {
-    Excl(&'m mut [GlobalBuffer]),
-    Shared(&'m SharedBufs),
-}
-
-/// Raw views of every global buffer, shareable across worker threads.
-///
-/// Access goes through raw pointers only — no `&mut` reference to the
-/// underlying bytes is ever materialized while workers run, so the only
-/// soundness requirement is the one the effect prover discharges:
-/// no byte is written by one worker while another worker touches it.
-pub(super) struct SharedBufs {
-    bufs: Vec<RawBuf>,
-}
-
-struct RawBuf {
-    ptr: *mut u8,
-    len: usize,
-}
-
-// SAFETY: the raw pointers are only dereferenced on byte ranges the
-// effect prover shows are disjoint between threads (`parallel_groups_safe`).
-unsafe impl Send for SharedBufs {}
-unsafe impl Sync for SharedBufs {}
-
-impl SharedBufs {
-    pub(super) fn new(buffers: &mut [GlobalBuffer]) -> SharedBufs {
-        SharedBufs {
-            bufs: buffers
-                .iter_mut()
-                .map(|b| {
-                    let s = b.as_bytes_mut();
-                    RawBuf {
-                        ptr: s.as_mut_ptr(),
-                        len: s.len(),
-                    }
-                })
-                .collect(),
-        }
-    }
-
-    /// Byte length of buffer `b`, if there is one.
-    fn len(&self, b: usize) -> Option<usize> {
-        self.bufs.get(b).map(|rb| rb.len)
-    }
-
-    fn read<const N: usize>(&self, b: usize, offset: i64) -> Result<[u8; N], ExecError> {
-        let rb = self.bufs.get(b).ok_or_else(|| dangling_buffer(b))?;
-        let off = checked_offset(offset, N, rb.len)?;
-        let mut out = [0u8; N];
-        // SAFETY: `off + N <= rb.len` by `checked_offset`; disjointness
-        // from concurrent writers is guaranteed by the parallel gate.
-        unsafe { std::ptr::copy_nonoverlapping(rb.ptr.add(off), out.as_mut_ptr(), N) };
-        Ok(out)
-    }
-
-    fn write<const N: usize>(
-        &self,
-        b: usize,
-        offset: i64,
-        bytes: [u8; N],
-    ) -> Result<(), ExecError> {
-        let rb = self.bufs.get(b).ok_or_else(|| dangling_buffer(b))?;
-        let off = checked_offset(offset, N, rb.len)?;
-        // SAFETY: in-bounds per `checked_offset`; no other thread touches
-        // these bytes per the parallel gate.
-        unsafe { std::ptr::copy_nonoverlapping(bytes.as_ptr(), rb.ptr.add(off), N) };
-        Ok(())
-    }
-}
-
 /// What a pointer's root id resolves to for one launch.
 #[derive(Clone, Copy)]
 pub(super) enum Root {
@@ -156,8 +77,8 @@ pub(super) enum Halt {
 }
 
 /// Per-group execution context handed to every op.
-pub(super) struct Ctx<'a, 'm> {
-    pub(super) mem: &'a mut Memory<'m>,
+pub(super) struct Ctx<'a> {
+    pub(super) mem: &'a mut [GlobalBuffer],
     pub(super) arena: &'a mut [u8],
     /// Root id → memory region, resolved once per launch.
     pub(super) roots: &'a [Root],
@@ -187,7 +108,7 @@ fn out_of_bounds(off: i64, sz: usize, len: usize) -> ExecError {
     checked_offset(off, sz, len).expect_err("fast path accepts what this accepts")
 }
 
-impl Ctx<'_, '_> {
+impl Ctx<'_> {
     #[cold]
     #[inline(never)]
     fn fail(&mut self, e: ExecError) -> Halt {
@@ -216,22 +137,12 @@ impl Ctx<'_, '_> {
         offs: &[u64; L],
     ) -> Result<[[u8; N]; L], Halt> {
         let mut out = [[0u8; N]; L];
-        let bytes: &[u8] = match (self.roots[root as usize], &*self.mem) {
-            (Root::Local, _) => self.arena,
-            (Root::Global(b), Memory::Excl(bufs)) => match bufs.get(b) {
+        let bytes: &[u8] = match self.roots[root as usize] {
+            Root::Local => self.arena,
+            Root::Global(b) => match self.mem.get(b) {
                 Some(buf) => buf.as_bytes(),
                 None => return Err(self.halt::<L>(|| dangling_buffer(b))),
             },
-            (Root::Global(b), Memory::Shared(shared)) => {
-                let shared = *shared;
-                for (v, &off) in out.iter_mut().zip(offs) {
-                    match shared.read(b, off as i64) {
-                        Ok(bytes) => *v = bytes,
-                        Err(e) => return Err(self.halt::<L>(|| e)),
-                    }
-                }
-                return Ok(out);
-            }
         };
         for (v, &off) in out.iter_mut().zip(offs) {
             match element(bytes, off as i64) {
@@ -255,26 +166,12 @@ impl Ctx<'_, '_> {
         offs: &[u64; L],
         vals: [[u8; N]; L],
     ) -> Result<(), Halt> {
-        let bytes: &mut [u8] = match (self.roots[root as usize], &mut *self.mem) {
-            (Root::Local, _) => self.arena,
-            (Root::Global(b), Memory::Excl(bufs)) => match bufs.get_mut(b) {
+        let bytes: &mut [u8] = match self.roots[root as usize] {
+            Root::Local => self.arena,
+            Root::Global(b) => match self.mem.get_mut(b) {
                 Some(buf) => buf.as_bytes_mut(),
                 None => return Err(self.halt::<L>(|| dangling_buffer(b))),
             },
-            (Root::Global(b), Memory::Shared(shared)) => {
-                let shared = *shared;
-                let fits = |len| {
-                    offs.iter()
-                        .all(|&o| checked_offset(o as i64, N, len).is_ok())
-                };
-                if L > 1 && !shared.len(b).is_some_and(fits) {
-                    return Err(Halt::Split(SplitCause::Fault));
-                }
-                for (&off, v) in offs.iter().zip(vals) {
-                    shared.write(b, off as i64, v).map_err(|e| self.fail(e))?;
-                }
-                return Ok(());
-            }
         };
         if L > 1
             && offs
@@ -322,7 +219,7 @@ pub(super) enum Step {
 /// What an op returns: what to do next, or why it did not complete.
 pub(super) type OpResult = Result<Step, Halt>;
 
-pub(super) type OpFn = for<'a, 'm> fn(&mut [u64], &mut Ctx<'a, 'm>, &Op) -> OpResult;
+pub(super) type OpFn = fn(&mut [u64], &mut Ctx<'_>, &Op) -> OpResult;
 
 /// The two instantiations of one op body the drivers run.
 #[derive(Clone, Copy)]
@@ -607,21 +504,21 @@ fn zip_patched<const L: usize>(
 // Data movement and control. Control ops keep their target in `c`.
 
 /// `dst = a`
-fn mov<const L: usize>(regs: &mut [u64], _: &mut Ctx<'_, '_>, op: &Op) -> OpResult {
+fn mov<const L: usize>(regs: &mut [u64], _: &mut Ctx<'_>, op: &Op) -> OpResult {
     let v = *get::<L>(regs, op.a);
     set(regs, op.dst, v)
 }
 
-fn nop<const L: usize>(_: &mut [u64], _: &mut Ctx<'_, '_>, _: &Op) -> OpResult {
+fn nop<const L: usize>(_: &mut [u64], _: &mut Ctx<'_>, _: &Op) -> OpResult {
     Ok(Step::Next)
 }
 
-fn jump<const L: usize>(_: &mut [u64], _: &mut Ctx<'_, '_>, op: &Op) -> OpResult {
+fn jump<const L: usize>(_: &mut [u64], _: &mut Ctx<'_>, op: &Op) -> OpResult {
     Ok(Step::Jump(op.c))
 }
 
 /// Jumps to `c` when bool register `a` equals `b` (0 or 1).
-fn branch<const L: usize>(regs: &mut [u64], _: &mut Ctx<'_, '_>, op: &Op) -> OpResult {
+fn branch<const L: usize>(regs: &mut [u64], _: &mut Ctx<'_>, op: &Op) -> OpResult {
     // A `bool` register holds 0 or 1, nothing else.
     let cond = uniform(get::<L>(regs, op.a)).ok_or(Halt::Split(SplitCause::Branch))?;
     Ok(if cond == u64::from(op.b) {
@@ -632,11 +529,11 @@ fn branch<const L: usize>(regs: &mut [u64], _: &mut Ctx<'_, '_>, op: &Op) -> OpR
 }
 
 /// Never reached in lockstep: a kernel with a barrier runs item by item.
-fn barrier<const L: usize>(_: &mut [u64], _: &mut Ctx<'_, '_>, _: &Op) -> OpResult {
+fn barrier<const L: usize>(_: &mut [u64], _: &mut Ctx<'_>, _: &Op) -> OpResult {
     Ok(Step::Barrier)
 }
 
-fn ret<const L: usize>(_: &mut [u64], _: &mut Ctx<'_, '_>, _: &Op) -> OpResult {
+fn ret<const L: usize>(_: &mut [u64], _: &mut Ctx<'_>, _: &Op) -> OpResult {
     Ok(Step::Done)
 }
 
@@ -715,7 +612,7 @@ fn div_by_zero() -> ExecError {
 /// at an integer type is the same widen, operate, re-normalize).
 fn int_bin<const L: usize, T: Int, O: IntBin>(
     regs: &mut [u64],
-    ctx: &mut Ctx<'_, '_>,
+    ctx: &mut Ctx<'_>,
     op: &Op,
 ) -> OpResult {
     let (a, b) = (get::<L>(regs, op.a), get::<L>(regs, op.b));
@@ -730,7 +627,7 @@ fn int_bin<const L: usize, T: Int, O: IntBin>(
 }
 
 /// `dst = a * b + c` at integer type `T`: two `bin_op`s in one op.
-fn int_mul_add<const L: usize, T: Int>(regs: &mut [u64], _: &mut Ctx<'_, '_>, op: &Op) -> OpResult {
+fn int_mul_add<const L: usize, T: Int>(regs: &mut [u64], _: &mut Ctx<'_>, op: &Op) -> OpResult {
     let (a, b, c) = (
         get::<L>(regs, op.a),
         get::<L>(regs, op.b),
@@ -891,7 +788,7 @@ float_bin!(FDiv, Div, /);
 /// NaN, so the result is the only thing to test.
 fn float_bin<const L: usize, F: Float, O: FloatBin>(
     regs: &mut [u64],
-    _: &mut Ctx<'_, '_>,
+    _: &mut Ctx<'_>,
     op: &Op,
 ) -> OpResult {
     let v = zip_patched(
@@ -1020,7 +917,7 @@ rel!(RGe, >=);
 /// `dst = a <R> b` as a `bool`.
 fn compare<const L: usize, D: Domain, R: Rel>(
     regs: &mut [u64],
-    _: &mut Ctx<'_, '_>,
+    _: &mut Ctx<'_>,
     op: &Op,
 ) -> OpResult {
     let v = zip(get::<L>(regs, op.a), get::<L>(regs, op.b), |a, b| {
@@ -1055,7 +952,7 @@ pub(super) fn cmp_fn(kind: CmpKind, class: CmpClass) -> OpFns {
 
 /// `ops::neg_op` at a float type. Off a NaN, the helper's round trip
 /// through `f64` is the identity and negation flips the sign bit.
-fn neg_float<const L: usize, F: Float>(regs: &mut [u64], _: &mut Ctx<'_, '_>, op: &Op) -> OpResult {
+fn neg_float<const L: usize, F: Float>(regs: &mut [u64], _: &mut Ctx<'_>, op: &Op) -> OpResult {
     let a = get::<L>(regs, op.a);
     let v = zip_patched(
         a,
@@ -1069,13 +966,13 @@ fn neg_float<const L: usize, F: Float>(regs: &mut [u64], _: &mut Ctx<'_, '_>, op
 
 /// `ops::neg_op` at an integer type: negating in `i64` and truncating
 /// equals truncating and negating.
-fn neg_int<const L: usize, T: Int>(regs: &mut [u64], _: &mut Ctx<'_, '_>, op: &Op) -> OpResult {
+fn neg_int<const L: usize, T: Int>(regs: &mut [u64], _: &mut Ctx<'_>, op: &Op) -> OpResult {
     let v = get::<L>(regs, op.a).map(|a| T::from_i64((a as i64).wrapping_neg()));
     set(regs, op.dst, v)
 }
 
 /// Negating `bool` yields `int`, like the helper.
-fn neg_bool<const L: usize>(regs: &mut [u64], _: &mut Ctx<'_, '_>, op: &Op) -> OpResult {
+fn neg_bool<const L: usize>(regs: &mut [u64], _: &mut Ctx<'_>, op: &Op) -> OpResult {
     let v = get::<L>(regs, op.a).map(|a| I32T::from_i64(-i64::from(a != 0)));
     set(regs, op.dst, v)
 }
@@ -1088,7 +985,7 @@ pub(super) fn neg_fn(ty: ScalarType) -> OpFns {
 }
 
 /// `int_value(!to_i64_lossy(a), T)`
-fn bit_not<const L: usize, T: Scalar>(regs: &mut [u64], _: &mut Ctx<'_, '_>, op: &Op) -> OpResult {
+fn bit_not<const L: usize, T: Scalar>(regs: &mut [u64], _: &mut Ctx<'_>, op: &Op) -> OpResult {
     let v = get::<L>(regs, op.a).map(|a| T::from_i64(!T::to_i64(a)));
     set(regs, op.dst, v)
 }
@@ -1098,7 +995,7 @@ pub(super) fn bit_not_fn(ty: ScalarType) -> OpFns {
 }
 
 /// `dst = !a` on a `bool` register.
-fn not_bool<const L: usize>(regs: &mut [u64], _: &mut Ctx<'_, '_>, op: &Op) -> OpResult {
+fn not_bool<const L: usize>(regs: &mut [u64], _: &mut Ctx<'_>, op: &Op) -> OpResult {
     let v = get::<L>(regs, op.a).map(|a| a ^ 1);
     set(regs, op.dst, v)
 }
@@ -1109,7 +1006,7 @@ pub(super) const NOT_BOOL: OpFns = op!(not_bool);
 /// `i64` otherwise.
 fn cast<const L: usize, S: Scalar, D: Scalar>(
     regs: &mut [u64],
-    _: &mut Ctx<'_, '_>,
+    _: &mut Ctx<'_>,
     op: &Op,
 ) -> OpResult {
     let v = get::<L>(regs, op.a).map(|r| {
@@ -1125,7 +1022,7 @@ fn cast<const L: usize, S: Scalar, D: Scalar>(
 /// A float-to-float cast: the only kind that hands a NaN through.
 fn cast_float<const L: usize, S: Float, D: Float>(
     regs: &mut [u64],
-    _: &mut Ctx<'_, '_>,
+    _: &mut Ctx<'_>,
     op: &Op,
 ) -> OpResult {
     let a = get::<L>(regs, op.a);
@@ -1182,7 +1079,7 @@ fn1!(Ceil, |x| x.ceil());
 /// only thing to test.
 fn float_math1<const L: usize, F: Float, M: Fn1>(
     regs: &mut [u64],
-    _: &mut Ctx<'_, '_>,
+    _: &mut Ctx<'_>,
     op: &Op,
 ) -> OpResult {
     // The narrowed result is a NaN exactly when the `f64` one is.
@@ -1198,7 +1095,7 @@ fn float_math1<const L: usize, F: Float, M: Fn1>(
 }
 
 /// `math1` at an integer type is `abs`, whatever the builtin.
-fn int_abs<const L: usize, T: Int>(regs: &mut [u64], _: &mut Ctx<'_, '_>, op: &Op) -> OpResult {
+fn int_abs<const L: usize, T: Int>(regs: &mut [u64], _: &mut Ctx<'_>, op: &Op) -> OpResult {
     let v = get::<L>(regs, op.a).map(|a| T::from_i64((a as i64).wrapping_abs()));
     set(regs, op.dst, v)
 }
@@ -1251,7 +1148,7 @@ fn2!(Fmod, |x, y| x % y);
 /// the operands are tested as well as the result.
 fn float_math2<const L: usize, F: Float, M: Fn2>(
     regs: &mut [u64],
-    _: &mut Ctx<'_, '_>,
+    _: &mut Ctx<'_>,
     op: &Op,
 ) -> OpResult {
     let v = zip_patched(
@@ -1287,7 +1184,7 @@ pub(super) fn math2_fn(m: Math2, ty: ScalarType) -> Option<OpFns> {
 // register form; a store needs only the element's size.
 
 /// `dst = a + b` on element offsets (`b` any integer but `ulong`).
-fn ptr_add<const L: usize>(regs: &mut [u64], _: &mut Ctx<'_, '_>, op: &Op) -> OpResult {
+fn ptr_add<const L: usize>(regs: &mut [u64], _: &mut Ctx<'_>, op: &Op) -> OpResult {
     let v = zip(
         get::<L>(regs, op.a),
         get::<L>(regs, op.b),
@@ -1297,7 +1194,7 @@ fn ptr_add<const L: usize>(regs: &mut [u64], _: &mut Ctx<'_, '_>, op: &Op) -> Op
 }
 
 /// [`ptr_add`] with a `ulong` index, which must fit `i64`.
-fn ptr_add_u64<const L: usize>(regs: &mut [u64], ctx: &mut Ctx<'_, '_>, op: &Op) -> OpResult {
+fn ptr_add_u64<const L: usize>(regs: &mut [u64], ctx: &mut Ctx<'_>, op: &Op) -> OpResult {
     let (a, b) = (get::<L>(regs, op.a), get::<L>(regs, op.b));
     let mut out = [0; L];
     for l in 0..L {
@@ -1355,7 +1252,7 @@ fn root_of<const L: usize>(regs: &[u64], r: u32) -> Result<u64, Halt> {
 /// `dst = root(c)[a]`
 fn load<const L: usize, const N: usize, W: Widen<N>>(
     regs: &mut [u64],
-    ctx: &mut Ctx<'_, '_>,
+    ctx: &mut Ctx<'_>,
     op: &Op,
 ) -> OpResult {
     let bytes = ctx.read::<L, N>(root_of::<L>(regs, op.c)?, get(regs, op.a))?;
@@ -1365,7 +1262,7 @@ fn load<const L: usize, const N: usize, W: Widen<N>>(
 /// `dst = root(c)[a + b]`: [`ptr_add`] folded into the load.
 fn load_indexed<const L: usize, const N: usize, W: Widen<N>>(
     regs: &mut [u64],
-    ctx: &mut Ctx<'_, '_>,
+    ctx: &mut Ctx<'_>,
     op: &Op,
 ) -> OpResult {
     let offs = zip(
@@ -1385,11 +1282,7 @@ fn narrow<const N: usize>(r: u64) -> [u8; N] {
 }
 
 /// `root(c)[a] = d`
-fn store<const L: usize, const N: usize>(
-    regs: &mut [u64],
-    ctx: &mut Ctx<'_, '_>,
-    op: &Op,
-) -> OpResult {
+fn store<const L: usize, const N: usize>(regs: &mut [u64], ctx: &mut Ctx<'_>, op: &Op) -> OpResult {
     let vals = get::<L>(regs, op.d).map(narrow::<N>);
     ctx.write::<L, N>(root_of::<L>(regs, op.c)?, get(regs, op.a), vals)?;
     Ok(Step::Next)
@@ -1398,7 +1291,7 @@ fn store<const L: usize, const N: usize>(
 /// `root(c)[a + b] = d`
 fn store_indexed<const L: usize, const N: usize>(
     regs: &mut [u64],
-    ctx: &mut Ctx<'_, '_>,
+    ctx: &mut Ctx<'_>,
     op: &Op,
 ) -> OpResult {
     let offs = zip(
@@ -1437,7 +1330,7 @@ pub(super) fn store_fns(elem: ScalarType) -> (OpFns, OpFns) {
 
 /// `dst = geometry[b + min(a, 2)]` for a dimension only known at run
 /// time; `c != 0` when the dimension is a `ulong` that must fit `i64`.
-fn query<const L: usize>(regs: &mut [u64], ctx: &mut Ctx<'_, '_>, op: &Op) -> OpResult {
+fn query<const L: usize>(regs: &mut [u64], ctx: &mut Ctx<'_>, op: &Op) -> OpResult {
     let dims = get::<L>(regs, op.a);
     let mut out = [0; L];
     for (l, (v, &dim)) in out.iter_mut().zip(dims).enumerate() {

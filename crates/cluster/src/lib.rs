@@ -39,6 +39,8 @@
 //! # Ok::<(), haocl_cluster::ClusterError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod autoscale;
 pub mod config;
 pub mod error;

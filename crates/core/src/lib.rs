@@ -71,6 +71,8 @@
 //! # Ok::<(), haocl::Error>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod api;
 pub mod auto;
 pub mod buffer;

@@ -34,6 +34,8 @@
 //! assert!(fpga_energy < gpu_energy);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod device;
 pub mod memory;
 pub mod model;

@@ -41,6 +41,8 @@
 //! # Ok::<(), haocl_net::NetError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod chaos;
 pub mod error;
 pub mod fabric;

@@ -25,6 +25,8 @@
 //! wall-time reads) and free when disabled: a single relaxed atomic load
 //! gates every record call.
 
+#![forbid(unsafe_code)]
+
 pub mod audit;
 pub mod chrome;
 pub mod json;

@@ -40,6 +40,8 @@
 //! # Ok::<(), haocl_proto::wire::WireError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ids;
 pub mod messages;
 pub mod wire;

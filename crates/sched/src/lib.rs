@@ -57,6 +57,8 @@
 //! # Ok::<(), haocl_sched::SchedError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod currency;
 pub mod hints;
 pub mod monitor;

@@ -31,6 +31,8 @@
 //! assert_eq!(second.end - first.end, SimDuration::from_micros(10));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod clock;
 pub mod resource;
 pub mod rng;

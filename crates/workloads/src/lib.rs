@@ -25,6 +25,8 @@
 //! or [`haocl::Fidelity::Modeled`] (paper-scale virtual timing with modeled
 //! buffers).
 
+#![forbid(unsafe_code)]
+
 pub mod bfs;
 pub mod cfd;
 pub mod knn;

@@ -10,6 +10,8 @@
 //! so one refcounted view type serves owned vectors and pooled frame
 //! buffers alike.
 
+#![forbid(unsafe_code)]
+
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -183,8 +185,8 @@ impl Bytes {
     /// when the last view of it is (a recycling pool hooks its `Drop`).
     ///
     /// The real crate reads `owner.as_ref()` once and asks only for
-    /// `Send`; this shim stays free of `unsafe` by asking the owner on
-    /// every access, hence the extra `Sync` bound.
+    /// `Send` by keeping a raw pointer; this shim keeps none and asks the
+    /// owner on every access, hence the extra `Sync` bound.
     pub fn from_owner<T>(owner: T) -> Self
     where
         T: AsRef<[u8]> + Send + Sync + 'static,

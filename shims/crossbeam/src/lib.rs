@@ -10,6 +10,8 @@
 //! on it: `Condvar::notify_one` is a system call even with nobody to
 //! wake, and most sends find the receiver busy or not yet waiting.
 
+#![forbid(unsafe_code)]
+
 pub mod channel {
     use std::collections::VecDeque;
     use std::sync::atomic::{AtomicUsize, Ordering};

@@ -6,6 +6,8 @@
 //! and [`RwLock`] whose guards are returned without a poison `Result`
 //! (a panicking holder does not poison the lock for later users).
 
+#![forbid(unsafe_code)]
+
 use std::sync::PoisonError;
 
 /// The guard returned by [`Mutex::lock`].

@@ -9,6 +9,8 @@
 //! the test name) and no shrinking — a failing case prints its full
 //! inputs instead of a minimized one.
 
+#![forbid(unsafe_code)]
+
 pub mod test_runner {
     /// Deterministic generator driving all strategies (xoshiro256++).
     #[derive(Debug, Clone)]

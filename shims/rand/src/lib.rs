@@ -8,6 +8,8 @@
 //! determinism for a fixed build, never a fixed stream across rand
 //! versions (upstream makes the same non-guarantee).
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Range, RangeInclusive};
 
 /// Minimal core RNG interface: a source of uniform 64-bit words.

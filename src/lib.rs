@@ -4,6 +4,8 @@
 //! `examples/` and the cross-crate integration tests in `tests/`. Library
 //! users should depend on the individual crates (start with [`haocl`]).
 
+#![forbid(unsafe_code)]
+
 pub use haocl;
 pub use haocl_baselines as baselines;
 pub use haocl_clc as clc;

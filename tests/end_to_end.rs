@@ -120,6 +120,68 @@ fn coherence_moves_data_across_nodes_through_the_host() {
     assert_eq!(vals, vec![12, 22, 32, 42]);
 }
 
+/// The stack reports the interpreter's numbers: a traced launch through
+/// host, wire and NMP reads back the bytes, and counts the instructions,
+/// that the reference interpreter gives for the same input.
+#[test]
+fn the_stack_reports_the_interpreters_bytes_and_instruction_count() {
+    use haocl_clc::vm::{run_ndrange_with_engine, ArgValue, EngineKind, GlobalBuffer};
+    const SCALE_SRC: &str = "__kernel void scale(__global float* y, float a, int n) {
+        int i = get_global_id(0);
+        if (i < n) y[i] = y[i] * a + 1.5f;
+    }";
+    // The guard falls inside a lockstep chunk: 4000 of 4096 items store.
+    let (items, n, a) = (4096u64, 4000, 3.5f32);
+    let input: Vec<f32> = (0..items).map(|i| i as f32 * 0.5 - 7.0).collect();
+
+    let reference = haocl_clc::compile(SCALE_SRC).expect("scale compiles");
+    let mut want = vec![GlobalBuffer::from_f32(&input)];
+    let want_stats = run_ndrange_with_engine(
+        reference.kernel("scale").expect("scale exists"),
+        &[
+            ArgValue::global(0),
+            ArgValue::from_f32(a),
+            ArgValue::from_i32(n),
+        ],
+        &mut want,
+        &haocl_clc::vm::NdRange::linear(items, 64),
+        EngineKind::Interp,
+    )
+    .expect("the interpreter runs scale");
+
+    let platform =
+        Platform::cluster(&ClusterConfig::gpu_cluster(2), KernelRegistry::new()).unwrap();
+    platform.obs().set_enabled(true);
+    let devices = platform.devices(DeviceType::All);
+    let ctx = Context::new(&platform, &devices).unwrap();
+    let program = Program::from_source(&ctx, SCALE_SRC);
+    program.build().unwrap();
+    let kernel = Kernel::new(&program, "scale").unwrap();
+    let queue = CommandQueue::new(&ctx, &devices[0]).unwrap();
+    let buf = Buffer::new(&ctx, MemFlags::READ_WRITE, 4 * items).unwrap();
+    queue
+        .enqueue_write_buffer(&buf, 0, &to_bytes(&input))
+        .unwrap();
+    kernel.set_arg_buffer(0, &buf).unwrap();
+    kernel.set_arg_f32(1, a).unwrap();
+    kernel.set_arg_i32(2, n).unwrap();
+    let launch = queue
+        .enqueue_nd_range_kernel(&kernel, NdRange::linear(items, 64))
+        .unwrap();
+    let mut out = vec![0u8; 4 * items as usize];
+    queue.enqueue_read_buffer(&buf, 0, &mut out).unwrap();
+    queue.finish();
+
+    assert_eq!(out, want[0].as_bytes(), "read-back bytes");
+    assert_eq!(launch.instructions(), want_stats.instructions);
+    let spans = platform.obs().recorder.spans();
+    assert_eq!(
+        spans.iter().filter(|s| s.name == "vm.run").count(),
+        1,
+        "one traced VM run"
+    );
+}
+
 #[test]
 fn virtual_time_is_deterministic_across_identical_runs() {
     let run_once = || {

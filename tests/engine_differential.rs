@@ -1,16 +1,16 @@
-//! Differential testing of the optimized execution engines against the
+//! Differential testing of the compiled execution engine against the
 //! checked interpreter oracle.
 //!
 //! [`run_ndrange_checked`] always interprets, so it never depends on the
-//! compiled paths it validates — that makes it the ground truth here.
-//! Every engine must match it exactly: byte-identical output buffers,
+//! compiled path it validates — that makes it the ground truth here.
+//! The compiled engine must match it exactly: byte-identical output buffers,
 //! identical [`ExecStats`], and identical structured errors. The corpus
 //! is every good lint-corpus kernel plus the five paper benchmark
 //! kernels, swept at their standard shapes and at proptest-randomized
 //! shapes, inputs, and scalar arguments.
 //!
-//! The only tolerated divergence is an oracle verdict the optimized
-//! engines cannot produce by design: `LocalRace` and `BudgetExhausted`
+//! The only tolerated divergence is an oracle verdict the compiled
+//! engine cannot produce by design: `LocalRace` and `BudgetExhausted`
 //! exist in checked mode only, so cases where the oracle reports them
 //! are skipped rather than compared.
 
@@ -120,7 +120,7 @@ fn synth_args(
 /// reads moved for its own launch alone.
 static VM_LAUNCHES: RwLock<()> = RwLock::new(());
 
-/// Runs `kernel` on the checked oracle and on every optimized engine
+/// Runs `kernel` on the checked oracle and on the compiled engine
 /// from identical starting buffers, and demands identical outcomes:
 /// same `Ok(ExecStats)` or same `(ExecErrorKind, message)`, and on
 /// success byte-identical buffer contents.
@@ -153,26 +153,23 @@ fn compare_engines(
     }
     let oracle_out: Result<ExecStats, (ExecErrorKind, String)> =
         oracle.map_err(|e| (e.kind(), e.to_string()));
-    for engine in [EngineKind::CompiledSerial, EngineKind::Compiled] {
-        let mut engine_bufs = buffers.to_vec();
-        let got = run_ndrange_with_engine(kernel, args, &mut engine_bufs, range, engine)
-            .map_err(|e| (e.kind(), e.to_string()));
-        if got != oracle_out {
-            return Err(format!(
-                "{origin}: kernel `{}` on {engine:?} diverged from the oracle:\n  \
-                 oracle: {oracle_out:?}\n  engine: {got:?}",
-                kernel.name
-            ));
-        }
-        if oracle_out.is_ok() {
-            for (i, (want, have)) in oracle_bufs.iter().zip(&engine_bufs).enumerate() {
-                if want.as_bytes() != have.as_bytes() {
-                    return Err(format!(
-                        "{origin}: kernel `{}` on {engine:?}: buffer {i} bytes \
-                         diverge from the oracle",
-                        kernel.name
-                    ));
-                }
+    let mut engine_bufs = buffers.to_vec();
+    let got = run_ndrange_with_engine(kernel, args, &mut engine_bufs, range, EngineKind::Compiled)
+        .map_err(|e| (e.kind(), e.to_string()));
+    if got != oracle_out {
+        return Err(format!(
+            "{origin}: kernel `{}` diverged from the oracle:\n  \
+             oracle: {oracle_out:?}\n  engine: {got:?}",
+            kernel.name
+        ));
+    }
+    if oracle_out.is_ok() {
+        for (i, (want, have)) in oracle_bufs.iter().zip(&engine_bufs).enumerate() {
+            if want.as_bytes() != have.as_bytes() {
+                return Err(format!(
+                    "{origin}: kernel `{}`: buffer {i} bytes diverge from the oracle",
+                    kernel.name
+                ));
             }
         }
     }
@@ -715,8 +712,8 @@ fn typing_edge_cases_match_oracle() {
     }
 }
 
-/// How far one serial compiled launch, alone in the process, moved the
-/// lockstep counters.
+/// How far one compiled launch, alone in the process, moved the lockstep
+/// counters.
 fn lockstep_delta(
     kernel: &CompiledKernel,
     args: &[ArgValue],
@@ -726,13 +723,7 @@ fn lockstep_delta(
     let _alone = VM_LAUNCHES.write().unwrap_or_else(|e| e.into_inner());
     let before = lockstep_stats();
     let mut scratch = buffers.to_vec();
-    let _ = run_ndrange_with_engine(
-        kernel,
-        args,
-        &mut scratch,
-        range,
-        EngineKind::CompiledSerial,
-    );
+    let _ = run_ndrange_with_engine(kernel, args, &mut scratch, range, EngineKind::Compiled);
     let mut moved = lockstep_stats();
     moved.chunks -= before.chunks;
     for (now, then) in moved.splits.iter_mut().zip(before.splits) {
@@ -898,6 +889,19 @@ __kernel void grid(__global float* y, int width) {
     int j = get_global_id(1);
     y[j * width + i] = y[j * width + i] + 1.0f;
 }
+
+// A provable shape, but along dimension 1: every item of a row — every
+// lane of a chunk — adds to the same element.
+__kernel void column(__global float* y) {
+    int j = get_global_id(1);
+    y[j + 1] = y[j + 1] + 1.0f;
+}
+
+// A scatter through an index buffer that sends two items to each element.
+__kernel void scatter(__global const int* idx, __global const float* x, __global float* y) {
+    int i = get_global_id(0);
+    y[idx[i]] = y[idx[i]] + x[i];
+}
 "#;
 
 #[test]
@@ -914,8 +918,8 @@ fn lockstep_chunks_match_oracle() {
         |n: u64| GlobalBuffer::from_f32(&(0..n).map(|i| i as f32 * 0.5 - 7.0).collect::<Vec<_>>());
 
     // Groups narrower than a chunk, exactly one, one and a ragged tail,
-    // three and a tail; six groups, so the parallel driver takes the
-    // wider ones too. Then the `i < n` guard falling inside a chunk.
+    // three and a tail, six groups of each. Then the `i < n` guard
+    // falling inside a chunk.
     for local in [lanes - 1, lanes, lanes + 1, 3 * lanes + 5] {
         let items = 6 * local;
         for n in [items, items - lanes / 2, lanes + 3, 0] {
@@ -1033,7 +1037,7 @@ fn lockstep_chunks_match_oracle() {
         &args,
         &mut buffers,
         &range,
-        EngineKind::CompiledSerial,
+        EngineKind::Compiled,
     )
     .expect_err("lane 3 divides by zero");
     assert_eq!(
@@ -1047,7 +1051,7 @@ fn lockstep_chunks_match_oracle() {
         &args,
         &mut buffers,
         &range,
-        EngineKind::CompiledSerial,
+        EngineKind::Compiled,
     )
     .expect_err("lane 9 indexes below the buffer");
     assert_eq!(
@@ -1230,6 +1234,21 @@ fn lockstep_gate_refusals_match_oracle() {
         &[ArgValue::global(0), ArgValue::from_i32(2 * lanes as i32)],
         &[ramp(8 * lanes)],
         NdRange::d2([2 * lanes, 4], [2 * lanes, 2]),
+        "pattern",
+    );
+    refused(
+        "column",
+        &globals(1),
+        &[ramp(5)],
+        NdRange::d2([2 * lanes, 4], [2 * lanes, 2]),
+        "pattern",
+    );
+    let halves: Vec<i32> = (0..items as i32).map(|i| i / 2).collect();
+    refused(
+        "scatter",
+        &globals(3),
+        &[GlobalBuffer::from_i32(&halves), ramp(items), ramp(items)],
+        line,
         "pattern",
     );
     // A barrier, and no effect summary at all (analysis off).
