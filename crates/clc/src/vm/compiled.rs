@@ -51,11 +51,14 @@
 //!   ([`interp::barrier_stall_check`]).
 //!
 //! State by lifetime: per *launch*, [`Launch`] resolves the bound
-//! arguments into initial register contents and the root table, and
-//! asks the lockstep gate, and a [`GroupScratch`] holds those registers
-//! broadcast into a `[register][lane]` file when it passes; per *group*,
-//! one [`Ctx`] and one copy of the launch's registers; per *item* — per
-//! chunk of `LANES` items — the ids are written and the locals zeroed.
+//! arguments into initial register contents and the root table — each
+//! buffer with the class that says what a chunk may do to it, when the
+//! lockstep gate lets the launch form chunks at all — and a
+//! [`GroupScratch`] then holds those registers broadcast into a
+//! `[register][lane]` file; per *group*, one [`Ctx`] and one copy of the
+//! launch's registers; per *item* — per chunk of `LANES` items, cut from
+//! a row or, rows being narrower, from the group's linear order — the
+//! ids are written and the locals zeroed.
 
 use std::fmt;
 use std::sync::OnceLock;
@@ -67,7 +70,7 @@ use crate::types::ScalarType;
 use super::interp::{barrier_stall_check, Item, ItemStatus};
 use super::lockstep::{self, LaneCounts};
 use super::ops::int_value;
-use super::regops::{self, CmpClass, Ctx, Halt, Op, OpFn, OpFns, Root, Step, LANES};
+use super::regops::{self, Class, CmpClass, Ctx, Halt, Op, OpFn, OpFns, Root, Step, LANES};
 use super::*;
 
 /// A kernel lowered to typed register ops.
@@ -1036,12 +1039,15 @@ struct Launch<'k> {
     /// [`CompiledCode::template`] with the bound arguments and the
     /// launch-wide geometry filled in.
     regs: Vec<u64>,
-    /// What each root id names: parameter `p`'s buffer at index `p`,
-    /// the `__local` arena for `__local` parameters and at `n_params`.
+    /// What each root id names: parameter `p`'s buffer and its lockstep
+    /// class at index `p`, the `__local` arena for `__local` parameters
+    /// and at `n_params`.
     roots: Vec<Root>,
-    /// The lockstep gate passed ([`lockstep::gate`]) and a group is at
-    /// least one chunk wide: full chunks of a row run `LANES` at a time.
-    lockstep: bool,
+    /// How many consecutive items of a group chunks are cut from, `LANES`
+    /// at a time: a row, where rows are at least a chunk wide; else the
+    /// whole group in its linear `(z, y, x)` order, where it holds a
+    /// chunk; 0 where the launch runs item by item ([`lockstep::gate`]).
+    span: u64,
 }
 
 impl<'k> Launch<'k> {
@@ -1057,13 +1063,25 @@ impl<'k> Launch<'k> {
             range.global[1] / range.local[1],
             range.global[2] / range.local[2],
         ];
+        let in_rows = range.local[0] >= LANES as u64;
+        let span = if in_rows {
+            range.local[0]
+        } else {
+            range.group_items()
+        };
+        let lockstep = span >= LANES as u64 && lockstep::gate(kernel, code.has_barrier, args);
         let mut regs = code.template.clone();
         let mut roots = vec![Root::Local; bound.len() + 1];
         for (p, v) in bound.iter().enumerate() {
             regs[p] = match *v {
                 Value::Ptr(ptr) => {
                     if let PtrSpace::Global(b) = ptr.space {
-                        roots[p] = Root::Global(b);
+                        let class = if lockstep {
+                            lockstep::classify(kernel, args, b, in_rows)
+                        } else {
+                            Class::Serial
+                        };
+                        roots[p] = Root::Global(b, class);
                     }
                     ptr.offset as u64
                 }
@@ -1077,8 +1095,6 @@ impl<'k> Launch<'k> {
             regs[geom + Geom::NumGroups as usize * 3 + d] = num_groups[d];
             regs[geom + Geom::WorkDim as usize * 3 + d] = u64::from(range.work_dim);
         }
-        let lockstep =
-            range.local[0] >= LANES as u64 && lockstep::gate(kernel, code.has_barrier, args);
         Launch {
             code,
             kernel,
@@ -1086,8 +1102,14 @@ impl<'k> Launch<'k> {
             num_groups,
             regs,
             roots,
-            lockstep,
+            span: if lockstep { span } else { 0 },
         }
+    }
+
+    /// The local id of item `at` of a group's linear `(z, y, x)` order.
+    fn local_id_at(&self, at: u64) -> [u64; 3] {
+        let [x, y, _] = self.range.local;
+        [at % x, at / x % y, at / (x * y)]
     }
 
     /// Writes one item's ids into its register file and returns its
@@ -1131,6 +1153,27 @@ impl<'k> Launch<'k> {
             }
         }
     }
+
+    /// [`Launch::write_ids`] for the chunk of `LANES` items that starts
+    /// at item `at` of the group's linear order and runs across rows.
+    fn write_lane_ids(&self, lanes: &mut [u64], group_id: [u64; 3], at: u64) {
+        let local = self.range.local;
+        let mut id = self.local_id_at(at);
+        for l in 0..LANES {
+            for d in 0..3 {
+                self.id_lanes(lanes, Geom::GlobalId, d)[l] = group_id[d] * local[d] + id[d];
+                self.id_lanes(lanes, Geom::LocalId, d)[l] = id[d];
+                self.id_lanes(lanes, Geom::GroupId, d)[l] = group_id[d];
+            }
+            id[0] += 1;
+            if id[0] == local[0] {
+                id = [0, id[1] + 1, id[2]];
+                if id[1] == local[1] {
+                    id = [0, 0, id[2] + 1];
+                }
+            }
+        }
+    }
 }
 
 /// Register storage reused across the groups of one launch.
@@ -1147,7 +1190,7 @@ struct GroupScratch {
 impl GroupScratch {
     fn new(launch: &Launch<'_>) -> GroupScratch {
         let mut lanes = Vec::new();
-        if launch.lockstep {
+        if launch.span > 0 {
             lanes.reserve_exact(launch.regs.len() * LANES);
             for &r in &launch.regs {
                 lanes.extend(std::iter::repeat_n(r, LANES));
@@ -1237,36 +1280,50 @@ fn run_group(
         // No barrier can suspend an item, so the round-robin schedule
         // degenerates to running each item once in local-id order, and
         // one register file serves them all: same execution order, same
-        // stats, same first error. Where the launch runs lockstep, the
-        // full chunks of each row take each op together instead — which
-        // the gate has shown no item can tell from taking turns.
+        // stats, same first error. Where the launch runs lockstep, full
+        // chunks take each op together instead, up to the first access
+        // whose buffer's class does not let them (see `lockstep`) — which
+        // no item can tell from taking turns.
         regs.extend_from_slice(&launch.regs);
         let locals = code.n_params as usize..code.n_slots as usize;
-        let chunked = if launch.lockstep {
-            local[0] - local[0] % LANES as u64
+        // What chunks are cut from is a row of the group — or, its rows
+        // narrower than a chunk, the group itself as one long row.
+        let across = launch.span > local[0];
+        let (rows_z, rows_y, row) = if across {
+            (1, 1, launch.span)
         } else {
-            0
+            (local[2], local[1], local[0])
         };
-        for lz in 0..local[2] {
-            for ly in 0..local[1] {
-                if chunked > 0 {
+        let chunked = launch.span - launch.span % LANES as u64;
+        for lz in 0..rows_z {
+            for ly in 0..rows_y {
+                if chunked > 0 && !across {
                     launch.write_row_ids(lanes, group_id, ly, lz);
                 }
-                for lx in (0..chunked).step_by(LANES) {
+                for at in (0..chunked).step_by(LANES) {
                     lanes[locals.start * LANES..locals.end * LANES].fill(0);
                     for &r in &code.mutated {
-                        let at = r as usize * LANES;
-                        lanes[at..at + LANES].fill(launch.regs[r as usize]);
+                        let first = r as usize * LANES;
+                        lanes[first..first + LANES].fill(launch.regs[r as usize]);
                     }
-                    launch.write_chunk_x(lanes, group_id[0], lx);
+                    if across {
+                        launch.write_lane_ids(lanes, group_id, at);
+                    } else {
+                        launch.write_chunk_x(lanes, group_id[0], at);
+                    }
                     run_chunk(code, lanes, regs, &mut ctx, stats, counts)?;
                 }
-                for lx in chunked..local[0] {
+                for at in chunked..row {
                     regs[locals.clone()].fill(0);
                     for &r in &code.mutated {
                         regs[r as usize] = launch.regs[r as usize];
                     }
-                    launch.write_ids(regs, group_id, [lx, ly, lz]);
+                    let local_id = if across {
+                        launch.local_id_at(at)
+                    } else {
+                        [at, ly, lz]
+                    };
+                    launch.write_ids(regs, group_id, local_id);
                     exec::<1>(code, regs, &mut ctx, 0, stats)?;
                 }
             }

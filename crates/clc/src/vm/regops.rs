@@ -29,9 +29,10 @@
 //! together. A lane-wide op completes for every lane or changes nothing
 //! and reports [`Halt::Split`] — where one item would fault, where the
 //! lanes disagree on a branch, where they disagree on which buffer a
-//! pointer names — and the driver finishes the lanes one by one from
-//! that op on the `L = 1` instantiation of the same bodies, which is
-//! where errors are built and reported.
+//! pointer names, where the buffer is one whose [`Class`] does not let
+//! them touch it together — and the driver finishes the lanes one by one
+//! from that op on the `L = 1` instantiation of the same bodies, which
+//! is where errors are built and reported.
 
 use std::hint::black_box;
 
@@ -44,10 +45,25 @@ use super::{checked_offset, ExecError, GlobalBuffer, Value};
 /// What a pointer's root id resolves to for one launch.
 #[derive(Clone, Copy)]
 pub(super) enum Root {
-    /// Index into the launch's bound global buffers.
-    Global(usize),
+    /// Index into the launch's bound global buffers, and what a chunk
+    /// may do to that buffer.
+    Global(usize, Class),
     /// The work-group local arena.
     Local,
+}
+
+/// What the lanes of a chunk may do to a buffer together, decided per
+/// launch by [`super::lockstep::classify`]. One item (`L = 1`) never
+/// asks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Class {
+    /// No item of the launch stores to it: a chunk may load.
+    Shared,
+    /// Every item touches its own elements and no two lanes of a chunk
+    /// are the same element: a chunk may load and store.
+    Private,
+    /// Neither is shown: a chunk splits at its first access.
+    Serial,
 }
 
 /// Items a lockstep chunk runs side by side. 16 measured fastest of 8,
@@ -65,6 +81,9 @@ pub(super) enum SplitCause {
     Fault,
     /// They disagree on the root of a pointer.
     Root,
+    /// The op loads from a [`Class::Serial`] buffer, or stores to one that
+    /// is not [`Class::Private`].
+    Unproven,
 }
 
 /// Why an op did not complete.
@@ -139,7 +158,10 @@ impl Ctx<'_> {
         let mut out = [[0u8; N]; L];
         let bytes: &[u8] = match self.roots[root as usize] {
             Root::Local => self.arena,
-            Root::Global(b) => match self.mem.get(b) {
+            Root::Global(_, Class::Serial) if L > 1 => {
+                return Err(Halt::Split(SplitCause::Unproven))
+            }
+            Root::Global(b, _) => match self.mem.get(b) {
                 Some(buf) => buf.as_bytes(),
                 None => return Err(self.halt::<L>(|| dangling_buffer(b))),
             },
@@ -168,7 +190,10 @@ impl Ctx<'_> {
     ) -> Result<(), Halt> {
         let bytes: &mut [u8] = match self.roots[root as usize] {
             Root::Local => self.arena,
-            Root::Global(b) => match self.mem.get_mut(b) {
+            Root::Global(_, class) if L > 1 && class != Class::Private => {
+                return Err(Halt::Split(SplitCause::Unproven))
+            }
+            Root::Global(b, _) => match self.mem.get_mut(b) {
                 Some(buf) => buf.as_bytes_mut(),
                 None => return Err(self.halt::<L>(|| dangling_buffer(b))),
             },

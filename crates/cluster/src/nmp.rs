@@ -1272,24 +1272,23 @@ mod tests {
         let lanes = haocl_clc::vm::lockstep_stats().lanes;
         let metrics = haocl_obs::Registry::new();
         export_vm_metrics(&metrics);
-        let pattern = [("reason", "pattern")];
+        let unproven = [("cause", "unproven")];
         let chunks = metrics.counter_value(names::VM_LOCKSTEP_CHUNKS, &[]);
-        let refused = metrics.counter_value(names::VM_LOCKSTEP_REFUSED, &pattern);
+        let split = metrics.counter_value(names::VM_LOCKSTEP_SPLITS, &unproven);
         launch("twice");
+        // Every chunk of `spread` splits at its one store.
         launch("spread");
         export_vm_metrics(&metrics);
-        assert!(metrics.counter_value(names::VM_LOCKSTEP_CHUNKS, &[]) >= chunks + 128 / lanes);
-        assert!(metrics.counter_value(names::VM_LOCKSTEP_REFUSED, &pattern) > refused);
+        assert!(metrics.counter_value(names::VM_LOCKSTEP_CHUNKS, &[]) >= chunks + 2 * 128 / lanes);
+        assert!(metrics.counter_value(names::VM_LOCKSTEP_SPLITS, &unproven) >= split + 128 / lanes);
         let text = metrics.render();
         for series in [
             "haocl_vm_lockstep_chunks_total ",
             "haocl_vm_lockstep_splits_total{cause=\"branch\"} ",
             "haocl_vm_lockstep_splits_total{cause=\"fault\"} ",
             "haocl_vm_lockstep_splits_total{cause=\"root\"} ",
+            "haocl_vm_lockstep_splits_total{cause=\"unproven\"} ",
             "haocl_vm_lockstep_refused_total{reason=\"no_effects\"} ",
-            "haocl_vm_lockstep_refused_total{reason=\"incomplete\"} ",
-            "haocl_vm_lockstep_refused_total{reason=\"aliased\"} ",
-            "haocl_vm_lockstep_refused_total{reason=\"pattern\"} ",
             "haocl_vm_lockstep_refused_total{reason=\"barrier\"} ",
             "haocl_vm_lockstep_refused_total{reason=\"local\"} ",
         ] {

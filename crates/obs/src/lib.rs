@@ -81,11 +81,13 @@ pub mod names {
     /// and counts the whole process, so every node hosted in it.
     pub const VM_LOCKSTEP_CHUNKS: &str = "haocl_vm_lockstep_chunks_total";
     /// Counter: lockstep chunks whose lanes split and finished one by
-    /// one, by `cause` (`branch`, `fault`, `root`).
+    /// one from the op that split them, by `cause`: the lanes disagreed
+    /// on a `branch`, one would `fault`, they disagreed on a pointer's
+    /// `root`, or the op reached a buffer no proof lets a chunk touch
+    /// together (`unproven` — written and not provably item-private).
     pub const VM_LOCKSTEP_SPLITS: &str = "haocl_vm_lockstep_splits_total";
-    /// Counter: launches wide enough for lockstep that its gate refused,
-    /// by `reason` (`no_effects`, `incomplete`, `aliased`, `pattern`,
-    /// `barrier`, `local`).
+    /// Counter: launches with work-groups of at least a chunk that ran no
+    /// chunk, by `reason` (`no_effects`, `barrier`, `local`).
     pub const VM_LOCKSTEP_REFUSED: &str = "haocl_vm_lockstep_refused_total";
     /// Counter: scheduler placements, per kernel and winning device kind.
     pub const PLACEMENTS: &str = "haocl_placements_total";

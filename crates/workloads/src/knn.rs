@@ -138,12 +138,29 @@ pub fn generate_queries(cfg: &KnnConfig) -> (Vec<f32>, Vec<f32>) {
     (lat, lng)
 }
 
+/// The `k` entries of `dists` (one per record, in index order) with the
+/// least distance, nearest first, equal distances by index: what a
+/// stable sort by distance keeps in front, found by selection — sorting
+/// every record to keep eight was as much work as the kernel checked.
+fn k_nearest(mut dists: Vec<(usize, f32)>, k: usize) -> Vec<(usize, f32)> {
+    let by_distance_then_index = |a: &(usize, f32), b: &(usize, f32)| {
+        let by_distance = a.1.partial_cmp(&b.1).expect("finite distances");
+        by_distance.then(a.0.cmp(&b.0))
+    };
+    if k < dists.len() {
+        dists.select_nth_unstable_by(k, by_distance_then_index);
+        dists.truncate(k);
+    }
+    dists.sort_unstable_by(by_distance_then_index);
+    dists
+}
+
 /// Host reference: the `k` nearest distances for every query.
 pub fn reference(lat: &[f32], lng: &[f32], cfg: &KnnConfig) -> Vec<Vec<(usize, f32)>> {
     let (qlat, qlng) = generate_queries(cfg);
     (0..cfg.queries)
         .map(|q| {
-            let mut dists: Vec<(usize, f32)> = lat
+            let dists = lat
                 .iter()
                 .zip(lng)
                 .enumerate()
@@ -153,9 +170,7 @@ pub fn reference(lat: &[f32], lng: &[f32], cfg: &KnnConfig) -> Vec<Vec<(usize, f
                     (i, (dx * dx + dy * dy).sqrt())
                 })
                 .collect();
-            dists.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite distances"));
-            dists.truncate(cfg.k);
-            dists
+            k_nearest(dists, cfg.k)
         })
         .collect()
 }
@@ -524,6 +539,36 @@ mod tests {
         let best = reference(&lat, &lng, &cfg);
         assert_eq!(best[0][0].0, 1);
         assert_eq!(best[0][0].1, 0.0);
+    }
+
+    /// Selection keeps exactly what the stable sort it replaced kept,
+    /// in the same order: on distances full of ties, for `k` of one, of
+    /// every record, and of more than there are.
+    #[test]
+    fn selection_equals_a_stable_sort_by_distance() {
+        let mut state = 7u64;
+        for records in [1usize, 2, 9, 64, 500] {
+            for levels in [1u64, 3, 1 << 40] {
+                let dists: Vec<(usize, f32)> = (0..records)
+                    .map(|i| {
+                        state = state
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        (i, ((state >> 20) % levels) as f32 * 0.25)
+                    })
+                    .collect();
+                for k in [0, 1, 2, 8, records - 1, records, records + 3] {
+                    let mut sorted = dists.clone();
+                    sorted.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite distances"));
+                    sorted.truncate(k);
+                    assert_eq!(
+                        k_nearest(dists.clone(), k),
+                        sorted,
+                        "{records} records, {levels} levels, k = {k}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

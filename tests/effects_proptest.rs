@@ -286,7 +286,7 @@ proptest! {
 
     #[test]
     fn summaries_over_approximate_the_vm_oracle(
-        shape_sel in 0usize..4,
+        shape_sel in 0usize..6,
         seed in any::<u64>(),
         n_sel in 0usize..3,
     ) {
@@ -295,6 +295,12 @@ proptest! {
             NdRange::linear(24, 8),
             NdRange::d2([8, 4], [4, 2]),
             NdRange::linear(8, 8),
+            // Rows of eight in groups of sixteen and of thirty-two: the
+            // compiled engine cuts a lockstep chunk across them, and
+            // loads in step only from what a summary's mode says no item
+            // stores to.
+            NdRange::d2([16, 4], [8, 2]),
+            NdRange::d3([4, 4, 4], [4, 4, 2]),
         ];
         let range = shapes[shape_sel];
         let total = range.total_items() as i64;

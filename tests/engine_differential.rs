@@ -735,15 +735,27 @@ fn lockstep_delta(
     moved
 }
 
+/// Chunks a launch that runs lockstep cuts: from each row where rows are
+/// at least a chunk wide, else from each group's items in linear order.
+fn chunks_of(range: &NdRange, lanes: u64) -> u64 {
+    let [x, y, z] = range.local;
+    let groups = range.total_items() / (x * y * z);
+    if x >= lanes {
+        groups * y * z * (x / lanes)
+    } else {
+        groups * (x * y * z / lanes)
+    }
+}
+
 /// The count filed under `label` in a by-cause or by-reason list.
 fn count_of(counts: &[(&'static str, u64)], label: &str) -> u64 {
     let (_, n) = counts.iter().find(|(l, _)| *l == label).expect("label");
     *n
 }
 
-/// Kernels for the lockstep executor: the first group the gate admits,
-/// the second it must refuse — each would give other bytes if its items
-/// took every op together.
+/// Kernels for the lockstep executor: the first group runs whole in
+/// chunks; the second reaches memory whose lanes must take turns — each
+/// would give other bytes if its items took every op together.
 const LOCKSTEP_KERNELS: &str = r#"
 __kernel void saxpy(__global const float* x, __global float* y, float a, int n) {
     int i = get_global_id(0);
@@ -970,6 +982,75 @@ fn lockstep_chunks_match_oracle() {
         assert_eq!(moved.splits.iter().map(|(_, n)| n).sum::<u64>(), 0);
     }
 
+    // Rows narrower than a chunk in groups that hold one: chunks are cut
+    // across rows, two lanes of one can be the same `get_global_id(0)`,
+    // and `y` is nobody's own — every chunk splits where it loads `y`.
+    // The last shape has rows a chunk wide, and none does.
+    for range in [
+        NdRange::d2([16, 16], [8, 8]),
+        NdRange::d3([8, 4, 8], [4, 4, 4]),
+        NdRange::d2([lanes, 6], [lanes / 2, 2]),
+        NdRange::d2([lanes / 2, 6], [lanes / 2, 3]),
+        NdRange::d2([2 * lanes + 4, 4], [lanes + 2, 2]),
+    ] {
+        let moved = check(
+            "rows",
+            &[
+                ArgValue::global(0),
+                ArgValue::global(1),
+                ArgValue::from_f32(0.75),
+            ],
+            &[ramp(range.global[0]), ramp(range.global[0])],
+            range,
+        );
+        assert!(moved.chunks > 0, "{range:?}");
+        assert_eq!(moved.chunks, chunks_of(&range, lanes), "{range:?}");
+        let across = range.local[0] < lanes;
+        let unproven = if across { moved.chunks } else { 0 };
+        assert_eq!(count_of(&moved.splits, "unproven"), unproven, "{range:?}");
+        assert_eq!(moved.splits.iter().map(|(_, n)| n).sum::<u64>(), unproven);
+    }
+
+    // MatrixMul in its 8 × 8 groups, `rows` and `n` ragged against them:
+    // the product loop runs in chunks (`a` and `b` are only read) and the
+    // store to `c` takes turns. A buffer short of the launch faults in
+    // the item the interpreter names: `c` one element short (the last
+    // item's store), `c` a row short (the first row-10 item in item order,
+    // which is not the first lane to reach it), `a` a row short (a load,
+    // inside the loop).
+    let matmul = compile(haocl_workloads::matmul::KERNEL_SOURCE).expect("matmul compiles");
+    let matmul = matmul.kernel("matmul").expect("kernel");
+    let (n, rows) = (13usize, 11usize);
+    let grid = NdRange::d2([16, 16], [8, 8]);
+    for (a_len, c_len) in [
+        (rows * n, rows * n),
+        (rows * n, rows * n - 1),
+        (rows * n, (rows - 1) * n),
+        ((rows - 1) * n, rows * n),
+    ] {
+        let args = [
+            ArgValue::global(0),
+            ArgValue::global(1),
+            ArgValue::global(2),
+            ArgValue::from_i32(n as i32),
+            ArgValue::from_i32(rows as i32),
+        ];
+        let buffers = [
+            ramp(a_len as u64),
+            ramp((n * n) as u64),
+            GlobalBuffer::zeroed(4 * c_len),
+        ];
+        compare_engines("matmul 8x8", matmul, &args, &buffers, &grid)
+            .unwrap_or_else(|e| panic!("{e}"));
+        let moved = lockstep_delta(matmul, &args, &buffers, &grid);
+        assert!(moved.chunks > 0);
+        if (a_len, c_len) == (rows * n, rows * n) {
+            assert_eq!(moved.chunks, chunks_of(&grid, lanes));
+            assert!(count_of(&moved.splits, "unproven") > 0);
+            assert_eq!(count_of(&moved.splits, "fault"), 0);
+        }
+    }
+
     // Faults: `bad` indexes out of range at the first op that can fail,
     // `zero` divides by zero several ops later. Whichever item comes
     // first in item order is the one reported, whatever the op order.
@@ -1164,9 +1245,11 @@ fn lockstep_chunks_match_oracle() {
     }
 }
 
-/// Launches wide enough for lockstep that the gate must turn away: each
-/// still matches the oracle, ran no chunk, and is counted under its
-/// reason.
+/// What the gate used to turn away whole now runs in chunks up to the
+/// first access to a buffer nobody proved the lanes' own: each launch
+/// matches the oracle, cuts every chunk its shape holds, and every chunk
+/// that reaches the access splits there as `unproven`. Only a barrier,
+/// `__local` memory and a missing effect summary still refuse a launch.
 #[test]
 fn lockstep_gate_refusals_match_oracle() {
     let program = compile(LOCKSTEP_KERNELS).expect("lockstep kernels compile");
@@ -1175,83 +1258,128 @@ fn lockstep_gate_refusals_match_oracle() {
     let ramp =
         |n: u64| GlobalBuffer::from_f32(&(0..n).map(|i| i as f32 * 0.25 + 1.0).collect::<Vec<_>>());
     let globals = |n: usize| (0..n).map(ArgValue::global).collect::<Vec<_>>();
-    let refused =
-        |name: &str, args: &[ArgValue], buffers: &[GlobalBuffer], range: NdRange, why: &str| {
-            let kernel = program.kernel(name).expect("kernel");
-            compare_engines("lockstep gate", kernel, args, buffers, &range)
-                .unwrap_or_else(|e| panic!("{e}"));
-            let moved = lockstep_delta(kernel, args, buffers, &range);
-            assert_eq!(moved.chunks, 0, "`{name}` ran in lockstep");
-            assert_eq!(
-                count_of(&moved.refused, why),
-                1,
-                "`{name}`: {:?}",
-                moved.refused
-            );
-            assert_eq!(moved.refused.iter().map(|(_, n)| n).sum::<u64>(), 1);
-        };
+    let launch = |name: &str, args: &[ArgValue], buffers: &[GlobalBuffer], range: NdRange| {
+        let kernel = program.kernel(name).expect("kernel");
+        compare_engines("lockstep gate", kernel, args, buffers, &range)
+            .unwrap_or_else(|e| panic!("{e}"));
+        lockstep_delta(kernel, args, buffers, &range)
+    };
+    // Every chunk reaches the access, and nothing else splits one.
+    let takes_turns = |name: &str, args: &[ArgValue], buffers: &[GlobalBuffer], range: NdRange| {
+        let moved = launch(name, args, buffers, range);
+        assert_eq!(moved.chunks, chunks_of(&range, lanes), "`{name}`");
+        assert_eq!(
+            count_of(&moved.splits, "unproven"),
+            moved.chunks,
+            "`{name}`"
+        );
+        assert_eq!(
+            moved.splits.iter().map(|(_, n)| n).sum::<u64>(),
+            moved.chunks
+        );
+        assert_eq!(moved.refused.iter().map(|(_, n)| n).sum::<u64>(), 0);
+    };
+    let refused = |name: &str, args: &[ArgValue], buffers: &[GlobalBuffer], why: &str| {
+        let moved = launch(name, args, buffers, NdRange::linear(items, 2 * lanes));
+        assert_eq!(moved.chunks, 0, "`{name}` ran in lockstep");
+        assert_eq!(
+            count_of(&moved.refused, why),
+            1,
+            "`{name}`: {:?}",
+            moved.refused
+        );
+        assert_eq!(moved.refused.iter().map(|(_, n)| n).sum::<u64>(), 1);
+    };
     let line = NdRange::linear(items, 2 * lanes);
-    refused("shift", &globals(1), &[ramp(items + 1)], line, "pattern");
-    refused(
-        "pair_sum",
+    takes_turns("shift", &globals(1), &[ramp(items + 1)], line);
+    takes_turns("pair_sum", &globals(2), &[ramp(items), ramp(items)], line);
+    // Two buffers: `y` is each item's own and no chunk splits. One buffer
+    // twice: the load through `x` reads what `y` stores.
+    let two = launch(
+        "carry",
         &globals(2),
-        &[ramp(items), ramp(items)],
+        &[ramp(items + 1), ramp(items + 1)],
         line,
-        "pattern",
     );
-    // Two buffers: admitted. One buffer twice: refused.
-    let carry = program.kernel("carry").expect("kernel");
-    let two = [ramp(items + 1), ramp(items + 1)];
-    compare_engines("lockstep gate", carry, &globals(2), &two, &line)
-        .unwrap_or_else(|e| panic!("{e}"));
-    assert_eq!(
-        lockstep_delta(carry, &globals(2), &two, &line).chunks,
-        items / lanes
-    );
-    refused(
+    assert_eq!(two.chunks, items / lanes);
+    assert_eq!(two.splits.iter().map(|(_, n)| n).sum::<u64>(), 0);
+    takes_turns(
         "carry",
         &[ArgValue::global(0), ArgValue::global(0)],
         &[ramp(items + 1)],
         line,
-        "aliased",
     );
-    refused(
-        "smear",
-        &globals(1),
-        &[ramp(items + 16)],
-        line,
-        "incomplete",
-    );
-    refused(
-        "scratchpad",
-        &globals(2),
-        &[ramp(items), ramp(items)],
-        line,
-        "local",
-    );
-    refused(
+    takes_turns("smear", &globals(1), &[ramp(items + 16)], line);
+    let deep = NdRange::d2([2 * lanes, 4], [2 * lanes, 2]);
+    takes_turns(
         "grid",
         &[ArgValue::global(0), ArgValue::from_i32(2 * lanes as i32)],
         &[ramp(8 * lanes)],
-        NdRange::d2([2 * lanes, 4], [2 * lanes, 2]),
-        "pattern",
+        deep,
     );
-    refused(
-        "column",
-        &globals(1),
-        &[ramp(5)],
-        NdRange::d2([2 * lanes, 4], [2 * lanes, 2]),
-        "pattern",
-    );
+    takes_turns("column", &globals(1), &[ramp(5)], deep);
     let halves: Vec<i32> = (0..items as i32).map(|i| i / 2).collect();
-    refused(
+    takes_turns(
         "scatter",
         &globals(3),
         &[GlobalBuffer::from_i32(&halves), ramp(items), ramp(items)],
         line,
-        "pattern",
     );
-    // A barrier, and no effect summary at all (analysis off).
+    // What the gate admitted when it judged whole launches still runs
+    // whole, chunk for chunk: `saxpy` here, and the benchmark's serving
+    // shapes (out of place, in place on `uint`) at its launch sizes.
+    let serving = compile(
+        "__kernel void vmad(__global const float* x, __global float* out, float a, int n) {
+            int i = get_global_id(0);
+            if (i < n) { float t = x[i] * x[i]; out[i] = t + a; }
+        }
+        __kernel void touch(__global uint* b, uint v, int n) {
+            int i = get_global_id(0);
+            if (i < n) { b[i] = b[i] ^ v; }
+        }",
+    )
+    .expect("compiles");
+    for n in [64, 1024] {
+        let range = NdRange::linear(n, 64);
+        let count = ArgValue::from_i32(n as i32);
+        let half = ArgValue::from_f32(0.5);
+        for (program, name, args, buffers) in [
+            (
+                &program,
+                "saxpy",
+                vec![ArgValue::global(0), ArgValue::global(1), half, count],
+                vec![ramp(n), ramp(n)],
+            ),
+            (
+                &serving,
+                "vmad",
+                vec![ArgValue::global(0), ArgValue::global(1), half, count],
+                vec![ramp(n), ramp(n)],
+            ),
+            (
+                &serving,
+                "touch",
+                vec![ArgValue::global(0), ArgValue::from_u32(0xa5a5), count],
+                vec![ramp(n)],
+            ),
+        ] {
+            let kernel = program.kernel(name).expect("kernel");
+            compare_engines("lockstep gate", kernel, &args, &buffers, &range)
+                .unwrap_or_else(|e| panic!("{e}"));
+            let moved = lockstep_delta(kernel, &args, &buffers, &range);
+            assert_eq!(moved.chunks, n / lanes, "`{name}`");
+            assert_eq!(moved.splits.iter().map(|(_, n)| n).sum::<u64>(), 0);
+        }
+    }
+
+    // `__local` memory, a barrier, and no effect summary at all
+    // (analysis off).
+    refused(
+        "scratchpad",
+        &globals(2),
+        &[ramp(items), ramp(items)],
+        "local",
+    );
     let tiled = compile(
         "__kernel void rev(__global int* out) {
             __local int tmp[64];
@@ -1300,6 +1428,15 @@ proptest! {
     fn engines_match_oracle_at_random_shapes(
         pick in 0usize..1_000_000,
         local_exp in 0u32..5,
+        // Rows deep: past the linear launches, groups whose rows are
+        // narrower than a chunk and which hold one all the same.
+        depth in prop_oneof![
+            Just([1u64, 1]),
+            Just([1, 1]),
+            Just([2, 1]),
+            Just([8, 1]),
+            Just([4, 2]),
+        ],
         groups in 1u64..5,
         buf_bytes in prop_oneof![Just(256usize), Just(4096usize), Just(65536usize)],
         scalar in -2i64..48,
@@ -1308,7 +1445,10 @@ proptest! {
         let cases = corpus();
         let case = &cases[pick % cases.len()];
         let local = 1u64 << local_exp;
-        let range = NdRange::linear(local * groups, local);
+        let range = match depth {
+            [1, 1] => NdRange::linear(local * groups, local),
+            [y, z] => NdRange::d3([local * groups, y, 2 * z], [local, y, z]),
+        };
         for kernel in case.program.kernels() {
             let (args, buffers) = synth_args(kernel, buf_bytes, scalar, seed);
             if let Err(msg) = compare_engines(&case.origin, kernel, &args, &buffers, &range) {
