@@ -37,6 +37,52 @@ pub fn run_haocl(
     workload.run(&platform, opts)
 }
 
+/// Binds a 1 KiB modeled buffer to every pointer parameter and zero to
+/// every scalar: modeled launches never execute, so the arguments only
+/// need plausible types.
+fn bind_dummy_args(ctx: &haocl::Context, kernel: &haocl::Kernel) -> Result<(), Error> {
+    use haocl::{Buffer, MemFlags};
+    let dummy = Buffer::new_modeled(ctx, MemFlags::READ_WRITE, 1024)?;
+    for i in 0..kernel.arity() {
+        if kernel.set_arg_buffer(i, &dummy).is_err() {
+            kernel.set_arg_i32(i, 0)?;
+        }
+    }
+    Ok(())
+}
+
+/// FNV-1a digest of a read-back (ablation and soak reports).
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Lanes (i32) in a soak's churned buffer.
+const LANES: usize = 64;
+
+/// The soaks' kernel: each completed launch advances the buffer by one
+/// deterministic, *order-sensitive* step (unlike xor, `k` applications
+/// are distinguishable from `k±1`), so the read-back pins the exact
+/// completed count regardless of which devices ran them.
+const CHURN_SRC: &str =
+    "__kernel void churn(__global int* a) { int i = get_global_id(0); a[i] = a[i] * 3 + i; }";
+
+/// The reference model of [`CHURN_SRC`] applied `k` times to a
+/// zero-initialised buffer.
+fn churn_ref(k: u64) -> Vec<u8> {
+    let mut lanes = [0i32; LANES];
+    for _ in 0..k {
+        for (i, v) in lanes.iter_mut().enumerate() {
+            *v = v.wrapping_mul(3).wrapping_add(i as i32);
+        }
+    }
+    lanes.iter().flat_map(|v| v.to_le_bytes()).collect()
+}
+
 /// Fig. 2: end-to-end speedup over a single native GPU node.
 pub mod fig2 {
     use super::*;
@@ -382,17 +428,6 @@ pub mod probe {
             audit_summary: platform.obs().audit.summary(),
         })
     }
-
-    fn bind_dummy_args(ctx: &Context, kernel: &Kernel) -> Result<(), Error> {
-        use haocl::{Buffer, MemFlags};
-        let dummy = Buffer::new_modeled(ctx, MemFlags::READ_WRITE, 1024)?;
-        for i in 0..kernel.arity() {
-            if kernel.set_arg_buffer(i, &dummy).is_err() {
-                kernel.set_arg_i32(i, 0)?;
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Design-choice ablations beyond the paper's figures.
@@ -460,19 +495,6 @@ pub mod ablations {
             ));
         }
         Ok(out)
-    }
-
-    fn bind_dummy_args(ctx: &Context, kernel: &Kernel) -> Result<(), Error> {
-        use haocl::{Buffer, MemFlags};
-        let dummy = Buffer::new_modeled(ctx, MemFlags::READ_WRITE, 1024)?;
-        for i in 0..kernel.arity() {
-            // Buffers for pointer params, zeros for scalars: modeled
-            // launches never execute, so types only need to be plausible.
-            if kernel.set_arg_buffer(i, &dummy).is_err() {
-                kernel.set_arg_i32(i, 0)?;
-            }
-        }
-        Ok(())
     }
 
     /// Result of the [`pipelining`] ablation.
@@ -750,15 +772,6 @@ pub mod ablations {
         values.iter().flat_map(|v| v.to_le_bytes()).collect()
     }
 
-    fn fnv1a(bytes: &[u8]) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    }
-
     /// One configuration of the [`fusion`] ablation.
     #[derive(Debug, Clone, Copy)]
     pub struct FusionRow {
@@ -926,28 +939,6 @@ pub mod tenant_soak {
     use haocl_kernel::{CostModel, NdRange};
     use haocl_sched::policies;
     use haocl_sim::SimDuration;
-
-    /// Lanes (i32) in each tenant's private buffer.
-    const LANES: usize = 64;
-
-    /// Each completed launch advances the tenant's buffer by one
-    /// deterministic, *order-sensitive* step (unlike xor, k applications
-    /// are distinguishable from k±1), so the read-back digest proves the
-    /// exact completed count.
-    const CHURN_SRC: &str =
-        "__kernel void churn(__global int* a) { int i = get_global_id(0); a[i] = a[i] * 3 + i; }";
-
-    /// The reference model of [`CHURN_SRC`] applied `k` times to a
-    /// zero-initialised buffer.
-    fn churn_ref(k: u64) -> Vec<u8> {
-        let mut lanes = [0i32; LANES];
-        for _ in 0..k {
-            for (i, v) in lanes.iter_mut().enumerate() {
-                *v = v.wrapping_mul(3).wrapping_add(i as i32);
-            }
-        }
-        lanes.iter().flat_map(|v| v.to_le_bytes()).collect()
-    }
 
     /// Final per-tenant accounting of one soak run.
     #[derive(Debug, Clone)]
@@ -1188,16 +1179,6 @@ pub mod tenant_soak {
             chaos_schedule: platform.chaos_schedule(),
         })
     }
-
-    /// FNV-1a digest (same parameters as the ablation digests).
-    fn fnv1a(bytes: &[u8]) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    }
 }
 
 /// The degraded-device soak: a 3-GPU fleet establishes healthy drift
@@ -1219,9 +1200,6 @@ pub mod health_soak {
     use haocl_obs::FleetSnapshot;
     use haocl_sched::policies;
 
-    /// Lanes (i32) in the shared output buffer.
-    const LANES: usize = 64;
-
     /// Node (and, in a one-GPU-per-node fleet, device index) that falls
     /// sick mid-run.
     const SICK: u32 = 1;
@@ -1230,23 +1208,6 @@ pub mod health_soak {
     /// The detector needs its strikes; the scheduler also has to keep
     /// *giving* the slowing node launches long enough to collect them.
     const DETECTION_BUDGET: usize = 40;
-
-    /// Same order-sensitive churn step as the tenant soak: `k`
-    /// applications are distinguishable from `k±1`, so the digest pins
-    /// the exact completed count regardless of which devices ran them.
-    const CHURN_SRC: &str =
-        "__kernel void churn(__global int* a) { int i = get_global_id(0); a[i] = a[i] * 3 + i; }";
-
-    /// Reference output after `k` applications to a zeroed buffer.
-    fn churn_ref(k: u64) -> Vec<u8> {
-        let mut lanes = [0i32; LANES];
-        for _ in 0..k {
-            for (i, v) in lanes.iter_mut().enumerate() {
-                *v = v.wrapping_mul(3).wrapping_add(i as i32);
-            }
-        }
-        lanes.iter().flat_map(|v| v.to_le_bytes()).collect()
-    }
 
     /// Everything one degraded-device soak produced.
     #[derive(Debug, Clone)]
@@ -1449,30 +1410,12 @@ pub mod autoscale_soak {
     use haocl_obs::FleetSnapshot;
     use haocl_sched::policies;
 
-    /// Lanes (i32) in the shared output buffer.
-    const LANES: usize = 64;
-
     /// Backlog depth of one traffic spike (well above `high_depth`).
     const SPIKE: usize = 10;
 
     /// Policy ticks the scaler may take to react to a sustained spike
     /// (sustain streak + post-action cooldown + one tick of slack).
     const REACTION_BUDGET: usize = 6;
-
-    /// Same order-sensitive churn step as the other soaks.
-    const CHURN_SRC: &str =
-        "__kernel void churn(__global int* a) { int i = get_global_id(0); a[i] = a[i] * 3 + i; }";
-
-    /// Reference output after `k` applications to a zeroed buffer.
-    fn churn_ref(k: u64) -> Vec<u8> {
-        let mut lanes = [0i32; LANES];
-        for _ in 0..k {
-            for (i, v) in lanes.iter_mut().enumerate() {
-                *v = v.wrapping_mul(3).wrapping_add(i as i32);
-            }
-        }
-        lanes.iter().flat_map(|v| v.to_le_bytes()).collect()
-    }
 
     /// Everything one elastic soak produced.
     #[derive(Debug, Clone)]

@@ -20,10 +20,9 @@
 //!   one of them takes over. No thread exists only to receive;
 //! * [`HostRuntime::call`] keeps the paper's synchronous semantics as
 //!   `submit(...).wait()`, so lock-step callers are unchanged;
-//! * control-plane requests that queue up while another thread is
-//!   occupying the transmit path are coalesced into one
-//!   [`Envelope::Batch`] frame instead of paying per-frame overhead
-//!   each.
+//! * every request travels in a frame of its own, written by the
+//!   submitting thread at its own virtual send time; submitters that meet
+//!   on a node's connection take turns, and nothing is merged or queued.
 //!
 //! # Fault recovery
 //!
@@ -926,8 +925,9 @@ impl HostRuntime {
     /// arrives; any number of calls may be in flight per node, and they
     /// complete in whatever order the node answers. Buffer-content calls
     /// (`WriteBuffer`/`ReadBuffer`) travel on the node's data
-    /// connection; everything else on the message connection, where
-    /// concurrent submissions coalesce into batched frames.
+    /// connection; everything else on the message connection. Either
+    /// way the request is one frame, written by this thread before
+    /// `submit` returns; concurrent submitters to one node take turns.
     ///
     /// # Errors
     ///
@@ -1328,26 +1328,19 @@ mod tests {
 
     fn answer_handshake(msg: &mut Conn) {
         let (frame, at) = msg.recv_frame().unwrap();
-        let hello = decode_from_bytes::<Envelope>(frame)
-            .unwrap()
-            .into_requests()
-            .remove(0);
+        let Envelope::Single(hello) = decode_from_bytes(frame).unwrap();
         assert!(matches!(hello.body, ApiCall::Hello { .. }));
         reply(msg, hello.id, ApiReply::NodeInfo { devices: vec![] }, at);
     }
 
     fn collect_requests(msg: &mut Conn, n: usize) -> Vec<(Request, SimTime)> {
-        let mut collected = Vec::new();
-        while collected.len() < n {
-            let (frame, at) = msg.recv_frame().unwrap();
-            for request in decode_from_bytes::<Envelope>(frame)
-                .unwrap()
-                .into_requests()
-            {
-                collected.push((request, at));
-            }
-        }
-        collected
+        (0..n)
+            .map(|_| {
+                let (frame, at) = msg.recv_frame().unwrap();
+                let Envelope::Single(request) = decode_from_bytes(frame).unwrap();
+                (request, at)
+            })
+            .collect()
     }
 
     #[test]
@@ -1752,10 +1745,22 @@ mod tests {
 
     #[test]
     fn concurrent_submitters_share_the_control_plane() {
-        // Many threads hammering one node exercises the coalescing path:
-        // whoever holds the transmit lock batches the others' requests.
-        let cluster =
-            LocalCluster::launch(&ClusterConfig::gpu_cluster(2), KernelRegistry::new()).unwrap();
+        // One frame per request, whoever else is sending: submitters that
+        // meet on a link take turns on its sender, nothing is merged.
+        let config = ClusterConfig::gpu_cluster(2);
+        let cluster = LocalCluster::launch(&config, KernelRegistry::new()).unwrap();
+        let host = cluster.host();
+        host.obs().set_enabled(true);
+        let control_frames = || -> u64 {
+            let metrics = &host.obs().metrics;
+            config
+                .nodes
+                .iter()
+                .map(|node| [("node", node.name.as_str()), ("plane", "control")])
+                .map(|labels| metrics.counter_value(names::PLANE_FRAMES, &labels))
+                .sum()
+        };
+        let before = control_frames();
         std::thread::scope(|s| {
             for t in 0..4 {
                 let host = cluster.host();
@@ -1767,6 +1772,7 @@ mod tests {
                 });
             }
         });
+        assert_eq!(control_frames() - before, 4 * 16);
         cluster.shutdown();
     }
 

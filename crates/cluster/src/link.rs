@@ -5,6 +5,13 @@
 //! completes them from whatever the node answers. Routing, retransmission
 //! and failover live a layer up, in [`crate::host`].
 //!
+//! # Who sends
+//!
+//! The submitter, in its own thread: [`NodeLink::send`] locks the
+//! request's plane's transmit half and writes one frame carrying that one
+//! request, stamped with the submitter's own virtual send time. Nothing is
+//! queued on the way out and no frame carries two requests.
+//!
 //! # Who receives
 //!
 //! Nobody, until somebody waits. Each connection's receive half sits in
@@ -76,7 +83,7 @@ struct LinkState {
     parked: usize,
 }
 
-/// Index of a plane's receive half and counters.
+/// Index of a plane's transmit half, receive half and counters.
 fn lane(plane: Plane) -> usize {
     match plane {
         Plane::Control => 0,
@@ -253,15 +260,10 @@ pub(crate) struct NodeLink {
     /// destination of peer data-plane transfers.
     pub(crate) data_addr: String,
     pub(crate) shared: LinkShared,
-    /// Control-plane requests that found the transmit half busy, waiting
-    /// to be coalesced into its holder's next frame (see
-    /// [`NodeLink::send_control`]).
-    control_queue: Mutex<Vec<Request>>,
-    /// Message-connection transmit half (control plane).
-    msg_tx: Mutex<ConnSender>,
-    /// Data-connection transmit half (buffer contents, §III-C's data
-    /// listener).
-    data_tx: Mutex<ConnSender>,
+    /// Each plane's transmit half (indexed by [`lane`]): the message
+    /// connection, and the data connection that carries buffer contents
+    /// (§III-C's data listener).
+    tx: [Mutex<ConnSender>; 2],
     /// Shared observability hub (plane metrics; gated on its enable
     /// flag so the hot path pays one atomic load when tracing is off).
     obs: Arc<Hub>,
@@ -282,9 +284,7 @@ impl NodeLink {
             data_addr: spec.data_addr(),
             // In `lane` order.
             shared: LinkShared::new([msg_rx, data_rx]),
-            control_queue: Mutex::new(Vec::new()),
-            msg_tx: Mutex::new(msg_tx),
-            data_tx: Mutex::new(data_tx),
+            tx: [msg_tx, data_tx].map(Mutex::new),
             obs,
         })
     }
@@ -495,7 +495,7 @@ impl NodeLink {
     /// hang up, both receive halves are dropped and every in-flight call
     /// fails with `err`. A deliberate close is not a link failure.
     pub(crate) fn close(&self, err: ClusterError) {
-        for tx in [&self.msg_tx, &self.data_tx] {
+        for tx in &self.tx {
             tx.lock().expect("sender poisoned").hang_up();
         }
         let mut state = self.shared.lock();
@@ -505,97 +505,33 @@ impl NodeLink {
         }
     }
 
-    /// Sends a control-plane request: straight into a frame of its own
-    /// when the transmit half is free and nothing is queued; otherwise
-    /// it is queued, and whoever holds (or next takes) the transmit half
-    /// coalesces everything queued into one [`Envelope::Batch`].
-    fn send_control(&self, request: Request, at: SimTime) -> Result<(), ClusterError> {
-        let mut lone = Some(request);
-        loop {
-            // Non-blocking: if the transmit path is busy, the holder
-            // re-checks the queue after finishing its send (below), so
-            // leaving our request queued cannot strand it.
-            let Ok(mut sender) = self.msg_tx.try_lock() else {
-                match lone.take() {
-                    // Queued before trying once more: the holder may
-                    // have made its last check already.
-                    Some(request) => self.queued().push(request),
-                    None => return Ok(()),
-                }
-                continue;
-            };
-            let envelope = {
-                let mut queue = self.queued();
-                match (lone.take(), queue.is_empty()) {
-                    (Some(request), true) => Envelope::Single(request),
-                    (None, true) => return Ok(()),
-                    // Behind whatever is queued already, in order.
-                    (request, false) => {
-                        queue.extend(request);
-                        Envelope::from(std::mem::take(&mut *queue))
-                    }
-                }
-            };
-            let virtual_len: u64 = match &envelope {
-                Envelope::Single(r) => r.body.virtual_len(),
-                Envelope::Batch(batch) => batch.iter().map(|r| r.body.virtual_len()).sum(),
-            };
-            let mut encoded_len = 0;
-            let sent = sender.send_frame_with(at, virtual_len, |buf| {
-                let start = buf.len();
-                encode_into_vec(&envelope, buf);
-                encoded_len = buf.len() - start;
-            });
-            self.note_frame("control", encoded_len, virtual_len, envelope.len() as u64);
-            if let Err(e) = sent {
-                return Err(self.send_failed(&mut sender, Plane::Control, e));
-            }
-            drop(sender);
-            // Someone may have queued behind us while we held the
-            // sender; make sure their request is not stranded.
-            if self.queued().is_empty() {
-                return Ok(());
-            }
-        }
-    }
-
-    fn queued(&self) -> MutexGuard<'_, Vec<Request>> {
-        self.control_queue.lock().expect("control queue poisoned")
-    }
-
-    /// Sends a data-plane request immediately (bulk payloads are never
-    /// coalesced; their transmit cost dominates framing overhead).
-    fn send_data(&self, request: Request, at: SimTime) -> Result<(), ClusterError> {
+    /// Puts `request` on its plane's connection, one frame per request:
+    /// whoever else is sending on the plane waits for the sender, and
+    /// every request leaves at its own `at`.
+    pub(crate) fn send(&self, request: Request, at: SimTime) -> Result<(), ClusterError> {
+        let plane = request.body.plane();
         let virtual_len = request.body.virtual_len();
-        let mut sender = self.data_tx.lock().expect("data sender poisoned");
+        let mut sender = self.tx[lane(plane)].lock().expect("sender poisoned");
         let mut encoded_len = 0;
         let sent = sender.send_frame_with(at, virtual_len, |buf| {
             let start = buf.len();
             encode_into_vec(&Envelope::Single(request), buf);
             encoded_len = buf.len() - start;
         });
-        self.note_frame("data", encoded_len, virtual_len, 1);
+        self.note_frame(plane, encoded_len, virtual_len);
         sent.map(drop)
-            .map_err(|e| self.send_failed(&mut sender, Plane::Data, e))
-    }
-
-    /// Sends on the right plane for the request's body.
-    pub(crate) fn send(&self, request: Request, at: SimTime) -> Result<(), ClusterError> {
-        match request.body.plane() {
-            Plane::Data => self.send_data(request, at),
-            Plane::Control => self.send_control(request, at),
-        }
+            .map_err(|e| self.send_failed(&mut sender, plane, e))
     }
 
     /// Records one outgoing frame's plane metrics (no-op while tracing
     /// is off). Bytes are *virtual wire bytes*: modeled bulk payloads
     /// count their declared length, not the descriptor that stands in
     /// for them.
-    fn note_frame(&self, plane: &str, payload_len: usize, virtual_len: u64, coalesced: u64) {
+    fn note_frame(&self, plane: Plane, payload_len: usize, virtual_len: u64) {
         if !self.obs.enabled() {
             return;
         }
-        let labels = [("node", self.name.as_str()), ("plane", plane)];
+        let labels = [("node", self.name.as_str()), ("plane", plane_label(plane))];
         let bytes = (payload_len as u64).max(virtual_len);
         self.obs
             .metrics
@@ -603,14 +539,6 @@ impl NodeLink {
         self.obs
             .metrics
             .inc_counter(names::PLANE_BYTES, &labels, bytes);
-        if plane == "control" {
-            self.obs.metrics.observe_with_buckets(
-                names::BATCH_SIZE,
-                &[("node", self.name.as_str())],
-                coalesced,
-                &haocl_obs::SIZE_BUCKETS,
-            );
-        }
     }
 }
 

@@ -306,37 +306,26 @@ fn serve(mut conn: Conn, state: Arc<Mutex<NodeState>>, stop: Arc<AtomicBool>, pe
             Err(NetError::TimeoutMidFrame { .. }) => continue,
             Err(_) => break,
         };
-        // The host may coalesce several control messages into one
-        // envelope; each request still gets its own response frame so
-        // the host can complete them individually (and out of order).
-        let envelope: Envelope = match decode_from_bytes(frame) {
+        // One frame, one request, one response frame.
+        let Envelope::Single(request) = match decode_from_bytes(frame) {
             Ok(e) => e,
             // A malformed package: drop the connection, as a real daemon
             // would after a framing-level protocol violation.
             Err(_) => break,
         };
-        let mut answer = |request: Request| {
-            let is_shutdown = matches!(request.body, ApiCall::Shutdown);
-            let response = handle(&state, request, arrival, &peer);
-            let send_at = response.completed_at_nanos;
-            // Modeled data replies stand in for bulk payloads: charge the
-            // return link as if the bytes were on it.
-            let virtual_len = match &response.body {
-                ApiReply::DataModeled { len } => *len,
-                _ => 0,
-            };
-            let sent = conn.send_frame_with(SimTime::from_nanos(send_at), virtual_len, |buf| {
-                encode_into_vec(&response, buf)
-            });
-            sent.is_ok() && !is_shutdown
+        let is_shutdown = matches!(request.body, ApiCall::Shutdown);
+        let response = handle(&state, request, arrival, &peer);
+        let send_at = response.completed_at_nanos;
+        // Modeled data replies stand in for bulk payloads: charge the
+        // return link as if the bytes were on it.
+        let virtual_len = match &response.body {
+            ApiReply::DataModeled { len } => *len,
+            _ => 0,
         };
-        // A lone request — the common case — is answered where it was
-        // decoded; only a batch brings a list.
-        let keep_serving = match envelope {
-            Envelope::Single(request) => answer(request),
-            Envelope::Batch(requests) => requests.into_iter().all(&mut answer),
-        };
-        if !keep_serving {
+        let sent = conn.send_frame_with(SimTime::from_nanos(send_at), virtual_len, |buf| {
+            encode_into_vec(&response, buf)
+        });
+        if sent.is_err() || is_shutdown {
             break;
         }
     }
@@ -1611,31 +1600,49 @@ mod tests {
         handle.stop();
     }
 
+    /// `Envelope` tag 1 (several requests in one frame) is retired: a
+    /// node fed such a frame hangs up before executing any of it.
     #[test]
-    fn batched_envelope_yields_per_request_responses() {
-        let (_f, handle, mut conn) = launch_one_node();
-        let requests: Vec<Request> = (0..3)
-            .map(|i| Request {
-                id: RequestId::new(100 + i),
-                user: UserId::new(1),
-                sent_at_nanos: 0,
-                trace_id: 0,
-                parent_span: 0,
-                epoch: 0,
-                attempt: 0,
-                body: ApiCall::Ping,
-            })
+    fn retired_batch_envelope_hangs_up_without_executing() {
+        let (fabric, handle, _conn) = launch_one_node();
+        let refused = |frame: &[u8]| {
+            let mut conn = fabric.connect("10.0.0.1", handle.addr()).unwrap();
+            conn.send_frame(frame, SimTime::ZERO).unwrap();
+            assert_eq!(conn.recv_frame().err(), Some(NetError::Disconnected));
+        };
+        // The three-request batch the golden corpus used to carry.
+        let fixture = include_str!("../../proto/fixtures/wire_retired.txt");
+        let hex = fixture.trim_end().split_once(' ').expect("`label hex`").1;
+        let recorded: Vec<u8> = (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
             .collect();
-        conn.send_frame(&encode_to_vec(&Envelope::Batch(requests)), SimTime::ZERO)
-            .unwrap();
-        let mut ids = Vec::new();
-        for _ in 0..3 {
-            let (frame, _) = conn.recv_frame().unwrap();
-            let resp: Response = decode_from_bytes(frame).unwrap();
-            assert!(matches!(resp.body, ApiReply::Pong { .. }));
-            ids.push(resp.id.raw());
-        }
-        assert_eq!(ids, vec![100, 101, 102], "one response per batched request");
+        refused(&recorded);
+        // A batch of one mutation, which would leave a mark if it ran.
+        let create = ApiCall::CreateBuffer {
+            device: 0,
+            buffer: BufferId::new(5),
+            size: 64,
+        };
+        let mut batch = vec![1u8];
+        batch.extend_from_slice(&1u64.to_le_bytes());
+        batch.extend_from_slice(&encode_to_vec(&Request {
+            id: RequestId::new(100),
+            user: UserId::new(1),
+            sent_at_nanos: 0,
+            trace_id: 0,
+            parent_span: 0,
+            epoch: 0,
+            attempt: 0,
+            body: create.clone(),
+        }));
+        refused(&batch);
+        // The node itself is fine, and the buffer was never created.
+        let mut conn = fabric.connect("10.0.0.1", handle.addr()).unwrap();
+        let (r, _) = call(&mut conn, 1, ApiCall::Ping);
+        assert!(matches!(r, ApiReply::Pong { .. }));
+        let (r, _) = call(&mut conn, 1, create);
+        assert_eq!(r, ApiReply::Ack);
         handle.stop();
     }
 
@@ -2176,8 +2183,8 @@ mod tests {
             .pop()
             .unwrap();
         drop(sealed);
-        let decoded: Envelope = decode_from_bytes(frame).unwrap();
-        let data = match decoded.into_requests().pop().unwrap().body {
+        let Envelope::Single(decoded) = decode_from_bytes(frame).unwrap();
+        let data = match decoded.body {
             ApiCall::WriteBuffer { data, .. } => data,
             other => panic!("decoded {other:?}"),
         };

@@ -13,8 +13,8 @@
 //! * [`chrome`] — exports the span stream as a Chrome trace-event
 //!   `trace.json` loadable in `chrome://tracing` / Perfetto.
 //! * [`metrics`] — a Prometheus-text [`Registry`] of counters, gauges and
-//!   virtual-time histograms (per-kernel latency, bytes per plane, batch
-//!   coalescing sizes, …).
+//!   virtual-time histograms (per-kernel latency, bytes and frames per
+//!   plane, …).
 //! * [`audit`] — the scheduler decision [`AuditLog`]: candidates,
 //!   predictions, winner, reason, for every placement.
 //! * [`replay`] + the `haocl-trace` bin — re-reads a recorded trace and
@@ -39,7 +39,7 @@ pub use audit::{
     AuditLog, CandidateInfo, FusionDecision, PlacementAudit, PredictionSource, DEFAULT_TENANT,
 };
 pub use chrome::chrome_trace;
-pub use metrics::{Counter, Registry, LATENCY_BUCKETS_NANOS, SIZE_BUCKETS};
+pub use metrics::{Counter, Registry, LATENCY_BUCKETS_NANOS};
 pub use replay::{orphan_ids, parse_chrome_trace, render_breakdown, ReplaySpan};
 pub use span::{
     is_connected_tree, orphans, phase_from_name, roots, Recorder, Span, SpanId, TraceCtx, TraceId,
@@ -62,7 +62,8 @@ pub mod names {
     pub const PLANE_BYTES: &str = "haocl_plane_bytes_total";
     /// Counter: frames sent per node and plane.
     pub const PLANE_FRAMES: &str = "haocl_plane_frames_total";
-    /// Histogram: requests coalesced per control-plane frame.
+    /// Unobserved since PR 23 (one request per frame). The name survives
+    /// only because `benchmark/` reads it; it leaves with ROADMAP item 1(a).
     pub const BATCH_SIZE: &str = "haocl_batch_coalesced_requests";
     /// Gauge: host-side queue depth per device at last sample, labelled
     /// with the device index and its hosting node's name.

@@ -33,10 +33,6 @@ pub const LATENCY_BUCKETS_NANOS: [u64; 10] = [
     10_000_000_000,
 ];
 
-/// Default histogram bounds for small cardinalities (batch sizes, queue
-/// depths).
-pub const SIZE_BUCKETS: [u64; 7] = [1, 2, 4, 8, 16, 32, 64];
-
 /// A label set in canonical (sorted-by-key) order.
 type Labels = Vec<(String, String)>;
 

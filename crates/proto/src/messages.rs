@@ -403,8 +403,7 @@ wire_enum! {
 /// Which of a node's two connections a request travels on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Plane {
-    /// The message connection (control plane), where concurrent
-    /// submissions coalesce into batched frames.
+    /// The message connection (control plane).
     Control,
     /// The data connection (buffer contents, §III-C's data listener).
     Data,
@@ -917,56 +916,18 @@ wire_struct! {
 }
 
 wire_enum! {
-    /// What one host→node control-plane frame carries.
+    /// What one host→node frame carries: exactly one [`Request`], on
+    /// either plane. The node answers it with one [`Response`] frame.
     ///
-    /// The pipelined backbone coalesces small control messages that queue up
-    /// while the host NIC is busy: instead of paying per-frame overhead for
-    /// each, it packs every queued [`Request`] into one `Batch` frame. The
-    /// node unpacks the envelope and answers each request with its own
-    /// [`Response`] frame, preserving per-request correlation (and therefore
-    /// out-of-order completion) end to end.
+    /// Tag 1 was `Batch(Vec<Request>)` (several control messages in one
+    /// frame) until PR 23; it is retired, never reused, and refused by the
+    /// decoder like any unknown tag. The one-variant wrapper stays so that
+    /// no wire byte moves.
     #[derive(Debug, Clone, PartialEq)]
     pub enum Envelope {
-        /// Exactly one request (the common uncongested case).
+        /// The request. (The variant name survives only because
+        /// `benchmark/` spells it; it leaves with ROADMAP item 1(a).)
         0 => Single(Request),
-        /// Several requests coalesced into one transmission.
-        1 => Batch(Vec<Request>),
-    }
-}
-
-impl Envelope {
-    /// The requests carried, in submission order.
-    pub fn into_requests(self) -> Vec<Request> {
-        match self {
-            Envelope::Single(request) => vec![request],
-            Envelope::Batch(requests) => requests,
-        }
-    }
-
-    /// How many requests the envelope carries.
-    pub fn len(&self) -> usize {
-        match self {
-            Envelope::Single(_) => 1,
-            Envelope::Batch(requests) => requests.len(),
-        }
-    }
-
-    /// Whether the envelope carries no requests (possible only for an
-    /// empty `Batch`, which well-formed senders never emit).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl From<Vec<Request>> for Envelope {
-    /// Wraps queued requests, collapsing a singleton into
-    /// [`Envelope::Single`].
-    fn from(mut requests: Vec<Request>) -> Self {
-        if requests.len() == 1 {
-            Envelope::Single(requests.pop().expect("len checked"))
-        } else {
-            Envelope::Batch(requests)
-        }
     }
 }
 
@@ -1414,9 +1375,9 @@ mod tests {
     }
 
     /// The framing samples of the golden corpus: a plain request, a
-    /// traced retransmission, a response carrying node spans, and both
-    /// envelope forms.
-    fn golden_frames() -> (Request, Request, Response, Envelope, Envelope) {
+    /// traced retransmission, a response carrying node spans, and the
+    /// envelope.
+    fn golden_frames() -> (Request, Request, Response, Envelope) {
         let calls = every_api_call();
         let body_of = |want: fn(&ApiCall) -> bool| {
             calls
@@ -1476,15 +1437,7 @@ mod tests {
             ],
         };
         let single = Envelope::Single(plain.clone());
-        let batch = Envelope::Batch(vec![
-            plain.clone(),
-            traced.clone(),
-            Request {
-                body: ApiCall::Ping,
-                ..plain.clone()
-            },
-        ]);
-        (plain, traced, response, single, batch)
+        (plain, traced, response, single)
     }
 
     /// `ApiCall::LaunchKernel { .. }` → `LaunchKernel`.
@@ -1534,12 +1487,32 @@ mod tests {
             let label = format!("ApiReply::{}", variant_name(&reply));
             check_golden(&mut lines, &label, reply);
         }
-        let (plain, traced, response, single, batch) = golden_frames();
+        let (plain, traced, response, single) = golden_frames();
         check_golden(&mut lines, "Request", plain);
         check_golden(&mut lines, "Request.traced", traced);
         check_golden(&mut lines, "Response.spans", response);
         check_golden(&mut lines, "Envelope::Single", single);
-        check_golden(&mut lines, "Envelope::Batch", batch);
+        assert_eq!(lines.next(), None, "corpus has unchecked lines");
+    }
+
+    /// `fixtures/wire_retired.txt` holds frames this module once produced
+    /// and must never accept again: the `Envelope::Batch` line is the
+    /// three-request batch of the golden corpus, byte for byte.
+    #[test]
+    fn retired_envelope_batch_tag_does_not_decode() {
+        let mut lines = include_str!("../fixtures/wire_retired.txt").lines();
+        let (label, hex) = lines
+            .next()
+            .and_then(|line| line.split_once(' '))
+            .expect("`label hex` line");
+        assert_eq!(label, "Envelope::Batch");
+        assert_eq!(
+            decode_from_bytes::<Envelope>(unhex(hex).into()),
+            Err(WireError::InvalidTag {
+                what: "Envelope",
+                tag: 1
+            })
+        );
         assert_eq!(lines.next(), None, "corpus has unchecked lines");
     }
 
@@ -1632,36 +1605,6 @@ mod tests {
                 tag: 200
             }
         ));
-    }
-
-    #[test]
-    fn envelopes_roundtrip_and_unpack() {
-        let request = |n: u64| Request {
-            id: RequestId::new(n),
-            user: UserId::new(1),
-            sent_at_nanos: n * 10,
-            trace_id: 0,
-            parent_span: 0,
-            epoch: 0,
-            attempt: 0,
-            body: ApiCall::Ping,
-        };
-        roundtrip(Envelope::Single(request(1)));
-        roundtrip(Envelope::Batch(vec![request(1), request(2), request(3)]));
-
-        // From<Vec<_>> collapses singletons into the cheaper variant.
-        let single = Envelope::from(vec![request(7)]);
-        assert_eq!(single, Envelope::Single(request(7)));
-        assert_eq!(single.len(), 1);
-        assert!(!single.is_empty());
-
-        let batch = Envelope::from(vec![request(1), request(2)]);
-        assert_eq!(batch.len(), 2);
-        assert_eq!(
-            batch.into_requests(),
-            vec![request(1), request(2)],
-            "submission order preserved"
-        );
     }
 
     #[test]
