@@ -55,22 +55,27 @@
 //! buffer with the class that says what a chunk may do to it, when the
 //! lockstep gate lets the launch form chunks at all — and a
 //! [`GroupScratch`] then holds those registers broadcast into a
-//! `[register][lane]` file; per *group*, one [`Ctx`] and one copy of the
-//! launch's registers; per *item* — per chunk of `LANES` items, cut from
-//! a row or, rows being narrower, from the group's linear order — the
-//! ids are written and the locals zeroed.
+//! `[register][lane]` file, and who touched what no class vouches for;
+//! per *group*, one [`Ctx`] and one copy of the launch's registers; per
+//! *item* — per chunk of `LANES` items, cut from a row or, rows being
+//! narrower, from the linear order of the group or of the small groups
+//! that fill it — the ids are written, the locals zeroed and what the
+//! chunk before touched forgotten.
 
 use std::fmt;
 use std::sync::OnceLock;
 
+use crate::analysis::cfg::Cfg;
 use crate::ast::ParamType;
 use crate::bytecode::{BinKind, CmpKind, CompiledKernel, Geom, Instr, Math1, Math2};
 use crate::types::ScalarType;
 
 use super::interp::{barrier_stall_check, Item, ItemStatus};
-use super::lockstep::{self, LaneCounts};
+use super::lockstep::{self, Abort, LaneCounts, Shadow};
 use super::ops::int_value;
-use super::regops::{self, Class, CmpClass, Ctx, Halt, Op, OpFn, OpFns, Root, Step, LANES};
+use super::regops::{
+    self, Class, CmpClass, Ctx, Halt, Op, OpFn, OpFns, Root, SplitCause, Step, LANES,
+};
 use super::*;
 
 /// A kernel lowered to typed register ops.
@@ -80,6 +85,9 @@ pub(super) struct CompiledCode {
     ops: Vec<Op>,
     /// The lockstep instantiation of each op's body, parallel to `ops`.
     lanes: Vec<OpFn>,
+    /// Each load's and store's bodies for a chunk that checks who touches
+    /// what ([`regops::OpFns::owned`]), parallel to `ops`.
+    owned: Vec<Option<[OpFn; 2]>>,
     /// For every bytecode pc that control can enter (block seams,
     /// barrier resume points), the op index to start at.
     ip_at: Vec<u32>,
@@ -101,6 +109,9 @@ pub(super) struct CompiledCode {
     /// The typing pass refused the bytecode; execute via the
     /// interpreter instead. Never taken for sema-produced bytecode.
     fallback: bool,
+    /// Per conditional jump, by its pc, the pc where its two ways meet
+    /// again ([`join_pcs`]): built by the first chunk to re-join.
+    joins: OnceLock<Vec<u32>>,
 }
 
 /// Geometry registers: seven [`Geom`] queries × three dimensions
@@ -109,6 +120,9 @@ const GEOM_REGS: u32 = 21;
 
 /// "No root register": the `root` of a scalar.
 const NO_ROOT: u32 = u32::MAX;
+
+/// The op index at which no run of ops stops short.
+const NEVER: usize = usize::MAX;
 
 // --- typed expression trees --------------------------------------------------
 
@@ -172,6 +186,7 @@ struct Lowerer<'c> {
     code: &'c [Instr],
     ops: Vec<Op>,
     lanes: Vec<OpFn>,
+    owned: Vec<Option<[OpFn; 2]>>,
     /// Control ops whose `c` still holds a bytecode pc.
     jumps: Vec<usize>,
     nodes: Vec<Node>,
@@ -388,6 +403,7 @@ impl Lowerer<'_> {
 
     fn op(&mut self, run: OpFns, dst: u32, a: u32, b: u32, c: u32, d: u32) {
         self.lanes.push(run.lanes);
+        self.owned.push(run.owned);
         self.ops.push(Op {
             run: run.item,
             dst,
@@ -498,7 +514,8 @@ impl Lowerer<'_> {
     /// Emits pointer tree `p` for a memory op and picks the op's form
     /// from `(plain, indexed)`: the ubiquitous `base[index]` shape folds
     /// its `PtrAdd` into the access. Returns `(op, offset register,
-    /// index register)`.
+    /// index register)` — for the plain form a register that holds zero,
+    /// which the op's checked body adds all the same.
     fn gen_address(&mut self, (plain, indexed): (OpFns, OpFns), p: NodeId) -> (OpFns, u32, u32) {
         if let Node::PtrAdd {
             ptr,
@@ -509,7 +526,7 @@ impl Lowerer<'_> {
             let off = self.gen(ptr, None);
             (indexed, off, self.gen(idx, None))
         } else {
-            (plain, self.gen(p, None), 0)
+            (plain, self.gen(p, None), self.constant(0))
         }
     }
 
@@ -601,6 +618,8 @@ impl Lowerer<'_> {
         self.scratch_used = 0;
         let rc = self.gen(c, None);
         self.control(regops::BRANCH, 0, rc, u32::from(on_true), t);
+        // The driver looks the branch's join up by its pc.
+        self.ops.last_mut().expect("just emitted").d = pc as u32;
         self.retire(pc, first);
     }
 
@@ -912,6 +931,7 @@ fn lower(kernel: &CompiledKernel) -> CompiledCode {
         code,
         ops: Vec::with_capacity(code.len()),
         lanes: Vec::with_capacity(code.len()),
+        owned: Vec::with_capacity(code.len()),
         jumps: Vec::new(),
         nodes: Vec::with_capacity(code.len() + 8),
         tys: Vec::with_capacity(code.len() + 8),
@@ -968,10 +988,12 @@ fn lower(kernel: &CompiledKernel) -> CompiledCode {
     // what the builders reserved beyond it.
     lw.ops.shrink_to_fit();
     lw.lanes.shrink_to_fit();
+    lw.owned.shrink_to_fit();
     lw.template.shrink_to_fit();
     CompiledCode {
         ops: lw.ops,
         lanes: lw.lanes,
+        owned: lw.owned,
         ip_at: lw.ip_at,
         template: lw.template,
         n_params,
@@ -979,6 +1001,44 @@ fn lower(kernel: &CompiledKernel) -> CompiledCode {
         mutated: lw.mutated,
         has_barrier: code.iter().any(|i| matches!(i, Instr::Barrier)),
         fallback: false,
+        joins: OnceLock::new(),
+    }
+}
+
+/// For the conditional jump that ends each block of `code`, by its pc:
+/// the first pc of the block's immediate post-dominator, where every way
+/// out of the branch first meets the others; `code.len()` at the end.
+fn join_pcs(code: &[Instr]) -> Vec<u32> {
+    let cfg = Cfg::build(code);
+    let pdom = cfg.post_dominators();
+    let exit = cfg.blocks.len();
+    let start_of = |b: usize| cfg.blocks.get(b).map_or(code.len(), |b| b.start) as u32;
+    let mut joins = vec![u32::MAX; code.len()];
+    for (b, block) in cfg.blocks.iter().enumerate() {
+        // A block's post-dominators are a chain, each one's set the one
+        // before it less that block: the nearest has all but `b` itself.
+        let size_of = |d: usize| pdom.get(d).map_or(1, |s| s.len());
+        let nearest =
+            (0..=exit).find(|&d| d != b && pdom[b].contains(d) && size_of(d) + 1 == pdom[b].len());
+        joins[block.end - 1] = nearest.map_or(u32::MAX, start_of);
+    }
+    joins
+}
+
+impl CompiledCode {
+    /// The op at which lanes that part on the branch at op `x` of
+    /// `kernel` are all together again, if there is one.
+    fn join_of(&self, kernel: &CompiledKernel, x: usize) -> Option<usize> {
+        let pc = self.ops[x].d as usize;
+        let join = self.joins.get_or_init(|| join_pcs(&kernel.code))[pc];
+        // A block the branch falls into need not be a seam; it starts at
+        // the next op all the same.
+        let at = if join as usize == pc + 1 {
+            x as u32 + 1
+        } else {
+            *self.ip_at.get(join as usize)?
+        };
+        (at != u32::MAX).then_some(at as usize)
     }
 }
 
@@ -1045,9 +1105,12 @@ struct Launch<'k> {
     roots: Vec<Root>,
     /// How many consecutive items of a group chunks are cut from, `LANES`
     /// at a time: a row, where rows are at least a chunk wide; else the
-    /// whole group in its linear `(z, y, x)` order, where it holds a
-    /// chunk; 0 where the launch runs item by item ([`lockstep::gate`]).
+    /// whole group in its linear `(z, y, x)` order; 0 where the launch
+    /// runs item by item ([`lockstep::gate`]).
     span: u64,
+    /// How many groups, consecutive in x, fill a chunk together, where a
+    /// group is a whole fraction of one and the row has that many; else 1.
+    fuse: u64,
 }
 
 impl<'k> Launch<'k> {
@@ -1064,12 +1127,14 @@ impl<'k> Launch<'k> {
             range.global[2] / range.local[2],
         ];
         let in_rows = range.local[0] >= LANES as u64;
-        let span = if in_rows {
-            range.local[0]
-        } else {
-            range.group_items()
+        let items = range.group_items();
+        let span = if in_rows { range.local[0] } else { items };
+        let fuse = match LANES as u64 / items {
+            n if n * items == LANES as u64 && n <= num_groups[0] => n,
+            _ => 1,
         };
-        let lockstep = span >= LANES as u64 && lockstep::gate(kernel, code.has_barrier, args);
+        let lockstep =
+            span * fuse >= LANES as u64 && lockstep::gate(kernel, code.has_barrier, args);
         let mut regs = code.template.clone();
         let mut roots = vec![Root::Local; bound.len() + 1];
         for (p, v) in bound.iter().enumerate() {
@@ -1103,6 +1168,7 @@ impl<'k> Launch<'k> {
             regs,
             roots,
             span: if lockstep { span } else { 0 },
+            fuse: if lockstep { fuse } else { 1 },
         }
     }
 
@@ -1155,8 +1221,9 @@ impl<'k> Launch<'k> {
     }
 
     /// [`Launch::write_ids`] for the chunk of `LANES` items that starts
-    /// at item `at` of the group's linear order and runs across rows.
-    fn write_lane_ids(&self, lanes: &mut [u64], group_id: [u64; 3], at: u64) {
+    /// at item `at` of the group's linear order and runs across rows and,
+    /// past the group's last item, into the next group in x.
+    fn write_lane_ids(&self, lanes: &mut [u64], mut group_id: [u64; 3], at: u64) {
         let local = self.range.local;
         let mut id = self.local_id_at(at);
         for l in 0..LANES {
@@ -1170,6 +1237,10 @@ impl<'k> Launch<'k> {
                 id = [0, id[1] + 1, id[2]];
                 if id[1] == local[1] {
                     id = [0, 0, id[2] + 1];
+                    if id[2] == local[2] {
+                        id[2] = 0;
+                        group_id[0] += 1;
+                    }
                 }
             }
         }
@@ -1184,6 +1255,7 @@ struct GroupScratch {
     /// lockstep. Only ids, locals and mutated parameters differ from
     /// chunk to chunk, so the rest is filled here once.
     lanes: Vec<u64>,
+    shadow: Shadow,
     counts: LaneCounts,
 }
 
@@ -1196,9 +1268,13 @@ impl GroupScratch {
                 lanes.extend(std::iter::repeat_n(r, LANES));
             }
         }
+        let mut shadow = Shadow::default();
+        let serial = |r: &Root| matches!(r, Root::Global(_, Class::Serial));
+        shadow.on = launch.span > 0 && launch.roots.iter().any(serial);
         GroupScratch {
             regs: Vec::new(),
             lanes,
+            shadow,
             counts: LaneCounts::default(),
         }
     }
@@ -1231,28 +1307,33 @@ pub(super) fn run(
     let num_groups = launch.num_groups;
     for gz in 0..num_groups[2] {
         for gy in 0..num_groups[1] {
-            for gx in 0..num_groups[0] {
-                run_group(
+            // Too few small groups to fill a chunk run item by item.
+            for gx in (0..num_groups[0]).step_by(launch.fuse as usize) {
+                let groups = launch.fuse.min(num_groups[0] - gx);
+                run_groups(
                     &launch,
                     buffers,
                     [gx, gy, gz],
+                    groups,
                     &mut arena,
                     &mut scratch,
                     &mut stats,
                 )?;
-                stats.work_groups += 1;
+                stats.work_groups += groups;
             }
         }
     }
     Ok(stats)
 }
 
-/// Executes one work-group to completion under the shared pass-based
-/// round-robin schedule.
-fn run_group(
+/// Executes the `groups` work-groups from `group_id` on in x — more than
+/// one only where they fill a chunk together ([`Launch::fuse`]) — to
+/// completion under the shared pass-based round-robin schedule.
+fn run_groups(
     launch: &Launch<'_>,
     mem: &mut [GlobalBuffer],
     group_id: [u64; 3],
+    groups: u64,
     arena: &mut [u8],
     scratch: &mut GroupScratch,
     stats: &mut ExecStats,
@@ -1264,39 +1345,57 @@ fn run_group(
     }
     let code = launch.code;
     let local = launch.range.local;
+    let GroupScratch {
+        regs,
+        lanes,
+        shadow,
+        counts,
+    } = scratch;
     let mut ctx = Ctx {
         mem,
         arena,
         roots: &launch.roots,
+        shadow,
         fault: None,
     };
-    let GroupScratch {
-        regs,
-        lanes,
-        counts,
-    } = scratch;
     regs.clear();
     if !code.has_barrier {
         // No barrier can suspend an item, so the round-robin schedule
         // degenerates to running each item once in local-id order, and
         // one register file serves them all: same execution order, same
         // stats, same first error. Where the launch runs lockstep, full
-        // chunks take each op together instead, up to the first access
-        // whose buffer's class does not let them (see `lockstep`) — which
-        // no item can tell from taking turns.
+        // chunks take each op together instead, as far as `lockstep`
+        // shows that no item can tell that from taking turns.
         regs.extend_from_slice(&launch.regs);
         let locals = code.n_params as usize..code.n_slots as usize;
         // What chunks are cut from is a row of the group — or, its rows
-        // narrower than a chunk, the group itself as one long row.
-        let across = launch.span > local[0];
+        // narrower than a chunk, the group itself, or the groups
+        // themselves, as one long row.
+        let cut = launch.span * groups;
+        let across = cut > local[0];
         let (rows_z, rows_y, row) = if across {
-            (1, 1, launch.span)
+            (1, 1, cut)
         } else {
             (local[2], local[1], local[0])
         };
-        let chunked = launch.span - launch.span % LANES as u64;
+        let chunked = row.min(cut) / LANES as u64 * LANES as u64;
         for lz in 0..rows_z {
             for ly in 0..rows_y {
+                // One item from op 0, by itself.
+                let item = |regs: &mut [u64], ctx: &mut Ctx<'_>, stats: &mut ExecStats, at| {
+                    regs[locals.clone()].fill(0);
+                    for &r in &code.mutated {
+                        regs[r as usize] = launch.regs[r as usize];
+                    }
+                    let (mut group_id, mut local_id) = (group_id, [at, ly, lz]);
+                    if across {
+                        let items = launch.range.group_items();
+                        group_id[0] += at / items;
+                        local_id = launch.local_id_at(at % items);
+                    }
+                    launch.write_ids(regs, group_id, local_id);
+                    exec::<1, false>(code, regs, ctx, 0, NEVER, stats).map(drop)
+                };
                 if chunked > 0 && !across {
                     launch.write_row_ids(lanes, group_id, ly, lz);
                 }
@@ -1311,24 +1410,18 @@ fn run_group(
                     } else {
                         launch.write_chunk_x(lanes, group_id[0], at);
                     }
-                    run_chunk(code, lanes, regs, &mut ctx, stats, counts)?;
+                    if !run_chunk(launch, lanes, regs, &mut ctx, stats, counts)? {
+                        for at in at..at + LANES as u64 {
+                            item(regs, &mut ctx, stats, at)?;
+                        }
+                    }
                 }
                 for at in chunked..row {
-                    regs[locals.clone()].fill(0);
-                    for &r in &code.mutated {
-                        regs[r as usize] = launch.regs[r as usize];
-                    }
-                    let local_id = if across {
-                        launch.local_id_at(at)
-                    } else {
-                        [at, ly, lz]
-                    };
-                    launch.write_ids(regs, group_id, local_id);
-                    exec::<1>(code, regs, &mut ctx, 0, stats)?;
+                    item(regs, &mut ctx, stats, at)?;
                 }
             }
         }
-        stats.work_items += launch.range.group_items();
+        stats.work_items += launch.range.group_items() * groups;
         return Ok(());
     }
     // One register file per item, side by side, so a suspended item's
@@ -1363,7 +1456,7 @@ fn run_group(
                 // Control enters at a seam: a kernel's start, or the
                 // instruction after a barrier.
                 let ip = code.ip_at[item.pc] as usize;
-                item.status = match exec::<1>(code, regs, &mut ctx, ip, stats)? {
+                item.status = match exec::<1, false>(code, regs, &mut ctx, ip, NEVER, stats)? {
                     Exit::Barrier(resume) => {
                         item.pc = resume;
                         ItemStatus::AtBarrier
@@ -1401,23 +1494,42 @@ enum Exit {
     },
 }
 
+/// Whether some item of the launch stores to what `root` names.
+fn is_owned(root: Root) -> bool {
+    matches!(root, Root::Global(_, Class::Private | Class::Serial))
+}
+
 /// Runs `L` items, their registers laid out `[register][lane]`, from op
-/// `ip` until they finish, suspend, split or one errors.
-fn exec<const L: usize>(
+/// `ip` until they finish, suspend, split or one errors. With `CHECKS` they
+/// are lanes of a chunk that checks who touches what: they take the `owned`
+/// bodies where some item stores, and one by itself is done at op `stop`.
+fn exec<const L: usize, const CHECKS: bool>(
     code: &CompiledCode,
     regs: &mut [u64],
     ctx: &mut Ctx<'_>,
     mut ip: usize,
+    stop: usize,
     stats: &mut ExecStats,
 ) -> Result<Exit, ExecError> {
     let ops = &code.ops[..];
     let mut retired = 0u64;
     let exit = loop {
+        if CHECKS && L == 1 && ip == stop {
+            break Exit::Done;
+        }
         // Falling off the end is a return, like the interpreter.
         let Some(op) = ops.get(ip) else {
             break Exit::Done;
         };
-        let run = if L == 1 { op.run } else { code.lanes[ip] };
+        let owned = if CHECKS { code.owned[ip] } else { None };
+        let run = match owned {
+            // A load or a store: by the class of the first lane's buffer.
+            Some(owned) if is_owned(ctx.roots[regs[op.c as usize * L] as usize]) => {
+                owned[usize::from(L > 1)]
+            }
+            _ if L == 1 => op.run,
+            _ => code.lanes[ip],
+        };
         retired += u64::from(op.covers);
         match run(regs, ctx, op) {
             Ok(Step::Next) => ip += 1,
@@ -1435,30 +1547,94 @@ fn exec<const L: usize>(
     Ok(exit)
 }
 
-/// Runs the `LANES` items in `lanes` in lockstep. Where they split, each
-/// is copied to `regs` and finished from that op on by itself, in lane
-/// order: whatever the split was over — a fault included — then happens
-/// to one item, on the path that reports it, after every item before it
-/// has run to its end.
+/// Copies lane `l` of `lanes` to the one-item file `regs`.
+fn lane_out(regs: &mut [u64], lanes: &[u64], l: usize) {
+    for (reg, lanes) in regs.iter_mut().zip(lanes.chunks_exact(LANES)) {
+        *reg = lanes[l];
+    }
+}
+
+/// Runs the `LANES` items in `lanes` in lockstep, as far as that goes.
+/// Where they split, each is copied to `regs` and finished from that op
+/// on by itself, in lane order: whatever the split was over — a fault
+/// included — then happens to one item, on the path that reports it,
+/// after every item before it has run to its end. A chunk that checks
+/// who touches what (`lockstep`) re-joins after a branch instead, and at
+/// any other split, or a failed check, puts memory and `stats` back as it
+/// found them, ends the checking for its launch and returns `false`: its
+/// items are yet to run, one by one from op 0.
 fn run_chunk(
-    code: &CompiledCode,
+    launch: &Launch<'_>,
     lanes: &mut [u64],
     regs: &mut [u64],
     ctx: &mut Ctx<'_>,
     stats: &mut ExecStats,
     counts: &mut LaneCounts,
-) -> Result<(), ExecError> {
+) -> Result<bool, ExecError> {
+    let code = launch.code;
     counts.chunks += 1;
-    if let Exit::Split { ip, cause } = exec::<LANES>(code, lanes, ctx, 0, stats)? {
-        counts.splits[cause as usize] += 1;
-        for l in 0..LANES {
-            for (reg, lanes) in regs.iter_mut().zip(lanes.chunks_exact(LANES)) {
-                *reg = lanes[l];
+    if !ctx.shadow.on {
+        if let Exit::Split { ip, cause } = exec::<LANES, false>(code, lanes, ctx, 0, NEVER, stats)?
+        {
+            counts.splits[cause as usize] += 1;
+            for l in 0..LANES {
+                lane_out(regs, lanes, l);
+                exec::<1, false>(code, regs, ctx, ip, NEVER, stats)?;
             }
-            exec::<1>(code, regs, ctx, ip, stats)?;
         }
+        return Ok(true);
     }
-    Ok(())
+    let found = stats.instructions;
+    let mut ip = 0;
+    let why = 'chunk: loop {
+        let Exit::Split { ip: x, cause } = exec::<LANES, true>(code, lanes, ctx, ip, NEVER, stats)?
+        else {
+            ctx.shadow.settle(None);
+            return Ok(true);
+        };
+        let join = match cause {
+            SplitCause::Branch => code.join_of(launch.kernel, x),
+            _ => None,
+        };
+        let Some(join) = join else {
+            break cause;
+        };
+        // Every lane takes the branch; those it does not send to the
+        // join go there by themselves.
+        counts.splits[cause as usize] += 1;
+        let op = code.ops[x];
+        stats.instructions += u64::from(op.covers) * LANES as u64;
+        for l in 0..LANES {
+            let taken = lanes[op.a as usize * LANES + l] == u64::from(op.b);
+            let side = if taken { op.c as usize } else { x + 1 };
+            if side == join {
+                continue;
+            }
+            lane_out(regs, lanes, l);
+            ctx.shadow.who = l as u8 + 1;
+            match exec::<1, true>(code, regs, ctx, side, join, stats) {
+                Ok(Exit::Split { cause, .. }) => break 'chunk cause,
+                Ok(_) => {
+                    for (reg, lanes) in regs.iter().zip(lanes.chunks_exact_mut(LANES)) {
+                        lanes[l] = *reg;
+                    }
+                }
+                Err(_) => break 'chunk SplitCause::Fault,
+            }
+        }
+        counts.rejoins += 1;
+        ip = join;
+    };
+    let full = ctx.shadow.settle(Some(ctx.mem)) == lockstep::TOUCHED_CAP;
+    let why = match why {
+        SplitCause::Unproven if full => Abort::Overflow,
+        SplitCause::Unproven => Abort::Conflict,
+        _ => Abort::Fault,
+    };
+    counts.aborts[why as usize] += 1;
+    stats.instructions = found;
+    ctx.shadow.on = false;
+    Ok(false)
 }
 
 #[cfg(test)]

@@ -15,22 +15,43 @@
 //!   `get_global_id(0) + k`, in a launch whose chunks each lie inside one
 //!   row, so that lanes differ in `get_global_id(0)` and each touches its
 //!   own element: a chunk may load and store;
-//! * **serial** — everything else: the op that reaches it splits the
-//!   chunk (`unproven`) having changed nothing, and the lanes finish one
-//!   by one, in lane order, from that op.
+//! * **serial** — everything else: proved nothing, checked instead.
 //!
-//! So a chunk runs in lockstep for a *prefix* of its items' ops. Up to
-//! the split its lanes have touched only memory no item of the launch
-//! writes, or their own elements of a private buffer, so every
-//! interleaving of those prefixes leaves the memory item order leaves;
-//! after it they run in item order. A store to a shared buffer splits
-//! too: the engine never writes what it classified read-only.
+//! **Checked, not proved.** A launch with a serial buffer keeps a
+//! [`Shadow`]: a byte per element of every buffer somebody stores to,
+//! naming the lane of the running chunk that touched it first. A lane may
+//! touch its own and what is nobody's yet (it takes it, and the element's
+//! bytes go on the chunk's list); one that reaches another lane's makes
+//! the chunk **abort**. If every element written during a chunk was
+//! touched by one lane only, no lane read or overwrote another's write, so
+//! every interleaving of the lanes — item order included — computes the
+//! same bytes. And an abort leaves memory as the chunk found it: the list
+//! is put back, the shadow cleared, the instruction count restored, and
+//! the chunk's items run one by one from op 0. A fault, or pointers that
+//! name different buffers, abort a checking chunk too, so the first error
+//! in item order and the bytes behind it stay the interpreter's. The list
+//! is undo log and clear list at once, so it grows with the elements a
+//! chunk touches, not with its accesses; past [`TOUCHED_CAP`] it aborts.
+//! A launch aborts at most once: from then on an op that reaches a serial
+//! buffer splits its chunk (`unproven`) having changed nothing, the lanes
+//! finishing one by one from that op in lane order — as at a store to a
+//! shared buffer: the engine never writes what it classed read-only.
+//!
+//! Lanes of a checking chunk that disagree on a branch **re-join**: those
+//! it does not send straight to where its ways meet — the first op of the
+//! branch block's immediate post-dominator — go there one by one, in lane
+//! order, checked like the rest, and the chunk goes on from that op; no
+//! op body knows of a mask. Unchecked that is unsound (a lane run ahead to
+//! the join has done ops that in item order follow ops lower lanes have
+//! yet to do), so any other chunk splits at a branch for good.
 //!
 //! A group whose rows are narrower than a chunk but which holds `LANES`
-//! items cuts its chunks from its linear `(z, y, x)` order. Two lanes of
-//! such a chunk can share `get_global_id(0)`, so nothing is private
-//! there. Chunks still run one after another, in item order, and groups
-//! in `(z, y, x)` order, so nothing else about the schedule moves.
+//! items cuts its chunks from its linear `(z, y, x)` order, and groups
+//! that are a whole fraction of a chunk fill one together, consecutive in
+//! x. Two lanes of such a chunk can share `get_global_id(0)`, so nothing
+//! is private there. Chunks still run one after another, in item order,
+//! and groups in `(z, y, x)` order, so nothing else about the schedule
+//! moves.
 //!
 //! The counters are the engine's self-report ([`lockstep_stats`]): plain
 //! relaxed atomics, bumped once per launch or refusal, never part of
@@ -44,7 +65,7 @@ use crate::bytecode::CompiledKernel;
 use crate::types::AddressSpace;
 
 use super::regops::{Class, LANES};
-use super::ArgValue;
+use super::{ArgValue, GlobalBuffer};
 
 /// Why a launch with groups of at least a chunk runs item by item.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,6 +84,18 @@ const SPLIT_CAUSES: [&str; 4] = ["branch", "fault", "root", "unproven"];
 
 /// Label values of the refusal counters, indexed by [`Refusal`].
 const REFUSALS: [&str; 3] = ["no_effects", "barrier", "local"];
+
+/// Why a chunk that was checking who touches what undid itself
+/// ([`LockstepStats::aborts`]); `Fault` stands for every other split.
+#[derive(Clone, Copy)]
+pub(super) enum Abort {
+    Conflict,
+    Fault,
+    Overflow,
+}
+
+/// Label values of the abort counters, indexed by [`Abort`].
+const ABORTS: [&str; 3] = ["conflict", "fault", "overflow"];
 
 /// Whether the launch may form chunks at all. A refusal is counted.
 pub(super) fn gate(kernel: &CompiledKernel, has_barrier: bool, args: &[ArgValue]) -> bool {
@@ -140,6 +173,80 @@ thread_local! {
     static FORCED: std::cell::Cell<Option<Class>> = const { std::cell::Cell::new(None) };
 }
 
+// --- ownership -------------------------------------------------------------
+
+/// Elements one chunk may touch in the buffers somebody stores to before
+/// it gives up ([`Abort::Overflow`]): 24 bytes of list each, 96 KiB.
+pub(super) const TOUCHED_CAP: usize = 4096;
+
+/// Which lane touched which element of the buffers somebody stores to
+/// since the running chunk began: one byte per element, per launch,
+/// reused from chunk to chunk.
+#[derive(Default)]
+pub(super) struct Shadow {
+    /// Chunks check: a launch with a serial buffer, until one aborts.
+    pub(super) on: bool,
+    /// The mark — one more than its lane — of the item that runs by itself
+    /// between a branch and its join; in lockstep each lane leaves its own.
+    pub(super) who: u8,
+    /// Per bound buffer, its element size and, per element, 0 or its
+    /// owner's mark. Sized at the first touch.
+    owners: Vec<(usize, Vec<u8>)>,
+    /// `(buffer, element, its bytes then)` of every element owned: what to
+    /// clear when the chunk ends and what to put back if it aborts.
+    touched: Vec<(usize, usize, [u8; 8])>,
+}
+
+impl Shadow {
+    /// The lane whose mark is `me` is about to load or store element `off`
+    /// — `old`, one of `n` — of buffer `buf`. `false`: it is another
+    /// lane's, or the chunk has touched all it may.
+    #[inline(always)]
+    pub(super) fn claim(&mut self, buf: usize, off: usize, me: u8, old: &[u8], n: usize) -> bool {
+        let mine = |(size, by): &(usize, Vec<u8>)| *size == old.len() && by.get(off) == Some(&me);
+        self.owners.get(buf).is_some_and(mine) || self.take(buf, off, me, old, n)
+    }
+
+    #[inline(never)]
+    fn take(&mut self, buf: usize, off: usize, me: u8, old: &[u8], n: usize) -> bool {
+        if self.owners.len() <= buf {
+            self.owners.resize_with(buf + 1, Default::default);
+        }
+        let (grain, by) = &mut self.owners[buf];
+        if by.is_empty() {
+            (*grain, *by) = (old.len(), vec![0; n]);
+        }
+        // A buffer read at two element sizes has no one grain to own by.
+        let free = *grain == old.len() && by[off] == 0;
+        #[cfg(test)]
+        if !free && tests::UNCHECKED.get() {
+            return true;
+        }
+        if !free || self.touched.len() == TOUCHED_CAP {
+            return false;
+        }
+        by[off] = me;
+        let mut bytes = [0; 8];
+        bytes[..old.len()].copy_from_slice(old);
+        self.touched.push((buf, off, bytes));
+        true
+    }
+
+    /// Ends the chunk: nothing is owned any more, and with `undo` every
+    /// element taken holds its old bytes again. Returns how many were.
+    pub(super) fn settle(&mut self, mut undo: Option<&mut [GlobalBuffer]>) -> usize {
+        let taken = self.touched.len();
+        for (buf, off, old) in self.touched.drain(..).rev() {
+            let (size, by) = &mut self.owners[buf];
+            by[off] = 0;
+            if let Some(mem) = &mut undo {
+                mem[buf].as_bytes_mut()[off * *size..][..*size].copy_from_slice(&old[..*size]);
+            }
+        }
+        taken
+    }
+}
+
 // --- self-report -------------------------------------------------------------
 
 /// What one launch's groups did, added to the process-wide counters when
@@ -148,19 +255,30 @@ thread_local! {
 pub(super) struct LaneCounts {
     /// Chunks entered in lockstep.
     pub(super) chunks: u64,
-    /// Of those, the ones that split, by [`super::regops::SplitCause`].
+    /// Times a chunk's lanes split, by [`super::regops::SplitCause`].
     pub(super) splits: [u64; 4],
+    /// Of the `branch` splits, those whose lanes came together again.
+    pub(super) rejoins: u64,
+    /// Chunks that undid themselves, by [`Abort`].
+    pub(super) aborts: [u64; 3],
 }
 
 static CHUNKS: AtomicU64 = AtomicU64::new(0);
 static SPLITS: [AtomicU64; 4] = [const { AtomicU64::new(0) }; 4];
+static REJOINS: AtomicU64 = AtomicU64::new(0);
+static ABORTS_BY: [AtomicU64; 3] = [const { AtomicU64::new(0) }; 3];
 static REFUSED: [AtomicU64; 3] = [const { AtomicU64::new(0) }; 3];
 
 pub(super) fn record(counts: &LaneCounts) {
     if counts.chunks > 0 {
         CHUNKS.fetch_add(counts.chunks, Ordering::Relaxed);
-        for (total, n) in SPLITS.iter().zip(counts.splits) {
-            total.fetch_add(n, Ordering::Relaxed);
+        let by_cause = SPLITS.iter().zip(counts.splits);
+        let aborts = ABORTS_BY.iter().zip(counts.aborts);
+        for (total, n) in by_cause.chain(aborts).chain([(&REJOINS, counts.rejoins)]) {
+            // Most launches have nothing to add to most of these.
+            if n > 0 {
+                total.fetch_add(n, Ordering::Relaxed);
+            }
         }
     }
 }
@@ -170,12 +288,21 @@ pub(super) fn record(counts: &LaneCounts) {
 pub struct LockstepStats {
     /// Work-items per chunk.
     pub lanes: u64,
-    /// Chunks of `lanes` work-items entered in lockstep.
+    /// Chunks of `lanes` work-items entered in lockstep, across groups too.
     pub chunks: u64,
-    /// Of those, the chunks whose lanes split and finished one by one,
-    /// by cause: `branch`, `fault`, `root`, `unproven` (the op reached a
-    /// buffer the chunk may not touch together).
+    /// Times the lanes of a chunk could not take an op together, by
+    /// cause: `branch`, `fault`, `root`, `unproven` (the op reached a
+    /// buffer the chunk may not touch together and is not checking).
+    /// Unless they re-join, the lanes finish one by one.
     pub splits: [(&'static str, u64); 4],
+    /// Of the `branch` splits, those after which the chunk went on in
+    /// lockstep from the branch's post-dominator.
+    pub rejoins: u64,
+    /// Chunks that undid themselves and ran again item by item, ending
+    /// the checking for their launch: a lane reached an element another
+    /// had touched (`conflict`), the lanes split over anything else
+    /// (`fault`), the chunk touched more than 4096 elements (`overflow`).
+    pub aborts: [(&'static str, u64); 3],
     /// Launches with groups of at least a chunk that ran no chunk, by
     /// reason: `no_effects`, `barrier`, `local`.
     pub refused: [(&'static str, u64); 3],
@@ -188,6 +315,8 @@ pub fn lockstep_stats() -> LockstepStats {
         lanes: LANES as u64,
         chunks: load(&CHUNKS),
         splits: std::array::from_fn(|i| (SPLIT_CAUSES[i], load(&SPLITS[i]))),
+        rejoins: load(&REJOINS),
+        aborts: std::array::from_fn(|i| (ABORTS[i], load(&ABORTS_BY[i]))),
         refused: std::array::from_fn(|i| (REFUSALS[i], load(&REFUSED[i]))),
     }
 }
@@ -196,6 +325,13 @@ pub fn lockstep_stats() -> LockstepStats {
 mod tests {
     use super::*;
     use crate::vm::{run_ndrange_with_engine, EngineKind, GlobalBuffer, NdRange};
+
+    thread_local! {
+        /// Lets every lane on this thread touch what another owns
+        /// ([`Shadow::take`]): the tests show the ownership rule necessary
+        /// by breaking it.
+        pub(super) static UNCHECKED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
 
     /// Four kernels, one per rule of [`classify`], each leaving other
     /// bytes behind if the rule is waived.
@@ -237,8 +373,9 @@ mod tests {
         GlobalBuffer::from_f32(&(0..n).map(|i| i as f32 * 0.5).collect::<Vec<_>>())
     }
 
-    /// Whether the compiled engine leaves what the interpreter leaves,
-    /// with every `Serial` verdict on this thread replaced by `forced`.
+    /// Whether the compiled engine leaves what the interpreter leaves —
+    /// bytes, and statistics or error — with every `Serial` verdict on
+    /// this thread replaced by `forced`.
     fn matches_oracle(
         kernel: &CompiledKernel,
         args: &[ArgValue],
@@ -249,7 +386,7 @@ mod tests {
         let run = |engine| {
             let mut buffers = buffers.to_vec();
             let stats = run_ndrange_with_engine(kernel, args, &mut buffers, &range, engine);
-            (stats.expect("in bounds"), buffers)
+            (stats.map_err(|e| e.to_string()), buffers)
         };
         let want = run(EngineKind::Interp);
         FORCED.set(forced);
@@ -325,6 +462,139 @@ mod tests {
         assert!(matches_oracle(chase, &apart, &buffers, line, None));
         for waived in [Class::Shared, Class::Private] {
             assert!(!matches_oracle(chase, &apart, &buffers, line, Some(waived)));
+        }
+    }
+
+    /// Seven kernels for the chunks that check instead of proving: what
+    /// ownership has to catch, and what an abort has to put back.
+    const SPECULATORS: &str = r#"
+    // (a) Read after write across lanes: item order chains the values,
+    // lockstep loads them all before any is stored.
+    __kernel void chain(__global float* y) {
+        int i = get_global_id(0);
+        y[i + 1] = y[i] + 1.0f;
+    }
+
+    // (b) Write after write: the last store to `y[j]` in item order is the
+    // first site's, by item 2j + 1; op by op it is the second site's.
+    __kernel void overwrite(__global float* y) {
+        int i = get_global_id(0);
+        y[i / 2] = (float)-i;
+        y[i / 2 + 1] = (float)i;
+    }
+
+    // (c) `bfs_step`'s append: every lane would read the same count.
+    __kernel void append(__global int* count, __global int* found) {
+        int i = get_global_id(0);
+        int at = count[0];
+        count[0] = at + 1;
+        found[at] = i;
+    }
+
+    // (d) The lanes part over `x`, each on its own element, and meet on
+    // `y` only once they are together again.
+    __kernel void late(__global float* x, __global float* y) {
+        int i = get_global_id(0);
+        if (i % 2 == 0) {
+            x[i] = x[i] * 2.0f;
+        }
+        y[i + 1] = y[i] + 1.0f;
+    }
+
+    // (e) An even lane, on its way to the join by itself, doubles what
+    // the next lane has already incremented and item order has not yet.
+    __kernel void ahead(__global float* y) {
+        int i = get_global_id(0);
+        y[i] = y[i] + 1.0f;
+        if (i % 2 == 0) {
+            y[i + 1] = y[i + 1] * 2.0f;
+        }
+    }
+
+    // (f) Every lane has stored to `y` when one lane's store to `z`
+    // falls outside it.
+    __kernel void spill(__global float* y, __global float* z, __global const int* at) {
+        int i = get_global_id(0);
+        y[i] = (float)i;
+        z[at[i]] = 1.0f;
+    }
+
+    // (g) One way out of the branch returns: the ways meet at the
+    // kernel's end and nowhere before.
+    __kernel void leave(__global float* y) {
+        int i = get_global_id(0);
+        if (i % 3 == 0) {
+            y[i / 3] = 1.0f;
+            return;
+        }
+        y[i + 32] = y[i + 32] + 2.0f;
+    }
+    "#;
+
+    /// [`matches_oracle`] as shipped, and with the ownership check waived.
+    fn checked_and_not(
+        kernel: &CompiledKernel,
+        args: &[ArgValue],
+        buffers: &[GlobalBuffer],
+        range: NdRange,
+    ) -> (bool, bool) {
+        let shipped = matches_oracle(kernel, args, buffers, range, None);
+        UNCHECKED.set(true);
+        let waived = matches_oracle(kernel, args, buffers, range, None);
+        UNCHECKED.set(false);
+        (shipped, waived)
+    }
+
+    #[test]
+    fn ownership_is_necessary_and_an_abort_leaves_no_trace() {
+        let program = crate::compile(SPECULATORS).expect("compiles");
+        let kernel = |name: &str| program.kernel(name).expect("kernel");
+        let globals = |n: usize| (0..n).map(ArgValue::global).collect::<Vec<_>>();
+        // Two chunks a group, or four groups a chunk: either way the
+        // second chunk runs after the first undid itself.
+        for line in [NdRange::linear(4 * L, 2 * L), NdRange::linear(4 * L, 4)] {
+            let n = 4 * L + 1;
+            let cases = [
+                ("chain", vec![ramp(n)]),
+                ("overwrite", vec![ramp(n)]),
+                (
+                    "append",
+                    vec![
+                        GlobalBuffer::zeroed(4),
+                        GlobalBuffer::zeroed(4 * n as usize),
+                    ],
+                ),
+                ("late", vec![ramp(n), ramp(n)]),
+                ("ahead", vec![ramp(n)]),
+            ];
+            for (name, buffers) in cases {
+                let args = globals(buffers.len());
+                assert_eq!(
+                    checked_and_not(kernel(name), &args, &buffers, line),
+                    (true, false),
+                    "{name}, {line:?}"
+                );
+            }
+            // (f) Lane 9 of the second chunk: the items before it have run
+            // whole, it has stored to `y`, and no item after it has.
+            let mut at: Vec<i32> = (0..4 * L as i32).collect();
+            at[L as usize + 9] = 4 * L as i32 + 7;
+            let buffers = [ramp(n), ramp(n), GlobalBuffer::from_i32(&at)];
+            let (spill, args) = (kernel("spill"), globals(3));
+            let mut left = buffers.to_vec();
+            let err = run_ndrange_with_engine(spill, &args, &mut left, &line, EngineKind::Compiled)
+                .expect_err("lane 9 stores outside `z`");
+            assert!(err.to_string().contains("out-of-bounds"), "{err}");
+            let stored = |i: u64| left[0].as_f32()[i as usize] == i as f32;
+            assert!(stored(L + 9) && !stored(L + 10) && !stored(2 * L - 1));
+            assert!(matches_oracle(spill, &args, &buffers, line, None));
+            // (g) Nothing to undo, nothing to catch: the same either way.
+            let buffers = [ramp(4 * L + 32)];
+            assert_eq!(
+                checked_and_not(kernel("leave"), &globals(1), &buffers, line),
+                (true, true),
+                "{line:?}"
+            );
         }
     }
 }

@@ -32,13 +32,15 @@
 //! pointer names, where the buffer is one whose [`Class`] does not let
 //! them touch it together — and the driver finishes the lanes one by one
 //! from that op on the `L = 1` instantiation of the same bodies, which
-//! is where errors are built and reported.
+//! is where errors are built and reported. (Not so the `owned` loads and
+//! stores: they can halt half done, and their driver undoes the chunk.)
 
 use std::hint::black_box;
 
 use crate::bytecode::{BinKind, CmpKind, Math1, Math2};
 use crate::types::ScalarType;
 
+use super::lockstep::Shadow;
 use super::ops::{bin_op, dangling_buffer, math1, math2, neg_op};
 use super::{checked_offset, ExecError, GlobalBuffer, Value};
 
@@ -62,7 +64,8 @@ pub(super) enum Class {
     /// Every item touches its own elements and no two lanes of a chunk
     /// are the same element: a chunk may load and store.
     Private,
-    /// Neither is shown: a chunk splits at its first access.
+    /// Neither is shown: a chunk checks lane by lane that it is so all the
+    /// same ([`Shadow`]), or, one having failed, splits at its first access.
     Serial,
 }
 
@@ -101,6 +104,9 @@ pub(super) struct Ctx<'a> {
     pub(super) arena: &'a mut [u8],
     /// Root id → memory region, resolved once per launch.
     pub(super) roots: &'a [Root],
+    /// Which lane of the running chunk has touched which element, for
+    /// the loads and stores of a chunk that checks ([`Ctx::touch`]).
+    pub(super) shadow: &'a mut Shadow,
     pub(super) fault: Option<ExecError>,
 }
 
@@ -217,6 +223,40 @@ impl Ctx<'_> {
         Ok(())
     }
 
+    /// [`Ctx::read`] and, given `vals`, [`Ctx::write`] on bound buffer `b`
+    /// for the lanes of a chunk that checks who touches what: each takes
+    /// its element in the [`Shadow`] first, and one that reaches another
+    /// lane's halts the chunk `Unproven` — after lanes before it may have
+    /// stored: the driver undoes a chunk that halts here, whatever for.
+    #[inline(always)]
+    fn touch<const L: usize, const N: usize>(
+        &mut self,
+        b: usize,
+        offs: &[u64; L],
+        vals: Option<[[u8; N]; L]>,
+    ) -> Result<[[u8; N]; L], Halt> {
+        let Some(buf) = self.mem.get_mut(b) else {
+            return Err(self.halt::<L>(|| dangling_buffer(b)));
+        };
+        let bytes = buf.as_bytes_mut();
+        let (len, elems) = (bytes.len(), bytes.len() / N);
+        let mut out = [[0u8; N]; L];
+        for l in 0..L {
+            let Some(at) = element_mut::<N>(bytes, offs[l] as i64) else {
+                return Err(self.halt::<L>(|| out_of_bounds(offs[l] as i64, N, len)));
+            };
+            let me = if L == 1 { self.shadow.who } else { l as u8 + 1 };
+            if !self.shadow.claim(b, offs[l] as usize, me, at, elems) {
+                return Err(Halt::Split(SplitCause::Unproven));
+            }
+            match vals {
+                Some(vals) => *at = vals[l],
+                None => out[l] = *at,
+            }
+        }
+        Ok(out)
+    }
+
     /// `Value::as_index` on a `ulong` register.
     #[inline(always)]
     fn index_u64<const L: usize>(&mut self, x: u64) -> Result<i64, Halt> {
@@ -246,23 +286,29 @@ pub(super) type OpResult = Result<Step, Halt>;
 
 pub(super) type OpFn = fn(&mut [u64], &mut Ctx<'_>, &Op) -> OpResult;
 
-/// The two instantiations of one op body the drivers run.
+/// The instantiations of one op body the drivers run.
 #[derive(Clone, Copy)]
 pub(super) struct OpFns {
     /// `L = 1`: one work-item.
     pub(super) item: OpFn,
     /// `L = LANES`: a chunk in lockstep.
     pub(super) lanes: OpFn,
+    /// For a load or a store: `[item, lanes]` for a chunk that checks who
+    /// touches what, on a buffer some item stores to ([`load_owned`]).
+    pub(super) owned: Option<[OpFn; 2]>,
 }
 
 /// [`OpFns`] of the body named, its lane count left off:
-/// `op!(int_bin::<T, IAdd>)`.
+/// `op!(int_bin::<T, IAdd>)`; then of its `owned` body, if it has one.
 macro_rules! op {
     ($f:ident) => {
-        OpFns { item: $f::<1>, lanes: $f::<LANES> }
+        OpFns { item: $f::<1>, lanes: $f::<LANES>, owned: None }
     };
     ($f:ident::<$($g:tt),+>) => {
-        OpFns { item: $f::<1, $($g),+>, lanes: $f::<LANES, $($g),+> }
+        OpFns { item: $f::<1, $($g),+>, lanes: $f::<LANES, $($g),+>, owned: None }
+    };
+    ($f:ident::<$($g:tt),+>, $o:ident) => {
+        OpFns { owned: Some([$o::<1, $($g),+>, $o::<LANES, $($g),+>]), ..op!($f::<$($g),+>) }
     };
 }
 
@@ -1329,11 +1375,49 @@ fn store_indexed<const L: usize, const N: usize>(
     Ok(Step::Next)
 }
 
+/// For the `owned` bodies, which the driver picks for a chunk that checks
+/// who touches what where some item stores to the first lane's buffer:
+/// that buffer and the elements `a + b` (`b` zeros where `a` is all).
+#[inline(always)]
+fn owned<const L: usize>(regs: &[u64], ctx: &Ctx<'_>, op: &Op) -> Result<(usize, [u64; L]), Halt> {
+    let Root::Global(buf, _) = ctx.roots[root_of::<L>(regs, op.c)? as usize] else {
+        unreachable!("the driver saw a global buffer in the first lane");
+    };
+    let (a, b) = (get::<L>(regs, op.a), get::<L>(regs, op.b));
+    Ok((buf, zip(a, b, u64::wrapping_add)))
+}
+
+/// [`load`] and [`load_indexed`], each lane taking its element first.
+fn load_owned<const L: usize, const N: usize, W: Widen<N>>(
+    regs: &mut [u64],
+    ctx: &mut Ctx<'_>,
+    op: &Op,
+) -> OpResult {
+    let (buf, offs) = owned::<L>(regs, ctx, op)?;
+    let bytes = ctx.touch::<L, N>(buf, &offs, None)?;
+    set(regs, op.dst, bytes.map(W::widen))
+}
+
+/// [`store`] and [`store_indexed`], each lane taking its element first.
+fn store_owned<const L: usize, const N: usize>(
+    regs: &mut [u64],
+    ctx: &mut Ctx<'_>,
+    op: &Op,
+) -> OpResult {
+    let (buf, offs) = owned::<L>(regs, ctx, op)?;
+    let vals = get::<L>(regs, op.d).map(narrow::<N>);
+    ctx.touch::<L, N>(buf, &offs, Some(vals))?;
+    Ok(Step::Next)
+}
+
 /// `(load, load_indexed)` for elements of type `elem`.
 pub(super) fn load_fns(elem: ScalarType) -> (OpFns, OpFns) {
     macro_rules! loads {
         ($N:tt, $W:tt) => {
-            (op!(load::<$N, $W>), op!(load_indexed::<$N, $W>))
+            (
+                op!(load::<$N, $W>, load_owned),
+                op!(load_indexed::<$N, $W>, load_owned),
+            )
         };
     }
     match elem {
@@ -1346,10 +1430,18 @@ pub(super) fn load_fns(elem: ScalarType) -> (OpFns, OpFns) {
 
 /// `(store, store_indexed)` for elements of type `elem`.
 pub(super) fn store_fns(elem: ScalarType) -> (OpFns, OpFns) {
+    macro_rules! stores {
+        ($N:tt) => {
+            (
+                op!(store::<$N>, store_owned),
+                op!(store_indexed::<$N>, store_owned),
+            )
+        };
+    }
     match elem.size_bytes() {
-        1 => (op!(store::<1>), op!(store_indexed::<1>)),
-        4 => (op!(store::<4>), op!(store_indexed::<4>)),
-        _ => (op!(store::<8>), op!(store_indexed::<8>)),
+        1 => stores!(1),
+        4 => stores!(4),
+        _ => stores!(8),
     }
 }
 

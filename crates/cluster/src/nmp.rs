@@ -242,17 +242,22 @@ impl std::fmt::Debug for NmpHandle {
 }
 
 /// Copies the VM's lockstep self-report into `metrics` as
-/// `haocl_vm_lockstep_{chunks,splits,refused}_total`. The VM counts in
+/// `haocl_vm_lockstep_{chunks,splits,rejoins,aborts,refused}_total`. The VM counts in
 /// plain atomics, process-wide, so this runs when somebody scrapes and
 /// the series speak for every node this process hosts.
 pub fn export_vm_metrics(metrics: &haocl_obs::Registry) {
     let stats = haocl_clc::vm::lockstep_stats();
     metrics.advance_counter(names::VM_LOCKSTEP_CHUNKS, &[], stats.chunks);
-    for (cause, n) in stats.splits {
-        metrics.advance_counter(names::VM_LOCKSTEP_SPLITS, &[("cause", cause)], n);
-    }
-    for (reason, n) in stats.refused {
-        metrics.advance_counter(names::VM_LOCKSTEP_REFUSED, &[("reason", reason)], n);
+    metrics.advance_counter(names::VM_LOCKSTEP_REJOINS, &[], stats.rejoins);
+    let by_label = [
+        (names::VM_LOCKSTEP_SPLITS, "cause", &stats.splits[..]),
+        (names::VM_LOCKSTEP_ABORTS, "cause", &stats.aborts[..]),
+        (names::VM_LOCKSTEP_REFUSED, "reason", &stats.refused[..]),
+    ];
+    for (name, label, counts) in by_label {
+        for &(value, n) in counts {
+            metrics.advance_counter(name, &[(label, value)], n);
+        }
     }
 }
 
@@ -1248,12 +1253,17 @@ mod tests {
         use haocl_kernel::{ArgValue, GlobalBuffer, NdRange};
         let program = haocl_clc::compile(
             "__kernel void twice(__global float* y) { int i = get_global_id(0); y[i] = y[i] * 2.0f; }
-             __kernel void spread(__global float* y) { int i = get_global_id(0); y[i / 2] = 1.0f; }",
+             __kernel void spread(__global float* y) { int i = get_global_id(0); y[i / 2] = 1.0f; }
+             __kernel void evens(__global float* y) {
+                 int i = get_global_id(0);
+                 if (i % 2 == 0) { y[2 * i] = 1.0f; }
+                 y[2 * i + 1] = 2.0f;
+             }",
         )
         .unwrap();
         let range = NdRange::linear(128, 64);
         let launch = |name: &str| {
-            let mut buffers = [GlobalBuffer::zeroed(4 * 128)];
+            let mut buffers = [GlobalBuffer::zeroed(8 * 128)];
             let kernel = program.kernel(name).unwrap();
             haocl_clc::vm::run_ndrange(kernel, &[ArgValue::global(0)], &mut buffers, &range)
                 .unwrap();
@@ -1261,15 +1271,26 @@ mod tests {
         let lanes = haocl_clc::vm::lockstep_stats().lanes;
         let metrics = haocl_obs::Registry::new();
         export_vm_metrics(&metrics);
-        let unproven = [("cause", "unproven")];
+        let (unproven, conflict) = ([("cause", "unproven")], [("cause", "conflict")]);
         let chunks = metrics.counter_value(names::VM_LOCKSTEP_CHUNKS, &[]);
         let split = metrics.counter_value(names::VM_LOCKSTEP_SPLITS, &unproven);
+        let aborts = metrics.counter_value(names::VM_LOCKSTEP_ABORTS, &conflict);
+        let rejoins = metrics.counter_value(names::VM_LOCKSTEP_REJOINS, &[]);
         launch("twice");
-        // Every chunk of `spread` splits at its one store.
+        // Two lanes of `spread`'s first chunk meet on an element: it undoes
+        // itself, and every chunk after it splits at its one store.
         launch("spread");
+        // Every lane of `evens` keeps to its own two elements: its chunks
+        // part at the branch, re-join and never split at a store.
+        launch("evens");
         export_vm_metrics(&metrics);
-        assert!(metrics.counter_value(names::VM_LOCKSTEP_CHUNKS, &[]) >= chunks + 2 * 128 / lanes);
-        assert!(metrics.counter_value(names::VM_LOCKSTEP_SPLITS, &unproven) >= split + 128 / lanes);
+        let per_launch = 128 / lanes;
+        assert!(metrics.counter_value(names::VM_LOCKSTEP_CHUNKS, &[]) >= chunks + 3 * per_launch);
+        assert!(
+            metrics.counter_value(names::VM_LOCKSTEP_SPLITS, &unproven) >= split + per_launch - 1
+        );
+        assert!(metrics.counter_value(names::VM_LOCKSTEP_ABORTS, &conflict) > aborts);
+        assert!(metrics.counter_value(names::VM_LOCKSTEP_REJOINS, &[]) >= rejoins + per_launch);
         let text = metrics.render();
         for series in [
             "haocl_vm_lockstep_chunks_total ",
@@ -1277,6 +1298,10 @@ mod tests {
             "haocl_vm_lockstep_splits_total{cause=\"fault\"} ",
             "haocl_vm_lockstep_splits_total{cause=\"root\"} ",
             "haocl_vm_lockstep_splits_total{cause=\"unproven\"} ",
+            "haocl_vm_lockstep_rejoins_total ",
+            "haocl_vm_lockstep_aborts_total{cause=\"conflict\"} ",
+            "haocl_vm_lockstep_aborts_total{cause=\"fault\"} ",
+            "haocl_vm_lockstep_aborts_total{cause=\"overflow\"} ",
             "haocl_vm_lockstep_refused_total{reason=\"no_effects\"} ",
             "haocl_vm_lockstep_refused_total{reason=\"barrier\"} ",
             "haocl_vm_lockstep_refused_total{reason=\"local\"} ",

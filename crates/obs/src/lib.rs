@@ -78,15 +78,32 @@ pub mod names {
     /// plane; zero while callers wait one at a time.
     pub const LINK_FOREIGN_COMPLETIONS: &str = "haocl_link_foreign_completions_total";
     /// Counter: chunks of work-items the VM's compiled engine entered in
-    /// lockstep. Like the two below it is read from the VM at scrape time
-    /// and counts the whole process, so every node hosted in it.
+    /// lockstep, those cut across several small work-groups included.
+    /// Like the four below it is read from the VM at scrape time and
+    /// counts the whole process, so every node hosted in it.
     pub const VM_LOCKSTEP_CHUNKS: &str = "haocl_vm_lockstep_chunks_total";
-    /// Counter: lockstep chunks whose lanes split and finished one by
-    /// one from the op that split them, by `cause`: the lanes disagreed
-    /// on a `branch`, one would `fault`, they disagreed on a pointer's
-    /// `root`, or the op reached a buffer no proof lets a chunk touch
-    /// together (`unproven` — written and not provably item-private).
+    /// Counter: times the lanes of a lockstep chunk could not take an op
+    /// together, by `cause`: they disagreed on a `branch` (and may have
+    /// re-joined, below), one would `fault`, they disagreed on a
+    /// pointer's `root`, or the op reached a written buffer nobody proved
+    /// item-private in a launch that is not (or no longer) checking who
+    /// touches what (`unproven`). On any cause but a re-joined branch
+    /// the lanes finish one by one from that op.
     pub const VM_LOCKSTEP_SPLITS: &str = "haocl_vm_lockstep_splits_total";
+    /// Counter: `branch` splits after which only the lanes that took the
+    /// longer way ran it one by one and the chunk went on in lockstep from
+    /// the branch's post-dominator. Splits less re-joins is the number of
+    /// chunks that fell back to item-by-item for the rest of their ops.
+    pub const VM_LOCKSTEP_REJOINS: &str = "haocl_vm_lockstep_rejoins_total";
+    /// Counter: chunks that were checking who touches what, undid every
+    /// store they had made and ran again item by item — after which their
+    /// launch stopped checking — by `cause`: a lane reached an element
+    /// another lane had touched (`conflict`), a lane would fault or
+    /// pointers disagreed (`fault`), or the chunk touched more than 4096
+    /// elements (`overflow`). A kernel that shares one counter among its
+    /// items costs one abort per launch; more than that per launch
+    /// cannot happen.
+    pub const VM_LOCKSTEP_ABORTS: &str = "haocl_vm_lockstep_aborts_total";
     /// Counter: launches with work-groups of at least a chunk that ran no
     /// chunk, by `reason` (`no_effects`, `barrier`, `local`).
     pub const VM_LOCKSTEP_REFUSED: &str = "haocl_vm_lockstep_refused_total";

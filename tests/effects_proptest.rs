@@ -286,7 +286,7 @@ proptest! {
 
     #[test]
     fn summaries_over_approximate_the_vm_oracle(
-        shape_sel in 0usize..6,
+        shape_sel in 0usize..8,
         seed in any::<u64>(),
         n_sel in 0usize..3,
     ) {
@@ -301,6 +301,10 @@ proptest! {
             // stores to.
             NdRange::d2([16, 4], [8, 2]),
             NdRange::d3([4, 4, 4], [4, 4, 2]),
+            // Groups of one and of two items: it cuts a chunk across
+            // sixteen or eight of them, on the same say-so.
+            NdRange::linear(18, 1),
+            NdRange::linear(32, 2),
         ];
         let range = shapes[shape_sel];
         let total = range.total_items() as i64;

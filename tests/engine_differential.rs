@@ -726,7 +726,11 @@ fn lockstep_delta(
     let _ = run_ndrange_with_engine(kernel, args, &mut scratch, range, EngineKind::Compiled);
     let mut moved = lockstep_stats();
     moved.chunks -= before.chunks;
+    moved.rejoins -= before.rejoins;
     for (now, then) in moved.splits.iter_mut().zip(before.splits) {
+        now.1 -= then.1;
+    }
+    for (now, then) in moved.aborts.iter_mut().zip(before.aborts) {
         now.1 -= then.1;
     }
     for (now, then) in moved.refused.iter_mut().zip(before.refused) {
@@ -736,14 +740,20 @@ fn lockstep_delta(
 }
 
 /// Chunks a launch that runs lockstep cuts: from each row where rows are
-/// at least a chunk wide, else from each group's items in linear order.
+/// at least a chunk wide, else from each group's items in linear order,
+/// else — groups that are a whole fraction of a chunk — from as many
+/// groups, consecutive in x, as fill one.
 fn chunks_of(range: &NdRange, lanes: u64) -> u64 {
     let [x, y, z] = range.local;
-    let groups = range.total_items() / (x * y * z);
+    let items = x * y * z;
+    let groups = range.total_items() / items;
     if x >= lanes {
         groups * y * z * (x / lanes)
+    } else if items >= lanes || !lanes.is_multiple_of(items) {
+        groups * (items / lanes)
     } else {
-        groups * (x * y * z / lanes)
+        let in_x = range.global[0] / x;
+        groups / in_x * (in_x / (lanes / items))
     }
 }
 
@@ -984,8 +994,9 @@ fn lockstep_chunks_match_oracle() {
 
     // Rows narrower than a chunk in groups that hold one: chunks are cut
     // across rows, two lanes of one can be the same `get_global_id(0)`,
-    // and `y` is nobody's own — every chunk splits where it loads `y`.
-    // The last shape has rows a chunk wide, and none does.
+    // and `y` is nobody's own — the first chunk finds two lanes on one
+    // element of it and undoes itself, and every later one splits where
+    // it loads `y`. The last shape has rows a chunk wide, and none does.
     for range in [
         NdRange::d2([16, 16], [8, 8]),
         NdRange::d3([8, 4, 8], [4, 4, 4]),
@@ -1006,14 +1017,21 @@ fn lockstep_chunks_match_oracle() {
         assert!(moved.chunks > 0, "{range:?}");
         assert_eq!(moved.chunks, chunks_of(&range, lanes), "{range:?}");
         let across = range.local[0] < lanes;
-        let unproven = if across { moved.chunks } else { 0 };
+        let unproven = if across { moved.chunks - 1 } else { 0 };
         assert_eq!(count_of(&moved.splits, "unproven"), unproven, "{range:?}");
         assert_eq!(moved.splits.iter().map(|(_, n)| n).sum::<u64>(), unproven);
+        assert_eq!(count_of(&moved.aborts, "conflict"), u64::from(across));
+        assert_eq!(
+            moved.aborts.iter().map(|(_, n)| n).sum::<u64>(),
+            u64::from(across)
+        );
     }
 
     // MatrixMul in its 8 × 8 groups, `rows` and `n` ragged against them:
-    // the product loop runs in chunks (`a` and `b` are only read) and the
-    // store to `c` takes turns. A buffer short of the launch faults in
+    // the product loop runs in chunks (`a` and `b` are only read) and so
+    // does the store to `c`, each lane found alone on its element; the
+    // chunks the guard cuts through re-join at the kernel's end. A buffer
+    // short of the launch undoes its chunk and faults in
     // the item the interpreter names: `c` one element short (the last
     // item's store), `c` a row short (the first row-10 item in item order,
     // which is not the first lane to reach it), `a` a row short (a load,
@@ -1044,11 +1062,127 @@ fn lockstep_chunks_match_oracle() {
             .unwrap_or_else(|e| panic!("{e}"));
         let moved = lockstep_delta(matmul, &args, &buffers, &grid);
         assert!(moved.chunks > 0);
-        if (a_len, c_len) == (rows * n, rows * n) {
+        let whole = (a_len, c_len) == (rows * n, rows * n);
+        if whole {
             assert_eq!(moved.chunks, chunks_of(&grid, lanes));
-            assert!(count_of(&moved.splits, "unproven") > 0);
-            assert_eq!(count_of(&moved.splits, "fault"), 0);
+            assert_eq!(count_of(&moved.splits, "branch"), moved.rejoins);
+            assert_eq!(
+                moved.splits.iter().map(|(_, n)| n).sum::<u64>(),
+                moved.rejoins
+            );
         }
+        assert_eq!(count_of(&moved.aborts, "fault"), u64::from(!whole));
+        assert_eq!(
+            moved.aborts.iter().map(|(_, n)| n).sum::<u64>(),
+            u64::from(!whole)
+        );
+    }
+
+    // kNN's fused kernel as the app launches it, in groups of half a
+    // chunk: two groups fill a chunk, every lane keeps to its own `k`
+    // slots of the two result buffers and is found alone there, and the
+    // lanes that insert a record take that way one by one and re-join.
+    // Then a third group left over, groups of a quarter and of one item,
+    // `nq` ragged against the range, and `out_dist` one element short —
+    // the last query's first store, after every other lane's.
+    let knn = compile(haocl_workloads::knn::KERNEL_SOURCE).expect("knn compiles");
+    let topk = knn
+        .kernel(haocl_workloads::knn::KERNEL_NAME)
+        .expect("kernel");
+    let (records, k) = (192u64, 5u64);
+    let spread = |n: u64, by: u64| {
+        GlobalBuffer::from_f32(
+            &(0..n)
+                .map(|i| (i * by % 181) as f32 - 90.0)
+                .collect::<Vec<_>>(),
+        )
+    };
+    for (range, nq, short) in [
+        (NdRange::linear(16, 8), 16, 0),
+        (NdRange::linear(32, 8), 32, 0),
+        (NdRange::linear(24, 8), 24, 0),
+        (NdRange::linear(16, 4), 16, 0),
+        (NdRange::linear(16, 1), 16, 0),
+        (NdRange::linear(32, 8), 29, 0),
+        (NdRange::linear(16, 8), 16, 1),
+    ] {
+        let mut args: Vec<ArgValue> = (0..6).map(ArgValue::global).collect();
+        args.extend([records, nq, k].map(|v| ArgValue::from_i32(v as i32)));
+        let buffers = [
+            spread(records, 37),
+            spread(records, 101),
+            spread(nq, 53),
+            spread(nq, 7),
+            GlobalBuffer::zeroed(4 * (nq * k - short) as usize),
+            GlobalBuffer::zeroed(4 * (nq * k) as usize),
+        ];
+        compare_engines("nn_topk", topk, &args, &buffers, &range).unwrap_or_else(|e| panic!("{e}"));
+        let moved = lockstep_delta(topk, &args, &buffers, &range);
+        assert_eq!(moved.chunks, chunks_of(&range, lanes), "{range:?}");
+        assert_eq!(count_of(&moved.splits, "unproven"), 0, "{range:?}");
+        assert_eq!(count_of(&moved.aborts, "fault"), short, "{range:?}");
+        assert_eq!(moved.aborts.iter().map(|(_, n)| n).sum::<u64>(), short);
+        if short == 0 {
+            assert!(moved.rejoins > 0, "{range:?}");
+            assert_eq!(
+                moved.splits.iter().map(|(_, n)| n).sum::<u64>(),
+                moved.rejoins
+            );
+        }
+    }
+
+    // BFS's expansion step: the frontier nodes of a chunk append what
+    // they find at `count[0]`. None, and nothing splits; one, and it goes
+    // its way alone and owns the counter; two, and the second finds it
+    // taken — the chunk undoes itself and the launch stops checking.
+    let bfs = compile(haocl_workloads::bfs::KERNEL_SOURCE).expect("bfs compiles");
+    let step = bfs
+        .kernel(haocl_workloads::bfs::KERNEL_NAME)
+        .expect("kernel");
+    let (nodes, degree) = (4 * lanes as usize, 3usize);
+    let row_off: Vec<i32> = (0..=nodes).map(|r| (r * degree) as i32).collect();
+    let cols: Vec<i32> = (0..nodes * degree)
+        .map(|e| ((e * 7 + 1) % nodes) as i32)
+        .collect();
+    for frontier in [&[][..], &[3], &[3, 9]] {
+        let mut depth = vec![-1i32; nodes];
+        for &u in frontier {
+            depth[u] = 2;
+        }
+        let mut args: Vec<ArgValue> = (0..5).map(ArgValue::global).collect();
+        args.extend([2, 0, nodes as i32].map(ArgValue::from_i32));
+        let buffers = [
+            GlobalBuffer::from_i32(&row_off),
+            GlobalBuffer::from_i32(&cols),
+            GlobalBuffer::from_i32(&depth),
+            GlobalBuffer::zeroed(4 * nodes * degree),
+            GlobalBuffer::zeroed(4),
+        ];
+        let range = NdRange::linear(nodes as u64, nodes as u64);
+        compare_engines("bfs_step", step, &args, &buffers, &range)
+            .unwrap_or_else(|e| panic!("{e}"));
+        let moved = lockstep_delta(step, &args, &buffers, &range);
+        assert_eq!(moved.chunks, 4);
+        let conflict = u64::from(frontier.len() == 2);
+        assert_eq!(
+            count_of(&moved.aborts, "conflict"),
+            conflict,
+            "{frontier:?}"
+        );
+        assert_eq!(moved.aborts.iter().map(|(_, n)| n).sum::<u64>(), conflict);
+        assert_eq!(
+            moved.rejoins,
+            u64::from(frontier.len() == 1),
+            "{frontier:?}"
+        );
+        // The second node meets the first on its way to the join.
+        assert_eq!(count_of(&moved.splits, "branch"), moved.rejoins + conflict);
+        // Every later chunk runs as it did before chunks checked: whole,
+        // no frontier node in it.
+        assert_eq!(
+            moved.splits.iter().map(|(_, n)| n).sum::<u64>(),
+            moved.rejoins + conflict
+        );
     }
 
     // Faults: `bad` indexes out of range at the first op that can fail,
@@ -1101,6 +1235,7 @@ fn lockstep_chunks_match_oracle() {
     }
     // The exact text: the lower lane's later division, not the higher
     // lane's earlier index.
+    let shared = VM_LAUNCHES.read().unwrap_or_else(|e| e.into_inner());
     let mut at: Vec<i32> = (0..items as i32).collect();
     at[9] = -4;
     let mut den = vec![7i32; items as usize];
@@ -1139,6 +1274,7 @@ fn lockstep_chunks_match_oracle() {
         err.to_string(),
         "kernel execution failed: negative buffer index -4"
     );
+    drop(shared);
 
     // A mutated pointer parameter, restored for every chunk.
     for (name, n) in [("walk", 0), ("walk", 1), ("walk", 5), ("hop", 3)] {
@@ -1245,10 +1381,80 @@ fn lockstep_chunks_match_oracle() {
     }
 }
 
-/// What the gate used to turn away whole now runs in chunks up to the
-/// first access to a buffer nobody proved the lanes' own: each launch
-/// matches the oracle, cuts every chunk its shape holds, and every chunk
-/// that reaches the access splits there as `unproven`. Only a barrier,
+/// A gate on counts, not on time: at the shapes the benchmark launches
+/// them, kNN's fused kernel runs as one chunk across its two groups that
+/// never has to undo itself and never stops at a buffer nobody proved
+/// private, and BFS's expansion step pays for its shared counter with one
+/// undone chunk a launch and no more.
+#[test]
+fn benchmark_shapes_run_checked_not_serial() {
+    let mut state = 9u64;
+    let mut f32s = |n: usize, scale: f32| -> Vec<f32> {
+        (0..n)
+            .map(|_| (splitmix(&mut state) % 36_000) as f32 / 100.0 * scale - 90.0 * scale)
+            .collect()
+    };
+    let (records, nq, k) = (16_384usize, 16usize, 8usize);
+    let knn = compile(haocl_workloads::knn::KERNEL_SOURCE).expect("knn compiles");
+    let mut args: Vec<ArgValue> = (0..6).map(ArgValue::global).collect();
+    args.extend([records, nq, k].map(|v| ArgValue::from_i32(v as i32)));
+    let buffers = [
+        GlobalBuffer::from_f32(&f32s(records, 0.5)),
+        GlobalBuffer::from_f32(&f32s(records, 1.0)),
+        GlobalBuffer::from_f32(&f32s(nq, 0.5)),
+        GlobalBuffer::from_f32(&f32s(nq, 1.0)),
+        GlobalBuffer::zeroed(4 * nq * k),
+        GlobalBuffer::zeroed(4 * nq * k),
+    ];
+    let moved = lockstep_delta(
+        knn.kernel(haocl_workloads::knn::KERNEL_NAME)
+            .expect("kernel"),
+        &args,
+        &buffers,
+        &NdRange::linear(nq as u64, 8),
+    );
+    assert_eq!(moved.chunks, 1);
+    assert!(moved.rejoins > 0);
+    assert_eq!(moved.aborts.iter().map(|(_, n)| n).sum::<u64>(), 0);
+    assert_eq!(count_of(&moved.splits, "unproven"), 0);
+
+    // Even nodes form the frontier, odd nodes are undiscovered, six
+    // out-edges each: every chunk has eight nodes after one counter.
+    let (nodes, degree) = (4_096usize, 6usize);
+    let row_off: Vec<i32> = (0..=nodes).map(|r| (r * degree) as i32).collect();
+    let cols: Vec<i32> = (0..nodes * degree)
+        .map(|_| (splitmix(&mut state) % nodes as u64) as i32)
+        .collect();
+    let depth: Vec<i32> = (0..nodes)
+        .map(|u| if u % 2 == 0 { 3 } else { -1 })
+        .collect();
+    let bfs = compile(haocl_workloads::bfs::KERNEL_SOURCE).expect("bfs compiles");
+    let mut args: Vec<ArgValue> = (0..5).map(ArgValue::global).collect();
+    args.extend([3, 0, nodes as i32].map(ArgValue::from_i32));
+    let buffers = [
+        GlobalBuffer::from_i32(&row_off),
+        GlobalBuffer::from_i32(&cols),
+        GlobalBuffer::from_i32(&depth),
+        GlobalBuffer::zeroed(4 * nodes * degree),
+        GlobalBuffer::zeroed(4),
+    ];
+    let range = NdRange::linear(nodes as u64, 64);
+    let moved = lockstep_delta(
+        bfs.kernel(haocl_workloads::bfs::KERNEL_NAME)
+            .expect("kernel"),
+        &args,
+        &buffers,
+        &range,
+    );
+    assert_eq!(moved.chunks, chunks_of(&range, lockstep_stats().lanes));
+    assert!(moved.aborts.iter().map(|(_, n)| n).sum::<u64>() <= 1);
+}
+
+/// What the gate used to turn away whole now runs in chunks that check
+/// who touches what of a buffer nobody proved the lanes' own: each launch
+/// matches the oracle and cuts every chunk its shape holds; the first
+/// chunk in which two lanes meet on an element undoes itself, and every
+/// chunk after it splits at the access as `unproven`. Only a barrier,
 /// `__local` memory and a missing effect summary still refuse a launch.
 #[test]
 fn lockstep_gate_refusals_match_oracle() {
@@ -1264,18 +1470,21 @@ fn lockstep_gate_refusals_match_oracle() {
             .unwrap_or_else(|e| panic!("{e}"));
         lockstep_delta(kernel, args, buffers, &range)
     };
-    // Every chunk reaches the access, and nothing else splits one.
+    // Lanes meet in the first chunk, every later chunk reaches the
+    // access, and nothing else splits one.
     let takes_turns = |name: &str, args: &[ArgValue], buffers: &[GlobalBuffer], range: NdRange| {
         let moved = launch(name, args, buffers, range);
         assert_eq!(moved.chunks, chunks_of(&range, lanes), "`{name}`");
+        assert_eq!(count_of(&moved.aborts, "conflict"), 1, "`{name}`");
+        assert_eq!(moved.aborts.iter().map(|(_, n)| n).sum::<u64>(), 1);
         assert_eq!(
             count_of(&moved.splits, "unproven"),
-            moved.chunks,
+            moved.chunks - 1,
             "`{name}`"
         );
         assert_eq!(
             moved.splits.iter().map(|(_, n)| n).sum::<u64>(),
-            moved.chunks
+            moved.chunks - 1
         );
         assert_eq!(moved.refused.iter().map(|(_, n)| n).sum::<u64>(), 0);
     };
@@ -1310,13 +1519,18 @@ fn lockstep_gate_refusals_match_oracle() {
         line,
     );
     takes_turns("smear", &globals(1), &[ramp(items + 16)], line);
+    // No summary says so, but every item of `grid` has its own element:
+    // checked, the launch runs whole.
     let deep = NdRange::d2([2 * lanes, 4], [2 * lanes, 2]);
-    takes_turns(
+    let moved = launch(
         "grid",
         &[ArgValue::global(0), ArgValue::from_i32(2 * lanes as i32)],
         &[ramp(8 * lanes)],
         deep,
     );
+    assert_eq!(moved.chunks, chunks_of(&deep, lanes));
+    assert_eq!(moved.splits.iter().map(|(_, n)| n).sum::<u64>(), 0);
+    assert_eq!(moved.aborts.iter().map(|(_, n)| n).sum::<u64>(), 0);
     takes_turns("column", &globals(1), &[ramp(5)], deep);
     let halves: Vec<i32> = (0..items as i32).map(|i| i / 2).collect();
     takes_turns(
@@ -1437,7 +1651,10 @@ proptest! {
             Just([8, 1]),
             Just([4, 2]),
         ],
-        groups in 1u64..5,
+        // A few groups, or enough small ones to fill a chunk together
+        // (sixteen of one item, eight of two, four of four, two of
+        // eight), with and without a group left over.
+        groups in prop_oneof![1u64..5, 1u64..5, 16u64..19, Just(33u64)],
         buf_bytes in prop_oneof![Just(256usize), Just(4096usize), Just(65536usize)],
         scalar in -2i64..48,
         seed in any::<u64>(),

@@ -61,15 +61,29 @@ __kernel void saxpy(__global const float* x, __global float* y, float a, int n) 
 }
 ";
 
-/// Allocations per launch of a 64-item saxpy built from source,
+/// The same update written back to front: `y[n - 1 - i]` is no shape the
+/// VM can prove each item's own, so its chunks check who touches what —
+/// a second root table for the launch, and a shadow and a list of what
+/// was touched that its four chunks share.
+const REVERSED: &str = "\
+__kernel void saxpy(__global const float* x, __global float* y, float a, int n) {
+    int i = get_global_id(0);
+    if (i < n) {
+        int j = n - 1 - i;
+        y[j] = a * x[j] + y[j];
+    }
+}
+";
+
+/// Allocations per launch of a 64-item saxpy built from `source`,
 /// `enqueue_nd_range_kernel` + `Event::wait`, alternating between the
 /// queues of the first two devices of an `nodes`-node GPU cluster.
-fn allocations_per_launch(nodes: usize, warm_up: usize, measured: usize) -> f64 {
+fn allocations_per_launch(source: &str, nodes: usize, warm_up: usize, measured: usize) -> f64 {
     let platform =
         Platform::cluster(&ClusterConfig::gpu_cluster(nodes), KernelRegistry::new()).unwrap();
     let devices = platform.devices(DeviceType::All);
     let ctx = Context::new(&platform, &devices).unwrap();
-    let program = Program::from_source(&ctx, SAXPY);
+    let program = Program::from_source(&ctx, source);
     program.build().unwrap();
     let init: Vec<u8> = (0..ITEMS).flat_map(|i| (i as f32).to_le_bytes()).collect();
     let lanes: Vec<(CommandQueue, Kernel, Buffer)> = devices[..2]
@@ -115,7 +129,7 @@ fn allocations_per_launch(nodes: usize, warm_up: usize, measured: usize) -> f64 
 #[test]
 fn a_small_launch_makes_at_most_17_allocations() {
     let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-    let per_launch = allocations_per_launch(2, 2_000, 20_000);
+    let per_launch = allocations_per_launch(SAXPY, 2, 2_000, 20_000);
     println!("allocations per launch, 2 nodes: {per_launch:.2}");
     // 16 measured: the device checks buffers out into storage it keeps.
     assert!(
@@ -125,13 +139,27 @@ fn a_small_launch_makes_at_most_17_allocations() {
 }
 
 #[test]
+fn a_launch_that_checks_ownership_makes_at_most_23_allocations() {
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let per_launch = allocations_per_launch(REVERSED, 2, 2_000, 20_000);
+    println!("allocations per launch with a serial buffer, 2 nodes: {per_launch:.2}");
+    // 22 measured: the 16 above, the launch's second root table, the
+    // shadow's buffer list and `y`'s owner bytes, and the touched list
+    // growing to a chunk's 16 elements — per launch, not per chunk.
+    assert!(
+        per_launch <= 23.0,
+        "{per_launch:.2} allocations per launch, more than 23"
+    );
+}
+
+#[test]
 fn allocations_per_launch_do_not_grow_with_the_cluster() {
     // `HostRuntime::devices()` clones every device record; on the launch
     // path that is 2 strings per device of the whole cluster, several
     // times per launch.
     let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-    let small = allocations_per_launch(2, 500, 4_000);
-    let large = allocations_per_launch(16, 500, 4_000);
+    let small = allocations_per_launch(SAXPY, 2, 500, 4_000);
+    let large = allocations_per_launch(SAXPY, 16, 500, 4_000);
     println!("allocations per launch, 2 nodes: {small:.2}, 16 nodes: {large:.2}");
     assert!(
         large <= small + 1.0,
