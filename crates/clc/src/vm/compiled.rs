@@ -71,7 +71,7 @@ use crate::bytecode::{BinKind, CmpKind, CompiledKernel, Geom, Instr, Math1, Math
 use crate::types::ScalarType;
 
 use super::interp::{barrier_stall_check, Item, ItemStatus};
-use super::lockstep::{self, Abort, LaneCounts, Shadow};
+use super::lockstep::{self, Abort, LaneCounts, Parked, Shadow, Waive};
 use super::ops::int_value;
 use super::regops::{
     self, Class, CmpClass, Ctx, Halt, Op, OpFn, OpFns, Root, SplitCause, Step, LANES,
@@ -112,6 +112,9 @@ pub(super) struct CompiledCode {
     /// Per conditional jump, by its pc, the pc where its two ways meet
     /// again ([`join_pcs`]): built by the first chunk to re-join.
     joins: OnceLock<Vec<u32>>,
+    /// The registers that can differ from lane to lane ([`Self::vary`]):
+    /// built by the first chunk to mask.
+    vary: OnceLock<Vec<u32>>,
 }
 
 /// Geometry registers: seven [`Geom`] queries × three dimensions
@@ -1002,6 +1005,7 @@ fn lower(kernel: &CompiledKernel) -> CompiledCode {
         has_barrier: code.iter().any(|i| matches!(i, Instr::Barrier)),
         fallback: false,
         joins: OnceLock::new(),
+        vary: OnceLock::new(),
     }
 }
 
@@ -1039,6 +1043,21 @@ impl CompiledCode {
             *self.ip_at.get(join as usize)?
         };
         (at != u32::MAX).then_some(at as usize)
+    }
+
+    /// The registers that can differ from lane to lane: what some op
+    /// writes, and the ids. Every other register holds the launch's value
+    /// in every lane.
+    fn vary(&self) -> &[u32] {
+        self.vary.get_or_init(|| {
+            let ids = [Geom::GlobalId, Geom::LocalId, Geom::GroupId]
+                .into_iter()
+                .flat_map(|g| (0..3).map(move |d| self.n_slots + g as u32 * 3 + d));
+            let mut regs: Vec<u32> = self.ops.iter().map(|op| op.dst).chain(ids).collect();
+            regs.sort_unstable();
+            regs.dedup();
+            regs
+        })
     }
 }
 
@@ -1111,6 +1130,9 @@ struct Launch<'k> {
     /// How many groups, consecutive in x, fill a chunk together, where a
     /// group is a whole fraction of one and the row has that many; else 1.
     fuse: u64,
+    /// The launch runs lockstep and no buffer is `serial`: no lane can see
+    /// another, so a chunk masks instead of splitting at a branch.
+    masks: bool,
 }
 
 impl<'k> Launch<'k> {
@@ -1160,7 +1182,11 @@ impl<'k> Launch<'k> {
             regs[geom + Geom::NumGroups as usize * 3 + d] = num_groups[d];
             regs[geom + Geom::WorkDim as usize * 3 + d] = u64::from(range.work_dim);
         }
+        let serial = roots
+            .iter()
+            .any(|r| matches!(r, Root::Global(_, Class::Serial)));
         Launch {
+            masks: lockstep && !serial,
             code,
             kernel,
             range: *range,
@@ -1256,6 +1282,7 @@ struct GroupScratch {
     /// chunk to chunk, so the rest is filled here once.
     lanes: Vec<u64>,
     shadow: Shadow,
+    parked: Parked,
     counts: LaneCounts,
 }
 
@@ -1269,12 +1296,13 @@ impl GroupScratch {
             }
         }
         let mut shadow = Shadow::default();
-        let serial = |r: &Root| matches!(r, Root::Global(_, Class::Serial));
-        shadow.on = launch.span > 0 && launch.roots.iter().any(serial);
+        // A lockstep launch that cannot mask has a serial buffer.
+        shadow.on = launch.span > 0 && !launch.masks;
         GroupScratch {
             regs: Vec::new(),
             lanes,
             shadow,
+            parked: Parked::default(),
             counts: LaneCounts::default(),
         }
     }
@@ -1349,6 +1377,7 @@ fn run_groups(
         regs,
         lanes,
         shadow,
+        parked,
         counts,
     } = scratch;
     let mut ctx = Ctx {
@@ -1394,7 +1423,7 @@ fn run_groups(
                         local_id = launch.local_id_at(at % items);
                     }
                     launch.write_ids(regs, group_id, local_id);
-                    exec::<1, false>(code, regs, ctx, 0, NEVER, stats).map(drop)
+                    exec::<1, false, false>(code, regs, ctx, 0, NEVER, stats).map(drop)
                 };
                 if chunked > 0 && !across {
                     launch.write_row_ids(lanes, group_id, ly, lz);
@@ -1410,7 +1439,7 @@ fn run_groups(
                     } else {
                         launch.write_chunk_x(lanes, group_id[0], at);
                     }
-                    if !run_chunk(launch, lanes, regs, &mut ctx, stats, counts)? {
+                    if !run_chunk(launch, lanes, regs, &mut ctx, stats, counts, parked)? {
                         for at in at..at + LANES as u64 {
                             item(regs, &mut ctx, stats, at)?;
                         }
@@ -1456,7 +1485,8 @@ fn run_groups(
                 // Control enters at a seam: a kernel's start, or the
                 // instruction after a barrier.
                 let ip = code.ip_at[item.pc] as usize;
-                item.status = match exec::<1, false>(code, regs, &mut ctx, ip, NEVER, stats)? {
+                item.status = match exec::<1, false, false>(code, regs, &mut ctx, ip, NEVER, stats)?
+                {
                     Exit::Barrier(resume) => {
                         item.pc = resume;
                         ItemStatus::AtBarrier
@@ -1502,8 +1532,8 @@ fn is_owned(root: Root) -> bool {
 /// Runs `L` items, their registers laid out `[register][lane]`, from op
 /// `ip` until they finish, suspend, split or one errors. With `CHECKS` they
 /// are lanes of a chunk that checks who touches what: they take the `owned`
-/// bodies where some item stores, and one by itself is done at op `stop`.
-fn exec<const L: usize, const CHECKS: bool>(
+/// bodies where some item stores. With `STOPS` they are done at op `stop`.
+fn exec<const L: usize, const CHECKS: bool, const STOPS: bool>(
     code: &CompiledCode,
     regs: &mut [u64],
     ctx: &mut Ctx<'_>,
@@ -1514,7 +1544,7 @@ fn exec<const L: usize, const CHECKS: bool>(
     let ops = &code.ops[..];
     let mut retired = 0u64;
     let exit = loop {
-        if CHECKS && L == 1 && ip == stop {
+        if STOPS && ip == stop {
             break Exit::Done;
         }
         // Falling off the end is a return, like the interpreter.
@@ -1554,15 +1584,74 @@ fn lane_out(regs: &mut [u64], lanes: &[u64], l: usize) {
     }
 }
 
+/// Copies the one-item file `regs` back to lane `l` of `lanes`.
+fn lane_in(lanes: &mut [u64], regs: &[u64], l: usize) {
+    for (reg, lanes) in regs.iter().zip(lanes.chunks_exact_mut(LANES)) {
+        lanes[l] = *reg;
+    }
+}
+
+/// The op lane `l` goes on at from the branch at op `x`.
+fn way(code: &CompiledCode, lanes: &[u64], x: usize, l: usize) -> usize {
+    let op = code.ops[x];
+    if lanes[op.a as usize * LANES + l] == u64::from(op.b) {
+        op.c as usize
+    } else {
+        x + 1
+    }
+}
+
+/// Every lane of a chunk.
+const ALL: u32 = u32::MAX >> (32 - LANES);
+
+/// The lanes of `set` the branch at op `x` sends straight to op `to`.
+fn sent_to(code: &CompiledCode, lanes: &[u64], x: usize, set: u32, to: usize) -> u32 {
+    let op = code.ops[x];
+    let cond = &lanes[op.a as usize * LANES..][..LANES];
+    let taken = (0..LANES).fold(0, |set, l| set | u32::from(cond[l] == u64::from(op.b)) << l);
+    let to_c = if op.c as usize == to { taken } else { 0 };
+    let to_next = if x + 1 == to { !taken } else { 0 };
+    set & (to_c | to_next)
+}
+
+/// Runs each lane of `set`, in lane order and by itself, from where the
+/// branch at op `x` sends it to op `join`, and puts it back in its column
+/// there. A lane that does not get there — it splits or errors — ends
+/// the run: it comes back with why, and the lanes after it stay put.
+#[allow(clippy::too_many_arguments)]
+fn lanes_to_join<const CHECKS: bool>(
+    code: &CompiledCode,
+    lanes: &mut [u64],
+    regs: &mut [u64],
+    ctx: &mut Ctx<'_>,
+    stats: &mut ExecStats,
+    set: u32,
+    x: usize,
+    join: usize,
+) -> Result<(), (usize, Result<SplitCause, ExecError>)> {
+    for l in lockstep::lanes_of(set) {
+        let from = way(code, lanes, x, l);
+        lane_out(regs, lanes, l);
+        ctx.shadow.who = l as u8 + 1;
+        match exec::<1, CHECKS, true>(code, regs, ctx, from, join, stats) {
+            Ok(Exit::Split { cause, .. }) => return Err((l, Ok(cause))),
+            Ok(_) => lane_in(lanes, regs, l),
+            Err(e) => return Err((l, Err(e))),
+        }
+    }
+    Ok(())
+}
+
 /// Runs the `LANES` items in `lanes` in lockstep, as far as that goes.
 /// Where they split, each is copied to `regs` and finished from that op
 /// on by itself, in lane order: whatever the split was over — a fault
 /// included — then happens to one item, on the path that reports it,
-/// after every item before it has run to its end. A chunk that checks
-/// who touches what (`lockstep`) re-joins after a branch instead, and at
-/// any other split, or a failed check, puts memory and `stats` back as it
-/// found them, ends the checking for its launch and returns `false`: its
-/// items are yet to run, one by one from op 0.
+/// after every item before it has run to its end. A chunk of a launch
+/// that may mask carries on past a branch instead ([`run_masked`]). A
+/// chunk that checks who touches what (`lockstep`) re-joins after a
+/// branch instead, and at any other split, or a failed check, puts memory
+/// and `stats` back as it found them, ends the checking for its launch and
+/// returns `false`: its items are yet to run, one by one from op 0.
 fn run_chunk(
     launch: &Launch<'_>,
     lanes: &mut [u64],
@@ -1570,24 +1659,19 @@ fn run_chunk(
     ctx: &mut Ctx<'_>,
     stats: &mut ExecStats,
     counts: &mut LaneCounts,
+    parked: &mut Parked,
 ) -> Result<bool, ExecError> {
     let code = launch.code;
     counts.chunks += 1;
     if !ctx.shadow.on {
-        if let Exit::Split { ip, cause } = exec::<LANES, false>(code, lanes, ctx, 0, NEVER, stats)?
-        {
-            counts.splits[cause as usize] += 1;
-            for l in 0..LANES {
-                lane_out(regs, lanes, l);
-                exec::<1, false>(code, regs, ctx, ip, NEVER, stats)?;
-            }
-        }
+        run_masked(launch, lanes, regs, ctx, stats, counts, parked)?;
         return Ok(true);
     }
     let found = stats.instructions;
     let mut ip = 0;
-    let why = 'chunk: loop {
-        let Exit::Split { ip: x, cause } = exec::<LANES, true>(code, lanes, ctx, ip, NEVER, stats)?
+    let why = loop {
+        let Exit::Split { ip: x, cause } =
+            exec::<LANES, true, false>(code, lanes, ctx, ip, NEVER, stats)?
         else {
             ctx.shadow.settle(None);
             return Ok(true);
@@ -1602,25 +1686,10 @@ fn run_chunk(
         // Every lane takes the branch; those it does not send to the
         // join go there by themselves.
         counts.splits[cause as usize] += 1;
-        let op = code.ops[x];
-        stats.instructions += u64::from(op.covers) * LANES as u64;
-        for l in 0..LANES {
-            let taken = lanes[op.a as usize * LANES + l] == u64::from(op.b);
-            let side = if taken { op.c as usize } else { x + 1 };
-            if side == join {
-                continue;
-            }
-            lane_out(regs, lanes, l);
-            ctx.shadow.who = l as u8 + 1;
-            match exec::<1, true>(code, regs, ctx, side, join, stats) {
-                Ok(Exit::Split { cause, .. }) => break 'chunk cause,
-                Ok(_) => {
-                    for (reg, lanes) in regs.iter().zip(lanes.chunks_exact_mut(LANES)) {
-                        lanes[l] = *reg;
-                    }
-                }
-                Err(_) => break 'chunk SplitCause::Fault,
-            }
+        stats.instructions += u64::from(code.ops[x].covers) * LANES as u64;
+        let away = ALL & !sent_to(code, lanes, x, ALL, join);
+        if let Err((_, why)) = lanes_to_join::<true>(code, lanes, regs, ctx, stats, away, x, join) {
+            break why.unwrap_or(SplitCause::Fault);
         }
         counts.rejoins += 1;
         ip = join;
@@ -1635,6 +1704,103 @@ fn run_chunk(
     stats.instructions = found;
     ctx.shadow.on = false;
     Ok(false)
+}
+
+/// [`run_chunk`] for a chunk that does not check. In a launch that may
+/// mask, the lanes a branch sends straight to its join wait there
+/// ([`Parked`]) while the others go on in lockstep — or, fewer than
+/// `LANES / 4` of them or neither way the join, one by one to the join —
+/// and all go on together from the join. Whatever else the lanes cannot take together, a fault
+/// of a live lane included, they finish one by one from their own op, the
+/// waiting ones from the join, in lane order.
+fn run_masked(
+    launch: &Launch<'_>,
+    lanes: &mut [u64],
+    regs: &mut [u64],
+    ctx: &mut Ctx<'_>,
+    stats: &mut ExecStats,
+    counts: &mut LaneCounts,
+    parked: &mut Parked,
+) -> Result<(), ExecError> {
+    let code = launch.code;
+    // The op the waiting lanes wait at; `NEVER` while none does.
+    let (mut ip, mut join) = (0, NEVER);
+    let x = loop {
+        let live = ALL & !parked.lanes;
+        let before = stats.instructions;
+        let exit = if join == NEVER {
+            exec::<LANES, false, false>(code, lanes, ctx, ip, NEVER, stats)?
+        } else {
+            exec::<LANES, false, true>(code, lanes, ctx, ip, join, stats)?
+        };
+        // The waiting columns rode along: only the live lanes retire.
+        let ran = (stats.instructions - before) / LANES as u64;
+        stats.instructions = before + ran * u64::from(live.count_ones());
+        let Exit::Split { ip: x, cause } = exit else {
+            // Every lane is done, or the live ones are at the join.
+            if join >= code.ops.len() {
+                parked.lanes = 0;
+                return Ok(());
+            }
+            parked.restore(lanes, code.vary());
+            (ip, join) = (join, NEVER);
+            continue;
+        };
+        counts.splits[cause as usize] += 1;
+        let j = match cause {
+            SplitCause::Branch if launch.masks => code.join_of(launch.kernel, x),
+            _ => None,
+        };
+        let Some(j) = j.filter(|&j| join == NEVER || j == join) else {
+            break x;
+        };
+        stats.instructions += u64::from(code.ops[x].covers) * u64::from(live.count_ones());
+        let goes = sent_to(code, lanes, x, live, j);
+        let stays = live & !goes;
+        if goes != 0 && stays.count_ones() as usize >= LANES / 4 {
+            // One way is the join, so the lanes that stay all take the
+            // other.
+            let first = lockstep::lanes_of(stays).next().expect("a lane stays");
+            counts.masked += 1;
+            parked.park(lanes, code.vary(), goes, first);
+            (ip, join) = (way(code, lanes, x, first), j);
+            continue;
+        }
+        // Too few go on to be worth a chunk, or neither way is the join
+        // (an if/else, a `?:`, a `&&`) and none is there yet: each goes to
+        // the join alone.
+        counts.rejoins += 1;
+        parked.restore(lanes, code.vary());
+        if let Err((l, why)) = lanes_to_join::<false>(code, lanes, regs, ctx, stats, stays, x, j) {
+            // Every lane before it is at the join: one of them fails
+            // first, if any does.
+            for l in 0..l {
+                lane_out(regs, lanes, l);
+                exec::<1, false, false>(code, regs, ctx, j, NEVER, stats)?;
+            }
+            let Err(e) = why else {
+                unreachable!("a lane by itself does not split")
+            };
+            return Err(e);
+        }
+        (ip, join) = (j, NEVER);
+    };
+    let waiting = std::mem::take(&mut parked.lanes);
+    let late = |l: usize| lockstep::waived(Waive::Order) && waiting >> l & 1 == 1;
+    for l in (0..LANES)
+        .filter(|&l| !late(l))
+        .chain((0..LANES).filter(|&l| late(l)))
+    {
+        lane_out(regs, lanes, l);
+        let from = if waiting >> l & 1 == 1 {
+            parked.own(regs, code.vary(), l);
+            join
+        } else {
+            x
+        };
+        exec::<1, false, false>(code, regs, ctx, from, NEVER, stats)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -41,9 +41,25 @@
 //! it does not send straight to where its ways meet — the first op of the
 //! branch block's immediate post-dominator — go there one by one, in lane
 //! order, checked like the rest, and the chunk goes on from that op; no
-//! op body knows of a mask. Unchecked that is unsound (a lane run ahead to
-//! the join has done ops that in item order follow ops lower lanes have
-//! yet to do), so any other chunk splits at a branch for good.
+//! op body knows of a mask. Unchecked in a launch with a serial buffer
+//! that is unsound (a lane run ahead to the join has done ops that in item
+//! order follow ops lower lanes have yet to do), so a chunk of a launch
+//! that stopped checking splits at a branch for good.
+//!
+//! **Masked, not split.** In a launch with no serial buffer no lane can
+//! read or write what another touches, so any order of the lanes' ops
+//! computes the interpreter's bytes. There the lanes a branch sends
+//! straight to its join wait at it ([`Parked`]), their lane-varying
+//! registers kept and their columns made copies of a live lane, which ride
+//! along computing what it computes — storing, faulting and branching only
+//! where it does — while the live lanes go on in lockstep; at the join the
+//! waiting lanes take their registers back. Fewer than `LANES / 4` lanes
+//! going on go to the join one by one instead: carrying them would cost
+//! more than running them alone. So do all of them where neither way is
+//! the join (an if/else, a `?:`, a `&&`): each has an arm to run before
+//! it gets there. Anything else the lanes cannot take
+//! together ends masking: every lane finishes one by one from its own op,
+//! the waiting ones from the join, in lane order.
 //!
 //! A group whose rows are narrower than a chunk but which holds `LANES`
 //! items cuts its chunks from its linear `(z, y, x)` order, and groups
@@ -173,6 +189,105 @@ thread_local! {
     static FORCED: std::cell::Cell<Option<Class>> = const { std::cell::Cell::new(None) };
 }
 
+// --- masks -------------------------------------------------------------------
+
+const _: () = assert!(LANES <= 32, "a lane set is a `u32`");
+
+/// The lanes of set `set`, in lane order.
+pub(super) fn lanes_of(mut set: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let l = set.trailing_zeros() as usize;
+        set &= set.wrapping_sub(1);
+        (l < 32).then_some(l)
+    })
+}
+
+/// The lanes of a chunk that wait at a branch's join while the others go
+/// on in lockstep; reused from chunk to chunk.
+#[derive(Default)]
+pub(super) struct Parked {
+    /// Bit `l`: lane `l` waits.
+    pub(super) lanes: u32,
+    /// The live lane every waiting column is a copy of.
+    from: usize,
+    /// `[k][lane]`: register `vary[k]` of each waiting lane, as it was.
+    saved: Vec<u64>,
+}
+
+impl Parked {
+    /// Lanes `now` stop at the join, keeping their lane-varying registers
+    /// `vary`, and every waiting column becomes a copy of live lane `from`:
+    /// from then on it computes what `from` computes, so it stores, faults,
+    /// names a root and takes a branch only where `from` does.
+    pub(super) fn park(&mut self, lanes: &mut [u64], vary: &[u32], now: u32, from: usize) {
+        self.saved.resize(vary.len() * LANES, 0);
+        for l in lanes_of(now) {
+            for (k, &r) in vary.iter().enumerate() {
+                self.saved[k * LANES + l] = lanes[r as usize * LANES + l];
+            }
+        }
+        // The columns already waiting copy a lane still live, unless that
+        // lane waits from now on too.
+        let copy = if self.lanes != 0 && now >> self.from & 1 == 0 {
+            now
+        } else {
+            self.from = from;
+            self.lanes | now
+        };
+        self.lanes |= now;
+        if waived(Waive::Refresh) {
+            return;
+        }
+        for l in lanes_of(copy) {
+            for &r in vary {
+                lanes[r as usize * LANES + l] = lanes[r as usize * LANES + self.from];
+            }
+        }
+    }
+
+    /// Every waiting lane takes its own registers back.
+    pub(super) fn restore(&mut self, lanes: &mut [u64], vary: &[u32]) {
+        if !waived(Waive::Restore) {
+            for l in lanes_of(self.lanes) {
+                for (k, &r) in vary.iter().enumerate() {
+                    lanes[r as usize * LANES + l] = self.saved[k * LANES + l];
+                }
+            }
+        }
+        self.lanes = 0;
+    }
+
+    /// Waiting lane `l`'s own registers, into its one-item file `regs`.
+    pub(super) fn own(&self, regs: &mut [u64], vary: &[u32], l: usize) {
+        for (k, &r) in vary.iter().enumerate() {
+            regs[r as usize] = self.saved[k * LANES + l];
+        }
+    }
+}
+
+/// A rule of masked lockstep a test may break to show it necessary.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(super) enum Waive {
+    /// Waiting columns keep their own registers instead of a live lane's.
+    Refresh,
+    /// Waiting lanes leave the join with what rode along in their columns.
+    Restore,
+    /// Where the lanes finish one by one, the live ones go first.
+    Order,
+}
+
+/// Whether a test on this thread breaks `rule`; never outside tests.
+#[inline(always)]
+pub(super) fn waived(rule: Waive) -> bool {
+    #[cfg(test)]
+    return tests::WAIVED.get() == Some(rule);
+    #[cfg(not(test))]
+    {
+        let _ = rule;
+        false
+    }
+}
+
 // --- ownership -------------------------------------------------------------
 
 /// Elements one chunk may touch in the buffers somebody stores to before
@@ -251,7 +366,7 @@ impl Shadow {
 
 /// What one launch's groups did, added to the process-wide counters when
 /// it ends.
-#[derive(Default)]
+#[derive(Default, Clone, Copy)]
 pub(super) struct LaneCounts {
     /// Chunks entered in lockstep.
     pub(super) chunks: u64,
@@ -259,6 +374,8 @@ pub(super) struct LaneCounts {
     pub(super) splits: [u64; 4],
     /// Of the `branch` splits, those whose lanes came together again.
     pub(super) rejoins: u64,
+    /// Of the `branch` splits, those the chunk carried on past masked.
+    pub(super) masked: u64,
     /// Chunks that undid themselves, by [`Abort`].
     pub(super) aborts: [u64; 3],
 }
@@ -266,15 +383,19 @@ pub(super) struct LaneCounts {
 static CHUNKS: AtomicU64 = AtomicU64::new(0);
 static SPLITS: [AtomicU64; 4] = [const { AtomicU64::new(0) }; 4];
 static REJOINS: AtomicU64 = AtomicU64::new(0);
+static MASKED: AtomicU64 = AtomicU64::new(0);
 static ABORTS_BY: [AtomicU64; 3] = [const { AtomicU64::new(0) }; 3];
 static REFUSED: [AtomicU64; 3] = [const { AtomicU64::new(0) }; 3];
 
 pub(super) fn record(counts: &LaneCounts) {
+    #[cfg(test)]
+    tests::LAST.set(*counts);
     if counts.chunks > 0 {
         CHUNKS.fetch_add(counts.chunks, Ordering::Relaxed);
         let by_cause = SPLITS.iter().zip(counts.splits);
         let aborts = ABORTS_BY.iter().zip(counts.aborts);
-        for (total, n) in by_cause.chain(aborts).chain([(&REJOINS, counts.rejoins)]) {
+        let plain = [(&REJOINS, counts.rejoins), (&MASKED, counts.masked)];
+        for (total, n) in by_cause.chain(aborts).chain(plain) {
             // Most launches have nothing to add to most of these.
             if n > 0 {
                 total.fetch_add(n, Ordering::Relaxed);
@@ -298,6 +419,11 @@ pub struct LockstepStats {
     /// Of the `branch` splits, those after which the chunk went on in
     /// lockstep from the branch's post-dominator.
     pub rejoins: u64,
+    /// Of the `branch` splits, those after which the lanes the branch
+    /// sent to its post-dominator waited there while the others went on in
+    /// lockstep (a launch with no `serial` buffer, at least a quarter of
+    /// the chunk going on).
+    pub masked: u64,
     /// Chunks that undid themselves and ran again item by item, ending
     /// the checking for their launch: a lane reached an element another
     /// had touched (`conflict`), the lanes split over anything else
@@ -316,6 +442,7 @@ pub fn lockstep_stats() -> LockstepStats {
         chunks: load(&CHUNKS),
         splits: std::array::from_fn(|i| (SPLIT_CAUSES[i], load(&SPLITS[i]))),
         rejoins: load(&REJOINS),
+        masked: load(&MASKED),
         aborts: std::array::from_fn(|i| (ABORTS[i], load(&ABORTS_BY[i]))),
         refused: std::array::from_fn(|i| (REFUSALS[i], load(&REFUSED[i]))),
     }
@@ -331,6 +458,10 @@ mod tests {
         /// ([`Shadow::take`]): the tests show the ownership rule necessary
         /// by breaking it.
         pub(super) static UNCHECKED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+        /// The rule [`waived`] says this thread breaks.
+        pub(super) static WAIVED: std::cell::Cell<Option<Waive>> = const { std::cell::Cell::new(None) };
+        /// What the last compiled launch on this thread counted.
+        pub(super) static LAST: std::cell::Cell<LaneCounts> = std::cell::Cell::default();
     }
 
     /// Four kernels, one per rule of [`classify`], each leaving other
@@ -596,5 +727,180 @@ mod tests {
                 "{line:?}"
             );
         }
+    }
+
+    /// Four kernels for the five rules of chunks that mask: ragged loops
+    /// over shared and private buffers only, and one with a buffer that is
+    /// neither.
+    const MASKERS: &str = r#"
+    // (a) A ragged loop that stores as it goes: a waiting lane that rode
+    // along on its own registers would keep adding.
+    __kernel void accumulate(__global const int* row_ptr, __global const float* v,
+                             __global float* y) {
+        int i = get_global_id(0);
+        for (int j = row_ptr[i]; j < row_ptr[i + 1]; j++) {
+            y[i] += v[j];
+        }
+    }
+
+    // (b) SpMV's shape: what a waiting lane takes past the join is its
+    // own, not what rode along in its column.
+    __kernel void dot(__global const int* row_ptr, __global const float* v,
+                      __global float* y) {
+        int i = get_global_id(0);
+        float acc = 0.0f;
+        for (int j = row_ptr[i]; j < row_ptr[i + 1]; j++) {
+            acc += v[j];
+        }
+        y[i] = acc;
+    }
+
+    // (c) A fault in the loop, and one after the join.
+    __kernel void late_fault(__global const int* row_ptr, __global const int* at,
+                             __global const float* v, __global const int* den,
+                             __global float* y) {
+        int i = get_global_id(0);
+        float acc = 0.0f;
+        for (int j = row_ptr[i]; j < row_ptr[i + 1]; j++) {
+            acc += v[at[j]];
+        }
+        y[i] = acc + (float)(7 / den[i]);
+    }
+
+    // (d) `dot` with a buffer nobody proved the lanes' own.
+    __kernel void dot_twice(__global const int* row_ptr, __global const float* v,
+                            __global float* y, __global float* z) {
+        int i = get_global_id(0);
+        float acc = 0.0f;
+        for (int j = row_ptr[i]; j < row_ptr[i + 1]; j++) {
+            acc += v[j];
+        }
+        y[i] = acc;
+        z[2 * i] = acc;
+    }
+    "#;
+
+    /// CSR row pointers for rows of `lens` nonzeros.
+    fn row_ptr(lens: &[usize]) -> Vec<i32> {
+        let mut at = vec![0];
+        for &n in lens {
+            at.push(at[at.len() - 1] + n as i32);
+        }
+        at
+    }
+
+    /// [`matches_oracle`] as shipped, and with mask rule `rule` waived.
+    fn masked_and_waived(
+        kernel: &CompiledKernel,
+        args: &[ArgValue],
+        buffers: &[GlobalBuffer],
+        range: NdRange,
+        rule: Waive,
+    ) -> (bool, bool) {
+        let shipped = matches_oracle(kernel, args, buffers, range, None);
+        WAIVED.set(Some(rule));
+        let waived = matches_oracle(kernel, args, buffers, range, None);
+        WAIVED.set(None);
+        (shipped, waived)
+    }
+
+    #[test]
+    fn each_mask_rule_is_necessary() {
+        use crate::vm::regops::SplitCause;
+        let program = crate::compile(MASKERS).expect("compiles");
+        let kernel = |name: &str| program.kernel(name).expect("kernel");
+        let globals = |n: usize| (0..n).map(ArgValue::global).collect::<Vec<_>>();
+        let n = 2 * L;
+        let line = NdRange::linear(n, n);
+        // Rows of one, two and three: a third of each chunk waits at the
+        // first exit, and the rest go on masked. The last row is short and
+        // ends where `v` does.
+        let mut lens: Vec<usize> = (0..n as usize).map(|i| 1 + i % 3).collect();
+        lens[n as usize - 1] = 1;
+        let ptr = row_ptr(&lens);
+        let nnz = *ptr.last().expect("rows") as u64;
+        let csr = |v: u64| vec![GlobalBuffer::from_i32(&ptr), ramp(v), ramp(n)];
+
+        // (a) Waiting columns copy a live lane, or they store.
+        let accumulate = kernel("accumulate");
+        let buffers = csr(nnz + 1);
+        assert_eq!(
+            masked_and_waived(accumulate, &globals(3), &buffers, line, Waive::Refresh),
+            (true, false)
+        );
+        // (b) Waiting lanes take their own registers back at the join.
+        let dot = kernel("dot");
+        let buffers = csr(nnz);
+        assert_eq!(
+            masked_and_waived(dot, &globals(3), &buffers, line, Waive::Restore),
+            (true, false)
+        );
+        // ... and, copying a live lane, never fault where it does not: the
+        // last lane, riding along on its own registers, reads past `v` —
+        // which finishes the chunk lane by lane, harmless but not masked.
+        let fault = SplitCause::Fault as usize;
+        assert!(matches_oracle(dot, &globals(3), &buffers, line, None));
+        let shipped = LAST.get();
+        assert_eq!((shipped.masked, shipped.splits[fault]), (4, 0));
+        assert_eq!(
+            masked_and_waived(dot, &globals(3), &buffers, line, Waive::Refresh),
+            (true, true)
+        );
+        assert_eq!(LAST.get().splits[fault], 1);
+
+        // (c) Lane 9 faults in the loop, masked, and lane 2 after the join:
+        // the interpreter reports lane 2, so lanes finish in lane order —
+        // when lane 9 is one of eight live lanes, and when it is the only
+        // one and goes to the join by itself.
+        let late = kernel("late_fault");
+        for long in [8..16, 9..10] {
+            let lens: Vec<usize> = (0..L as usize)
+                .map(|l| if long.contains(&l) { 6 } else { 2 })
+                .collect();
+            let ptr = row_ptr(&lens);
+            let mut at: Vec<i32> = (0..ptr[L as usize]).collect();
+            at[ptr[9] as usize + 4] = 1 << 20;
+            let mut den = vec![1; L as usize];
+            den[2] = 0;
+            let buffers = [
+                GlobalBuffer::from_i32(&ptr),
+                GlobalBuffer::from_i32(&at),
+                ramp(at.len() as u64),
+                GlobalBuffer::from_i32(&den),
+                ramp(L),
+            ];
+            let (args, chunk) = (globals(5), NdRange::linear(L, L));
+            let mut left = buffers.to_vec();
+            let err = run_ndrange_with_engine(late, &args, &mut left, &chunk, EngineKind::Compiled)
+                .expect_err("lanes 2 and 9 fail");
+            assert!(err.to_string().contains("division by zero"), "{err}");
+            let (shipped, waived) = masked_and_waived(late, &args, &buffers, chunk, Waive::Order);
+            assert!(shipped, "{long:?}");
+            assert_eq!(waived, long.len() == 1, "{long:?}");
+        }
+
+        // (d) A buffer that is neither shared nor private: never masked.
+        let twice = kernel("dot_twice");
+        let mut buffers = csr(nnz);
+        buffers.push(ramp(2 * n));
+        assert!(matches_oracle(twice, &globals(4), &buffers, line, None));
+        let counts = LAST.get();
+        assert_eq!(counts.masked, 0);
+        assert_eq!(counts.rejoins, counts.splits[SplitCause::Branch as usize]);
+
+        // (e) One long row among short ones: the one live lane goes to the
+        // join by itself, under the live floor, and nothing is masked.
+        let lens: Vec<usize> = (0..n as usize)
+            .map(|i| if i % L as usize == 5 { 24 } else { 8 })
+            .collect();
+        let ptr = row_ptr(&lens);
+        let buffers = [
+            GlobalBuffer::from_i32(&ptr),
+            ramp(u64::from(ptr[n as usize] as u32)),
+            ramp(n),
+        ];
+        assert!(matches_oracle(dot, &globals(3), &buffers, line, None));
+        let counts = LAST.get();
+        assert_eq!((counts.masked, counts.rejoins), (0, 2));
     }
 }

@@ -242,13 +242,14 @@ impl std::fmt::Debug for NmpHandle {
 }
 
 /// Copies the VM's lockstep self-report into `metrics` as
-/// `haocl_vm_lockstep_{chunks,splits,rejoins,aborts,refused}_total`. The VM counts in
-/// plain atomics, process-wide, so this runs when somebody scrapes and
-/// the series speak for every node this process hosts.
+/// `haocl_vm_lockstep_{chunks,splits,rejoins,masked,aborts,refused}_total`.
+/// The VM counts in plain atomics, process-wide, so this runs when
+/// somebody scrapes and the series speak for every node this process hosts.
 pub fn export_vm_metrics(metrics: &haocl_obs::Registry) {
     let stats = haocl_clc::vm::lockstep_stats();
     metrics.advance_counter(names::VM_LOCKSTEP_CHUNKS, &[], stats.chunks);
     metrics.advance_counter(names::VM_LOCKSTEP_REJOINS, &[], stats.rejoins);
+    metrics.advance_counter(names::VM_LOCKSTEP_MASKED, &[], stats.masked);
     let by_label = [
         (names::VM_LOCKSTEP_SPLITS, "cause", &stats.splits[..]),
         (names::VM_LOCKSTEP_ABORTS, "cause", &stats.aborts[..]),
@@ -1258,6 +1259,12 @@ mod tests {
                  int i = get_global_id(0);
                  if (i % 2 == 0) { y[2 * i] = 1.0f; }
                  y[2 * i + 1] = 2.0f;
+             }
+             __kernel void ragged(__global float* y) {
+                 int i = get_global_id(0);
+                 float acc = 0.0f;
+                 for (int j = 0; j < i % 5; j++) { acc += 1.0f; }
+                 y[i] = acc;
              }",
         )
         .unwrap();
@@ -1276,6 +1283,7 @@ mod tests {
         let split = metrics.counter_value(names::VM_LOCKSTEP_SPLITS, &unproven);
         let aborts = metrics.counter_value(names::VM_LOCKSTEP_ABORTS, &conflict);
         let rejoins = metrics.counter_value(names::VM_LOCKSTEP_REJOINS, &[]);
+        let masked = metrics.counter_value(names::VM_LOCKSTEP_MASKED, &[]);
         launch("twice");
         // Two lanes of `spread`'s first chunk meet on an element: it undoes
         // itself, and every chunk after it splits at its one store.
@@ -1283,9 +1291,14 @@ mod tests {
         // Every lane of `evens` keeps to its own two elements: its chunks
         // part at the branch, re-join and never split at a store.
         launch("evens");
+        // `ragged`'s lanes leave their loop after 0 to 4 turns, and no lane
+        // touches another's element: those that leave wait at the loop's
+        // exit while the rest go on masked.
+        launch("ragged");
         export_vm_metrics(&metrics);
         let per_launch = 128 / lanes;
-        assert!(metrics.counter_value(names::VM_LOCKSTEP_CHUNKS, &[]) >= chunks + 3 * per_launch);
+        assert!(metrics.counter_value(names::VM_LOCKSTEP_CHUNKS, &[]) >= chunks + 4 * per_launch);
+        assert!(metrics.counter_value(names::VM_LOCKSTEP_MASKED, &[]) >= masked + per_launch);
         assert!(
             metrics.counter_value(names::VM_LOCKSTEP_SPLITS, &unproven) >= split + per_launch - 1
         );
@@ -1299,6 +1312,7 @@ mod tests {
             "haocl_vm_lockstep_splits_total{cause=\"root\"} ",
             "haocl_vm_lockstep_splits_total{cause=\"unproven\"} ",
             "haocl_vm_lockstep_rejoins_total ",
+            "haocl_vm_lockstep_masked_total ",
             "haocl_vm_lockstep_aborts_total{cause=\"conflict\"} ",
             "haocl_vm_lockstep_aborts_total{cause=\"fault\"} ",
             "haocl_vm_lockstep_aborts_total{cause=\"overflow\"} ",

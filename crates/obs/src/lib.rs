@@ -92,9 +92,14 @@ pub mod names {
     pub const VM_LOCKSTEP_SPLITS: &str = "haocl_vm_lockstep_splits_total";
     /// Counter: `branch` splits after which only the lanes that took the
     /// longer way ran it one by one and the chunk went on in lockstep from
-    /// the branch's post-dominator. Splits less re-joins is the number of
-    /// chunks that fell back to item-by-item for the rest of their ops.
+    /// the branch's post-dominator. Splits less re-joins less masked is
+    /// the number of chunks that fell back to item-by-item for the rest of
+    /// their ops.
     pub const VM_LOCKSTEP_REJOINS: &str = "haocl_vm_lockstep_rejoins_total";
+    /// Counter: `branch` splits after which the lanes the branch sent to
+    /// its post-dominator waited there while the rest went on in lockstep
+    /// (launches whose every buffer is shared or item-private only).
+    pub const VM_LOCKSTEP_MASKED: &str = "haocl_vm_lockstep_masked_total";
     /// Counter: chunks that were checking who touches what, undid every
     /// store they had made and ran again item by item — after which their
     /// launch stopped checking — by `cause`: a lane reached an element

@@ -138,21 +138,28 @@ pub fn generate_queries(cfg: &KnnConfig) -> (Vec<f32>, Vec<f32>) {
     (lat, lng)
 }
 
-/// The `k` entries of `dists` (one per record, in index order) with the
-/// least distance, nearest first, equal distances by index: what a
-/// stable sort by distance keeps in front, found by selection — sorting
-/// every record to keep eight was as much work as the kernel checked.
-fn k_nearest(mut dists: Vec<(usize, f32)>, k: usize) -> Vec<(usize, f32)> {
-    let by_distance_then_index = |a: &(usize, f32), b: &(usize, f32)| {
-        let by_distance = a.1.partial_cmp(&b.1).expect("finite distances");
-        by_distance.then(a.0.cmp(&b.0))
-    };
-    if k < dists.len() {
-        dists.select_nth_unstable_by(k, by_distance_then_index);
-        dists.truncate(k);
+/// The `k` of `dists` (one per record, in index order) with the least
+/// distance, nearest first, equal distances by index: what a stable sort
+/// by distance keeps in front. Found the way the kernel finds them — each
+/// record in turn goes into a sorted array of at most `k`, when it is
+/// strictly nearer than the array's last, behind the ones as near as it —
+/// so nothing holds more than `k` records.
+fn k_nearest(dists: impl IntoIterator<Item = f32>, k: usize) -> Vec<(usize, f32)> {
+    let mut best: Vec<(usize, f32)> = Vec::with_capacity(k);
+    if k == 0 {
+        return best;
     }
-    dists.sort_unstable_by(by_distance_then_index);
-    dists
+    for (i, d) in dists.into_iter().enumerate() {
+        if best.len() == k {
+            if d >= best[k - 1].1 {
+                continue;
+            }
+            best.pop();
+        }
+        let at = best.partition_point(|&(_, near)| near <= d);
+        best.insert(at, (i, d));
+    }
+    best
 }
 
 /// Host reference: the `k` nearest distances for every query.
@@ -160,16 +167,11 @@ pub fn reference(lat: &[f32], lng: &[f32], cfg: &KnnConfig) -> Vec<Vec<(usize, f
     let (qlat, qlng) = generate_queries(cfg);
     (0..cfg.queries)
         .map(|q| {
-            let dists = lat
-                .iter()
-                .zip(lng)
-                .enumerate()
-                .map(|(i, (&la, &lo))| {
-                    let dx = la - qlat[q];
-                    let dy = lo - qlng[q];
-                    (i, (dx * dx + dy * dy).sqrt())
-                })
-                .collect();
+            let dists = lat.iter().zip(lng).map(|(&la, &lo)| {
+                let dx = la - qlat[q];
+                let dy = lo - qlng[q];
+                (dx * dx + dy * dy).sqrt()
+            });
             k_nearest(dists, cfg.k)
         })
         .collect()
@@ -541,13 +543,14 @@ mod tests {
         assert_eq!(best[0][0].1, 0.0);
     }
 
-    /// Selection keeps exactly what the stable sort it replaced kept,
-    /// in the same order: on distances full of ties, for `k` of one, of
-    /// every record, and of more than there are.
+    /// Insertion keeps exactly what a stable sort by distance keeps, in
+    /// the same order: on distances full of ties, for `k` of none, of one,
+    /// of every record, and of more than there are; and at the
+    /// benchmark's 32 768 records, k = 8.
     #[test]
     fn selection_equals_a_stable_sort_by_distance() {
         let mut state = 7u64;
-        for records in [1usize, 2, 9, 64, 500] {
+        for records in [1usize, 2, 9, 64, 500, 32_768] {
             for levels in [1u64, 3, 1 << 40] {
                 let dists: Vec<(usize, f32)> = (0..records)
                     .map(|i| {
@@ -557,12 +560,14 @@ mod tests {
                         (i, ((state >> 20) % levels) as f32 * 0.25)
                     })
                     .collect();
-                for k in [0, 1, 2, 8, records - 1, records, records + 3] {
+                let every = [records - 1, records, records + 3];
+                let more = if records > 500 { &[][..] } else { &every };
+                for &k in [0, 1, 2, 8].iter().chain(more) {
                     let mut sorted = dists.clone();
                     sorted.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite distances"));
                     sorted.truncate(k);
                     assert_eq!(
-                        k_nearest(dists.clone(), k),
+                        k_nearest(dists.iter().map(|&(_, d)| d), k),
                         sorted,
                         "{records} records, {levels} levels, k = {k}"
                     );

@@ -119,6 +119,10 @@ impl SpmvConfig {
     }
 }
 
+/// The most nonzeros a row may draw for [`generate_matrix`] to place its
+/// columns by rank rather than sort them.
+const RANKED_DEG: usize = 32;
+
 /// Generates a random square CSR matrix (row degrees vary ±50% around the
 /// average; column indices sorted and deduplicated per row).
 pub fn generate_matrix(cfg: &SpmvConfig) -> CsrMatrix {
@@ -126,18 +130,33 @@ pub fn generate_matrix(cfg: &SpmvConfig) -> CsrMatrix {
     let lo = (cfg.avg_nnz_per_row / 2).max(1);
     let hi = cfg.avg_nnz_per_row * 3 / 2 + 1;
     let mut row_ptr = Vec::with_capacity(cfg.rows + 1);
-    let mut cols = Vec::new();
-    let mut vals = Vec::new();
+    let mut cols = Vec::with_capacity(cfg.rows * cfg.avg_nnz_per_row);
+    let mut vals = Vec::with_capacity(cfg.rows * cfg.avg_nnz_per_row);
+    let (mut drawn, mut row) = (Vec::with_capacity(hi), Vec::with_capacity(hi));
     row_ptr.push(0u32);
     for _ in 0..cfg.rows {
         let deg = rng.gen_range(lo..hi).min(cfg.rows);
-        let mut row_cols: Vec<u32> = (0..deg)
-            .map(|_| rng.gen_range(0..cfg.rows as u32))
-            .collect();
-        row_cols.sort_unstable();
-        row_cols.dedup();
-        for c in &row_cols {
-            cols.push(*c);
+        drawn.clear();
+        drawn.extend((0..deg).map(|_| rng.gen_range(0..cfg.rows as u32)));
+        let sorted = if deg <= RANKED_DEG {
+            // Sorted and deduplicated with no branch on the draws, which a
+            // sort of random columns mispredicts: each column lands at the
+            // count of those below it — copies of one column on one slot —
+            // and the slots none landed on (no column is `u32::MAX`) are
+            // skipped. `deg²` compares: only short rows.
+            row.clear();
+            row.resize(deg, u32::MAX);
+            for &c in &drawn {
+                row[drawn.iter().filter(|&&o| o < c).count()] = c;
+            }
+            &row
+        } else {
+            drawn.sort_unstable();
+            drawn.dedup();
+            &drawn
+        };
+        for &c in sorted.iter().filter(|&&c| c != u32::MAX) {
+            cols.push(c);
             vals.push(rng.gen_range(-1.0..1.0));
         }
         row_ptr.push(cols.len() as u32);
@@ -394,6 +413,7 @@ fn run_on(
         .map(|d| CommandQueue::new(&ctx, d))
         .collect::<Result<_, _>>()?;
     let mut parts = Vec::new();
+    let x_data = if full { f32s_to_bytes(&x) } else { Vec::new() };
     for (queue, range) in queues.iter().zip(&ranges) {
         let r = range.len();
         let (part_nnz, rp_local, cols_local, vals_local) = if full {
@@ -447,7 +467,6 @@ fn run_on(
                     full,
                 )?;
             }
-            let x_data = if full { f32s_to_bytes(&x) } else { Vec::new() };
             write_buffer(queue, &x_d, &x_data, x_bytes, full)?;
         }
         parts.push((rp_d, cols_d, vals_d, x_d, y_d, range.clone(), part_nnz));
@@ -608,6 +627,67 @@ mod tests {
             for w in row.windows(2) {
                 assert!(w[0] < w[1]);
             }
+        }
+    }
+
+    /// The generator before it reused one row buffer and presized its
+    /// output: a `Vec` per row, grown as it goes.
+    fn generate_matrix_per_row(cfg: &SpmvConfig) -> CsrMatrix {
+        let mut rng = labeled_rng(cfg.seed, "spmv/matrix");
+        let lo = (cfg.avg_nnz_per_row / 2).max(1);
+        let hi = cfg.avg_nnz_per_row * 3 / 2 + 1;
+        let mut row_ptr = vec![0u32];
+        let (mut cols, mut vals) = (Vec::new(), Vec::new());
+        for _ in 0..cfg.rows {
+            let deg = rng.gen_range(lo..hi).min(cfg.rows);
+            let mut row_cols: Vec<u32> = (0..deg)
+                .map(|_| rng.gen_range(0..cfg.rows as u32))
+                .collect();
+            row_cols.sort_unstable();
+            row_cols.dedup();
+            for c in &row_cols {
+                cols.push(*c);
+                vals.push(rng.gen_range(-1.0..1.0));
+            }
+            row_ptr.push(cols.len() as u32);
+        }
+        CsrMatrix {
+            row_ptr,
+            cols,
+            vals,
+            n_cols: cfg.rows,
+        }
+    }
+
+    /// The same random draws in the same order, so the same matrix, bit
+    /// for bit: at test scale (which the ablations run), at the
+    /// benchmark's `paper_apps` scale, at the source-kernel test's, and
+    /// with rows long enough to be sorted rather than ranked.
+    #[test]
+    fn generator_draws_the_matrix_it_always_drew() {
+        for cfg in [
+            SpmvConfig::test_scale(),
+            SpmvConfig {
+                rows: 512,
+                avg_nnz_per_row: 2 * RANKED_DEG,
+                seed: 7,
+            },
+            SpmvConfig {
+                rows: 32_768,
+                avg_nnz_per_row: 16,
+                seed: 0x5eed,
+            },
+            SpmvConfig {
+                rows: 256,
+                avg_nnz_per_row: 4,
+                seed: 3,
+            },
+        ] {
+            let (now, then) = (generate_matrix(&cfg), generate_matrix_per_row(&cfg));
+            assert_eq!(now.row_ptr, then.row_ptr, "{cfg:?}");
+            assert_eq!(now.cols, then.cols, "{cfg:?}");
+            let bits = |m: &CsrMatrix| m.vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&now), bits(&then), "{cfg:?}");
         }
     }
 

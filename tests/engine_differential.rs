@@ -727,6 +727,7 @@ fn lockstep_delta(
     let mut moved = lockstep_stats();
     moved.chunks -= before.chunks;
     moved.rejoins -= before.rejoins;
+    moved.masked -= before.masked;
     for (now, then) in moved.splits.iter_mut().zip(before.splits) {
         now.1 -= then.1;
     }
@@ -1381,11 +1382,166 @@ fn lockstep_chunks_match_oracle() {
     }
 }
 
+/// CSR buffers and arguments for `spmv_csr` over rows of `lens` nonzeros,
+/// `cols` and `vals` exactly as long as the rows need: the last row ends
+/// at their end.
+fn spmv_launch(lens: &[usize], state: &mut u64) -> (Vec<ArgValue>, Vec<GlobalBuffer>) {
+    let rows = lens.len();
+    let mut row_ptr = vec![0i32];
+    for &n in lens {
+        row_ptr.push(row_ptr[row_ptr.len() - 1] + n as i32);
+    }
+    let nnz = row_ptr[rows] as usize;
+    let cols: Vec<i32> = (0..nnz)
+        .map(|_| (splitmix(state) % rows as u64) as i32)
+        .collect();
+    let reals = |state: &mut u64, n: usize| -> Vec<f32> {
+        (0..n)
+            .map(|_| (splitmix(state) % 2_000) as f32 / 1_000.0 - 1.0)
+            .collect()
+    };
+    let buffers = vec![
+        GlobalBuffer::from_i32(&row_ptr),
+        GlobalBuffer::from_i32(&cols),
+        GlobalBuffer::from_f32(&reals(state, nnz)),
+        GlobalBuffer::from_f32(&reals(state, rows)),
+        GlobalBuffer::zeroed(4 * rows),
+    ];
+    let mut args: Vec<ArgValue> = (0..5).map(ArgValue::global).collect();
+    args.push(ArgValue::from_i32(rows as i32));
+    (args, buffers)
+}
+
+/// `spmv_csr` where row lengths differ: every chunk's lanes leave the loop
+/// at different iterations, and those that leave first wait at its exit
+/// while the others go on masked. At local sizes 64 and 16, over random
+/// lengths 0–40, rows a third of them empty, equal rows, one long row,
+/// and a last row that ends at the end of `cols` and `vals` while its
+/// neighbours go on.
+#[test]
+fn spmv_ragged_rows_match_oracle() {
+    let spmv = compile(haocl_workloads::spmv::KERNEL_SOURCE).expect("spmv compiles");
+    let kernel = spmv
+        .kernel(haocl_workloads::spmv::KERNEL_NAME)
+        .expect("kernel");
+    let mut state = 25u64;
+    let rows = 256usize;
+    let mut draw = |below: u64| (splitmix(&mut state) % below) as usize;
+    let patterns: [(&str, Vec<usize>); 5] = [
+        ("random", (0..rows).map(|_| draw(41)).collect()),
+        (
+            "empty",
+            (0..rows)
+                .map(|i| if i % 3 == 0 { 0 } else { 1 + draw(12) })
+                .collect(),
+        ),
+        ("equal", vec![16; rows]),
+        (
+            "one long",
+            (0..rows).map(|i| if i == 77 { 300 } else { 4 }).collect(),
+        ),
+        (
+            "last short",
+            (0..rows)
+                .map(|i| if i == rows - 1 { 1 } else { 6 + draw(7) })
+                .collect(),
+        ),
+    ];
+    let lanes = lockstep_stats().lanes;
+    for (name, lens) in &patterns {
+        let (args, buffers) = spmv_launch(lens, &mut state);
+        for local in [64, 16] {
+            let range = NdRange::linear(rows as u64, local);
+            compare_engines(name, kernel, &args, &buffers, &range)
+                .unwrap_or_else(|e| panic!("{e}"));
+            let moved = lockstep_delta(kernel, &args, &buffers, &range);
+            assert_eq!(moved.chunks, rows as u64 / lanes, "{name}");
+            assert_eq!(moved.aborts.iter().map(|(_, n)| n).sum::<u64>(), 0);
+            let branch = count_of(&moved.splits, "branch");
+            assert_eq!(branch, moved.masked + moved.rejoins, "{name}");
+            assert_eq!(
+                moved.splits.iter().map(|(_, n)| n).sum::<u64>(),
+                branch,
+                "{name}"
+            );
+            assert_eq!(branch == 0, *name == "equal", "{name}");
+        }
+    }
+}
+
+/// Branches where neither way leads straight to where the ways meet:
+/// `if`/`else`, `?:` and `&&` each compile to two arms that end at a
+/// common op. Every buffer is shared or private, so the lanes that part at
+/// such a branch may not wait at the meeting op before running their arm.
+const DIAMOND_KERNELS: &str = r#"
+__kernel void relu(__global const float* x, __global float* y) {
+    int i = get_global_id(0);
+    y[i] = x[i] > 0.0f ? x[i] : 0.0f;
+}
+
+__kernel void two_arms(__global const float* x, __global float* y) {
+    int i = get_global_id(0);
+    float v = x[i];
+    float r;
+    if (v < 0.0f) {
+        r = -2.0f * v;
+    } else {
+        r = v + 1.0f;
+    }
+    y[i] = r;
+}
+
+__kernel void guarded(__global const float* x, __global float* y, int n) {
+    int i = get_global_id(0);
+    float r = 1.0f;
+    if (i < n && x[i] > 0.0f) {
+        r = x[i] * 3.0f;
+    }
+    y[i] = r;
+}
+"#;
+
+#[test]
+fn diamonds_match_oracle() {
+    let program = compile(DIAMOND_KERNELS).expect("diamond kernels compile");
+    let mut state = 41u64;
+    let items = 256u64;
+    // Signs that differ from lane to lane, so every chunk parts.
+    let x: Vec<f32> = (0..items)
+        .map(|_| (splitmix(&mut state) % 2_000) as f32 / 100.0 - 10.0)
+        .collect();
+    let buffers = [
+        GlobalBuffer::from_f32(&x),
+        GlobalBuffer::zeroed(4 * items as usize),
+    ];
+    let pair = [ArgValue::global(0), ArgValue::global(1)];
+    let mut guard = pair.to_vec();
+    // `i < n` parts the chunk `n` falls inside of too.
+    guard.push(ArgValue::from_i32(items as i32 - 21));
+    for (name, args) in [
+        ("relu", &pair[..]),
+        ("two_arms", &pair[..]),
+        ("guarded", &guard),
+    ] {
+        let kernel = program.kernel(name).expect("kernel");
+        for local in [64, 16] {
+            let range = NdRange::linear(items, local);
+            compare_engines(name, kernel, args, &buffers, &range).unwrap_or_else(|e| panic!("{e}"));
+            let moved = lockstep_delta(kernel, args, &buffers, &range);
+            let branch = count_of(&moved.splits, "branch");
+            assert!(branch > 0, "{name}: {moved:?}");
+            assert_eq!(branch, moved.masked + moved.rejoins, "{name}: {moved:?}");
+        }
+    }
+}
+
 /// A gate on counts, not on time: at the shapes the benchmark launches
 /// them, kNN's fused kernel runs as one chunk across its two groups that
 /// never has to undo itself and never stops at a buffer nobody proved
-/// private, and BFS's expansion step pays for its shared counter with one
-/// undone chunk a launch and no more.
+/// private, BFS's expansion step pays for its shared counter with one
+/// undone chunk a launch and no more, and SpMV's ragged rows never finish
+/// lane by lane: each chunk carries on past every loop exit masked, or —
+/// fewer than a quarter of its lanes going on — re-joins.
 #[test]
 fn benchmark_shapes_run_checked_not_serial() {
     let mut state = 9u64;
@@ -1448,6 +1604,28 @@ fn benchmark_shapes_run_checked_not_serial() {
     );
     assert_eq!(moved.chunks, chunks_of(&range, lockstep_stats().lanes));
     assert!(moved.aborts.iter().map(|(_, n)| n).sum::<u64>() <= 1);
+
+    // One device's half of `paper_apps`' SpMV: 16 384 rows of 8 to 24
+    // nonzeros, in groups of 64.
+    let lens: Vec<usize> = (0..16_384)
+        .map(|_| 8 + (splitmix(&mut state) % 17) as usize)
+        .collect();
+    let (args, buffers) = spmv_launch(&lens, &mut state);
+    let spmv = compile(haocl_workloads::spmv::KERNEL_SOURCE).expect("spmv compiles");
+    let range = NdRange::linear(lens.len() as u64, 64);
+    let moved = lockstep_delta(
+        spmv.kernel(haocl_workloads::spmv::KERNEL_NAME)
+            .expect("kernel"),
+        &args,
+        &buffers,
+        &range,
+    );
+    assert_eq!(moved.chunks, chunks_of(&range, lockstep_stats().lanes));
+    let branch = count_of(&moved.splits, "branch");
+    assert!(moved.masked > moved.chunks, "{moved:?}");
+    assert_eq!(branch, moved.masked + moved.rejoins, "{moved:?}");
+    assert_eq!(moved.splits.iter().map(|(_, n)| n).sum::<u64>(), branch);
+    assert_eq!(moved.aborts.iter().map(|(_, n)| n).sum::<u64>(), 0);
 }
 
 /// What the gate used to turn away whole now runs in chunks that check
