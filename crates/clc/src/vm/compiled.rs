@@ -71,7 +71,7 @@ use crate::bytecode::{BinKind, CmpKind, CompiledKernel, Geom, Instr, Math1, Math
 use crate::types::ScalarType;
 
 use super::interp::{barrier_stall_check, Item, ItemStatus};
-use super::lockstep::{self, Abort, LaneCounts, Parked, Shadow, Waive};
+use super::lockstep::{self, Abort, LaneCounts, Shadow, Waive};
 use super::ops::int_value;
 use super::regops::{
     self, Class, CmpClass, Ctx, Halt, Op, OpFn, OpFns, Root, SplitCause, Step, LANES,
@@ -110,10 +110,10 @@ pub(super) struct CompiledCode {
     /// interpreter instead. Never taken for sema-produced bytecode.
     fallback: bool,
     /// Per conditional jump, by its pc, the pc where its two ways meet
-    /// again ([`join_pcs`]): built by the first chunk to re-join.
+    /// again ([`join_pcs`]): built by the first chunk whose lanes part.
     joins: OnceLock<Vec<u32>>,
     /// The registers that can differ from lane to lane ([`Self::vary`]):
-    /// built by the first chunk to mask.
+    /// built by the first chunk to park lanes.
     vary: OnceLock<Vec<u32>>,
 }
 
@@ -1131,7 +1131,7 @@ struct Launch<'k> {
     /// group is a whole fraction of one and the row has that many; else 1.
     fuse: u64,
     /// The launch runs lockstep and no buffer is `serial`: no lane can see
-    /// another, so a chunk masks instead of splitting at a branch.
+    /// another, so a chunk gets past a branch without checking.
     masks: bool,
 }
 
@@ -1282,7 +1282,6 @@ struct GroupScratch {
     /// chunk to chunk, so the rest is filled here once.
     lanes: Vec<u64>,
     shadow: Shadow,
-    parked: Parked,
     counts: LaneCounts,
 }
 
@@ -1296,13 +1295,12 @@ impl GroupScratch {
             }
         }
         let mut shadow = Shadow::default();
-        // A lockstep launch that cannot mask has a serial buffer.
+        // A lockstep launch with a serial buffer checks.
         shadow.on = launch.span > 0 && !launch.masks;
         GroupScratch {
             regs: Vec::new(),
             lanes,
             shadow,
-            parked: Parked::default(),
             counts: LaneCounts::default(),
         }
     }
@@ -1377,7 +1375,6 @@ fn run_groups(
         regs,
         lanes,
         shadow,
-        parked,
         counts,
     } = scratch;
     let mut ctx = Ctx {
@@ -1439,7 +1436,7 @@ fn run_groups(
                     } else {
                         launch.write_chunk_x(lanes, group_id[0], at);
                     }
-                    if !run_chunk(launch, lanes, regs, &mut ctx, stats, counts, parked)? {
+                    if !run_chunk(launch, lanes, regs, &mut ctx, stats, counts)? {
                         for at in at..at + LANES as u64 {
                             item(regs, &mut ctx, stats, at)?;
                         }
@@ -1564,8 +1561,9 @@ fn exec<const L: usize, const CHECKS: bool, const STOPS: bool>(
         match run(regs, ctx, op) {
             Ok(Step::Next) => ip += 1,
             Ok(Step::Jump(t)) => ip = t as usize,
-            Ok(Step::Barrier) => break Exit::Barrier(op.a as usize),
-            Ok(Step::Done) => break Exit::Done,
+            // A chunk never meets a barrier ([`lockstep::gate`]).
+            Ok(Step::Barrier) if L == 1 => break Exit::Barrier(op.a as usize),
+            Ok(Step::Barrier | Step::Done) => break Exit::Done,
             Err(Halt::Fault) => return Err(ctx.fault.take().expect("a fault records its error")),
             Err(Halt::Split(cause)) => {
                 retired -= u64::from(op.covers);
@@ -1616,10 +1614,11 @@ fn sent_to(code: &CompiledCode, lanes: &[u64], x: usize, set: u32, to: usize) ->
 
 /// Runs each lane of `set`, in lane order and by itself, from where the
 /// branch at op `x` sends it to op `join`, and puts it back in its column
-/// there. A lane that does not get there — it splits or errors — ends
-/// the run: it comes back with why, and the lanes after it stay put.
+/// there, checked where the chunk checks. A lane that does not get there —
+/// it splits or errors — ends the run: it comes back with why, and the
+/// lanes after it stay put.
 #[allow(clippy::too_many_arguments)]
-fn lanes_to_join<const CHECKS: bool>(
+fn lanes_to_join(
     code: &CompiledCode,
     lanes: &mut [u64],
     regs: &mut [u64],
@@ -1633,7 +1632,12 @@ fn lanes_to_join<const CHECKS: bool>(
         let from = way(code, lanes, x, l);
         lane_out(regs, lanes, l);
         ctx.shadow.who = l as u8 + 1;
-        match exec::<1, CHECKS, true>(code, regs, ctx, from, join, stats) {
+        let exit = if ctx.shadow.on {
+            exec::<1, true, true>(code, regs, ctx, from, join, stats)
+        } else {
+            exec::<1, false, true>(code, regs, ctx, from, join, stats)
+        };
+        match exit {
             Ok(Exit::Split { cause, .. }) => return Err((l, Ok(cause))),
             Ok(_) => lane_in(lanes, regs, l),
             Err(e) => return Err((l, Err(e))),
@@ -1642,16 +1646,16 @@ fn lanes_to_join<const CHECKS: bool>(
     Ok(())
 }
 
-/// Runs the `LANES` items in `lanes` in lockstep, as far as that goes.
-/// Where they split, each is copied to `regs` and finished from that op
-/// on by itself, in lane order: whatever the split was over — a fault
-/// included — then happens to one item, on the path that reports it,
-/// after every item before it has run to its end. A chunk of a launch
-/// that may mask carries on past a branch instead ([`run_masked`]). A
-/// chunk that checks who touches what (`lockstep`) re-joins after a
-/// branch instead, and at any other split, or a failed check, puts memory
-/// and `stats` back as it found them, ends the checking for its launch and
-/// returns `false`: its items are yet to run, one by one from op 0.
+/// Runs the `LANES` items in `lanes` in lockstep, as far as that goes,
+/// getting past the branches they disagree on as [`lockstep`] describes.
+/// Whatever else they cannot take together, a chunk that checks who
+/// touches what puts memory and `stats` back as it found them, ends the
+/// checking for its launch and returns `false`: its items are yet to run,
+/// one by one from op 0. Any other copies each lane to `regs` and finishes
+/// it from its own op — a waiting one from the join — in lane order:
+/// whatever the split was over, a fault included, then happens to one
+/// item, on the path that reports it, after every item before it has run
+/// to its end.
 fn run_chunk(
     launch: &Launch<'_>,
     lanes: &mut [u64],
@@ -1659,133 +1663,94 @@ fn run_chunk(
     ctx: &mut Ctx<'_>,
     stats: &mut ExecStats,
     counts: &mut LaneCounts,
-    parked: &mut Parked,
 ) -> Result<bool, ExecError> {
     let code = launch.code;
     counts.chunks += 1;
-    if !ctx.shadow.on {
-        run_masked(launch, lanes, regs, ctx, stats, counts, parked)?;
-        return Ok(true);
-    }
-    let found = stats.instructions;
-    let mut ip = 0;
-    let why = loop {
-        let Exit::Split { ip: x, cause } =
-            exec::<LANES, true, false>(code, lanes, ctx, ip, NEVER, stats)?
-        else {
-            ctx.shadow.settle(None);
-            return Ok(true);
-        };
-        let join = match cause {
-            SplitCause::Branch => code.join_of(launch.kernel, x),
-            _ => None,
-        };
-        let Some(join) = join else {
-            break cause;
-        };
-        // Every lane takes the branch; those it does not send to the
-        // join go there by themselves.
-        counts.splits[cause as usize] += 1;
-        stats.instructions += u64::from(code.ops[x].covers) * LANES as u64;
-        let away = ALL & !sent_to(code, lanes, x, ALL, join);
-        if let Err((_, why)) = lanes_to_join::<true>(code, lanes, regs, ctx, stats, away, x, join) {
-            break why.unwrap_or(SplitCause::Fault);
-        }
-        counts.rejoins += 1;
-        ip = join;
-    };
-    let full = ctx.shadow.settle(Some(ctx.mem)) == lockstep::TOUCHED_CAP;
-    let why = match why {
-        SplitCause::Unproven if full => Abort::Overflow,
-        SplitCause::Unproven => Abort::Conflict,
-        _ => Abort::Fault,
-    };
-    counts.aborts[why as usize] += 1;
-    stats.instructions = found;
-    ctx.shadow.on = false;
-    Ok(false)
-}
-
-/// [`run_chunk`] for a chunk that does not check. In a launch that may
-/// mask, the lanes a branch sends straight to its join wait there
-/// ([`Parked`]) while the others go on in lockstep — or, fewer than
-/// `LANES / 4` of them or neither way the join, one by one to the join —
-/// and all go on together from the join. Whatever else the lanes cannot take together, a fault
-/// of a live lane included, they finish one by one from their own op, the
-/// waiting ones from the join, in lane order.
-fn run_masked(
-    launch: &Launch<'_>,
-    lanes: &mut [u64],
-    regs: &mut [u64],
-    ctx: &mut Ctx<'_>,
-    stats: &mut ExecStats,
-    counts: &mut LaneCounts,
-    parked: &mut Parked,
-) -> Result<(), ExecError> {
-    let code = launch.code;
+    let (checks, found) = (ctx.shadow.on, stats.instructions);
     // The op the waiting lanes wait at; `NEVER` while none does.
     let (mut ip, mut join) = (0, NEVER);
-    let x = loop {
-        let live = ALL & !parked.lanes;
+    let (x, cause) = loop {
+        let live = ALL & !ctx.shadow.parked.lanes;
         let before = stats.instructions;
-        let exit = if join == NEVER {
-            exec::<LANES, false, false>(code, lanes, ctx, ip, NEVER, stats)?
-        } else {
-            exec::<LANES, false, true>(code, lanes, ctx, ip, join, stats)?
-        };
+        let exit = match (checks, join) {
+            (false, NEVER) => exec::<LANES, false, false>(code, lanes, ctx, ip, NEVER, stats),
+            (false, _) => exec::<LANES, false, true>(code, lanes, ctx, ip, join, stats),
+            (true, NEVER) => exec::<LANES, true, false>(code, lanes, ctx, ip, NEVER, stats),
+            (true, _) => exec::<LANES, true, true>(code, lanes, ctx, ip, join, stats),
+        }?;
         // The waiting columns rode along: only the live lanes retire.
         let ran = (stats.instructions - before) / LANES as u64;
         stats.instructions = before + ran * u64::from(live.count_ones());
         let Exit::Split { ip: x, cause } = exit else {
             // Every lane is done, or the live ones are at the join.
             if join >= code.ops.len() {
-                parked.lanes = 0;
-                return Ok(());
+                ctx.shadow.parked.lanes = 0;
+                if checks {
+                    ctx.shadow.settle(None);
+                }
+                return Ok(true);
             }
-            parked.restore(lanes, code.vary());
+            ctx.shadow.parked.restore(lanes, code.vary());
             (ip, join) = (join, NEVER);
             continue;
         };
-        counts.splits[cause as usize] += 1;
-        let j = match cause {
-            SplitCause::Branch if launch.masks => code.join_of(launch.kernel, x),
+        let to = match cause {
+            SplitCause::Branch if join != NEVER => Some(join),
+            SplitCause::Branch if checks || launch.masks => code.join_of(launch.kernel, x),
             _ => None,
         };
-        let Some(j) = j.filter(|&j| join == NEVER || j == join) else {
-            break x;
+        let Some(to) = to else {
+            break (x, cause);
         };
+        counts.splits[cause as usize] += 1;
         stats.instructions += u64::from(code.ops[x].covers) * u64::from(live.count_ones());
-        let goes = sent_to(code, lanes, x, live, j);
+        let goes = sent_to(code, lanes, x, live, to);
         let stays = live & !goes;
         if goes != 0 && stays.count_ones() as usize >= LANES / 4 {
             // One way is the join, so the lanes that stay all take the
             // other.
             let first = lockstep::lanes_of(stays).next().expect("a lane stays");
             counts.masked += 1;
-            parked.park(lanes, code.vary(), goes, first);
-            (ip, join) = (way(code, lanes, x, first), j);
+            ctx.shadow.parked.park(lanes, code.vary(), goes, first);
+            (ip, join) = (way(code, lanes, x, first), to);
             continue;
         }
-        // Too few go on to be worth a chunk, or neither way is the join
-        // (an if/else, a `?:`, a `&&`) and none is there yet: each goes to
-        // the join alone.
-        counts.rejoins += 1;
-        parked.restore(lanes, code.vary());
-        if let Err((l, why)) = lanes_to_join::<false>(code, lanes, regs, ctx, stats, stays, x, j) {
+        // Too few go on to be worth a chunk, neither way is the join (an
+        // if/else, a `?:`, a `&&`) and none is there yet, or the others
+        // wait at another join: each goes to the join alone.
+        ctx.shadow.parked.restore(lanes, code.vary());
+        if let Err((l, why)) = lanes_to_join(code, lanes, regs, ctx, stats, stays, x, to) {
+            if checks {
+                break (x, why.unwrap_or(SplitCause::Fault));
+            }
             // Every lane before it is at the join: one of them fails
             // first, if any does.
             for l in 0..l {
                 lane_out(regs, lanes, l);
-                exec::<1, false, false>(code, regs, ctx, j, NEVER, stats)?;
+                exec::<1, false, false>(code, regs, ctx, to, NEVER, stats)?;
             }
             let Err(e) = why else {
                 unreachable!("a lane by itself does not split")
             };
             return Err(e);
         }
-        (ip, join) = (j, NEVER);
+        counts.rejoins += 1;
+        (ip, join) = (to, NEVER);
     };
-    let waiting = std::mem::take(&mut parked.lanes);
+    let waiting = std::mem::take(&mut ctx.shadow.parked.lanes);
+    if checks {
+        let full = ctx.shadow.settle(Some(ctx.mem)) == lockstep::TOUCHED_CAP;
+        let why = match cause {
+            SplitCause::Unproven if full => Abort::Overflow,
+            SplitCause::Unproven => Abort::Conflict,
+            _ => Abort::Fault,
+        };
+        counts.aborts[why as usize] += 1;
+        stats.instructions = found;
+        ctx.shadow.on = false;
+        return Ok(false);
+    }
+    counts.splits[cause as usize] += 1;
     let late = |l: usize| lockstep::waived(Waive::Order) && waiting >> l & 1 == 1;
     for l in (0..LANES)
         .filter(|&l| !late(l))
@@ -1793,14 +1758,14 @@ fn run_masked(
     {
         lane_out(regs, lanes, l);
         let from = if waiting >> l & 1 == 1 {
-            parked.own(regs, code.vary(), l);
+            ctx.shadow.parked.own(regs, code.vary(), l);
             join
         } else {
             x
         };
         exec::<1, false, false>(code, regs, ctx, from, NEVER, stats)?;
     }
-    Ok(())
+    Ok(true)
 }
 
 #[cfg(test)]

@@ -37,29 +37,26 @@
 //! finishing one by one from that op in lane order — as at a store to a
 //! shared buffer: the engine never writes what it classed read-only.
 //!
-//! Lanes of a checking chunk that disagree on a branch **re-join**: those
-//! it does not send straight to where its ways meet — the first op of the
-//! branch block's immediate post-dominator — go there one by one, in lane
-//! order, checked like the rest, and the chunk goes on from that op; no
-//! op body knows of a mask. Unchecked in a launch with a serial buffer
-//! that is unsound (a lane run ahead to the join has done ops that in item
-//! order follow ops lower lanes have yet to do), so a chunk of a launch
-//! that stopped checking splits at a branch for good.
-//!
-//! **Masked, not split.** In a launch with no serial buffer no lane can
-//! read or write what another touches, so any order of the lanes' ops
-//! computes the interpreter's bytes. There the lanes a branch sends
-//! straight to its join wait at it ([`Parked`]), their lane-varying
-//! registers kept and their columns made copies of a live lane, which ride
-//! along computing what it computes — storing, faulting and branching only
-//! where it does — while the live lanes go on in lockstep; at the join the
-//! waiting lanes take their registers back. Fewer than `LANES / 4` lanes
-//! going on go to the join one by one instead: carrying them would cost
-//! more than running them alone. So do all of them where neither way is
-//! the join (an if/else, a `?:`, a `&&`): each has an arm to run before
-//! it gets there. Anything else the lanes cannot take
-//! together ends masking: every lane finishes one by one from its own op,
-//! the waiting ones from the join, in lane order.
+//! **One way through a branch.** Lanes that a branch sends straight to
+//! where its ways meet — the first op of the branch block's immediate
+//! post-dominator — wait there ([`Parked`]): their lane-varying registers
+//! are kept and their columns become copies of a live lane, which ride
+//! along computing what it computes — storing, faulting, branching and,
+//! in a checking chunk, taking elements as that lane ([`Parked::mark`])
+//! only where it does — while the live lanes go on in lockstep; at the
+//! join the waiting lanes take their registers back. With fewer than
+//! `LANES / 4` lanes going on (carrying the rest would cost more than
+//! running those alone), at a branch neither of whose ways is the join (an
+//! if/else, a `?:`, a `&&`), or at one inside the stretch to a join lanes
+//! already wait at, the live lanes go one by one, in lane order, to that
+//! join and the chunk **re-joins** there. No op body knows of a mask. A
+//! lane run ahead to a join has done ops that in item order follow ops
+//! lower lanes have yet to do, which only a launch in which no lane can see
+//! another — no serial buffer — or one that checks can afford: a launch
+//! that stopped checking splits at a branch for good. Anything else the
+//! lanes cannot take together aborts a checking chunk, and any other
+//! finishes one by one from its own op, a waiting lane from the join, in
+//! lane order.
 //!
 //! A group whose rows are narrower than a chunk but which holds `LANES`
 //! items cuts its chunks from its linear `(z, y, x)` order, and groups
@@ -218,7 +215,10 @@ impl Parked {
     /// Lanes `now` stop at the join, keeping their lane-varying registers
     /// `vary`, and every waiting column becomes a copy of live lane `from`:
     /// from then on it computes what `from` computes, so it stores, faults,
-    /// names a root and takes a branch only where `from` does.
+    /// names a root and takes a branch only where `from` does. Out of
+    /// line, like [`Parked::restore`] and [`Parked::own`]: inlined into
+    /// the chunk driver, their loops cost every chunk, splitting or not.
+    #[inline(never)]
     pub(super) fn park(&mut self, lanes: &mut [u64], vary: &[u32], now: u32, from: usize) {
         self.saved.resize(vary.len() * LANES, 0);
         for l in lanes_of(now) {
@@ -246,6 +246,7 @@ impl Parked {
     }
 
     /// Every waiting lane takes its own registers back.
+    #[inline(never)]
     pub(super) fn restore(&mut self, lanes: &mut [u64], vary: &[u32]) {
         if !waived(Waive::Restore) {
             for l in lanes_of(self.lanes) {
@@ -258,10 +259,20 @@ impl Parked {
     }
 
     /// Waiting lane `l`'s own registers, into its one-item file `regs`.
+    #[inline(never)]
     pub(super) fn own(&self, regs: &mut [u64], vary: &[u32], l: usize) {
         for (k, &r) in vary.iter().enumerate() {
             regs[r as usize] = self.saved[k * LANES + l];
         }
+    }
+
+    /// The mark column `l` touches elements by ([`Shadow::claim`]): a
+    /// waiting column touches what the live lane it copies touches, as that
+    /// lane.
+    #[inline(always)]
+    pub(super) fn mark(&self, l: usize) -> u8 {
+        let copies = self.lanes >> l & 1 == 1 && !waived(Waive::Mark);
+        (if copies { self.from } else { l }) as u8 + 1
     }
 }
 
@@ -274,6 +285,8 @@ pub(super) enum Waive {
     Restore,
     /// Where the lanes finish one by one, the live ones go first.
     Order,
+    /// A waiting column touches elements as its own lane.
+    Mark,
 }
 
 /// Whether a test on this thread breaks `rule`; never outside tests.
@@ -302,8 +315,11 @@ pub(super) struct Shadow {
     /// Chunks check: a launch with a serial buffer, until one aborts.
     pub(super) on: bool,
     /// The mark — one more than its lane — of the item that runs by itself
-    /// between a branch and its join; in lockstep each lane leaves its own.
+    /// between a branch and its join; in lockstep each column leaves
+    /// [`Parked::mark`].
     pub(super) who: u8,
+    /// The lanes of the running chunk that wait at a join.
+    pub(super) parked: Parked,
     /// Per bound buffer, its element size and, per element, 0 or its
     /// owner's mark. Sized at the first touch.
     owners: Vec<(usize, Vec<u8>)>,
@@ -372,9 +388,11 @@ pub(super) struct LaneCounts {
     pub(super) chunks: u64,
     /// Times a chunk's lanes split, by [`super::regops::SplitCause`].
     pub(super) splits: [u64; 4],
-    /// Of the `branch` splits, those whose lanes came together again.
+    /// Of the `branch` splits, those after which the live lanes arrived at
+    /// the join one by one.
     pub(super) rejoins: u64,
-    /// Of the `branch` splits, those the chunk carried on past masked.
+    /// Of the `branch` splits, those after which some lanes waited at the
+    /// join while the others went on.
     pub(super) masked: u64,
     /// Chunks that undid themselves, by [`Abort`].
     pub(super) aborts: [u64; 3],
@@ -414,15 +432,17 @@ pub struct LockstepStats {
     /// Times the lanes of a chunk could not take an op together, by
     /// cause: `branch`, `fault`, `root`, `unproven` (the op reached a
     /// buffer the chunk may not touch together and is not checking).
-    /// Unless they re-join, the lanes finish one by one.
+    /// Unless they mask or re-join, the lanes finish one by one.
     pub splits: [(&'static str, u64); 4],
-    /// Of the `branch` splits, those after which the chunk went on in
-    /// lockstep from the branch's post-dominator.
+    /// Of the `branch` splits, those after which the live lanes went one by
+    /// one to a post-dominator — the branch's own, or the one other lanes
+    /// waited at — and the chunk went on in lockstep from there; counted
+    /// when they arrive.
     pub rejoins: u64,
-    /// Of the `branch` splits, those after which the lanes the branch
-    /// sent to its post-dominator waited there while the others went on in
-    /// lockstep (a launch with no `serial` buffer, at least a quarter of
-    /// the chunk going on).
+    /// Of the `branch` splits, those after which the lanes the branch sent
+    /// to the post-dominator waited there while the others went on in
+    /// lockstep (at least a quarter of the chunk going on). Where a chunk
+    /// gets past its branches, `branch == masked + rejoins`.
     pub masked: u64,
     /// Chunks that undid themselves and ran again item by item, ending
     /// the checking for their launch: a lane reached an element another
@@ -596,7 +616,7 @@ mod tests {
         }
     }
 
-    /// Seven kernels for the chunks that check instead of proving: what
+    /// Eight kernels for the chunks that check instead of proving: what
     /// ownership has to catch, and what an abort has to put back.
     const SPECULATORS: &str = r#"
     // (a) Read after write across lanes: item order chains the values,
@@ -660,6 +680,15 @@ mod tests {
         }
         y[i + 32] = y[i + 32] + 2.0f;
     }
+
+    // (h) Even lanes wait at the loop's exit after one turn; odd lanes go
+    // on and reach the element the next even lane took before it waited.
+    __kernel void reach(__global float* y) {
+        int i = get_global_id(0);
+        for (int k = 0; k < 1 + 2 * (i % 2); k++) {
+            y[i + k] = y[i + k] * 2.0f + (float)k;
+        }
+    }
     "#;
 
     /// [`matches_oracle`] as shipped, and with the ownership check waived.
@@ -697,6 +726,7 @@ mod tests {
                 ),
                 ("late", vec![ramp(n), ramp(n)]),
                 ("ahead", vec![ramp(n)]),
+                ("reach", vec![ramp(n + 2)]),
             ];
             for (name, buffers) in cases {
                 let args = globals(buffers.len());
@@ -706,6 +736,17 @@ mod tests {
                     "{name}, {line:?}"
                 );
             }
+            // (h) The first conflict is met while the even lanes wait: one
+            // park, then one `conflict` abort.
+            assert!(matches_oracle(
+                kernel("reach"),
+                &globals(1),
+                &[ramp(n + 2)],
+                line,
+                None
+            ));
+            let counts = LAST.get();
+            assert_eq!((counts.masked, counts.aborts), (1, [1, 0, 0]), "{line:?}");
             // (f) Lane 9 of the second chunk: the items before it have run
             // whole, it has stored to `y`, and no item after it has.
             let mut at: Vec<i32> = (0..4 * L as i32).collect();
@@ -767,16 +808,17 @@ mod tests {
         y[i] = acc + (float)(7 / den[i]);
     }
 
-    // (d) `dot` with a buffer nobody proved the lanes' own.
+    // (d) `dot` that keeps each partial sum in a buffer nobody proved the
+    // lanes' own: a waiting column stores where its live lane does.
     __kernel void dot_twice(__global const int* row_ptr, __global const float* v,
                             __global float* y, __global float* z) {
         int i = get_global_id(0);
         float acc = 0.0f;
         for (int j = row_ptr[i]; j < row_ptr[i + 1]; j++) {
             acc += v[j];
+            z[2 * i] = acc;
         }
         y[i] = acc;
-        z[2 * i] = acc;
     }
     "#;
 
@@ -874,19 +916,30 @@ mod tests {
             let err = run_ndrange_with_engine(late, &args, &mut left, &chunk, EngineKind::Compiled)
                 .expect_err("lanes 2 and 9 fail");
             assert!(err.to_string().contains("division by zero"), "{err}");
+            // A lane that faults on its way to the join has not re-joined.
+            assert_eq!(LAST.get().rejoins, 0, "{long:?}");
             let (shipped, waived) = masked_and_waived(late, &args, &buffers, chunk, Waive::Order);
             assert!(shipped, "{long:?}");
             assert_eq!(waived, long.len() == 1, "{long:?}");
         }
 
-        // (d) A buffer that is neither shared nor private: never masked.
+        // (d) A buffer that is neither shared nor private: the chunk checks
+        // and masks all the same, a waiting column touching as its live
+        // lane. Touching as itself, the first copy to store meets the live
+        // lane's element, and the chunk undoes itself.
         let twice = kernel("dot_twice");
         let mut buffers = csr(nnz);
         buffers.push(ramp(2 * n));
+        let branch = SplitCause::Branch as usize;
+        assert_eq!(
+            masked_and_waived(twice, &globals(4), &buffers, line, Waive::Mark),
+            (true, true)
+        );
+        assert_eq!((LAST.get().masked, LAST.get().aborts), (1, [1, 0, 0]));
         assert!(matches_oracle(twice, &globals(4), &buffers, line, None));
         let counts = LAST.get();
-        assert_eq!(counts.masked, 0);
-        assert_eq!(counts.rejoins, counts.splits[SplitCause::Branch as usize]);
+        assert_eq!((counts.masked, counts.aborts), (4, [0; 3]));
+        assert_eq!(counts.splits[branch], counts.masked + counts.rejoins);
 
         // (e) One long row among short ones: the one live lane goes to the
         // join by itself, under the live floor, and nothing is masked.

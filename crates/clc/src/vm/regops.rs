@@ -245,7 +245,11 @@ impl Ctx<'_> {
             let Some(at) = element_mut::<N>(bytes, offs[l] as i64) else {
                 return Err(self.halt::<L>(|| out_of_bounds(offs[l] as i64, N, len)));
             };
-            let me = if L == 1 { self.shadow.who } else { l as u8 + 1 };
+            let me = if L == 1 {
+                self.shadow.who
+            } else {
+                self.shadow.parked.mark(l)
+            };
             if !self.shadow.claim(b, offs[l] as usize, me, at, elems) {
                 return Err(Halt::Split(SplitCause::Unproven));
             }

@@ -1030,8 +1030,9 @@ fn lockstep_chunks_match_oracle() {
 
     // MatrixMul in its 8 × 8 groups, `rows` and `n` ragged against them:
     // the product loop runs in chunks (`a` and `b` are only read) and so
-    // does the store to `c`, each lane found alone on its element; the
-    // chunks the guard cuts through re-join at the kernel's end. A buffer
+    // does the store to `c`, each lane found alone on its element; in the
+    // chunks the guard cuts through, the lanes it turns away wait at the
+    // kernel's end while the others go on, or re-join there. A buffer
     // short of the launch undoes its chunk and faults in
     // the item the interpreter names: `c` one element short (the last
     // item's store), `c` a row short (the first row-10 item in item order,
@@ -1065,12 +1066,12 @@ fn lockstep_chunks_match_oracle() {
         assert!(moved.chunks > 0);
         let whole = (a_len, c_len) == (rows * n, rows * n);
         if whole {
+            // Checking chunks park too: every branch split is masked or
+            // re-joined, and nothing else splits.
             assert_eq!(moved.chunks, chunks_of(&grid, lanes));
-            assert_eq!(count_of(&moved.splits, "branch"), moved.rejoins);
-            assert_eq!(
-                moved.splits.iter().map(|(_, n)| n).sum::<u64>(),
-                moved.rejoins
-            );
+            let branch = count_of(&moved.splits, "branch");
+            assert_eq!(branch, moved.masked + moved.rejoins);
+            assert_eq!(moved.splits.iter().map(|(_, n)| n).sum::<u64>(), branch);
         }
         assert_eq!(count_of(&moved.aborts, "fault"), u64::from(!whole));
         assert_eq!(
@@ -1124,11 +1125,12 @@ fn lockstep_chunks_match_oracle() {
         assert_eq!(count_of(&moved.aborts, "fault"), short, "{range:?}");
         assert_eq!(moved.aborts.iter().map(|(_, n)| n).sum::<u64>(), short);
         if short == 0 {
+            // Checking chunks park too: every branch split is masked or
+            // re-joined, and nothing else splits.
             assert!(moved.rejoins > 0, "{range:?}");
-            assert_eq!(
-                moved.splits.iter().map(|(_, n)| n).sum::<u64>(),
-                moved.rejoins
-            );
+            let branch = count_of(&moved.splits, "branch");
+            assert_eq!(branch, moved.masked + moved.rejoins, "{range:?}");
+            assert_eq!(moved.splits.iter().map(|(_, n)| n).sum::<u64>(), branch);
         }
     }
 
@@ -1172,18 +1174,17 @@ fn lockstep_chunks_match_oracle() {
         );
         assert_eq!(moved.aborts.iter().map(|(_, n)| n).sum::<u64>(), conflict);
         assert_eq!(
-            moved.rejoins,
-            u64::from(frontier.len() == 1),
+            (moved.masked, moved.rejoins),
+            (0, u64::from(frontier.len() == 1)),
             "{frontier:?}"
         );
-        // The second node meets the first on its way to the join.
-        assert_eq!(count_of(&moved.splits, "branch"), moved.rejoins + conflict);
+        // The second node meets the first on its way to the join, so that
+        // branch never re-joins: a re-join counts when the lanes arrive.
+        let branch = count_of(&moved.splits, "branch");
+        assert_eq!(branch, moved.masked + moved.rejoins + conflict);
         // Every later chunk runs as it did before chunks checked: whole,
         // no frontier node in it.
-        assert_eq!(
-            moved.splits.iter().map(|(_, n)| n).sum::<u64>(),
-            moved.rejoins + conflict
-        );
+        assert_eq!(moved.splits.iter().map(|(_, n)| n).sum::<u64>(), branch);
     }
 
     // Faults: `bad` indexes out of range at the first op that can fail,
@@ -1469,6 +1470,77 @@ fn spmv_ragged_rows_match_oracle() {
     }
 }
 
+/// A ragged branch inside a ragged loop: lanes whose rows have ended wait
+/// at the loop's exit while the others meet the `if`, whose ways meet
+/// before that exit — so those go to the exit one by one and the chunk
+/// re-joins there. `nested` binds only shared and private buffers;
+/// `nested_checked` keeps each partial sum in `z`, which nobody proved the
+/// lanes' own, so its chunks check who touches what.
+const NESTED_KERNELS: &str = r#"
+__kernel void nested(__global const int* row_ptr, __global const float* v,
+                     __global float* y) {
+    int i = get_global_id(0);
+    float acc = 0.0f;
+    for (int j = row_ptr[i]; j < row_ptr[i + 1]; j++) {
+        if (v[j] > 0.0f) {
+            acc += v[j];
+        }
+    }
+    y[i] = acc;
+}
+
+__kernel void nested_checked(__global const int* row_ptr, __global const float* v,
+                             __global float* y, __global float* z) {
+    int i = get_global_id(0);
+    float acc = 0.0f;
+    for (int j = row_ptr[i]; j < row_ptr[i + 1]; j++) {
+        if (v[j] > 0.0f) {
+            acc += v[j];
+        }
+        z[2 * i] = acc;
+    }
+    y[i] = acc;
+}
+"#;
+
+#[test]
+fn nested_branches_match_oracle() {
+    let program = compile(NESTED_KERNELS).expect("nested kernels compile");
+    let mut state = 26u64;
+    let rows = 256usize;
+    let mut row_ptr = vec![0i32];
+    for _ in 0..rows {
+        row_ptr.push(row_ptr[row_ptr.len() - 1] + (splitmix(&mut state) % 13) as i32);
+    }
+    let v: Vec<f32> = (0..row_ptr[rows])
+        .map(|_| (splitmix(&mut state) % 2_000) as f32 / 1_000.0 - 1.0)
+        .collect();
+    let mut buffers = vec![
+        GlobalBuffer::from_i32(&row_ptr),
+        GlobalBuffer::from_f32(&v),
+        GlobalBuffer::zeroed(4 * rows),
+        GlobalBuffer::zeroed(8 * rows),
+    ];
+    let lanes = lockstep_stats().lanes;
+    for name in ["nested_checked", "nested"] {
+        let kernel = program.kernel(name).expect("kernel");
+        let args: Vec<ArgValue> = (0..kernel.params.len()).map(ArgValue::global).collect();
+        for local in [64, 16] {
+            let range = NdRange::linear(rows as u64, local);
+            compare_engines(name, kernel, &args, &buffers, &range)
+                .unwrap_or_else(|e| panic!("{e}"));
+            let moved = lockstep_delta(kernel, &args, &buffers, &range);
+            assert_eq!(moved.chunks, rows as u64 / lanes, "{name}");
+            assert_eq!(moved.aborts.iter().map(|(_, n)| n).sum::<u64>(), 0);
+            let branch = count_of(&moved.splits, "branch");
+            assert!(moved.masked > 0 && moved.rejoins > 0, "{name}: {moved:?}");
+            assert_eq!(branch, moved.masked + moved.rejoins, "{name}: {moved:?}");
+            assert_eq!(moved.splits.iter().map(|(_, n)| n).sum::<u64>(), branch);
+        }
+        buffers.pop();
+    }
+}
+
 /// Branches where neither way leads straight to where the ways meet:
 /// `if`/`else`, `?:` and `&&` each compile to two arms that end at a
 /// common op. Every buffer is shared or private, so the lanes that part at
@@ -1537,8 +1609,9 @@ fn diamonds_match_oracle() {
 
 /// A gate on counts, not on time: at the shapes the benchmark launches
 /// them, kNN's fused kernel runs as one chunk across its two groups that
-/// never has to undo itself and never stops at a buffer nobody proved
-/// private, BFS's expansion step pays for its shared counter with one
+/// never has to undo itself, never stops at a buffer nobody proved
+/// private and gets past every branch masked or re-joined, BFS's
+/// expansion step pays for its shared counter with one
 /// undone chunk a launch and no more, and SpMV's ragged rows never finish
 /// lane by lane: each chunk carries on past every loop exit masked, or —
 /// fewer than a quarter of its lanes going on — re-joins.
@@ -1570,7 +1643,10 @@ fn benchmark_shapes_run_checked_not_serial() {
         &NdRange::linear(nq as u64, 8),
     );
     assert_eq!(moved.chunks, 1);
-    assert!(moved.rejoins > 0);
+    assert!(moved.masked > 0 && moved.rejoins > 0, "{moved:?}");
+    let branch = count_of(&moved.splits, "branch");
+    assert_eq!(branch, moved.masked + moved.rejoins, "{moved:?}");
+    assert_eq!(moved.splits.iter().map(|(_, n)| n).sum::<u64>(), branch);
     assert_eq!(moved.aborts.iter().map(|(_, n)| n).sum::<u64>(), 0);
     assert_eq!(count_of(&moved.splits, "unproven"), 0);
 
