@@ -13,7 +13,8 @@
 //! fusion-ablation rows as machine-readable artifacts (consumed by the
 //! nightly bench CI job).
 
-use haocl_bench::{ablations, text::render_table};
+use haocl_bench::ablations;
+use haocl_bench::text::{render_table, write_artifact};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -171,15 +172,4 @@ fn main() {
         );
         write_artifact(&path, &body);
     }
-}
-
-fn write_artifact(path: &str, body: &str) {
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-    }
-    std::fs::write(path, body).expect("write output file");
-    println!();
-    println!("wrote {path}");
 }

@@ -14,7 +14,8 @@
 //! Chrome trace / Prometheus dump; `--json` output always carries the
 //! per-phase breakdown per row and the probe's audit-log summary.
 
-use haocl_bench::{fig2, probe, text::render_table};
+use haocl_bench::text::{json_string, render_table, write_artifact};
+use haocl_bench::{fig2, probe};
 use haocl_sim::PhaseBreakdown;
 use haocl_workloads::{RunOptions, Workload};
 
@@ -173,30 +174,4 @@ fn audit_json(summary: &std::collections::BTreeMap<(String, String), u64>) -> St
         })
         .collect();
     format!("[{}]", parts.join(", "))
-}
-
-fn write_artifact(path: &str, body: &str) {
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-    }
-    std::fs::write(path, body).expect("write output file");
-    println!("wrote {path}");
-}
-
-/// Minimal JSON string encoding (the emitted names are ASCII).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }

@@ -18,11 +18,15 @@
 //! * **consistency** — each tenant's buffer matches its completed
 //!   count, and `submitted == completed (+ pending)` per tenant.
 //!
+//! The `--metrics` and `--audit` files are what `haocl-top --metrics
+//! <file> --audit <file>` renders as a fleet dashboard.
+//!
 //! `HAOCL_CHAOS_SPEC` / `HAOCL_CHAOS_SEED` arm fault injection exactly
 //! as for every cluster launch — the nightly chaos matrix re-runs this
 //! soak with a crash+lossy spec while the tenants are active.
 
-use haocl_bench::{tenant_soak, text::render_table};
+use haocl_bench::tenant_soak;
+use haocl_bench::text::{json_string, render_table, write_artifact};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -90,33 +94,28 @@ fn main() {
         }
     }
 
-    let write_to = |path: &Option<String>, body: &str| {
+    for (path, body) in [
+        (&trace_path, &report.trace_json),
+        (&metrics_path, &report.metrics),
+        (&audit_path, &report.audit),
+    ] {
         if let Some(path) = path {
-            if let Some(dir) = std::path::Path::new(path).parent() {
-                if !dir.as_os_str().is_empty() {
-                    std::fs::create_dir_all(dir).expect("create output directory");
-                }
-            }
-            std::fs::write(path, body).expect("write output file");
-            println!("wrote {path}");
+            write_artifact(path, body);
         }
-    };
-    write_to(&trace_path, &report.trace_json);
-    write_to(&metrics_path, &report.metrics);
-    write_to(&audit_path, &report.audit);
-    if json_path.is_some() {
+    }
+    if let Some(path) = json_path {
         let records: Vec<String> = report
             .rows
             .iter()
             .map(|r| {
                 format!(
                     concat!(
-                        "    {{\"tenant\": \"{}\", \"weight\": {}, \"submitted\": {}, ",
+                        "    {{\"tenant\": {}, \"weight\": {}, \"submitted\": {}, ",
                         "\"completed\": {}, \"shed\": {}, \"compute_nanos\": {}, ",
                         "\"contended_compute_nanos\": {}, \"mem_bytes\": {}, ",
                         "\"digest\": \"{:016x}\", \"consistent\": {}}}"
                     ),
-                    r.name,
+                    json_string(r.name),
                     r.weight,
                     r.submitted,
                     r.completed,
@@ -132,7 +131,7 @@ fn main() {
         let violations: Vec<String> = report
             .violations
             .iter()
-            .map(|v| format!("    \"{}\"", v.replace('"', "'")))
+            .map(|v| format!("    {}", json_string(v)))
             .collect();
         let body = format!(
             concat!(
@@ -144,13 +143,9 @@ fn main() {
             report.fairness_ratio,
             report.weighted_ratio,
             records.join(",\n"),
-            if violations.is_empty() {
-                String::new()
-            } else {
-                violations.join(",\n")
-            },
+            violations.join(",\n"),
         );
-        write_to(&json_path, &body);
+        write_artifact(&path, &body);
     }
 
     if report.violations.is_empty() {

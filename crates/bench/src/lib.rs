@@ -61,28 +61,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Lanes (i32) in a soak's churned buffer.
-const LANES: usize = 64;
-
-/// The soaks' kernel: each completed launch advances the buffer by one
-/// deterministic, *order-sensitive* step (unlike xor, `k` applications
-/// are distinguishable from `k±1`), so the read-back pins the exact
-/// completed count regardless of which devices ran them.
-const CHURN_SRC: &str =
-    "__kernel void churn(__global int* a) { int i = get_global_id(0); a[i] = a[i] * 3 + i; }";
-
-/// The reference model of [`CHURN_SRC`] applied `k` times to a
-/// zero-initialised buffer.
-fn churn_ref(k: u64) -> Vec<u8> {
-    let mut lanes = [0i32; LANES];
-    for _ in 0..k {
-        for (i, v) in lanes.iter_mut().enumerate() {
-            *v = v.wrapping_mul(3).wrapping_add(i as i32);
-        }
-    }
-    lanes.iter().flat_map(|v| v.to_le_bytes()).collect()
-}
-
 /// Fig. 2: end-to-end speedup over a single native GPU node.
 pub mod fig2 {
     use super::*;
@@ -940,6 +918,29 @@ pub mod tenant_soak {
     use haocl_sched::policies;
     use haocl_sim::SimDuration;
 
+    /// Lanes (i32) in each tenant's churned buffer.
+    const LANES: usize = 64;
+
+    /// The tenants' kernel: each completed launch advances the buffer by
+    /// one deterministic, *order-sensitive* step (unlike xor, `k`
+    /// applications are distinguishable from `k±1`), so the read-back
+    /// pins the exact completed count regardless of which devices ran
+    /// them.
+    const CHURN_SRC: &str =
+        "__kernel void churn(__global int* a) { int i = get_global_id(0); a[i] = a[i] * 3 + i; }";
+
+    /// The reference model of [`CHURN_SRC`] applied `k` times to a
+    /// zero-initialised buffer.
+    fn churn_ref(k: u64) -> Vec<u8> {
+        let mut lanes = [0i32; LANES];
+        for _ in 0..k {
+            for (i, v) in lanes.iter_mut().enumerate() {
+                *v = v.wrapping_mul(3).wrapping_add(i as i32);
+            }
+        }
+        lanes.iter().flat_map(|v| v.to_le_bytes()).collect()
+    }
+
     /// Final per-tenant accounting of one soak run.
     #[derive(Debug, Clone)]
     pub struct TenantRow {
@@ -1181,461 +1182,6 @@ pub mod tenant_soak {
     }
 }
 
-/// The degraded-device soak: a 3-GPU fleet establishes healthy drift
-/// baselines, then one node is silently throttled (its descriptor keeps
-/// advertising full speed). The run gates on the telemetry plane doing
-/// its job — the drift detector flags the sick node within a bounded
-/// number of launches, placements shift off it (≥ 90% avoidance after
-/// detection), outputs stay byte-identical to the healthy reference,
-/// and the node recovers once re-qualified at full speed. The CI
-/// `degraded-soak` job drives this through the `health_soak` binary and
-/// uploads the `haocl-top --report json` snapshot it embeds.
-pub mod health_soak {
-    use super::*;
-    use haocl::auto::AutoScheduler;
-    use haocl::{
-        Buffer, CommandQueue, Context, DeviceType, Kernel, MemFlags, NodeCondition, NodeId, Program,
-    };
-    use haocl_kernel::{CostModel, NdRange};
-    use haocl_obs::FleetSnapshot;
-    use haocl_sched::policies;
-
-    /// Node (and, in a one-GPU-per-node fleet, device index) that falls
-    /// sick mid-run.
-    const SICK: u32 = 1;
-
-    /// Launches after injection within which detection must happen.
-    /// The detector needs its strikes; the scheduler also has to keep
-    /// *giving* the slowing node launches long enough to collect them.
-    const DETECTION_BUDGET: usize = 40;
-
-    /// Everything one degraded-device soak produced.
-    #[derive(Debug, Clone)]
-    pub struct HealthReport {
-        /// Launches between throttle injection and the `Degraded`
-        /// verdict (`None` = never detected).
-        pub detection_launches: Option<usize>,
-        /// Post-detection launches placed, total.
-        pub post_total: usize,
-        /// Post-detection launches that still landed on the sick node.
-        pub post_on_sick: usize,
-        /// `1 - post_on_sick / post_total` (gate: ≥ 0.9).
-        pub avoidance: f64,
-        /// Whether the node's verdict returned to healthy after the
-        /// throttle was lifted and the node re-qualified.
-        pub recovered: bool,
-        /// Whether the final buffer is byte-identical to the healthy
-        /// reference at the completed launch count.
-        pub consistent: bool,
-        /// Total launches completed across all phases.
-        pub launches: u64,
-        /// Gate violations; empty means the run passes.
-        pub violations: Vec<String>,
-        /// Prometheus text-format metrics dump.
-        pub metrics: String,
-        /// Scheduler decision audit log.
-        pub audit: String,
-        /// The `haocl-top --report json` snapshot of the final state.
-        pub top_json: String,
-    }
-
-    struct Fleet {
-        auto: AutoScheduler,
-        kernel: Kernel,
-        buffer: Buffer,
-        staging: CommandQueue,
-        launches: u64,
-    }
-
-    impl Fleet {
-        /// One placed launch; returns the chosen node.
-        fn step(&mut self) -> Result<NodeId, Error> {
-            let (_, choice) = self
-                .auto
-                .launch(&self.kernel, NdRange::linear(LANES as u64, 1))?;
-            self.launches += 1;
-            Ok(self.auto.queues()[choice].device().node_id())
-        }
-    }
-
-    /// Runs the soak. `probe_rounds` scales the healthy warmup and the
-    /// recovery re-qualification phases (8 is plenty; the detector
-    /// freezes its baseline after 3 observations per node).
-    ///
-    /// # Errors
-    ///
-    /// Propagates cluster bring-up and launch failures.
-    pub fn run(probe_rounds: usize) -> Result<HealthReport, Error> {
-        let platform = Platform::cluster(&ClusterConfig::gpu_cluster(3), registry_with_all())?;
-        platform.set_tracing(true);
-        let ctx = Context::new(&platform, &platform.devices(DeviceType::All))?;
-        let auto = AutoScheduler::new(&ctx, Box::new(policies::HeteroAware::new()))?;
-        let staging = CommandQueue::new(&ctx, &ctx.devices()[0])?;
-        let program = Program::from_source(&ctx, CHURN_SRC);
-        program.build()?;
-        let kernel = Kernel::new(&program, "churn")?;
-        kernel.set_cost(CostModel::new().flops(1e9).bytes_read(4.0 * LANES as f64));
-        let buffer = Buffer::new(&ctx, MemFlags::READ_WRITE, 4 * LANES as u64)?;
-        kernel.set_arg_buffer(0, &buffer)?;
-        let mut fleet = Fleet {
-            auto,
-            kernel,
-            buffer,
-            staging,
-            launches: 0,
-        };
-        let sick = NodeId::new(SICK);
-        let mut violations = Vec::new();
-
-        // Phase 1 — healthy warmup. Round-robin guarantees every node
-        // collects enough observations to freeze its drift baseline
-        // (identical devices would otherwise let ties starve a node).
-        fleet.auto.set_policy(Box::new(policies::RoundRobin::new()));
-        for _ in 0..probe_rounds.max(4) * 3 {
-            fleet.step()?;
-        }
-        if fleet.auto.quarantine().condition(sick) != NodeCondition::Healthy {
-            violations.push("baseline: node flagged before any fault was injected".into());
-        }
-
-        // Phase 2 — silent degradation: node 1's GPU runs 3× slow while
-        // its descriptor still advertises full speed. Only observed
-        // timings can betray it. Probing traffic stays round-robin —
-        // detection must not depend on the load balancer happening to
-        // visit the sick node.
-        platform.set_device_throttle(sick, 0, 3.0)?;
-        let mut detection_launches = None;
-        for i in 0..DETECTION_BUDGET {
-            fleet.step()?;
-            if fleet.auto.drift().is_degraded(sick) {
-                detection_launches = Some(i + 1);
-                break;
-            }
-        }
-        fleet
-            .auto
-            .set_policy(Box::new(policies::HeteroAware::new()));
-        if detection_launches.is_none() {
-            violations.push(format!(
-                "detection: sick node not flagged within {DETECTION_BUDGET} launches"
-            ));
-        }
-        if detection_launches.is_some()
-            && fleet.auto.quarantine().condition(sick) != NodeCondition::Degraded
-        {
-            violations.push("verdict: drift flag did not reach the quarantine tracker".into());
-        }
-
-        // Phase 3 — post-detection placement: the degraded node stays a
-        // candidate (advisory, not banned) but should lose almost every
-        // placement to its healthy peers.
-        let post_total = probe_rounds.max(4) * 3;
-        let mut post_on_sick = 0usize;
-        for _ in 0..post_total {
-            if fleet.step()? == sick {
-                post_on_sick += 1;
-            }
-        }
-        let avoidance = 1.0 - post_on_sick as f64 / post_total as f64;
-        if avoidance < 0.9 {
-            violations.push(format!(
-                "avoidance: only {:.0}% of post-detection placements avoided the sick node",
-                avoidance * 100.0
-            ));
-        }
-
-        // Phase 4 — recovery: lift the throttle and re-qualify the node
-        // with probe launches (round-robin again — an avoided node never
-        // produces the observations that would clear it).
-        platform.set_device_throttle(sick, 0, 1.0)?;
-        fleet.auto.set_policy(Box::new(policies::RoundRobin::new()));
-        for _ in 0..probe_rounds.max(4) * 3 {
-            fleet.step()?;
-        }
-        fleet
-            .auto
-            .set_policy(Box::new(policies::HeteroAware::new()));
-        let recovered = fleet.auto.quarantine().condition(sick) == NodeCondition::Healthy;
-        if !recovered {
-            violations.push("recovery: node still flagged after returning to baseline".into());
-        }
-
-        // Consistency: the buffer must be byte-identical to the healthy
-        // reference at the completed count — placement shifts are not
-        // allowed to change results.
-        let mut readback = vec![0u8; 4 * LANES];
-        fleet
-            .staging
-            .enqueue_read_buffer(&fleet.buffer, 0, &mut readback)?;
-        fleet.staging.finish();
-        let consistent = readback == churn_ref(fleet.launches);
-        if !consistent {
-            violations.push(format!(
-                "consistency: buffer does not match {} healthy applications",
-                fleet.launches
-            ));
-        }
-
-        let metrics = platform.render_metrics();
-        let audit = platform.render_audit_log();
-        let top_json = FleetSnapshot::from_text(&metrics, &audit).to_json();
-        Ok(HealthReport {
-            detection_launches,
-            post_total,
-            post_on_sick,
-            avoidance,
-            recovered,
-            consistent,
-            launches: fleet.launches,
-            violations,
-            metrics,
-            audit,
-            top_json,
-        })
-    }
-}
-
-/// Elastic-fleet soak: repeated traffic spikes drive the autoscaler up,
-/// idle valleys drive it back down through graceful drains, with CI
-/// gates on reaction latency, post-drain digest exactness, and zero
-/// quarantines under pure voluntary departures.
-pub mod autoscale_soak {
-    use super::*;
-    use haocl::auto::AutoScheduler;
-    use haocl::{
-        AutoscaleConfig, Autoscaler, Buffer, CommandQueue, Context, Decision, DeviceType,
-        DrainOptions, Kernel, MemFlags, MembershipState, NodeSpec, Program,
-    };
-    use haocl_kernel::{CostModel, NdRange};
-    use haocl_obs::FleetSnapshot;
-    use haocl_sched::policies;
-
-    /// Backlog depth of one traffic spike (well above `high_depth`).
-    const SPIKE: usize = 10;
-
-    /// Policy ticks the scaler may take to react to a sustained spike
-    /// (sustain streak + post-action cooldown + one tick of slack).
-    const REACTION_BUDGET: usize = 6;
-
-    /// Everything one elastic soak produced.
-    #[derive(Debug, Clone)]
-    pub struct AutoscaleReport {
-        /// Spike/valley rounds driven.
-        pub rounds: usize,
-        /// Scale-ups actuated (gate: one per round).
-        pub scale_ups: usize,
-        /// Scale-downs actuated (gate: one per round).
-        pub scale_downs: usize,
-        /// Worst ticks-to-ScaleUp across rounds (gate: ≤ budget).
-        pub worst_reaction_ticks: usize,
-        /// Total launches completed.
-        pub launches: u64,
-        /// Whether every post-drain readback was byte-identical to the
-        /// reference at the completed launch count.
-        pub consistent: bool,
-        /// Final `haocl_quarantines_total` sum (gate: 0 — every epoch
-        /// bump in this soak is a voluntary drain).
-        pub quarantines: u64,
-        /// Gate violations; empty means the run passes.
-        pub violations: Vec<String>,
-        /// Prometheus text-format metrics dump.
-        pub metrics: String,
-        /// Scheduler decision audit log.
-        pub audit: String,
-        /// The `haocl-top --report json` snapshot of the final state.
-        pub top_json: String,
-    }
-
-    /// Runs `rounds` spike/valley cycles on a fleet that starts as one
-    /// GPU node. Chaos opt-in via `HAOCL_CHAOS_SPEC` applies as for
-    /// every cluster launch; under chaos the soak pins the data plane to
-    /// the host relay (as the tenant soak does, for replayable
-    /// lineages), retries drains that a fault schedule interrupts, and
-    /// drops the quarantine gate — a crash racing a drain *should* book
-    /// a strike.
-    ///
-    /// # Errors
-    ///
-    /// Propagates cluster bring-up, launch, join and drain failures
-    /// (under chaos, recovery and drain retries are expected to mask
-    /// them — a surfaced failure is a real finding).
-    pub fn run(rounds: usize) -> Result<AutoscaleReport, Error> {
-        let platform = Platform::cluster(&ClusterConfig::gpu_cluster(1), registry_with_all())?;
-        platform.set_tracing(true);
-        let chaotic = std::env::var("HAOCL_CHAOS_SPEC").is_ok();
-        if chaotic {
-            platform.set_peer_transfers(false);
-        }
-        let ctx = Context::new(&platform, &platform.devices(DeviceType::All))?;
-        let mut auto = AutoScheduler::new(&ctx, Box::new(policies::RoundRobin::new()))?;
-        let mut scaler = Autoscaler::new(AutoscaleConfig {
-            high_depth: 4.0,
-            low_depth: 1.0,
-            sustain_ticks: 2,
-            cooldown_ticks: 2,
-            min_nodes: 1,
-            max_nodes: 3,
-        });
-        let program = Program::from_source(&ctx, CHURN_SRC);
-        program.build()?;
-        let kernel = Kernel::new(&program, "churn")?;
-        kernel.set_cost(CostModel::new().flops(1e9).bytes_read(4.0 * LANES as f64));
-        let buffer = Buffer::new(&ctx, MemFlags::READ_WRITE, 4 * LANES as u64)?;
-        kernel.set_arg_buffer(0, &buffer)?;
-        let staging = |auto: &AutoScheduler| -> CommandQueue {
-            auto.queues()
-                .iter()
-                .find(|q| {
-                    platform.node_membership(q.device().node_id()) == Some(MembershipState::Active)
-                })
-                .expect("at least one active node")
-                .clone()
-        };
-
-        let mut violations = Vec::new();
-        let mut launches = 0u64;
-        let mut scale_ups = 0usize;
-        let mut scale_downs = 0usize;
-        let mut worst_reaction_ticks = 0usize;
-        let mut consistent = true;
-        for round in 0..rounds {
-            // Spike: a backlog far above `high_depth` piles onto the
-            // shrunken fleet; the queue-depth gauge carries it to the
-            // scaler, which must react within the budget.
-            for _ in 0..SPIKE {
-                auto.launch(&kernel, NdRange::linear(LANES as u64, 1))?;
-                launches += 1;
-            }
-            let mut reacted = false;
-            for tick in 1..=REACTION_BUDGET {
-                if platform.autoscale_tick(&mut scaler) == Decision::ScaleUp {
-                    worst_reaction_ticks = worst_reaction_ticks.max(tick);
-                    reacted = true;
-                    break;
-                }
-            }
-            if !reacted {
-                violations.push(format!(
-                    "reaction: round {round} spike not answered within {REACTION_BUDGET} ticks"
-                ));
-                for q in auto.queues() {
-                    q.finish();
-                }
-                continue;
-            }
-            let spec = NodeSpec {
-                name: format!("burst{round}"),
-                addr: format!("10.0.8.{}:7100", round + 1),
-                devices: vec![DeviceKind::Gpu],
-            };
-            let burst = platform.add_node(&spec)?;
-            auto.sync_membership()?;
-            scale_ups += 1;
-            // The tail of the spike rides the grown fleet: round-robin
-            // now spreads real launches (and the buffer's resident
-            // bytes) onto the new node before the valley takes it back
-            // out — the drain below migrates state that matters.
-            for _ in 0..SPIKE {
-                auto.launch(&kernel, NdRange::linear(LANES as u64, 1))?;
-                launches += 1;
-            }
-            for q in auto.queues() {
-                q.finish();
-            }
-
-            // Valley: the fleet idles; the scaler must ask for a
-            // scale-down, and the burst node drains cleanly.
-            let mut down = false;
-            for _ in 0..REACTION_BUDGET {
-                if platform.autoscale_tick(&mut scaler) == Decision::ScaleDown {
-                    down = true;
-                    break;
-                }
-            }
-            if !down {
-                violations.push(format!(
-                    "scale-down: round {round} idle fleet held within {REACTION_BUDGET} ticks"
-                ));
-                continue;
-            }
-            // The valley retires the elastic node the spike added: the
-            // seed node is the fleet's stable anchor, the burst node is
-            // the capacity being handed back — usually while holding
-            // the newest bytes, so the drain migrates state that
-            // matters. A fault schedule can kill the very node being
-            // drained; the drain leaves it Draining (retryable) and the
-            // retry rides failover replay. On a clean network one
-            // attempt must suffice.
-            let victim = burst;
-            let mut drained = false;
-            for _ in 0..3 {
-                match platform.drain_node(victim, DrainOptions::default()) {
-                    Ok(_) => {
-                        drained = true;
-                        break;
-                    }
-                    Err(e) if chaotic => {
-                        assert_eq!(
-                            platform.node_membership(victim),
-                            Some(MembershipState::Draining),
-                            "failed drain of {victim:?} did not leave it Draining: {e}"
-                        );
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            if !drained {
-                // Capacity is wedged at the ceiling; later rounds would
-                // fail the reaction gate for the wrong reason. End the
-                // soak early — partial counts still print.
-                break;
-            }
-            scale_downs += 1;
-
-            // Post-drain digest: the shrunken fleet must still hold the
-            // exact bytes of every completed launch.
-            let mut readback = vec![0u8; 4 * LANES];
-            let q = staging(&auto);
-            q.enqueue_read_buffer(&buffer, 0, &mut readback)?;
-            q.finish();
-            if readback != churn_ref(launches) {
-                consistent = false;
-                violations.push(format!(
-                    "consistency: round {round} post-drain digest does not match {launches} \
-                     applications"
-                ));
-            }
-        }
-
-        let metrics = platform.render_metrics();
-        let quarantines: u64 = haocl_obs::top::parse_metrics(&metrics)
-            .iter()
-            .filter(|s| s.name == haocl_obs::names::QUARANTINES)
-            .map(|s| s.value as u64)
-            .sum();
-        if quarantines != 0 && !chaotic {
-            violations.push(format!(
-                "quarantine: {quarantines} strike(s) booked under pure voluntary drains"
-            ));
-        }
-        let audit = platform.render_audit_log();
-        let top_json = FleetSnapshot::from_text(&metrics, &audit).to_json();
-        Ok(AutoscaleReport {
-            rounds,
-            scale_ups,
-            scale_downs,
-            worst_reaction_ticks,
-            launches,
-            consistent,
-            quarantines,
-            violations,
-            metrics,
-            audit,
-            top_json,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1809,21 +1355,5 @@ mod tests {
                 blind.relay_bytes
             );
         }
-    }
-
-    #[test]
-    fn autoscale_soak_passes_all_gates() {
-        let report = autoscale_soak::run(2).unwrap();
-        assert!(
-            report.violations.is_empty(),
-            "gate violations: {:?}",
-            report.violations
-        );
-        assert_eq!((report.scale_ups, report.scale_downs), (2, 2));
-        assert!(report.consistent);
-        assert_eq!(report.quarantines, 0);
-        // The haocl-top artifact carries the elastic columns.
-        assert!(report.top_json.contains("\"autoscale_events\":4"));
-        assert!(report.top_json.contains("\"state\":\"departed\""));
     }
 }

@@ -1,4 +1,5 @@
-//! Plain-text table rendering for the report binaries.
+//! Plain-text output for the report binaries: aligned tables, JSON
+//! strings and the artifact files behind their `--json`-style flags.
 
 /// Renders an aligned text table with a header row.
 ///
@@ -44,9 +45,45 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
+/// Writes `body` to `path`, creating its parent directories, and says
+/// so on stdout. Panics on an I/O error: a report binary that cannot
+/// write the artifact it was asked for has failed.
+pub fn write_artifact(path: &str, body: &str) {
+    if let Some(dir) = std::path::Path::new(path).parent() {
+        if !dir.as_os_str().is_empty() {
+            std::fs::create_dir_all(dir).expect("create output directory");
+        }
+    }
+    std::fs::write(path, body).expect("write output file");
+    println!("wrote {path}");
+}
+
+/// Minimal JSON string encoding: quotes, backslashes and control
+/// characters are escaped, everything else passes through.
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_string_escapes_quotes_and_controls() {
+        assert_eq!(json_string(r#"a"b\c"#), r#""a\"b\\c""#);
+        assert_eq!(json_string("x\ny"), r#""x\u000ay""#);
+    }
 
     #[test]
     fn aligns_columns() {

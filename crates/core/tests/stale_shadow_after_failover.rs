@@ -1,6 +1,14 @@
-//! Scratch repro: after a failover triggered by unrelated traffic,
-//! revalidate() promotes a stale host shadow over a replica that journal
-//! replay actually reconstructed on the survivor.
+//! Regression: a failover triggered by *unrelated* traffic must not
+//! make a buffer read return its stale host shadow.
+//!
+//! Node 1 holds a buffer's only current replica (written and launched
+//! on there, so the host shadow is stale) when writes to a different
+//! buffer detect its crash. Journal replay rebuilds the replica on the
+//! survivor, so `ResidencyTracker::revalidate` has to *refresh* that
+//! replayable replica to the new epoch. When it dropped it instead, the
+//! stale shadow was promoted as the best remaining copy and the read
+//! returned pre-launch bytes. The crash is swept across every frame of
+//! the scenario.
 
 use std::time::Duration;
 

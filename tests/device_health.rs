@@ -73,7 +73,8 @@ impl Fleet {
 }
 
 /// Runs the demo schedule on one fleet: healthy probing, optional
-/// throttle injection on node 1, detection probing, then free placement.
+/// throttle injection on node 1, detection probing, free placement, then
+/// the throttle lifted and probing again until the node re-qualifies.
 /// Returns (final bytes, total launches, post-detection sick placements).
 fn run_schedule(throttle: bool) -> (Vec<u8>, usize, usize) {
     let mut f = fleet();
@@ -149,6 +150,23 @@ fn run_schedule(throttle: bool) -> (Vec<u8>, usize, usize) {
             "healthy fleet must not flag anyone:\n{metrics}"
         );
     }
+
+    // Recovery: back at full speed, the node re-qualifies only if it is
+    // probed (round-robin again: an avoided node produces no timings).
+    // It turns healthy 17 launches into this block.
+    if throttle {
+        f.platform.set_device_throttle(sick, 0, 1.0).unwrap();
+    }
+    f.auto.set_policy(Box::new(policies::RoundRobin::new()));
+    for _ in 0..24 {
+        f.step();
+        launches += 1;
+    }
+    assert_eq!(
+        f.auto.quarantine().condition(sick),
+        NodeCondition::Healthy,
+        "a node back at its baseline must return to healthy"
+    );
     (f.readback(), launches, on_sick)
 }
 

@@ -4,9 +4,11 @@
 //! 1. **Spot revocation** — a node leaves on a tight deadline; peer
 //!    migration degrades to the host relay, and readbacks stay
 //!    byte-identical to a fleet that never lost the node.
-//! 2. **Traffic spike** — the metrics-driven autoscaler adds a node
-//!    under sustained queue depth (shrinking the batch makespan) and
-//!    drains it again once the fleet idles.
+//! 2. **Traffic spike** — over repeated spike/valley rounds, the
+//!    metrics-driven autoscaler adds a node under sustained queue depth
+//!    (shrinking the batch makespan) and drains it again once the fleet
+//!    idles; every drain leaves the buffer byte-identical to the
+//!    reference at the completed launch count.
 //! 3. **Rolling upgrade** — every node is drained and rejoined under
 //!    its own name while traffic keeps flowing: zero lost launches,
 //!    digests exactly matching a static fleet, and zero quarantines
@@ -156,8 +158,20 @@ fn batch_makespan(platform: &Platform, ctx: &Context, auto: &AutoScheduler, n: u
         .as_nanos()
 }
 
+/// The bytes `k` applications of [`SRC`] leave in a zeroed buffer.
+fn churn_ref(k: usize) -> Vec<u8> {
+    let mut lanes = [0i32; LANES as usize];
+    for _ in 0..k {
+        for (i, v) in lanes.iter_mut().enumerate() {
+            *v = v.wrapping_mul(3).wrapping_add(i as i32);
+        }
+    }
+    lanes.iter().flat_map(|v| v.to_le_bytes()).collect()
+}
+
 #[test]
 fn traffic_spike_scales_up_then_idleness_scales_back_down() {
+    const ROUNDS: usize = 2;
     let platform =
         Platform::cluster(&ClusterConfig::gpu_cluster(1), KernelRegistry::new()).unwrap();
     platform.set_tracing(true);
@@ -171,80 +185,108 @@ fn traffic_spike_scales_up_then_idleness_scales_back_down() {
         min_nodes: 1,
         max_nodes: 2,
     });
+    let seed = CommandQueue::new(&ctx, &ctx.devices()[0]).unwrap();
 
     let single_node_makespan = batch_makespan(&platform, &ctx, &auto, 6);
 
-    // Sustained spike: a backlog deeper than `high_depth` on the lone
-    // node. The queue-depth gauge carries it to the autoscaler.
     let program = Program::from_source(&ctx, SRC);
     program.build().unwrap();
     let kernel = Kernel::new(&program, "churn").unwrap();
     let buffer = Buffer::new(&ctx, MemFlags::READ_WRITE, 4 * LANES).unwrap();
     kernel.set_arg_buffer(0, &buffer).unwrap();
-    for _ in 0..8 {
-        auto.launch(&kernel, NdRange::linear(LANES, 1)).unwrap();
-    }
-    assert_eq!(platform.autoscale_tick(&mut scaler), Decision::Hold);
-    assert_eq!(
-        platform.autoscale_tick(&mut scaler),
-        Decision::ScaleUp,
-        "two sustained overload ticks must trigger a scale-up"
-    );
-
-    // Actuate: join gpu1, teach the running scheduler about it.
-    let joined = platform.add_node(&gpu_spec(1)).unwrap();
-    assert_eq!(
-        platform.node_membership(joined),
-        Some(MembershipState::Active)
-    );
-    assert_eq!(auto.sync_membership().unwrap(), 1);
-    for q in auto.queues() {
-        q.finish();
-    }
-
-    // The same batch now spreads over two nodes: strictly faster.
-    let two_node_makespan = batch_makespan(&platform, &ctx, &auto, 6);
-    assert!(
-        two_node_makespan < single_node_makespan,
-        "scale-up must shrink the batch makespan: {two_node_makespan} >= {single_node_makespan}"
-    );
-
-    // The fleet idles; the autoscaler asks for a scale-down within the
-    // cooldown + sustain window, and the least-resident node drains.
-    let mut down = false;
-    for _ in 0..6 {
-        if platform.autoscale_tick(&mut scaler) == Decision::ScaleDown {
-            down = true;
-            break;
+    let mut launches = 0;
+    for round in 0..ROUNDS {
+        // Sustained spike: a backlog deeper than `high_depth` on the lone
+        // node. The queue-depth gauge carries it to the autoscaler.
+        for _ in 0..8 {
+            auto.launch(&kernel, NdRange::linear(LANES, 1)).unwrap();
+            launches += 1;
         }
-    }
-    assert!(down, "an idle fleet must scale back down");
-    let victim = platform.least_resident_node().unwrap();
-    platform
-        .drain_node(victim, DrainOptions::default())
-        .unwrap();
-    assert_eq!(platform.active_nodes().len(), 1);
+        assert_eq!(platform.autoscale_tick(&mut scaler), Decision::Hold);
+        assert_eq!(
+            platform.autoscale_tick(&mut scaler),
+            Decision::ScaleUp,
+            "round {round}: two sustained overload ticks must trigger a scale-up"
+        );
 
-    // Traffic keeps flowing on the shrunk fleet.
-    auto.launch(&kernel, NdRange::linear(LANES, 1)).unwrap();
-    for q in auto.queues() {
-        q.finish();
+        // Actuate: join a burst node, teach the running scheduler about it.
+        let burst = platform.add_node(&gpu_spec(round + 1)).unwrap();
+        assert_eq!(
+            platform.node_membership(burst),
+            Some(MembershipState::Active)
+        );
+        assert_eq!(auto.sync_membership().unwrap(), 1);
+        for q in auto.queues() {
+            q.finish();
+        }
+
+        // The same batch now spreads over two nodes: strictly faster.
+        let two_node_makespan = batch_makespan(&platform, &ctx, &auto, 6);
+        assert!(
+            two_node_makespan < single_node_makespan,
+            "round {round}: scale-up must shrink the batch makespan: \
+             {two_node_makespan} >= {single_node_makespan}"
+        );
+
+        // The spike's tail rides the grown fleet until a launch lands on
+        // the burst node, so the valley takes out the only node holding
+        // the buffer's newest bytes.
+        loop {
+            let (_, choice) = auto.launch(&kernel, NdRange::linear(LANES, 1)).unwrap();
+            launches += 1;
+            if auto.queues()[choice].device().node_id() == burst {
+                break;
+            }
+        }
+        for q in auto.queues() {
+            q.finish();
+        }
+
+        // The fleet idles; the autoscaler asks for a scale-down within
+        // the cooldown + sustain window, and the burst node drains.
+        let mut down = false;
+        for _ in 0..6 {
+            if platform.autoscale_tick(&mut scaler) == Decision::ScaleDown {
+                down = true;
+                break;
+            }
+        }
+        assert!(down, "round {round}: an idle fleet must scale back down");
+        let report = platform.drain_node(burst, DrainOptions::default()).unwrap();
+        assert_eq!(
+            report.peer_migrated, 1,
+            "round {round}: the drain must rescue the buffer: {report:?}"
+        );
+        assert_eq!(platform.active_nodes(), vec![NodeId::new(0)]);
+
+        // Post-drain digest: the shrunken fleet holds the exact bytes of
+        // every completed launch.
+        let mut bytes = vec![0u8; 4 * LANES as usize];
+        seed.enqueue_read_buffer(&buffer, 0, &mut bytes).unwrap();
+        seed.finish();
+        assert_eq!(
+            bytes,
+            churn_ref(launches),
+            "round {round}: post-drain bytes must match {launches} launches"
+        );
     }
 
-    // Both decisions left their audit + metric trail.
+    // Every decision left its audit + metric trail.
     let metrics = platform.render_metrics();
-    assert!(
-        metrics.contains("haocl_autoscale_events_total{direction=\"up\"} 1"),
-        "{metrics}"
-    );
-    assert!(
-        metrics.contains("haocl_autoscale_events_total{direction=\"down\"} 1"),
-        "{metrics}"
-    );
+    for direction in ["up", "down"] {
+        assert!(
+            metrics.contains(&format!(
+                "haocl_autoscale_events_total{{direction=\"{direction}\"}} {ROUNDS}"
+            )),
+            "{metrics}"
+        );
+    }
     let audit = platform.render_audit_log();
     assert!(audit.contains("policy=autoscale"), "{audit}");
     let snap = FleetSnapshot::from_text(&metrics, &audit);
-    assert_eq!(snap.autoscale_events, 2);
+    assert_eq!(snap.autoscale_events, 2 * ROUNDS as u64);
+    let json = snap.to_json();
+    assert!(json.contains("\"state\":\"departed\""), "{json}");
 }
 
 // --- Scenario 3: rolling upgrade ------------------------------------------
