@@ -47,8 +47,9 @@ pub struct LocalCluster {
 impl LocalCluster {
     /// Spawns NMPs for every node in `config` and connects the host.
     ///
-    /// `registry` is shared by all nodes as their bitstream store (and
-    /// native fast path); pass an empty registry for pure-source runs.
+    /// `registry` is shared by all nodes as their bitstream store; it
+    /// serves `LoadBitstream` only, so a run that builds every program
+    /// from source needs nothing in it.
     ///
     /// # Errors
     ///

@@ -34,7 +34,7 @@ use haocl_device::device::DeviceError;
 use haocl_device::memory::MemoryError;
 use haocl_device::wire::{cost_from_wire, range_from_wire};
 use haocl_device::{presets, LaunchPart, SimDevice};
-use haocl_kernel::{Kernel, KernelRegistry};
+use haocl_kernel::{CompiledKernel, KernelRegistry};
 use haocl_net::{host_name_of, Conn, Fabric, Listener, NetError};
 use haocl_obs::{names, SpanId};
 use haocl_proto::ids::{KernelId, ProgramId, RequestId, UserId};
@@ -73,18 +73,15 @@ const JOURNAL_CAP: usize = 1024;
 /// pure fault headroom.
 const PEER_PATIENCE: Duration = Duration::from_millis(100);
 
-enum ProgramEntry {
-    /// Source-compiled program (CPU/GPU path): its kernels by name, each
-    /// shared by every kernel object created from it.
-    Built(HashMap<String, Arc<haocl_kernel::CompiledKernel>>),
-    /// Pre-built bitstream kernel names (FPGA path).
-    Bitstream(Vec<String>),
-}
+/// A built program's kernels by name, each shared by every kernel object
+/// created from it: compiled here from source (CPU/GPU path) or taken
+/// from the bitstream store (FPGA path).
+type ProgramKernels = HashMap<String, Arc<CompiledKernel>>;
 
 struct NodeState {
     devices: Vec<SimDevice>,
-    programs: HashMap<(ProgramId, u8), ProgramEntry>,
-    kernels: HashMap<KernelId, (u8, Kernel)>,
+    programs: HashMap<(ProgramId, u8), ProgramKernels>,
+    kernels: HashMap<KernelId, (u8, Arc<CompiledKernel>)>,
     registry: KernelRegistry,
     launches_by_user: HashMap<UserId, u64>,
     /// Set by [`ApiCall::BeginDrain`]: the node refuses fresh kernel
@@ -978,9 +975,7 @@ fn dispatch(
                         .kernels()
                         .map(|k| (k.name.clone(), Arc::new(k.clone())))
                         .collect();
-                    state
-                        .programs
-                        .insert((program, device), ProgramEntry::Built(kernels));
+                    state.programs.insert((program, device), kernels);
                     (
                         ApiReply::BuildLog {
                             ok: true,
@@ -1008,31 +1003,30 @@ fn dispatch(
             if state.devices.get(device as usize).is_none() {
                 return (err_reply(status::INVALID_DEVICE, "no such device"), at);
             }
-            let missing: Vec<&String> = kernels
-                .iter()
-                .filter(|k| !state.registry.contains(k))
-                .collect();
+            // Resolved here, once: a loaded bitstream keeps the kernels
+            // the store held when it was loaded.
+            let n = kernels.len();
+            let mut loaded = ProgramKernels::new();
+            let mut missing = Vec::new();
+            for name in kernels {
+                match state.registry.get(&name) {
+                    Some(k) => {
+                        loaded.insert(name, k);
+                    }
+                    None => missing.push(name),
+                }
+            }
             if !missing.is_empty() {
                 return (
                     ApiReply::BuildLog {
                         ok: false,
-                        log: format!(
-                            "bitstream store is missing kernels: {}",
-                            missing
-                                .iter()
-                                .map(|s| s.as_str())
-                                .collect::<Vec<_>>()
-                                .join(", ")
-                        ),
+                        log: format!("bitstream store is missing kernels: {}", missing.join(", ")),
                         reports: Vec::new(),
                     },
                     at,
                 );
             }
-            let n = kernels.len();
-            state
-                .programs
-                .insert((program, device), ProgramEntry::Bitstream(kernels));
+            state.programs.insert((program, device), loaded);
             let grant = state.devices[device as usize].note_program_loaded(program, at);
             (
                 ApiReply::BuildLog {
@@ -1058,50 +1052,14 @@ fn dispatch(
                     at,
                 );
             };
-            let resolved = match entry {
-                ProgramEntry::Bitstream(names) => {
-                    if !names.iter().any(|n| n == &name) {
-                        return (
-                            err_reply(
-                                status::INVALID_KERNEL_NAME,
-                                format!("`{name}` is not in the loaded bitstream"),
-                            ),
-                            at,
-                        );
-                    }
-                    match state.registry.get(&name) {
-                        Some(native) => Kernel::Native(native),
-                        None => {
-                            return (
-                                err_reply(
-                                    status::INVALID_KERNEL_NAME,
-                                    format!("bitstream kernel `{name}` vanished from the store"),
-                                ),
-                                at,
-                            )
-                        }
-                    }
-                }
-                ProgramEntry::Built(kernels) => {
-                    // Fast path: a registered native implementation with the
-                    // same name supersedes VM execution of the source.
-                    if let Some(native) = state.registry.get(&name) {
-                        Kernel::Native(native)
-                    } else {
-                        match kernels.get(&name) {
-                            Some(k) => Kernel::Compiled(Arc::clone(k)),
-                            None => {
-                                return (
-                                    err_reply(
-                                        status::INVALID_KERNEL_NAME,
-                                        format!("no kernel `{name}` in program"),
-                                    ),
-                                    at,
-                                )
-                            }
-                        }
-                    }
-                }
+            let Some(resolved) = entry.get(&name).map(Arc::clone) else {
+                return (
+                    err_reply(
+                        status::INVALID_KERNEL_NAME,
+                        format!("no kernel `{name}` in program"),
+                    ),
+                    at,
+                );
             };
             let arity = resolved.arity() as u32;
             state.kernels.insert(kernel, (device, resolved));
@@ -1127,7 +1085,7 @@ fn dispatch(
 /// Looks up the kernel a launch part names and views the part as the
 /// device runs it.
 fn resolve_part<'a>(
-    kernels: &'a HashMap<KernelId, (u8, Kernel)>,
+    kernels: &'a HashMap<KernelId, (u8, Arc<CompiledKernel>)>,
     device: u8,
     part: &'a WireLaunchPart,
 ) -> Result<LaunchPart<'a>, ApiReply> {
@@ -1513,7 +1471,7 @@ mod tests {
         let fabric = Fabric::new(Clock::new(), LinkModel::gigabit_ethernet());
         let config = ClusterConfig::fpga_cluster(1);
         let registry = KernelRegistry::new();
-        registry.register(Arc::new(NopKernel));
+        registry.register_source("__kernel void nop() {}").unwrap();
         let handle = NmpHandle::spawn(&fabric, &config.nodes[0], registry).unwrap();
         let mut conn = fabric.connect("10.0.0.1", &config.nodes[0].addr).unwrap();
         let (r, _) = call(
@@ -1547,27 +1505,6 @@ mod tests {
         );
         assert!(matches!(r, ApiReply::BuildLog { ok: false, .. }));
         handle.stop();
-    }
-
-    struct NopKernel;
-
-    impl haocl_kernel::NativeKernel for NopKernel {
-        fn name(&self) -> &str {
-            "nop"
-        }
-
-        fn arity(&self) -> usize {
-            0
-        }
-
-        fn execute(
-            &self,
-            _args: &[haocl_kernel::ArgValue],
-            _buffers: &mut [haocl_kernel::GlobalBuffer],
-            _range: &haocl_kernel::NdRange,
-        ) -> Result<haocl_kernel::ExecStats, haocl_kernel::ExecError> {
-            Ok(haocl_kernel::ExecStats::default())
-        }
     }
 
     #[test]

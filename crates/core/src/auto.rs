@@ -686,35 +686,14 @@ mod tests {
         assert_eq!(picks, vec![0, 1, 0, 1]);
     }
 
-    struct FillOnes;
-
-    impl haocl_kernel::NativeKernel for FillOnes {
-        fn name(&self) -> &str {
-            "fill_ones"
-        }
-
-        fn arity(&self) -> usize {
-            1
-        }
-
-        fn execute(
-            &self,
-            _args: &[haocl_kernel::ArgValue],
-            buffers: &mut [haocl_kernel::GlobalBuffer],
-            range: &NdRange,
-        ) -> Result<haocl_kernel::ExecStats, haocl_kernel::ExecError> {
-            let n = (range.total_items() as usize).min(buffers[0].len() / 4);
-            let ones = vec![1i32; n];
-            let bytes: Vec<u8> = ones.iter().flat_map(|v| v.to_le_bytes()).collect();
-            buffers[0].as_bytes_mut()[..bytes.len()].copy_from_slice(&bytes);
-            Ok(haocl_kernel::ExecStats::default())
-        }
-    }
-
     #[test]
     fn bitstream_programs_route_streaming_work_to_the_fpga() {
         let registry = haocl_kernel::KernelRegistry::new();
-        registry.register(std::sync::Arc::new(FillOnes));
+        registry
+            .register_source(
+                "__kernel void fill_ones(__global int* a) { a[get_global_id(0)] = 1; }",
+            )
+            .unwrap();
         let p =
             Platform::local_with_registry(&[DeviceKind::Fpga, DeviceKind::Gpu], registry).unwrap();
         let ctx = Context::new(&p, &p.devices(DeviceType::All)).unwrap();

@@ -15,7 +15,7 @@ use haocl_cluster::{
 use haocl_kernel::KernelRegistry;
 use haocl_net::LinkModel;
 use haocl_obs::{names, Counter, Hub};
-use haocl_proto::ids::{IdAllocator, NodeId, UserId};
+use haocl_proto::ids::{IdAllocator, NodeId};
 use haocl_proto::messages::{ApiCall, DeviceKind};
 use haocl_sim::{Clock, Phase, PhaseBreakdown, SimDuration, SimTime, Tracer};
 use parking_lot::Mutex;
@@ -294,8 +294,9 @@ pub struct Platform {
 impl Platform {
     /// Connects a platform to a whole cluster described by `config`.
     ///
-    /// `registry` is the cluster-wide bitstream store (pre-built native
-    /// kernels); FPGA nodes serve only kernels found there.
+    /// `registry` is the cluster-wide bitstream store (kernels compiled
+    /// ahead of time); programs loaded as bitstreams, the only kind FPGA
+    /// nodes run, find their kernels there.
     ///
     /// # Errors
     ///
@@ -339,7 +340,7 @@ impl Platform {
         Self::local_with_registry(devices, KernelRegistry::new())
     }
 
-    /// [`Platform::local`] with a bitstream/native-kernel store.
+    /// [`Platform::local`] with a bitstream store.
     ///
     /// # Errors
     ///
@@ -676,16 +677,6 @@ impl Platform {
                 "SetThrottle answered with {other:?}"
             ))),
         }
-    }
-
-    /// Switches the session's user id (multi-user support, §III-D).
-    ///
-    /// Affects subsequently created contexts/queues sharing this
-    /// platform handle.
-    pub fn set_user(&mut self, _user: UserId) {
-        // The HostRuntime user is fixed per connection in this
-        // implementation; sessions are tracked by the SessionManager.
-        // Kept as an explicit extension point.
     }
 }
 

@@ -17,8 +17,8 @@ use crate::platform::{Device, PlatformInner};
 pub(crate) enum ProgramForm {
     /// OpenCL C source, compiled on CPU/GPU nodes.
     Source(String),
-    /// Names of pre-built bitstream kernels (FPGA path, also usable as a
-    /// native fast path on other devices).
+    /// Names of pre-built bitstream kernels (required on FPGAs, loadable
+    /// on every device).
     Bitstream(Vec<String>),
 }
 

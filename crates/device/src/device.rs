@@ -3,7 +3,7 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
-use haocl_kernel::{ArgValue, CostModel, ExecError, Kernel, NdRange};
+use haocl_kernel::{ArgValue, CompiledKernel, CostModel, ExecError, NdRange};
 use haocl_proto::ids::{BufferId, ProgramId};
 use haocl_proto::messages::{DeviceDescriptor, Fidelity, ProfileEntry, WireArg};
 use haocl_sim::{Grant, Resource, SimDuration, SimTime};
@@ -59,8 +59,7 @@ impl From<ExecError> for DeviceError {
 pub struct LaunchOutcome {
     /// When the launch ran on the device timeline.
     pub grant: Grant,
-    /// Bytecode instructions retired (0 in modeled fidelity or for native
-    /// kernels that do not report).
+    /// Bytecode instructions retired (0 in modeled fidelity).
     pub instructions: u64,
 }
 
@@ -68,7 +67,7 @@ pub struct LaunchOutcome {
 #[derive(Debug, Clone, Copy)]
 pub struct LaunchPart<'a> {
     /// The kernel to run.
-    pub kernel: &'a Kernel,
+    pub kernel: &'a CompiledKernel,
     /// Bound arguments, in parameter order.
     pub args: &'a [WireArg],
     /// Launch geometry.
@@ -325,7 +324,7 @@ impl SimDevice {
         for p in parts {
             let dur = self.model.kernel_time(&p.cost);
             total += dur;
-            match self.profile.get_mut(p.kernel.name()) {
+            match self.profile.get_mut(&p.kernel.name) {
                 Some(row) => {
                     row.runs += 1;
                     row.total += dur;
@@ -336,7 +335,7 @@ impl SimDevice {
                         runs: 1,
                         total: dur,
                     };
-                    self.profile.insert(p.kernel.name().to_string(), first);
+                    self.profile.insert(p.kernel.name.clone(), first);
                 }
             }
         }
@@ -351,7 +350,7 @@ impl SimDevice {
     /// instructions retired (the full-fidelity core of a launch).
     fn execute_full(
         &mut self,
-        kernel: &Kernel,
+        kernel: &CompiledKernel,
         args: &[WireArg],
         range: &NdRange,
     ) -> Result<u64, DeviceError> {
@@ -379,7 +378,7 @@ impl SimDevice {
             WireArg::Buffer(_) => ArgValue::global(*slot_iter.next().expect("slot per buffer arg")),
             WireArg::LocalBytes(b) => ArgValue::local_bytes(*b as usize),
         }));
-        let result = kernel.execute(resolved, &mut taken.buffers, range);
+        let result = haocl_clc::vm::run_ndrange(kernel, resolved, &mut taken.buffers, range);
         self.memory.restore(taken);
         Ok(result?.instructions)
     }
@@ -412,11 +411,10 @@ impl SimDevice {
 mod tests {
     use super::*;
     use crate::presets;
-    use std::sync::Arc;
 
-    fn compiled(src: &str, name: &str) -> Kernel {
+    fn compiled(src: &str, name: &str) -> CompiledKernel {
         let p = haocl_clc::compile(src).unwrap();
-        Kernel::Compiled(Arc::new(p.kernel(name).unwrap().clone()))
+        p.kernel(name).unwrap().clone()
     }
 
     fn gpu() -> SimDevice {
@@ -425,7 +423,7 @@ mod tests {
 
     /// A one-kernel dispatch.
     fn one<'a>(
-        kernel: &'a Kernel,
+        kernel: &'a CompiledKernel,
         args: &'a [WireArg],
         range: NdRange,
         cost: CostModel,

@@ -3,8 +3,8 @@
 //! The paper's cluster mixes Intel Xeon E5-2686 CPUs, NVIDIA Tesla P4
 //! GPUs and Xilinx VU9P FPGAs. None of that silicon is available here, so
 //! this crate substitutes *analytic device models* driving a virtual
-//! clock, while kernels still execute for real (on the [`haocl_kernel`]
-//! VM or as native code) so results stay verifiable:
+//! clock, while kernels still execute for real on the [`haocl_clc`]
+//! VM so results stay verifiable:
 //!
 //! * [`model`] — the roofline-style [`DeviceModel`]: peak compute, memory
 //!   bandwidth, launch overhead, divergence penalties, and the FPGA's

@@ -2,17 +2,17 @@
 //!
 //! FPGA nodes in the paper cannot compile arbitrary OpenCL source online;
 //! their kernels arrive as pre-built bitstreams (§III-D). The
-//! [`KernelRegistry`] models that store: named [`NativeKernel`]s are
-//! registered at deployment time and looked up by name at launch time.
-//! CPU/GPU nodes also consult the registry as a fast path before falling
-//! back to source compilation.
+//! [`KernelRegistry`] models that store: an application's own OpenCL C is
+//! compiled once, at deployment time, and its kernels are looked up by
+//! name when a node loads a bitstream. A program built from source never
+//! consults the store.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use crate::NativeKernel;
+use crate::{ClcError, CompiledKernel};
 
 /// A thread-safe, shareable store of pre-built kernels keyed by name.
 ///
@@ -25,11 +25,13 @@ use crate::NativeKernel;
 ///
 /// let registry = KernelRegistry::new();
 /// assert!(registry.get("matmul").is_none());
-/// assert!(registry.is_empty());
+/// registry.register_source("__kernel void matmul(__global float* c) { c[0] = 1.0f; }")?;
+/// assert_eq!(registry.names(), vec!["matmul"]);
+/// # Ok::<(), haocl_kernel::ClcError>(())
 /// ```
 #[derive(Clone, Default)]
 pub struct KernelRegistry {
-    inner: Arc<RwLock<HashMap<String, Arc<dyn NativeKernel>>>>,
+    inner: Arc<RwLock<HashMap<String, Arc<CompiledKernel>>>>,
 }
 
 impl KernelRegistry {
@@ -38,27 +40,25 @@ impl KernelRegistry {
         KernelRegistry::default()
     }
 
-    /// Registers (or replaces) a kernel under its own name.
+    /// Compiles an OpenCL C program and stores every kernel it defines
+    /// under its own name, replacing any kernel already stored there.
     ///
-    /// Returns the previously registered kernel, if any.
-    pub fn register(&self, kernel: Arc<dyn NativeKernel>) -> Option<Arc<dyn NativeKernel>> {
-        let name = kernel.name().to_string();
-        self.inner.write().insert(name, kernel)
+    /// # Errors
+    ///
+    /// Returns the [`ClcError`] of a failed compile; the store is then
+    /// left unchanged.
+    pub fn register_source(&self, source: &str) -> Result<(), ClcError> {
+        let program = haocl_clc::compile(source)?;
+        let mut store = self.inner.write();
+        for kernel in program.kernels() {
+            store.insert(kernel.name.clone(), Arc::new(kernel.clone()));
+        }
+        Ok(())
     }
 
     /// Looks up a kernel by name.
-    pub fn get(&self, name: &str) -> Option<Arc<dyn NativeKernel>> {
+    pub fn get(&self, name: &str) -> Option<Arc<CompiledKernel>> {
         self.inner.read().get(name).cloned()
-    }
-
-    /// Whether `name` is registered.
-    pub fn contains(&self, name: &str) -> bool {
-        self.inner.read().contains_key(name)
-    }
-
-    /// Removes a kernel by name, returning it if present.
-    pub fn unregister(&self, name: &str) -> Option<Arc<dyn NativeKernel>> {
-        self.inner.write().remove(name)
     }
 
     /// Registered kernel names, sorted.
@@ -66,16 +66,6 @@ impl KernelRegistry {
         let mut names: Vec<String> = self.inner.read().keys().cloned().collect();
         names.sort();
         names
-    }
-
-    /// Number of registered kernels.
-    pub fn len(&self) -> usize {
-        self.inner.read().len()
-    }
-
-    /// Whether the registry has no kernels.
-    pub fn is_empty(&self) -> bool {
-        self.inner.read().is_empty()
     }
 }
 
@@ -90,69 +80,57 @@ impl std::fmt::Debug for KernelRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ArgValue, ExecError, ExecStats, GlobalBuffer, NdRange};
+    use crate::{ArgValue, GlobalBuffer, NdRange};
 
-    struct Noop(&'static str);
-
-    impl NativeKernel for Noop {
-        fn name(&self) -> &str {
-            self.0
-        }
-
-        fn arity(&self) -> usize {
-            0
-        }
-
-        fn execute(
-            &self,
-            _args: &[ArgValue],
-            _buffers: &mut [GlobalBuffer],
-            _range: &NdRange,
-        ) -> Result<ExecStats, ExecError> {
-            Ok(ExecStats::default())
-        }
+    #[test]
+    fn registering_compiles_every_kernel_of_the_program() {
+        let r = KernelRegistry::new();
+        r.register_source(
+            "__kernel void a(__global int* x) { x[0] = 1; }
+             __kernel void b(__global int* x) { x[0] = 2; }",
+        )
+        .unwrap();
+        assert_eq!(r.names(), vec!["a", "b"]);
+        let b = r.get("b").unwrap();
+        assert_eq!(b.name, "b");
+        let mut bufs = vec![GlobalBuffer::from_i32(&[0])];
+        haocl_clc::vm::run_ndrange(
+            &b,
+            &[ArgValue::global(0)],
+            &mut bufs,
+            &NdRange::linear(1, 1),
+        )
+        .unwrap();
+        assert_eq!(bufs[0].as_i32(), vec![2]);
     }
 
     #[test]
-    fn register_and_lookup() {
+    fn a_later_program_replaces_a_kernel_of_the_same_name() {
         let r = KernelRegistry::new();
-        assert!(r.register(Arc::new(Noop("a"))).is_none());
-        assert!(r.contains("a"));
-        assert_eq!(r.get("a").unwrap().name(), "a");
-        assert_eq!(r.len(), 1);
+        r.register_source("__kernel void k(__global int* x) { x[0] = 1; }")
+            .unwrap();
+        r.register_source("__kernel void k(__global int* x, int v) { x[0] = v; }")
+            .unwrap();
+        assert_eq!(r.names(), vec!["k"]);
+        assert_eq!(r.get("k").unwrap().arity(), 2);
     }
 
     #[test]
-    fn replace_returns_previous() {
+    fn a_failed_compile_leaves_the_store_unchanged() {
         let r = KernelRegistry::new();
-        r.register(Arc::new(Noop("k")));
-        let prev = r.register(Arc::new(Noop("k")));
-        assert!(prev.is_some());
-        assert_eq!(r.len(), 1);
-    }
-
-    #[test]
-    fn unregister_removes() {
-        let r = KernelRegistry::new();
-        r.register(Arc::new(Noop("k")));
-        assert!(r.unregister("k").is_some());
-        assert!(r.unregister("k").is_none());
-        assert!(r.is_empty());
+        r.register_source("__kernel void k(__global int* x) { x[0] = 1; }")
+            .unwrap();
+        assert!(r.register_source("__kernel void k( {").is_err());
+        assert_eq!(r.get("k").unwrap().arity(), 1);
     }
 
     #[test]
     fn clones_share_storage() {
         let r = KernelRegistry::new();
         let r2 = r.clone();
-        r.register(Arc::new(Noop("shared")));
-        assert!(r2.contains("shared"));
-    }
-
-    #[test]
-    fn names_are_sorted() {
-        let r = KernelRegistry::new();
-        r.register(Arc::new(Noop("zeta")));
-        r.register(Arc::new(Noop("alpha")));
-        assert_eq!(r.names(), vec!["alpha", "zeta"]);
+        r.register_source("__kernel void shared(__global int* x) { x[0] = 1; }")
+            .unwrap();
+        assert!(r2.get("shared").is_some());
+        assert!(r2.get("missing").is_none());
     }
 }

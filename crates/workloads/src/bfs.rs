@@ -17,21 +17,17 @@
 //! improvement also depends on the … communication characteristics",
 //! §IV-B).
 //!
-//! The `found`-list append uses a plain counter: the kernel VM and the
-//! native kernels execute work-items sequentially, so the increment is
-//! race-free here; a production GPU/bitstream build would use
-//! `atomic_inc`.
+//! The `found`-list append uses a plain counter: the kernel VM executes
+//! work-items as if one after another, so the increment is race-free
+//! here; a production GPU/bitstream build would use `atomic_inc`.
 
 use haocl::{
     Buffer, CommandQueue, Context, DeviceType, Error, Kernel, MemFlags, NdRange, Platform, Program,
 };
-use haocl_kernel::{
-    ArgValue, CostModel, ExecError, ExecStats, GlobalBuffer, KernelRegistry, NativeKernel,
-};
+use haocl_kernel::CostModel;
 use haocl_sim::rng::labeled_rng;
 use rand::Rng;
 
-use crate::matmul::{buf_index, scalar_i32};
 use crate::partition::balanced_ranges;
 use crate::report::{KernelMode, RunOptions, RunReport};
 use crate::util::{bytes_to_i32s, create_buffer, i32s_to_bytes, round_up, write_buffer};
@@ -201,107 +197,6 @@ pub fn apply_cost(count: usize) -> CostModel {
         .bytes_written(4.0 * c)
 }
 
-struct NativeBfsStep;
-
-impl NativeKernel for NativeBfsStep {
-    fn name(&self) -> &str {
-        KERNEL_NAME
-    }
-
-    fn arity(&self) -> usize {
-        8
-    }
-
-    fn execute(
-        &self,
-        args: &[ArgValue],
-        buffers: &mut [GlobalBuffer],
-        _range: &NdRange,
-    ) -> Result<ExecStats, ExecError> {
-        let scalar_at = |at: usize| -> Result<i32, ExecError> {
-            match args[at] {
-                ArgValue::Scalar(v) => scalar_i32(v),
-                _ => Err(ExecError::from_message("bfs_step: expected scalar")),
-            }
-        };
-        let level = scalar_at(5)?;
-        let node_offset = scalar_at(6)? as usize;
-        let nodes = scalar_at(7)? as usize;
-        let row_off = buffers[buf_index(args, 0)?].as_i32();
-        let cols = buffers[buf_index(args, 1)?].as_i32();
-        let depth = buffers[buf_index(args, 2)?].as_i32();
-        let fi = buf_index(args, 3)?;
-        let ci = buf_index(args, 4)?;
-        let mut found = buffers[fi].as_i32();
-        let mut count = buffers[ci].as_i32();
-        let mut visited = 0u64;
-        for t in 0..nodes {
-            let u = node_offset + t;
-            if depth[u] == level {
-                for &v in &cols[row_off[t] as usize..row_off[t + 1] as usize] {
-                    visited += 1;
-                    if depth[v as usize] == -1 {
-                        let idx = count[0] as usize;
-                        count[0] = idx as i32 + 1;
-                        found[idx] = v;
-                    }
-                }
-            }
-        }
-        buffers[fi] = GlobalBuffer::from_i32(&found);
-        buffers[ci] = GlobalBuffer::from_i32(&count);
-        Ok(ExecStats {
-            instructions: nodes as u64 + visited,
-            work_items: nodes as u64,
-            work_groups: 1,
-            barriers: 0,
-        })
-    }
-}
-
-struct NativeBfsApply;
-
-impl NativeKernel for NativeBfsApply {
-    fn name(&self) -> &str {
-        APPLY_KERNEL_NAME
-    }
-
-    fn arity(&self) -> usize {
-        3
-    }
-
-    fn execute(
-        &self,
-        args: &[ArgValue],
-        buffers: &mut [GlobalBuffer],
-        _range: &NdRange,
-    ) -> Result<ExecStats, ExecError> {
-        let count = match args[2] {
-            ArgValue::Scalar(v) => scalar_i32(v)? as usize,
-            _ => return Err(ExecError::from_message("bfs_apply: expected scalar")),
-        };
-        let updates = buffers[buf_index(args, 1)?].as_i32();
-        let di = buf_index(args, 0)?;
-        let mut depth = buffers[di].as_i32();
-        for t in 0..count {
-            depth[updates[2 * t] as usize] = updates[2 * t + 1];
-        }
-        buffers[di] = GlobalBuffer::from_i32(&depth);
-        Ok(ExecStats {
-            instructions: count as u64,
-            work_items: count as u64,
-            work_groups: 1,
-            barriers: 0,
-        })
-    }
-}
-
-/// Registers both native BFS kernels in `registry`.
-pub fn register_natives(registry: &KernelRegistry) {
-    registry.register(std::sync::Arc::new(NativeBfsStep));
-    registry.register(std::sync::Arc::new(NativeBfsApply));
-}
-
 struct Part {
     ro_d: Buffer,
     cols_d: Buffer,
@@ -328,7 +223,7 @@ pub fn run(platform: &Platform, cfg: &BfsConfig, opts: &RunOptions) -> Result<Ru
         .map(|d| CommandQueue::new(&ctx, d))
         .collect::<Result<_, _>>()?;
     let program = match opts.mode {
-        KernelMode::Native => {
+        KernelMode::Bitstream => {
             Program::with_bitstream_kernels(&ctx, [KERNEL_NAME, APPLY_KERNEL_NAME])
         }
         KernelMode::Source => Program::from_source(&ctx, KERNEL_SOURCE),

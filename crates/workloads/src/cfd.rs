@@ -17,13 +17,10 @@
 use haocl::{
     Buffer, CommandQueue, Context, DeviceType, Error, Kernel, MemFlags, NdRange, Platform, Program,
 };
-use haocl_kernel::{
-    ArgValue, CostModel, ExecError, ExecStats, GlobalBuffer, KernelRegistry, NativeKernel,
-};
+use haocl_kernel::CostModel;
 use haocl_sim::rng::labeled_rng;
 use rand::Rng;
 
-use crate::matmul::{buf_index, scalar_i32};
 use crate::report::{KernelMode, RunOptions, RunReport};
 use crate::util::{
     bytes_to_f32s, create_buffer, f32s_to_bytes, read_buffer, round_up, write_buffer,
@@ -242,183 +239,6 @@ pub fn halo_cost(w: usize) -> CostModel {
     CostModel::new().bytes_read(bytes).bytes_written(bytes)
 }
 
-// ---------------------------------------------------------------------
-// Native kernels (bit-identical to the OpenCL C above).
-// ---------------------------------------------------------------------
-
-fn scalars3(args: &[ArgValue], from: usize) -> Result<(usize, usize, usize), ExecError> {
-    let g = |at: usize| -> Result<usize, ExecError> {
-        match args[at] {
-            ArgValue::Scalar(v) => Ok(scalar_i32(v)? as usize),
-            _ => Err(ExecError::from_message("expected scalar argument")),
-        }
-    };
-    Ok((g(from)?, g(from + 1)?, g(from + 2)?))
-}
-
-struct NativeCfdFlux;
-
-impl NativeKernel for NativeCfdFlux {
-    fn name(&self) -> &str {
-        KERNEL_NAME
-    }
-
-    fn arity(&self) -> usize {
-        6
-    }
-
-    fn execute(
-        &self,
-        args: &[ArgValue],
-        buffers: &mut [GlobalBuffer],
-        _range: &NdRange,
-    ) -> Result<ExecStats, ExecError> {
-        let (slice_len, cell_offset, n_local) = scalars3(args, 3)?;
-        let vars = bytes_to_f32s(buffers[buf_index(args, 0)?].as_bytes());
-        let neigh = buffers[buf_index(args, 1)?].as_i32();
-        let oi = buf_index(args, 2)?;
-        let mut out = bytes_to_f32s(buffers[oi].as_bytes());
-        let s = slice_len;
-        for t in 0..n_local {
-            let c = cell_offset + t;
-            let d = vars[c];
-            let e = vars[s + c];
-            let mx = vars[2 * s + c];
-            let my = vars[3 * s + c];
-            let mz = vars[4 * s + c];
-            let mut fd = 0.0f32;
-            let mut fe = 0.0f32;
-            let mut fx = 0.0f32;
-            let mut fy = 0.0f32;
-            let mut fz = 0.0f32;
-            for k in 0..4 {
-                let nb = neigh[4 * t + k] as usize;
-                let dn = vars[nb];
-                let en = vars[s + nb];
-                let mxn = vars[2 * s + nb];
-                let myn = vars[3 * s + nb];
-                let mzn = vars[4 * s + nb];
-                let p = 0.4f32 * (e - 0.5f32 * (mx * mx + my * my + mz * mz) / d);
-                let pn = 0.4f32 * (en - 0.5f32 * (mxn * mxn + myn * myn + mzn * mzn) / dn);
-                fd += dn - d;
-                fe += en - e + (pn - p);
-                fx += mxn - mx;
-                fy += myn - my;
-                fz += mzn - mz;
-            }
-            out[c] = d + 0.05 * fd;
-            out[s + c] = e + 0.05 * fe;
-            out[2 * s + c] = mx + 0.05 * fx;
-            out[3 * s + c] = my + 0.05 * fy;
-            out[4 * s + c] = mz + 0.05 * fz;
-        }
-        buffers[oi] = GlobalBuffer::from_f32(&out);
-        Ok(ExecStats {
-            instructions: 130 * n_local as u64,
-            work_items: n_local as u64,
-            work_groups: 1,
-            barriers: 0,
-        })
-    }
-}
-
-struct NativeCfdStitch;
-
-impl NativeKernel for NativeCfdStitch {
-    fn name(&self) -> &str {
-        STITCH_KERNEL_NAME
-    }
-
-    fn arity(&self) -> usize {
-        7
-    }
-
-    fn execute(
-        &self,
-        args: &[ArgValue],
-        buffers: &mut [GlobalBuffer],
-        _range: &NdRange,
-    ) -> Result<ExecStats, ExecError> {
-        let (slice_len, lo_w, hi_w) = scalars3(args, 3)?;
-        let n_local = match args[6] {
-            ArgValue::Scalar(v) => scalar_i32(v)? as usize,
-            _ => return Err(ExecError::from_message("cfd_stitch: expected scalar")),
-        };
-        let lo = bytes_to_f32s(buffers[buf_index(args, 1)?].as_bytes());
-        let hi = bytes_to_f32s(buffers[buf_index(args, 2)?].as_bytes());
-        let vi = buf_index(args, 0)?;
-        let mut vars = bytes_to_f32s(buffers[vi].as_bytes());
-        for v in 0..5 {
-            for t in 0..lo_w {
-                vars[v * slice_len + t] = lo[v * lo_w + t];
-            }
-            for t in 0..hi_w {
-                vars[v * slice_len + lo_w + n_local + t] = hi[v * hi_w + t];
-            }
-        }
-        buffers[vi] = GlobalBuffer::from_f32(&vars);
-        Ok(ExecStats {
-            instructions: (5 * (lo_w + hi_w)) as u64,
-            work_items: lo_w.max(hi_w) as u64,
-            work_groups: 1,
-            barriers: 0,
-        })
-    }
-}
-
-struct NativeCfdExtract;
-
-impl NativeKernel for NativeCfdExtract {
-    fn name(&self) -> &str {
-        EXTRACT_KERNEL_NAME
-    }
-
-    fn arity(&self) -> usize {
-        7
-    }
-
-    fn execute(
-        &self,
-        args: &[ArgValue],
-        buffers: &mut [GlobalBuffer],
-        _range: &NdRange,
-    ) -> Result<ExecStats, ExecError> {
-        let (slice_len, lo_w, hi_w) = scalars3(args, 3)?;
-        let n_local = match args[6] {
-            ArgValue::Scalar(v) => scalar_i32(v)? as usize,
-            _ => return Err(ExecError::from_message("cfd_extract: expected scalar")),
-        };
-        let vars = bytes_to_f32s(buffers[buf_index(args, 0)?].as_bytes());
-        let li = buf_index(args, 1)?;
-        let hi_i = buf_index(args, 2)?;
-        let mut lo = bytes_to_f32s(buffers[li].as_bytes());
-        let mut hi = bytes_to_f32s(buffers[hi_i].as_bytes());
-        for v in 0..5 {
-            for t in 0..lo_w {
-                lo[v * lo_w + t] = vars[v * slice_len + lo_w + t];
-            }
-            for t in 0..hi_w {
-                hi[v * hi_w + t] = vars[v * slice_len + lo_w + n_local - hi_w + t];
-            }
-        }
-        buffers[li] = GlobalBuffer::from_f32(&lo);
-        buffers[hi_i] = GlobalBuffer::from_f32(&hi);
-        Ok(ExecStats {
-            instructions: (5 * (lo_w + hi_w)) as u64,
-            work_items: lo_w.max(hi_w) as u64,
-            work_groups: 1,
-            barriers: 0,
-        })
-    }
-}
-
-/// Registers the native CFD kernels in `registry`.
-pub fn register_natives(registry: &KernelRegistry) {
-    registry.register(std::sync::Arc::new(NativeCfdFlux));
-    registry.register(std::sync::Arc::new(NativeCfdStitch));
-    registry.register(std::sync::Arc::new(NativeCfdExtract));
-}
-
 struct Part {
     vars_a: Buffer,
     vars_b: Buffer,
@@ -448,7 +268,7 @@ pub fn run(platform: &Platform, cfg: &CfdConfig, opts: &RunOptions) -> Result<Ru
         .collect::<Result<_, _>>()?;
     let kernel_names = [KERNEL_NAME, STITCH_KERNEL_NAME, EXTRACT_KERNEL_NAME];
     let program = match opts.mode {
-        KernelMode::Native => Program::with_bitstream_kernels(&ctx, kernel_names),
+        KernelMode::Bitstream => Program::with_bitstream_kernels(&ctx, kernel_names),
         KernelMode::Source => Program::from_source(&ctx, KERNEL_SOURCE),
     };
     program.build()?;

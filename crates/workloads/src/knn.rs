@@ -13,13 +13,10 @@
 use haocl::{
     CommandQueue, Context, DeviceType, Error, Kernel, MemFlags, NdRange, Platform, Program,
 };
-use haocl_kernel::{
-    ArgValue, CostModel, ExecError, ExecStats, GlobalBuffer, KernelRegistry, NativeKernel,
-};
+use haocl_kernel::CostModel;
 use haocl_sim::rng::labeled_rng;
 use rand::Rng;
 
-use crate::matmul::{buf_index, scalar_i32};
 use crate::report::{KernelMode, RunOptions, RunReport};
 use crate::util::{
     bytes_to_f32s, bytes_to_i32s, create_buffer, f32s_to_bytes, read_buffer, round_up, write_buffer,
@@ -188,125 +185,6 @@ pub fn launch_cost(records: usize, queries: usize, k: usize) -> CostModel {
         .streaming()
 }
 
-struct NativeDist;
-
-impl NativeKernel for NativeDist {
-    fn name(&self) -> &str {
-        DIST_KERNEL_NAME
-    }
-
-    fn arity(&self) -> usize {
-        6
-    }
-
-    fn execute(
-        &self,
-        args: &[ArgValue],
-        buffers: &mut [GlobalBuffer],
-        _range: &NdRange,
-    ) -> Result<ExecStats, ExecError> {
-        let qlat = scalar_f32(args[3])?;
-        let qlng = scalar_f32(args[4])?;
-        let n = match args[5] {
-            ArgValue::Scalar(v) => scalar_i32(v)? as usize,
-            _ => return Err(ExecError::from_message("nn_dist: n must be a scalar")),
-        };
-        let lat = bytes_to_f32s(buffers[buf_index(args, 0)?].as_bytes());
-        let lng = bytes_to_f32s(buffers[buf_index(args, 1)?].as_bytes());
-        let mut dist = vec![0.0f32; n];
-        for i in 0..n {
-            let dx = lat[i] - qlat;
-            let dy = lng[i] - qlng;
-            dist[i] = (dx * dx + dy * dy).sqrt();
-        }
-        let di = buf_index(args, 2)?;
-        buffers[di] = GlobalBuffer::from_f32(&dist);
-        Ok(ExecStats {
-            instructions: 6 * n as u64,
-            work_items: n as u64,
-            work_groups: 1,
-            barriers: 0,
-        })
-    }
-}
-
-struct NativeTopK;
-
-impl NativeKernel for NativeTopK {
-    fn name(&self) -> &str {
-        KERNEL_NAME
-    }
-
-    fn arity(&self) -> usize {
-        9
-    }
-
-    fn execute(
-        &self,
-        args: &[ArgValue],
-        buffers: &mut [GlobalBuffer],
-        _range: &NdRange,
-    ) -> Result<ExecStats, ExecError> {
-        let scalar_at = |at: usize| -> Result<usize, ExecError> {
-            match args[at] {
-                ArgValue::Scalar(v) => Ok(scalar_i32(v)? as usize),
-                _ => Err(ExecError::from_message("nn_topk: expected scalar")),
-            }
-        };
-        let n = scalar_at(6)?;
-        let nq = scalar_at(7)?;
-        let k = scalar_at(8)?;
-        let lat = bytes_to_f32s(buffers[buf_index(args, 0)?].as_bytes());
-        let lng = bytes_to_f32s(buffers[buf_index(args, 1)?].as_bytes());
-        let qlat = bytes_to_f32s(buffers[buf_index(args, 2)?].as_bytes());
-        let qlng = bytes_to_f32s(buffers[buf_index(args, 3)?].as_bytes());
-        let mut out_dist = vec![1e30f32; nq * k];
-        let mut out_idx = vec![-1i32; nq * k];
-        for q in 0..nq {
-            for i in 0..n {
-                let dx = lat[i] - qlat[q];
-                let dy = lng[i] - qlng[q];
-                let d = (dx * dx + dy * dy).sqrt();
-                if d < out_dist[q * k + k - 1] {
-                    let mut s = k - 1;
-                    while s > 0 && out_dist[q * k + s - 1] > d {
-                        out_dist[q * k + s] = out_dist[q * k + s - 1];
-                        out_idx[q * k + s] = out_idx[q * k + s - 1];
-                        s -= 1;
-                    }
-                    out_dist[q * k + s] = d;
-                    out_idx[q * k + s] = i as i32;
-                }
-            }
-        }
-        let oi = buf_index(args, 4)?;
-        buffers[oi] = GlobalBuffer::from_f32(&out_dist);
-        let ii = buf_index(args, 5)?;
-        buffers[ii] = GlobalBuffer::from_i32(&out_idx);
-        Ok(ExecStats {
-            instructions: (6 * n * nq) as u64,
-            work_items: nq as u64,
-            work_groups: 1,
-            barriers: 0,
-        })
-    }
-}
-
-fn scalar_f32(a: ArgValue) -> Result<f32, ExecError> {
-    match a {
-        ArgValue::Scalar(haocl_kernel::Value::F32(x)) => Ok(x),
-        other => Err(ExecError::from_message(format!(
-            "expected float scalar, got {other:?}"
-        ))),
-    }
-}
-
-/// Registers both native kNN kernels in `registry`.
-pub fn register_natives(registry: &KernelRegistry) {
-    registry.register(std::sync::Arc::new(NativeDist));
-    registry.register(std::sync::Arc::new(NativeTopK));
-}
-
 /// Runs distributed batched kNN across every device of `platform`.
 ///
 /// # Errors
@@ -320,7 +198,7 @@ pub fn run(platform: &Platform, cfg: &KnnConfig, opts: &RunOptions) -> Result<Ru
         .map(|d| CommandQueue::new(&ctx, d))
         .collect::<Result<_, _>>()?;
     let program = match opts.mode {
-        KernelMode::Native => {
+        KernelMode::Bitstream => {
             Program::with_bitstream_kernels(&ctx, [KERNEL_NAME, DIST_KERNEL_NAME])
         }
         KernelMode::Source => Program::from_source(&ctx, KERNEL_SOURCE),

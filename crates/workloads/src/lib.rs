@@ -12,9 +12,9 @@
 //!
 //! * a deterministic **generator** (sizes from Table I at
 //!   `Config::paper_scale()`, small at `Config::test_scale()`),
-//! * its **kernel** both as OpenCL C source (compiled by `haocl-clc` on
-//!   CPU/GPU nodes) and as a **native implementation** registered in the
-//!   bitstream store (required by FPGA nodes, §III-D),
+//! * its **kernels** as one OpenCL C source, compiled by `haocl-clc`
+//!   either online on CPU/GPU nodes or ahead of time into the bitstream
+//!   store that FPGA nodes load from (§III-D),
 //! * a **partitioner** splitting the data across devices,
 //! * a distributed **driver** (`run`) built purely on the public
 //!   [`haocl`] API — the same calls an unmodified OpenCL application
@@ -43,15 +43,27 @@ pub use workload::Workload;
 
 use haocl_kernel::KernelRegistry;
 
-/// A registry pre-loaded with every workload's native kernels (the
-/// cluster-wide bitstream store used by the evaluation).
+/// The cluster-wide bitstream store used by the evaluation: every
+/// workload's [`KERNEL_SOURCE`](matmul::KERNEL_SOURCE), compiled ahead of
+/// time.
+///
+/// # Panics
+///
+/// Panics if a workload's source fails to compile, which the crate's
+/// tests rule out.
 pub fn registry_with_all() -> KernelRegistry {
     let registry = KernelRegistry::new();
-    matmul::register_natives(&registry);
-    knn::register_natives(&registry);
-    spmv::register_natives(&registry);
-    bfs::register_natives(&registry);
-    cfd::register_natives(&registry);
+    for source in [
+        matmul::KERNEL_SOURCE,
+        knn::KERNEL_SOURCE,
+        spmv::KERNEL_SOURCE,
+        bfs::KERNEL_SOURCE,
+        cfd::KERNEL_SOURCE,
+    ] {
+        registry
+            .register_source(source)
+            .expect("workload kernels compile");
+    }
     registry
 }
 
@@ -69,9 +81,12 @@ mod tests {
             "spmv_csr",
             "spmv_row_nnz",
             "bfs_step",
+            "bfs_apply",
             "cfd_flux",
+            "cfd_stitch",
+            "cfd_extract",
         ] {
-            assert!(r.contains(name), "missing native kernel {name}");
+            assert!(r.get(name).is_some(), "missing bitstream kernel {name}");
         }
     }
 }

@@ -9,9 +9,7 @@
 use haocl::{
     CommandQueue, Context, DeviceType, Error, Kernel, MemFlags, NdRange, Platform, Program,
 };
-use haocl_kernel::{
-    ArgValue, CostModel, ExecError, ExecStats, GlobalBuffer, KernelRegistry, NativeKernel,
-};
+use haocl_kernel::CostModel;
 use haocl_sim::rng::labeled_rng;
 use rand::Rng;
 
@@ -110,78 +108,6 @@ pub fn launch_cost(rows: usize, n: usize) -> CostModel {
         .bytes_written(4.0 * rows * n)
 }
 
-struct NativeMatmul;
-
-impl NativeKernel for NativeMatmul {
-    fn name(&self) -> &str {
-        KERNEL_NAME
-    }
-
-    fn arity(&self) -> usize {
-        5
-    }
-
-    fn execute(
-        &self,
-        args: &[ArgValue],
-        buffers: &mut [GlobalBuffer],
-        _range: &NdRange,
-    ) -> Result<ExecStats, ExecError> {
-        let (n, rows) = match (args[3], args[4]) {
-            (ArgValue::Scalar(nv), ArgValue::Scalar(rv)) => {
-                (scalar_i32(nv)? as usize, scalar_i32(rv)? as usize)
-            }
-            _ => return Err(ExecError::from_message("matmul: n/rows must be scalars")),
-        };
-        let a = bytes_to_f32s(buffers[buf_index(args, 0)?].as_bytes());
-        let b = bytes_to_f32s(buffers[buf_index(args, 1)?].as_bytes());
-        let mut c = vec![0.0f32; rows * n];
-        for i in 0..rows {
-            for j in 0..n {
-                let mut acc = 0.0f32;
-                for k in 0..n {
-                    acc += a[i * n + k] * b[k * n + j];
-                }
-                c[i * n + j] = acc;
-            }
-        }
-        let ci = buf_index(args, 2)?;
-        buffers[ci] = GlobalBuffer::from_f32(&c);
-        Ok(ExecStats {
-            instructions: (2 * rows * n * n) as u64,
-            work_items: (rows * n) as u64,
-            work_groups: 1,
-            barriers: 0,
-        })
-    }
-}
-
-pub(crate) fn buf_index(args: &[ArgValue], at: usize) -> Result<usize, ExecError> {
-    match args.get(at) {
-        Some(ArgValue::GlobalBuffer(i)) => Ok(*i),
-        other => Err(ExecError::from_message(format!(
-            "argument {at} must be a buffer, got {other:?}"
-        ))),
-    }
-}
-
-pub(crate) fn scalar_i32(v: haocl_kernel::Value) -> Result<i32, ExecError> {
-    match v {
-        haocl_kernel::Value::I32(x) => Ok(x),
-        haocl_kernel::Value::U32(x) => Ok(x as i32),
-        haocl_kernel::Value::I64(x) => Ok(x as i32),
-        haocl_kernel::Value::U64(x) => Ok(x as i32),
-        other => Err(ExecError::from_message(format!(
-            "expected integer scalar, got {other:?}"
-        ))),
-    }
-}
-
-/// Registers the native MatrixMul kernel in `registry`.
-pub fn register_natives(registry: &KernelRegistry) {
-    registry.register(std::sync::Arc::new(NativeMatmul));
-}
-
 /// Runs distributed MatrixMul across every device of `platform`.
 ///
 /// # Errors
@@ -195,7 +121,7 @@ pub fn run(platform: &Platform, cfg: &MatmulConfig, opts: &RunOptions) -> Result
         .map(|d| CommandQueue::new(&ctx, d))
         .collect::<Result<_, _>>()?;
     let program = match opts.mode {
-        KernelMode::Native => Program::with_bitstream_kernels(&ctx, [KERNEL_NAME]),
+        KernelMode::Bitstream => Program::with_bitstream_kernels(&ctx, [KERNEL_NAME]),
         KernelMode::Source => Program::from_source(&ctx, KERNEL_SOURCE),
     };
     program.build()?;

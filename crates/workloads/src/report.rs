@@ -3,13 +3,15 @@
 use haocl::Fidelity;
 use haocl_sim::{PhaseBreakdown, SimDuration};
 
-/// Which kernel form the driver deploys.
+/// How the driver deploys its kernels. Either way the same OpenCL C
+/// runs; the difference is where it was compiled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelMode {
-    /// Pre-built native kernels from the bitstream store (works on every
-    /// device class; required for FPGAs).
+    /// Loaded by name from the bitstream store, where the app's source
+    /// was compiled ahead of time (works on every device class; required
+    /// for FPGAs).
     #[default]
-    Native,
+    Bitstream,
     /// OpenCL C source compiled on the nodes by `haocl-clc` (CPU/GPU
     /// only).
     Source,
@@ -40,7 +42,7 @@ impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
             fidelity: Fidelity::Full,
-            mode: KernelMode::Native,
+            mode: KernelMode::Bitstream,
             verify: true,
             replicate_inputs: false,
             data_resident: false,
@@ -49,16 +51,17 @@ impl Default for RunOptions {
 }
 
 impl RunOptions {
-    /// Full-fidelity, native kernels, verified (the test default).
+    /// Full-fidelity, bitstream kernels, verified (the test default).
     pub fn full() -> Self {
         RunOptions::default()
     }
 
-    /// Modeled fidelity for paper-scale benchmarking (no verification).
+    /// Modeled fidelity for paper-scale benchmarking, bitstream kernels
+    /// (no verification).
     pub fn modeled() -> Self {
         RunOptions {
             fidelity: Fidelity::Modeled,
-            mode: KernelMode::Native,
+            mode: KernelMode::Bitstream,
             verify: false,
             ..RunOptions::default()
         }

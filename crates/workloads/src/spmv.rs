@@ -14,13 +14,10 @@ use haocl::{
     CommandQueue, Context, Device, DeviceType, Error, Kernel, MemFlags, NdRange, Platform, Program,
     Status,
 };
-use haocl_kernel::{
-    ArgValue, CostModel, ExecError, ExecStats, GlobalBuffer, KernelRegistry, NativeKernel,
-};
+use haocl_kernel::CostModel;
 use haocl_sim::rng::labeled_rng;
 use rand::Rng;
 
-use crate::matmul::{buf_index, scalar_i32};
 use crate::partition::nnz_balanced_rows;
 use crate::report::{KernelMode, RunOptions, RunReport};
 use crate::util::{
@@ -209,92 +206,6 @@ pub fn nnz_cost(rows: usize) -> CostModel {
         .bytes_written(4.0 * rows as f64)
 }
 
-struct NativeSpmv;
-
-impl NativeKernel for NativeSpmv {
-    fn name(&self) -> &str {
-        KERNEL_NAME
-    }
-
-    fn arity(&self) -> usize {
-        6
-    }
-
-    fn execute(
-        &self,
-        args: &[ArgValue],
-        buffers: &mut [GlobalBuffer],
-        _range: &NdRange,
-    ) -> Result<ExecStats, ExecError> {
-        let rows = match args[5] {
-            ArgValue::Scalar(v) => scalar_i32(v)? as usize,
-            _ => return Err(ExecError::from_message("spmv_csr: rows must be a scalar")),
-        };
-        let row_ptr = buffers[buf_index(args, 0)?].as_i32();
-        let cols = buffers[buf_index(args, 1)?].as_i32();
-        let vals = bytes_to_f32s(buffers[buf_index(args, 2)?].as_bytes());
-        let x = bytes_to_f32s(buffers[buf_index(args, 3)?].as_bytes());
-        let mut y = vec![0.0f32; rows];
-        let mut visited = 0u64;
-        for i in 0..rows {
-            let mut acc = 0.0f32;
-            for j in row_ptr[i] as usize..row_ptr[i + 1] as usize {
-                acc += vals[j] * x[cols[j] as usize];
-                visited += 1;
-            }
-            y[i] = acc;
-        }
-        let yi = buf_index(args, 4)?;
-        buffers[yi] = GlobalBuffer::from_f32(&y);
-        Ok(ExecStats {
-            instructions: 2 * visited,
-            work_items: rows as u64,
-            work_groups: 1,
-            barriers: 0,
-        })
-    }
-}
-
-struct NativeRowNnz;
-
-impl NativeKernel for NativeRowNnz {
-    fn name(&self) -> &str {
-        NNZ_KERNEL_NAME
-    }
-
-    fn arity(&self) -> usize {
-        3
-    }
-
-    fn execute(
-        &self,
-        args: &[ArgValue],
-        buffers: &mut [GlobalBuffer],
-        _range: &NdRange,
-    ) -> Result<ExecStats, ExecError> {
-        let n = match args[2] {
-            ArgValue::Scalar(v) => scalar_i32(v)? as usize,
-            _ => return Err(ExecError::from_message("spmv_row_nnz: n must be a scalar")),
-        };
-        let row_ptr = buffers[buf_index(args, 0)?].as_i32();
-        let nnz: Vec<i32> = (0..n).map(|i| row_ptr[i + 1] - row_ptr[i]).collect();
-        let oi = buf_index(args, 1)?;
-        buffers[oi] = GlobalBuffer::from_i32(&nnz);
-        Ok(ExecStats {
-            instructions: n as u64,
-            work_items: n as u64,
-            work_groups: 1,
-            barriers: 0,
-        })
-    }
-}
-
-/// Registers both native SpMV kernels in `registry`.
-pub fn register_natives(registry: &KernelRegistry) {
-    registry.register(std::sync::Arc::new(NativeSpmv));
-    registry.register(std::sync::Arc::new(NativeRowNnz));
-}
-
 /// Runs distributed SpMV with nonzero-balanced row partitioning across
 /// every device of `platform`.
 ///
@@ -338,7 +249,9 @@ fn run_on(
     let all = platform.devices(DeviceType::All);
     let ctx = Context::new(platform, &all)?;
     let program = match opts.mode {
-        KernelMode::Native => Program::with_bitstream_kernels(&ctx, [KERNEL_NAME, NNZ_KERNEL_NAME]),
+        KernelMode::Bitstream => {
+            Program::with_bitstream_kernels(&ctx, [KERNEL_NAME, NNZ_KERNEL_NAME])
+        }
         KernelMode::Source => Program::from_source(&ctx, KERNEL_SOURCE),
     };
     program.build()?;

@@ -202,45 +202,14 @@ fn recalibration_counter_tracks_warm_profile_updates() {
     );
 }
 
-/// Registry-backed churn step so the same kernel runs on the FPGA (which
-/// cannot build from source) and the GPU alike.
-struct Churn;
-
-impl haocl_kernel::NativeKernel for Churn {
-    fn name(&self) -> &str {
-        "churn"
-    }
-
-    fn arity(&self) -> usize {
-        1
-    }
-
-    fn execute(
-        &self,
-        _args: &[haocl_kernel::ArgValue],
-        buffers: &mut [haocl_kernel::GlobalBuffer],
-        range: &NdRange,
-    ) -> Result<haocl_kernel::ExecStats, haocl_kernel::ExecError> {
-        let n = (range.total_items() as usize).min(buffers[0].len() / 4);
-        let bytes = buffers[0].as_bytes_mut();
-        for i in 0..n {
-            let mut lane = [0u8; 4];
-            lane.copy_from_slice(&bytes[4 * i..4 * i + 4]);
-            let v = i32::from_le_bytes(lane)
-                .wrapping_mul(3)
-                .wrapping_add(i as i32);
-            bytes[4 * i..4 * i + 4].copy_from_slice(&v.to_le_bytes());
-        }
-        Ok(haocl_kernel::ExecStats::default())
-    }
-}
-
 #[test]
 fn currency_rates_export_once_profiles_warm_across_classes() {
     // A hetero fleet warms both classes on the same kernel, which is
     // exactly what the exchange-rate table needs.
+    // From the bitstream store, so the same kernel runs on the FPGA
+    // (which cannot build from source) and the GPU alike.
     let registry = KernelRegistry::new();
-    registry.register(std::sync::Arc::new(Churn));
+    registry.register_source(SRC).unwrap();
     let platform = Platform::cluster(&ClusterConfig::hetero_cluster(1, 1), registry).unwrap();
     platform.set_tracing(true);
     let ctx = Context::new(&platform, &platform.devices(DeviceType::All)).unwrap();

@@ -54,29 +54,92 @@ fn source_program_runs_identically_on_every_node_of_a_cluster() {
 }
 
 #[test]
-fn compiled_vm_and_native_kernels_agree_bit_for_bit() {
-    // The same MatrixMul runs once through the clc VM (source program)
-    // and once through the registered native kernel; single-precision
-    // results must be identical because both use the same FLOP order.
+fn source_builds_run_their_own_kernel_and_bitstreams_run_the_same_vm() {
+    // The store holds a `k` that writes 1; a source program defines a
+    // `k` that writes 2. Each program runs its own kernel: the store
+    // serves bitstream loads and never replaces a source build.
+    let store = KernelRegistry::new();
+    store
+        .register_source("__kernel void k(__global int* a) { a[get_global_id(0)] = 1; }")
+        .unwrap();
+    let platform = Platform::cluster(&ClusterConfig::gpu_cluster(1), store).unwrap();
+    let devices = platform.devices(DeviceType::All);
+    let ctx = Context::new(&platform, &devices).unwrap();
+    let queue = CommandQueue::new(&ctx, &devices[0]).unwrap();
+    let run_k = |program: Program| -> i32 {
+        program.build().unwrap();
+        let kernel = Kernel::new(&program, "k").unwrap();
+        let buf = Buffer::new(&ctx, MemFlags::READ_WRITE, 4).unwrap();
+        kernel.set_arg_buffer(0, &buf).unwrap();
+        queue
+            .enqueue_nd_range_kernel(&kernel, NdRange::linear(1, 1))
+            .unwrap();
+        let mut out = [0u8; 4];
+        queue.enqueue_read_buffer(&buf, 0, &mut out).unwrap();
+        i32::from_le_bytes(out)
+    };
+    let source = "__kernel void k(__global int* a) { a[get_global_id(0)] = 2; }";
+    assert_eq!(run_k(Program::from_source(&ctx, source)), 2);
+    assert_eq!(run_k(Program::with_bitstream_kernels(&ctx, ["k"])), 1);
+
+    // MatrixMul deployed both ways is one compiled kernel on one VM:
+    // the same C bytes and the same instruction count.
     use haocl_workloads::matmul::{self, MatmulConfig};
-    use haocl_workloads::{KernelMode, RunOptions};
     let cfg = MatmulConfig { n: 32, seed: 123 };
-    let run_with = |mode: KernelMode| -> Vec<u8> {
-        let platform = Platform::local_with_registry(
-            &[haocl::DeviceKind::Gpu],
+    let n = cfg.n;
+    let (a, b) = (
+        to_bytes(&matmul::generate_matrix(&cfg, "a")),
+        to_bytes(&matmul::generate_matrix(&cfg, "b")),
+    );
+    let run_matmul = |bitstream: bool| -> (Vec<u8>, u64) {
+        let platform = Platform::cluster(
+            &ClusterConfig::gpu_cluster(1),
             haocl_workloads::registry_with_all(),
         )
         .unwrap();
-        let opts = RunOptions {
-            mode,
-            ..RunOptions::full()
+        let devices = platform.devices(DeviceType::All);
+        let ctx = Context::new(&platform, &devices).unwrap();
+        let queue = CommandQueue::new(&ctx, &devices[0]).unwrap();
+        let program = if bitstream {
+            Program::with_bitstream_kernels(&ctx, [matmul::KERNEL_NAME])
+        } else {
+            Program::from_source(&ctx, matmul::KERNEL_SOURCE)
         };
-        let report = matmul::run(&platform, &cfg, &opts).unwrap();
-        assert_eq!(report.verified, Some(true));
-        Vec::new()
+        program.build().unwrap();
+        let kernel = Kernel::new(&program, matmul::KERNEL_NAME).unwrap();
+        let bytes = (4 * n * n) as u64;
+        let bufs: Vec<Buffer> = (0..3)
+            .map(|_| Buffer::new(&ctx, MemFlags::READ_WRITE, bytes).unwrap())
+            .collect();
+        queue.enqueue_write_buffer(&bufs[0], 0, &a).unwrap();
+        queue.enqueue_write_buffer(&bufs[1], 0, &b).unwrap();
+        for (i, buf) in bufs.iter().enumerate() {
+            kernel.set_arg_buffer(i as u32, buf).unwrap();
+        }
+        kernel.set_arg_i32(3, n as i32).unwrap();
+        kernel.set_arg_i32(4, n as i32).unwrap();
+        let ev = queue
+            .enqueue_nd_range_kernel(&kernel, NdRange::d2([n as u64; 2], [8, 8]))
+            .unwrap();
+        let mut c = vec![0u8; bytes as usize];
+        queue.enqueue_read_buffer(&bufs[2], 0, &mut c).unwrap();
+        (c, ev.instructions())
     };
-    run_with(KernelMode::Source);
-    run_with(KernelMode::Native);
+    let (source_c, source_instructions) = run_matmul(false);
+    let (bitstream_c, bitstream_instructions) = run_matmul(true);
+    assert!(source_instructions > 0);
+    assert_eq!(source_instructions, bitstream_instructions);
+    assert_eq!(source_c, bitstream_c);
+    let expect = matmul::reference(
+        &matmul::generate_matrix(&cfg, "a"),
+        &matmul::generate_matrix(&cfg, "b"),
+        n,
+    );
+    assert_eq!(
+        to_f32s(&source_c),
+        expect,
+        "same FLOP order as the reference"
+    );
 }
 
 #[test]
