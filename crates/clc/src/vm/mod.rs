@@ -68,15 +68,6 @@ impl ExecError {
         }
     }
 
-    /// Creates an execution error with a custom message.
-    ///
-    /// Intended for runtimes layered on top of the VM (device simulators,
-    /// native kernels) that need to report launch failures with the same
-    /// error type the VM uses.
-    pub fn from_message(message: impl Into<String>) -> Self {
-        ExecError::new(message)
-    }
-
     /// The failure description.
     pub fn message(&self) -> &str {
         &self.message

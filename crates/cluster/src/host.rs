@@ -630,18 +630,19 @@ impl std::fmt::Debug for PendingCall {
 
 /// The host runtime: device mapping plus pipelined call forwarding.
 pub struct HostRuntime {
-    /// The user/session every outgoing request is tagged with. Atomic
-    /// so the serving plane can switch it per dispatch through a shared
-    /// handle — the per-tenant submission path tags each wire request
-    /// with the tenant's session id (§III-D's "user ID" field).
+    /// The user/session every outgoing request is tagged with: 0, the
+    /// host's own id, unless a serving-plane dispatch has switched it to
+    /// its tenant's (§III-D's "user ID" field). Atomic so the switch
+    /// works through a shared handle.
     user: AtomicU32,
+    /// Hands out the user ids of opened sessions, unique per runtime and
+    /// starting at 1.
+    user_ids: IdAllocator,
     /// The mapped devices, cluster-wide; append-only like the slots, so
     /// device indices allocated while a node was alive stay stable after
     /// it departs. Each record is shared with the device handles made
     /// from it.
     devices: RwLock<Vec<Arc<RemoteDevice>>>,
-    /// Session registry: tenants/users submitting through this runtime.
-    sessions: crate::session::SessionManager,
     /// The fabric nodes connect through, kept so membership can grow
     /// after construction ([`HostRuntime::connect_node`]).
     fabric: Fabric,
@@ -666,9 +667,9 @@ impl HostRuntime {
             .unwrap_or(&config.host_addr)
             .to_string();
         let runtime = HostRuntime {
-            user: AtomicU32::new(1),
+            user: AtomicU32::new(0),
+            user_ids: IdAllocator::new(),
             devices: RwLock::new(Vec::new()),
-            sessions: crate::session::SessionManager::new(),
             fabric: fabric.clone(),
             host_name,
             inner: Arc::new(HostInner {
@@ -810,15 +811,17 @@ impl HostRuntime {
     }
 
     /// Sets the user id outgoing requests are tagged with (multi-user
-    /// support). Takes `&self` so a serving plane holding the runtime
-    /// behind an `Arc` can re-tag per dispatch.
-    pub fn set_user(&self, user: UserId) {
-        self.user.store(user.raw(), Ordering::Relaxed);
+    /// support) and returns the previous one, so a serving plane holding
+    /// the runtime behind an `Arc` can re-tag for one dispatch and put
+    /// the old tag back.
+    pub fn set_user(&self, user: UserId) -> UserId {
+        UserId::new(self.user.swap(user.raw(), Ordering::Relaxed))
     }
 
-    /// The session registry: per-user names and call/launch statistics.
-    pub fn sessions(&self) -> &crate::session::SessionManager {
-        &self.sessions
+    /// Allocates a fresh user id for a new session: unique on this
+    /// runtime, starting at 1 (0 is the host's own).
+    pub fn allocate_user(&self) -> UserId {
+        UserId::new(self.user_ids.next() as u32)
     }
 
     /// Installs (or clears) the fault-recovery policy. `None` — the

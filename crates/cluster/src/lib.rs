@@ -20,7 +20,6 @@
 //! * [`local`] — [`LocalCluster`]: spawns a whole cluster in-process
 //!   (NMPs as OS threads on a shared [`haocl_net::Fabric`]) for tests,
 //!   examples and benchmarks.
-//! * [`session`] — multi-user session bookkeeping (§I, §III-D).
 //! * [`autoscale`] — the metrics-driven [`autoscale::Autoscaler`]: a
 //!   hysteresis/cooldown policy engine over the obs layer's queue-depth
 //!   series that tells the platform when to grow or drain the fleet.
@@ -48,7 +47,6 @@ pub mod host;
 mod link;
 pub mod local;
 pub mod nmp;
-pub mod session;
 
 pub use autoscale::{AutoscaleConfig, Autoscaler, Decision, LoadSample};
 pub use config::{ClusterConfig, NodeSpec};
@@ -58,4 +56,3 @@ pub use host::{
 };
 pub use local::LocalCluster;
 pub use nmp::NmpHandle;
-pub use session::SessionManager;

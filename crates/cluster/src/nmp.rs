@@ -83,7 +83,6 @@ struct NodeState {
     programs: HashMap<(ProgramId, u8), ProgramKernels>,
     kernels: HashMap<KernelId, (u8, Arc<CompiledKernel>)>,
     registry: KernelRegistry,
-    launches_by_user: HashMap<UserId, u64>,
     /// Set by [`ApiCall::BeginDrain`]: the node refuses fresh kernel
     /// launches so live migration can converge, while buffer traffic
     /// and already-queued work keep completing.
@@ -163,7 +162,6 @@ impl NmpHandle {
             programs: HashMap::new(),
             kernels: HashMap::new(),
             registry,
-            launches_by_user: HashMap::new(),
             draining: false,
             journal: HashMap::new(),
             journal_order: VecDeque::new(),
@@ -357,12 +355,11 @@ fn handle(
             return response;
         }
     }
-    let user = request.user;
     let traced = request.traced();
     // Wall clock is legal here: it never feeds virtual-time accounting,
     // only the `wall_nanos` observability field on shipped spans.
     let wall_start = std::time::Instant::now();
-    let (body, completed) = dispatch(&mut state, user, request.body, arrival);
+    let (body, completed) = dispatch(&mut state, request.body, arrival);
     let wall_nanos = wall_start.elapsed().as_nanos() as u64;
     // For traced requests the node ships its side of the span tree back in
     // the response: a dispatch span covering the NMP's handling, plus —
@@ -791,14 +788,9 @@ fn device_error_reply(e: DeviceError) -> ApiReply {
     err_reply(code, e.to_string())
 }
 
-fn dispatch(
-    state: &mut NodeState,
-    user: UserId,
-    call: ApiCall,
-    at: SimTime,
-) -> (ApiReply, SimTime) {
+fn dispatch(state: &mut NodeState, call: ApiCall, at: SimTime) -> (ApiReply, SimTime) {
     let call = match call.into_launch() {
-        Ok(wire) => return (launch(state, user, wire, at).unwrap_or_else(|e| e), at),
+        Ok(wire) => return (launch(state, wire, at).unwrap_or_else(|e| e), at),
         Err(call) => call,
     };
     match call {
@@ -1109,12 +1101,7 @@ fn resolve_part<'a>(
 /// Runs one kernel dispatch — a lone `LaunchKernel` or a `LaunchFused`
 /// chain, which differ only in how many parts they carry. Both arms of
 /// the result are the reply to send; `Err` is the early-exit one.
-fn launch(
-    state: &mut NodeState,
-    user: UserId,
-    launch: WireLaunch,
-    at: SimTime,
-) -> Result<ApiReply, ApiReply> {
+fn launch(state: &mut NodeState, launch: WireLaunch, at: SimTime) -> Result<ApiReply, ApiReply> {
     if state.draining {
         return Err(err_reply(status::DEVICE_NOT_AVAILABLE, "node is draining"));
     }
@@ -1140,7 +1127,6 @@ fn launch(
             &chain
         }
     };
-    *state.launches_by_user.entry(user).or_insert(0) += 1;
     let dev = state
         .devices
         .get_mut(launch.device as usize)
@@ -1785,7 +1771,6 @@ mod tests {
             programs: HashMap::new(),
             kernels: HashMap::new(),
             registry: KernelRegistry::new(),
-            launches_by_user: HashMap::new(),
             draining: false,
             journal: HashMap::new(),
             journal_order: VecDeque::new(),

@@ -67,6 +67,14 @@ struct ServeInner {
     ledger: Arc<QuotaLedger>,
 }
 
+impl ServeInner {
+    /// `stats` with the tenant's live memory-ledger bytes filled in.
+    fn with_mem(&self, tenant: TenantId, mut stats: TenantStats) -> TenantStats {
+        stats.mem_bytes = self.ledger.used(tenant);
+        stats
+    }
+}
+
 /// The serving tier: one shared [`AutoScheduler`], many tenants.
 ///
 /// # Examples
@@ -94,7 +102,6 @@ pub struct ServingPlane {
 pub struct Session {
     inner: Arc<ServeInner>,
     tenant: TenantId,
-    user: UserId,
     name: String,
 }
 
@@ -134,12 +141,11 @@ impl ServingPlane {
         })
     }
 
-    /// Opens a session for a new tenant: allocates its user id in the
-    /// host's session registry and registers its weight and quotas with
-    /// the arbiter and the memory ledger.
+    /// Opens a session for a new tenant: takes its id from the host's
+    /// user-id allocator and registers its weight and quotas with the
+    /// arbiter and the memory ledger.
     pub fn open_session(&self, spec: TenantSpec) -> Session {
-        let host = self.inner.context.platform.host();
-        let user = host.sessions().open(&spec.name);
+        let user = self.inner.context.platform.host().allocate_user();
         let tenant = TenantId::new(user.raw());
         let name = spec.name.clone();
         self.inner
@@ -149,7 +155,6 @@ impl ServingPlane {
         Session {
             inner: Arc::clone(&self.inner),
             tenant,
-            user,
             name,
         }
     }
@@ -161,21 +166,14 @@ impl ServingPlane {
         Session {
             inner: Arc::clone(&self.inner),
             tenant: TenantId::DEFAULT,
-            user: UserId::new(0),
             name: haocl_obs::DEFAULT_TENANT.to_string(),
         }
     }
 
     /// Closes a session: drops its queue (still-pending launches are
-    /// discarded) and removes it from the host session registry.
+    /// discarded).
     pub fn close_session(&self, session: &Session) {
         self.inner.arbiter.unregister(session.tenant);
-        self.inner
-            .context
-            .platform
-            .host()
-            .sessions()
-            .close(session.user);
     }
 
     /// Dispatches the next launch under the fair-share policy: the
@@ -202,18 +200,20 @@ impl ServingPlane {
             .name(tenant)
             .unwrap_or_else(|| haocl_obs::DEFAULT_TENANT.to_string());
         let host = self.inner.context.platform.host();
-        if tenant != TenantId::DEFAULT {
-            // Tag the wire path: every request this dispatch issues
-            // carries the tenant's session id (§III-D's user ID field).
-            // The default tenant keeps the host's ambient tag, so the
-            // single-tenant path stays byte-identical.
-            host.set_user(user);
-        }
-        let obs = &self.inner.context.platform.obs;
+        // Tag the wire path: every request this dispatch issues carries
+        // the tenant's session id (§III-D's user ID field), and the
+        // previous tag comes back when it returns. The default tenant
+        // keeps the host's ambient tag, so the single-tenant path stays
+        // byte-identical.
+        let ambient = (tenant != TenantId::DEFAULT).then(|| host.set_user(user));
         let outcome = self
             .inner
             .auto
             .launch_tagged(&pending.kernel, pending.range, user, &name);
+        if let Some(ambient) = ambient {
+            host.set_user(ambient);
+        }
+        let obs = &self.inner.context.platform.obs;
         let consumed = match &outcome {
             Ok((event, _)) => event.duration(),
             Err(_) => SimDuration::ZERO,
@@ -238,8 +238,6 @@ impl ServingPlane {
             .map_or(0, |s| s.pending as i64);
         obs.metrics
             .set_gauge(names::TENANT_QUEUE_DEPTH, &[("tenant", &name)], depth);
-        host.sessions().note_launch(user);
-        host.sessions().note_compute(user, consumed.as_nanos());
         Ok(Some((tenant, event, device)))
     }
 
@@ -292,10 +290,8 @@ impl ServingPlane {
 
     /// The tenant's accounting snapshot, with live memory-ledger bytes.
     pub fn stats(&self, tenant: TenantId) -> Option<TenantStats> {
-        self.inner.arbiter.stats(tenant).map(|mut s| {
-            s.mem_bytes = self.inner.ledger.used(tenant);
-            s
-        })
+        let s = self.inner.arbiter.stats(tenant)?;
+        Some(self.inner.with_mem(tenant, s))
     }
 
     /// Every tenant's `(id, name, stats)`, ascending by id.
@@ -304,10 +300,7 @@ impl ServingPlane {
             .arbiter
             .all_stats()
             .into_iter()
-            .map(|(id, name, mut s)| {
-                s.mem_bytes = self.inner.ledger.used(id);
-                (id, name, s)
-            })
+            .map(|(id, name, s)| (id, name, self.inner.with_mem(id, s)))
             .collect()
     }
 
@@ -342,9 +335,10 @@ impl Session {
         self.tenant
     }
 
-    /// The session's user id in the host registry.
+    /// The user id this session's requests carry on the wire: its
+    /// tenant id (0 for the default session).
     pub fn user(&self) -> UserId {
-        self.user
+        UserId::new(self.tenant.raw())
     }
 
     /// The tenant's display name.
@@ -396,31 +390,11 @@ impl Session {
     /// memory quota; buffer-creation failures otherwise (the charge is
     /// rolled back).
     pub fn create_buffer(&self, flags: MemFlags, size: u64) -> Result<Buffer, Error> {
-        self.charged_buffer(flags, size, false)
-    }
-
-    /// [`Session::create_buffer`] for modeled (timing-only) buffers —
-    /// modeled bytes still occupy modeled device memory, so they charge
-    /// the quota all the same.
-    ///
-    /// # Errors
-    ///
-    /// As [`Session::create_buffer`].
-    pub fn create_buffer_modeled(&self, flags: MemFlags, size: u64) -> Result<Buffer, Error> {
-        self.charged_buffer(flags, size, true)
-    }
-
-    fn charged_buffer(&self, flags: MemFlags, size: u64, modeled: bool) -> Result<Buffer, Error> {
         if let Err(e) = self.inner.ledger.try_charge(self.tenant, size) {
             return Err(self.shed(e));
         }
-        let made = if modeled {
-            Buffer::new_modeled(&self.inner.context, flags, size)
-        } else {
-            Buffer::new(&self.inner.context, flags, size)
-        };
         let obs = &self.inner.context.platform.obs;
-        match made {
+        match Buffer::new(&self.inner.context, flags, size) {
             Ok(buffer) => {
                 buffer.attach_charge(TenantCharge {
                     ledger: Arc::clone(&self.inner.ledger),
@@ -444,14 +418,11 @@ impl Session {
 
     /// This tenant's accounting snapshot.
     pub fn stats(&self) -> Option<TenantStats> {
-        self.inner.arbiter.stats(self.tenant).map(|mut s| {
-            s.mem_bytes = self.inner.ledger.used(self.tenant);
-            s
-        })
+        let s = self.inner.arbiter.stats(self.tenant)?;
+        Some(self.inner.with_mem(self.tenant, s))
     }
 
-    /// Records the shed in metrics and the session registry, and wraps
-    /// the admission error.
+    /// Records the shed in metrics and wraps the admission error.
     fn shed(&self, e: AdmitError) -> Error {
         let reason = match &e {
             AdmitError::QueueFull { .. } => "queue_full",
@@ -465,19 +436,13 @@ impl Session {
             &[("tenant", &self.name), ("reason", reason)],
             1,
         );
-        self.inner
-            .context
-            .platform
-            .host()
-            .sessions()
-            .note_shed(self.user);
         Error::Overloaded(e)
     }
 }
 
 impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Session({} as {})", self.name, self.user)
+        write!(f, "Session({} as {})", self.name, self.user())
     }
 }
 
@@ -532,7 +497,7 @@ mod tests {
             err,
             Error::Overloaded(AdmitError::QueueFull { limit: 2, .. })
         ));
-        // The shed is visible in the tenant's stats and the registry.
+        // The shed is visible in the tenant's stats.
         assert_eq!(s.stats().unwrap().shed, 1);
         assert_eq!(plane.drain().unwrap(), 2);
     }
@@ -617,6 +582,22 @@ mod tests {
             (ratio - 2.0).abs() < 0.4,
             "2:1 weights must yield ~2:1 compute ({ratio:.2})"
         );
+    }
+
+    #[test]
+    fn tenant_dispatch_restores_the_host_tag() {
+        let (_p, plane, k, _buf) = plane_with_kernel();
+        let tag = || plane.inner.context.platform.host().user();
+        let tenant = plane.open_session(TenantSpec::new("tagged"));
+        assert_eq!(tag(), UserId::new(0), "ambient tag is the host's");
+        tenant.submit(&k, NdRange::linear(4, 1)).unwrap();
+        plane.drain().unwrap();
+        plane
+            .default_session()
+            .submit(&k, NdRange::linear(4, 1))
+            .unwrap();
+        plane.drain().unwrap();
+        assert_eq!(tag(), UserId::new(0), "tenant tag leaked");
     }
 
     #[test]

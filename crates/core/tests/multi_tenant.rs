@@ -119,7 +119,7 @@ fn weighted_tenants_get_proportional_compute_within_20pct() {
 /// The very first opened session must get a tenant id distinct from the
 /// pre-registered `"default"` tenant: user ids start at 1 (0 is the
 /// reserved ambient user), so `TenantId::new(user)` can never collide
-/// with [`TenantId::DEFAULT`].
+/// with [`TenantId::DEFAULT`] — nor two opened sessions with each other.
 #[test]
 fn first_open_session_does_not_collide_with_default() {
     let p = Platform::local(&[DeviceKind::Gpu]).unwrap();
@@ -132,6 +132,43 @@ fn first_open_session_does_not_collide_with_default() {
         "first opened tenant collides with the default tenant"
     );
     assert!(s.user().raw() != 0, "user id 0 is reserved for the host");
+    let t = plane.open_session(TenantSpec::new("second"));
+    assert!(t.user().raw() >= 1, "user id 0 is reserved for the host");
+    assert_ne!(s.user(), t.user(), "two sessions share a user id");
+    assert_ne!(s.tenant(), t.tenant(), "two sessions share a tenant");
+}
+
+/// Two tenants' buffers on one shared device each read back their own
+/// bytes.
+#[test]
+fn tenants_sharing_a_device_read_back_their_own_buffers() {
+    let p = Platform::local(&[DeviceKind::Gpu]).unwrap();
+    let ctx = Context::new(&p, &p.devices(DeviceType::All)).unwrap();
+    let plane = ServingPlane::new(&ctx, Box::new(policies::HeteroAware::new())).unwrap();
+    let queue = CommandQueue::new(&ctx, &ctx.devices()[0]).unwrap();
+    let tenants = [
+        (plane.open_session(TenantSpec::new("alice")), 7u8),
+        (plane.open_session(TenantSpec::new("bob")), 9u8),
+    ];
+    let buffers: Vec<_> = tenants
+        .iter()
+        .map(|(session, fill)| {
+            let buf = session.create_buffer(MemFlags::READ_WRITE, 64).unwrap();
+            queue.enqueue_write_buffer(&buf, 0, &[*fill; 64]).unwrap();
+            buf
+        })
+        .collect();
+    for ((session, fill), buf) in tenants.iter().zip(&buffers) {
+        let mut out = vec![0u8; 64];
+        queue.enqueue_read_buffer(buf, 0, &mut out).unwrap();
+        assert_eq!(
+            out,
+            vec![*fill; 64],
+            "{} read another tenant's bytes",
+            session.name()
+        );
+        assert_eq!(plane.stats(session.tenant()).unwrap().mem_bytes, 64);
+    }
 }
 
 /// A full bounded queue sheds with a typed, matchable error and no

@@ -14,7 +14,6 @@
 //! * [`Clock`] — a shared monotonic virtual clock.
 //! * [`trace`] — phase tracing used by the Fig. 3 breakdown analysis
 //!   (data-create / data-transfer / compute phases).
-//! * [`stats`] — summary statistics for the benchmark harness.
 //! * [`rng`] — deterministic seed-derivation helpers so every experiment is
 //!   reproducible bit-for-bit.
 //!
@@ -36,12 +35,10 @@
 pub mod clock;
 pub mod resource;
 pub mod rng;
-pub mod stats;
 pub mod time;
 pub mod trace;
 
 pub use clock::Clock;
 pub use resource::{Grant, Resource};
-pub use stats::Summary;
 pub use time::{SimDuration, SimTime};
 pub use trace::{Phase, PhaseBreakdown, Tracer};

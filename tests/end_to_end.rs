@@ -307,31 +307,6 @@ fn kernel_launch_is_asynchronous_in_virtual_time() {
 }
 
 #[test]
-fn multiple_users_share_a_cluster() {
-    use haocl_cluster::SessionManager;
-    let sessions = SessionManager::new();
-    let alice = sessions.open("alice");
-    let bob = sessions.open("bob");
-    let platform =
-        Platform::cluster(&ClusterConfig::gpu_cluster(1), KernelRegistry::new()).unwrap();
-    let devices = platform.devices(DeviceType::All);
-    let ctx = Context::new(&platform, &devices).unwrap();
-    let queue = CommandQueue::new(&ctx, &devices[0]).unwrap();
-    // Both sessions allocate and use buffers on the same shared device.
-    for user in [alice, bob] {
-        let buf = Buffer::new(&ctx, MemFlags::READ_WRITE, 64).unwrap();
-        queue.enqueue_write_buffer(&buf, 0, &[7u8; 64]).unwrap();
-        sessions.note_call(user);
-        let mut out = vec![0u8; 64];
-        queue.enqueue_read_buffer(&buf, 0, &mut out).unwrap();
-        sessions.note_call(user);
-        assert_eq!(out, vec![7u8; 64]);
-    }
-    assert_eq!(sessions.stats(alice).unwrap().calls, 2);
-    assert_eq!(sessions.stats(bob).unwrap().calls, 2);
-}
-
-#[test]
 fn build_errors_surface_the_remote_build_log() {
     let platform =
         Platform::cluster(&ClusterConfig::gpu_cluster(1), KernelRegistry::new()).unwrap();
