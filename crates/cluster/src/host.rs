@@ -1304,7 +1304,7 @@ mod tests {
     use haocl_net::{Conn, LinkModel};
     use haocl_proto::ids::BufferId;
     use haocl_proto::messages::{Envelope, Plane, Response};
-    use haocl_proto::wire::{decode_from_bytes, encode_to_vec};
+    use haocl_proto::wire::{decode_from_segments, encode_to_vec};
 
     fn one_node_config() -> ClusterConfig {
         ClusterConfig {
@@ -1331,7 +1331,7 @@ mod tests {
 
     fn answer_handshake(msg: &mut Conn) {
         let (frame, at) = msg.recv_frame().unwrap();
-        let Envelope::Single(hello) = decode_from_bytes(frame).unwrap();
+        let Envelope::Single(hello) = decode_from_segments(frame).unwrap();
         assert!(matches!(hello.body, ApiCall::Hello { .. }));
         reply(msg, hello.id, ApiReply::NodeInfo { devices: vec![] }, at);
     }
@@ -1340,7 +1340,7 @@ mod tests {
         (0..n)
             .map(|_| {
                 let (frame, at) = msg.recv_frame().unwrap();
-                let Envelope::Single(request) = decode_from_bytes(frame).unwrap();
+                let Envelope::Single(request) = decode_from_segments(frame).unwrap();
                 (request, at)
             })
             .collect()

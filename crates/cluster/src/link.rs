@@ -40,11 +40,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
-use haocl_net::{ConnReceiver, ConnSender, Fabric, NetError, PooledBytes};
+use haocl_net::{ConnReceiver, ConnSender, Fabric, Frame, NetError};
 use haocl_obs::{names, Hub};
 use haocl_proto::ids::RequestId;
 use haocl_proto::messages::{ApiReply, Envelope, Plane, Request, Response};
-use haocl_proto::wire::{decode_from_bytes, encode_into_vec};
+use haocl_proto::wire::{decode_from_segments, encode_segmented};
 use haocl_sim::{Clock, SimTime};
 
 use crate::config::NodeSpec;
@@ -424,11 +424,8 @@ impl NodeLink {
                     }
                     wake |= self.shared.complete(state, response, received_at, own);
                 }
-                // The leader's patience ran out (mid-frame, the partial
-                // bytes stay buffered in the receiver for the next one).
-                Err(ClusterError::Net(NetError::Timeout | NetError::TimeoutMidFrame { .. })) => {
-                    break None
-                }
+                // The leader's patience ran out.
+                Err(ClusterError::Net(NetError::Timeout)) => break None,
                 Err(e) => break Some(e),
             }
             next = match rx.try_recv_frame() {
@@ -505,18 +502,18 @@ impl NodeLink {
         }
     }
 
-    /// Puts `request` on its plane's connection, one frame per request:
-    /// whoever else is sending on the plane waits for the sender, and
-    /// every request leaves at its own `at`.
+    /// Puts `request` on its plane's connection, one frame per request,
+    /// its bulk payload (if any) a segment of its own that the frame
+    /// shares rather than copies: whoever else is sending on the plane
+    /// waits for the sender, and every request leaves at its own `at`.
     pub(crate) fn send(&self, request: Request, at: SimTime) -> Result<(), ClusterError> {
         let plane = request.body.plane();
         let virtual_len = request.body.virtual_len();
         let mut sender = self.tx[lane(plane)].lock().expect("sender poisoned");
         let mut encoded_len = 0;
-        let sent = sender.send_frame_with(at, virtual_len, |buf| {
-            let start = buf.len();
-            encode_into_vec(&Envelope::Single(request), buf);
-            encoded_len = buf.len() - start;
+        let sent = sender.send_frame_with(at, virtual_len, |head, blobs| {
+            encode_segmented(&Envelope::Single(request), head, blobs);
+            encoded_len = head.len() + blobs.iter().map(|(_, blob)| blob.len()).sum::<usize>();
         });
         self.note_frame(plane, encoded_len, virtual_len);
         sent.map(drop)
@@ -544,8 +541,8 @@ impl NodeLink {
 
 /// One received frame as the response it carries.
 fn decode_response(
-    (frame, received_at): (PooledBytes, SimTime),
+    (frame, received_at): (Frame, SimTime),
 ) -> Result<(Response, SimTime), ClusterError> {
-    let response = decode_from_bytes::<Response>(frame).map_err(ClusterError::Wire)?;
+    let response = decode_from_segments::<Response>(frame).map_err(ClusterError::Wire)?;
     Ok((response, received_at))
 }

@@ -27,7 +27,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use bytes::Bytes;
 use parking_lot::Mutex;
 
 use haocl_device::device::DeviceError;
@@ -44,7 +43,7 @@ use haocl_proto::messages::{
 };
 #[cfg(test)]
 use haocl_proto::wire::encode_to_vec;
-use haocl_proto::wire::{decode_from_bytes, encode_into_vec};
+use haocl_proto::wire::{decode_from_segments, encode_segmented};
 use haocl_sim::SimTime;
 
 use crate::config::NodeSpec;
@@ -301,20 +300,19 @@ fn serve(mut conn: Conn, state: Arc<Mutex<NodeState>>, stop: Arc<AtomicBool>, pe
         let (frame, arrival) = match conn.recv_frame_timeout(POLL) {
             Ok(x) => x,
             Err(NetError::Timeout) => continue,
-            // The deadline expired with a frame partially assembled: the
-            // bytes stay buffered in the receiver, so keep polling — the
-            // remaining chunks resynchronize the stream.
-            Err(NetError::TimeoutMidFrame { .. }) => continue,
             Err(_) => break,
         };
         // One frame, one request, one response frame.
-        let Envelope::Single(request) = match decode_from_bytes(frame) {
+        let Envelope::Single(request) = match decode_from_segments(frame) {
             Ok(e) => e,
             // A malformed package: drop the connection, as a real daemon
             // would after a framing-level protocol violation.
             Err(_) => break,
         };
         let is_shutdown = matches!(request.body, ApiCall::Shutdown);
+        // `handle` consumes the request, so a write's payload — a view of
+        // the sender's storage — is gone before the reply leaves, and the
+        // host gets its shadow back unshared.
         let response = handle(&state, request, arrival, &peer);
         let send_at = response.completed_at_nanos;
         // Modeled data replies stand in for bulk payloads: charge the
@@ -323,9 +321,14 @@ fn serve(mut conn: Conn, state: Arc<Mutex<NodeState>>, stop: Arc<AtomicBool>, pe
             ApiReply::DataModeled { len } => *len,
             _ => 0,
         };
-        let sent = conn.send_frame_with(SimTime::from_nanos(send_at), virtual_len, |buf| {
-            encode_into_vec(&response, buf)
-        });
+        // The reply goes as it is encoded: a read's view of device memory
+        // then lives only in the frame, and a later write to the buffer
+        // finds it unshared once the reader lets go.
+        let sent = conn.send_frame_with(
+            SimTime::from_nanos(send_at),
+            virtual_len,
+            move |head, blobs| encode_segmented(&response, head, blobs),
+        );
         if sent.is_err() || is_shutdown {
             break;
         }
@@ -542,12 +545,12 @@ fn peer_transfer(
                     }
                 } else {
                     match dev.read_buffer(buffer, offset, len, arrival) {
-                        Ok((bytes, grant)) => (
+                        Ok((data, grant)) => (
                             ApiCall::WriteBuffer {
                                 device: peer_device,
                                 buffer: peer_buffer,
                                 offset,
-                                data: Bytes::from(bytes),
+                                data,
                             },
                             0,
                             grant.end,
@@ -690,8 +693,8 @@ fn peer_round_trip(
         attempt: 0,
         body: call,
     };
-    conn.send_frame_with(at, virtual_len, |buf| {
-        encode_into_vec(&Envelope::Single(inner), buf)
+    conn.send_frame_with(at, virtual_len, |head, blobs| {
+        encode_segmented(&Envelope::Single(inner), head, blobs)
     })
     .map_err(|e| failed("rejected the transfer", e.to_string()))?;
     let deadline = std::time::Instant::now() + PEER_PATIENCE;
@@ -700,7 +703,7 @@ fn peer_round_trip(
         let (frame, received_at) = conn
             .recv_frame_timeout(patience)
             .map_err(|e| failed("did not answer", e.to_string()))?;
-        let response: Response = decode_from_bytes(frame)
+        let response: Response = decode_from_segments(frame)
             .map_err(|e| failed("sent an undecodable reply", e.to_string()))?;
         // A kept connection may still carry the second copy of an
         // earlier reply (a duplicated frame); only ours ends the wait.
@@ -907,12 +910,7 @@ fn dispatch(state: &mut NodeState, call: ApiCall, at: SimTime) -> (ApiReply, Sim
         } => match device_mut(state, device) {
             Err(reply) => (reply, at),
             Ok(dev) => match dev.read_buffer(buffer, offset, len, at) {
-                Ok((bytes, grant)) => (
-                    ApiReply::Data {
-                        bytes: Bytes::from(bytes),
-                    },
-                    grant.end,
-                ),
+                Ok((bytes, grant)) => (ApiReply::Data { bytes }, grant.end),
                 Err(e) => (device_error_reply(e), at),
             },
         },
@@ -1156,6 +1154,7 @@ fn device_mut(state: &mut NodeState, device: u8) -> Result<&mut SimDevice, ApiRe
 mod tests {
     use super::*;
     use crate::config::ClusterConfig;
+    use bytes::Bytes;
     use haocl_net::LinkModel;
     use haocl_proto::ids::{BufferId, RequestId};
     use haocl_proto::messages::{Fidelity, WireArg, WireCost, WireNdRange};
@@ -1177,7 +1176,7 @@ mod tests {
         conn.send_frame(&encode_to_vec(&Envelope::Single(req)), SimTime::ZERO)
             .unwrap();
         let (frame, _) = conn.recv_frame().unwrap();
-        let resp: Response = decode_from_bytes(frame).unwrap();
+        let resp: Response = decode_from_segments(frame).unwrap();
         assert_eq!(resp.id, id);
         (resp.body, SimTime::from_nanos(resp.completed_at_nanos))
     }
@@ -1663,7 +1662,7 @@ mod tests {
         conn.send_frame(&encode_to_vec(&Envelope::Single(req)), SimTime::ZERO)
             .unwrap();
         let (frame, _) = conn.recv_frame().unwrap();
-        decode_from_bytes(frame).unwrap()
+        decode_from_segments(frame).unwrap()
     }
 
     #[test]
@@ -2120,10 +2119,12 @@ mod tests {
     }
 
     #[test]
-    fn decoded_payload_is_a_view_of_the_frame_and_recycles_it() {
-        use haocl_net::frame::{encode_frame_pooled, FrameAssembler};
-        let pool = haocl_net::BufferPool::new();
-        let payload: Vec<u8> = (0..4096).map(|i| (i % 253) as u8).collect();
+    fn a_decoded_payload_is_the_senders_blob_and_the_head_recycles() {
+        let fabric = Fabric::new(Clock::new(), LinkModel::gigabit_ethernet());
+        let listener = fabric.bind("10.0.9.1:7100").unwrap();
+        let mut client = fabric.connect("10.0.0.1", "10.0.9.1:7100").unwrap();
+        let mut server = listener.accept().unwrap();
+        let payload = Bytes::from((0..4096).map(|i| (i % 253) as u8).collect::<Vec<u8>>());
         let request = Envelope::Single(Request {
             id: RequestId::new(5),
             user: UserId::new(1),
@@ -2136,32 +2137,94 @@ mod tests {
                 device: 0,
                 buffer: BufferId::new(1),
                 offset: 0,
-                data: Bytes::from(payload.clone()),
+                data: payload.clone(),
             },
         });
-        let sealed = encode_frame_pooled(&pool, |buf| encode_into_vec(&request, buf));
-        let storage = sealed.as_ptr_range();
-        let frame = FrameAssembler::new()
-            .push_pooled(&sealed)
-            .unwrap()
-            .pop()
+        client
+            .send_frame_with(SimTime::ZERO, 0, |head, blobs| {
+                encode_segmented(&request, head, blobs)
+            })
             .unwrap();
-        drop(sealed);
-        let Envelope::Single(decoded) = decode_from_bytes(frame).unwrap();
+        let (frame, _) = server.recv_frame().unwrap();
+        assert_eq!(frame.to_vec(), encode_to_vec(&request));
+        let Envelope::Single(decoded) = decode_from_segments(frame).unwrap();
         let data = match decoded.body {
             ApiCall::WriteBuffer { data, .. } => data,
             other => panic!("decoded {other:?}"),
         };
-        assert_eq!(data, payload);
-        assert!(
-            storage.start <= data.as_ptr() && data.as_ptr_range().end <= storage.end,
-            "the payload must alias the pooled frame, not a copy of it"
+        assert_eq!(
+            data.as_ptr(),
+            payload.as_ptr(),
+            "the payload must be the sender's storage, not a copy of it"
         );
-        // The payload view is all that is left of the frame, and it is
-        // what keeps the buffer out of the pool.
-        assert_eq!(pool.stats().returns, 0);
-        drop(data);
-        assert_eq!(pool.stats().returns, 1);
+        // The head (every byte but the payload) went back to the pool as
+        // soon as the request was decoded.
+        assert_eq!(fabric.pool_stats().returns, 1);
+    }
+
+    #[test]
+    fn read_replies_do_not_pin_device_memory() {
+        let (_fabric, handle, mut conn) = launch_one_node();
+        let buffer = BufferId::new(1);
+        let len = 1 << 16;
+        let (r, _) = call(
+            &mut conn,
+            1,
+            ApiCall::CreateBuffer {
+                device: 0,
+                buffer,
+                size: len,
+            },
+        );
+        assert_eq!(r, ApiReply::Ack);
+        let write = |conn: &mut Conn, byte: u8| {
+            let data = Bytes::from(vec![byte; len as usize]);
+            let (r, _) = call(
+                conn,
+                1,
+                ApiCall::WriteBuffer {
+                    device: 0,
+                    buffer,
+                    offset: 0,
+                    data,
+                },
+            );
+            assert_eq!(r, ApiReply::Ack);
+        };
+        let read = |conn: &mut Conn| match call(
+            conn,
+            1,
+            ApiCall::ReadBuffer {
+                device: 0,
+                buffer,
+                offset: 0,
+                len,
+            },
+        )
+        .0
+        {
+            ApiReply::Data { bytes } => bytes,
+            other => panic!("unexpected reply {other:?}"),
+        };
+        write(&mut conn, 1);
+        // A reply is a view of device memory: a write while it is held
+        // lands in a copy and leaves the view as it was…
+        let held = read(&mut conn);
+        write(&mut conn, 2);
+        assert!(held.iter().all(|&b| b == 1));
+        drop(held);
+        // …and once the reader lets go, nothing on the node holds it:
+        // the next write lands in place.
+        let at = read(&mut conn).as_ptr();
+        write(&mut conn, 3);
+        let after = read(&mut conn);
+        assert!(after.iter().all(|&b| b == 3));
+        assert_eq!(
+            after.as_ptr(),
+            at,
+            "the write copied a buffer nobody viewed"
+        );
+        handle.stop();
     }
 
     #[test]

@@ -6,6 +6,7 @@ use std::fmt;
 use haocl_kernel::{ArgValue, CompiledKernel, CostModel, ExecError, NdRange};
 use haocl_proto::ids::{BufferId, ProgramId};
 use haocl_proto::messages::{DeviceDescriptor, Fidelity, ProfileEntry, WireArg};
+use haocl_proto::Bytes;
 use haocl_sim::{Grant, Resource, SimDuration, SimTime};
 
 use crate::memory::{LaunchBuffers, MemoryError, MemoryManager};
@@ -201,6 +202,8 @@ impl SimDevice {
     }
 
     /// Reads a device buffer back to the host, charging the PCIe transfer.
+    /// The bytes are a view of device memory (see
+    /// [`MemoryManager::read`]).
     ///
     /// # Errors
     ///
@@ -211,7 +214,7 @@ impl SimDevice {
         offset: u64,
         len: u64,
         at: SimTime,
-    ) -> Result<(Vec<u8>, Grant), DeviceError> {
+    ) -> Result<(Bytes, Grant), DeviceError> {
         let data = self.memory.read(id, offset, len)?;
         let dur = self.model.transfer_time(len);
         let grant = self.charge(at, dur);

@@ -1,11 +1,19 @@
 //! Per-device buffer store with capacity accounting.
+//!
+//! Device memory is copy-on-write: [`MemoryManager::read`] hands out a
+//! [`Bytes`] view of the backing itself, and a write, copy or launch on a
+//! backing that still has a view outstanding copies it first, so a view
+//! never sees a later write. A reply's view lives as long as the frame
+//! carrying it; once the reader lets go, nothing is copied.
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Mutex;
+use std::ops::Range;
+use std::sync::{Arc, Mutex};
 
 use haocl_kernel::GlobalBuffer;
 use haocl_proto::ids::BufferId;
+use haocl_proto::Bytes;
 
 /// A device memory allocation failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,8 +78,9 @@ impl std::error::Error for MemoryError {}
 /// How a buffer is stored on the device.
 #[derive(Debug)]
 enum Backing {
-    /// Real bytes (full-fidelity execution).
-    Real(GlobalBuffer),
+    /// Real bytes (full-fidelity execution), shared with the read views
+    /// still outstanding.
+    Real(Arc<GlobalBuffer>),
     /// Capacity accounting only, no bytes (modeled runs at paper scale).
     Virtual(u64),
 }
@@ -83,6 +92,29 @@ impl Backing {
             Backing::Virtual(size) => *size,
         }
     }
+}
+
+/// What a read view owns: the backing it was taken from.
+struct View(Arc<GlobalBuffer>);
+
+impl AsRef<[u8]> for View {
+    fn as_ref(&self) -> &[u8] {
+        self.0.as_bytes()
+    }
+}
+
+/// `[offset, offset + len)` of buffer `id`, checked against its `size`.
+fn range_of(id: BufferId, size: usize, offset: u64, len: u64) -> Result<Range<usize>, MemoryError> {
+    let size = size as u64;
+    if offset.checked_add(len).is_none_or(|end| end > size) {
+        return Err(MemoryError::OutOfBounds {
+            buffer: id,
+            offset,
+            len,
+            size,
+        });
+    }
+    Ok(offset as usize..(offset + len) as usize)
 }
 
 /// Released backings, kept for the next allocation of a similar size.
@@ -100,7 +132,7 @@ impl Backing {
 /// treats the symptom; ROADMAP item 4 tracks fixing teardown residency
 /// at the source and deleting this.)
 mod spare {
-    use super::{Backing, GlobalBuffer, Mutex};
+    use super::{Arc, Backing, GlobalBuffer, Mutex};
 
     /// Blocks below this are cheap to allocate and not worth a lock.
     const MIN_BYTES: usize = 64 << 10;
@@ -142,7 +174,11 @@ mod spare {
     }
 
     pub(super) fn park(backing: Backing) {
-        let Backing::Real(buffer) = backing else {
+        let Backing::Real(shell) = backing else {
+            return;
+        };
+        // A read view still out owns the bytes now; they go with it.
+        let Ok(buffer) = Arc::try_unwrap(shell) else {
             return;
         };
         let v = buffer.into_bytes();
@@ -169,7 +205,7 @@ mod spare {
 /// let id = BufferId::new(1);
 /// mem.alloc(id, 256)?;
 /// mem.write(id, 0, &[1, 2, 3])?;
-/// assert_eq!(mem.read(id, 0, 3)?, vec![1, 2, 3]);
+/// assert_eq!(mem.read(id, 0, 3)?, [1, 2, 3]);
 /// assert_eq!(mem.used_bytes(), 256);
 /// # Ok::<(), haocl_device::memory::MemoryError>(())
 /// ```
@@ -188,6 +224,8 @@ pub struct MemoryManager {
 pub struct LaunchBuffers {
     /// The id of each buffer in `buffers`.
     ids: Vec<BufferId>,
+    /// The shell each backing store was moved out of, to go back into.
+    shells: Vec<Arc<GlobalBuffer>>,
     /// The backing stores, in first-appearance order.
     pub buffers: Vec<GlobalBuffer>,
     /// For each id asked for, its index in `buffers`.
@@ -254,7 +292,7 @@ impl MemoryManager {
         let backing = if virt {
             Backing::Virtual(size)
         } else {
-            Backing::Real(spare::take(size as usize))
+            Backing::Real(Arc::new(spare::take(size as usize)))
         };
         self.buffers.insert(id, backing);
         self.used += size;
@@ -283,55 +321,27 @@ impl MemoryManager {
     ///
     /// [`MemoryError::UnknownBuffer`] or [`MemoryError::OutOfBounds`].
     pub fn write(&mut self, id: BufferId, offset: u64, data: &[u8]) -> Result<(), MemoryError> {
-        let backing = self
-            .buffers
-            .get_mut(&id)
-            .ok_or(MemoryError::UnknownBuffer(id))?;
-        let buf = match backing {
-            Backing::Real(b) => b,
-            Backing::Virtual(_) => return Err(MemoryError::VirtualBuffer(id)),
-        };
-        let size = buf.len() as u64;
-        let len = data.len() as u64;
-        if offset.checked_add(len).is_none_or(|end| end > size) {
-            return Err(MemoryError::OutOfBounds {
-                buffer: id,
-                offset,
-                len,
-                size,
-            });
-        }
-        buf.as_bytes_mut()[offset as usize..(offset + len) as usize].copy_from_slice(data);
+        let shell = self.shell_mut(id)?;
+        let range = range_of(id, shell.len(), offset, data.len() as u64)?;
+        Arc::make_mut(shell).as_bytes_mut()[range].copy_from_slice(data);
         Ok(())
     }
 
-    /// Reads `len` bytes from the buffer at `offset`.
+    /// A view of `len` bytes of the buffer at `offset`: the backing's own
+    /// storage, not a copy. A later write to the buffer leaves the view
+    /// as it was (see the module docs).
     ///
     /// # Errors
     ///
     /// [`MemoryError::UnknownBuffer`] or [`MemoryError::OutOfBounds`].
-    pub fn read(&self, id: BufferId, offset: u64, len: u64) -> Result<Vec<u8>, MemoryError> {
-        let backing = self
-            .buffers
-            .get(&id)
-            .ok_or(MemoryError::UnknownBuffer(id))?;
-        let buf = match backing {
-            Backing::Real(b) => b,
-            Backing::Virtual(_) => return Err(MemoryError::VirtualBuffer(id)),
-        };
-        let size = buf.len() as u64;
-        if offset.checked_add(len).is_none_or(|end| end > size) {
-            return Err(MemoryError::OutOfBounds {
-                buffer: id,
-                offset,
-                len,
-                size,
-            });
-        }
-        Ok(buf.as_bytes()[offset as usize..(offset + len) as usize].to_vec())
+    pub fn read(&self, id: BufferId, offset: u64, len: u64) -> Result<Bytes, MemoryError> {
+        let shell = self.shell(id)?;
+        let range = range_of(id, shell.len(), offset, len)?;
+        Ok(Bytes::from_owner(View(Arc::clone(shell))).slice(range))
     }
 
-    /// Copies `len` bytes between two buffers (or within one).
+    /// Copies `len` bytes between two buffers, or within one with
+    /// `memmove` semantics.
     ///
     /// # Errors
     ///
@@ -344,8 +354,39 @@ impl MemoryManager {
         dst_offset: u64,
         len: u64,
     ) -> Result<(), MemoryError> {
-        let data = self.read(src, src_offset, len)?;
-        self.write(dst, dst_offset, &data)
+        if src == dst {
+            let shell = self.shell_mut(src)?;
+            let from = range_of(src, shell.len(), src_offset, len)?;
+            let to = range_of(dst, shell.len(), dst_offset, len)?;
+            Arc::make_mut(shell)
+                .as_bytes_mut()
+                .copy_within(from, to.start);
+            return Ok(());
+        }
+        // Another buffer's shell: holding it does not make the target
+        // shared.
+        let source = Arc::clone(self.shell(src)?);
+        let from = range_of(src, source.len(), src_offset, len)?;
+        let shell = self.shell_mut(dst)?;
+        let to = range_of(dst, shell.len(), dst_offset, len)?;
+        Arc::make_mut(shell).as_bytes_mut()[to].copy_from_slice(&source.as_bytes()[from]);
+        Ok(())
+    }
+
+    fn shell(&self, id: BufferId) -> Result<&Arc<GlobalBuffer>, MemoryError> {
+        match self.buffers.get(&id) {
+            Some(Backing::Real(shell)) => Ok(shell),
+            Some(Backing::Virtual(_)) => Err(MemoryError::VirtualBuffer(id)),
+            None => Err(MemoryError::UnknownBuffer(id)),
+        }
+    }
+
+    fn shell_mut(&mut self, id: BufferId) -> Result<&mut Arc<GlobalBuffer>, MemoryError> {
+        match self.buffers.get_mut(&id) {
+            Some(Backing::Real(shell)) => Ok(shell),
+            Some(Backing::Virtual(_)) => Err(MemoryError::VirtualBuffer(id)),
+            None => Err(MemoryError::UnknownBuffer(id)),
+        }
     }
 
     /// Whether `id` is allocated here.
@@ -381,7 +422,10 @@ impl MemoryManager {
     /// first-appearance order) into `out` for a kernel launch, with a
     /// mapping from each input position to its slot.
     ///
-    /// Re-insert with [`MemoryManager::restore`].
+    /// Each backing store is moved out of its shell, which `out` keeps
+    /// for [`MemoryManager::restore`] to move it back into: neither
+    /// allocates. A backing with a read view still out is copied instead,
+    /// so the view keeps what it saw.
     ///
     /// # Errors
     ///
@@ -404,10 +448,15 @@ impl MemoryManager {
             if let Some(pos) = out.ids.iter().position(|t| t == id) {
                 out.slots.push(pos);
             } else {
-                let Some(Backing::Real(buf)) = self.buffers.remove(id) else {
+                let Some(Backing::Real(mut shell)) = self.buffers.remove(id) else {
                     unreachable!("checked above");
                 };
+                let buf = match Arc::get_mut(&mut shell) {
+                    Some(buf) => std::mem::take(buf),
+                    None => GlobalBuffer::clone(&shell),
+                };
                 out.ids.push(*id);
+                out.shells.push(shell);
                 out.buffers.push(buf);
                 out.slots.push(out.ids.len() - 1);
             }
@@ -418,8 +467,14 @@ impl MemoryManager {
     /// Returns buffers taken by [`MemoryManager::take_for_launch`],
     /// leaving `taken` empty.
     pub fn restore(&mut self, taken: &mut LaunchBuffers) {
-        for (id, buf) in taken.ids.drain(..).zip(taken.buffers.drain(..)) {
-            self.buffers.insert(id, Backing::Real(buf));
+        let returning = taken.ids.drain(..).zip(taken.shells.drain(..));
+        for ((id, mut shell), buf) in returning.zip(taken.buffers.drain(..)) {
+            match Arc::get_mut(&mut shell) {
+                Some(slot) => *slot = buf,
+                // The view that forced the copy keeps the old shell.
+                None => shell = Arc::new(buf),
+            }
+            self.buffers.insert(id, Backing::Real(shell));
         }
     }
 }
@@ -519,6 +574,70 @@ mod tests {
         m.write(id(1), 0, &[1, 2, 3, 4]).unwrap();
         m.copy(id(1), id(2), 1, 0, 3).unwrap();
         assert_eq!(m.read(id(2), 0, 4).unwrap(), vec![2, 3, 4, 0]);
+    }
+
+    #[test]
+    fn copy_within_one_buffer_is_a_memmove() {
+        const LEN: usize = 64;
+        let start: Vec<u8> = (0..LEN as u8).collect();
+        // Overlapping both ways, disjoint, empty and whole.
+        for (src, dst, len) in [
+            (0, 5, 40),
+            (5, 0, 40),
+            (10, 11, 50),
+            (0, 32, 32),
+            (7, 7, 9),
+            (3, 60, 0),
+            (0, 0, 64),
+        ] {
+            let mut m = MemoryManager::new(LEN as u64);
+            m.alloc(id(1), LEN as u64).unwrap();
+            m.write(id(1), 0, &start).unwrap();
+            m.copy(id(1), id(1), src, dst, len).unwrap();
+            let mut want = start.clone();
+            want.copy_within(src as usize..(src + len) as usize, dst as usize);
+            assert_eq!(
+                m.read(id(1), 0, LEN as u64).unwrap(),
+                want,
+                "{src} -> {dst} x {len}"
+            );
+        }
+        let mut m = MemoryManager::new(LEN as u64);
+        m.alloc(id(1), LEN as u64).unwrap();
+        assert!(matches!(
+            m.copy(id(1), id(1), 40, 0, 30),
+            Err(MemoryError::OutOfBounds { offset: 40, .. })
+        ));
+        assert!(matches!(
+            m.copy(id(1), id(1), 0, 40, 30),
+            Err(MemoryError::OutOfBounds { offset: 40, .. })
+        ));
+    }
+
+    #[test]
+    fn a_read_view_keeps_its_bytes_and_pins_nothing_once_dropped() {
+        let mut m = MemoryManager::new(100);
+        m.alloc(id(1), 8).unwrap();
+        m.write(id(1), 0, &[1; 8]).unwrap();
+        let view = m.read(id(1), 0, 8).unwrap();
+        // A write and a launch on the buffer while the view is out…
+        m.write(id(1), 0, &[2; 4]).unwrap();
+        let mut taken = LaunchBuffers::default();
+        m.take_for_launch(&[id(1)], &mut taken).unwrap();
+        taken.buffers[0].as_bytes_mut()[7] = 3;
+        m.restore(&mut taken);
+        // …change the buffer, not the view.
+        assert_eq!(view, [1; 8]);
+        assert_eq!(m.read(id(1), 0, 8).unwrap(), [2, 2, 2, 2, 1, 1, 1, 3]);
+        drop(view);
+        // With no view out, writes and launches work in place.
+        let at = m.read(id(1), 0, 8).unwrap().as_ptr();
+        m.write(id(1), 0, &[4; 8]).unwrap();
+        m.take_for_launch(&[id(1)], &mut taken).unwrap();
+        assert_eq!(taken.buffers[0].as_bytes().as_ptr(), at);
+        m.restore(&mut taken);
+        let after = m.read(id(1), 0, 8).unwrap();
+        assert_eq!((after.as_ptr(), &after[..]), (at, &[4; 8][..]));
     }
 
     #[test]

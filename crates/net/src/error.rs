@@ -25,15 +25,6 @@ pub enum NetError {
     },
     /// A blocking receive timed out.
     Timeout,
-    /// A blocking receive timed out *while a frame was partially
-    /// assembled*. The partial bytes stay buffered in the receiver, so a
-    /// later receive resynchronizes on the remaining chunks — the caller
-    /// must keep the connection and retry rather than treat the stream
-    /// as idle.
-    TimeoutMidFrame {
-        /// Bytes of the incomplete frame already buffered.
-        pending: usize,
-    },
 }
 
 impl fmt::Display for NetError {
@@ -46,12 +37,6 @@ impl fmt::Display for NetError {
             NetError::Disconnected => f.write_str("peer disconnected"),
             NetError::BadFrame { reason } => write!(f, "malformed frame: {reason}"),
             NetError::Timeout => f.write_str("receive timed out"),
-            NetError::TimeoutMidFrame { pending } => {
-                write!(
-                    f,
-                    "receive timed out mid-frame ({pending} byte(s) buffered)"
-                )
-            }
         }
     }
 }

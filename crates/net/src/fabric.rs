@@ -14,11 +14,12 @@
 //! The shared host NIC is the backbone's bottleneck under fan-out, which
 //! is what limits scaling for communication-heavy benchmarks in Fig. 2.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
@@ -26,8 +27,7 @@ use haocl_sim::{Clock, Resource, SimDuration, SimTime};
 
 use crate::chaos::{ChaosPolicy, ChaosVerdict};
 use crate::error::NetError;
-use crate::frame::{encode_frame_pooled, FrameAssembler};
-use crate::pool::{BufferPool, PoolStats, PooledBytes};
+use crate::pool::{BufferPool, PoolStats};
 
 /// Bandwidth/latency model of every link in the fabric.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,14 +78,84 @@ impl LinkModel {
     }
 }
 
-/// One channel message: a run of stream bytes. Senders put exactly one
-/// sealed frame (prefix included) in each; the receiver still runs it
-/// through a [`FrameAssembler`], so any other cut of the stream — tests
-/// inject some — reassembles too.
+/// One frame's payload as it crosses the fabric, in segments: a pooled
+/// head buffer holding every byte that is not a blob, and the blobs —
+/// views the sender shared, never copied — each with the head offset it
+/// sits at. In order, `head[..o₁], blob₁, head[o₁..o₂], …, head[oₙ..]` is
+/// the payload, and iterating a frame yields exactly those segments.
+/// Each frame is one channel message, so the receiver takes frames whole,
+/// as they were sent.
 #[derive(Debug, Clone)]
-struct Chunk {
-    bytes: PooledBytes,
-    arrival: SimTime,
+pub struct Frame {
+    head: Bytes,
+    blobs: Vec<(usize, Bytes)>,
+}
+
+impl Frame {
+    /// Payload bytes, over every segment.
+    pub fn len(&self) -> usize {
+        self.head.len() + self.blobs.iter().map(|(_, blob)| blob.len()).sum::<usize>()
+    }
+
+    /// Whether the payload is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The payload gathered into one vector — a copy.
+    pub fn to_vec(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.len());
+        for segment in self.clone() {
+            out.extend_from_slice(&segment);
+        }
+        out
+    }
+}
+
+impl IntoIterator for Frame {
+    type Item = Bytes;
+    type IntoIter = Segments;
+
+    fn into_iter(self) -> Segments {
+        Segments {
+            head: Some(self.head),
+            at: 0,
+            blobs: self.blobs.into_iter(),
+            blob: None,
+        }
+    }
+}
+
+/// A [`Frame`]'s segments, in payload order.
+#[derive(Debug)]
+pub struct Segments {
+    /// The head bytes not yet yielded (`None` once the last run went).
+    head: Option<Bytes>,
+    /// The head offset `head` starts at.
+    at: usize,
+    blobs: std::vec::IntoIter<(usize, Bytes)>,
+    /// The blob that follows the head run just yielded.
+    blob: Option<Bytes>,
+}
+
+impl Iterator for Segments {
+    type Item = Bytes;
+
+    fn next(&mut self) -> Option<Bytes> {
+        if let Some(blob) = self.blob.take() {
+            return Some(blob);
+        }
+        let head = self.head.as_mut()?;
+        match self.blobs.next() {
+            Some((offset, blob)) => {
+                self.blob = Some(blob);
+                let run = head.split_to(offset - self.at);
+                self.at = offset;
+                Some(run)
+            }
+            None => self.head.take(),
+        }
+    }
 }
 
 /// Cumulative transmit counters for one [`Fabric`].
@@ -227,8 +297,8 @@ impl Fabric {
             })?
             .clone();
         drop(listeners);
-        let (a_tx, b_rx) = unbounded::<Chunk>();
-        let (b_tx, a_rx) = unbounded::<Chunk>();
+        let (a_tx, b_rx) = unbounded();
+        let (b_tx, a_rx) = unbounded();
         let client = Conn::assemble(host_of(from), to.to_string(), a_tx, a_rx, &self.inner);
         let server = Conn::assemble(host_of(to), from.to_string(), b_tx, b_rx, &self.inner);
         tx.send(server).map_err(|_| NetError::Disconnected)?;
@@ -354,11 +424,11 @@ pub struct ConnSender {
     /// device node itself.
     nic: Option<Arc<Mutex<Resource>>>,
     /// `None` once [`ConnSender::hang_up`] closed this direction.
-    tx: Option<Sender<Chunk>>,
+    tx: Option<Sender<(Frame, SimTime)>>,
     fabric: Arc<FabricInner>,
     /// A frame held back by a chaos reorder verdict, released after the
     /// next frame on this connection.
-    stash: Option<(PooledBytes, SimTime)>,
+    stash: Option<(Frame, SimTime)>,
 }
 
 impl ConnSender {
@@ -412,13 +482,18 @@ impl ConnSender {
         at: SimTime,
         virtual_len: u64,
     ) -> Result<SimTime, NetError> {
-        self.send_frame_with(at, virtual_len, |buf| buf.extend_from_slice(payload))
+        self.send_frame_with(at, virtual_len, |head, _| head.extend_from_slice(payload))
     }
 
-    /// Like [`ConnSender::send_frame_virtual`], but `write` appends the
-    /// payload directly into a recycled frame buffer — for callers that
-    /// serialize a message anyway (no intermediate payload vector), and
-    /// the buffer they fill is the one the receiver decodes from.
+    /// Like [`ConnSender::send_frame_virtual`], but `write` builds the
+    /// payload in place, as the segments of a [`Frame`]: it appends to a
+    /// recycled head buffer and pushes each blob — shared, not copied —
+    /// with the head offset it sits at, in head order (as
+    /// `proto::wire::encode_segmented` does). For callers that serialize
+    /// a message anyway: no intermediate payload vector, and a bulk field
+    /// reaches the receiver as the very storage it was handed in. The
+    /// link is charged the 4-byte length prefix a byte stream would carry
+    /// plus every segment: what the contiguous payload would cost.
     ///
     /// # Errors
     ///
@@ -427,9 +502,15 @@ impl ConnSender {
         &mut self,
         at: SimTime,
         virtual_len: u64,
-        write: impl FnOnce(&mut Vec<u8>),
+        write: impl FnOnce(&mut Vec<u8>, &mut Vec<(usize, Bytes)>),
     ) -> Result<SimTime, NetError> {
-        let frame = encode_frame_pooled(&self.fabric.pool, write);
+        let mut head = self.fabric.pool.take();
+        let mut blobs = Vec::new();
+        write(head.bytes_mut(), &mut blobs);
+        let frame = Frame {
+            head: head.seal(),
+            blobs,
+        };
         let arrival = match &self.nic {
             None => {
                 self.fabric
@@ -439,7 +520,7 @@ impl ConnSender {
                 at
             }
             Some(nic) => {
-                let charged = (frame.len() as u64).max(virtual_len.saturating_add(4));
+                let charged = (4 + frame.len() as u64).max(virtual_len.saturating_add(4));
                 let service = self.fabric.link.transmit_time(charged as usize);
                 self.fabric.stats.frames.fetch_add(1, Ordering::Relaxed);
                 self.fabric
@@ -472,28 +553,25 @@ impl ConnSender {
             self.stash = Some((frame, arrival));
             return Ok(arrival);
         }
-        self.transmit(&frame, arrival)?;
         if verdict.duplicate {
-            self.transmit(&frame, arrival)?;
+            self.transmit(frame.clone(), arrival)?;
         }
+        self.transmit(frame, arrival)?;
         if let Some((held, held_arrival)) = self.stash.take() {
-            self.transmit(&held, held_arrival)?;
+            self.transmit(held, held_arrival)?;
         }
         Ok(arrival)
     }
 
-    /// Puts one sealed frame on the channel as a single message: the
-    /// link model and the fault injector both act per frame, so nothing
-    /// would observe MTU chunks, and the receiver slices the payload out
-    /// of this very allocation.
-    fn transmit(&self, frame: &PooledBytes, arrival: SimTime) -> Result<(), NetError> {
+    /// Puts one frame on the channel as a single message: the link model
+    /// and the fault injector both act per frame, so nothing would
+    /// observe MTU chunks, and the receiver decodes from the very
+    /// segments sent.
+    fn transmit(&self, frame: Frame, arrival: SimTime) -> Result<(), NetError> {
         self.tx
             .as_ref()
             .ok_or(NetError::Disconnected)?
-            .send(Chunk {
-                bytes: frame.clone(),
-                arrival,
-            })
+            .send((frame, arrival))
             .map_err(|_| NetError::Disconnected)
     }
 }
@@ -508,10 +586,7 @@ impl std::fmt::Debug for ConnSender {
 pub struct ConnReceiver {
     local_host: String,
     peer: String,
-    rx: Receiver<Chunk>,
-    assembler: FrameAssembler,
-    /// Frames completed by earlier chunks but not yet returned.
-    ready: VecDeque<(PooledBytes, SimTime)>,
+    rx: Receiver<(Frame, SimTime)>,
 }
 
 impl ConnReceiver {
@@ -520,85 +595,42 @@ impl ConnReceiver {
         &self.peer
     }
 
-    /// Blocks until a whole frame is available; returns it with its
-    /// virtual arrival time.
+    /// Blocks until a frame arrives; returns it with its virtual arrival
+    /// time.
     ///
     /// # Errors
     ///
-    /// [`NetError::Disconnected`] if the peer is gone before a frame
-    /// completes; [`NetError::BadFrame`] on corruption.
-    pub fn recv_frame(&mut self) -> Result<(PooledBytes, SimTime), NetError> {
-        loop {
-            if let Some(frame) = self.ready.pop_front() {
-                return Ok(frame);
-            }
-            let chunk = self.rx.recv().map_err(|_| NetError::Disconnected)?;
-            self.ingest(chunk)?;
-        }
+    /// [`NetError::Disconnected`] if the peer is gone.
+    pub fn recv_frame(&mut self) -> Result<(Frame, SimTime), NetError> {
+        self.rx.recv().map_err(|_| NetError::Disconnected)
     }
 
     /// Like [`ConnReceiver::recv_frame`] with a wall-clock timeout.
     ///
     /// # Errors
     ///
-    /// Additionally returns [`NetError::Timeout`] on expiry, or
-    /// [`NetError::TimeoutMidFrame`] when the deadline hit with a frame
-    /// partially assembled. In the latter case the partial bytes remain
-    /// buffered: a later receive picks up exactly where this one
-    /// stopped, so no chunk is ever silently discarded.
-    pub fn recv_frame_timeout(
-        &mut self,
-        timeout: Duration,
-    ) -> Result<(PooledBytes, SimTime), NetError> {
+    /// Additionally returns [`NetError::Timeout`] on expiry.
+    pub fn recv_frame_timeout(&mut self, timeout: Duration) -> Result<(Frame, SimTime), NetError> {
         use crossbeam::channel::RecvTimeoutError;
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            if let Some(frame) = self.ready.pop_front() {
-                return Ok(frame);
-            }
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            let chunk = self.rx.recv_timeout(remaining).map_err(|e| match e {
-                RecvTimeoutError::Timeout => {
-                    let pending = self.assembler.pending_bytes();
-                    if pending > 0 {
-                        NetError::TimeoutMidFrame { pending }
-                    } else {
-                        NetError::Timeout
-                    }
-                }
-                RecvTimeoutError::Disconnected => NetError::Disconnected,
-            })?;
-            self.ingest(chunk)?;
-        }
+        self.rx.recv_timeout(timeout).map_err(|e| match e {
+            RecvTimeoutError::Timeout => NetError::Timeout,
+            RecvTimeoutError::Disconnected => NetError::Disconnected,
+        })
     }
 
-    /// Receives a frame if one is already complete or completable from
-    /// queued chunks, without blocking.
+    /// Receives a frame if one has arrived, without blocking.
     ///
     /// # Errors
     ///
     /// [`NetError::Disconnected`] once the peer is gone and everything it
-    /// sent has been returned; [`NetError::BadFrame`] on corruption.
-    pub fn try_recv_frame(&mut self) -> Result<Option<(PooledBytes, SimTime)>, NetError> {
+    /// sent has been returned.
+    pub fn try_recv_frame(&mut self) -> Result<Option<(Frame, SimTime)>, NetError> {
         use crossbeam::channel::TryRecvError;
-        loop {
-            if let Some(frame) = self.ready.pop_front() {
-                return Ok(Some(frame));
-            }
-            match self.rx.try_recv() {
-                Ok(chunk) => self.ingest(chunk)?,
-                Err(TryRecvError::Empty) => return Ok(None),
-                Err(TryRecvError::Disconnected) => return Err(NetError::Disconnected),
-            }
+        match self.rx.try_recv() {
+            Ok(frame) => Ok(Some(frame)),
+            Err(TryRecvError::Empty) => Ok(None),
+            Err(TryRecvError::Disconnected) => Err(NetError::Disconnected),
         }
-    }
-
-    fn ingest(&mut self, chunk: Chunk) -> Result<(), NetError> {
-        let arrival = chunk.arrival;
-        for frame in self.assembler.push_pooled(&chunk.bytes)? {
-            self.ready.push_back((frame, arrival));
-        }
-        Ok(())
     }
 }
 
@@ -621,8 +653,8 @@ impl Conn {
     fn assemble(
         local_host: String,
         peer: String,
-        tx: Sender<Chunk>,
-        rx: Receiver<Chunk>,
+        tx: Sender<(Frame, SimTime)>,
+        rx: Receiver<(Frame, SimTime)>,
         fabric: &Arc<FabricInner>,
     ) -> Self {
         let peer_host = host_of(&peer);
@@ -647,8 +679,6 @@ impl Conn {
                 local_host,
                 peer,
                 rx,
-                assembler: FrameAssembler::new(),
-                ready: VecDeque::new(),
             },
         }
     }
@@ -689,7 +719,7 @@ impl Conn {
         self.sender.send_frame_virtual(payload, at, virtual_len)
     }
 
-    /// Serializes the payload straight into a recycled frame buffer. See
+    /// Builds the payload in place, as segments. See
     /// [`ConnSender::send_frame_with`].
     ///
     /// # Errors
@@ -699,19 +729,17 @@ impl Conn {
         &mut self,
         at: SimTime,
         virtual_len: u64,
-        write: impl FnOnce(&mut Vec<u8>),
+        write: impl FnOnce(&mut Vec<u8>, &mut Vec<(usize, Bytes)>),
     ) -> Result<SimTime, NetError> {
         self.sender.send_frame_with(at, virtual_len, write)
     }
 
-    /// Blocks until a whole frame is available. See
-    /// [`ConnReceiver::recv_frame`].
+    /// Blocks until a frame arrives. See [`ConnReceiver::recv_frame`].
     ///
     /// # Errors
     ///
-    /// [`NetError::Disconnected`] if the peer is gone before a frame
-    /// completes; [`NetError::BadFrame`] on corruption.
-    pub fn recv_frame(&mut self) -> Result<(PooledBytes, SimTime), NetError> {
+    /// [`NetError::Disconnected`] if the peer is gone.
+    pub fn recv_frame(&mut self) -> Result<(Frame, SimTime), NetError> {
         self.receiver.recv_frame()
     }
 
@@ -720,22 +748,18 @@ impl Conn {
     /// # Errors
     ///
     /// Additionally returns [`NetError::Timeout`] on expiry.
-    pub fn recv_frame_timeout(
-        &mut self,
-        timeout: Duration,
-    ) -> Result<(PooledBytes, SimTime), NetError> {
+    pub fn recv_frame_timeout(&mut self, timeout: Duration) -> Result<(Frame, SimTime), NetError> {
         self.receiver.recv_frame_timeout(timeout)
     }
 
-    /// Receives a frame if one is already complete or completable from
-    /// queued chunks, without blocking. See
+    /// Receives a frame if one has arrived, without blocking. See
     /// [`ConnReceiver::try_recv_frame`].
     ///
     /// # Errors
     ///
     /// [`NetError::Disconnected`] once the peer is gone and its frames
-    /// are drained; [`NetError::BadFrame`] on corruption.
-    pub fn try_recv_frame(&mut self) -> Result<Option<(PooledBytes, SimTime)>, NetError> {
+    /// are drained.
+    pub fn try_recv_frame(&mut self) -> Result<Option<(Frame, SimTime)>, NetError> {
         self.receiver.try_recv_frame()
     }
 }
@@ -753,7 +777,6 @@ impl std::fmt::Debug for Conn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::encode_frame;
 
     fn fabric() -> Fabric {
         Fabric::new(Clock::new(), LinkModel::gigabit_ethernet())
@@ -770,11 +793,11 @@ mod tests {
 
         client.send_frame(b"ping", SimTime::ZERO).unwrap();
         let (data, _) = server.recv_frame().unwrap();
-        assert_eq!(data, b"ping");
+        assert_eq!(data.to_vec(), b"ping");
 
         server.send_frame(b"pong", SimTime::ZERO).unwrap();
         let (data, _) = client.recv_frame().unwrap();
-        assert_eq!(data, b"pong");
+        assert_eq!(data.to_vec(), b"pong");
     }
 
     #[test]
@@ -808,9 +831,9 @@ mod tests {
         let payload: Vec<u8> = (0..100_000).map(|i| (i % 256) as u8).collect();
         client.send_frame(&payload, SimTime::ZERO).unwrap();
         let (data, _) = server.recv_frame().unwrap();
-        assert_eq!(data, payload);
-        // The payload was written once, into a pool buffer, and the
-        // receiver's view is that buffer: dropping it recycles it.
+        assert_eq!(data.to_vec(), payload);
+        // The payload was written once, into a pooled head buffer, and the
+        // receiver's frame is that buffer: dropping it recycles it.
         let returns = f.pool_stats().returns;
         drop(data);
         assert_eq!(f.pool_stats().returns, returns + 1);
@@ -889,7 +912,10 @@ mod tests {
         );
         // What was sent before the hang-up still arrives; then the
         // non-blocking receive tells "nothing yet" from "never again".
-        assert_eq!(server.try_recv_frame().unwrap().unwrap().0, b"last words");
+        assert_eq!(
+            server.try_recv_frame().unwrap().unwrap().0.to_vec(),
+            b"last words"
+        );
         assert_eq!(server.try_recv_frame().unwrap_err(), NetError::Disconnected);
         assert_eq!(server.recv_frame().unwrap_err(), NetError::Disconnected);
     }
@@ -900,7 +926,7 @@ mod tests {
         let listener = f.bind("n:1").unwrap();
         let _client = f.connect("host", "n:1").unwrap();
         let mut server = listener.accept().unwrap();
-        assert_eq!(server.try_recv_frame().unwrap(), None);
+        assert!(server.try_recv_frame().unwrap().is_none());
     }
 
     #[test]
@@ -922,12 +948,12 @@ mod tests {
         let handle = std::thread::spawn(move || {
             let mut server = listener.accept().unwrap();
             let (req, at) = server.recv_frame().unwrap();
-            server.send_frame(&req, at).unwrap(); // echo
+            server.send_frame(&req.to_vec(), at).unwrap(); // echo
         });
         let mut client = f.connect("host", "n:1").unwrap();
         client.send_frame(b"echo me", SimTime::ZERO).unwrap();
         let (reply, _) = client.recv_frame().unwrap();
-        assert_eq!(reply, b"echo me");
+        assert_eq!(reply.to_vec(), b"echo me");
         handle.join().unwrap();
     }
 
@@ -960,7 +986,7 @@ mod tests {
             .send_frame_virtual(&[7u8; 20], SimTime::ZERO, 1_000_000)
             .unwrap();
         let (payload, at) = server.recv_frame().unwrap();
-        assert_eq!(payload, vec![7u8; 20]);
+        assert_eq!(payload.to_vec(), vec![7u8; 20]);
         assert_eq!(at, arrival);
         let expect = SimTime::ZERO
             + LinkModel::gigabit_ethernet().transmit_time(1_000_004)
@@ -982,7 +1008,7 @@ mod tests {
             let mut server = server;
             for _ in 0..3 {
                 let (req, at) = server.recv_frame().unwrap();
-                server.send_frame(&req, at).unwrap();
+                server.send_frame(&req.to_vec(), at).unwrap();
             }
         });
         // Transmit from this thread while a second drains replies.
@@ -990,7 +1016,7 @@ mod tests {
             let mut got = Vec::new();
             for _ in 0..3 {
                 let (reply, _) = crx.recv_frame().unwrap();
-                got.push(reply);
+                got.push(reply.to_vec());
             }
             got
         });
@@ -1003,42 +1029,34 @@ mod tests {
     }
 
     #[test]
-    fn timeout_mid_frame_is_distinguishable_and_resynchronizable() {
-        // A deadline expiring while a frame is partially assembled must
-        // not silently discard the buffered chunk: the receiver reports
-        // TimeoutMidFrame and a later receive completes the frame.
-        let (tx, rx) = unbounded();
-        let mut receiver = ConnReceiver {
-            local_host: "h".to_string(),
-            peer: "n:1".to_string(),
-            rx,
-            assembler: FrameAssembler::new(),
-            ready: VecDeque::new(),
-        };
-        let frame = encode_frame(b"split across chunks");
-        tx.send(Chunk {
-            bytes: PooledBytes::copy_from_slice(&frame[..5]),
-            arrival: SimTime::ZERO,
-        })
-        .unwrap();
-        let err = receiver
-            .recv_frame_timeout(Duration::from_millis(10))
-            .unwrap_err();
-        assert_eq!(err, NetError::TimeoutMidFrame { pending: 5 });
-        // An idle timeout (nothing buffered) still reports plain Timeout.
-        tx.send(Chunk {
-            bytes: PooledBytes::copy_from_slice(&frame[5..]),
-            arrival: SimTime::ZERO,
-        })
-        .unwrap();
-        let (payload, _) = receiver
-            .recv_frame_timeout(Duration::from_millis(10))
+    fn a_segmented_frame_is_charged_what_its_contiguous_payload_is() {
+        let f = fabric();
+        let listener = f.bind("n:1").unwrap();
+        let mut client = f.connect("host", "n:1").unwrap();
+        let mut server = listener.accept().unwrap();
+        let blob = Bytes::from(vec![9u8; 50_000]);
+        let contiguous = [&b"head"[..], &blob, b"tail"].concat();
+        let first = client.send_frame(&contiguous, SimTime::ZERO).unwrap();
+        let charged = f.stats().charged_bytes;
+        assert_eq!(charged, 4 + contiguous.len() as u64);
+        let second = client
+            .send_frame_with(first, 0, |head, blobs| {
+                head.extend_from_slice(b"head");
+                blobs.push((head.len(), blob.clone()));
+                head.extend_from_slice(b"tail");
+            })
             .unwrap();
-        assert_eq!(payload, b"split across chunks");
-        let err = receiver
-            .recv_frame_timeout(Duration::from_millis(5))
-            .unwrap_err();
-        assert_eq!(err, NetError::Timeout);
+        // Same bytes charged, same time on the link.
+        assert_eq!(f.stats().charged_bytes, 2 * charged);
+        assert_eq!(second - first, first - SimTime::ZERO);
+        server.recv_frame().unwrap();
+        let (frame, at) = server.recv_frame().unwrap();
+        assert_eq!((frame.len(), at), (contiguous.len(), second));
+        assert_eq!(frame.to_vec(), contiguous);
+        // The blob arrives as its own segment: the sender's storage.
+        let segments: Vec<Bytes> = frame.into_iter().collect();
+        assert_eq!(segments.len(), 3);
+        assert_eq!(segments[1].as_ptr(), blob.as_ptr());
     }
 
     #[test]
@@ -1061,7 +1079,7 @@ mod tests {
         f.clear_chaos();
         client.send_frame(b"through", SimTime::ZERO).unwrap();
         let (payload, _) = server.recv_frame().unwrap();
-        assert_eq!(payload, b"through");
+        assert_eq!(payload.to_vec(), b"through");
     }
 
     #[test]
@@ -1073,8 +1091,8 @@ mod tests {
         let mut server = listener.accept().unwrap();
         f.install_chaos(ChaosPolicy::new(2, ChaosSpec::parse("dup=1.0").unwrap()));
         client.send_frame(b"twice", SimTime::ZERO).unwrap();
-        assert_eq!(server.recv_frame().unwrap().0, b"twice");
-        assert_eq!(server.recv_frame().unwrap().0, b"twice");
+        assert_eq!(server.recv_frame().unwrap().0.to_vec(), b"twice");
+        assert_eq!(server.recv_frame().unwrap().0.to_vec(), b"twice");
 
         // Reorder: the first frame is held and released after the second.
         f.install_chaos(ChaosPolicy::new(
@@ -1083,8 +1101,8 @@ mod tests {
         ));
         client.send_frame(b"first", SimTime::ZERO).unwrap();
         client.send_frame(b"second", SimTime::ZERO).unwrap();
-        assert_eq!(server.recv_frame().unwrap().0, b"second");
-        assert_eq!(server.recv_frame().unwrap().0, b"first");
+        assert_eq!(server.recv_frame().unwrap().0.to_vec(), b"second");
+        assert_eq!(server.recv_frame().unwrap().0.to_vec(), b"first");
     }
 
     #[test]
@@ -1110,8 +1128,8 @@ mod tests {
         client.send_frame(b"a", SimTime::ZERO).unwrap();
         client.send_frame(b"b", SimTime::ZERO).unwrap();
         client.send_frame(b"c", SimTime::ZERO).unwrap();
-        assert_eq!(server.recv_frame().unwrap().0, b"a");
-        assert_eq!(server.recv_frame().unwrap().0, b"b");
+        assert_eq!(server.recv_frame().unwrap().0.to_vec(), b"a");
+        assert_eq!(server.recv_frame().unwrap().0.to_vec(), b"b");
         assert_eq!(
             server
                 .recv_frame_timeout(Duration::from_millis(20))

@@ -1,22 +1,23 @@
-//! Length-prefixed framing with MTU segmentation.
+//! Length-prefixed framing with MTU segmentation: the byte-stream codec
+//! a socket transport would use.
 //!
-//! Every message/data package travels as one *frame*: a little-endian
-//! `u32` length prefix followed by the payload. On the wire a frame is
-//! segmented into [`MTU`]-sized chunks (standard Ethernet payload size)
-//! and reassembled by a [`FrameAssembler`] at the receiver — partial
-//! arrival, interleaved boundary cases and corrupt prefixes are all
-//! exercised by the tests rather than hidden behind an in-process queue.
+//! On a byte stream every message/data package travels as one *frame*: a
+//! little-endian `u32` length prefix followed by the payload, segmented
+//! into [`MTU`]-sized chunks (standard Ethernet payload size) and
+//! reassembled by a [`FrameAssembler`] at the receiver — partial arrival,
+//! interleaved boundary cases and corrupt prefixes are all exercised by
+//! the tests. A stream may cut anywhere, and the assembler is correct for
+//! any chunking: [`segment`] yields borrowed sub-slices, [`segment_pooled`]
+//! yields [`PooledBytes`] views sharing one allocation, frames that arrive
+//! whole are sliced straight out of the chunk's storage, and a frame
+//! straddling chunks is collected once, in the buffer that then becomes
+//! its storage.
 //!
-//! This module is the byte-stream codec. The in-process fabric hands a
-//! sealed frame to the receiver as one message (nothing observes its
-//! chunking: faults and the link model act per frame), so there the
-//! assembler only slices the frame out of the arriving storage. A real
-//! byte stream may cut anywhere, and the assembler is correct for any
-//! chunking: [`segment`] yields borrowed sub-slices, [`segment_pooled`]
-//! yields [`PooledBytes`] views sharing one allocation, frames that
-//! arrive whole are sliced straight out of the chunk's storage, and a
-//! frame straddling chunks is collected once, in the buffer that then
-//! becomes its storage.
+//! The in-process fabric does not run this codec: it hands each frame to
+//! the receiver whole, as one message of segments
+//! ([`crate::fabric::Frame`]), and charges the link the prefix a stream
+//! would carry. Only this module's own tests and the benchmark's framing
+//! probe exercise it.
 
 use crate::error::NetError;
 use crate::pool::{BufferPool, PoolBuf, PooledBytes};

@@ -12,12 +12,15 @@
 //!   (Gigabit by default), so fan-out from the host serializes exactly as
 //!   it would on real hardware — this contention is what bends the
 //!   paper's Fig. 2 scaling curves.
-//! * [`frame`] — the byte-stream codec: length-prefixed frames, MTU
-//!   segmentation, reassembly from any chunking. (The fabric itself
-//!   passes each sealed frame as one message.)
+//!   A [`Frame`] crosses it as segments: a pooled head plus every bulk
+//!   blob as a view of the sender's own storage, never copied.
+//! * [`frame`] — the byte-stream codec a socket transport would use:
+//!   length-prefixed frames, MTU segmentation, reassembly from any
+//!   chunking. The fabric does not run it; it passes each frame whole,
+//!   as one message.
 //! * [`pool`] — recycled frame buffers behind [`PooledBytes`] —
-//!   `bytes::Bytes` over pool storage — so a frame, its chunks and the
-//!   payload fields decoded out of it are views of one allocation.
+//!   `bytes::Bytes` over pool storage — so a frame's head and the small
+//!   fields decoded out of it are views of one allocation.
 //! * [`chaos`] — seeded, deterministic fault injection (drops, delays,
 //!   duplication, reordering, resets, crashes, partitions) installed on
 //!   a fabric via [`Fabric::install_chaos`].
@@ -36,7 +39,7 @@
 //!
 //! let arrival = client.send_frame(b"hello node", SimTime::ZERO)?;
 //! let (payload, at) = server.recv_frame()?;
-//! assert_eq!(payload, b"hello node");
+//! assert_eq!(payload.to_vec(), b"hello node");
 //! assert_eq!(at, arrival);
 //! # Ok::<(), haocl_net::NetError>(())
 //! ```
@@ -52,6 +55,7 @@ pub mod pool;
 pub use chaos::{ChaosPolicy, ChaosSpec, ChaosSummary, ChaosVerdict};
 pub use error::NetError;
 pub use fabric::{
-    host_name_of, Conn, ConnReceiver, ConnSender, Fabric, FabricStats, LinkModel, Listener,
+    host_name_of, Conn, ConnReceiver, ConnSender, Fabric, FabricStats, Frame, LinkModel, Listener,
+    Segments,
 };
 pub use pool::{BufferPool, PoolStats, PooledBytes};

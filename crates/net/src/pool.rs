@@ -1,11 +1,12 @@
 //! Pooled byte buffers for the wire path.
 //!
 //! [`BufferPool`] recycles the allocations frames are built in: a
-//! sender checks a [`PoolBuf`] out, writes the frame into it, and seals
-//! it into [`PooledBytes`] — plain [`bytes::Bytes`] whose storage is the
-//! pool buffer, so the frame, its MTU chunks and every payload field
-//! decoded out of it are views of one allocation. When the last view
-//! drops, the allocation returns to the pool for the next frame.
+//! sender checks a [`PoolBuf`] out, writes the frame's head into it, and
+//! seals it into [`PooledBytes`] — plain [`bytes::Bytes`] whose storage
+//! is the pool buffer, so the head and every field decoded out of it are
+//! views of one allocation (a bulk blob rides beside it as a segment of
+//! its own and never enters the pool). When the last view drops, the
+//! allocation returns to the pool for the next frame.
 //!
 //! The pool is deliberately simple — a mutex-guarded free list — because
 //! the hot path amortizes it across whole frames, not per chunk. It is

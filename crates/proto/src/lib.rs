@@ -51,3 +51,6 @@ pub use messages::{
     ApiCall, ApiReply, DeviceDescriptor, DeviceKind, Envelope, Request, Response, WireSpan,
 };
 pub use wire::{Decode, Encode, WireError};
+
+/// The data-package type: every bulk field of a message is one.
+pub use bytes::Bytes;

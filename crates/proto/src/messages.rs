@@ -935,13 +935,36 @@ wire_enum! {
 mod tests {
     use super::*;
     use crate::wire::{
-        decode_from_bytes, decode_from_slice, encode_to_vec, Decode, Encode, WireError,
+        decode_from_bytes, decode_from_segments, decode_from_slice, encode_segmented,
+        encode_to_vec, Decode, Encode, WireError,
     };
 
     fn roundtrip<T: Encode + Decode + PartialEq + std::fmt::Debug>(v: T) {
         let bytes = encode_to_vec(&v);
         let back: T = decode_from_slice(&bytes).unwrap();
         assert_eq!(back, v);
+    }
+
+    /// `value`'s segments in payload order: the head cut at each blob's
+    /// offset, the blob between the cuts.
+    pub(super) fn segments_of<T: Encode>(value: &T) -> Vec<Bytes> {
+        let (mut head, mut blobs) = (Vec::new(), Vec::new());
+        encode_segmented(value, &mut head, &mut blobs);
+        let head = Bytes::from(head);
+        let mut segments = Vec::new();
+        let mut at = 0;
+        for (offset, blob) in blobs {
+            segments.push(head.slice(at..offset));
+            segments.push(blob);
+            at = offset;
+        }
+        segments.push(head.slice(at..head.len()));
+        segments
+    }
+
+    /// The segments' bytes, end to end.
+    pub(super) fn joined(segments: &[Bytes]) -> Vec<u8> {
+        segments.iter().flat_map(|s| s.iter().copied()).collect()
     }
 
     fn sample_descriptor() -> DeviceDescriptor {
@@ -1451,8 +1474,9 @@ mod tests {
     }
 
     /// Checks the next corpus line against `value`: same label, the
-    /// encoder still produces the recorded bytes, and the recorded bytes
-    /// still decode to the value.
+    /// encoder still produces the recorded bytes — contiguous, and as
+    /// segments that concatenate to them — and the recorded bytes and the
+    /// segments still decode to the value.
     fn check_golden<T: Encode + Decode + PartialEq + std::fmt::Debug>(
         lines: &mut std::str::Lines<'_>,
         label: &str,
@@ -1465,6 +1489,13 @@ mod tests {
         assert_eq!(recorded, label, "corpus order");
         let golden = unhex(hex);
         assert_eq!(encode_to_vec(&value), golden, "{label}: encoding moved");
+        let segments = segments_of(&value);
+        assert_eq!(joined(&segments), golden, "{label}: segments moved");
+        assert_eq!(
+            decode_from_segments::<T>(segments).as_ref(),
+            Ok(&value),
+            "{label}: decoding the segments moved"
+        );
         assert_eq!(
             decode_from_bytes::<T>(golden.into()),
             Ok(value),
@@ -1618,10 +1649,79 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
-    use super::tests::{every_api_call, every_api_reply};
+    use super::tests::{every_api_call, every_api_reply, joined, segments_of};
     use super::*;
-    use crate::wire::{decode_from_bytes, decode_from_slice, encode_to_vec, Decode};
+    use crate::wire::{
+        decode_from_bytes, decode_from_segments, decode_from_slice, encode_to_vec, Decode, Encode,
+        WireError,
+    };
     use proptest::prelude::*;
+
+    /// A write request carrying `data` and a read reply carrying `reply`:
+    /// each a bulk field behind fixed-width ones.
+    fn bulk_pair(id: u64, data: Vec<u8>, reply: Vec<u8>) -> (Envelope, Response) {
+        let request = Envelope::Single(Request {
+            id: RequestId::new(id),
+            user: UserId::new(3),
+            sent_at_nanos: id ^ 0x5555,
+            trace_id: 0,
+            parent_span: 0,
+            epoch: 1,
+            attempt: 0,
+            body: ApiCall::WriteBuffer {
+                device: 1,
+                buffer: BufferId::new(id),
+                offset: 8,
+                data: Bytes::from(data),
+            },
+        });
+        let response = Response {
+            id: RequestId::new(id),
+            completed_at_nanos: 77,
+            body: ApiReply::Data {
+                bytes: Bytes::from(reply),
+            },
+            duplicate: false,
+            spans: Vec::new(),
+        };
+        (request, response)
+    }
+
+    /// `wire` cut at each of `cuts` (taken modulo its length + 1).
+    fn cut(wire: &[u8], cuts: &[usize]) -> Vec<Bytes> {
+        let wire = Bytes::copy_from_slice(wire);
+        let mut at: Vec<usize> = cuts.iter().map(|c| c % (wire.len() + 1)).collect();
+        at.sort_unstable();
+        let mut segments = Vec::new();
+        let mut start = 0;
+        for end in at {
+            segments.push(wire.slice(start..end));
+            start = end;
+        }
+        segments.push(wire.slice(start..wire.len()));
+        segments
+    }
+
+    /// The segments and the contiguous bytes of `value` agree, and any
+    /// other cut of those bytes decodes to the same value or is refused
+    /// as a straddled value.
+    fn segmented_decodes_agree<T: Encode + Decode + PartialEq + std::fmt::Debug>(
+        value: &T,
+        cuts: &[usize],
+    ) -> Result<(), TestCaseError> {
+        let wire = encode_to_vec(value);
+        let segments = segments_of(value);
+        prop_assert_eq!(joined(&segments), wire.clone());
+        prop_assert_eq!(
+            decode_from_segments::<T>(segments),
+            decode_from_slice::<T>(&wire)
+        );
+        match decode_from_segments::<T>(cut(&wire, cuts)) {
+            Ok(back) => prop_assert_eq!(&back, value),
+            Err(e) => prop_assert!(matches!(e, WireError::Straddles { .. }), "{:?}", e),
+        }
+        Ok(())
+    }
 
     /// Both decoders over `wire`, the in-place one reading it as a view
     /// into the middle of a larger buffer (as a frame out of a pooled
@@ -1707,12 +1807,57 @@ mod proptests {
         }
 
         #[test]
-        fn garbage_never_panics(data in proptest::collection::vec(any::<u8>(), 0..512)) {
+        fn garbage_never_panics(
+            data in proptest::collection::vec(any::<u8>(), 0..512),
+            cuts in proptest::collection::vec(any::<usize>(), 0..6),
+        ) {
             let _ = decode_from_slice::<ApiCall>(&data);
             let _ = decode_from_slice::<ApiReply>(&data);
             let _ = decode_from_slice::<Request>(&data);
             let _ = decode_from_slice::<Response>(&data);
             let _ = decode_from_slice::<Envelope>(&data);
+            let _ = decode_from_segments::<Envelope>(cut(&data, &cuts));
+            let _ = decode_from_segments::<Response>(cut(&data, &cuts));
+        }
+
+        #[test]
+        fn segments_concatenate_to_the_contiguous_bytes_and_decode_alike(
+            id in any::<u64>(),
+            data in proptest::collection::vec(any::<u8>(), 0..2048),
+            reply in proptest::collection::vec(any::<u8>(), 0..2048),
+            cuts in proptest::collection::vec(any::<usize>(), 1..6),
+        ) {
+            let (request, response) = bulk_pair(id, data, reply);
+            // Head, blob, head: the blob is its own segment.
+            prop_assert_eq!(segments_of(&request).len(), 3);
+            segmented_decodes_agree(&request, &cuts)?;
+            segmented_decodes_agree(&response, &cuts)?;
+            for call in every_api_call() {
+                segmented_decodes_agree(&call, &cuts)?;
+            }
+            for reply in every_api_reply() {
+                segmented_decodes_agree(&reply, &cuts)?;
+            }
+        }
+
+        #[test]
+        fn a_boundary_inside_a_scalar_is_refused(
+            id in any::<u64>(),
+            inside in 1usize..8,
+        ) {
+            let (request, response) = bulk_pair(id, vec![1, 2, 3], vec![4]);
+            // The request id is the eight bytes after the envelope's tag;
+            // the response id leads the response.
+            let wire = encode_to_vec(&request);
+            prop_assert_eq!(
+                decode_from_segments::<Envelope>(cut(&wire, &[1 + inside])),
+                Err(WireError::Straddles { what: "u64" })
+            );
+            let wire = encode_to_vec(&response);
+            prop_assert_eq!(
+                decode_from_segments::<Response>(cut(&wire, &[inside])),
+                Err(WireError::Straddles { what: "u64" })
+            );
         }
 
         #[test]

@@ -5,11 +5,28 @@
 //! length-prefixed strings/byte-blobs, `u8` tags for enums. No reflection,
 //! no schema evolution — both ends are always the same build, exactly as
 //! in the paper's deployment.
+//!
+//! # Segments
+//!
+//! A message is encoded either as one contiguous byte string
+//! ([`encode_into_vec`]) or as a list of segments ([`encode_segmented`]):
+//! every [`Bytes`] field becomes a segment of its own — the field's own
+//! storage, shared, never copied — and every other byte goes into one head
+//! buffer. In order, the segments are `head[..o₁], blob₁, head[o₁..o₂], …,
+//! head[oₙ..]`, where `oᵢ` is the head offset blob `i` sits at, and they
+//! concatenate to exactly the contiguous encoding. It is one encoder: the
+//! contiguous form is the one that writes each blob into the head.
+//!
+//! The decoder reads a segment list ([`decode_from_segments`]); a
+//! contiguous frame is the list of one ([`decode_from_bytes`]). Every
+//! value is read out of one segment, so a blob body that fills its
+//! segment is that segment itself, and a segment boundary inside a
+//! scalar, a length prefix or a body is a [`WireError::Straddles`].
 
 use std::error::Error;
 use std::fmt;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 
 /// A decoding failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,6 +55,11 @@ pub enum WireError {
         /// How many bytes were left over.
         remaining: usize,
     },
+    /// A segment boundary fell inside a value the decoder reads whole.
+    Straddles {
+        /// What was being decoded.
+        what: &'static str,
+    },
 }
 
 impl fmt::Display for WireError {
@@ -56,6 +78,9 @@ impl fmt::Display for WireError {
             WireError::TrailingBytes { remaining } => {
                 write!(f, "{remaining} trailing byte(s) after message")
             }
+            WireError::Straddles { what } => {
+                write!(f, "a segment boundary cuts through {what}")
+            }
         }
     }
 }
@@ -66,63 +91,163 @@ impl Error for WireError {}
 /// against corrupted prefixes allocating unbounded memory).
 pub const MAX_FIELD_LEN: u64 = 1 << 32;
 
+/// Where an encoder writes: every byte into the head, except that a
+/// segmenting writer sets each blob aside, as a shared view with the head
+/// offset it sits at.
+pub struct Writer<'a> {
+    head: &'a mut Vec<u8>,
+    blobs: Option<&'a mut Vec<(usize, Bytes)>>,
+}
+
+impl Writer<'_> {
+    fn put_blob(&mut self, blob: &Bytes) {
+        match &mut self.blobs {
+            Some(blobs) => blobs.push((self.head.len(), blob.clone())),
+            None => self.head.extend_from_slice(blob),
+        }
+    }
+}
+
+impl BufMut for Writer<'_> {
+    fn put_slice(&mut self, src: &[u8]) {
+        self.head.extend_from_slice(src);
+    }
+}
+
+/// A read cursor over a message's segments, in order.
+pub struct Reader<'a> {
+    /// The unread rest of the current segment.
+    cur: Bytes,
+    rest: &'a mut dyn Iterator<Item = Bytes>,
+}
+
+impl Reader<'_> {
+    /// The current segment, once it holds the next `n` bytes.
+    pub(crate) fn need(&mut self, n: usize, what: &'static str) -> Result<&mut Bytes, WireError> {
+        if self.cur.len() < n {
+            self.next_segment(n, what)?;
+        }
+        Ok(&mut self.cur)
+    }
+
+    /// Steps past an exhausted segment; fails unless the next non-empty
+    /// one holds `n` bytes.
+    #[cold]
+    fn next_segment(&mut self, n: usize, what: &'static str) -> Result<(), WireError> {
+        while self.cur.is_empty() {
+            self.cur = self.rest.next().ok_or(WireError::UnexpectedEof { what })?;
+        }
+        if self.cur.len() >= n {
+            Ok(())
+        } else if self.unread() > self.cur.len() {
+            Err(WireError::Straddles { what })
+        } else {
+            Err(WireError::UnexpectedEof { what })
+        }
+    }
+
+    /// Bytes left in this segment and all after it (consumes the rest).
+    fn unread(&mut self) -> usize {
+        let mut unread = self.cur.len();
+        for segment in &mut *self.rest {
+            unread += segment.len();
+        }
+        unread
+    }
+
+    /// The next `n` bytes, as a view of their segment.
+    fn take(&mut self, n: usize, what: &'static str) -> Result<Bytes, WireError> {
+        Ok(self.need(n, what)?.split_to(n))
+    }
+
+    /// A length prefix, checked against [`MAX_FIELD_LEN`].
+    fn len_prefix(&mut self) -> Result<usize, WireError> {
+        let len = u64::decode(self)?;
+        if len > MAX_FIELD_LEN {
+            return Err(WireError::LengthOverflow { len });
+        }
+        Ok(len as usize)
+    }
+}
+
 /// Serializes a value into a byte stream.
 pub trait Encode {
-    /// Appends this value's encoding to `buf`.
-    fn encode(&self, buf: &mut BytesMut);
+    /// Appends this value's encoding to `w`.
+    fn encode(&self, w: &mut Writer<'_>);
 }
 
 /// Deserializes a value from a byte stream.
 pub trait Decode: Sized {
-    /// Consumes this value's encoding from the front of `buf`.
+    /// Consumes this value's encoding from the front of `r`.
     ///
     /// # Errors
     ///
     /// Returns a [`WireError`] if the bytes do not form a valid encoding.
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError>;
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError>;
 }
 
 /// Encodes a value into a fresh `Vec<u8>`.
 pub fn encode_to_vec<T: Encode>(value: &T) -> Vec<u8> {
-    let mut buf = BytesMut::new();
-    value.encode(&mut buf);
-    buf.to_vec()
+    let mut out = Vec::new();
+    encode_into_vec(value, &mut out);
+    out
 }
 
-/// Encodes a value into [`Bytes`].
-pub fn encode_to_bytes<T: Encode>(value: &T) -> Bytes {
-    let mut buf = BytesMut::new();
-    value.encode(&mut buf);
-    buf.freeze()
-}
-
-/// Encodes a value by appending to an existing vector without copying
-/// it — the pooled wire path encodes straight into a recycled frame
-/// buffer this way.
+/// Encodes a value by appending to an existing vector: the contiguous
+/// case of [`encode_segmented`], which copies each blob in after its
+/// length prefix.
 pub fn encode_into_vec<T: Encode>(value: &T, out: &mut Vec<u8>) {
-    let mut buf = BytesMut::from_vec(std::mem::take(out));
-    value.encode(&mut buf);
-    *out = buf.into_vec();
+    value.encode(&mut Writer {
+        head: out,
+        blobs: None,
+    });
 }
 
-/// Decodes exactly one value out of `frame`, rejecting trailing garbage.
+/// Encodes a value as segments (see the module docs): everything but the
+/// blobs is appended to `head`, and each blob is pushed onto `blobs` —
+/// shared, not copied — with the offset in `head` it sits at.
+pub fn encode_segmented<T: Encode>(value: &T, head: &mut Vec<u8>, blobs: &mut Vec<(usize, Bytes)>) {
+    value.encode(&mut Writer {
+        head,
+        blobs: Some(blobs),
+    });
+}
+
+/// Decodes exactly one value out of a list of segments, rejecting
+/// trailing garbage.
 ///
 /// Nothing is copied for byte-blob fields: a decoded [`Bytes`] is a view
-/// of `frame`'s storage and keeps it alive — for a received frame, the
-/// pool buffer goes back when the last such view drops. Whoever retains
-/// a decoded blob beyond its request must copy it out first.
+/// of its segment's storage and keeps it alive — for a received frame,
+/// the pooled head buffer or the sender's own blob. Whoever retains a
+/// decoded blob beyond its request must copy it out first.
+///
+/// # Errors
+///
+/// Returns a [`WireError`] on malformed input, a segment boundary inside
+/// a value, or leftover bytes.
+pub fn decode_from_segments<T: Decode>(
+    segments: impl IntoIterator<Item = Bytes>,
+) -> Result<T, WireError> {
+    let mut rest = segments.into_iter();
+    let mut reader = Reader {
+        cur: rest.next().unwrap_or_default(),
+        rest: &mut rest,
+    };
+    let v = T::decode(&mut reader)?;
+    let remaining = reader.unread();
+    if remaining > 0 {
+        return Err(WireError::TrailingBytes { remaining });
+    }
+    Ok(v)
+}
+
+/// [`decode_from_segments`] over one contiguous frame.
 ///
 /// # Errors
 ///
 /// Returns a [`WireError`] on malformed input or leftover bytes.
-pub fn decode_from_bytes<T: Decode>(mut frame: Bytes) -> Result<T, WireError> {
-    let v = T::decode(&mut frame)?;
-    if !frame.is_empty() {
-        return Err(WireError::TrailingBytes {
-            remaining: frame.remaining(),
-        });
-    }
-    Ok(v)
+pub fn decode_from_bytes<T: Decode>(frame: Bytes) -> Result<T, WireError> {
+    decode_from_segments([frame])
 }
 
 /// [`decode_from_bytes`] over a private copy of `bytes`.
@@ -134,26 +259,17 @@ pub fn decode_from_slice<T: Decode>(bytes: &[u8]) -> Result<T, WireError> {
     decode_from_bytes(Bytes::copy_from_slice(bytes))
 }
 
-fn need(buf: &Bytes, n: usize, what: &'static str) -> Result<(), WireError> {
-    if buf.remaining() < n {
-        Err(WireError::UnexpectedEof { what })
-    } else {
-        Ok(())
-    }
-}
-
 macro_rules! scalar_codec {
     ($t:ty, $put:ident, $get:ident, $what:literal) => {
         impl Encode for $t {
-            fn encode(&self, buf: &mut BytesMut) {
-                buf.$put(*self);
+            fn encode(&self, w: &mut Writer<'_>) {
+                w.$put(*self);
             }
         }
 
         impl Decode for $t {
-            fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-                need(buf, std::mem::size_of::<$t>(), $what)?;
-                Ok(buf.$get())
+            fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                Ok(r.need(std::mem::size_of::<$t>(), $what)?.$get())
             }
         }
     };
@@ -169,15 +285,14 @@ scalar_codec!(f32, put_f32_le, get_f32_le, "f32");
 scalar_codec!(f64, put_f64_le, get_f64_le, "f64");
 
 impl Encode for bool {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u8(u8::from(*self));
+    fn encode(&self, w: &mut Writer<'_>) {
+        w.put_u8(u8::from(*self));
     }
 }
 
 impl Decode for bool {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        need(buf, 1, "bool")?;
-        match buf.get_u8() {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match r.need(1, "bool")?.get_u8() {
             0 => Ok(false),
             1 => Ok(true),
             tag => Err(WireError::InvalidTag { what: "bool", tag }),
@@ -186,83 +301,71 @@ impl Decode for bool {
 }
 
 impl Encode for String {
-    fn encode(&self, buf: &mut BytesMut) {
-        (self.len() as u64).encode(buf);
-        buf.put_slice(self.as_bytes());
+    fn encode(&self, w: &mut Writer<'_>) {
+        (self.len() as u64).encode(w);
+        w.put_slice(self.as_bytes());
     }
 }
 
 impl Decode for String {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        let len = u64::decode(buf)?;
-        if len > MAX_FIELD_LEN {
-            return Err(WireError::LengthOverflow { len });
-        }
-        need(buf, len as usize, "string body")?;
-        let raw = buf.split_to(len as usize);
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let len = r.len_prefix()?;
+        let raw = r.take(len, "string body")?;
         String::from_utf8(raw.to_vec()).map_err(|_| WireError::InvalidUtf8)
     }
 }
 
 impl Encode for Bytes {
-    fn encode(&self, buf: &mut BytesMut) {
-        (self.len() as u64).encode(buf);
-        buf.put_slice(self);
+    fn encode(&self, w: &mut Writer<'_>) {
+        (self.len() as u64).encode(w);
+        w.put_blob(self);
     }
 }
 
 impl Decode for Bytes {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        let len = u64::decode(buf)?;
-        if len > MAX_FIELD_LEN {
-            return Err(WireError::LengthOverflow { len });
-        }
-        need(buf, len as usize, "bytes body")?;
-        Ok(buf.split_to(len as usize))
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let len = r.len_prefix()?;
+        r.take(len, "bytes body")
     }
 }
 
 impl<T: Encode> Encode for Vec<T> {
-    fn encode(&self, buf: &mut BytesMut) {
-        (self.len() as u64).encode(buf);
+    fn encode(&self, w: &mut Writer<'_>) {
+        (self.len() as u64).encode(w);
         for item in self {
-            item.encode(buf);
+            item.encode(w);
         }
     }
 }
 
 impl<T: Decode> Decode for Vec<T> {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        let len = u64::decode(buf)?;
-        if len > MAX_FIELD_LEN {
-            return Err(WireError::LengthOverflow { len });
-        }
-        let mut out = Vec::with_capacity((len as usize).min(4096));
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let len = r.len_prefix()?;
+        let mut out = Vec::with_capacity(len.min(4096));
         for _ in 0..len {
-            out.push(T::decode(buf)?);
+            out.push(T::decode(r)?);
         }
         Ok(out)
     }
 }
 
 impl<T: Encode> Encode for Option<T> {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, w: &mut Writer<'_>) {
         match self {
-            None => buf.put_u8(0),
+            None => w.put_u8(0),
             Some(v) => {
-                buf.put_u8(1);
-                v.encode(buf);
+                w.put_u8(1);
+                v.encode(w);
             }
         }
     }
 }
 
 impl<T: Decode> Decode for Option<T> {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        need(buf, 1, "option tag")?;
-        match buf.get_u8() {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match r.need(1, "option tag")?.get_u8() {
             0 => Ok(None),
-            1 => Ok(Some(T::decode(buf)?)),
+            1 => Ok(Some(T::decode(r)?)),
             tag => Err(WireError::InvalidTag {
                 what: "option",
                 tag,
@@ -272,18 +375,18 @@ impl<T: Decode> Decode for Option<T> {
 }
 
 impl<const N: usize, T: Encode> Encode for [T; N] {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, w: &mut Writer<'_>) {
         for item in self {
-            item.encode(buf);
+            item.encode(w);
         }
     }
 }
 
 impl<const N: usize, T: Decode + Default + Copy> Decode for [T; N] {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let mut out = [T::default(); N];
         for slot in &mut out {
-            *slot = T::decode(buf)?;
+            *slot = T::decode(r)?;
         }
         Ok(out)
     }
@@ -294,14 +397,14 @@ macro_rules! id_codec {
     ($($name:path),* $(,)?) => {
         $(
             impl Encode for $name {
-                fn encode(&self, buf: &mut BytesMut) {
-                    self.raw().encode(buf);
+                fn encode(&self, w: &mut Writer<'_>) {
+                    self.raw().encode(w);
                 }
             }
 
             impl Decode for $name {
-                fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-                    Ok(<$name>::new(Decode::decode(buf)?))
+                fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                    Ok(<$name>::new(Decode::decode(r)?))
                 }
             }
         )*
@@ -335,15 +438,15 @@ macro_rules! wire_struct {
         }
 
         impl $crate::wire::Encode for $name {
-            fn encode(&self, buf: &mut ::bytes::BytesMut) {
-                $( $crate::wire::Encode::encode(&self.$field, buf); )*
+            fn encode(&self, w: &mut $crate::wire::Writer<'_>) {
+                $( $crate::wire::Encode::encode(&self.$field, w); )*
             }
         }
 
         impl $crate::wire::Decode for $name {
-            fn decode(buf: &mut ::bytes::Bytes) -> Result<Self, $crate::wire::WireError> {
+            fn decode(r: &mut $crate::wire::Reader<'_>) -> Result<Self, $crate::wire::WireError> {
                 Ok($name {
-                    $( $field: $crate::wire::Decode::decode(buf)?, )*
+                    $( $field: $crate::wire::Decode::decode(r)?, )*
                 })
             }
         }
@@ -381,16 +484,16 @@ macro_rules! wire_enum {
         }
 
         impl $crate::wire::Encode for $name {
-            fn encode(&self, buf: &mut ::bytes::BytesMut) {
+            fn encode(&self, w: &mut $crate::wire::Writer<'_>) {
                 match self {
                     $(
                         $name::$variant
                         $( { $( $field, )* } )?
                         $( ( $crate::wire::wire_enum!(@binder value $tty) ) )?
                         => {
-                            ::bytes::BufMut::put_u8(buf, $tag);
-                            $( $( $crate::wire::Encode::encode($field, buf); )* )?
-                            $( <$tty as $crate::wire::Encode>::encode(value, buf); )?
+                            ::bytes::BufMut::put_u8(w, $tag);
+                            $( $( $crate::wire::Encode::encode($field, w); )* )?
+                            $( <$tty as $crate::wire::Encode>::encode(value, w); )?
                         }
                     )*
                 }
@@ -398,17 +501,12 @@ macro_rules! wire_enum {
         }
 
         impl $crate::wire::Decode for $name {
-            fn decode(buf: &mut ::bytes::Bytes) -> Result<Self, $crate::wire::WireError> {
-                if ::bytes::Buf::remaining(buf) < 1 {
-                    return Err($crate::wire::WireError::UnexpectedEof {
-                        what: stringify!($name),
-                    });
-                }
-                Ok(match ::bytes::Buf::get_u8(buf) {
+            fn decode(r: &mut $crate::wire::Reader<'_>) -> Result<Self, $crate::wire::WireError> {
+                Ok(match ::bytes::Buf::get_u8(r.need(1, stringify!($name))?) {
                     $(
                         $tag => $name::$variant
-                        $( { $( $field: $crate::wire::Decode::decode(buf)?, )* } )?
-                        $( ( <$tty as $crate::wire::Decode>::decode(buf)? ) )?,
+                        $( { $( $field: $crate::wire::Decode::decode(r)?, )* } )?
+                        $( ( <$tty as $crate::wire::Decode>::decode(r)? ) )?,
                     )*
                     tag => {
                         return Err($crate::wire::WireError::InvalidTag {
@@ -458,6 +556,14 @@ mod tests {
         pub struct Holder {
             pub count: u32,
             pub shapes: Vec<Shapes>,
+        }
+    }
+
+    wire_struct! {
+        #[derive(Debug, Clone, PartialEq)]
+        pub struct Pair {
+            pub word: u32,
+            pub byte: u8,
         }
     }
 
@@ -581,11 +687,50 @@ mod tests {
 
     #[test]
     fn invalid_utf8_rejected() {
-        let mut buf = BytesMut::new();
-        2u64.encode(&mut buf);
-        buf.put_slice(&[0xff, 0xfe]);
-        let err = decode_from_slice::<String>(&buf.to_vec()).unwrap_err();
+        let mut bytes = encode_to_vec(&2u64);
+        bytes.extend_from_slice(&[0xff, 0xfe]);
+        let err = decode_from_slice::<String>(&bytes).unwrap_err();
         assert_eq!(err, WireError::InvalidUtf8);
+    }
+
+    #[test]
+    fn a_blob_travels_as_its_own_segment_and_decodes_as_itself() {
+        let blob = Bytes::from(vec![7u8; 100]);
+        let (mut head, mut blobs) = (Vec::new(), Vec::new());
+        encode_segmented(&blob, &mut head, &mut blobs);
+        assert_eq!(head, 100u64.to_le_bytes());
+        assert_eq!(blobs.len(), 1);
+        assert_eq!((blobs[0].0, blobs[0].1.as_ptr()), (8, blob.as_ptr()));
+        let decoded: Bytes = decode_from_segments([Bytes::from(head), blobs.remove(0).1]).unwrap();
+        assert_eq!(
+            decoded.as_ptr(),
+            blob.as_ptr(),
+            "the blob must not be copied"
+        );
+    }
+
+    #[test]
+    fn a_boundary_inside_a_scalar_is_an_error_and_between_values_is_not() {
+        let wire = Bytes::from(encode_to_vec(&Pair {
+            word: 0x0102_0304,
+            byte: 9,
+        }));
+        assert_eq!(
+            decode_from_segments::<Pair>([wire.slice(0..2), wire.slice(2..5)]),
+            Err(WireError::Straddles { what: "u32" })
+        );
+        assert_eq!(
+            decode_from_segments::<Pair>([wire.slice(0..4), Bytes::new(), wire.slice(4..5)]),
+            Ok(Pair {
+                word: 0x0102_0304,
+                byte: 9
+            })
+        );
+        // Cut short at a boundary, it is still plain truncation.
+        assert_eq!(
+            decode_from_segments::<Pair>([wire.slice(0..4), Bytes::new()]),
+            Err(WireError::UnexpectedEof { what: "u8" })
+        );
     }
 }
 

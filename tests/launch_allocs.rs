@@ -20,14 +20,28 @@ use haocl_kernel::{KernelRegistry, NdRange};
 /// Calls to `alloc`/`realloc`, from any thread.
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+/// Those of them for [`LARGE`] bytes or more.
+static LARGE_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// What counts as a bulk-sized allocation: a fraction of a 1 MiB payload,
+/// far above any message head.
+const LARGE: usize = 64 << 10;
+
 struct Counting;
 
+fn count(size: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    if size >= LARGE {
+        LARGE_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter is a relaxed
-// atomic and touches no allocator state.
+// which upholds the `GlobalAlloc` contract; the counters are relaxed
+// atomics and touch no allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         // SAFETY: the caller's obligations are passed straight through.
         unsafe { System.alloc(layout) }
     }
@@ -38,7 +52,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -131,7 +145,9 @@ fn a_small_launch_makes_at_most_17_allocations() {
     let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let per_launch = allocations_per_launch(SAXPY, 2, 2_000, 20_000);
     println!("allocations per launch, 2 nodes: {per_launch:.2}");
-    // 16 measured: the device checks buffers out into storage it keeps.
+    // 14 measured: the device checks buffers out into storage it keeps,
+    // and a received frame is handed over as it was sent, with no list
+    // of reassembled frames around it.
     assert!(
         per_launch <= 17.0,
         "{per_launch:.2} allocations per launch, more than 17"
@@ -143,13 +159,79 @@ fn a_launch_that_checks_ownership_makes_at_most_23_allocations() {
     let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let per_launch = allocations_per_launch(REVERSED, 2, 2_000, 20_000);
     println!("allocations per launch with a serial buffer, 2 nodes: {per_launch:.2}");
-    // 22 measured: the 16 above, the launch's second root table, the
+    // 19 measured: the 14 above, the launch's second root table, the
     // shadow's buffer list and `y`'s owner bytes, and the touched list
     // growing to a chunk's 16 elements — per launch, not per chunk.
     assert!(
         per_launch <= 23.0,
         "{per_launch:.2} allocations per launch, more than 23"
     );
+}
+
+/// XORs `v` into the first `n` words.
+const TOUCH: &str = "\
+__kernel void touch(__global uint* b, uint v, int n) {
+    int i = get_global_id(0);
+    if (i < n) {
+        b[i] = b[i] ^ v;
+    }
+}
+";
+
+/// A bulk op — 1 MiB written to device 0, a touch there, a touch on
+/// device 1 (which pulls the buffer over node to node), 1 MiB read back
+/// from device 1 — moves its payload as views and lands it in storage
+/// that already exists: every copy goes into a buffer the host, a device
+/// or the caller keeps, so none allocates.
+#[test]
+fn a_bulk_transfer_op_makes_no_large_allocations() {
+    const MIB: usize = 1 << 20;
+    const WORDS: u64 = 64;
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let platform =
+        Platform::cluster(&ClusterConfig::gpu_cluster(2), KernelRegistry::new()).unwrap();
+    let devices = platform.devices(DeviceType::All);
+    let ctx = Context::new(&platform, &devices).unwrap();
+    let program = Program::from_source(&ctx, TOUCH);
+    program.build().unwrap();
+    let kernel = Kernel::new(&program, "touch").unwrap();
+    let queues: Vec<CommandQueue> = devices[..2]
+        .iter()
+        .map(|device| CommandQueue::new(&ctx, device).unwrap())
+        .collect();
+    let buffer = Buffer::new(&ctx, MemFlags::READ_WRITE, MIB as u64).unwrap();
+    kernel.set_arg_buffer(0, &buffer).unwrap();
+    kernel.set_arg_i32(2, WORDS as i32).unwrap();
+    let mut payload: Vec<u8> = (0..MIB).map(|i| (i % 251) as u8).collect();
+    let mut readback = vec![0u8; MIB];
+    let mut op = |i: usize| {
+        payload[..8].copy_from_slice(&(i as u64).to_le_bytes());
+        queues[0]
+            .enqueue_write_buffer(&buffer, 0, &payload)
+            .unwrap();
+        // The same mask twice: the bytes come back as written.
+        kernel.set_arg_u32(1, i as u32 | 1).unwrap();
+        for queue in &queues {
+            let event = queue
+                .enqueue_nd_range_kernel(&kernel, NdRange::linear(WORDS, WORDS))
+                .unwrap();
+            event.wait().unwrap();
+        }
+        queues[1]
+            .enqueue_read_buffer(&buffer, 0, &mut readback)
+            .unwrap();
+        assert!(readback == payload, "op {i} read back other bytes");
+    };
+    for i in 0..4 {
+        op(i);
+    }
+    let (ops, before) = (32, LARGE_ALLOCATIONS.load(Ordering::Relaxed));
+    for i in 0..ops {
+        op(i);
+    }
+    let per_op = (LARGE_ALLOCATIONS.load(Ordering::Relaxed) - before) as f64 / ops as f64;
+    println!("allocations of {LARGE} bytes or more per bulk op: {per_op:.2}");
+    assert_eq!(per_op, 0.0, "a bulk op allocated {per_op:.2} large blocks");
 }
 
 #[test]
