@@ -5,9 +5,9 @@
 //! kernel ever runs.
 //!
 //! Results land in a [`KernelReport`] attached to each
-//! [`crate::CompiledKernel`]: the diagnostics feed build logs, and the
-//! [`KernelFeatures`] vector seeds the scheduler's static placement hints
-//! before any dynamic profile exists.
+//! [`crate::CompiledKernel`]: the diagnostics feed build logs, the
+//! effect summaries feed the fusion prover, and `haocl-lint` prints the
+//! [`KernelFeatures`] vector. Placement reads none of it.
 
 pub mod cfg;
 mod checks;
@@ -39,8 +39,8 @@ pub struct CompileOptions {
     pub analysis: AnalysisMode,
 }
 
-/// The static feature vector of one kernel, used by the scheduler as a
-/// placement hint before dynamic profiles exist.
+/// The static feature vector of one kernel, as `haocl-lint` prints it and
+/// build replies forward it.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct KernelFeatures {
     /// Statically-declared `__local` bytes.
@@ -60,7 +60,7 @@ pub struct KernelFeatures {
 pub struct KernelReport {
     /// Findings, in discovery order.
     pub diagnostics: Diagnostics,
-    /// Static placement features.
+    /// Static kernel features.
     pub features: KernelFeatures,
     /// Inter-kernel effect summary (fusion-legality input).
     pub effects: effects::EffectSummary,

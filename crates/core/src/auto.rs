@@ -12,8 +12,8 @@ use haocl_kernel::NdRange;
 use haocl_obs::{names, FusionDecision, PlacementAudit, Span, TraceCtx, DEFAULT_TENANT};
 use haocl_proto::ids::UserId;
 use haocl_sched::{
-    CurrencyTable, DeviceView, DriftDetector, DriftEvent, NodeCondition, QuarantineTracker,
-    Scheduler, SchedulingPolicy, TaskSpec,
+    DeviceView, DriftDetector, DriftEvent, NodeCondition, QuarantineTracker, Scheduler,
+    SchedulingPolicy, TaskSpec,
 };
 use haocl_sim::{Phase, SimTime};
 
@@ -135,18 +135,6 @@ impl AutoScheduler {
             adopted += 1;
         }
         Ok(adopted)
-    }
-
-    /// Seeds the profiling database from a built program's static
-    /// kernel-analysis reports, so the first-ever launch of each kernel
-    /// is already placed with the compiler's feature vector (barrier
-    /// count, `__local` footprint, arithmetic intensity, divergence)
-    /// instead of the bare cost model. Observed run times displace the
-    /// seeds as the profile warms up.
-    pub fn adopt_static_hints(&self, program: &crate::program::Program) {
-        for report in program.kernel_reports() {
-            haocl_sched::seed_from_report(self.scheduler.profile(), &report);
-        }
     }
 
     /// Launches `kernel`, letting the policy choose the device.
@@ -340,12 +328,6 @@ impl AutoScheduler {
                 decided,
                 self.context.platform.clock().now(),
             ));
-            // Seeded predictions displaced by warm observations surface
-            // as a monotonic counter; sync-by-delta keeps it idempotent.
-            let displaced = self.scheduler.profile().seed_displacements();
-            let behind =
-                displaced.saturating_sub(obs.metrics.counter_value(names::SEED_DISPLACED, &[]));
-            obs.metrics.inc_counter(names::SEED_DISPLACED, &[], behind);
             self.sync_health_metrics();
         }
         Ok((event, choice))
@@ -385,9 +367,8 @@ impl AutoScheduler {
         });
     }
 
-    /// Publishes the recalibration counter and compute-currency rates
-    /// from the profile db (delta-synced / gauge-set, so re-publishing
-    /// is idempotent).
+    /// Publishes the profile db's recalibration counter (delta-synced, so
+    /// re-publishing is idempotent).
     fn sync_health_metrics(&self) {
         let obs = &self.context.platform.obs;
         let recals = self.scheduler.profile().recalibrations();
@@ -397,14 +378,6 @@ impl AutoScheduler {
         );
         obs.metrics
             .inc_counter(names::PROFILE_RECALIBRATIONS, &[], behind);
-        let currency = CurrencyTable::from_profile(self.scheduler.profile());
-        for (kind, rate) in currency.rates() {
-            obs.metrics.set_gauge(
-                names::CURRENCY_RATE,
-                &[("kind", &kind.to_string())],
-                (rate * 1000.0).round() as i64,
-            );
-        }
     }
 
     /// Places `task` over the context's devices: builds the per-device
@@ -706,43 +679,6 @@ mod tests {
         k.set_cost(CostModel::new().flops(1e10).bytes_read(1e6).streaming());
         let (_, dev) = auto.launch(&k, NdRange::linear(4, 1)).unwrap();
         assert_eq!(ctx.devices()[dev].kind(), DeviceKind::Fpga);
-    }
-
-    #[test]
-    fn static_hints_steer_the_first_launch() {
-        let (_p, ctx) = setup(&[DeviceKind::Cpu, DeviceKind::Gpu]);
-        let auto = AutoScheduler::new(&ctx, Box::new(policies::HeteroAware::new())).unwrap();
-        // A heavily divergent kernel: every work-item walks a different
-        // data-dependent loop. The analyzer's divergence score discounts
-        // the GPU, so with hints adopted the first launch lands on the CPU
-        // even though the raw cost model would pick the GPU.
-        let prog = Program::from_source(
-            &ctx,
-            r#"__kernel void walk(__global int* a, int n) {
-                int i = get_global_id(0);
-                int steps = 0;
-                for (int j = 0; j < i % 7; j++) {
-                    if (a[j] > 0) { steps = steps + a[j]; } else { steps = steps - 1; }
-                    if (steps > 100) { steps = steps / 2; }
-                }
-                a[i] = steps;
-            }"#,
-        );
-        prog.build().unwrap();
-        let auto_db_before = auto.scheduler.profile().predict("walk", DeviceKind::Gpu);
-        assert!(auto_db_before.is_none(), "profile starts cold");
-        auto.adopt_static_hints(&prog);
-        let k = Kernel::new(&prog, "walk").unwrap();
-        let buf = Buffer::new(&ctx, MemFlags::READ_WRITE, 16).unwrap();
-        k.set_arg_buffer(0, &buf).unwrap();
-        k.set_arg_i32(1, 4).unwrap();
-        k.set_cost(CostModel::new().flops(1e10));
-        let (_, dev) = auto.launch(&k, NdRange::linear(4, 1)).unwrap();
-        assert_eq!(
-            ctx.devices()[dev].kind(),
-            DeviceKind::Cpu,
-            "divergence hint overrides the dense-compute GPU default"
-        );
     }
 
     #[test]

@@ -188,7 +188,7 @@ impl Program {
 
     /// Per-kernel static-analysis summaries from the last source build
     /// (empty before [`build`](Self::build) and for bitstream programs).
-    /// The scheduler uses these to seed placement hints.
+    /// Launch-graph fusion reads their effect summaries.
     pub fn kernel_reports(&self) -> Vec<WireKernelReport> {
         self.inner.reports.lock().clone()
     }

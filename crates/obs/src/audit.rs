@@ -16,12 +16,7 @@ use parking_lot::Mutex;
 pub enum PredictionSource {
     /// Warm profile-database entry built from observed runs.
     Observed,
-    /// Static-analysis seed not yet displaced by observations.
-    Seed,
-    /// A warm observation from *another* device class, transferred
-    /// through the compute-currency exchange rates.
-    Currency,
-    /// No profile entry; the roofline cost model estimated the time.
+    /// No warm profile entry; the roofline cost model estimated the time.
     CostModel,
 }
 
@@ -29,8 +24,6 @@ impl fmt::Display for PredictionSource {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             PredictionSource::Observed => "observed",
-            PredictionSource::Seed => "seed",
-            PredictionSource::Currency => "currency",
             PredictionSource::CostModel => "cost-model",
         })
     }
@@ -256,7 +249,7 @@ mod tests {
                     node: "node0".to_string(),
                     kind: "Cpu".to_string(),
                     predicted_nanos: Some(500),
-                    source: PredictionSource::Seed,
+                    source: PredictionSource::Observed,
                     health: CandidateInfo::HEALTHY.to_string(),
                 },
                 CandidateInfo {
@@ -281,7 +274,7 @@ mod tests {
         assert!(line.contains("tenant=default"));
         assert!(line.contains("chosen=node0/Cpu"));
         assert!(line.contains("fused=-"));
-        assert!(line.contains("pred=500ns src=seed"));
+        assert!(line.contains("pred=500ns src=observed"));
         assert!(line.contains("pred=none src=cost-model"));
     }
 
@@ -293,7 +286,10 @@ mod tests {
         assert!(a.candidates[0].is_degraded());
         let line = a.line();
         assert!(line.contains(" health=degraded(x2.50) "), "{line}");
-        assert!(line.contains("src=seed health=degraded(x2.50)"), "{line}");
+        assert!(
+            line.contains("src=observed health=degraded(x2.50)"),
+            "{line}"
+        );
         // A row with no candidate records (e.g. node-health transitions)
         // renders a placeholder.
         a.candidates.clear();

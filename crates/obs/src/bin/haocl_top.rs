@@ -3,7 +3,8 @@
 //! Joins a Prometheus metrics rendering with the scheduler audit log
 //! into one per-node table: device class, drift verdict, placements won
 //! (and how many while degraded), avoidance count, queue depth, mean
-//! observed latency, and compute-currency rate.
+//! observed latency, wall-clock round trips per second, and link
+//! traffic.
 //!
 //! Usage:
 //!

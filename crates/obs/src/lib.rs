@@ -114,8 +114,6 @@ pub mod names {
     pub const VM_LOCKSTEP_REFUSED: &str = "haocl_vm_lockstep_refused_total";
     /// Counter: scheduler placements, per kernel and winning device kind.
     pub const PLACEMENTS: &str = "haocl_placements_total";
-    /// Counter: profile-db seeds first displaced by observed runs.
-    pub const SEED_DISPLACED: &str = "haocl_profile_seed_displaced_total";
     /// Counter: frames carried by the fabric, per link endpoint.
     pub const FABRIC_FRAMES: &str = "haocl_fabric_frames_total";
     /// Counter: bytes charged on the fabric (virtual wire bytes).
@@ -170,10 +168,6 @@ pub mod names {
     /// Counter: placements where a degraded candidate was on offer but a
     /// healthy device won, labelled with the avoided node.
     pub const DEGRADED_PLACEMENTS_AVOIDED: &str = "haocl_degraded_placements_avoided_total";
-    /// Gauge: compute-currency exchange rate per device class, in
-    /// thousandths of the base class's time unit (milli-units, since
-    /// gauges are integral).
-    pub const CURRENCY_RATE: &str = "haocl_compute_currency_rate_milli";
     /// Gauge: a node's membership state — `0` joining, `1` active,
     /// `2` draining, `3` departed.
     pub const NODE_STATE: &str = "haocl_node_state";

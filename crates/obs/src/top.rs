@@ -3,9 +3,9 @@
 //! Consumes the two text artifacts every run can already export — the
 //! Prometheus metrics rendering and the scheduler audit log — and folds
 //! them into one per-node health/placement table: queue depth, mean
-//! observed latency, compute-currency rate, and the drift detector's
-//! verdict. The `haocl-top` binary renders it for terminals; `--report
-//! json` emits the same snapshot as a machine-readable CI artifact.
+//! observed latency, and the drift detector's verdict. The `haocl-top`
+//! binary renders it for terminals; `--report json` emits the same
+//! snapshot as a machine-readable CI artifact.
 
 use std::collections::BTreeMap;
 
@@ -124,9 +124,6 @@ pub struct NodeRow {
     /// Mean observed kernel latency of this node's device class, virtual
     /// nanoseconds.
     pub mean_latency_nanos: Option<f64>,
-    /// Compute-currency exchange rate of this node's device class
-    /// (multiples of the base class's time).
-    pub currency_rate: Option<f64>,
     /// Wall-clock launch round trips per second on this node —
     /// `haocl_wall_requests_total / haocl_wall_nanos_total`, real time
     /// rather than the virtual model. Absent until the node completes a
@@ -312,14 +309,6 @@ impl FleetSnapshot {
                     r.mean_latency_nanos = Some(sum / count);
                 }
             }
-            for s in samples
-                .iter()
-                .filter(|s| s.name == crate::names::CURRENCY_RATE)
-            {
-                if s.labels.get("kind").map(String::as_str) == Some(r.kind.as_str()) {
-                    r.currency_rate = Some(s.value / 1000.0);
-                }
-            }
             r.queue_depth = find(crate::names::QUEUE_DEPTH, "node", &r.node).map(|v| v as i64);
             if let (Some(requests), Some(nanos)) = (
                 find(crate::names::WALL_REQUESTS, "node", &r.node),
@@ -356,7 +345,7 @@ impl FleetSnapshot {
             self.autoscale_events
         ));
         out.push_str(&format!(
-            "{:<8} {:<6} {:<12} {:<9} {:>6} {:>9} {:>8} {:>6} {:>14} {:>9} {:>9} {:>7} {:>8}\n",
+            "{:<8} {:<6} {:<12} {:<9} {:>6} {:>9} {:>8} {:>6} {:>14} {:>9} {:>7} {:>8}\n",
             "NODE",
             "KIND",
             "HEALTH",
@@ -366,14 +355,13 @@ impl FleetSnapshot {
             "AVOIDED",
             "QUEUE",
             "MEAN.LAT(ns)",
-            "RATE",
             "WALL.RPS",
             "PENDING",
             "FOREIGN"
         ));
         for n in &self.nodes {
             out.push_str(&format!(
-                "{:<8} {:<6} {:<12} {:<9} {:>6} {:>9} {:>8} {:>6} {:>14} {:>9} {:>9} {:>7} {:>8}\n",
+                "{:<8} {:<6} {:<12} {:<9} {:>6} {:>9} {:>8} {:>6} {:>14} {:>9} {:>7} {:>8}\n",
                 n.node,
                 n.kind,
                 n.health,
@@ -384,7 +372,6 @@ impl FleetSnapshot {
                 n.queue_depth.map_or("-".into(), |v| v.to_string()),
                 n.mean_latency_nanos
                     .map_or("-".into(), |v| format!("{v:.0}")),
-                n.currency_rate.map_or("-".into(), |v| format!("x{v:.3}")),
                 n.wall_rps.map_or("-".into(), |v| format!("{v:.0}")),
                 n.link_pending.map_or("-".into(), |v| v.to_string()),
                 n.foreign_completions.map_or("-".into(), |v| v.to_string()),
@@ -402,7 +389,7 @@ impl FleetSnapshot {
                 format!(
                     "{{\"node\":{},\"kind\":{},\"health\":{},\"state\":{},\"placements\":{},\
                      \"degraded_wins\":{},\"avoided\":{},\"queue_depth\":{},\
-                     \"mean_latency_nanos\":{},\"currency_rate\":{},\"wall_rps\":{},\
+                     \"mean_latency_nanos\":{},\"wall_rps\":{},\
                      \"link_pending\":{},\"foreign_completions\":{}}}",
                     json_str(&n.node),
                     json_str(&n.kind),
@@ -414,7 +401,6 @@ impl FleetSnapshot {
                     n.queue_depth.map_or("null".into(), |v| v.to_string()),
                     n.mean_latency_nanos
                         .map_or("null".into(), |v| format!("{v:.1}")),
-                    n.currency_rate.map_or("null".into(), |v| format!("{v:.4}")),
                     n.wall_rps.map_or("null".into(), |v| format!("{v:.1}")),
                     n.link_pending.map_or("null".into(), |v| v.to_string()),
                     n.foreign_completions
@@ -456,9 +442,6 @@ mod tests {
     use super::*;
 
     const METRICS: &str = "\
-# TYPE haocl_compute_currency_rate_milli gauge
-haocl_compute_currency_rate_milli{kind=\"CPU\"} 5500
-haocl_compute_currency_rate_milli{kind=\"GPU\"} 1000
 # TYPE haocl_degraded_placements_avoided_total counter
 haocl_degraded_placements_avoided_total{node=\"node1\"} 7
 # TYPE haocl_device_health gauge
@@ -508,7 +491,6 @@ place kernel=<membership> tenant=default policy=membership chosen=node1/- health
         assert_eq!(n0.state, "active");
         assert_eq!(n0.queue_depth, Some(3));
         assert_eq!(n0.mean_latency_nanos, Some(1500.0));
-        assert_eq!(n0.currency_rate, Some(1.0));
         let n1 = &snap.nodes[1];
         assert_eq!(n1.health, "degraded");
         assert_eq!((n1.placements, n1.degraded_wins, n1.avoided), (1, 1, 7));
@@ -629,11 +611,11 @@ place kernel=<autoscale> tenant=default policy=autoscale chosen=device0 health=-
              \"autoscale_events\":1,\"any_unhealthy\":false,\"nodes\":[\
              {\"node\":\"gpu0\",\"kind\":\"?\",\"health\":\"unknown\",\"state\":\"departed\",\
              \"placements\":0,\"degraded_wins\":0,\"avoided\":0,\"queue_depth\":null,\
-             \"mean_latency_nanos\":null,\"currency_rate\":null,\"wall_rps\":null,\
+             \"mean_latency_nanos\":null,\"wall_rps\":null,\
              \"link_pending\":null,\"foreign_completions\":null},\
              {\"node\":\"gpu1\",\"kind\":\"?\",\"health\":\"unknown\",\"state\":\"active\",\
              \"placements\":0,\"degraded_wins\":0,\"avoided\":0,\"queue_depth\":null,\
-             \"mean_latency_nanos\":null,\"currency_rate\":null,\"wall_rps\":null,\
+             \"mean_latency_nanos\":null,\"wall_rps\":null,\
              \"link_pending\":null,\"foreign_completions\":null}]}"
         );
     }

@@ -725,8 +725,8 @@ wire_enum! {
 
 wire_struct! {
     /// Static-analysis summary of one built kernel, produced by the device
-    /// node's compiler and forwarded in [`ApiReply::BuildLog`] so the host
-    /// scheduler can seed placement hints before any launch has run.
+    /// node's compiler and forwarded in [`ApiReply::BuildLog`], where the
+    /// host's build log, `haocl-lint` and launch-graph fusion read it.
     #[derive(Debug, Clone, PartialEq, Default)]
     pub struct WireKernelReport {
         /// Kernel name.

@@ -6,24 +6,20 @@
 //! heterogeneity-aware task scheduling." This crate implements both the
 //! shipped behaviour and that upgrade:
 //!
-//! * [`task`] — [`TaskSpec`] (one kernel launch as the scheduler sees it)
-//!   and [`task::TaskGraph`] (the dependency DAG of Fig. 1).
+//! * [`task`] — [`TaskSpec`]: one kernel launch as the scheduler sees it.
+//!   Dependency ordering (Fig. 1's task graph) lives in the host
+//!   runtime's `LaunchGraph`, not here.
 //! * [`monitor`] — [`DeviceView`]: the host-side snapshot of every device
 //!   in the cluster (model summary + load + data locality + advisory
 //!   health), and [`DriftDetector`]: per-node z-score/ratio tests over
 //!   rolling launch-timing windows that flag sub-healthy devices.
-//! * [`profile`] — [`ProfileDb`]: per-(kernel, device-class) rolling
-//!   EWMA + variance windows of observed execution times, recalibrated
-//!   online on every completed launch, with geometrically decaying
-//!   static seeds.
-//! * [`currency`] — [`CurrencyTable`]: device-class exchange rates
-//!   derived from shared-kernel timings, so candidates on different
-//!   classes compare in common units.
-//! * [`hints`] — [`seed_from_report`]: converts the compiler's static
-//!   kernel feature vectors into cold-start [`ProfileDb`] seeds, so
-//!   placement is informed before the first launch.
+//! * [`profile`] — [`ProfileDb`]: per-(kernel, device-class) EWMAs of
+//!   observed execution times, recalibrated online on every completed
+//!   launch.
 //! * [`policy`] — the object-safe [`SchedulingPolicy`] trait users extend
-//!   with their own algorithms.
+//!   with their own algorithms, and `policy::predict`: the two-rung
+//!   prediction ladder (warm observed profile, else the roofline cost
+//!   model) the cost-driven policies and the audit log both read.
 //! * [`policies`] — six built-ins: user-directed, round-robin,
 //!   least-loaded, heterogeneity-aware (profile + model driven),
 //!   power-aware and locality-aware.
@@ -59,8 +55,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod currency;
-pub mod hints;
 pub mod monitor;
 pub mod policies;
 pub mod policy;
@@ -69,11 +63,9 @@ pub mod quarantine;
 pub mod task;
 pub mod tenancy;
 
-pub use currency::CurrencyTable;
-pub use hints::seed_from_report;
 pub use monitor::{DeviceView, DriftDetector, DriftEvent};
 pub use policy::{SchedError, Scheduler, SchedulingPolicy};
-pub use profile::{ProfileDb, ProfileSnapshotEntry, ProfileStats};
+pub use profile::ProfileDb;
 pub use quarantine::{NodeCondition, QuarantineTracker, DEFAULT_QUARANTINE_THRESHOLD};
 pub use task::TaskSpec;
 pub use tenancy::{

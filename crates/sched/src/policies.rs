@@ -16,9 +16,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use haocl_sim::{SimDuration, SimTime};
 
-use crate::currency::CurrencyTable;
 use crate::monitor::DeviceView;
-use crate::policy::{estimate_time, SchedulingPolicy};
+use crate::policy::{predict, SchedulingPolicy};
 use crate::profile::ProfileDb;
 use crate::task::TaskSpec;
 
@@ -111,43 +110,27 @@ impl SchedulingPolicy for HeteroAware {
         eligible: &[(usize, &DeviceView)],
         profile: &ProfileDb,
     ) -> Option<usize> {
-        let currency = CurrencyTable::from_profile(profile);
         eligible
             .iter()
             .min_by(|(_, a), (_, b)| {
-                let fa = finish_time(task, a, profile, &currency);
-                let fb = finish_time(task, b, profile, &currency);
+                let fa = finish_time(task, a, profile);
+                let fb = finish_time(task, b, profile);
                 fa.partial_cmp(&fb).expect("finite finish times")
             })
             .map(|(i, _)| *i)
     }
 }
 
-/// The common-currency run-time prediction the cost-driven policies
-/// compare candidates by: the per-class profile when warm or seeded, a
-/// warm sibling-class observation converted through the exchange rates
-/// otherwise, the roofline model as last resort — all scaled by the
-/// device's advisory [`DeviceView::health_penalty`].
-fn predicted_run(
-    task: &TaskSpec,
-    view: &DeviceView,
-    profile: &ProfileDb,
-    currency: &CurrencyTable,
-) -> SimDuration {
-    let run = profile
-        .predict(&task.kernel, view.kind)
-        .or_else(|| crate::policy::convert_observation(profile, currency, task, view.kind))
-        .unwrap_or_else(|| estimate_time(task, view));
+/// The run-time prediction the cost-driven policies compare candidates
+/// by: [`predict`]'s answer scaled by the device's advisory
+/// [`DeviceView::health_penalty`].
+fn predicted_run(task: &TaskSpec, view: &DeviceView, profile: &ProfileDb) -> SimDuration {
+    let (run, _) = predict(task, view, profile);
     SimDuration::from_nanos((run.as_nanos() as f64 * view.health_penalty.max(1.0)) as u64)
 }
 
-fn finish_time(
-    task: &TaskSpec,
-    view: &DeviceView,
-    profile: &ProfileDb,
-    currency: &CurrencyTable,
-) -> f64 {
-    let run = predicted_run(task, view, profile, currency);
+fn finish_time(task: &TaskSpec, view: &DeviceView, profile: &ProfileDb) -> f64 {
+    let run = predicted_run(task, view, profile);
     let start = view.busy_until.max(SimTime::ZERO);
     (start.as_nanos() + run.as_nanos()) as f64
 }
@@ -175,25 +158,19 @@ impl SchedulingPolicy for PowerAware {
         eligible: &[(usize, &DeviceView)],
         profile: &ProfileDb,
     ) -> Option<usize> {
-        let currency = CurrencyTable::from_profile(profile);
         eligible
             .iter()
             .min_by(|(_, a), (_, b)| {
-                let ea = energy(task, a, profile, &currency);
-                let eb = energy(task, b, profile, &currency);
+                let ea = energy(task, a, profile);
+                let eb = energy(task, b, profile);
                 ea.partial_cmp(&eb).expect("finite energies")
             })
             .map(|(i, _)| *i)
     }
 }
 
-fn energy(
-    task: &TaskSpec,
-    view: &DeviceView,
-    profile: &ProfileDb,
-    currency: &CurrencyTable,
-) -> (f64, f64) {
-    let secs = predicted_run(task, view, profile, currency).as_secs_f64();
+fn energy(task: &TaskSpec, view: &DeviceView, profile: &ProfileDb) -> (f64, f64) {
+    let secs = predicted_run(task, view, profile).as_secs_f64();
     (secs * view.power_watts, secs)
 }
 
@@ -316,39 +293,6 @@ mod tests {
     }
 
     #[test]
-    fn static_report_flips_placement_before_first_launch() {
-        use haocl_proto::messages::WireKernelReport;
-
-        let p = HeteroAware::new();
-        let views = vec![
-            DeviceView::sample(0, 0, DeviceKind::Cpu),
-            DeviceView::sample(1, 0, DeviceKind::Gpu),
-            DeviceView::sample(2, 0, DeviceKind::Fpga),
-        ];
-        let t = TaskSpec::new("tiled_mm")
-            .cost(CostModel::new().flops(1e10).streaming())
-            .fpga_eligible(true);
-        // Cold profile, no hints: the cost model sends streaming work to
-        // the FPGA.
-        let db = ProfileDb::new();
-        assert_eq!(p.place(&t, &eligible(&views), &db).unwrap(), 2);
-        // The compiler's report says the kernel is barrier-synchronised
-        // __local tiling — a poor match for a streaming pipeline. Seeding
-        // the same database flips the placement to the GPU.
-        crate::hints::seed_from_report(
-            &db,
-            &WireKernelReport {
-                kernel: "tiled_mm".into(),
-                local_bytes: 8192,
-                barrier_count: 2,
-                arithmetic_intensity: 4.0,
-                ..WireKernelReport::default()
-            },
-        );
-        assert_eq!(p.place(&t, &eligible(&views), &db).unwrap(), 1);
-    }
-
-    #[test]
     fn hetero_accounts_for_queue_backlog() {
         let p = HeteroAware::new();
         // GPU is busy for a long time; CPU idle. Small task: CPU wins.
@@ -380,29 +324,6 @@ mod tests {
         // device still takes the work.
         let only = vec![DeviceView::sample(0, 0, DeviceKind::Gpu).with_health_penalty(3.0)];
         assert_eq!(p.place(&t, &eligible(&only), &db).unwrap(), 0);
-    }
-
-    #[test]
-    fn hetero_compares_classes_through_currency() {
-        let p = HeteroAware::new();
-        let db = ProfileDb::new();
-        // Link the classes: the CPU is observed 10× slower on a shared
-        // kernel, and "j" has only ever run on the GPU, slowly.
-        for _ in 0..2 {
-            db.record("link", DeviceKind::Gpu, SimDuration::from_nanos(1_000));
-            db.record("link", DeviceKind::Cpu, SimDuration::from_nanos(10_000));
-            db.record("j", DeviceKind::Gpu, SimDuration::from_millis(50));
-        }
-        let views = vec![
-            DeviceView::sample(0, 0, DeviceKind::Cpu),
-            DeviceView::sample(1, 0, DeviceKind::Gpu),
-        ];
-        // The raw roofline estimate for this tiny task would make the
-        // idle CPU look attractive; the currency-converted measurement
-        // (50 ms × 10) keeps the comparison in common units and the GPU
-        // wins.
-        let t = TaskSpec::new("j").cost(CostModel::new().flops(1e3));
-        assert_eq!(p.place(&t, &eligible(&views), &db).unwrap(), 1);
     }
 
     #[test]

@@ -6,7 +6,6 @@ use haocl_obs::{CandidateInfo, PlacementAudit, PredictionSource};
 use haocl_proto::messages::DeviceKind;
 use haocl_sim::SimDuration;
 
-use crate::currency::CurrencyTable;
 use crate::monitor::DeviceView;
 use crate::profile::ProfileDb;
 use crate::task::TaskSpec;
@@ -122,7 +121,6 @@ impl Scheduler {
         task: &TaskSpec,
         devices: &[DeviceView],
     ) -> Result<(usize, PlacementAudit), SchedError> {
-        let currency = CurrencyTable::from_profile(&self.profile);
         if let Some((node, dev)) = task.pinned {
             let idx = devices
                 .iter()
@@ -134,7 +132,7 @@ impl Scheduler {
                 kernel: task.kernel.clone(),
                 tenant: task.tenant.clone(),
                 policy: self.policy.name().to_string(),
-                candidates: vec![self.candidate(task, idx, &devices[idx], &currency)],
+                candidates: vec![self.candidate(task, idx, &devices[idx])],
                 chosen: idx,
                 reason: "pinned by task spec".to_string(),
                 fused: haocl_obs::FusionDecision::Unconsidered,
@@ -159,7 +157,7 @@ impl Scheduler {
             })?;
         let candidates: Vec<CandidateInfo> = eligible
             .iter()
-            .map(|&(i, d)| self.candidate(task, i, d, &currency))
+            .map(|&(i, d)| self.candidate(task, i, d))
             .collect();
         let reason = candidates
             .iter()
@@ -168,13 +166,6 @@ impl Scheduler {
                 (PredictionSource::Observed, Some(n)) => {
                     format!("observed profile predicts {}", SimDuration::from_nanos(n))
                 }
-                (PredictionSource::Seed, Some(n)) => {
-                    format!("static seed predicts {}", SimDuration::from_nanos(n))
-                }
-                (PredictionSource::Currency, Some(n)) => format!(
-                    "currency-converted observation predicts {}",
-                    SimDuration::from_nanos(n)
-                ),
                 (PredictionSource::CostModel, Some(n)) => {
                     format!("cost model estimates {}", SimDuration::from_nanos(n))
                 }
@@ -193,31 +184,10 @@ impl Scheduler {
         Ok((chosen, audit))
     }
 
-    /// Builds the audit record for one candidate device, attributing the
-    /// prediction to the strongest available source: warm profile, then
-    /// static seed, then a warm observation from another device class
-    /// converted through the compute-currency table, then the roofline
-    /// cost model.
-    fn candidate(
-        &self,
-        task: &TaskSpec,
-        idx: usize,
-        view: &DeviceView,
-        currency: &CurrencyTable,
-    ) -> CandidateInfo {
-        let (predicted_nanos, source) =
-            if let Some(d) = self.profile.observed(&task.kernel, view.kind) {
-                (Some(d.as_nanos()), PredictionSource::Observed)
-            } else if let Some(d) = self.profile.seed_hint(&task.kernel, view.kind) {
-                (Some(d.as_nanos()), PredictionSource::Seed)
-            } else if let Some(d) = convert_observation(&self.profile, currency, task, view.kind) {
-                (Some(d.as_nanos()), PredictionSource::Currency)
-            } else {
-                (
-                    Some(estimate_time(task, view).as_nanos()),
-                    PredictionSource::CostModel,
-                )
-            };
+    /// Builds the audit record for one candidate device: the unpenalised
+    /// [`predict`] answer, with the health verdict in its own column.
+    fn candidate(&self, task: &TaskSpec, idx: usize, view: &DeviceView) -> CandidateInfo {
+        let (run, source) = predict(task, view, &self.profile);
         let health = if view.health_penalty > 1.0 {
             CandidateInfo::degraded_health(view.health_penalty)
         } else {
@@ -231,28 +201,27 @@ impl Scheduler {
                 view.node_name.clone()
             },
             kind: format!("{:?}", view.kind),
-            predicted_nanos,
+            predicted_nanos: Some(run.as_nanos()),
             source,
             health,
         }
     }
 }
 
-/// Transfers the kernel's warm observation from another device class onto
-/// `kind` through the currency table's exchange rates. `None` when the
-/// kernel has no warm sibling or the table lacks a rate for either class.
-pub(crate) fn convert_observation(
-    profile: &ProfileDb,
-    currency: &CurrencyTable,
+/// How long `task` is predicted to run on `view`, and which rung of the
+/// ladder answered: the warm observed profile for the device's class,
+/// else the roofline [`estimate_time`]. The cost-driven policies compare
+/// candidates by this (times the device's health penalty) and the audit
+/// records it, so the two never disagree on what was predicted.
+pub(crate) fn predict(
     task: &TaskSpec,
-    kind: DeviceKind,
-) -> Option<SimDuration> {
-    profile
-        .warm_observations(&task.kernel)
-        .into_iter()
-        .filter(|&(k, _)| k != kind)
-        .filter_map(|(k, d)| currency.convert(d, k, kind))
-        .min()
+    view: &DeviceView,
+    profile: &ProfileDb,
+) -> (SimDuration, PredictionSource) {
+    match profile.observed(&task.kernel, view.kind) {
+        Some(run) => (run, PredictionSource::Observed),
+        None => (estimate_time(task, view), PredictionSource::CostModel),
+    }
 }
 
 impl fmt::Debug for Scheduler {
@@ -316,6 +285,7 @@ mod tests {
     use super::*;
     use haocl_kernel::CostModel;
     use haocl_proto::ids::NodeId;
+    use haocl_sim::SimTime;
 
     struct FirstFit;
 
@@ -439,31 +409,50 @@ mod tests {
     }
 
     #[test]
-    fn currency_converts_sibling_observations_for_unseen_classes() {
-        let s = Scheduler::new(Box::new(FirstFit));
-        // Link the GPU and CPU classes through a shared kernel: the CPU
-        // runs it 4× slower.
+    fn audit_records_the_prediction_the_policy_compares() {
+        let s = Scheduler::new(Box::new(crate::policies::HeteroAware::new()));
+        // The GPU class is warm on "k" at 1 ms, slower than its roofline
+        // estimate; the CPU has never run it.
         for _ in 0..2 {
             s.profile()
-                .record("link", DeviceKind::Gpu, SimDuration::from_nanos(100));
-            s.profile()
-                .record("link", DeviceKind::Cpu, SimDuration::from_nanos(400));
+                .record("k", DeviceKind::Gpu, SimDuration::from_millis(1));
         }
-        // Kernel "j" has only been measured on the GPU.
-        for _ in 0..2 {
-            s.profile()
-                .record("j", DeviceKind::Gpu, SimDuration::from_nanos(1000));
+        let task = TaskSpec::new("k").cost(CostModel::new().flops(1e9));
+        let busy = |micros| SimTime::ZERO + SimDuration::from_micros(micros);
+        // Node 1's GPU is queued and node 2's is degraded: first the idle
+        // CPU wins, then, with the CPU queued too, the degraded GPU.
+        for (cpu_busy, winner) in [(0, 0), (10_000, 2)] {
+            let devices = vec![
+                DeviceView::sample(0, 0, DeviceKind::Cpu).loaded(busy(cpu_busy), 1),
+                DeviceView::sample(1, 0, DeviceKind::Gpu).loaded(busy(2_500), 1),
+                DeviceView::sample(2, 0, DeviceKind::Gpu).with_health_penalty(3.0),
+            ];
+            let (chosen, audit) = s.place_audited(&task, &devices).unwrap();
+            for c in &audit.candidates {
+                let observed = s.profile().observed("k", devices[c.device].kind);
+                assert_eq!(
+                    c.source == PredictionSource::Observed,
+                    observed.is_some(),
+                    "{}",
+                    audit.line()
+                );
+            }
+            // The winner minimises what the policy compares: queue drain
+            // plus the audited (unpenalised) prediction times the health
+            // penalty.
+            let finish = |c: &CandidateInfo| {
+                let view = &devices[c.device];
+                view.busy_until.as_nanos() as f64
+                    + c.predicted_nanos.unwrap() as f64 * view.health_penalty
+            };
+            let best = audit
+                .candidates
+                .iter()
+                .map(finish)
+                .fold(f64::INFINITY, f64::min);
+            assert_eq!(finish(audit.winner().unwrap()), best, "{}", audit.line());
+            assert_eq!(chosen, winner, "{}", audit.line());
         }
-        let (_, audit) = s.place_audited(&TaskSpec::new("j"), &snapshot()).unwrap();
-        let cpu = audit.candidates.iter().find(|c| c.kind == "Cpu").unwrap();
-        assert_eq!(
-            cpu.source,
-            PredictionSource::Currency,
-            "unseen class gets a converted measurement, not a model guess"
-        );
-        assert_eq!(cpu.predicted_nanos, Some(4000));
-        let gpu = audit.candidates.iter().find(|c| c.kind == "Gpu").unwrap();
-        assert_eq!(gpu.source, PredictionSource::Observed);
     }
 
     #[test]

@@ -20,20 +20,10 @@ const ALPHA: f64 = 0.3;
 /// Observations below this count are considered too thin to trust.
 const MIN_RUNS: u64 = 2;
 
-/// Per-observation decay of a seed's weight once the key is warm: after
-/// `k` post-warm-up observations the seed still contributes
-/// `SEED_DECAY^k` of the blended prediction, so static hints fade out
-/// geometrically instead of being dropped on a cliff edge.
-const SEED_DECAY: f64 = 0.5;
-
 #[derive(Debug, Clone, Copy, Default)]
 struct Entry {
     runs: u64,
     ema_nanos: f64,
-    /// Exponentially weighted variance of the observations (same ALPHA
-    /// window as the mean) — the rolling dispersion the drift detector's
-    /// z-scores are measured against.
-    var_nanos2: f64,
 }
 
 /// Thread-safe profile store.
@@ -48,51 +38,17 @@ struct Entry {
 /// let db = ProfileDb::new();
 /// db.record("matmul", DeviceKind::Gpu, SimDuration::from_millis(10));
 /// db.record("matmul", DeviceKind::Gpu, SimDuration::from_millis(12));
-/// let predicted = db.predict("matmul", DeviceKind::Gpu).unwrap();
+/// let predicted = db.observed("matmul", DeviceKind::Gpu).unwrap();
 /// assert!(predicted >= SimDuration::from_millis(10));
 /// assert!(predicted <= SimDuration::from_millis(12));
 /// ```
 #[derive(Debug, Default)]
 pub struct ProfileDb {
     entries: RwLock<HashMap<(String, DeviceKind), Entry>>,
-    /// Static placement hints (see [`ProfileDb::seed`]), consulted only
-    /// while the observed profile for a key is still cold.
-    seeds: RwLock<HashMap<(String, DeviceKind), f64>>,
-    /// How many seeded keys have warmed past `MIN_RUNS` (the moment the
-    /// dynamic profile first displaces a static hint).
-    seed_displacements: AtomicU64,
     /// How many observations have updated an *already warm* key — each
     /// one is an online recalibration of a trusted estimate. Feeds the
     /// `haocl_profile_recalibrations_total` metric.
     recalibrations: AtomicU64,
-}
-
-/// Rolling statistics for one warm `(kernel, device class)` key.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProfileStats {
-    /// Observed run count.
-    pub runs: u64,
-    /// The exponentially weighted mean execution time.
-    pub mean: SimDuration,
-    /// The exponentially weighted standard deviation.
-    pub std_dev: SimDuration,
-}
-
-/// One `(kernel, device class)` row of a [`ProfileDb::snapshot`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProfileSnapshotEntry {
-    /// The kernel name.
-    pub kernel: String,
-    /// The device class.
-    pub kind: DeviceKind,
-    /// Observed run count (0 for seed-only rows).
-    pub runs: u64,
-    /// The warm observed EMA, if `runs` passed the trust threshold.
-    pub observed: Option<SimDuration>,
-    /// The planted static hint, if any.
-    pub seed: Option<SimDuration>,
-    /// What [`ProfileDb::predict`] currently answers for this key.
-    pub prediction: Option<SimDuration>,
 }
 
 impl ProfileDb {
@@ -101,59 +57,26 @@ impl ProfileDb {
         ProfileDb::default()
     }
 
-    /// Records one observed execution time, updating the rolling EWMA
-    /// and its exponentially weighted variance (West's incremental
-    /// update). Every record against an already-warm key counts as an
-    /// online recalibration.
+    /// Records one observed execution time, updating the rolling EWMA.
+    /// Every record against an already-warm key counts as an online
+    /// recalibration.
     pub fn record(&self, kernel: &str, kind: DeviceKind, duration: SimDuration) {
-        let key = (kernel.to_string(), kind);
         let mut entries = self.entries.write();
-        let e = entries.entry(key.clone()).or_default();
+        let e = entries.entry((kernel.to_string(), kind)).or_default();
         let nanos = duration.as_nanos() as f64;
         if e.runs == 0 {
             e.ema_nanos = nanos;
-            e.var_nanos2 = 0.0;
         } else {
             if e.runs >= MIN_RUNS {
                 self.recalibrations.fetch_add(1, Ordering::Relaxed);
             }
-            let diff = nanos - e.ema_nanos;
-            let incr = ALPHA * diff;
-            e.ema_nanos += incr;
-            e.var_nanos2 = (1.0 - ALPHA) * (e.var_nanos2 + diff * incr);
+            e.ema_nanos += ALPHA * (nanos - e.ema_nanos);
         }
         e.runs += 1;
-        if e.runs == MIN_RUNS && self.seeds.read().contains_key(&key) {
-            self.seed_displacements.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
-    /// Plants a *static* prediction for a key, used by
-    /// [`predict`](Self::predict) until enough real observations exist to
-    /// displace it. This is how the compiler's feature-vector placement
-    /// hints enter the scheduler before any launch has run (see
-    /// [`crate::seed_from_report`]).
-    pub fn seed(&self, kernel: &str, kind: DeviceKind, duration: SimDuration) {
-        self.seeds
-            .write()
-            .insert((kernel.to_string(), kind), duration.as_nanos() as f64);
-    }
-
-    /// Predicted execution time. While a key is cold (< `MIN_RUNS`
-    /// observations) a planted seed answers alone; once warm, the seed's
-    /// weight decays geometrically with every further observation
-    /// (`SEED_DECAY^k`), so the blended prediction slides from the static
-    /// hint onto the observed EMA instead of jumping on a cliff edge.
-    pub fn predict(&self, kernel: &str, kind: DeviceKind) -> Option<SimDuration> {
-        let key = (kernel.to_string(), kind);
-        let entry = self.entries.read().get(&key).copied();
-        let seed = self.seeds.read().get(&key).copied();
-        blend(entry, seed).map(|n| SimDuration::from_nanos(n as u64))
-    }
-
-    /// The warm observed EMA only — `None` while the key is cold, even
-    /// if a seed exists. Use [`predict`](Self::predict) for the combined
-    /// answer; this split lets callers attribute a prediction's *source*.
+    /// The warm observed EMA — `None` while the key is cold (fewer than
+    /// `MIN_RUNS` observations).
     pub fn observed(&self, kernel: &str, kind: DeviceKind) -> Option<SimDuration> {
         self.entries
             .read()
@@ -162,100 +85,10 @@ impl ProfileDb {
             .map(|e| SimDuration::from_nanos(e.ema_nanos as u64))
     }
 
-    /// The planted static hint for a key, regardless of warm-up state.
-    pub fn seed_hint(&self, kernel: &str, kind: DeviceKind) -> Option<SimDuration> {
-        self.seeds
-            .read()
-            .get(&(kernel.to_string(), kind))
-            .map(|&n| SimDuration::from_nanos(n as u64))
-    }
-
-    /// How many seeded keys have been displaced by warm observations so
-    /// far — each counts exactly once, at the record that crossed the
-    /// trust threshold. Feeds the `haocl_profile_seed_displaced_total`
-    /// metric.
-    pub fn seed_displacements(&self) -> u64 {
-        self.seed_displacements.load(Ordering::Relaxed)
-    }
-
     /// How many observations have recalibrated an already-warm key.
     /// Feeds the `haocl_profile_recalibrations_total` metric.
     pub fn recalibrations(&self) -> u64 {
         self.recalibrations.load(Ordering::Relaxed)
-    }
-
-    /// Rolling mean and dispersion for a warm key — the window the drift
-    /// detector's z-score/ratio tests are measured against. `None` while
-    /// cold.
-    pub fn stats(&self, kernel: &str, kind: DeviceKind) -> Option<ProfileStats> {
-        self.entries
-            .read()
-            .get(&(kernel.to_string(), kind))
-            .filter(|e| e.runs >= MIN_RUNS)
-            .map(|e| ProfileStats {
-                runs: e.runs,
-                mean: SimDuration::from_nanos(e.ema_nanos as u64),
-                std_dev: SimDuration::from_nanos(e.var_nanos2.max(0.0).sqrt() as u64),
-            })
-    }
-
-    /// Every device class with a *warm* observation of `kernel`, with its
-    /// observed EMA. This is the raw material the compute-currency table
-    /// derives device-class exchange rates from.
-    pub fn warm_observations(&self, kernel: &str) -> Vec<(DeviceKind, SimDuration)> {
-        let mut out: Vec<(DeviceKind, SimDuration)> = self
-            .entries
-            .read()
-            .iter()
-            .filter(|((k, _), e)| k == kernel && e.runs >= MIN_RUNS)
-            .map(|((_, kind), e)| (*kind, SimDuration::from_nanos(e.ema_nanos as u64)))
-            .collect();
-        out.sort_by_key(|(kind, _)| format!("{kind:?}"));
-        out
-    }
-
-    /// Every kernel name with at least one warm observation, sorted.
-    pub fn warm_kernels(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .entries
-            .read()
-            .iter()
-            .filter(|(_, e)| e.runs >= MIN_RUNS)
-            .map(|((k, _), _)| k.clone())
-            .collect();
-        names.sort();
-        names.dedup();
-        names
-    }
-
-    /// Every `(kernel, device class)` key the database knows about —
-    /// observed or merely seeded — with run counts and all three
-    /// prediction views, sorted by kernel then device class.
-    pub fn snapshot(&self) -> Vec<ProfileSnapshotEntry> {
-        let entries = self.entries.read();
-        let seeds = self.seeds.read();
-        let mut keys: Vec<(String, DeviceKind)> =
-            entries.keys().chain(seeds.keys()).cloned().collect();
-        keys.sort_by(|a, b| (&a.0, format!("{:?}", a.1)).cmp(&(&b.0, format!("{:?}", b.1))));
-        keys.dedup();
-        keys.into_iter()
-            .map(|key| {
-                let e = entries.get(&key).copied();
-                let seed_nanos = seeds.get(&key).copied();
-                let entry = e.unwrap_or_default();
-                let observed = (entry.runs >= MIN_RUNS)
-                    .then(|| SimDuration::from_nanos(entry.ema_nanos as u64));
-                let seed = seed_nanos.map(|n| SimDuration::from_nanos(n as u64));
-                ProfileSnapshotEntry {
-                    prediction: blend(e, seed_nanos).map(|n| SimDuration::from_nanos(n as u64)),
-                    kernel: key.0,
-                    kind: key.1,
-                    runs: entry.runs,
-                    observed,
-                    seed,
-                }
-            })
-            .collect()
     }
 
     /// Number of recorded observations for a key.
@@ -275,28 +108,6 @@ impl ProfileDb {
     pub fn is_empty(&self) -> bool {
         self.entries.read().is_empty()
     }
-
-    /// Clears all observations, seeds and the displacement counter.
-    pub fn clear(&self) {
-        self.entries.write().clear();
-        self.seeds.write().clear();
-        self.seed_displacements.store(0, Ordering::Relaxed);
-        self.recalibrations.store(0, Ordering::Relaxed);
-    }
-}
-
-/// The seed-decay blend behind [`ProfileDb::predict`]: cold keys answer
-/// from the seed alone; warm keys mix the seed in with geometrically
-/// vanishing weight.
-fn blend(entry: Option<Entry>, seed: Option<f64>) -> Option<f64> {
-    match (entry.filter(|e| e.runs >= MIN_RUNS), seed) {
-        (Some(e), Some(s)) => {
-            let w = SEED_DECAY.powi((e.runs - MIN_RUNS + 1).min(64) as i32);
-            Some(w * s + (1.0 - w) * e.ema_nanos)
-        }
-        (Some(e), None) => Some(e.ema_nanos),
-        (None, s) => s,
-    }
 }
 
 #[cfg(test)]
@@ -307,7 +118,7 @@ mod tests {
     fn single_observation_is_not_enough() {
         let db = ProfileDb::new();
         db.record("k", DeviceKind::Gpu, SimDuration::from_nanos(100));
-        assert_eq!(db.predict("k", DeviceKind::Gpu), None);
+        assert_eq!(db.observed("k", DeviceKind::Gpu), None);
         assert_eq!(db.runs("k", DeviceKind::Gpu), 1);
     }
 
@@ -318,7 +129,7 @@ mod tests {
         for _ in 0..50 {
             db.record("k", DeviceKind::Gpu, SimDuration::from_nanos(100));
         }
-        let p = db.predict("k", DeviceKind::Gpu).unwrap();
+        let p = db.observed("k", DeviceKind::Gpu).unwrap();
         assert!(p < SimDuration::from_nanos(110), "{p}");
     }
 
@@ -328,105 +139,16 @@ mod tests {
         db.record("k", DeviceKind::Gpu, SimDuration::from_nanos(10));
         db.record("k", DeviceKind::Gpu, SimDuration::from_nanos(10));
         db.record("k", DeviceKind::Fpga, SimDuration::from_nanos(999));
-        assert!(db.predict("k", DeviceKind::Gpu).is_some());
-        assert!(db.predict("k", DeviceKind::Fpga).is_none());
+        assert!(db.observed("k", DeviceKind::Gpu).is_some());
+        assert!(db.observed("k", DeviceKind::Fpga).is_none());
         assert_eq!(db.len(), 2);
     }
 
     #[test]
     fn unknown_kernel_predicts_none() {
         let db = ProfileDb::new();
-        assert_eq!(db.predict("ghost", DeviceKind::Cpu), None);
+        assert_eq!(db.observed("ghost", DeviceKind::Cpu), None);
         assert!(db.is_empty());
-    }
-
-    #[test]
-    fn clear_resets() {
-        let db = ProfileDb::new();
-        db.record("k", DeviceKind::Cpu, SimDuration::from_nanos(5));
-        db.seed("k", DeviceKind::Gpu, SimDuration::from_nanos(5));
-        db.clear();
-        assert!(db.is_empty());
-        assert_eq!(db.predict("k", DeviceKind::Gpu), None);
-    }
-
-    #[test]
-    fn snapshot_covers_observed_and_seed_only_keys() {
-        let db = ProfileDb::new();
-        db.record("a", DeviceKind::Gpu, SimDuration::from_nanos(100));
-        db.record("a", DeviceKind::Gpu, SimDuration::from_nanos(100));
-        db.seed("b", DeviceKind::Fpga, SimDuration::from_nanos(900));
-        let snap = db.snapshot();
-        assert_eq!(snap.len(), 2);
-        let a = &snap[0];
-        assert_eq!(
-            (a.kernel.as_str(), a.kind, a.runs),
-            ("a", DeviceKind::Gpu, 2)
-        );
-        assert!(a.observed.is_some() && a.seed.is_none());
-        assert_eq!(a.prediction, a.observed);
-        let b = &snap[1];
-        assert_eq!(
-            (b.kernel.as_str(), b.kind, b.runs),
-            ("b", DeviceKind::Fpga, 0)
-        );
-        assert_eq!(b.prediction, Some(SimDuration::from_nanos(900)));
-    }
-
-    #[test]
-    fn seed_displacement_counts_once_per_key() {
-        let db = ProfileDb::new();
-        db.seed("k", DeviceKind::Gpu, SimDuration::from_nanos(500));
-        assert_eq!(db.seed_displacements(), 0);
-        db.record("k", DeviceKind::Gpu, SimDuration::from_nanos(100));
-        assert_eq!(db.seed_displacements(), 0, "one run is still cold");
-        db.record("k", DeviceKind::Gpu, SimDuration::from_nanos(100));
-        assert_eq!(
-            db.seed_displacements(),
-            1,
-            "warming past the threshold displaces"
-        );
-        db.record("k", DeviceKind::Gpu, SimDuration::from_nanos(100));
-        assert_eq!(db.seed_displacements(), 1, "further runs don't re-count");
-        // Unseeded keys never count.
-        db.record("u", DeviceKind::Cpu, SimDuration::from_nanos(1));
-        db.record("u", DeviceKind::Cpu, SimDuration::from_nanos(1));
-        assert_eq!(db.seed_displacements(), 1);
-    }
-
-    #[test]
-    fn seed_predicts_until_observations_warm_then_decays() {
-        let db = ProfileDb::new();
-        db.seed("k", DeviceKind::Gpu, SimDuration::from_nanos(500));
-        assert_eq!(
-            db.predict("k", DeviceKind::Gpu),
-            Some(SimDuration::from_nanos(500)),
-            "cold profile falls back to the static seed"
-        );
-        // One observation is still too thin — the seed keeps answering.
-        db.record("k", DeviceKind::Gpu, SimDuration::from_nanos(100));
-        assert_eq!(
-            db.predict("k", DeviceKind::Gpu),
-            Some(SimDuration::from_nanos(500))
-        );
-        // Warm profile blends: the seed still carries half the weight at
-        // the trust threshold…
-        db.record("k", DeviceKind::Gpu, SimDuration::from_nanos(100));
-        assert_eq!(
-            db.predict("k", DeviceKind::Gpu),
-            Some(SimDuration::from_nanos(300))
-        );
-        // …then decays geometrically toward the observed EMA.
-        db.record("k", DeviceKind::Gpu, SimDuration::from_nanos(100));
-        assert_eq!(
-            db.predict("k", DeviceKind::Gpu),
-            Some(SimDuration::from_nanos(200))
-        );
-        for _ in 0..20 {
-            db.record("k", DeviceKind::Gpu, SimDuration::from_nanos(100));
-        }
-        let p = db.predict("k", DeviceKind::Gpu).unwrap();
-        assert!(p <= SimDuration::from_nanos(101), "seed fully decayed: {p}");
     }
 
     #[test]
@@ -438,47 +160,5 @@ mod tests {
         db.record("k", DeviceKind::Gpu, SimDuration::from_nanos(120));
         db.record("k", DeviceKind::Gpu, SimDuration::from_nanos(90));
         assert_eq!(db.recalibrations(), 2);
-        db.clear();
-        assert_eq!(db.recalibrations(), 0);
-    }
-
-    #[test]
-    fn stats_expose_rolling_dispersion() {
-        let db = ProfileDb::new();
-        assert_eq!(db.stats("k", DeviceKind::Gpu), None);
-        for _ in 0..8 {
-            db.record("k", DeviceKind::Gpu, SimDuration::from_nanos(1000));
-        }
-        let steady = db.stats("k", DeviceKind::Gpu).unwrap();
-        assert_eq!(steady.mean, SimDuration::from_nanos(1000));
-        assert_eq!(
-            steady.std_dev,
-            SimDuration::ZERO,
-            "constant observations have no spread"
-        );
-        db.record("k", DeviceKind::Gpu, SimDuration::from_nanos(2000));
-        let jolted = db.stats("k", DeviceKind::Gpu).unwrap();
-        assert!(jolted.std_dev > SimDuration::ZERO);
-        assert!(jolted.mean > steady.mean);
-    }
-
-    #[test]
-    fn warm_observations_list_kinds_that_share_a_kernel() {
-        let db = ProfileDb::new();
-        for _ in 0..2 {
-            db.record("k", DeviceKind::Gpu, SimDuration::from_nanos(100));
-            db.record("k", DeviceKind::Cpu, SimDuration::from_nanos(400));
-        }
-        db.record("k", DeviceKind::Fpga, SimDuration::from_nanos(999));
-        let warm = db.warm_observations("k");
-        assert_eq!(
-            warm,
-            vec![
-                (DeviceKind::Cpu, SimDuration::from_nanos(400)),
-                (DeviceKind::Gpu, SimDuration::from_nanos(100)),
-            ],
-            "the single FPGA run is still cold"
-        );
-        assert_eq!(db.warm_kernels(), vec!["k".to_string()]);
     }
 }

@@ -1,6 +1,4 @@
-//! Task descriptors and the task dependency graph.
-
-use std::collections::HashMap;
+//! The task descriptor: one kernel launch as the scheduler sees it.
 
 use haocl_kernel::CostModel;
 use haocl_proto::ids::{NodeId, UserId};
@@ -84,167 +82,6 @@ impl TaskSpec {
     }
 }
 
-/// A dependency DAG of tasks (Fig. 1's task graph A→…→F).
-///
-/// # Examples
-///
-/// ```
-/// use haocl_sched::task::{TaskGraph, TaskSpec};
-///
-/// let mut g = TaskGraph::new();
-/// let a = g.add(TaskSpec::new("partition"));
-/// let b = g.add(TaskSpec::new("compute"));
-/// let c = g.add(TaskSpec::new("reduce"));
-/// g.add_dep(a, b)?;
-/// g.add_dep(b, c)?;
-/// assert_eq!(g.topo_order()?, vec![a, b, c]);
-/// # Ok::<(), haocl_sched::task::GraphError>(())
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct TaskGraph {
-    tasks: Vec<TaskSpec>,
-    /// edges[i] = tasks that depend on i.
-    edges: Vec<Vec<usize>>,
-    /// Number of unfinished prerequisites per task.
-    indegree: Vec<usize>,
-}
-
-/// A task graph construction or scheduling failure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum GraphError {
-    /// A task index was out of range.
-    UnknownTask(usize),
-    /// An edge would create a cycle (detected at `topo_order`).
-    Cycle,
-    /// A self-dependency was requested.
-    SelfDependency(usize),
-}
-
-impl std::fmt::Display for GraphError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            GraphError::UnknownTask(i) => write!(f, "unknown task index {i}"),
-            GraphError::Cycle => f.write_str("task graph contains a cycle"),
-            GraphError::SelfDependency(i) => write!(f, "task {i} cannot depend on itself"),
-        }
-    }
-}
-
-impl std::error::Error for GraphError {}
-
-impl TaskGraph {
-    /// Creates an empty graph.
-    pub fn new() -> Self {
-        TaskGraph::default()
-    }
-
-    /// Adds a task, returning its index.
-    pub fn add(&mut self, task: TaskSpec) -> usize {
-        self.tasks.push(task);
-        self.edges.push(Vec::new());
-        self.indegree.push(0);
-        self.tasks.len() - 1
-    }
-
-    /// Declares that `after` cannot start until `before` completes.
-    ///
-    /// # Errors
-    ///
-    /// [`GraphError::UnknownTask`] for bad indices,
-    /// [`GraphError::SelfDependency`] if `before == after`.
-    pub fn add_dep(&mut self, before: usize, after: usize) -> Result<(), GraphError> {
-        if before == after {
-            return Err(GraphError::SelfDependency(before));
-        }
-        if before >= self.tasks.len() {
-            return Err(GraphError::UnknownTask(before));
-        }
-        if after >= self.tasks.len() {
-            return Err(GraphError::UnknownTask(after));
-        }
-        self.edges[before].push(after);
-        self.indegree[after] += 1;
-        Ok(())
-    }
-
-    /// Number of tasks.
-    pub fn len(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// Whether the graph is empty.
-    pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
-    }
-
-    /// The task at `index`.
-    pub fn task(&self, index: usize) -> Option<&TaskSpec> {
-        self.tasks.get(index)
-    }
-
-    /// Tasks with no prerequisites (initially runnable).
-    pub fn roots(&self) -> Vec<usize> {
-        (0..self.tasks.len())
-            .filter(|&i| self.indegree[i] == 0)
-            .collect()
-    }
-
-    /// A topological order of all tasks (Kahn's algorithm). Stable: ties
-    /// resolve in insertion order.
-    ///
-    /// # Errors
-    ///
-    /// [`GraphError::Cycle`] if the graph is not a DAG.
-    pub fn topo_order(&self) -> Result<Vec<usize>, GraphError> {
-        let mut indegree = self.indegree.clone();
-        let mut ready: Vec<usize> = (0..self.tasks.len())
-            .filter(|&i| indegree[i] == 0)
-            .collect();
-        let mut order = Vec::with_capacity(self.tasks.len());
-        let mut cursor = 0;
-        while cursor < ready.len() {
-            let i = ready[cursor];
-            cursor += 1;
-            order.push(i);
-            for &next in &self.edges[i] {
-                indegree[next] -= 1;
-                if indegree[next] == 0 {
-                    ready.push(next);
-                }
-            }
-        }
-        if order.len() != self.tasks.len() {
-            return Err(GraphError::Cycle);
-        }
-        Ok(order)
-    }
-
-    /// Groups the topological order into parallel *waves*: tasks in the
-    /// same wave have no dependencies among them and may run concurrently.
-    ///
-    /// # Errors
-    ///
-    /// [`GraphError::Cycle`] if the graph is not a DAG.
-    pub fn waves(&self) -> Result<Vec<Vec<usize>>, GraphError> {
-        let order = self.topo_order()?;
-        let mut depth: HashMap<usize, usize> = HashMap::new();
-        for &i in &order {
-            let d = depth.get(&i).copied().unwrap_or(0);
-            for &next in &self.edges[i] {
-                let nd = depth.entry(next).or_insert(0);
-                *nd = (*nd).max(d + 1);
-            }
-            depth.entry(i).or_insert(d);
-        }
-        let max_depth = depth.values().copied().max().unwrap_or(0);
-        let mut waves = vec![Vec::new(); max_depth + 1];
-        for &i in &order {
-            waves[depth[&i]].push(i);
-        }
-        Ok(waves.into_iter().filter(|w| !w.is_empty()).collect())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,68 +103,5 @@ mod tests {
         assert!(t.fpga_eligible);
         assert_eq!(t.pinned, Some((NodeId::new(1), 0)));
         assert_eq!(t.input_bytes, 4096);
-    }
-
-    #[test]
-    fn diamond_graph_topo_and_waves() {
-        // a → b, a → c, b → d, c → d (the classic diamond).
-        let mut g = TaskGraph::new();
-        let a = g.add(TaskSpec::new("a"));
-        let b = g.add(TaskSpec::new("b"));
-        let c = g.add(TaskSpec::new("c"));
-        let d = g.add(TaskSpec::new("d"));
-        g.add_dep(a, b).unwrap();
-        g.add_dep(a, c).unwrap();
-        g.add_dep(b, d).unwrap();
-        g.add_dep(c, d).unwrap();
-        assert_eq!(g.roots(), vec![a]);
-        let order = g.topo_order().unwrap();
-        assert_eq!(order[0], a);
-        assert_eq!(order[3], d);
-        let waves = g.waves().unwrap();
-        assert_eq!(waves, vec![vec![a], vec![b, c], vec![d]]);
-    }
-
-    #[test]
-    fn cycle_detected() {
-        let mut g = TaskGraph::new();
-        let a = g.add(TaskSpec::new("a"));
-        let b = g.add(TaskSpec::new("b"));
-        g.add_dep(a, b).unwrap();
-        g.add_dep(b, a).unwrap();
-        assert_eq!(g.topo_order().unwrap_err(), GraphError::Cycle);
-        assert_eq!(g.waves().unwrap_err(), GraphError::Cycle);
-    }
-
-    #[test]
-    fn self_dependency_rejected() {
-        let mut g = TaskGraph::new();
-        let a = g.add(TaskSpec::new("a"));
-        assert_eq!(g.add_dep(a, a).unwrap_err(), GraphError::SelfDependency(a));
-    }
-
-    #[test]
-    fn unknown_index_rejected() {
-        let mut g = TaskGraph::new();
-        let a = g.add(TaskSpec::new("a"));
-        assert_eq!(g.add_dep(a, 7).unwrap_err(), GraphError::UnknownTask(7));
-        assert_eq!(g.add_dep(7, a).unwrap_err(), GraphError::UnknownTask(7));
-        assert!(g.task(7).is_none());
-    }
-
-    #[test]
-    fn empty_graph_is_fine() {
-        let g = TaskGraph::new();
-        assert!(g.is_empty());
-        assert_eq!(g.topo_order().unwrap(), Vec::<usize>::new());
-        assert_eq!(g.waves().unwrap(), Vec::<Vec<usize>>::new());
-    }
-
-    #[test]
-    fn independent_tasks_form_one_wave() {
-        let mut g = TaskGraph::new();
-        let a = g.add(TaskSpec::new("a"));
-        let b = g.add(TaskSpec::new("b"));
-        assert_eq!(g.waves().unwrap(), vec![vec![a, b]]);
     }
 }

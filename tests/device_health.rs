@@ -201,35 +201,3 @@ fn recalibration_counter_tracks_warm_profile_updates() {
         "warm launches must surface recalibrations:\n{metrics}"
     );
 }
-
-#[test]
-fn currency_rates_export_once_profiles_warm_across_classes() {
-    // A hetero fleet warms both classes on the same kernel, which is
-    // exactly what the exchange-rate table needs.
-    // From the bitstream store, so the same kernel runs on the FPGA
-    // (which cannot build from source) and the GPU alike.
-    let registry = KernelRegistry::new();
-    registry.register_source(SRC).unwrap();
-    let platform = Platform::cluster(&ClusterConfig::hetero_cluster(1, 1), registry).unwrap();
-    platform.set_tracing(true);
-    let ctx = Context::new(&platform, &platform.devices(DeviceType::All)).unwrap();
-    let auto = AutoScheduler::new(&ctx, Box::new(policies::RoundRobin::new())).unwrap();
-    let program = Program::with_bitstream_kernels(&ctx, ["churn"]);
-    program.build().unwrap();
-    let kernel = Kernel::new(&program, "churn").unwrap();
-    kernel.set_cost(CostModel::new().flops(1e9).bytes_read(4.0 * LANES as f64));
-    let buffer = Buffer::new(&ctx, MemFlags::READ_WRITE, 4 * LANES).unwrap();
-    kernel.set_arg_buffer(0, &buffer).unwrap();
-    for _ in 0..8 {
-        auto.launch(&kernel, NdRange::linear(LANES, 1)).unwrap();
-    }
-    let metrics = platform.render_metrics();
-    assert!(
-        metrics.contains("haocl_compute_currency_rate_milli{kind=\"GPU\"} 1000"),
-        "base class exports rate 1.0:\n{metrics}"
-    );
-    assert!(
-        metrics.contains("haocl_compute_currency_rate_milli{kind=\"FPGA\"}"),
-        "sibling class exports its exchange rate:\n{metrics}"
-    );
-}

@@ -1,14 +1,15 @@
 //! Fig. 1's task graph, end-to-end: a diamond of dependent kernels
-//! (A → {B, C} → D) scheduled wave-by-wave through the extendable
-//! scheduling component onto a mixed cluster, with data flowing through
-//! shared buffers under the coherence protocol.
+//! (A → {B, C} → D) captured in a `LaunchGraph` in dependency order and
+//! dispatched through the extendable scheduling component onto a mixed
+//! cluster, with data flowing through shared buffers under the coherence
+//! protocol.
 
 use haocl::auto::AutoScheduler;
+use haocl::graph::LaunchGraph;
 use haocl::kernel::Kernel;
 use haocl::{Buffer, Context, DeviceKind, DeviceType, MemFlags, Platform, Program};
 use haocl_kernel::NdRange;
 use haocl_sched::policies::HeteroAware;
-use haocl_sched::task::{TaskGraph, TaskSpec};
 use haocl_workloads::registry_with_all;
 
 const SRC: &str = r#"
@@ -31,20 +32,7 @@ __kernel void stage_d(__global const int* y, __global const int* z, __global int
 "#;
 
 #[test]
-fn diamond_task_graph_executes_in_waves() {
-    // The graph drives ordering; the policy drives placement.
-    let mut graph = TaskGraph::new();
-    let a = graph.add(TaskSpec::new("stage_a"));
-    let b = graph.add(TaskSpec::new("stage_b"));
-    let c = graph.add(TaskSpec::new("stage_c"));
-    let d = graph.add(TaskSpec::new("stage_d"));
-    graph.add_dep(a, b).unwrap();
-    graph.add_dep(a, c).unwrap();
-    graph.add_dep(b, d).unwrap();
-    graph.add_dep(c, d).unwrap();
-    let waves = graph.waves().unwrap();
-    assert_eq!(waves, vec![vec![a], vec![b, c], vec![d]]);
-
+fn diamond_launch_graph_runs_in_dependency_order() {
     let platform =
         Platform::local_with_registry(&[DeviceKind::Cpu, DeviceKind::Gpu], registry_with_all())
             .unwrap();
@@ -59,35 +47,23 @@ fn diamond_task_graph_executes_in_waves() {
     let z = Buffer::new(&ctx, MemFlags::READ_WRITE, 4 * n).unwrap();
     let out = Buffer::new(&ctx, MemFlags::READ_WRITE, 4 * n).unwrap();
 
-    let launch = |name: &str| {
+    // The capture order is a topological order of the diamond; the
+    // policy places each dispatch.
+    let mut graph = LaunchGraph::new();
+    for (name, args) in [
+        ("stage_a", vec![&x]),
+        ("stage_b", vec![&x, &y]),
+        ("stage_c", vec![&x, &z]),
+        ("stage_d", vec![&y, &z, &out]),
+    ] {
         let k = Kernel::new(&program, name).unwrap();
-        match name {
-            "stage_a" => {
-                k.set_arg_buffer(0, &x).unwrap();
-            }
-            "stage_b" => {
-                k.set_arg_buffer(0, &x).unwrap();
-                k.set_arg_buffer(1, &y).unwrap();
-            }
-            "stage_c" => {
-                k.set_arg_buffer(0, &x).unwrap();
-                k.set_arg_buffer(1, &z).unwrap();
-            }
-            "stage_d" => {
-                k.set_arg_buffer(0, &y).unwrap();
-                k.set_arg_buffer(1, &z).unwrap();
-                k.set_arg_buffer(2, &out).unwrap();
-            }
-            other => panic!("unknown stage {other}"),
+        for (i, buffer) in args.into_iter().enumerate() {
+            k.set_arg_buffer(i as u32, buffer).unwrap();
         }
-        auto.launch(&k, NdRange::linear(n, 4)).unwrap()
-    };
-
-    for wave in &waves {
-        for &task in wave {
-            launch(&graph.task(task).unwrap().kernel);
-        }
+        graph.add(&k, NdRange::linear(n, 4)).unwrap();
     }
+    let report = auto.launch_graph(&graph).unwrap();
+    assert_eq!(report.nodes, 4);
 
     // Read results through whichever queue last owned the buffer.
     let mut bytes = vec![0u8; (4 * n) as usize];
