@@ -584,27 +584,6 @@ impl PendingCall {
         request.attempt = attempt;
         link.send(request, now)
     }
-
-    /// Claims the response if it has already arrived, without blocking.
-    ///
-    /// Returns `None` while the call is still in flight — after
-    /// receiving whatever the node has already delivered, when no other
-    /// waiter is receiving on the connection. After a `Some(..)` the
-    /// call is consumed: later polls return `None` and
-    /// [`PendingCall::wait`] must not be expected to yield it again.
-    /// `try_poll` never retransmits, even under a recovery policy.
-    pub fn try_poll(&mut self) -> Option<Result<CallOutcome, ClusterError>> {
-        if self.taken {
-            return None;
-        }
-        let claim = self.route.link.poll(self.id, &self.inner.clock)?;
-        self.taken = true;
-        Some(match claim {
-            Claim::Outcome(result) => result,
-            Claim::Gone(err) => Err(err),
-            Claim::TimedOut => unreachable!("a poll has no deadline"),
-        })
-    }
 }
 
 impl Drop for PendingCall {
@@ -1532,40 +1511,6 @@ mod tests {
     }
 
     #[test]
-    fn try_poll_never_blocks_behind_a_leader() {
-        let (go, gone) = std::sync::mpsc::channel::<()>();
-        let (_fabric, host, server) = scripted(move |mut msg, _data| {
-            let requests = collect_requests(&mut msg, 2);
-            gone.recv().unwrap();
-            for (request, at) in &requests {
-                pong(&mut msg, request, *at);
-            }
-        });
-        let led = host.submit(NodeId::new(0), ApiCall::Ping).unwrap();
-        let mut polled = host.submit(NodeId::new(0), ApiCall::Ping).unwrap();
-        let (led_id, polled_id) = (led.id(), polled.id());
-        std::thread::scope(|s| {
-            let leader = s.spawn(|| led.wait());
-            until_waiting(&host, 0);
-            // The node is silent and the leader holds the receive half:
-            // a poll that tried to receive would hang right here.
-            assert!(polled.try_poll().is_none());
-            go.send(()).unwrap();
-            assert!(is_pong_for(leader.join().unwrap(), led_id));
-        });
-        // The reply was on the connection behind the leader's, or arrives
-        // now that the receive half is free; polling finds it either way.
-        let result = loop {
-            match polled.try_poll() {
-                Some(result) => break result,
-                None => std::thread::yield_now(),
-            }
-        };
-        assert!(is_pong_for(result, polled_id));
-        server.join().unwrap();
-    }
-
-    #[test]
     fn a_duplicated_reply_counts_one_dedup_hit() {
         let (_fabric, host, server) = scripted(|mut msg, _data| {
             let (first, at) = collect_requests(&mut msg, 1).remove(0);
@@ -1724,25 +1669,6 @@ mod tests {
         for p in pending.into_iter().rev() {
             assert!(matches!(p.wait().unwrap().reply, ApiReply::Pong { .. }));
         }
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn try_poll_claims_without_blocking() {
-        let cluster =
-            LocalCluster::launch(&ClusterConfig::gpu_cluster(1), KernelRegistry::new()).unwrap();
-        let mut p = cluster
-            .host()
-            .submit(NodeId::new(0), ApiCall::Ping)
-            .unwrap();
-        let result = loop {
-            match p.try_poll() {
-                Some(r) => break r,
-                None => std::thread::sleep(Duration::from_millis(1)),
-            }
-        };
-        assert!(matches!(result.unwrap().reply, ApiReply::Pong { .. }));
-        assert!(p.try_poll().is_none(), "a claimed call stays claimed");
         cluster.shutdown();
     }
 

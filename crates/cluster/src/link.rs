@@ -344,25 +344,13 @@ impl NodeLink {
         }
     }
 
-    /// [`NodeLink::claim`] without blocking: completes whatever has
-    /// already arrived when nobody else is receiving, and answers `None`
-    /// while the call is still in flight.
-    pub(crate) fn poll(&self, id: RequestId, clock: &Clock) -> Option<Claim> {
-        let mut state = self.shared.lock();
-        match self.shared.take(&mut state, id, clock) {
-            Ok(claim) => return Some(claim),
-            Err(plane) => self.pump_ready(&mut state, plane, Some(id)),
-        }
-        self.shared.take(&mut state, id, clock).ok()
-    }
-
     /// Whether the link is still up, after looking at both connections:
     /// with no thread parked on a receive half, this is what notices
     /// that a node hung up while nobody was waiting for it.
     pub(crate) fn alive(&self) -> bool {
         let mut state = self.shared.lock();
         for plane in [Plane::Control, Plane::Data] {
-            self.pump_ready(&mut state, plane, None);
+            self.pump_ready(&mut state, plane);
         }
         state.dead.is_none()
     }
@@ -384,14 +372,14 @@ impl NodeLink {
 
     /// Receives what `plane`'s connection already holds, if its receive
     /// half is free; never blocks.
-    fn pump_ready(&self, state: &mut LinkState, plane: Plane, own: Option<RequestId>) {
+    fn pump_ready(&self, state: &mut LinkState, plane: Plane) {
         let Some(mut rx) = state.rx[lane(plane)].take() else {
             return;
         };
         match rx.try_recv_frame() {
             Ok(None) => state.rx[lane(plane)] = Some(rx),
-            Ok(Some(frame)) => self.deliver(state, plane, rx, decode_response(frame), own),
-            Err(e) => self.deliver(state, plane, rx, Err(ClusterError::Net(e)), own),
+            Ok(Some(frame)) => self.deliver(state, plane, rx, decode_response(frame), None),
+            Err(e) => self.deliver(state, plane, rx, Err(ClusterError::Net(e)), None),
         }
     }
 

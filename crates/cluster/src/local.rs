@@ -166,11 +166,6 @@ impl LocalCluster {
         &self.host
     }
 
-    /// Mutable access to the host runtime (e.g. to switch users).
-    pub fn host_mut(&mut self) -> &mut HostRuntime {
-        &mut self.host
-    }
-
     /// The shared fabric (to attach extra clients or inspect the link).
     pub fn fabric(&self) -> &Fabric {
         &self.fabric

@@ -6,6 +6,12 @@
 //! asynchronously, and for each incoming package unpacks it, executes it
 //! against the node's simulated devices and replies.
 //!
+//! The NMP is two layers. [`node`] is what a package does to the node: a
+//! function from request to reply, with no lock, socket, thread or wall
+//! clock in it. This module is the driver around it: the accept loops,
+//! one serve thread per connection, the lock that the node's two
+//! listeners share, the peer dial, and the wall clock on shipped spans.
+//!
 //! FPGA devices refuse online source builds; their kernels come from the
 //! node's bitstream [`KernelRegistry`] via
 //! [`haocl_proto::messages::ApiCall::LoadBitstream`].
@@ -16,47 +22,36 @@
 //! contents *directly* between two NMPs: the host still packages and
 //! delivers the command (preserving §III-A's single-host architecture),
 //! but the bulk bytes take one node→node hop instead of relaying through
-//! the host's shadow copy. The executing NMP dials the peer's data
-//! listener itself, releasing its state lock around the network hop so a
+//! the host's shadow copy. For such a call the node does not answer at
+//! once: it returns a [`Step::Hop`] — the inner request for the peer's
+//! data listener, and what it needs to finish when the peer answers. The
+//! driver, not the node, releases the node lock around the hop, so a
 //! co-located peer (or the node itself, over loopback) can serve the
-//! inner request.
+//! inner request, then locks again to resume the node with the answer.
 
-use std::collections::{HashMap, VecDeque};
+mod node;
+
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use haocl_device::device::DeviceError;
-use haocl_device::memory::MemoryError;
-use haocl_device::wire::{cost_from_wire, range_from_wire};
-use haocl_device::{presets, LaunchPart, SimDevice};
-use haocl_kernel::{CompiledKernel, KernelRegistry};
+use haocl_kernel::KernelRegistry;
 use haocl_net::{host_name_of, Conn, Fabric, Listener, NetError};
-use haocl_obs::{names, SpanId};
-use haocl_proto::ids::{KernelId, ProgramId, RequestId, UserId};
-use haocl_proto::messages::{
-    status, ApiCall, ApiReply, Envelope, Request, Response, WireAccessPattern, WireArgEffect,
-    WireKernelReport, WireLaunch, WireLaunchPart, WireLaunchParts, WireSpan,
-};
-#[cfg(test)]
-use haocl_proto::wire::encode_to_vec;
+use haocl_obs::names;
+use haocl_proto::messages::{status, ApiCall, ApiReply, Envelope, Request, Response};
 use haocl_proto::wire::{decode_from_segments, encode_segmented};
 use haocl_sim::SimTime;
 
 use crate::config::NodeSpec;
 use crate::error::ClusterError;
+use node::{err_reply, Node, PeerHop, Step};
 
 /// How often blocking loops check the stop flag.
 const POLL: Duration = Duration::from_millis(20);
-
-/// How many completed state-mutating requests the at-most-once journal
-/// remembers. The host retries a request only while it is pending, so
-/// the journal needs to outlive the host's in-flight window — 1024 is
-/// orders of magnitude deeper than the backbone ever pipelines.
-const JOURNAL_CAP: usize = 1024;
 
 /// Wall-clock patience for the peer's answer during an NMP→NMP transfer.
 /// On expiry the transfer fails with an error reply and the host falls
@@ -72,30 +67,6 @@ const JOURNAL_CAP: usize = 1024;
 /// pure fault headroom.
 const PEER_PATIENCE: Duration = Duration::from_millis(100);
 
-/// A built program's kernels by name, each shared by every kernel object
-/// created from it: compiled here from source (CPU/GPU path) or taken
-/// from the bitstream store (FPGA path).
-type ProgramKernels = HashMap<String, Arc<CompiledKernel>>;
-
-struct NodeState {
-    devices: Vec<SimDevice>,
-    programs: HashMap<(ProgramId, u8), ProgramKernels>,
-    kernels: HashMap<KernelId, (u8, Arc<CompiledKernel>)>,
-    registry: KernelRegistry,
-    /// Set by [`ApiCall::BeginDrain`]: the node refuses fresh kernel
-    /// launches so live migration can converge, while buffer traffic
-    /// and already-queued work keep completing.
-    draining: bool,
-    /// At-most-once journal: completed responses to state-mutating
-    /// requests, keyed by correlation token. A retried or duplicated
-    /// request whose id is here is answered from the journal instead of
-    /// re-executing — a kernel never runs twice, a write never applies
-    /// twice.
-    journal: HashMap<RequestId, Response>,
-    /// Journal insertion order, for FIFO eviction at [`JOURNAL_CAP`].
-    journal_order: VecDeque<RequestId>,
-}
-
 /// What a serve thread needs to execute peer data-plane transfers: a
 /// fabric handle to dial the peer's data listener, and this node's host
 /// name so outbound frames serialize on its own NIC — and take the free
@@ -108,19 +79,6 @@ struct PeerCtx {
     /// back only after a clean reply, so whatever a fault did to a
     /// connection dies with it and the next transfer dials afresh.
     idle: Mutex<HashMap<String, Conn>>,
-}
-
-impl NodeState {
-    fn journal_record(&mut self, response: &Response) {
-        if self.journal.insert(response.id, response.clone()).is_none() {
-            self.journal_order.push_back(response.id);
-            while self.journal_order.len() > JOURNAL_CAP {
-                if let Some(evicted) = self.journal_order.pop_front() {
-                    self.journal.remove(&evicted);
-                }
-            }
-        }
-    }
 }
 
 /// A running NMP: its listener threads and stop control.
@@ -151,20 +109,7 @@ impl NmpHandle {
         spec: &NodeSpec,
         registry: KernelRegistry,
     ) -> Result<Self, ClusterError> {
-        let devices = spec
-            .devices
-            .iter()
-            .map(|k| SimDevice::new(presets::by_kind(*k)))
-            .collect();
-        let state = Arc::new(Mutex::new(NodeState {
-            devices,
-            programs: HashMap::new(),
-            kernels: HashMap::new(),
-            registry,
-            draining: false,
-            journal: HashMap::new(),
-            journal_order: VecDeque::new(),
-        }));
+        let node = Arc::new(Mutex::new(Node::new(spec, registry)));
         let stop = Arc::new(AtomicBool::new(false));
         let peer = Arc::new(PeerCtx {
             fabric: fabric.clone(),
@@ -177,7 +122,7 @@ impl NmpHandle {
             .map(|listener| {
                 spawn_accept_loop(
                     listener,
-                    Arc::clone(&state),
+                    Arc::clone(&node),
                     Arc::clone(&stop),
                     Arc::clone(&peer),
                     Arc::clone(&tracked_serve_threads),
@@ -258,7 +203,7 @@ pub fn export_vm_metrics(metrics: &haocl_obs::Registry) {
 
 fn spawn_accept_loop(
     listener: Listener,
-    state: Arc<Mutex<NodeState>>,
+    node: Arc<Mutex<Node>>,
     stop: Arc<AtomicBool>,
     peer: Arc<PeerCtx>,
     tracked: Arc<AtomicUsize>,
@@ -278,10 +223,10 @@ fn spawn_accept_loop(
             }
             match accepted {
                 Ok(conn) => {
-                    let state = Arc::clone(&state);
+                    let node = Arc::clone(&node);
                     let stop = Arc::clone(&stop);
                     let peer = Arc::clone(&peer);
-                    serving.push(std::thread::spawn(move || serve(conn, state, stop, peer)));
+                    serving.push(std::thread::spawn(move || serve(conn, node, stop, peer)));
                     tracked.fetch_add(1, Ordering::Relaxed);
                 }
                 Err(NetError::Timeout) => {}
@@ -295,7 +240,16 @@ fn spawn_accept_loop(
     })
 }
 
-fn serve(mut conn: Conn, state: Arc<Mutex<NodeState>>, stop: Arc<AtomicBool>, peer: Arc<PeerCtx>) {
+/// One connection's serve loop, and the only code that locks the node.
+///
+/// It locks the node for [`Node::handle`] and unlocks it. On a
+/// [`Step::Hop`] it runs [`peer_round_trip`] with no lock held — the
+/// peer may be this node over loopback, whose own serve thread needs the
+/// lock to answer — then locks again for [`Node::resume`]. Duplicates of
+/// one id arrive in order on one connection, so releasing the lock in
+/// between cannot let a transfer execute twice: the second copy finds the
+/// first's response in the journal.
+fn serve(mut conn: Conn, node: Arc<Mutex<Node>>, stop: Arc<AtomicBool>, peer: Arc<PeerCtx>) {
     while !stop.load(Ordering::SeqCst) {
         let (frame, arrival) = match conn.recv_frame_timeout(POLL) {
             Ok(x) => x,
@@ -313,7 +267,27 @@ fn serve(mut conn: Conn, state: Arc<Mutex<NodeState>>, stop: Arc<AtomicBool>, pe
         // `handle` consumes the request, so a write's payload — a view of
         // the sender's storage — is gone before the reply leaves, and the
         // host gets its shadow back unshared.
-        let response = handle(&state, request, arrival, &peer);
+        let (step, started) = {
+            let mut node = node.lock();
+            // Wall clock is legal here: it never feeds virtual-time
+            // accounting, only the `wall_nanos` of shipped spans — the
+            // node's own work, from `handle` through any `resume`.
+            let started = request.traced().then(Instant::now);
+            (node.handle(request, arrival), started)
+        };
+        let mut response = match step {
+            Step::Reply(response) => response,
+            Step::Hop(inner, hop) => {
+                let answer = peer_round_trip(&peer, &hop, inner);
+                node.lock().resume(hop, answer)
+            }
+        };
+        if let Some(started) = started {
+            let wall_nanos = started.elapsed().as_nanos() as u64;
+            for span in &mut response.spans {
+                span.wall_nanos = wall_nanos;
+            }
+        }
         let send_at = response.completed_at_nanos;
         // Modeled data replies stand in for bulk payloads: charge the
         // return link as if the bytes were on it.
@@ -335,340 +309,20 @@ fn serve(mut conn: Conn, state: Arc<Mutex<NodeState>>, stop: Arc<AtomicBool>, pe
     }
 }
 
-fn handle(
-    state: &Mutex<NodeState>,
-    request: Request,
-    arrival: SimTime,
-    peer: &PeerCtx,
-) -> Response {
-    if request.body.is_peer_transfer() {
-        return handle_peer_transfer(state, request, arrival, peer);
-    }
-    let mut state = state.lock();
-    // At-most-once: a retransmitted (or chaos-duplicated) mutating request
-    // is answered from the journal — the kernel does not run again, the
-    // write does not apply again. The cached response is re-sent verbatim,
-    // flagged so the host can count the dedup. Pure queries (pings, reads,
-    // profile queries) are safe to re-run and skip the journal.
-    let journaled = request.body.mutates_node_state();
-    if journaled {
-        if let Some(cached) = state.journal.get(&request.id) {
-            let mut response = cached.clone();
-            response.duplicate = true;
-            return response;
-        }
-    }
-    let traced = request.traced();
-    // Wall clock is legal here: it never feeds virtual-time accounting,
-    // only the `wall_nanos` observability field on shipped spans.
-    let wall_start = std::time::Instant::now();
-    let (body, completed) = dispatch(&mut state, request.body, arrival);
-    let wall_nanos = wall_start.elapsed().as_nanos() as u64;
-    // For traced requests the node ships its side of the span tree back in
-    // the response: a dispatch span covering the NMP's handling, plus —
-    // for kernel launches — the VM run interval the reply already carries.
-    // Span ids are derived from the correlation token (host-side ids never
-    // set the high bit), so no cross-network id coordination is needed.
-    let spans = if traced {
-        let dispatch_id = SpanId::derive(request.id.raw(), 0);
-        // Enqueue is non-blocking: the reply leaves at receipt time while
-        // the kernel occupies the device until `end_nanos`. The dispatch
-        // span stretches to cover the run so the tree nests in time.
-        let mut dispatch_end = completed.as_nanos();
-        let mut spans = Vec::with_capacity(2);
-        if let ApiReply::LaunchDone {
-            start_nanos,
-            end_nanos,
-            ..
-        } = &body
-        {
-            dispatch_end = dispatch_end.max(*end_nanos);
-            spans.push(WireSpan {
-                id: SpanId::derive(request.id.raw(), 1).0,
-                parent: dispatch_id.0,
-                name: "vm.run".to_string(),
-                category: "Compute".to_string(),
-                start_nanos: *start_nanos,
-                end_nanos: *end_nanos,
-                wall_nanos,
-            });
-        }
-        spans.insert(
-            0,
-            WireSpan {
-                id: dispatch_id.0,
-                parent: request.parent_span,
-                name: "nmp.dispatch".to_string(),
-                category: "Dispatch".to_string(),
-                start_nanos: arrival.as_nanos(),
-                end_nanos: dispatch_end,
-                wall_nanos,
-            },
-        );
-        spans
-    } else {
-        Vec::new()
-    };
-    let response = Response {
-        id: request.id,
-        completed_at_nanos: completed.as_nanos(),
-        body,
-        duplicate: false,
-        spans,
-    };
-    if journaled {
-        state.journal_record(&response);
-    }
-    response
-}
-
-fn err_reply(code: i32, message: impl Into<String>) -> ApiReply {
-    ApiReply::Error {
-        code,
-        message: message.into(),
-    }
-}
-
-/// Executes a host-commanded NMP→NMP transfer ([`ApiCall::PushBufferTo`]
-/// / [`ApiCall::PullBufferFrom`]).
-///
-/// Unlike [`handle`], the node-state lock is *released* around the
-/// network hop: the peer may be co-located — or this very node, dialling
-/// its own data listener over loopback on single-node platforms — and
-/// its serve thread needs the lock to answer the inner request. The
-/// at-most-once journal still brackets the whole operation: the check
-/// runs before the local phase, the record after the hop. Duplicates of
-/// a given id arrive in order on one connection, so releasing the lock
-/// in between cannot let the transfer execute twice.
-fn handle_peer_transfer(
-    state: &Mutex<NodeState>,
-    request: Request,
-    arrival: SimTime,
-    peer: &PeerCtx,
-) -> Response {
-    {
-        let st = state.lock();
-        if let Some(cached) = st.journal.get(&request.id) {
-            let mut response = cached.clone();
-            response.duplicate = true;
-            return response;
-        }
-    }
-    let traced = request.traced();
-    let id = request.id;
-    let parent_span = request.parent_span;
-    let wall_start = std::time::Instant::now();
-    let (body, completed) = peer_transfer(state, &request, arrival, peer);
-    let wall_nanos = wall_start.elapsed().as_nanos() as u64;
-    let spans = if traced {
-        let dispatch_id = SpanId::derive(id.raw(), 0);
-        vec![
-            WireSpan {
-                id: dispatch_id.0,
-                parent: parent_span,
-                name: "nmp.dispatch".to_string(),
-                category: "Dispatch".to_string(),
-                start_nanos: arrival.as_nanos(),
-                end_nanos: completed.as_nanos(),
-                wall_nanos,
-            },
-            WireSpan {
-                id: SpanId::derive(id.raw(), 1).0,
-                parent: dispatch_id.0,
-                name: "fabric.peer_transfer".to_string(),
-                category: "DataTransfer".to_string(),
-                start_nanos: arrival.as_nanos(),
-                end_nanos: completed.as_nanos(),
-                wall_nanos,
-            },
-        ]
-    } else {
-        Vec::new()
-    };
-    let response = Response {
-        id,
-        completed_at_nanos: completed.as_nanos(),
-        body,
-        duplicate: false,
-        spans,
-    };
-    state.lock().journal_record(&response);
-    response
-}
-
-/// The bulk hop of a peer transfer: stage locally, ship, land. Returns
-/// the outer reply and the virtual time the last byte settled.
-fn peer_transfer(
-    state: &Mutex<NodeState>,
-    request: &Request,
-    arrival: SimTime,
-    peer: &PeerCtx,
-) -> (ApiReply, SimTime) {
-    // The inner request reuses the outer correlation token with the high
-    // bit set (host-side allocators never produce such ids): a
-    // chaos-duplicated inner frame hits the peer's own at-most-once
-    // journal instead of applying the write twice.
-    let inner_id = RequestId::new(request.id.raw() | (1 << 63));
-    match request.body.clone() {
-        ApiCall::PushBufferTo {
-            device,
-            buffer,
-            peer_addr,
-            peer_device,
-            peer_buffer,
-            offset,
-            len,
-            version: _,
-            epoch,
-            modeled,
-        } => {
-            // Stage the bytes off the local device, under the lock.
-            let (inner_call, virtual_len, local_done) = {
-                let mut st = state.lock();
-                let dev = match device_mut(&mut st, device) {
-                    Ok(d) => d,
-                    Err(reply) => return (reply, arrival),
-                };
-                if modeled {
-                    match dev.transfer_modeled(buffer, offset, len, arrival) {
-                        Ok(grant) => (
-                            ApiCall::WriteBufferModeled {
-                                device: peer_device,
-                                buffer: peer_buffer,
-                                offset,
-                                len,
-                            },
-                            len,
-                            grant.end,
-                        ),
-                        Err(e) => return (device_error_reply(e), arrival),
-                    }
-                } else {
-                    match dev.read_buffer(buffer, offset, len, arrival) {
-                        Ok((data, grant)) => (
-                            ApiCall::WriteBuffer {
-                                device: peer_device,
-                                buffer: peer_buffer,
-                                offset,
-                                data,
-                            },
-                            0,
-                            grant.end,
-                        ),
-                        Err(e) => return (device_error_reply(e), arrival),
-                    }
-                }
-            };
-            // Ship them with the lock released; the peer's ack carries
-            // the arrival time of the last byte.
-            match peer_round_trip(
-                peer,
-                &peer_addr,
-                inner_id,
-                request.user,
-                epoch,
-                inner_call,
-                virtual_len,
-                local_done,
-            ) {
-                Ok((ApiReply::Ack, at)) => (ApiReply::Ack, at),
-                Ok((_, at)) => (unexpected_peer_reply(&peer_addr), at),
-                Err(reply) => (reply, local_done),
-            }
-        }
-        ApiCall::PullBufferFrom {
-            device,
-            buffer,
-            peer_addr,
-            peer_device,
-            peer_buffer,
-            offset,
-            len,
-            version: _,
-            epoch,
-            modeled,
-        } => {
-            let inner_call = if modeled {
-                ApiCall::ReadBufferModeled {
-                    device: peer_device,
-                    buffer: peer_buffer,
-                    offset,
-                    len,
-                }
-            } else {
-                ApiCall::ReadBuffer {
-                    device: peer_device,
-                    buffer: peer_buffer,
-                    offset,
-                    len,
-                }
-            };
-            match peer_round_trip(
-                peer,
-                &peer_addr,
-                inner_id,
-                request.user,
-                epoch,
-                inner_call,
-                0,
-                arrival,
-            ) {
-                // Land the fetched bytes on the local device.
-                Ok((ApiReply::Data { bytes }, at)) if !modeled => {
-                    let mut st = state.lock();
-                    let dev = match device_mut(&mut st, device) {
-                        Ok(d) => d,
-                        Err(reply) => return (reply, at),
-                    };
-                    match dev.write_buffer(buffer, offset, &bytes, at) {
-                        Ok(grant) => (ApiReply::Ack, grant.end),
-                        Err(e) => (device_error_reply(e), at),
-                    }
-                }
-                Ok((ApiReply::DataModeled { len: got }, at)) if modeled => {
-                    let mut st = state.lock();
-                    let dev = match device_mut(&mut st, device) {
-                        Ok(d) => d,
-                        Err(reply) => return (reply, at),
-                    };
-                    match dev.transfer_modeled(buffer, offset, got, at) {
-                        Ok(grant) => (ApiReply::Ack, grant.end),
-                        Err(e) => (device_error_reply(e), at),
-                    }
-                }
-                Ok((_, at)) => (unexpected_peer_reply(&peer_addr), at),
-                Err(reply) => (reply, arrival),
-            }
-        }
-        _ => unreachable!("peer_transfer only handles peer data-plane calls"),
-    }
-}
-
-fn unexpected_peer_reply(peer_addr: &str) -> ApiReply {
-    err_reply(
-        status::INVALID_OPERATION,
-        format!("peer {peer_addr} answered the transfer with an unexpected reply"),
-    )
-}
-
-/// Delivers one inner request to the peer's data listener — over the
+/// Delivers a hop's inner request to the peer's data listener — over the
 /// idle connection kept from the last transfer there, or a fresh dial —
-/// and waits (bounded by [`PEER_PATIENCE`]) for its reply. Transport
-/// trouble comes back as `Err(error reply)`: the host treats it as final
-/// for this transfer and falls back to relaying the bytes through its
-/// shadow. The connection is kept for the next transfer only after a
-/// clean reply; on any error or timeout it is dropped here.
-#[allow(clippy::too_many_arguments)]
+/// and waits (bounded by [`PEER_PATIENCE`]) for its reply. The request is
+/// consumed into its frame. Transport trouble comes back as `Err(error
+/// reply)`: the host treats it as final for this transfer and falls back
+/// to relaying the bytes through its shadow. The connection is kept for
+/// the next transfer only after a clean reply; on any error or timeout it
+/// is dropped here.
 fn peer_round_trip(
     peer: &PeerCtx,
-    peer_addr: &str,
-    id: RequestId,
-    user: UserId,
-    epoch: u32,
-    call: ApiCall,
-    virtual_len: u64,
-    at: SimTime,
+    hop: &PeerHop,
+    inner: Request,
 ) -> Result<(ApiReply, SimTime), ApiReply> {
+    let peer_addr = hop.peer_addr.as_str();
     let failed = |what: &str, detail: String| {
         err_reply(
             status::DEVICE_NOT_AVAILABLE,
@@ -683,23 +337,14 @@ fn peer_round_trip(
             .connect(&peer.host_name, peer_addr)
             .map_err(|e| failed("is unreachable", e.to_string()))?,
     };
-    let inner = Request {
-        id,
-        user,
-        sent_at_nanos: at.as_nanos(),
-        trace_id: 0,
-        parent_span: 0,
-        epoch,
-        attempt: 0,
-        body: call,
-    };
-    conn.send_frame_with(at, virtual_len, |head, blobs| {
+    let id = inner.id;
+    conn.send_frame_with(hop.send_at, hop.virtual_len, |head, blobs| {
         encode_segmented(&Envelope::Single(inner), head, blobs)
     })
     .map_err(|e| failed("rejected the transfer", e.to_string()))?;
-    let deadline = std::time::Instant::now() + PEER_PATIENCE;
+    let deadline = Instant::now() + PEER_PATIENCE;
     let (response, received_at) = loop {
-        let patience = deadline.saturating_duration_since(std::time::Instant::now());
+        let patience = deadline.saturating_duration_since(Instant::now());
         let (frame, received_at) = conn
             .recv_frame_timeout(patience)
             .map_err(|e| failed("did not answer", e.to_string()))?;
@@ -718,446 +363,15 @@ fn peer_round_trip(
     }
 }
 
-/// Flattens each kernel's static-analysis report into its wire form.
-fn wire_reports(compiled: &haocl_clc::CompiledProgram) -> Vec<WireKernelReport> {
-    compiled
-        .kernels()
-        .map(|k| WireKernelReport {
-            kernel: k.name.clone(),
-            errors: k.report.diagnostics.error_count() as u32,
-            warnings: k.report.diagnostics.warning_count() as u32,
-            local_bytes: k.report.features.local_bytes,
-            barrier_count: k.report.features.barrier_count,
-            arithmetic_intensity: k.report.features.arithmetic_intensity,
-            divergence_score: k.report.features.divergence_score,
-            effects: wire_effects(&k.report.effects),
-        })
-        .collect()
-}
-
-/// Flattens a compiler effect summary into its wire form.
-fn wire_effects(summary: &haocl_clc::EffectSummary) -> Vec<WireArgEffect> {
-    use haocl_clc::{AccessMode, PatternBase};
-    summary
-        .args
-        .iter()
-        .map(|a| WireArgEffect {
-            mode: match a.mode {
-                AccessMode::None => 0,
-                AccessMode::Read => 1,
-                AccessMode::Write => 2,
-                AccessMode::ReadWrite => 3,
-            },
-            elem_bytes: a.elem_bytes,
-            bounded: a.elem_bounds.is_some(),
-            lo: a.elem_bounds.map_or(0, |b| b.0),
-            hi: a.elem_bounds.map_or(0, |b| b.1),
-            complete: a.complete,
-            patterns: a
-                .patterns
-                .iter()
-                .map(|p| {
-                    let (base_kind, base_id, base_add) = match p.base {
-                        PatternBase::Const(k) => (0, 0, k),
-                        PatternBase::Geom { id, add } => (1, id, add),
-                        PatternBase::Opaque => (2, 0, 0),
-                    };
-                    WireAccessPattern {
-                        write: p.write,
-                        provable: p.provable,
-                        coeffs: p.coeffs,
-                        base_kind,
-                        base_id,
-                        base_add,
-                    }
-                })
-                .collect(),
-        })
-        .collect()
-}
-
-fn device_error_reply(e: DeviceError) -> ApiReply {
-    let code = match &e {
-        DeviceError::Memory(MemoryError::OutOfMemory { .. }) => {
-            status::MEM_OBJECT_ALLOCATION_FAILURE
-        }
-        DeviceError::Memory(MemoryError::UnknownBuffer(_)) => status::INVALID_MEM_OBJECT,
-        DeviceError::Memory(MemoryError::DuplicateBuffer(_)) => status::INVALID_VALUE,
-        DeviceError::Memory(MemoryError::OutOfBounds { .. }) => status::INVALID_VALUE,
-        DeviceError::Memory(MemoryError::VirtualBuffer(_)) => status::INVALID_OPERATION,
-        DeviceError::Exec(_) => status::INVALID_KERNEL_ARGS,
-        DeviceError::NotSupported(_) => status::INVALID_OPERATION,
-    };
-    err_reply(code, e.to_string())
-}
-
-fn dispatch(state: &mut NodeState, call: ApiCall, at: SimTime) -> (ApiReply, SimTime) {
-    let call = match call.into_launch() {
-        Ok(wire) => return (launch(state, wire, at).unwrap_or_else(|e| e), at),
-        Err(call) => call,
-    };
-    match call {
-        ApiCall::Hello { client: _ } | ApiCall::ListDevices => {
-            let devices = state
-                .devices
-                .iter()
-                .enumerate()
-                .map(|(i, d)| d.descriptor(i as u8))
-                .collect();
-            (ApiReply::NodeInfo { devices }, at)
-        }
-        ApiCall::Ping => (
-            ApiReply::Pong {
-                now_nanos: at.as_nanos(),
-            },
-            at,
-        ),
-        ApiCall::Shutdown => (ApiReply::Ack, at),
-        ApiCall::CreateBufferModeled {
-            device,
-            buffer,
-            size,
-        } => match device_mut(state, device) {
-            Err(reply) => (reply, at),
-            Ok(dev) => match dev.alloc_buffer_modeled(buffer, size) {
-                Ok(()) => (ApiReply::Ack, at),
-                Err(e) => (device_error_reply(e), at),
-            },
-        },
-        ApiCall::WriteBufferModeled {
-            device,
-            buffer,
-            offset,
-            len,
-        } => match device_mut(state, device) {
-            Err(reply) => (reply, at),
-            Ok(dev) => match dev.transfer_modeled(buffer, offset, len, at) {
-                Ok(grant) => (ApiReply::Ack, grant.end),
-                Err(e) => (device_error_reply(e), at),
-            },
-        },
-        ApiCall::ReadBufferModeled {
-            device,
-            buffer,
-            offset,
-            len,
-        } => match device_mut(state, device) {
-            Err(reply) => (reply, at),
-            Ok(dev) => match dev.transfer_modeled(buffer, offset, len, at) {
-                Ok(grant) => (ApiReply::DataModeled { len }, grant.end),
-                Err(e) => (device_error_reply(e), at),
-            },
-        },
-        ApiCall::QueryProfile => {
-            let mut entries = Vec::new();
-            for (i, d) in state.devices.iter().enumerate() {
-                entries.extend(d.profile_entries(i as u8));
-            }
-            (ApiReply::Profile { entries }, at)
-        }
-        // Fault injection: degrade (or restore) a device's compute rate.
-        // Idempotent control call — deliberately NOT journaled, and the
-        // descriptor keeps advertising full speed, so only observed
-        // timings betray the sickness.
-        ApiCall::SetThrottle { device, factor } => match device_mut(state, device) {
-            Err(reply) => (reply, at),
-            Ok(dev) => {
-                dev.set_throttle(factor);
-                (ApiReply::Ack, at)
-            }
-        },
-        // Idempotent like SetThrottle: not journaled, safe to re-apply
-        // on a retried delivery.
-        ApiCall::BeginDrain => {
-            state.draining = true;
-            (ApiReply::Ack, at)
-        }
-        ApiCall::CreateBuffer {
-            device,
-            buffer,
-            size,
-        } => match device_mut(state, device) {
-            Err(reply) => (reply, at),
-            Ok(dev) => match dev.alloc_buffer(buffer, size) {
-                Ok(()) => (ApiReply::Ack, at),
-                Err(e) => (device_error_reply(e), at),
-            },
-        },
-        ApiCall::ReleaseBuffer { device, buffer } => match device_mut(state, device) {
-            Err(reply) => (reply, at),
-            Ok(dev) => match dev.free_buffer(buffer) {
-                Ok(()) => (ApiReply::Ack, at),
-                Err(e) => (device_error_reply(e), at),
-            },
-        },
-        ApiCall::WriteBuffer {
-            device,
-            buffer,
-            offset,
-            data,
-        } => match device_mut(state, device) {
-            Err(reply) => (reply, at),
-            Ok(dev) => match dev.write_buffer(buffer, offset, &data, at) {
-                Ok(grant) => (ApiReply::Ack, grant.end),
-                Err(e) => (device_error_reply(e), at),
-            },
-        },
-        ApiCall::ReadBuffer {
-            device,
-            buffer,
-            offset,
-            len,
-        } => match device_mut(state, device) {
-            Err(reply) => (reply, at),
-            Ok(dev) => match dev.read_buffer(buffer, offset, len, at) {
-                Ok((bytes, grant)) => (ApiReply::Data { bytes }, grant.end),
-                Err(e) => (device_error_reply(e), at),
-            },
-        },
-        ApiCall::CopyBuffer {
-            device,
-            src,
-            dst,
-            src_offset,
-            dst_offset,
-            len,
-        } => match device_mut(state, device) {
-            Err(reply) => (reply, at),
-            Ok(dev) => match dev.copy_buffer(src, dst, src_offset, dst_offset, len, at) {
-                Ok(grant) => (ApiReply::Ack, grant.end),
-                Err(e) => (device_error_reply(e), at),
-            },
-        },
-        ApiCall::BuildProgram {
-            device,
-            program,
-            source,
-        } => {
-            let kind = match state.devices.get(device as usize) {
-                Some(d) => d.model().kind,
-                None => return (err_reply(status::INVALID_DEVICE, "no such device"), at),
-            };
-            if kind == haocl_proto::messages::DeviceKind::Fpga {
-                return (
-                    err_reply(
-                        status::INVALID_OPERATION,
-                        "FPGA devices load pre-built bitstreams (use LoadBitstream)",
-                    ),
-                    at,
-                );
-            }
-            // Compile in `WarnOnly`: the node is mechanism, the host is
-            // policy. Analysis findings travel back as wire reports and
-            // `Program::build` decides whether errors fail the build.
-            let opts = haocl_clc::CompileOptions {
-                analysis: haocl_clc::AnalysisMode::WarnOnly,
-            };
-            match haocl_clc::compile_with_options(&source, &opts) {
-                Ok(compiled) => {
-                    let reports = wire_reports(&compiled);
-                    let log = compiled
-                        .kernels()
-                        .map(|k| k.report.diagnostics.render())
-                        .filter(|r| !r.is_empty())
-                        .collect::<Vec<_>>()
-                        .join("\n");
-                    let kernels = compiled
-                        .kernels()
-                        .map(|k| (k.name.clone(), Arc::new(k.clone())))
-                        .collect();
-                    state.programs.insert((program, device), kernels);
-                    (
-                        ApiReply::BuildLog {
-                            ok: true,
-                            log,
-                            reports,
-                        },
-                        at,
-                    )
-                }
-                Err(e) => (
-                    ApiReply::BuildLog {
-                        ok: false,
-                        log: e.build_log(),
-                        reports: Vec::new(),
-                    },
-                    at,
-                ),
-            }
-        }
-        ApiCall::LoadBitstream {
-            device,
-            program,
-            kernels,
-        } => {
-            if state.devices.get(device as usize).is_none() {
-                return (err_reply(status::INVALID_DEVICE, "no such device"), at);
-            }
-            // Resolved here, once: a loaded bitstream keeps the kernels
-            // the store held when it was loaded.
-            let n = kernels.len();
-            let mut loaded = ProgramKernels::new();
-            let mut missing = Vec::new();
-            for name in kernels {
-                match state.registry.get(&name) {
-                    Some(k) => {
-                        loaded.insert(name, k);
-                    }
-                    None => missing.push(name),
-                }
-            }
-            if !missing.is_empty() {
-                return (
-                    ApiReply::BuildLog {
-                        ok: false,
-                        log: format!("bitstream store is missing kernels: {}", missing.join(", ")),
-                        reports: Vec::new(),
-                    },
-                    at,
-                );
-            }
-            state.programs.insert((program, device), loaded);
-            let grant = state.devices[device as usize].note_program_loaded(program, at);
-            (
-                ApiReply::BuildLog {
-                    ok: true,
-                    log: format!("loaded {n} pre-built kernel(s)"),
-                    reports: Vec::new(),
-                },
-                grant.end,
-            )
-        }
-        ApiCall::CreateKernel {
-            device,
-            kernel,
-            program,
-            name,
-        } => {
-            let Some(entry) = state.programs.get(&(program, device)) else {
-                return (
-                    err_reply(
-                        status::INVALID_PROGRAM,
-                        "program is unknown or not built for this device",
-                    ),
-                    at,
-                );
-            };
-            let Some(resolved) = entry.get(&name).map(Arc::clone) else {
-                return (
-                    err_reply(
-                        status::INVALID_KERNEL_NAME,
-                        format!("no kernel `{name}` in program"),
-                    ),
-                    at,
-                );
-            };
-            let arity = resolved.arity() as u32;
-            state.kernels.insert(kernel, (device, resolved));
-            (ApiReply::KernelInfo { arity }, at)
-        }
-        // Routed away before this match — launches to `launch` above,
-        // peer transfers to `handle_peer_transfer` before dispatch (they
-        // must not run under the state lock); reaching here is a logic
-        // error.
-        ApiCall::LaunchKernel { .. }
-        | ApiCall::LaunchFused { .. }
-        | ApiCall::PushBufferTo { .. }
-        | ApiCall::PullBufferFrom { .. } => (
-            err_reply(
-                status::INVALID_OPERATION,
-                "launches and peer transfers are handled outside this match",
-            ),
-            at,
-        ),
-    }
-}
-
-/// Looks up the kernel a launch part names and views the part as the
-/// device runs it.
-fn resolve_part<'a>(
-    kernels: &'a HashMap<KernelId, (u8, Arc<CompiledKernel>)>,
-    device: u8,
-    part: &'a WireLaunchPart,
-) -> Result<LaunchPart<'a>, ApiReply> {
-    let Some((kernel_device, kernel)) = kernels.get(&part.kernel) else {
-        return Err(err_reply(status::INVALID_KERNEL, "unknown kernel"));
-    };
-    if *kernel_device != device {
-        return Err(err_reply(
-            status::INVALID_DEVICE,
-            "kernel was created for a different device",
-        ));
-    }
-    Ok(LaunchPart {
-        kernel,
-        args: &part.args,
-        range: range_from_wire(&part.range),
-        cost: cost_from_wire(&part.cost),
-    })
-}
-
-/// Runs one kernel dispatch — a lone `LaunchKernel` or a `LaunchFused`
-/// chain, which differ only in how many parts they carry. Both arms of
-/// the result are the reply to send; `Err` is the early-exit one.
-fn launch(state: &mut NodeState, launch: WireLaunch, at: SimTime) -> Result<ApiReply, ApiReply> {
-    if state.draining {
-        return Err(err_reply(status::DEVICE_NOT_AVAILABLE, "node is draining"));
-    }
-    if matches!(&launch.parts, WireLaunchParts::Fused(parts) if parts.len() < 2) {
-        return Err(err_reply(
-            status::INVALID_VALUE,
-            "fused launch needs >= 2 parts",
-        ));
-    }
-    // Resolve every constituent before running any: a dispatch is one
-    // command, so it fails whole on bad handles.
-    let resolve = |part| resolve_part(&state.kernels, launch.device, part);
-    // A lone launch — the small-launch hot path — views its part from
-    // the stack; only a chain pays for a list.
-    let (lone, chain);
-    let parts: &[LaunchPart<'_>] = match &*launch.parts {
-        [part] => {
-            lone = [resolve(part)?];
-            &lone
-        }
-        parts => {
-            chain = parts.iter().map(resolve).collect::<Result<Vec<_>, _>>()?;
-            &chain
-        }
-    };
-    let dev = state
-        .devices
-        .get_mut(launch.device as usize)
-        .ok_or_else(|| err_reply(status::INVALID_DEVICE, "no such device"))?;
-    // Enqueue is non-blocking (OpenCL semantics): the reply leaves at
-    // receipt time while the dispatch occupies the device timeline until
-    // `end_nanos`. Later operations on this device queue behind it; the
-    // host only waits at `clFinish`/reads.
-    let outcome = dev
-        .launch(parts, launch.fidelity, at)
-        .map_err(device_error_reply)?;
-    Ok(ApiReply::LaunchDone {
-        start_nanos: outcome.grant.start.as_nanos(),
-        end_nanos: outcome.grant.end.as_nanos(),
-        instructions: outcome.instructions,
-    })
-}
-
-fn device_mut(state: &mut NodeState, device: u8) -> Result<&mut SimDevice, ApiReply> {
-    state
-        .devices
-        .get_mut(device as usize)
-        .ok_or_else(|| err_reply(status::INVALID_DEVICE, format!("no device {device}")))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::ClusterConfig;
     use bytes::Bytes;
     use haocl_net::LinkModel;
-    use haocl_proto::ids::{BufferId, RequestId};
+    use haocl_proto::ids::{BufferId, KernelId, ProgramId, RequestId, UserId};
     use haocl_proto::messages::{Fidelity, WireArg, WireCost, WireNdRange};
+    use haocl_proto::wire::encode_to_vec;
     use haocl_sim::Clock;
 
     fn call(conn: &mut Conn, user: u32, body: ApiCall) -> (ApiReply, SimTime) {
@@ -1575,7 +789,7 @@ mod tests {
             assert_eq!(conn.recv_frame().err(), Some(NetError::Disconnected));
         };
         // The three-request batch the golden corpus used to carry.
-        let fixture = include_str!("../../proto/fixtures/wire_retired.txt");
+        let fixture = include_str!("../../../proto/fixtures/wire_retired.txt");
         let hex = fixture.trim_end().split_once(' ').expect("`label hex`").1;
         let recorded: Vec<u8> = (0..hex.len())
             .step_by(2)
@@ -1760,38 +974,6 @@ mod tests {
             other => panic!("unexpected reply {other:?}"),
         }
         handle.stop();
-    }
-
-    #[test]
-    fn journal_evicts_oldest_entries_beyond_cap() {
-        let devices = Vec::new();
-        let mut state = NodeState {
-            devices,
-            programs: HashMap::new(),
-            kernels: HashMap::new(),
-            registry: KernelRegistry::new(),
-            draining: false,
-            journal: HashMap::new(),
-            journal_order: VecDeque::new(),
-        };
-        for i in 0..(JOURNAL_CAP as u64 + 10) {
-            state.journal_record(&Response {
-                id: RequestId::new(i + 1),
-                completed_at_nanos: 0,
-                body: ApiReply::Ack,
-                duplicate: false,
-                spans: Vec::new(),
-            });
-        }
-        assert_eq!(state.journal.len(), JOURNAL_CAP);
-        assert_eq!(state.journal_order.len(), JOURNAL_CAP);
-        assert!(
-            !state.journal.contains_key(&RequestId::new(1)),
-            "oldest evicted"
-        );
-        assert!(state
-            .journal
-            .contains_key(&RequestId::new(JOURNAL_CAP as u64 + 10)));
     }
 
     #[test]

@@ -109,6 +109,10 @@ fn traced_launch_ships_node_spans_back() {
     assert_eq!(vm.parent, dispatch.id, "vm.run parents under dispatch");
     assert_ne!(dispatch.id & (1 << 63), 0, "node ids carry the high bit");
     assert!(dispatch.start_nanos <= vm.start_nanos && vm.end_nanos <= dispatch.end_nanos);
+    assert!(
+        outcome.spans.iter().all(|s| s.wall_nanos > 0),
+        "the NMP's driver stamps its wall time on every shipped span"
+    );
 }
 
 #[test]

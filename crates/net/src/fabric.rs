@@ -305,11 +305,6 @@ impl Fabric {
         Ok(client)
     }
 
-    /// Removes the listener at `addr`, refusing future connections.
-    pub fn unbind(&self, addr: &str) {
-        self.inner.listeners.lock().remove(addr);
-    }
-
     /// Installs a fault injector. Every subsequent frame transmission
     /// consults it; connects to or from a crashed host are refused.
     ///
@@ -374,11 +369,6 @@ impl Listener {
     /// [`NetError::Disconnected`] if the fabric is torn down.
     pub fn accept(&self) -> Result<Conn, NetError> {
         self.incoming.recv().map_err(|_| NetError::Disconnected)
-    }
-
-    /// Accepts a pending connection without blocking.
-    pub fn try_accept(&self) -> Option<Conn> {
-        self.incoming.try_recv().ok()
     }
 
     /// Blocks up to `timeout` (wall-clock) for a connection.
@@ -462,38 +452,22 @@ impl ConnSender {
     ///
     /// [`NetError::Disconnected`] if the peer is gone.
     pub fn send_frame(&mut self, payload: &[u8], at: SimTime) -> Result<SimTime, NetError> {
-        self.send_frame_virtual(payload, at, 0)
+        self.send_frame_with(at, 0, |head, _| head.extend_from_slice(payload))
     }
 
-    /// Like [`ConnSender::send_frame`], but charges the link as if the
-    /// payload were at least `virtual_len` bytes long.
-    ///
-    /// This is the *modeled transfer* path: a tiny descriptor frame
-    /// stands in for a bulk data package whose bytes are not actually
-    /// materialized (paper-scale benchmarking), while virtual timing is
-    /// identical to shipping the real data.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Disconnected`] if the peer is gone.
-    pub fn send_frame_virtual(
-        &mut self,
-        payload: &[u8],
-        at: SimTime,
-        virtual_len: u64,
-    ) -> Result<SimTime, NetError> {
-        self.send_frame_with(at, virtual_len, |head, _| head.extend_from_slice(payload))
-    }
-
-    /// Like [`ConnSender::send_frame_virtual`], but `write` builds the
-    /// payload in place, as the segments of a [`Frame`]: it appends to a
-    /// recycled head buffer and pushes each blob — shared, not copied —
-    /// with the head offset it sits at, in head order (as
+    /// Like [`ConnSender::send_frame`], but `write` builds the payload in
+    /// place, as the segments of a [`Frame`]: it appends to a recycled
+    /// head buffer and pushes each blob — shared, not copied — with the
+    /// head offset it sits at, in head order (as
     /// `proto::wire::encode_segmented` does). For callers that serialize
     /// a message anyway: no intermediate payload vector, and a bulk field
     /// reaches the receiver as the very storage it was handed in. The
     /// link is charged the 4-byte length prefix a byte stream would carry
-    /// plus every segment: what the contiguous payload would cost.
+    /// plus every segment — what the contiguous payload would cost — or
+    /// as if the payload were `virtual_len` bytes, if that is more. That
+    /// is the *modeled transfer* path: a tiny descriptor frame stands in
+    /// for a bulk package whose bytes are not materialized, with the
+    /// virtual timing of shipping them.
     ///
     /// # Errors
     ///
@@ -702,21 +676,6 @@ impl Conn {
     /// [`NetError::Disconnected`] if the peer is gone.
     pub fn send_frame(&mut self, payload: &[u8], at: SimTime) -> Result<SimTime, NetError> {
         self.sender.send_frame(payload, at)
-    }
-
-    /// Sends one frame charged as at least `virtual_len` bytes. See
-    /// [`ConnSender::send_frame_virtual`].
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Disconnected`] if the peer is gone.
-    pub fn send_frame_virtual(
-        &mut self,
-        payload: &[u8],
-        at: SimTime,
-        virtual_len: u64,
-    ) -> Result<SimTime, NetError> {
-        self.sender.send_frame_virtual(payload, at, virtual_len)
     }
 
     /// Builds the payload in place, as segments. See
@@ -983,7 +942,9 @@ mod tests {
         let mut server = listener.accept().unwrap();
         // A 20-byte descriptor charged as 1 MB.
         let arrival = client
-            .send_frame_virtual(&[7u8; 20], SimTime::ZERO, 1_000_000)
+            .send_frame_with(SimTime::ZERO, 1_000_000, |head, _| {
+                head.extend_from_slice(&[7u8; 20])
+            })
             .unwrap();
         let (payload, at) = server.recv_frame().unwrap();
         assert_eq!(payload.to_vec(), vec![7u8; 20]);

@@ -477,8 +477,11 @@ impl ApiCall {
         }
     }
 
-    /// Whether the call commands an NMP→NMP transfer. A node runs these
-    /// outside its state lock (the peer may be the node itself).
+    /// Whether the call commands an NMP→NMP transfer. The node does not
+    /// answer these at once: it steps them to a hop — an inner request
+    /// for the peer and what it needs to finish — and its driver, not
+    /// the node, releases the node lock around the hop (the peer may be
+    /// the node itself).
     pub fn is_peer_transfer(&self) -> bool {
         match self.class() {
             CallClass::PeerTransfer => true,

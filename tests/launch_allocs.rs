@@ -1,6 +1,7 @@
 //! Heap allocations per small launch, counted over the whole process —
 //! the client thread and every NMP thread — with this file's own
-//! `#[global_allocator]`.
+//! `#[global_allocator]`; and the bytes the wire decoder allocates for a
+//! frame, whatever the frame claims about its own lengths.
 //!
 //! The steady-state launch path is supposed to clone nothing it does not
 //! send and to reuse the storage it needs; this pins the number so a
@@ -16,9 +17,14 @@ use haocl::kernel::Kernel;
 use haocl::{Buffer, CommandQueue, Context, DeviceType, MemFlags, Platform, Program};
 use haocl_cluster::ClusterConfig;
 use haocl_kernel::{KernelRegistry, NdRange};
+use haocl_proto::messages::{ApiCall, ApiReply, Envelope, Request, Response};
+use haocl_proto::wire::{decode_from_segments, decode_from_slice, Decode};
 
 /// Calls to `alloc`/`realloc`, from any thread.
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// Bytes those calls asked for (a `realloc` counts its new size whole).
+static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// Those of them for [`LARGE`] bytes or more.
 static LARGE_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -31,6 +37,7 @@ struct Counting;
 
 fn count(size: usize) {
     ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    ALLOCATED_BYTES.fetch_add(size as u64, Ordering::Relaxed);
     if size >= LARGE {
         LARGE_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
     }
@@ -246,5 +253,82 @@ fn allocations_per_launch_do_not_grow_with_the_cluster() {
     assert!(
         large <= small + 1.0,
         "{large:.2} allocations per launch on 16 nodes against {small:.2} on 2"
+    );
+}
+
+/// Bytes a decode may allocate per byte of its frame: `decode_from_slice`
+/// copies the frame (1×), and a decoded value takes at most 3× its
+/// encoding in memory — the densest is a list of empty strings, 8 bytes
+/// each on the wire (the length prefix) and 24 in memory.
+const BYTES_PER_FRAME_BYTE: u64 = 4;
+
+/// Bytes a decode may allocate whatever the frame's length: a list's
+/// length prefix reserves at most 4 096 elements before the elements
+/// themselves are read, and no wire element type is 128 bytes in memory.
+/// It also covers the few dozen bytes every decode spends on the shared
+/// buffer a frame is read from.
+const FIXED_ALLOWANCE: u64 = 4_096 * 128;
+
+/// The bytes allocated while decoding `frame` as a `T` twice — from a
+/// slice and from one segment — whatever the outcome.
+fn decode_bytes<T: Decode>(frame: &[u8]) -> [u64; 2] {
+    let segment = haocl_proto::Bytes::copy_from_slice(frame);
+    let measure = |decode: &dyn Fn()| {
+        let before = ALLOCATED_BYTES.load(Ordering::Relaxed);
+        decode();
+        ALLOCATED_BYTES.load(Ordering::Relaxed) - before
+    };
+    [
+        measure(&|| drop(decode_from_slice::<T>(frame))),
+        measure(&|| drop(decode_from_segments::<T>([segment.clone()]))),
+    ]
+}
+
+/// Every line of the golden wire corpus, every prefix of each, and each
+/// with a length of `u32::MAX` written over every 8 bytes in turn — so
+/// over every length prefix it holds — decodes within
+/// [`BYTES_PER_FRAME_BYTE`] × its length + [`FIXED_ALLOWANCE`].
+#[test]
+fn no_frame_makes_the_decoder_allocate_more_than_a_multiple_of_its_length() {
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let corpus = include_str!("../crates/proto/fixtures/wire_golden.txt");
+    // How many frames were decoded, and the most any one took of the
+    // allowance.
+    let (mut frames, mut most) = (0, 0);
+    for line in corpus.lines() {
+        let (label, hex) = line.split_once(' ').expect("`label hex`");
+        let golden: Vec<u8> = (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect();
+        let decode = match label.split([':', '.']).next().unwrap() {
+            "ApiCall" => decode_bytes::<ApiCall>,
+            "ApiReply" => decode_bytes::<ApiReply>,
+            "Request" => decode_bytes::<Request>,
+            "Response" => decode_bytes::<Response>,
+            "Envelope" => decode_bytes::<Envelope>,
+            other => panic!("no decoder for corpus label {other}"),
+        };
+        let prefixes = (0..golden.len()).map(|n| golden[..n].to_vec());
+        let huge = (0..golden.len().saturating_sub(7)).map(|at| {
+            let mut frame = golden.clone();
+            frame[at..at + 8].copy_from_slice(&u64::from(u32::MAX).to_le_bytes());
+            frame
+        });
+        for frame in std::iter::once(golden.clone()).chain(prefixes).chain(huge) {
+            let len = frame.len() as u64;
+            for allocated in decode(&frame) {
+                frames += 1;
+                most = most.max(allocated.saturating_sub(BYTES_PER_FRAME_BYTE * len));
+                assert!(
+                    allocated <= BYTES_PER_FRAME_BYTE * len + FIXED_ALLOWANCE,
+                    "{label}: a {len}-byte frame made the decoder allocate {allocated} bytes"
+                );
+            }
+        }
+    }
+    println!(
+        "{frames} decodes: at most {most} bytes above {BYTES_PER_FRAME_BYTE} x the frame length \
+         (allowance {FIXED_ALLOWANCE})"
     );
 }
