@@ -12,7 +12,7 @@
 //! between the guard and the index). Bounds and use-before-init are
 //! *best-effort* warnings unless an access is provably out of bounds.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use crate::analysis::cfg::{BlockSet, Cfg};
 use crate::analysis::dataflow::{self, Form, ForwardAnalysis, Iv, Pt, PtrBase, Sc, Uoff, AV};
@@ -31,13 +31,28 @@ use crate::types::{AddressSpace, ScalarType};
 const HUGE: i64 = 1 << 40;
 
 /// The per-point abstract state: operand stack plus local slots.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub(crate) struct AbsState {
     stack: Vec<AV>,
     slots: Vec<AV>,
 }
 
-/// A `__local`/memory access observed during the final replay pass.
+impl Clone for AbsState {
+    fn clone(&self) -> Self {
+        AbsState {
+            stack: self.stack.clone(),
+            slots: self.slots.clone(),
+        }
+    }
+
+    /// Reuses both buffers: the solver copies one state per block visit.
+    fn clone_from(&mut self, source: &Self) {
+        self.stack.clone_from(&source.stack);
+        self.slots.clone_from(&source.slots);
+    }
+}
+
+/// A memory access, as the latest visit of its block observed it.
 #[derive(Debug, Clone, Copy)]
 struct Event {
     pc: usize,
@@ -50,23 +65,36 @@ struct Event {
     ctrl_tainted: bool,
 }
 
-/// Observations collected by replaying the solved states.
-#[derive(Default)]
-struct Obs {
-    /// `(block, condition form)` at each conditional terminator.
-    branches: Vec<(usize, Form)>,
-    /// Memory accesses.
-    events: Vec<Event>,
-    /// Dimensions the kernel queries `get_global_id`/`get_local_id` for.
-    active: [bool; 3],
-    /// A geometry query had a non-constant dimension operand.
-    all_active: bool,
-}
-
 struct Analyzer<'a> {
     kernel: &'a CompiledKernel,
-    block_of: &'a [usize],
+    cfg: &'a Cfg,
+    pdom: &'a [BlockSet],
+    /// Blocks under work-item-dependent control. Grows during the solve:
+    /// a conditional terminator whose condition is item-dependent taints
+    /// the blocks control-dependent on it.
     tainted: BlockSet,
+    /// Branch blocks whose dependents are already in `tainted`.
+    diverged: BlockSet,
+    /// Blocks tainted since `solve` last asked (see
+    /// [`ForwardAnalysis::take_grown`]).
+    grown: Vec<usize>,
+    /// Every access every visit observed, in visit order.
+    log: Vec<Event>,
+    /// Per block, what its latest visit observed. A block's last visit
+    /// starts from its solved entry state under its final taint (a change
+    /// to either re-queues it), so these are the solution's observations.
+    latest: Vec<Latest>,
+}
+
+/// What one visit of a block observed.
+#[derive(Clone, Copy, Default)]
+struct Latest {
+    /// Its accesses: `log[first..end]`.
+    first: usize,
+    end: usize,
+    /// Bit `d`: it queried `get_global_id`/`get_local_id` for dimension
+    /// `d`; bit 3: for a non-constant dimension.
+    dims: u8,
 }
 
 impl ForwardAnalysis for Analyzer<'_> {
@@ -102,8 +130,21 @@ impl ForwardAnalysis for Analyzer<'_> {
         }
     }
 
-    fn transfer(&mut self, state: &mut AbsState, pc: usize, instr: &Instr) {
-        self.step(state, pc, instr, None);
+    fn transfer(&mut self, st: &mut AbsState, pc: usize, instr: &Instr) {
+        let block = self.cfg.block_of[pc];
+        if pc == self.cfg.blocks[block].start {
+            let at = self.log.len();
+            self.latest[block] = Latest {
+                first: at,
+                end: at,
+                dims: 0,
+            };
+        }
+        self.step(st, pc, block, instr);
+    }
+
+    fn take_grown(&mut self) -> Option<usize> {
+        self.grown.pop()
     }
 
     fn join(&self, into: &mut AbsState, from: &AbsState) -> bool {
@@ -115,18 +156,13 @@ impl ForwardAnalysis for Analyzer<'_> {
             into.stack.truncate(n);
             changed = true;
         }
-        for i in 0..n {
-            let j = into.stack[i].join(from.stack[i]);
-            if j != into.stack[i] {
-                into.stack[i] = j;
-                changed = true;
-            }
-        }
-        for i in 0..into.slots.len().min(from.slots.len()) {
-            let j = into.slots[i].join(from.slots[i]);
-            if j != into.slots[i] {
-                into.slots[i] = j;
-                changed = true;
+        let pairs = into.stack.iter_mut().zip(&from.stack);
+        for (a, &b) in pairs.chain(into.slots.iter_mut().zip(&from.slots)) {
+            // Equal values join to themselves; most slots are unchanged.
+            if *a != b {
+                let j = a.join(b);
+                changed |= j != *a;
+                *a = j;
             }
         }
         changed
@@ -138,10 +174,28 @@ impl Analyzer<'_> {
         st.stack.pop().unwrap_or_else(AV::top)
     }
 
-    /// One instruction's abstract effect; `obs` is only set in the final
-    /// replay pass.
-    fn step(&self, st: &mut AbsState, pc: usize, instr: &Instr, mut obs: Option<&mut Obs>) {
-        let in_tainted = self.tainted.contains(self.block_of[pc]);
+    /// Taints every block control-dependent on the branch ending `block`
+    /// (once per branch) and records the newly tainted ones in `grown`.
+    fn diverge(&mut self, block: usize) {
+        if !self.diverged.insert(block) {
+            return;
+        }
+        let deps = self.cfg.control_dependents(block, self.pdom);
+        for b in 0..self.cfg.blocks.len() {
+            if deps.contains(b) && self.tainted.insert(b) {
+                self.grown.push(b);
+            }
+        }
+    }
+
+    fn observe(&mut self, block: usize, event: Event) {
+        self.log.push(event);
+        self.latest[block].end = self.log.len();
+    }
+
+    /// One instruction's abstract effect.
+    fn step(&mut self, st: &mut AbsState, pc: usize, block: usize, instr: &Instr) {
+        let in_tainted = self.tainted.contains(block);
         match *instr {
             Instr::PushInt(v, _) => st.stack.push(AV::Scalar(Sc::constant(v))),
             Instr::PushFloat(..) => st.stack.push(AV::Scalar(Sc {
@@ -173,18 +227,19 @@ impl Analyzer<'_> {
                 let ptr = Self::pop(st);
                 let val = match ptr {
                     AV::Ptr(p) => {
-                        if let Some(o) = obs.as_deref_mut() {
-                            o.events.push(Event {
+                        self.observe(
+                            block,
+                            Event {
                                 pc,
-                                block: self.block_of[pc],
+                                block,
                                 write: false,
                                 base: p.base,
                                 form: p.form,
                                 range: p.range,
                                 value_item_dep: false,
                                 ctrl_tainted: in_tainted,
-                            });
-                        }
+                            },
+                        );
                         if p.form.is_uniform() {
                             // Same address for every work-item → same value.
                             Sc {
@@ -202,17 +257,20 @@ impl Analyzer<'_> {
             Instr::StoreMem(_) => {
                 let value = Self::pop(st);
                 let ptr = Self::pop(st);
-                if let (AV::Ptr(p), Some(o)) = (ptr, obs.as_deref_mut()) {
-                    o.events.push(Event {
-                        pc,
-                        block: self.block_of[pc],
-                        write: true,
-                        base: p.base,
-                        form: p.form,
-                        range: p.range,
-                        value_item_dep: value.as_scalar().form.is_item_dependent(),
-                        ctrl_tainted: in_tainted,
-                    });
+                if let AV::Ptr(p) = ptr {
+                    self.observe(
+                        block,
+                        Event {
+                            pc,
+                            block,
+                            write: true,
+                            base: p.base,
+                            form: p.form,
+                            range: p.range,
+                            value_item_dep: value.as_scalar().form.is_item_dependent(),
+                            ctrl_tainted: in_tainted,
+                        },
+                    );
                 }
             }
             Instr::PtrAdd => {
@@ -318,9 +376,8 @@ impl Analyzer<'_> {
             }
             Instr::Jump(_) => {}
             Instr::JumpIfFalse(_) | Instr::JumpIfTrue(_) => {
-                let c = Self::pop(st).as_scalar();
-                if let Some(o) = obs.as_deref_mut() {
-                    o.branches.push((self.block_of[pc], c.form));
+                if Self::pop(st).as_scalar().form.is_item_dependent() {
+                    self.diverge(block);
                 }
             }
             Instr::CallMath1(..) => {
@@ -354,27 +411,21 @@ impl Analyzer<'_> {
                 let positive = Iv::range(1, i64::MAX);
                 let out = match (g, dim) {
                     (Geom::GlobalId, Some(d)) => {
-                        if let Some(o) = obs.as_deref_mut() {
-                            o.active[d] = true;
-                        }
+                        self.latest[block].dims |= 1 << d;
                         Sc {
                             form: Form::gid(d, GEOM_SYM + d as u32),
                             range: nonneg,
                         }
                     }
                     (Geom::LocalId, Some(d)) => {
-                        if let Some(o) = obs.as_deref_mut() {
-                            o.active[d] = true;
-                        }
+                        self.latest[block].dims |= 1 << d;
                         Sc {
                             form: Form::lid(d),
                             range: nonneg,
                         }
                     }
                     (Geom::GlobalId | Geom::LocalId, None) => {
-                        if let Some(o) = obs {
-                            o.all_active = true;
-                        }
+                        self.latest[block].dims |= 1 << 3;
                         Sc {
                             form: Form::top(),
                             range: nonneg,
@@ -463,40 +514,35 @@ pub(crate) fn analyze(decl: &KernelDecl, kernel: &CompiledKernel, source: &str) 
     let m = cfg.blocks.len();
     let pdom = cfg.post_dominators();
 
-    // Control-taint fixpoint: solve, observe branch conditions, widen the
-    // tainted-block set, repeat until stable. Monotone and bounded by the
-    // block count, so this terminates.
-    let mut tainted = BlockSet::empty(m);
-    let (obs, entries) = loop {
-        let mut analyzer = Analyzer {
-            kernel,
-            block_of: &cfg.block_of,
-            tainted: tainted.clone(),
-        };
-        let entries = dataflow::solve(&cfg, &kernel.code, &mut analyzer);
-        let mut obs = Obs::default();
-        for (b, entry) in entries.iter().enumerate() {
-            let Some(entry) = entry else { continue };
-            let mut st = entry.clone();
-            for pc in cfg.blocks[b].start..cfg.blocks[b].end {
-                analyzer.step(&mut st, pc, &kernel.code[pc], Some(&mut obs));
-            }
-        }
-        let mut changed = false;
-        for &(b, form) in &obs.branches {
-            if form.is_item_dependent() {
-                changed |= tainted.union(&cfg.control_dependents(b, &pdom));
-            }
-        }
-        if !changed {
-            break (obs, entries);
-        }
+    // One solve settles the values, the control taint and the
+    // observations together: taint only grows, `diverge` re-queues the
+    // blocks it reaches, and each block's latest visit is its observation.
+    let mut analyzer = Analyzer {
+        kernel,
+        cfg: &cfg,
+        pdom: &pdom,
+        tainted: BlockSet::empty(m),
+        diverged: BlockSet::empty(m),
+        grown: Vec::new(),
+        log: Vec::new(),
+        latest: vec![Latest::default(); m],
     };
-    let active = if obs.all_active {
+    let entries = dataflow::solve(&cfg, &kernel.code, &mut analyzer);
+    let events: Vec<Event> = analyzer
+        .latest
+        .iter()
+        .flat_map(|seen| &analyzer.log[seen.first..seen.end])
+        .copied()
+        .collect();
+    // The dimensions the kernel queries ids for: all three if a query's
+    // dimension is not a constant.
+    let dims = analyzer.latest.iter().fold(0, |acc, seen| acc | seen.dims);
+    let active = if dims & (1 << 3) != 0 {
         [true; 3]
     } else {
-        obs.active
+        [0, 1, 2].map(|d| dims & (1 << d) != 0)
     };
+    let tainted = analyzer.tainted;
 
     let pos = |pc: usize| -> (usize, usize) {
         kernel
@@ -534,19 +580,26 @@ pub(crate) fn analyze(decl: &KernelDecl, kernel: &CompiledKernel, source: &str) 
     }
 
     // --- Check 2: local-memory races. ------------------------------------
-    let reach = cfg.barrier_free_reach(&kernel.code);
     let reachable = cfg.reachable();
+    let local_events: Vec<Event> = events
+        .iter()
+        .filter(|e| matches!(e.base, PtrBase::LocalArray(_) | PtrBase::LocalDyn(_)))
+        .copied()
+        .collect();
     // anc[b] = blocks that reach b without crossing a barrier. Two accesses
     // can be concurrent iff some common block reaches both barrier-free
-    // (they lie in one barrier interval).
-    let mut anc: Vec<BlockSet> = (0..m).map(|_| BlockSet::empty(m)).collect();
-    for (p, rp) in reach.iter().enumerate() {
-        if !reachable.contains(p) {
-            continue;
-        }
-        for (b, a) in anc.iter_mut().enumerate() {
-            if rp.contains(b) {
-                a.insert(p);
+    // (they lie in one barrier interval). Only local stores ask.
+    let mut anc: Vec<BlockSet> = Vec::new();
+    if local_events.iter().any(|e| e.write) {
+        anc = (0..m).map(|_| BlockSet::empty(m)).collect();
+        for (p, rp) in cfg.barrier_free_reach(&kernel.code).iter().enumerate() {
+            if !reachable.contains(p) {
+                continue;
+            }
+            for (b, a) in anc.iter_mut().enumerate() {
+                if rp.contains(b) {
+                    a.insert(p);
+                }
             }
         }
     }
@@ -562,7 +615,7 @@ pub(crate) fn analyze(decl: &KernelDecl, kernel: &CompiledKernel, source: &str) 
                 .iter()
                 .find(|a| a.byte_offset == off)
                 .map(|a| a.name.clone()),
-            PtrBase::LocalDyn(slot) => decl.params.get(slot as usize).map(|p| p.name.clone()),
+            PtrBase::LocalDyn(slot) => decl.params.get(slot as usize).map(|p| p.name.to_string()),
             _ => None,
         }
     };
@@ -576,12 +629,6 @@ pub(crate) fn analyze(decl: &KernelDecl, kernel: &CompiledKernel, source: &str) 
             _ => None,
         }
     };
-    let local_events: Vec<Event> = obs
-        .events
-        .iter()
-        .filter(|e| matches!(e.base, PtrBase::LocalArray(_) | PtrBase::LocalDyn(_)))
-        .copied()
-        .collect();
     for w in local_events.iter().filter(|e| e.write) {
         let name = base_name(w.base).unwrap_or_else(|| "<local>".to_string());
         if w.form.tainted {
@@ -715,7 +762,7 @@ pub(crate) fn analyze(decl: &KernelDecl, kernel: &CompiledKernel, source: &str) 
         divergence_score: div_count as f64 / reach_count as f64,
     };
 
-    let effects = summarize_effects(kernel, &obs, &active);
+    let effects = summarize_effects(kernel, &events, &active);
 
     KernelReport {
         diagnostics: diags,
@@ -728,11 +775,15 @@ pub(crate) fn analyze(decl: &KernelDecl, kernel: &CompiledKernel, source: &str) 
 // Effect summaries (inter-kernel; see `analysis::effects`).
 // ---------------------------------------------------------------------------
 
-/// Folds the replay pass's global-memory events into per-argument effect
+/// Folds the solved global-memory events into per-argument effect
 /// summaries. Over-approximates: an access through a pointer whose base
 /// the dataflow lost (`PtrBase::Unknown`) is charged to *every* global
 /// pointer argument with an unprovable pattern and unbounded interval.
-fn summarize_effects(kernel: &CompiledKernel, obs: &Obs, active: &[bool; 3]) -> EffectSummary {
+fn summarize_effects(
+    kernel: &CompiledKernel,
+    events: &[Event],
+    active: &[bool; 3],
+) -> EffectSummary {
     let mut args: Vec<ArgEffect> = kernel
         .params
         .iter()
@@ -745,7 +796,7 @@ fn summarize_effects(kernel: &CompiledKernel, obs: &Obs, active: &[bool; 3]) -> 
             a
         })
         .collect();
-    for e in &obs.events {
+    for e in events {
         match e.base {
             PtrBase::Global(slot) => {
                 if let Some(a) = args.get_mut(slot as usize) {
@@ -823,186 +874,203 @@ fn fold_event(a: &mut ArgEffect, write: bool, form: &Form, range: Iv, active: &[
 // Use-before-init (AST walk).
 // ---------------------------------------------------------------------------
 
-/// Scope stack mapping tracked private scalars to "definitely assigned".
-type Env = Vec<HashMap<String, bool>>;
-
+/// The use-before-init walk: one stack of the private scalars in scope,
+/// innermost last, each with whether it is definitely assigned. A scope
+/// is a mark into the stack; a branch or loop saves the `assigned` bits
+/// it may not keep on `saved` and puts them back afterwards.
 struct UninitCx<'a> {
     source: &'a str,
-    warned: HashSet<String>,
+    vars: Vec<(&'a str, bool)>,
+    saved: Vec<bool>,
+    warned: Vec<&'a str>,
     diags: Vec<Diagnostic>,
 }
 
 fn check_uninit(decl: &KernelDecl, source: &str, out: &mut Diagnostics) {
     let mut cx = UninitCx {
         source,
-        warned: HashSet::new(),
+        vars: Vec::new(),
+        saved: Vec::new(),
+        warned: Vec::new(),
         diags: Vec::new(),
     };
-    let mut env: Env = vec![HashMap::new()];
-    walk_block(&decl.body, &mut env, &mut cx);
+    cx.walk_block(&decl.body);
     out.extend(cx.diags);
 }
 
-fn read_var(name: &str, span: crate::diag::Span, env: &Env, cx: &mut UninitCx) {
-    for scope in env.iter().rev() {
-        if let Some(&assigned) = scope.get(name) {
-            if !assigned && cx.warned.insert(name.to_string()) {
-                cx.diags.push(Diagnostic::at(
-                    Stage::Analysis,
-                    Severity::Warning,
-                    span,
-                    cx.source,
-                    format!("`{name}` may be read before it is assigned"),
-                ));
-            }
+impl<'a> UninitCx<'a> {
+    fn read_var(&mut self, name: &'a str, span: crate::diag::Span) {
+        let Some(&(_, assigned)) = self.vars.iter().rev().find(|(n, _)| *n == name) else {
             return;
+        };
+        if !assigned && !self.warned.contains(&name) {
+            self.warned.push(name);
+            self.diags.push(Diagnostic::at(
+                Stage::Analysis,
+                Severity::Warning,
+                span,
+                self.source,
+                format!("`{name}` may be read before it is assigned"),
+            ));
         }
     }
-}
 
-fn assign_var(name: &str, env: &mut Env) {
-    for scope in env.iter_mut().rev() {
-        if let Some(assigned) = scope.get_mut(name) {
-            *assigned = true;
-            return;
+    fn assign_var(&mut self, name: &str) {
+        if let Some(v) = self.vars.iter_mut().rev().find(|(n, _)| *n == name) {
+            v.1 = true;
         }
     }
-}
 
-fn walk_block(b: &AstBlock, env: &mut Env, cx: &mut UninitCx) {
-    env.push(HashMap::new());
-    for s in &b.stmts {
-        walk_stmt(s, env, cx);
+    /// Pushes the current `assigned` bits onto `saved`; returns where they
+    /// start.
+    fn save(&mut self) -> usize {
+        let at = self.saved.len();
+        self.saved.extend(self.vars.iter().map(|v| v.1));
+        at
     }
-    env.pop();
-}
 
-fn walk_stmt(s: &Stmt, env: &mut Env, cx: &mut UninitCx) {
-    match s {
-        Stmt::Decl(d) => {
-            if let Some(init) = &d.init {
-                walk_expr(init, env, cx);
+    /// Puts back the bits `save` returned `at` for, and drops them.
+    fn restore(&mut self, at: usize) {
+        for (v, &bit) in self.vars.iter_mut().zip(&self.saved[at..]) {
+            v.1 = bit;
+        }
+        self.saved.truncate(at);
+    }
+
+    fn walk_block(&mut self, b: &'a AstBlock) {
+        let mark = self.vars.len();
+        for s in &b.stmts {
+            self.walk_stmt(s);
+        }
+        self.vars.truncate(mark);
+    }
+
+    fn walk_stmt(&mut self, s: &'a Stmt) {
+        match s {
+            Stmt::Decl(d) => {
+                if let Some(init) = &d.init {
+                    self.walk_expr(init);
+                }
+                if d.array_dims.is_empty() && d.space == AddressSpace::Private {
+                    self.vars.push((d.name, d.init.is_some()));
+                }
             }
-            if d.array_dims.is_empty() && d.space == AddressSpace::Private {
-                env.last_mut()
-                    .expect("scope stack never empty")
-                    .insert(d.name.clone(), d.init.is_some());
-            }
-        }
-        Stmt::Expr(e) => walk_expr(e, env, cx),
-        Stmt::Block(b) => walk_block(b, env, cx),
-        Stmt::If {
-            cond,
-            then,
-            otherwise,
-        } => {
-            walk_expr(cond, env, cx);
-            let mut then_env = env.clone();
-            walk_block(then, &mut then_env, cx);
-            match otherwise {
-                Some(other) => {
-                    let mut else_env = env.clone();
-                    walk_block(other, &mut else_env, cx);
-                    // Assigned after the if ⇔ assigned in both arms.
-                    for (scope, (t, e)) in env.iter_mut().zip(then_env.iter().zip(else_env.iter()))
-                    {
-                        for (name, assigned) in scope.iter_mut() {
-                            if let (Some(&ta), Some(&ea)) = (t.get(name), e.get(name)) {
-                                *assigned = *assigned || (ta && ea);
-                            }
+            Stmt::Expr(e) => self.walk_expr(e),
+            Stmt::Block(b) => self.walk_block(b),
+            Stmt::If {
+                cond,
+                then,
+                otherwise,
+            } => {
+                self.walk_expr(cond);
+                let before = self.save();
+                self.walk_block(then);
+                match otherwise {
+                    Some(other) => {
+                        let after_then = self.save();
+                        for (v, &bit) in self.vars.iter_mut().zip(&self.saved[before..]) {
+                            v.1 = bit;
                         }
+                        self.walk_block(other);
+                        // Assigned after the if ⇔ assigned before, or in
+                        // both arms.
+                        for (i, v) in self.vars.iter_mut().enumerate() {
+                            v.1 = self.saved[before + i] || (self.saved[after_then + i] && v.1);
+                        }
+                        self.saved.truncate(before);
                     }
-                }
-                None => {
                     // No else: the state after is the state before.
+                    None => self.restore(before),
                 }
             }
-        }
-        Stmt::While { cond, body } => {
-            walk_expr(cond, env, cx);
-            // The body may run zero times: check its reads, discard its
-            // assignments.
-            let mut body_env = env.clone();
-            walk_block(body, &mut body_env, cx);
-        }
-        Stmt::DoWhile { body, cond } => {
-            // The body always runs at least once.
-            walk_block(body, env, cx);
-            walk_expr(cond, env, cx);
-        }
-        Stmt::For {
-            init,
-            cond,
-            step,
-            body,
-        } => {
-            env.push(HashMap::new());
-            if let Some(init) = init {
-                walk_stmt(init, env, cx);
+            Stmt::While { cond, body } => {
+                self.walk_expr(cond);
+                // The body may run zero times: check its reads, discard its
+                // assignments.
+                let before = self.save();
+                self.walk_block(body);
+                self.restore(before);
             }
-            if let Some(cond) = cond {
-                walk_expr(cond, env, cx);
+            Stmt::DoWhile { body, cond } => {
+                // The body always runs at least once.
+                self.walk_block(body);
+                self.walk_expr(cond);
             }
-            let mut body_env = env.clone();
-            walk_block(body, &mut body_env, cx);
-            if let Some(step) = step {
-                walk_expr(step, &mut body_env, cx);
+            Stmt::For {
+                init,
+                cond,
+                step,
+                body,
+            } => {
+                let mark = self.vars.len();
+                if let Some(init) = init {
+                    self.walk_stmt(init);
+                }
+                if let Some(cond) = cond {
+                    self.walk_expr(cond);
+                }
+                let before = self.save();
+                self.walk_block(body);
+                if let Some(step) = step {
+                    self.walk_expr(step);
+                }
+                self.restore(before);
+                self.vars.truncate(mark);
             }
-            env.pop();
+            Stmt::Break(_) | Stmt::Continue(_) | Stmt::Return(_) | Stmt::Barrier(_) => {}
         }
-        Stmt::Break(_) | Stmt::Continue(_) | Stmt::Return(_) | Stmt::Barrier(_) => {}
     }
-}
 
-fn walk_expr(e: &Expr, env: &mut Env, cx: &mut UninitCx) {
-    match e {
-        Expr::IntLit { .. } | Expr::FloatLit { .. } => {}
-        Expr::Var { name, span } => read_var(name, *span, env, cx),
-        Expr::Index { base, index, .. } => {
-            walk_expr(base, env, cx);
-            walk_expr(index, env, cx);
-        }
-        Expr::Binary { lhs, rhs, .. } => {
-            walk_expr(lhs, env, cx);
-            walk_expr(rhs, env, cx);
-        }
-        Expr::Unary { operand, .. } => walk_expr(operand, env, cx),
-        Expr::Ternary {
-            cond,
-            then,
-            otherwise,
-            ..
-        } => {
-            walk_expr(cond, env, cx);
-            walk_expr(then, env, cx);
-            walk_expr(otherwise, env, cx);
-        }
-        Expr::Cast { operand, .. } => walk_expr(operand, env, cx),
-        Expr::Assign {
-            op, target, value, ..
-        } => {
-            walk_expr(value, env, cx);
-            match target.as_ref() {
-                Expr::Var { name, span } => {
-                    if op.is_some() {
-                        // Compound assignment reads the target first.
-                        read_var(name, *span, env, cx);
+    fn walk_expr(&mut self, e: &'a Expr) {
+        match e {
+            Expr::IntLit { .. } | Expr::FloatLit { .. } => {}
+            Expr::Var { name, span } => self.read_var(name, *span),
+            Expr::Index { base, index, .. } => {
+                self.walk_expr(base);
+                self.walk_expr(index);
+            }
+            Expr::Binary { lhs, rhs, .. } => {
+                self.walk_expr(lhs);
+                self.walk_expr(rhs);
+            }
+            Expr::Unary { operand, .. } => self.walk_expr(operand),
+            Expr::Ternary {
+                cond,
+                then,
+                otherwise,
+                ..
+            } => {
+                self.walk_expr(cond);
+                self.walk_expr(then);
+                self.walk_expr(otherwise);
+            }
+            Expr::Cast { operand, .. } => self.walk_expr(operand),
+            Expr::Assign {
+                op, target, value, ..
+            } => {
+                self.walk_expr(value);
+                match target.as_ref() {
+                    Expr::Var { name, span } => {
+                        if op.is_some() {
+                            // Compound assignment reads the target first.
+                            self.read_var(name, *span);
+                        }
+                        self.assign_var(name);
                     }
-                    assign_var(name, env);
+                    other => self.walk_expr(other),
                 }
-                other => walk_expr(other, env, cx),
             }
-        }
-        Expr::IncDec { target, .. } => match target.as_ref() {
-            Expr::Var { name, span } => {
-                read_var(name, *span, env, cx);
-                assign_var(name, env);
-            }
-            other => walk_expr(other, env, cx),
-        },
-        Expr::Call { args, .. } => {
-            for a in args {
-                walk_expr(a, env, cx);
+            Expr::IncDec { target, .. } => match target.as_ref() {
+                Expr::Var { name, span } => {
+                    self.read_var(name, *span);
+                    self.assign_var(name);
+                }
+                other => self.walk_expr(other),
+            },
+            Expr::Call { args, .. } => {
+                for a in args {
+                    self.walk_expr(a);
+                }
             }
         }
     }

@@ -29,6 +29,11 @@ pub trait ForwardAnalysis {
 
     /// Joins `from` into `into`; returns whether `into` changed.
     fn join(&self, into: &mut Self::State, from: &Self::State) -> bool;
+
+    /// A block whose transfer has grown since the last call, if any: an
+    /// analysis that learns while it runs names the blocks it must see
+    /// again, and [`solve`] re-visits those it has reached.
+    fn take_grown(&mut self) -> Option<usize>;
 }
 
 /// Runs `analysis` to a fixpoint; returns the block-entry state per block
@@ -43,13 +48,14 @@ pub fn solve<A: ForwardAnalysis>(
     if n == 0 {
         return input;
     }
-    input[0] = Some(analysis.boundary());
+    let mut st = analysis.boundary();
+    input[0] = Some(st.clone());
     let mut queued = vec![false; n];
     let mut work = VecDeque::from([0usize]);
     queued[0] = true;
     while let Some(b) = work.pop_front() {
         queued[b] = false;
-        let mut st = input[b].clone().expect("queued blocks have input state");
+        st.clone_from(input[b].as_ref().expect("queued blocks have input state"));
         let block = &cfg.blocks[b];
         for (pc, instr) in code.iter().enumerate().take(block.end).skip(block.start) {
             analysis.transfer(&mut st, pc, instr);
@@ -65,6 +71,12 @@ pub fn solve<A: ForwardAnalysis>(
             if changed && !queued[s] {
                 queued[s] = true;
                 work.push_back(s);
+            }
+        }
+        while let Some(g) = analysis.take_grown() {
+            if input[g].is_some() && !queued[g] {
+                queued[g] = true;
+                work.push_back(g);
             }
         }
     }

@@ -1,33 +1,34 @@
-//! Abstract syntax tree for the OpenCL C subset.
+//! Abstract syntax tree for the OpenCL C subset. Names borrow from the
+//! source text (`'s`).
 
 use crate::diag::Span;
 use crate::types::{AddressSpace, ScalarType};
 
 /// A whole translation unit: a list of kernel functions.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Unit {
+pub struct Unit<'s> {
     /// The `__kernel` functions, in source order.
-    pub kernels: Vec<KernelDecl>,
+    pub kernels: Vec<KernelDecl<'s>>,
 }
 
 /// A `__kernel void name(params) { body }` declaration.
 #[derive(Debug, Clone, PartialEq)]
-pub struct KernelDecl {
+pub struct KernelDecl<'s> {
     /// Kernel name.
-    pub name: String,
+    pub name: &'s str,
     /// Formal parameters.
-    pub params: Vec<Param>,
+    pub params: Vec<Param<'s>>,
     /// Function body.
-    pub body: Block,
+    pub body: Block<'s>,
     /// Span of the kernel name.
     pub span: Span,
 }
 
 /// A kernel formal parameter.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Param {
+pub struct Param<'s> {
     /// Parameter name.
-    pub name: String,
+    pub name: &'s str,
     /// Declared type.
     pub ty: ParamType,
     /// Span of the declaration.
@@ -45,52 +46,52 @@ pub enum ParamType {
 
 /// A `{ ... }` block.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Block {
+pub struct Block<'s> {
     /// Statements in order.
-    pub stmts: Vec<Stmt>,
+    pub stmts: Vec<Stmt<'s>>,
 }
 
 /// A statement.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Stmt {
+pub enum Stmt<'s> {
     /// A local variable declaration, e.g. `int i = 0;` or
     /// `__local float tile[256];`.
-    Decl(DeclStmt),
+    Decl(DeclStmt<'s>),
     /// An expression evaluated for effect, e.g. `a[i] = x;` or `i++;`.
-    Expr(Expr),
+    Expr(Expr<'s>),
     /// `if (cond) then else otherwise`.
     If {
         /// Condition.
-        cond: Expr,
+        cond: Expr<'s>,
         /// Taken when true.
-        then: Block,
+        then: Block<'s>,
         /// Taken when false, if present.
-        otherwise: Option<Block>,
+        otherwise: Option<Block<'s>>,
     },
     /// `while (cond) body`.
     While {
         /// Loop condition.
-        cond: Expr,
+        cond: Expr<'s>,
         /// Loop body.
-        body: Block,
+        body: Block<'s>,
     },
     /// `do body while (cond);`.
     DoWhile {
         /// Loop body.
-        body: Block,
+        body: Block<'s>,
         /// Loop condition.
-        cond: Expr,
+        cond: Expr<'s>,
     },
     /// `for (init; cond; step) body`.
     For {
         /// Optional init declaration or expression.
-        init: Option<Box<Stmt>>,
+        init: Option<Box<Stmt<'s>>>,
         /// Optional condition (absent means `true`).
-        cond: Option<Expr>,
+        cond: Option<Expr<'s>>,
         /// Optional step expression.
-        step: Option<Expr>,
+        step: Option<Expr<'s>>,
         /// Loop body.
-        body: Block,
+        body: Block<'s>,
     },
     /// `break;`
     Break(Span),
@@ -101,14 +102,14 @@ pub enum Stmt {
     /// `barrier(flags);` — work-group barrier.
     Barrier(Span),
     /// A nested block.
-    Block(Block),
+    Block(Block<'s>),
 }
 
 /// A declaration statement.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DeclStmt {
+pub struct DeclStmt<'s> {
     /// Declared variable name.
-    pub name: String,
+    pub name: &'s str,
     /// Scalar element type.
     pub ty: ScalarType,
     /// Address space (`Private` for plain locals, `Local` for `__local`).
@@ -117,7 +118,7 @@ pub struct DeclStmt {
     /// (e.g. `tile[16][16]` → `[16, 16]`). Empty for plain scalars.
     pub array_dims: Vec<u64>,
     /// Optional initializer (scalars only).
-    pub init: Option<Expr>,
+    pub init: Option<Expr<'s>>,
     /// Span of the name.
     pub span: Span,
 }
@@ -185,7 +186,7 @@ pub enum IncDec {
 
 /// An expression.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Expr {
+pub enum Expr<'s> {
     /// Integer literal.
     IntLit {
         /// Decoded value.
@@ -207,16 +208,16 @@ pub enum Expr {
     /// Variable reference.
     Var {
         /// Name.
-        name: String,
+        name: &'s str,
         /// Source span.
         span: Span,
     },
     /// `base[index]` (possibly nested for 2-D local arrays).
     Index {
         /// The pointer or array expression.
-        base: Box<Expr>,
+        base: Box<Expr<'s>>,
         /// The element index.
-        index: Box<Expr>,
+        index: Box<Expr<'s>>,
         /// Source span.
         span: Span,
     },
@@ -225,9 +226,9 @@ pub enum Expr {
         /// Operator.
         op: BinOp,
         /// Left operand.
-        lhs: Box<Expr>,
+        lhs: Box<Expr<'s>>,
         /// Right operand.
-        rhs: Box<Expr>,
+        rhs: Box<Expr<'s>>,
         /// Source span.
         span: Span,
     },
@@ -236,18 +237,18 @@ pub enum Expr {
         /// Operator.
         op: UnOp,
         /// Operand.
-        operand: Box<Expr>,
+        operand: Box<Expr<'s>>,
         /// Source span.
         span: Span,
     },
     /// `cond ? a : b`.
     Ternary {
         /// Condition.
-        cond: Box<Expr>,
+        cond: Box<Expr<'s>>,
         /// Value when true.
-        then: Box<Expr>,
+        then: Box<Expr<'s>>,
         /// Value when false.
-        otherwise: Box<Expr>,
+        otherwise: Box<Expr<'s>>,
         /// Source span.
         span: Span,
     },
@@ -256,7 +257,7 @@ pub enum Expr {
         /// Target scalar type.
         ty: ScalarType,
         /// Operand.
-        operand: Box<Expr>,
+        operand: Box<Expr<'s>>,
         /// Source span.
         span: Span,
     },
@@ -265,9 +266,9 @@ pub enum Expr {
         /// Compound operator, `None` for plain `=`.
         op: Option<BinOp>,
         /// Assignment target (variable or index expression).
-        target: Box<Expr>,
+        target: Box<Expr<'s>>,
         /// Value.
-        value: Box<Expr>,
+        value: Box<Expr<'s>>,
         /// Source span.
         span: Span,
     },
@@ -278,22 +279,22 @@ pub enum Expr {
         /// Applied before (`true`) or after (`false`) the value is taken.
         prefix: bool,
         /// Target lvalue.
-        target: Box<Expr>,
+        target: Box<Expr<'s>>,
         /// Source span.
         span: Span,
     },
     /// A call to a builtin, e.g. `get_global_id(0)` or `sqrt(x)`.
     Call {
         /// Function name.
-        name: String,
+        name: &'s str,
         /// Arguments.
-        args: Vec<Expr>,
+        args: Vec<Expr<'s>>,
         /// Source span.
         span: Span,
     },
 }
 
-impl Expr {
+impl Expr<'_> {
     /// The source span of this expression.
     pub fn span(&self) -> Span {
         match self {

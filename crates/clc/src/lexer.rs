@@ -2,11 +2,11 @@
 
 use crate::diag::{ClcError, Span, Stage};
 
-/// A lexical token kind.
+/// A lexical token kind; identifiers borrow from the source text.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+pub enum TokenKind<'s> {
     /// An identifier or keyword (keywords are resolved by the parser).
-    Ident(String),
+    Ident(&'s str),
     /// An integer literal, already decoded (decimal or `0x` hex), with a
     /// flag recording a `u`/`U` suffix and one recording an `l`/`L` suffix.
     IntLit {
@@ -30,20 +30,66 @@ pub enum TokenKind {
 
 /// A token with its source span.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+pub struct Token<'s> {
     /// What was lexed.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'s>,
     /// Where it came from.
     pub span: Span,
 }
 
-/// All multi- and single-character punctuators, longest first so maximal
-/// munch works by scanning in order.
-const PUNCTUATORS: &[&str] = &[
-    "<<=", ">>=", "...", "==", "!=", "<=", ">=", "&&", "||", "<<", ">>", "+=", "-=", "*=", "/=",
-    "%=", "&=", "|=", "^=", "++", "--", "->", "+", "-", "*", "/", "%", "=", "<", ">", "!", "&",
-    "|", "^", "~", "?", ":", ";", ",", ".", "(", ")", "[", "]", "{", "}",
-];
+/// The longest punctuator `rest` starts with (maximal munch), if any.
+fn punctuator(rest: &[u8]) -> Option<&'static str> {
+    let next = |k: usize| rest.get(k).copied().unwrap_or(0);
+    Some(match (next(0), next(1), next(2)) {
+        (b'<', b'<', b'=') => "<<=",
+        (b'>', b'>', b'=') => ">>=",
+        (b'.', b'.', b'.') => "...",
+        (b'<', b'<', _) => "<<",
+        (b'>', b'>', _) => ">>",
+        (b'<', b'=', _) => "<=",
+        (b'>', b'=', _) => ">=",
+        (b'=', b'=', _) => "==",
+        (b'!', b'=', _) => "!=",
+        (b'&', b'&', _) => "&&",
+        (b'|', b'|', _) => "||",
+        (b'+', b'=', _) => "+=",
+        (b'-', b'=', _) => "-=",
+        (b'*', b'=', _) => "*=",
+        (b'/', b'=', _) => "/=",
+        (b'%', b'=', _) => "%=",
+        (b'&', b'=', _) => "&=",
+        (b'|', b'=', _) => "|=",
+        (b'^', b'=', _) => "^=",
+        (b'+', b'+', _) => "++",
+        (b'-', b'-', _) => "--",
+        (b'-', b'>', _) => "->",
+        (b'+', ..) => "+",
+        (b'-', ..) => "-",
+        (b'*', ..) => "*",
+        (b'/', ..) => "/",
+        (b'%', ..) => "%",
+        (b'=', ..) => "=",
+        (b'<', ..) => "<",
+        (b'>', ..) => ">",
+        (b'!', ..) => "!",
+        (b'&', ..) => "&",
+        (b'|', ..) => "|",
+        (b'^', ..) => "^",
+        (b'~', ..) => "~",
+        (b'?', ..) => "?",
+        (b':', ..) => ":",
+        (b';', ..) => ";",
+        (b',', ..) => ",",
+        (b'.', ..) => ".",
+        (b'(', ..) => "(",
+        (b')', ..) => ")",
+        (b'[', ..) => "[",
+        (b']', ..) => "]",
+        (b'{', ..) => "{",
+        (b'}', ..) => "}",
+        _ => return None,
+    })
+}
 
 /// Tokenizes `source`.
 ///
@@ -56,25 +102,25 @@ const PUNCTUATORS: &[&str] = &[
 ///
 /// Returns an error for unterminated block comments, malformed numeric
 /// literals and characters outside the language.
-pub fn lex(source: &str) -> Result<Vec<Token>, ClcError> {
+pub fn lex(source: &str) -> Result<Vec<Token<'_>>, ClcError> {
     let bytes = source.as_bytes();
     let mut tokens = Vec::new();
     let mut i = 0;
     while i < bytes.len() {
-        let c = bytes[i] as char;
+        let c = bytes[i];
         // Whitespace.
         if c.is_ascii_whitespace() {
             i += 1;
             continue;
         }
         // Comments and preprocessor lines.
-        if c == '/' && i + 1 < bytes.len() && bytes[i + 1] == b'/' {
+        if c == b'/' && i + 1 < bytes.len() && bytes[i + 1] == b'/' {
             while i < bytes.len() && bytes[i] != b'\n' {
                 i += 1;
             }
             continue;
         }
-        if c == '/' && i + 1 < bytes.len() && bytes[i + 1] == b'*' {
+        if c == b'/' && i + 1 < bytes.len() && bytes[i + 1] == b'*' {
             let start = i;
             i += 2;
             loop {
@@ -94,34 +140,33 @@ pub fn lex(source: &str) -> Result<Vec<Token>, ClcError> {
             }
             continue;
         }
-        if c == '#' {
+        if c == b'#' {
             while i < bytes.len() && bytes[i] != b'\n' {
                 i += 1;
             }
             continue;
         }
         // Identifiers / keywords.
-        if c.is_ascii_alphabetic() || c == '_' {
+        if c.is_ascii_alphabetic() || c == b'_' {
             let start = i;
             while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
                 i += 1;
             }
             tokens.push(Token {
-                kind: TokenKind::Ident(source[start..i].to_string()),
+                kind: TokenKind::Ident(&source[start..i]),
                 span: Span::new(start, i),
             });
             continue;
         }
         // Numeric literals.
-        if c.is_ascii_digit() || (c == '.' && i + 1 < bytes.len() && bytes[i + 1].is_ascii_digit())
+        if c.is_ascii_digit() || (c == b'.' && i + 1 < bytes.len() && bytes[i + 1].is_ascii_digit())
         {
             let (tok, next) = lex_number(source, i)?;
             tokens.push(tok);
             i = next;
             continue;
         }
-        // Punctuators, maximal munch.
-        if let Some(p) = PUNCTUATORS.iter().find(|p| source[i..].starts_with(*p)) {
+        if let Some(p) = punctuator(&bytes[i..]) {
             tokens.push(Token {
                 kind: TokenKind::Punct(p),
                 span: Span::new(i, i + p.len()),
@@ -129,17 +174,20 @@ pub fn lex(source: &str) -> Result<Vec<Token>, ClcError> {
             i += p.len();
             continue;
         }
+        // Every branch above consumes whole ASCII runs (comments end at an
+        // ASCII byte), so `i` sits on a character boundary.
+        let ch = source[i..].chars().next().expect("i < len");
         return Err(ClcError::at(
             Stage::Lex,
-            Span::new(i, i + 1),
+            Span::new(i, i + ch.len_utf8()),
             source,
-            format!("unexpected character `{c}`"),
+            format!("unexpected character `{ch}`"),
         ));
     }
     Ok(tokens)
 }
 
-fn lex_number(source: &str, start: usize) -> Result<(Token, usize), ClcError> {
+fn lex_number(source: &str, start: usize) -> Result<(Token<'_>, usize), ClcError> {
     let bytes = source.as_bytes();
     let mut i = start;
     // Hex integer.
@@ -281,8 +329,171 @@ fn int_suffix(bytes: &[u8], mut i: usize) -> (bool, bool, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    /// The specification of [`punctuator`]: every punctuator, longest
+    /// first, so the first one a text starts with is its maximal munch.
+    const PUNCTUATORS: &[&str] = &[
+        "<<=", ">>=", "...", "==", "!=", "<=", ">=", "&&", "||", "<<", ">>", "+=", "-=", "*=",
+        "/=", "%=", "&=", "|=", "^=", "++", "--", "->", "+", "-", "*", "/", "%", "=", "<", ">",
+        "!", "&", "|", "^", "~", "?", ":", ";", ",", ".", "(", ")", "[", "]", "{", "}",
+    ];
+
+    /// [`lex`] as a straight scan that munches punctuators through the
+    /// [`PUNCTUATORS`] table.
+    fn reference_lex(source: &str) -> Result<Vec<Token<'_>>, ClcError> {
+        let bytes = source.as_bytes();
+        let mut tokens = Vec::new();
+        let mut i = 0;
+        while i < bytes.len() {
+            let rest = &source[i..];
+            let c = bytes[i];
+            if c.is_ascii_whitespace() {
+                i += 1;
+            } else if rest.starts_with("//") || c == b'#' {
+                i += rest.find('\n').unwrap_or(rest.len());
+            } else if let Some(body) = rest.strip_prefix("/*") {
+                match body.find("*/") {
+                    Some(end) => i += end + 4,
+                    None => {
+                        return Err(ClcError::at(
+                            Stage::Lex,
+                            Span::new(i, bytes.len()),
+                            source,
+                            "unterminated block comment",
+                        ))
+                    }
+                }
+            } else if c.is_ascii_alphabetic() || c == b'_' {
+                let len = rest
+                    .find(|ch: char| !(ch.is_ascii_alphanumeric() || ch == '_'))
+                    .unwrap_or(rest.len());
+                tokens.push(Token {
+                    kind: TokenKind::Ident(&rest[..len]),
+                    span: Span::new(i, i + len),
+                });
+                i += len;
+            } else if c.is_ascii_digit()
+                || (c == b'.' && bytes.get(i + 1).is_some_and(u8::is_ascii_digit))
+            {
+                let (tok, next) = lex_number(source, i)?;
+                tokens.push(tok);
+                i = next;
+            } else if let Some(p) = PUNCTUATORS.iter().find(|p| rest.starts_with(*p)) {
+                tokens.push(Token {
+                    kind: TokenKind::Punct(p),
+                    span: Span::new(i, i + p.len()),
+                });
+                i += p.len();
+            } else {
+                let ch = rest.chars().next().expect("non-empty");
+                return Err(ClcError::at(
+                    Stage::Lex,
+                    Span::new(i, i + ch.len_utf8()),
+                    source,
+                    format!("unexpected character `{ch}`"),
+                ));
+            }
+        }
+        Ok(tokens)
+    }
+
+    /// Every character a punctuator is made of: runs of them glue into
+    /// punctuators and comment openers across piece boundaries.
+    const PUNCT_CHARS: &str = "<>=!&|+-*/%^~?:;,.()[]{}";
+
+    /// The other pieces random sources are glued from: whitespace,
+    /// identifiers, numbers and comments.
+    const WORDS: &[&str] = &[
+        " ",
+        "\n",
+        "\t",
+        "x",
+        "_a1",
+        "int",
+        "e",
+        "42",
+        "7u",
+        "0x1F",
+        "1.5f",
+        ".5",
+        "1e3",
+        "// line\n",
+        "/* block */",
+        "#pragma p\n",
+    ];
+
+    /// Piece `k` (mod their number): a whole punctuator, so each one
+    /// turns up often, a punctuator character, or a word.
+    fn piece(k: usize) -> &'static str {
+        let k = k % (PUNCTUATORS.len() + PUNCT_CHARS.len() + WORDS.len());
+        match k.checked_sub(PUNCTUATORS.len()) {
+            None => PUNCTUATORS[k],
+            Some(c) if c < PUNCT_CHARS.len() => &PUNCT_CHARS[c..c + 1],
+            Some(c) => WORDS[c - PUNCT_CHARS.len()],
+        }
+    }
+
+    /// Characters outside the language.
+    const STRAYS: &[&str] = &["@", "$", "`", "\\", "\"", "'", "é", "€", "\u{7f}"];
+
+    fn glue(picks: &[usize]) -> String {
+        picks.iter().map(|&k| piece(k)).collect()
+    }
+
+    fn same_outcome(src: &str) -> Result<(), TestCaseError> {
+        match (lex(src), reference_lex(src)) {
+            (Ok(got), Ok(want)) => prop_assert_eq!(got, want),
+            (Err(got), Err(want)) => {
+                prop_assert_eq!(got.build_log(), want.build_log());
+            }
+            (got, want) => {
+                return Err(TestCaseError::fail(format!(
+                    "lex gave {got:?}, the reference {want:?}"
+                )))
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn punctuators_munch_like_the_table(picks in proptest::collection::vec(0usize..1000, 0..48)) {
+            same_outcome(&glue(&picks))?;
+        }
+
+        #[test]
+        fn stray_characters_are_reported_where_the_table_says(
+            picks in proptest::collection::vec(0usize..1000, 0..32),
+            at in 0usize..1000,
+            stray in 0usize..1000,
+        ) {
+            let mut pieces: Vec<&str> = picks.iter().map(|&k| piece(k)).collect();
+            pieces.insert(at % (pieces.len() + 1), STRAYS[stray % STRAYS.len()]);
+            same_outcome(&pieces.concat())?;
+        }
+    }
+
+    #[test]
+    fn every_punctuator_lexes_alone_to_itself() {
+        for p in PUNCTUATORS {
+            assert_eq!(kinds(p), vec![TokenKind::Punct(p)], "{p}");
+        }
+    }
+
+    #[test]
+    fn non_ascii_characters_are_reported_whole() {
+        let src = "__kernel void f() { int x = 1; é }";
+        let err = lex(src).unwrap_err();
+        assert_eq!(err.message(), "unexpected character `é`");
+        assert_eq!((err.line(), err.col()), (1, 32));
+        let err = lex("€").unwrap_err();
+        assert_eq!(err.message(), "unexpected character `€`");
+    }
+
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -291,9 +502,9 @@ mod tests {
         assert_eq!(
             kinds("a+_b2"),
             vec![
-                TokenKind::Ident("a".into()),
+                TokenKind::Ident("a"),
                 TokenKind::Punct("+"),
-                TokenKind::Ident("_b2".into()),
+                TokenKind::Ident("_b2"),
             ]
         );
     }
@@ -303,13 +514,13 @@ mod tests {
         assert_eq!(
             kinds("a<<=b<<c<=d"),
             vec![
-                TokenKind::Ident("a".into()),
+                TokenKind::Ident("a"),
                 TokenKind::Punct("<<="),
-                TokenKind::Ident("b".into()),
+                TokenKind::Ident("b"),
                 TokenKind::Punct("<<"),
-                TokenKind::Ident("c".into()),
+                TokenKind::Ident("c"),
                 TokenKind::Punct("<="),
-                TokenKind::Ident("d".into()),
+                TokenKind::Ident("d"),
             ]
         );
     }
@@ -386,9 +597,9 @@ mod tests {
         assert_eq!(
             kinds("s.x"),
             vec![
-                TokenKind::Ident("s".into()),
+                TokenKind::Ident("s"),
                 TokenKind::Punct("."),
-                TokenKind::Ident("x".into()),
+                TokenKind::Ident("x"),
             ]
         );
     }
@@ -399,9 +610,9 @@ mod tests {
         assert_eq!(
             kinds(src),
             vec![
-                TokenKind::Ident("a".into()),
-                TokenKind::Ident("b".into()),
-                TokenKind::Ident("c".into()),
+                TokenKind::Ident("a"),
+                TokenKind::Ident("b"),
+                TokenKind::Ident("c"),
             ]
         );
     }
@@ -437,7 +648,7 @@ mod tests {
                     unsigned: false,
                     long: false
                 },
-                TokenKind::Ident("e".into()),
+                TokenKind::Ident("e"),
             ]
         );
     }

@@ -11,7 +11,7 @@ use crate::types::{AddressSpace, ScalarType};
 ///
 /// Returns a [`ClcError`] pointing at the offending token on any syntax
 /// error.
-pub fn parse(tokens: &[Token], source: &str) -> Result<Unit, ClcError> {
+pub fn parse<'s>(tokens: &[Token<'s>], source: &'s str) -> Result<Unit<'s>, ClcError> {
     let mut p = Parser {
         tokens,
         source,
@@ -24,26 +24,26 @@ pub fn parse(tokens: &[Token], source: &str) -> Result<Unit, ClcError> {
     Ok(Unit { kernels })
 }
 
-struct Parser<'a> {
-    tokens: &'a [Token],
-    source: &'a str,
+struct Parser<'t, 's> {
+    tokens: &'t [Token<'s>],
+    source: &'s str,
     pos: usize,
 }
 
-impl<'a> Parser<'a> {
+impl<'t, 's> Parser<'t, 's> {
     fn at_end(&self) -> bool {
         self.pos >= self.tokens.len()
     }
 
-    fn peek(&self) -> Option<&'a Token> {
+    fn peek(&self) -> Option<&'t Token<'s>> {
         self.tokens.get(self.pos)
     }
 
-    fn peek2(&self) -> Option<&'a Token> {
+    fn peek2(&self) -> Option<&'t Token<'s>> {
         self.tokens.get(self.pos + 1)
     }
 
-    fn advance(&mut self) -> Option<&'a Token> {
+    fn advance(&mut self) -> Option<&'t Token<'s>> {
         let t = self.tokens.get(self.pos);
         self.pos += 1;
         t
@@ -83,7 +83,7 @@ impl<'a> Parser<'a> {
     }
 
     fn is_ident(&self, name: &str) -> bool {
-        matches!(self.peek(), Some(Token { kind: TokenKind::Ident(s), .. }) if s == name)
+        matches!(self.peek(), Some(Token { kind: TokenKind::Ident(s), .. }) if *s == name)
     }
 
     fn eat_ident(&mut self, name: &str) -> bool {
@@ -95,13 +95,13 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect_any_ident(&mut self) -> Result<(String, Span), ClcError> {
+    fn expect_any_ident(&mut self) -> Result<(&'s str, Span), ClcError> {
         match self.peek() {
             Some(Token {
                 kind: TokenKind::Ident(s),
                 span,
             }) => {
-                let out = (s.clone(), *span);
+                let out = (*s, *span);
                 self.pos += 1;
                 Ok(out)
             }
@@ -117,7 +117,7 @@ impl<'a> Parser<'a> {
                 kind: TokenKind::Ident(s),
                 ..
             }) => matches!(
-                s.as_str(),
+                *s,
                 "void"
                     | "int"
                     | "uint"
@@ -146,7 +146,7 @@ impl<'a> Parser<'a> {
     /// support (the benchmarks do not use sub-word element buffers).
     fn scalar_type(&mut self) -> Result<ScalarType, ClcError> {
         let (name, _) = self.expect_any_ident()?;
-        let ty = match name.as_str() {
+        let ty = match name {
             "int" | "char" | "short" => ScalarType::I32,
             "uint" | "uchar" | "ushort" => ScalarType::U32,
             "long" => ScalarType::I64,
@@ -172,7 +172,7 @@ impl<'a> Parser<'a> {
         Ok(ty)
     }
 
-    fn kernel_decl(&mut self) -> Result<KernelDecl, ClcError> {
+    fn kernel_decl(&mut self) -> Result<KernelDecl<'s>, ClcError> {
         if !(self.eat_ident("__kernel") || self.eat_ident("kernel")) {
             return Err(self.error("expected `__kernel`"));
         }
@@ -202,7 +202,7 @@ impl<'a> Parser<'a> {
         })
     }
 
-    fn param(&mut self) -> Result<Param, ClcError> {
+    fn param(&mut self) -> Result<Param<'s>, ClcError> {
         let mut space = AddressSpace::Private;
         let mut saw_space = false;
         loop {
@@ -248,7 +248,7 @@ impl<'a> Parser<'a> {
         Ok(Param { name, ty, span })
     }
 
-    fn block(&mut self) -> Result<Block, ClcError> {
+    fn block(&mut self) -> Result<Block<'s>, ClcError> {
         self.expect_punct("{")?;
         let mut stmts = Vec::new();
         while !self.is_punct("}") {
@@ -262,7 +262,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Parses a statement-or-block as a block (for `if (c) x = 1;`).
-    fn block_or_stmt(&mut self) -> Result<Block, ClcError> {
+    fn block_or_stmt(&mut self) -> Result<Block<'s>, ClcError> {
         if self.is_punct("{") {
             self.block()
         } else {
@@ -271,7 +271,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn stmt(&mut self) -> Result<Stmt, ClcError> {
+    fn stmt(&mut self) -> Result<Stmt<'s>, ClcError> {
         let span = self.here();
         if self.is_punct("{") {
             return Ok(Stmt::Block(self.block()?));
@@ -398,7 +398,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Parses `[qualifiers] type name [\[N\]...] [= init] ;`.
-    fn decl_after_qualifiers(&mut self) -> Result<DeclStmt, ClcError> {
+    fn decl_after_qualifiers(&mut self) -> Result<DeclStmt<'s>, ClcError> {
         let mut space = AddressSpace::Private;
         loop {
             if self.eat_ident("__local") || self.eat_ident("local") {
@@ -456,11 +456,11 @@ impl<'a> Parser<'a> {
 
     // ----- expressions (precedence climbing) -----
 
-    fn expr(&mut self) -> Result<Expr, ClcError> {
+    fn expr(&mut self) -> Result<Expr<'s>, ClcError> {
         self.assignment()
     }
 
-    fn assignment(&mut self) -> Result<Expr, ClcError> {
+    fn assignment(&mut self) -> Result<Expr<'s>, ClcError> {
         let lhs = self.ternary()?;
         let compound = |p: &str| -> Option<BinOp> {
             Some(match p {
@@ -508,7 +508,7 @@ impl<'a> Parser<'a> {
         Ok(lhs)
     }
 
-    fn ternary(&mut self) -> Result<Expr, ClcError> {
+    fn ternary(&mut self) -> Result<Expr<'s>, ClcError> {
         let cond = self.binary(0)?;
         if self.is_punct("?") {
             let span = self.here();
@@ -558,7 +558,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn binary(&mut self, min_prec: u8) -> Result<Expr, ClcError> {
+    fn binary(&mut self, min_prec: u8) -> Result<Expr<'s>, ClcError> {
         let mut lhs = self.unary()?;
         while let Some((op, prec)) = self.peek_binop() {
             if prec < min_prec {
@@ -577,7 +577,7 @@ impl<'a> Parser<'a> {
         Ok(lhs)
     }
 
-    fn unary(&mut self) -> Result<Expr, ClcError> {
+    fn unary(&mut self) -> Result<Expr<'s>, ClcError> {
         let span = self.here();
         if self.eat_punct("-") {
             let operand = self.unary()?;
@@ -648,7 +648,7 @@ impl<'a> Parser<'a> {
         self.postfix()
     }
 
-    fn postfix(&mut self) -> Result<Expr, ClcError> {
+    fn postfix(&mut self) -> Result<Expr<'s>, ClcError> {
         let mut e = self.primary()?;
         loop {
             if self.is_punct("[") {
@@ -690,7 +690,7 @@ impl<'a> Parser<'a> {
         Ok(e)
     }
 
-    fn primary(&mut self) -> Result<Expr, ClcError> {
+    fn primary(&mut self) -> Result<Expr<'s>, ClcError> {
         let span = self.here();
         match self.peek() {
             Some(Token {
@@ -743,7 +743,7 @@ impl<'a> Parser<'a> {
                 kind: TokenKind::Ident(name),
                 ..
             }) => {
-                let name = name.clone();
+                let name = *name;
                 self.pos += 1;
                 if self.is_punct("(") {
                     self.pos += 1;
@@ -786,7 +786,7 @@ mod tests {
     use super::*;
     use crate::lexer::lex;
 
-    fn parse_src(src: &str) -> Result<Unit, ClcError> {
+    fn parse_src(src: &str) -> Result<Unit<'_>, ClcError> {
         parse(&lex(src).unwrap(), src)
     }
 

@@ -23,7 +23,7 @@ pub fn lower(unit: &Unit, source: &str) -> Result<CompiledProgram, ClcError> {
     let mut kernels = Vec::new();
     let mut seen: HashMap<&str, ()> = HashMap::new();
     for k in &unit.kernels {
-        if seen.insert(&k.name, ()).is_some() {
+        if seen.insert(k.name, ()).is_some() {
             return Err(ClcError::at(
                 Stage::Sema,
                 k.span,
@@ -36,15 +36,15 @@ pub fn lower(unit: &Unit, source: &str) -> Result<CompiledProgram, ClcError> {
     Ok(CompiledProgram::from_kernels(kernels))
 }
 
-#[derive(Debug, Clone)]
-enum Binding {
+#[derive(Debug, Clone, Copy)]
+enum Binding<'a> {
     /// A scalar or pointer variable stored in a VM slot.
     Slot { slot: u16, ty: Type },
     /// A statically-declared `__local` array.
     LocalArray {
         byte_offset: u32,
         elem: ScalarType,
-        dims: Vec<u64>,
+        dims: &'a [u64],
     },
 }
 
@@ -66,7 +66,10 @@ struct Cx<'a> {
     barriers: Vec<(u32, Span)>,
     /// Every statically-declared `__local` array.
     local_arrays: Vec<crate::bytecode::LocalArrayInfo>,
-    scopes: Vec<HashMap<String, Binding>>,
+    /// Every name in scope, innermost last; a scope starts at the mark
+    /// `scopes` holds for it.
+    vars: Vec<(&'a str, Binding<'a>)>,
+    scopes: Vec<usize>,
     n_slots: u16,
     local_bytes: u32,
     loops: Vec<LoopFrame>,
@@ -78,13 +81,26 @@ impl<'a> Cx<'a> {
         ClcError::at(Stage::Sema, span, self.source, msg)
     }
 
-    fn lookup(&self, name: &str) -> Option<&Binding> {
-        self.scopes.iter().rev().find_map(|s| s.get(name))
+    fn lookup(&self, name: &str) -> Option<&Binding<'a>> {
+        self.vars
+            .iter()
+            .rev()
+            .find(|(n, _)| *n == name)
+            .map(|(_, b)| b)
     }
 
-    fn declare(&mut self, name: &str, binding: Binding, span: Span) -> Result<(), ClcError> {
-        let scope = self.scopes.last_mut().expect("scope stack never empty");
-        if scope.contains_key(name) {
+    fn open_scope(&mut self) {
+        self.scopes.push(self.vars.len());
+    }
+
+    fn close_scope(&mut self) {
+        let mark = self.scopes.pop().expect("scope stack never empty");
+        self.vars.truncate(mark);
+    }
+
+    fn declare(&mut self, name: &'a str, binding: Binding<'a>, span: Span) -> Result<(), ClcError> {
+        let mark = *self.scopes.last().expect("scope stack never empty");
+        if self.vars[mark..].iter().any(|(n, _)| *n == name) {
             return Err(ClcError::at(
                 Stage::Sema,
                 span,
@@ -92,7 +108,7 @@ impl<'a> Cx<'a> {
                 format!("`{name}` is already declared in this scope"),
             ));
         }
-        scope.insert(name.to_string(), binding);
+        self.vars.push((name, binding));
         Ok(())
     }
 
@@ -127,7 +143,7 @@ impl<'a> Cx<'a> {
     }
 }
 
-fn lower_kernel(k: &KernelDecl, source: &str) -> Result<CompiledKernel, ClcError> {
+fn lower_kernel<'a>(k: &'a KernelDecl, source: &'a str) -> Result<CompiledKernel, ClcError> {
     let mut cx = Cx {
         source,
         code: Vec::new(),
@@ -135,7 +151,8 @@ fn lower_kernel(k: &KernelDecl, source: &str) -> Result<CompiledKernel, ClcError
         cur_span: k.span,
         barriers: Vec::new(),
         local_arrays: Vec::new(),
-        scopes: vec![HashMap::new()],
+        vars: Vec::new(),
+        scopes: vec![0],
         n_slots: 0,
         local_bytes: 0,
         loops: Vec::new(),
@@ -148,7 +165,7 @@ fn lower_kernel(k: &KernelDecl, source: &str) -> Result<CompiledKernel, ClcError
             ast::ParamType::Pointer(a, s) => Type::Pointer(a, s),
         };
         let slot = cx.alloc_slot(p.span)?;
-        cx.declare(&p.name, Binding::Slot { slot, ty }, p.span)?;
+        cx.declare(p.name, Binding::Slot { slot, ty }, p.span)?;
         params.push(p.ty);
     }
     compile_block(&mut cx, &k.body)?;
@@ -166,7 +183,7 @@ fn lower_kernel(k: &KernelDecl, source: &str) -> Result<CompiledKernel, ClcError
         })
         .collect();
     Ok(CompiledKernel {
-        name: k.name.clone(),
+        name: k.name.to_string(),
         params,
         code: cx.code,
         n_slots: cx.n_slots,
@@ -180,16 +197,16 @@ fn lower_kernel(k: &KernelDecl, source: &str) -> Result<CompiledKernel, ClcError
     })
 }
 
-fn compile_block(cx: &mut Cx, b: &Block) -> Result<(), ClcError> {
-    cx.scopes.push(HashMap::new());
+fn compile_block<'a>(cx: &mut Cx<'a>, b: &'a Block) -> Result<(), ClcError> {
+    cx.open_scope();
     for s in &b.stmts {
         compile_stmt(cx, s)?;
     }
-    cx.scopes.pop();
+    cx.close_scope();
     Ok(())
 }
 
-fn compile_stmt(cx: &mut Cx, s: &Stmt) -> Result<(), ClcError> {
+fn compile_stmt<'a>(cx: &mut Cx<'a>, s: &'a Stmt) -> Result<(), ClcError> {
     match s {
         Stmt::Decl(d) => {
             cx.cur_span = d.span;
@@ -266,7 +283,7 @@ fn compile_stmt(cx: &mut Cx, s: &Stmt) -> Result<(), ClcError> {
             step,
             body,
         } => {
-            cx.scopes.push(HashMap::new());
+            cx.open_scope();
             if let Some(init) = init {
                 compile_stmt(cx, init)?;
             }
@@ -299,7 +316,7 @@ fn compile_stmt(cx: &mut Cx, s: &Stmt) -> Result<(), ClcError> {
             for c in frame.continues {
                 cx.patch_jump_to(c, step_at);
             }
-            cx.scopes.pop();
+            cx.close_scope();
             Ok(())
         }
         Stmt::Break(span) => {
@@ -339,7 +356,7 @@ fn compile_stmt(cx: &mut Cx, s: &Stmt) -> Result<(), ClcError> {
     }
 }
 
-fn compile_decl(cx: &mut Cx, d: &DeclStmt) -> Result<(), ClcError> {
+fn compile_decl<'a>(cx: &mut Cx<'a>, d: &'a DeclStmt) -> Result<(), ClcError> {
     if !d.array_dims.is_empty() {
         // Statically-sized __local array.
         if d.array_dims.len() > 2 {
@@ -357,17 +374,17 @@ fn compile_decl(cx: &mut Cx, d: &DeclStmt) -> Result<(), ClcError> {
         let offset = (cx.local_bytes + 7) & !7;
         cx.local_bytes = offset + bytes as u32;
         cx.local_arrays.push(crate::bytecode::LocalArrayInfo {
-            name: d.name.clone(),
+            name: d.name.to_string(),
             byte_offset: offset,
             elem: d.ty,
             dims: d.array_dims.clone(),
         });
         cx.declare(
-            &d.name,
+            d.name,
             Binding::LocalArray {
                 byte_offset: offset,
                 elem: d.ty,
-                dims: d.array_dims.clone(),
+                dims: &d.array_dims,
             },
             d.span,
         )?;
@@ -392,7 +409,7 @@ fn compile_decl(cx: &mut Cx, d: &DeclStmt) -> Result<(), ClcError> {
     }
     cx.emit(Instr::StoreLocal(slot));
     cx.declare(
-        &d.name,
+        d.name,
         Binding::Slot {
             slot,
             ty: Type::Scalar(d.ty),
@@ -812,7 +829,7 @@ fn compile_rvalue(cx: &mut Cx, e: &Expr) -> Result<Type, ClcError> {
             cx.emit(Instr::PushFloat(*value, ty));
             Ok(Type::Scalar(ty))
         }
-        Expr::Var { name, span } => match cx.lookup(name).cloned() {
+        Expr::Var { name, span } => match cx.lookup(name).copied() {
             Some(Binding::Slot { slot, ty }) => {
                 cx.emit(Instr::LoadLocal(slot));
                 Ok(ty)
@@ -833,7 +850,7 @@ fn compile_rvalue(cx: &mut Cx, e: &Expr) -> Result<Type, ClcError> {
                     byte_offset,
                     elem,
                     dims,
-                }) = cx.lookup(name).cloned()
+                }) = cx.lookup(name).copied()
                 {
                     if dims.len() == 2 {
                         cx.emit(Instr::PushLocalPtr { byte_offset, elem });

@@ -1,7 +1,8 @@
 //! Heap allocations per small launch, counted over the whole process —
 //! the client thread and every NMP thread — with this file's own
-//! `#[global_allocator]`; and the bytes the wire decoder allocates for a
-//! frame, whatever the frame claims about its own lengths.
+//! `#[global_allocator]`; the allocations of one cold compile of each
+//! paper kernel; and the bytes the wire decoder allocates for a frame,
+//! whatever the frame claims about its own lengths.
 //!
 //! The steady-state launch path is supposed to clone nothing it does not
 //! send and to reuse the storage it needs; this pins the number so a
@@ -15,10 +16,12 @@ use std::sync::Mutex;
 
 use haocl::kernel::Kernel;
 use haocl::{Buffer, CommandQueue, Context, DeviceType, MemFlags, Platform, Program};
+use haocl_clc::{compile_with_options, AnalysisMode, CompileOptions};
 use haocl_cluster::ClusterConfig;
 use haocl_kernel::{KernelRegistry, NdRange};
 use haocl_proto::messages::{ApiCall, ApiReply, Envelope, Request, Response};
 use haocl_proto::wire::{decode_from_segments, decode_from_slice, Decode};
+use haocl_workloads::{bfs, cfd, knn, matmul, spmv};
 
 /// Calls to `alloc`/`realloc`, from any thread.
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -253,6 +256,57 @@ fn allocations_per_launch_do_not_grow_with_the_cluster() {
     assert!(
         large <= small + 1.0,
         "{large:.2} allocations per launch on 16 nodes against {small:.2} on 2"
+    );
+}
+
+/// Allocations of one `WarnOnly` compile — what every node's
+/// `BuildProgram` runs — of each paper workload's kernel source, pinned
+/// exactly: a `clone()` or a per-token `String` on the cold path fails
+/// here instead of hiding in timing noise. The count is deterministic;
+/// the least of a few compiles keeps out whatever the test harness
+/// allocates on its own threads meanwhile.
+#[test]
+fn a_cold_compile_makes_a_pinned_number_of_allocations() {
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let options = CompileOptions {
+        analysis: AnalysisMode::WarnOnly,
+    };
+    let sources = [
+        ("matmul", matmul::KERNEL_SOURCE),
+        ("cfd", cfd::KERNEL_SOURCE),
+        ("knn", knn::KERNEL_SOURCE),
+        ("bfs", bfs::KERNEL_SOURCE),
+        ("spmv", spmv::KERNEL_SOURCE),
+    ];
+    let counts: Vec<(&str, u64)> = sources
+        .iter()
+        .map(|&(name, source)| {
+            let least = (0..5)
+                .map(|_| {
+                    let before = ALLOCATIONS.load(Ordering::Relaxed);
+                    let program = compile_with_options(source, &options).unwrap();
+                    let made = ALLOCATIONS.load(Ordering::Relaxed) - before;
+                    drop(program);
+                    made
+                })
+                .min()
+                .unwrap();
+            (name, least)
+        })
+        .collect();
+    println!("allocations per cold compile: {counts:?}");
+    // Before the lexer borrowed identifiers, the AST borrowed names and
+    // the analyzer stopped cloning states and scopes: 490, 1 674, 1 365,
+    // 631 and 516.
+    assert_eq!(
+        counts,
+        [
+            ("matmul", 161),
+            ("cfd", 610),
+            ("knn", 427),
+            ("bfs", 246),
+            ("spmv", 215)
+        ]
     );
 }
 
