@@ -441,7 +441,9 @@ mod workloads_under_chaos {
 mod observability {
     use super::*;
     use haocl::auto::AutoScheduler;
-    use haocl::{Buffer, Context, DeviceType, Kernel, MemFlags, NdRange, Platform, Program};
+    use haocl::{
+        Buffer, Context, DeviceType, Kernel, MemFlags, NdRange, NodeCondition, Platform, Program,
+    };
     use haocl_sched::policies;
 
     #[test]
@@ -482,8 +484,9 @@ mod observability {
         // quarantines the node.
         let (ev, _) = auto.launch(&k, NdRange::linear(8, 4)).unwrap();
         ev.wait().unwrap();
-        assert!(
-            auto.quarantine().is_quarantined(NodeId::new(1)),
+        assert_eq!(
+            auto.condition(NodeId::new(1)),
+            NodeCondition::Quarantined,
             "one failover crossed the (lowered) quarantine threshold"
         );
 

@@ -6,14 +6,17 @@
 //! heterogeneity-aware scheduling, fed by the runtime profile of every
 //! completed launch.
 
+use std::collections::BTreeSet;
+
 use parking_lot::Mutex;
 
+use haocl_cluster::MembershipState;
 use haocl_kernel::NdRange;
 use haocl_obs::{names, FusionDecision, PlacementAudit, Span, TraceCtx, DEFAULT_TENANT};
-use haocl_proto::ids::UserId;
+use haocl_proto::ids::{NodeId, UserId};
 use haocl_sched::{
-    DeviceView, DriftDetector, DriftEvent, NodeCondition, QuarantineTracker, Scheduler,
-    SchedulingPolicy, TaskSpec,
+    DeviceView, DriftDetector, DriftEvent, NodeCondition, Scheduler, SchedulingPolicy, TaskSpec,
+    DEFAULT_QUARANTINE_THRESHOLD,
 };
 use haocl_sim::{Phase, SimTime};
 
@@ -32,14 +35,75 @@ pub struct AutoScheduler {
     scheduler: Scheduler,
     /// Host-side view of when each device's queue drains.
     busy_until: Mutex<Vec<SimTime>>,
-    /// Node health: the runtime's failover epochs become strikes, and
-    /// flapping nodes drop out of the candidate set (see
-    /// [`AutoScheduler::quarantine`]).
-    quarantine: QuarantineTracker,
+    /// Involuntary failovers before a node is quarantined (see
+    /// [`AutoScheduler::condition`]).
+    quarantine_threshold: u32,
+    /// The nodes whose last reading was quarantined, so that each move
+    /// into quarantine is announced once.
+    announced: Mutex<BTreeSet<NodeId>>,
     /// Timing-drift watchdog: every completed launch feeds it, and nodes
     /// running persistently slower than their own healthy baseline are
     /// advisorily down-weighted (see [`AutoScheduler::drift`]).
     drift: DriftDetector,
+}
+
+/// What one look at the host runtime and the drift detector says about
+/// a node: everything its [`NodeCondition`] is derived from.
+#[derive(Clone, Copy)]
+struct Reading {
+    membership: Option<MembershipState>,
+    /// Routing epoch bumps: one per failover and one per drain.
+    epochs: u32,
+    /// The bumps that drains made.
+    voluntary_epochs: u32,
+    /// The drift detector's verdict.
+    degraded: bool,
+}
+
+impl Reading {
+    /// Involuntary failovers: the epoch bumps no drain made.
+    fn failovers(self) -> u32 {
+        self.epochs.saturating_sub(self.voluntary_epochs)
+    }
+
+    /// Quarantined once the failovers reach `threshold` (0 counts as 1),
+    /// else degraded while the drift detector says so. A departed node
+    /// reads healthy: a drain is not evidence of ill health.
+    fn condition(self, threshold: u32) -> NodeCondition {
+        if self.membership == Some(MembershipState::Departed) {
+            NodeCondition::Healthy
+        } else if self.failovers() >= threshold.max(1) {
+            NodeCondition::Quarantined
+        } else if self.degraded {
+            NodeCondition::Degraded
+        } else {
+            NodeCondition::Healthy
+        }
+    }
+}
+
+/// An audit row about a node's health rather than a placement.
+fn health_row(policy: &str, chosen: usize, reason: String) -> PlacementAudit {
+    PlacementAudit {
+        kernel: "<node-health>".into(),
+        tenant: DEFAULT_TENANT.into(),
+        policy: policy.into(),
+        candidates: Vec::new(),
+        chosen,
+        reason,
+        fused: FusionDecision::Unconsidered,
+    }
+}
+
+/// Whether reading `condition` for `node` announces its quarantine: on
+/// its first quarantined reading, and again only after one that was not.
+fn announces(announced: &mut BTreeSet<NodeId>, node: NodeId, condition: NodeCondition) -> bool {
+    if condition == NodeCondition::Quarantined {
+        announced.insert(node)
+    } else {
+        announced.remove(&node);
+        false
+    }
 }
 
 impl AutoScheduler {
@@ -61,7 +125,8 @@ impl AutoScheduler {
             queues,
             scheduler: Scheduler::new(policy),
             busy_until: Mutex::new(vec![SimTime::ZERO; n]),
-            quarantine: QuarantineTracker::default(),
+            quarantine_threshold: DEFAULT_QUARANTINE_THRESHOLD,
+            announced: Mutex::new(BTreeSet::new()),
             drift: DriftDetector::new(),
         })
     }
@@ -72,17 +137,31 @@ impl AutoScheduler {
         &self.drift
     }
 
-    /// The node-health tracker feeding this scheduler's candidate
-    /// filtering (inspect strikes, or [`QuarantineTracker::reinstate`] a
-    /// recovered node).
-    pub fn quarantine(&self) -> &QuarantineTracker {
-        &self.quarantine
+    /// A node's health, read from what the runtime already counts:
+    /// quarantined once the host's involuntary failovers for it
+    /// (`node_epoch − node_voluntary_epochs`) reach the quarantine
+    /// threshold, else degraded while the [`DriftDetector`] says so. A
+    /// departed node reads healthy.
+    pub fn condition(&self, node: NodeId) -> NodeCondition {
+        self.reading(node).condition(self.quarantine_threshold)
     }
 
-    /// Replaces the health tracker with one demoting nodes after
-    /// `threshold` route failovers (accumulated strikes reset).
+    /// Quarantines nodes after `threshold` involuntary failovers (0
+    /// counts as 1). The next placement announces every quarantine
+    /// anew.
     pub fn set_quarantine_threshold(&mut self, threshold: u32) {
-        self.quarantine = QuarantineTracker::new(threshold);
+        self.quarantine_threshold = threshold;
+        self.announced.get_mut().clear();
+    }
+
+    fn reading(&self, node: NodeId) -> Reading {
+        let host = self.context.platform.host();
+        Reading {
+            membership: host.node_membership(node),
+            epochs: host.node_epoch(node),
+            voluntary_epochs: host.node_voluntary_epochs(node),
+            degraded: self.drift.is_degraded(node),
+        }
     }
 
     /// The active policy's name.
@@ -333,10 +412,9 @@ impl AutoScheduler {
         Ok((event, choice))
     }
 
-    /// Feeds one completed launch into the drift detector and folds any
-    /// verdict flip into node health: `Degraded` raises the advisory
-    /// flag (candidates down-weighted, not banned), `Recovered` clears
-    /// it. Either transition lands in the audit log as a `drift` row.
+    /// Feeds one completed launch into the drift detector. A verdict
+    /// flip — `Degraded` (candidates down-weighted, not banned) or
+    /// `Recovered` — lands in the audit log as a `drift` row.
     fn observe_drift(&self, kernel: &str, choice: usize, duration: haocl_sim::SimDuration) {
         let device = &self.context.devices()[choice];
         let node = device.node();
@@ -344,27 +422,16 @@ impl AutoScheduler {
             return;
         };
         let reason = match transition {
-            DriftEvent::Degraded { ratio, .. } => {
-                self.quarantine.mark_degraded(node);
-                format!(
-                    "node {} degraded: launches running {ratio:.2}x over healthy baseline",
-                    device.node_name()
-                )
-            }
+            DriftEvent::Degraded { ratio, .. } => format!(
+                "node {} degraded: launches running {ratio:.2}x over healthy baseline",
+                device.node_name()
+            ),
             DriftEvent::Recovered { .. } => {
-                self.quarantine.clear_degraded(node);
                 format!("node {} recovered to healthy baseline", device.node_name())
             }
         };
-        self.context.platform.obs.audit.record(PlacementAudit {
-            kernel: "<node-health>".into(),
-            tenant: DEFAULT_TENANT.into(),
-            policy: "drift".into(),
-            candidates: Vec::new(),
-            chosen: device.index(),
-            reason,
-            fused: FusionDecision::Unconsidered,
-        });
+        let row = health_row("drift", device.index(), reason);
+        self.context.platform.obs.audit.record(row);
     }
 
     /// Publishes the profile db's recalibration counter (delta-synced, so
@@ -380,157 +447,89 @@ impl AutoScheduler {
             .inc_counter(names::PROFILE_RECALIBRATIONS, &[], behind);
     }
 
-    /// Places `task` over the context's devices: builds the per-device
-    /// views (load + residency of `buffers`), folds failover epochs into
-    /// quarantine strikes, filters quarantined nodes while an
-    /// alternative exists, and remaps the surviving indices back onto
-    /// the context's device list.
+    /// Places `task` over the context's devices: builds one view per
+    /// device (load, residency of `buffers`, and its node's standing),
+    /// announces each node's move into quarantine once, refreshes the
+    /// health gauge, and leaves filtering and choosing to the scheduler.
     fn place_filtered(
         &self,
         task: &TaskSpec,
         buffers: &[Buffer],
     ) -> Result<(usize, PlacementAudit), Error> {
         let now = self.context.platform.clock().now();
-        let views: Vec<DeviceView> = {
-            let busy = self.busy_until.lock();
-            self.context
-                .devices()
-                .iter()
-                .zip(busy.iter())
-                .map(|(d, &until)| {
-                    let local = buffers
-                        .iter()
-                        .map(|b| b.inner.resident_bytes_on(d.index))
-                        .sum();
-                    // A queue that drained in the past is available *now*,
-                    // not at its stale drain time — without the clamp a
-                    // long-idle (e.g. degraded, avoided) device looks
-                    // cheaper than a recently busy healthy one.
-                    DeviceView::from_descriptor(d.node(), d.descriptor())
-                        .named(d.node_name())
-                        .loaded(until.max(now), u32::from(until > now))
-                        .with_local_bytes(local)
-                        // Advisory health: a drifting node's candidates
-                        // stay in the running, but every predicted run
-                        // is inflated by its observed slowdown.
-                        .with_health_penalty(self.drift.penalty(d.node()))
-                })
-                .collect()
-        };
         let obs = &self.context.platform.obs;
-        let host = self.context.platform.host();
-        // Fold the runtime's failover signals into node health: every
-        // *involuntary* epoch bump is a failover the host had to perform
-        // for that node, i.e. one quarantine strike. Voluntary bumps
-        // (graceful drains) are subtracted first — an operator decision
-        // is not a failure signal — and a departed node's history is
-        // erased entirely, so a node rejoining under the same name
-        // starts with a clean record.
-        for d in self.context.devices() {
+        let busy = self.busy_until.lock();
+        let mut announced = self.announced.lock();
+        let mut views = Vec::with_capacity(busy.len());
+        for (d, &until) in self.context.devices().iter().zip(busy.iter()) {
             let node = d.node();
-            if host.node_membership(node) == Some(haocl_cluster::MembershipState::Departed) {
-                self.quarantine.forget(node);
-                continue;
-            }
-            if self.quarantine.observe_epochs(
-                node,
-                host.node_epoch(node),
-                host.node_voluntary_epochs(node),
-            ) {
-                obs.audit.record(PlacementAudit {
-                    kernel: "<node-health>".into(),
-                    tenant: DEFAULT_TENANT.into(),
-                    policy: "quarantine".into(),
-                    candidates: Vec::new(),
-                    chosen: d.index(),
-                    reason: format!(
-                        "node {} quarantined after {} route failovers",
-                        d.node_name(),
-                        self.quarantine.strikes(node)
-                    ),
-                    fused: FusionDecision::Unconsidered,
-                });
+            let reading = self.reading(node);
+            let condition = reading.condition(self.quarantine_threshold);
+            if announces(&mut announced, node, condition) {
+                let reason = format!(
+                    "node {} quarantined after {} route failovers",
+                    d.node_name(),
+                    reading.failovers()
+                );
+                obs.audit
+                    .record(health_row("quarantine", d.index(), reason));
                 obs.metrics
                     .inc_counter(names::QUARANTINES, &[("node", d.node_name())], 1);
             }
-        }
-        // Every placement refreshes the per-node health gauge, so the
-        // exported series always reflects the tracker's current verdict.
-        for d in self.context.devices() {
-            let verdict = match self.quarantine.condition(d.node()) {
-                NodeCondition::Healthy => 0,
-                NodeCondition::Degraded => 1,
-                NodeCondition::Quarantined => 2,
-            };
+            let gauge = condition as i64;
             obs.metrics
-                .set_gauge(names::DEVICE_HEALTH, &[("node", d.node_name())], verdict);
+                .set_gauge(names::DEVICE_HEALTH, &[("node", d.node_name())], gauge);
+            let local = buffers
+                .iter()
+                .map(|b| b.inner.resident_bytes_on(d.index))
+                .sum();
+            // A queue that drained in the past is available *now*, not at
+            // its stale drain time — without the clamp a long-idle (e.g.
+            // degraded, avoided) device looks cheaper than a recently
+            // busy healthy one.
+            let view = DeviceView::from_descriptor(node, d.descriptor())
+                .named(d.node_name())
+                .loaded(until.max(now), u32::from(until > now))
+                .with_local_bytes(local)
+                // Advisory health: a drifting node's candidates stay in
+                // the running, but every predicted run is inflated by its
+                // observed slowdown.
+                .with_health_penalty(self.drift.penalty(node))
+                .standing(
+                    reading.membership == Some(MembershipState::Active),
+                    condition == NodeCondition::Quarantined,
+                );
+            views.push(view);
         }
-        // Nodes that are leaving (Draining) or gone (Departed) are out
-        // of the candidate set unconditionally — a draining node refuses
-        // new launches and a departed one cannot execute them. Within
-        // the active set, quarantined nodes are demoted while an
-        // alternative exists (advisory: an all-quarantined fleet still
-        // schedules).
-        let active: Vec<usize> = (0..views.len())
-            .filter(|&i| {
-                host.node_membership(views[i].node) == Some(haocl_cluster::MembershipState::Active)
-            })
-            .collect();
-        if active.is_empty() {
+        drop((busy, announced));
+        if !views.iter().any(|v| v.active) {
             return Err(Error::api(
                 Status::InvalidOperation,
                 "no active node to place on",
             ));
         }
-        let eligible: Vec<usize> = active
-            .iter()
-            .copied()
-            .filter(|&i| !self.quarantine.is_quarantined(views[i].node))
-            .collect();
-        let candidates = if eligible.is_empty() {
-            active
-        } else {
-            eligible
-        };
-        let placed = if candidates.len() == views.len() {
-            self.scheduler.place_audited(task, &views)
-        } else {
-            let surviving: Vec<DeviceView> = candidates.iter().map(|&i| views[i].clone()).collect();
-            self.scheduler
-                .place_audited(task, &surviving)
-                .map(|(choice, mut audit)| {
-                    // Remap filtered indices back onto the context's
-                    // device list, which is what callers (and the audit
-                    // log) index by.
-                    for candidate in &mut audit.candidates {
-                        candidate.device = candidates[candidate.device];
-                    }
-                    audit.chosen = candidates[audit.chosen];
-                    (candidates[choice], audit)
-                })
-        };
-        placed
-            .map(|(choice, audit)| {
-                // Advisory health in action: a degraded candidate was on
-                // offer but a healthy device won — count the avoidance
-                // against each sick node that lost.
-                if audit.winner().is_some_and(|w| !w.is_degraded()) {
-                    let mut counted: Vec<&str> = Vec::new();
-                    for c in audit.candidates.iter().filter(|c| c.is_degraded()) {
-                        let name = self.context.devices()[c.device].node_name();
-                        if !counted.contains(&name) {
-                            counted.push(name);
-                            obs.metrics.inc_counter(
-                                names::DEGRADED_PLACEMENTS_AVOIDED,
-                                &[("node", name)],
-                                1,
-                            );
-                        }
-                    }
+        let (choice, audit) = self
+            .scheduler
+            .place_audited(task, &views)
+            .map_err(|e| Error::api(Status::InvalidOperation, e.to_string()))?;
+        // Advisory health in action: a degraded candidate was on offer
+        // but a healthy device won — count the avoidance against each
+        // sick node that lost.
+        if audit.winner().is_some_and(|w| !w.is_degraded()) {
+            let mut counted: Vec<&str> = Vec::new();
+            for c in audit.candidates.iter().filter(|c| c.is_degraded()) {
+                let name = self.context.devices()[c.device].node_name();
+                if !counted.contains(&name) {
+                    counted.push(name);
+                    obs.metrics.inc_counter(
+                        names::DEGRADED_PLACEMENTS_AVOIDED,
+                        &[("node", name)],
+                        1,
+                    );
                 }
-                (choice, audit)
-            })
-            .map_err(|e| Error::api(Status::InvalidOperation, e.to_string()))
+            }
+        }
+        Ok((choice, audit))
     }
 
     /// Dispatches a captured [`LaunchGraph`]: prover-approved adjacent
@@ -637,6 +636,79 @@ mod tests {
         let p = Platform::local(kinds).unwrap();
         let ctx = Context::new(&p, &p.devices(DeviceType::All)).unwrap();
         (p, ctx)
+    }
+
+    #[test]
+    fn node_condition_is_read_from_the_counts() {
+        use NodeCondition::{Degraded, Healthy, Quarantined};
+        let up = |epochs, voluntary_epochs, degraded| Reading {
+            membership: Some(MembershipState::Active),
+            epochs,
+            voluntary_epochs,
+            degraded,
+        };
+        let departed = Reading {
+            membership: Some(MembershipState::Departed),
+            ..up(2, 0, true)
+        };
+        // (case, threshold, one reading per placement, the last
+        // reading's condition, quarantines announced)
+        let table: [(&str, u32, &[Reading], NodeCondition, usize); 7] = [
+            (
+                "failovers are involuntary epochs",
+                2,
+                &[up(0, 0, false), up(1, 0, false), up(2, 0, false)],
+                Quarantined,
+                1,
+            ),
+            (
+                "voluntary epochs are no failovers",
+                2,
+                &[up(2, 2, false), up(3, 2, false)],
+                Healthy,
+                0,
+            ),
+            ("degraded is advisory", 2, &[up(1, 0, true)], Degraded, 0),
+            (
+                "quarantined outranks degraded",
+                2,
+                &[up(0, 0, true), up(2, 0, true)],
+                Quarantined,
+                1,
+            ),
+            (
+                "a threshold of 0 counts as 1",
+                0,
+                &[up(1, 0, false)],
+                Quarantined,
+                1,
+            ),
+            (
+                "a departed node reads healthy",
+                2,
+                &[up(2, 0, true), departed],
+                Healthy,
+                1,
+            ),
+            (
+                "the transition is announced once",
+                2,
+                &[up(2, 0, false), up(2, 0, false), up(3, 0, false)],
+                Quarantined,
+                1,
+            ),
+        ];
+        let node = NodeId::new(1);
+        for (case, threshold, readings, want, announcements) in table {
+            let mut announced = BTreeSet::new();
+            let mut made = 0;
+            let mut last = Healthy;
+            for reading in readings {
+                last = reading.condition(threshold);
+                made += usize::from(announces(&mut announced, node, last));
+            }
+            assert_eq!((last, made), (want, announcements), "{case}");
+        }
     }
 
     #[test]

@@ -445,7 +445,7 @@ impl Platform {
 
     /// The routing epoch of `node`: 0 until the host runtime's first
     /// failover away from it, bumped on each. Schedulers read this as a
-    /// node-flap signal (see [`haocl_sched::QuarantineTracker`]).
+    /// node-flap signal (see [`crate::auto::AutoScheduler::condition`]).
     pub fn node_epoch(&self, node: NodeId) -> u32 {
         self.inner.host().node_epoch(node)
     }

@@ -118,7 +118,7 @@ impl ServingPlane {
     }
 
     /// Wraps an existing [`AutoScheduler`] (keeps its warmed profile
-    /// database and quarantine state).
+    /// database, drift verdicts and quarantine threshold).
     ///
     /// # Errors
     ///

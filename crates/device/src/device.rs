@@ -1,4 +1,4 @@
-//! The simulated device: timeline, execution, profiling, energy.
+//! The simulated device: timeline, execution, profiling.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -84,7 +84,7 @@ struct KernelProfile {
 }
 
 /// One simulated device: a performance model, a buffer store, a serialized
-/// execution timeline, a per-kernel profile and an energy meter.
+/// execution timeline and a per-kernel profile.
 ///
 /// All timing is virtual; kernels still execute for real in
 /// [`Fidelity::Full`] so results are verifiable.
@@ -95,7 +95,6 @@ pub struct SimDevice {
     timeline: Resource,
     profile: HashMap<String, KernelProfile>,
     loaded_programs: HashSet<ProgramId>,
-    energy_joules: f64,
     /// Lists a full-fidelity launch fills and empties again, kept for
     /// their storage.
     scratch: LaunchScratch,
@@ -122,7 +121,6 @@ impl SimDevice {
             timeline: Resource::new(name),
             profile: HashMap::new(),
             loaded_programs: HashSet::new(),
-            energy_joules: 0.0,
             scratch: LaunchScratch::default(),
         }
     }
@@ -148,11 +146,6 @@ impl SimDevice {
     /// The buffer store (for inspection).
     pub fn memory(&self) -> &MemoryManager {
         &self.memory
-    }
-
-    /// Total energy charged so far, joules.
-    pub fn energy_joules(&self) -> f64 {
-        self.energy_joules
     }
 
     /// Total busy time on the execution timeline.
@@ -198,7 +191,7 @@ impl SimDevice {
     ) -> Result<Grant, DeviceError> {
         self.memory.write(id, offset, data)?;
         let dur = self.model.transfer_time(data.len() as u64);
-        Ok(self.charge(at, dur))
+        Ok(self.timeline.acquire(at, dur))
     }
 
     /// Reads a device buffer back to the host, charging the PCIe transfer.
@@ -217,7 +210,7 @@ impl SimDevice {
     ) -> Result<(Bytes, Grant), DeviceError> {
         let data = self.memory.read(id, offset, len)?;
         let dur = self.model.transfer_time(len);
-        let grant = self.charge(at, dur);
+        let grant = self.timeline.acquire(at, dur);
         Ok((data, grant))
     }
 
@@ -255,7 +248,7 @@ impl SimDevice {
             }));
         }
         let dur = self.model.transfer_time(len);
-        Ok(self.charge(at, dur))
+        Ok(self.timeline.acquire(at, dur))
     }
 
     /// Copies between two device buffers, charging device-memory traffic.
@@ -279,7 +272,7 @@ impl SimDevice {
         } else {
             0.0
         };
-        Ok(self.charge(at, SimDuration::from_secs_f64(secs)))
+        Ok(self.timeline.acquire(at, SimDuration::from_secs_f64(secs)))
     }
 
     /// Records that `program` is resident, charging FPGA reconfiguration
@@ -291,7 +284,7 @@ impl SimDevice {
         } else {
             SimDuration::ZERO
         };
-        self.charge(at, dur)
+        self.timeline.acquire(at, dur)
     }
 
     /// Runs one dispatch at virtual time `at`: a lone kernel, or a
@@ -342,7 +335,7 @@ impl SimDevice {
                 }
             }
         }
-        let grant = self.charge(at, total);
+        let grant = self.timeline.acquire(at, total);
         Ok(LaunchOutcome {
             grant,
             instructions,
@@ -402,11 +395,6 @@ impl SimDevice {
             .collect();
         entries.sort_by(|a, b| a.kernel.cmp(&b.kernel));
         entries
-    }
-
-    fn charge(&mut self, at: SimTime, dur: SimDuration) -> Grant {
-        self.energy_joules += self.model.energy(dur);
-        self.timeline.acquire(at, dur)
     }
 }
 
@@ -723,27 +711,6 @@ mod tests {
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].runs, 3);
         assert!(entries[0].mean_nanos > 0);
-    }
-
-    #[test]
-    fn energy_accumulates_with_work() {
-        let mut dev = gpu();
-        dev.alloc_buffer(BufferId::new(1), 4).unwrap();
-        let before = dev.energy_joules();
-        let k = compiled("__kernel void f(__global int* a) { a[0] = 1; }", "f");
-        dev.launch(
-            &one(
-                &k,
-                &[WireArg::Buffer(BufferId::new(1))],
-                NdRange::linear(1, 1),
-                CostModel::new().flops(5.5e12),
-            ),
-            Fidelity::Modeled,
-            SimTime::ZERO,
-        )
-        .unwrap();
-        // ~1.43 s of GPU time at 75 W.
-        assert!(dev.energy_joules() > before + 50.0);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! * [`presets`] — calibrated models for the paper's three device types.
 //! * [`memory`] — per-device buffer store with capacity accounting.
 //! * [`device`] — [`SimDevice`]: a device timeline that admits transfers
-//!   and launches, executes them, charges virtual time and energy, and
-//!   records the per-kernel profile the scheduler feeds on.
+//!   and launches, executes them, charges virtual time, and records the
+//!   per-kernel profile the scheduler feeds on.
 //! * [`wire`] — launch geometry and cost, to and from their wire forms.
 //!
 //! # Examples

@@ -10,9 +10,12 @@
 //!   Dependency ordering (Fig. 1's task graph) lives in the host
 //!   runtime's `LaunchGraph`, not here.
 //! * [`monitor`] — [`DeviceView`]: the host-side snapshot of every device
-//!   in the cluster (model summary + load + data locality + advisory
-//!   health), and [`DriftDetector`]: per-node z-score/ratio tests over
-//!   rolling launch-timing windows that flag sub-healthy devices.
+//!   in the cluster (model summary + load + data locality + the node's
+//!   standing: active, quarantined, advisory health penalty),
+//!   [`NodeCondition`]: the health verdict the runtime derives from its
+//!   failover counts and the drift verdict, and [`DriftDetector`]:
+//!   per-node z-score/ratio tests over rolling launch-timing windows
+//!   that flag sub-healthy devices.
 //! * [`profile`] — [`ProfileDb`]: per-(kernel, device-class) EWMAs of
 //!   observed execution times, recalibrated online on every completed
 //!   launch.
@@ -23,9 +26,6 @@
 //! * [`policies`] — six built-ins: user-directed, round-robin,
 //!   least-loaded, heterogeneity-aware (profile + model driven),
 //!   power-aware and locality-aware.
-//! * [`quarantine`] — [`QuarantineTracker`]: per-node failure strikes
-//!   (fed by the host runtime's failover epochs) that demote flapping
-//!   nodes out of the candidate set while alternatives exist.
 //! * [`tenancy`] — the multi-tenant arbitration tier *above* placement:
 //!   [`TenantScheduler`] (weighted fair queueing over bounded per-tenant
 //!   queues), [`QuotaLedger`] (device-memory quotas) and the typed
@@ -59,14 +59,14 @@ pub mod monitor;
 pub mod policies;
 pub mod policy;
 pub mod profile;
-pub mod quarantine;
 pub mod task;
 pub mod tenancy;
 
-pub use monitor::{DeviceView, DriftDetector, DriftEvent};
+pub use monitor::{
+    DeviceView, DriftDetector, DriftEvent, NodeCondition, DEFAULT_QUARANTINE_THRESHOLD,
+};
 pub use policy::{SchedError, Scheduler, SchedulingPolicy};
 pub use profile::ProfileDb;
-pub use quarantine::{NodeCondition, QuarantineTracker, DEFAULT_QUARANTINE_THRESHOLD};
 pub use task::TaskSpec;
 pub use tenancy::{
     normalized_cost_nanos, AdmitError, QuotaLedger, TenantQuota, TenantScheduler, TenantSpec,

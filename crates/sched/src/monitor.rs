@@ -2,6 +2,11 @@
 //! detector that watches per-node launch timings for sub-healthy
 //! behaviour (thermal throttling, retry storms) the descriptor can't
 //! advertise.
+//!
+//! A node's health is read, not recorded: the host runtime counts its
+//! failovers and the [`DriftDetector`] holds its timing verdict, and the
+//! runtime derives a [`NodeCondition`] from those two whenever it is
+//! asked for one. The scheduler sees the result on every [`DeviceView`].
 
 use std::collections::BTreeMap;
 
@@ -43,6 +48,13 @@ pub struct DeviceView {
     /// measured slowdown ratio) while the drift detector holds the node
     /// in the `Degraded` state. Down-weights, never bans.
     pub health_penalty: f64,
+    /// Whether the hosting node takes new work: inactive devices are
+    /// never candidates (a draining node refuses new launches and a
+    /// departed one cannot run them).
+    pub active: bool,
+    /// Whether the hosting node is quarantined: its devices are
+    /// candidates only while no active node is free of quarantine.
+    pub quarantined: bool,
 }
 
 impl DeviceView {
@@ -61,6 +73,8 @@ impl DeviceView {
             queue_depth: 0,
             local_bytes: 0,
             health_penalty: 1.0,
+            active: true,
+            quarantined: false,
         }
     }
 
@@ -85,6 +99,8 @@ impl DeviceView {
             queue_depth: 0,
             local_bytes: 0,
             health_penalty: 1.0,
+            active: true,
+            quarantined: false,
         }
     }
 
@@ -113,6 +129,42 @@ impl DeviceView {
     pub fn with_health_penalty(mut self, penalty: f64) -> Self {
         self.health_penalty = penalty.max(1.0);
         self
+    }
+
+    /// Sets whether the hosting node takes new work and whether it is
+    /// quarantined (builder-style).
+    pub fn standing(mut self, active: bool, quarantined: bool) -> Self {
+        self.active = active;
+        self.quarantined = quarantined;
+        self
+    }
+}
+
+/// Involuntary failovers before a node is quarantined.
+pub const DEFAULT_QUARANTINE_THRESHOLD: u32 = 2;
+
+/// A node's overall health verdict, worst last; the discriminant is the
+/// value of the `haocl_device_health` gauge.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NodeCondition {
+    /// Neither quarantined nor degraded.
+    Healthy = 0,
+    /// Advisory: the drift detector sees the node running sub-healthy;
+    /// its candidates are down-weighted, not banned.
+    Degraded = 1,
+    /// Hard: the node's involuntary failovers reached the quarantine
+    /// threshold, so it is out of the candidate set while alternatives
+    /// exist.
+    Quarantined = 2,
+}
+
+impl std::fmt::Display for NodeCondition {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            NodeCondition::Healthy => "healthy",
+            NodeCondition::Degraded => "degraded",
+            NodeCondition::Quarantined => "quarantined",
+        })
     }
 }
 
@@ -195,11 +247,12 @@ pub enum DriftEvent {
     },
 }
 
+/// One node's timing windows, by kernel.
 #[derive(Debug, Default)]
-struct DriftInner {
-    keys: BTreeMap<(String, u32), KeyWindow>,
-    /// Per-node count of currently degraded keys.
-    degraded_counts: BTreeMap<u32, u32>,
+struct NodeWindows {
+    kernels: BTreeMap<String, KeyWindow>,
+    /// How many of `kernels` are currently degraded.
+    degraded: u32,
 }
 
 /// Per-node drift detector over the rolling launch-timing windows.
@@ -214,7 +267,7 @@ struct DriftInner {
 /// [`DeviceView::health_penalty`], it does not ban them.
 #[derive(Debug, Default)]
 pub struct DriftDetector {
-    inner: Mutex<DriftInner>,
+    nodes: Mutex<BTreeMap<u32, NodeWindows>>,
 }
 
 impl DriftDetector {
@@ -233,11 +286,15 @@ impl DriftDetector {
         duration: haocl_sim::SimDuration,
     ) -> Option<DriftEvent> {
         let nanos = duration.as_nanos() as f64;
-        let mut inner = self.inner.lock();
-        let w = inner
-            .keys
-            .entry((kernel.to_string(), node.raw()))
-            .or_default();
+        let mut nodes = self.nodes.lock();
+        let windows = nodes.entry(node.raw()).or_default();
+        // A warm window is found without allocating its key.
+        if !windows.kernels.contains_key(kernel) {
+            windows
+                .kernels
+                .insert(kernel.to_string(), KeyWindow::default());
+        }
+        let w = windows.kernels.get_mut(kernel).expect("inserted above");
         if w.samples < BASELINE_RUNS {
             // Welford accumulation of the healthy baseline.
             w.samples += 1;
@@ -276,14 +333,12 @@ impl DriftDetector {
         }
         match flipped {
             Some(true) => {
-                let count = inner.degraded_counts.entry(node.raw()).or_insert(0);
-                *count += 1;
-                (*count == 1).then_some(DriftEvent::Degraded { node, ratio })
+                windows.degraded += 1;
+                (windows.degraded == 1).then_some(DriftEvent::Degraded { node, ratio })
             }
             Some(false) => {
-                let count = inner.degraded_counts.entry(node.raw()).or_insert(0);
-                *count = count.saturating_sub(1);
-                (*count == 0).then_some(DriftEvent::Recovered { node })
+                windows.degraded = windows.degraded.saturating_sub(1);
+                (windows.degraded == 0).then_some(DriftEvent::Recovered { node })
             }
             None => None,
         }
@@ -291,41 +346,24 @@ impl DriftDetector {
 
     /// Whether any of the node's timing windows is currently out of band.
     pub fn is_degraded(&self, node: NodeId) -> bool {
-        self.inner
+        self.nodes
             .lock()
-            .degraded_counts
             .get(&node.raw())
-            .is_some_and(|&c| c > 0)
+            .is_some_and(|w| w.degraded > 0)
     }
 
     /// The advisory cost multiplier for a node: the worst slowdown ratio
     /// among its degraded windows, or `1.0` when healthy.
     pub fn penalty(&self, node: NodeId) -> f64 {
-        let inner = self.inner.lock();
-        if inner
-            .degraded_counts
-            .get(&node.raw())
-            .is_none_or(|&c| c == 0)
-        {
-            return 1.0;
+        match self.nodes.lock().get(&node.raw()) {
+            Some(windows) if windows.degraded > 0 => windows
+                .kernels
+                .values()
+                .filter(|w| w.degraded)
+                .map(KeyWindow::ratio)
+                .fold(1.0, f64::max),
+            _ => 1.0,
         }
-        inner
-            .keys
-            .iter()
-            .filter(|((_, n), w)| *n == node.raw() && w.degraded)
-            .map(|(_, w)| w.ratio())
-            .fold(1.0, f64::max)
-    }
-
-    /// Every currently degraded node, ascending.
-    pub fn degraded_nodes(&self) -> Vec<NodeId> {
-        self.inner
-            .lock()
-            .degraded_counts
-            .iter()
-            .filter(|(_, &c)| c > 0)
-            .map(|(&n, _)| NodeId::new(n))
-            .collect()
     }
 }
 
@@ -404,7 +442,6 @@ mod tests {
         }
         assert!(det.is_degraded(node));
         assert!(det.penalty(node) > 1.5);
-        assert_eq!(det.degraded_nodes(), vec![node]);
     }
 
     #[test]
@@ -451,7 +488,6 @@ mod tests {
         assert!(recovered, "return to baseline must clear the verdict");
         assert!(!det.is_degraded(node));
         assert_eq!(det.penalty(node), 1.0);
-        assert!(det.degraded_nodes().is_empty());
     }
 
     #[test]

@@ -45,8 +45,9 @@ impl std::error::Error for SchedError {}
 /// scheduling algorithms and embed them into HaoCL", paper §I).
 ///
 /// Implementations choose among the devices in `devices` (already
-/// filtered for legality by [`Scheduler::place`]) and return an index
-/// into that slice, or `None` to fall through to the scheduler's error.
+/// filtered for standing and legality by [`Scheduler::place`]) and
+/// return an index into that slice, or `None` to fall through to the
+/// scheduler's error.
 pub trait SchedulingPolicy: Send + Sync {
     /// The policy's display name (shown in ablation reports).
     fn name(&self) -> &str;
@@ -96,8 +97,11 @@ impl Scheduler {
 
     /// Places `task` on one of `devices`, returning the chosen index.
     ///
-    /// Legality filtering happens here, for every policy:
-    /// * pinned tasks go to their pinned device (or fail),
+    /// Filtering happens here, for every policy:
+    /// * devices of inactive nodes are never candidates, and devices of
+    ///   quarantined nodes only while every active node is quarantined
+    ///   (quarantine is advisory: refusing all work helps nobody),
+    /// * pinned tasks go to their pinned candidate (or fail),
     /// * FPGA devices are candidates only for `fpga_eligible` tasks.
     ///
     /// # Errors
@@ -121,10 +125,15 @@ impl Scheduler {
         task: &TaskSpec,
         devices: &[DeviceView],
     ) -> Result<(usize, PlacementAudit), SchedError> {
+        let spare = devices.iter().any(|d| d.active && !d.quarantined);
+        let candidates = devices
+            .iter()
+            .enumerate()
+            .filter(|(_, d)| d.active && !(spare && d.quarantined));
         if let Some((node, dev)) = task.pinned {
-            let idx = devices
-                .iter()
-                .position(|d| d.node == node && d.device == dev)
+            let (idx, _) = candidates
+                .clone()
+                .find(|(_, d)| d.node == node && d.device == dev)
                 .ok_or_else(|| SchedError::PinnedDeviceMissing {
                     kernel: task.kernel.clone(),
                 })?;
@@ -139,9 +148,7 @@ impl Scheduler {
             };
             return Ok((idx, audit));
         }
-        let eligible: Vec<(usize, &DeviceView)> = devices
-            .iter()
-            .enumerate()
+        let eligible: Vec<(usize, &DeviceView)> = candidates
             .filter(|(_, d)| d.kind != DeviceKind::Fpga || task.fpga_eligible)
             .collect();
         if eligible.is_empty() {
@@ -351,6 +358,43 @@ mod tests {
         let s = Scheduler::new(Box::new(FirstFit));
         let devices = vec![DeviceView::sample(0, 0, DeviceKind::Fpga)];
         let err = s.place(&TaskSpec::new("k"), &devices).unwrap_err();
+        assert!(matches!(err, SchedError::NoEligibleDevice { .. }));
+    }
+
+    #[test]
+    fn standing_filters_candidates_for_every_policy() {
+        let s = Scheduler::new(Box::new(FirstFit));
+        let task = TaskSpec::new("k");
+        let fleet = |standings: [(bool, bool); 3]| -> Vec<DeviceView> {
+            [DeviceKind::Gpu, DeviceKind::Gpu, DeviceKind::Cpu]
+                .into_iter()
+                .zip(standings)
+                .enumerate()
+                .map(|(i, (kind, (active, quarantined)))| {
+                    DeviceView::sample(i as u32, 0, kind).standing(active, quarantined)
+                })
+                .collect()
+        };
+        // A quarantined node sits out while another active node is free
+        // of quarantine; the audit indexes the snapshot as given.
+        let devices = fleet([(true, true), (true, false), (true, false)]);
+        let (chosen, audit) = s.place_audited(&task, &devices).unwrap();
+        assert_eq!(chosen, 1);
+        let offered: Vec<usize> = audit.candidates.iter().map(|c| c.device).collect();
+        assert_eq!(offered, vec![1, 2]);
+        // An inactive node is never a candidate.
+        let devices = fleet([(false, false), (true, true), (true, false)]);
+        assert_eq!(s.place(&task, &devices).unwrap(), 2);
+        // With every active node quarantined, quarantine stops filtering.
+        let devices = fleet([(false, false), (true, true), (true, true)]);
+        assert_eq!(s.place(&task, &devices).unwrap(), 1);
+        // Pins resolve among the same candidates.
+        let devices = fleet([(true, true), (true, false), (true, false)]);
+        let pinned = TaskSpec::new("k").pin(NodeId::new(0), 0);
+        let err = s.place(&pinned, &devices).unwrap_err();
+        assert!(matches!(err, SchedError::PinnedDeviceMissing { .. }));
+        let devices = fleet([(false, false); 3]);
+        let err = s.place(&task, &devices).unwrap_err();
         assert!(matches!(err, SchedError::NoEligibleDevice { .. }));
     }
 

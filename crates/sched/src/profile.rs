@@ -1,7 +1,8 @@
 //! The runtime profiling database.
 //!
-//! NMPs report per-kernel execution times ([`haocl_proto::messages::ProfileEntry`]);
-//! the host folds them into exponential moving averages keyed by
+//! The host runtime's `AutoScheduler` records the virtual duration of
+//! every launch it placed, once the launch completes, and this database
+//! folds those into exponential moving averages keyed by
 //! `(kernel, device class)`. The heterogeneity-aware policy prefers these
 //! *observed* times over model-based estimates once enough runs exist —
 //! the "automatic scheduler with runtime profiling information" the paper

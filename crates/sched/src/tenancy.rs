@@ -20,10 +20,10 @@
 //! * [`AdmitError`] — the typed `Overloaded` taxonomy: a full queue, a
 //!   memory quota, or an exhausted compute budget. Load is *shed* with an
 //!   error, never absorbed into an unbounded queue.
-//! * Budget exhaustion works like [`crate::QuarantineTracker`] strikes: a
-//!   tenant over its compute budget is throttled (every submit sheds)
-//!   until an explicit [`TenantScheduler::replenish`] — an operator/billing
-//!   decision, not a side effect.
+//! * Budget exhaustion is sticky: a tenant over its compute budget is
+//!   throttled (every submit sheds) until an explicit
+//!   [`TenantScheduler::replenish`] — an operator/billing decision, not a
+//!   side effect.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -491,7 +491,7 @@ impl<T> TenantScheduler<T> {
     /// time to the tenant's fairness account and budget. Returns `true`
     /// when this settlement newly exhausted the compute budget (the
     /// throttle transition, reported once — callers emit the audit
-    /// entry / metric on it, like a quarantine strike).
+    /// entry / metric on it, as they do for a node's quarantine).
     pub fn complete(&self, tenant: TenantId, consumed: SimDuration) -> bool {
         let mut inner = self.inner.lock();
         let Some(state) = inner.tenants.get_mut(&tenant.raw()) else {

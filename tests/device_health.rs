@@ -13,7 +13,7 @@ use haocl::{
 use haocl_cluster::ClusterConfig;
 use haocl_kernel::{CostModel, KernelRegistry, NdRange};
 use haocl_obs::FleetSnapshot;
-use haocl_sched::policies;
+use haocl_sched::{policies, DEFAULT_QUARANTINE_THRESHOLD};
 
 const LANES: u64 = 32;
 
@@ -113,7 +113,7 @@ fn run_schedule(throttle: bool) -> (Vec<u8>, usize, usize) {
             "drift detector must flag the throttled node"
         );
         assert_eq!(
-            f.auto.quarantine().condition(sick),
+            f.auto.condition(sick),
             NodeCondition::Degraded,
             "the verdict is advisory, not a hard quarantine"
         );
@@ -163,7 +163,7 @@ fn run_schedule(throttle: bool) -> (Vec<u8>, usize, usize) {
         launches += 1;
     }
     assert_eq!(
-        f.auto.quarantine().condition(sick),
+        f.auto.condition(sick),
         NodeCondition::Healthy,
         "a node back at its baseline must return to healthy"
     );
@@ -185,6 +185,47 @@ fn throttled_node_is_flagged_avoided_and_results_stay_byte_identical() {
     assert_eq!(
         sick_bytes, healthy_bytes,
         "placement shifts must not change workload output"
+    );
+}
+
+/// Setting the quarantine threshold must not drop a drift verdict: the
+/// condition, the health gauge and the audit row keep agreeing that the
+/// throttled node is degraded.
+#[test]
+fn a_new_quarantine_threshold_keeps_the_degraded_verdict() {
+    let mut f = fleet();
+    let sick = NodeId::new(1);
+    f.auto.set_policy(Box::new(policies::RoundRobin::new()));
+    for _ in 0..12 {
+        f.step();
+    }
+    f.platform.set_device_throttle(sick, 0, 3.0).unwrap();
+    for _ in 0..30 {
+        f.step();
+    }
+    assert_eq!(f.auto.condition(sick), NodeCondition::Degraded);
+    f.auto
+        .set_quarantine_threshold(DEFAULT_QUARANTINE_THRESHOLD);
+    f.step();
+    assert_eq!(
+        f.auto.condition(sick),
+        NodeCondition::Degraded,
+        "the drift verdict outlives a threshold change"
+    );
+    let metrics = f.platform.render_metrics();
+    assert!(
+        metrics.contains("haocl_device_health{node=\"gpu1\"} 1"),
+        "the gauge reads the same verdict:\n{metrics}"
+    );
+    let audit = f.platform.render_audit_log();
+    let newest = audit.lines().last().unwrap();
+    let candidate = newest
+        .split(", ")
+        .find(|c| c.contains(":gpu1/"))
+        .unwrap_or_else(|| panic!("gpu1 was a candidate: {newest}"));
+    assert!(
+        candidate.contains("health=degraded("),
+        "the newest audit row agrees: {newest}"
     );
 }
 

@@ -368,7 +368,7 @@ fn rolling_upgrade_loses_no_launches_and_keeps_digests_exact() {
     // rejoined nodes carry no advisory ban, and the counter never moved.
     for &node in &active {
         assert_eq!(
-            auto.quarantine().condition(node),
+            auto.condition(node),
             NodeCondition::Healthy,
             "rejoined node {node:?} must start with a clean slate"
         );
