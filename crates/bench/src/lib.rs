@@ -51,7 +51,7 @@ fn bind_dummy_args(ctx: &haocl::Context, kernel: &haocl::Kernel) -> Result<(), E
     Ok(())
 }
 
-/// FNV-1a digest of a read-back (ablation and soak reports).
+/// FNV-1a digest of a read-back (ablation reports).
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -896,288 +896,6 @@ pub mod ablations {
             wire_launches: report.wire_launches,
             commands_saved: report.commands_saved,
             digest: fnv1a(&all),
-        })
-    }
-}
-
-/// The multi-tenant serving-plane soak: concurrent synthetic tenants
-/// (mixed priorities, one hog) share one cluster through the
-/// [`haocl::ServingPlane`] for a fixed virtual-compute budget, then the
-/// run gates on starvation, fairness, admission control and per-tenant
-/// output consistency. The CI `tenant-soak` job drives this through the
-/// `tenant_soak` binary; the nightly chaos matrix re-runs it with
-/// `HAOCL_CHAOS_SPEC` armed to prove the accounting survives faults.
-pub mod tenant_soak {
-    use super::*;
-    use haocl::serve::ServingPlane;
-    use haocl::{
-        CommandQueue, Context, DeviceType, Kernel, MemFlags, Program, Session, TenantQuota,
-        TenantSpec,
-    };
-    use haocl_kernel::{CostModel, NdRange};
-    use haocl_sched::policies;
-    use haocl_sim::SimDuration;
-
-    /// Lanes (i32) in each tenant's churned buffer.
-    const LANES: usize = 64;
-
-    /// The tenants' kernel: each completed launch advances the buffer by
-    /// one deterministic, *order-sensitive* step (unlike xor, `k`
-    /// applications are distinguishable from `k±1`), so the read-back
-    /// pins the exact completed count regardless of which devices ran
-    /// them.
-    const CHURN_SRC: &str =
-        "__kernel void churn(__global int* a) { int i = get_global_id(0); a[i] = a[i] * 3 + i; }";
-
-    /// The reference model of [`CHURN_SRC`] applied `k` times to a
-    /// zero-initialised buffer.
-    fn churn_ref(k: u64) -> Vec<u8> {
-        let mut lanes = [0i32; LANES];
-        for _ in 0..k {
-            for (i, v) in lanes.iter_mut().enumerate() {
-                *v = v.wrapping_mul(3).wrapping_add(i as i32);
-            }
-        }
-        lanes.iter().flat_map(|v| v.to_le_bytes()).collect()
-    }
-
-    /// Final per-tenant accounting of one soak run.
-    #[derive(Debug, Clone)]
-    pub struct TenantRow {
-        /// Tenant display name.
-        pub name: &'static str,
-        /// Fair-share weight.
-        pub weight: u32,
-        /// Launches accepted by admission control.
-        pub submitted: u64,
-        /// Launches completed.
-        pub completed: u64,
-        /// Submissions shed (queue full on the hog).
-        pub shed: u64,
-        /// Virtual compute nanoseconds consumed in total.
-        pub compute_nanos: u64,
-        /// Compute nanoseconds at the contended snapshot — the quantity
-        /// fairness ratios are measured over.
-        pub contended_compute_nanos: u64,
-        /// Device-memory bytes still charged at the end (one live
-        /// buffer each).
-        pub mem_bytes: u64,
-        /// FNV-1a digest of the tenant's buffer read back at the end.
-        pub digest: u64,
-        /// Whether the digest matches [`churn_ref`] at `completed`
-        /// applications.
-        pub consistent: bool,
-    }
-
-    /// Everything one soak run produced: accounting, gate violations
-    /// and the observability artifacts CI uploads.
-    #[derive(Debug, Clone)]
-    pub struct SoakReport {
-        /// Per-tenant accounting, in registration order.
-        pub rows: Vec<TenantRow>,
-        /// max/min completed-compute ratio between the equal-weight
-        /// tenants over the contended window (gate: ≤ 1.5).
-        pub fairness_ratio: f64,
-        /// Weight-2 tenant's compute over the equal-weight mean over
-        /// the contended window (informational; ≈ 2 under contention).
-        pub weighted_ratio: f64,
-        /// Gate violations; empty means the run passes.
-        pub violations: Vec<String>,
-        /// Chrome trace-event JSON (for `haocl-trace --check`).
-        pub trace_json: String,
-        /// Prometheus text-format metrics dump (`haocl_tenant_*`).
-        pub metrics: String,
-        /// Scheduler decision audit log (tenant-labelled lines).
-        pub audit: String,
-        /// Injected chaos faults, one line each (empty without chaos).
-        pub chaos_schedule: Vec<String>,
-    }
-
-    /// One synthetic tenant of the soak scenario.
-    struct Actor {
-        name: &'static str,
-        weight: u32,
-        /// Submissions per round.
-        burst: usize,
-        session: Session,
-        kernel: Kernel,
-        buffer: haocl::Buffer,
-    }
-
-    /// Runs the soak: four tenants (two equal-weight, one weight-2
-    /// priority tenant, one hog with a tiny bounded queue that
-    /// oversubmits every round) share a 2-GPU cluster for `rounds`
-    /// contended scheduling rounds. Chaos opt-in via `HAOCL_CHAOS_SPEC`
-    /// applies as for every cluster launch.
-    ///
-    /// # Errors
-    ///
-    /// Propagates cluster bring-up and launch failures (under chaos,
-    /// recovery is expected to mask them — a surfaced failure is a real
-    /// finding).
-    pub fn run(rounds: usize) -> Result<SoakReport, Error> {
-        let platform = Platform::cluster(&ClusterConfig::gpu_cluster(2), registry_with_all())?;
-        platform.set_tracing(true);
-        if std::env::var("HAOCL_CHAOS_SPEC").is_ok() {
-            // Peer-fed replicas are deliberately distrusted across a
-            // failover (the replayed re-pull can race the crash), so a
-            // crash would roll tainted buffers back to the host shadow —
-            // correct but useless for digest gating. Pin the data plane
-            // to the host relay: every lineage stays journal-replayable
-            // and the digests must survive any schedule bit-for-bit.
-            platform.set_peer_transfers(false);
-        }
-        let ctx = Context::new(&platform, &platform.devices(DeviceType::All))?;
-        let plane = ServingPlane::new(&ctx, Box::new(policies::HeteroAware::new()))?;
-        let staging = CommandQueue::new(&ctx, &ctx.devices()[0])?;
-        let program = Program::from_source(&ctx, CHURN_SRC);
-        program.build()?;
-
-        let buf_bytes = 4 * LANES as u64;
-        let mut actors = Vec::new();
-        for (name, weight, burst, max_pending) in [
-            ("equal-a", 1u32, 4usize, 1024usize),
-            ("equal-b", 1, 4, 1024),
-            // Oversubscribed so its arrival rate never caps its share:
-            // weight only shows under backlog.
-            ("prio", 2, 8, 1024),
-            // The hog: submits 4x the others into a queue of 8, so
-            // admission control must shed it every round while the
-            // fair-share tier keeps everyone else progressing.
-            ("hog", 1, 16, 8),
-        ] {
-            let session = plane.open_session(
-                TenantSpec::new(name).weight(weight).quota(
-                    TenantQuota::unlimited()
-                        .mem_bytes(buf_bytes)
-                        .max_pending(max_pending),
-                ),
-            );
-            let kernel = Kernel::new(&program, "churn")?;
-            kernel.set_cost(CostModel::new().flops(1e8).bytes_read(buf_bytes as f64));
-            let buffer = session.create_buffer(MemFlags::READ_WRITE, buf_bytes)?;
-            kernel.set_arg_buffer(0, &buffer)?;
-            actors.push(Actor {
-                name,
-                weight,
-                burst,
-                session,
-                kernel,
-                buffer,
-            });
-        }
-
-        // Calibrate one launch's virtual compute time so each round's
-        // drain window admits roughly half the round's submissions —
-        // queues stay backlogged, which is the regime fairness is
-        // defined over.
-        actors[0]
-            .session
-            .submit(&actors[0].kernel, NdRange::linear(LANES as u64, 1))?;
-        plane.drain()?;
-        let per_launch = plane
-            .stats(actors[0].session.tenant())
-            .map_or(1, |s| s.compute_nanos.max(1));
-
-        for _ in 0..rounds {
-            for actor in &actors {
-                for _ in 0..actor.burst {
-                    match actor
-                        .session
-                        .submit(&actor.kernel, NdRange::linear(LANES as u64, 1))
-                    {
-                        Ok(()) => {}
-                        // Sheds are the point of the hog; admission
-                        // errors change no cluster state.
-                        Err(haocl::Error::Overloaded(_)) => {}
-                        Err(e) => return Err(e),
-                    }
-                }
-            }
-            plane.drain_budget(SimDuration::from_nanos(per_launch * 12))?;
-        }
-
-        // Fairness is measured at the contended point, before the final
-        // settle empties every queue.
-        let contended: Vec<u64> = actors
-            .iter()
-            .map(|a| {
-                plane
-                    .stats(a.session.tenant())
-                    .map_or(0, |s| s.compute_nanos)
-            })
-            .collect();
-        plane.drain()?;
-
-        let mut violations = Vec::new();
-        let mut rows = Vec::new();
-        for (actor, &contended_compute) in actors.iter().zip(&contended) {
-            let stats = plane.stats(actor.session.tenant()).unwrap_or_default();
-            let mut readback = vec![0u8; buf_bytes as usize];
-            staging.enqueue_read_buffer(&actor.buffer, 0, &mut readback)?;
-            staging.finish();
-            let expected = churn_ref(stats.completed);
-            let consistent = readback == expected;
-            if stats.completed == 0 {
-                violations.push(format!("starvation: tenant {} completed 0", actor.name));
-            }
-            if stats.submitted != stats.completed + stats.pending as u64 {
-                violations.push(format!(
-                    "accounting: tenant {} submitted {} != completed {} + pending {}",
-                    actor.name, stats.submitted, stats.completed, stats.pending
-                ));
-            }
-            if !consistent {
-                violations.push(format!(
-                    "consistency: tenant {} buffer does not match {} applications",
-                    actor.name, stats.completed
-                ));
-            }
-            rows.push(TenantRow {
-                name: actor.name,
-                weight: actor.weight,
-                submitted: stats.submitted,
-                completed: stats.completed,
-                shed: stats.shed,
-                compute_nanos: stats.compute_nanos,
-                contended_compute_nanos: contended_compute,
-                mem_bytes: stats.mem_bytes,
-                digest: fnv1a(&readback),
-                consistent,
-            });
-        }
-        let fairness_ratio = {
-            let (a, b) = (contended[0].max(1) as f64, contended[1].max(1) as f64);
-            (a / b).max(b / a)
-        };
-        if fairness_ratio > 1.5 {
-            violations.push(format!(
-                "fairness: equal-weight ratio {fairness_ratio:.2} exceeds 1.5"
-            ));
-        }
-        let weighted_ratio =
-            contended[2].max(1) as f64 / ((contended[0] + contended[1]).max(1) as f64 / 2.0);
-        if rows[3].shed == 0 {
-            violations.push("admission: the hog was never shed".to_string());
-        }
-        for row in &rows {
-            if row.mem_bytes != buf_bytes {
-                violations.push(format!(
-                    "quota: tenant {} holds {} charged bytes, expected {}",
-                    row.name, row.mem_bytes, buf_bytes
-                ));
-            }
-        }
-
-        Ok(SoakReport {
-            rows,
-            fairness_ratio,
-            weighted_ratio,
-            violations,
-            trace_json: platform.export_chrome_trace(),
-            metrics: platform.render_metrics(),
-            audit: platform.render_audit_log(),
-            chaos_schedule: platform.chaos_schedule(),
         })
     }
 }

@@ -7,7 +7,7 @@
 //! The engine carries the *policy* state — sustain streaks (hysteresis)
 //! and a post-action cooldown — while actuation (spawning an NMP,
 //! draining the least-resident node) stays with the caller, so the same
-//! engine drives the platform layer, the soak bench and unit tests.
+//! engine drives the platform layer and unit tests.
 //!
 //! Every scale decision is recorded: a `policy=autoscale` audit row and
 //! one `haocl_autoscale_events_total` tick, labelled by direction.
@@ -182,11 +182,6 @@ impl Autoscaler {
         };
         obs.metrics
             .inc_counter(names::AUTOSCALE_EVENTS, &[("direction", direction)], 1);
-        // Decision rows follow the scheduler convention: audit-logged
-        // only while tracing is on.
-        if !obs.enabled() {
-            return;
-        }
         obs.audit.record(PlacementAudit {
             kernel: "<autoscale>".to_string(),
             tenant: DEFAULT_TENANT.to_string(),
@@ -291,7 +286,6 @@ mod tests {
     #[test]
     fn decisions_are_audit_logged_under_the_autoscale_policy() {
         let obs = Hub::new();
-        obs.set_enabled(true);
         let mut a = engine();
         for _ in 0..3 {
             a.observe(&sample(2, 20), &obs);

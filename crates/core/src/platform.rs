@@ -14,7 +14,7 @@ use haocl_cluster::{
 };
 use haocl_kernel::KernelRegistry;
 use haocl_net::LinkModel;
-use haocl_obs::{names, Counter, Hub};
+use haocl_obs::{names, Counter, Gauge, Hub};
 use haocl_proto::ids::{IdAllocator, NodeId};
 use haocl_proto::messages::{ApiCall, DeviceKind};
 use haocl_sim::{Clock, Phase, PhaseBreakdown, SimDuration, SimTime, Tracer};
@@ -55,6 +55,9 @@ pub(crate) struct DeviceShared {
     /// series, looked up at the device's first launch (not before: a
     /// node that never completed one exports neither).
     wall: OnceLock<(Counter, Counter)>,
+    /// The device's `haocl_queue_depth` series, looked up at its first
+    /// sample. The autoscaler reads it, so it is set traced or not.
+    depth: OnceLock<Gauge>,
 }
 
 impl PlatformInner {
@@ -74,6 +77,7 @@ impl PlatformInner {
             shared.push(Arc::new(DeviceShared {
                 info,
                 wall: OnceLock::new(),
+                depth: OnceLock::new(),
             }));
         }
         shared
@@ -229,6 +233,22 @@ impl Device {
         requests.inc(1);
         nanos.inc(wall_nanos);
     }
+
+    /// Samples the device's `haocl_queue_depth` gauge.
+    pub(crate) fn note_queue_depth(&self, depth: usize) {
+        self.shared
+            .depth
+            .get_or_init(|| {
+                self.platform.obs.metrics.gauge(
+                    names::QUEUE_DEPTH,
+                    &[
+                        ("device", &self.index.to_string()),
+                        ("node", self.node_name()),
+                    ],
+                )
+            })
+            .set(depth as i64);
+    }
 }
 
 impl std::fmt::Debug for Device {
@@ -309,9 +329,6 @@ impl Platform {
 
     fn wrap(cluster: LocalCluster, name: &str) -> Platform {
         let obs = Arc::clone(cluster.host().obs());
-        if std::env::var("HAOCL_TRACE").is_ok_and(|v| v == "1") {
-            obs.set_enabled(true);
-        }
         Platform {
             inner: Arc::new(PlatformInner {
                 cluster,
@@ -426,8 +443,8 @@ impl Platform {
         self.inner.clock().now()
     }
 
-    /// Turns end-to-end tracing and metrics on or off at runtime (the
-    /// builder-API equivalent of launching with `HAOCL_TRACE=1`).
+    /// Turns end-to-end tracing and metrics on or off at runtime (off
+    /// by default).
     pub fn set_tracing(&self, on: bool) {
         self.inner.obs.set_enabled(on);
     }

@@ -511,7 +511,7 @@ impl CommandQueue {
             pending.push(event.clone());
             pending.events.len()
         };
-        self.note_depth(depth);
+        self.device.note_queue_depth(depth);
         Ok(event)
     }
 
@@ -532,7 +532,7 @@ impl CommandQueue {
             };
             let _ = event.wait();
         }
-        self.note_depth(0);
+        self.device.note_queue_depth(0);
         let last = *self.last_end.lock();
         self.device.platform.clock().advance_to(last);
         self.now()
@@ -544,21 +544,6 @@ impl CommandQueue {
 
     fn now(&self) -> SimTime {
         self.device.platform.clock().now()
-    }
-
-    /// Samples the `haocl_queue_depth` gauge (while tracing is on).
-    fn note_depth(&self, depth: usize) {
-        let obs = &self.device.platform.obs;
-        if obs.enabled() {
-            obs.metrics.set_gauge(
-                names::QUEUE_DEPTH,
-                &[
-                    ("device", &self.device.index().to_string()),
-                    ("node", self.device.node_name()),
-                ],
-                depth as i64,
-            );
-        }
     }
 }
 

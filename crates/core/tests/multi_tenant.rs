@@ -8,7 +8,8 @@ use haocl::auto::AutoScheduler;
 use haocl::serve::ServingPlane;
 use haocl::{
     AdmitError, Buffer, ChaosPolicy, ChaosSpec, CommandQueue, Context, DeviceKind, DeviceType,
-    Error, Kernel, MemFlags, NdRange, Platform, Program, RecoveryPolicy, TenantQuota, TenantSpec,
+    Error, Kernel, MemFlags, NdRange, NodeId, Platform, Program, RecoveryPolicy, TenantQuota,
+    TenantSpec,
 };
 use haocl_cluster::ClusterConfig;
 use haocl_kernel::{CostModel, KernelRegistry};
@@ -43,9 +44,12 @@ fn churn_kernel(ctx: &Context) -> Kernel {
     k
 }
 
-/// Four tenants, 2:1:1... weights: under a contended window the two
+/// Five tenants, 2:2:1:1:1 weights: under a contended window the two
 /// weight-2 tenants each sustain ~2x the compute of each weight-1
-/// tenant, within 20% (the acceptance bound).
+/// tenant, within 20% (the acceptance bound), so the weight-1 tenants
+/// stay within 1.5x of each other. One of them is a hog that
+/// oversubmits into a bounded queue: admission control sheds it, and
+/// its admitted backlog still gets exactly its fair share.
 #[test]
 fn weighted_tenants_get_proportional_compute_within_20pct() {
     let p = Platform::local(&[DeviceKind::Gpu, DeviceKind::Gpu]).unwrap();
@@ -66,27 +70,41 @@ fn weighted_tenants_get_proportional_compute_within_20pct() {
         .stats(calib.tenant())
         .map_or(1, |s| s.compute_nanos.max(1));
 
+    // (name, weight, queue bound, submissions): the hog submits twice
+    // what the others do into a queue of 8.
     let mut sessions = Vec::new();
-    for (name, weight) in [
-        ("gold-a", 2u32),
-        ("gold-b", 2),
-        ("bronze-a", 1),
-        ("bronze-b", 1),
+    for (name, weight, max_pending, submits) in [
+        ("gold-a", 2u32, 1024usize, 30),
+        ("gold-b", 2, 1024, 30),
+        ("bronze-a", 1, 1024, 30),
+        ("bronze-b", 1, 1024, 30),
+        ("hog", 1, 8, 60),
     ] {
-        let session = plane.open_session(TenantSpec::new(name).weight(weight));
+        let session = plane.open_session(
+            TenantSpec::new(name)
+                .weight(weight)
+                .quota(TenantQuota::unlimited().max_pending(max_pending)),
+        );
         let kernel = churn_kernel(&ctx);
         let buf = Buffer::new(&ctx, MemFlags::READ_WRITE, SIZE).unwrap();
         kernel.set_arg_buffer(0, &buf).unwrap();
-        for _ in 0..30 {
-            session.submit(&kernel, NdRange::linear(LANES, 1)).unwrap();
+        for _ in 0..submits {
+            match session.submit(&kernel, NdRange::linear(LANES, 1)) {
+                Ok(()) | Err(Error::Overloaded(_)) => {}
+                Err(e) => panic!("{name}: submit failed: {e}"),
+            }
         }
         sessions.push((session, weight));
     }
+    let (hog, _) = sessions.last().unwrap();
+    let hog = plane.stats(hog.tenant()).unwrap();
+    assert!(hog.shed > 0, "the hog was never shed: {hog:?}");
 
-    // A 24-launch window splits 8:8:4:4 under perfect 2:2:1:1 sharing,
-    // leaving every queue backlogged (30 submitted each).
+    // A 28-launch window splits 8:8:4:4:4 under perfect 2:2:1:1:1
+    // sharing, leaving every queue backlogged (30 admitted each, 8 for
+    // the hog).
     plane
-        .drain_budget(SimDuration::from_nanos(per_launch * 24))
+        .drain_budget(SimDuration::from_nanos(per_launch * 28))
         .unwrap();
 
     let shares: Vec<(u32, u64, usize)> = sessions
@@ -253,14 +271,31 @@ fn default_session_is_byte_identical_to_direct_autoscheduler() {
 /// Three tenants keep submitting while a node crashes on a lossy
 /// network: after recovery, per-tenant accounting (submitted ==
 /// completed once drained), buffer digests and the memory ledger must
-/// all be exact — journal replay is tenant-aware.
+/// all be exact — journal replay is tenant-aware — and the traced span
+/// tree has no orphans. One row per `(spec, seed)`: `{node}` stands for
+/// the host of `gpu0`, the node the placements land on (`HeteroAware`
+/// breaks its ties toward device 0), so the crash fires mid-run.
 #[test]
 fn chaos_crash_preserves_per_tenant_accounting_and_digests() {
+    const WIDE: &str = "crash={node}@40,drop=0.02,delay=0.05:200us,dup=0.02,reorder=0.02";
+    for (spec, seed) in [
+        ("crash={node}@25,drop=0.03,dup=0.05,delay=0.1:200us", 11),
+        (WIDE, 1),
+        (WIDE, 2),
+        (WIDE, 3),
+    ] {
+        chaos_crash_row(spec, seed);
+    }
+}
+
+fn chaos_crash_row(spec: &str, seed: u64) {
     let config = ClusterConfig::gpu_cluster(2);
-    let crash_host = config.nodes[1].addr.split(':').next().unwrap().to_string();
+    let crash_host = config.nodes[0].addr.split(':').next().unwrap();
+    let spec = spec.replace("{node}", crash_host);
+    let row = format!("{spec} seed {seed}");
     let platform = Platform::cluster(&config, KernelRegistry::new()).unwrap();
-    let spec = format!("crash={crash_host}@25,drop=0.03,dup=0.05,delay=0.1:200us");
-    platform.install_chaos(ChaosPolicy::new(11, ChaosSpec::parse(&spec).unwrap()));
+    platform.set_tracing(true);
+    platform.install_chaos(ChaosPolicy::new(seed, ChaosSpec::parse(&spec).unwrap()));
     platform.set_recovery(Some(RecoveryPolicy {
         base_timeout: Duration::from_millis(10),
         max_attempts: 4,
@@ -296,21 +331,26 @@ fn chaos_crash_preserves_per_tenant_accounting_and_digests() {
             for _ in 0..4 {
                 match session.submit(kernel, NdRange::linear(LANES, 1)) {
                     Ok(()) | Err(Error::Overloaded(_)) => {}
-                    Err(e) => panic!("launch failed under recovery: {e}"),
+                    Err(e) => panic!("{row}: launch failed under recovery: {e}"),
                 }
             }
         }
         plane.drain().unwrap();
     }
 
+    assert_eq!(
+        platform.node_epoch(NodeId::new(0)),
+        1,
+        "{row}: the crash never fired"
+    );
     let mut sheds = 0;
     for (session, _, buffer) in &actors {
         let stats = plane.stats(session.tenant()).unwrap();
-        assert!(stats.completed > 0, "{} starved", session.name());
+        assert!(stats.completed > 0, "{row}: {} starved", session.name());
         assert_eq!(
             stats.submitted,
             stats.completed,
-            "{}: admitted work lost or double-run across the failover",
+            "{row}: {}: admitted work lost or double-run across the failover",
             session.name()
         );
         sheds += stats.shed;
@@ -320,18 +360,25 @@ fn chaos_crash_preserves_per_tenant_accounting_and_digests() {
         assert_eq!(
             out,
             churn_ref(stats.completed),
-            "{}: buffer does not match {} completed applications",
+            "{row}: {}: buffer does not match {} completed applications",
             session.name(),
             stats.completed
         );
-        assert_eq!(stats.mem_bytes, SIZE, "{} ledger drifted", session.name());
+        assert_eq!(
+            stats.mem_bytes,
+            SIZE,
+            "{row}: {} ledger drifted",
+            session.name()
+        );
     }
-    assert!(sheds > 0, "the bounded tenant was never shed");
+    assert!(sheds > 0, "{row}: the bounded tenant was never shed");
 
     // Dropping the buffers replenishes every ledger, crash or not.
     let tenants: Vec<_> = actors.iter().map(|(s, ..)| s.tenant()).collect();
     drop(actors);
     for tenant in tenants {
-        assert_eq!(plane.stats(tenant).unwrap().mem_bytes, 0);
+        assert_eq!(plane.stats(tenant).unwrap().mem_bytes, 0, "{row}");
     }
+    let orphans = haocl_obs::orphans(&platform.obs().recorder.spans());
+    assert!(orphans.is_empty(), "{row}: orphan spans {orphans:?}");
 }

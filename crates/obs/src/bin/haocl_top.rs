@@ -9,13 +9,13 @@
 //! Usage:
 //!
 //! ```text
-//! haocl-top --metrics metrics.prom --audit audit.log
-//! haocl-top --metrics metrics.prom --audit audit.log --report json
+//! haocl-top --metrics metrics.prom [--audit audit.log]
+//! haocl-top --metrics metrics.prom [--audit audit.log] --report json
 //! ```
 //!
 //! Exit codes: 0 = ok, 2 = unreadable input / bad usage. The verdict
 //! itself never fails the process — gating on health is the caller's
-//! job (see the CI soak job), the dashboard just reports it.
+//! job, the dashboard just reports it.
 
 use std::process::ExitCode;
 

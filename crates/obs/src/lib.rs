@@ -39,7 +39,7 @@ pub use audit::{
     AuditLog, CandidateInfo, FusionDecision, PlacementAudit, PredictionSource, DEFAULT_TENANT,
 };
 pub use chrome::chrome_trace;
-pub use metrics::{Counter, Registry, LATENCY_BUCKETS_NANOS};
+pub use metrics::{Counter, Gauge, Registry, LATENCY_BUCKETS_NANOS};
 pub use replay::{orphan_ids, parse_chrome_trace, render_breakdown, ReplaySpan};
 pub use span::{
     is_connected_tree, orphans, phase_from_name, roots, Recorder, Span, SpanId, TraceCtx, TraceId,
@@ -63,7 +63,7 @@ pub mod names {
     /// Counter: frames sent per node and plane.
     pub const PLANE_FRAMES: &str = "haocl_plane_frames_total";
     /// Unobserved since PR 23 (one request per frame). The name survives
-    /// only because `benchmark/` reads it; it leaves with ROADMAP item 1(a).
+    /// only because `benchmark/` reads it; it leaves with ROADMAP item 1(b).
     pub const BATCH_SIZE: &str = "haocl_batch_coalesced_requests";
     /// Gauge: host-side queue depth per device at last sample, labelled
     /// with the device index and its hosting node's name.

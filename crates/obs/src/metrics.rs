@@ -11,7 +11,7 @@
 //! in lexicographic order.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -113,6 +113,20 @@ impl Counter {
     }
 }
 
+/// One gauge series, resolved once with [`Registry::gauge`]: setting it
+/// is one atomic store, with no label set built and no registry lock
+/// taken. Clones share the series.
+#[derive(Debug, Clone)]
+pub struct Gauge(Arc<AtomicI64>);
+
+impl Gauge {
+    /// Sets the series to `value`.
+    pub fn set(&self, value: i64) {
+        // A statistic: publishes no other data.
+        self.0.store(value, Ordering::Relaxed);
+    }
+}
+
 /// A deterministic, thread-safe metrics registry.
 ///
 /// # Examples
@@ -130,7 +144,7 @@ impl Counter {
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: Mutex<BTreeMap<String, BTreeMap<Labels, Counter>>>,
-    gauges: Mutex<BTreeMap<String, BTreeMap<Labels, i64>>>,
+    gauges: Mutex<BTreeMap<String, BTreeMap<Labels, Gauge>>>,
     histograms: Mutex<BTreeMap<String, BTreeMap<Labels, Hist>>>,
 }
 
@@ -186,11 +200,20 @@ impl Registry {
 
     /// Sets a gauge to `value`.
     pub fn set_gauge(&self, name: &str, labels: &[(&str, &str)], value: i64) {
+        self.gauge(name, labels).set(value);
+    }
+
+    /// A handle on one gauge series, created at zero if it does not
+    /// exist yet (it renders from then on). The handle sets the series
+    /// until [`Registry::clear`] drops it.
+    pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
         self.gauges
             .lock()
             .entry(name.to_string())
             .or_default()
-            .insert(canon(labels), value);
+            .entry(canon(labels))
+            .or_insert_with(|| Gauge(Arc::new(AtomicI64::new(0))))
+            .clone()
     }
 
     /// Records a nanosecond value into a histogram with
@@ -244,7 +267,8 @@ impl Registry {
         }
         for (name, series) in self.gauges.lock().iter() {
             out.push_str(&format!("# TYPE {name} gauge\n"));
-            for (labels, value) in series {
+            for (labels, gauge) in series {
+                let value = gauge.0.load(Ordering::Relaxed);
                 out.push_str(&format!("{name}{} {value}\n", render_labels(labels, None)));
             }
         }
@@ -310,6 +334,18 @@ mod tests {
         m.inc_counter("c", &[("node", "n0")], 1);
         assert_eq!(m.counter_value("c", &[("node", "n0")]), 7);
         assert!(m.render().contains("c{node=\"n0\"} 7\n"));
+    }
+
+    #[test]
+    fn a_gauge_handle_sets_its_series() {
+        let m = Registry::new();
+        let handle = m.gauge("g", &[("node", "n0")]);
+        assert!(m.render().contains("g{node=\"n0\"} 0\n"));
+        handle.set(5);
+        m.set_gauge("g", &[("node", "n0")], 3);
+        assert!(m.render().contains("g{node=\"n0\"} 3\n"));
+        handle.clone().set(-2);
+        assert!(m.render().contains("g{node=\"n0\"} -2\n"));
     }
 
     #[test]

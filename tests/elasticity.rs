@@ -169,12 +169,21 @@ fn churn_ref(k: usize) -> Vec<u8> {
     lanes.iter().flat_map(|v| v.to_le_bytes()).collect()
 }
 
+/// The autoscaler reads the queue-depth gauge and records its decisions
+/// whether tracing is on or off, so the story plays out the same both
+/// ways.
 #[test]
 fn traffic_spike_scales_up_then_idleness_scales_back_down() {
+    for traced in [true, false] {
+        spike_run(traced);
+    }
+}
+
+fn spike_run(traced: bool) {
     const ROUNDS: usize = 2;
     let platform =
         Platform::cluster(&ClusterConfig::gpu_cluster(1), KernelRegistry::new()).unwrap();
-    platform.set_tracing(true);
+    platform.set_tracing(traced);
     let ctx = Context::new(&platform, &platform.devices(DeviceType::All)).unwrap();
     let mut auto = AutoScheduler::new(&ctx, Box::new(policies::RoundRobin::new())).unwrap();
     let mut scaler = Autoscaler::new(AutoscaleConfig {
@@ -206,7 +215,7 @@ fn traffic_spike_scales_up_then_idleness_scales_back_down() {
         assert_eq!(
             platform.autoscale_tick(&mut scaler),
             Decision::ScaleUp,
-            "round {round}: two sustained overload ticks must trigger a scale-up"
+            "traced={traced} round {round}: two sustained overload ticks must trigger a scale-up"
         );
 
         // Actuate: join a burst node, teach the running scheduler about it.
@@ -224,7 +233,7 @@ fn traffic_spike_scales_up_then_idleness_scales_back_down() {
         let two_node_makespan = batch_makespan(&platform, &ctx, &auto, 6);
         assert!(
             two_node_makespan < single_node_makespan,
-            "round {round}: scale-up must shrink the batch makespan: \
+            "traced={traced} round {round}: scale-up must shrink the batch makespan: \
              {two_node_makespan} >= {single_node_makespan}"
         );
 
@@ -251,11 +260,14 @@ fn traffic_spike_scales_up_then_idleness_scales_back_down() {
                 break;
             }
         }
-        assert!(down, "round {round}: an idle fleet must scale back down");
+        assert!(
+            down,
+            "traced={traced} round {round}: an idle fleet must scale back down"
+        );
         let report = platform.drain_node(burst, DrainOptions::default()).unwrap();
         assert_eq!(
             report.peer_migrated, 1,
-            "round {round}: the drain must rescue the buffer: {report:?}"
+            "traced={traced} round {round}: the drain must rescue the buffer: {report:?}"
         );
         assert_eq!(platform.active_nodes(), vec![NodeId::new(0)]);
 
@@ -267,7 +279,7 @@ fn traffic_spike_scales_up_then_idleness_scales_back_down() {
         assert_eq!(
             bytes,
             churn_ref(launches),
-            "round {round}: post-drain bytes must match {launches} launches"
+            "traced={traced} round {round}: post-drain bytes must match {launches} launches"
         );
     }
 
@@ -278,15 +290,21 @@ fn traffic_spike_scales_up_then_idleness_scales_back_down() {
             metrics.contains(&format!(
                 "haocl_autoscale_events_total{{direction=\"{direction}\"}} {ROUNDS}"
             )),
-            "{metrics}"
+            "traced={traced}: {metrics}"
         );
     }
     let audit = platform.render_audit_log();
-    assert!(audit.contains("policy=autoscale"), "{audit}");
+    assert!(
+        audit.contains("policy=autoscale"),
+        "traced={traced}: {audit}"
+    );
     let snap = FleetSnapshot::from_text(&metrics, &audit);
-    assert_eq!(snap.autoscale_events, 2 * ROUNDS as u64);
+    assert_eq!(snap.autoscale_events, 2 * ROUNDS as u64, "traced={traced}");
     let json = snap.to_json();
-    assert!(json.contains("\"state\":\"departed\""), "{json}");
+    assert!(
+        json.contains("\"state\":\"departed\""),
+        "traced={traced}: {json}"
+    );
 }
 
 // --- Scenario 3: rolling upgrade ------------------------------------------
