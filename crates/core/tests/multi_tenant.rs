@@ -49,7 +49,8 @@ fn churn_kernel(ctx: &Context) -> Kernel {
 /// tenant, within 20% (the acceptance bound), so the weight-1 tenants
 /// stay within 1.5x of each other. One of them is a hog that
 /// oversubmits into a bounded queue: admission control sheds it, and
-/// its admitted backlog still gets exactly its fair share.
+/// its admitted backlog gets its share within the same 20% bound as
+/// the other weight-1 tenants. Only the hog may be shed.
 #[test]
 fn weighted_tenants_get_proportional_compute_within_20pct() {
     let p = Platform::local(&[DeviceKind::Gpu, DeviceKind::Gpu]).unwrap();
@@ -90,8 +91,8 @@ fn weighted_tenants_get_proportional_compute_within_20pct() {
         kernel.set_arg_buffer(0, &buf).unwrap();
         for _ in 0..submits {
             match session.submit(&kernel, NdRange::linear(LANES, 1)) {
-                Ok(()) | Err(Error::Overloaded(_)) => {}
-                Err(e) => panic!("{name}: submit failed: {e}"),
+                Err(Error::Overloaded(_)) if submits > max_pending => {}
+                other => other.unwrap_or_else(|e| panic!("{name}: submit failed: {e}")),
             }
         }
         sessions.push((session, weight));
