@@ -304,6 +304,11 @@ impl CompiledProgram {
         self.kernels.values()
     }
 
+    /// Consumes the program, yielding its kernels in name order.
+    pub fn into_kernels(self) -> impl Iterator<Item = CompiledKernel> {
+        self.kernels.into_values()
+    }
+
     /// The kernel names in this program, sorted.
     pub fn kernel_names(&self) -> impl Iterator<Item = &str> {
         self.kernels.keys().map(String::as_str)
@@ -349,6 +354,8 @@ mod tests {
         assert!(p.kernel("c").is_none());
         let names: Vec<_> = p.kernel_names().collect();
         assert_eq!(names, vec!["a", "b"]);
+        let moved: Vec<_> = p.into_kernels().map(|k| k.name).collect();
+        assert_eq!(moved, ["a", "b"]);
     }
 
     #[test]

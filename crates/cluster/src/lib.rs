@@ -55,4 +55,4 @@ pub use host::{
     CallOutcome, HostRuntime, MembershipState, PendingCall, RecoveryPolicy, RemoteDevice,
 };
 pub use local::LocalCluster;
-pub use nmp::NmpHandle;
+pub use nmp::{NmpHandle, NodeObjects};

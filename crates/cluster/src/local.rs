@@ -10,7 +10,7 @@ use haocl_sim::Clock;
 use crate::config::{ClusterConfig, NodeSpec};
 use crate::error::ClusterError;
 use crate::host::{HostRuntime, RecoveryPolicy};
-use crate::nmp::NmpHandle;
+use crate::nmp::{NmpHandle, NodeObjects};
 
 /// A whole HaoCL cluster running in-process: one NMP thread pair per node
 /// on a shared fabric, plus a connected host runtime.
@@ -204,6 +204,18 @@ impl LocalCluster {
         };
         handle.stop();
         true
+    }
+
+    /// The objects the NMP in slot `index` holds; `None` once it has
+    /// stopped. A slot is a physical node: after a failover it also holds
+    /// what was replayed onto it for the node it replaced.
+    pub fn node_objects(&self, index: usize) -> Option<NodeObjects> {
+        self.handles
+            .lock()
+            .expect("handles poisoned")
+            .get(index)?
+            .as_ref()
+            .map(NmpHandle::objects)
     }
 
     /// Number of NMPs still running.

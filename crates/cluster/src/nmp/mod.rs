@@ -81,12 +81,23 @@ struct PeerCtx {
     idle: Mutex<HashMap<String, Conn>>,
 }
 
+/// The programs and kernel handles a node holds, counted: what every
+/// build and `clCreateKernel` adds and `ReleaseProgram` frees.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct NodeObjects {
+    /// Built programs, one per device each is built for.
+    pub programs: usize,
+    /// Kernel handles.
+    pub kernels: usize,
+}
+
 /// A running NMP: its listener threads and stop control.
 ///
 /// Dropping the handle stops the daemon and joins its threads.
 pub struct NmpHandle {
     name: String,
     addr: String,
+    node: Arc<Mutex<Node>>,
     stop: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
     /// Serve-thread handles the accept loops currently hold (spawned and
@@ -132,6 +143,7 @@ impl NmpHandle {
         Ok(NmpHandle {
             name: spec.name.clone(),
             addr: spec.addr.clone(),
+            node,
             stop,
             threads,
             tracked_serve_threads,
@@ -146,6 +158,11 @@ impl NmpHandle {
     /// The message-listener address.
     pub fn addr(&self) -> &str {
         &self.addr
+    }
+
+    /// The objects the node holds right now.
+    pub fn objects(&self) -> NodeObjects {
+        self.node.lock().objects()
     }
 
     /// Serve threads the accept loops have spawned and not yet joined:

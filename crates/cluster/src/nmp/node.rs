@@ -31,6 +31,7 @@ use haocl_proto::messages::{
 use haocl_sim::SimTime;
 
 use crate::config::NodeSpec;
+use crate::nmp::NodeObjects;
 
 /// How many completed state-mutating requests the at-most-once journal
 /// remembers. The host retries a request only while it is pending, so
@@ -43,11 +44,19 @@ pub(crate) const JOURNAL_CAP: usize = 1024;
 /// from the bitstream store (FPGA path).
 type ProgramKernels = HashMap<String, Arc<CompiledKernel>>;
 
+/// A kernel handle: the device it was created for, the program it came
+/// from (releasing that program releases the handle) and its code.
+struct KernelEntry {
+    device: u8,
+    program: ProgramId,
+    kernel: Arc<CompiledKernel>,
+}
+
 /// One NMP's state: its devices, programs, kernels and journal.
 pub(crate) struct Node {
     devices: Vec<SimDevice>,
     programs: HashMap<(ProgramId, u8), ProgramKernels>,
-    kernels: HashMap<KernelId, (u8, Arc<CompiledKernel>)>,
+    kernels: HashMap<KernelId, KernelEntry>,
     registry: KernelRegistry,
     /// Set by [`ApiCall::BeginDrain`]: the node refuses fresh kernel
     /// launches so live migration can converge, while buffer traffic
@@ -172,6 +181,15 @@ impl Node {
             draining: false,
             journal: HashMap::new(),
             journal_order: VecDeque::new(),
+        }
+    }
+
+    /// How many programs (one per device built for) and kernel handles
+    /// the node holds.
+    pub(crate) fn objects(&self) -> NodeObjects {
+        NodeObjects {
+            programs: self.programs.len(),
+            kernels: self.kernels.len(),
         }
     }
 
@@ -512,6 +530,9 @@ impl Node {
                 let reply = self.create_kernel(device, kernel, program, &name);
                 (reply.unwrap_or_else(|e| e), at)
             }
+            ApiCall::ReleaseProgram { device, program } => {
+                (self.release_program(device, program), at)
+            }
             // Routed to `launch` before this match; reaching here is a
             // logic error.
             ApiCall::LaunchKernel { .. } | ApiCall::LaunchFused { .. } => (
@@ -563,8 +584,8 @@ impl Node {
             .collect::<Vec<_>>()
             .join("\n");
         let kernels = compiled
-            .kernels()
-            .map(|k| (k.name.clone(), Arc::new(k.clone())))
+            .into_kernels()
+            .map(|k| (k.name.clone(), Arc::new(k)))
             .collect();
         self.programs.insert((program, device), kernels);
         Ok(ApiReply::BuildLog {
@@ -643,8 +664,27 @@ impl Node {
             )
         })?;
         let arity = resolved.arity() as u32;
-        self.kernels.insert(kernel, (device, resolved));
+        let entry = KernelEntry {
+            device,
+            program,
+            kernel: resolved,
+        };
+        self.kernels.insert(kernel, entry);
         Ok(ApiReply::KernelInfo { arity })
+    }
+
+    /// Forgets `program` as built for `device`, and every kernel handle
+    /// created from it there (`ReleaseProgram`).
+    fn release_program(&mut self, device: u8, program: ProgramId) -> ApiReply {
+        if self.programs.remove(&(program, device)).is_none() {
+            return err_reply(
+                status::INVALID_PROGRAM,
+                "program is unknown or not built for this device",
+            );
+        }
+        self.kernels
+            .retain(|_, k| k.program != program || k.device != device);
+        ApiReply::Ack
     }
 
     /// Runs one kernel dispatch — a lone `LaunchKernel` or a `LaunchFused`
@@ -725,21 +765,21 @@ pub(super) fn err_reply(code: i32, message: impl Into<String>) -> ApiReply {
 /// Looks up the kernel a launch part names and views the part as the
 /// device runs it.
 fn resolve_part<'a>(
-    kernels: &'a HashMap<KernelId, (u8, Arc<CompiledKernel>)>,
+    kernels: &'a HashMap<KernelId, KernelEntry>,
     device: u8,
     part: &'a WireLaunchPart,
 ) -> Result<LaunchPart<'a>, ApiReply> {
-    let Some((kernel_device, kernel)) = kernels.get(&part.kernel) else {
+    let Some(entry) = kernels.get(&part.kernel) else {
         return Err(err_reply(status::INVALID_KERNEL, "unknown kernel"));
     };
-    if *kernel_device != device {
+    if entry.device != device {
         return Err(err_reply(
             status::INVALID_DEVICE,
             "kernel was created for a different device",
         ));
     }
     Ok(LaunchPart {
-        kernel,
+        kernel: &entry.kernel,
         args: &part.args,
         range: range_from_wire(&part.range),
         cost: cost_from_wire(&part.cost),
@@ -1037,6 +1077,115 @@ mod tests {
             spans.iter().all(|s| s.wall_nanos == 0),
             "the driver's to stamp"
         );
+    }
+
+    /// A GPU node with program 1 built on device 0 and kernels 5 and 6
+    /// created from it.
+    fn node_with_program() -> Node {
+        let config = ClusterConfig::gpu_cluster(1);
+        let mut node = Node::new(&config.nodes[0], KernelRegistry::new());
+        let build = ApiCall::BuildProgram {
+            device: 0,
+            program: ProgramId::new(1),
+            source: "__kernel void one(__global int* a) { a[get_global_id(0)] = 1; }".into(),
+        };
+        let built = reply(&mut node, request(1, build)).body;
+        assert!(
+            matches!(built, ApiReply::BuildLog { ok: true, .. }),
+            "{built:?}"
+        );
+        for kernel in [5, 6] {
+            let create = ApiCall::CreateKernel {
+                device: 0,
+                kernel: KernelId::new(kernel),
+                program: ProgramId::new(1),
+                name: "one".into(),
+            };
+            let created = reply(&mut node, request(1 + kernel, create)).body;
+            assert_eq!(created, ApiReply::KernelInfo { arity: 1 });
+        }
+        assert_eq!(reply(&mut node, request(10, create(1))).body, ApiReply::Ack);
+        node
+    }
+
+    fn release(program: u64) -> ApiCall {
+        ApiCall::ReleaseProgram {
+            device: 0,
+            program: ProgramId::new(program),
+        }
+    }
+
+    fn launch(kernel: u64) -> ApiCall {
+        ApiCall::LaunchKernel {
+            device: 0,
+            kernel: KernelId::new(kernel),
+            args: vec![haocl_proto::messages::WireArg::Buffer(BufferId::new(1))],
+            range: haocl_proto::messages::WireNdRange {
+                work_dim: 1,
+                global: [1, 1, 1],
+                local: [1, 1, 1],
+            },
+            cost: haocl_proto::messages::WireCost {
+                flops: 1.0,
+                bytes_read: 0.0,
+                bytes_written: 4.0,
+                uniform: true,
+                streaming: false,
+            },
+            fidelity: haocl_proto::messages::Fidelity::Full,
+            shared: false,
+        }
+    }
+
+    fn error_code(body: &ApiReply) -> Option<i32> {
+        match body {
+            ApiReply::Error { code, .. } => Some(*code),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn a_release_drops_the_program_and_its_kernels() {
+        let mut node = node_with_program();
+        assert!(matches!(
+            reply(&mut node, request(20, launch(5))).body,
+            ApiReply::LaunchDone { .. }
+        ));
+        assert_eq!((node.programs.len(), node.kernels.len()), (1, 2));
+        assert_eq!(
+            reply(&mut node, request(21, release(1))).body,
+            ApiReply::Ack
+        );
+        assert_eq!((node.programs.len(), node.kernels.len()), (0, 0));
+        let launched = reply(&mut node, request(22, launch(5))).body;
+        assert_eq!(error_code(&launched), Some(status::INVALID_KERNEL));
+    }
+
+    #[test]
+    fn a_second_release_is_an_invalid_program() {
+        let mut node = node_with_program();
+        assert_eq!(
+            reply(&mut node, request(20, release(1))).body,
+            ApiReply::Ack
+        );
+        let again = reply(&mut node, request(21, release(1)));
+        assert!(!again.duplicate);
+        assert_eq!(error_code(&again.body), Some(status::INVALID_PROGRAM));
+        // Nor does a program the node never built release.
+        let unknown = reply(&mut node, request(22, release(9))).body;
+        assert_eq!(error_code(&unknown), Some(status::INVALID_PROGRAM));
+    }
+
+    #[test]
+    fn a_retransmitted_release_is_answered_from_the_journal() {
+        let mut node = node_with_program();
+        let first = reply(&mut node, request(20, release(1)));
+        assert_eq!(first.body, ApiReply::Ack);
+        // The same request id again: the journal's Ack, not an
+        // INVALID_PROGRAM from running the release a second time.
+        let again = reply(&mut node, request(20, release(1)));
+        assert!(again.duplicate);
+        assert_eq!(again.body, ApiReply::Ack);
     }
 
     #[test]

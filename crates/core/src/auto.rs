@@ -476,9 +476,7 @@ impl AutoScheduler {
                 obs.metrics
                     .inc_counter(names::QUARANTINES, &[("node", d.node_name())], 1);
             }
-            let gauge = condition as i64;
-            obs.metrics
-                .set_gauge(names::DEVICE_HEALTH, &[("node", d.node_name())], gauge);
+            d.note_health(condition as i64);
             let local = buffers
                 .iter()
                 .map(|b| b.inner.resident_bytes_on(d.index))

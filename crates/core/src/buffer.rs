@@ -242,42 +242,14 @@ impl Drop for BufferInner {
     /// disappearing silently. Residency state is cleared either way.
     fn drop(&mut self) {
         let st = self.state.get_mut();
-        let host = self.platform.host();
         for dev in st.residency.allocated_devices() {
-            let info = host.device_info(dev);
-            let released = match &info {
-                // A voluntarily departed node destroyed its allocations
-                // by design when it retired — nothing left to release,
-                // and nothing failed.
-                Some(info)
-                    if host.node_membership(info.node) == Some(MembershipState::Departed) =>
-                {
-                    true
-                }
-                Some(info) if host.node_is_live(info.node) => {
-                    let wire = st.wire.get(&info.node).copied().unwrap_or(self.id);
-                    matches!(
-                        host.call(
-                            info.node,
-                            ApiCall::ReleaseBuffer {
-                                device: info.device,
-                                buffer: wire,
-                            },
-                        ),
-                        Ok(outcome) if matches!(outcome.reply, ApiReply::Ack)
-                    )
-                }
-                _ => false,
-            };
-            if !released {
-                let unmapped = format!("device{dev}");
-                let node = info.as_ref().map_or(&unmapped, |i| &i.node_name);
-                self.platform.obs.metrics.inc_counter(
-                    names::BUFFER_RELEASE_FAILED,
-                    &[("node", node)],
-                    1,
-                );
-            }
+            self.platform
+                .release_on(dev, names::BUFFER_RELEASE_FAILED, None, |info| {
+                    ApiCall::ReleaseBuffer {
+                        device: info.device,
+                        buffer: st.wire.get(&info.node).copied().unwrap_or(self.id),
+                    }
+                });
         }
         st.residency.clear();
         if let Some(charge) = self.charge.get_mut().take() {

@@ -99,7 +99,8 @@ pub use queue::CommandQueue;
 pub use serve::{ServingPlane, Session};
 
 pub use haocl_cluster::{
-    AutoscaleConfig, Autoscaler, Decision, LoadSample, MembershipState, NodeSpec, RecoveryPolicy,
+    AutoscaleConfig, Autoscaler, Decision, LoadSample, MembershipState, NodeObjects, NodeSpec,
+    RecoveryPolicy,
 };
 pub use haocl_kernel::NdRange;
 pub use haocl_net::{ChaosPolicy, ChaosSpec};

@@ -9,14 +9,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
 use haocl_cluster::{
-    Autoscaler, ClusterConfig, Decision, HostRuntime, LoadSample, LocalCluster, MembershipState,
-    NodeSpec, RemoteDevice,
+    Autoscaler, ClusterConfig, ClusterError, Decision, HostRuntime, LoadSample, LocalCluster,
+    MembershipState, NodeObjects, NodeSpec, RemoteDevice,
 };
 use haocl_kernel::KernelRegistry;
 use haocl_net::LinkModel;
 use haocl_obs::{names, Counter, Gauge, Hub};
 use haocl_proto::ids::{IdAllocator, NodeId};
-use haocl_proto::messages::{ApiCall, DeviceKind};
+use haocl_proto::messages::{ApiCall, ApiReply, DeviceKind};
 use haocl_sim::{Clock, Phase, PhaseBreakdown, SimDuration, SimTime, Tracer};
 use parking_lot::Mutex;
 
@@ -61,6 +61,10 @@ pub(crate) struct DeviceShared {
     /// (label strings plus the registry lock) measured ~15 % of a
     /// one-launch round trip's p50.
     depth: OnceLock<Gauge>,
+    /// The node's `haocl_device_health` series, looked up at the first
+    /// placement that considers the device: every placement sets it for
+    /// every candidate. Devices of one node share the series.
+    health: OnceLock<Gauge>,
 }
 
 impl PlatformInner {
@@ -81,6 +85,7 @@ impl PlatformInner {
                 info,
                 wall: OnceLock::new(),
                 depth: OnceLock::new(),
+                health: OnceLock::new(),
             }));
         }
         shared
@@ -141,6 +146,42 @@ impl PlatformInner {
             .metrics
             .inc_counter(names::DATAPLANE_BYTES, &[("path", path)], bytes);
         self.tracer.record_bytes(Phase::DataTransfer, bytes);
+    }
+
+    /// Releases an object on cluster device `dev`, as the drop of its
+    /// last host handle does: best effort, because destructors never
+    /// fail, and a plain call, so no phase is charged. A voluntarily
+    /// departed node destroyed its objects when it retired: nothing is
+    /// sent and nothing failed. So is a release the node answers with
+    /// `gone`, the status that says it holds no such object. A release
+    /// that cannot reach its live node, or that the node refuses
+    /// otherwise, counts into `failed{node}` instead of disappearing
+    /// silently.
+    pub(crate) fn release_on(
+        &self,
+        dev: usize,
+        failed: &str,
+        gone: Option<i32>,
+        call: impl FnOnce(&RemoteDevice) -> ApiCall,
+    ) {
+        let host = self.host();
+        let info = host.device_info(dev);
+        let released = match &info {
+            Some(info) if host.node_membership(info.node) == Some(MembershipState::Departed) => {
+                true
+            }
+            Some(info) if host.node_is_live(info.node) => match host.call(info.node, call(info)) {
+                Ok(outcome) => matches!(outcome.reply, ApiReply::Ack),
+                Err(ClusterError::Remote { code, .. }) => Some(code) == gone,
+                Err(_) => false,
+            },
+            _ => false,
+        };
+        if !released {
+            let unmapped = format!("device{dev}");
+            let node = info.as_ref().map_or(&unmapped, |i| &i.node_name);
+            self.obs.metrics.inc_counter(failed, &[("node", node)], 1);
+        }
     }
 }
 
@@ -251,6 +292,20 @@ impl Device {
                 )
             })
             .set(depth as i64);
+    }
+
+    /// Sets the device's node's `haocl_device_health` gauge.
+    pub(crate) fn note_health(&self, condition: i64) {
+        self.shared
+            .health
+            .get_or_init(|| {
+                let labels = [("node", self.node_name())];
+                self.platform
+                    .obs
+                    .metrics
+                    .gauge(names::DEVICE_HEALTH, &labels)
+            })
+            .set(condition);
     }
 }
 
@@ -506,6 +561,13 @@ impl Platform {
     /// converting epochs to strikes.
     pub fn node_voluntary_epochs(&self, node: NodeId) -> u32 {
         self.inner.host().node_voluntary_epochs(node)
+    }
+
+    /// The programs and kernel handles the NMP in `node`'s slot holds;
+    /// `None` once it has stopped. After a failover the slot that took
+    /// over also holds what was replayed onto it.
+    pub fn node_objects(&self, node: NodeId) -> Option<NodeObjects> {
+        self.inner.cluster.node_objects(node.raw() as usize)
     }
 
     /// The nodes currently `Active`, ascending by id.

@@ -1,13 +1,14 @@
 //! `cl_program` objects.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use haocl_obs::names;
 use haocl_proto::ids::ProgramId;
-use haocl_proto::messages::{ApiCall, ApiReply, DeviceKind, WireKernelReport};
+use haocl_proto::messages::{status, ApiCall, ApiReply, DeviceKind, WireKernelReport};
 use haocl_sim::Phase;
 
 use crate::context::Context;
@@ -28,7 +29,7 @@ pub(crate) struct ProgramInner {
     pub(crate) id: ProgramId,
     pub(crate) form: ProgramForm,
     /// Devices (global indices) the program has been built for.
-    pub(crate) built: Mutex<HashSet<usize>>,
+    pub(crate) built: Mutex<BTreeSet<usize>>,
     build_log: Mutex<String>,
     /// Per-kernel static-analysis summaries from the last source build.
     reports: Mutex<Vec<WireKernelReport>>,
@@ -74,7 +75,7 @@ impl Program {
                 context: context.clone(),
                 id,
                 form,
-                built: Mutex::new(HashSet::new()),
+                built: Mutex::new(BTreeSet::new()),
                 build_log: Mutex::new(String::new()),
                 reports: Mutex::new(Vec::new()),
                 enforce_analysis: AtomicBool::new(true),
@@ -211,6 +212,32 @@ impl Program {
     /// Whether this is a bitstream (pre-built) program.
     pub fn is_bitstream(&self) -> bool {
         matches!(self.inner.form, ProgramForm::Bitstream(_))
+    }
+}
+
+impl Drop for ProgramInner {
+    /// `clReleaseProgram`: when the last handle drops — a [`Kernel`]
+    /// holds its program, and so does a launch until it resolves — every
+    /// device the program was built for forgets it, and the kernel
+    /// handles created from it there. Best effort, like a buffer's
+    /// release: one that cannot reach its node counts into
+    /// `haocl_program_release_failed_total`. An `INVALID_PROGRAM` answer
+    /// is no failure: after a failover one node can serve two devices
+    /// with the same index, and the first release took the program off
+    /// both.
+    ///
+    /// [`Kernel`]: crate::Kernel
+    fn drop(&mut self) {
+        for &dev in self.built.get_mut().iter() {
+            let gone = Some(status::INVALID_PROGRAM);
+            self.platform
+                .release_on(dev, names::PROGRAM_RELEASE_FAILED, gone, |info| {
+                    ApiCall::ReleaseProgram {
+                        device: info.device,
+                        program: self.id,
+                    }
+                });
+        }
     }
 }
 

@@ -374,9 +374,20 @@ impl CommandQueue {
         // pending-writer list.
         let written: Vec<std::sync::Weak<crate::buffer::BufferInner>> =
             buffer_args().map(Arc::downgrade).collect();
+        // The resolver holds every part's program until the launch
+        // resolves, so a program's release cannot overtake a launch that
+        // is still being retransmitted. A lone launch's list is empty.
+        let programs = (
+            parts[0].kernel.program().clone(),
+            parts[1..]
+                .iter()
+                .map(|p| p.kernel.program().clone())
+                .collect::<Vec<_>>(),
+        );
         let device = self.device.clone();
         let last_end = Arc::clone(&self.last_end);
         let event = Event::pending(CommandType::NdRangeKernel, move || {
+            let _programs = programs;
             let wall_started = std::time::Instant::now();
             let outcome = call.wait()?;
             let wall_nanos = wall_started.elapsed().as_nanos() as u64;

@@ -39,7 +39,7 @@
 use std::sync::Arc;
 
 use haocl_kernel::NdRange;
-use haocl_obs::names;
+use haocl_obs::{names, Counter, Gauge, Registry};
 use haocl_proto::ids::{TenantId, UserId};
 use haocl_sched::{
     normalized_cost_nanos, AdmitError, QuotaLedger, SchedulingPolicy, TenantScheduler, TenantSpec,
@@ -58,6 +58,29 @@ use crate::kernel::Kernel;
 struct Pending {
     kernel: Kernel,
     range: NdRange,
+    series: Arc<TenantSeries>,
+}
+
+/// A tenant's name and the series every submit and dispatch updates,
+/// resolved once when its session opens: setting them builds no label
+/// set and takes no registry lock.
+struct TenantSeries {
+    name: String,
+    launches: Counter,
+    compute_nanos: Counter,
+    queue_depth: Gauge,
+}
+
+impl TenantSeries {
+    fn new(metrics: &Registry, name: String) -> Arc<Self> {
+        let labels = [("tenant", name.as_str())];
+        Arc::new(TenantSeries {
+            launches: metrics.counter(names::TENANT_LAUNCHES, &labels),
+            compute_nanos: metrics.counter(names::TENANT_COMPUTE_NANOS, &labels),
+            queue_depth: metrics.gauge(names::TENANT_QUEUE_DEPTH, &labels),
+            name,
+        })
+    }
 }
 
 struct ServeInner {
@@ -65,6 +88,8 @@ struct ServeInner {
     auto: AutoScheduler,
     arbiter: TenantScheduler<Pending>,
     ledger: Arc<QuotaLedger>,
+    /// The `"default"` tenant's series.
+    default_series: Arc<TenantSeries>,
 }
 
 impl ServeInner {
@@ -72,6 +97,12 @@ impl ServeInner {
     fn with_mem(&self, tenant: TenantId, mut stats: TenantStats) -> TenantStats {
         stats.mem_bytes = self.ledger.used(tenant);
         stats
+    }
+
+    /// Publishes `tenant`'s queue length to its gauge.
+    fn note_depth(&self, tenant: TenantId, series: &TenantSeries) {
+        let depth = self.arbiter.stats(tenant).map_or(0, |s| s.pending);
+        series.queue_depth.set(depth as i64);
     }
 }
 
@@ -102,7 +133,7 @@ pub struct ServingPlane {
 pub struct Session {
     inner: Arc<ServeInner>,
     tenant: TenantId,
-    name: String,
+    series: Arc<TenantSeries>,
 }
 
 impl ServingPlane {
@@ -131,12 +162,17 @@ impl ServingPlane {
             TenantSpec::new(haocl_obs::DEFAULT_TENANT),
         );
         ledger.open(TenantId::DEFAULT, haocl_obs::DEFAULT_TENANT, None);
+        let default_series = TenantSeries::new(
+            &context.platform.obs.metrics,
+            haocl_obs::DEFAULT_TENANT.to_string(),
+        );
         Ok(ServingPlane {
             inner: Arc::new(ServeInner {
                 context: context.clone(),
                 auto,
                 arbiter,
                 ledger,
+                default_series,
             }),
         })
     }
@@ -147,7 +183,7 @@ impl ServingPlane {
     pub fn open_session(&self, spec: TenantSpec) -> Session {
         let user = self.inner.context.platform.host().allocate_user();
         let tenant = TenantId::new(user.raw());
-        let name = spec.name.clone();
+        let series = TenantSeries::new(&self.inner.context.platform.obs.metrics, spec.name.clone());
         self.inner
             .ledger
             .open(tenant, &spec.name, spec.quota.mem_bytes);
@@ -155,7 +191,7 @@ impl ServingPlane {
         Session {
             inner: Arc::clone(&self.inner),
             tenant,
-            name,
+            series,
         }
     }
 
@@ -166,7 +202,7 @@ impl ServingPlane {
         Session {
             inner: Arc::clone(&self.inner),
             tenant: TenantId::DEFAULT,
-            name: haocl_obs::DEFAULT_TENANT.to_string(),
+            series: Arc::clone(&self.inner.default_series),
         }
     }
 
@@ -194,11 +230,7 @@ impl ServingPlane {
             return Ok(None);
         };
         let user = UserId::new(tenant.raw());
-        let name = self
-            .inner
-            .arbiter
-            .name(tenant)
-            .unwrap_or_else(|| haocl_obs::DEFAULT_TENANT.to_string());
+        let series = &pending.series;
         let host = self.inner.context.platform.host();
         // Tag the wire path: every request this dispatch issues carries
         // the tenant's session id (§III-D's user ID field), and the
@@ -206,38 +238,29 @@ impl ServingPlane {
         // keeps the host's ambient tag, so the single-tenant path stays
         // byte-identical.
         let ambient = (tenant != TenantId::DEFAULT).then(|| host.set_user(user));
-        let outcome = self
-            .inner
-            .auto
-            .launch_tagged(&pending.kernel, pending.range, user, &name);
+        let outcome =
+            self.inner
+                .auto
+                .launch_tagged(&pending.kernel, pending.range, user, &series.name);
         if let Some(ambient) = ambient {
             host.set_user(ambient);
         }
-        let obs = &self.inner.context.platform.obs;
         let consumed = match &outcome {
             Ok((event, _)) => event.duration(),
             Err(_) => SimDuration::ZERO,
         };
         let throttled = self.inner.arbiter.complete(tenant, consumed);
         if throttled {
-            obs.metrics
-                .inc_counter(names::TENANT_THROTTLES, &[("tenant", &name)], 1);
+            self.inner.context.platform.obs.metrics.inc_counter(
+                names::TENANT_THROTTLES,
+                &[("tenant", &series.name)],
+                1,
+            );
         }
         let (event, device) = outcome?;
-        obs.metrics
-            .inc_counter(names::TENANT_LAUNCHES, &[("tenant", &name)], 1);
-        obs.metrics.inc_counter(
-            names::TENANT_COMPUTE_NANOS,
-            &[("tenant", &name)],
-            consumed.as_nanos(),
-        );
-        let depth = self
-            .inner
-            .arbiter
-            .stats(tenant)
-            .map_or(0, |s| s.pending as i64);
-        obs.metrics
-            .set_gauge(names::TENANT_QUEUE_DEPTH, &[("tenant", &name)], depth);
+        series.launches.inc(1);
+        series.compute_nanos.inc(consumed.as_nanos());
+        self.inner.note_depth(tenant, series);
         Ok(Some((tenant, event, device)))
     }
 
@@ -343,7 +366,7 @@ impl Session {
 
     /// The tenant's display name.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.series.name
     }
 
     /// Submits a launch through admission control into the tenant's
@@ -362,19 +385,13 @@ impl Session {
             Pending {
                 kernel: kernel.clone(),
                 range,
+                series: Arc::clone(&self.series),
             },
             est,
         );
-        let obs = &self.inner.context.platform.obs;
         match queued {
             Ok(()) => {
-                let depth = self
-                    .inner
-                    .arbiter
-                    .stats(self.tenant)
-                    .map_or(0, |s| s.pending as i64);
-                obs.metrics
-                    .set_gauge(names::TENANT_QUEUE_DEPTH, &[("tenant", &self.name)], depth);
+                self.inner.note_depth(self.tenant, &self.series);
                 Ok(())
             }
             Err(e) => Err(self.shed(e)),
@@ -399,12 +416,12 @@ impl Session {
                 buffer.attach_charge(TenantCharge {
                     ledger: Arc::clone(&self.inner.ledger),
                     tenant: self.tenant,
-                    tenant_name: self.name.clone(),
+                    tenant_name: self.series.name.clone(),
                     bytes: size,
                 });
                 obs.metrics.set_gauge(
                     names::TENANT_MEM_BYTES,
-                    &[("tenant", &self.name)],
+                    &[("tenant", &self.series.name)],
                     self.inner.ledger.used(self.tenant) as i64,
                 );
                 Ok(buffer)
@@ -433,7 +450,7 @@ impl Session {
         let obs = &self.inner.context.platform.obs;
         obs.metrics.inc_counter(
             names::TENANT_SHED,
-            &[("tenant", &self.name), ("reason", reason)],
+            &[("tenant", &self.series.name), ("reason", reason)],
             1,
         );
         Error::Overloaded(e)
@@ -442,7 +459,7 @@ impl Session {
 
 impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Session({} as {})", self.name, self.user())
+        write!(f, "Session({} as {})", self.series.name, self.user())
     }
 }
 

@@ -135,6 +135,8 @@ pub mod names {
     pub const SHADOW_REFRESHES_AVOIDED: &str = "haocl_shadow_refreshes_avoided_total";
     /// Counter: buffer releases that could not reach the owning node.
     pub const BUFFER_RELEASE_FAILED: &str = "haocl_buffer_release_failed_total";
+    /// Counter: program releases that could not reach the owning node.
+    pub const PROGRAM_RELEASE_FAILED: &str = "haocl_program_release_failed_total";
     /// `path` label value: bytes relayed through the host shadow.
     pub const PATH_HOST_RELAY: &str = "host_relay";
     /// `path` label value: bytes shipped directly between NMPs.

@@ -393,6 +393,14 @@ wire_enum! {
         /// live migration can proceed). Idempotent control call: not
         /// journaled, safe to re-execute on retry.
         21 => BeginDrain,
+        /// `clReleaseProgram`: the node forgets the program as built for
+        /// one device, and every kernel handle created from it there.
+        22 => ReleaseProgram {
+            /// Target device index on the node.
+            device: u8,
+            /// Program to release.
+            program: ProgramId,
+        },
         /// Liveness check.
         12 => Ping,
         /// Orderly shutdown of the NMP.
@@ -454,6 +462,7 @@ impl ApiCall {
             ApiCall::QueryProfile => CallClass::ControlQuery,
             ApiCall::SetThrottle { .. } => CallClass::ControlQuery,
             ApiCall::BeginDrain => CallClass::ControlQuery,
+            ApiCall::ReleaseProgram { .. } => CallClass::ControlMutation,
             ApiCall::Ping => CallClass::ControlQuery,
             ApiCall::Shutdown => CallClass::ControlQuery,
         }
@@ -528,6 +537,7 @@ impl ApiCall {
             | ApiCall::QueryProfile
             | ApiCall::SetThrottle { .. }
             | ApiCall::BeginDrain
+            | ApiCall::ReleaseProgram { .. }
             | ApiCall::Ping
             | ApiCall::Shutdown => 0,
         }
@@ -618,6 +628,7 @@ impl ApiCall {
             | ApiCall::QueryProfile
             | ApiCall::SetThrottle { .. }
             | ApiCall::BeginDrain
+            | ApiCall::ReleaseProgram { .. }
             | ApiCall::Ping
             | ApiCall::Shutdown) => Err(other),
         }
@@ -1160,6 +1171,10 @@ mod tests {
                 factor: 3.5,
             },
             ApiCall::BeginDrain,
+            ApiCall::ReleaseProgram {
+                device: 1,
+                program: ProgramId::new(1),
+            },
         ]
     }
 
@@ -1199,6 +1214,7 @@ mod tests {
             ("LaunchFused", Control, true, false, true),
             ("SetThrottle", Control, false, false, false),
             ("BeginDrain", Control, false, false, false),
+            ("ReleaseProgram", Control, true, false, true),
         ];
         let calls = every_api_call();
         assert_eq!(calls.len(), expected.len());

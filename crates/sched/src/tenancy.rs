@@ -415,15 +415,6 @@ impl<T> TenantScheduler<T> {
             .unwrap_or_default()
     }
 
-    /// The registered tenant's display name.
-    pub fn name(&self, tenant: TenantId) -> Option<String> {
-        self.inner
-            .lock()
-            .tenants
-            .get(&tenant.raw())
-            .map(|t| t.spec.name.clone())
-    }
-
     /// Admission control + enqueue: `est_nanos` is the launch's
     /// normalized cost estimate ([`normalized_cost_nanos`]), checked
     /// against the remaining compute budget.
