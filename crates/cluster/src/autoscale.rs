@@ -1,8 +1,8 @@
 //! Metrics-driven autoscaler policy.
 //!
 //! A pure decision engine over the obs layer's load series: feed it one
-//! [`LoadSample`] per policy tick (derived from the `haocl_queue_depth`
-//! gauges, see [`LoadSample::from_metrics_text`]) and it answers
+//! [`LoadSample`] per policy tick (the `haocl_queue_depth` gauges summed
+//! over the fleet) and it answers
 //! [`Decision::ScaleUp`], [`Decision::ScaleDown`] or [`Decision::Hold`].
 //! The engine carries the *policy* state — sustain streaks (hysteresis)
 //! and a post-action cooldown — while actuation (spawning an NMP,
@@ -12,7 +12,6 @@
 //! Every scale decision is recorded: a `policy=autoscale` audit row and
 //! one `haocl_autoscale_events_total` tick, labelled by direction.
 
-use haocl_obs::top::parse_metrics;
 use haocl_obs::{names, FusionDecision, Hub, PlacementAudit, DEFAULT_TENANT};
 
 /// Tuning knobs for the [`Autoscaler`].
@@ -60,22 +59,6 @@ pub struct LoadSample {
 }
 
 impl LoadSample {
-    /// Derives a sample from a Prometheus metrics rendering (the obs
-    /// registry's text exposition): sums every `haocl_queue_depth`
-    /// series. `active_nodes` comes from the membership layer, which the
-    /// metrics text does not carry authoritatively.
-    pub fn from_metrics_text(text: &str, active_nodes: usize) -> LoadSample {
-        let total_queue_depth = parse_metrics(text)
-            .iter()
-            .filter(|s| s.name == names::QUEUE_DEPTH)
-            .map(|s| s.value.max(0.0) as u64)
-            .sum();
-        LoadSample {
-            active_nodes,
-            total_queue_depth,
-        }
-    }
-
     /// Mean queue depth per active node (0 for an empty fleet).
     pub fn depth_per_node(&self) -> f64 {
         if self.active_nodes == 0 {
@@ -284,6 +267,12 @@ mod tests {
     }
 
     #[test]
+    fn depth_per_node_divides_over_active_nodes() {
+        assert_eq!(sample(2, 8).depth_per_node(), 4.0);
+        assert_eq!(sample(0, 8).depth_per_node(), 0.0);
+    }
+
+    #[test]
     fn decisions_are_audit_logged_under_the_autoscale_policy() {
         let obs = Hub::new();
         let mut a = engine();
@@ -299,17 +288,5 @@ mod tests {
             rendered.contains("decision=scale-up"),
             "audit row missing: {rendered}"
         );
-    }
-
-    #[test]
-    fn load_sample_sums_queue_depth_gauges() {
-        let text = "\
-haocl_queue_depth{device=\"0\",node=\"gpu0\"} 3\n\
-haocl_queue_depth{device=\"1\",node=\"gpu1\"} 5\n\
-haocl_other{node=\"gpu0\"} 99\n";
-        let s = LoadSample::from_metrics_text(text, 2);
-        assert_eq!(s.total_queue_depth, 8);
-        assert_eq!(s.depth_per_node(), 4.0);
-        assert_eq!(LoadSample::from_metrics_text("", 0).depth_per_node(), 0.0);
     }
 }

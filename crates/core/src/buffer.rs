@@ -18,6 +18,7 @@
 //! host relay is the fallback.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -120,14 +121,20 @@ pub(crate) enum EvacOutcome {
     HostRelayed(u64),
 }
 
-/// A device-memory charge against a tenant's quota ledger. Held by the
-/// buffer it paid for; dropping the buffer replenishes the quota and
-/// refreshes the per-tenant memory gauge.
+/// A device-memory charge against a tenant's quota
+/// ([`haocl_sched::TenantScheduler::charge_mem`]). Dropping it returns
+/// the bytes to the tenant's account: the rollback when the buffer it
+/// paid for is never made, the release when that buffer's last handle
+/// drops.
 pub(crate) struct TenantCharge {
-    pub(crate) ledger: Arc<haocl_sched::QuotaLedger>,
-    pub(crate) tenant: haocl_proto::ids::TenantId,
-    pub(crate) tenant_name: String,
+    pub(crate) account: Arc<AtomicU64>,
     pub(crate) bytes: u64,
+}
+
+impl Drop for TenantCharge {
+    fn drop(&mut self) {
+        self.account.fetch_sub(self.bytes, Ordering::Relaxed);
+    }
 }
 
 /// An OpenCL buffer object.
@@ -252,14 +259,6 @@ impl Drop for BufferInner {
                 });
         }
         st.residency.clear();
-        if let Some(charge) = self.charge.get_mut().take() {
-            charge.ledger.release(charge.tenant, charge.bytes);
-            self.platform.obs.metrics.set_gauge(
-                names::TENANT_MEM_BYTES,
-                &[("tenant", &charge.tenant_name)],
-                charge.ledger.used(charge.tenant) as i64,
-            );
-        }
     }
 }
 

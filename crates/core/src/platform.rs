@@ -673,14 +673,22 @@ impl Platform {
     }
 
     /// Feeds one autoscaler policy tick from the live metrics: the
-    /// queue-depth series summed over the fleet, divided across the
+    /// devices' `haocl_queue_depth` gauges summed over the fleet (a
+    /// device that never sampled its queue counts 0), divided across the
     /// currently `Active` nodes. The caller actuates the returned
     /// decision ([`Platform::add_node`] on `ScaleUp`,
     /// [`Platform::drain_node`] on the
     /// [`Platform::least_resident_node`] for `ScaleDown`).
     pub fn autoscale_tick(&self, autoscaler: &mut Autoscaler) -> Decision {
-        let active = self.active_nodes().len();
-        let sample = LoadSample::from_metrics_text(&self.render_metrics(), active);
+        let total_queue_depth = {
+            let devices = self.inner.devices.lock();
+            let depths = devices.iter().filter_map(|d| d.depth.get());
+            depths.map(|g| g.get().max(0) as u64).sum()
+        };
+        let sample = LoadSample {
+            active_nodes: self.active_nodes().len(),
+            total_queue_depth,
+        };
         autoscaler.observe(&sample, &self.inner.obs)
     }
 
@@ -813,5 +821,48 @@ mod tests {
         assert!(b.time(Phase::DataCreate) >= SimDuration::from_millis(999));
         p.reset_phases();
         assert_eq!(p.phase_breakdown().total(), SimDuration::ZERO);
+    }
+
+    #[test]
+    fn autoscale_sample_sums_the_queues_depths() {
+        use crate::{Buffer, CommandQueue, Context, Kernel, MemFlags, Program};
+        use haocl_cluster::AutoscaleConfig;
+        use haocl_kernel::NdRange;
+
+        let p = Platform::local(&[DeviceKind::Gpu, DeviceKind::Cpu]).unwrap();
+        let devs = p.devices(DeviceType::All);
+        let ctx = Context::new(&p, &devs).unwrap();
+        let prog = Program::from_source(
+            &ctx,
+            "__kernel void bump(__global int* a) { a[get_global_id(0)] += 1; }",
+        );
+        prog.build().unwrap();
+        let k = Kernel::new(&prog, "bump").unwrap();
+        let queues: Vec<CommandQueue> = devs
+            .iter()
+            .map(|d| CommandQueue::new(&ctx, d).unwrap())
+            .collect();
+        for (q, launches) in queues.iter().zip([3, 2]) {
+            let buf = Buffer::new(&ctx, MemFlags::READ_WRITE, 16).unwrap();
+            k.set_arg_buffer(0, &buf).unwrap();
+            for _ in 0..launches {
+                q.enqueue_nd_range_kernel(&k, NdRange::linear(4, 1))
+                    .unwrap();
+            }
+        }
+        // The sample is what the queues report in the registry.
+        let reported: f64 = haocl_obs::top::parse_metrics(&p.render_metrics())
+            .iter()
+            .filter(|s| s.name == names::QUEUE_DEPTH)
+            .map(|s| s.value)
+            .sum();
+        assert_eq!(reported, 5.0);
+        let mut scaler = Autoscaler::new(AutoscaleConfig {
+            high_depth: 1.0,
+            sustain_ticks: 1,
+            ..AutoscaleConfig::default()
+        });
+        assert_eq!(p.autoscale_tick(&mut scaler), Decision::ScaleUp);
+        assert!(p.render_audit_log().contains("total_depth=5"));
     }
 }

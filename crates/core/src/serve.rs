@@ -28,9 +28,9 @@
 //!   Shedding is free: no cluster state changes, the caller can retry
 //!   after load drains.
 //! * **Quota release** — [`Session::create_buffer`] charges the
-//!   tenant's device-memory ledger; dropping the last [`Buffer`] handle
-//!   releases the charge (see `Drop for BufferInner`), so quota flows
-//!   back without an explicit free call.
+//!   tenant's device-memory account in the arbiter; dropping the last
+//!   [`Buffer`] handle releases the charge (see `Drop for TenantCharge`),
+//!   so quota flows back without an explicit free call.
 //!
 //! Everything here is host-side bookkeeping in *virtual time*: the
 //! arbiter never advances the clock, so a default-session program
@@ -39,11 +39,9 @@
 use std::sync::Arc;
 
 use haocl_kernel::NdRange;
-use haocl_obs::{names, Counter, Gauge, Registry};
 use haocl_proto::ids::{TenantId, UserId};
 use haocl_sched::{
-    normalized_cost_nanos, AdmitError, QuotaLedger, SchedulingPolicy, TenantScheduler, TenantSpec,
-    TenantStats,
+    normalized_cost_nanos, SchedulingPolicy, TenantScheduler, TenantSpec, TenantStats,
 };
 use haocl_sim::SimDuration;
 
@@ -58,52 +56,15 @@ use crate::kernel::Kernel;
 struct Pending {
     kernel: Kernel,
     range: NdRange,
-    series: Arc<TenantSeries>,
-}
-
-/// A tenant's name and the series every submit and dispatch updates,
-/// resolved once when its session opens: setting them builds no label
-/// set and takes no registry lock.
-struct TenantSeries {
-    name: String,
-    launches: Counter,
-    compute_nanos: Counter,
-    queue_depth: Gauge,
-}
-
-impl TenantSeries {
-    fn new(metrics: &Registry, name: String) -> Arc<Self> {
-        let labels = [("tenant", name.as_str())];
-        Arc::new(TenantSeries {
-            launches: metrics.counter(names::TENANT_LAUNCHES, &labels),
-            compute_nanos: metrics.counter(names::TENANT_COMPUTE_NANOS, &labels),
-            queue_depth: metrics.gauge(names::TENANT_QUEUE_DEPTH, &labels),
-            name,
-        })
-    }
+    /// The tenant's name, shared with its session: the audit log's
+    /// `tenant=` column.
+    tenant_name: Arc<str>,
 }
 
 struct ServeInner {
     context: Context,
     auto: AutoScheduler,
     arbiter: TenantScheduler<Pending>,
-    ledger: Arc<QuotaLedger>,
-    /// The `"default"` tenant's series.
-    default_series: Arc<TenantSeries>,
-}
-
-impl ServeInner {
-    /// `stats` with the tenant's live memory-ledger bytes filled in.
-    fn with_mem(&self, tenant: TenantId, mut stats: TenantStats) -> TenantStats {
-        stats.mem_bytes = self.ledger.used(tenant);
-        stats
-    }
-
-    /// Publishes `tenant`'s queue length to its gauge.
-    fn note_depth(&self, tenant: TenantId, series: &TenantSeries) {
-        let depth = self.arbiter.stats(tenant).map_or(0, |s| s.pending);
-        series.queue_depth.set(depth as i64);
-    }
 }
 
 /// The serving tier: one shared [`AutoScheduler`], many tenants.
@@ -133,7 +94,7 @@ pub struct ServingPlane {
 pub struct Session {
     inner: Arc<ServeInner>,
     tenant: TenantId,
-    series: Arc<TenantSeries>,
+    name: Arc<str>,
 }
 
 impl ServingPlane {
@@ -156,42 +117,31 @@ impl ServingPlane {
     /// None today; `Result` keeps room for validation.
     pub fn with_auto(context: &Context, auto: AutoScheduler) -> Result<Self, Error> {
         let arbiter = TenantScheduler::new();
-        let ledger = Arc::new(QuotaLedger::new());
         arbiter.register(
             TenantId::DEFAULT,
             TenantSpec::new(haocl_obs::DEFAULT_TENANT),
-        );
-        ledger.open(TenantId::DEFAULT, haocl_obs::DEFAULT_TENANT, None);
-        let default_series = TenantSeries::new(
-            &context.platform.obs.metrics,
-            haocl_obs::DEFAULT_TENANT.to_string(),
         );
         Ok(ServingPlane {
             inner: Arc::new(ServeInner {
                 context: context.clone(),
                 auto,
                 arbiter,
-                ledger,
-                default_series,
             }),
         })
     }
 
     /// Opens a session for a new tenant: takes its id from the host's
     /// user-id allocator and registers its weight and quotas with the
-    /// arbiter and the memory ledger.
+    /// arbiter.
     pub fn open_session(&self, spec: TenantSpec) -> Session {
         let user = self.inner.context.platform.host().allocate_user();
         let tenant = TenantId::new(user.raw());
-        let series = TenantSeries::new(&self.inner.context.platform.obs.metrics, spec.name.clone());
-        self.inner
-            .ledger
-            .open(tenant, &spec.name, spec.quota.mem_bytes);
+        let name = Arc::from(spec.name.as_str());
         self.inner.arbiter.register(tenant, spec);
         Session {
             inner: Arc::clone(&self.inner),
             tenant,
-            series,
+            name,
         }
     }
 
@@ -202,12 +152,14 @@ impl ServingPlane {
         Session {
             inner: Arc::clone(&self.inner),
             tenant: TenantId::DEFAULT,
-            series: Arc::clone(&self.inner.default_series),
+            name: Arc::from(haocl_obs::DEFAULT_TENANT),
         }
     }
 
     /// Closes a session: drops its queue (still-pending launches are
-    /// discarded).
+    /// discarded) and its accounts. Its later submits and allocations
+    /// shed with `UnknownTenant`; buffers it still holds release into
+    /// the closed account.
     pub fn close_session(&self, session: &Session) {
         self.inner.arbiter.unregister(session.tenant);
     }
@@ -230,7 +182,6 @@ impl ServingPlane {
             return Ok(None);
         };
         let user = UserId::new(tenant.raw());
-        let series = &pending.series;
         let host = self.inner.context.platform.host();
         // Tag the wire path: every request this dispatch issues carries
         // the tenant's session id (§III-D's user ID field), and the
@@ -238,10 +189,12 @@ impl ServingPlane {
         // keeps the host's ambient tag, so the single-tenant path stays
         // byte-identical.
         let ambient = (tenant != TenantId::DEFAULT).then(|| host.set_user(user));
-        let outcome =
-            self.inner
-                .auto
-                .launch_tagged(&pending.kernel, pending.range, user, &series.name);
+        let outcome = self.inner.auto.launch_tagged(
+            &pending.kernel,
+            pending.range,
+            user,
+            &pending.tenant_name,
+        );
         if let Some(ambient) = ambient {
             host.set_user(ambient);
         }
@@ -249,18 +202,8 @@ impl ServingPlane {
             Ok((event, _)) => event.duration(),
             Err(_) => SimDuration::ZERO,
         };
-        let throttled = self.inner.arbiter.complete(tenant, consumed);
-        if throttled {
-            self.inner.context.platform.obs.metrics.inc_counter(
-                names::TENANT_THROTTLES,
-                &[("tenant", &series.name)],
-                1,
-            );
-        }
+        self.inner.arbiter.complete(tenant, consumed);
         let (event, device) = outcome?;
-        series.launches.inc(1);
-        series.compute_nanos.inc(consumed.as_nanos());
-        self.inner.note_depth(tenant, series);
         Ok(Some((tenant, event, device)))
     }
 
@@ -311,20 +254,14 @@ impl ServingPlane {
         self.inner.arbiter.is_throttled(tenant)
     }
 
-    /// The tenant's accounting snapshot, with live memory-ledger bytes.
+    /// The tenant's accounting snapshot.
     pub fn stats(&self, tenant: TenantId) -> Option<TenantStats> {
-        let s = self.inner.arbiter.stats(tenant)?;
-        Some(self.inner.with_mem(tenant, s))
+        self.inner.arbiter.stats(tenant)
     }
 
     /// Every tenant's `(id, name, stats)`, ascending by id.
     pub fn all_stats(&self) -> Vec<(TenantId, String, TenantStats)> {
-        self.inner
-            .arbiter
-            .all_stats()
-            .into_iter()
-            .map(|(id, name, s)| (id, name, self.inner.with_mem(id, s)))
-            .collect()
+        self.inner.arbiter.all_stats()
     }
 
     /// Total launches queued across all tenants.
@@ -366,7 +303,7 @@ impl Session {
 
     /// The tenant's display name.
     pub fn name(&self) -> &str {
-        &self.series.name
+        &self.name
     }
 
     /// Submits a launch through admission control into the tenant's
@@ -380,22 +317,12 @@ impl Session {
     /// submission changes no cluster state.
     pub fn submit(&self, kernel: &Kernel, range: NdRange) -> Result<(), Error> {
         let est = normalized_cost_nanos(&kernel.cost());
-        let queued = self.inner.arbiter.submit(
-            self.tenant,
-            Pending {
-                kernel: kernel.clone(),
-                range,
-                series: Arc::clone(&self.series),
-            },
-            est,
-        );
-        match queued {
-            Ok(()) => {
-                self.inner.note_depth(self.tenant, &self.series);
-                Ok(())
-            }
-            Err(e) => Err(self.shed(e)),
-        }
+        let pending = Pending {
+            kernel: kernel.clone(),
+            range,
+            tenant_name: Arc::clone(&self.name),
+        };
+        Ok(self.inner.arbiter.submit(self.tenant, pending, est)?)
     }
 
     /// Creates a buffer billed to this tenant's device-memory quota.
@@ -404,62 +331,27 @@ impl Session {
     /// # Errors
     ///
     /// [`Error::Overloaded`] when the charge would exceed the tenant's
-    /// memory quota; buffer-creation failures otherwise (the charge is
-    /// rolled back).
+    /// memory quota or the session was closed; buffer-creation failures
+    /// otherwise (the charge is rolled back).
     pub fn create_buffer(&self, flags: MemFlags, size: u64) -> Result<Buffer, Error> {
-        if let Err(e) = self.inner.ledger.try_charge(self.tenant, size) {
-            return Err(self.shed(e));
-        }
-        let obs = &self.inner.context.platform.obs;
-        match Buffer::new(&self.inner.context, flags, size) {
-            Ok(buffer) => {
-                buffer.attach_charge(TenantCharge {
-                    ledger: Arc::clone(&self.inner.ledger),
-                    tenant: self.tenant,
-                    tenant_name: self.series.name.clone(),
-                    bytes: size,
-                });
-                obs.metrics.set_gauge(
-                    names::TENANT_MEM_BYTES,
-                    &[("tenant", &self.series.name)],
-                    self.inner.ledger.used(self.tenant) as i64,
-                );
-                Ok(buffer)
-            }
-            Err(e) => {
-                self.inner.ledger.release(self.tenant, size);
-                Err(e)
-            }
-        }
+        let charge = TenantCharge {
+            account: self.inner.arbiter.charge_mem(self.tenant, size)?,
+            bytes: size,
+        };
+        let buffer = Buffer::new(&self.inner.context, flags, size)?;
+        buffer.attach_charge(charge);
+        Ok(buffer)
     }
 
     /// This tenant's accounting snapshot.
     pub fn stats(&self) -> Option<TenantStats> {
-        let s = self.inner.arbiter.stats(self.tenant)?;
-        Some(self.inner.with_mem(self.tenant, s))
-    }
-
-    /// Records the shed in metrics and wraps the admission error.
-    fn shed(&self, e: AdmitError) -> Error {
-        let reason = match &e {
-            AdmitError::QueueFull { .. } => "queue_full",
-            AdmitError::MemoryQuota { .. } => "memory_quota",
-            AdmitError::ComputeBudget { .. } => "compute_budget",
-            AdmitError::UnknownTenant { .. } => "unknown_tenant",
-        };
-        let obs = &self.inner.context.platform.obs;
-        obs.metrics.inc_counter(
-            names::TENANT_SHED,
-            &[("tenant", &self.series.name), ("reason", reason)],
-            1,
-        );
-        Error::Overloaded(e)
+        self.inner.arbiter.stats(self.tenant)
     }
 }
 
 impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Session({} as {})", self.series.name, self.user())
+        write!(f, "Session({} as {})", self.name, self.user())
     }
 }
 
@@ -470,7 +362,7 @@ mod tests {
     use crate::program::Program;
     use haocl_kernel::CostModel;
     use haocl_proto::messages::DeviceKind;
-    use haocl_sched::{policies, TenantQuota};
+    use haocl_sched::{policies, AdmitError, TenantQuota};
 
     fn plane_with_kernel() -> (Platform, ServingPlane, Kernel, Buffer) {
         let p = Platform::local(&[DeviceKind::Gpu]).unwrap();
@@ -627,5 +519,31 @@ mod tests {
             err,
             Error::Overloaded(AdmitError::UnknownTenant { .. })
         ));
+        let err = s.create_buffer(MemFlags::READ_WRITE, 16).unwrap_err();
+        assert!(matches!(
+            err,
+            Error::Overloaded(AdmitError::UnknownTenant { .. })
+        ));
+    }
+
+    #[test]
+    fn buffers_outliving_their_session_release_without_panic() {
+        let (_p, plane, _k, _buf) = plane_with_kernel();
+        let open = plane
+            .open_session(TenantSpec::new("open").quota(TenantQuota::unlimited().mem_bytes(64)));
+        let gone = plane.open_session(TenantSpec::new("gone"));
+        let kept = open.create_buffer(MemFlags::READ_WRITE, 48).unwrap();
+        let orphan = gone.create_buffer(MemFlags::READ_WRITE, 32).unwrap();
+        let late = gone.create_buffer(MemFlags::READ_WRITE, 8).unwrap();
+        assert_eq!(open.stats().unwrap().mem_bytes, 48);
+        plane.close_session(&gone);
+        assert!(gone.stats().is_none());
+        // One charge releases into the closed account while the plane
+        // lives, the other after the plane and every session are gone.
+        drop(orphan);
+        drop(kept);
+        assert_eq!(open.stats().unwrap().mem_bytes, 0);
+        drop((open, gone, plane));
+        drop(late);
     }
 }

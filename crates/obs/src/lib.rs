@@ -141,21 +141,6 @@ pub mod names {
     pub const PATH_HOST_RELAY: &str = "host_relay";
     /// `path` label value: bytes shipped directly between NMPs.
     pub const PATH_PEER: &str = "peer";
-    /// Counter: launches completed through the serving plane, per
-    /// tenant.
-    pub const TENANT_LAUNCHES: &str = "haocl_tenant_launches_total";
-    /// Counter: virtual compute nanoseconds consumed, per tenant (the
-    /// quantity fair-share ratios are measured over).
-    pub const TENANT_COMPUTE_NANOS: &str = "haocl_tenant_compute_nanos_total";
-    /// Counter: submissions shed by admission control, per tenant and
-    /// `reason` (`queue_full` / `memory_quota` / `compute_budget`).
-    pub const TENANT_SHED: &str = "haocl_tenant_shed_total";
-    /// Gauge: device-memory bytes currently charged, per tenant.
-    pub const TENANT_MEM_BYTES: &str = "haocl_tenant_mem_bytes";
-    /// Gauge: pending launches queued in the serving plane, per tenant.
-    pub const TENANT_QUEUE_DEPTH: &str = "haocl_tenant_queue_depth";
-    /// Counter: compute-budget throttle transitions, per tenant.
-    pub const TENANT_THROTTLES: &str = "haocl_tenant_throttles_total";
     /// Counter: fused dispatches issued (each covers ≥ 2 kernels).
     pub const FUSED_LAUNCHES: &str = "haocl_fused_launches_total";
     /// Counter: wire launch commands saved by fusion (kernels folded

@@ -125,6 +125,11 @@ impl Gauge {
         // A statistic: publishes no other data.
         self.0.store(value, Ordering::Relaxed);
     }
+
+    /// The series' current value.
+    pub fn get(&self) -> i64 {
+        self.0.load(Ordering::Relaxed)
+    }
 }
 
 /// A deterministic, thread-safe metrics registry.

@@ -28,9 +28,9 @@
 //!   power-aware and locality-aware.
 //! * [`tenancy`] — the multi-tenant arbitration tier *above* placement:
 //!   [`TenantScheduler`] (weighted fair queueing over bounded per-tenant
-//!   queues), [`QuotaLedger`] (device-memory quotas) and the typed
-//!   [`AdmitError`] shed reasons — placement decides *where*, tenancy
-//!   decides *whose* and *whether at all*.
+//!   queues, device-memory quotas) and the typed [`AdmitError`] shed
+//!   reasons — placement decides *where*, tenancy decides *whose* and
+//!   *whether at all*.
 //!
 //! # Examples
 //!
@@ -69,6 +69,5 @@ pub use policy::{SchedError, Scheduler, SchedulingPolicy};
 pub use profile::ProfileDb;
 pub use task::TaskSpec;
 pub use tenancy::{
-    normalized_cost_nanos, AdmitError, QuotaLedger, TenantQuota, TenantScheduler, TenantSpec,
-    TenantStats,
+    normalized_cost_nanos, AdmitError, TenantQuota, TenantScheduler, TenantSpec, TenantStats,
 };

@@ -14,9 +14,10 @@
 //!   tenant with the smallest virtual time, so long-run compute shares
 //!   converge to the weight ratio and no tenant starves.
 //! * [`TenantQuota`] — device-memory bytes and a normalized compute-time
-//!   budget. Memory is enforced at allocation through the [`QuotaLedger`];
-//!   compute is enforced at admission using [`CostModel`] estimates
-//!   ([`normalized_cost_nanos`]) and settled with observed durations.
+//!   budget. Memory is enforced at allocation
+//!   ([`TenantScheduler::charge_mem`]); compute is enforced at admission
+//!   using [`CostModel`] estimates ([`normalized_cost_nanos`]) and
+//!   settled with observed durations.
 //! * [`AdmitError`] — the typed `Overloaded` taxonomy: a full queue, a
 //!   memory quota, or an exhausted compute budget. Load is *shed* with an
 //!   error, never absorbed into an unbounded queue.
@@ -27,6 +28,8 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -241,78 +244,6 @@ pub struct TenantStats {
     pub mem_bytes: u64,
 }
 
-/// Thread-safe per-tenant device-memory accounting, shared between the
-/// arbiter (admission) and buffer lifetimes (release on drop).
-///
-/// Kept separate from [`TenantScheduler`] so a buffer's release guard
-/// does not need the arbiter's queue-payload type.
-#[derive(Debug, Default)]
-pub struct QuotaLedger {
-    accounts: Mutex<BTreeMap<u32, MemAccount>>,
-}
-
-#[derive(Debug, Default, Clone)]
-struct MemAccount {
-    name: String,
-    used: u64,
-    limit: Option<u64>,
-}
-
-impl QuotaLedger {
-    /// Creates an empty ledger.
-    pub fn new() -> Self {
-        QuotaLedger::default()
-    }
-
-    /// Registers (or re-limits) a tenant's memory account.
-    pub fn open(&self, tenant: TenantId, name: impl Into<String>, limit: Option<u64>) {
-        let mut accounts = self.accounts.lock();
-        let account = accounts.entry(tenant.raw()).or_default();
-        account.name = name.into();
-        account.limit = limit;
-    }
-
-    /// Atomically checks and charges `bytes` against the tenant's quota.
-    ///
-    /// # Errors
-    ///
-    /// [`AdmitError::MemoryQuota`] when the charge would exceed the
-    /// limit; [`AdmitError::UnknownTenant`] for unregistered ids.
-    pub fn try_charge(&self, tenant: TenantId, bytes: u64) -> Result<(), AdmitError> {
-        let mut accounts = self.accounts.lock();
-        let account = accounts
-            .get_mut(&tenant.raw())
-            .ok_or(AdmitError::UnknownTenant { tenant })?;
-        if let Some(limit) = account.limit {
-            if account.used.saturating_add(bytes) > limit {
-                return Err(AdmitError::MemoryQuota {
-                    tenant: account.name.clone(),
-                    used: account.used,
-                    requested: bytes,
-                    limit,
-                });
-            }
-        }
-        account.used += bytes;
-        Ok(())
-    }
-
-    /// Releases a previous charge (buffer dropped / freed).
-    pub fn release(&self, tenant: TenantId, bytes: u64) {
-        if let Some(account) = self.accounts.lock().get_mut(&tenant.raw()) {
-            account.used = account.used.saturating_sub(bytes);
-        }
-    }
-
-    /// Bytes currently charged to `tenant`.
-    pub fn used(&self, tenant: TenantId) -> u64 {
-        self.accounts
-            .lock()
-            .get(&tenant.raw())
-            .map_or(0, |a| a.used)
-    }
-}
-
 struct TenantState<T> {
     spec: TenantSpec,
     queue: VecDeque<T>,
@@ -325,6 +256,22 @@ struct TenantState<T> {
     shed: u64,
     compute_nanos: u64,
     throttled: bool,
+    /// Device-memory bytes charged: shared with the charges buffers
+    /// hold, so a release subtracts without taking the arbiter's lock.
+    mem: Arc<AtomicU64>,
+}
+
+impl<T> TenantState<T> {
+    fn stats(&self) -> TenantStats {
+        TenantStats {
+            submitted: self.submitted,
+            completed: self.completed,
+            shed: self.shed,
+            compute_nanos: self.compute_nanos,
+            pending: self.queue.len(),
+            mem_bytes: self.mem.load(Ordering::Relaxed),
+        }
+    }
 }
 
 struct ArbiterInner<T> {
@@ -402,6 +349,7 @@ impl<T> TenantScheduler<T> {
                 shed: 0,
                 compute_nanos: 0,
                 throttled: false,
+                mem: Arc::default(),
             });
     }
 
@@ -481,8 +429,7 @@ impl<T> TenantScheduler<T> {
     /// Settles a dispatched launch: charges `consumed` virtual compute
     /// time to the tenant's fairness account and budget. Returns `true`
     /// when this settlement newly exhausted the compute budget (the
-    /// throttle transition, reported once — callers emit the audit
-    /// entry / metric on it, as they do for a node's quarantine).
+    /// throttle transition, reported once).
     pub fn complete(&self, tenant: TenantId, consumed: SimDuration) -> bool {
         let mut inner = self.inner.lock();
         let Some(state) = inner.tenants.get_mut(&tenant.raw()) else {
@@ -519,21 +466,45 @@ impl<T> TenantScheduler<T> {
         }
     }
 
-    /// The tenant's accounting snapshot (memory comes from the caller's
-    /// [`QuotaLedger`], reported as 0 here).
+    /// Checks `bytes` against the tenant's device-memory quota and
+    /// charges them, returning the account a release subtracts from.
+    ///
+    /// # Errors
+    ///
+    /// [`AdmitError::MemoryQuota`] when the charge would exceed the
+    /// limit; [`AdmitError::UnknownTenant`] for unregistered (or closed)
+    /// ids.
+    pub fn charge_mem(&self, tenant: TenantId, bytes: u64) -> Result<Arc<AtomicU64>, AdmitError> {
+        let inner = self.inner.lock();
+        let state = inner
+            .tenants
+            .get(&tenant.raw())
+            .ok_or(AdmitError::UnknownTenant { tenant })?;
+        // Charges are serialized by the lock; a release may only lower
+        // `used` meanwhile, so the check never admits over the limit. The
+        // count publishes no other data: `Relaxed`.
+        let used = state.mem.load(Ordering::Relaxed);
+        if let Some(limit) = state.spec.quota.mem_bytes {
+            if used.saturating_add(bytes) > limit {
+                return Err(AdmitError::MemoryQuota {
+                    tenant: state.spec.name.clone(),
+                    used,
+                    requested: bytes,
+                    limit,
+                });
+            }
+        }
+        state.mem.fetch_add(bytes, Ordering::Relaxed);
+        Ok(Arc::clone(&state.mem))
+    }
+
+    /// The tenant's accounting snapshot.
     pub fn stats(&self, tenant: TenantId) -> Option<TenantStats> {
         self.inner
             .lock()
             .tenants
             .get(&tenant.raw())
-            .map(|t| TenantStats {
-                submitted: t.submitted,
-                completed: t.completed,
-                shed: t.shed,
-                compute_nanos: t.compute_nanos,
-                pending: t.queue.len(),
-                mem_bytes: 0,
-            })
+            .map(TenantState::stats)
     }
 
     /// Every tenant's `(id, name, stats)`, ascending by id.
@@ -542,20 +513,7 @@ impl<T> TenantScheduler<T> {
             .lock()
             .tenants
             .iter()
-            .map(|(id, t)| {
-                (
-                    TenantId::new(*id),
-                    t.spec.name.clone(),
-                    TenantStats {
-                        submitted: t.submitted,
-                        completed: t.completed,
-                        shed: t.shed,
-                        compute_nanos: t.compute_nanos,
-                        pending: t.queue.len(),
-                        mem_bytes: 0,
-                    },
-                )
-            })
+            .map(|(id, t)| (TenantId::new(*id), t.spec.name.clone(), t.stats()))
             .collect()
     }
 
@@ -738,12 +696,15 @@ mod tests {
 
     #[test]
     fn ledger_charges_release_and_enforce() {
-        let ledger = QuotaLedger::new();
+        let s = arb();
         let t = TenantId::new(1);
-        ledger.open(t, "t", Some(100));
-        ledger.try_charge(t, 60).unwrap();
-        ledger.try_charge(t, 40).unwrap();
-        let err = ledger.try_charge(t, 1).unwrap_err();
+        s.register(
+            t,
+            TenantSpec::new("t").quota(TenantQuota::default().mem_bytes(100)),
+        );
+        let account = s.charge_mem(t, 60).unwrap();
+        s.charge_mem(t, 40).unwrap();
+        let err = s.charge_mem(t, 1).unwrap_err();
         assert_eq!(
             err,
             AdmitError::MemoryQuota {
@@ -753,12 +714,13 @@ mod tests {
                 limit: 100
             }
         );
-        ledger.release(t, 40);
-        assert_eq!(ledger.used(t), 60);
-        ledger.try_charge(t, 40).unwrap();
+        // A release subtracts from the account the charge returned.
+        account.fetch_sub(40, Ordering::Relaxed);
+        assert_eq!(s.stats(t).unwrap().mem_bytes, 60);
+        s.charge_mem(t, 40).unwrap();
         // Unknown tenants are typed, not panics.
         assert!(matches!(
-            ledger.try_charge(TenantId::new(9), 1),
+            s.charge_mem(TenantId::new(9), 1),
             Err(AdmitError::UnknownTenant { .. })
         ));
     }
