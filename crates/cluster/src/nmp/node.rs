@@ -234,7 +234,7 @@ impl Node {
             (Ok((ApiReply::Ack, at)), None) => (ApiReply::Ack, at),
             (Ok((ApiReply::Data { bytes }, at)), Some(to)) if !to.modeled => {
                 self.on_device(to.device, at, |dev| {
-                    let grant = dev.write_buffer(to.buffer, to.offset, &bytes, at)?;
+                    let grant = dev.write_buffer(to.buffer, to.offset, bytes, at)?;
                     Ok((ApiReply::Ack, grant.end))
                 })
             }
@@ -402,7 +402,7 @@ impl Node {
                 offset,
                 data,
             } => self.on_device(device, at, |dev| {
-                let grant = dev.write_buffer(buffer, offset, &data, at)?;
+                let grant = dev.write_buffer(buffer, offset, data, at)?;
                 Ok((ApiReply::Ack, grant.end))
             }),
             ApiCall::ReadBuffer {

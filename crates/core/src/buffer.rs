@@ -25,6 +25,7 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 
 use haocl_cluster::MembershipState;
+use haocl_device::memory::spare;
 use haocl_obs::{names, Span};
 use haocl_proto::ids::{BufferId, NodeId};
 use haocl_proto::messages::{ApiCall, ApiReply};
@@ -78,8 +79,10 @@ impl HostData<'_> {
 
 #[derive(Debug)]
 struct BufState {
-    /// Host copy of the buffer contents (empty for modeled buffers).
-    shadow: Vec<u8>,
+    /// Host copy of the buffer contents, perhaps shared with a device
+    /// ([`BufferInner::push_shadow_locked`]); empty for modeled buffers
+    /// and once let go of at a launch submit.
+    shadow: Bytes,
     /// Versioned replica map: who holds which version where.
     residency: ResidencyTracker,
     /// Per-logical-node *wire ids*: the id each node knows this buffer
@@ -94,7 +97,7 @@ pub(crate) struct BufferInner {
     platform: Arc<PlatformInner>,
     pub(crate) id: BufferId,
     size: u64,
-    flags: MemFlags,
+    pub(crate) flags: MemFlags,
     /// Modeled buffers carry no bytes anywhere: transfers and launches
     /// charge virtual time only (paper-scale benchmarking).
     modeled: bool,
@@ -192,9 +195,9 @@ impl Buffer {
             modeled,
             state: Mutex::new(BufState {
                 shadow: if modeled {
-                    Vec::new()
+                    Bytes::new()
                 } else {
-                    vec![0; size as usize]
+                    zeroed_shadow(size)
                 },
                 residency: ResidencyTracker::new(),
                 wire: BTreeMap::new(),
@@ -249,6 +252,9 @@ impl Drop for BufferInner {
     /// disappearing silently. Residency state is cleared either way.
     fn drop(&mut self) {
         let st = self.state.get_mut();
+        // Let go of the shadow first, so that a device sharing its
+        // storage frees it unshared, into the spare list.
+        park(std::mem::take(&mut st.shadow));
         for dev in st.residency.allocated_devices() {
             self.platform
                 .release_on(dev, names::BUFFER_RELEASE_FAILED, None, |info| {
@@ -321,9 +327,13 @@ impl BufferInner {
     }
 
     /// Drops residency entries invalidated by node failovers or
-    /// departures.
+    /// departures. A host promoted to the best remaining copy after it
+    /// let go of its shadow has lost the bytes: it reads zeros.
     fn revalidate(&self, st: &mut BufState) {
         st.residency.revalidate(|dev| self.live_epoch(dev));
+        if !self.modeled && st.residency.host_current() && st.shadow.is_empty() {
+            st.shadow = zeroed_shadow(self.size);
+        }
     }
 
     fn check_mode(&self, op_modeled: bool, which: &str) -> Result<(), Error> {
@@ -359,15 +369,28 @@ impl BufferInner {
 
     /// Makes `device` hold the newest contents (allocating and
     /// transferring as needed). Used before reads by kernels.
-    pub(crate) fn make_current_on(&self, device: &Device) -> Result<(), Error> {
+    ///
+    /// Before a command that may write the buffer there (`writes`), the
+    /// host lets go of its shadow and reads it as stale, as it would once
+    /// the command resolves: a device sharing the storage then owns it.
+    pub(crate) fn make_current_on(&self, device: &Device, writes: bool) -> Result<(), Error> {
         self.settle_pending();
         let mut st = self.state.lock();
-        self.revalidate(&mut st);
+        self.stage_locked(&mut st, device)?;
+        if writes && !st.shadow.is_empty() {
+            park(std::mem::take(&mut st.shadow));
+            st.residency.drop_host();
+        }
+        Ok(())
+    }
+
+    fn stage_locked(&self, st: &mut BufState, device: &Device) -> Result<(), Error> {
+        self.revalidate(st);
         let epoch = self.live_epoch(device.index);
         if st.residency.is_current(device.index, epoch) {
             return Ok(());
         }
-        self.allocate_locked(&mut st, device)?;
+        self.allocate_locked(st, device)?;
         // Another device owns the newest copy and the shadow is stale:
         // ship the bytes node-to-node in one hop, leaving the shadow
         // untouched (it refreshes lazily if a host read ever needs it).
@@ -375,7 +398,7 @@ impl BufferInner {
             if let Some(owner) = st.residency.owner_device() {
                 if owner != device.index
                     && self.platform.peer_transfers_enabled()
-                    && self.peer_push_locked(&mut st, owner, device, epoch).is_ok()
+                    && self.peer_push_locked(st, owner, device, epoch).is_ok()
                 {
                     return Ok(());
                 }
@@ -384,8 +407,8 @@ impl BufferInner {
         // Host relay: refresh the shadow from the owner (if stale), then
         // push the whole contents — the fallback when no peer owns the
         // data or a peer transfer failed mid-chaos.
-        self.refresh_shadow_locked(&mut st)?;
-        self.push_shadow_locked(&mut st, device)?;
+        self.refresh_shadow_locked(st)?;
+        self.push_shadow_locked(st, device)?;
         // A full host push is journaled verbatim: the replica's lineage
         // is replayable again whatever fed it before.
         st.residency
@@ -535,7 +558,7 @@ impl BufferInner {
         data: HostData<'_>,
     ) -> Result<(), Error> {
         self.check_mode(data.is_modeled(), "write")?;
-        let end = self.check_bounds(offset, data.len(), "write")?;
+        self.check_bounds(offset, data.len(), "write")?;
         self.settle_pending();
         let mut st = self.state.lock();
         self.revalidate(&mut st);
@@ -547,7 +570,7 @@ impl BufferInner {
             if data.len() < self.size {
                 self.refresh_shadow_locked(&mut st)?;
             }
-            st.shadow[offset as usize..end as usize].copy_from_slice(bytes);
+            write_shadow(&mut st.shadow, self.size, offset, bytes);
         }
         self.allocate_locked(&mut st, device)?;
         // If the device already had the newest pre-write contents, a
@@ -782,12 +805,11 @@ impl BufferInner {
     }
 
     /// Pushes the whole (current) shadow to `device` over the host
-    /// relay. The shadow vector itself travels as the payload — the
-    /// frame encoder reads straight out of it — and is taken back once
-    /// the call returns; that only costs a copy when the recovery
-    /// journal kept the payload, and then the copy is the journal's
-    /// snapshot. The state lock is held throughout, so nobody sees the
-    /// shadow gone.
+    /// relay. The shadow's storage itself travels as the payload — the
+    /// frame encoder reads straight out of it — and the device keeps it
+    /// as its backing instead of copying it. The host goes on sharing
+    /// it, never writing it ([`write_shadow`]), until a launch that may
+    /// write the buffer ([`BufferInner::make_current_on`]).
     fn push_shadow_locked(&self, st: &mut BufState, device: &Device) -> Result<(), Error> {
         let wire = self.wire_id_locked(st, device.node());
         let send = |call| {
@@ -802,15 +824,12 @@ impl BufferInner {
                 len: self.size,
             })
         } else {
-            let shadow = Bytes::from(std::mem::take(&mut st.shadow));
-            let outcome = send(ApiCall::WriteBuffer {
+            send(ApiCall::WriteBuffer {
                 device: device.device_index(),
                 buffer: wire,
                 offset: 0,
-                data: shadow.clone(),
-            });
-            st.shadow = Vec::from(shadow);
-            outcome
+                data: st.shadow.clone(),
+            })
         };
         outcome?;
         self.platform
@@ -845,7 +864,7 @@ impl BufferInner {
             .call_traced(info.node, call, Phase::DataTransfer)?;
         match outcome.reply {
             ApiReply::Data { bytes } => {
-                st.shadow.copy_from_slice(&bytes);
+                write_shadow(&mut st.shadow, self.size, 0, &bytes);
             }
             ApiReply::DataModeled { .. } => {}
             other => {
@@ -858,6 +877,41 @@ impl BufferInner {
             .count_dataplane(names::PATH_HOST_RELAY, self.size);
         st.residency.record_sync(Location::Host, 0, true);
         Ok(())
+    }
+}
+
+/// A zero-filled shadow of `size` bytes, its storage from the device
+/// spare list.
+fn zeroed_shadow(size: u64) -> Bytes {
+    Bytes::from(spare::take_zeroed(size as usize))
+}
+
+/// Writes `data` into the shadow at `offset`: in the shadow's own
+/// storage when nobody shares it, else in a spare that takes the rest of
+/// the contents along unless `data` covers them all.
+fn write_shadow(shadow: &mut Bytes, size: u64, offset: u64, data: &[u8]) {
+    let whole = data.len() as u64 == size;
+    let mut own = std::mem::take(shadow)
+        .try_into_vec()
+        .unwrap_or_else(|shared| {
+            let mut fresh = spare::take_vec(size as usize);
+            fresh.extend_from_slice(if whole { &[] } else { &shared });
+            fresh
+        });
+    if whole {
+        own.clear();
+        own.extend_from_slice(data);
+    } else {
+        own[offset as usize..offset as usize + data.len()].copy_from_slice(data);
+    }
+    *shadow = Bytes::from(own);
+}
+
+/// Hands the shadow's storage to the spare list if the host holds it
+/// alone; a device sharing it keeps it.
+fn park(shadow: Bytes) {
+    if let Ok(own) = shadow.try_into_vec() {
+        spare::park_vec(own);
     }
 }
 
@@ -910,15 +964,15 @@ mod tests {
         let buf = Buffer::new(&ctx, MemFlags::READ_WRITE, 4).unwrap();
         let d0 = &ctx.devices()[0];
         let d1 = &ctx.devices()[1];
-        buf.inner.make_current_on(d0).unwrap();
-        buf.inner.make_current_on(d1).unwrap();
+        buf.inner.make_current_on(d0, false).unwrap();
+        buf.inner.make_current_on(d1, false).unwrap();
         assert!(buf.inner.is_current_on(d0));
         assert!(buf.inner.is_current_on(d1));
         buf.inner.note_kernel_write(d0);
         assert!(buf.inner.is_current_on(d0));
         assert!(!buf.inner.is_current_on(d1));
         // Re-making d1 current migrates the newest replica over.
-        buf.inner.make_current_on(d1).unwrap();
+        buf.inner.make_current_on(d1, false).unwrap();
         assert!(buf.inner.is_current_on(d1));
     }
 
@@ -930,7 +984,7 @@ mod tests {
         let d1 = &ctx.devices()[1];
         buf.inner.host_write(d0, 0, &[1, 2, 3, 4]).unwrap();
         buf.inner.note_kernel_write(d0); // shadow goes stale
-        buf.inner.make_current_on(d1).unwrap();
+        buf.inner.make_current_on(d1, false).unwrap();
         let m = &p.obs().metrics;
         assert_eq!(
             m.counter_value(names::DATAPLANE_BYTES, &[("path", names::PATH_PEER)]),
@@ -957,7 +1011,7 @@ mod tests {
         let d1 = &ctx.devices()[1];
         buf.inner.host_write(d0, 0, &[5, 6, 7, 8]).unwrap();
         buf.inner.note_kernel_write(d0);
-        buf.inner.make_current_on(d1).unwrap();
+        buf.inner.make_current_on(d1, false).unwrap();
         let m = &p.obs().metrics;
         assert_eq!(
             m.counter_value(names::DATAPLANE_BYTES, &[("path", names::PATH_PEER)]),
@@ -1018,6 +1072,56 @@ mod tests {
     }
 
     #[test]
+    fn a_whole_write_is_read_back_from_the_shadow() {
+        let (p, ctx) = setup();
+        let buf = Buffer::new(&ctx, MemFlags::READ_WRITE, 8).unwrap();
+        let d0 = &ctx.devices()[0];
+        buf.inner.host_write(d0, 0, &[3; 8]).unwrap();
+        // Device 0 keeps the shadow's storage; the host still reads its
+        // own copy, before and after a launch that only reads the buffer.
+        let before = relayed(&p);
+        let mut out = vec![0u8; 8];
+        buf.inner.host_read(0, &mut out).unwrap();
+        buf.inner.make_current_on(d0, false).unwrap();
+        buf.inner.host_read(0, &mut out).unwrap();
+        assert_eq!((out, relayed(&p) - before), (vec![3; 8], 0));
+    }
+
+    #[test]
+    fn a_kernel_on_device_0_writes_its_copy_and_the_host_reads_that() {
+        use crate::{CommandQueue, Kernel, NdRange, Program};
+        let words =
+            |first: u32| -> Vec<u8> { (first..first + 4).flat_map(u32::to_le_bytes).collect() };
+        let (p, ctx) = setup();
+        let d0 = &ctx.devices()[0];
+        let queue = CommandQueue::new(&ctx, d0).unwrap();
+        let program = Program::from_source(
+            &ctx,
+            "__kernel void inc(__global uint* a) { int i = get_global_id(0); a[i] = a[i] + 1; }
+             __kernel void bad(__global uint* a) { int i = get_global_id(0); a[i] = a[i + 64]; }",
+        );
+        program.build().unwrap();
+        let buf = Buffer::new(&ctx, MemFlags::READ_WRITE, 16).unwrap();
+        let mut out = vec![0u8; 16];
+        for (name, read) in [("bad", words(10)), ("inc", words(11))] {
+            let kernel = Kernel::new(&program, name).unwrap();
+            kernel.set_arg_buffer(0, &buf).unwrap();
+            queue.enqueue_write_buffer(&buf, 0, &words(10)).unwrap();
+            let event = queue
+                .enqueue_nd_range_kernel(&kernel, NdRange::linear(4, 4))
+                .unwrap();
+            // Submitting the launch let go of the shared shadow: device 0
+            // writes the storage alone, and the host has no copy left.
+            assert!(buf.inner.state.lock().shadow.is_empty());
+            assert_eq!(event.wait().is_ok(), name == "inc");
+            // Failed or not, the host reads what device 0 holds.
+            let before = relayed(&p);
+            queue.enqueue_read_buffer(&buf, 0, &mut out).unwrap();
+            assert_eq!((&out, relayed(&p) - before), (&read, 16), "{name}");
+        }
+    }
+
+    #[test]
     fn partial_write_still_pulls_what_it_leaves_untouched() {
         let (p, ctx) = setup();
         let buf = Buffer::new(&ctx, MemFlags::READ_WRITE, 8).unwrap();
@@ -1073,7 +1177,7 @@ mod tests {
         let (_p, ctx) = setup();
         let buf = Buffer::new(&ctx, MemFlags::READ_ONLY, 4).unwrap();
         let d0 = &ctx.devices()[0];
-        buf.inner.make_current_on(d0).unwrap();
+        buf.inner.make_current_on(d0, false).unwrap();
         buf.inner.note_kernel_write(d0); // ignored for READ_ONLY
         assert!(buf.inner.is_current_on(d0));
     }
@@ -1086,12 +1190,12 @@ mod tests {
         let dev = ctx.devices()[0].clone();
         {
             let big = Buffer::new_modeled(&ctx, MemFlags::READ_WRITE, 5 << 30).unwrap();
-            big.inner.make_current_on(&dev).unwrap();
+            big.inner.make_current_on(&dev, false).unwrap();
         } // drop releases the device allocation
         let again = Buffer::new_modeled(&ctx, MemFlags::READ_WRITE, 5 << 30).unwrap();
         again
             .inner
-            .make_current_on(&dev)
+            .make_current_on(&dev, false)
             .expect("memory must have been reclaimed");
     }
 
@@ -1102,7 +1206,7 @@ mod tests {
         let d0 = &ctx.devices()[0];
         let d1 = &ctx.devices()[1];
         assert_eq!(buf.inner.resident_bytes_on(d0.index), 0);
-        buf.inner.make_current_on(d0).unwrap();
+        buf.inner.make_current_on(d0, false).unwrap();
         assert_eq!(buf.inner.resident_bytes_on(d0.index), 16);
         buf.inner.note_kernel_write(d1);
         assert_eq!(buf.inner.resident_bytes_on(d0.index), 0);

@@ -223,8 +223,8 @@ impl CommandQueue {
             ));
         }
         let queued = self.now();
-        src.inner.make_current_on(&self.device)?;
-        dst.inner.make_current_on(&self.device)?;
+        src.inner.make_current_on(&self.device, false)?;
+        dst.inner.make_current_on(&self.device, true)?;
         let outcome = self.device.platform.call_traced(
             self.device.node(),
             ApiCall::CopyBuffer {
@@ -320,7 +320,7 @@ impl CommandQueue {
         // launches against these buffers, so same-buffer launches
         // serialize while independent launches pipeline.
         for buffer in buffer_args() {
-            buffer.make_current_on(&self.device)?;
+            buffer.make_current_on(&self.device, buffer.flags.kernel_writable())?;
         }
         let mut wire_parts = Vec::with_capacity(parts.len());
         for part in parts {

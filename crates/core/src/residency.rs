@@ -101,6 +101,12 @@ impl ResidencyTracker {
         }
     }
 
+    /// Forgets the host's copy (the host let go of its shadow): it is
+    /// stale until the next host write or sync.
+    pub(crate) fn drop_host(&mut self) {
+        self.host_version = self.version.wrapping_sub(1);
+    }
+
     /// Whether `dev`'s replica (if any) has a host-journaled lineage.
     /// A device with no replica is trivially replayable: whatever a
     /// kernel writes there derives only from journaled calls.
@@ -230,6 +236,19 @@ mod tests {
         assert_eq!(t.newest(), 1);
         assert!(t.host_current());
         assert!(t.is_current(2, 0));
+    }
+
+    #[test]
+    fn a_dropped_host_copy_is_stale_until_synced() {
+        let mut t = ResidencyTracker::new();
+        t.record_sync(Location::Device(0), 0, true);
+        t.drop_host();
+        assert!(!t.host_current());
+        assert_eq!((t.newest(), t.owner_device()), (0, Some(0)));
+        t.record_write(Location::Device(0), 0, true);
+        assert!(!t.host_current(), "a later version is no sync");
+        t.record_sync(Location::Host, 0, true);
+        assert!(t.host_current());
     }
 
     #[test]

@@ -176,8 +176,10 @@ impl SimDevice {
         Ok(self.memory.free(id)?)
     }
 
-    /// Writes host data into a device buffer, charging the PCIe transfer
-    /// on the device timeline.
+    /// Writes a payload into a device buffer, charging the PCIe transfer
+    /// on the device timeline. A whole-buffer payload that is a vector's
+    /// storage becomes the buffer's backing without a copy (see
+    /// [`MemoryManager::write_payload`]).
     ///
     /// # Errors
     ///
@@ -186,11 +188,12 @@ impl SimDevice {
         &mut self,
         id: BufferId,
         offset: u64,
-        data: &[u8],
+        data: Bytes,
         at: SimTime,
     ) -> Result<Grant, DeviceError> {
-        self.memory.write(id, offset, data)?;
-        let dur = self.model.transfer_time(data.len() as u64);
+        let len = data.len() as u64;
+        self.memory.write_payload(id, offset, data)?;
+        let dur = self.model.transfer_time(len);
         Ok(self.timeline.acquire(at, dur))
     }
 
@@ -436,7 +439,8 @@ mod tests {
             .iter()
             .flat_map(|v| v.to_le_bytes())
             .collect();
-        dev.write_buffer(buf, 0, &data, SimTime::ZERO).unwrap();
+        dev.write_buffer(buf, 0, Bytes::from(data), SimTime::ZERO)
+            .unwrap();
         let k = compiled(
             "__kernel void dbl(__global float* a) { int i = get_global_id(0); a[i] = a[i] * 2.0f; }",
             "dbl",
@@ -719,7 +723,7 @@ mod tests {
         dev.alloc_buffer(BufferId::new(1), 1 << 20).unwrap();
         let data = vec![0u8; 1 << 20];
         let g = dev
-            .write_buffer(BufferId::new(1), 0, &data, SimTime::ZERO)
+            .write_buffer(BufferId::new(1), 0, Bytes::from(data), SimTime::ZERO)
             .unwrap();
         let expect = presets::tesla_p4().transfer_time(1 << 20);
         assert_eq!(g.service(), expect);

@@ -5,6 +5,12 @@
 //! backing that still has a view outstanding copies it first, so a view
 //! never sees a later write. A reply's view lives as long as the frame
 //! carrying it; once the reader lets go, nothing is copied.
+//!
+//! A whole-buffer write whose payload is a vector's storage — the host's
+//! shadow — is kept as the backing rather than copied in
+//! ([`MemoryManager::write_payload`]); the host may go on sharing it,
+//! and the first mutation takes it over, copying only if someone still
+//! does. A buffer gets storage of its own at its first touch.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -78,9 +84,16 @@ impl std::error::Error for MemoryError {}
 /// How a buffer is stored on the device.
 #[derive(Debug)]
 enum Backing {
+    /// Allocated, never touched: reads as zeros, and gets its storage at
+    /// the first touch.
+    Untouched(u64),
     /// Real bytes (full-fidelity execution), shared with the read views
     /// still outstanding.
     Real(Arc<GlobalBuffer>),
+    /// A whole-buffer write's payload, kept as it arrived and perhaps
+    /// still shared with its sender; it turns `Real` at the first
+    /// mutation.
+    Adopted(Bytes),
     /// Capacity accounting only, no bytes (modeled runs at paper scale).
     Virtual(u64),
 }
@@ -89,7 +102,8 @@ impl Backing {
     fn len(&self) -> u64 {
         match self {
             Backing::Real(b) => b.len() as u64,
-            Backing::Virtual(size) => *size,
+            Backing::Adopted(payload) => payload.len() as u64,
+            Backing::Untouched(size) | Backing::Virtual(size) => *size,
         }
     }
 }
@@ -117,7 +131,7 @@ fn range_of(id: BufferId, size: usize, offset: u64, len: u64) -> Result<Range<us
     Ok(offset as usize..(offset + len) as usize)
 }
 
-/// Released backings, kept for the next allocation of a similar size.
+/// Released storage, kept for the next allocation of a similar size.
 ///
 /// Every application run allocates its device buffers and frees them
 /// again, MiB-sized blocks each, on whichever thread serves the node.
@@ -127,61 +141,70 @@ fn range_of(id: BufferId, size: usize, offset: u64, len: u64) -> Result<Range<us
 /// what is freed there, and gives each new cluster's serve threads
 /// other arenas to fill — a process that brought up a dozen clusters one
 /// after another held 15 MiB more than after its first. A bounded
-/// process-wide list breaks that: a released backing is zeroed and
-/// reused by the next allocation, on any device of any cluster. (It
-/// treats the symptom; ROADMAP item 4 tracks fixing teardown residency
-/// at the source and deleting this.)
-mod spare {
-    use super::{Arc, Backing, GlobalBuffer, Mutex};
+/// process-wide list breaks that: a released backing is reused by the
+/// next allocation, on any device of any cluster. (It treats the
+/// symptom; ROADMAP item 4 tracks fixing teardown residency at the
+/// source and deleting this.)
+///
+/// The list also recycles the storage an adopted payload displaces
+/// ([`MemoryManager::write_payload`]): the host draws its shadows from
+/// it ([`spare::take_vec`]), so a steady stream of whole-buffer writes passes
+/// the same blocks round between host and device instead of allocating.
+pub mod spare {
+    use super::{Arc, Backing, Mutex};
 
     /// Blocks below this are cheap to allocate and not worth a lock.
     const MIN_BYTES: usize = 64 << 10;
     /// Most idle bytes the list holds; beyond it a backing is freed.
-    const MAX_BYTES: usize = 16 << 20;
+    /// Host shadows and device backings trade blocks, so one freed here
+    /// has often drifted from the glibc arena that allocated it, and the
+    /// next cluster's threads do not reuse it: the list holds a whole
+    /// set-up's blocks (33 MiB in the `bulk_transfer` benchmark) so that
+    /// the resident set stays flat.
+    const MAX_BYTES: usize = 48 << 20;
 
     /// `(idle bytes, backings)`
     static SPARE: Mutex<(usize, Vec<Vec<u8>>)> = Mutex::new((0, Vec::new()));
 
-    /// A zeroed backing of `len` bytes: the tightest spare that fits
-    /// without wasting more than it holds, else a fresh one.
-    pub(super) fn take(len: usize) -> GlobalBuffer {
+    /// The tightest spare with room for `len` bytes that wastes no more
+    /// than it holds, emptied.
+    fn reuse(len: usize) -> Option<Vec<u8>> {
         if len < MIN_BYTES {
-            return GlobalBuffer::zeroed(len);
+            return None;
         }
-        let reused = {
-            let mut spare = SPARE.lock().unwrap_or_else(|e| e.into_inner());
-            let fit = spare
-                .1
-                .iter()
-                .enumerate()
-                .filter(|(_, v)| (len..=2 * len).contains(&v.capacity()))
-                .min_by_key(|(_, v)| v.capacity())
-                .map(|(i, _)| i);
-            fit.map(|i| {
-                let v = spare.1.swap_remove(i);
-                spare.0 -= v.capacity();
-                v
-            })
-        };
-        match reused {
+        let mut spare = SPARE.lock().unwrap_or_else(|e| e.into_inner());
+        let fit = spare
+            .1
+            .iter()
+            .enumerate()
+            .filter(|(_, v)| (len..=2 * len).contains(&v.capacity()))
+            .min_by_key(|(_, v)| v.capacity())
+            .map(|(i, _)| i)?;
+        let mut v = spare.1.swap_remove(fit);
+        spare.0 -= v.capacity();
+        v.clear();
+        Some(v)
+    }
+
+    /// An empty vector with room for `len` bytes, a spare if one fits.
+    pub fn take_vec(len: usize) -> Vec<u8> {
+        reuse(len).unwrap_or_else(|| Vec::with_capacity(len))
+    }
+
+    /// `len` zero bytes: a spare re-zeroed, else fresh zeroed memory
+    /// (which the allocator may hand out untouched).
+    pub fn take_zeroed(len: usize) -> Vec<u8> {
+        match reuse(len) {
             Some(mut v) => {
-                v.clear();
                 v.resize(len, 0);
-                GlobalBuffer::from_bytes(v)
+                v
             }
-            None => GlobalBuffer::zeroed(len),
+            None => vec![0; len],
         }
     }
 
-    pub(super) fn park(backing: Backing) {
-        let Backing::Real(shell) = backing else {
-            return;
-        };
-        // A read view still out owns the bytes now; they go with it.
-        let Ok(buffer) = Arc::try_unwrap(shell) else {
-            return;
-        };
-        let v = buffer.into_bytes();
+    /// Keeps `v` for a later [`take_vec`] while the list has room.
+    pub fn park_vec(v: Vec<u8>) {
         if v.capacity() < MIN_BYTES {
             return;
         }
@@ -189,6 +212,29 @@ mod spare {
         if spare.0 + v.capacity() <= MAX_BYTES {
             spare.0 += v.capacity();
             spare.1.push(v);
+        }
+    }
+
+    /// Bytes the list holds idle.
+    pub fn idle_bytes() -> usize {
+        SPARE.lock().unwrap_or_else(|e| e.into_inner()).0
+    }
+
+    /// Parks a backing's storage, unless a view still shares it: then
+    /// the bytes go with the view.
+    pub(super) fn park(backing: Backing) {
+        match backing {
+            Backing::Real(shell) => {
+                if let Ok(buffer) = Arc::try_unwrap(shell) {
+                    park_vec(buffer.into_bytes());
+                }
+            }
+            Backing::Adopted(payload) => {
+                if let Ok(v) = payload.try_into_vec() {
+                    park_vec(v);
+                }
+            }
+            Backing::Untouched(_) | Backing::Virtual(_) => {}
         }
     }
 }
@@ -292,7 +338,7 @@ impl MemoryManager {
         let backing = if virt {
             Backing::Virtual(size)
         } else {
-            Backing::Real(Arc::new(spare::take(size as usize)))
+            Backing::Untouched(size)
         };
         self.buffers.insert(id, backing);
         self.used += size;
@@ -327,6 +373,34 @@ impl MemoryManager {
         Ok(())
     }
 
+    /// Writes a payload the caller hands over. One that covers the whole
+    /// buffer and is all of a vector's storage ([`Bytes::is_whole_vec`])
+    /// becomes the backing, whoever else still shares it, and what it
+    /// displaces goes to the [`spare`] list; anything else — a part of
+    /// the buffer, or a view of other memory such as a peer device's —
+    /// is copied in as by [`MemoryManager::write`].
+    ///
+    /// # Errors
+    ///
+    /// As [`MemoryManager::write`].
+    pub fn write_payload(
+        &mut self,
+        id: BufferId,
+        offset: u64,
+        data: Bytes,
+    ) -> Result<(), MemoryError> {
+        let backing = self
+            .buffers
+            .get_mut(&id)
+            .ok_or(MemoryError::UnknownBuffer(id))?;
+        let whole = offset == 0 && data.len() as u64 == backing.len();
+        if whole && data.is_whole_vec() && !matches!(backing, Backing::Virtual(_)) {
+            spare::park(std::mem::replace(backing, Backing::Adopted(data)));
+            return Ok(());
+        }
+        self.write(id, offset, &data)
+    }
+
     /// A view of `len` bytes of the buffer at `offset`: the backing's own
     /// storage, not a copy. A later write to the buffer leaves the view
     /// as it was (see the module docs).
@@ -334,10 +408,19 @@ impl MemoryManager {
     /// # Errors
     ///
     /// [`MemoryError::UnknownBuffer`] or [`MemoryError::OutOfBounds`].
-    pub fn read(&self, id: BufferId, offset: u64, len: u64) -> Result<Bytes, MemoryError> {
-        let shell = self.shell(id)?;
-        let range = range_of(id, shell.len(), offset, len)?;
-        Ok(Bytes::from_owner(View(Arc::clone(shell))).slice(range))
+    pub fn read(&mut self, id: BufferId, offset: u64, len: u64) -> Result<Bytes, MemoryError> {
+        let whole = self.view(id)?;
+        let range = range_of(id, whole.len(), offset, len)?;
+        Ok(whole.slice(range))
+    }
+
+    /// A view of all of buffer `id`.
+    fn view(&mut self, id: BufferId) -> Result<Bytes, MemoryError> {
+        if let Some(Backing::Adopted(payload)) = self.buffers.get(&id) {
+            return Ok(payload.clone());
+        }
+        let shell = self.shell_mut(id)?;
+        Ok(Bytes::from_owner(View(Arc::clone(shell))))
     }
 
     /// Copies `len` bytes between two buffers, or within one with
@@ -363,29 +446,46 @@ impl MemoryManager {
                 .copy_within(from, to.start);
             return Ok(());
         }
-        // Another buffer's shell: holding it does not make the target
+        // Another buffer's view: holding it does not make the target
         // shared.
-        let source = Arc::clone(self.shell(src)?);
+        let source = self.view(src)?;
         let from = range_of(src, source.len(), src_offset, len)?;
         let shell = self.shell_mut(dst)?;
         let to = range_of(dst, shell.len(), dst_offset, len)?;
-        Arc::make_mut(shell).as_bytes_mut()[to].copy_from_slice(&source.as_bytes()[from]);
+        Arc::make_mut(shell).as_bytes_mut()[to].copy_from_slice(&source[from]);
         Ok(())
     }
 
-    fn shell(&self, id: BufferId) -> Result<&Arc<GlobalBuffer>, MemoryError> {
-        match self.buffers.get(&id) {
-            Some(Backing::Real(shell)) => Ok(shell),
-            Some(Backing::Virtual(_)) => Err(MemoryError::VirtualBuffer(id)),
-            None => Err(MemoryError::UnknownBuffer(id)),
-        }
-    }
-
+    /// Buffer `id`'s real backing, given storage of its own first if it
+    /// has none yet: zeros for an untouched one, and for an adopted
+    /// payload the payload's vector — taken over if nobody shares it,
+    /// copied if someone does.
     fn shell_mut(&mut self, id: BufferId) -> Result<&mut Arc<GlobalBuffer>, MemoryError> {
-        match self.buffers.get_mut(&id) {
-            Some(Backing::Real(shell)) => Ok(shell),
-            Some(Backing::Virtual(_)) => Err(MemoryError::VirtualBuffer(id)),
-            None => Err(MemoryError::UnknownBuffer(id)),
+        let backing = self
+            .buffers
+            .get_mut(&id)
+            .ok_or(MemoryError::UnknownBuffer(id))?;
+        let own = match backing {
+            Backing::Real(_) => None,
+            Backing::Virtual(_) => return Err(MemoryError::VirtualBuffer(id)),
+            Backing::Untouched(size) => {
+                Some(GlobalBuffer::from_bytes(spare::take_zeroed(*size as usize)))
+            }
+            Backing::Adopted(payload) => Some(match std::mem::take(payload).try_into_vec() {
+                Ok(v) => GlobalBuffer::from_bytes(v),
+                Err(shared) => {
+                    let mut v = spare::take_vec(shared.len());
+                    v.extend_from_slice(&shared);
+                    GlobalBuffer::from_bytes(v)
+                }
+            }),
+        };
+        if let Some(own) = own {
+            *backing = Backing::Real(Arc::new(own));
+        }
+        match backing {
+            Backing::Real(shell) => Ok(shell),
+            _ => unreachable!("given storage above"),
         }
     }
 
@@ -437,11 +537,7 @@ impl MemoryManager {
         out: &mut LaunchBuffers,
     ) -> Result<(), MemoryError> {
         for id in ids {
-            match self.buffers.get(id) {
-                None => return Err(MemoryError::UnknownBuffer(*id)),
-                Some(Backing::Virtual(_)) => return Err(MemoryError::VirtualBuffer(*id)),
-                Some(Backing::Real(_)) => {}
-            }
+            self.shell_mut(*id)?;
         }
         out.slots.clear();
         for id in ids {
@@ -638,6 +734,72 @@ mod tests {
         m.restore(&mut taken);
         let after = m.read(id(1), 0, 8).unwrap();
         assert_eq!((after.as_ptr(), &after[..]), (at, &[4; 8][..]));
+    }
+
+    #[test]
+    fn a_sole_whole_payload_becomes_the_backing_without_a_copy() {
+        let mut m = MemoryManager::new(100);
+        m.alloc(id(1), 8).unwrap();
+        let payload: Vec<u8> = (1..=8).collect();
+        let at = payload.as_ptr();
+        m.write_payload(id(1), 0, Bytes::from(payload)).unwrap();
+        assert_eq!(m.read(id(1), 2, 3).unwrap().as_ptr(), at.wrapping_add(2));
+        // Nobody else holds it: the launch works in the payload itself.
+        let mut taken = LaunchBuffers::default();
+        m.take_for_launch(&[id(1)], &mut taken).unwrap();
+        assert_eq!(taken.buffers[0].as_bytes().as_ptr(), at);
+        taken.buffers[0].as_bytes_mut()[0] = 9;
+        m.restore(&mut taken);
+        assert_eq!(m.read(id(1), 0, 3).unwrap(), [9, 2, 3]);
+        // A part of a buffer, and a view of other memory, are copied in.
+        let whole = Bytes::from(vec![5u8; 8]);
+        m.write_payload(id(1), 0, whole.slice(0..4)).unwrap();
+        m.alloc(id(2), 8).unwrap();
+        let peer = m.read(id(1), 0, 8).unwrap();
+        m.write_payload(id(2), 0, peer).unwrap();
+        assert_ne!(m.read(id(2), 0, 8).unwrap().as_ptr(), at);
+        assert_eq!(m.read(id(2), 0, 8).unwrap(), [5, 5, 5, 5, 5, 6, 7, 8]);
+    }
+
+    #[test]
+    fn a_shared_payload_is_copied_at_its_first_mutation() {
+        let mut m = MemoryManager::new(100);
+        m.alloc(id(1), 8).unwrap();
+        let sender = Bytes::from(vec![1u8; 8]);
+        m.write_payload(id(1), 0, sender.clone()).unwrap();
+        // Sharing costs nothing until someone writes.
+        assert_eq!(m.read(id(1), 0, 8).unwrap().as_ptr(), sender.as_ptr());
+        m.write(id(1), 0, &[2; 4]).unwrap();
+        assert_eq!(sender, [1; 8], "the sender's bytes must not change");
+        let now = m.read(id(1), 0, 8).unwrap();
+        assert_eq!(now, [2, 2, 2, 2, 1, 1, 1, 1]);
+        assert_ne!(now.as_ptr(), sender.as_ptr());
+        // A launch copies a shared payload too.
+        m.write_payload(id(1), 0, sender.clone()).unwrap();
+        let mut taken = LaunchBuffers::default();
+        m.take_for_launch(&[id(1)], &mut taken).unwrap();
+        assert_ne!(taken.buffers[0].as_bytes().as_ptr(), sender.as_ptr());
+        taken.buffers[0].as_bytes_mut().fill(3);
+        m.restore(&mut taken);
+        assert_eq!(
+            (&sender[..], &m.read(id(1), 0, 8).unwrap()[..]),
+            (&[1; 8][..], &[3; 8][..])
+        );
+    }
+
+    #[test]
+    fn a_view_of_an_adopted_payload_keeps_its_bytes_through_a_launch() {
+        let mut m = MemoryManager::new(100);
+        m.alloc(id(1), 8).unwrap();
+        m.write_payload(id(1), 0, Bytes::from(vec![4u8; 8]))
+            .unwrap();
+        let view = m.read(id(1), 0, 8).unwrap();
+        let mut taken = LaunchBuffers::default();
+        m.take_for_launch(&[id(1)], &mut taken).unwrap();
+        taken.buffers[0].as_bytes_mut()[0] = 7;
+        m.restore(&mut taken);
+        assert_eq!(view, [4; 8]);
+        assert_eq!(m.read(id(1), 0, 8).unwrap(), [7, 4, 4, 4, 4, 4, 4, 4]);
     }
 
     #[test]

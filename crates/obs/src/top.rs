@@ -309,7 +309,8 @@ impl FleetSnapshot {
                     r.mean_latency_nanos = Some(sum / count);
                 }
             }
-            r.queue_depth = find(crate::names::QUEUE_DEPTH, "node", &r.node).map(|v| v as i64);
+            // One gauge per device: a node queues what all of them do.
+            r.queue_depth = sum(crate::names::QUEUE_DEPTH, &r.node).map(|v| v as i64);
             if let (Some(requests), Some(nanos)) = (
                 find(crate::names::WALL_REQUESTS, "node", &r.node),
                 find(crate::names::WALL_NANOS, "node", &r.node),
@@ -525,6 +526,23 @@ haocl_wall_nanos_total{node=\"gpu1\"} 0
             "{}",
             snap.to_json()
         );
+    }
+
+    #[test]
+    fn queue_depth_sums_a_nodes_devices() {
+        let metrics = "\
+# TYPE haocl_node_state gauge
+haocl_node_state{node=\"node0\"} 1
+haocl_node_state{node=\"node1\"} 1
+# TYPE haocl_queue_depth gauge
+haocl_queue_depth{device=\"0\",node=\"node0\"} 3
+haocl_queue_depth{device=\"1\",node=\"node0\"} 5
+";
+        let snap = FleetSnapshot::from_text(metrics, "");
+        let by_name = |name: &str| snap.nodes.iter().find(|n| n.node == name).unwrap();
+        // Both of node0's devices count, as the autoscaler counts them.
+        assert_eq!(by_name("node0").queue_depth, Some(8));
+        assert_eq!(by_name("node1").queue_depth, None);
     }
 
     #[test]

@@ -259,6 +259,35 @@ impl Bytes {
         }
     }
 
+    /// Whether this view is all of a vector the buffer took over
+    /// ([`From<Vec<u8>>`]), however many views share it: the storage
+    /// [`Bytes::try_into_vec`] hands back once the others are gone.
+    pub fn is_whole_vec(&self) -> bool {
+        matches!(&self.storage, Storage::Vec(vec) if self.start == 0 && self.end == vec.len())
+    }
+
+    /// The backing vector, without copying, when this view is its only
+    /// and whole owner; the view back otherwise. Upstream's
+    /// `try_into_mut` has the same shape.
+    ///
+    /// # Errors
+    ///
+    /// Returns `self` unchanged when another view shares the storage,
+    /// the view is a part of it, or the storage is not a vector.
+    pub fn try_into_vec(self) -> Result<Vec<u8>, Bytes> {
+        if !self.is_whole_vec() {
+            return Err(self);
+        }
+        let Storage::Vec(vec) = self.storage else {
+            unreachable!("checked above");
+        };
+        Arc::try_unwrap(vec).map_err(|shared| Bytes {
+            storage: Storage::Vec(shared),
+            start: self.start,
+            end: self.end,
+        })
+    }
+
     fn as_slice(&self) -> &[u8] {
         let all: &[u8] = match &self.storage {
             Storage::Static(bytes) => bytes,
@@ -299,12 +328,9 @@ impl From<Bytes> for Vec<u8> {
     /// Hands the backing vector back without copying when `bytes` is the
     /// only view left and covers all of it; copies otherwise.
     fn from(bytes: Bytes) -> Vec<u8> {
-        match bytes.storage {
-            Storage::Vec(vec) if bytes.start == 0 && bytes.end == vec.len() => {
-                Arc::try_unwrap(vec).unwrap_or_else(|shared| shared.to_vec())
-            }
-            _ => bytes.as_slice().to_vec(),
-        }
+        bytes
+            .try_into_vec()
+            .unwrap_or_else(|shared| shared.as_slice().to_vec())
     }
 }
 
@@ -514,6 +540,26 @@ mod tests {
         // Sole full view: the same allocation comes back.
         let back = Vec::from(b);
         assert_eq!(back.as_ptr(), addr);
+    }
+
+    #[test]
+    fn try_into_vec_hands_back_only_a_sole_whole_vector() {
+        let v = vec![7u8; 64];
+        let addr = v.as_ptr();
+        let b = Bytes::from(v);
+        assert!(b.is_whole_vec());
+        let other = b.clone();
+        assert!(other.is_whole_vec(), "sharing does not change what it is");
+        let b = b.try_into_vec().expect_err("another view shares it");
+        drop(other);
+        let part = b.slice(1..64);
+        assert!(!part.is_whole_vec());
+        assert_eq!(part.try_into_vec().unwrap_err().len(), 63);
+        let back = b.try_into_vec().unwrap();
+        assert_eq!(back.as_ptr(), addr);
+        let fixed = Bytes::from_static(b"abc");
+        assert!(!fixed.is_whole_vec());
+        assert_eq!(fixed.try_into_vec().unwrap_err(), &b"abc"[..]);
     }
 
     #[test]

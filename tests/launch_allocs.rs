@@ -244,6 +244,74 @@ fn a_bulk_transfer_op_makes_no_large_allocations() {
     assert_eq!(per_op, 0.0, "a bulk op allocated {per_op:.2} large blocks");
 }
 
+/// The paper apps' shape — every round creates 1 MiB buffers on both
+/// devices, writes them whole, launches on them, reads the result back
+/// and drops them — takes its storage from the spare list and gives it
+/// back: no large allocation, and the list holds no more afterwards.
+/// (Storage an adopted write displaced once piled up there instead,
+/// while the host allocated every shadow afresh.)
+#[test]
+fn a_round_of_whole_written_buffers_recycles_its_storage() {
+    const MIB: usize = 1 << 20;
+    const WORDS: u64 = 64;
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let platform =
+        Platform::cluster(&ClusterConfig::gpu_cluster(2), KernelRegistry::new()).unwrap();
+    let devices = platform.devices(DeviceType::All);
+    let ctx = Context::new(&platform, &devices).unwrap();
+    let program = Program::from_source(
+        &ctx,
+        "__kernel void add(__global const uint* x, __global uint* y, int n) {
+            int i = get_global_id(0);
+            if (i < n) { y[i] = y[i] + x[i]; }
+        }",
+    );
+    program.build().unwrap();
+    let kernel = Kernel::new(&program, "add").unwrap();
+    kernel.set_arg_i32(2, WORDS as i32).unwrap();
+    let queues: Vec<CommandQueue> = devices[..2]
+        .iter()
+        .map(|device| CommandQueue::new(&ctx, device).unwrap())
+        .collect();
+    let input: Vec<u8> = (0..MIB).map(|i| (i % 7) as u8).collect();
+    let mut out = vec![0u8; MIB];
+    let mut round = || {
+        for queue in &queues {
+            let x = Buffer::new(&ctx, MemFlags::READ_ONLY, MIB as u64).unwrap();
+            let y = Buffer::new(&ctx, MemFlags::READ_WRITE, MIB as u64).unwrap();
+            queue.enqueue_write_buffer(&x, 0, &input).unwrap();
+            queue.enqueue_write_buffer(&y, 0, &input).unwrap();
+            kernel.set_arg_buffer(0, &x).unwrap();
+            kernel.set_arg_buffer(1, &y).unwrap();
+            let event = queue
+                .enqueue_nd_range_kernel(&kernel, NdRange::linear(WORDS, WORDS))
+                .unwrap();
+            event.wait().unwrap();
+            queue.enqueue_read_buffer(&y, 0, &mut out).unwrap();
+            let word = |at: usize| u32::from_le_bytes(out[at..at + 4].try_into().unwrap());
+            let sent = |at: usize| u32::from_le_bytes(input[at..at + 4].try_into().unwrap());
+            assert_eq!(word(4), 2 * sent(4), "y = y + x");
+            assert!(out[4 * WORDS as usize..] == input[4 * WORDS as usize..]);
+        }
+    };
+    for _ in 0..4 {
+        round();
+    }
+    let idle = haocl_device::memory::spare::idle_bytes();
+    let (rounds, before) = (16, LARGE_ALLOCATIONS.load(Ordering::Relaxed));
+    for _ in 0..rounds {
+        round();
+    }
+    let per_round = (LARGE_ALLOCATIONS.load(Ordering::Relaxed) - before) as f64 / rounds as f64;
+    let grown = haocl_device::memory::spare::idle_bytes() as i64 - idle as i64;
+    println!("allocations of {LARGE} bytes or more per round: {per_round:.2}, spare list grew {grown} bytes");
+    assert_eq!(
+        per_round, 0.0,
+        "a round allocated {per_round:.2} large blocks"
+    );
+    assert!(grown <= 0, "the spare list grew by {grown} bytes");
+}
+
 #[test]
 fn allocations_per_launch_do_not_grow_with_the_cluster() {
     // `HostRuntime::devices()` clones every device record; on the launch
