@@ -12,7 +12,7 @@
 //! Every scale decision is recorded: a `policy=autoscale` audit row and
 //! one `haocl_autoscale_events_total` tick, labelled by direction.
 
-use haocl_obs::{names, FusionDecision, Hub, PlacementAudit, DEFAULT_TENANT};
+use haocl_obs::{default_tenant, names, FusionDecision, Hub, PlacementAudit, Reason};
 
 /// Tuning knobs for the [`Autoscaler`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -166,15 +166,15 @@ impl Autoscaler {
         obs.metrics
             .inc_counter(names::AUTOSCALE_EVENTS, &[("direction", direction)], 1);
         obs.audit.record(PlacementAudit {
-            kernel: "<autoscale>".to_string(),
-            tenant: DEFAULT_TENANT.to_string(),
-            policy: "autoscale".to_string(),
+            kernel: "<autoscale>".into(),
+            tenant: default_tenant(),
+            policy: "autoscale".into(),
             candidates: Vec::new(),
             chosen: 0,
-            reason: format!(
+            reason: Reason::from(format!(
                 "decision={decision} depth_per_node={per_node:.2} active={} total_depth={}",
                 sample.active_nodes, sample.total_queue_depth
-            ),
+            )),
             fused: FusionDecision::Unconsidered,
         });
     }

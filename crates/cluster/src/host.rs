@@ -51,8 +51,8 @@ use std::time::{Duration, Instant};
 
 use haocl_net::{Fabric, NetError};
 use haocl_obs::{
-    names, CandidateInfo, FusionDecision, Hub, PlacementAudit, PredictionSource, TraceCtx,
-    DEFAULT_TENANT,
+    default_tenant, names, CandidateInfo, FusionDecision, Hub, PlacementAudit, PredictionSource,
+    TraceCtx,
 };
 use haocl_proto::ids::{IdAllocator, NodeId, RequestId, UserId};
 use haocl_proto::messages::{ApiCall, ApiReply, DeviceDescriptor, Request, WireSpan};
@@ -67,8 +67,8 @@ use crate::link::{Claim, NodeLink};
 pub struct RemoteDevice {
     /// The node hosting the device.
     pub node: NodeId,
-    /// The node's configured name.
-    pub node_name: String,
+    /// The node's configured name, shared with the audit rows.
+    pub node_name: Arc<str>,
     /// Device index within the node.
     pub device: u8,
     /// The advertised model summary.
@@ -727,7 +727,7 @@ impl HostRuntime {
                 for d in descriptors {
                     devices.push(Arc::new(RemoteDevice {
                         node,
-                        node_name: spec.name.clone(),
+                        node_name: spec.name.as_str().into(),
                         device: d.index,
                         descriptor: d,
                     }));
@@ -1196,25 +1196,25 @@ impl HostRuntime {
             &[("node", name.as_str())],
             state.gauge_value(),
         );
-        // The audit row follows the scheduler convention: decision rows
-        // are recorded only while tracing is on.
+        // Unlike placement rows, recorded only while tracing: untraced,
+        // `haocl-top` reads node states from the gauge set above.
         if !obs.enabled() {
             return;
         }
         obs.audit.record(PlacementAudit {
-            kernel: "<membership>".to_string(),
-            tenant: DEFAULT_TENANT.to_string(),
-            policy: "membership".to_string(),
+            kernel: "<membership>".into(),
+            tenant: default_tenant(),
+            policy: "membership".into(),
             candidates: vec![CandidateInfo {
                 device: node.raw() as usize,
-                node: name.clone(),
-                kind: "-".to_string(),
+                node: name.as_str().into(),
+                kind: "-",
                 predicted_nanos: None,
                 source: PredictionSource::CostModel,
-                health: CandidateInfo::HEALTHY.to_string(),
+                health: CandidateInfo::HEALTHY,
             }],
             chosen: node.raw() as usize,
-            reason: format!("state={state} node={name}"),
+            reason: format!("state={state} node={name}").into(),
             fused: FusionDecision::Unconsidered,
         });
     }

@@ -7,12 +7,13 @@
 //! completed launch.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use haocl_cluster::MembershipState;
 use haocl_kernel::NdRange;
-use haocl_obs::{names, FusionDecision, PlacementAudit, Span, TraceCtx, DEFAULT_TENANT};
+use haocl_obs::{default_tenant, names, FusionDecision, PlacementAudit, Span, TraceCtx};
 use haocl_proto::ids::{NodeId, UserId};
 use haocl_sched::{
     DeviceView, DriftDetector, DriftEvent, NodeCondition, Scheduler, SchedulingPolicy, TaskSpec,
@@ -26,7 +27,7 @@ use crate::error::{Error, Status};
 use crate::event::Event;
 use crate::graph::{GraphReport, LaunchGraph};
 use crate::kernel::{Kernel, StoredArg};
-use crate::queue::{CommandQueue, LaunchPart};
+use crate::queue::{dispatch_name, CommandQueue, LaunchPart};
 
 /// Scheduler-routed kernel launching over a context's devices.
 pub struct AutoScheduler {
@@ -86,11 +87,11 @@ impl Reading {
 fn health_row(policy: &str, chosen: usize, reason: String) -> PlacementAudit {
     PlacementAudit {
         kernel: "<node-health>".into(),
-        tenant: DEFAULT_TENANT.into(),
+        tenant: default_tenant(),
         policy: policy.into(),
         candidates: Vec::new(),
         chosen,
-        reason,
+        reason: reason.into(),
         fused: FusionDecision::Unconsidered,
     }
 }
@@ -227,7 +228,7 @@ impl AutoScheduler {
     /// [`Status::InvalidOperation`] when no device is eligible; launch
     /// failures from the chosen queue otherwise.
     pub fn launch(&self, kernel: &Kernel, range: NdRange) -> Result<(Event, usize), Error> {
-        self.launch_tagged(kernel, range, UserId::new(0), DEFAULT_TENANT)
+        self.launch_tagged(kernel, range, UserId::new(0), default_tenant())
     }
 
     /// [`AutoScheduler::launch`], billed to a session. The serving plane
@@ -245,7 +246,7 @@ impl AutoScheduler {
         kernel: &Kernel,
         range: NdRange,
         user: UserId,
-        tenant: &str,
+        tenant: Arc<str>,
     ) -> Result<(Event, usize), Error> {
         self.dispatch(
             vec![LaunchPart::capture(kernel, range)?],
@@ -262,20 +263,16 @@ impl AutoScheduler {
     ///
     /// The dispatch is placed as one task: names joined with `+`, costs
     /// summed, inputs the union of the parts' buffers — for a lone
-    /// kernel, simply its name, its cost and its buffers. `fused` is the
-    /// lead's fusion verdict, recorded on the audit row.
+    /// kernel, simply its (shared) name, its cost and its buffers.
+    /// `fused` is the lead's fusion verdict, recorded on the audit row.
     fn dispatch(
         &self,
         parts: Vec<LaunchPart>,
         fused: FusionDecision,
         user: UserId,
-        tenant: &str,
+        tenant: Arc<str>,
     ) -> Result<(Event, usize), Error> {
-        let joined = parts
-            .iter()
-            .map(|p| p.kernel.name())
-            .collect::<Vec<_>>()
-            .join("+");
+        let joined = dispatch_name(&parts);
         let cost = parts
             .iter()
             .map(|p| p.kernel.cost())
@@ -297,7 +294,7 @@ impl AutoScheduler {
                 }
             }
         }
-        let task = TaskSpec::new(&joined)
+        let task = TaskSpec::new(Arc::clone(&joined))
             .cost(cost)
             .user(user)
             .tenant(tenant)
@@ -331,9 +328,9 @@ impl AutoScheduler {
                 decided,
                 decided,
             )
-            .attr("policy", audit.policy.clone())
-            .attr("tenant", audit.tenant.clone())
-            .attr("reason", audit.reason.clone());
+            .attr("policy", &*audit.policy)
+            .attr("tenant", &*audit.tenant)
+            .attr("reason", audit.reason_text());
             if audit.fused != FusionDecision::Unconsidered {
                 placed = placed.attr("fused", audit.fused.to_string());
             }
@@ -342,11 +339,8 @@ impl AutoScheduler {
             obs.metrics.inc_counter(
                 names::PLACEMENTS,
                 &[
-                    ("kernel", joined.as_str()),
-                    (
-                        "kind",
-                        audit.winner().map(|w| w.kind.as_str()).unwrap_or("unknown"),
-                    ),
+                    ("kernel", &*joined),
+                    ("kind", audit.winner().map_or("unknown", |w| w.kind)),
                 ],
                 1,
             );
@@ -356,23 +350,20 @@ impl AutoScheduler {
         };
         // The parts a chain carries get their own audit rows so
         // per-kernel queries still see every launch, wire command or not.
-        let carried: Vec<PlacementAudit> = parts[1..]
-            .iter()
-            .map(|part| PlacementAudit {
-                kernel: part.kernel.name().to_string(),
-                tenant: audit.tenant.clone(),
-                policy: audit.policy.clone(),
+        let (tenant, policy) = (Arc::clone(&audit.tenant), Arc::clone(&audit.policy));
+        obs.audit.record(audit);
+        for part in &parts[1..] {
+            obs.audit.record(PlacementAudit {
+                kernel: Arc::clone(&part.kernel.inner.name),
+                tenant: Arc::clone(&tenant),
+                policy: Arc::clone(&policy),
                 candidates: Vec::new(),
                 chosen: choice,
-                reason: format!("carried by fused dispatch `{joined}`"),
+                reason: format!("carried by fused dispatch `{joined}`").into(),
                 fused: FusionDecision::FusedInto {
-                    lead: parts[0].kernel.name().to_string(),
+                    lead: Arc::clone(&parts[0].kernel.inner.name),
                 },
-            })
-            .collect();
-        obs.audit.record(audit);
-        for row in carried {
-            obs.audit.record(row);
+            });
         }
         let event = self.queues[choice].enqueue_launch_parts_traced(
             &parts,
@@ -485,8 +476,8 @@ impl AutoScheduler {
             // its stale drain time — without the clamp a long-idle (e.g.
             // degraded, avoided) device looks cheaper than a recently
             // busy healthy one.
-            let view = DeviceView::from_descriptor(node, d.descriptor())
-                .named(d.node_name())
+            let name = Arc::clone(&d.shared.info.node_name);
+            let view = DeviceView::from_descriptor(node, name, d.descriptor())
                 .loaded(until.max(now), u32::from(until > now))
                 .with_local_bytes(local)
                 // Advisory health: a drifting node's candidates stay in
@@ -538,7 +529,7 @@ impl AutoScheduler {
     ///
     /// As [`AutoScheduler::launch`], for any constituent dispatch.
     pub fn launch_graph(&self, graph: &LaunchGraph) -> Result<GraphReport, Error> {
-        self.launch_graph_tagged(graph, UserId::new(0), DEFAULT_TENANT)
+        self.launch_graph_tagged(graph, UserId::new(0), default_tenant())
     }
 
     /// [`AutoScheduler::launch_graph`], billed to a session.
@@ -558,7 +549,7 @@ impl AutoScheduler {
         &self,
         graph: &LaunchGraph,
         user: UserId,
-        tenant: &str,
+        tenant: Arc<str>,
     ) -> Result<GraphReport, Error> {
         let nodes = graph.nodes();
         let plan = graph.plan();
@@ -573,7 +564,7 @@ impl AutoScheduler {
         };
         for group in &plan {
             let members = &group.members;
-            let lead_name = nodes[members[0]].kernel.name().to_string();
+            let lead_name = &nodes[members[0]].kernel.inner.name;
             // The lead's column explains this dispatch: why it fused, or
             // why it could not extend the previous one.
             let lead_decision = match (&group.rejected, members.len()) {
@@ -585,13 +576,13 @@ impl AutoScheduler {
                 report.decisions[m] = (
                     nodes[m].kernel.name().to_string(),
                     FusionDecision::FusedInto {
-                        lead: lead_name.clone(),
+                        lead: Arc::clone(lead_name),
                     },
                 );
             }
-            report.decisions[members[0]] = (lead_name, lead_decision.clone());
+            report.decisions[members[0]] = (lead_name.to_string(), lead_decision.clone());
             let parts = members.iter().map(|&m| nodes[m].clone()).collect();
-            let (event, _) = self.dispatch(parts, lead_decision, user, tenant)?;
+            let (event, _) = self.dispatch(parts, lead_decision, user, Arc::clone(&tenant))?;
             report.wire_launches += 1;
             if members.len() > 1 {
                 report.fused_launches += 1;

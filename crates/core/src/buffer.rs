@@ -499,7 +499,7 @@ impl BufferInner {
                     None,
                     format!("fabric.peer_transfer {}", self.id),
                     Phase::DataTransfer,
-                    src.node_name.clone(),
+                    src.node_name.to_string(),
                     started,
                     self.platform.clock().now(),
                 )

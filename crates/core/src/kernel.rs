@@ -28,7 +28,7 @@ pub(crate) enum StoredArg {
 
 pub(crate) struct KernelInner {
     pub(crate) program: Program,
-    pub(crate) name: String,
+    pub(crate) name: Arc<str>,
     /// Per-device remote kernel handles (created lazily).
     remote: Mutex<HashMap<usize, KernelId>>,
     arity: u32,
@@ -92,7 +92,7 @@ impl Kernel {
         Ok(Kernel {
             inner: Arc::new(KernelInner {
                 program: program.clone(),
-                name,
+                name: name.into(),
                 remote: Mutex::new(remote),
                 arity,
                 args: Mutex::new(vec![None; arity as usize]),
@@ -193,7 +193,7 @@ impl Kernel {
                 device: device.device_index(),
                 kernel: id,
                 program: self.inner.program.inner.id,
-                name: self.inner.name.clone(),
+                name: self.inner.name.to_string(),
             },
             Phase::Init,
         )?;

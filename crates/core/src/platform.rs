@@ -50,7 +50,7 @@ pub(crate) struct PlatformInner {
 /// What every [`Device`] handle on one cluster device shares.
 pub(crate) struct DeviceShared {
     /// The host runtime's mapping record.
-    info: Arc<RemoteDevice>,
+    pub(crate) info: Arc<RemoteDevice>,
     /// The node's `haocl_wall_requests_total` / `haocl_wall_nanos_total`
     /// series, looked up at the device's first launch (not before: a
     /// node that never completed one exports neither).
@@ -179,7 +179,7 @@ impl PlatformInner {
         };
         if !released {
             let unmapped = format!("device{dev}");
-            let node = info.as_ref().map_or(&unmapped, |i| &i.node_name);
+            let node = info.as_ref().map_or(unmapped.as_str(), |i| &i.node_name);
             self.obs.metrics.inc_counter(failed, &[("node", node)], 1);
         }
     }
@@ -215,7 +215,7 @@ impl DeviceType {
 pub struct Device {
     pub(crate) platform: Arc<PlatformInner>,
     pub(crate) index: usize,
-    shared: Arc<DeviceShared>,
+    pub(crate) shared: Arc<DeviceShared>,
 }
 
 impl Device {

@@ -56,6 +56,18 @@ impl LaunchPart {
     }
 }
 
+/// The name a dispatch of `parts` goes by: a lone kernel's own (shared)
+/// name, or the fused chain's names joined with `+`.
+pub(crate) fn dispatch_name(parts: &[LaunchPart]) -> Arc<str> {
+    match parts {
+        [lone] => Arc::clone(&lone.kernel.inner.name),
+        _ => {
+            let names: Vec<&str> = parts.iter().map(|p| p.kernel.name()).collect();
+            names.join("+").into()
+        }
+    }
+}
+
 /// An in-order command queue bound to one device.
 #[derive(Clone)]
 pub struct CommandQueue {
@@ -353,10 +365,7 @@ impl CommandQueue {
         let ctx = root.map(|(trace, id, _)| TraceCtx::new(trace, id));
         let fused_len = parts.len();
         // Only the spans and the latency histogram name the dispatch.
-        let kernel_name = root.map_or_else(String::new, |_| {
-            let names: Vec<&str> = parts.iter().map(|p| p.kernel.name()).collect();
-            names.join("+")
-        });
+        let kernel_name = root.map_or_else(String::new, |_| dispatch_name(parts).to_string());
         let fidelity = parts[0].kernel.fidelity();
         let call = self
             .device

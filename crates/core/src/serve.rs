@@ -152,7 +152,7 @@ impl ServingPlane {
         Session {
             inner: Arc::clone(&self.inner),
             tenant: TenantId::DEFAULT,
-            name: Arc::from(haocl_obs::DEFAULT_TENANT),
+            name: haocl_obs::default_tenant(),
         }
     }
 
@@ -193,7 +193,7 @@ impl ServingPlane {
             &pending.kernel,
             pending.range,
             user,
-            &pending.tenant_name,
+            pending.tenant_name,
         );
         if let Some(ambient) = ambient {
             host.set_user(ambient);

@@ -135,7 +135,7 @@ fn fused_chain_survives_failover_of_the_node_it_ran_on() {
         let placed = rig.platform.obs().audit.entries();
         let chain = placed
             .iter()
-            .find(|e| e.kernel == "square+add3")
+            .find(|e| &*e.kernel == "square+add3")
             .expect("the chain was placed as one dispatch");
         let node = rig.ctx.devices()[chain.chosen].node_name();
         let addr = &config

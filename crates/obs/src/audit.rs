@@ -5,10 +5,20 @@
 //! prediction source said about them, which one won, and the reason. The
 //! log renders as one line per placement and aggregates into a per-kernel
 //! summary for the bench JSON.
+//!
+//! A row holds facts, not text: names are shared [`Arc<str>`]s, the
+//! device kind is static, the health is the penalty it is rendered from
+//! and a placement's reason is read off its winner's prediction when
+//! the row renders. Only rows without a prediction to explain them
+//! (pins, carried fused members, node-health, membership and autoscale
+//! rows) keep text of their own.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
+use std::sync::{Arc, LazyLock};
 
+use haocl_sim::SimDuration;
 use parking_lot::Mutex;
 
 /// Where a candidate's predicted runtime came from.
@@ -30,36 +40,40 @@ impl fmt::Display for PredictionSource {
 }
 
 /// One device the scheduler considered for a placement.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CandidateInfo {
     /// Index of the device in the caller's device list.
     pub device: usize,
     /// Node the device lives on.
-    pub node: String,
+    pub node: Arc<str>,
     /// Device kind (`Cpu` / `Gpu` / `Fpga`).
-    pub kind: String,
+    pub kind: &'static str,
     /// Predicted runtime in virtual nanoseconds, if any source had one.
     pub predicted_nanos: Option<u64>,
     /// Which source produced the prediction.
     pub source: PredictionSource,
-    /// The drift detector's verdict on the candidate's node at placement
-    /// time: `"ok"`, or `"degraded(x<ratio>)"` with the measured
-    /// slowdown the policies down-weighted it by.
-    pub health: String,
+    /// The drift detector's slowdown penalty on the candidate's node at
+    /// placement time: [`CandidateInfo::HEALTHY`], or the measured ratio
+    /// (above 1) the policies down-weighted it by. Renders as `ok` or
+    /// `degraded(x<ratio>)`.
+    pub health: f64,
 }
 
 impl CandidateInfo {
-    /// The health string a healthy candidate carries.
-    pub const HEALTHY: &'static str = "ok";
-
-    /// Renders a degraded verdict with its measured slowdown ratio.
-    pub fn degraded_health(penalty: f64) -> String {
-        format!("degraded(x{penalty:.2})")
-    }
+    /// The health penalty a healthy candidate carries.
+    pub const HEALTHY: f64 = 1.0;
 
     /// Whether the candidate carried a degraded verdict at placement.
     pub fn is_degraded(&self) -> bool {
-        self.health.starts_with("degraded")
+        self.health > Self::HEALTHY
+    }
+
+    fn write_health(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        if self.is_degraded() {
+            write!(out, "degraded(x{:.2})", self.health)
+        } else {
+            out.write_str("ok")
+        }
     }
 }
 
@@ -70,7 +84,8 @@ impl fmt::Display for CandidateInfo {
             Some(n) => write!(f, " pred={n}ns src={}", self.source)?,
             None => write!(f, " pred=none src={}", self.source)?,
         }
-        write!(f, " health={}", self.health)
+        f.write_str(" health=")?;
+        self.write_health(f)
     }
 }
 
@@ -95,7 +110,7 @@ pub enum FusionDecision {
     /// own.
     FusedInto {
         /// Kernel name of the dispatch lead.
-        lead: String,
+        lead: Arc<str>,
     },
     /// Fusing with its predecessor was not provably safe; `code` is the
     /// prover's machine-readable rejection reason.
@@ -117,23 +132,47 @@ impl fmt::Display for FusionDecision {
     }
 }
 
-/// The full record of one placement decision.
+/// Why a placement's winner won.
 #[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Reason {
+    /// Read off the winner's prediction when the row renders:
+    /// `observed profile predicts <t>`, `cost model estimates <t>` or
+    /// `no prediction (src=<source>)`; `policy choice` when the winner
+    /// has no candidate record.
+    Predicted,
+    /// Text the row carries itself.
+    Text(Cow<'static, str>),
+}
+
+impl From<&'static str> for Reason {
+    fn from(text: &'static str) -> Reason {
+        Reason::Text(Cow::Borrowed(text))
+    }
+}
+
+impl From<String> for Reason {
+    fn from(text: String) -> Reason {
+        Reason::Text(Cow::Owned(text))
+    }
+}
+
+/// The full record of one placement decision.
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlacementAudit {
-    /// Kernel being placed.
-    pub kernel: String,
+    /// Kernel being placed (a fused dispatch's names joined with `+`).
+    pub kernel: Arc<str>,
     /// Billing tenant the launch was submitted under. Untagged
     /// (single-tenant) launches carry `"default"`, so existing
     /// dashboards keep matching without a rewrite.
-    pub tenant: String,
+    pub tenant: Arc<str>,
     /// Active policy name.
-    pub policy: String,
+    pub policy: Arc<str>,
     /// Devices that survived eligibility filtering.
     pub candidates: Vec<CandidateInfo>,
     /// Index (into the caller's device list) of the winner.
     pub chosen: usize,
-    /// Why the winner won (policy-specific).
-    pub reason: String,
+    /// Why the winner won.
+    pub reason: Reason,
     /// The fusion prover's verdict for this launch.
     pub fused: FusionDecision,
 }
@@ -141,34 +180,74 @@ pub struct PlacementAudit {
 /// The tenant label untagged placements carry.
 pub const DEFAULT_TENANT: &str = "default";
 
+/// [`DEFAULT_TENANT`] as a shared name: every untagged launch holds the
+/// same one.
+pub fn default_tenant() -> Arc<str> {
+    static NAME: LazyLock<Arc<str>> = LazyLock::new(|| Arc::from(DEFAULT_TENANT));
+    Arc::clone(&NAME)
+}
+
 impl PlacementAudit {
     /// The winning candidate's record, if present in `candidates`.
     pub fn winner(&self) -> Option<&CandidateInfo> {
         self.candidates.iter().find(|c| c.device == self.chosen)
     }
 
+    /// The rendered `reason=` column.
+    pub fn reason_text(&self) -> String {
+        let mut out = String::new();
+        self.write_reason(&mut out).expect("writing to a String");
+        out
+    }
+
+    fn write_reason(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        match (&self.reason, self.winner()) {
+            (Reason::Text(text), _) => out.write_str(text),
+            (Reason::Predicted, None) => out.write_str("policy choice"),
+            (Reason::Predicted, Some(w)) => match (w.source, w.predicted_nanos) {
+                (PredictionSource::Observed, Some(n)) => {
+                    write!(
+                        out,
+                        "observed profile predicts {}",
+                        SimDuration::from_nanos(n)
+                    )
+                }
+                (PredictionSource::CostModel, Some(n)) => {
+                    write!(out, "cost model estimates {}", SimDuration::from_nanos(n))
+                }
+                (src, None) => write!(out, "no prediction (src={src})"),
+            },
+        }
+    }
+
     /// Renders the decision as a single audit-log line.
     pub fn line(&self) -> String {
-        let chosen = match self.winner() {
-            Some(w) => format!("{}/{}", w.node, w.kind),
-            None => format!("device{}", self.chosen),
-        };
-        let health = self
-            .winner()
-            .map(|w| w.health.clone())
-            .unwrap_or_else(|| "-".to_string());
-        let cands: Vec<String> = self.candidates.iter().map(|c| c.to_string()).collect();
-        format!(
-            "place kernel={} tenant={} policy={} chosen={} health={} fused={} reason=\"{}\" candidates=[{}]",
-            self.kernel,
-            self.tenant,
-            self.policy,
-            chosen,
-            health,
-            self.fused,
-            self.reason,
-            cands.join(", ")
-        )
+        self.to_string()
+    }
+}
+
+impl fmt::Display for PlacementAudit {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "place kernel={} tenant={} policy={} chosen=",
+            self.kernel, self.tenant, self.policy
+        )?;
+        match self.winner() {
+            Some(w) => {
+                write!(f, "{}/{} health=", w.node, w.kind)?;
+                w.write_health(f)?;
+            }
+            None => write!(f, "device{} health=-", self.chosen)?,
+        }
+        write!(f, " fused={} reason=\"", self.fused)?;
+        self.write_reason(f)?;
+        f.write_str("\" candidates=[")?;
+        for (i, c) in self.candidates.iter().enumerate() {
+            let sep = if i == 0 { "" } else { ", " };
+            write!(f, "{sep}{c}")?;
+        }
+        f.write_str("]")
     }
 }
 
@@ -208,8 +287,7 @@ impl AuditLog {
     pub fn render(&self) -> String {
         let mut out = String::new();
         for e in self.entries.lock().iter() {
-            out.push_str(&e.line());
-            out.push('\n');
+            writeln!(out, "{e}").expect("writing to a String");
         }
         out
     }
@@ -219,11 +297,9 @@ impl AuditLog {
     pub fn summary(&self) -> BTreeMap<(String, String), u64> {
         let mut out = BTreeMap::new();
         for e in self.entries.lock().iter() {
-            let kind = e
-                .winner()
-                .map(|w| w.kind.clone())
-                .unwrap_or_else(|| "unknown".to_string());
-            *out.entry((e.kernel.clone(), kind)).or_insert(0) += 1;
+            let kind = e.winner().map_or("unknown", |w| w.kind);
+            *out.entry((e.kernel.to_string(), kind.to_string()))
+                .or_insert(0) += 1;
         }
         out
     }
@@ -240,31 +316,39 @@ mod tests {
 
     fn audit(kernel: &str, chosen: usize) -> PlacementAudit {
         PlacementAudit {
-            kernel: kernel.to_string(),
-            tenant: DEFAULT_TENANT.to_string(),
-            policy: "hetero-aware".to_string(),
+            kernel: kernel.into(),
+            tenant: default_tenant(),
+            policy: "hetero-aware".into(),
             candidates: vec![
                 CandidateInfo {
                     device: 0,
-                    node: "node0".to_string(),
-                    kind: "Cpu".to_string(),
+                    node: "node0".into(),
+                    kind: "Cpu",
                     predicted_nanos: Some(500),
                     source: PredictionSource::Observed,
-                    health: CandidateInfo::HEALTHY.to_string(),
+                    health: CandidateInfo::HEALTHY,
                 },
                 CandidateInfo {
                     device: 1,
-                    node: "node1".to_string(),
-                    kind: "Gpu".to_string(),
+                    node: "node1".into(),
+                    kind: "Gpu",
                     predicted_nanos: None,
                     source: PredictionSource::CostModel,
-                    health: CandidateInfo::HEALTHY.to_string(),
+                    health: CandidateInfo::HEALTHY,
                 },
             ],
             chosen,
-            reason: "lowest predicted time".to_string(),
+            reason: "lowest predicted time".into(),
             fused: FusionDecision::Unconsidered,
         }
+    }
+
+    /// A row keeps no text inline: names are shared pointers and a
+    /// placement's reason is derived (160 and 104 bytes as `String`s).
+    #[test]
+    fn rows_hold_pointers_not_text() {
+        assert!(std::mem::size_of::<PlacementAudit>() <= 128);
+        assert!(std::mem::size_of::<CandidateInfo>() <= 72);
     }
 
     #[test]
@@ -282,7 +366,7 @@ mod tests {
     fn health_column_carries_the_winners_verdict() {
         let mut a = audit("mm", 0);
         assert!(a.line().contains(" health=ok "), "{}", a.line());
-        a.candidates[0].health = CandidateInfo::degraded_health(2.5);
+        a.candidates[0].health = 2.5;
         assert!(a.candidates[0].is_degraded());
         let line = a.line();
         assert!(line.contains(" health=degraded(x2.50) "), "{line}");
@@ -301,9 +385,7 @@ mod tests {
         let mut a = audit("mm", 0);
         a.fused = FusionDecision::Fused { len: 3 };
         assert!(a.line().contains("fused=lead:3"));
-        a.fused = FusionDecision::FusedInto {
-            lead: "mm".to_string(),
-        };
+        a.fused = FusionDecision::FusedInto { lead: "mm".into() };
         assert!(a.line().contains("fused=into:mm"));
         a.fused = FusionDecision::Rejected {
             code: "write-write-overlap".to_string(),

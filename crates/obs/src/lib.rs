@@ -36,7 +36,8 @@ pub mod span;
 pub mod top;
 
 pub use audit::{
-    AuditLog, CandidateInfo, FusionDecision, PlacementAudit, PredictionSource, DEFAULT_TENANT,
+    default_tenant, AuditLog, CandidateInfo, FusionDecision, PlacementAudit, PredictionSource,
+    Reason, DEFAULT_TENANT,
 };
 pub use chrome::chrome_trace;
 pub use metrics::{Counter, Gauge, Registry, LATENCY_BUCKETS_NANOS};

@@ -9,6 +9,7 @@
 //! asked for one. The scheduler sees the result on every [`DeviceView`].
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use haocl_proto::ids::NodeId;
 use haocl_proto::messages::{DeviceDescriptor, DeviceKind};
@@ -21,9 +22,9 @@ use parking_lot::Mutex;
 pub struct DeviceView {
     /// The node hosting the device.
     pub node: NodeId,
-    /// The hosting node's cluster name (empty when unknown — audit
-    /// records then fall back to a synthetic `node<id>` label).
-    pub node_name: String,
+    /// The hosting node's cluster name, shared with every audit row
+    /// that names it.
+    pub node_name: Arc<str>,
     /// Device index within the node.
     pub device: u8,
     /// Device class.
@@ -58,11 +59,12 @@ pub struct DeviceView {
 }
 
 impl DeviceView {
-    /// Builds a view from a wire descriptor with an idle load state.
-    pub fn from_descriptor(node: NodeId, d: &DeviceDescriptor) -> Self {
+    /// Builds a view of a device on the node named `node_name` from its
+    /// wire descriptor, with an idle load state.
+    pub fn from_descriptor(node: NodeId, node_name: Arc<str>, d: &DeviceDescriptor) -> Self {
         DeviceView {
             node,
-            node_name: String::new(),
+            node_name,
             device: d.index,
             kind: d.kind,
             gflops: d.gflops,
@@ -78,8 +80,8 @@ impl DeviceView {
         }
     }
 
-    /// A representative idle device of the given class (for tests,
-    /// examples and policy documentation).
+    /// A representative idle device of the given class on a node named
+    /// `node<node>` (for tests, examples and policy documentation).
     pub fn sample(node: u32, device: u8, kind: DeviceKind) -> Self {
         let (gflops, bw, watts, mem) = match kind {
             DeviceKind::Cpu => (1000.0, 70.0, 145.0, 64u64 << 30),
@@ -88,7 +90,7 @@ impl DeviceView {
         };
         DeviceView {
             node: NodeId::new(node),
-            node_name: String::new(),
+            node_name: format!("node{node}").into(),
             device,
             kind,
             gflops,
@@ -102,12 +104,6 @@ impl DeviceView {
             active: true,
             quarantined: false,
         }
-    }
-
-    /// Sets the cluster node name used in audit records (builder-style).
-    pub fn named(mut self, name: &str) -> Self {
-        self.node_name = name.to_string();
-        self
     }
 
     /// Sets the load state (builder-style, for constructing snapshots).
@@ -382,8 +378,9 @@ mod tests {
             mem_bandwidth_gbps: 60.0,
             power_watts: 45.0,
         };
-        let v = DeviceView::from_descriptor(NodeId::new(7), &d);
+        let v = DeviceView::from_descriptor(NodeId::new(7), "fpga7".into(), &d);
         assert_eq!(v.node, NodeId::new(7));
+        assert_eq!(&*v.node_name, "fpga7");
         assert_eq!(v.device, 2);
         assert_eq!(v.kind, DeviceKind::Fpga);
         assert_eq!(v.mem_bytes, 1024);

@@ -1,8 +1,9 @@
 //! The extensible policy interface.
 
 use std::fmt;
+use std::sync::Arc;
 
-use haocl_obs::{CandidateInfo, PlacementAudit, PredictionSource};
+use haocl_obs::{CandidateInfo, FusionDecision, PlacementAudit, PredictionSource, Reason};
 use haocl_proto::messages::DeviceKind;
 use haocl_sim::SimDuration;
 
@@ -68,6 +69,8 @@ pub trait SchedulingPolicy: Send + Sync {
 /// and the shared profiling database.
 pub struct Scheduler {
     policy: Box<dyn SchedulingPolicy>,
+    /// The policy's name, shared by every audit row it decides.
+    policy_name: Arc<str>,
     profile: ProfileDb,
 }
 
@@ -75,6 +78,7 @@ impl Scheduler {
     /// Creates a scheduler driven by `policy`.
     pub fn new(policy: Box<dyn SchedulingPolicy>) -> Self {
         Scheduler {
+            policy_name: policy.name().into(),
             policy,
             profile: ProfileDb::new(),
         }
@@ -82,7 +86,7 @@ impl Scheduler {
 
     /// The active policy's name.
     pub fn policy_name(&self) -> &str {
-        self.policy.name()
+        &self.policy_name
     }
 
     /// The shared profiling database (record observations here).
@@ -92,6 +96,7 @@ impl Scheduler {
 
     /// Swaps the policy at runtime, keeping accumulated profiles.
     pub fn set_policy(&mut self, policy: Box<dyn SchedulingPolicy>) {
+        self.policy_name = policy.name().into();
         self.policy = policy;
     }
 
@@ -135,17 +140,10 @@ impl Scheduler {
                 .clone()
                 .find(|(_, d)| d.node == node && d.device == dev)
                 .ok_or_else(|| SchedError::PinnedDeviceMissing {
-                    kernel: task.kernel.clone(),
+                    kernel: task.kernel.to_string(),
                 })?;
-            let audit = PlacementAudit {
-                kernel: task.kernel.clone(),
-                tenant: task.tenant.clone(),
-                policy: self.policy.name().to_string(),
-                candidates: vec![self.candidate(task, idx, &devices[idx])],
-                chosen: idx,
-                reason: "pinned by task spec".to_string(),
-                fused: haocl_obs::FusionDecision::Unconsidered,
-            };
+            let candidates = vec![self.candidate(task, idx, &devices[idx])];
+            let audit = self.audit(task, candidates, idx, "pinned by task spec".into());
             return Ok((idx, audit));
         }
         let eligible: Vec<(usize, &DeviceView)> = candidates
@@ -153,64 +151,58 @@ impl Scheduler {
             .collect();
         if eligible.is_empty() {
             return Err(SchedError::NoEligibleDevice {
-                kernel: task.kernel.clone(),
+                kernel: task.kernel.to_string(),
             });
         }
         let chosen = self
             .policy
             .place(task, &eligible, &self.profile)
             .ok_or_else(|| SchedError::NoEligibleDevice {
-                kernel: task.kernel.clone(),
+                kernel: task.kernel.to_string(),
             })?;
-        let candidates: Vec<CandidateInfo> = eligible
+        let candidates = eligible
             .iter()
             .map(|&(i, d)| self.candidate(task, i, d))
             .collect();
-        let reason = candidates
-            .iter()
-            .find(|c| c.device == chosen)
-            .map(|w| match (w.source, w.predicted_nanos) {
-                (PredictionSource::Observed, Some(n)) => {
-                    format!("observed profile predicts {}", SimDuration::from_nanos(n))
-                }
-                (PredictionSource::CostModel, Some(n)) => {
-                    format!("cost model estimates {}", SimDuration::from_nanos(n))
-                }
-                (src, None) => format!("no prediction (src={src})"),
-            })
-            .unwrap_or_else(|| "policy choice".to_string());
-        let audit = PlacementAudit {
-            kernel: task.kernel.clone(),
-            tenant: task.tenant.clone(),
-            policy: self.policy.name().to_string(),
-            candidates,
-            chosen,
-            reason,
-            fused: haocl_obs::FusionDecision::Unconsidered,
-        };
+        // The reason is read off the winner's prediction when the row
+        // renders.
+        let audit = self.audit(task, candidates, chosen, Reason::Predicted);
         Ok((chosen, audit))
     }
 
+    fn audit(
+        &self,
+        task: &TaskSpec,
+        candidates: Vec<CandidateInfo>,
+        chosen: usize,
+        reason: Reason,
+    ) -> PlacementAudit {
+        PlacementAudit {
+            kernel: Arc::clone(&task.kernel),
+            tenant: Arc::clone(&task.tenant),
+            policy: Arc::clone(&self.policy_name),
+            candidates,
+            chosen,
+            reason,
+            fused: FusionDecision::Unconsidered,
+        }
+    }
+
     /// Builds the audit record for one candidate device: the unpenalised
-    /// [`predict`] answer, with the health verdict in its own column.
+    /// [`predict`] answer, with the health penalty in its own column.
     fn candidate(&self, task: &TaskSpec, idx: usize, view: &DeviceView) -> CandidateInfo {
         let (run, source) = predict(task, view, &self.profile);
-        let health = if view.health_penalty > 1.0 {
-            CandidateInfo::degraded_health(view.health_penalty)
-        } else {
-            CandidateInfo::HEALTHY.to_string()
-        };
         CandidateInfo {
             device: idx,
-            node: if view.node_name.is_empty() {
-                format!("node{}", view.node.raw())
-            } else {
-                view.node_name.clone()
+            node: Arc::clone(&view.node_name),
+            kind: match view.kind {
+                DeviceKind::Cpu => "Cpu",
+                DeviceKind::Gpu => "Gpu",
+                DeviceKind::Fpga => "Fpga",
             },
-            kind: format!("{:?}", view.kind),
             predicted_nanos: Some(run.as_nanos()),
             source,
-            health,
+            health: view.health_penalty,
         }
     }
 }
@@ -234,7 +226,7 @@ pub(crate) fn predict(
 impl fmt::Debug for Scheduler {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Scheduler")
-            .field("policy", &self.policy.name())
+            .field("policy", &self.policy_name)
             .field("profile_keys", &self.profile.len())
             .finish()
     }
@@ -434,12 +426,12 @@ mod tests {
         let (idx, audit) = s.place_audited(&TaskSpec::new("k"), &devices).unwrap();
         assert_eq!(idx, 1);
         assert_eq!(audit.chosen, 1);
-        assert_eq!(audit.policy, "first-fit");
+        assert_eq!(&*audit.policy, "first-fit");
         assert_eq!(audit.candidates.len(), 2, "FPGA filtered out");
         let w = audit.winner().unwrap();
         assert_eq!(w.kind, "Gpu");
         assert_eq!(w.source, PredictionSource::CostModel);
-        assert!(audit.reason.starts_with("cost model estimates"));
+        assert!(audit.reason_text().starts_with("cost model estimates"));
         // Warm the profile: the source flips to Observed.
         s.profile()
             .record("k", DeviceKind::Gpu, SimDuration::from_nanos(700));
@@ -506,7 +498,7 @@ mod tests {
         devices[1] = devices[1].clone().with_health_penalty(2.0);
         let (_, audit) = s.place_audited(&TaskSpec::new("k"), &devices).unwrap();
         let gpu = audit.candidates.iter().find(|c| c.kind == "Gpu").unwrap();
-        assert_eq!(gpu.health, "degraded(x2.00)");
+        assert_eq!(gpu.health, 2.0);
         assert!(gpu.is_degraded());
         let cpu = audit.candidates.iter().find(|c| c.kind == "Cpu").unwrap();
         assert_eq!(cpu.health, CandidateInfo::HEALTHY);
@@ -520,7 +512,7 @@ mod tests {
         let t = TaskSpec::new("k").pin(NodeId::new(2), 0);
         let (idx, audit) = s.place_audited(&t, &devices).unwrap();
         assert_eq!(idx, 2);
-        assert_eq!(audit.reason, "pinned by task spec");
+        assert_eq!(audit.reason_text(), "pinned by task spec");
         assert_eq!(audit.candidates.len(), 1);
     }
 

@@ -1,6 +1,9 @@
 //! The task descriptor: one kernel launch as the scheduler sees it.
 
+use std::sync::Arc;
+
 use haocl_kernel::CostModel;
+use haocl_obs::default_tenant;
 use haocl_proto::ids::{NodeId, UserId};
 
 /// One kernel launch as the scheduler sees it.
@@ -9,15 +12,15 @@ use haocl_proto::ids::{NodeId, UserId};
 /// sensible defaults.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TaskSpec {
-    /// Kernel name (profile key).
-    pub kernel: String,
+    /// Kernel name (profile key), shared with the placement's audit row.
+    pub kernel: Arc<str>,
     /// Device-independent launch cost.
     pub cost: CostModel,
     /// The submitting user/session.
     pub user: UserId,
     /// The billing tenant's display name (audit/metric label); untagged
     /// launches bill the `"default"` tenant.
-    pub tenant: String,
+    pub tenant: Arc<str>,
     /// Whether a pre-built bitstream exists, making FPGA placement legal
     /// (§III-D: FPGAs run pre-built kernels only).
     pub fpga_eligible: bool,
@@ -32,12 +35,12 @@ pub struct TaskSpec {
 
 impl TaskSpec {
     /// Creates a task for `kernel` with default cost and no constraints.
-    pub fn new(kernel: impl Into<String>) -> Self {
+    pub fn new(kernel: impl Into<Arc<str>>) -> Self {
         TaskSpec {
             kernel: kernel.into(),
             cost: CostModel::new(),
             user: UserId::new(0),
-            tenant: "default".to_string(),
+            tenant: default_tenant(),
             fpga_eligible: false,
             pinned: None,
             input_bytes: 0,
@@ -57,7 +60,7 @@ impl TaskSpec {
     }
 
     /// Tags the billing tenant (audit/metric label).
-    pub fn tenant(mut self, tenant: impl Into<String>) -> Self {
+    pub fn tenant(mut self, tenant: impl Into<Arc<str>>) -> Self {
         self.tenant = tenant.into();
         self
     }
@@ -95,11 +98,11 @@ mod tests {
             .fpga_eligible(true)
             .pin(NodeId::new(1), 0)
             .input_bytes(4096);
-        assert_eq!(t.kernel, "matmul");
+        assert_eq!(&*t.kernel, "matmul");
         assert_eq!(t.cost.total_flops(), 10.0);
         assert_eq!(t.user, UserId::new(3));
-        assert_eq!(t.tenant, "acme");
-        assert_eq!(TaskSpec::new("k").tenant, "default");
+        assert_eq!(&*t.tenant, "acme");
+        assert_eq!(&*TaskSpec::new("k").tenant, "default");
         assert!(t.fpga_eligible);
         assert_eq!(t.pinned, Some((NodeId::new(1), 0)));
         assert_eq!(t.input_bytes, 4096);

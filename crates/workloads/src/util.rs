@@ -14,7 +14,8 @@ pub(crate) fn throughput_weights(devices: &[Device], unit_cost: &CostModel) -> V
     devices
         .iter()
         .map(|d| {
-            let view = DeviceView::from_descriptor(d.node_id(), d.descriptor());
+            let view =
+                DeviceView::from_descriptor(d.node_id(), d.node_name().into(), d.descriptor());
             let task = TaskSpec::new("unit").cost(*unit_cost);
             let secs = estimate_time(&task, &view).as_secs_f64();
             if secs > 0.0 {

@@ -1,6 +1,7 @@
-//! Heap allocations per small launch, counted over the whole process —
-//! the client thread and every NMP thread — with this file's own
-//! `#[global_allocator]`; the allocations of one cold compile of each
+//! Heap allocations per small launch, raw and placed through the
+//! serving plane, counted over the whole process — the client thread
+//! and every NMP thread — with this file's own `#[global_allocator]`;
+//! the allocations of one cold compile of each
 //! paper kernel; and the bytes the wire decoder allocates for a frame,
 //! whatever the frame claims about its own lengths.
 //!
@@ -15,12 +16,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use haocl::kernel::Kernel;
-use haocl::{Buffer, CommandQueue, Context, DeviceType, MemFlags, Platform, Program};
+use haocl::{
+    Buffer, CommandQueue, Context, DeviceType, MemFlags, Platform, Program, ServingPlane,
+    TenantSpec,
+};
 use haocl_clc::{compile_with_options, AnalysisMode, CompileOptions};
 use haocl_cluster::ClusterConfig;
 use haocl_kernel::{KernelRegistry, NdRange};
 use haocl_proto::messages::{ApiCall, ApiReply, Envelope, Request, Response};
 use haocl_proto::wire::{decode_from_segments, decode_from_slice, Decode};
+use haocl_sched::policies::HeteroAware;
 use haocl_workloads::{bfs, cfd, knn, matmul, spmv};
 
 /// Calls to `alloc`/`realloc`, from any thread.
@@ -324,6 +329,74 @@ fn allocations_per_launch_do_not_grow_with_the_cluster() {
     assert!(
         large <= small + 1.0,
         "{large:.2} allocations per launch on 16 nodes against {small:.2} on 2"
+    );
+}
+
+/// Allocations per `ServingPlane::dispatch_one` of a queued 64-item
+/// saxpy, one tenant on a 2-node GPU cluster placing through
+/// `HeteroAware`: the placement, its audit row, the launch and its
+/// wait. Submissions happen outside the counted window.
+fn allocations_per_dispatch(warm_up: usize, measured: usize) -> f64 {
+    const BATCH: usize = 16;
+    let platform =
+        Platform::cluster(&ClusterConfig::gpu_cluster(2), KernelRegistry::new()).unwrap();
+    let ctx = Context::new(&platform, &platform.devices(DeviceType::All)).unwrap();
+    let plane = ServingPlane::new(&ctx, Box::new(HeteroAware::new())).unwrap();
+    let session = plane.open_session(TenantSpec::new("tenant0"));
+    let program = Program::from_source(&ctx, SAXPY);
+    program.build().unwrap();
+    let init: Vec<u8> = (0..ITEMS).flat_map(|i| (i as f32).to_le_bytes()).collect();
+    let x = session
+        .create_buffer(MemFlags::READ_ONLY, 4 * ITEMS as u64)
+        .unwrap();
+    let y = session
+        .create_buffer(MemFlags::READ_WRITE, 4 * ITEMS as u64)
+        .unwrap();
+    let stage = CommandQueue::new(&ctx, &ctx.devices()[0]).unwrap();
+    stage.enqueue_write_buffer(&x, 0, &init).unwrap();
+    stage.enqueue_write_buffer(&y, 0, &init).unwrap();
+    let kernel = Kernel::new(&program, "saxpy").unwrap();
+    kernel.set_arg_buffer(0, &x).unwrap();
+    kernel.set_arg_buffer(1, &y).unwrap();
+    kernel.set_arg_f32(2, 0.0).unwrap();
+    kernel.set_arg_i32(3, ITEMS as i32).unwrap();
+    let range = NdRange::linear(ITEMS as u64, ITEMS as u64);
+    // Dispatches `n` launches in batches; returns the allocations made
+    // inside `dispatch_one`.
+    let run = |n: usize| {
+        let mut made = 0;
+        for _ in 0..n / BATCH {
+            for _ in 0..BATCH {
+                session.submit(&kernel, range).unwrap();
+            }
+            for _ in 0..BATCH {
+                let before = ALLOCATIONS.load(Ordering::Relaxed);
+                let (_, event, _) = plane.dispatch_one().unwrap().expect("one launch queued");
+                made += ALLOCATIONS.load(Ordering::Relaxed) - before;
+                assert!(event.instructions() > 0, "launch did not run in the VM");
+            }
+        }
+        made
+    };
+    run(warm_up);
+    let per_dispatch = run(measured) as f64 / measured as f64;
+    let mut out = vec![0u8; 4 * ITEMS];
+    stage.enqueue_read_buffer(&y, 0, &mut out).unwrap();
+    assert_eq!(out, init, "saxpy with a = 0 changed y");
+    per_dispatch
+}
+
+#[test]
+fn a_serving_plane_dispatch_makes_24_allocations() {
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let per_dispatch = allocations_per_dispatch(1_024, 8_192);
+    println!("allocations per dispatch_one, 2 nodes: {per_dispatch:.2}");
+    // 24 measured, 14 of them a raw launch's. 41 while an audit row held
+    // its names, kinds, health and reason as text (11 blocks a row) and
+    // each dispatch copied its kernel, tenant and node names.
+    assert!(
+        per_dispatch < 25.0,
+        "{per_dispatch:.2} allocations per dispatch, more than 24"
     );
 }
 
