@@ -45,7 +45,10 @@ struct Entry {
 /// ```
 #[derive(Debug, Default)]
 pub struct ProfileDb {
-    entries: RwLock<HashMap<(String, DeviceKind), Entry>>,
+    /// One slot per device class (`kind as usize`) for each kernel name,
+    /// so a lookup by `&str` allocates nothing and only a kernel's first
+    /// record does.
+    entries: RwLock<HashMap<String, [Entry; 3]>>,
     /// How many observations have updated an *already warm* key — each
     /// one is an online recalibration of a trusted estimate. Feeds the
     /// `haocl_profile_recalibrations_total` metric.
@@ -63,7 +66,10 @@ impl ProfileDb {
     /// recalibration.
     pub fn record(&self, kernel: &str, kind: DeviceKind, duration: SimDuration) {
         let mut entries = self.entries.write();
-        let e = entries.entry((kernel.to_string(), kind)).or_default();
+        if !entries.contains_key(kernel) {
+            entries.insert(kernel.to_string(), Default::default());
+        }
+        let e = &mut entries.get_mut(kernel).expect("inserted above")[kind as usize];
         let nanos = duration.as_nanos() as f64;
         if e.runs == 0 {
             e.ema_nanos = nanos;
@@ -79,9 +85,7 @@ impl ProfileDb {
     /// The warm observed EMA — `None` while the key is cold (fewer than
     /// `MIN_RUNS` observations).
     pub fn observed(&self, kernel: &str, kind: DeviceKind) -> Option<SimDuration> {
-        self.entries
-            .read()
-            .get(&(kernel.to_string(), kind))
+        self.entry(kernel, kind)
             .filter(|e| e.runs >= MIN_RUNS)
             .map(|e| SimDuration::from_nanos(e.ema_nanos as u64))
     }
@@ -94,15 +98,20 @@ impl ProfileDb {
 
     /// Number of recorded observations for a key.
     pub fn runs(&self, kernel: &str, kind: DeviceKind) -> u64 {
-        self.entries
-            .read()
-            .get(&(kernel.to_string(), kind))
-            .map_or(0, |e| e.runs)
+        self.entry(kernel, kind).map_or(0, |e| e.runs)
     }
 
     /// Number of distinct `(kernel, device class)` keys.
     pub fn len(&self) -> usize {
-        self.entries.read().len()
+        let entries = self.entries.read();
+        entries.values().flatten().filter(|e| e.runs > 0).count()
+    }
+
+    fn entry(&self, kernel: &str, kind: DeviceKind) -> Option<Entry> {
+        self.entries
+            .read()
+            .get(kernel)
+            .map(|slots| slots[kind as usize])
     }
 
     /// Whether the database is empty.

@@ -387,16 +387,14 @@ fn allocations_per_dispatch(warm_up: usize, measured: usize) -> f64 {
 }
 
 #[test]
-fn a_serving_plane_dispatch_makes_24_allocations() {
+fn a_serving_plane_dispatch_makes_19_allocations() {
     let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let per_dispatch = allocations_per_dispatch(1_024, 8_192);
     println!("allocations per dispatch_one, 2 nodes: {per_dispatch:.2}");
-    // 24 measured, 14 of them a raw launch's. 41 while an audit row held
-    // its names, kinds, health and reason as text (11 blocks a row) and
-    // each dispatch copied its kernel, tenant and node names.
+    // 19 measured, 14 of them a raw launch's.
     assert!(
-        per_dispatch < 25.0,
-        "{per_dispatch:.2} allocations per dispatch, more than 24"
+        per_dispatch < 20.0,
+        "{per_dispatch:.2} allocations per dispatch, more than 19"
     );
 }
 
