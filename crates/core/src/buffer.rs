@@ -573,23 +573,21 @@ impl BufferInner {
             write_shadow(&mut st.shadow, self.size, offset, bytes);
         }
         self.allocate_locked(&mut st, device)?;
-        // If the device already had the newest pre-write contents, a
-        // partial push keeps it equal; otherwise push the whole contents.
-        // A modeled buffer with a single allocation also stays partial —
-        // nothing else can hold a diverging copy.
+        // A partial write to a device that already holds the newest
+        // contents sends only its bytes; everything else pushes the
+        // shadow, whose block the device adopts, parking the one it
+        // displaces for the next write's shadow. A modeled buffer with
+        // a single allocation also stays partial — nothing else can
+        // hold a diverging copy.
         let was_current = st.residency.is_current(device.index, epoch);
-        // A partial push layers journaled bytes over the device's prior
-        // content, so the taint carries; a full push resets the lineage.
-        let replayable = if was_current {
-            st.residency.replayable_at(device.index)
-        } else {
-            true
-        };
-        st.residency.record_write(Location::Host, 0, true);
         let whole = match data {
-            HostData::Real(_) => !was_current,
+            HostData::Real(_) => !was_current || data.len() == self.size,
             HostData::Modeled(_) => !was_current && st.residency.allocated_count() != 1,
         };
+        // A partial push layers journaled bytes over the device's prior
+        // content, so the taint carries; a whole push resets the lineage.
+        let replayable = whole || st.residency.replayable_at(device.index);
+        st.residency.record_write(Location::Host, 0, true);
         if whole {
             self.push_shadow_locked(&mut st, device)?;
         } else {

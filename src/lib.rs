@@ -3,7 +3,10 @@
 //! Re-exports every crate of the workspace for the runnable examples in
 //! `examples/` and the cross-crate integration tests in `tests/`. Library
 //! users should depend on the individual crates (start with [`haocl`]).
-
+//!
+//! The README follows; its Rust blocks compile and run as this crate's
+//! doctests.
+#![doc = include_str!("../README.md")]
 #![forbid(unsafe_code)]
 
 pub use haocl;

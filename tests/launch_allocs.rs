@@ -317,6 +317,53 @@ fn a_round_of_whole_written_buffers_recycles_its_storage() {
     assert!(grown <= 0, "the spare list grew by {grown} bytes");
 }
 
+/// A training loop's shape — each step writes the whole of one live
+/// buffer — trades one block between host and device: the shadow is
+/// pushed, the device adopts it and parks the block it displaces, and
+/// the next write draws that block back. No large allocation per write,
+/// and the spare list gains at most one buffer's worth. Recovery is
+/// off: the host journal keeps every payload it sends, so with it on
+/// each write's block would stay pinned there instead.
+#[test]
+fn rewriting_a_live_buffer_whole_trades_one_block() {
+    const SIZE: usize = 64 << 10;
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let idle = haocl_device::memory::spare::idle_bytes();
+    let platform =
+        Platform::cluster(&ClusterConfig::gpu_cluster(2), KernelRegistry::new()).unwrap();
+    platform.set_recovery(None);
+    let devices = platform.devices(DeviceType::All);
+    let ctx = Context::new(&platform, &devices).unwrap();
+    let queue = CommandQueue::new(&ctx, &devices[0]).unwrap();
+    let buffer = Buffer::new(&ctx, MemFlags::READ_WRITE, SIZE as u64).unwrap();
+    let mut batch = vec![0u8; SIZE];
+    let mut step = |i: usize| {
+        batch.fill(i as u8);
+        queue.enqueue_write_buffer(&buffer, 0, &batch).unwrap();
+    };
+    for i in 0..4 {
+        step(i);
+    }
+    let (writes, before) = (256, LARGE_ALLOCATIONS.load(Ordering::Relaxed));
+    for i in 0..writes {
+        step(i);
+    }
+    let per_write = (LARGE_ALLOCATIONS.load(Ordering::Relaxed) - before) as f64 / writes as f64;
+    let grown = haocl_device::memory::spare::idle_bytes() as i64 - idle as i64;
+    println!("allocations of {LARGE} bytes or more per whole write: {per_write:.2}, spare list grew {grown} bytes");
+    assert_eq!(
+        per_write, 0.0,
+        "a whole write allocated {per_write:.2} large blocks"
+    );
+    assert!(
+        grown <= SIZE as i64,
+        "the spare list grew by {grown} bytes, more than one {SIZE}-byte buffer"
+    );
+    let mut out = vec![0u8; SIZE];
+    queue.enqueue_read_buffer(&buffer, 0, &mut out).unwrap();
+    assert!(out == batch, "the buffer lost the last write");
+}
+
 #[test]
 fn allocations_per_launch_do_not_grow_with_the_cluster() {
     // `HostRuntime::devices()` clones every device record; on the launch
